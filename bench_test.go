@@ -290,7 +290,8 @@ func feed(ms []core.Measurement, producers int, mk func(w int) core.Sink, done f
 // The "mutex" case is the old architecture: every producer serializes on
 // one store.DB lock. The shard cases route through internal/ingest and end
 // with the deterministic merge, so they pay the full pipeline cost
-// including reduce. BENCH_ingest.json records the trajectory.
+// including reduce. The repository benchmark (bench/, study2-sharded)
+// is the gated measurement of this path; this is the quick local one.
 func BenchmarkIngestPipeline(b *testing.B) {
 	const n = 100_000
 	ms := ingestWorkload(n)

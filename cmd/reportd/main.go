@@ -9,7 +9,7 @@
 //	reportd -listen=:8080 -refdir=refs/   # one <host>.pem per file
 //
 // Measurements flow through the sharded ingest pipeline (internal/ingest):
-// -shards partitions the store, -batch sets the pipeline batch size, and
+// -shards partitions the store, -batch sets the per-shard commit size, and
 // clients may stream many reports per connection to /ingest/batch in the
 // compact binary wire format instead of one concatenated-PEM POST per
 // report to /report.
@@ -18,7 +18,7 @@
 // measurement is written ahead to a per-shard WAL, -snapshot-every folds
 // the WAL into compact snapshots on a timer, boot recovers whatever a
 // previous process persisted, and SIGTERM/SIGINT shut down gracefully —
-// stop accepting, drain the ingest shards, fsync the WAL, and write a
+// stop accepting, commit the pending reports, fsync the WAL, and write a
 // final snapshot — so a restart never forfeits the collected study.
 package main
 
@@ -70,8 +70,6 @@ type serverConfig struct {
 	campaign      string
 	shards        int
 	batch         int
-	queue         int
-	walGroup      int
 	obsCache      int
 	dataDir       string
 	snapshotEvery time.Duration
@@ -79,7 +77,7 @@ type serverConfig struct {
 	logw          io.Writer // server log destination (os.Stdout in main)
 
 	// clusterID switches the server into cluster mode (DESIGN.md §12):
-	// storage runs through a cluster.Node (per-shard WALs, peer
+	// the shards are mounted by a cluster.Node (fsync per batch, peer
 	// replication, ring routing) instead of the ingest pipeline, and the
 	// /cluster/* + /repl/tail surfaces are mounted. clusterPeers is the
 	// full "id=url,..." member list including this node.
@@ -93,11 +91,15 @@ type serverConfig struct {
 }
 
 // server is the assembled reporting server. Exactly one of pipeline
-// (single-node mode) or node (cluster mode) is non-nil.
+// (single-node mode) or node (cluster mode) is non-nil; shards are the
+// shard engines whichever of them mounted, and everything that reads
+// storage (tables, /stats, WAL accounting, the shutdown snapshot) goes
+// through them, not through the mode.
 type server struct {
 	cfg      serverConfig
 	pipeline *ingest.Pipeline
 	node     *cluster.Node
+	shards   []*durable.Shard
 	col      *core.Collector
 	httpSrv  *http.Server
 	ln       net.Listener
@@ -129,13 +131,11 @@ func newServer(cfg serverConfig) (*server, error) {
 	if len(cfg.refs) == 0 {
 		return nil, fmt.Errorf("reportd: no authoritative chains registered")
 	}
-	if cfg.shards <= 0 {
-		cfg.shards = 1 // keep the shutdown snapshot loop in step with the pipeline's own clamp
-	}
 	reg := telemetry.NewRegistry()
 	tracer := telemetry.NewTracer(reg, 0)
 	var pipeline *ingest.Pipeline
 	var node *cluster.Node
+	var shards []*durable.Shard
 	var chaos *faultnet.Controller
 	var recovery []durable.Info
 	var sink core.Sink
@@ -177,26 +177,17 @@ func newServer(cfg serverConfig) (*server, error) {
 			return nil, err
 		}
 		node.Start()
-		sink = node
+		sink, shards = node, node.Shards()
 	} else {
-		pcfg := ingest.Config{
-			Shards:      cfg.shards,
-			BatchSize:   cfg.batch,
-			QueueDepth:  cfg.queue,
-			Block:       true, // reports are precious: backpressure, never drop
-			GroupCommit: cfg.walGroup,
-			Tracer:      tracer,
-		}
-		if cfg.dataDir != "" {
-			pcfg.WALDir = cfg.dataDir
-		}
 		var err error
-		pipeline, recovery, err = ingest.OpenPipeline(pcfg)
+		pipeline, recovery, err = ingest.OpenPipeline(ingest.Config{
+			Shards: cfg.shards, BatchSize: cfg.batch, Tracer: tracer, WALDir: cfg.dataDir,
+		})
 		if err != nil {
 			return nil, err
 		}
 		pipeline.MountMetrics(reg)
-		sink = pipeline
+		sink, shards = pipeline, pipeline.Shards()
 	}
 	col := core.NewCollector(classify.NewClassifier(), geo.NewDB(), sink)
 	col.Campaign = cfg.campaign
@@ -212,7 +203,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		fmt.Fprintf(cfg.logw, "reportd: registered authoritative chain for %s (%d certs)\n", ref.host, len(ref.chain))
 	}
 	s := &server{
-		cfg: cfg, pipeline: pipeline, node: node, col: col, recovery: recovery, started: time.Now(),
+		cfg: cfg, pipeline: pipeline, node: node, shards: shards, col: col, recovery: recovery, started: time.Now(),
 		reg: reg, tracer: tracer, ring: telemetry.NewEventRing(0), chaos: chaos,
 		audits: store.NewAuditStore(),
 	}
@@ -233,44 +224,50 @@ func recoveryNote(info durable.Info) string {
 	return ""
 }
 
-// snapshot folds the live shards into one queryable DB; the pipeline is
-// drained first so every already-POSTed report is visible. It is
+// commitPending makes every already-POSTed report visible in the shard
+// stores. Only the pipeline buffers; a cluster commit is synchronous.
+func (s *server) commitPending() {
+	if s.pipeline != nil {
+		s.pipeline.Drain()
+	}
+}
+
+// snapshot folds the live shards into one queryable DB. It is
 // O(retained records) — export-path only.
 func (s *server) snapshot() *store.DB {
-	if s.node != nil {
-		// Cluster ingest is synchronous-durable; there is no queue to drain.
-		return s.node.MergeLocal()
+	s.commitPending()
+	dbs := make([]*store.DB, len(s.shards))
+	for i, sh := range s.shards {
+		dbs[i] = sh.DB
 	}
-	s.pipeline.Drain()
-	return s.pipeline.Merge(0)
+	return store.Merge(0, dbs...)
 }
 
-// summary answers /stats from per-shard aggregates without touching
-// retained records, so polling stays cheap at any store size.
-func (s *server) summary() string {
-	var dbs []*store.DB
-	if s.node != nil {
-		dbs = []*store.DB{s.node.MergeLocal()}
-	} else {
-		s.pipeline.Drain()
-		dbs = s.pipeline.Stores()
-	}
-	var tot store.Agg
-	countries := make(map[string]struct{})
-	for _, db := range dbs {
-		t := db.Totals()
+// totals sums the per-shard aggregates without touching retained
+// records, so polling stays cheap at any store size.
+func (s *server) totals() (tot store.Agg, countries int) {
+	seen := make(map[string]struct{})
+	for _, sh := range s.shards {
+		t := sh.DB.Totals()
 		tot.Tested += t.Tested
 		tot.Proxied += t.Proxied
-		for _, c := range db.ProxiedCountryList() {
-			countries[c] = struct{}{}
+		for _, c := range sh.DB.ProxiedCountryList() {
+			seen[c] = struct{}{}
 		}
 	}
-	return fmt.Sprintf("store: %d tested, %d proxied (%.2f%%), %d countries",
-		tot.Tested, tot.Proxied, 100*tot.Rate(), len(countries))
+	return tot, len(seen)
 }
 
-// metrics is the /metrics document: ingest accounting, durable WAL
-// accounting per shard, cache stats, uptime.
+// summary answers /stats.
+func (s *server) summary() string {
+	s.commitPending()
+	tot, countries := s.totals()
+	return fmt.Sprintf("store: %d tested, %d proxied (%.2f%%), %d countries",
+		tot.Tested, tot.Proxied, 100*tot.Rate(), countries)
+}
+
+// metrics is the /metrics document: the mode's own accounting (ingest or
+// cluster), durable WAL accounting per shard, cache stats, uptime.
 func (s *server) metrics() map[string]any {
 	m := map[string]any{
 		"uptime_seconds": time.Since(s.started).Seconds(),
@@ -284,13 +281,10 @@ func (s *server) metrics() map[string]any {
 	}
 	if s.node != nil {
 		m["cluster"] = s.node.Status()
-		if s.col.Cache != nil {
-			m["cache"] = s.col.Cache.Stats()
-		}
-		return m
+	} else {
+		m["ingest"] = s.pipeline.Stats()
 	}
-	m["ingest"] = s.pipeline.Stats()
-	if wal := s.pipeline.WALStats(); wal != nil {
+	if wal := durable.WALStats(s.shards); wal != nil {
 		m["wal"] = wal
 		var bytes, fsyncs, frames uint64
 		segments := 0
@@ -422,10 +416,10 @@ func (s *server) start() error {
 func (s *server) addr() string { return s.ln.Addr().String() }
 
 // serve runs the HTTP server and the snapshot timer until a signal
-// arrives, then shuts down gracefully: stop accepting, drain every
-// ingest shard, close the WALs (final fsync), and write a final snapshot
-// per shard — the fix for the old behavior of dying mid-flush and
-// forfeiting queued reports.
+// arrives, then shuts down gracefully: stop accepting, commit what is
+// pending, close the WALs (final fsync), and write a final snapshot per
+// shard — the fix for the old behavior of dying mid-flush and forfeiting
+// buffered reports.
 func (s *server) serve(sig <-chan os.Signal) error {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- s.httpSrv.Serve(s.ln) }()
@@ -455,14 +449,11 @@ func (s *server) serve(sig <-chan os.Signal) error {
 			cancel()
 			if err != nil {
 				// Shutdown timed out with handlers still running (a slow
-				// client mid-upload). Closing the pipeline now would close
-				// shard channels under an active producer; hard-close the
-				// connections first and give the unwinding handlers a
-				// moment to stop producing before the pipeline stops
-				// accepting.
+				// client mid-upload): hard-close the connections. A handler
+				// still unwinding can ingest after Close below — that is
+				// defined (counted as a WAL error), not a hazard.
 				fmt.Fprintf(s.cfg.logw, "reportd: graceful shutdown timed out (%v), closing connections\n", err)
 				s.httpSrv.Close()
-				time.Sleep(500 * time.Millisecond)
 				err = nil // mitigated; only persistence failures below are fatal
 			}
 			if s.chaos != nil {
@@ -470,21 +461,18 @@ func (s *server) serve(sig <-chan os.Signal) error {
 			}
 			if s.node != nil {
 				// Cluster shutdown: stop followers (final replica sync),
-				// fsync and close every WAL.
+				// fsync and close every WAL. The logs are not compacted:
+				// replica followers tail them by sequence number.
 				if cerr := s.node.Close(); err == nil {
 					err = cerr
 				}
 			} else {
-				s.pipeline.Drain()
 				if cerr := s.pipeline.Close(); err == nil {
 					err = cerr
 				}
-				if s.cfg.dataDir != "" {
-					for i := 0; i < s.cfg.shards; i++ {
-						opt := durable.Options{Dir: filepath.Join(s.cfg.dataDir, fmt.Sprintf("shard-%03d", i))}
-						if _, serr := durable.Snapshot(opt); serr != nil && err == nil {
-							err = serr
-						}
+				for _, sh := range s.shards {
+					if serr := sh.Snapshot(); serr != nil && err == nil {
+						err = serr
 					}
 				}
 			}
@@ -492,29 +480,11 @@ func (s *server) serve(sig <-chan os.Signal) error {
 				// Post-mortem trail for operator-initiated kills.
 				s.ring.Dump(s.cfg.logw)
 			}
-			fmt.Fprintf(s.cfg.logw, "reportd: shutdown complete (%s)\n", s.summaryClosed())
+			tot, _ := s.totals()
+			fmt.Fprintf(s.cfg.logw, "reportd: shutdown complete (%d tested, %d proxied)\n", tot.Tested, tot.Proxied)
 			return err
 		}
 	}
-}
-
-// summaryClosed renders the final store line without draining (the
-// pipeline is already closed).
-func (s *server) summaryClosed() string {
-	if s.node != nil {
-		t := s.node.MergeLocal().Totals()
-		return fmt.Sprintf("%d tested, %d proxied", t.Tested, t.Proxied)
-	}
-	var tot store.Agg
-	for _, db := range s.pipeline.Stores() {
-		if db == nil {
-			continue
-		}
-		t := db.Totals()
-		tot.Tested += t.Tested
-		tot.Proxied += t.Proxied
-	}
-	return fmt.Sprintf("%d tested, %d proxied", tot.Tested, tot.Proxied)
 }
 
 func main() {
@@ -525,9 +495,7 @@ func main() {
 		refDir    = flag.String("refdir", "", "directory of <host>.pem authoritative chains")
 		campaign  = flag.String("campaign", "manual", "campaign label stamped onto measurements")
 		shards    = flag.Int("shards", 4, "ingest pipeline shards (1 = single store)")
-		batch     = flag.Int("batch", ingest.DefaultBatchSize, "ingest pipeline batch size")
-		queue     = flag.Int("queue", 64, "per-shard queue depth in batches")
-		walGroup  = flag.Int("wal-group", 0, "max queued batches folded into one WAL append/fsync per shard (0 = default 32; 1 disables group commit)")
+		batch     = flag.Int("batch", ingest.DefaultBatchSize, "measurements buffered per shard before they commit (WAL append + store apply)")
 		obsCache  = flag.Int("obs-cache", chaincache.DefaultCap, "observation cache capacity in distinct (host, chain) pairs (0 disables)")
 		dataDir   = flag.String("data-dir", "", "durable per-shard WAL + snapshot directory (recovered on boot; graceful shutdown snapshots)")
 		snapEvery = flag.Duration("snapshot-every", 0, "checkpoint the WALs on this cadence (e.g. 5m; 0 = only at shutdown; with -data-dir)")
@@ -598,8 +566,6 @@ func main() {
 		campaign:      *campaign,
 		shards:        *shards,
 		batch:         *batch,
-		queue:         *queue,
-		walGroup:      *walGroup,
 		obsCache:      *obsCache,
 		dataDir:       *dataDir,
 		snapshotEvery: *snapEvery,

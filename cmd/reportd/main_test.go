@@ -47,7 +47,6 @@ func startTestServer(t *testing.T, dataDir string, shards, batch int) (*server, 
 		campaign: "sigterm-test",
 		shards:   shards,
 		batch:    batch,
-		queue:    16,
 		dataDir:  dataDir,
 		refs:     refs,
 	})

@@ -106,14 +106,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// shard is one local ingest partition: a WAL and its aggregate store
-// behind one mutex. A batch commits under the mutex (append, fsync,
-// apply), so a batch is either fully durable or untouched — the property
-// that makes retrying an unacknowledged batch elsewhere safe.
+// shard is the node's mount of the shard engine (durable.Shard: WAL,
+// store, commit lock) plus the replication state its policy needs. A
+// batch commits under the engine's lock (append, fsync, apply), so a
+// batch is either fully durable or untouched — the property that makes
+// retrying an unacknowledged batch elsewhere safe.
 type shard struct {
-	mu      sync.Mutex
-	wal     *durable.Log
-	db      *store.DB
+	*durable.Shard
 	lastSeq atomic.Uint64
 
 	// watermark is the replica follower's confirmed position: every seq
@@ -304,20 +303,15 @@ func Open(cfg Config) (*Node, error) {
 	if err := ingest.PinShardManifest(ownDir, cfg.Shards, cfg.ID); err != nil {
 		return nil, err
 	}
-	for i := 0; i < cfg.Shards; i++ {
-		opt := n.shardOptions(filepath.Join(ownDir, fmt.Sprintf("shard-%03d", i)))
-		db, info, err := durable.Recover(opt)
-		if err != nil {
-			return nil, err
-		}
-		wal, err := durable.Open(opt)
-		if err != nil {
-			return nil, err
-		}
-		sh := &shard{wal: wal, db: db, wch: make(chan struct{})}
-		sh.lastSeq.Store(wal.NextSeq() - 1)
+	engines, infos, err := durable.OpenShards(ownDir, cfg.Shards, n.shardOptions(""))
+	if err != nil {
+		return nil, err
+	}
+	for i, e := range engines {
+		sh := &shard{Shard: e, wch: make(chan struct{})}
+		sh.lastSeq.Store(e.Log.NextSeq() - 1)
 		n.shards = append(n.shards, sh)
-		if info.Replayed > 0 || info.SnapshotSeq > 0 {
+		if info := infos[i]; info.Replayed > 0 || info.SnapshotSeq > 0 {
 			cfg.Logf("cluster %s: shard %d recovered through seq %d (snapshot %d, %d replayed)",
 				cfg.ID, i, info.LastSeq, info.SnapshotSeq, info.Replayed)
 		}
@@ -335,13 +329,17 @@ func Open(cfg Config) (*Node, error) {
 			continue
 		}
 		repRoot := filepath.Join(cfg.DataDir, "replica", m.ID)
+		// From here a failed boot closes the logs already opened (Close on
+		// a node that never started just closes them).
 		if err := ingest.PinShardManifest(repRoot, cfg.Shards, cfg.ID); err != nil {
+			n.Close()
 			return nil, err
 		}
 		for i := 0; i < cfg.Shards; i++ {
-			dir := filepath.Join(repRoot, fmt.Sprintf("shard-%03d", i))
+			dir := durable.ShardDir(repRoot, i)
 			log, err := durable.Open(n.shardOptions(dir))
 			if err != nil {
+				n.Close()
 				return nil, err
 			}
 			f := &follower{n: n, source: m.ID, shardIdx: i, dir: dir, done: make(chan struct{})}
@@ -427,9 +425,9 @@ func (n *Node) Owns(host string) (owned bool, owner Member) {
 }
 
 // IngestBatch commits a batch of measurements this node owns: group by
-// local shard, WAL-append + fsync + apply under each shard's lock, then
-// hold the ack until the replica confirms (or the degraded-mode timeout
-// lapses). Ownership is the caller's contract — the HTTP handler
+// local shard, commit each group with an fsync under its shard's lock,
+// then hold the ack until the replica confirms (or the degraded-mode
+// timeout lapses). Ownership is the caller's contract — the HTTP handler
 // enforces it for routed traffic.
 func (n *Node) IngestBatch(ms []core.Measurement) error {
 	if n.killed.Load() {
@@ -443,7 +441,7 @@ func (n *Node) IngestBatch(ms []core.Measurement) error {
 		groups[0] = ms
 	} else {
 		for _, m := range ms {
-			si := localShard(m.Host, n.cfg.Shards)
+			si := ingest.ShardOf(m.Host, n.cfg.Shards)
 			groups[si] = append(groups[si], m)
 		}
 	}
@@ -469,22 +467,17 @@ func (n *Node) Ingest(m core.Measurement) {
 
 func (n *Node) applyShard(si int, ms []core.Measurement) error {
 	sh := n.shards[si]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	sh.Lock()
+	defer sh.Unlock()
 	if n.killed.Load() {
 		return ErrNodeKilled
 	}
-	if err := sh.wal.AppendBatch(ms); err != nil {
+	last, err := sh.Commit(ms, true)
+	if err != nil {
 		n.met.walErrors.Inc()
 		return err
 	}
-	if err := sh.wal.Sync(); err != nil {
-		n.met.walErrors.Inc()
-		return err
-	}
-	last := sh.wal.NextSeq() - 1
 	sh.lastSeq.Store(last)
-	sh.db.IngestBatch(ms)
 	if n.cfg.AckTimeout > 0 && n.replicaWaitable() {
 		n.met.ackWaits.Inc()
 		if !sh.waitWatermark(last, n.cfg.AckTimeout, n.stop) {
@@ -527,12 +520,12 @@ func (n *Node) Drain() {
 // its ack, and an unacked batch never touched the WAL.
 func (n *Node) Kill() {
 	for _, sh := range n.shards {
-		sh.mu.Lock()
+		sh.Lock()
 	}
 	n.killed.Store(true)
 	n.stopOnce.Do(func() { close(n.stop) })
 	for _, sh := range n.shards {
-		sh.mu.Unlock()
+		sh.Unlock()
 	}
 	n.wg.Wait()
 }
@@ -552,13 +545,26 @@ func (n *Node) Close() error {
 		}
 	}
 	for _, sh := range n.shards {
-		sh.mu.Lock()
-		if err := sh.wal.Close(); err != nil && first == nil {
+		if err := sh.Close(); err != nil && first == nil {
 			first = err
 		}
-		sh.mu.Unlock()
 	}
 	return first
+}
+
+// Shards returns the node's own shard engines in shard order.
+func (n *Node) Shards() []*durable.Shard {
+	out := make([]*durable.Shard, len(n.shards))
+	for i, sh := range n.shards {
+		out[i] = sh.Shard
+	}
+	return out
+}
+
+// WALStats returns durable accounting for the node's own shard logs —
+// the same document ingest.Pipeline.WALStats gives in single-node mode.
+func (n *Node) WALStats() []durable.Stats {
+	return durable.WALStats(n.Shards())
 }
 
 // MergeLocal merges this node's own shard stores into one deterministic
@@ -566,7 +572,7 @@ func (n *Node) Close() error {
 func (n *Node) MergeLocal() *store.DB {
 	dbs := make([]*store.DB, len(n.shards))
 	for i, sh := range n.shards {
-		dbs[i] = sh.db
+		dbs[i] = sh.DB
 	}
 	return store.Merge(n.cfg.Retain, dbs...)
 }
@@ -763,7 +769,7 @@ func (n *Node) handleTail(w http.ResponseWriter, r *http.Request) {
 	// The poll position is the follower's promise: everything below it is
 	// durable on the replica. Publishing it releases pending acks.
 	sh.setWatermark(from)
-	if from > sh.wal.NextSeq() {
+	if from > sh.Log.NextSeq() {
 		http.Error(w, durable.ErrTailAhead.Error(), http.StatusConflict)
 		return
 	}
@@ -777,7 +783,7 @@ func (n *Node) handleTail(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	sent, err := sh.wal.ServeTail(w, from, n.cfg.TailFrames)
+	sent, err := sh.Log.ServeTail(w, from, n.cfg.TailFrames)
 	if err != nil {
 		// Mid-stream failure: the connection carries a truncated stream,
 		// which the follower treats as a cut and re-polls.

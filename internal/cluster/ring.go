@@ -110,8 +110,8 @@ func ringHash(s string) uint64 {
 	return z
 }
 
-// fnv1a64 is FNV-1a over s. The 32-bit sibling in internal/ingest picks
-// a local shard for a host; this one feeds ring placement.
+// fnv1a64 is FNV-1a over s. The 32-bit sibling, ingest.ShardOf, picks a
+// local shard for a host; this one feeds ring placement.
 func fnv1a64(s string) uint64 {
 	const (
 		offset = 14695981039346656037
@@ -123,20 +123,4 @@ func fnv1a64(s string) uint64 {
 		h *= prime
 	}
 	return h
-}
-
-// localShard picks the node-local shard for a host — the same FNV-1a
-// 32-bit fold internal/ingest's ByHost key uses, so a cluster node
-// partitions its own WALs exactly like a single-box pipeline would.
-func localShard(host string, shards int) int {
-	const (
-		offset = 2166136261
-		prime  = 16777619
-	)
-	h := uint32(offset)
-	for i := 0; i < len(host); i++ {
-		h ^= uint32(host[i])
-		h *= prime
-	}
-	return int(h % uint32(shards))
 }

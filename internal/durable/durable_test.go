@@ -336,8 +336,7 @@ func TestRecoverEmptyOrMissingDir(t *testing.T) {
 
 func TestSyncEachAppendAndBackgroundSyncer(t *testing.T) {
 	// SyncEachAppend: every Append* call fsyncs before returning — one
-	// fsync per call, however many frames the call carries (batch and
-	// group appends are single commit units).
+	// fsync per call, however many frames the call carries.
 	dir := t.TempDir()
 	opt := testOptions(dir)
 	opt.SyncEachAppend = true
@@ -358,26 +357,22 @@ func TestSyncEachAppendAndBackgroundSyncer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Group commit: one fsync for a whole multi-batch group (large
-	// segments so no rotation-driven fsync muddies the count).
-	gdir := t.TempDir()
-	gl, err := Open(Options{Dir: gdir, SyncEachAppend: true})
+	// A batch is one commit unit: one fsync however many frames it
+	// carries (large segments so no rotation-driven fsync muddies the
+	// count).
+	bdir := t.TempDir()
+	bl, err := Open(Options{Dir: bdir, SyncEachAppend: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	preGroup := gl.Stats().Fsyncs
-	group := syntheticMeasurements(30, 7)
-	if err := gl.AppendGroup([][]core.Measurement{group[:10], group[10:20], group[20:]}); err != nil {
+	preBatch := bl.Stats().Fsyncs
+	if err := bl.AppendBatch(syntheticMeasurements(30, 7)); err != nil {
 		t.Fatal(err)
 	}
-	st := gl.Stats()
-	if got := st.Fsyncs - preGroup; got != 1 {
-		t.Fatalf("group commit made %d fsyncs, want 1", got)
+	if got := bl.Stats().Fsyncs - preBatch; got != 1 {
+		t.Fatalf("batch append made %d fsyncs, want 1", got)
 	}
-	if st.GroupAppends != 1 || st.GroupedBatches != 3 {
-		t.Fatalf("group stats = %d appends / %d batches, want 1/3", st.GroupAppends, st.GroupedBatches)
-	}
-	if err := gl.Close(); err != nil {
+	if err := bl.Close(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -80,20 +80,22 @@ func (o Options) withDefaults() Options {
 // Stats is a point-in-time snapshot of one log's accounting, shaped for
 // the /metrics endpoint.
 type Stats struct {
-	Segments        int    `json:"segments"`
-	WALBytes        int64  `json:"wal_bytes"`
-	ActiveBytes     int64  `json:"active_bytes"`
-	LastSeq         uint64 `json:"last_seq"`
-	SnapshotSeq     uint64 `json:"snapshot_seq"`
-	SnapshotBytes   int64  `json:"snapshot_bytes"`
-	AppendedFrames  uint64 `json:"appended_frames"`
-	AppendedBytes   uint64 `json:"appended_bytes"`
-	// GroupAppends counts AppendGroup calls that framed at least one
-	// batch; GroupedBatches counts the batches they covered, so
-	// GroupedBatches/GroupAppends is the achieved commit-group size.
-	GroupAppends   uint64 `json:"group_appends,omitempty"`
-	GroupedBatches uint64 `json:"grouped_batches,omitempty"`
-	Fsyncs         uint64 `json:"fsyncs"`
+	Segments       int    `json:"segments"`
+	WALBytes       int64  `json:"wal_bytes"`
+	ActiveBytes    int64  `json:"active_bytes"`
+	LastSeq        uint64 `json:"last_seq"`
+	SnapshotSeq    uint64 `json:"snapshot_seq"`
+	SnapshotBytes  int64  `json:"snapshot_bytes"`
+	AppendedFrames uint64 `json:"appended_frames"`
+	AppendedBytes  uint64 `json:"appended_bytes"`
+	// GroupAppends and GroupedBatches: no group commit exists — every
+	// AppendBatch counts as a group of one, so their ratio is always 1.
+	// Kept only because bench/server.go names them (and requires its
+	// durable.group_size, which divides them, to be emitted); remove in
+	// the next benchmark PR.
+	GroupAppends    uint64 `json:"group_appends,omitempty"`
+	GroupedBatches  uint64 `json:"grouped_batches,omitempty"`
+	Fsyncs          uint64 `json:"fsyncs"`
 	Rotations       uint64 `json:"rotations"`
 	Compactions     uint64 `json:"compactions"`
 	RepairedBytes   int64  `json:"repaired_bytes,omitempty"`
@@ -285,44 +287,32 @@ func (l *Log) Append(m core.Measurement) error {
 // SyncEachAppend the whole batch commits with a single fsync — the
 // durability unit is the Append* call, not the frame.
 func (l *Log) AppendBatch(ms []core.Measurement) error {
+	_, err := l.commit(ms, false)
+	return err
+}
+
+// commit is the shard engine's WAL half (see Shard.Commit): frame ms
+// under one lock acquisition, fsync when the caller's policy (sync) or
+// the log's (SyncEachAppend) says so, and return the last sequence
+// number written. An error leaves a prefix of ms framed.
+func (l *Log) commit(ms []core.Measurement, sync bool) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, m := range ms {
 		if err := l.appendFrameLocked(m); err != nil {
-			return err
+			return 0, err
 		}
 	}
-	if l.opt.SyncEachAppend {
-		return l.syncLocked()
-	}
-	return nil
-}
-
-// AppendGroup is group commit: every batch is framed under one lock
-// acquisition and, under SyncEachAppend, made durable by one fsync for
-// the whole group. The ingest shard workers use it to amortize WAL cost
-// across a queue backlog; an error leaves a prefix of the group framed
-// (exactly as a mid-batch AppendBatch error would).
-func (l *Log) AppendGroup(batches [][]core.Measurement) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	framed := 0
-	for _, ms := range batches {
-		for _, m := range ms {
-			if err := l.appendFrameLocked(m); err != nil {
-				return err
-			}
-		}
-		framed++
-	}
-	if framed > 0 {
+	if len(ms) > 0 {
 		l.stats.GroupAppends++
-		l.stats.GroupedBatches += uint64(framed)
+		l.stats.GroupedBatches++
 	}
-	if l.opt.SyncEachAppend {
-		return l.syncLocked()
+	if sync || l.opt.SyncEachAppend {
+		if err := l.syncLocked(); err != nil {
+			return 0, err
+		}
 	}
-	return nil
+	return l.nextSeq - 1, nil
 }
 
 // appendFrameLocked encodes and buffers one frame plus its bookkeeping

@@ -15,7 +15,7 @@ import (
 // remainder, and the server's accept/reject verdicts land in the stats.
 func TestClientBatchesAndAccounts(t *testing.T) {
 	chain := testChain(t, "client.example")
-	p := NewPipeline(Config{Shards: 2, Block: true})
+	p := NewPipeline(Config{Shards: 2})
 	defer p.Close()
 	col := core.NewCollector(classify.NewClassifier(), nil, p)
 	col.SetAuthoritative("client.example", chain)

@@ -37,7 +37,7 @@ func testChain(t testing.TB, host string) [][]byte {
 func TestBatchEndpointEndToEnd(t *testing.T) {
 	chain := testChain(t, "tlsresearch.byu.edu")
 
-	p := NewPipeline(Config{Shards: 2, BatchSize: 8, Block: true})
+	p := NewPipeline(Config{Shards: 2, BatchSize: 8})
 	col := core.NewCollector(classify.NewClassifier(), nil, p)
 	col.Campaign = "wire-test"
 	col.SetAuthoritative("tlsresearch.byu.edu", chain)
@@ -73,7 +73,7 @@ func TestBatchEndpointEndToEnd(t *testing.T) {
 		t.Fatalf("accepted=%d rejected=%d, want %d/1", res.Accepted, res.Rejected, good)
 	}
 
-	p.Flush()
+	p.Drain()
 	p.Close()
 	db := p.Merge(0)
 	tot := db.Totals()
@@ -89,7 +89,7 @@ func TestBatchEndpointEndToEnd(t *testing.T) {
 }
 
 func TestBatchEndpointRejectsGarbage(t *testing.T) {
-	p := NewPipeline(Config{Shards: 1, Block: true})
+	p := NewPipeline(Config{Shards: 1})
 	defer p.Close()
 	col := core.NewCollector(classify.NewClassifier(), nil, p)
 	srv := httptest.NewServer(BatchHandler(col))
@@ -123,11 +123,11 @@ func TestBatchEndpointRejectsGarbage(t *testing.T) {
 }
 
 func TestStatsHandler(t *testing.T) {
-	p := NewPipeline(Config{Shards: 3, Block: true})
+	p := NewPipeline(Config{Shards: 3})
 	for _, m := range synthetic(100, 9) {
 		p.Ingest(m)
 	}
-	p.Flush()
+	p.Drain()
 	srv := httptest.NewServer(StatsHandler(p))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL)

@@ -1,21 +1,19 @@
-// Package ingest is the concurrent measurement-ingestion data plane
-// between the reporting server (core.Collector) and the measurement store
+// Package ingest is the measurement-ingestion data plane between the
+// reporting server (core.Collector) and the measurement store
 // (store.DB).
 //
 // The paper's second study pushed 12.3M measurements through one reporting
-// server into "a database, where we can run queries" (§5.1). The seed
-// reproduction serialized that path behind store.DB's single mutex; at
-// production scale (the ROADMAP north star: sustained, bursty report
-// streams from millions of clients) the ingest path is the bottleneck.
-// This package industrializes it in three layers:
+// server into "a database, where we can run queries" (§5.1). This package
+// is that path in three layers:
 //
 //   - Batching: BatchSink receives measurements in amortized batches;
 //     Batcher adapts the one-at-a-time core.Sink producer side, and
 //     SinkAdapter wraps any existing core.Sink as a BatchSink consumer.
-//   - Sharding: Pipeline hash-partitions the stream (by probed host or by
-//     client IP) onto N independent store.DB shards fed through bounded
-//     channels, with explicit backpressure or drop accounting — the 0.41%
-//     proxied tail must not vanish silently under load.
+//   - Sharding: Pipeline hash-partitions the stream by probed host onto N
+//     shard engines (durable.Shard: WAL + store.DB + one lock) and commits
+//     each full per-shard buffer synchronously on the caller's goroutine —
+//     no queue, so nothing is ever dropped and backpressure is the
+//     caller waiting for the shard lock.
 //   - Merging: store.Merge folds the shard databases back into one DB
 //     whose every table and aggregate matches the single-threaded result.
 //
@@ -31,8 +29,9 @@ import (
 )
 
 // BatchSink receives completed measurements in batches. Implementations
-// must be safe for concurrent use. Callers hand over ownership of the
-// batch slice; they must not reuse it after the call.
+// must be safe for concurrent use. The batch is lent for the duration of
+// the call — callers reuse the slice afterwards — so an implementation
+// copies whatever it keeps.
 type BatchSink interface {
 	IngestBatch([]core.Measurement)
 }
@@ -59,35 +58,25 @@ func (a SinkAdapter) IngestBatch(batch []core.Measurement) {
 
 // DefaultBatchSize is the batch length Batcher and Pipeline use when the
 // caller does not choose one. Large enough to amortize per-batch costs
-// (channel handoff, lock acquisition), small enough that a batch stays
+// (lock acquisition, WAL append call), small enough that a batch stays
 // cache-resident.
 const DefaultBatchSize = 256
-
-// ownedBatchSink is the recycling fast path a BatchSink may offer:
-// takeBatch mints a buffer the sink owns, and ingestOwnedBatch delivers
-// it with permission to recycle. Pipeline implements it; Batcher probes
-// for it so the Batcher→Pipeline seam runs entirely on pooled frames.
-type ownedBatchSink interface {
-	takeBatch(capHint int) []core.Measurement
-	ingestOwnedBatch([]core.Measurement)
-}
 
 // Batcher is a core.Sink that accumulates measurements and forwards
 // size-limited batches to a BatchSink. It is safe for concurrent use, but
 // peak throughput comes from one Batcher per producer goroutine (no lock
 // contention); the downstream BatchSink serializes as needed.
 //
-// When the sink is a Pipeline (or anything else implementing the
-// unexported recycling interface), batch buffers are drawn from and
-// returned to the sink's frame pool; for any other sink each batch is a
-// fresh allocation, because generic sinks may retain the slice.
+// A Batcher owns one buffer for its whole life: the sink only borrows a
+// batch (see BatchSink), so the buffer refills as soon as IngestBatch
+// returns and steady-state forwarding allocates nothing. The Batcher's
+// lock is held across the forward for the same reason.
 //
-// Call Flush (or Close) after the final Ingest — a partial batch otherwise
-// stays buffered.
+// Call Flush after the final Ingest — a partial batch otherwise stays
+// buffered.
 type Batcher struct {
-	sink  BatchSink
-	owned ownedBatchSink // non-nil when sink recycles frames
-	size  int
+	sink BatchSink
+	size int
 
 	mu  sync.Mutex
 	buf []core.Measurement
@@ -99,31 +88,7 @@ func NewBatcher(sink BatchSink, size int) *Batcher {
 	if size <= 0 {
 		size = DefaultBatchSize
 	}
-	b := &Batcher{sink: sink, size: size}
-	if os, ok := sink.(ownedBatchSink); ok {
-		b.owned = os
-		b.buf = os.takeBatch(size)
-	} else {
-		b.buf = make([]core.Measurement, 0, size)
-	}
-	return b
-}
-
-// nextBuf replaces the full/flushed buffer under b.mu.
-func (b *Batcher) nextBuf() []core.Measurement {
-	if b.owned != nil {
-		return b.owned.takeBatch(b.size)
-	}
-	return make([]core.Measurement, 0, b.size)
-}
-
-// forward delivers a completed batch outside b.mu.
-func (b *Batcher) forward(batch []core.Measurement) {
-	if b.owned != nil {
-		b.owned.ingestOwnedBatch(batch)
-		return
-	}
-	b.sink.IngestBatch(batch)
+	return &Batcher{sink: sink, size: size, buf: make([]core.Measurement, 0, size)}
 }
 
 // Ingest buffers m, forwarding a full batch downstream when the buffer
@@ -131,25 +96,23 @@ func (b *Batcher) forward(batch []core.Measurement) {
 func (b *Batcher) Ingest(m core.Measurement) {
 	b.mu.Lock()
 	b.buf = append(b.buf, m)
-	if len(b.buf) < b.size {
-		b.mu.Unlock()
-		return
+	if len(b.buf) >= b.size {
+		b.forward()
 	}
-	batch := b.buf
-	b.buf = b.nextBuf()
 	b.mu.Unlock()
-	b.forward(batch)
 }
 
 // Flush forwards any buffered partial batch downstream.
 func (b *Batcher) Flush() {
 	b.mu.Lock()
-	if len(b.buf) == 0 {
-		b.mu.Unlock()
-		return
+	if len(b.buf) > 0 {
+		b.forward()
 	}
-	batch := b.buf
-	b.buf = b.nextBuf()
 	b.mu.Unlock()
-	b.forward(batch)
+}
+
+// forward lends the buffer to the sink and rewinds it. Caller holds b.mu.
+func (b *Batcher) forward() {
+	b.sink.IngestBatch(b.buf)
+	b.buf = b.buf[:0]
 }

@@ -102,53 +102,48 @@ func TestPipelineMatchesSequential(t *testing.T) {
 	}
 
 	for _, shards := range []int{1, 2, 4, 7} {
-		for _, by := range []ShardBy{ByHost, ByClientIP} {
-			p := NewPipeline(Config{Shards: shards, BatchSize: 64, Block: true, ShardBy: by})
-			var wg sync.WaitGroup
-			for w := 0; w < 4; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					b := NewBatcher(p, 64)
-					for i := w; i < len(ms); i += 4 {
-						b.Ingest(ms[i])
-					}
-					b.Flush()
-				}(w)
-			}
-			wg.Wait()
-			p.Close()
-			got := p.Merge(0)
-
-			name := fmt.Sprintf("shards=%d by=%d", shards, by)
-			if got.Totals() != want.Totals() {
-				t.Fatalf("%s: totals %+v, want %+v", name, got.Totals(), want.Totals())
-			}
-			if got.DistinctProxiedIPs() != want.DistinctProxiedIPs() {
-				t.Errorf("%s: distinct IPs %d, want %d", name, got.DistinctProxiedIPs(), want.DistinctProxiedIPs())
-			}
-			if got.Negligence() != want.Negligence() {
-				t.Errorf("%s: negligence %+v, want %+v", name, got.Negligence(), want.Negligence())
-			}
-			gi, wi := got.IssuerOrgTop(0), want.IssuerOrgTop(0)
-			if len(gi) != len(wi) {
-				t.Fatalf("%s: issuer rows %d, want %d", name, len(gi), len(wi))
-			}
-			for i := range gi {
-				if gi[i] != wi[i] {
-					t.Errorf("%s: issuer row %d = %+v, want %+v", name, i, gi[i], wi[i])
+		p := NewPipeline(Config{Shards: shards, BatchSize: 64})
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				b := NewBatcher(p, 64)
+				for i := w; i < len(ms); i += 4 {
+					b.Ingest(ms[i])
 				}
+				b.Flush()
+			}(w)
+		}
+		wg.Wait()
+		p.Close()
+		got := p.Merge(0)
+
+		name := fmt.Sprintf("shards=%d", shards)
+		if got.Totals() != want.Totals() {
+			t.Fatalf("%s: totals %+v, want %+v", name, got.Totals(), want.Totals())
+		}
+		if got.DistinctProxiedIPs() != want.DistinctProxiedIPs() {
+			t.Errorf("%s: distinct IPs %d, want %d", name, got.DistinctProxiedIPs(), want.DistinctProxiedIPs())
+		}
+		if got.Negligence() != want.Negligence() {
+			t.Errorf("%s: negligence %+v, want %+v", name, got.Negligence(), want.Negligence())
+		}
+		gi, wi := got.IssuerOrgTop(0), want.IssuerOrgTop(0)
+		if len(gi) != len(wi) {
+			t.Fatalf("%s: issuer rows %d, want %d", name, len(gi), len(wi))
+		}
+		for i := range gi {
+			if gi[i] != wi[i] {
+				t.Errorf("%s: issuer row %d = %+v, want %+v", name, i, gi[i], wi[i])
 			}
-			st := p.Stats()
-			if st.Dropped != 0 {
-				t.Errorf("%s: dropped %d under Block", name, st.Dropped)
-			}
-			if st.Ingested != uint64(len(ms)) {
-				t.Errorf("%s: ingested %d, want %d", name, st.Ingested, len(ms))
-			}
-			if len(got.ProxiedRecords()) != len(want.ProxiedRecords()) {
-				t.Errorf("%s: retained %d records, want %d", name, len(got.ProxiedRecords()), len(want.ProxiedRecords()))
-			}
+		}
+		st := p.Stats()
+		if st.Ingested != uint64(len(ms)) {
+			t.Errorf("%s: ingested %d, want %d", name, st.Ingested, len(ms))
+		}
+		if len(got.ProxiedRecords()) != len(want.ProxiedRecords()) {
+			t.Errorf("%s: retained %d records, want %d", name, len(got.ProxiedRecords()), len(want.ProxiedRecords()))
 		}
 	}
 }
@@ -158,7 +153,7 @@ func TestPipelineMatchesSequential(t *testing.T) {
 func TestPipelineMergeDeterministic(t *testing.T) {
 	ms := synthetic(8000, 4)
 	render := func(producers int) string {
-		p := NewPipeline(Config{Shards: 4, BatchSize: 32, Block: true})
+		p := NewPipeline(Config{Shards: 4, BatchSize: 32})
 		var wg sync.WaitGroup
 		for w := 0; w < producers; w++ {
 			wg.Add(1)
@@ -183,77 +178,10 @@ func TestPipelineMergeDeterministic(t *testing.T) {
 	}
 }
 
-// blockingSink parks the shard worker until released, letting the test
-// fill the bounded queue deterministically.
-type blockingSink struct {
-	started chan struct{} // closed once the worker is inside IngestBatch
-	release chan struct{}
-	once    sync.Once
-	mu      sync.Mutex
-	got     int
-}
-
-func (s *blockingSink) IngestBatch(b []core.Measurement) {
-	s.once.Do(func() { close(s.started) })
-	<-s.release
-	s.mu.Lock()
-	s.got += len(b)
-	s.mu.Unlock()
-}
-
-// TestDropAccounting forces backpressure with a stalled consumer and a
-// depth-1 queue: the first batch is in flight, the second queued, and
-// everything after that must be counted dropped — not silently lost.
-func TestDropAccounting(t *testing.T) {
-	sink := &blockingSink{started: make(chan struct{}), release: make(chan struct{})}
-	p := NewPipeline(Config{
-		Shards:     1,
-		BatchSize:  1,
-		QueueDepth: 1,
-		Block:      false,
-		Sinks:      func(int) BatchSink { return sink },
-	})
-	ms := synthetic(10, 5)
-
-	p.Ingest(ms[0]) // worker takes it and parks in the sink
-	<-sink.started
-	p.Ingest(ms[1]) // sits in the queue
-	// The worker may need a moment to have taken batch 0 off the queue
-	// before batch 1 can occupy it; retry until the queue accepts one.
-	deadline := time.After(5 * time.Second)
-	for p.Stats().Enqueued < 2 {
-		select {
-		case <-deadline:
-			t.Fatal("queue never accepted the second measurement")
-		default:
-			time.Sleep(time.Millisecond)
-			p.Ingest(ms[1])
-		}
-	}
-	pre := p.Stats()
-	for _, m := range ms[2:] {
-		p.Ingest(m)
-	}
-	st := p.Stats()
-	wantDropped := pre.Dropped + uint64(len(ms)-2)
-	if st.Dropped != wantDropped {
-		t.Fatalf("dropped %d, want %d", st.Dropped, wantDropped)
-	}
-	close(sink.release)
-	p.Close()
-	final := p.Stats()
-	if final.Ingested != final.Enqueued {
-		t.Fatalf("ingested %d != enqueued %d after Close", final.Ingested, final.Enqueued)
-	}
-	if got := sink.got; uint64(got) != final.Ingested {
-		t.Fatalf("sink saw %d, accounting says %d", got, final.Ingested)
-	}
-}
-
 // TestDrainMakesSnapshotsComplete: after Drain, a Merge must see every
 // measurement ingested so far — the /stats snapshot path in reportd.
 func TestDrainMakesSnapshotsComplete(t *testing.T) {
-	p := NewPipeline(Config{Shards: 4, BatchSize: 512, Block: true})
+	p := NewPipeline(Config{Shards: 4, BatchSize: 512})
 	ms := synthetic(1000, 8)
 	for _, m := range ms {
 		p.Ingest(m) // BatchSize 512 > stripe size, so much stays pending

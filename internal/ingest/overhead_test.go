@@ -42,7 +42,7 @@ func TestMetricsOverheadSmoke(t *testing.T) {
 	run := func(tracer *telemetry.Tracer) time.Duration {
 		best := time.Duration(1<<63 - 1)
 		for r := 0; r < rounds; r++ {
-			p := NewPipeline(Config{Shards: 2, Block: true, Tracer: tracer})
+			p := NewPipeline(Config{Shards: 2, Tracer: tracer})
 			start := time.Now()
 			for b := 0; b < batches; b++ {
 				p.IngestBatch(batch)

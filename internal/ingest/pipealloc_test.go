@@ -1,77 +1,92 @@
 package ingest
 
-// Allocation pins for the pooled ingest hot paths. The tentpole fix
-// exists to take the sharded pipeline's per-op allocations from
-// hundreds (fresh sub-batch slices, channel garbage, per-cert decode
-// copies) to near zero; these tests keep that property from rotting.
-// All pins skip under -race: the race runtime instruments allocations
-// and the counts stop meaning anything.
+// Allocation pins for the ingest hot paths. The hand-off from a producer
+// to a shard store runs on two kinds of long-lived buffer — each
+// Batcher's one batch buffer and each shard's pending buffer — and an
+// on-stack routing table, so steady state allocates nothing; these tests
+// keep that property from rotting. All pins skip under -race: the race
+// runtime instruments allocations and the counts stop meaning anything.
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"tlsfof/internal/core"
 	"tlsfof/internal/raceflag"
 )
 
-// TestSplitAllocs pins the IngestBatch shard split: two passes over
-// pooled scratch plus pooled sub-batch frames. The pre-fix split
-// allocated the index slice, the per-shard counts, and every sub-batch
-// on every call (8+ allocs/op at 4 shards); a split served entirely
-// from the freelist allocates nothing. The freelist is pre-stocked so
-// the pin measures the split path itself, not whether this machine's
-// scheduler let the shard workers recycle frames fast enough.
+// allocTestMeasurements is a warm-store workload: unproxied measurements
+// over a fixed key set, so once every aggregate key exists the shard
+// stores themselves allocate nothing and the pins see only the hand-off.
+func allocTestMeasurements(n int) []core.Measurement {
+	ms := walTestMeasurements(n)
+	for i := range ms {
+		ms[i].Obs = core.Observation{}
+	}
+	return ms
+}
+
+// TestSplitAllocs pins the batch face end to end — Batcher.Ingest fills
+// the Batcher's buffer, Pipeline.IngestBatch routes it into the shard
+// pending buffers, full buffers commit to the shard stores — at zero
+// allocations per batch, with and without a shard split. A fresh
+// sub-batch (or a fresh Batcher buffer) per flush would show up here as
+// at least one allocation per batch.
 func TestSplitAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	p := NewPipeline(Config{Shards: 4, QueueDepth: 256, Block: true, Sinks: func(int) BatchSink {
-		return BatchSinkFunc(func([]core.Measurement) {})
-	}})
-	defer p.Close()
-	batch := walTestMeasurements(64)
-	for i := 0; i < 1000; i++ {
-		p.pool.put(make([]core.Measurement, 0, len(batch)))
-	}
-	for i := 0; i < 10; i++ { // warm the split scratch
-		p.IngestBatch(batch)
-	}
-	p.Drain()
-	allocs := testing.AllocsPerRun(200, func() {
-		p.IngestBatch(batch)
-	})
-	p.Drain()
-	if allocs > 0.5 {
-		t.Fatalf("IngestBatch split allocates %.2f/op, want ~0 (pooled scratch + frames)", allocs)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			p := NewPipeline(Config{Shards: shards})
+			defer p.Close()
+			b := NewBatcher(p, 0)
+			batch := allocTestMeasurements(DefaultBatchSize)
+			oneBatch := func() {
+				for i := range batch {
+					b.Ingest(batch[i])
+				}
+			}
+			for i := 0; i < 8; i++ { // warm the store keys
+				oneBatch()
+			}
+			if allocs := testing.AllocsPerRun(200, oneBatch); allocs != 0 {
+				t.Fatalf("Batcher -> Pipeline allocates %.2f per %d-measurement batch, want 0", allocs, len(batch))
+			}
+			b.Flush()
+			p.Drain()
+			if st := p.Stats(); st.Ingested != 209*uint64(len(batch)) {
+				t.Fatalf("ingested %d, want %d", st.Ingested, 209*len(batch))
+			}
+		})
 	}
 }
 
 // TestIngestAllocs pins the one-measurement Sink face: appending into a
-// pooled pending frame and publishing a full frame on the ring is
-// allocation-free in steady state.
+// shard's pending buffer and committing it when full is allocation-free
+// in steady state.
 func TestIngestAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	p := NewPipeline(Config{Shards: 1, BatchSize: 8, QueueDepth: 256, Block: true, Sinks: func(int) BatchSink {
-		return BatchSinkFunc(func([]core.Measurement) {})
-	}})
-	defer p.Close()
-	m := walTestMeasurements(1)[0]
-	for i := 0; i < 300; i++ { // pre-stock pending frames (see TestSplitAllocs)
-		p.pool.put(make([]core.Measurement, 0, 8))
-	}
-	for i := 0; i < 400; i++ {
-		p.Ingest(m)
-	}
-	p.Drain()
-	allocs := testing.AllocsPerRun(800, func() {
-		p.Ingest(m)
-	})
-	p.Drain()
-	if allocs > 0.25 {
-		t.Fatalf("Ingest allocates %.2f/op, want ~0 (pooled pending frames)", allocs)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			p := NewPipeline(Config{Shards: shards, BatchSize: 8})
+			defer p.Close()
+			ms := allocTestMeasurements(64)
+			next := 0
+			one := func() {
+				p.Ingest(ms[next%len(ms)])
+				next++
+			}
+			for i := 0; i < 400; i++ {
+				one()
+			}
+			if allocs := testing.AllocsPerRun(800, one); allocs != 0 {
+				t.Fatalf("Ingest allocates %.2f/op, want 0", allocs)
+			}
+		})
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"tlsfof/internal/core"
@@ -15,33 +13,15 @@ import (
 	"tlsfof/internal/telemetry"
 )
 
-// ShardBy selects the hash key that routes a measurement to a shard.
-type ShardBy int
-
-const (
-	// ByHost partitions on the probed host name (the default). The host
-	// set is small and hot (1 or 18 hosts in the studies), so this keeps
-	// each host's aggregates on one shard and needs no cross-shard
-	// coordination for per-host tables.
-	ByHost ShardBy = iota
-	// ByClientIP partitions on the reporting client's address, spreading
-	// load evenly even when one host dominates the stream.
-	ByClientIP
-)
-
 // Config parameterizes a Pipeline.
 type Config struct {
 	// Shards is the number of independent ingest partitions (1 when <= 0).
 	Shards int
-	// BatchSize bounds batches built by the pipeline's own Sink face
-	// (DefaultBatchSize when <= 0).
+	// BatchSize is the commit unit: measurements buffer per shard and
+	// commit once this many are pending (DefaultBatchSize when <= 0).
 	BatchSize int
-	// QueueDepth is the per-shard bounded-ring capacity in batches
-	// (default 32 — one full commit group; at the default batch size
-	// that is 8k measurements of buffering per shard). Depth is exact:
-	// the ring admits precisely this many batches before blocking or
-	// dropping. Every queued batch pins a pooled frame, so depth is also
-	// the per-shard bound on a fresh pipeline's cold-start frame mints.
+	// QueueDepth is inert: no queue exists; kept only because
+	// bench/server.go names it; remove in the next benchmark PR.
 	QueueDepth int
 	// Retain is the per-shard retained-proxied-record cap passed to each
 	// shard store (<= 0 unlimited). A per-shard cap bounds memory but
@@ -49,39 +29,17 @@ type Config struct {
 	// needing deterministic retention (the study runner) leave this 0 and
 	// cap in Merge instead.
 	Retain int
-	// Block selects backpressure semantics when a shard queue is full:
-	// true blocks the producer (lossless), false drops the batch and
-	// counts every dropped measurement (lossy but non-blocking).
+	// Block is inert: no queue exists, so nothing can fill and nothing is
+	// ever dropped; kept only because bench/server.go and bench/study.go
+	// name it; remove in the next benchmark PR.
 	Block bool
-	// ShardBy selects the partition key.
-	ShardBy ShardBy
-	// Sinks, when non-nil, overrides the per-shard consumer (testing and
-	// alternate backends). The default builds one store.DB per shard;
-	// with an override Stores and Merge see no databases.
-	Sinks func(shard int) BatchSink
-
 	// WALDir, honored by OpenPipeline, roots one durable WAL per shard
 	// (shard-%03d subdirectories, internal/durable). Each batch is
-	// appended to its shard's WAL before it reaches the shard store, so
-	// every delivered measurement survives the process; OpenPipeline
-	// recovers the shard stores from disk on boot. Incompatible with a
-	// Sinks override (there is no store to recover into).
+	// appended to its shard's WAL before it reaches the shard store, and
+	// OpenPipeline recovers the shard stores from disk on boot. Commits
+	// never fsync; each log's background syncer bounds the loss window
+	// and Close makes everything durable.
 	WALDir string
-	// WALSegmentBytes, WALSyncEvery, WALSyncEachAppend configure the
-	// shard logs (durable defaults when zero). Appends never fsync on
-	// the hot path unless WALSyncEachAppend is set; a background syncer
-	// per shard makes frames durable on the WALSyncEvery cadence.
-	WALSegmentBytes   int64
-	WALSyncEvery      time.Duration
-	WALSyncEachAppend bool
-
-	// GroupCommit caps how many queued batches one shard worker folds
-	// into a single WAL append (one lock acquisition, one fsync under
-	// WALSyncEachAppend) when its ring has a backlog (default 32; 1
-	// disables grouping). Grouping only ever combines batches that were
-	// already queued, so it adds no latency to an idle shard.
-	GroupCommit int
-
 	// Tracer, when non-nil, records shard_queue / wal_append /
 	// store_merge stage latencies per batch and keeps per-probe traces
 	// alive through the pipeline for measurements carrying a trace ID.
@@ -89,303 +47,131 @@ type Config struct {
 	Tracer *telemetry.Tracer
 }
 
-// walOptions builds the per-shard durable options.
-func (cfg Config) walOptions(shard int) durable.Options {
-	return durable.Options{
-		Dir:            filepath.Join(cfg.WALDir, fmt.Sprintf("shard-%03d", shard)),
-		SegmentBytes:   cfg.WALSegmentBytes,
-		SyncEvery:      cfg.WALSyncEvery,
-		SyncEachAppend: cfg.WALSyncEachAppend,
-		Retain:         cfg.Retain,
-	}
-}
-
-// ShardStats is one shard's ingest accounting.
-type ShardStats struct {
-	// Enqueued counts measurements accepted onto the shard queue.
-	Enqueued uint64
-	// Ingested counts measurements the shard worker has delivered.
-	Ingested uint64
-	// Dropped counts measurements discarded because the queue was full
-	// (always 0 under Block backpressure).
-	Dropped uint64
-	// Batches counts delivered batches.
-	Batches uint64
-	// Queue is the instantaneous queue length in batches.
-	Queue int
-	// WALErrors counts measurements whose write-ahead append failed
-	// (they still reached the store: availability over durability).
-	WALErrors uint64
-}
-
-// Stats is a point-in-time snapshot of pipeline accounting. Snapshots
-// are coherent in one direction: Ingested <= Enqueued holds in every
-// snapshot, even one taken mid-enqueue (see shard counter ordering).
-type Stats struct {
-	Shards []ShardStats
-	// Enqueued, Ingested, Dropped, WALErrors are sums over shards.
-	Enqueued  uint64
-	Ingested  uint64
-	Dropped   uint64
-	WALErrors uint64
-}
-
-// shard is one ingest partition. Counter protocol: a producer adds to
-// offered BEFORE the batch is published on the ring, so by the time a
-// worker (or a concurrent Drain) can observe the batch, it is already
-// counted — the pre-fix code counted after the channel send, and a
-// Drain racing the send could capture a target that excluded an
-// already-queued batch. A batch then resolves exactly once: into
-// ingested (delivered to the sink) or into dropped (lossy mode, ring
-// full — never published, and under a WAL never appended). Readers
-// derive Enqueued = offered - dropped, loading ingested before dropped
-// before offered so every snapshot satisfies Ingested <= Enqueued.
-type shard struct {
-	sink BatchSink
-	db   *store.DB    // nil when Config.Sinks overrides
-	wal  *durable.Log // nil without Config.WALDir
-	q    *batchRing
-
-	mu      sync.Mutex
-	pending []core.Measurement
-
-	offered  atomic.Uint64
-	ingested atomic.Uint64
-	dropped  atomic.Uint64
-	batches  atomic.Uint64
-	walErrs  atomic.Uint64
-
-	// Drain parks on drainCond; the worker only takes drainMu when
-	// drainWaiters says someone is parked, so the no-waiter fast path
-	// is one atomic load per delivered group.
-	drainMu      sync.Mutex
-	drainCond    sync.Cond
-	drainWaiters atomic.Int32
-}
-
-// enqueuedLoad derives the accepted-measurement count with the load
-// ordering documented on shard.
-func (sh *shard) enqueuedLoad() uint64 {
-	dropped := sh.dropped.Load()
-	offered := sh.offered.Load()
-	return offered - dropped
-}
-
-// notifyProgress wakes Drain waiters after counter updates. The
-// drainMu acquisition (empty critical section) orders the broadcast
-// after a racing waiter's condition check: a waiter that registered
-// and re-checked before our counter update will be parked inside Wait
-// by the time we hold the lock, so the broadcast cannot be lost.
-func (sh *shard) notifyProgress() {
-	if sh.drainWaiters.Load() == 0 {
-		return
-	}
-	sh.drainMu.Lock()
-	sh.drainCond.Broadcast()
-	sh.drainMu.Unlock()
-}
-
-// splitScratch is the recycled working set for IngestBatch's two-pass
-// shard split (per-measurement shard index plus per-shard counts and
-// sub-batch headers).
-type splitScratch struct {
-	idx    []uint16
-	counts []int
-	subs   [][]core.Measurement
-}
-
-// scratchPool is a mutex-guarded freelist of split scratch. Like
-// bufPool, a plain freelist beats sync.Pool: the GC empties a sync.Pool
-// every cycle, and a batch-heavy workload GCs often enough that the
-// scratch (and its three grown slices) would be re-minted hundreds of
-// times per benchmark op. Scratch demand is bounded by concurrent
-// IngestBatch callers, so the list stays tiny.
-type scratchPool struct {
-	mu  sync.Mutex
-	scs []*splitScratch
-}
-
-func (p *scratchPool) get() *splitScratch {
-	p.mu.Lock()
-	if n := len(p.scs); n > 0 {
-		sc := p.scs[n-1]
-		p.scs[n-1] = nil
-		p.scs = p.scs[:n-1]
-		p.mu.Unlock()
-		return sc
-	}
-	p.mu.Unlock()
-	return new(splitScratch)
-}
-
-func (p *scratchPool) put(sc *splitScratch) {
-	p.mu.Lock()
-	if len(p.scs) < 64 {
-		p.scs = append(p.scs, sc)
-	}
-	p.mu.Unlock()
-}
-
-// Pipeline is the sharded ingest data plane. It is both a core.Sink (one
-// measurement at a time, internally batched per shard) and a BatchSink
-// (pre-batched input, split by shard). Producers may call Ingest and
-// IngestBatch concurrently; call Flush to push partial per-shard batches,
-// and Close exactly once after all producers have stopped.
-//
-// Batch frames recycle through an internal freelist: buffers the
-// pipeline itself allocates (pending batches, shard-split sub-batches,
-// Batcher buffers) are returned to the pool after delivery. Slices
-// passed to the public IngestBatch are never recycled — the BatchSink
-// ownership contract notwithstanding, the pipeline cannot know the
-// caller won't reuse them — so external batches cost their own split
-// copies and nothing more.
-type Pipeline struct {
-	cfg    Config
-	shards []*shard
-	wg     sync.WaitGroup
-	closed atomic.Bool
-
-	pool      bufPool
-	splitPool scratchPool
-}
-
-// bufPool is a mutex-guarded freelist of measurement buffers. A plain
-// freelist beats sync.Pool here: Put would escape the slice header to
-// the heap (one allocation per recycle, the exact cost being removed),
-// and the pipeline wants buffers to survive across GC cycles for the
-// life of the process, not per-GC emptying.
-type bufPool struct {
-	mu   sync.Mutex
-	bufs [][]core.Measurement
-	max  int
-	// minCap floors every minted buffer at the pipeline batch size, so a
-	// recycled frame always fits the next pending batch or sub-batch and
-	// append never regrows it (a small frame would otherwise circulate
-	// through the freelist causing a growth allocation on every reuse).
-	minCap int
-}
-
-func (p *bufPool) get(capHint int) []core.Measurement {
-	p.mu.Lock()
-	if n := len(p.bufs); n > 0 {
-		b := p.bufs[n-1]
-		p.bufs[n-1] = nil
-		p.bufs = p.bufs[:n-1]
-		p.mu.Unlock()
-		return b
-	}
-	p.mu.Unlock()
-	if capHint < p.minCap {
-		capHint = p.minCap
-	}
-	return make([]core.Measurement, 0, capHint)
-}
-
-func (p *bufPool) put(b []core.Measurement) {
-	if cap(b) == 0 {
-		return
-	}
-	// Clear the full capacity: entries beyond a future len would
-	// otherwise pin Measurement strings from retired batches.
-	clear(b[:cap(b)])
-	p.mu.Lock()
-	if len(p.bufs) < p.max {
-		p.bufs = append(p.bufs, b[:0])
-	}
-	p.mu.Unlock()
-}
-
-// NewPipeline builds the shard stores (or custom sinks), starts one worker
-// goroutine per shard, and returns the running pipeline. Config.WALDir is
-// ignored here — use OpenPipeline for the durable path.
-func NewPipeline(cfg Config) *Pipeline {
-	cfg.WALDir = ""
-	p, _, err := openPipeline(cfg)
-	if err != nil {
-		// Unreachable: every error path requires a WALDir.
-		panic(err)
-	}
-	return p
-}
-
-// OpenPipeline is NewPipeline plus the persistence plane: with
-// Config.WALDir set it recovers each shard store from its WAL directory
-// (snapshot + surviving tail) before starting the workers, and returns
-// the per-shard recovery reports. Shard count is pinned by a manifest in
-// WALDir — the hash partition must not move between runs, or replayed
-// aggregates would land on the wrong shard's WAL.
-func OpenPipeline(cfg Config) (*Pipeline, []durable.Info, error) {
-	return openPipeline(cfg)
-}
-
-func openPipeline(cfg Config) (*Pipeline, []durable.Info, error) {
+func (cfg Config) withDefaults() Config {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
 	if cfg.Shards > 1024 {
-		// Far beyond any useful core count, and keeps the batch-split
-		// index comfortably inside uint16.
+		// Far beyond any useful core count, and keeps every shard index
+		// below IngestBatch's uint16 "routed" marker.
 		cfg.Shards = 1024
 	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = DefaultBatchSize
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 32
+	return cfg
+}
+
+// ShardStats is one shard's ingest accounting.
+type ShardStats struct {
+	// Enqueued counts measurements accepted by the shard: committed plus
+	// still pending.
+	Enqueued uint64
+	// Ingested counts measurements committed to the shard store.
+	Ingested uint64
+	// Batches counts commits.
+	Batches uint64
+	// WALErrors counts measurements whose write-ahead append failed
+	// (they still reached the store: availability over durability).
+	WALErrors uint64
+}
+
+// Stats is a point-in-time snapshot of pipeline accounting; each shard
+// is read under its lock, so Ingested <= Enqueued in every snapshot.
+type Stats struct {
+	Shards []ShardStats
+	// Enqueued, Ingested, WALErrors are sums over shards.
+	Enqueued uint64
+	Ingested uint64
+	// Dropped is inert (always 0): nothing is ever dropped; kept only
+	// because bench/server.go and bench/study.go name it; remove in the
+	// next benchmark PR.
+	Dropped   uint64
+	WALErrors uint64
+}
+
+// shard is the pipeline's mount of the shard engine: the engine plus the
+// pending buffer and counters, all guarded by the engine's lock.
+type shard struct {
+	*durable.Shard
+
+	// pending has capacity BatchSize and is reused across commits — a
+	// commit is synchronous, so nothing references the buffer once it
+	// returns. Slots past len keep stale measurements until overwritten;
+	// that pins at most BatchSize measurements' strings per shard.
+	pending  []core.Measurement
+	ingested uint64
+	batches  uint64
+	walErrs  uint64
+}
+
+// commitPending commits the pending buffer and empties it. The caller
+// holds the shard lock and began waiting for it at queuedAt.
+func (sh *shard) commitPending(queuedAt time.Time) {
+	batch := sh.pending
+	sh.Observe(telemetry.StageQueue, batch, queuedAt)
+	if _, err := sh.Commit(batch, false); err != nil {
+		// Append errors degrade durability, never availability: the batch
+		// is counted and still reaches the store.
+		sh.walErrs += uint64(len(batch))
+		sh.DB.IngestBatch(batch)
 	}
-	if cfg.GroupCommit <= 0 {
-		cfg.GroupCommit = 32
+	sh.ingested += uint64(len(batch))
+	sh.batches++
+	sh.pending = batch[:0]
+}
+
+// Pipeline is the sharded ingest front: it hashes each measurement to a
+// shard, buffers per shard, and commits full buffers on the caller's
+// goroutine (WAL append, then store apply, under the shard lock). It is
+// both a core.Sink (one measurement at a time) and a BatchSink (a batch,
+// split by shard); producers may call either concurrently. It starts no
+// goroutines of its own. Drain commits partial buffers; Close drains and
+// closes the shard WALs.
+type Pipeline struct {
+	cfg    Config
+	shards []*shard
+}
+
+// NewPipeline builds a pipeline over memory-only shards. Config.WALDir
+// is ignored here — use OpenPipeline for the durable path.
+func NewPipeline(cfg Config) *Pipeline {
+	cfg = cfg.withDefaults()
+	engines := make([]*durable.Shard, cfg.Shards)
+	for i := range engines {
+		engines[i] = durable.NewMemShard(cfg.Retain)
 	}
-	if cfg.WALDir != "" && cfg.Sinks != nil {
-		return nil, nil, fmt.Errorf("ingest: WALDir is incompatible with a Sinks override")
+	return newPipeline(cfg, engines)
+}
+
+// OpenPipeline is NewPipeline plus the persistence plane: with
+// Config.WALDir set it recovers each shard store from its WAL directory
+// (snapshot + surviving tail) and returns the per-shard recovery
+// reports. Shard count is pinned by a manifest in WALDir — the hash
+// partition must not move between runs, or replayed aggregates would
+// land on the wrong shard's WAL.
+func OpenPipeline(cfg Config) (*Pipeline, []durable.Info, error) {
+	if cfg.WALDir == "" {
+		return NewPipeline(cfg), nil, nil
 	}
-	var infos []durable.Info
-	if cfg.WALDir != "" {
-		if err := checkShardManifest(cfg.WALDir, cfg.Shards); err != nil {
-			return nil, nil, err
-		}
+	cfg = cfg.withDefaults()
+	if err := PinShardManifest(cfg.WALDir, cfg.Shards, ""); err != nil {
+		return nil, nil, err
 	}
-	p := &Pipeline{cfg: cfg, shards: make([]*shard, cfg.Shards)}
-	// Bound the freelist by the most buffers that can be in flight at
-	// once: every ring slot full on every shard, plus pending buffers
-	// and a little slack for buffers between pop and put.
-	p.pool.max = cfg.Shards*(cfg.QueueDepth+4) + 16
-	p.pool.minCap = cfg.BatchSize
-	for i := range p.shards {
-		sh := &shard{q: newBatchRing(cfg.QueueDepth)}
-		sh.drainCond.L = &sh.drainMu
-		switch {
-		case cfg.Sinks != nil:
-			sh.sink = cfg.Sinks(i)
-		case cfg.WALDir != "":
-			// Recover walks the shard's snapshot + segments to rebuild
-			// the store; Open walks the segments again to find its append
-			// point and repair any torn tail. Boot therefore reads the
-			// WAL twice — acceptable because checkpoints keep the segment
-			// tail small (a clean shutdown leaves a single snapshot and
-			// no segments at all).
-			opt := cfg.walOptions(i)
-			db, info, err := durable.Recover(opt)
-			if err != nil {
-				return nil, nil, err
-			}
-			wal, err := durable.Open(opt)
-			if err != nil {
-				return nil, nil, err
-			}
-			sh.db, sh.wal, sh.sink = db, wal, db
-			infos = append(infos, info)
-		default:
-			sh.db = store.New(cfg.Retain)
-			sh.sink = sh.db // store.DB batch-ingests natively
-		}
-		p.shards[i] = sh
+	engines, infos, err := durable.OpenShards(cfg.WALDir, cfg.Shards, durable.Options{Retain: cfg.Retain})
+	if err != nil {
+		return nil, nil, err
 	}
-	for _, sh := range p.shards {
-		p.wg.Add(1)
-		go p.work(sh)
+	return newPipeline(cfg, engines), infos, nil
+}
+
+func newPipeline(cfg Config, engines []*durable.Shard) *Pipeline {
+	p := &Pipeline{cfg: cfg, shards: make([]*shard, len(engines))}
+	for i, e := range engines {
+		e.Tracer = cfg.Tracer
+		p.shards[i] = &shard{Shard: e, pending: make([]core.Measurement, 0, cfg.BatchSize)}
 	}
-	return p, infos, nil
+	return p
 }
 
 // shardManifest pins the WAL directory to one shard layout and, in
@@ -393,10 +179,6 @@ func openPipeline(cfg Config) (*Pipeline, []durable.Info, error) {
 type shardManifest struct {
 	Shards int    `json:"shards"`
 	Node   string `json:"node,omitempty"`
-}
-
-func checkShardManifest(dir string, shards int) error {
-	return PinShardManifest(dir, shards, "")
 }
 
 // PinShardManifest pins dir to a shard count and (when node is
@@ -434,94 +216,6 @@ func PinShardManifest(dir string, shards int, node string) error {
 	return nil
 }
 
-// work is the shard consumer: it blocks for one batch, opportunistically
-// drains up to GroupCommit-1 more that are already queued, write-aheads
-// the whole group as one WAL append (one fsync under SyncEachAppend),
-// then delivers each batch to the sink and recycles pipeline-owned
-// frames. Group commit amortizes the WAL lock/fsync across a backlog
-// without delaying an idle shard: a lone batch forms a group of one.
-func (p *Pipeline) work(sh *shard) {
-	defer p.wg.Done()
-	tr := p.cfg.Tracer
-	group := make([]queued, 0, p.cfg.GroupCommit)
-	var views [][]core.Measurement
-	if sh.wal != nil {
-		views = make([][]core.Measurement, 0, p.cfg.GroupCommit)
-	}
-	for {
-		it, ok := sh.q.popWait()
-		if !ok {
-			break
-		}
-		group = append(group[:0], it)
-		for len(group) < p.cfg.GroupCommit {
-			nxt, ok := sh.q.tryPop()
-			if !ok {
-				break
-			}
-			group = append(group, nxt)
-		}
-		if tr != nil {
-			// Queue wait is a per-batch stage; traced measurements inside
-			// a batch get a span without multiplying the histogram.
-			for i := range group {
-				if at := group[i].enqueuedAt; !at.IsZero() {
-					wait := time.Since(at)
-					tr.Observe(telemetry.StageQueue, wait)
-					recordBatchSpans(tr, group[i].ms, telemetry.StageQueue, at, wait)
-				}
-			}
-		}
-		if sh.wal != nil {
-			// Write-ahead: the group hits the WAL before the store, so
-			// anything visible in a merge/table is also on its way to
-			// disk. Append errors degrade durability, never availability.
-			views = views[:0]
-			for i := range group {
-				views = append(views, group[i].ms)
-			}
-			start := stageStart(tr)
-			err := sh.wal.AppendGroup(views)
-			if tr != nil {
-				d := time.Since(start)
-				tr.Observe(telemetry.StageWAL, d)
-				for i := range group {
-					recordBatchSpans(tr, group[i].ms, telemetry.StageWAL, start, d)
-				}
-			}
-			if err != nil {
-				var n int
-				for i := range group {
-					n += len(group[i].ms)
-				}
-				sh.walErrs.Add(uint64(n))
-			}
-		}
-		for i := range group {
-			batch := group[i].ms
-			start := stageStart(tr)
-			sh.sink.IngestBatch(batch)
-			if tr != nil {
-				d := time.Since(start)
-				tr.Observe(telemetry.StageStore, d)
-				recordBatchSpans(tr, batch, telemetry.StageStore, start, d)
-			}
-			sh.ingested.Add(uint64(len(batch)))
-			sh.batches.Add(1)
-			if group[i].owned {
-				p.pool.put(batch)
-			}
-			group[i] = queued{}
-		}
-		sh.notifyProgress()
-	}
-	// Wake any waiter parked across worker exit (e.g. Drain racing
-	// Close) so it re-checks instead of sleeping forever.
-	sh.drainMu.Lock()
-	sh.drainCond.Broadcast()
-	sh.drainMu.Unlock()
-}
-
 // stageStart reads the clock only when a tracer will consume it.
 func stageStart(tr *telemetry.Tracer) time.Time {
 	if tr == nil {
@@ -530,222 +224,107 @@ func stageStart(tr *telemetry.Tracer) time.Time {
 	return time.Now()
 }
 
-// recordBatchSpans attaches a per-batch stage to every traced measurement
-// in the batch (span-only: the batch observed the histogram once).
-func recordBatchSpans(tr *telemetry.Tracer, batch []core.Measurement, stage string, start time.Time, d time.Duration) {
-	for i := range batch {
-		if t := batch[i].Trace; t != 0 {
-			tr.RecordSpan(telemetry.TraceID(t), stage, start, d)
-		}
-	}
-}
-
-// shardIndex routes one measurement.
-func (p *Pipeline) shardIndex(m core.Measurement) int {
-	if len(p.shards) == 1 {
+// ShardOf maps a probed host to one of n shards: 32-bit FNV-1a of the
+// name. The host set is small and hot (1 or 18 hosts in the studies), so
+// this keeps each host's aggregates on one shard and needs no
+// cross-shard coordination for per-host tables. The pipeline and the
+// cluster node both partition with it, and the shard manifest pins its
+// result on disk — it must never change.
+func ShardOf(host string, n int) int {
+	if n == 1 {
 		return 0
 	}
-	var h uint32
-	if p.cfg.ShardBy == ByClientIP {
-		h = fnv1a32(nil, m.ClientIP)
-	} else {
-		h = fnv1a32([]byte(m.Host), 0)
+	h := uint32(2166136261)
+	for i := 0; i < len(host); i++ {
+		h ^= uint32(host[i])
+		h *= 16777619
 	}
-	return int(h % uint32(len(p.shards)))
+	return int(h % uint32(n))
 }
 
-// fnv1a32 hashes s then the big-endian bytes of v when s is nil.
-func fnv1a32(s []byte, v uint32) uint32 {
-	const (
-		offset = 2166136261
-		prime  = 16777619
-	)
-	h := uint32(offset)
-	if s == nil {
-		s = []byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}
-	}
-	for _, b := range s {
-		h ^= uint32(b)
-		h *= prime
-	}
-	return h
-}
-
-// Ingest implements core.Sink: it appends m to the target shard's pending
-// batch and enqueues the batch once full. Pending buffers come from and
-// return to the frame pool.
+// Ingest implements core.Sink: it appends m to its shard's pending
+// buffer and commits the buffer once full.
 func (p *Pipeline) Ingest(m core.Measurement) {
-	sh := p.shards[p.shardIndex(m)]
-	sh.mu.Lock()
-	if sh.pending == nil {
-		sh.pending = p.pool.get(p.cfg.BatchSize)
-	}
+	sh := p.shards[ShardOf(m.Host, len(p.shards))]
+	queuedAt := stageStart(p.cfg.Tracer)
+	sh.Lock()
 	sh.pending = append(sh.pending, m)
-	if len(sh.pending) < p.cfg.BatchSize {
-		sh.mu.Unlock()
-		return
+	if len(sh.pending) >= p.cfg.BatchSize {
+		sh.commitPending(queuedAt)
 	}
-	batch := sh.pending
-	sh.pending = nil
-	sh.mu.Unlock()
-	p.enqueue(sh, batch, true)
+	sh.Unlock()
 }
 
-// IngestBatch implements BatchSink: the batch is split by shard and each
-// sub-batch enqueued directly, bypassing the pending buffers. The split is
-// two-pass (count, then fill exact-length sub-batches) over pooled
-// scratch, so a steady-state split allocates nothing. The input slice is
-// never retained or recycled (see Pipeline doc).
+const (
+	// splitChunk bounds IngestBatch's on-stack routing table.
+	splitChunk = 512
+	// routed marks a routing-table slot whose measurement is delivered.
+	routed = ^uint16(0)
+)
+
+// IngestBatch implements BatchSink: the batch is routed into the
+// per-shard pending buffers under one lock acquisition per touched shard
+// (per 512-measurement chunk), preserving batch order within a shard.
+// The routing table lives on the stack and the batch is only read, so
+// the split allocates nothing and the caller may reuse the slice.
 func (p *Pipeline) IngestBatch(batch []core.Measurement) {
-	p.ingestBatch(batch, false)
-}
-
-// takeBatch hands a pooled buffer to an internal producer (Batcher);
-// the buffer returns to the pool via ingestOwnedBatch delivery.
-func (p *Pipeline) takeBatch(capHint int) []core.Measurement {
-	return p.pool.get(capHint)
-}
-
-// ingestOwnedBatch is IngestBatch for buffers minted by takeBatch: the
-// pipeline recycles them once delivered (or dropped, or split).
-func (p *Pipeline) ingestOwnedBatch(batch []core.Measurement) {
-	p.ingestBatch(batch, true)
-}
-
-func (p *Pipeline) ingestBatch(batch []core.Measurement, owned bool) {
-	ns := len(p.shards)
-	if ns == 1 {
-		p.enqueue(p.shards[0], batch, owned)
-		return
-	}
-	sc := p.splitPool.get()
-	if cap(sc.idx) < len(batch) {
-		sc.idx = make([]uint16, len(batch))
-	}
-	if cap(sc.counts) < ns {
-		sc.counts = make([]int, ns)
-		sc.subs = make([][]core.Measurement, ns)
-	}
-	idx := sc.idx[:len(batch)]
-	counts := sc.counts[:ns]
-	subs := sc.subs[:ns]
-	for i := range counts {
-		counts[i] = 0
-	}
-	for i, m := range batch {
-		s := p.shardIndex(m)
-		idx[i] = uint16(s)
-		counts[s]++
-	}
-	for s, c := range counts {
-		if c > 0 {
-			subs[s] = p.pool.get(c)
+	var idx [splitChunk]uint16
+	for len(batch) > 0 {
+		chunk := batch[:min(len(batch), splitChunk)]
+		batch = batch[len(chunk):]
+		for i := range chunk {
+			idx[i] = uint16(ShardOf(chunk[i].Host, len(p.shards)))
 		}
-	}
-	for i, m := range batch {
-		s := idx[i]
-		subs[s] = append(subs[s], m)
-	}
-	for s, sub := range subs {
-		if sub != nil {
-			p.enqueue(p.shards[s], sub, true)
-			subs[s] = nil
-		}
-	}
-	p.splitPool.put(sc)
-	if owned {
-		p.pool.put(batch)
-	}
-}
-
-// enqueue publishes a batch on its shard ring. The offered counter is
-// bumped before publication (see shard doc); a lossy drop then moves
-// the batch from offered to dropped, so offered == ingested + dropped
-// once the pipeline quiesces.
-func (p *Pipeline) enqueue(sh *shard, batch []core.Measurement, owned bool) {
-	if len(batch) == 0 {
-		if owned {
-			p.pool.put(batch)
-		}
-		return
-	}
-	sh.offered.Add(uint64(len(batch)))
-	it := queued{ms: batch, owned: owned, enqueuedAt: stageStart(p.cfg.Tracer)}
-	if p.cfg.Block {
-		sh.q.push(it)
-		return
-	}
-	if !sh.q.tryPush(it) {
-		sh.dropped.Add(uint64(len(batch)))
-		sh.notifyProgress()
-		if owned {
-			p.pool.put(batch)
+		for i := range chunk {
+			s := idx[i]
+			if s == routed {
+				continue
+			}
+			sh := p.shards[s]
+			queuedAt := stageStart(p.cfg.Tracer)
+			sh.Lock()
+			for j := i; j < len(chunk); j++ {
+				if idx[j] != s {
+					continue
+				}
+				idx[j] = routed
+				sh.pending = append(sh.pending, chunk[j])
+				if len(sh.pending) >= p.cfg.BatchSize {
+					sh.commitPending(queuedAt)
+				}
+			}
+			sh.Unlock()
 		}
 	}
 }
 
-// Flush enqueues every shard's pending partial batch.
-func (p *Pipeline) Flush() {
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		batch := sh.pending
-		sh.pending = nil
-		sh.mu.Unlock()
-		if batch != nil {
-			p.enqueue(sh, batch, true)
-		}
-	}
-}
-
-// Drain flushes pending batches and blocks until every measurement
-// enqueued before the call has been delivered to its shard sink (or, in
-// lossy mode, dropped), so a subsequent Merge sees everything that will
-// ever arrive from this point's backlog. Producers may keep ingesting
-// concurrently; their later measurements are not waited for. Waiting is
-// event-driven: the shard worker signals per delivered group, so Drain
-// returns as soon as the last backlog batch lands rather than on a
-// sleep quantum.
+// Drain commits every shard's partial pending buffer, so a subsequent
+// Merge sees every measurement handed in before the call. Producers may
+// keep ingesting concurrently; their later measurements are not waited
+// for.
 func (p *Pipeline) Drain() {
-	p.Flush()
-	targets := make([]uint64, len(p.shards))
-	for i, sh := range p.shards {
-		targets[i] = sh.offered.Load()
-	}
-	for i, sh := range p.shards {
-		target := targets[i]
-		if sh.ingested.Load()+sh.dropped.Load() >= target {
-			continue
+	for _, sh := range p.shards {
+		queuedAt := stageStart(p.cfg.Tracer)
+		sh.Lock()
+		if len(sh.pending) > 0 {
+			sh.commitPending(queuedAt)
 		}
-		sh.drainWaiters.Add(1)
-		sh.drainMu.Lock()
-		for sh.ingested.Load()+sh.dropped.Load() < target {
-			sh.drainCond.Wait()
-		}
-		sh.drainMu.Unlock()
-		sh.drainWaiters.Add(-1)
+		sh.Unlock()
 	}
 }
 
-// Close flushes pending batches, stops the shard workers, waits for the
-// queues to drain, and closes the shard WALs (final fsync). It must be
-// called exactly once, after every producer has stopped; Ingest after
-// Close panics. The returned error is the first WAL close failure (nil
-// without WALs).
+// Close drains and closes the shard WALs (final fsync). It is
+// idempotent (so is closing a log); the returned error is the first WAL
+// close failure (nil without WALs). Producers should have stopped: a
+// measurement ingested after Close still reaches its shard store, and on
+// a durable pipeline it is counted in WALErrors because its append is
+// refused.
 func (p *Pipeline) Close() error {
-	if !p.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	p.Flush()
-	for _, sh := range p.shards {
-		sh.q.close()
-	}
-	p.wg.Wait()
+	p.Drain()
 	var first error
 	for _, sh := range p.shards {
-		if sh.wal != nil {
-			if err := sh.wal.Close(); err != nil && first == nil {
-				first = err
-			}
+		if err := sh.Close(); err != nil && first == nil {
+			first = err
 		}
 	}
 	return first
@@ -758,42 +337,39 @@ func (p *Pipeline) Close() error {
 func (p *Pipeline) Checkpoint() error {
 	var first error
 	for _, sh := range p.shards {
-		if sh.wal == nil {
+		if sh.Log == nil {
 			continue
 		}
-		if _, err := sh.wal.Checkpoint(); err != nil && first == nil {
+		if _, err := sh.Log.Checkpoint(); err != nil && first == nil {
 			first = err
 		}
 	}
 	return first
 }
 
-// WALStats returns per-shard durable accounting (nil without WALs).
-func (p *Pipeline) WALStats() []durable.Stats {
-	var out []durable.Stats
-	for _, sh := range p.shards {
-		if sh.wal != nil {
-			out = append(out, sh.wal.Stats())
-		}
+// Shards returns the shard engines in shard order.
+func (p *Pipeline) Shards() []*durable.Shard {
+	out := make([]*durable.Shard, len(p.shards))
+	for i, sh := range p.shards {
+		out[i] = sh.Shard
 	}
 	return out
 }
 
-// Stores returns the per-shard databases (nil entries under a Sinks
-// override).
-func (p *Pipeline) Stores() []*store.DB {
-	dbs := make([]*store.DB, len(p.shards))
-	for i, sh := range p.shards {
-		dbs[i] = sh.db
-	}
-	return dbs
+// WALStats returns per-shard durable accounting (nil without WALs).
+func (p *Pipeline) WALStats() []durable.Stats {
+	return durable.WALStats(p.Shards())
 }
 
 // Merge folds the shard databases into one deterministic store.DB (see
-// store.Merge). After Close the result is exact; on a live pipeline it is
-// a point-in-time snapshot that misses queued-but-undelivered batches.
+// store.Merge). After Drain or Close the result covers everything handed
+// in; otherwise it misses what is still pending.
 func (p *Pipeline) Merge(retainLimit int) *store.DB {
-	return store.Merge(retainLimit, p.Stores()...)
+	dbs := make([]*store.DB, len(p.shards))
+	for i, sh := range p.shards {
+		dbs[i] = sh.DB
+	}
+	return store.Merge(retainLimit, dbs...)
 }
 
 // MountMetrics bridges the pipeline's accounting into a telemetry
@@ -803,40 +379,14 @@ func (p *Pipeline) MountMetrics(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	reg.GaugeFunc("ingest_enqueued_total", "measurements accepted onto shard queues", func() float64 {
-		var n uint64
-		for _, sh := range p.shards {
-			n += sh.enqueuedLoad()
-		}
-		return float64(n)
+	reg.GaugeFunc("ingest_enqueued_total", "measurements accepted by the shards (committed or pending)", func() float64 {
+		return float64(p.Stats().Enqueued)
 	})
-	reg.GaugeFunc("ingest_ingested_total", "measurements delivered to shard sinks", func() float64 {
-		var n uint64
-		for _, sh := range p.shards {
-			n += sh.ingested.Load()
-		}
-		return float64(n)
-	})
-	reg.GaugeFunc("ingest_dropped_total", "measurements discarded on full queues", func() float64 {
-		var n uint64
-		for _, sh := range p.shards {
-			n += sh.dropped.Load()
-		}
-		return float64(n)
+	reg.GaugeFunc("ingest_ingested_total", "measurements committed to shard stores", func() float64 {
+		return float64(p.Stats().Ingested)
 	})
 	reg.GaugeFunc("ingest_wal_errors_total", "measurements whose write-ahead append failed", func() float64 {
-		var n uint64
-		for _, sh := range p.shards {
-			n += sh.walErrs.Load()
-		}
-		return float64(n)
-	})
-	reg.GaugeFunc("ingest_queue_depth", "queued batches across shards", func() float64 {
-		var n int
-		for _, sh := range p.shards {
-			n += sh.q.len()
-		}
-		return float64(n)
+		return float64(p.Stats().WALErrors)
 	})
 }
 
@@ -844,23 +394,17 @@ func (p *Pipeline) MountMetrics(reg *telemetry.Registry) {
 func (p *Pipeline) Stats() Stats {
 	s := Stats{Shards: make([]ShardStats, len(p.shards))}
 	for i, sh := range p.shards {
-		// Load order matters for the Ingested <= Enqueued invariant:
-		// effects before causes (ingested, then dropped, then offered).
-		ingested := sh.ingested.Load()
+		sh.Lock()
 		ss := ShardStats{
-			Ingested:  ingested,
-			Batches:   sh.batches.Load(),
-			Queue:     sh.q.len(),
-			WALErrors: sh.walErrs.Load(),
+			Enqueued:  sh.ingested + uint64(len(sh.pending)),
+			Ingested:  sh.ingested,
+			Batches:   sh.batches,
+			WALErrors: sh.walErrs,
 		}
-		dropped := sh.dropped.Load()
-		offered := sh.offered.Load()
-		ss.Dropped = dropped
-		ss.Enqueued = offered - dropped
+		sh.Unlock()
 		s.Shards[i] = ss
 		s.Enqueued += ss.Enqueued
 		s.Ingested += ss.Ingested
-		s.Dropped += ss.Dropped
 		s.WALErrors += ss.WALErrors
 	}
 	return s
@@ -868,6 +412,6 @@ func (p *Pipeline) Stats() Stats {
 
 // String renders a one-line accounting summary.
 func (s Stats) String() string {
-	return fmt.Sprintf("ingest: %d shards, %d enqueued, %d ingested, %d dropped",
-		len(s.Shards), s.Enqueued, s.Ingested, s.Dropped)
+	return fmt.Sprintf("ingest: %d shards, %d enqueued, %d ingested, %d WAL errors",
+		len(s.Shards), s.Enqueued, s.Ingested, s.WALErrors)
 }

@@ -32,10 +32,9 @@ func walTestMeasurements(n int) []core.Measurement {
 // recoverAll merges every shard WAL directory back into one store.
 func recoverAll(t *testing.T, dir string, shards int) *store.DB {
 	t.Helper()
-	cfg := Config{WALDir: dir, Shards: shards}
 	dbs := make([]*store.DB, shards)
 	for i := 0; i < shards; i++ {
-		db, _, err := durable.Recover(cfg.walOptions(i))
+		db, _, err := durable.Recover(durable.Options{Dir: durable.ShardDir(dir, i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +46,7 @@ func recoverAll(t *testing.T, dir string, shards int) *store.DB {
 func TestPipelineWALPersistsEveryDeliveredMeasurement(t *testing.T) {
 	dir := t.TempDir()
 	ms := walTestMeasurements(500)
-	cfg := Config{Shards: 4, BatchSize: 32, Block: true, WALDir: dir}
+	cfg := Config{Shards: 4, BatchSize: 32, WALDir: dir}
 	pl, infos, err := OpenPipeline(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +77,7 @@ func TestPipelineWALPersistsEveryDeliveredMeasurement(t *testing.T) {
 func TestPipelineRecoversAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	ms := walTestMeasurements(400)
-	cfg := Config{Shards: 3, BatchSize: 16, Block: true, WALDir: dir}
+	cfg := Config{Shards: 3, BatchSize: 16, WALDir: dir}
 
 	pl, _, err := OpenPipeline(cfg)
 	if err != nil {
@@ -132,15 +131,6 @@ func TestPipelineManifestPinsShardCount(t *testing.T) {
 	cfg.Shards = 8
 	if _, _, err := OpenPipeline(cfg); err == nil || !strings.Contains(err.Error(), "shards") {
 		t.Fatalf("shard-count change must be refused, got %v", err)
-	}
-}
-
-func TestWALDirRejectsSinksOverride(t *testing.T) {
-	_, _, err := OpenPipeline(Config{WALDir: t.TempDir(), Sinks: func(int) BatchSink {
-		return BatchSinkFunc(func([]core.Measurement) {})
-	}})
-	if err == nil {
-		t.Fatal("WALDir with Sinks override must be refused")
 	}
 }
 

@@ -258,11 +258,7 @@ func Run(cfg Config) (*Result, error) {
 		// would make the surviving set depend on goroutine scheduling.
 		// Merge applies cfg.RetainProxied deterministically after the
 		// canonical sort over the full pool.
-		pl := ingest.NewPipeline(ingest.Config{
-			Shards:    cfg.Shards,
-			BatchSize: cfg.IngestBatch,
-			Block:     true, // a study is lossless: backpressure, never drop
-		})
+		pl := ingest.NewPipeline(ingest.Config{Shards: cfg.Shards, BatchSize: cfg.IngestBatch})
 		var wg sync.WaitGroup
 		var mu sync.Mutex
 		var firstErr error

@@ -124,9 +124,9 @@ func (h *Histogram) ObserveSince(start time.Time) {
 }
 
 // HistogramSnapshot is a coherent-enough point-in-time copy of a
-// histogram: Count is read last, so Count <= sum of bucket counts never
+// histogram: Count is read first, so Count <= sum of bucket counts never
 // inverts (a bucket increment precedes its count increment in every
-// Observe).
+// Observe, so every observation Count saw is already in its bucket).
 type HistogramSnapshot struct {
 	Count uint64 `json:"count"`
 	// SumSeconds is the total observed time.
@@ -136,20 +136,18 @@ type HistogramSnapshot struct {
 	Buckets [histBuckets]uint64 `json:"-"`
 }
 
-// Snapshot copies the histogram state. Bucket counts are loaded before
-// the total so the total never exceeds the bucket sum.
+// Snapshot copies the histogram state. The total is loaded before the
+// bucket counts so the total never exceeds the bucket sum.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	var s HistogramSnapshot
 	if h == nil {
 		return s
 	}
-	var sum int64
+	s.Count = h.count.Load()
 	for i := range h.counts {
 		s.Buckets[i] = h.counts[i].Load()
 	}
-	s.Count = h.count.Load()
-	sum = h.sum.Load()
-	s.SumSeconds = float64(sum) / 1e9
+	s.SumSeconds = float64(h.sum.Load()) / 1e9
 	return s
 }
 

@@ -191,9 +191,9 @@ func TestConcurrentIncrementScrape(t *testing.T) {
 				for _, b := range m.Hist.Buckets {
 					bucketTotal += b
 				}
-				// Buckets are loaded before count in Snapshot and
-				// incremented before count in Observe, so a scrape must
-				// never see count exceed the bucket sum.
+				// Count is loaded before the buckets in Snapshot and
+				// incremented after its bucket in Observe, so a scrape
+				// must never see count exceed the bucket sum.
 				if m.Hist.Count > bucketTotal {
 					t.Errorf("scrape saw count %d > bucket total %d", m.Hist.Count, bucketTotal)
 					return

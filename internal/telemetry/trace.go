@@ -67,9 +67,9 @@ const (
 	StageMitmSplice  = "mitm_splice"   // interceptor: whitelisted passthrough copy
 	StageDecode      = "ingest_decode" // reportd: one wire frame off the batch stream
 	StageObserve     = "observe"       // reportd: chain compare + classify (memo hit or full derive)
-	StageQueue       = "shard_queue"   // pipeline: batch wait on the shard channel
-	StageWAL         = "wal_append"    // pipeline: write-ahead append of the batch
-	StageStore       = "store_merge"   // pipeline: batch folded into the shard store
+	StageQueue       = "shard_queue"   // pipeline: wait for the shard's commit lock, per committed batch
+	StageWAL         = "wal_append"    // shard engine: write-ahead append of the batch
+	StageStore       = "store_merge"   // shard engine: batch folded into the shard store
 )
 
 // knownStages pre-registers every stage histogram so the recording hot

@@ -102,7 +102,22 @@ func TestTraceEndToEnd(t *testing.T) {
 		telemetry.StageObserve, telemetry.StageQueue, telemetry.StageWAL,
 		telemetry.StageStore,
 	}
+	// The interceptor records mitm_respond on its own goroutine once its
+	// responder returns, which can be after the probe has its chain and
+	// the report has already been stored: wait for that span to land.
+	hasStage := func(tr telemetry.Trace, stage string) bool {
+		for _, sp := range tr.Spans {
+			if sp.Stage == stage {
+				return true
+			}
+		}
+		return false
+	}
 	tr, ok := tracer.Lookup(traceID)
+	for deadline := time.Now().Add(5 * time.Second); ok && !hasStage(tr, telemetry.StageMitmRespond) && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		tr, ok = tracer.Lookup(traceID)
+	}
 	if !ok {
 		t.Fatalf("trace %s not resident after end-to-end run", traceID)
 	}
