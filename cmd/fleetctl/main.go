@@ -9,8 +9,8 @@
 //
 // fleetctl launches one probe subprocess per mitmd target (each running
 // -fleet concurrent workers), spreads their report uploads across the
-// cluster round-robin — the nodes' not-owner verdicts and the upload
-// client's retargeting route every batch to its owning node — and
+// cluster round-robin — any node observes a report, and its own
+// cluster.RouteClient delivers each measurement to the owning node — and
 // monitors node health the whole run with a suspicion scorer: every
 // status probe folds its outcome, its round-trip time against the
 // latency budget, and the node's self-reported degradation counters
@@ -195,20 +195,23 @@ func (f *fleet) broadcastDead(id string) {
 	logf("node %s declared dead to the fleet", id)
 }
 
-// drainNode drains id: the node itself first (it starts refusing new
-// writes), then the broadcast so peers stop bouncing traffic back.
+// drainNode drains id: the broadcast first, then the node itself. In
+// that order the window between the two is benign — peers already accept
+// id's arcs as the successors, and id still accepts whatever a stale
+// router sends it. Draining the node first opens a window in which id
+// disowns a batch that every peer bounces straight back to it.
 func (f *fleet) drainNode(id string) {
 	m, ok := f.members.Get(id)
 	if !ok {
 		logf("cannot drain unknown node %q", id)
 		return
 	}
+	f.members.MarkDraining(id)
+	f.broadcastMark("draining", id)
 	if err := f.post(m.URL + "/cluster/drain"); err != nil {
 		logf("drain of %s failed: %v", id, err)
 		return
 	}
-	f.members.MarkDraining(id)
-	f.broadcastMark("draining", id)
 	logf("node %s draining", id)
 }
 
@@ -306,9 +309,9 @@ func (f *fleet) healthLoop(every time.Duration, stop <-chan struct{}) {
 }
 
 // launchProbes starts one probe subprocess per mitmd target, uploads
-// spread round-robin across the alive nodes. The probe's ingest client
-// follows not-owner verdicts on its own, so any node is a valid first
-// hop.
+// spread round-robin across the alive nodes. Every node holds the
+// authoritative chains and routes what it observes to the owners, so any
+// node is a valid first hop for any mix of hosts.
 func (f *fleet) launchProbes(bin string, targets []string, args probeArgs) error {
 	alive := f.aliveMembers()
 	if len(alive) == 0 {

@@ -20,6 +20,11 @@
 // previous process persisted, and SIGTERM/SIGINT shut down gracefully —
 // stop accepting, commit the pending reports, fsync the WAL, and write a
 // final snapshot — so a restart never forfeits the collected study.
+//
+// With -cluster-id and -cluster-peers the shards are a cluster.Node's
+// instead (DESIGN.md §12): any node observes any report, whatever mix of
+// hosts an upload carries, and a cluster.RouteClient delivers each
+// measurement to the node owning its host before the upload is acked.
 package main
 
 import (
@@ -78,15 +83,17 @@ type serverConfig struct {
 
 	// clusterID switches the server into cluster mode (DESIGN.md §12):
 	// the shards are mounted by a cluster.Node (fsync per batch, peer
-	// replication, ring routing) instead of the ingest pipeline, and the
+	// replication, ring routing) instead of the ingest pipeline, the
+	// collector commits through a cluster.RouteClient, and the
 	// /cluster/* + /repl/tail surfaces are mounted. clusterPeers is the
 	// full "id=url,..." member list including this node.
 	clusterID    string
 	clusterPeers string
 	// chaosSpec, when non-empty, arms a faultnet chaos controller on this
 	// node's outbound links (replication tails, snapshot catch-ups, relay
-	// forwards): a wall-clock phase schedule of cuts, latency, and
-	// throttles in the faultnet DSL. Endpoint names are peer member IDs.
+	// forwards, routed report measurements): a wall-clock phase schedule
+	// of cuts, latency, and throttles in the faultnet DSL. Endpoint names
+	// are peer member IDs.
 	chaosSpec string
 }
 
@@ -177,7 +184,22 @@ func newServer(cfg serverConfig) (*server, error) {
 			return nil, err
 		}
 		node.Start()
-		sink, shards = node, node.Shards()
+		// Reports are observed on whichever node receives them; their
+		// measurements enter the cluster's stores the way every other
+		// producer's do — routed by host to the owner's /cluster/ingest,
+		// this node's own included — over the node's HTTP client, so a
+		// -chaos plan covers these links too. The router shares the node's
+		// membership view: drain and death marks reroute it at once. Its
+		// seed stays clock-derived — batch IDs key the owners' dedup
+		// tables and must differ across nodes.
+		route, err := cluster.NewRouteClient(cluster.RouteConfig{
+			Members: node.Members(), HTTPClient: ccfg.HTTPClient, Registry: reg, Logf: ccfg.Logf,
+		})
+		if err != nil {
+			node.Close()
+			return nil, err
+		}
+		sink, shards = route, node.Shards()
 	} else {
 		var err error
 		pipeline, recovery, err = ingest.OpenPipeline(ingest.Config{
@@ -308,26 +330,12 @@ func (s *server) metrics() map[string]any {
 func (s *server) mux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/report", s.col)
+	mux.Handle("/ingest/batch", ingest.BatchHandler(s.col))
 	if s.node != nil {
-		// Cluster mode: the batch endpoint enforces ring ownership
-		// all-or-nothing (clients retarget on the not-owner verdict), and
-		// the node's control/replication surface rides on the same mux.
-		router := ingest.Router{
-			Owns: func(host string) bool {
-				owned, _ := s.node.Owns(host)
-				return owned
-			},
-			Owner: func(host string) (string, string) {
-				_, owner := s.node.Owns(host)
-				return owner.ID, owner.URL
-			},
-		}
-		mux.Handle("/ingest/batch", ingest.RoutedBatchHandler(s.col, router))
 		nodeHandler := s.node.Handler()
 		mux.Handle("/cluster/", nodeHandler)
 		mux.Handle("/repl/", nodeHandler)
 	} else {
-		mux.Handle("/ingest/batch", ingest.BatchHandler(s.col))
 		mux.Handle("/ingest/stats", ingest.StatsHandler(s.pipeline))
 	}
 	// One exposition handler serves both formats: the legacy JSON keys

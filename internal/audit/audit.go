@@ -235,7 +235,7 @@ func (r *helloRecorder) take(host string) (recordedHello, bool) {
 // validates reports whether a profile inspects origin chains in any way —
 // the report card's "Validates" column.
 func validates(p proxyengine.Profile) bool {
-	if p.Upstream.Validate || p.RejectInvalidUpstream || p.MaskInvalidUpstream || p.Upstream.Revoked != nil {
+	if p.Upstream.Validate || p.Upstream.Revoked != nil {
 		return true
 	}
 	for _, r := range p.Upstream.Reject {

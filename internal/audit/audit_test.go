@@ -145,8 +145,8 @@ func TestAcceptingProfileCapturesEverything(t *testing.T) {
 	}
 }
 
-// TestLegacyRejectAllProfile: the Bitdefender-style RejectInvalidUpstream
-// flag refuses every defective origin but passes the clean control.
+// TestLegacyRejectAllProfile: Bitdefender's reject-all upstream policy
+// refuses every defective origin but passes the clean control.
 func TestLegacyRejectAllProfile(t *testing.T) {
 	p := classify.ProductByName("Bitdefender")
 	if p == nil {

@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -83,11 +81,12 @@ type RouteConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// RouteClient is a core.Sink that routes measurements to the cluster
-// node owning each host. It buffers one batch per owner, reroutes on
-// not-owner verdicts (a draining or stale target names the new owner)
-// and on node death, and records delivery accounting strong enough for
-// the kill test to assert zero loss.
+// RouteClient is a core.Sink (buffered Ingest + Flush) and a
+// core.BatchCommitter (synchronous Deliver) that routes measurements to
+// the cluster node owning each host. It buffers one batch per owner,
+// reroutes on not-owner verdicts (a draining or stale target names the
+// new owner) and on node death, and records delivery accounting strong
+// enough for the kill test to assert zero loss.
 //
 // Delivery is self-healing: every batch carries a dedup ID so retries
 // after a lost ack cannot double count; per-peer circuit breakers stop
@@ -207,10 +206,35 @@ func (rc *RouteClient) enqueueLocked(m core.Measurement, depth int) {
 func (rc *RouteClient) Flush() error {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
+	rc.flushAllLocked()
+	return rc.err
+}
+
+func (rc *RouteClient) flushAllLocked() {
 	for id := range rc.bufs {
 		rc.flushOwnerLocked(id, 0)
 	}
-	return rc.err
+}
+
+// Deliver routes one batch and returns once every owner has acked its
+// share: the synchronous form of Ingest + Flush a reportd node commits
+// each request through (core.BatchCommitter). Unlike Flush's sticky error,
+// the error covers this call only — it is non-nil exactly when some of
+// this batch was lost, and a later call starts clean. A partial failure
+// leaves the delivered shares committed.
+func (rc *RouteClient) Deliver(batch []core.Measurement) error {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	lost := rc.stats.Lost
+	rc.stats.Ingested += uint64(len(batch))
+	for _, m := range batch {
+		rc.enqueueLocked(m, 0)
+	}
+	rc.flushAllLocked()
+	if n := rc.stats.Lost - lost; n > 0 {
+		return fmt.Errorf("cluster: batch of %d not fully delivered (%d route failures)", len(batch), n)
+	}
+	return nil
 }
 
 // Err returns the sticky first error.
@@ -358,23 +382,19 @@ func (rc *RouteClient) postBody(member Member, body []byte, relay bool, retries 
 				return ingest.BatchResult{}, err
 			}
 		}
-		resp, err := rc.cfg.HTTPClient.Post(url, "application/octet-stream", bytes.NewReader(body))
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		var res ingest.BatchResult
-		derr := json.NewDecoder(resp.Body).Decode(&res)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK && derr == nil {
+		res, status, err := ingest.PostBatch(rc.cfg.HTTPClient, url, body)
+		if status == http.StatusOK && err == nil {
 			return res, nil
 		}
-		if resp.StatusCode == http.StatusBadRequest {
+		if status == http.StatusBadRequest {
 			// The node decoded our batch and refused it wholesale; a
 			// retry cannot fix an encoding problem.
 			return res, nil
 		}
-		lastErr = fmt.Errorf("cluster: %s: HTTP %d", member.URL, resp.StatusCode)
+		if err == nil {
+			err = fmt.Errorf("cluster: %s: HTTP %d", member.URL, status)
+		}
+		lastErr = err
 	}
 	return ingest.BatchResult{}, lastErr
 }

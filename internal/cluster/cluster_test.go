@@ -2,14 +2,20 @@ package cluster
 
 import (
 	"crypto/x509"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"tlsfof/internal/classify"
 	"tlsfof/internal/core"
 	"tlsfof/internal/hostdb"
+	"tlsfof/internal/ingest"
 	"tlsfof/internal/stats"
 	"tlsfof/internal/store"
 )
@@ -166,31 +172,90 @@ func TestParseMembers(t *testing.T) {
 
 func TestMeasWireRoundTripAndDamage(t *testing.T) {
 	ms := testMeasurements(50, 3)
-	enc := AppendMeasurements(nil, ms)
-	dec, err := DecodeMeasurements(enc)
+	// ID 0 ("no dedup") rides the same wire as any other ID.
+	for _, id := range []uint64{0, 0xfeedface} {
+		enc := AppendMeasurementsID(nil, id, ms)
+		dec, gotID, err := DecodeMeasurementsID(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(dec) != len(ms) || gotID != id {
+			t.Fatalf("decoded %d of %d, id %#x want %#x", len(dec), len(ms), gotID, id)
+		}
+		// The codec is canonical: re-encoding the decode reproduces the bytes.
+		if re := AppendMeasurementsID(nil, gotID, dec); string(re) != string(enc) {
+			t.Fatal("re-encoded batch differs from the original bytes")
+		}
+		for cut := 1; cut < len(enc); cut += 97 {
+			if _, _, err := DecodeMeasurementsID(enc[:cut]); err == nil {
+				t.Fatalf("truncation at %d decoded cleanly", cut)
+			}
+		}
+		if _, _, err := DecodeMeasurementsID(append(append([]byte{}, enc...), 0x00)); err == nil {
+			t.Fatal("trailing byte accepted")
+		}
+	}
+	// Retired and unknown revisions are refused, not guessed at.
+	for _, magic := range []string{"TFM0", "TFM1"} {
+		bad := append([]byte(magic), AppendMeasurementsID(nil, 1, ms)[4:]...)
+		if _, _, err := DecodeMeasurementsID(bad); err == nil {
+			t.Fatalf("magic %q accepted", magic)
+		}
+	}
+	huge := append(append([]byte(measMagic2), make([]byte, 8)...), 0xff, 0xff, 0xff, 0xff, 0x7f)
+	if _, _, err := DecodeMeasurementsID(huge); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("oversized count: %v", err)
+	}
+}
+
+// TestDeliverErrorIsPerCall: the synchronous entry point reportd commits
+// each request through reports a loss to the call that suffered it and to
+// no other — Flush's sticky first error would turn one refused batch into
+// a 503 for every request after it.
+func TestDeliverErrorIsPerCall(t *testing.T) {
+	var refuse atomic.Bool
+	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		ms, _, err := DecodeMeasurementsID(body)
+		if err != nil {
+			t.Errorf("owner got an undecodable batch: %v", err)
+		}
+		if refuse.Load() {
+			w.WriteHeader(http.StatusBadRequest)
+			json.NewEncoder(w).Encode(ingest.BatchResult{Error: "refused"})
+			return
+		}
+		json.NewEncoder(w).Encode(ingest.BatchResult{Accepted: len(ms)})
+	}))
+	defer owner.Close()
+	view, err := NewMembership([]Member{{ID: "a", URL: owner.URL}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dec) != len(ms) {
-		t.Fatalf("decoded %d of %d", len(dec), len(ms))
+	rc, err := NewRouteClient(RouteConfig{Members: view, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The codec is canonical: re-encoding the decode reproduces the bytes.
-	if re := AppendMeasurements(nil, dec); string(re) != string(enc) {
-		t.Fatal("re-encoded batch differs from the original bytes")
+	ms := testMeasurements(30, 5)
+	if err := rc.Deliver(ms[:10]); err != nil {
+		t.Fatalf("clean deliver: %v", err)
 	}
-	for cut := 1; cut < len(enc); cut += 97 {
-		if _, err := DecodeMeasurements(enc[:cut]); err == nil {
-			t.Fatalf("truncation at %d decoded cleanly", cut)
-		}
+	refuse.Store(true)
+	if err := rc.Deliver(ms[10:20]); err == nil {
+		t.Fatal("deliver of a refused batch returned nil")
 	}
-	if _, err := DecodeMeasurements(append(append([]byte{}, enc...), 0x00)); err == nil {
-		t.Fatal("trailing byte accepted")
+	refuse.Store(false)
+	if err := rc.Deliver(ms[20:]); err != nil {
+		t.Fatalf("deliver after a lost batch is poisoned: %v", err)
 	}
-	if _, err := DecodeMeasurements([]byte("TFM0")); err == nil {
-		t.Fatal("bad magic accepted")
+	if err := rc.Deliver(nil); err != nil {
+		t.Fatalf("empty deliver: %v", err)
 	}
-	huge := append([]byte(measMagic), 0xff, 0xff, 0xff, 0xff, 0x7f)
-	if _, err := DecodeMeasurements(huge); err == nil || !strings.Contains(err.Error(), "exceeds") {
-		t.Fatalf("oversized count: %v", err)
+	st := rc.Stats()
+	if st.Ingested != 30 || st.Delivered != 20 || st.Lost == 0 {
+		t.Fatalf("stats = %+v, want 30 ingested, 20 delivered, the refused batch lost", st)
+	}
+	if rc.Err() == nil {
+		t.Fatal("the sticky error forgot the lost batch")
 	}
 }

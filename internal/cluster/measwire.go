@@ -9,8 +9,7 @@ import (
 
 // Measurement batch wire, the /cluster/ingest request body:
 //
-//	batch   = magic "TFM1" | count uvarint | count × record
-//	batch2  = magic "TFM2" | id 8 bytes BE | count uvarint | count × record
+//	batch   = magic "TFM2" | id 8 bytes BE | count uvarint | count × record
 //	record  = len uvarint | payload (one encoded core.Measurement)
 //
 // The count is up front so a node can reject a batch atomically: either
@@ -19,15 +18,13 @@ import (
 // are the same core codec the WAL frames, so a routed batch appends to
 // the owner's WAL without re-encoding.
 //
-// TFM2 adds a client-generated batch ID so the owner can suppress
-// duplicate applies. Atomicity alone is not enough under an asymmetric
-// partition: a one-way cut delivers the request and drops the ack, so
-// the client retries a batch the owner already applied. The ID lets the
-// owner answer the retry with the stored verdict instead of
-// double-counting. TFM1 remains decodable (ID 0 = no dedup) so a
-// mixed-version cluster keeps working during upgrade.
+// The client-generated batch ID lets the owner suppress duplicate
+// applies. Atomicity alone is not enough under an asymmetric partition:
+// a one-way cut delivers the request and drops the ack, so the client
+// retries a batch the owner already applied. The ID lets the owner answer
+// the retry with the stored verdict instead of double-counting. ID 0
+// means "no dedup".
 const (
-	measMagic  = "TFM1"
 	measMagic2 = "TFM2"
 	// MaxMeasBatchBytes bounds one ingest request body.
 	MaxMeasBatchBytes = 32 << 20
@@ -35,24 +32,11 @@ const (
 	MaxMeasBatch = 1 << 17
 )
 
-// AppendMeasurements encodes a TFM1 batch (no dedup ID).
-func AppendMeasurements(dst []byte, ms []core.Measurement) []byte {
-	dst = append(dst, measMagic...)
-	return appendRecords(dst, ms)
-}
-
-// AppendMeasurementsID encodes a TFM2 batch carrying a client-generated
-// dedup ID. An ID of 0 means "no dedup" and encodes as TFM1.
+// AppendMeasurementsID encodes a batch carrying a client-generated dedup
+// ID (0 = no dedup).
 func AppendMeasurementsID(dst []byte, id uint64, ms []core.Measurement) []byte {
-	if id == 0 {
-		return AppendMeasurements(dst, ms)
-	}
 	dst = append(dst, measMagic2...)
 	dst = binary.BigEndian.AppendUint64(dst, id)
-	return appendRecords(dst, ms)
-}
-
-func appendRecords(dst []byte, ms []core.Measurement) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(ms)))
 	var scratch []byte
 	for _, m := range ms {
@@ -63,27 +47,15 @@ func appendRecords(dst []byte, ms []core.Measurement) []byte {
 	return dst
 }
 
-// DecodeMeasurements decodes a complete batch, rejecting truncation,
-// trailing bytes, and out-of-bounds counts — all-or-nothing by design.
-func DecodeMeasurements(b []byte) ([]core.Measurement, error) {
-	ms, _, err := DecodeMeasurementsID(b)
-	return ms, err
-}
-
-// DecodeMeasurementsID decodes either wire revision and returns the
-// batch's dedup ID (0 for TFM1 or an explicit zero ID).
+// DecodeMeasurementsID decodes a complete batch and returns its dedup ID,
+// rejecting truncation, trailing bytes, and out-of-bounds counts —
+// all-or-nothing by design.
 func DecodeMeasurementsID(b []byte) ([]core.Measurement, uint64, error) {
-	var id uint64
-	var rest []byte
-	switch {
-	case len(b) >= len(measMagic2)+8 && string(b[:4]) == measMagic2:
-		id = binary.BigEndian.Uint64(b[4:12])
-		rest = b[12:]
-	case len(b) >= len(measMagic) && string(b[:4]) == measMagic:
-		rest = b[4:]
-	default:
+	if len(b) < len(measMagic2)+8 || string(b[:4]) != measMagic2 {
 		return nil, 0, fmt.Errorf("cluster: bad batch magic")
 	}
+	id := binary.BigEndian.Uint64(b[4:12])
+	rest := b[12:]
 	count, n := binary.Uvarint(rest)
 	if n <= 0 {
 		return nil, 0, fmt.Errorf("cluster: bad batch count")

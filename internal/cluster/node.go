@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -458,13 +457,6 @@ func (n *Node) IngestBatch(ms []core.Measurement) error {
 	return nil
 }
 
-// Ingest satisfies core.Sink for in-process callers (the reportd
-// collector in cluster mode). Errors surface through metrics; the
-// durable path either committed or did not touch the WAL.
-func (n *Node) Ingest(m core.Measurement) {
-	_ = n.IngestBatch([]core.Measurement{m})
-}
-
 func (n *Node) applyShard(si int, ms []core.Measurement) error {
 	sh := n.shards[si]
 	sh.Lock()
@@ -880,19 +872,12 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 // becomes a 502 so the relaying client can distinguish "relay path
 // broken" from the owner's own verdicts.
 func (n *Node) relayForward(w http.ResponseWriter, writeRes func(int, ingest.BatchResult), owner Member, body []byte) {
-	resp, err := n.cfg.HTTPClient.Post(owner.URL+"/cluster/ingest", "application/octet-stream", bytes.NewReader(body))
+	res, status, err := ingest.PostBatch(n.cfg.HTTPClient, owner.URL+"/cluster/ingest", body)
 	if err != nil {
 		n.met.relayFailed.Inc()
 		writeRes(http.StatusBadGateway, ingest.BatchResult{Error: fmt.Sprintf("relay to %s: %v", owner.ID, err)})
 		return
 	}
-	defer resp.Body.Close()
-	var res ingest.BatchResult
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&res); err != nil {
-		n.met.relayFailed.Inc()
-		writeRes(http.StatusBadGateway, ingest.BatchResult{Error: fmt.Sprintf("relay to %s: bad reply: %v", owner.ID, err)})
-		return
-	}
 	n.met.relayForwarded.Inc()
-	writeRes(resp.StatusCode, res)
+	writeRes(status, res)
 }

@@ -108,6 +108,15 @@ func (c *Collector) Authoritative(host string) ([][]byte, bool) {
 	return chain, ok
 }
 
+// BatchCommitter is the batch side of a Sink: storage that commits a
+// whole request's measurements in one call and says whether the commit
+// failed. The HTTP intake (ServeHTTP, ingest.BatchHandler) acks a request
+// only after Deliver returns nil, so "accepted" means committed. The
+// batch is lent for the call; an implementation copies what it keeps.
+type BatchCommitter interface {
+	Deliver(batch []Measurement) error
+}
+
 // Ingest processes one report that arrived by any transport: the client's
 // IP, the probed host, and the captured chain. It returns the derived
 // measurement after delivering it to the sink.
@@ -115,12 +124,23 @@ func (c *Collector) Ingest(clientIP uint32, host string, observedDER [][]byte, c
 	return c.IngestTraced(clientIP, host, observedDER, campaign, 0)
 }
 
-// IngestTraced is Ingest carrying the report's telemetry trace ID: the
-// observe stage is timed into the collector's Tracer and the resulting
-// measurement is stamped with the ID so downstream pipeline stages can
-// keep the trace alive. A zero trace (and/or nil Tracer) degrades to
-// plain Ingest.
+// IngestTraced is Ingest carrying the report's telemetry trace ID: Observe,
+// then the sink's one-at-a-time Ingest. A zero trace (and/or nil Tracer)
+// degrades to plain Ingest.
 func (c *Collector) IngestTraced(clientIP uint32, host string, observedDER [][]byte, campaign string, trace uint64) (Measurement, error) {
+	m, err := c.Observe(clientIP, host, observedDER, campaign, trace)
+	if err != nil {
+		return Measurement{}, err
+	}
+	c.Sink.Ingest(m)
+	return m, nil
+}
+
+// Observe derives the measurement for one report without delivering it
+// anywhere: the observe stage is timed into the collector's Tracer and
+// the measurement is stamped with the trace ID so downstream stages can
+// keep the trace alive.
+func (c *Collector) Observe(clientIP uint32, host string, observedDER [][]byte, campaign string, trace uint64) (Measurement, error) {
 	auth, ok := c.snapshot()[host]
 	if !ok {
 		return Measurement{}, fmt.Errorf("core: no authoritative chain for %q", host)
@@ -141,7 +161,12 @@ func (c *Collector) IngestTraced(clientIP uint32, host string, observedDER [][]b
 		now = c.Clock
 	}
 	m := Measurement{
-		Time:     now(),
+		// Wall clock only. time.Now also carries a monotonic reading that
+		// Before/Equal prefer, and the two reads of one Now() can straddle
+		// a preemption: a live store would then sort its records (by the
+		// monotonic one) differently from its own WAL replay (by the wall
+		// one, all the codec keeps).
+		Time:     now().Round(0),
 		ClientIP: clientIP,
 		Host:     host,
 		Campaign: campaign,
@@ -156,8 +181,20 @@ func (c *Collector) IngestTraced(clientIP uint32, host string, observedDER [][]b
 			m.Country = country.Code
 		}
 	}
-	c.Sink.Ingest(m)
 	return m, nil
+}
+
+// Deliver commits one request's observed measurements through the
+// collector's storage: in one call when the Sink is a BatchCommitter, one
+// Ingest at a time otherwise (those sinks cannot fail).
+func (c *Collector) Deliver(batch []Measurement) error {
+	if bc, ok := c.Sink.(BatchCommitter); ok {
+		return bc.Deliver(batch)
+	}
+	for _, m := range batch {
+		c.Sink.Ingest(m)
+	}
+	return nil
 }
 
 // maxReportBytes bounds one uploaded report; hostile clients exist.
@@ -185,9 +222,14 @@ func (c *Collector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad PEM", http.StatusBadRequest)
 		return
 	}
-	ip := ClientIPFromRequest(r)
-	if _, err := c.Ingest(ip, host, chainDER, c.Campaign); err != nil {
+	m, err := c.Observe(ClientIPFromRequest(r), host, chainDER, c.Campaign, 0)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if err := c.Deliver([]Measurement{m}); err != nil {
+		// Not committed: the client may re-send.
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	}
 	w.WriteHeader(http.StatusOK)

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"crypto/x509/pkix"
+	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -145,6 +147,11 @@ func TestCollectorIngest(t *testing.T) {
 	if len(sink.all()) != 1 {
 		t.Fatal("sink did not receive the measurement")
 	}
+	// The stamp must compare the way its codec round trip does: no
+	// monotonic reading (Time.String prints one as a trailing "m=").
+	if m.Time.IsZero() || strings.Contains(m.Time.String(), " m=") {
+		t.Fatalf("measurement time %v carries a monotonic reading", m.Time)
+	}
 }
 
 func TestCollectorUnknownHost(t *testing.T) {
@@ -174,6 +181,35 @@ func TestCollectorHTTPIntake(t *testing.T) {
 	}
 	if ms[0].Campaign != "global-2014" {
 		t.Fatalf("campaign = %q", ms[0].Campaign)
+	}
+}
+
+// refusingCommitter is a BatchCommitter whose commit always fails.
+type refusingCommitter struct{ captureSink }
+
+func (*refusingCommitter) Deliver([]Measurement) error { return errors.New("disk full") }
+
+// TestCollectorHTTPCommitError: /report acks only what was committed — a
+// failed Deliver answers 503, not 200.
+func TestCollectorHTTPCommitError(t *testing.T) {
+	_, leaf := authChain(t, "tlsresearch.byu.edu")
+	sink := &refusingCommitter{}
+	col := NewCollector(classifier, nil, sink)
+	col.SetAuthoritative("tlsresearch.byu.edu", leaf.ChainDER)
+	srv := httptest.NewServer(col)
+	defer srv.Close()
+
+	resp, err := http.Post(srv.URL+"?host=tlsresearch.byu.edu", "application/x-pem-file",
+		bytes.NewReader(x509util.EncodeChainPEM(leaf.ChainDER)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("failed commit status = %d, want 503", resp.StatusCode)
+	}
+	if n := len(sink.all()); n != 0 {
+		t.Fatalf("a batch committer was fed %d measurements through Ingest", n)
 	}
 }
 

@@ -334,48 +334,8 @@ func TestRecoverEmptyOrMissingDir(t *testing.T) {
 	}
 }
 
-func TestSyncEachAppendAndBackgroundSyncer(t *testing.T) {
-	// SyncEachAppend: every Append* call fsyncs before returning — one
-	// fsync per call, however many frames the call carries.
-	dir := t.TempDir()
-	opt := testOptions(dir)
-	opt.SyncEachAppend = true
-	l, err := Open(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestBackgroundSyncer(t *testing.T) {
 	ms := syntheticMeasurements(10, 6)
-	for _, m := range ms {
-		if err := l.Append(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := l.Stats(); st.Fsyncs < 10 {
-		t.Fatalf("SyncEachAppend made %d fsyncs, want >= 10", st.Fsyncs)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A batch is one commit unit: one fsync however many frames it
-	// carries (large segments so no rotation-driven fsync muddies the
-	// count).
-	bdir := t.TempDir()
-	bl, err := Open(Options{Dir: bdir, SyncEachAppend: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	preBatch := bl.Stats().Fsyncs
-	if err := bl.AppendBatch(syntheticMeasurements(30, 7)); err != nil {
-		t.Fatal(err)
-	}
-	if got := bl.Stats().Fsyncs - preBatch; got != 1 {
-		t.Fatalf("batch append made %d fsyncs, want 1", got)
-	}
-	if err := bl.Close(); err != nil {
-		t.Fatal(err)
-	}
-
 	// Background syncer: appends become durable without Close.
 	dir2 := t.TempDir()
 	opt2 := Options{Dir: dir2, SegmentBytes: 2 << 10, SyncEvery: time.Millisecond}

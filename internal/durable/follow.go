@@ -52,7 +52,7 @@ func (l *Log) AppendEncoded(payload []byte) error {
 	if _, err := l.w.Write(payload); err != nil {
 		return fmt.Errorf("durable: %w", err)
 	}
-	return l.appendedLocked(int64(frameHdrLen + len(payload)))
+	return l.appendedFrameLocked(int64(frameHdrLen + len(payload)))
 }
 
 // errStopWalk ends a ServeTail segment walk once maxFrames frames have

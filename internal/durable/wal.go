@@ -58,9 +58,6 @@ type Options struct {
 	// path); a negative value disables the background syncer entirely
 	// (Sync/Rotate/Close still fsync).
 	SyncEvery time.Duration
-	// SyncEachAppend fsyncs after every append — strict durability for
-	// callers that prefer it over throughput.
-	SyncEachAppend bool
 	// Retain caps retained proxied records in stores built by Recover,
 	// Compact, and Snapshot when no snapshot dictates one (<= 0
 	// unlimited).
@@ -235,7 +232,7 @@ func Open(opt Options) (*Log, error) {
 	if l.w == nil {
 		l.w = bufio.NewWriterSize(l.f, 1<<16)
 	}
-	if opt.SyncEvery > 0 && !opt.SyncEachAppend {
+	if opt.SyncEvery > 0 {
 		l.stopSyncer = make(chan struct{})
 		l.syncerDone = make(chan struct{})
 		go l.syncLoop()
@@ -274,27 +271,19 @@ func (l *Log) newSegmentLocked() error {
 func (l *Log) Append(m core.Measurement) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.appendFrameLocked(m); err != nil {
-		return err
-	}
-	if l.opt.SyncEachAppend {
-		return l.syncLocked()
-	}
-	return nil
+	return l.appendFrameLocked(m)
 }
 
-// AppendBatch writes a batch under one lock acquisition. Under
-// SyncEachAppend the whole batch commits with a single fsync — the
-// durability unit is the Append* call, not the frame.
+// AppendBatch writes a batch under one lock acquisition.
 func (l *Log) AppendBatch(ms []core.Measurement) error {
 	_, err := l.commit(ms, false)
 	return err
 }
 
 // commit is the shard engine's WAL half (see Shard.Commit): frame ms
-// under one lock acquisition, fsync when the caller's policy (sync) or
-// the log's (SyncEachAppend) says so, and return the last sequence
-// number written. An error leaves a prefix of ms framed.
+// under one lock acquisition, fsync when the caller's policy (sync) says
+// so, and return the last sequence number written. An error leaves a
+// prefix of ms framed.
 func (l *Log) commit(ms []core.Measurement, sync bool) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -307,7 +296,7 @@ func (l *Log) commit(ms []core.Measurement, sync bool) (uint64, error) {
 		l.stats.GroupAppends++
 		l.stats.GroupedBatches++
 	}
-	if sync || l.opt.SyncEachAppend {
+	if sync {
 		if err := l.syncLocked(); err != nil {
 			return 0, err
 		}
@@ -316,8 +305,7 @@ func (l *Log) commit(ms []core.Measurement, sync bool) (uint64, error) {
 }
 
 // appendFrameLocked encodes and buffers one frame plus its bookkeeping
-// and size-triggered rotation; fsync policy is the caller's (the Append*
-// entry points sync once per call under SyncEachAppend).
+// and size-triggered rotation; fsync policy is the caller's.
 func (l *Log) appendFrameLocked(m core.Measurement) error {
 	if l.closed {
 		return fmt.Errorf("durable: append on closed log")
@@ -335,18 +323,6 @@ func (l *Log) appendFrameLocked(m core.Measurement) error {
 		return fmt.Errorf("durable: %w", err)
 	}
 	return l.appendedFrameLocked(int64(len(l.scratch)))
-}
-
-// appendedLocked is appendedFrameLocked plus the per-call fsync policy;
-// AppendEncoded (replication followers) still commits per frame.
-func (l *Log) appendedLocked(frameBytes int64) error {
-	if err := l.appendedFrameLocked(frameBytes); err != nil {
-		return err
-	}
-	if l.opt.SyncEachAppend {
-		return l.syncLocked()
-	}
-	return nil
 }
 
 // appendedFrameLocked is the fsync-free post-write bookkeeping:

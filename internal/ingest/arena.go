@@ -17,11 +17,11 @@ import (
 // the arena to its pool. Nothing downstream of core.Collector.Ingest*
 // may retain the DER slices.
 type Arena struct {
-	block []byte   // active byte block; off is the high-water mark
+	block []byte // active byte block; off is the high-water mark
 	off   int
 	spill [][]byte // exhausted blocks, pinned until Reset
 
-	hdr      [][]byte   // active chain-header slab
+	hdr      [][]byte // active chain-header slab
 	hdrOff   int
 	hdrSpill [][][]byte
 

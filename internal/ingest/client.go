@@ -5,9 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
-	"net/url"
-	"strings"
 	"sync"
 	"time"
 
@@ -37,10 +36,6 @@ type ClientStats struct {
 	// Accepted and Rejected sum the server's per-batch BatchResult.
 	Accepted uint64 `json:"accepted"`
 	Rejected uint64 `json:"rejected"`
-	// NotOwnerRetries counts batches re-sent to a different node after a
-	// not-owner verdict (cluster mode: the target was draining or the
-	// ring moved underneath the upload).
-	NotOwnerRetries uint64 `json:"not_owner_retries"`
 }
 
 // Client batches reports and streams them to a reportd /ingest/batch
@@ -60,10 +55,13 @@ type Client struct {
 	// a connection error, a response that did not decode, or a 5xx —
 	// never a decoded server verdict (4xx rejections are final). Hostile
 	// networks routinely kill an upload mid-flush; the measurement must
-	// not shed a whole batch for one reset. The server side deduplicates
-	// nothing, so a retry of a partially-ingested stream can double-count
-	// reports; the study's aggregate tables tolerate that (§4's campaign
-	// counts are lower bounds).
+	// not shed a whole batch for one reset. A stream the server refused
+	// applied nothing, so re-sending it cannot double-count. Uploads carry
+	// no batch ID, though: a retry after a lost ack (the batch committed,
+	// the 200 died on the wire) does double-count, and so may one after a
+	// 503 from a cluster node that committed part of the batch; the
+	// study's aggregate tables tolerate that (§4's campaign counts are
+	// lower bounds).
 	Retries int
 	// RetryDelay is the backoff base before the first retry (50ms when
 	// 0). Subsequent retries back off exponentially with jitter, capped
@@ -77,12 +75,6 @@ type Client struct {
 	// Stop, when closed, aborts in-flight retry sleeps — a shutting-down
 	// probe fleet must not hang on a dead collector's backoff.
 	Stop <-chan struct{}
-	// ResolveOwner maps a not-owner verdict to the URL the batch should
-	// be re-sent to, or "" when no retarget is possible (the verdict then
-	// becomes a final error). When nil, the default resolution joins the
-	// verdict's OwnerURL with the path of c.URL — node base URLs on one
-	// side, a shared endpoint path on the other.
-	ResolveOwner func(res BatchResult) string
 
 	mu    sync.Mutex
 	buf   []Report
@@ -187,8 +179,8 @@ func (c *Client) post(batch []Report) error {
 
 // PostReports uploads one caller-owned batch immediately, bypassing the
 // client's buffering and buffer pools: the slice is read, never kept or
-// recycled, so callers that manage their own batches (fleet
-// orchestrators re-driving a rerouted upload) can reuse it freely.
+// recycled, so callers that manage their own batches (load generators
+// replaying a pre-built stream) can reuse it freely.
 func (c *Client) PostReports(batch []Report) error {
 	if len(batch) == 0 {
 		return nil
@@ -201,46 +193,20 @@ func (c *Client) PostReports(batch []Report) error {
 	return err
 }
 
-// maxOwnerHops bounds how many not-owner retargets one batch follows
-// before the upload is declared failed — two confused nodes pointing at
-// each other must not trap the client.
-const maxOwnerHops = 4
-
 // deliver runs the retry loop for one encoded batch: transport-level
-// failures are retried up to c.Retries times against the same target,
-// and a decoded not-owner verdict retargets the upload at the named
-// owner (its own bounded budget — ownership moves are progress, not
-// failures). anyTransport reports whether any attempt ended in a
-// transport error, i.e. whether body may still be referenced.
+// failures are retried up to c.Retries times. anyTransport reports
+// whether any attempt ended in a transport error, i.e. whether body may
+// still be referenced.
 func (c *Client) deliver(body []byte) (err error, anyTransport bool) {
 	seed := c.Seed
 	if seed == 0 {
 		seed = uint64(time.Now().UnixNano())
 	}
 	bo := resilient.NewBackoff(c.RetryDelay, c.RetryCap, seed)
-	target := c.URL
 	var retryable, transport bool
-	var next string
-	hops := 0
 	for attempt := 0; ; attempt++ {
-		err, retryable, transport, next = c.postOnce(target, body)
+		err, retryable, transport = c.postOnce(body)
 		anyTransport = anyTransport || transport
-		if next != "" && next != target {
-			if hops >= maxOwnerHops {
-				err = fmt.Errorf("ingest: batch still unowned after %d retargets: %w", hops, err)
-				break
-			}
-			hops++
-			target = next
-			c.mu.Lock()
-			c.stats.NotOwnerRetries++
-			c.mu.Unlock()
-			// Retargeting is progress toward the true owner, not a
-			// failure of this target — it spends the hop budget, not the
-			// retry budget, and needs no backoff.
-			attempt--
-			continue
-		}
 		if err == nil || !retryable || attempt >= c.Retries {
 			break
 		}
@@ -261,54 +227,37 @@ func (c *Client) deliver(body []byte) (err error, anyTransport bool) {
 	return err, anyTransport
 }
 
-// postOnce performs one upload round trip against target. retryable
-// reports whether a failure is worth re-sending: a connection error, a
-// response damaged in flight (undecodable on a 200 or 5xx), or a 5xx —
-// never a deterministic endpoint mismatch (a 404's HTML page fails
-// identically every time). A decoded not-owner verdict is the one
-// decoded verdict that is NOT final: the batch was provably not applied,
-// so it returns the owner's URL in next for the caller to retarget.
-// transport is true only when the HTTP client returned an error, i.e.
-// only then may it still reference body. Server Accepted/Rejected counts
-// fold into the stats only on outcomes that end the attempt loop, so a
-// retried batch is never double-counted.
-func (c *Client) postOnce(target string, body []byte) (err error, retryable, transport bool, next string) {
+// postOnce performs one upload round trip. retryable reports whether a
+// failure is worth re-sending: a connection error, a response damaged in
+// flight (undecodable on a 200 or 5xx), or a 5xx — never a deterministic
+// endpoint mismatch (a 404's HTML page fails identically every time) and
+// never a decoded verdict. transport is true only when the HTTP client
+// returned an error, i.e. only then may it still reference body. Server
+// Accepted/Rejected counts fold into the stats only on outcomes that end
+// the attempt loop, so a retried batch is never double-counted.
+func (c *Client) postOnce(body []byte) (err error, retryable, transport bool) {
 	httpc := c.HTTPClient
 	if httpc == nil {
 		httpc = http.DefaultClient
 	}
-	resp, err := httpc.Post(target, "application/octet-stream", bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("ingest: post batch: %w", err), true, true, ""
+	res, status, err := PostBatch(httpc, c.URL, body)
+	if status == 0 {
+		return fmt.Errorf("ingest: post batch: %w", err), true, true
 	}
-	defer resp.Body.Close()
-	// The endpoint answers a BatchResult on 200/400/413; anything that
-	// does not decode (a 404 from a wrong URL, a proxy error page, a
-	// response a hostile wire truncated) is a failed post.
-	var res BatchResult
-	decodeErr := json.NewDecoder(resp.Body).Decode(&res)
 	c.mu.Lock()
 	c.stats.Posts++
 	c.mu.Unlock()
-	if decodeErr != nil {
-		retryable = resp.StatusCode == http.StatusOK || resp.StatusCode >= http.StatusInternalServerError
-		return fmt.Errorf("ingest: batch response (HTTP %d): %w", resp.StatusCode, decodeErr), retryable, false, ""
+	if err != nil {
+		// The endpoint answers a BatchResult on 200/400/413/503; anything
+		// that does not decode (a 404 from a wrong URL, a proxy error
+		// page, a response a hostile wire truncated) is a failed post.
+		retryable = status == http.StatusOK || status >= http.StatusInternalServerError
+		return fmt.Errorf("ingest: batch response: %w", err), retryable, false
 	}
-	if resp.StatusCode >= http.StatusInternalServerError {
+	if status >= http.StatusInternalServerError {
 		// The attempt will be re-sent; folding this response's counts
 		// would tally the same batch once per retry.
-		return fmt.Errorf("ingest: batch post: HTTP %d", resp.StatusCode), true, false, ""
-	}
-	if res.NotOwner {
-		// The node refused the whole batch because ownership moved (a
-		// draining node, a rebalanced ring). Nothing was applied, so a
-		// re-send cannot double-count; hand the owner's endpoint back
-		// for the deliver loop to retarget.
-		next = c.resolveOwner(res)
-		if next == "" {
-			return fmt.Errorf("ingest: node is not owner of batch (owner %q) and no retarget is available", res.Owner), false, false, ""
-		}
-		return fmt.Errorf("ingest: node is not owner of batch, owner is %s", next), false, false, next
+		return fmt.Errorf("ingest: batch post: HTTP %d %s", status, res.Error), true, false
 	}
 	c.mu.Lock()
 	c.stats.Accepted += uint64(res.Accepted)
@@ -316,31 +265,32 @@ func (c *Client) postOnce(target string, body []byte) (err error, retryable, tra
 	c.mu.Unlock()
 	switch {
 	case res.Error != "":
-		// Stream-level damage the server itself reported: it stopped
-		// decoding mid-batch. A decoded verdict is final, not retried —
-		// re-sending would double-ingest the accepted prefix for sure.
-		return fmt.Errorf("ingest: server rejected stream after %d reports: %s", res.Accepted, res.Error), false, false, ""
-	case resp.StatusCode != http.StatusOK:
-		return fmt.Errorf("ingest: batch post: HTTP %d", resp.StatusCode), false, false, ""
+		// Stream-level damage the server itself reported. A decoded
+		// verdict is final: the same bytes would be refused again.
+		return fmt.Errorf("ingest: server refused stream: %s", res.Error), false, false
+	case status != http.StatusOK:
+		return fmt.Errorf("ingest: batch post: HTTP %d", status), false, false
 	}
-	return nil, false, false, ""
+	return nil, false, false
 }
 
-// resolveOwner turns a not-owner verdict into the retarget URL: the
-// ResolveOwner hook when set, else the verdict's OwnerURL joined with
-// the path of c.URL (node base URL + shared endpoint path).
-func (c *Client) resolveOwner(res BatchResult) string {
-	if c.ResolveOwner != nil {
-		return c.ResolveOwner(res)
-	}
-	if res.OwnerURL == "" {
-		return ""
-	}
-	u, err := url.Parse(c.URL)
+// PostBatch is the verdict round trip every batch producer shares — Client
+// to /ingest/batch, cluster.RouteClient and relaying nodes to
+// /cluster/ingest: POST an octet-stream body, decode the BatchResult the
+// endpoint answers. status is 0 when the HTTP client itself failed (only
+// then may it still reference body); a non-nil err with a status means the
+// reply carried no decodable verdict. Retry and relay policy stay with the
+// caller.
+func PostBatch(hc *http.Client, url string, body []byte) (res BatchResult, status int, err error) {
+	resp, err := hc.Post(url, "application/octet-stream", bytes.NewReader(body))
 	if err != nil {
-		return ""
+		return res, 0, err
 	}
-	return strings.TrimSuffix(res.OwnerURL, "/") + u.Path
+	defer resp.Body.Close()
+	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&res); err != nil {
+		return res, resp.StatusCode, fmt.Errorf("undecodable verdict (HTTP %d): %w", resp.StatusCode, err)
+	}
+	return res, resp.StatusCode, nil
 }
 
 // Stats snapshots the uploader accounting.

@@ -22,7 +22,7 @@ func FuzzDecodeReports(f *testing.F) {
 	}
 	f.Add(seed)
 	f.Add(seed[:len(seed)-3]) // truncated mid-frame
-	f.Add([]byte("TFW1"))     // header only: clean empty stream
+	f.Add([]byte("TFW1"))     // retired version: must be refused, never panic
 	f.Add([]byte("TFW0"))     // wrong version
 	f.Add([]byte{})
 	// Hostile uvarints: huge host length, huge cert count, huge cert len.

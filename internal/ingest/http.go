@@ -17,16 +17,16 @@ import (
 // framed report this admits tens of thousands of reports per request.
 const maxBatchBytes = 32 << 20
 
-// decodeState is the per-request working set the batch handlers recycle:
-// an arena-bound streaming decoder plus (for the routed handler) the
-// accumulated report slice. The arena is reset when the state returns to
-// the pool — the request's measurements are fully applied by then, and
-// anything with a longer lifetime (interned hosts, chaincache entries)
-// owns its own bytes.
+// decodeState is the per-request working set BatchHandler recycles: an
+// arena-bound streaming decoder plus the request's observed measurements.
+// The arena is reset when the state returns to the pool — the request's
+// measurements are committed by then, and anything with a longer lifetime
+// (interned hosts, chaincache entries, the sink's own buffers) owns its
+// bytes.
 type decodeState struct {
-	arena   *Arena
-	dec     *Decoder
-	reports []Report
+	arena *Arena
+	dec   *Decoder
+	ms    []core.Measurement
 }
 
 var decodePool = sync.Pool{New: func() any {
@@ -41,27 +41,28 @@ func getDecodeState(body io.Reader) *decodeState {
 	return st
 }
 
-// putDecodeState retires the request's decode memory: arena slices
-// become invalid here, which is safe because every report was either
-// ingested (copied into measurements) or abandoned with the request.
+// put retires the request's decode memory: arena slices become invalid
+// here, which is safe because every report was either committed (the sink
+// copied its measurement) or abandoned with the request.
 func (st *decodeState) put() {
 	st.arena.Reset()
-	clear(st.reports)
-	st.reports = st.reports[:0]
+	clear(st.ms)
+	st.ms = st.ms[:0]
 	decodePool.Put(st)
 }
 
-// BatchResult is the JSON body BatchHandler returns: how many reports the
-// collector accepted and how many it rejected (unknown host, unparsable
-// chain).
+// BatchResult is the JSON verdict both batch endpoints answer:
+// /ingest/batch (reports; how many the collector committed and how many
+// it rejected for an unknown host or unparsable chain) and
+// /cluster/ingest (measurements; the routing fields below).
 type BatchResult struct {
 	Accepted int    `json:"accepted"`
 	Rejected int    `json:"rejected"`
 	Error    string `json:"error,omitempty"`
 	// NotOwner reports that the receiving node does not own the batch's
-	// hosts (cluster mode: the ring moved, or the node is draining). The
-	// batch was NOT applied; the client should retry against Owner. This
-	// is a routing verdict, not a terminal one — see Client.PostReports.
+	// hosts (the ring moved, or the node is draining). The batch was NOT
+	// applied; cluster.RouteClient re-splits it against Owner. Only
+	// /cluster/ingest speaks it — reports are observed on any node.
 	NotOwner bool   `json:"not_owner,omitempty"`
 	Owner    string `json:"owner,omitempty"`
 	OwnerURL string `json:"owner_url,omitempty"`
@@ -74,9 +75,13 @@ type BatchResult struct {
 
 // BatchHandler serves the binary batch-upload endpoint: POST a wire stream
 // (see wire.go) of reports, all attributed to the connection's client IP
-// and the collector's campaign label. Individually bad reports are counted
-// and skipped; a malformed stream aborts the request after the reports
-// already decoded were ingested.
+// and the collector's campaign label. A request is all-or-nothing and
+// commits once: the whole stream is decoded and observed before anything
+// reaches storage, so a damaged or oversized stream applies nothing (400 /
+// 413) and the client may re-send it; the observed measurements then go to
+// the collector's storage in one Deliver, and a commit error answers 503
+// with accepted 0. Individually bad reports (unknown host, unparsable
+// chain) are counted in Rejected and skipped.
 func BatchHandler(col *core.Collector) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -90,24 +95,19 @@ func BatchHandler(col *core.Collector) http.Handler {
 		body := http.MaxBytesReader(w, r.Body, maxBatchBytes)
 		st := getDecodeState(body)
 		defer st.put()
-		dec := st.dec
 		tracer := col.Tracer
 		var res BatchResult
 		status := http.StatusOK
 		for {
 			start := stageStart(tracer)
-			rep, err := dec.Next()
-			if tracer != nil && err == nil {
-				tracer.Record(telemetry.TraceID(rep.Trace), telemetry.StageDecode, start, time.Since(start))
-			}
+			rep, err := st.dec.Next()
 			if errors.Is(err, io.EOF) {
 				break
 			}
 			if err != nil {
 				// Codec-level damage: nothing after this point can be
-				// framed, so stop. Reports decoded before the damage
-				// were already ingested; say so.
-				res.Error = err.Error()
+				// framed, and nothing before it has been delivered.
+				res = BatchResult{Error: err.Error()}
 				status = http.StatusBadRequest
 				var tooLarge *http.MaxBytesError
 				if errors.As(err, &tooLarge) {
@@ -116,11 +116,23 @@ func BatchHandler(col *core.Collector) http.Handler {
 				}
 				break
 			}
-			if _, err := col.IngestTraced(ip, rep.Host, rep.ChainDER, col.Campaign, rep.Trace); err != nil {
+			if tracer != nil {
+				tracer.Record(telemetry.TraceID(rep.Trace), telemetry.StageDecode, start, time.Since(start))
+			}
+			m, err := col.Observe(ip, rep.Host, rep.ChainDER, col.Campaign, rep.Trace)
+			if err != nil {
 				res.Rejected++
 				continue
 			}
-			res.Accepted++
+			st.ms = append(st.ms, m)
+		}
+		if status == http.StatusOK {
+			if err := col.Deliver(st.ms); err != nil {
+				res.Error = err.Error()
+				status = http.StatusServiceUnavailable
+			} else {
+				res.Accepted = len(st.ms)
+			}
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(status)

@@ -124,10 +124,10 @@ func (sh *shard) commitPending(queuedAt time.Time) {
 // Pipeline is the sharded ingest front: it hashes each measurement to a
 // shard, buffers per shard, and commits full buffers on the caller's
 // goroutine (WAL append, then store apply, under the shard lock). It is
-// both a core.Sink (one measurement at a time) and a BatchSink (a batch,
-// split by shard); producers may call either concurrently. It starts no
-// goroutines of its own. Drain commits partial buffers; Close drains and
-// closes the shard WALs.
+// both a core.Sink (one measurement at a time) and a BatchSink /
+// core.BatchCommitter (a batch, split by shard); producers may call any
+// of them concurrently. It starts no goroutines of its own. Drain commits
+// partial buffers; Close drains and closes the shard WALs.
 type Pipeline struct {
 	cfg    Config
 	shards []*shard
@@ -296,6 +296,15 @@ func (p *Pipeline) IngestBatch(batch []core.Measurement) {
 			sh.Unlock()
 		}
 	}
+}
+
+// Deliver implements core.BatchCommitter over IngestBatch, so the HTTP
+// intake hands a pipeline each request's measurements in one call. It
+// never fails: a WAL append error degrades durability, not availability,
+// and is counted in Stats.
+func (p *Pipeline) Deliver(batch []core.Measurement) error {
+	p.IngestBatch(batch)
+	return nil
 }
 
 // Drain commits every shard's partial pending buffer, so a subsequent

@@ -20,19 +20,14 @@ import (
 //
 // TFW2 prefixes each frame with a telemetry trace ID (0 = untraced: one
 // byte, so the cost of the field is a single byte per frame for fleets
-// that don't trace). Version-1 streams ("TFW1") lack the trace field;
-// the decoder accepts both, so old clients keep uploading unchanged.
+// that don't trace).
 //
 // DER bytes travel untouched, so the decoder hands chains straight to
 // core.Observe. The Decoder is streaming: it never buffers more than one
 // frame, so a single connection can carry an unbounded report stream.
 
-// wireMagic begins every stream the encoder writes: "TFW" + format
-// version '2'. wireMagicV1 is the previous version, still decodable.
-var (
-	wireMagic   = [4]byte{'T', 'F', 'W', '2'}
-	wireMagicV1 = [4]byte{'T', 'F', 'W', '1'}
-)
+// wireMagic begins every stream: "TFW" + format version '2'.
+var wireMagic = [4]byte{'T', 'F', 'W', '2'}
 
 // Wire-format limits; hostile clients exist (the /report endpoint bounds
 // its uploads the same way).
@@ -152,8 +147,6 @@ func AppendReports(dst []byte, reports []Report) ([]byte, error) {
 type Decoder struct {
 	r          *bufio.Reader
 	readHeader bool
-	// v1 marks a "TFW1" stream, whose frames carry no trace field.
-	v1 bool
 	// arena, when non-nil, receives decoded DER bytes and chain headers
 	// in place (see Arena for the lifetime contract); host names intern
 	// through it. Nil decodes into per-report heap copies.
@@ -182,7 +175,6 @@ func NewArenaDecoder(r io.Reader, a *Arena) *Decoder {
 func (d *Decoder) Reset(r io.Reader) {
 	d.r.Reset(r)
 	d.readHeader = false
-	d.v1 = false
 }
 
 // Next returns the next report. It returns io.EOF exactly at a clean
@@ -200,38 +192,23 @@ func (d *Decoder) Next() (Report, error) {
 			}
 			return Report{}, fmt.Errorf("ingest: reading wire header: %w", err)
 		}
-		switch [4]byte(hb) {
-		case wireMagic:
-		case wireMagicV1:
-			d.v1 = true
-		default:
-			return Report{}, fmt.Errorf("ingest: bad wire magic %q (want %q or %q)", hb, wireMagic[:], wireMagicV1[:])
+		if [4]byte(hb) != wireMagic {
+			return Report{}, fmt.Errorf("ingest: bad wire magic %q (want %q)", hb, wireMagic[:])
 		}
 		d.readHeader = true
 	}
 
-	var trace uint64
-	if !d.v1 {
-		var err error
-		trace, err = binary.ReadUvarint(d.r)
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return Report{}, io.EOF // clean end on frame boundary
-			}
-			return Report{}, fmt.Errorf("ingest: reading trace id: %w", err)
+	trace, err := binary.ReadUvarint(d.r)
+	if err != nil {
+		if errors.Is(err, io.EOF) {
+			return Report{}, io.EOF // clean end on frame boundary
 		}
+		return Report{}, fmt.Errorf("ingest: reading trace id: %w", err)
 	}
 
 	hostLen, err := binary.ReadUvarint(d.r)
 	if err != nil {
-		if errors.Is(err, io.EOF) {
-			if !d.v1 {
-				// The trace field was read, so the frame has started.
-				return Report{}, fmt.Errorf("ingest: reading host length: %w", io.ErrUnexpectedEOF)
-			}
-			return Report{}, io.EOF // clean end on frame boundary
-		}
-		return Report{}, fmt.Errorf("ingest: reading host length: %w", err)
+		return Report{}, fmt.Errorf("ingest: reading host length: %w", noEOF(err))
 	}
 	if hostLen == 0 || hostLen > MaxWireHostLen {
 		return Report{}, fmt.Errorf("ingest: host length %d outside [1,%d]", hostLen, MaxWireHostLen)

@@ -144,17 +144,7 @@ func (e *Engine) Decide(host string, upstream []*x509.Certificate, upstreamDER [
 		pol := e.Profile.Upstream
 		defects = ClassifyUpstreamChain(host, upstream, e.Profile.UpstreamRoots, e.clockNow(), pol.Revoked)
 		valid = defects.Empty()
-		// The per-defect matrix decides; the legacy whole-chain flags
-		// keep their original semantics as overrides (Bitdefender
-		// rejects any invalid chain, Kurupira masks every one).
-		rejected := defects.RejectedBy(pol)
-		if e.Profile.RejectInvalidUpstream {
-			rejected = defects
-		}
-		if e.Profile.MaskInvalidUpstream {
-			rejected = 0
-		}
-		if !rejected.Empty() {
+		if !defects.RejectedBy(pol).Empty() {
 			return Decision{Action: ActionBlock, UpstreamValid: false, Defects: defects}, ErrUpstreamInvalid
 		}
 	}

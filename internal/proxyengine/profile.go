@@ -55,14 +55,6 @@ type Profile struct {
 	// intercept (pass through untouched).
 	Whitelist func(host string) bool
 
-	// MaskInvalidUpstream: when the upstream chain does not verify,
-	// forge a *trusted* substitute anyway — hiding real attacks from the
-	// user (the Kurupira flaw).
-	MaskInvalidUpstream bool
-	// RejectInvalidUpstream: when the upstream chain does not verify,
-	// refuse the connection (Bitdefender's verified behavior).
-	RejectInvalidUpstream bool
-
 	// UpstreamRoots is the proxy's own trust store for validating
 	// upstream chains; nil disables upstream validation entirely (the
 	// default for sloppy products).
@@ -70,8 +62,9 @@ type Profile struct {
 
 	// Upstream is the origin-facing stance: per-defect accept/reject,
 	// the revocation hook, and version/cipher negotiation behavior. The
-	// zero value preserves the legacy flags' semantics; FromProduct
-	// fills it from DefaultUpstreamPolicy.
+	// zero value rejects nothing, so an invalid upstream is forged over
+	// and masked (the Kurupira flaw); RejectAll is Bitdefender's verified
+	// behavior. FromProduct fills it from DefaultUpstreamPolicy.
 	Upstream UpstreamPolicy
 }
 
@@ -109,8 +102,6 @@ func FromProduct(p *classify.Product) Profile {
 	if p.WrongDomainSubject {
 		prof.SubjectMode = SubjectWrongDomain
 	}
-	prof.MaskInvalidUpstream = p.MasksInvalidUpstream
-	prof.RejectInvalidUpstream = p.RejectsInvalidUpstream
 	prof.Upstream = DefaultUpstreamPolicy(p)
 	if p.WhitelistsWhales {
 		prof.Whitelist = WhaleWhitelist
