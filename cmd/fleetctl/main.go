@@ -406,9 +406,7 @@ func (f *fleet) fetchSnapshotRetry(url string) (*store.DB, error) {
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
 		if attempt > 0 {
-			if err := resilient.Sleep(context.Background(), nil, bo.Next()); err != nil {
-				break
-			}
+			time.Sleep(bo.Next())
 		}
 		db, err := f.fetchSnapshot(context.Background(), url)
 		if err == nil {

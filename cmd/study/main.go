@@ -33,11 +33,9 @@ func main() {
 		seed      = flag.Uint64("seed", 2014, "simulation seed (same seed ⇒ same tables)")
 		scale     = flag.Float64("scale", 1.0, "workload scale (1.0 = paper-size campaigns)")
 		shards    = flag.Int("shards", 1, "ingest shards (>1 runs campaigns in parallel through the sharded pipeline; same tables either way)")
-		batchSize = flag.Int("batch", 0, "ingest pipeline batch size (0 = default; with -shards > 1)")
 		svgPath   = flag.String("svg", "", "write Figure 7 as SVG to this path")
 		csvPath   = flag.String("csv", "", "export proxied measurement records as CSV to this path")
 		jsonlPath = flag.String("jsonl", "", "export proxied measurement records as JSON Lines to this path")
-		obsCache  = flag.Bool("obs-cache", false, "derive observations through the fingerprint-keyed chain cache (same tables; prints cache stats)")
 		dataDir   = flag.String("data-dir", "", "durable WAL + checkpoint directory: an interrupted run rerun with the same flags resumes instead of restarting")
 		snapEvery = flag.Int("snapshot-every", 0, "checkpoint the WAL every N measurements (0 = only at completion; with -data-dir)")
 		abortAt   = flag.Int("abort-after", 0, "crash injection: abort the run after N durable measurements (exit 3; resume with the same -data-dir)")
@@ -45,7 +43,7 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := tlsfof.StudyConfig{Seed: *seed, Scale: *scale, Shards: *shards, IngestBatch: *batchSize, ChainCache: *obsCache,
+	cfg := tlsfof.StudyConfig{Seed: *seed, Scale: *scale, Shards: *shards,
 		DataDir: *dataDir, SnapshotEvery: *snapEvery, AbortAfter: *abortAt}
 	switch strings.ToLower(*studyName) {
 	case "first", "1":
@@ -128,10 +126,6 @@ func main() {
 	tested, proxied := tlsfof.Totals(res)
 	fmt.Fprintf(os.Stderr, "completed in %v: %d certificate tests, %d proxied (%.2f%%)\n",
 		res.Duration.Round(1000000), tested, proxied, 100*float64(proxied)/float64(tested))
-	if st := res.ChainCacheStats; st != nil {
-		fmt.Fprintf(os.Stderr, "chain cache: %d derives, %d hits, %d evictions (%d/%d resident)\n",
-			st.Derives, st.Hits, st.Evictions, st.Size, st.Cap)
-	}
 	fmt.Fprintln(os.Stderr)
 
 	order := []tlsfof.Table{

@@ -15,9 +15,7 @@
 //     two AdWords measurement studies and returns the populated
 //     measurement store behind every table and figure. Measurements flow
 //     through the batched, sharded ingestion pipeline (internal/ingest)
-//     when StudyConfig.Shards > 1, and observations derive through the
-//     fingerprint-memoized chain cache (internal/chaincache) when
-//     StudyConfig.ChainCache is set — identical tables every way.
+//     when StudyConfig.Shards > 1 — identical tables either way.
 //   - WriteTable renders any of the paper's evaluation tables from a study
 //     result.
 //

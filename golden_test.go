@@ -3,9 +3,8 @@ package tlsfof
 // Golden-table conformance suite: the rendered paper artifacts (Tables
 // 1-8, the §5.2 negligence report, the §6.4 product diversity table) for
 // a small fixed-seed study are checked into testdata/golden/, and every
-// ingest path the system offers — single-threaded, sharded pipeline,
-// chain-cache-on, and recovered-from-WAL — must reproduce them
-// byte-for-byte. This pins the reproduction against every scaling and
+// ingest path the system offers — single-threaded, sharded pipeline and
+// recovered-from-WAL — must reproduce them byte-for-byte. This pins the reproduction against every scaling and
 // persistence change at once: a PR that alters any byte of any table on
 // any path fails here.
 //
@@ -123,16 +122,6 @@ func TestGoldenTables(t *testing.T) {
 		checkAgainstGolden(t, dir, goldenArtifacts(t, res))
 	})
 
-	t.Run("chaincache", func(t *testing.T) {
-		cfg := goldenConfig()
-		cfg.ChainCache = true
-		res, err := study.Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkAgainstGolden(t, dir, goldenArtifacts(t, res))
-	})
-
 	t.Run("recovered-from-wal", func(t *testing.T) {
 		// Run with the durable plane on (small segments + mid-run
 		// checkpoints force real rotation, snapshotting, and
@@ -169,7 +158,6 @@ func TestGoldenTables(t *testing.T) {
 	t.Run("cross-path-identity", func(t *testing.T) {
 		cfg := goldenConfig()
 		cfg.Shards = 2
-		cfg.ChainCache = true
 		res, err := study.Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -177,7 +165,7 @@ func TestGoldenTables(t *testing.T) {
 		got := goldenArtifacts(t, res)
 		for name, data := range sequential {
 			if !bytes.Equal(got[name], data) {
-				t.Errorf("%s: shards+cache path differs from sequential path", name)
+				t.Errorf("%s: 2-shard path differs from sequential path", name)
 			}
 		}
 	})

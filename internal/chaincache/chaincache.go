@@ -23,13 +23,15 @@
 // bytes, x509util.ChainsEqual). No cryptographic collision-freeness
 // assumption is involved, and the hit costs one fast hash plus one memcmp
 // instead of a SHA-256 over both chains.
+//
+// The mechanics — sharding, the global cap, recency, single flight,
+// counters — live once, in LRU (lru.go). Cache is its content-keyed front;
+// proxyengine.ForgeCache is its host-keyed one.
 package chaincache
 
 import (
 	"bytes"
-	"container/list"
 	"hash/maphash"
-	"sync"
 	"sync/atomic"
 )
 
@@ -38,72 +40,38 @@ import (
 // distinct (host, chain) pairs stay within this bound with room for churn.
 const DefaultCap = 16384
 
-// defaultShards spreads lock contention; only needs to exceed plausible
-// concurrent-ingest parallelism per collector.
-const defaultShards = 16
-
 // Cache is a sharded, bounded, single-flight memo from (host, auth chain,
-// observed chain) to V.
+// observed chain) to V: a typed front over LRU (which owns sharding, the
+// cap, recency, single flight and "errors are not cached"), keyed by the
+// 64-bit content hash. What this front adds is the byte-exact check:
 //
-// Concurrency contract (same family as proxyengine.ForgeCache, which
-// models the appliance-side per-origin caches the literature documents):
-//
-//   - Lookups take one shard mutex, never the whole cache.
-//   - Concurrent misses on one input collapse into a single derive call;
-//     every waiter verifies the leader's inputs match its own before
-//     accepting the result.
-//   - At most Cap entries are held globally; inserting past the cap
-//     evicts least-recently-used entries, from the inserting shard first
-//     and then (under hash skew) from other shards. Overflow can
-//     transiently exceed the cap by at most the shard count.
-//   - Errors are not cached: the next miss retries the derivation.
+//   - Every value the LRU hands back — a hit, or a flight this caller
+//     waited on — carries the inputs it was derived from, and is served
+//     only if they equal the caller's byte for byte.
 //   - A 64-bit hash collision between distinct inputs (astronomically
 //     rare; counted in Stats.Collisions) degrades to deriving without
 //     caching — never to serving the wrong value.
 type Cache[V any] struct {
-	shards []shard[V]
-	seed   maphash.Seed
-	cap    int
-	size   atomic.Int64
+	lru  *LRU[uint64, *entry[V]]
+	seed maphash.Seed
 
-	hits       atomic.Uint64
-	misses     atomic.Uint64
-	derives    atomic.Uint64
-	evictions  atomic.Uint64
 	collisions atomic.Uint64
 }
 
-type shard[V any] struct {
-	mu       sync.Mutex
-	entries  map[uint64]*list.Element // content hash → *entry element
-	lru      list.List                // front = most recent
-	inflight map[uint64]*call[V]
-}
-
-// entry stores the full derivation input alongside the value: hits verify
-// against it byte-for-byte. The authoritative chain is stored by
-// reference (the collector's registered slice, stable for the process
-// lifetime, which is also what keeps the pointer fast path in
+// entry stores the full derivation input alongside the value: hits and
+// flight waiters verify against it byte-for-byte. The authoritative chain
+// is stored by reference (the collector's registered slice, stable for
+// the process lifetime, which is also what keeps the pointer fast path in
 // chainsEqual hot). The observed chain is the cache's own copy, cloned
 // once on the miss path — callers may hand obs slices backed by
 // recycled decode arenas, and a stored reference would silently change
-// bytes under the key when the arena is reused.
+// bytes under the key when the arena is reused. Immutable once returned
+// by the load, so it is read outside the shard lock.
 type entry[V any] struct {
-	hash uint64
 	host string
 	auth [][]byte
 	obs  [][]byte
 	val  V
-}
-
-// call is one in-flight derivation that concurrent misses wait on.
-type call[V any] struct {
-	done chan struct{}
-	host string
-	auth [][]byte
-	obs  [][]byte
-	val  V
-	err  error
 }
 
 // New builds a cache holding at most cap values across `shards`
@@ -112,18 +80,10 @@ func New[V any](cap, shards int) *Cache[V] {
 	if cap <= 0 {
 		cap = DefaultCap
 	}
-	if shards <= 0 {
-		shards = defaultShards
+	return &Cache[V]{
+		lru:  NewLRU[uint64, *entry[V]](cap, shards, func(hash uint64) uint64 { return hash }),
+		seed: maphash.MakeSeed(),
 	}
-	if shards > cap {
-		shards = cap
-	}
-	c := &Cache[V]{shards: make([]shard[V], shards), seed: maphash.MakeSeed(), cap: cap}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[uint64]*list.Element)
-		c.shards[i].inflight = make(map[uint64]*call[V])
-	}
-	return c
 }
 
 // hashInputs computes the seeded content hash over the full input,
@@ -168,10 +128,6 @@ func (e *entry[V]) matches(host string, auth, obs [][]byte) bool {
 	return e.host == host && chainsEqual(e.auth, auth) && chainsEqual(e.obs, obs)
 }
 
-func (cl *call[V]) matches(host string, auth, obs [][]byte) bool {
-	return cl.host == host && chainsEqual(cl.auth, auth) && chainsEqual(cl.obs, obs)
-}
-
 // cloneChain deep-copies a chain into one backing allocation. The miss
 // path pays this once per distinct observed chain (tiny cardinality);
 // every hit and every waiter then compares against bytes the cache
@@ -196,145 +152,48 @@ func cloneChain(chain [][]byte) [][]byte {
 //
 // The cache retains host and auth by reference when it inserts: auth
 // must be the collector's registered chain (stable, immutable). The
-// observed chain is cloned on insert, so obs only needs to stay valid
-// for the duration of the call — decode-arena slices that are recycled
-// after the batch is applied are fine.
+// observed chain is cloned before derive runs, so obs only needs to stay
+// valid for the duration of the call — decode-arena slices that are
+// recycled after the batch is applied are fine, and flight waiters
+// compare against the clone, never the leader's buffers.
 func (c *Cache[V]) GetOrDerive(host string, auth, obs [][]byte, derive func() (V, error)) (V, error) {
-	hash := c.hashInputs(host, auth, obs)
-	sh := &c.shards[hash%uint64(len(c.shards))]
-	sh.mu.Lock()
-	if el, ok := sh.entries[hash]; ok {
-		e := el.Value.(*entry[V])
-		if e.matches(host, auth, obs) {
-			sh.lru.MoveToFront(el)
-			val := e.val
-			sh.mu.Unlock()
-			c.hits.Add(1)
-			return val, nil
-		}
-		// Same 64-bit hash, different bytes: derive uncached.
-		sh.mu.Unlock()
-		c.collisions.Add(1)
-		c.derives.Add(1)
-		return derive()
+	e, err := c.lru.GetOrLoad(c.hashInputs(host, auth, obs), func() (*entry[V], error) {
+		e := &entry[V]{host: host, auth: auth, obs: cloneChain(obs)}
+		var err error
+		e.val, err = derive()
+		return e, err
+	})
+	if e.matches(host, auth, obs) {
+		return e.val, err
 	}
-	if cl, ok := sh.inflight[hash]; ok {
-		sh.mu.Unlock()
-		c.misses.Add(1)
-		<-cl.done
-		if cl.matches(host, auth, obs) {
-			return cl.val, cl.err
-		}
-		// The in-flight leader was deriving a colliding input.
-		c.collisions.Add(1)
-		c.derives.Add(1)
-		return derive()
-	}
-	// The clone happens before the call is published: waiters may read
-	// cl.obs after this leader's caller has already recycled its decode
-	// buffers, and the inserted entry reuses the same cloned chain.
-	cl := &call[V]{done: make(chan struct{}), host: host, auth: auth, obs: cloneChain(obs)}
-	sh.inflight[hash] = cl
-	sh.mu.Unlock()
-	c.misses.Add(1)
-
-	cl.val, cl.err = derive()
-	if cl.err == nil {
-		c.derives.Add(1)
-	}
-
-	sh.mu.Lock()
-	delete(sh.inflight, hash)
-	var inserted *list.Element
-	if cl.err == nil {
-		if _, ok := sh.entries[hash]; !ok {
-			inserted = sh.lru.PushFront(&entry[V]{hash: hash, host: host, auth: auth, obs: cl.obs, val: cl.val})
-			sh.entries[hash] = inserted
-			c.size.Add(1)
-		}
-	}
-	if inserted != nil {
-		c.evictFromLocked(sh, inserted)
-	}
-	sh.mu.Unlock()
-	if inserted != nil && c.size.Load() > int64(c.cap) {
-		c.evictElsewhere(sh)
-	}
-	close(cl.done)
-	return cl.val, cl.err
+	// Same 64-bit hash, different bytes — resident, or led the flight this
+	// caller waited on (whose error, if any, is not ours): derive uncached.
+	c.collisions.Add(1)
+	return derive()
 }
 
-// Get returns the cached value without deriving (zero V, false when
-// absent). It counts as a hit or miss.
-func (c *Cache[V]) Get(host string, auth, obs [][]byte) (V, bool) {
-	hash := c.hashInputs(host, auth, obs)
-	sh := &c.shards[hash%uint64(len(c.shards))]
-	sh.mu.Lock()
-	if el, ok := sh.entries[hash]; ok {
-		if e := el.Value.(*entry[V]); e.matches(host, auth, obs) {
-			sh.lru.MoveToFront(el)
-			val := e.val
-			sh.mu.Unlock()
-			c.hits.Add(1)
-			return val, true
-		}
+// Peek returns the cached value for the input triple without deriving or
+// touching recency and counters (zero V, false when absent).
+func (c *Cache[V]) Peek(host string, auth, obs [][]byte) (V, bool) {
+	if e, ok := c.lru.Peek(c.hashInputs(host, auth, obs)); ok && e.matches(host, auth, obs) {
+		return e.val, true
 	}
-	sh.mu.Unlock()
-	c.misses.Add(1)
 	var zero V
 	return zero, false
 }
 
-// evictFromLocked removes sh's least-recently-used entries (never keep,
-// the entry just inserted) until the global size is back under the cap or
-// the shard has nothing older left. Caller holds sh.mu.
-func (c *Cache[V]) evictFromLocked(sh *shard[V], keep *list.Element) {
-	for c.size.Load() > int64(c.cap) {
-		el := sh.lru.Back()
-		if el == nil || el == keep {
-			return
-		}
-		sh.lru.Remove(el)
-		delete(sh.entries, el.Value.(*entry[V]).hash)
-		c.size.Add(-1)
-		c.evictions.Add(1)
-	}
-}
-
-// evictElsewhere handles the skew case where the inserting shard held
-// nothing but its new entry: steal LRU tails from other shards. TryLock
-// keeps the cache deadlock-free; a contended shard is skipped and the
-// transient overflow — bounded by the shard count — is corrected by the
-// next insert's eviction pass.
-func (c *Cache[V]) evictElsewhere(sh *shard[V]) {
-	for i := range c.shards {
-		o := &c.shards[i]
-		if o == sh || !o.mu.TryLock() {
-			continue
-		}
-		c.evictFromLocked(o, nil)
-		o.mu.Unlock()
-		if c.size.Load() <= int64(c.cap) {
-			return
-		}
-	}
-}
-
 // Len reports the number of cached values.
-func (c *Cache[V]) Len() int { return int(c.size.Load()) }
-
-// Cap reports the configured bound.
-func (c *Cache[V]) Cap() int { return c.cap }
+func (c *Cache[V]) Len() int { return c.lru.Len() }
 
 // Stats is a point-in-time snapshot of cache accounting.
 type Stats struct {
-	// Hits served a cached value; Misses had to wait for a derivation
+	// Hits found a resident entry; Misses had to wait for a derivation
 	// (the single-flight leader and its waiters each count one miss).
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
-	// Derives counts successful derivations — under single-flight this is
-	// at most one per distinct input per residency (plus any collision
-	// fallbacks).
+	// Derives counts successful cached derivations — under single-flight
+	// at most one per distinct input per residency — plus one per
+	// collision fallback.
 	Derives uint64 `json:"derives"`
 	// Evictions counts entries dropped to respect the cap.
 	Evictions uint64 `json:"evictions"`
@@ -345,34 +204,20 @@ type Stats struct {
 	Cap        int    `json:"cap"`
 }
 
-// Snapshot captures the counters coherently: effects are loaded before
-// their causes, so the causal invariants hold in every snapshot even
-// when it races the hot path. Each increment path bumps cause before
-// effect (a collision or miss precedes its derive; a derive precedes the
-// insert whose overflow precedes an eviction), and the counters are
-// monotonic, so loading an effect first yields a value no greater than
-// its cause read later:
+// Stats snapshots the counters with LRU.Stats' coherence, so every
+// snapshot — even one racing the hot path — satisfies
 //
 //	Evictions ≤ Derives ≤ Misses + Collisions
-//
-// The old field order (hits first, evictions last) could surface
-// snapshots with more derives than misses, confusing rate dashboards.
-func (c *Cache[V]) Snapshot() Stats {
-	evictions := c.evictions.Load()
-	derives := c.derives.Load()
+func (c *Cache[V]) Stats() Stats {
 	collisions := c.collisions.Load()
-	misses := c.misses.Load()
+	st := c.lru.Stats()
 	return Stats{
-		Hits:       c.hits.Load(),
-		Misses:     misses,
-		Derives:    derives,
-		Evictions:  evictions,
+		Hits:       st.Hits,
+		Misses:     st.Misses,
+		Derives:    st.Loads + collisions,
+		Evictions:  st.Evictions,
 		Collisions: collisions,
-		Size:       c.Len(),
-		Cap:        c.cap,
+		Size:       st.Size,
+		Cap:        st.Cap,
 	}
 }
-
-// Stats snapshots the cache counters. Identical to Snapshot; kept for
-// existing callers.
-func (c *Cache[V]) Stats() Stats { return c.Snapshot() }

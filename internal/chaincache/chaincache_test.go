@@ -3,6 +3,7 @@ package chaincache
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -78,7 +79,7 @@ func TestInputSeparation(t *testing.T) {
 	host2 := "h"
 	auth2 := [][]byte{append([]byte(nil), 1, 2, 3)}
 	obs2 := [][]byte{append([]byte(nil), 4, 5)}
-	if v, ok := c.Get(host2, auth2, obs2); !ok || v != "base" {
+	if v, ok := c.Peek(host2, auth2, obs2); !ok || v != "base" {
 		t.Fatalf("byte-equal copy missed: %q %v", v, ok)
 	}
 }
@@ -169,19 +170,21 @@ func TestLRUOrder(t *testing.T) {
 	c := New[int](4, 1)
 	get := func(tag string) (int, bool) {
 		host, auth, obs := in(tag)
-		return c.Get(host, auth, obs)
+		return c.Peek(host, auth, obs)
 	}
-	for i := 0; i < 4; i++ {
-		i := i
+	put := func(i int) {
 		host, auth, obs := in(fmt.Sprint(i))
 		c.GetOrDerive(host, auth, obs, func() (int, error) { return i, nil })
 	}
-	// Touch entry 0 so it is most recent, then insert a 5th entry.
-	if _, ok := get("0"); !ok {
-		t.Fatal("entry 0 missing before overflow")
+	for i := 0; i < 4; i++ {
+		put(i)
 	}
-	host, auth, obs := in("4")
-	c.GetOrDerive(host, auth, obs, func() (int, error) { return 4, nil })
+	// Touch entry 0 (a hit) so it is most recent, then insert a 5th entry.
+	put(0)
+	if st := c.Stats(); st.Hits != 1 || st.Derives != 4 {
+		t.Fatalf("touch was not a hit: %+v", st)
+	}
+	put(4)
 	if _, ok := get("0"); !ok {
 		t.Fatal("recently-touched entry 0 was evicted")
 	}
@@ -230,5 +233,71 @@ func BenchmarkCacheHit(b *testing.B) {
 		if _, err := c.GetOrDerive(host, auth, obs, func() (int, error) { return 1, nil }); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// plant makes c hold (or, with release non-nil, be mid-flight on) the
+// input tagged `tag` under the content hash of a *different* input — a
+// manufactured 64-bit collision.
+func plant(c *Cache[int], underHash uint64, tag string, val int, err error, started, release chan struct{}) {
+	host, auth, obs := in(tag)
+	c.lru.GetOrLoad(underHash, func() (*entry[int], error) {
+		if release != nil {
+			close(started)
+			<-release
+		}
+		return &entry[int]{host: host, auth: auth, obs: obs, val: val}, err
+	})
+}
+
+// TestCollisionDerivesUncached: an entry resident under the caller's hash
+// but derived from different bytes is never served; the caller derives
+// its own value, uncached, and the collision is counted.
+func TestCollisionDerivesUncached(t *testing.T) {
+	c := New[int](0, 0)
+	host, auth, obs := in("mine")
+	plant(c, c.hashInputs(host, auth, obs), "theirs", 1, nil, nil, nil)
+	for i := 0; i < 2; i++ {
+		v, err := c.GetOrDerive(host, auth, obs, func() (int, error) { return 2, nil })
+		if err != nil || v != 2 {
+			t.Fatalf("colliding lookup %d = %d, %v; want own derivation 2", i, v, err)
+		}
+	}
+	if _, ok := c.Peek(host, auth, obs); ok {
+		t.Fatal("Peek served a colliding entry")
+	}
+	if st := c.Stats(); st.Collisions != 2 || st.Derives != 3 || st.Size != 1 {
+		t.Fatalf("stats %+v, want 2 collisions, 3 derives (1 planted + 2 fallbacks), size 1", st)
+	}
+}
+
+// TestCollidingFlightFailureIsNotMine: a caller that waited on a flight
+// led by a colliding input must see the leader's inputs — even when the
+// leader's derive failed — and answer with its own derivation, not the
+// leader's error.
+func TestCollidingFlightFailureIsNotMine(t *testing.T) {
+	c := New[int](0, 0)
+	host, auth, obs := in("mine")
+	started, release := make(chan struct{}), make(chan struct{})
+	go plant(c, c.hashInputs(host, auth, obs), "theirs", 0, errors.New("their failure"), started, release)
+	<-started
+	type result struct {
+		v   int
+		err error
+	}
+	done := make(chan result)
+	go func() {
+		v, err := c.GetOrDerive(host, auth, obs, func() (int, error) { return 2, nil })
+		done <- result{v, err}
+	}()
+	for c.Stats().Misses < 2 { // until the waiter has joined the colliding flight
+		runtime.Gosched()
+	}
+	close(release)
+	if r := <-done; r.v != 2 || r.err != nil {
+		t.Fatalf("waiter on a colliding failed flight got (%d, %v), want (2, nil)", r.v, r.err)
+	}
+	if st := c.Stats(); st.Collisions != 1 {
+		t.Fatalf("collisions = %d, want 1", st.Collisions)
 	}
 }

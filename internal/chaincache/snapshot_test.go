@@ -13,10 +13,10 @@ import (
 //	Evictions ≤ Derives ≤ Misses + Collisions
 //	Hits + Misses ≥ Derives (every derive was preceded by a lookup)
 //
-// Run under -race this also proves Snapshot is data-race free against
-// the hot path. The snapshot load order (effects before causes) is what
-// makes the invariants hold; reordering the loads in Snapshot breaks
-// this test under load.
+// Run under -race this also proves Stats is data-race free against
+// the hot path. The snapshot load order (effects before causes, in
+// LRU.Stats) is what makes the invariants hold; reordering the loads
+// breaks this test under load.
 func TestSnapshotInvariants(t *testing.T) {
 	c := New[int](64, 4) // small cap so evictions actually happen
 
@@ -52,7 +52,7 @@ func TestSnapshotInvariants(t *testing.T) {
 	go func() { wg.Wait(); close(done) }()
 
 	for i := 0; ; i++ {
-		st := c.Snapshot()
+		st := c.Stats()
 		if st.Evictions > st.Derives {
 			t.Fatalf("snapshot %d: Evictions (%d) > Derives (%d)", i, st.Evictions, st.Derives)
 		}
@@ -72,15 +72,12 @@ func TestSnapshotInvariants(t *testing.T) {
 		break
 	}
 
-	// Quiescent: the final snapshot equals Stats and accounts everything.
-	st := c.Snapshot()
-	if st != c.Stats() {
-		t.Fatalf("quiescent Snapshot != Stats: %+v vs %+v", st, c.Stats())
-	}
+	// Quiescent: the final snapshot accounts everything.
+	st := c.Stats()
 	if st.Derives == 0 || st.Evictions == 0 || st.Hits == 0 {
 		t.Fatalf("workload did not exercise all counters: %+v", st)
 	}
-	if st.Size > st.Cap+len(c.shards) {
+	if st.Size > st.Cap+len(c.lru.shards) {
 		t.Fatalf("size %d far above cap %d", st.Size, st.Cap)
 	}
 }

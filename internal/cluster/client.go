@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"sync"
@@ -16,6 +15,15 @@ import (
 
 // DefaultRouteBatch is measurements buffered per owner before a flush.
 const DefaultRouteBatch = 512
+
+const (
+	// retryCapFactor caps one backoff sleep at this multiple of
+	// RouteConfig.RetryDelay.
+	retryCapFactor = 8
+	// breakerThreshold is the consecutive direct-delivery failures that
+	// open a peer's breaker.
+	breakerThreshold = 3
+)
 
 // RouteStats is the router's delivery accounting: with sync-acked nodes,
 // Delivered + buffered == ingested, and Lost must stay zero.
@@ -58,22 +66,15 @@ type RouteConfig struct {
 	Retries int
 	// RetryDelay is the backoff base between transport retries (default
 	// 50ms). Actual sleeps are capped jittered exponential: attempt k
-	// draws from [d/2, d) where d = min(RetryCap, RetryDelay<<k).
+	// draws from [d/2, d) where d = min(8×RetryDelay, RetryDelay<<k).
 	RetryDelay time.Duration
-	// RetryCap caps one backoff sleep (default 8×RetryDelay).
-	RetryCap time.Duration
-	// BreakerThreshold is consecutive direct-delivery failures before a
-	// peer's breaker opens (default 3).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker refuses direct
-	// attempts before admitting a half-open probe (default 1s).
+	// BreakerCooldown is how long a peer's breaker, opened by three
+	// consecutive direct-delivery failures, refuses direct attempts
+	// before admitting a half-open probe (default 1s).
 	BreakerCooldown time.Duration
 	// Seed drives batch-ID generation and retry jitter; a seeded router
 	// replays an identical schedule. 0 derives a seed from the clock.
 	Seed uint64
-	// Stop aborts in-flight retry sleeps when closed (e.g. study
-	// shutdown). Nil means sleeps run to completion.
-	Stop <-chan struct{}
 	// Registry, when set, exposes the router's accounting as metrics
 	// (route_* gauges mirroring RouteStats).
 	Registry *telemetry.Registry
@@ -125,12 +126,6 @@ func NewRouteClient(cfg RouteConfig) (*RouteClient, error) {
 	if cfg.RetryDelay <= 0 {
 		cfg.RetryDelay = 50 * time.Millisecond
 	}
-	if cfg.RetryCap <= 0 {
-		cfg.RetryCap = 8 * cfg.RetryDelay
-	}
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = 3
-	}
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = time.Second
 	}
@@ -170,7 +165,7 @@ func (rc *RouteClient) mountMetrics(reg *telemetry.Registry) {
 func (rc *RouteClient) breakerFor(id string) *resilient.Breaker {
 	br := rc.breakers[id]
 	if br == nil {
-		br = resilient.NewBreaker(rc.cfg.BreakerThreshold, rc.cfg.BreakerCooldown, nil)
+		br = resilient.NewBreaker(breakerThreshold, rc.cfg.BreakerCooldown, nil)
 		rc.breakers[id] = br
 	}
 	return br
@@ -373,14 +368,12 @@ func (rc *RouteClient) postBody(member Member, body []byte, relay bool, retries 
 	if relay {
 		url += "?relay=1"
 	}
-	bo := resilient.NewBackoff(rc.cfg.RetryDelay, rc.cfg.RetryCap, rc.rng.Uint64())
+	bo := resilient.NewBackoff(rc.cfg.RetryDelay, retryCapFactor*rc.cfg.RetryDelay, rc.rng.Uint64())
 	var lastErr error
 	for attempt := 0; attempt <= retries; attempt++ {
 		if attempt > 0 {
 			rc.stats.Retries++
-			if err := resilient.Sleep(context.Background(), rc.cfg.Stop, bo.Next()); err != nil {
-				return ingest.BatchResult{}, err
-			}
+			time.Sleep(bo.Next())
 		}
 		res, status, err := ingest.PostBatch(rc.cfg.HTTPClient, url, body)
 		if status == http.StatusOK && err == nil {

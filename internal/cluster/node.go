@@ -24,8 +24,8 @@ import (
 var ErrNodeKilled = errors.New("cluster: node killed")
 
 // Config configures one cluster node. ID, Members and DataDir are
-// required; everything else defaults. Shards and VNodes must be uniform
-// across the cluster — they define the hash partition.
+// required; everything else defaults. Shards must be uniform across the
+// cluster — with DefaultVNodes it defines the hash partition.
 type Config struct {
 	// ID is this node's member ID; it must appear in Members.
 	ID string
@@ -36,11 +36,6 @@ type Config struct {
 	DataDir string
 	// Shards is the per-node local shard count (default 2).
 	Shards int
-	// VNodes is the ring points per node (default DefaultVNodes).
-	VNodes int
-	// Retain caps retained proxied records per shard store (<= 0
-	// unlimited).
-	Retain int
 	// SegmentBytes is the WAL rotation threshold (default 64 MiB).
 	SegmentBytes int64
 	// AckTimeout bounds how long an ingest batch waits for its replica
@@ -52,24 +47,16 @@ type Config struct {
 	// LongPoll is how long a caught-up tail request parks server-side
 	// waiting for new frames (default 250ms).
 	LongPoll time.Duration
-	// TailFrames caps frames per tail response (default 8192).
-	TailFrames int
 	// Registry receives replication and rebalance metrics; nil mounts
 	// them on a private registry.
 	Registry *telemetry.Registry
 	// HTTPClient is used by followers and relay forwards. The default is
-	// a split-deadline client (resilient.SplitTimeoutClient): connect
-	// bounded by ConnectTimeout, every read bounded by IdleTimeout, no
+	// a split-deadline client (resilient.SplitTimeoutClient with its
+	// defaults): connect and every single read are bounded, with no
 	// blanket total-transfer cap — a snapshot catch-up over a slow link
 	// may take as long as it keeps moving, while a stalled link fails at
 	// the idle deadline.
 	HTTPClient *http.Client
-	// ConnectTimeout bounds dialing a peer (default 5s). Ignored when
-	// HTTPClient is set.
-	ConnectTimeout time.Duration
-	// IdleTimeout bounds any single read making no progress (default
-	// 30s). Ignored when HTTPClient is set.
-	IdleTimeout time.Duration
 	// Logf, when set, receives operational one-liners.
 	Logf func(format string, args ...any)
 }
@@ -77,9 +64,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 2
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = DefaultVNodes
 	}
 	if c.AckTimeout == 0 {
 		c.AckTimeout = 10 * time.Second
@@ -90,11 +74,8 @@ func (c Config) withDefaults() Config {
 	if c.LongPoll <= 0 {
 		c.LongPoll = 250 * time.Millisecond
 	}
-	if c.TailFrames <= 0 {
-		c.TailFrames = 8192
-	}
 	if c.HTTPClient == nil {
-		c.HTTPClient = resilient.SplitTimeoutClient(c.ConnectTimeout, c.IdleTimeout, nil)
+		c.HTTPClient = resilient.SplitTimeoutClient(0, 0, nil)
 	}
 	if c.Registry == nil {
 		c.Registry = telemetry.NewRegistry()
@@ -289,7 +270,7 @@ func Open(cfg Config) (*Node, error) {
 	if cfg.ID == "" || cfg.DataDir == "" {
 		return nil, fmt.Errorf("cluster: Config.ID and Config.DataDir required")
 	}
-	members, err := NewMembership(cfg.Members, cfg.VNodes)
+	members, err := NewMembership(cfg.Members, DefaultVNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -354,7 +335,7 @@ func Open(cfg Config) (*Node, error) {
 // disabled: the commit path group-syncs explicitly per batch, and
 // followers sync after each applied stream.
 func (n *Node) shardOptions(dir string) durable.Options {
-	return durable.Options{Dir: dir, SegmentBytes: n.cfg.SegmentBytes, SyncEvery: -1, Retain: n.cfg.Retain}
+	return durable.Options{Dir: dir, SegmentBytes: n.cfg.SegmentBytes, SyncEvery: -1}
 }
 
 func (n *Node) mountMetrics(reg *telemetry.Registry) {
@@ -566,7 +547,7 @@ func (n *Node) MergeLocal() *store.DB {
 	for i, sh := range n.shards {
 		dbs[i] = sh.DB
 	}
-	return store.Merge(n.cfg.Retain, dbs...)
+	return store.Merge(0, dbs...)
 }
 
 // RecoverReplica rebuilds a dead peer's shards from the replica WALs
@@ -605,7 +586,7 @@ func (n *Node) RecoverReplica(sourceID string) (*store.DB, error) {
 		}
 		dbs = append(dbs, db)
 	}
-	return store.Merge(n.cfg.Retain, dbs...), nil
+	return store.Merge(0, dbs...), nil
 }
 
 // ReplStatus describes one replica stream this node follows.
@@ -636,7 +617,7 @@ func (n *Node) Status() Status {
 		State:  n.stateString(),
 		Epoch:  n.members.Epoch(),
 		Shards: n.cfg.Shards,
-		VNodes: n.cfg.VNodes,
+		VNodes: DefaultVNodes,
 	}
 	st.Members = n.members.Members()
 	for _, sh := range n.shards {
@@ -739,6 +720,10 @@ func (n *Node) Handler() http.Handler {
 	})
 }
 
+// tailFrames caps frames per tail response; the follower polls again for
+// the rest.
+const tailFrames = 8192
+
 // handleTail serves one follower poll: record the follower's durable
 // position as the watermark, park briefly when caught up (long poll),
 // then stream frames from the WAL.
@@ -775,7 +760,7 @@ func (n *Node) handleTail(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	sent, err := sh.Log.ServeTail(w, from, n.cfg.TailFrames)
+	sent, err := sh.Log.ServeTail(w, from, tailFrames)
 	if err != nil {
 		// Mid-stream failure: the connection carries a truncated stream,
 		// which the follower treats as a cut and re-polls.

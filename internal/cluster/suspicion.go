@@ -33,32 +33,34 @@ func (v Verdict) String() string {
 	}
 }
 
-// SuspicionConfig tunes the scorer. Zero values take defaults chosen so
-// that three consecutive hard failures kill a peer while an alternating
-// fail/success flap converges to a score well below the dead threshold.
+// The scorer's fixed policy, chosen so that three consecutive hard
+// failures kill a peer while an alternating fail/success flap converges to
+// a score well below the dead threshold.
+const (
+	// failGain moves the score toward 1 on a hard failure:
+	// score += (1-score)·failGain.
+	failGain = 0.45
+	// successDecay multiplies the score on a successful probe.
+	// Decay-on-success is the flap damper: any mixed sequence keeps
+	// shrinking what failures grew.
+	successDecay = 0.6
+	// slowGain caps how much a maximally slow (but successful) probe
+	// adds: a slow-but-alive peer saturates in Suspect, never Dead.
+	slowGain = 0.25
+	// degradeGain is added once per observation that carries
+	// self-reported degradation — replication ack timeouts or WAL errors
+	// since the last look.
+	degradeGain = 0.2
+	// suspectThreshold and deadThreshold partition the score space.
+	suspectThreshold = 0.3
+	deadThreshold    = 0.8
+)
+
+// SuspicionConfig tunes the scorer.
 type SuspicionConfig struct {
-	// FailGain moves the score toward 1 on a hard failure:
-	// score += (1-score)·FailGain (default 0.45).
-	FailGain float64
-	// SuccessDecay multiplies the score on a successful probe (default
-	// 0.6). Decay-on-success is the flap damper: any mixed sequence
-	// keeps shrinking what failures grew.
-	SuccessDecay float64
 	// LatencyBudget is the RTT a healthy probe should beat (default
 	// 250ms). RTT at 2× the budget counts as maximally slow.
 	LatencyBudget time.Duration
-	// SlowGain caps how much a maximally slow (but successful) probe
-	// adds (default 0.25): a slow-but-alive peer saturates in Suspect,
-	// never Dead.
-	SlowGain float64
-	// DegradeGain is added once per observation that carries
-	// self-reported degradation — replication ack timeouts or WAL errors
-	// since the last look (default 0.2).
-	DegradeGain float64
-	// SuspectThreshold and DeadThreshold partition the score space
-	// (defaults 0.3 and 0.8).
-	SuspectThreshold float64
-	DeadThreshold    float64
 	// MinDeadFails is the consecutive hard failures required — on top of
 	// the score — before Dead (default 3). Any success resets the run,
 	// so a flapping peer structurally cannot die.
@@ -66,26 +68,8 @@ type SuspicionConfig struct {
 }
 
 func (c SuspicionConfig) withDefaults() SuspicionConfig {
-	if c.FailGain <= 0 {
-		c.FailGain = 0.45
-	}
-	if c.SuccessDecay <= 0 {
-		c.SuccessDecay = 0.6
-	}
 	if c.LatencyBudget <= 0 {
 		c.LatencyBudget = 250 * time.Millisecond
-	}
-	if c.SlowGain <= 0 {
-		c.SlowGain = 0.25
-	}
-	if c.DegradeGain <= 0 {
-		c.DegradeGain = 0.2
-	}
-	if c.SuspectThreshold <= 0 {
-		c.SuspectThreshold = 0.3
-	}
-	if c.DeadThreshold <= 0 {
-		c.DeadThreshold = 0.8
 	}
 	if c.MinDeadFails <= 0 {
 		c.MinDeadFails = 3
@@ -153,10 +137,10 @@ func (s *Scorer) Observe(peer string, smp Sample) Verdict {
 	}
 	if smp.Err {
 		ps.consecFails++
-		ps.score += (1 - ps.score) * s.cfg.FailGain
+		ps.score += (1 - ps.score) * failGain
 	} else {
 		ps.consecFails = 0
-		ps.score *= s.cfg.SuccessDecay
+		ps.score *= successDecay
 		if smp.RTT > s.cfg.LatencyBudget {
 			// Linear in the overshoot, saturating at 2× the budget: a
 			// slow success is evidence of gray failure, weaker than an
@@ -165,17 +149,17 @@ func (s *Scorer) Observe(peer string, smp Sample) Verdict {
 			if over > 1 {
 				over = 1
 			}
-			ps.score += (1 - ps.score) * s.cfg.SlowGain * over
+			ps.score += (1 - ps.score) * slowGain * over
 		}
 	}
 	if smp.AckTimeouts > 0 || smp.WALErrors > 0 {
-		ps.score += (1 - ps.score) * s.cfg.DegradeGain
+		ps.score += (1 - ps.score) * degradeGain
 	}
 	next := Healthy
 	switch {
-	case ps.score >= s.cfg.DeadThreshold && ps.consecFails >= s.cfg.MinDeadFails:
+	case ps.score >= deadThreshold && ps.consecFails >= s.cfg.MinDeadFails:
 		next = DeadVerdict
-	case ps.score >= s.cfg.SuspectThreshold:
+	case ps.score >= suspectThreshold:
 		next = Suspect
 	}
 	if next != ps.verdict {

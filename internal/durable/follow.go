@@ -133,7 +133,7 @@ func (l *Log) ServeTail(w io.Writer, from uint64, maxFrames int) (sent int, err 
 			break
 		}
 	}
-	if _, err := w.Write([]byte{ReplEnd}); err != nil {
+	if _, err := w.Write(AppendReplEnd(buf[:0])); err != nil {
 		return sent, err
 	}
 	return sent, nil

@@ -45,7 +45,7 @@ func recoverDir(opt Options) (*store.DB, Info, []segmentRef, error) {
 	covered, _, payload, err := latestSnapshot(opt.Dir)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
-			return store.New(opt.Retain), info, nil, nil
+			return store.New(0), info, nil, nil
 		}
 		return nil, info, nil, err
 	}
@@ -56,7 +56,7 @@ func recoverDir(opt Options) (*store.DB, Info, []segmentRef, error) {
 		}
 		info.SnapshotSeq = covered
 	} else {
-		db = store.New(opt.Retain)
+		db = store.New(0)
 	}
 	info.LastSeq = covered
 
@@ -191,7 +191,7 @@ func (l *Log) Compact() (Info, error) {
 			return info, fmt.Errorf("durable: decoding snapshot: %w", err)
 		}
 	} else {
-		db = store.New(l.opt.Retain)
+		db = store.New(0)
 	}
 
 	next := snapSeq + 1

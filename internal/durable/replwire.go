@@ -84,54 +84,6 @@ func AppendReplEnd(dst []byte) []byte {
 	return append(dst, ReplEnd)
 }
 
-// DecodeReplRecord decodes one record from a headerless buffer (the
-// stream magic, if any, must already be consumed) and returns the rest.
-// The returned payload aliases b.
-func DecodeReplRecord(b []byte) (ReplRecord, []byte, error) {
-	if len(b) == 0 {
-		return ReplRecord{}, nil, ErrReplTruncated
-	}
-	typ := b[0]
-	rest := b[1:]
-	switch typ {
-	case ReplEnd:
-		return ReplRecord{Type: ReplEnd}, rest, nil
-	case ReplFrame, ReplSnapshot:
-	default:
-		return ReplRecord{}, nil, fmt.Errorf("durable: replication record type 0x%02x unknown", typ)
-	}
-	seq, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return ReplRecord{}, nil, ErrReplTruncated
-	}
-	rest = rest[n:]
-	size, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return ReplRecord{}, nil, ErrReplTruncated
-	}
-	rest = rest[n:]
-	limit := uint64(MaxFramePayload)
-	if typ == ReplSnapshot {
-		limit = MaxReplSnapshot
-	}
-	if size == 0 || size > limit {
-		return ReplRecord{}, nil, fmt.Errorf("durable: replication record length %d out of bounds", size)
-	}
-	if len(rest) < 4 {
-		return ReplRecord{}, nil, ErrReplTruncated
-	}
-	crc := binary.LittleEndian.Uint32(rest)
-	rest = rest[4:]
-	if uint64(len(rest)) < size {
-		return ReplRecord{}, nil, ErrReplTruncated
-	}
-	payload := rest[:size]
-	if crc32.Checksum(payload, crcTable) != crc {
-		return ReplRecord{}, nil, fmt.Errorf("durable: replication record CRC mismatch at seq %d", seq)
-	}
-	return ReplRecord{Type: typ, Seq: seq, Payload: payload}, rest[size:], nil
-}
-
 // ReplDecoder decodes a replication stream incrementally. Next returns
 // records until the clean end marker (io.EOF) or an error; a stream that
 // physically ends mid-record or without the end marker yields

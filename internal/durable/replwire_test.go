@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"os"
+	"strings"
 	"testing"
 
 	"tlsfof/internal/core"
@@ -124,24 +125,48 @@ func TestReplRecordRoundTrip(t *testing.T) {
 	if _, err := dec.Next(); !errors.Is(err, io.EOF) {
 		t.Fatalf("EOF must be sticky, got %v", err)
 	}
+}
 
-	// Byte-slice decoder over the same records (past the header).
-	rest := stream[4:]
-	for n := 0; ; n++ {
-		rec, tail, err := DecodeReplRecord(rest)
-		if err != nil {
-			t.Fatal(err)
+// TestReplDecoderRejectsDamage pins the decoder's verdict per kind of
+// damage: a stream cut inside any field is ErrReplTruncated, and bad
+// magic, an unknown record type, a length outside the wire bounds and a
+// payload that fails its CRC are each refused by name — never decoded.
+func TestReplDecoderRejectsDamage(t *testing.T) {
+	payload := core.AppendMeasurement(nil, syntheticMeasurements(1, 12)[0])
+	frame := AppendReplFrame(AppendReplHeader(nil), 7, payload)
+	good := AppendReplEnd(append([]byte(nil), frame...))
+	flipped := append([]byte(nil), good...)
+	flipped[len(frame)-1] ^= 0x40 // last payload byte
+
+	first := func(stream []byte) error {
+		_, err := NewReplDecoder(bytes.NewReader(stream)).Next()
+		return err
+	}
+	if err := first(good); err != nil {
+		t.Fatalf("intact frame: %v", err)
+	}
+	// Every cut short of the whole frame — magic, type byte, seq, length,
+	// CRC, payload — is truncation.
+	for cut := 0; cut < len(frame); cut++ {
+		if err := first(good[:cut]); !errors.Is(err, ErrReplTruncated) {
+			t.Fatalf("cut at %d/%d: err = %v, want ErrReplTruncated", cut, len(frame), err)
 		}
-		if rec.Type == ReplEnd {
-			if len(tail) != 0 {
-				t.Fatalf("%d trailing bytes after end marker", len(tail))
-			}
-			if n != 1+len(payloads) {
-				t.Fatalf("decoded %d records, want %d", n, 1+len(payloads))
-			}
-			break
+	}
+	for _, tc := range []struct {
+		name, want string
+		stream     []byte
+	}{
+		{"bad magic", "magic", []byte("TFR0E")},
+		{"unknown type", "unknown", []byte("TFR1X")},
+		{"zero length", "out of bounds", []byte("TFR1F\x01\x00")},
+		{"oversized frame", "out of bounds", []byte("TFR1F\x01\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01")},
+		{"oversized snapshot", "out of bounds", []byte("TFR1S\x01\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01")},
+		{"flipped payload byte", "CRC mismatch", flipped},
+	} {
+		err := first(tc.stream)
+		if err == nil || errors.Is(err, ErrReplTruncated) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.want)
 		}
-		rest = tail
 	}
 }
 
@@ -403,8 +428,8 @@ func TestReplCorruptStreamMatrix(t *testing.T) {
 	}
 }
 
-// FuzzDecodeReplFrame drives both replication decoders over arbitrary
-// bytes: they must terminate with a clean EOF or an explicit error,
+// FuzzDecodeReplFrame drives the replication decoder over arbitrary
+// bytes: it must terminate with a clean EOF or an explicit error,
 // never panic, and never emit a record whose length fields escape the
 // wire bounds. Seeds come from a real served tail.
 func FuzzDecodeReplFrame(f *testing.F) {
@@ -463,17 +488,6 @@ func FuzzDecodeReplFrame(f *testing.F) {
 			}
 			if records++; records > 1<<14 {
 				t.Fatalf("unbounded record stream from %d input bytes", len(stream))
-			}
-		}
-		// The headerless record decoder must agree byte-for-byte when
-		// handed the same stream body.
-		if len(stream) >= 4 && string(stream[:4]) == "TFR1" {
-			rest := stream[4:]
-			for i := 0; i < records; i++ {
-				var err error
-				if _, rest, err = DecodeReplRecord(rest); err != nil {
-					t.Fatalf("byte-slice decoder rejected record %d the stream decoder accepted: %v", i, err)
-				}
 			}
 		}
 	})

@@ -36,8 +36,8 @@ type Shard struct {
 }
 
 // NewMemShard returns a shard with a store and no log.
-func NewMemShard(retain int) *Shard {
-	return &Shard{DB: store.New(retain)}
+func NewMemShard() *Shard {
+	return &Shard{DB: store.New(0)}
 }
 
 // ShardDir is the directory of shard i under root.

@@ -58,10 +58,6 @@ type Options struct {
 	// path); a negative value disables the background syncer entirely
 	// (Sync/Rotate/Close still fsync).
 	SyncEvery time.Duration
-	// Retain caps retained proxied records in stores built by Recover,
-	// Compact, and Snapshot when no snapshot dictates one (<= 0
-	// unlimited).
-	Retain int
 }
 
 func (o Options) withDefaults() Options {

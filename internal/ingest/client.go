@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -65,16 +64,11 @@ type Client struct {
 	Retries int
 	// RetryDelay is the backoff base before the first retry (50ms when
 	// 0). Subsequent retries back off exponentially with jitter, capped
-	// at RetryCap.
+	// at 64×RetryDelay.
 	RetryDelay time.Duration
-	// RetryCap bounds one backoff sleep (64×RetryDelay when 0).
-	RetryCap time.Duration
 	// Seed drives the retry jitter; a seeded client replays an identical
 	// backoff schedule. 0 derives a seed from the clock.
 	Seed uint64
-	// Stop, when closed, aborts in-flight retry sleeps — a shutting-down
-	// probe fleet must not hang on a dead collector's backoff.
-	Stop <-chan struct{}
 
 	mu    sync.Mutex
 	buf   []Report
@@ -202,7 +196,7 @@ func (c *Client) deliver(body []byte) (err error, anyTransport bool) {
 	if seed == 0 {
 		seed = uint64(time.Now().UnixNano())
 	}
-	bo := resilient.NewBackoff(c.RetryDelay, c.RetryCap, seed)
+	bo := resilient.NewBackoff(c.RetryDelay, 0, seed)
 	var retryable, transport bool
 	for attempt := 0; ; attempt++ {
 		err, retryable, transport = c.postOnce(body)
@@ -213,11 +207,7 @@ func (c *Client) deliver(body []byte) (err error, anyTransport bool) {
 		c.mu.Lock()
 		c.stats.Retries++
 		c.mu.Unlock()
-		if serr := resilient.Sleep(context.Background(), c.Stop, bo.Next()); serr != nil {
-			// Shutdown mid-backoff: surface the delivery error, not the
-			// sleep's — the batch is still undelivered.
-			break
-		}
+		time.Sleep(bo.Next())
 	}
 	if err != nil {
 		c.mu.Lock()

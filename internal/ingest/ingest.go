@@ -7,8 +7,7 @@
 // is that path in three layers:
 //
 //   - Batching: BatchSink receives measurements in amortized batches;
-//     Batcher adapts the one-at-a-time core.Sink producer side, and
-//     SinkAdapter wraps any existing core.Sink as a BatchSink consumer.
+//     Batcher adapts the one-at-a-time core.Sink producer side.
 //   - Sharding: Pipeline hash-partitions the stream by probed host onto N
 //     shard engines (durable.Shard: WAL + store.DB + one lock) and commits
 //     each full per-shard buffer synchronously on the caller's goroutine —
@@ -34,26 +33,6 @@ import (
 // copies whatever it keeps.
 type BatchSink interface {
 	IngestBatch([]core.Measurement)
-}
-
-// BatchSinkFunc adapts a function to the BatchSink interface.
-type BatchSinkFunc func([]core.Measurement)
-
-// IngestBatch calls f(batch).
-func (f BatchSinkFunc) IngestBatch(batch []core.Measurement) { f(batch) }
-
-// SinkAdapter presents any core.Sink as a BatchSink by replaying the batch
-// one measurement at a time. It is the compatibility shim that lets the
-// batched data plane feed legacy sinks (including store.DB itself).
-type SinkAdapter struct {
-	Sink core.Sink
-}
-
-// IngestBatch delivers each measurement in order.
-func (a SinkAdapter) IngestBatch(batch []core.Measurement) {
-	for _, m := range batch {
-		a.Sink.Ingest(m)
-	}
 }
 
 // DefaultBatchSize is the batch length Batcher and Pipeline use when the

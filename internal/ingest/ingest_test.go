@@ -46,9 +46,14 @@ func synthetic(n int, seed uint64) []core.Measurement {
 	return ms
 }
 
+// batchSinkFunc adapts a function to BatchSink.
+type batchSinkFunc func([]core.Measurement)
+
+func (f batchSinkFunc) IngestBatch(batch []core.Measurement) { f(batch) }
+
 func TestBatcherBatchesAndFlushes(t *testing.T) {
 	var got [][]core.Measurement
-	sink := BatchSinkFunc(func(b []core.Measurement) { got = append(got, b) })
+	sink := batchSinkFunc(func(b []core.Measurement) { got = append(got, b) })
 	b := NewBatcher(sink, 4)
 	for _, m := range synthetic(10, 1) {
 		b.Ingest(m)
@@ -73,21 +78,6 @@ func TestBatcherBatchesAndFlushes(t *testing.T) {
 	b.Flush() // empty flush is a no-op
 	if len(got) != 3 {
 		t.Fatalf("empty flush forwarded a batch")
-	}
-}
-
-func TestSinkAdapterPreservesOrder(t *testing.T) {
-	var seen []uint32
-	adapter := SinkAdapter{Sink: core.SinkFunc(func(m core.Measurement) { seen = append(seen, m.ClientIP) })}
-	in := synthetic(32, 2)
-	adapter.IngestBatch(in)
-	if len(seen) != len(in) {
-		t.Fatalf("delivered %d, want %d", len(seen), len(in))
-	}
-	for i, m := range in {
-		if seen[i] != m.ClientIP {
-			t.Fatalf("order broken at %d", i)
-		}
 	}
 }
 

@@ -23,12 +23,6 @@ type Config struct {
 	// QueueDepth is inert: no queue exists; kept only because
 	// bench/server.go names it; remove in the next benchmark PR.
 	QueueDepth int
-	// Retain is the per-shard retained-proxied-record cap passed to each
-	// shard store (<= 0 unlimited). A per-shard cap bounds memory but
-	// makes the surviving record set depend on arrival timing; callers
-	// needing deterministic retention (the study runner) leave this 0 and
-	// cap in Merge instead.
-	Retain int
 	// Block is inert: no queue exists, so nothing can fill and nothing is
 	// ever dropped; kept only because bench/server.go and bench/study.go
 	// name it; remove in the next benchmark PR.
@@ -139,7 +133,7 @@ func NewPipeline(cfg Config) *Pipeline {
 	cfg = cfg.withDefaults()
 	engines := make([]*durable.Shard, cfg.Shards)
 	for i := range engines {
-		engines[i] = durable.NewMemShard(cfg.Retain)
+		engines[i] = durable.NewMemShard()
 	}
 	return newPipeline(cfg, engines)
 }
@@ -158,7 +152,7 @@ func OpenPipeline(cfg Config) (*Pipeline, []durable.Info, error) {
 	if err := PinShardManifest(cfg.WALDir, cfg.Shards, ""); err != nil {
 		return nil, nil, err
 	}
-	engines, infos, err := durable.OpenShards(cfg.WALDir, cfg.Shards, durable.Options{Retain: cfg.Retain})
+	engines, infos, err := durable.OpenShards(cfg.WALDir, cfg.Shards, durable.Options{})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -13,11 +13,12 @@
 // whale-class sites (§6.3), and how it treats invalid upstream certificates
 // (Kurupira masks them; Bitdefender blocks them — §5.2).
 //
-// The plane is built for concurrency: forged chains live in a bounded,
-// sharded, single-flight LRU (ForgeCache), so a storm of simultaneous
-// connections to one origin mints exactly one substitute and every client
-// observes identical bytes — the per-origin caching real appliances
-// exhibit. cmd/mitmd mounts this engine as a load-bearing proxy with an
+// The plane is built for concurrency: forged chains live in ForgeCache —
+// a host-keyed front over chaincache.LRU, the one bounded, sharded,
+// single-flight memo the report path's observation cache also runs on —
+// so a storm of simultaneous connections to one origin mints exactly one
+// substitute and every client observes identical bytes — the per-origin
+// caching real appliances exhibit. cmd/mitmd mounts this engine as a load-bearing proxy with an
 // accept pool and /metrics; see DESIGN.md §7 for the interception-plane
 // architecture and BENCH_livewire.json for its measured baseline.
 package proxyengine

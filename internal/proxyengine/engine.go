@@ -63,9 +63,9 @@ type Decision struct {
 // that the interception product installed into its victims' root stores,
 // and caches one forgery per host exactly as real products do (§2: the
 // proxy "can issue a substitute certificate for any site the user visits").
-// The cache is a bounded, sharded, single-flight LRU (ForgeCache), so a
-// storm of concurrent connections to one origin forges once and every
-// client sees the identical substitute.
+// The cache is a bounded, sharded, single-flight LRU (ForgeCache, over
+// chaincache.LRU), so a storm of concurrent connections to one origin
+// forges once and every client sees the identical substitute.
 //
 // Engine is safe for concurrent use.
 type Engine struct {
@@ -88,9 +88,8 @@ type Options struct {
 	// Now overrides the validity-period clock for deterministic tests.
 	Now func() time.Time
 	// CacheCap bounds the forged-chain cache (DefaultForgeCacheCap when
-	// <= 0); CacheShards sets its lock striping (default 16).
-	CacheCap    int
-	CacheShards int
+	// <= 0).
+	CacheCap int
 }
 
 // New builds an engine: it mints the profile's root CA and prepares the
@@ -126,7 +125,7 @@ func New(profile Profile, opts Options) (*Engine, error) {
 		Profile:  profile,
 		CA:       ca,
 		pool:     pool,
-		cache:    NewForgeCache(opts.CacheCap, opts.CacheShards),
+		cache:    NewForgeCache(opts.CacheCap, 0),
 		clockNow: now,
 	}, nil
 }

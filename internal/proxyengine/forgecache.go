@@ -1,61 +1,24 @@
 package proxyengine
 
 import (
-	"container/list"
-	"sync"
-	"sync/atomic"
-
 	"tlsfof/internal/certgen"
+	"tlsfof/internal/chaincache"
 )
 
-// ForgeCache is the engine's bounded forged-chain cache: a sharded LRU
-// with single-flight forging. Real interception appliances cache one
-// forgery per origin and serve thousands of concurrent interceptions from
-// it (Waked et al. document per-origin caches across every appliance they
-// tested); this is the same structure, sized so a proxy fronting a large
-// client population forges each origin once and then serves lock-striped
-// cache hits.
+// ForgeCache is the engine's bounded forged-chain cache, keyed by host.
+// Real interception appliances cache one forgery per origin and serve
+// thousands of concurrent interceptions from it (Waked et al. document
+// per-origin caches across every appliance they tested); this is the same
+// structure, sized so a proxy fronting a large client population forges
+// each origin once and then serves lock-striped cache hits.
 //
-// Concurrency contract:
-//
-//   - Lookups take one shard mutex, never the whole cache.
-//   - Concurrent misses on the same host collapse into one forge call
-//     (single-flight); every waiter receives the identical leaf, so all
-//     clients of the proxy see byte-identical substitutes, as in the
-//     field data.
-//   - The cache holds at most Cap entries globally; inserting past the
-//     cap evicts least-recently-used entries, from the inserting shard
-//     first and then (under hash skew) from other shards. A freshly
-//     inserted entry is never its own victim, so overflow can transiently
-//     exceed the cap by at most the shard count under contention.
+// It is a typed front over chaincache.LRU — the one sharded, bounded,
+// single-flight memo in the system; see its concurrency contract.
+// Concurrent misses on the same host collapse into one forge call and
+// every waiter receives the identical leaf, so all clients of the proxy
+// see byte-identical substitutes, as in the field data.
 type ForgeCache struct {
-	shards []forgeShard
-	cap    int
-	size   atomic.Int64
-
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	forges    atomic.Uint64
-	evictions atomic.Uint64
-}
-
-type forgeShard struct {
-	mu       sync.Mutex
-	entries  map[string]*list.Element // host → *forgeEntry element
-	lru      list.List                // front = most recent
-	inflight map[string]*forgeCall
-}
-
-type forgeEntry struct {
-	host string
-	leaf *certgen.Leaf
-}
-
-// forgeCall is one in-flight forge that concurrent misses wait on.
-type forgeCall struct {
-	done chan struct{}
-	leaf *certgen.Leaf
-	err  error
+	lru *chaincache.LRU[string, *certgen.Leaf]
 }
 
 // DefaultForgeCacheCap bounds the forged-chain cache when Options leave it
@@ -63,32 +26,18 @@ type forgeCall struct {
 // leaf is a parsed certificate plus its DER chain, a few KiB.
 const DefaultForgeCacheCap = 4096
 
-// defaultForgeCacheShards spreads lock contention; the count only needs to
-// exceed plausible concurrent-connection parallelism per engine.
-const defaultForgeCacheShards = 16
-
 // NewForgeCache builds a cache holding at most cap forged leaves across
 // `shards` lock-striped partitions (defaults applied when <= 0).
 func NewForgeCache(cap, shards int) *ForgeCache {
 	if cap <= 0 {
 		cap = DefaultForgeCacheCap
 	}
-	if shards <= 0 {
-		shards = defaultForgeCacheShards
-	}
-	if shards > cap {
-		shards = cap
-	}
-	c := &ForgeCache{shards: make([]forgeShard, shards), cap: cap}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[string]*list.Element)
-		c.shards[i].inflight = make(map[string]*forgeCall)
-	}
-	return c
+	return &ForgeCache{lru: chaincache.NewLRU[string, *certgen.Leaf](cap, shards, hostHash)}
 }
 
-func (c *ForgeCache) shard(host string) *forgeShard {
-	// FNV-1a; inlined to keep the hot path free of interface hashing.
+// hostHash is FNV-1a; inlined to keep the hot path free of interface
+// hashing.
+func hostHash(host string) uint64 {
 	const (
 		offset = 2166136261
 		prime  = 16777619
@@ -98,112 +47,25 @@ func (c *ForgeCache) shard(host string) *forgeShard {
 		h ^= uint32(host[i])
 		h *= prime
 	}
-	return &c.shards[h%uint32(len(c.shards))]
+	return uint64(h)
 }
 
 // GetOrForge returns the cached leaf for host, or runs forge exactly once
 // per host across concurrent callers and caches its result. Errors are not
 // cached: the next miss retries.
 func (c *ForgeCache) GetOrForge(host string, forge func() (*certgen.Leaf, error)) (*certgen.Leaf, error) {
-	sh := c.shard(host)
-	sh.mu.Lock()
-	if el, ok := sh.entries[host]; ok {
-		sh.lru.MoveToFront(el)
-		leaf := el.Value.(*forgeEntry).leaf
-		sh.mu.Unlock()
-		c.hits.Add(1)
-		return leaf, nil
-	}
-	if call, ok := sh.inflight[host]; ok {
-		sh.mu.Unlock()
-		c.misses.Add(1)
-		<-call.done
-		return call.leaf, call.err
-	}
-	call := &forgeCall{done: make(chan struct{})}
-	sh.inflight[host] = call
-	sh.mu.Unlock()
-	c.misses.Add(1)
-
-	call.leaf, call.err = forge()
-	if call.err == nil {
-		c.forges.Add(1)
-	}
-
-	sh.mu.Lock()
-	delete(sh.inflight, host)
-	var inserted *list.Element
-	if call.err == nil {
-		if _, ok := sh.entries[host]; !ok {
-			inserted = sh.lru.PushFront(&forgeEntry{host: host, leaf: call.leaf})
-			sh.entries[host] = inserted
-			c.size.Add(1)
-		}
-	}
-	if inserted != nil {
-		c.evictFromLocked(sh, inserted)
-	}
-	sh.mu.Unlock()
-	if inserted != nil && c.size.Load() > int64(c.cap) {
-		c.evictElsewhere(sh)
-	}
-	close(call.done)
-	return call.leaf, call.err
-}
-
-// evictFromLocked removes sh's least-recently-used entries (never keep,
-// the entry just inserted — evicting it would make a cold shard unable to
-// ever cache) until the global size is back under the cap or the shard
-// has nothing older left. Caller holds sh.mu.
-func (c *ForgeCache) evictFromLocked(sh *forgeShard, keep *list.Element) {
-	for c.size.Load() > int64(c.cap) {
-		el := sh.lru.Back()
-		if el == nil || el == keep {
-			return
-		}
-		sh.lru.Remove(el)
-		delete(sh.entries, el.Value.(*forgeEntry).host)
-		c.size.Add(-1)
-		c.evictions.Add(1)
-	}
-}
-
-// evictElsewhere handles the skew case where the inserting shard held
-// nothing but its new entry: steal LRU tails from other shards. TryLock
-// keeps the cache deadlock-free (two shards never wait on each other); a
-// contended shard is skipped and the transient overflow — bounded by the
-// shard count — is corrected by the next insert's eviction pass.
-func (c *ForgeCache) evictElsewhere(sh *forgeShard) {
-	for i := range c.shards {
-		o := &c.shards[i]
-		if o == sh || !o.mu.TryLock() {
-			continue
-		}
-		c.evictFromLocked(o, nil)
-		o.mu.Unlock()
-		if c.size.Load() <= int64(c.cap) {
-			return
-		}
-	}
+	return c.lru.GetOrLoad(host, forge)
 }
 
 // Peek returns the cached leaf without touching recency or stats (nil when
 // absent).
 func (c *ForgeCache) Peek(host string) *certgen.Leaf {
-	sh := c.shard(host)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.entries[host]; ok {
-		return el.Value.(*forgeEntry).leaf
-	}
-	return nil
+	leaf, _ := c.lru.Peek(host)
+	return leaf
 }
 
 // Len reports the number of cached forgeries.
-func (c *ForgeCache) Len() int { return int(c.size.Load()) }
-
-// Cap reports the configured bound.
-func (c *ForgeCache) Cap() int { return c.cap }
+func (c *ForgeCache) Len() int { return c.lru.Len() }
 
 // ForgeStats is a point-in-time snapshot of cache accounting.
 type ForgeStats struct {
@@ -220,14 +82,16 @@ type ForgeStats struct {
 	Cap       int    `json:"cap"`
 }
 
-// Stats snapshots the cache counters.
+// Stats snapshots the cache counters with LRU.Stats' coherence
+// (Evictions ≤ Forges ≤ Misses in every snapshot).
 func (c *ForgeCache) Stats() ForgeStats {
+	st := c.lru.Stats()
 	return ForgeStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Forges:    c.forges.Load(),
-		Evictions: c.evictions.Load(),
-		Size:      c.Len(),
-		Cap:       c.cap,
+		Hits:      st.Hits,
+		Misses:    st.Misses,
+		Forges:    st.Loads,
+		Evictions: st.Evictions,
+		Size:      st.Size,
+		Cap:       st.Cap,
 	}
 }

@@ -1,17 +1,11 @@
 package resilient
 
 import (
-	"context"
-	"errors"
 	"sync"
 	"time"
 
 	"tlsfof/internal/stats"
 )
-
-// ErrStopped is returned by Sleep when the stop channel closes before
-// the pause elapses.
-var ErrStopped = errors.New("resilient: stopped during backoff")
 
 // Backoff produces a capped, jittered exponential retry schedule. The
 // jitter comes from the repo's deterministic RNG substrate
@@ -84,26 +78,4 @@ func (b *Backoff) Reset() {
 	b.mu.Lock()
 	b.attempt = 0
 	b.mu.Unlock()
-}
-
-// Sleep pauses for d, returning early when ctx is done or stop closes.
-// Either (or both) may be nil. A nil error means the full pause elapsed.
-func Sleep(ctx context.Context, stop <-chan struct{}, d time.Duration) error {
-	if d <= 0 {
-		return nil
-	}
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-done:
-		return ctx.Err()
-	case <-stop:
-		return ErrStopped
-	}
 }

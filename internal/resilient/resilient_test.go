@@ -54,29 +54,6 @@ func TestBackoffScheduleSeededAndCapped(t *testing.T) {
 	}
 }
 
-func TestSleepCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	if err := Sleep(ctx, nil, time.Minute); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err %v, want context.Canceled", err)
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatal("cancelled sleep did not return promptly")
-	}
-	stop := make(chan struct{})
-	close(stop)
-	if err := Sleep(context.Background(), stop, time.Minute); !errors.Is(err, ErrStopped) {
-		t.Fatalf("err %v, want ErrStopped", err)
-	}
-	if err := Sleep(nil, nil, 0); err != nil {
-		t.Fatalf("zero sleep: %v", err)
-	}
-}
-
 func TestBreakerLifecycle(t *testing.T) {
 	now := time.Unix(0, 0)
 	clock := func() time.Time { return now }

@@ -1,80 +1,115 @@
 package study
 
-// The chaincache equivalence property (ISSUE 3): a full netsim study run
-// with the fingerprint-keyed observation memo enabled must render every
-// paper artifact — Tables 1-8, Figure 7, the §5.2 negligence stats, and
-// the product table — byte-identical to the same seed with the cache off.
-// This is the contract that lets the live report path memoize chain
-// analysis without re-validating the reproduction: chains are compared by
-// DER bytes, so equal fingerprint ⇒ equal observation.
+// The chaincache equivalence property: core.ObserveCached — the memo the
+// live report path runs behind (core.Collector.Cache) — must agree field
+// for field with core.Observe on every input the studies can produce.
+// The input space is small and enumerable: per study, every host's clean
+// chain plus the forged chain of every (behavior signature × host) pair.
+// Chains are compared by DER bytes, so equal content ⇒ equal observation;
+// this pins "cache on ≡ cache off" over the whole reproduction without a
+// second observation backend in the generator.
 
 import (
+	"sync"
 	"testing"
 
 	"tlsfof/internal/clientpop"
+	"tlsfof/internal/core"
 )
+
+// observeInput is one (host, authoritative chain, observed chain) triple
+// with the observation core.Observe derives from it.
+type observeInput struct {
+	host      string
+	auth, obs [][]byte
+	want      core.Observation
+}
+
+// studyInputs enumerates every Observe input the study's factory can
+// produce.
+func studyInputs(t *testing.T, study clientpop.Study) (*obsFactory, []observeInput) {
+	t.Helper()
+	w, err := newWorld(&Config{Study: study, Pool: sharedPool}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := w.factory
+	sigs := map[behaviorSig]bool{}
+	for _, d := range f.deps {
+		sigs[sigOf(d.Product)] = true
+	}
+	var ins []observeInput
+	add := func(hi int, observed [][]byte) {
+		host, auth := f.hosts[hi].Name, f.chains[hi]
+		want, err := core.Observe(host, auth, observed, f.classifier)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ins = append(ins, observeInput{host: host, auth: auth, obs: observed, want: want})
+	}
+	for hi := range f.hosts {
+		add(hi, f.chains[hi])
+		for sig := range sigs {
+			forged, err := f.forge(sig, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			add(hi, forged)
+		}
+	}
+	return f, ins
+}
 
 func TestChainCacheEquivalence(t *testing.T) {
 	for _, study := range []clientpop.Study{clientpop.Study1, clientpop.Study2} {
-		base := Config{Study: study, Seed: 2014, Scale: 0.01, Pool: sharedPool}
-
-		off, err := Run(base)
-		if err != nil {
-			t.Fatal(err)
+		f, ins := studyInputs(t, study)
+		cache := core.NewObservationCache(0, 0)
+		// First pass derives, second must hit; both must equal Observe.
+		for pass := 0; pass < 2; pass++ {
+			for _, in := range ins {
+				got, err := core.ObserveCached(cache, in.host, in.auth, in.obs, f.classifier)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != in.want {
+					t.Errorf("study %v pass %d host %s: cached observation diverges:\ngot  %+v\nwant %+v",
+						study, pass, in.host, got, in.want)
+				}
+			}
 		}
-		if off.ChainCacheStats != nil {
-			t.Fatal("cache-off run reported cache stats")
-		}
-		want := renderAll(t, off)
-
-		cfg := base
-		cfg.ChainCache = true
-		on, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := renderAll(t, on)
-		if got != want {
-			t.Errorf("study %v: tables diverge between chaincache on and off:\n— off —\n%.2000s\n— on —\n%.2000s", study, want, got)
-		}
-
-		// The cache must have been load-bearing, not decorative: far more
-		// hits than derivations (the study re-observes the same distinct
-		// chains millions of times at scale; even at 1% scale the skew is
-		// extreme).
-		st := on.ChainCacheStats
-		if st == nil {
-			t.Fatal("cache-on run reported no cache stats")
-		}
-		if st.Derives == 0 {
-			t.Fatalf("study %v: cache never derived", study)
-		}
-		if st.Hits < 10*st.Derives {
-			t.Errorf("study %v: cache hits %d vs derives %d — memoization not load-bearing", study, st.Hits, st.Derives)
+		st := cache.Stats()
+		if n := uint64(len(ins)); st.Derives != n || st.Hits != n {
+			t.Errorf("study %v: cache stats %+v, want %d derives and %d hits", study, st, n, n)
 		}
 	}
 }
 
-// TestChainCacheEquivalenceSharded drives the cache through the parallel
-// ingest path: concurrent campaign generators sharing one observation
-// cache (single-flight derivation under real contention) must still
-// render byte-identical artifacts.
-func TestChainCacheEquivalenceSharded(t *testing.T) {
-	base := Config{Study: clientpop.Study2, Seed: 7, Scale: 0.01, Pool: sharedPool}
-	seq, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
+// TestChainCacheEquivalenceConcurrent walks the study-2 input space from
+// several goroutines sharing one cache — the access pattern of concurrent
+// report uploads: single-flight derivation under real contention must
+// still serve exactly Observe's values, deriving each distinct input once.
+func TestChainCacheEquivalenceConcurrent(t *testing.T) {
+	f, ins := studyInputs(t, clientpop.Study2)
+	cache := core.NewObservationCache(0, 0)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, in := range ins {
+				got, err := core.ObserveCached(cache, in.host, in.auth, in.obs, f.classifier)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got != in.want {
+					t.Errorf("host %s: cached observation diverges under contention", in.host)
+				}
+			}
+		}()
 	}
-	want := renderAll(t, seq)
-
-	cfg := base
-	cfg.Shards = 4
-	cfg.ChainCache = true
-	par, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := renderAll(t, par); got != want {
-		t.Error("sharded cache-on run diverges from sequential cache-off run")
+	wg.Wait()
+	if st := cache.Stats(); st.Derives != uint64(len(ins)) {
+		t.Errorf("derives = %d, want %d (one per distinct input)", st.Derives, len(ins))
 	}
 }

@@ -29,8 +29,11 @@ func TestIssuerCopyPathDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := newObsFactory(classify.NewClassifier(), pool, hosts, auth, len(deps))
-	obs, err := f.observation(deps, idx, 0)
+	f, err := newObsFactory(classify.NewClassifier(), pool, hosts, auth, deps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs, err := f.observation(idx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

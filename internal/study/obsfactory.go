@@ -3,6 +3,7 @@ package study
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"tlsfof/internal/certgen"
 	"tlsfof/internal/classify"
@@ -50,95 +51,81 @@ func sigOf(p *classify.Product) behaviorSig {
 
 // obsFactory produces core.Observation values for (deployment, host) pairs
 // using real forging engines, memoizing aggressively: the 12.3M-test study
-// touches at most |deployments| × |hosts| distinct pairs.
-//
-// Two memo backends exist. The default host-keyed maps (clean, sigObs)
-// are the original fast-mode design; when cache is non-nil those maps are
-// bypassed and every observation derives through the fingerprint-keyed
-// chaincache — the identical machinery the live report path
-// (core.Collector.Cache) uses, which is what lets the equivalence test
-// prove cache-on and cache-off render byte-identical tables.
+// touches at most |deployments| × |hosts| distinct pairs. Every table is
+// indexed by host position (and deployment position), never by name, and
+// every value derives through core.Observe (DESIGN.md §5).
 type obsFactory struct {
 	classifier *classify.Classifier
 	pool       *certgen.KeyPool
 	hosts      []hostdb.Host
-	auth       *Authoritative
-	cache      *core.ObservationCache
+	deps       []clientpop.Deployment
 
+	// Immutable after newObsFactory: each host's authoritative chain and
+	// its no-proxy observation.
+	chains [][][]byte
+	clean  []core.Observation
+
+	// final memoizes observation per [depIdx][hostIdx]. Slots fill lazily
+	// and are read without a lock; racing fillers store equal values.
+	final [][]atomic.Pointer[core.Observation]
+
+	// mu guards engine creation and the per-signature archetype
+	// observations (indexed by host position).
 	mu      sync.Mutex
-	clean   map[string]core.Observation
 	engines map[behaviorSig]*proxyengine.Engine
-	sigObs  map[behaviorSig]map[string]core.Observation
-	// final per-deployment observation cache: [depIdx][hostIdx]
-	final [][]*core.Observation
+	sigObs  map[behaviorSig][]*core.Observation
 }
 
-func newObsFactory(cl *classify.Classifier, pool *certgen.KeyPool, hosts []hostdb.Host, auth *Authoritative, deployments int) *obsFactory {
+// newObsFactory derives every host's clean observation up front, so a
+// host missing from auth fails here rather than mid-campaign.
+func newObsFactory(cl *classify.Classifier, pool *certgen.KeyPool, hosts []hostdb.Host, auth *Authoritative, deps []clientpop.Deployment) (*obsFactory, error) {
 	f := &obsFactory{
 		classifier: cl,
 		pool:       pool,
 		hosts:      hosts,
-		auth:       auth,
-		clean:      make(map[string]core.Observation, len(hosts)),
+		deps:       deps,
+		chains:     make([][][]byte, len(hosts)),
+		clean:      make([]core.Observation, len(hosts)),
+		final:      make([][]atomic.Pointer[core.Observation], len(deps)),
 		engines:    make(map[behaviorSig]*proxyengine.Engine),
-		sigObs:     make(map[behaviorSig]map[string]core.Observation),
-		final:      make([][]*core.Observation, deployments),
+		sigObs:     make(map[behaviorSig][]*core.Observation),
+	}
+	for hi, h := range hosts {
+		chain, ok := auth.Chains[h.Name]
+		if !ok {
+			return nil, fmt.Errorf("study: no authoritative chain for %q", h.Name)
+		}
+		o, err := core.Observe(h.Name, chain, chain, cl)
+		if err != nil {
+			return nil, err
+		}
+		f.chains[hi], f.clean[hi] = chain, o
 	}
 	for i := range f.final {
-		f.final[i] = make([]*core.Observation, len(hosts))
+		f.final[i] = make([]atomic.Pointer[core.Observation], len(hosts))
 	}
-	return f
-}
-
-// cleanObservation returns the no-proxy observation for host.
-func (f *obsFactory) cleanObservation(host string) (core.Observation, error) {
-	chain, ok := f.auth.Chains[host]
-	if !ok {
-		return core.Observation{}, fmt.Errorf("study: no authoritative chain for %q", host)
-	}
-	if f.cache != nil {
-		// Fingerprint-memoized path: no host map, no factory lock — the
-		// cache's shard locks and single-flight do the memoization.
-		return core.ObserveCached(f.cache, host, chain, chain, f.classifier)
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if o, ok := f.clean[host]; ok {
-		return o, nil
-	}
-	o, err := core.Observe(host, chain, chain, f.classifier)
-	if err != nil {
-		return core.Observation{}, err
-	}
-	f.clean[host] = o
-	return o, nil
+	return f, nil
 }
 
 // observation returns the measurement observation for a proxied client of
 // deployment depIdx probing hostIdx. Whale-whitelisting products pass
 // whale hosts through, yielding the clean observation — matching the wire
 // interceptor's splice path.
-func (f *obsFactory) observation(deps []clientpop.Deployment, depIdx, hostIdx int) (core.Observation, error) {
-	host := f.hosts[hostIdx]
-	p := deps[depIdx].Product
-	if p.WhitelistsWhales && proxyengine.WhaleWhitelist(host.Name) {
-		return f.cleanObservation(host.Name)
+func (f *obsFactory) observation(depIdx, hostIdx int) (core.Observation, error) {
+	p := f.deps[depIdx].Product
+	if p.WhitelistsWhales && proxyengine.WhaleWhitelist(f.hosts[hostIdx].Name) {
+		return f.clean[hostIdx], nil
 	}
-
-	f.mu.Lock()
-	if o := f.final[depIdx][hostIdx]; o != nil {
-		f.mu.Unlock()
+	slot := &f.final[depIdx][hostIdx]
+	if o := slot.Load(); o != nil {
 		return *o, nil
 	}
-	f.mu.Unlock()
 
 	sig := sigOf(p)
-	base, err := f.signatureObservation(sig, host.Name)
+	o, err := f.signatureObservation(sig, hostIdx)
 	if err != nil {
 		return core.Observation{}, err
 	}
-
-	o := base
 	if !sig.copiesIssuer {
 		// Re-brand the archetype forgery with this product's issuer
 		// identity and re-classify — the only per-product difference
@@ -160,81 +147,85 @@ func (f *obsFactory) observation(deps []clientpop.Deployment, depIdx, hostIdx in
 			}
 		}
 	}
-
-	f.mu.Lock()
-	f.final[depIdx][hostIdx] = &o
-	f.mu.Unlock()
+	slot.Store(&o)
 	return o, nil
 }
 
 // signatureObservation forges (once) and observes the archetype chain for
 // a behavior signature against one host.
-func (f *obsFactory) signatureObservation(sig behaviorSig, host string) (core.Observation, error) {
+func (f *obsFactory) signatureObservation(sig behaviorSig, hostIdx int) (core.Observation, error) {
 	f.mu.Lock()
-	if f.cache == nil {
-		if byHost, ok := f.sigObs[sig]; ok {
-			if o, ok := byHost[host]; ok {
-				f.mu.Unlock()
-				return o, nil
-			}
-		}
+	byHost := f.sigObs[sig]
+	if byHost == nil {
+		byHost = make([]*core.Observation, len(f.hosts))
+		f.sigObs[sig] = byHost
 	}
-	engine, ok := f.engines[sig]
-	if !ok {
-		profile := proxyengine.Profile{
-			ProductName: fmt.Sprintf("archetype-%db", sig.keyBits),
-			IssuerOrg:   "Archetype Interceptor",
-			IssuerCN:    "Archetype Interceptor CA",
-			KeyBits:     sig.keyBits,
-			SubjectMode: sig.subjectMode,
-		}
-		if sig.md5 {
-			profile.SigAlg = certgen.MD5WithRSA
-		}
-		if sig.sharedKey {
-			profile.SharedKeyName = fmt.Sprintf("shared-%db", sig.keyBits)
-		}
-		if sig.copiesIssuer {
-			profile.CopyUpstreamIssuer = true
-		}
-		var err error
-		engine, err = proxyengine.New(profile, proxyengine.Options{Pool: f.pool})
-		if err != nil {
-			f.mu.Unlock()
-			return core.Observation{}, err
-		}
-		f.engines[sig] = engine
-	}
+	memo := byHost[hostIdx]
 	f.mu.Unlock()
-
-	authChain, ok := f.auth.Chains[host]
-	if !ok {
-		return core.Observation{}, fmt.Errorf("study: no authoritative chain for %q", host)
+	if memo != nil {
+		return *memo, nil
 	}
-	upstream, err := x509util.ParseChain(authChain)
+	// Forging and observing run outside the lock; goroutines racing here
+	// derive equal values from the identical chain.
+	forged, err := f.forge(sig, hostIdx)
 	if err != nil {
 		return core.Observation{}, err
 	}
-	// The engine's ForgeCache single-flights the mint, so re-Deciding on
-	// the cached path costs one sharded map hit.
-	decision, err := engine.Decide(host, upstream, authChain)
-	if err != nil {
-		return core.Observation{}, err
-	}
-	if f.cache != nil {
-		// Fingerprint-memoized path: identical machinery to the live
-		// collector's hot path.
-		return core.ObserveCached(f.cache, host, authChain, decision.ChainDER, f.classifier)
-	}
-	o, err := core.Observe(host, authChain, decision.ChainDER, f.classifier)
+	o, err := core.Observe(f.hosts[hostIdx].Name, f.chains[hostIdx], forged, f.classifier)
 	if err != nil {
 		return core.Observation{}, err
 	}
 	f.mu.Lock()
-	if f.sigObs[sig] == nil {
-		f.sigObs[sig] = make(map[string]core.Observation)
-	}
-	f.sigObs[sig][host] = o
+	byHost[hostIdx] = &o
 	f.mu.Unlock()
 	return o, nil
+}
+
+// forge returns the chain the signature's archetype engine substitutes
+// for hostIdx. The engine's ForgeCache single-flights the mint, so every
+// caller sees the byte-identical chain.
+func (f *obsFactory) forge(sig behaviorSig, hostIdx int) ([][]byte, error) {
+	engine, err := f.engine(sig)
+	if err != nil {
+		return nil, err
+	}
+	upstream, err := x509util.ParseChain(f.chains[hostIdx])
+	if err != nil {
+		return nil, err
+	}
+	decision, err := engine.Decide(f.hosts[hostIdx].Name, upstream, f.chains[hostIdx])
+	if err != nil {
+		return nil, err
+	}
+	return decision.ChainDER, nil
+}
+
+// engine returns the one archetype proxy engine for sig, creating it on
+// first use.
+func (f *obsFactory) engine(sig behaviorSig) (*proxyengine.Engine, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if e, ok := f.engines[sig]; ok {
+		return e, nil
+	}
+	profile := proxyengine.Profile{
+		ProductName:        fmt.Sprintf("archetype-%db", sig.keyBits),
+		IssuerOrg:          "Archetype Interceptor",
+		IssuerCN:           "Archetype Interceptor CA",
+		KeyBits:            sig.keyBits,
+		SubjectMode:        sig.subjectMode,
+		CopyUpstreamIssuer: sig.copiesIssuer,
+	}
+	if sig.md5 {
+		profile.SigAlg = certgen.MD5WithRSA
+	}
+	if sig.sharedKey {
+		profile.SharedKeyName = fmt.Sprintf("shared-%db", sig.keyBits)
+	}
+	e, err := proxyengine.New(profile, proxyengine.Options{Pool: f.pool})
+	if err != nil {
+		return nil, err
+	}
+	f.engines[sig] = e
+	return e, nil
 }

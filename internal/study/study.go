@@ -8,7 +8,6 @@ import (
 
 	"tlsfof/internal/adsim"
 	"tlsfof/internal/certgen"
-	"tlsfof/internal/chaincache"
 	"tlsfof/internal/classify"
 	"tlsfof/internal/clientpop"
 	"tlsfof/internal/core"
@@ -41,15 +40,6 @@ type Config struct {
 	// the shard stores; <= 1 keeps the single-threaded store path. Both
 	// paths render identical tables for equal seeds.
 	Shards int
-	// IngestBatch sets the pipeline batch size (ingest.DefaultBatchSize
-	// when <= 0); only meaningful with Shards > 1.
-	IngestBatch int
-	// ChainCache derives observations through the fingerprint-keyed memo
-	// (internal/chaincache) instead of the factory's host-keyed maps —
-	// the same cache the live report path uses. Tables are byte-identical
-	// either way (the cache key covers every Observe input); the
-	// equivalence test in chaincache_equiv_test.go pins that.
-	ChainCache bool
 	// DataDir enables the durable plane (internal/durable): every
 	// generated measurement is appended to a WAL here before it reaches
 	// the store, and a rerun over a directory holding an interrupted
@@ -98,9 +88,6 @@ type Result struct {
 	// IngestStats holds the pipeline accounting when the run used the
 	// sharded path (nil on the single-threaded path).
 	IngestStats *ingest.Stats
-	// ChainCacheStats holds the observation-memo accounting when the run
-	// used Config.ChainCache (nil otherwise).
-	ChainCacheStats *chaincache.Stats
 	// Resume holds the durable-plane accounting when the run used
 	// Config.DataDir (nil otherwise).
 	Resume *ResumeInfo
@@ -128,41 +115,60 @@ func studyEpoch(s clientpop.Study) time.Time {
 	return time.Date(2014, time.October, 8, 16, 0, 0, 0, time.UTC)
 }
 
-// Run executes the configured study in fast mode and returns the populated
-// store plus campaign outcomes.
-func Run(cfg Config) (*Result, error) {
+// world is the simulated universe a run measures: the client population,
+// the probe hosts with their authoritative PKI, and the observation
+// factory over both.
+type world struct {
+	geo     *geo.DB
+	pop     *clientpop.Population
+	hosts   []hostdb.Host
+	auth    *Authoritative
+	factory *obsFactory
+}
+
+// newWorld applies cfg's defaults in place and builds the world for
+// cfg.Study, probing hosts (the study's own probe list when nil).
+func newWorld(cfg *Config, hosts []hostdb.Host) (*world, error) {
 	if cfg.Scale <= 0 {
 		cfg.Scale = 1.0
 	}
 	if cfg.Study == 0 {
 		cfg.Study = clientpop.Study1
 	}
-	if cfg.Sink != nil && (cfg.Shards > 1 || cfg.DataDir != "") {
-		return nil, fmt.Errorf("study: Config.Sink requires the plain sequential path (Shards <= 1, no DataDir)")
+	if cfg.Pool == nil {
+		cfg.Pool = certgen.NewKeyPool(4, nil)
 	}
-	pool := cfg.Pool
-	if pool == nil {
-		pool = certgen.NewKeyPool(4, nil)
-	}
-	wall := time.Now()
-
-	r := stats.NewRNG(cfg.Seed)
 	gdb := geo.NewDB()
 	pop, err := clientpop.New(cfg.Study, gdb)
 	if err != nil {
 		return nil, err
 	}
-	hosts := pop.Hosts()
-
-	auth, err := BuildAuthoritative(hosts, pool)
+	if hosts == nil {
+		hosts = pop.Hosts()
+	}
+	auth, err := BuildAuthoritative(hosts, cfg.Pool)
 	if err != nil {
 		return nil, err
 	}
-	classifier := classify.NewClassifier()
-	factory := newObsFactory(classifier, pool, hosts, auth, len(pop.Deployments()))
-	if cfg.ChainCache {
-		factory.cache = core.NewObservationCache(0, 0)
+	factory, err := newObsFactory(classify.NewClassifier(), cfg.Pool, hosts, auth, pop.Deployments())
+	if err != nil {
+		return nil, err
 	}
+	return &world{geo: gdb, pop: pop, hosts: hosts, auth: auth, factory: factory}, nil
+}
+
+// Run executes the configured study in fast mode and returns the populated
+// store plus campaign outcomes.
+func Run(cfg Config) (*Result, error) {
+	if cfg.Sink != nil && (cfg.Shards > 1 || cfg.DataDir != "") {
+		return nil, fmt.Errorf("study: Config.Sink requires the plain sequential path (Shards <= 1, no DataDir)")
+	}
+	wall := time.Now()
+	w, err := newWorld(&cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	r := stats.NewRNG(cfg.Seed)
 
 	// Run the ad campaigns.
 	var campaigns []adsim.Campaign
@@ -176,9 +182,6 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	epoch := studyEpoch(cfg.Study)
-	deps := pop.Deployments()
-
 	// Pre-split one RNG per campaign in campaign order, so the sequential
 	// and parallel paths consume identical random streams.
 	crs := make([]*stats.RNG, len(campaigns))
@@ -186,10 +189,7 @@ func Run(cfg Config) (*Result, error) {
 		crs[i] = r.Split()
 	}
 
-	gen := &campaignGen{
-		cfg: cfg, pop: pop, hosts: hosts, factory: factory,
-		deps: deps, epoch: epoch,
-	}
+	gen := newCampaignGen(w, cfg.Scale, studyEpoch(cfg.Study))
 
 	// Durable plane: recover whatever a previous run left in DataDir,
 	// derive per-campaign skip counts, and open the WAL for appending.
@@ -248,44 +248,61 @@ func Run(cfg Config) (*Result, error) {
 		stop = ctl.stop
 	}
 
+	// One campaign loop over two sinks. Sequential: campaigns run in
+	// order into the store (or cfg.Sink). Sharded: campaigns generate
+	// concurrently, each feeding a private batcher into the shared
+	// pipeline, and the shard stores are merged deterministically after.
 	var db *store.DB
+	var pl *ingest.Pipeline
+	shared := cfg.Sink
+	switch {
+	case cfg.Shards > 1:
+		pl = ingest.NewPipeline(ingest.Config{Shards: cfg.Shards})
+	case shared == nil:
+		db = store.New(cfg.RetainProxied)
+		shared = db
+	}
+	runCampaign := func(ci int) error {
+		sink := shared
+		if pl != nil {
+			b := ingest.NewBatcher(pl, 0)
+			defer b.Flush()
+			sink = b
+		}
+		err := gen.run(campaigns[ci], outcomes[ci], crs[ci], wrap(sink), skips[campaigns[ci].Name], stop)
+		if err == nil {
+			campaignsDone.Inc()
+		}
+		return err
+	}
+	errs := make([]error, len(campaigns))
+	var wg sync.WaitGroup
+	for ci := range campaigns {
+		if pl == nil {
+			if errs[ci] = runCampaign(ci); errs[ci] != nil {
+				break
+			}
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[ci] = runCampaign(ci)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil && !errors.Is(err, errStopped) {
+			return nil, err
+		}
+	}
 	var ingestStats *ingest.Stats
-	if cfg.Shards > 1 {
-		// Parallel path: campaigns generate concurrently, each feeding a
-		// private batcher into the shared sharded pipeline; the shard
-		// stores are merged deterministically at the end.
-		// Shards retain every proxied record (Retain 0): capping per shard
-		// would make the surviving set depend on goroutine scheduling.
-		// Merge applies cfg.RetainProxied deterministically after the
-		// canonical sort over the full pool.
-		pl := ingest.NewPipeline(ingest.Config{Shards: cfg.Shards, BatchSize: cfg.IngestBatch})
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		var firstErr error
-		for ci := range campaigns {
-			wg.Add(1)
-			go func(ci int) {
-				defer wg.Done()
-				b := ingest.NewBatcher(pl, cfg.IngestBatch)
-				err := gen.run(campaigns[ci], outcomes[ci], crs[ci], wrap(b), skips[campaigns[ci].Name], stop)
-				b.Flush()
-				campaignsDone.Inc()
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}(ci)
-		}
-		wg.Wait()
+	if pl != nil {
 		pl.Close()
-		if firstErr != nil && !errors.Is(firstErr, errStopped) {
-			return nil, firstErr
-		}
-		// Shards retain all records; the deterministic cap happens in the
-		// final merge (with the recovered store folded in below).
+		// Shards retain every proxied record: capping per shard would make
+		// the surviving set depend on goroutine scheduling. Merge applies
+		// cfg.RetainProxied after the canonical sort over the full pool —
+		// here, or below once the recovered store is folded in.
 		retain := cfg.RetainProxied
 		if recovered != nil {
 			retain = 0
@@ -293,24 +310,6 @@ func Run(cfg Config) (*Result, error) {
 		db = pl.Merge(retain)
 		st := pl.Stats()
 		ingestStats = &st
-	} else {
-		var seqSink core.Sink
-		if cfg.Sink != nil {
-			seqSink = cfg.Sink
-		} else {
-			db = store.New(cfg.RetainProxied)
-			seqSink = db
-		}
-		for ci := range campaigns {
-			err := gen.run(campaigns[ci], outcomes[ci], crs[ci], wrap(seqSink), skips[campaigns[ci].Name], stop)
-			if err != nil {
-				if errors.Is(err, errStopped) {
-					break
-				}
-				return nil, err
-			}
-			campaignsDone.Inc()
-		}
 	}
 
 	if ctl != nil {
@@ -345,18 +344,14 @@ func Run(cfg Config) (*Result, error) {
 		Store:       db,
 		Outcomes:    outcomes,
 		Total:       total,
-		Pop:         pop,
-		Hosts:       hosts,
-		Auth:        auth,
-		Geo:         gdb,
+		Pop:         w.pop,
+		Hosts:       w.hosts,
+		Auth:        w.auth,
+		Geo:         w.geo,
 		Duration:    time.Since(wall),
 		StartedAt:   wall,
 		IngestStats: ingestStats,
 		Resume:      resume,
-	}
-	if factory.cache != nil {
-		st := factory.cache.Stats()
-		res.ChainCacheStats = &st
 	}
 	return res, nil
 }
@@ -365,12 +360,19 @@ func Run(cfg Config) (*Result, error) {
 // decides whether that stream lands in a mutex store (sequential path) or
 // the sharded pipeline (parallel path).
 type campaignGen struct {
-	cfg     Config
-	pop     *clientpop.Population
-	hosts   []hostdb.Host
-	factory *obsFactory
-	deps    []clientpop.Deployment
-	epoch   time.Time
+	*world
+	scale float64
+	epoch time.Time
+	// completion is pop.CompletionProb per host position.
+	completion []float64
+}
+
+func newCampaignGen(w *world, scale float64, epoch time.Time) *campaignGen {
+	g := &campaignGen{world: w, scale: scale, epoch: epoch, completion: make([]float64, len(w.hosts))}
+	for hi, h := range w.hosts {
+		g.completion[hi] = w.pop.CompletionProb(h.Name)
+	}
+	return g
 }
 
 // run synthesizes one campaign's measurements from its private RNG stream
@@ -383,7 +385,7 @@ type campaignGen struct {
 // stopped, on the identical random stream. stop (when non-nil) is
 // polled per impression and aborts generation with errStopped.
 func (g *campaignGen) run(campaign adsim.Campaign, outcome adsim.Outcome, cr *stats.RNG, sink core.Sink, skip int, stop func() bool) error {
-	n := int(float64(outcome.Impressions) * g.cfg.Scale)
+	n := int(float64(outcome.Impressions) * g.scale)
 	window := time.Duration(campaign.Days) * 24 * time.Hour
 	for i := 0; i < n; i++ {
 		if stop != nil && stop() {
@@ -402,7 +404,7 @@ func (g *campaignGen) run(campaign adsim.Campaign, outcome adsim.Outcome, cr *st
 		ipSet := false
 		var when time.Time
 		for hi := range g.hosts {
-			if !cr.Bool(g.pop.CompletionProb(g.hosts[hi].Name)) {
+			if !cr.Bool(g.completion[hi]) {
 				continue
 			}
 			if !ipSet {
@@ -417,15 +419,12 @@ func (g *campaignGen) run(campaign adsim.Campaign, outcome adsim.Outcome, cr *st
 				skip--
 				continue
 			}
-			var obs core.Observation
-			var err error
+			obs := g.factory.clean[hi]
 			if proxied {
-				obs, err = g.factory.observation(g.deps, depIdx, hi)
-			} else {
-				obs, err = g.factory.cleanObservation(g.hosts[hi].Name)
-			}
-			if err != nil {
-				return fmt.Errorf("study: campaign %s: %w", campaign.Name, err)
+				var err error
+				if obs, err = g.factory.observation(depIdx, hi); err != nil {
+					return fmt.Errorf("study: campaign %s: %w", campaign.Name, err)
+				}
 			}
 			sink.Ingest(core.Measurement{
 				Time:         when,
@@ -462,31 +461,13 @@ func (b BaselineResult) Rate() float64 {
 // through untouched, so the observed rate drops to roughly half of the
 // broad-measurement 0.41% — Huang's 0.20%.
 func RunHuangBaseline(cfg Config) (*BaselineResult, error) {
-	if cfg.Scale <= 0 {
-		cfg.Scale = 1.0
-	}
-	if cfg.Study == 0 {
-		cfg.Study = clientpop.Study1
-	}
-	pool := cfg.Pool
-	if pool == nil {
-		pool = certgen.NewKeyPool(4, nil)
-	}
-	r := stats.NewRNG(cfg.Seed + 0x9e3779b9)
-	gdb := geo.NewDB()
-	pop, err := clientpop.New(cfg.Study, gdb)
-	if err != nil {
-		return nil, err
-	}
 	const whale = "www.facebook.com"
-	hosts := []hostdb.Host{{Name: whale, Category: hostdb.Popular, AlexaRank: 2}}
-	auth, err := BuildAuthoritative(hosts, pool)
+	w, err := newWorld(&cfg, []hostdb.Host{{Name: whale, Category: hostdb.Popular, AlexaRank: 2}})
 	if err != nil {
 		return nil, err
 	}
-	classifier := classify.NewClassifier()
-	factory := newObsFactory(classifier, pool, hosts, auth, len(pop.Deployments()))
-	deps := pop.Deployments()
+	pop := w.pop
+	r := stats.NewRNG(cfg.Seed + 0x9e3779b9)
 
 	impressions := clientpop.Study1Impressions
 	if cfg.Study == clientpop.Study2 {
@@ -504,7 +485,7 @@ func RunHuangBaseline(cfg Config) (*BaselineResult, error) {
 			continue
 		}
 		depIdx, _ := pop.SampleDeployment(r)
-		obs, err := factory.observation(deps, depIdx, 0)
+		obs, err := w.factory.observation(depIdx, 0)
 		if err != nil {
 			return nil, err
 		}

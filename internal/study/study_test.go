@@ -258,7 +258,10 @@ func TestWireFastEquivalence(t *testing.T) {
 	}
 	classifier := classify.NewClassifier()
 	deps := clientpop.Study1Deployments()
-	factory := newObsFactory(classifier, sharedPool, hosts, auth, len(deps))
+	factory, err := newObsFactory(classifier, sharedPool, hosts, auth, deps)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Authoritative wire server.
 	upstreamLn, err := net.Listen("tcp", "127.0.0.1:0")
@@ -290,7 +293,7 @@ func TestWireFastEquivalence(t *testing.T) {
 		delete(targets, key)
 		delete(targets, name)
 
-		fast, err := factory.observation(deps, depIdx, 0)
+		fast, err := factory.observation(depIdx, 0)
 		if err != nil {
 			t.Fatalf("%s: fast observation: %v", name, err)
 		}
