@@ -101,8 +101,13 @@ type RouteConfig struct {
 type RouteClient struct {
 	cfg RouteConfig
 
-	mu       sync.Mutex
-	bufs     map[string][]core.Measurement
+	mu   sync.Mutex
+	bufs map[string][]core.Measurement
+	// spare holds flushed owner buffers for reuse. A buffer gets here only
+	// once its flush has finished with it — reroute iterates the flushed
+	// batch while enqueueLocked appends to live buffers, so the two must
+	// never share an array.
+	spare    [][]core.Measurement
 	stats    RouteStats
 	err      error
 	rng      *stats.RNG
@@ -190,8 +195,14 @@ func (rc *RouteClient) enqueueLocked(m core.Measurement, depth int) {
 		rc.fail(fmt.Errorf("cluster: no alive owner for host %s", m.Host))
 		return
 	}
-	rc.bufs[owner.ID] = append(rc.bufs[owner.ID], m)
-	if len(rc.bufs[owner.ID]) >= rc.cfg.BatchSize {
+	buf, ok := rc.bufs[owner.ID]
+	if !ok && len(rc.spare) > 0 {
+		buf = rc.spare[len(rc.spare)-1]
+		rc.spare = rc.spare[:len(rc.spare)-1]
+	}
+	buf = append(buf, m)
+	rc.bufs[owner.ID] = buf
+	if len(buf) >= rc.cfg.BatchSize {
 		rc.flushOwnerLocked(owner.ID, depth+1)
 	}
 }
@@ -265,6 +276,7 @@ func (rc *RouteClient) flushOwnerLocked(id string, depth int) {
 		return
 	}
 	delete(rc.bufs, id)
+	defer func() { rc.spare = append(rc.spare, batch[:0]) }()
 	reroute := func(why string) {
 		rc.stats.Rerouted += uint64(len(batch))
 		rc.cfg.Logf("cluster route: rerouting %d measurements away from %s (%s)", len(batch), id, why)
@@ -325,7 +337,10 @@ func (rc *RouteClient) flushOwnerLocked(id string, depth int) {
 // is answered from the owner's dedup table.
 func (rc *RouteClient) deliverBatch(member Member, ms []core.Measurement) (ingest.BatchResult, error) {
 	id := rc.nextBatchID()
-	body := AppendMeasurementsID(nil, id, ms)
+	// Sized up front (a study-2 measurement encodes to ~100 bytes) but not
+	// reused: the transport may still be reading a request body after an
+	// early error response.
+	body := AppendMeasurementsID(make([]byte, 0, 128*len(ms)), id, ms)
 	br := rc.breakerFor(member.ID)
 	var directErr error
 	if br.Allow() {

@@ -16,17 +16,21 @@
 //     broadcasts state changes, which keeps routing deterministic enough
 //     to test byte-for-byte.
 //   - Node: one reportd's cluster runtime. Each local shard is a
-//     durable.Log plus a store.DB behind one mutex; a batch is WAL-
-//     appended, fsynced, applied, and — when a replica peer is alive —
-//     held until the peer's follower has durably copied it (the
-//     watermark) before the client sees an ack. Acknowledged therefore
-//     means "on two disks", and an unacknowledged batch touched nothing,
-//     so a router may retry it elsewhere without double counting.
+//     durable.Log plus a store.DB behind one mutex; a batch's shard
+//     groups are WAL-appended, fsynced and applied concurrently, each
+//     under its shard's mutex, and then — with no lock held, when a
+//     replica peer is alive — the batch is held until the peer's
+//     follower has durably copied it (the watermark) before the client
+//     sees an ack. Acknowledged therefore means "on two disks", and an
+//     unacknowledged batch touched nothing, so a router may retry it
+//     elsewhere without double counting.
 //   - follower: the pull side of replication. It tails a peer's WAL over
 //     /repl/tail (internal/durable replication wire), appends the exact
 //     frame bytes to a local replica log, and resumes from its own
-//     durable position after any cut. Snapshot records cover frames the
-//     source already compacted away.
+//     durable position after any cut. A caught-up poll parks on the
+//     source until a commit wakes it, so the pull behaves as a push: the
+//     next poll's position is the ack. Snapshot records cover frames
+//     the source already compacted away.
 //   - RouteClient: a core.Sink that batches measurements per owning
 //     node, reroutes on not-owner verdicts (a draining node) and on node
 //     death, and keeps enough accounting to prove nothing was dropped.

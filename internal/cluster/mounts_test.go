@@ -207,11 +207,15 @@ func TestShardConformanceAcrossMounts(t *testing.T) {
 	}
 }
 
+// allStacks dumps every goroutine's stack.
+func allStacks() string {
+	buf := make([]byte, 1<<20)
+	return string(buf[:runtime.Stack(buf, true)])
+}
+
 // syncerGoroutines counts running WAL background syncers.
 func syncerGoroutines() int {
-	buf := make([]byte, 1<<20)
-	buf = buf[:runtime.Stack(buf, true)]
-	return strings.Count(string(buf), "durable.(*Log).syncLoop")
+	return strings.Count(allStacks(), "durable.(*Log).syncLoop")
 }
 
 // openFilesUnder lists this process's open descriptors that point below

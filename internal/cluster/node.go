@@ -76,6 +76,10 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HTTPClient == nil {
 		c.HTTPClient = resilient.SplitTimeoutClient(0, 0, nil)
+		// A node keeps one tail poll per shard open to the peer it follows;
+		// the transport's default of two idle connections per host would
+		// close and re-dial the rest on every poll.
+		c.HTTPClient.Transport.(*http.Transport).MaxIdleConnsPerHost = c.Shards
 	}
 	if c.Registry == nil {
 		c.Registry = telemetry.NewRegistry()
@@ -86,49 +90,55 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// shard is the node's mount of the shard engine (durable.Shard: WAL,
-// store, commit lock) plus the replication state its policy needs. A
-// batch commits under the engine's lock (append, fsync, apply), so a
-// batch is either fully durable or untouched — the property that makes
-// retrying an unacknowledged batch elsewhere safe.
-type shard struct {
-	*durable.Shard
-	lastSeq atomic.Uint64
-
-	// watermark is the replica follower's confirmed position: every seq
-	// < watermark is durable on the peer. It advances when the follower
-	// polls /repl/tail with its next wanted seq.
-	wmu       sync.Mutex
-	watermark uint64
-	wch       chan struct{}
+// seqSignal is a sequence number that only grows and that goroutines
+// can park on. advance closes the current channel and installs a fresh
+// one; a waiter reads the value and the channel under one lock hold, so
+// an advance between its check and its park cannot be missed.
+type seqSignal struct {
+	mu sync.Mutex
+	v  uint64
+	ch chan struct{}
 }
 
-func (sh *shard) setWatermark(from uint64) {
-	sh.wmu.Lock()
-	defer sh.wmu.Unlock()
-	if from > sh.watermark {
-		sh.watermark = from
-		close(sh.wch)
-		sh.wch = make(chan struct{})
+// load returns the current value and a channel that closes on the next
+// advance.
+func (s *seqSignal) load() (uint64, <-chan struct{}) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.ch == nil {
+		s.ch = make(chan struct{})
+	}
+	return s.v, s.ch
+}
+
+func (s *seqSignal) now() uint64 {
+	v, _ := s.load()
+	return v
+}
+
+// advance raises the value to v and wakes every waiter; a v at or below
+// the current value is ignored.
+func (s *seqSignal) advance(v uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if v <= s.v {
+		return
+	}
+	s.v = v
+	if s.ch != nil {
+		close(s.ch)
+		s.ch = nil
 	}
 }
 
-func (sh *shard) watermarkNow() uint64 {
-	sh.wmu.Lock()
-	defer sh.wmu.Unlock()
-	return sh.watermark
-}
-
-// waitWatermark blocks until the replica confirms every seq <= last,
-// the timeout lapses, or stop closes. True means confirmed.
-func (sh *shard) waitWatermark(last uint64, timeout time.Duration, stop <-chan struct{}) bool {
+// waitPast blocks until the value exceeds x, the timeout lapses, or stop
+// closes. True means the value got there.
+func (s *seqSignal) waitPast(x uint64, timeout time.Duration, stop <-chan struct{}) bool {
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	for {
-		sh.wmu.Lock()
-		wm, ch := sh.watermark, sh.wch
-		sh.wmu.Unlock()
-		if wm > last {
+		v, ch := s.load()
+		if v > x {
 			return true
 		}
 		select {
@@ -139,6 +149,26 @@ func (sh *shard) waitWatermark(last uint64, timeout time.Duration, stop <-chan s
 			return false
 		}
 	}
+}
+
+// shard is the node's mount of the shard engine (durable.Shard: WAL,
+// store, commit lock) plus the replication state its policy needs. A
+// batch commits under the engine's lock (append, fsync, apply), so a
+// batch is either fully durable or untouched — the property that makes
+// retrying an unacknowledged batch elsewhere safe. The lock is released
+// as soon as the commit is published; the wait for the replica happens
+// with no lock held, so the next batch commits behind this one and one
+// follower poll releases them both.
+type shard struct {
+	*durable.Shard
+	// lastSeq is the last committed (fsynced) seq. Advancing it is what
+	// wakes a follower's parked /repl/tail long poll.
+	lastSeq seqSignal
+	// watermark is the replica follower's confirmed position: every seq
+	// < watermark is durable on the peer. It advances when the follower
+	// polls /repl/tail with its next wanted seq, and that is what
+	// releases the batches parked in IngestBatch.
+	watermark seqSignal
 }
 
 type nodeMetrics struct {
@@ -252,6 +282,9 @@ type Node struct {
 	// followers are not re-targeted mid-run (DESIGN.md §12).
 	replicaPeer string
 
+	// inflight is Kill's barrier: IngestBatch read-holds it from entry to
+	// answer, Kill write-takes it.
+	inflight sync.RWMutex
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
@@ -288,8 +321,8 @@ func Open(cfg Config) (*Node, error) {
 		return nil, err
 	}
 	for i, e := range engines {
-		sh := &shard{Shard: e, wch: make(chan struct{})}
-		sh.lastSeq.Store(e.Log.NextSeq() - 1)
+		sh := &shard{Shard: e}
+		sh.lastSeq.advance(e.Log.NextSeq() - 1)
 		n.shards = append(n.shards, sh)
 		if info := infos[i]; info.Replayed > 0 || info.SnapshotSeq > 0 {
 			cfg.Logf("cluster %s: shard %d recovered through seq %d (snapshot %d, %d replayed)",
@@ -322,7 +355,7 @@ func Open(cfg Config) (*Node, error) {
 				n.Close()
 				return nil, err
 			}
-			f := &follower{n: n, source: m.ID, shardIdx: i, dir: dir, done: make(chan struct{})}
+			f := &follower{n: n, source: m.ID, shardIdx: i, dir: dir, done: make(chan struct{}), dec: durable.NewReplDecoder(nil)}
 			f.log.Store(log)
 			n.followers = append(n.followers, f)
 		}
@@ -358,13 +391,20 @@ func (n *Node) mountMetrics(reg *telemetry.Registry) {
 	reg.GaugeFunc("repl_lag_frames", "frames acked locally but not yet confirmed by the replica", func() float64 {
 		var lag uint64
 		for _, sh := range n.shards {
-			last := sh.lastSeq.Load()
-			wm := sh.watermarkNow()
+			last := sh.lastSeq.now()
+			wm := sh.watermark.now()
 			if wm <= last {
 				lag += last - wm + 1
 			}
 		}
 		return float64(lag)
+	})
+	reg.GaugeFunc("repl_tail_read_bytes_total", "WAL segment bytes read to serve replica followers; growing faster than the WAL means a follower fell off the tail cursor", func() float64 {
+		var read uint64
+		for _, sh := range n.shards {
+			read += sh.Log.Stats().TailReadBytes
+		}
+		return float64(read)
 	})
 	reg.GaugeFunc("cluster_members_alive", "members in the alive state", func() float64 {
 		return float64(n.members.AliveCount())
@@ -405,11 +445,18 @@ func (n *Node) Owns(host string) (owned bool, owner Member) {
 }
 
 // IngestBatch commits a batch of measurements this node owns: group by
-// local shard, commit each group with an fsync under its shard's lock,
-// then hold the ack until the replica confirms (or the degraded-mode
-// timeout lapses). Ownership is the caller's contract — the HTTP handler
-// enforces it for routed traffic.
+// local shard, then commit every group concurrently — each an fsync
+// under its shard's lock followed, with the lock released, by a wait
+// for the replica to confirm (or for the degraded-mode timeout) — and
+// return when all of them have. A batch costs its slowest shard, not the
+// sum of its shards. On error some groups may have committed; the caller
+// answers the whole batch as failed. Ownership is the caller's contract
+// — the HTTP handler enforces it for routed traffic.
 func (n *Node) IngestBatch(ms []core.Measurement) error {
+	// Kill's barrier: held for the whole call, so Kill returns only after
+	// this batch has been answered, and no batch starts after it.
+	n.inflight.RLock()
+	defer n.inflight.RUnlock()
 	if n.killed.Load() {
 		return ErrNodeKilled
 	}
@@ -420,16 +467,38 @@ func (n *Node) IngestBatch(ms []core.Measurement) error {
 	if n.cfg.Shards == 1 {
 		groups[0] = ms
 	} else {
-		for _, m := range ms {
-			si := ingest.ShardOf(m.Host, n.cfg.Shards)
-			groups[si] = append(groups[si], m)
+		// Counting pass first: the groups are carved out of one backing
+		// array instead of grown by append.
+		counts := make([]int, n.cfg.Shards)
+		for i := range ms {
+			counts[ingest.ShardOf(ms[i].Host, n.cfg.Shards)]++
+		}
+		backing := make([]core.Measurement, len(ms))
+		off := 0
+		for si, c := range counts {
+			groups[si] = backing[off : off : off+c]
+			off += c
+		}
+		for i := range ms {
+			si := ingest.ShardOf(ms[i].Host, n.cfg.Shards)
+			groups[si] = append(groups[si], ms[i])
 		}
 	}
+	errs := make([]error, len(groups))
+	var wg sync.WaitGroup
 	for si, group := range groups {
 		if len(group) == 0 {
 			continue
 		}
-		if err := n.applyShard(si, group); err != nil {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[si] = n.applyShard(si, group)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
 			return err
 		}
 	}
@@ -438,22 +507,22 @@ func (n *Node) IngestBatch(ms []core.Measurement) error {
 	return nil
 }
 
+// applyShard commits one shard group and waits for its replica ack.
 func (n *Node) applyShard(si int, ms []core.Measurement) error {
 	sh := n.shards[si]
 	sh.Lock()
-	defer sh.Unlock()
-	if n.killed.Load() {
-		return ErrNodeKilled
-	}
 	last, err := sh.Commit(ms, true)
+	if err == nil {
+		sh.lastSeq.advance(last)
+	}
+	sh.Unlock()
 	if err != nil {
 		n.met.walErrors.Inc()
 		return err
 	}
-	sh.lastSeq.Store(last)
 	if n.cfg.AckTimeout > 0 && n.replicaWaitable() {
 		n.met.ackWaits.Inc()
-		if !sh.waitWatermark(last, n.cfg.AckTimeout, n.stop) {
+		if !sh.watermark.waitPast(last, n.cfg.AckTimeout, n.stop) {
 			// Degraded mode: the batch is durable here but the replica is
 			// lagging or gone. Acking anyway keeps the fleet moving; the
 			// counter is the alarm.
@@ -485,21 +554,19 @@ func (n *Node) Drain() {
 }
 
 // Kill emulates SIGKILL for the in-process crash tests: it waits out
-// in-flight batch commits (they hold shard locks), marks the node dead
-// to every subsequent request, stops the followers, and abandons the
-// WALs without flushing — buffered unsynced frames are lost exactly as
-// a real kill would lose them. The data plane contract survives: every
-// acked batch was fsynced (and, sync-ack permitting, replicated) before
-// its ack, and an unacked batch never touched the WAL.
+// every in-flight batch through its answer — commit, replica wait and
+// all; IngestBatch holds the in-flight barrier for its whole call —
+// marks the node dead to every subsequent request, stops the followers,
+// and abandons the WALs without flushing — buffered unsynced frames are
+// lost exactly as a real kill would lose them. The data plane contract
+// survives: every acked batch was fsynced (and, sync-ack permitting,
+// replicated) before its ack, and an unacked batch never touched the
+// WAL.
 func (n *Node) Kill() {
-	for _, sh := range n.shards {
-		sh.Lock()
-	}
+	n.inflight.Lock()
 	n.killed.Store(true)
 	n.stopOnce.Do(func() { close(n.stop) })
-	for _, sh := range n.shards {
-		sh.Unlock()
-	}
+	n.inflight.Unlock()
 	n.wg.Wait()
 }
 
@@ -621,8 +688,8 @@ func (n *Node) Status() Status {
 	}
 	st.Members = n.members.Members()
 	for _, sh := range n.shards {
-		st.LastSeq = append(st.LastSeq, sh.lastSeq.Load())
-		st.Watermark = append(st.Watermark, sh.watermarkNow())
+		st.LastSeq = append(st.LastSeq, sh.lastSeq.now())
+		st.Watermark = append(st.Watermark, sh.watermark.now())
 	}
 	for _, f := range n.followers {
 		st.Replicas = append(st.Replicas, ReplStatus{Source: f.source, Shard: f.shardIdx, AppliedSeq: f.logRef().NextSeq() - 1})
@@ -725,8 +792,8 @@ func (n *Node) Handler() http.Handler {
 const tailFrames = 8192
 
 // handleTail serves one follower poll: record the follower's durable
-// position as the watermark, park briefly when caught up (long poll),
-// then stream frames from the WAL.
+// position as the watermark, park when caught up until a commit lands
+// (or LongPoll lapses), then stream frames from the WAL.
 func (n *Node) handleTail(w http.ResponseWriter, r *http.Request) {
 	si, err := strconv.Atoi(r.URL.Query().Get("shard"))
 	if err != nil || si < 0 || si >= len(n.shards) {
@@ -743,20 +810,22 @@ func (n *Node) handleTail(w http.ResponseWriter, r *http.Request) {
 	}
 	sh := n.shards[si]
 	n.met.tailPolls.Inc()
-	// The poll position is the follower's promise: everything below it is
-	// durable on the replica. Publishing it releases pending acks.
-	sh.setWatermark(from)
+	// A follower ahead of this log belongs to another incarnation of it.
+	// Refuse before publishing anything: its position as a watermark would
+	// ack batches that were never copied.
 	if from > sh.Log.NextSeq() {
 		http.Error(w, durable.ErrTailAhead.Error(), http.StatusConflict)
 		return
 	}
-	deadline := time.Now().Add(n.cfg.LongPoll)
-	for sh.lastSeq.Load() < from && time.Now().Before(deadline) && !n.killed.Load() {
+	// The poll position is the follower's promise: everything below it is
+	// durable on the replica. Publishing it releases pending acks.
+	sh.watermark.advance(from)
+	if !sh.lastSeq.waitPast(from-1, n.cfg.LongPoll, n.stop) {
 		select {
 		case <-n.stop:
 			http.Error(w, "shutting down", http.StatusServiceUnavailable)
 			return
-		case <-time.After(2 * time.Millisecond):
+		default: // caught up for a whole LongPoll: answer an empty tail
 		}
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")

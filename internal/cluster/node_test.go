@@ -19,14 +19,14 @@ import (
 // node runtime exactly as reportd mounts it, minus the process
 // boundary.
 type testCluster struct {
-	t          *testing.T
+	t          testing.TB
 	members    []Member
 	nodes      map[string]*Node
 	servers    map[string]*http.Server
 	registries map[string]*telemetry.Registry
 }
 
-func startTestCluster(t *testing.T, ids []string, tweak func(*Config)) *testCluster {
+func startTestCluster(t testing.TB, ids []string, tweak func(*Config)) *testCluster {
 	t.Helper()
 	tc := &testCluster{
 		t:          t,
@@ -132,7 +132,7 @@ func (tc *testCluster) get(id, path string) ([]byte, int) {
 	return body, resp.StatusCode
 }
 
-func metricValue(t *testing.T, reg *telemetry.Registry, name string) float64 {
+func metricValue(t testing.TB, reg *telemetry.Registry, name string) float64 {
 	t.Helper()
 	for _, m := range reg.Snapshot() {
 		if m.Name == name {

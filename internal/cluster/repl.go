@@ -18,7 +18,10 @@ import (
 // restart costs nothing but a re-poll. The source reads that position as
 // the replication watermark and releases pending ingest acks against it
 // — which is why the follower only advances its position after an
-// explicit Sync.
+// explicit Sync. A caught-up poll parks on the source until a commit
+// wakes it, so the loop is commit → frames → append, fsync → next poll
+// (the ack) with no timer in it; PollInterval only paces retries after
+// an error or an idle LongPoll.
 type follower struct {
 	n        *Node
 	source   string
@@ -28,6 +31,9 @@ type follower struct {
 	// it mid-run while Status and Close read it from other goroutines.
 	log  atomic.Pointer[durable.Log]
 	done chan struct{}
+	// dec is reset onto each poll's response body, keeping its read
+	// buffers; only run's goroutine touches it.
+	dec *durable.ReplDecoder
 }
 
 func (f *follower) logRef() *durable.Log { return f.log.Load() }
@@ -94,9 +100,9 @@ func (f *follower) pollOnce(baseURL string) (applied int, err error) {
 	if resp.StatusCode != http.StatusOK {
 		return 0, fmt.Errorf("cluster: tail %s: HTTP %d", url, resp.StatusCode)
 	}
-	dec := durable.NewReplDecoder(resp.Body)
+	f.dec.Reset(resp.Body)
 	for {
-		rec, derr := dec.Next()
+		rec, derr := f.dec.Next()
 		if errors.Is(derr, io.EOF) {
 			break // clean end
 		}

@@ -22,6 +22,12 @@
 //     byte-identical to the never-crashed run over the surviving prefix
 //     — pinned by the crash-matrix test here and the golden-table
 //     conformance suite at the repo root.
+//   - ServeTail streams a follower every durable frame from the seq it
+//     asks for (replication, DESIGN.md §12). It reads segments only up
+//     to the fsynced size and resumes from a cursor the Log keeps where
+//     the last walk stopped, so a follower at the head of the log costs
+//     its new frames, not the log; any other resume point falls back to
+//     a walk from the start of its segment.
 //
 // See DESIGN.md §10 for the frame format, fsync policy, and compaction
 // invariants.

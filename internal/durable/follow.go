@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"tlsfof/internal/core"
 )
@@ -67,20 +68,34 @@ var errStopWalk = errors.New("stop walk")
 // NextSeq); 0 means from the beginning. maxFrames caps frames per
 // response (<= 0 unlimited); the follower simply polls again.
 //
-// ServeTail syncs the log first, so every frame served is durable on the
-// source, and reads frames back from the segment files rather than any
-// in-memory state — the same bytes recovery would see. A torn tail or
-// read error mid-walk ends the response early but still cleanly: the
-// remaining frames are simply served on a later poll.
+// ServeTail syncs the log first and reads each segment file only up to
+// the size that sync made durable, so every frame served is durable on
+// the source — bytes a racing append has flushed but not yet fsynced are
+// left for a later poll. Frames are read back from the segment files,
+// the same bytes recovery would see, and every one is CRC-checked on the
+// way out. A damaged frame ends the response early but still cleanly.
+//
+// The cost of a poll is its new frames, not the log: the Log keeps one
+// cursor where the last walk stopped, and a call resuming at or past it
+// in the same segment reads from there. Any other call (a follower
+// restart, a catch-up from an older seq, a segment rotated or compacted
+// away) walks its first segment from the start and leaves a fresh cursor
+// behind, so a long catch-up is linear too. One cursor is enough because
+// a log has one follower (replica topology is fixed at boot); a second
+// reader is still served correctly, it just pays the walk.
 func (l *Log) ServeTail(w io.Writer, from uint64, maxFrames int) (sent int, err error) {
 	if from == 0 {
 		from = 1
 	}
-	if err := l.Sync(); err != nil {
-		return 0, err
-	}
 	l.mu.Lock()
-	snapSeq, next := l.snapSeq, l.nextSeq
+	if !l.closed {
+		if err := l.syncLocked(); err != nil {
+			l.mu.Unlock()
+			return 0, err
+		}
+	}
+	snapSeq, next, cur := l.snapSeq, l.nextSeq, l.tail
+	segs := append(slices.Clone(l.sealed), l.active)
 	l.mu.Unlock()
 	if from > next {
 		return 0, fmt.Errorf("%w: follower at seq %d, source at %d", ErrTailAhead, from, next)
@@ -101,16 +116,30 @@ func (l *Log) ServeTail(w io.Writer, from uint64, maxFrames int) (sent int, err 
 	if _, err := w.Write(buf); err != nil {
 		return 0, err
 	}
-	segs, err := listSegments(l.opt.Dir)
-	if err != nil {
-		return 0, err
-	}
-	for i, seg := range segs {
-		if i+1 < len(segs) && segs[i+1].first <= resume {
+	var read uint64
+	defer func() {
+		l.mu.Lock()
+		l.tail = cur
+		l.stats.TailReadBytes += read
+		l.mu.Unlock()
+	}()
+	for _, seg := range segs {
+		if seg.last < resume {
 			continue // fully below the resume point
 		}
-		buf = buf[:0]
-		_, _, damage, walkErr := walkFrames(seg.path, seg.first, func(seq uint64, payload []byte) error {
+		startSeq, off := seg.first, int64(segHeaderLen)
+		if cur.first == seg.first && cur.next <= resume {
+			startSeq, off = cur.next, cur.off
+		}
+		b, damage, err := readSegment(seg.path, seg.first, off, seg.bytes)
+		if err != nil {
+			return sent, err
+		}
+		if damage != nil {
+			break
+		}
+		read += uint64(segHeaderLen + len(b))
+		frames, valid, damage, walkErr := walkBytes(b, startSeq, off, func(seq uint64, payload []byte) error {
 			if seq < resume {
 				return nil
 			}
@@ -124,12 +153,15 @@ func (l *Log) ServeTail(w io.Writer, from uint64, maxFrames int) (sent int, err 
 			sent++
 			return nil
 		})
+		// The cursor only ever crosses frames this walk validated; a frame
+		// the cap stopped at is where the next poll starts.
+		cur = tailCursor{first: seg.first, next: startSeq + uint64(frames), off: valid}
 		if walkErr != nil && !errors.Is(walkErr, errStopWalk) {
 			return sent, walkErr
 		}
-		// A torn tail (an append racing our read) or a frame cap both end
-		// the response early; the follower picks the rest up next poll.
-		if damage != nil || (walkErr != nil && errors.Is(walkErr, errStopWalk)) {
+		// Damage or the frame cap both end the response early; the
+		// follower picks the rest up next poll.
+		if damage != nil || walkErr != nil {
 			break
 		}
 	}

@@ -100,6 +100,12 @@ func NewReplDecoder(r io.Reader) *ReplDecoder {
 	return &ReplDecoder{r: bufio.NewReaderSize(r, 1<<16)}
 }
 
+// Reset points the decoder at a new stream, keeping its buffers.
+func (d *ReplDecoder) Reset(r io.Reader) {
+	d.r.Reset(r)
+	d.started, d.done = false, false
+}
+
 // Next returns the next record. The record's payload is only valid until
 // the following Next call. io.EOF means the stream ended cleanly.
 func (d *ReplDecoder) Next() (ReplRecord, error) {

@@ -16,14 +16,16 @@ import (
 // ingest.Pipeline and cluster.Node both mount it and differ only in
 // policy — the pipeline buffers per shard and commits without an fsync
 // (the log's background syncer bounds the loss window), the cluster
-// fsyncs every batch and holds the lock until its replica confirms.
+// fsyncs every batch and, with the lock released again, holds the ack
+// until its replica confirms.
 //
 // Log, DB and Tracer are set at boot and read-only afterwards.
 type Shard struct {
 	// Mutex is the commit lock. Commit must be called with it held; a
 	// mount keeps whatever per-shard state its policy needs under the
-	// same lock (the pipeline's pending buffer, the cluster's replica
-	// wait), which is why it is exposed rather than taken inside Commit.
+	// same lock (the pipeline's pending buffer, the cluster's published
+	// last seq), which is why it is exposed rather than taken inside
+	// Commit.
 	sync.Mutex
 	// Log is the write-ahead log; nil for a memory-only shard.
 	Log *Log

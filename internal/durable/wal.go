@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -93,6 +94,11 @@ type Stats struct {
 	Compactions     uint64 `json:"compactions"`
 	RepairedBytes   int64  `json:"repaired_bytes,omitempty"`
 	DroppedSegments int    `json:"dropped_segments,omitempty"`
+	// TailReadBytes is segment bytes ServeTail has read. A follower on the
+	// tail cursor costs its new frames plus one segment header per poll; a
+	// figure growing faster than AppendedBytes is a follower that keeps
+	// falling back to a walk from the segment start.
+	TailReadBytes uint64 `json:"tail_read_bytes,omitempty"`
 }
 
 type segmentRef struct {
@@ -101,6 +107,16 @@ type segmentRef struct {
 	// last is the final seq the segment holds (first-1 when empty).
 	last  uint64
 	bytes int64
+}
+
+// tailCursor is where the last ServeTail walk stopped: the frame holding
+// seq next starts at byte off of the segment whose first seq is first.
+// Segments are append-only and a first seq is never reused, so a cursor
+// stays valid for the life of the Log; every byte below off was
+// CRC-checked by the walk that left it.
+type tailCursor struct {
+	first, next uint64
+	off         int64
 }
 
 // Log is an open, appendable measurement WAL. All methods are safe for
@@ -120,6 +136,7 @@ type Log struct {
 	scratch     []byte
 	snapSeq     uint64
 	snapBytes   int64
+	tail        tailCursor
 	stats       Stats
 	compactMu   sync.Mutex
 	stopSyncer  chan struct{}
@@ -603,23 +620,58 @@ func writeSnapshotFile(dir string, covered uint64, image []byte) (string, error)
 	return path, nil
 }
 
-// walkFrames scans one segment, calling fn (when non-nil) with each valid
-// frame's seq and payload. It returns the frame count, the byte offset
-// just past the last valid frame, and damage describing why the walk
-// stopped early (nil for a clean end). Payloads passed to fn alias the
-// file buffer and are only valid during the call.
+// walkFrames scans one segment from its first frame, calling fn (when
+// non-nil) with each valid frame's seq and payload. It returns the frame
+// count, the byte offset just past the last valid frame, and damage
+// describing why the walk stopped early (nil for a clean end). Payloads
+// passed to fn alias the file buffer and are only valid during the call.
 func walkFrames(path string, first uint64, fn func(seq uint64, payload []byte) error) (frames int, validBytes int64, damage error, err error) {
-	b, err := os.ReadFile(path)
+	b, damage, err := readSegment(path, first, segHeaderLen, -1)
+	if err != nil || damage != nil {
+		return 0, 0, damage, err
+	}
+	return walkBytes(b, first, segHeaderLen, fn)
+}
+
+// readSegment opens one segment, checks its header, and returns its
+// bytes from offset off up to offset end (the file's size when end < 0)
+// in one buffer of exactly that size. A header that is short or wrong is
+// damage; a file that cannot be opened or read is an err.
+func readSegment(path string, first uint64, off, end int64) (b []byte, damage error, err error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return 0, 0, nil, fmt.Errorf("durable: %w", err)
+		return nil, nil, fmt.Errorf("durable: %w", err)
 	}
-	if len(b) < segHeaderLen || string(b[:4]) != segMagic || b[4] != formatVer ||
-		binary.LittleEndian.Uint64(b[5:]) != first {
-		return 0, 0, fmt.Errorf("bad segment header"), nil
+	defer f.Close()
+	if end < 0 {
+		fi, err := f.Stat()
+		if err != nil {
+			return nil, nil, fmt.Errorf("durable: %w", err)
+		}
+		end = fi.Size()
 	}
-	off := int64(segHeaderLen)
-	rest := b[segHeaderLen:]
-	seq := first
+	var hdr [segHeaderLen]byte
+	if n, err := f.ReadAt(hdr[:], 0); err != nil && err != io.EOF {
+		return nil, nil, fmt.Errorf("durable: %w", err)
+	} else if n < segHeaderLen || string(hdr[:4]) != segMagic || hdr[4] != formatVer ||
+		binary.LittleEndian.Uint64(hdr[5:]) != first {
+		return nil, fmt.Errorf("bad segment header"), nil
+	}
+	if end <= off {
+		return nil, nil, nil
+	}
+	b = make([]byte, end-off)
+	n, err := f.ReadAt(b, off)
+	if err != nil && err != io.EOF {
+		return nil, nil, fmt.Errorf("durable: %w", err)
+	}
+	return b[:n], nil, nil
+}
+
+// walkBytes is walkFrames over bytes already read: b starts at byte
+// offset off of its segment, on the frame holding seq.
+func walkBytes(b []byte, seq uint64, off int64, fn func(seq uint64, payload []byte) error) (frames int, validBytes int64, damage error, err error) {
+	rest := b
 	for len(rest) > 0 {
 		if len(rest) < frameHdrLen {
 			return frames, off, fmt.Errorf("torn frame header at offset %d", off), nil
