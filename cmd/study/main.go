@@ -15,6 +15,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"sync"
@@ -24,24 +25,33 @@ import (
 	"tlsfof/internal/telemetry"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: parse args, run the study, write tables to
+// stdout and everything else to stderr, return the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("study", flag.ExitOnError)
+	fatalf := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "study: "+format+"\n", args...)
+		return 1
+	}
 	var (
-		studyName = flag.String("study", "first", "which study to run: first | second")
-		tables    = flag.String("table", "", "comma-separated tables to print (1,2,3,4,5,6,7,8,5.2,products or 'all')")
-		figure    = flag.String("figure", "", "figure to print: 7")
-		baseline  = flag.Bool("baseline", false, "also run the Huang-style whale-only baseline and print the comparison")
-		seed      = flag.Uint64("seed", 2014, "simulation seed (same seed ⇒ same tables)")
-		scale     = flag.Float64("scale", 1.0, "workload scale (1.0 = paper-size campaigns)")
-		shards    = flag.Int("shards", 1, "ingest shards (>1 runs campaigns in parallel through the sharded pipeline; same tables either way)")
-		svgPath   = flag.String("svg", "", "write Figure 7 as SVG to this path")
-		csvPath   = flag.String("csv", "", "export proxied measurement records as CSV to this path")
-		jsonlPath = flag.String("jsonl", "", "export proxied measurement records as JSON Lines to this path")
-		dataDir   = flag.String("data-dir", "", "durable WAL + checkpoint directory: an interrupted run rerun with the same flags resumes instead of restarting")
-		snapEvery = flag.Int("snapshot-every", 0, "checkpoint the WAL every N measurements (0 = only at completion; with -data-dir)")
-		abortAt   = flag.Int("abort-after", 0, "crash injection: abort the run after N durable measurements (exit 3; resume with the same -data-dir)")
-		progress  = flag.Duration("progress", 0, "print a progress/throughput line to stderr every interval, e.g. 5s (0 = off)")
+		studyName = fs.String("study", "first", "which study to run: first | second")
+		tables    = fs.String("table", "", "comma-separated tables to print (1,2,3,4,5,6,7,8,5.2,products or 'all')")
+		figure    = fs.String("figure", "", "figure to print: 7")
+		baseline  = fs.Bool("baseline", false, "also run the Huang-style whale-only baseline and print the comparison")
+		seed      = fs.Uint64("seed", 2014, "simulation seed (same seed ⇒ same tables)")
+		scale     = fs.Float64("scale", 1.0, "workload scale (1.0 = paper-size campaigns)")
+		shards    = fs.Int("shards", 1, ">1 runs the campaigns concurrently (the count is otherwise unused); same tables and exports either way")
+		svgPath   = fs.String("svg", "", "write Figure 7 as SVG to this path")
+		csvPath   = fs.String("csv", "", "export proxied measurement records as CSV to this path")
+		jsonlPath = fs.String("jsonl", "", "export proxied measurement records as JSON Lines to this path")
+		dataDir   = fs.String("data-dir", "", "durable WAL + checkpoint directory: an interrupted run rerun with the same flags resumes instead of restarting")
+		snapEvery = fs.Int("snapshot-every", 0, "checkpoint the WAL every N measurements (0 = only at completion; with -data-dir)")
+		abortAt   = fs.Int("abort-after", 0, "crash injection: abort the run after N durable measurements (exit 3; resume with the same -data-dir)")
+		progress  = fs.Duration("progress", 0, "print a progress/throughput line to stderr every interval, e.g. 5s (0 = off)")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	cfg := tlsfof.StudyConfig{Seed: *seed, Scale: *scale, Shards: *shards,
 		DataDir: *dataDir, SnapshotEvery: *snapEvery, AbortAfter: *abortAt}
@@ -51,7 +61,7 @@ func main() {
 	case "second", "2":
 		cfg.Study = tlsfof.Study2
 	default:
-		fatalf("unknown -study %q (want first|second)", *studyName)
+		return fatalf("unknown -study %q (want first|second)", *studyName)
 	}
 
 	want := map[string]bool{}
@@ -96,7 +106,7 @@ func main() {
 					return
 				case <-tick.C:
 					cur := meas.Value()
-					fmt.Fprintf(os.Stderr, "progress: %d measurements (+%d, %.0f/s), %d campaigns done, %v elapsed\n",
+					fmt.Fprintf(stderr, "progress: %d measurements (+%d, %.0f/s), %d campaigns done, %v elapsed\n",
 						cur, cur-last, float64(cur-last)/progress.Seconds(),
 						campaigns.Value(), time.Since(start).Round(time.Second))
 					last = cur
@@ -105,28 +115,28 @@ func main() {
 		}()
 	}
 
-	fmt.Fprintf(os.Stderr, "running %s study (seed=%d scale=%g)...\n", *studyName, *seed, *scale)
+	fmt.Fprintf(stderr, "running %s study (seed=%d scale=%g)...\n", *studyName, *seed, *scale)
 	res, err := tlsfof.RunStudy(cfg)
 	stopProgress()
 	if errors.Is(err, tlsfof.ErrStudyAborted) {
-		fmt.Fprintf(os.Stderr, "study: %v\n", err)
-		os.Exit(3)
+		fmt.Fprintf(stderr, "study: %v\n", err)
+		return 3
 	}
 	if err != nil {
-		fatalf("study failed: %v", err)
+		return fatalf("study failed: %v", err)
 	}
 	if r := res.Resume; r != nil {
 		if r.Recovered > 0 {
-			fmt.Fprintf(os.Stderr, "resumed from %s: %d measurements recovered (snapshot seq %d, %d WAL frames replayed), generation skipped what was durable\n",
+			fmt.Fprintf(stderr, "resumed from %s: %d measurements recovered (snapshot seq %d, %d WAL frames replayed), generation skipped what was durable\n",
 				*dataDir, r.Recovered, r.Info.SnapshotSeq, r.Info.Replayed)
 		}
-		fmt.Fprintf(os.Stderr, "durable: %d frames appended (%d bytes), %d fsyncs, %d segments, snapshot through seq %d\n",
+		fmt.Fprintf(stderr, "durable: %d frames appended (%d bytes), %d fsyncs, %d segments, snapshot through seq %d\n",
 			r.WAL.AppendedFrames, r.WAL.AppendedBytes, r.WAL.Fsyncs, r.WAL.Segments, r.WAL.LastSeq)
 	}
 	tested, proxied := tlsfof.Totals(res)
-	fmt.Fprintf(os.Stderr, "completed in %v: %d certificate tests, %d proxied (%.2f%%)\n",
+	fmt.Fprintf(stderr, "completed in %v: %d certificate tests, %d proxied (%.2f%%)\n",
 		res.Duration.Round(1000000), tested, proxied, 100*float64(proxied)/float64(tested))
-	fmt.Fprintln(os.Stderr)
+	fmt.Fprintln(stderr)
 
 	order := []tlsfof.Table{
 		tlsfof.TableHosts, tlsfof.TableCampaigns, tlsfof.TableCountriesFirst,
@@ -138,64 +148,60 @@ func main() {
 		if !want[string(t)] {
 			continue
 		}
-		if err := tlsfof.WriteTable(os.Stdout, res, t); err != nil {
-			fatalf("table %s: %v", t, err)
+		if err := tlsfof.WriteTable(stdout, res, t); err != nil {
+			return fatalf("table %s: %v", t, err)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	if *figure == "7" {
-		if err := tlsfof.WriteTable(os.Stdout, res, tlsfof.Figure7ASCII); err != nil {
-			fatalf("figure 7: %v", err)
+		if err := tlsfof.WriteTable(stdout, res, tlsfof.Figure7ASCII); err != nil {
+			return fatalf("figure 7: %v", err)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if *svgPath != "" {
 		f, err := os.Create(*svgPath)
 		if err != nil {
-			fatalf("create %s: %v", *svgPath, err)
+			return fatalf("create %s: %v", *svgPath, err)
 		}
 		if err := tlsfof.WriteTable(f, res, tlsfof.Figure7SVG); err != nil {
-			fatalf("render SVG: %v", err)
+			return fatalf("render SVG: %v", err)
 		}
 		f.Close()
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *svgPath)
+		fmt.Fprintf(stderr, "wrote %s\n", *svgPath)
 	}
 	if *csvPath != "" {
 		f, err := os.Create(*csvPath)
 		if err != nil {
-			fatalf("create %s: %v", *csvPath, err)
+			return fatalf("create %s: %v", *csvPath, err)
 		}
 		if err := tlsfof.Store(res).WriteCSV(f); err != nil {
-			fatalf("export CSV: %v", err)
+			return fatalf("export CSV: %v", err)
 		}
 		f.Close()
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *csvPath)
+		fmt.Fprintf(stderr, "wrote %s\n", *csvPath)
 	}
 	if *jsonlPath != "" {
 		f, err := os.Create(*jsonlPath)
 		if err != nil {
-			fatalf("create %s: %v", *jsonlPath, err)
+			return fatalf("create %s: %v", *jsonlPath, err)
 		}
 		if err := tlsfof.Store(res).WriteJSONL(f); err != nil {
-			fatalf("export JSONL: %v", err)
+			return fatalf("export JSONL: %v", err)
 		}
 		f.Close()
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonlPath)
+		fmt.Fprintf(stderr, "wrote %s\n", *jsonlPath)
 	}
 
 	if *baseline {
 		base, err := tlsfof.RunHuangBaseline(cfg)
 		if err != nil {
-			fatalf("baseline: %v", err)
+			return fatalf("baseline: %v", err)
 		}
-		if err := tlsfof.WriteBaseline(os.Stdout, res, base); err != nil {
-			fatalf("baseline table: %v", err)
+		if err := tlsfof.WriteBaseline(stdout, res, base); err != nil {
+			return fatalf("baseline table: %v", err)
 		}
 	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "study: "+format+"\n", args...)
-	os.Exit(1)
+	return 0
 }

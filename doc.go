@@ -13,9 +13,10 @@
 //     classification (Tables 5/6).
 //   - RunStudy executes complete simulated reproductions of the paper's
 //     two AdWords measurement studies and returns the populated
-//     measurement store behind every table and figure. Measurements flow
-//     through the batched, sharded ingestion pipeline (internal/ingest)
-//     when StudyConfig.Shards > 1 — identical tables either way.
+//     measurement store behind every table and figure. Each campaign
+//     fills a private store and one deterministic merge joins them;
+//     StudyConfig.Shards > 1 only runs the campaigns concurrently —
+//     identical tables and exports either way.
 //   - WriteTable renders any of the paper's evaluation tables from a study
 //     result.
 //

@@ -3,10 +3,11 @@ package tlsfof
 // Golden-table conformance suite: the rendered paper artifacts (Tables
 // 1-8, the §5.2 negligence report, the §6.4 product diversity table) for
 // a small fixed-seed study are checked into testdata/golden/, and every
-// ingest path the system offers — single-threaded, sharded pipeline and
-// recovered-from-WAL — must reproduce them byte-for-byte. This pins the reproduction against every scaling and
-// persistence change at once: a PR that alters any byte of any table on
-// any path fails here.
+// path the system offers into a store — campaigns inline, campaigns
+// concurrent, the sharded ingest pipeline and recovered-from-WAL — must
+// reproduce them byte-for-byte. This pins the reproduction against every
+// scaling and persistence change at once: a PR that alters any byte of
+// any table on any path fails here.
 //
 // Regenerate after an intentional change with:
 //
@@ -18,12 +19,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"tlsfof/internal/analysis"
 	"tlsfof/internal/certgen"
 	"tlsfof/internal/clientpop"
+	"tlsfof/internal/core"
 	"tlsfof/internal/durable"
+	"tlsfof/internal/ingest"
 	"tlsfof/internal/store"
 	"tlsfof/internal/study"
 )
@@ -118,6 +122,42 @@ func TestGoldenTables(t *testing.T) {
 		res, err := study.Run(cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		checkAgainstGolden(t, dir, goldenArtifacts(t, res))
+	})
+
+	t.Run("pipeline", func(t *testing.T) {
+		// The study no longer goes through ingest.Pipeline, reportd does:
+		// record the golden stream and feed it the way concurrent
+		// uploaders would — two Batchers into four shards, then Merge.
+		var stream []core.Measurement
+		cfg := goldenConfig()
+		cfg.Sink = core.SinkFunc(func(m core.Measurement) { stream = append(stream, m) })
+		res, err := study.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl := ingest.NewPipeline(ingest.Config{Shards: 4})
+		const feeders = 2
+		var wg sync.WaitGroup
+		for w := 0; w < feeders; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				b := ingest.NewBatcher(pl, 0)
+				for i := w; i < len(stream); i += feeders {
+					b.Ingest(stream[i])
+				}
+				b.Flush()
+			}()
+		}
+		wg.Wait()
+		if err := pl.Close(); err != nil {
+			t.Fatal(err)
+		}
+		res.Store = pl.Merge(0)
+		if got := res.Store.Totals().Tested; got != len(stream) {
+			t.Fatalf("pipeline stored %d of %d measurements", got, len(stream))
 		}
 		checkAgainstGolden(t, dir, goldenArtifacts(t, res))
 	})

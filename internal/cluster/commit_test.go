@@ -274,7 +274,7 @@ func TestKillLeaksNoGoroutine(t *testing.T) {
 	}
 
 	// Both at once: each node's followers are parked in the other's long
-	// poll, and it is the other's Kill that answers them.
+	// poll (one node alone is TestKillOneNodeDoesNotWaitOutPeerLongPoll).
 	killed := time.Now()
 	var kills sync.WaitGroup
 	for _, n := range tc.nodes {
@@ -293,6 +293,46 @@ func TestKillLeaksNoGoroutine(t *testing.T) {
 			t.Fatalf("%d cluster goroutines survive Kill:\n%s", clusterGoroutines()-before, allStacks())
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestKillOneNodeDoesNotWaitOutPeerLongPoll: stopping one node while its
+// peer lives cancels the follower polls parked on that peer instead of
+// waiting for the peer's LongPoll to answer them, and what the replica
+// had applied is still recoverable afterwards.
+func TestKillOneNodeDoesNotWaitOutPeerLongPoll(t *testing.T) {
+	stops := map[string]func(*Node){
+		"kill":  func(n *Node) { n.Kill() },
+		"close": func(n *Node) { n.Close() },
+	}
+	for name, stop := range stops {
+		t.Run(name, func(t *testing.T) {
+			tc := startTestCluster(t, []string{"a", "b"}, func(c *Config) { c.LongPoll = 5 * time.Second })
+			rc := tc.route(16)
+			for _, m := range testMeasurements(64, 5) {
+				rc.Ingest(m)
+			}
+			if err := rc.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			a, b := tc.nodes["a"], tc.nodes["b"]
+			time.Sleep(50 * time.Millisecond) // a's followers are parked on b again
+
+			t0 := time.Now()
+			stop(a)
+			if took := time.Since(t0); took > time.Second {
+				t.Fatalf("%s took %v with the peer alive: a follower waited out the 5s long poll", name, took)
+			}
+			// Every batch was acked by the replica, so a's copy of b is whole.
+			a.Members().MarkDead("b")
+			rec, err := a.RecoverReplica("b")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := rec.Totals(), b.MergeLocal().Totals(); got != want || want.Tested == 0 {
+				t.Fatalf("replica of b recovered %+v, b holds %+v", got, want)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -285,8 +286,10 @@ type Node struct {
 	// inflight is Kill's barrier: IngestBatch read-holds it from entry to
 	// answer, Kill write-takes it.
 	inflight sync.RWMutex
-	stop     chan struct{}
-	stopOnce sync.Once
+	// ctx ends when the node stops (Kill or Close); followers' tail
+	// requests carry it so a stop never waits out a peer's LongPoll.
+	ctx      context.Context
+	cancel   context.CancelFunc
 	wg       sync.WaitGroup
 	startMu  sync.Mutex
 	started  bool
@@ -311,7 +314,8 @@ func Open(cfg Config) (*Node, error) {
 	if !ok {
 		return nil, fmt.Errorf("cluster: node %q not in member list", cfg.ID)
 	}
-	n := &Node{cfg: cfg, self: self, members: members, stop: make(chan struct{})}
+	n := &Node{cfg: cfg, self: self, members: members}
+	n.ctx, n.cancel = context.WithCancel(context.Background())
 	ownDir := filepath.Join(cfg.DataDir, "own")
 	if err := ingest.PinShardManifest(ownDir, cfg.Shards, cfg.ID); err != nil {
 		return nil, err
@@ -522,7 +526,7 @@ func (n *Node) applyShard(si int, ms []core.Measurement) error {
 	}
 	if n.cfg.AckTimeout > 0 && n.replicaWaitable() {
 		n.met.ackWaits.Inc()
-		if !sh.watermark.waitPast(last, n.cfg.AckTimeout, n.stop) {
+		if !sh.watermark.waitPast(last, n.cfg.AckTimeout, n.ctx.Done()) {
 			// Degraded mode: the batch is durable here but the replica is
 			// lagging or gone. Acking anyway keeps the fleet moving; the
 			// counter is the alarm.
@@ -565,7 +569,7 @@ func (n *Node) Drain() {
 func (n *Node) Kill() {
 	n.inflight.Lock()
 	n.killed.Store(true)
-	n.stopOnce.Do(func() { close(n.stop) })
+	n.cancel()
 	n.inflight.Unlock()
 	n.wg.Wait()
 }
@@ -576,7 +580,7 @@ func (n *Node) Close() error {
 	if n.killed.Load() {
 		return nil
 	}
-	n.stopOnce.Do(func() { close(n.stop) })
+	n.cancel()
 	n.wg.Wait()
 	var first error
 	for _, f := range n.followers {
@@ -820,9 +824,9 @@ func (n *Node) handleTail(w http.ResponseWriter, r *http.Request) {
 	// The poll position is the follower's promise: everything below it is
 	// durable on the replica. Publishing it releases pending acks.
 	sh.watermark.advance(from)
-	if !sh.lastSeq.waitPast(from-1, n.cfg.LongPoll, n.stop) {
+	if !sh.lastSeq.waitPast(from-1, n.cfg.LongPoll, n.ctx.Done()) {
 		select {
-		case <-n.stop:
+		case <-n.ctx.Done():
 			http.Error(w, "shutting down", http.StatusServiceUnavailable)
 			return
 		default: // caught up for a whole LongPoll: answer an empty tail

@@ -42,7 +42,7 @@ func (f *follower) run() {
 	defer close(f.done)
 	for {
 		select {
-		case <-f.n.stop:
+		case <-f.n.ctx.Done():
 			f.exitSync()
 			return
 		default:
@@ -61,7 +61,7 @@ func (f *follower) run() {
 		}
 		if err != nil || applied == 0 {
 			select {
-			case <-f.n.stop:
+			case <-f.n.ctx.Done():
 			case <-time.After(f.n.cfg.PollInterval):
 			}
 			continue
@@ -84,7 +84,11 @@ func (f *follower) exitSync() {
 // synced before returning so the next poll's from is an honest promise.
 func (f *follower) pollOnce(baseURL string) (applied int, err error) {
 	url := fmt.Sprintf("%s/repl/tail?shard=%d&from=%d", baseURL, f.shardIdx, f.logRef().NextSeq())
-	resp, err := f.n.cfg.HTTPClient.Get(url)
+	req, err := http.NewRequestWithContext(f.n.ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return 0, err
+	}
+	resp, err := f.n.cfg.HTTPClient.Do(req)
 	if err != nil {
 		return 0, err
 	}

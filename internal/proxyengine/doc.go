@@ -20,5 +20,6 @@
 // substitute and every client observes identical bytes — the per-origin
 // caching real appliances exhibit. cmd/mitmd mounts this engine as a load-bearing proxy with an
 // accept pool and /metrics; see DESIGN.md §7 for the interception-plane
-// architecture and BENCH_livewire.json for its measured baseline.
+// architecture and `go run -C bench . -workload livewire` for its
+// measured cost.
 package proxyengine

@@ -249,8 +249,8 @@ func TestCachedChainsStablePerProduct(t *testing.T) {
 // BenchmarkForgeCached contrasts the two forge paths the interception
 // plane takes: a cache hit on a repeated host versus a full mint on a
 // never-seen host. The ISSUE acceptance bar is >= 10x; the measured gap is
-// orders of magnitude (map lookup vs RSA sign). Recorded in
-// BENCH_livewire.json.
+// orders of magnitude (map lookup vs RSA sign); `go run -C bench .
+// -workload livewire` reports proxyengine.forge_hit_ratio under load.
 func BenchmarkForgeCached(b *testing.B) {
 	_, authLeaf := authSetup(b, "bench-cache.example")
 	up := parsed(b, authLeaf.ChainDER)

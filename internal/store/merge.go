@@ -6,11 +6,12 @@ import (
 	"tlsfof/internal/core"
 )
 
-// Merge combines shard databases into one DB whose aggregates equal the DB
-// a single-threaded ingest of the same measurements would have produced.
-// It is the reduce step behind the sharded ingest pipeline
-// (internal/ingest): each shard aggregates its hash-partition of the
-// stream independently, and Merge folds the partitions back together.
+// Merge combines databases that each hold a partition of one measurement
+// stream into one DB whose aggregates equal the DB a single-threaded
+// ingest of the whole stream would have produced. It is the reduce step
+// behind the sharded ingest pipeline (internal/ingest: one store per
+// host-hash shard), the cluster (one per node) and study.Run (one per
+// campaign, plus whatever a resumed run recovered).
 //
 // Every aggregate (totals, per-country/host-type/campaign tables, issuer
 // histogram, classification counts, negligence stats, product diversity,

@@ -117,7 +117,7 @@ func (c *walControl) firstErr() error {
 func (c *walControl) stop() bool { return c.stopped.Load() }
 
 // walTee is the write-ahead sink wrapper: append to the WAL, then hand
-// the measurement to the run's real sink (store or pipeline batcher).
+// the measurement to the campaign's store.
 type walTee struct {
 	ctl  *walControl
 	next core.Sink
@@ -131,8 +131,8 @@ func (s walTee) Ingest(m core.Measurement) {
 	}
 	n := c.appended.Add(1)
 	if c.snapshotEvery > 0 && n%c.snapshotEvery == 0 {
-		// Serialize checkpoints; campaigns run concurrently on the
-		// sharded path and Checkpoint is not free.
+		// Serialize checkpoints; campaigns may run concurrently and
+		// Checkpoint is not free.
 		c.checkpoint.Lock()
 		_, err := c.wal.Checkpoint()
 		c.checkpoint.Unlock()

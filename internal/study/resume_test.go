@@ -123,9 +123,9 @@ func TestResumeEquivalenceAfterTornWrite(t *testing.T) {
 }
 
 func TestResumeEquivalenceSharded(t *testing.T) {
-	// Crash a sharded run (campaigns generating in parallel through the
-	// pipeline, all teeing into one WAL), resume sharded, compare against
-	// the sequential uninterrupted run.
+	// Crash a concurrent run (campaigns generating in parallel, all
+	// teeing into one WAL), resume concurrent, compare against the
+	// sequential uninterrupted run.
 	base := Config{Study: clientpop.Study2, Seed: 99, Scale: 0.005, Pool: sharedPool}
 	uninterrupted, err := Run(base)
 	if err != nil {

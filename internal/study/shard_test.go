@@ -1,14 +1,16 @@
 package study
 
-// The shard/merge equivalence property: running a seeded study through the
-// sharded ingest pipeline (campaigns in parallel, N independent shard
-// stores, deterministic merge) must render every paper artifact — Tables
-// 1-8, Figure 7, and the §5.2 negligence stats — byte-identical to the
-// single-threaded run with the same seed. This is the contract that lets
-// every future scaling PR swap ingest machinery without re-validating the
-// reproduction.
+// The concurrency-independence property: a seeded study whose campaigns
+// generate concurrently (Shards > 1: one goroutine per campaign, each
+// filling a private store, one deterministic store.Merge) must render
+// every paper artifact — Tables 1-8, Figure 7, and the §5.2 negligence
+// stats — and write every export byte-identical to the run that generates
+// them inline in campaign order, interrupted-and-resumed or not. Goroutine
+// scheduling must never leak into a result.
 
 import (
+	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -63,15 +65,12 @@ func renderAll(t *testing.T, res *Result) string {
 
 func TestShardedStudyRendersIdenticalArtifacts(t *testing.T) {
 	// Study 2 exercises real parallelism: six campaigns generating
-	// concurrently into the pipeline.
+	// concurrently.
 	base := Config{Study: clientpop.Study2, Seed: 2014, Scale: 0.01, Pool: sharedPool}
 
 	seq, err := Run(base)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if seq.IngestStats != nil {
-		t.Fatal("single-threaded run reported pipeline stats")
 	}
 	want := renderAll(t, seq)
 
@@ -82,16 +81,10 @@ func TestShardedStudyRendersIdenticalArtifacts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.IngestStats == nil {
-			t.Fatalf("shards=%d: no pipeline stats", shards)
-		}
-		if got.IngestStats.Dropped != 0 {
-			t.Fatalf("shards=%d: pipeline dropped %d measurements under backpressure",
-				shards, got.IngestStats.Dropped)
-		}
-		if got.IngestStats.Ingested != uint64(seq.Store.Totals().Tested) {
-			t.Fatalf("shards=%d: pipeline ingested %d, sequential tested %d",
-				shards, got.IngestStats.Ingested, seq.Store.Totals().Tested)
+		// Nothing lost, nothing counted twice.
+		if got.Store.Totals() != seq.Store.Totals() {
+			t.Fatalf("shards=%d: totals %+v, sequential %+v",
+				shards, got.Store.Totals(), seq.Store.Totals())
 		}
 		rendered := renderAll(t, got)
 		if rendered != want {
@@ -107,7 +100,7 @@ func TestShardedStudyRendersIdenticalArtifacts(t *testing.T) {
 func TestShardedStudyDeterministicAcrossRuns(t *testing.T) {
 	// RetainProxied is set so the capped retained set is covered too: the
 	// cap must select the same records every run (it is applied after the
-	// canonical merge sort, never per shard).
+	// canonical merge sort, never per campaign store).
 	cfg := Config{Study: clientpop.Study1, Seed: 7, Scale: 0.02, Shards: 4, RetainProxied: 40, Pool: sharedPool}
 	a, err := Run(cfg)
 	if err != nil {
@@ -146,6 +139,62 @@ func TestShardedRetainCap(t *testing.T) {
 	}
 	if res.Store.Totals().Proxied <= 25 {
 		t.Fatalf("degenerate run: only %d proxied", res.Store.Totals().Proxied)
+	}
+}
+
+// TestStudyExportsIdenticalAcrossArms: the exports — not just the tables —
+// are a function of (study, seed, scale): CSV and JSONL of the capped
+// retained set are byte-identical inline, concurrent, and after an aborted
+// run resumed either way.
+func TestStudyExportsIdenticalAcrossArms(t *testing.T) {
+	base := Config{Study: clientpop.Study2, Seed: 2014, Scale: 0.005, RetainProxied: 40, Pool: sharedPool}
+	exports := func(res *Result) []byte {
+		var b bytes.Buffer
+		if err := res.Store.WriteCSV(&b); err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Store.WriteJSONL(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	seq, err := Run(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(seq.Store.ProxiedRecords()); n != 40 || seq.Store.Totals().Proxied <= 40 {
+		t.Fatalf("degenerate run: retained %d of %d proxied", n, seq.Store.Totals().Proxied)
+	}
+	want := exports(seq)
+	half := seq.Store.Totals().Tested / 2
+
+	for _, shards := range []int{1, 4} {
+		cfg := base
+		cfg.Shards = shards
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(exports(res), want) {
+			t.Errorf("shards=%d: exports differ from the inline run", shards)
+		}
+
+		cfg.DataDir = t.TempDir()
+		crash := cfg
+		crash.AbortAfter = half
+		if _, err := Run(crash); !errors.Is(err, ErrAborted) {
+			t.Fatalf("shards=%d: crash run returned %v, want ErrAborted", shards, err)
+		}
+		res, err = Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Resume.Recovered == 0 {
+			t.Fatalf("shards=%d: resumed run recovered nothing", shards)
+		}
+		if !bytes.Equal(exports(res), want) {
+			t.Errorf("shards=%d: resumed exports differ from the inline run", shards)
+		}
 	}
 }
 

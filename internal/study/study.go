@@ -31,14 +31,16 @@ type Config struct {
 	// Scale shrinks the workload: 1.0 reproduces paper-size campaigns
 	// (2.9M / 12.3M tests); 0.01 runs 1% as many impressions. Default 1.0.
 	Scale float64
-	// RetainProxied caps retained proxied records (0 = unlimited).
+	// RetainProxied caps retained proxied records (0 = unlimited), applied
+	// once after store.Merge's canonical sort over the whole run, so the
+	// surviving set does not depend on Shards or on a resume.
 	RetainProxied int
 	// Pool supplies key material (a fresh pool when nil).
 	Pool *certgen.KeyPool
-	// Shards > 1 routes measurements through the sharded ingest pipeline
-	// (internal/ingest) with campaigns generating in parallel, then merges
-	// the shard stores; <= 1 keeps the single-threaded store path. Both
-	// paths render identical tables for equal seeds.
+	// Shards > 1 runs the campaigns concurrently; the count is otherwise
+	// unused (every campaign fills a private store either way). The name
+	// is kept only because bench/study.go sets it; rename in the next
+	// benchmark PR.
 	Shards int
 	// DataDir enables the durable plane (internal/durable): every
 	// generated measurement is appended to a WAL here before it reaches
@@ -66,10 +68,9 @@ type Config struct {
 	// of the run's internal store — the cluster path: a route client
 	// delivers the stream to the owning reportd nodes and tables are
 	// merged cross-node afterwards, so Result.Store comes back nil.
-	// Only the plain sequential path supports it (Shards <= 1, no
-	// DataDir): in cluster mode the external sink owns durability and
-	// parallelism, and layering this run's WAL or shard merge under it
-	// would double-count.
+	// It requires Shards <= 1 and no DataDir: in cluster mode the
+	// external sink owns durability and parallelism, so it sees one
+	// in-order stream and this run's WAL is not layered under it.
 	Sink core.Sink
 }
 
@@ -85,8 +86,9 @@ type Result struct {
 	Geo       *geo.DB
 	Duration  time.Duration
 	StartedAt time.Time
-	// IngestStats holds the pipeline accounting when the run used the
-	// sharded path (nil on the single-threaded path).
+	// IngestStats is inert: always nil, no run goes through an ingest
+	// pipeline; kept only because bench/study.go reads it (and tolerates
+	// nil); remove in the next benchmark PR.
 	IngestStats *ingest.Stats
 	// Resume holds the durable-plane accounting when the run used
 	// Config.DataDir (nil otherwise).
@@ -95,7 +97,7 @@ type Result struct {
 
 // meterTee counts measurements into the telemetry registry on their way
 // to the real sink. Counter.Add is one atomic add, so the tee is safe
-// from the parallel path's campaign goroutines and costs no allocations.
+// from concurrent campaign goroutines and costs no allocations.
 type meterTee struct {
 	n    *telemetry.Counter
 	next core.Sink
@@ -161,7 +163,7 @@ func newWorld(cfg *Config, hosts []hostdb.Host) (*world, error) {
 // store plus campaign outcomes.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Sink != nil && (cfg.Shards > 1 || cfg.DataDir != "") {
-		return nil, fmt.Errorf("study: Config.Sink requires the plain sequential path (Shards <= 1, no DataDir)")
+		return nil, fmt.Errorf("study: Config.Sink requires Shards <= 1 and no DataDir")
 	}
 	wall := time.Now()
 	w, err := newWorld(&cfg, nil)
@@ -182,8 +184,8 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	// Pre-split one RNG per campaign in campaign order, so the sequential
-	// and parallel paths consume identical random streams.
+	// Pre-split one RNG per campaign in campaign order, so campaigns
+	// consume identical random streams inline or concurrently.
 	crs := make([]*stats.RNG, len(campaigns))
 	for i := range campaigns {
 		crs[i] = r.Split()
@@ -221,8 +223,7 @@ func Run(cfg Config) (*Result, error) {
 		defer wal.Close()
 	}
 	// Progress counters live on the caller's registry; counting happens
-	// in an outermost sink tee so both the sequential and sharded paths
-	// (and the WAL tee, when active) see identical totals.
+	// in an outermost sink tee, above the WAL tee when that is active.
 	var meter, campaignsDone *telemetry.Counter
 	if cfg.Metrics != nil {
 		meter = cfg.Metrics.Counter("study_measurements_total",
@@ -248,26 +249,17 @@ func Run(cfg Config) (*Result, error) {
 		stop = ctl.stop
 	}
 
-	// One campaign loop over two sinks. Sequential: campaigns run in
-	// order into the store (or cfg.Sink). Sharded: campaigns generate
-	// concurrently, each feeding a private batcher into the shared
-	// pipeline, and the shard stores are merged deterministically after.
-	var db *store.DB
-	var pl *ingest.Pipeline
-	shared := cfg.Sink
-	switch {
-	case cfg.Shards > 1:
-		pl = ingest.NewPipeline(ingest.Config{Shards: cfg.Shards})
-	case shared == nil:
-		db = store.New(cfg.RetainProxied)
-		shared = db
-	}
+	// Every campaign generates into a private store (or all of them into
+	// cfg.Sink), and the run's store is always the canonical merge of
+	// those with whatever was recovered, so every output is a function of
+	// (study, seed, scale) alone. Shards > 1 decides one thing: campaigns
+	// run inline in order, or one goroutine each.
+	dbs := make([]*store.DB, len(campaigns))
 	runCampaign := func(ci int) error {
-		sink := shared
-		if pl != nil {
-			b := ingest.NewBatcher(pl, 0)
-			defer b.Flush()
-			sink = b
+		sink := cfg.Sink
+		if sink == nil {
+			dbs[ci] = store.New(0) // uncapped: Merge applies RetainProxied
+			sink = dbs[ci]
 		}
 		err := gen.run(campaigns[ci], outcomes[ci], crs[ci], wrap(sink), skips[campaigns[ci].Name], stop)
 		if err == nil {
@@ -278,7 +270,7 @@ func Run(cfg Config) (*Result, error) {
 	errs := make([]error, len(campaigns))
 	var wg sync.WaitGroup
 	for ci := range campaigns {
-		if pl == nil {
+		if cfg.Shards <= 1 {
 			if errs[ci] = runCampaign(ci); errs[ci] != nil {
 				break
 			}
@@ -296,21 +288,6 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
-	var ingestStats *ingest.Stats
-	if pl != nil {
-		pl.Close()
-		// Shards retain every proxied record: capping per shard would make
-		// the surviving set depend on goroutine scheduling. Merge applies
-		// cfg.RetainProxied after the canonical sort over the full pool —
-		// here, or below once the recovered store is folded in.
-		retain := cfg.RetainProxied
-		if recovered != nil {
-			retain = 0
-		}
-		db = pl.Merge(retain)
-		st := pl.Stats()
-		ingestStats = &st
-	}
 
 	if ctl != nil {
 		if err := ctl.firstErr(); err != nil {
@@ -324,9 +301,6 @@ func Run(cfg Config) (*Result, error) {
 			}
 			return nil, ErrAborted
 		}
-		if recovered != nil {
-			db = store.Merge(cfg.RetainProxied, recovered, db)
-		}
 		resume.WAL = ctl.wal.Stats()
 		if err := ctl.wal.Close(); err != nil {
 			return nil, err
@@ -338,27 +312,29 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
+	var db *store.DB
+	if cfg.Sink == nil {
+		db = store.Merge(cfg.RetainProxied, append(dbs, recovered)...)
+	}
 
 	res := &Result{
-		Config:      cfg,
-		Store:       db,
-		Outcomes:    outcomes,
-		Total:       total,
-		Pop:         w.pop,
-		Hosts:       w.hosts,
-		Auth:        w.auth,
-		Geo:         w.geo,
-		Duration:    time.Since(wall),
-		StartedAt:   wall,
-		IngestStats: ingestStats,
-		Resume:      resume,
+		Config:    cfg,
+		Store:     db,
+		Outcomes:  outcomes,
+		Total:     total,
+		Pop:       w.pop,
+		Hosts:     w.hosts,
+		Auth:      w.auth,
+		Geo:       w.geo,
+		Duration:  time.Since(wall),
+		StartedAt: wall,
+		Resume:    resume,
 	}
 	return res, nil
 }
 
-// campaignGen generates the measurement stream for campaigns; the sink
-// decides whether that stream lands in a mutex store (sequential path) or
-// the sharded pipeline (parallel path).
+// campaignGen generates the measurement stream for campaigns; the sink is
+// the campaign's private store or Config.Sink.
 type campaignGen struct {
 	*world
 	scale float64

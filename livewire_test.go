@@ -4,8 +4,8 @@ package tlsfof
 // forging mitmd-style interceptor and streaming captures into reportd's
 // batch-ingest pipeline — the paper's deployed topology (Figure 4) end to
 // end over loopback TCP. TestLiveWireSmoke is the CI smoke for this path;
-// the BenchmarkLiveWire* functions measure its throughput and feed
-// BENCH_livewire.json.
+// the BenchmarkLiveWire* functions are the quick local measurement of its
+// throughput (the gated one is `go run -C bench . -workload livewire`).
 
 import (
 	"crypto/x509/pkix"
