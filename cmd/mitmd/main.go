@@ -291,6 +291,12 @@ func main() {
 	reg.GaugeFunc("conns_errored_total", "connections ending in error", func() float64 { return float64(srv.errored.Load()) })
 	reg.GaugeFunc("conns_active", "connections in flight", func() float64 { return float64(srv.active.Load()) })
 	reg.GaugeFunc("forge_cache_size", "forged-chain cache occupancy", func() float64 { return float64(engine.CacheStats().Size) })
+	// The origin memo explains an idle upstream leg: loads are upstream
+	// handshakes (one per kept origin), hits every other connection.
+	reg.GaugeFunc("origin_memo_size", "kept upstream chains", func() float64 { return float64(ic.OriginStats().Size) })
+	reg.GaugeFunc("origin_memo_hits_total", "connections served from a kept upstream chain", func() float64 { return float64(ic.OriginStats().Hits) })
+	reg.GaugeFunc("origin_memo_loads_total", "upstream handshakes performed", func() float64 { return float64(ic.OriginStats().Loads) })
+	reg.GaugeFunc("origin_memo_evictions_total", "kept upstream chains dropped to respect the cap", func() float64 { return float64(ic.OriginStats().Evictions) })
 
 	if *statsAddr != "" {
 		mux := http.NewServeMux()
@@ -338,6 +344,9 @@ func main() {
 	fmt.Printf("mitmd: served %d conns (%d ok, %d errored); forge cache %d/%d hosts, %d hits, %d forges\n",
 		m.Conns.Accepted, m.Conns.Handled, m.Conns.Errored,
 		m.ForgeCache.Size, m.ForgeCache.Cap, m.ForgeCache.Hits, m.ForgeCache.Forges)
+	om := ic.OriginStats()
+	fmt.Printf("mitmd: origin memo %d/%d origins, %d hits, %d loads, %d evictions\n",
+		om.Size, om.Cap, om.Hits, om.Loads, om.Evictions)
 	if m.Faults != nil {
 		fj, _ := json.Marshal(m.Faults)
 		fmt.Printf("mitmd: fault stats: %s\n", fj)

@@ -11,8 +11,9 @@ import (
 const defaultShards = 16
 
 // LRU is the one memo core in the system: a sharded, bounded map from K
-// to V with single-flight loading. Cache (keyed by chain content) and
-// proxyengine.ForgeCache (keyed by host) are typed fronts over it.
+// to V with single-flight loading. Cache (keyed by chain content),
+// proxyengine.ForgeCache (keyed by host) and the proxyengine.Interceptor's
+// origin memo (keyed by host and relayed version) are typed fronts over it.
 //
 // Concurrency contract:
 //

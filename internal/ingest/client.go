@@ -76,9 +76,9 @@ type Client struct {
 
 	// batchPool recycles flushed batch slices and encodePool the wire
 	// encode buffers, so a steady upload stream re-makes neither: enqueue
-	// appends into recycled capacity and each flush encodes into a warm
-	// buffer. Pools (not single fields) because posts from concurrent
-	// reporters overlap.
+	// appends into recycled capacity and each upload (a flush or a
+	// PostReports) encodes into a warm buffer. Pools (not single fields)
+	// because posts from concurrent reporters overlap.
 	batchPool  sync.Pool
 	encodePool sync.Pool
 }
@@ -144,16 +144,33 @@ func (c *Client) Flush() error {
 	return c.post(batch)
 }
 
-// post encodes and uploads one batch. The batch slice is recycled
-// immediately after encoding; the encode buffer is recycled unless a
-// transport error may still be referencing it.
-func (c *Client) post(batch []Report) error {
+// post uploads one batch the client buffered itself; its slice goes back
+// to the batch pool as soon as it is encoded.
+func (c *Client) post(batch []Report) error { return c.upload(batch, true) }
+
+// PostReports uploads one caller-owned batch immediately, bypassing the
+// client's buffering: the slice is read, never kept or recycled, so
+// callers that manage their own batches (load generators replaying a
+// pre-built stream) can reuse it freely.
+func (c *Client) PostReports(batch []Report) error {
+	if len(batch) == 0 {
+		return nil
+	}
+	return c.upload(batch, false)
+}
+
+// upload encodes batch into a pooled wire buffer and delivers it. owned
+// says the batch slice is the client's to recycle once encoded; the encode
+// buffer is recycled unless a transport error may still be referencing it.
+func (c *Client) upload(batch []Report, owned bool) error {
 	var scratch []byte
 	if bp, ok := c.encodePool.Get().(*[]byte); ok {
 		scratch = (*bp)[:0]
 	}
 	body, err := AppendReports(scratch, batch)
-	c.recycleBatch(batch)
+	if owned {
+		c.recycleBatch(batch)
+	}
 	if err != nil {
 		c.encodePool.Put(&scratch)
 		return fmt.Errorf("ingest: encode batch: %w", err)
@@ -162,28 +179,12 @@ func (c *Client) post(batch []Report) error {
 	if anyTransport {
 		// A transport-failed attempt's HTTP machinery may still briefly
 		// reference body even after a later attempt succeeds, so the
-		// encode buffer is dropped, not recycled — the next post
+		// encode buffer is dropped, not recycled — the next upload
 		// re-grows one.
 		return err
 	}
 	body = body[:0]
 	c.encodePool.Put(&body)
-	return err
-}
-
-// PostReports uploads one caller-owned batch immediately, bypassing the
-// client's buffering and buffer pools: the slice is read, never kept or
-// recycled, so callers that manage their own batches (load generators
-// replaying a pre-built stream) can reuse it freely.
-func (c *Client) PostReports(batch []Report) error {
-	if len(batch) == 0 {
-		return nil
-	}
-	body, err := AppendReports(nil, batch)
-	if err != nil {
-		return fmt.Errorf("ingest: encode batch: %w", err)
-	}
-	err, _ = c.deliver(body)
 	return err
 }
 

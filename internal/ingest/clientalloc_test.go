@@ -8,8 +8,10 @@ package ingest
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"tlsfof/internal/raceflag"
@@ -140,6 +142,51 @@ func TestAppendReportsSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm AppendReports costs %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestPostReportsSteadyStateAllocs pins the caller-owned upload path to
+// the pooled encode buffer: a warm PostReports grows no wire buffer. The
+// pin reads bytes, not objects — the HTTP round trip allocates a few KiB of
+// its own either way, while re-growing the buffer from nil costs several
+// times the batch's wire size on every call.
+func TestPostReportsSteadyStateAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("sync.Pool drops puts at random under -race")
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		fmt.Fprint(w, `{"accepted":256,"rejected":0}`)
+	}))
+	defer srv.Close()
+	c := NewClient(srv.URL)
+	batch := make([]Report, 256)
+	for i := range batch {
+		batch[i] = Report{Host: "post.example", ChainDER: [][]byte{make([]byte, 1024), make([]byte, 1024)}}
+	}
+	wire, err := AppendReports(nil, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func() {
+		if err := c.PostReports(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	post() // grow the pooled buffer, open the keep-alive connection
+	const posts = 32
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < posts; i++ {
+		post()
+	}
+	runtime.ReadMemStats(&after)
+	perPost := (after.TotalAlloc - before.TotalAlloc) / posts
+	if perPost > uint64(len(wire))/4 {
+		t.Fatalf("warm PostReports allocates %d B per %d-B batch; the encode buffer is not being reused", perPost, len(wire))
+	}
+	if batch[0].Host != "post.example" || len(batch[255].ChainDER) != 2 {
+		t.Fatal("PostReports modified the caller's batch")
 	}
 }
 

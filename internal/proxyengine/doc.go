@@ -18,8 +18,11 @@
 // single-flight memo the report path's observation cache also runs on —
 // so a storm of simultaneous connections to one origin mints exactly one
 // substitute and every client observes identical bytes — the per-origin
-// caching real appliances exhibit. cmd/mitmd mounts this engine as a load-bearing proxy with an
-// accept pool and /metrics; see DESIGN.md §7 for the interception-plane
-// architecture and `go run -C bench . -workload livewire` for its
-// measured cost.
+// caching real appliances exhibit. The Interceptor's origin memo is a
+// third front over the same LRU: the authoritative chain of each origin,
+// as served and as parsed, fetched by one upstream handshake and then
+// shared read-only by every connection to it. cmd/mitmd mounts this
+// engine as a load-bearing proxy with an accept pool and /metrics; see
+// DESIGN.md §7 for the interception-plane architecture and `go run -C
+// bench . -workload livewire` for its measured cost.
 package proxyengine

@@ -294,6 +294,21 @@ func BenchmarkForgeCached(b *testing.B) {
 	})
 }
 
+// BenchmarkHandleConnKept is the whole interceptor hop on a kept origin —
+// sniff, origin-memo hit, Decide on a forge-cache hit, forged flight out —
+// over a scripted connection, so nothing but HandleConn is on the clock.
+func BenchmarkHandleConnKept(b *testing.B) {
+	ic, conn := keptOriginConn(b, "bench-kept.example")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		conn.pos = 0
+		if err := ic.HandleConn(conn); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkForgeCachedParallel measures the hit path under contention —
 // the shape a fleet of concurrent probes puts on one engine.
 func BenchmarkForgeCachedParallel(b *testing.B) {

@@ -18,28 +18,11 @@ func hostileWorld(t *testing.T, host string, plan *faultnet.Plan) (*Interceptor,
 	t.Helper()
 	_, authLeaf := authSetup(t, host)
 	e := newEngine(t, Profile{ProductName: "HostileTest", IssuerOrg: "HostileTest", KeyBits: 1024})
-	ic := NewInterceptor(e, func(string) (net.Conn, error) {
-		up, down := net.Pipe()
-		go func() {
-			tlswire.Respond(down, tlswire.ResponderConfig{
-				Chain:   tlswire.StaticChain(authLeaf.ChainDER),
-				Timeout: 5 * time.Second,
-			})
-			down.Close()
-		}()
-		return up, nil
-	})
+	upstream, _ := countingOrigin(authLeaf.ChainDER)
+	ic := NewInterceptor(e, upstream)
 	ic.Timeout = 5 * time.Second
 	ic.ClientTimeout = 300 * time.Millisecond
-	dial := func() net.Conn {
-		clientRaw, proxySide := net.Pipe()
-		go func() {
-			ic.HandleConn(proxySide)
-			proxySide.Close()
-		}()
-		return plan.Wrap(clientRaw)
-	}
-	return ic, dial
+	return ic, func() net.Conn { return plan.Wrap(dialThrough(ic)) }
 }
 
 // TestInterceptorSniffsFragmentedClientHello pins the sniff-replay path

@@ -2,12 +2,14 @@ package proxyengine
 
 import (
 	"bytes"
+	"crypto/x509"
 	"fmt"
 	"io"
 	"net"
 	"sync"
 	"time"
 
+	"tlsfof/internal/chaincache"
 	"tlsfof/internal/telemetry"
 	"tlsfof/internal/tlswire"
 	"tlsfof/internal/x509util"
@@ -45,57 +47,84 @@ type Interceptor struct {
 	// keeps the handler free of clock reads.
 	Tracer *telemetry.Tracer
 
-	mu       sync.Mutex
-	upstream map[string][][]byte // authoritative chains, by host
+	origins *chaincache.LRU[originKey, *origin]
+}
+
+// originKey names one kept upstream handshake: the host, plus the offered
+// version only under a RelayClientVersion profile (0 otherwise).
+type originKey struct {
+	host    string
+	version uint16
+}
+
+func (k originKey) hash() uint64 { return hostHash(k.host) + uint64(k.version) }
+
+// origin is what the proxy's own handshake learned from one authoritative
+// server: the chain as served and as parsed, immutable once stored and
+// shared read-only by every connection to that origin. A chain that does
+// not parse is kept with its error, so a hostile origin is dialled once
+// rather than on every connection.
+type origin struct {
+	der    [][]byte
+	parsed []*x509.Certificate
+	err    error
 }
 
 // NewInterceptor wires an engine to an upstream dialer.
 func NewInterceptor(engine *Engine, dial Dialer) *Interceptor {
-	return &Interceptor{Engine: engine, Dial: dial, upstream: make(map[string][][]byte)}
+	return newInterceptor(engine, dial, DefaultForgeCacheCap)
 }
 
-// upstreamChain fetches (and caches) the authoritative chain for host by
-// performing the proxy's own handshake upstream — the right-hand TLS
-// connection in Figure 3. The offer on that handshake (TLS version,
-// cipher list) is the profile's upstream policy in action: a product
-// with a hardcoded old stack downgrades every client behind it here,
-// and a version-relaying product re-dials per client version (the cache
-// key carries the offered version in that case).
-func (ic *Interceptor) upstreamChain(host string, clientVersion uint16) ([][]byte, error) {
+// newInterceptor takes the origin memo's cap so tests can overflow it.
+func newInterceptor(engine *Engine, dial Dialer, originCap int) *Interceptor {
+	return &Interceptor{Engine: engine, Dial: dial,
+		origins: chaincache.NewLRU[originKey, *origin](originCap, 0, originKey.hash)}
+}
+
+// OriginStats snapshots the origin memo: Loads counts upstream handshakes
+// (one per origin per residency), Hits connections served from a kept
+// chain.
+func (ic *Interceptor) OriginStats() chaincache.LRUStats { return ic.origins.Stats() }
+
+// origin returns the kept authoritative chain for host, performing the
+// proxy's own handshake upstream — the right-hand TLS connection in
+// Figure 3 — on the first connection only: the memo is a front over
+// chaincache.LRU, so it is bounded (SNI is client-chosen) and concurrent
+// first connections share one handshake. The offer on that handshake (TLS
+// version, cipher list) is the profile's upstream policy in action: a
+// product with a hardcoded old stack downgrades every client behind it
+// here, and a version-relaying product re-dials per client version. A
+// dial or handshake failure is not kept; the next connection retries.
+func (ic *Interceptor) origin(host string, clientVersion uint16) (*origin, error) {
 	pol := ic.Engine.Profile.Upstream
 	version := pol.OfferVersion(clientVersion)
-	key := host
+	key := originKey{host: host}
 	if pol.RelayClientVersion {
-		key = fmt.Sprintf("%s|%04x", host, version)
+		key.version = version
 	}
-	ic.mu.Lock()
-	chain, ok := ic.upstream[key]
-	ic.mu.Unlock()
-	if ok {
-		return chain, nil
-	}
-	conn, err := ic.Dial(host)
-	if err != nil {
-		return nil, fmt.Errorf("proxyengine: upstream dial %q: %w", host, err)
-	}
-	defer conn.Close()
-	timeout := ic.Timeout
-	if timeout == 0 {
-		timeout = 10 * time.Second
-	}
-	res, err := tlswire.Probe(conn, tlswire.ProbeOptions{
-		ServerName:   host,
-		Version:      version,
-		CipherSuites: pol.OfferCiphers(),
-		Timeout:      timeout,
+	return ic.origins.GetOrLoad(key, func() (*origin, error) {
+		conn, err := ic.Dial(host)
+		if err != nil {
+			return nil, fmt.Errorf("proxyengine: upstream dial %q: %w", host, err)
+		}
+		defer conn.Close()
+		timeout := ic.Timeout
+		if timeout == 0 {
+			timeout = 10 * time.Second
+		}
+		res, err := tlswire.Probe(conn, tlswire.ProbeOptions{
+			ServerName:   host,
+			Version:      version,
+			CipherSuites: pol.OfferCiphers(),
+			Timeout:      timeout,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("proxyengine: upstream probe %q: %w", host, err)
+		}
+		o := &origin{der: res.ChainDER}
+		o.parsed, o.err = x509util.ParseChain(res.ChainDER)
+		return o, nil
 	})
-	if err != nil {
-		return nil, fmt.Errorf("proxyengine: upstream probe %q: %w", host, err)
-	}
-	ic.mu.Lock()
-	ic.upstream[key] = res.ChainDER
-	ic.mu.Unlock()
-	return res.ChainDER, nil
 }
 
 // connState is the pooled per-connection scratch of the interception hot
@@ -180,7 +209,7 @@ func (ic *Interceptor) HandleConn(clientConn net.Conn) error {
 	}
 
 	upstreamStart := ic.stageStart()
-	upstreamDER, err := ic.upstreamChain(host, cs.ch.Version)
+	up, err := ic.origin(host, cs.ch.Version)
 	if ic.Tracer != nil {
 		ic.Tracer.Record(trace, telemetry.StageMitmUpstrm, upstreamStart, time.Since(upstreamStart))
 	}
@@ -189,13 +218,12 @@ func (ic *Interceptor) HandleConn(clientConn net.Conn) error {
 			tlswire.Alert{Level: tlswire.AlertLevelFatal, Description: tlswire.AlertInternalError})
 		return err
 	}
-	upstream, err := x509util.ParseChain(upstreamDER)
-	if err != nil {
-		return err
+	if up.err != nil {
+		return up.err
 	}
 
 	forgeStart := ic.stageStart()
-	decision, err := ic.Engine.Decide(host, upstream, upstreamDER)
+	decision, err := ic.Engine.Decide(host, up.parsed, up.der)
 	if ic.Tracer != nil {
 		ic.Tracer.Record(trace, telemetry.StageMitmForge, forgeStart, time.Since(forgeStart))
 	}

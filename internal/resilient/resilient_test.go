@@ -212,7 +212,9 @@ func TestHedgeFailuresFallThrough(t *testing.T) {
 	if calls != 3 {
 		t.Fatalf("ran %d attempts, want 3", calls)
 	}
-	_, err = Hedge(context.Background(), time.Millisecond,
+	// time.Hour again: a 1 ms hedge that fires before a descheduled first
+	// attempt reports lets "x" arrive last on a loaded host.
+	_, err = Hedge(context.Background(), time.Hour,
 		func(ctx context.Context) (int, error) { return 0, errors.New("x") },
 		func(ctx context.Context) (int, error) { return 0, errors.New("y") },
 	)
