@@ -26,8 +26,8 @@ import (
 	"tlsfof/internal/cluster"
 	"tlsfof/internal/core"
 	"tlsfof/internal/faultnet"
+	"tlsfof/internal/fleet"
 	"tlsfof/internal/resilient"
-	"tlsfof/internal/store"
 	"tlsfof/internal/study"
 	"tlsfof/internal/telemetry"
 )
@@ -35,12 +35,12 @@ import (
 // chaosRun is one scenario's live state, handed to stream triggers and
 // returned for assertions.
 type chaosRun struct {
-	h     *clusterHarness
-	ctrl  *faultnet.Controller
-	rc    *cluster.RouteClient
-	reg   *telemetry.Registry
-	httpc *http.Client
-	res   *study.Result
+	h    *clusterHarness
+	ctrl *faultnet.Controller
+	rc   *cluster.RouteClient
+	orch *fleet.Orchestrator
+	reg  *telemetry.Registry
+	res  *study.Result
 
 	streamed int
 }
@@ -59,20 +59,24 @@ type chaosOpts struct {
 	node func(ctrl *faultnet.Controller, id string, cfg *cluster.Config)
 	// route (optional) tweaks the route client's config.
 	route func(cfg *cluster.RouteConfig)
+	// health is the orchestrator's suspicion policy.
+	health cluster.SuspicionConfig
 }
 
 // runChaosStudy streams the golden study through a fresh 3-node cluster
 // under opts' chaos plan. The route client dials through the controller
 // as endpoint "client" with split connect/idle deadlines, so read hangs
 // injected by one-way cuts resolve at the idle deadline instead of the
-// blanket request timeout.
+// blanket request timeout. The orchestrator dials through it as
+// "fleetctl", the way `fleetctl -chaos` does, so client-side cuts leave
+// its marks, health rounds and merge alone.
 func runChaosStudy(t *testing.T, opts chaosOpts) *chaosRun {
 	t.Helper()
 	run := &chaosRun{
 		ctrl: faultnet.NewController(opts.plan),
 		reg:  telemetry.NewRegistry(),
 	}
-	run.h = startClusterHarnessCfg(t, []string{"a", "b", "c"}, func(id string, members []cluster.Member, cfg *cluster.Config) {
+	run.h = startClusterHarness(t, []string{"a", "b", "c"}, func(id string, members []cluster.Member, cfg *cluster.Config) {
 		for _, m := range members {
 			run.ctrl.Register(m.ID, strings.TrimPrefix(m.URL, "http://"))
 		}
@@ -80,14 +84,14 @@ func runChaosStudy(t *testing.T, opts chaosOpts) *chaosRun {
 			opts.node(run.ctrl, id, cfg)
 		}
 	})
+	run.orch = run.h.orchestrator(run.ctrl.DialContext("fleetctl", nil), opts.health)
 	view, err := cluster.NewMembership(run.h.members, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run.httpc = resilient.SplitTimeoutClient(2*time.Second, 250*time.Millisecond, run.ctrl.DialContext("client", nil))
 	rcfg := cluster.RouteConfig{
 		Members:         view,
-		HTTPClient:      run.httpc,
+		HTTPClient:      resilient.SplitTimeoutClient(2*time.Second, 250*time.Millisecond, run.ctrl.DialContext("client", nil)),
 		Retries:         1,
 		RetryDelay:      time.Millisecond,
 		BreakerCooldown: 250 * time.Millisecond,
@@ -123,9 +127,9 @@ func runChaosStudy(t *testing.T, opts chaosOpts) *chaosRun {
 }
 
 // checkChaosGolden is every scenario's exit gate: nothing lost, nothing
-// double-counted (delivered == control total and the merged canonical
-// bytes match), and the golden paper tables rendered from the merged
-// store equal the checked-in fixtures byte-for-byte.
+// double-counted (delivered == control total and the orchestrator's
+// merged canonical bytes match), and the golden paper tables rendered
+// from the merged store equal the checked-in fixtures byte-for-byte.
 func (run *chaosRun) checkChaosGolden(t *testing.T, total int, wantCanon []byte) {
 	t.Helper()
 	st := run.rc.Stats()
@@ -138,20 +142,16 @@ func (run *chaosRun) checkChaosGolden(t *testing.T, total int, wantCanon []byte)
 	if run.streamed != total {
 		t.Fatalf("streamed %d measurements, control tested %d", run.streamed, total)
 	}
-	var merged []*store.DB
-	var sum int
-	for _, id := range []string{"a", "b", "c"} {
-		db := run.h.fetchStore(id, "/cluster/snapshot")
-		t.Logf("node %s holds %d tested", id, db.Totals().Tested)
-		sum += db.Totals().Tested
-		merged = append(merged, db)
+	merged, err := run.orch.Merge()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := canonBytes(merged...); !bytes.Equal(got, wantCanon) {
+	if got := canonBytes(merged); !bytes.Equal(got, wantCanon) {
 		t.Fatalf("cluster merge differs from sequential control (%d vs %d bytes, %d vs %d tested): chaos lost or duplicated data (stats %+v)",
-			len(got), len(wantCanon), sum, total, st)
+			len(got), len(wantCanon), merged.Totals().Tested, total, st)
 	}
 	final := *run.res
-	final.Store = store.Merge(0, merged...)
+	final.Store = merged
 	checkAgainstGolden(t, goldenDir(t), goldenArtifacts(t, &final))
 }
 
@@ -247,47 +247,37 @@ func TestClusterChaosMatrix(t *testing.T) {
 		run.checkChaosGolden(t, total, wantCanon)
 	})
 
-	// Slow-but-alive: b answers everything at injected latency. No
-	// breaker trips, nothing reroutes — but a suspicion scorer probing
-	// through the same chaotic link must surface b as Suspect (gray
-	// failure) and never Dead, and both exposition formats must carry
-	// the breaker and suspicion metrics.
+	// Slow-but-alive: b answers everything at injected latency, to the
+	// router and to the orchestrator alike. No breaker trips, nothing
+	// reroutes — but the orchestrator's health rounds through its own
+	// slow link must surface b as Suspect (gray failure) and never Dead,
+	// and both exposition formats must carry the breaker and suspicion
+	// metrics.
 	t.Run("slow-node-gray-failure", func(t *testing.T) {
-		scorer := cluster.NewScorer(cluster.SuspicionConfig{LatencyBudget: 5 * time.Millisecond})
-		probe := func(r *chaosRun, n int) {
-			for i := 0; i < n; i++ {
-				t0 := time.Now()
-				resp, err := r.httpc.Get(r.h.url("b") + "/cluster/status")
-				if err != nil {
-					scorer.Observe("b", cluster.Sample{Err: true})
-					continue
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				scorer.Observe("b", cluster.Sample{RTT: time.Since(t0)})
+		health := func(r *chaosRun) cluster.Verdict {
+			for i := 0; i < 6; i++ {
+				r.orch.HealthRound()
 			}
+			return r.orch.Scorer.Verdict("b")
 		}
+		slow := faultnet.LinkState{Latency: 20 * time.Millisecond}
 		var during, after cluster.Verdict
 		run := runChaosStudy(t, chaosOpts{
 			plan: faultnet.ChaosPlan{Seed: 13, Phases: []faultnet.ChaosPhase{
 				{Name: "clean"},
 				{Name: "slow", Rules: []faultnet.LinkRule{
-					{From: "client", To: "b", State: faultnet.LinkState{Latency: 20 * time.Millisecond}},
+					{From: "client", To: "b", State: slow},
+					{From: "fleetctl", To: "b", State: slow},
 				}},
 				{Name: "healed"},
 			}},
 			at: map[int]func(*chaosRun){
-				total / 4: func(r *chaosRun) { r.ctrl.Advance() },
-				total / 3: func(r *chaosRun) {
-					probe(r, 6)
-					during = scorer.Verdict("b")
-				},
-				total / 2: func(r *chaosRun) { r.ctrl.Advance() },
-				2 * total / 3: func(r *chaosRun) {
-					probe(r, 6)
-					after = scorer.Verdict("b")
-				},
+				total / 4:     func(r *chaosRun) { r.ctrl.Advance() },
+				total / 3:     func(r *chaosRun) { during = health(r) },
+				total / 2:     func(r *chaosRun) { r.ctrl.Advance() },
+				2 * total / 3: func(r *chaosRun) { after = health(r) },
 			},
+			health: cluster.SuspicionConfig{LatencyBudget: 5 * time.Millisecond},
 		})
 		if during != cluster.Suspect {
 			t.Fatalf("slow-but-alive node judged %v under 4x-budget latency, want suspect", during)
@@ -299,10 +289,15 @@ func TestClusterChaosMatrix(t *testing.T) {
 		if st.BreakerOpens != 0 || st.DeadMarked != 0 {
 			t.Fatalf("latency alone tripped hard-failure machinery (stats %+v)", st)
 		}
-		linkFired(t, run, "client->b", func(ls faultnet.LinkStats) uint64 { return ls.DelayedReads })
+		for _, link := range []string{"client->b", "fleetctl->b"} {
+			linkFired(t, run, link, func(ls faultnet.LinkStats) uint64 { return ls.DelayedReads })
+		}
+		if b, _ := run.orch.Members.Get("b"); b.State != cluster.Alive {
+			t.Fatalf("orchestrator holds slow-but-alive b %v", b.State)
+		}
 
 		// Both exposition formats must carry the new metric families.
-		scorer.MountMetrics(run.reg, []string{"b"})
+		run.orch.Scorer.MountMetrics(run.reg, []string{"b"})
 		srv := httptest.NewServer(telemetry.Handler(run.reg, nil))
 		defer srv.Close()
 		for _, q := range []string{"", "?format=prometheus"} {
@@ -396,10 +391,11 @@ func TestClusterChaosMatrix(t *testing.T) {
 		}
 	})
 
-	// Link flap while a node drains: c starts handing off mid-study
-	// while its link to the router flaps cut/healed/cut/healed. The
-	// router must fold the drain in through relayed not-owner verdicts
-	// and never escalate the flapping link to a death.
+	// Link flap while a node drains: the orchestrator drains c mid-study
+	// (peers first, then c) while c's link to the router flaps
+	// cut/healed/cut/healed. The router must fold the drain in through
+	// relayed not-owner verdicts and never escalate the flapping link to
+	// a death.
 	t.Run("flap-during-drain", func(t *testing.T) {
 		start := 2 * total / 5
 		step := total / 20
@@ -414,13 +410,9 @@ func TestClusterChaosMatrix(t *testing.T) {
 			at: map[int]func(*chaosRun){
 				start: func(r *chaosRun) {
 					r.ctrl.Advance()
-					// fleetctl's mark protocol: the drain is broadcast to
-					// every peer so cluster views converge — a lagging
-					// peer's not-owner verdicts would otherwise cascade
-					// until the router's ring emptied.
-					r.h.post("c", "/cluster/drain")
-					r.h.post("a", "/cluster/draining?node=c")
-					r.h.post("b", "/cluster/draining?node=c")
+					if err := r.orch.Drain("c"); err != nil {
+						t.Fatal(err)
+					}
 				},
 				start + step:   func(r *chaosRun) { r.ctrl.Advance() },
 				start + 2*step: func(r *chaosRun) { r.ctrl.Advance() },

@@ -13,7 +13,6 @@ package tlsfof
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"path/filepath"
@@ -22,6 +21,8 @@ import (
 
 	"tlsfof/internal/cluster"
 	"tlsfof/internal/core"
+	"tlsfof/internal/fleet"
+	"tlsfof/internal/resilient"
 	"tlsfof/internal/store"
 	"tlsfof/internal/study"
 	"tlsfof/internal/telemetry"
@@ -35,25 +36,19 @@ type clusterHarness struct {
 	nodes      map[string]*cluster.Node
 	servers    map[string]*http.Server
 	registries map[string]*telemetry.Registry
-	dataDirs   map[string]string
 }
 
-func startClusterHarness(t *testing.T, ids []string) *clusterHarness {
-	return startClusterHarnessCfg(t, ids, nil)
-}
-
-// startClusterHarnessCfg starts the cluster with a per-node Config
-// hook: configure (optional) runs before each cluster.Open with the
-// full member list resolved, so tests can mount chaos-controlled HTTP
-// clients or tighten replication deadlines on individual nodes.
-func startClusterHarnessCfg(t *testing.T, ids []string, configure func(id string, members []cluster.Member, cfg *cluster.Config)) *clusterHarness {
+// startClusterHarness starts the cluster with a per-node Config hook:
+// configure (optional) runs before each cluster.Open with the full member
+// list resolved, so tests can mount chaos-controlled HTTP clients or
+// tighten replication deadlines on individual nodes.
+func startClusterHarness(t *testing.T, ids []string, configure func(id string, members []cluster.Member, cfg *cluster.Config)) *clusterHarness {
 	t.Helper()
 	h := &clusterHarness{
 		t:          t,
 		nodes:      make(map[string]*cluster.Node),
 		servers:    make(map[string]*http.Server),
 		registries: make(map[string]*telemetry.Registry),
-		dataDirs:   make(map[string]string),
 	}
 	listeners := make(map[string]net.Listener)
 	for _, id := range ids {
@@ -66,11 +61,10 @@ func startClusterHarnessCfg(t *testing.T, ids []string, configure func(id string
 	}
 	for _, id := range ids {
 		reg := telemetry.NewRegistry()
-		dir := filepath.Join(t.TempDir(), id)
 		cfg := cluster.Config{
 			ID:           id,
 			Members:      h.members,
-			DataDir:      dir,
+			DataDir:      filepath.Join(t.TempDir(), id),
 			Shards:       2,
 			SegmentBytes: 32 << 10,
 			AckTimeout:   5 * time.Second,
@@ -92,7 +86,6 @@ func startClusterHarnessCfg(t *testing.T, ids []string, configure func(id string
 		h.nodes[id] = n
 		h.servers[id] = srv
 		h.registries[id] = reg
-		h.dataDirs[id] = dir
 	}
 	t.Cleanup(func() {
 		for _, srv := range h.servers {
@@ -105,55 +98,21 @@ func startClusterHarnessCfg(t *testing.T, ids []string, configure func(id string
 	return h
 }
 
-func (h *clusterHarness) url(id string) string {
-	for _, m := range h.members {
-		if m.ID == id {
-			return m.URL
-		}
-	}
-	h.t.Fatalf("no member %q", id)
-	return ""
-}
-
-func (h *clusterHarness) post(id, path string) {
+// orchestrator returns the fleet library's orchestrator over its own
+// view of the members, the way fleetctl builds one; dial nil dials
+// directly.
+func (h *clusterHarness) orchestrator(dial resilient.DialFunc, health cluster.SuspicionConfig) *fleet.Orchestrator {
 	h.t.Helper()
-	resp, err := http.Post(h.url(id)+path, "", nil)
+	view, err := cluster.NewMembership(h.members, 0)
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		h.t.Fatalf("POST %s to %s: HTTP %d", path, id, resp.StatusCode)
+	return &fleet.Orchestrator{
+		Members: view,
+		HTTP:    resilient.SplitTimeoutClient(2*time.Second, 5*time.Second, dial),
+		Scorer:  cluster.NewScorer(health),
+		Logf:    h.t.Logf,
 	}
-}
-
-func (h *clusterHarness) get(id, path string) ([]byte, int) {
-	h.t.Helper()
-	resp, err := http.Get(h.url(id) + path)
-	if err != nil {
-		h.t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		h.t.Fatal(err)
-	}
-	return body, resp.StatusCode
-}
-
-// fetchStore pulls and decodes a snapshot endpoint, failing on non-200.
-func (h *clusterHarness) fetchStore(id, path string) *store.DB {
-	h.t.Helper()
-	body, status := h.get(id, path)
-	if status != http.StatusOK {
-		h.t.Fatalf("GET %s from %s: HTTP %d: %s", path, id, status, body)
-	}
-	db, err := store.DecodeSnapshot(body)
-	if err != nil {
-		h.t.Fatalf("GET %s from %s: %v", path, id, err)
-	}
-	return db
 }
 
 func ackTimeouts(t *testing.T, reg *telemetry.Registry) float64 {
@@ -198,7 +157,8 @@ func TestClusterKillOneNode(t *testing.T) {
 	}
 	killAt := total / 3
 
-	h := startClusterHarness(t, []string{"a", "b", "c"})
+	h := startClusterHarness(t, []string{"a", "b", "c"}, nil)
+	orch := h.orchestrator(nil, cluster.SuspicionConfig{})
 	view, err := cluster.NewMembership(h.members, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -211,14 +171,15 @@ func TestClusterKillOneNode(t *testing.T) {
 	}
 
 	// The tee counts the stream and pulls the trigger at killAt: node b
-	// dies (WALs abandoned unsynced, listener closed) and the
-	// orchestrator broadcasts the death to both survivors — the same
-	// protocol fleetctl's health loop runs. The route client is NOT
-	// told: it must discover the death through transport failure and
-	// re-route on its own. All of this happens synchronously between
-	// two measurements, so the surviving nodes never ingest inside the
-	// window where their replica peer is dead but not yet marked —
-	// which is what the zero-degraded-acks assertion below pins.
+	// dies (WALs abandoned unsynced, listener closed), and the
+	// orchestrator's health rounds — the path fleetctl's health loop
+	// takes — find the death in three hard failures against the closed
+	// listener and broadcast it to both survivors. The route client is
+	// NOT told: it must discover the death through transport failure and
+	// re-route on its own. All of this happens synchronously between two
+	// measurements, so the surviving nodes never ingest inside the window
+	// where their replica peer is dead but not yet marked — which is what
+	// the zero-degraded-acks assertion below pins.
 	streamed, killed := 0, false
 	tee := core.SinkFunc(func(m core.Measurement) {
 		streamed++
@@ -226,8 +187,12 @@ func TestClusterKillOneNode(t *testing.T) {
 			killed = true
 			h.nodes["b"].Kill()
 			h.servers["b"].Close()
-			h.post("a", "/cluster/dead?node=b")
-			h.post("c", "/cluster/dead?node=b")
+			for round := 1; round <= 3; round++ {
+				orch.HealthRound()
+			}
+			if b, _ := orch.Members.Get("b"); b.State != cluster.Dead {
+				t.Fatalf("three health rounds against b's closed listener left it %v (verdict %v)", b.State, orch.Scorer.Verdict("b"))
+			}
 		}
 		rc.Ingest(m)
 	})
@@ -272,25 +237,16 @@ func TestClusterKillOneNode(t *testing.T) {
 		}
 	}
 
-	// Survivors' own shards over HTTP; b's shards from whichever
-	// survivor holds its replica streams. b's data directory stays
-	// untouched — recovery must work from replicas alone.
-	merged := []*store.DB{
-		h.fetchStore("a", "/cluster/snapshot"),
-		h.fetchStore("c", "/cluster/snapshot"),
-	}
+	// Exactly one survivor holds b's replica streams: both claiming it
+	// would double-count b's shards in any merge.
 	var recovered *store.DB
 	for _, id := range []string{"a", "c"} {
-		body, status := h.get(id, "/cluster/replica?node=b")
-		if status != http.StatusOK {
+		db, err := h.nodes[id].RecoverReplica("b")
+		if err != nil {
 			continue
 		}
 		if recovered != nil {
 			t.Fatal("both survivors claim b's replica; shards would be double-counted")
-		}
-		db, err := store.DecodeSnapshot(body)
-		if err != nil {
-			t.Fatal(err)
 		}
 		recovered = db
 	}
@@ -300,16 +256,22 @@ func TestClusterKillOneNode(t *testing.T) {
 	if recovered.Totals().Tested == 0 {
 		t.Fatal("b died a third of the way in, but its recovered replica is empty")
 	}
-	merged = append(merged, recovered)
 
-	if got, want := canonBytes(merged...), canonBytes(seq.Store); !bytes.Equal(got, want) {
+	// The orchestrator's merge: survivors' own shards over HTTP, b's from
+	// whichever survivor holds its replica. b's data directory stays
+	// untouched — recovery must work from replicas alone.
+	merged, err := orch.Merge()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := canonBytes(merged), canonBytes(seq.Store); !bytes.Equal(got, want) {
 		t.Fatalf("cluster merge differs from sequential control (%d vs %d bytes)", len(got), len(want))
 	}
 
 	// And the end product: the paper tables rendered from the merged
 	// store must equal the checked-in golden fixtures byte-for-byte.
 	final := *res
-	final.Store = store.Merge(0, merged...)
+	final.Store = merged
 	checkAgainstGolden(t, goldenDir(t), goldenArtifacts(t, &final))
 }
 

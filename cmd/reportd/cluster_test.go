@@ -9,7 +9,6 @@ import (
 	"bytes"
 	"crypto/x509/pkix"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -24,9 +23,11 @@ import (
 	"tlsfof/internal/classify"
 	"tlsfof/internal/cluster"
 	"tlsfof/internal/core"
+	"tlsfof/internal/fleet"
 	"tlsfof/internal/geo"
 	"tlsfof/internal/hostdb"
 	"tlsfof/internal/ingest"
+	"tlsfof/internal/resilient"
 	"tlsfof/internal/store"
 	"tlsfof/internal/study"
 	"tlsfof/internal/x509util"
@@ -42,19 +43,6 @@ func reserveAddr(t *testing.T) string {
 	}
 	defer ln.Close()
 	return ln.Addr().String()
-}
-
-func mustPost(t *testing.T, url string) {
-	t.Helper()
-	resp, err := http.Post(url, "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST %s: HTTP %d", url, resp.StatusCode)
-	}
 }
 
 func TestClusterModeMixedHostReports(t *testing.T) {
@@ -113,6 +101,16 @@ func TestClusterModeMixedHostReports(t *testing.T) {
 	view, err := cluster.NewMembership(members, 0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	orchView, err := cluster.NewMembership(members, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orch := &fleet.Orchestrator{
+		Members: orchView,
+		HTTP:    resilient.SplitTimeoutClient(2*time.Second, 10*time.Second, nil),
+		Scorer:  cluster.NewScorer(cluster.SuspicionConfig{}),
+		Logf:    t.Logf,
 	}
 	owners := make(map[string]int)
 	for _, h := range hosts {
@@ -226,7 +224,7 @@ func TestClusterModeMixedHostReports(t *testing.T) {
 		}()
 	}
 
-	// Drain a mid-run, the way fleetctl does: peers first, then the node.
+	// Drain a mid-run through the orchestrator: peers first, then a.
 	for posted.Load() < int64(len(members)*perNode/3) {
 		select {
 		case err := <-errs:
@@ -234,9 +232,9 @@ func TestClusterModeMixedHostReports(t *testing.T) {
 		case <-time.After(time.Millisecond):
 		}
 	}
-	mustPost(t, members[1].URL+"/cluster/draining?node=a")
-	mustPost(t, members[2].URL+"/cluster/draining?node=a")
-	mustPost(t, members[0].URL+"/cluster/drain")
+	if err := orch.Drain("a"); err != nil {
+		t.Fatal(err)
+	}
 	wg.Wait()
 	select {
 	case err := <-errs:
@@ -244,7 +242,6 @@ func TestClusterModeMixedHostReports(t *testing.T) {
 	default:
 	}
 
-	var dbs []*store.DB
 	for _, m := range members {
 		st := clients[m.ID].Stats()
 		if st.PostErrors != 0 || st.Accepted != perNode || st.Rejected != 0 {
@@ -255,22 +252,12 @@ func TestClusterModeMixedHostReports(t *testing.T) {
 				t.Errorf("node %s: route_lost_total = %v", m.ID, mv.Value)
 			}
 		}
-		resp, err := http.Get(m.URL + "/cluster/snapshot")
-		if err != nil {
-			t.Fatal(err)
-		}
-		img, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		db, err := store.DecodeSnapshot(img)
-		if err != nil {
-			t.Fatalf("node %s snapshot: %v", m.ID, err)
-		}
-		dbs = append(dbs, db)
 	}
-	merged, want := store.Merge(0, dbs...), store.Merge(0, control)
+	merged, err := orch.Merge()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := store.Merge(0, control)
 	if got := merged.Totals(); got != want.Totals() || got.Proxied == 0 {
 		t.Errorf("merged totals %+v, control %+v", got, want.Totals())
 	}

@@ -5,7 +5,7 @@ package tlsfof
 // fragmentation, coalescing, latency, slowloris stalls, corruption,
 // duplication, reordering, garbage, and spurious alerts) driven through
 // both measurement planes — the raw probe plane over real loopback TCP
-// and the interceptor plane over netsim pipes. Every probe must
+// and the interceptor plane over in-memory pipes. Every probe must
 // terminate with a classified outcome (clean capture, explicit error, or
 // timeout), never a hang; stream-preserving faults must still capture;
 // and replaying a seed must reproduce the identical fault schedule.
@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"tlsfof/internal/faultnet"
-	"tlsfof/internal/netsim"
 	"tlsfof/internal/proxyengine"
 	"tlsfof/internal/tlswire"
 )
@@ -125,10 +124,10 @@ func runFaultMatrix(t *testing.T, seed uint64) fmResult {
 		out.schedules[cell] = plan.Schedule()
 	}
 
-	// — Plane 2: forging interceptor over netsim pipes. —
-	network := netsim.New()
+	// — Plane 2: forging interceptor over in-memory pipes. —
+	network := faultnet.NewNetwork()
 	chain := world.chains[host]
-	network.Listen(host, netsim.ServiceTLS, func(conn net.Conn) {
+	network.Listen(host, func(conn net.Conn) {
 		defer conn.Close()
 		tlswire.Respond(conn, tlswire.ResponderConfig{
 			Chain:   tlswire.StaticChain(chain),
@@ -142,21 +141,21 @@ func runFaultMatrix(t *testing.T, seed uint64) fmResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ic := proxyengine.NewInterceptor(engine, network.Dialer(netsim.ServiceTLS))
+	ic := proxyengine.NewInterceptor(engine, network.Dial)
 	ic.Timeout = 5 * time.Second
 	// The interceptor's own slowloris defense: without it the stall and
 	// reorder cells park handler goroutines on half-read ClientHellos.
 	ic.ClientTimeout = 2 * time.Second
-	tapped := network.Intercepted(func(conn net.Conn, _ string, _ func(string) (net.Conn, error)) {
+	tapped := faultnet.Intercepted(func(conn net.Conn) {
 		defer conn.Close()
 		ic.HandleConn(conn)
 	})
 	for _, sc := range faultnet.Scenarios() {
 		cell := "proxy/" + sc.Name
 		plan := faultnet.NewPlan(seed, sc)
-		view := tapped.WithFaults(plan)
+		dial := plan.Dialer(tapped)
 		for i := 0; i < fmProbesPerCel; i++ {
-			conn, err := view.Dial(host, netsim.ServiceTLS)
+			conn, err := dial(host)
 			if err != nil {
 				t.Fatalf("%s: dial: %v", cell, err)
 			}

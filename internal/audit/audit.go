@@ -24,7 +24,6 @@ import (
 	"tlsfof/internal/classify"
 	"tlsfof/internal/core"
 	"tlsfof/internal/faultnet"
-	"tlsfof/internal/netsim"
 	"tlsfof/internal/proxyengine"
 	"tlsfof/internal/stats"
 	"tlsfof/internal/store"
@@ -270,12 +269,12 @@ func Run(cfg Config) (*store.AuditStore, error) {
 		}
 	}
 
-	n := netsim.New()
+	n := faultnet.NewNetwork()
 	rec := &helloRecorder{last: make(map[string]recordedHello)}
 	for _, defect := range store.AuditDefects {
 		host := HostFor(defect)
 		chain := origins.Chains[defect]
-		n.Listen(host, netsim.ServiceTLS, func(c net.Conn) {
+		n.Listen(host, func(c net.Conn) {
 			defer c.Close()
 			tlswire.Respond(c, tlswire.ResponderConfig{
 				Chain:         tlswire.StaticChain(chain),
@@ -296,13 +295,13 @@ func Run(cfg Config) (*store.AuditStore, error) {
 		if err != nil {
 			return nil, fmt.Errorf("audit: engine for %q: %w", entry.Name, err)
 		}
-		dial := n.Dialer(netsim.ServiceTLS)
+		dial := n.Dial
 		if plan != nil {
 			dial = plan.Dialer(dial)
 		}
 		ic := proxyengine.NewInterceptor(engine, dial)
 		ic.Timeout = 5 * time.Second
-		view := n.Intercepted(func(clientConn net.Conn, _ string, _ func(string) (net.Conn, error)) {
+		view := faultnet.Intercepted(func(clientConn net.Conn) {
 			defer clientConn.Close()
 			ic.HandleConn(clientConn)
 		})
@@ -352,8 +351,8 @@ func Run(cfg Config) (*store.AuditStore, error) {
 // probeCell performs one client handshake through the intercepted view
 // and returns the captured (forged) chain. version 0 probes at the
 // client default (TLS 1.2).
-func probeCell(view *netsim.View, host string, version uint16) ([][]byte, error) {
-	conn, err := view.Dial(host, netsim.ServiceTLS)
+func probeCell(view func(string) (net.Conn, error), host string, version uint16) ([][]byte, error) {
+	conn, err := view(host)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -241,6 +242,42 @@ func TestTailLongPollWakesOnCommit(t *testing.T) {
 	}
 	if late := a.at.Sub(closing); late > time.Second {
 		t.Fatalf("poll parked across Close answered after %v", late)
+	}
+}
+
+// TestTailCancelledPollFreesHandler: a follower that abandons a parked
+// poll — its node stopping, its own deadline — frees the source's
+// handler at once, not when the 5 s LongPoll lapses.
+func TestTailCancelledPollFreesHandler(t *testing.T) {
+	n, reg, _ := openLonely(t, func(c *Config) { c.Shards = 1; c.AckTimeout = -1; c.LongPoll = 5 * time.Second })
+	h := n.Handler()
+	returned := make(chan time.Time, 1)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		returned <- time.Now()
+	}))
+	defer srv.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/repl/tail?shard=0&from=1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	waitMetric(t, reg, "repl_tail_polls_total", 1)
+	cancelled := time.Now()
+	cancel()
+	select {
+	case at := <-returned:
+		if late := at.Sub(cancelled); late > time.Second {
+			t.Fatalf("handler returned %v after its follower cancelled", late)
+		}
+	case <-time.After(4 * time.Second):
+		t.Fatal("handler still parked 4s after its follower cancelled the poll")
 	}
 }
 

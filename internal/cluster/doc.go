@@ -12,9 +12,9 @@
 //   - Membership: the cluster view one process routes against — members
 //     with alive/draining/dead states, an ownership ring recomputed over
 //     the alive set, and an epoch that counts rebalances. There is no
-//     gossip: the orchestrator (fleetctl) observes failures and
-//     broadcasts state changes, which keeps routing deterministic enough
-//     to test byte-for-byte.
+//     gossip: the orchestrator (internal/fleet, mounted by fleetctl)
+//     observes failures and broadcasts state changes, which keeps
+//     routing deterministic enough to test byte-for-byte.
 //   - Node: one reportd's cluster runtime. Each local shard is a
 //     durable.Log plus a store.DB behind one mutex; a batch's shard
 //     groups are WAL-appended, fsynced and applied concurrently, each
@@ -37,6 +37,7 @@
 //
 // Correctness claims here are enforced by cluster_test.go at the repo
 // root: a three-node in-process cluster ingests a seeded study, one node
-// is killed mid-flight, and the surviving stores plus the dead node's
-// replica must merge into tables byte-identical to a sequential run.
+// is killed mid-flight, and the orchestrator's merge of the surviving
+// stores plus the dead node's replica must render tables byte-identical
+// to a sequential run.
 package cluster

@@ -132,9 +132,10 @@ func (s *seqSignal) advance(v uint64) {
 	}
 }
 
-// waitPast blocks until the value exceeds x, the timeout lapses, or stop
-// closes. True means the value got there.
-func (s *seqSignal) waitPast(x uint64, timeout time.Duration, stop <-chan struct{}) bool {
+// waitPast blocks until the value exceeds x, the timeout lapses, or
+// either stop channel closes (a nil one never does). True means the
+// value got there.
+func (s *seqSignal) waitPast(x uint64, timeout time.Duration, stop, stop2 <-chan struct{}) bool {
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	for {
@@ -147,6 +148,8 @@ func (s *seqSignal) waitPast(x uint64, timeout time.Duration, stop <-chan struct
 		case <-timer.C:
 			return false
 		case <-stop:
+			return false
+		case <-stop2:
 			return false
 		}
 	}
@@ -526,7 +529,7 @@ func (n *Node) applyShard(si int, ms []core.Measurement) error {
 	}
 	if n.cfg.AckTimeout > 0 && n.replicaWaitable() {
 		n.met.ackWaits.Inc()
-		if !sh.watermark.waitPast(last, n.cfg.AckTimeout, n.ctx.Done()) {
+		if !sh.watermark.waitPast(last, n.cfg.AckTimeout, n.ctx.Done(), nil) {
 			// Degraded mode: the batch is durable here but the replica is
 			// lagging or gone. Acking anyway keeps the fleet moving; the
 			// counter is the alarm.
@@ -824,11 +827,15 @@ func (n *Node) handleTail(w http.ResponseWriter, r *http.Request) {
 	// The poll position is the follower's promise: everything below it is
 	// durable on the replica. Publishing it releases pending acks.
 	sh.watermark.advance(from)
-	if !sh.lastSeq.waitPast(from-1, n.cfg.LongPoll, n.ctx.Done()) {
+	// A follower that gives up on its poll (its node stopping, its client
+	// deadline) frees this handler at once instead of a LongPoll later.
+	if !sh.lastSeq.waitPast(from-1, n.cfg.LongPoll, n.ctx.Done(), r.Context().Done()) {
 		select {
 		case <-n.ctx.Done():
 			http.Error(w, "shutting down", http.StatusServiceUnavailable)
 			return
+		case <-r.Context().Done():
+			return // nobody is listening for the answer
 		default: // caught up for a whole LongPoll: answer an empty tail
 		}
 	}

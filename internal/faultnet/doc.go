@@ -23,8 +23,12 @@
 // connection's deadlines and Close, so a probe's own timeout machinery
 // — not the fault layer — decides when a stalled exchange dies.
 //
-// The cmd layer exposes plans via -fault flags (see ParseSpec), the
-// netsim harness via View.WithFaults, and TestFaultMatrix at the repo
-// root drives the full scenario grid through both the raw-probe and
-// interceptor planes. DESIGN.md §9 documents the architecture.
+// Network is the hermetic transport the plans compose with: an in-memory
+// internet of named origins over net.Pipe, with Intercepted placing a
+// proxy on the client's path (Figure 3's topology). The cmd layer
+// exposes plans via -fault flags (see ParseSpec), the in-memory network
+// via Plan.Dialer, and TestFaultMatrix at the repo root drives the full
+// scenario grid through both the raw-probe and interceptor planes. A
+// Controller lifts the same idea to a cluster's link matrix. DESIGN.md
+// §9 and §13 document the architecture.
 package faultnet

@@ -15,6 +15,6 @@
 //     client is on none of the notary paths, so the views disagree.
 //
 // Both mitigations operate purely on observed chains, so they compose with
-// netsim topologies and real sockets alike — a pin store can sit behind
+// in-memory topologies and real sockets alike — a pin store can sit behind
 // the same live-wire loop that cmd/mitmd and the probe fleet exercise.
 package mitigate

@@ -81,7 +81,7 @@ func (s *PinStore) Len() int {
 // ---- Multi-path notary ----
 
 // Vantage is one notary observation point: it fetches the chain it sees
-// for a host. In tests and simulations this is a netsim view or direct
+// for a host. In tests and simulations this is an in-memory view or direct
 // probe; over the real Internet it would be a remote notary server.
 type Vantage func(host string) (chainDER [][]byte, err error)
 

@@ -79,7 +79,7 @@ type replayConn struct {
 func (c *replayConn) Read(p []byte) (int, error) { return c.r.Read(p) }
 
 // SniffIsPolicyRequest reports whether data looks like the start of a Flash
-// policy request; used by tests and the netsim captive-portal model.
+// policy request; used by tests and the captive-portal model.
 func SniffIsPolicyRequest(data []byte) bool {
 	if len(data) == 0 {
 		return false

@@ -13,7 +13,7 @@
 // handshake) and the server side (Respond — authoritative hosts and the
 // client-facing half of every forging proxy), so the full measurement path
 // runs over real bytes: loopback TCP in cmd/mitmd and the live-wire smoke,
-// or net.Pipe via internal/netsim.
+// or net.Pipe via faultnet.Network.
 //
 // Parsing follows the decode-into-preallocated-struct discipline: message
 // structs are reused across reads and slices alias the read buffer where

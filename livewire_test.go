@@ -22,9 +22,9 @@ import (
 	"tlsfof/internal/certgen"
 	"tlsfof/internal/classify"
 	"tlsfof/internal/core"
+	"tlsfof/internal/faultnet"
 	"tlsfof/internal/geo"
 	"tlsfof/internal/ingest"
-	"tlsfof/internal/netsim"
 	"tlsfof/internal/proxyengine"
 	"tlsfof/internal/store"
 	"tlsfof/internal/telemetry"
@@ -32,7 +32,7 @@ import (
 )
 
 // lwWorld is the authoritative side of a live-wire run: one CA-signed
-// chain per probe host, shared between the socket run and the netsim
+// chain per probe host, shared between the socket run and the in-memory
 // control run so both observe the same upstreams.
 type lwWorld struct {
 	pool   *certgen.KeyPool
@@ -135,7 +135,7 @@ type lwJob struct {
 // loopback TCP: an 8-worker probe fleet → per-product forging
 // interceptors → /ingest/batch wire uploads → sharded pipeline →
 // store.Merge — then verifies the resulting Tables are byte-identical to
-// an equivalent netsim (in-memory) run of the same profile set. Gated by
+// an equivalent in-memory (net.Pipe) run of the same profile set. Gated by
 // -short so quick local runs skip the socket churn; CI runs it on every
 // push.
 func TestLiveWireSmoke(t *testing.T) {
@@ -174,7 +174,7 @@ func TestLiveWireSmoke(t *testing.T) {
 	pipeline := ingest.NewPipeline(ingest.Config{Shards: 4, Block: true})
 	defer pipeline.Close()
 	col := world.newCollector(pipeline, "live-wire")
-	// The live side runs with the observation memo, the netsim control
+	// The live side runs with the observation memo, the in-memory control
 	// below without — the byte-identical tables at the end prove the
 	// cache lossless over the wire, not just in-process.
 	col.Cache = core.NewObservationCache(0, 0)
@@ -248,11 +248,11 @@ func TestLiveWireSmoke(t *testing.T) {
 		}
 	}
 
-	// — Control side: the identical workload through netsim pipes. —
-	network := netsim.New()
+	// — Control side: the identical workload through in-memory pipes. —
+	network := faultnet.NewNetwork()
 	for h, chain := range world.chains {
 		chain := chain
-		network.Listen(h, netsim.ServiceTLS, func(conn net.Conn) {
+		network.Listen(h, func(conn net.Conn) {
 			defer conn.Close()
 			tlswire.Respond(conn, tlswire.ResponderConfig{Chain: tlswire.StaticChain(chain)})
 		})
@@ -260,14 +260,14 @@ func TestLiveWireSmoke(t *testing.T) {
 	simDB := store.New(0)
 	simCol := world.newCollector(simDB, "live-wire")
 	for _, e := range lwEngines(t, world, profiles) {
-		ic := proxyengine.NewInterceptor(e, network.Dialer(netsim.ServiceTLS))
-		view := network.Intercepted(func(conn net.Conn, host string, _ func(string) (net.Conn, error)) {
+		ic := proxyengine.NewInterceptor(e, network.Dial)
+		view := faultnet.Intercepted(func(conn net.Conn) {
 			defer conn.Close()
 			ic.HandleConn(conn)
 		})
 		for _, h := range hosts {
 			for i := 0; i < probesPerPair; i++ {
-				conn, err := view.Dial(h, netsim.ServiceTLS)
+				conn, err := view(h)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -287,7 +287,7 @@ func TestLiveWireSmoke(t *testing.T) {
 	// set populates: totals, issuer histogram, classification, and the
 	// negligence cohort.
 	if lt, st := liveDB.Totals(), simDB.Totals(); lt != st {
-		t.Fatalf("totals diverge: live %+v, netsim %+v", lt, st)
+		t.Fatalf("totals diverge: live %+v, in-memory %+v", lt, st)
 	}
 	renders := map[string]func(*store.DB) string{
 		"Table4": func(db *store.DB) string {
@@ -303,7 +303,7 @@ func TestLiveWireSmoke(t *testing.T) {
 	for name, render := range renders {
 		live, sim := render(liveDB), render(simDB)
 		if live != sim {
-			t.Errorf("%s diverges between live-wire and netsim runs:\n— live —\n%s\n— netsim —\n%s", name, live, sim)
+			t.Errorf("%s diverges between live-wire and in-memory runs:\n— live —\n%s\n— in-memory —\n%s", name, live, sim)
 		}
 	}
 }
