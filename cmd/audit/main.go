@@ -24,6 +24,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strings"
@@ -40,7 +41,7 @@ func main() {
 	}
 }
 
-func run(args []string, stdout *os.File) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("audit", flag.ContinueOnError)
 	seed := fs.Uint64("seed", 2016, "battery key-material seed")
 	products := fs.String("products", "", "comma-separated product names (default: full classify database)")
@@ -78,19 +79,18 @@ func run(args []string, stdout *os.File) error {
 		fmt.Fprintf(os.Stderr, "audit: pushed %d cells to %s\n", grid.Len(), url)
 	}
 
-	w := (*os.File)(stdout)
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		w = f
+		stdout = f
 	}
 	if *asJSON {
-		return grid.EncodeJSON(w)
+		return grid.EncodeJSON(stdout)
 	}
-	return analysis.AuditReport(w, grid.Cells())
+	return analysis.AuditReport(stdout, grid.Cells())
 }
 
 // selectEntries resolves the -products flag against the classify

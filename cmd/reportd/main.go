@@ -150,6 +150,12 @@ func newServer(cfg serverConfig) (*server, error) {
 		if cfg.dataDir == "" {
 			return nil, fmt.Errorf("reportd: cluster mode requires -data-dir")
 		}
+		if cfg.snapshotEvery > 0 {
+			// A cluster node never checkpoints its WALs (replica
+			// followers tail them by sequence number): refuse rather than
+			// ignore the flag.
+			return nil, fmt.Errorf("reportd: -snapshot-every does not apply in cluster mode")
+		}
 		members, err := cluster.ParseMembers(cfg.clusterPeers)
 		if err != nil {
 			return nil, err
@@ -410,6 +416,17 @@ func (s *server) mux() *http.ServeMux {
 	return mux
 }
 
+// endpoints lists what mux serves in this server's mode, for the startup
+// banner.
+func (s *server) endpoints() string {
+	modal := "/ingest/stats"
+	if s.node != nil {
+		modal = "/cluster/*, /repl/*"
+	}
+	return "POST /report?host=..., POST /ingest/batch, POST /audit/ingest, GET /stats, /metrics, /trace, " +
+		modal + ", /cache/stats, /export.csv, /table/{4,5,6,negligence,products,audit,audit-cards}"
+}
+
 // start binds the listener (so tests can read the ephemeral port before
 // serving begins).
 func (s *server) start() error {
@@ -434,7 +451,7 @@ func (s *server) serve(sig <-chan os.Signal) error {
 
 	var ticker *time.Ticker
 	var tick <-chan time.Time
-	if s.cfg.snapshotEvery > 0 && s.cfg.dataDir != "" && s.pipeline != nil {
+	if s.cfg.snapshotEvery > 0 && s.cfg.dataDir != "" {
 		ticker = time.NewTicker(s.cfg.snapshotEvery)
 		tick = ticker.C
 		defer ticker.Stop()
@@ -506,7 +523,7 @@ func main() {
 		batch     = flag.Int("batch", ingest.DefaultBatchSize, "measurements buffered per shard before they commit (WAL append + store apply)")
 		obsCache  = flag.Int("obs-cache", chaincache.DefaultCap, "observation cache capacity in distinct (host, chain) pairs (0 disables)")
 		dataDir   = flag.String("data-dir", "", "durable per-shard WAL + snapshot directory (recovered on boot; graceful shutdown snapshots)")
-		snapEvery = flag.Duration("snapshot-every", 0, "checkpoint the WALs on this cadence (e.g. 5m; 0 = only at shutdown; with -data-dir)")
+		snapEvery = flag.Duration("snapshot-every", 0, "checkpoint the WALs on this cadence (e.g. 5m; 0 = only at shutdown; with -data-dir, not in cluster mode)")
 		pprofA    = flag.String("pprof", "", "serve net/http/pprof on this address (disabled when empty)")
 		selfRef   = flag.String("selfsigned", "", "generate an in-process self-signed authoritative chain for this host (smoke tests / CI; no PEM files needed)")
 		clusterID = flag.String("cluster-id", "", "run as this member of a reportd cluster (requires -cluster-peers and -data-dir)")
@@ -601,8 +618,8 @@ func main() {
 	if *clusterID != "" {
 		durableNote += fmt.Sprintf(", cluster member %q of [%s]", *clusterID, *clusterPs)
 	}
-	fmt.Printf("reportd: listening on %s with %d ingest shards, obs cache %d%s (POST /report?host=..., POST /ingest/batch, POST /audit/ingest, GET /stats, /metrics, /ingest/stats, /cache/stats, /export.csv, /table/{4,5,6,negligence,products,audit,audit-cards})\n",
-		srv.addr(), *shards, *obsCache, durableNote)
+	fmt.Printf("reportd: listening on %s with %d ingest shards, obs cache %d%s (%s)\n",
+		srv.addr(), *shards, *obsCache, durableNote, srv.endpoints())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

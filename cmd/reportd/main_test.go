@@ -12,8 +12,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -227,6 +229,77 @@ func TestAuditIngestAndTables(t *testing.T) {
 	resp.Body.Close()
 	if !bytes.Contains(cards.Bytes(), []byte("C")) || !bytes.Contains(cards.Bytes(), []byte("expired")) {
 		t.Fatalf("/table/audit-cards = %q, want grade C and accepts expired", cards.String())
+	}
+}
+
+// unreadRefs registers a host for tests that post no report, so its chain
+// is never read and no key material is minted.
+var unreadRefs = []hostChain{{host: testHost}}
+
+// TestNewServerRefusesClusterMisconfig: cluster mode refuses flags it
+// cannot honour instead of booting without them.
+func TestNewServerRefusesClusterMisconfig(t *testing.T) {
+	peers := "solo=http://" + reserveAddr(t)
+	for _, tc := range []struct {
+		name string
+		cfg  serverConfig
+		want string
+	}{
+		{"no-data-dir", serverConfig{clusterID: "solo", clusterPeers: peers}, "requires -data-dir"},
+		{"snapshot-every", serverConfig{clusterID: "solo", clusterPeers: peers, dataDir: t.TempDir(), snapshotEvery: time.Minute}, "-snapshot-every"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.refs = unreadRefs
+			srv, err := newServer(tc.cfg)
+			if err == nil {
+				srv.node.Close()
+				t.Fatal("newServer accepted the configuration")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestBannerListsModeEndpoints: the startup banner names the mode's own
+// endpoints, and the mux serves exactly those.
+func TestBannerListsModeEndpoints(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  serverConfig
+		// served is a mode-specific path and listed its banner entry;
+		// unset and unlisted are the other mode's.
+		served, listed, unset, unlisted string
+	}{
+		{"single-node", serverConfig{}, "/ingest/stats", "/ingest/stats", "/cluster/status", "/cluster/"},
+		{"cluster", serverConfig{clusterID: "solo", clusterPeers: "solo=http://" + reserveAddr(t), dataDir: t.TempDir()},
+			"/cluster/status", "/cluster/", "/ingest/stats", "/ingest/stats"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.refs = unreadRefs
+			srv, err := newServer(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if srv.node != nil {
+					srv.node.Close()
+				} else {
+					srv.pipeline.Close()
+				}
+			}()
+			for path, code := range map[string]int{tc.served: http.StatusOK, tc.unset: http.StatusNotFound} {
+				rec := httptest.NewRecorder()
+				srv.httpSrv.Handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+				if rec.Code != code {
+					t.Errorf("GET %s: status %d, want %d", path, rec.Code, code)
+				}
+			}
+			if banner := srv.endpoints(); !strings.Contains(banner, tc.listed) || strings.Contains(banner, tc.unlisted) {
+				t.Errorf("banner %q: want %s listed, %s not", banner, tc.listed, tc.unlisted)
+			}
+		})
 	}
 }
 

@@ -12,7 +12,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -46,15 +45,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		svgPath   = fs.String("svg", "", "write Figure 7 as SVG to this path")
 		csvPath   = fs.String("csv", "", "export proxied measurement records as CSV to this path")
 		jsonlPath = fs.String("jsonl", "", "export proxied measurement records as JSON Lines to this path")
-		dataDir   = fs.String("data-dir", "", "durable WAL + checkpoint directory: an interrupted run rerun with the same flags resumes instead of restarting")
-		snapEvery = fs.Int("snapshot-every", 0, "checkpoint the WAL every N measurements (0 = only at completion; with -data-dir)")
-		abortAt   = fs.Int("abort-after", 0, "crash injection: abort the run after N durable measurements (exit 3; resume with the same -data-dir)")
 		progress  = fs.Duration("progress", 0, "print a progress/throughput line to stderr every interval, e.g. 5s (0 = off)")
 	)
 	fs.Parse(args)
 
-	cfg := tlsfof.StudyConfig{Seed: *seed, Scale: *scale, Shards: *shards,
-		DataDir: *dataDir, SnapshotEvery: *snapEvery, AbortAfter: *abortAt}
+	cfg := tlsfof.StudyConfig{Seed: *seed, Scale: *scale, Shards: *shards}
 	switch strings.ToLower(*studyName) {
 	case "first", "1":
 		cfg.Study = tlsfof.Study1
@@ -118,20 +113,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stderr, "running %s study (seed=%d scale=%g)...\n", *studyName, *seed, *scale)
 	res, err := tlsfof.RunStudy(cfg)
 	stopProgress()
-	if errors.Is(err, tlsfof.ErrStudyAborted) {
-		fmt.Fprintf(stderr, "study: %v\n", err)
-		return 3
-	}
 	if err != nil {
 		return fatalf("study failed: %v", err)
-	}
-	if r := res.Resume; r != nil {
-		if r.Recovered > 0 {
-			fmt.Fprintf(stderr, "resumed from %s: %d measurements recovered (snapshot seq %d, %d WAL frames replayed), generation skipped what was durable\n",
-				*dataDir, r.Recovered, r.Info.SnapshotSeq, r.Info.Replayed)
-		}
-		fmt.Fprintf(stderr, "durable: %d frames appended (%d bytes), %d fsyncs, %d segments, snapshot through seq %d\n",
-			r.WAL.AppendedFrames, r.WAL.AppendedBytes, r.WAL.Fsyncs, r.WAL.Segments, r.WAL.LastSeq)
 	}
 	tested, proxied := tlsfof.Totals(res)
 	fmt.Fprintf(stderr, "completed in %v: %d certificate tests, %d proxied (%.2f%%)\n",

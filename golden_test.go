@@ -4,10 +4,10 @@ package tlsfof
 // 1-8, the §5.2 negligence report, the §6.4 product diversity table) for
 // a small fixed-seed study are checked into testdata/golden/, and every
 // path the system offers into a store — campaigns inline, campaigns
-// concurrent, the sharded ingest pipeline and recovered-from-WAL — must
-// reproduce them byte-for-byte. This pins the reproduction against every
-// scaling and persistence change at once: a PR that alters any byte of
-// any table on any path fails here.
+// concurrent, the sharded ingest pipeline and recovered from the durable
+// shard engine's WALs — must reproduce them byte-for-byte. This pins the
+// reproduction against every scaling and persistence change at once: a PR
+// that alters any byte of any table on any path fails here.
 //
 // Regenerate after an intentional change with:
 //
@@ -130,13 +130,7 @@ func TestGoldenTables(t *testing.T) {
 		// The study no longer goes through ingest.Pipeline, reportd does:
 		// record the golden stream and feed it the way concurrent
 		// uploaders would — two Batchers into four shards, then Merge.
-		var stream []core.Measurement
-		cfg := goldenConfig()
-		cfg.Sink = core.SinkFunc(func(m core.Measurement) { stream = append(stream, m) })
-		res, err := study.Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res, stream := recordStream(t, goldenConfig())
 		pl := ingest.NewPipeline(ingest.Config{Shards: 4})
 		const feeders = 2
 		var wg sync.WaitGroup
@@ -163,38 +157,12 @@ func TestGoldenTables(t *testing.T) {
 	})
 
 	t.Run("recovered-from-wal", func(t *testing.T) {
-		// Run with the durable plane on (small segments + mid-run
-		// checkpoints force real rotation, snapshotting, and
-		// compaction), then rebuild the store purely from disk and
-		// render from the recovered copy.
-		cfg := goldenConfig()
-		cfg.DataDir = t.TempDir()
-		cfg.SnapshotEvery = 5000
-		res, err := study.Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkAgainstGolden(t, dir, goldenArtifacts(t, res))
-
-		recovered, info, err := durable.Recover(durable.Options{Dir: cfg.DataDir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.DroppedTail {
-			t.Fatalf("clean run recovered with damage: %+v", info)
-		}
-		if got, want := recovered.Totals(), res.Store.Totals(); got != want {
-			t.Fatalf("recovered totals %+v != run totals %+v", got, want)
-		}
-		swapped := *res
-		swapped.Store = recovered
-		checkAgainstGolden(t, dir, goldenArtifacts(t, &swapped))
+		checkAgainstGolden(t, dir, goldenArtifacts(t, recoverFromShards(t, goldenConfig())))
 	})
 
-	// The durable run above also pins that a recovered store merged with
-	// nothing equals a plain store: double-check one cross-path artifact
-	// digest so a future path can't silently diverge from another while
-	// both drift from the fixtures being -updated together.
+	// Double-check one cross-path artifact digest so a future path can't
+	// silently diverge from another while both drift from the fixtures
+	// being -updated together.
 	t.Run("cross-path-identity", func(t *testing.T) {
 		cfg := goldenConfig()
 		cfg.Shards = 2
@@ -217,12 +185,7 @@ func TestGoldenTables(t *testing.T) {
 func TestGoldenRecoveredStoreIsLive(t *testing.T) {
 	cfg := goldenConfig()
 	cfg.Scale = 0.002
-	cfg.DataDir = t.TempDir()
 	res, err := study.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recovered, _, err := durable.Recover(durable.Options{Dir: cfg.DataDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +193,7 @@ func TestGoldenRecoveredStoreIsLive(t *testing.T) {
 	if len(extra) == 0 {
 		t.Fatal("fixture run retained no proxied records")
 	}
-	a, b := recovered, cloneViaSnapshot(t, res.Store)
+	a, b := recoverFromShards(t, cfg).Store, res.Store
 	for _, m := range extra {
 		a.Ingest(m)
 		b.Ingest(m)
@@ -241,11 +204,74 @@ func TestGoldenRecoveredStoreIsLive(t *testing.T) {
 	}
 }
 
-func cloneViaSnapshot(t *testing.T, db *store.DB) *store.DB {
+// recordStream runs cfg with every measurement recorded through
+// Config.Sink, so the result's Store is nil.
+func recordStream(t *testing.T, cfg study.Config) (*study.Result, []core.Measurement) {
 	t.Helper()
-	out, err := store.DecodeSnapshot(db.AppendSnapshot(nil))
+	var stream []core.Measurement
+	cfg.Sink = core.SinkFunc(func(m core.Measurement) { stream = append(stream, m) })
+	res, err := study.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return res, stream
+}
+
+// recoverFromShards pushes cfg's stream through the WAL code reportd and
+// cluster.Node ship: it commits the stream into four durable shards,
+// partitioned by host the way ingest.Pipeline does, with small segments
+// and a checkpoint every 5,000 measurements so rotation, snapshotting and
+// compaction all run, and leaves the last window in the WAL tail. It then
+// closes the shards, recovers each directory from disk alone, and returns
+// the run with its Store replaced by the merge of the recovered shards.
+func recoverFromShards(t *testing.T, cfg study.Config) *study.Result {
+	t.Helper()
+	const shardCount, checkpointEvery = 4, 5000
+	res, stream := recordStream(t, cfg)
+	root := t.TempDir()
+	shards, _, err := durable.OpenShards(root, shardCount, durable.Options{SegmentBytes: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for start := 0; start < len(stream); start += checkpointEvery {
+		if start > 0 {
+			for _, sh := range shards {
+				if _, err := sh.Log.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		parts := make([][]core.Measurement, shardCount)
+		for _, m := range stream[start:min(start+checkpointEvery, len(stream))] {
+			i := ingest.ShardOf(m.Host, shardCount)
+			parts[i] = append(parts[i], m)
+		}
+		for i, sh := range shards {
+			sh.Lock()
+			_, err := sh.Commit(parts[i], false)
+			sh.Unlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	dbs := make([]*store.DB, shardCount)
+	for i, sh := range shards {
+		if err := sh.Close(); err != nil {
+			t.Fatal(err)
+		}
+		db, info, err := durable.Recover(durable.Options{Dir: durable.ShardDir(root, i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.DroppedTail {
+			t.Fatalf("shard %d: clean close recovered with damage: %+v", i, info)
+		}
+		dbs[i] = db
+	}
+	res.Store = store.Merge(0, dbs...)
+	if got := res.Store.Totals().Tested; got != len(stream) {
+		t.Fatalf("recovered %d of %d measurements", got, len(stream))
+	}
+	return res
 }

@@ -251,7 +251,7 @@ func (l *Log) Compact() (Info, error) {
 
 // Checkpoint is Rotate followed by Compact: seal whatever has been
 // appended so far and fold every sealed byte into the snapshot. The
-// periodic durability tick reportd and the study runner use.
+// periodic durability tick reportd's -snapshot-every drives.
 func (l *Log) Checkpoint() (Info, error) {
 	if err := l.Rotate(); err != nil {
 		return Info{}, err

@@ -11,7 +11,7 @@ import (
 // ingest of the whole stream would have produced. It is the reduce step
 // behind the sharded ingest pipeline (internal/ingest: one store per
 // host-hash shard), the cluster (one per node) and study.Run (one per
-// campaign, plus whatever a resumed run recovered).
+// campaign).
 //
 // Every aggregate (totals, per-country/host-type/campaign tables, issuer
 // histogram, classification counts, negligence stats, product diversity,

@@ -5,12 +5,11 @@ package study
 // filling a private store, one deterministic store.Merge) must render
 // every paper artifact — Tables 1-8, Figure 7, and the §5.2 negligence
 // stats — and write every export byte-identical to the run that generates
-// them inline in campaign order, interrupted-and-resumed or not. Goroutine
-// scheduling must never leak into a result.
+// them inline in campaign order. Goroutine scheduling must never leak into
+// a result.
 
 import (
 	"bytes"
-	"errors"
 	"strings"
 	"testing"
 
@@ -144,8 +143,7 @@ func TestShardedRetainCap(t *testing.T) {
 
 // TestStudyExportsIdenticalAcrossArms: the exports — not just the tables —
 // are a function of (study, seed, scale): CSV and JSONL of the capped
-// retained set are byte-identical inline, concurrent, and after an aborted
-// run resumed either way.
+// retained set are byte-identical inline and concurrent.
 func TestStudyExportsIdenticalAcrossArms(t *testing.T) {
 	base := Config{Study: clientpop.Study2, Seed: 2014, Scale: 0.005, RetainProxied: 40, Pool: sharedPool}
 	exports := func(res *Result) []byte {
@@ -166,7 +164,6 @@ func TestStudyExportsIdenticalAcrossArms(t *testing.T) {
 		t.Fatalf("degenerate run: retained %d of %d proxied", n, seq.Store.Totals().Proxied)
 	}
 	want := exports(seq)
-	half := seq.Store.Totals().Tested / 2
 
 	for _, shards := range []int{1, 4} {
 		cfg := base
@@ -177,23 +174,6 @@ func TestStudyExportsIdenticalAcrossArms(t *testing.T) {
 		}
 		if !bytes.Equal(exports(res), want) {
 			t.Errorf("shards=%d: exports differ from the inline run", shards)
-		}
-
-		cfg.DataDir = t.TempDir()
-		crash := cfg
-		crash.AbortAfter = half
-		if _, err := Run(crash); !errors.Is(err, ErrAborted) {
-			t.Fatalf("shards=%d: crash run returned %v, want ErrAborted", shards, err)
-		}
-		res, err = Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Resume.Recovered == 0 {
-			t.Fatalf("shards=%d: resumed run recovered nothing", shards)
-		}
-		if !bytes.Equal(exports(res), want) {
-			t.Errorf("shards=%d: resumed exports differ from the inline run", shards)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package study
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -11,7 +10,6 @@ import (
 	"tlsfof/internal/classify"
 	"tlsfof/internal/clientpop"
 	"tlsfof/internal/core"
-	"tlsfof/internal/durable"
 	"tlsfof/internal/geo"
 	"tlsfof/internal/hostdb"
 	"tlsfof/internal/ingest"
@@ -33,7 +31,7 @@ type Config struct {
 	Scale float64
 	// RetainProxied caps retained proxied records (0 = unlimited), applied
 	// once after store.Merge's canonical sort over the whole run, so the
-	// surviving set does not depend on Shards or on a resume.
+	// surviving set does not depend on Shards.
 	RetainProxied int
 	// Pool supplies key material (a fresh pool when nil).
 	Pool *certgen.KeyPool
@@ -42,22 +40,6 @@ type Config struct {
 	// is kept only because bench/study.go sets it; rename in the next
 	// benchmark PR.
 	Shards int
-	// DataDir enables the durable plane (internal/durable): every
-	// generated measurement is appended to a WAL here before it reaches
-	// the store, and a rerun over a directory holding an interrupted
-	// run's WAL resumes it — recovered measurements merge into the final
-	// store and generation skips what is already durable. The directory
-	// is pinned to (study, seed, scale) by a manifest. See durable.go.
-	DataDir string
-	// SnapshotEvery checkpoints the WAL (fold into a snapshot, delete
-	// covered segments) every N appended measurements, bounding disk
-	// during paper-scale runs; 0 checkpoints only at successful
-	// completion. Only meaningful with DataDir.
-	SnapshotEvery int
-	// AbortAfter stops the run with ErrAborted once N measurements have
-	// been appended to the WAL — deterministic crash injection for the
-	// resume-equivalence tests and recovery drills. 0 = disabled.
-	AbortAfter int
 	// Metrics, when non-nil, exposes the run's live progress on the
 	// shared telemetry registry: study_measurements_total counts every
 	// measurement as it reaches the sink, study_campaigns_done_total the
@@ -68,9 +50,8 @@ type Config struct {
 	// of the run's internal store — the cluster path: a route client
 	// delivers the stream to the owning reportd nodes and tables are
 	// merged cross-node afterwards, so Result.Store comes back nil.
-	// It requires Shards <= 1 and no DataDir: in cluster mode the
-	// external sink owns durability and parallelism, so it sees one
-	// in-order stream and this run's WAL is not layered under it.
+	// It requires Shards <= 1: the external sink owns durability and
+	// parallelism, so it sees one in-order stream.
 	Sink core.Sink
 }
 
@@ -90,9 +71,6 @@ type Result struct {
 	// pipeline; kept only because bench/study.go reads it (and tolerates
 	// nil); remove in the next benchmark PR.
 	IngestStats *ingest.Stats
-	// Resume holds the durable-plane accounting when the run used
-	// Config.DataDir (nil otherwise).
-	Resume *ResumeInfo
 }
 
 // meterTee counts measurements into the telemetry registry on their way
@@ -162,8 +140,8 @@ func newWorld(cfg *Config, hosts []hostdb.Host) (*world, error) {
 // Run executes the configured study in fast mode and returns the populated
 // store plus campaign outcomes.
 func Run(cfg Config) (*Result, error) {
-	if cfg.Sink != nil && (cfg.Shards > 1 || cfg.DataDir != "") {
-		return nil, fmt.Errorf("study: Config.Sink requires Shards <= 1 and no DataDir")
+	if cfg.Sink != nil && cfg.Shards > 1 {
+		return nil, fmt.Errorf("study: Config.Sink requires Shards <= 1")
 	}
 	wall := time.Now()
 	w, err := newWorld(&cfg, nil)
@@ -193,37 +171,8 @@ func Run(cfg Config) (*Result, error) {
 
 	gen := newCampaignGen(w, cfg.Scale, studyEpoch(cfg.Study))
 
-	// Durable plane: recover whatever a previous run left in DataDir,
-	// derive per-campaign skip counts, and open the WAL for appending.
-	var ctl *walControl
-	var recovered *store.DB
-	var resume *ResumeInfo
-	skips := map[string]int{}
-	if cfg.DataDir != "" {
-		if err := checkStudyManifest(cfg); err != nil {
-			return nil, err
-		}
-		opts := durable.Options{Dir: cfg.DataDir}
-		rec, info, err := durable.Recover(opts)
-		if err != nil {
-			return nil, err
-		}
-		resume = &ResumeInfo{Recovered: int(info.LastSeq), Info: info}
-		if info.LastSeq > 0 {
-			recovered = rec
-			for name, agg := range rec.ByCampaign() {
-				skips[name] = agg.Tested
-			}
-		}
-		wal, err := durable.Open(opts)
-		if err != nil {
-			return nil, err
-		}
-		ctl = &walControl{wal: wal, abortAfter: int64(cfg.AbortAfter), snapshotEvery: int64(cfg.SnapshotEvery)}
-		defer wal.Close()
-	}
 	// Progress counters live on the caller's registry; counting happens
-	// in an outermost sink tee, above the WAL tee when that is active.
+	// in a sink tee in front of every campaign's sink.
 	var meter, campaignsDone *telemetry.Counter
 	if cfg.Metrics != nil {
 		meter = cfg.Metrics.Counter("study_measurements_total",
@@ -233,27 +182,20 @@ func Run(cfg Config) (*Result, error) {
 		cfg.Metrics.GaugeFunc("study_campaigns_total",
 			"ad campaigns in this run", func() float64 { return float64(len(campaigns)) })
 	}
-	// wrap interposes the write-ahead tee between a campaign generator
-	// and its sink; without DataDir it is the identity.
+	// wrap interposes the progress tee between a campaign generator and
+	// its sink; without Metrics it is the identity.
 	wrap := func(sink core.Sink) core.Sink {
-		if ctl != nil {
-			sink = walTee{ctl: ctl, next: sink}
-		}
 		if meter != nil {
 			sink = meterTee{n: meter, next: sink}
 		}
 		return sink
 	}
-	var stop func() bool
-	if ctl != nil {
-		stop = ctl.stop
-	}
 
 	// Every campaign generates into a private store (or all of them into
 	// cfg.Sink), and the run's store is always the canonical merge of
-	// those with whatever was recovered, so every output is a function of
-	// (study, seed, scale) alone. Shards > 1 decides one thing: campaigns
-	// run inline in order, or one goroutine each.
+	// those, so every output is a function of (study, seed, scale) alone.
+	// Shards > 1 decides one thing: campaigns run inline in order, or one
+	// goroutine each.
 	dbs := make([]*store.DB, len(campaigns))
 	runCampaign := func(ci int) error {
 		sink := cfg.Sink
@@ -261,7 +203,7 @@ func Run(cfg Config) (*Result, error) {
 			dbs[ci] = store.New(0) // uncapped: Merge applies RetainProxied
 			sink = dbs[ci]
 		}
-		err := gen.run(campaigns[ci], outcomes[ci], crs[ci], wrap(sink), skips[campaigns[ci].Name], stop)
+		err := gen.run(campaigns[ci], outcomes[ci], crs[ci], wrap(sink))
 		if err == nil {
 			campaignsDone.Inc()
 		}
@@ -284,37 +226,13 @@ func Run(cfg Config) (*Result, error) {
 	}
 	wg.Wait()
 	for _, err := range errs {
-		if err != nil && !errors.Is(err, errStopped) {
-			return nil, err
-		}
-	}
-
-	if ctl != nil {
-		if err := ctl.firstErr(); err != nil {
-			return nil, err
-		}
-		if ctl.stop() {
-			// Crash injection: sync what made it to the WAL and report
-			// the abort; a rerun with the same DataDir resumes here.
-			if err := ctl.wal.Close(); err != nil {
-				return nil, err
-			}
-			return nil, ErrAborted
-		}
-		resume.WAL = ctl.wal.Stats()
-		if err := ctl.wal.Close(); err != nil {
-			return nil, err
-		}
-		// Completion checkpoint: collapse the directory to one snapshot
-		// so the next boot (or a rerun, which will skip everything)
-		// recovers with a single decode.
-		if _, err := durable.Snapshot(durable.Options{Dir: cfg.DataDir}); err != nil {
+		if err != nil {
 			return nil, err
 		}
 	}
 	var db *store.DB
 	if cfg.Sink == nil {
-		db = store.Merge(cfg.RetainProxied, append(dbs, recovered)...)
+		db = store.Merge(cfg.RetainProxied, dbs...)
 	}
 
 	res := &Result{
@@ -328,7 +246,6 @@ func Run(cfg Config) (*Result, error) {
 		Geo:       w.geo,
 		Duration:  time.Since(wall),
 		StartedAt: wall,
-		Resume:    resume,
 	}
 	return res, nil
 }
@@ -353,20 +270,10 @@ func newCampaignGen(w *world, scale float64, epoch time.Time) *campaignGen {
 
 // run synthesizes one campaign's measurements from its private RNG stream
 // and delivers them to sink in impression order.
-//
-// skip suppresses delivery (and observation derivation) of the first
-// skip measurements while still consuming the RNG draws that produce
-// them — the resume fast-forward: a rerun burns through what a previous
-// run already made durable and continues generating exactly where it
-// stopped, on the identical random stream. stop (when non-nil) is
-// polled per impression and aborts generation with errStopped.
-func (g *campaignGen) run(campaign adsim.Campaign, outcome adsim.Outcome, cr *stats.RNG, sink core.Sink, skip int, stop func() bool) error {
+func (g *campaignGen) run(campaign adsim.Campaign, outcome adsim.Outcome, cr *stats.RNG, sink core.Sink) error {
 	n := int(float64(outcome.Impressions) * g.scale)
 	window := time.Duration(campaign.Days) * 24 * time.Hour
 	for i := 0; i < n; i++ {
-		if stop != nil && stop() {
-			return errStopped
-		}
 		country := campaign.TargetCountry
 		if country == "" {
 			country = g.pop.SampleGlobalCountry(cr)
@@ -387,13 +294,6 @@ func (g *campaignGen) run(campaign adsim.Campaign, outcome adsim.Outcome, cr *st
 				ip = g.pop.ClientIP(cr, country)
 				ipSet = true
 				when = g.epoch.Add(time.Duration(float64(window) * float64(i) / float64(n+1)))
-			}
-			if skip > 0 {
-				// Already durable from the interrupted run: every random
-				// draw above still happened, only derivation + delivery
-				// are elided.
-				skip--
-				continue
 			}
 			obs := g.factory.clean[hi]
 			if proxied {

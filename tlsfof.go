@@ -140,15 +140,12 @@ func ClassifyIssuer(org, cn, ou string) Category {
 
 // RunStudy executes a full simulated reproduction of one of the paper's
 // studies (fast mode; see DESIGN.md §5). Scale 1.0 reproduces paper-size
-// campaigns (2.9M / 12.3M certificate tests). With StudyConfig.DataDir
-// set the run is durable and resumable (WAL + snapshots, DESIGN.md §10).
+// campaigns (2.9M / 12.3M certificate tests). The result is a function of
+// (study, seed, scale) alone; a paper-size run takes seconds, so an
+// interrupted one is simply rerun.
 func RunStudy(cfg StudyConfig) (*StudyResult, error) {
 	return study.Run(cfg)
 }
-
-// ErrStudyAborted reports that RunStudy stopped early because
-// StudyConfig.AbortAfter fired; rerunning with the same DataDir resumes.
-var ErrStudyAborted = study.ErrAborted
 
 // RunHuangBaseline measures the same population at a whale-class site
 // only, reproducing the comparison with Huang et al.'s Facebook-specific
