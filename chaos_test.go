@@ -298,7 +298,7 @@ func TestClusterChaosMatrix(t *testing.T) {
 
 		// Both exposition formats must carry the new metric families.
 		run.orch.Scorer.MountMetrics(run.reg, []string{"b"})
-		srv := httptest.NewServer(telemetry.Handler(run.reg, nil))
+		srv := httptest.NewServer(telemetry.Handler(run.reg))
 		defer srv.Close()
 		for _, q := range []string{"", "?format=prometheus"} {
 			resp, err := http.Get(srv.URL + q)

@@ -3,8 +3,8 @@
 // exercising the measurement tool against known interception behaviors at
 // production rates. It is built to be load-bearing: a bounded accept pool,
 // per-connection deadlines, a sharded single-flight forged-chain cache,
-// an asynchronously refilled key pool, graceful drain on SIGINT/SIGTERM,
-// and a /metrics stats endpoint.
+// a key pool filled before the listener opens, graceful drain on
+// SIGINT/SIGTERM, and a /metrics stats endpoint.
 //
 // Usage:
 //
@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -29,7 +30,6 @@ import (
 	"os"
 	"os/signal"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -44,17 +44,12 @@ import (
 // load-bearing proxy needs: connection bounding, deadlines, drain, stats.
 type server struct {
 	ic          *proxyengine.Interceptor
-	engine      *proxyengine.Engine
-	faults      *faultnet.Plan // nil unless -fault
 	connTimeout time.Duration
 	slots       chan struct{} // accept pool: one token per live connection
 	quit        chan struct{} // closed on shutdown signal
 
-	start    time.Time
-	accepted atomic.Uint64
-	handled  atomic.Uint64
-	errored  atomic.Uint64
-	active   atomic.Int64
+	accepted, handled, errored *telemetry.Counter
+	active                     *telemetry.Gauge
 
 	wg sync.WaitGroup
 }
@@ -75,7 +70,7 @@ func (s *server) serve(ln net.Listener, onErr func(error)) {
 			conn.Close()
 			return
 		}
-		s.accepted.Add(1)
+		s.accepted.Inc()
 		s.active.Add(1)
 		s.wg.Add(1)
 		go func() {
@@ -89,13 +84,13 @@ func (s *server) serve(ln net.Listener, onErr func(error)) {
 				conn.SetDeadline(time.Now().Add(s.connTimeout))
 			}
 			if err := s.ic.HandleConn(conn); err != nil {
-				s.errored.Add(1)
+				s.errored.Inc()
 				if onErr != nil {
 					onErr(err)
 				}
 				return
 			}
-			s.handled.Add(1)
+			s.handled.Inc()
 		}()
 	}
 }
@@ -115,66 +110,40 @@ func (s *server) drain(timeout time.Duration) bool {
 	}
 }
 
-// metrics is the /metrics JSON shape.
-type metrics struct {
-	Product       string                 `json:"product"`
-	UptimeSeconds float64                `json:"uptime_seconds"`
-	Conns         connMetrics            `json:"conns"`
-	ForgeCache    proxyengine.ForgeStats `json:"forge_cache"`
-	// Faults reports per-scenario fault-injection accounting when the
-	// proxy runs with -fault; absent otherwise.
-	Faults map[string]faultnet.ScenarioStats `json:"faults,omitempty"`
-}
-
-type connMetrics struct {
-	Accepted uint64 `json:"accepted"`
-	Handled  uint64 `json:"handled"`
-	Errored  uint64 `json:"errored"`
-	Active   int64  `json:"active"`
-	MaxConns int    `json:"max_conns"`
-}
-
-func (s *server) metrics() metrics {
-	var faults map[string]faultnet.ScenarioStats
-	if s.faults != nil {
-		faults = s.faults.Stats()
-	}
-	return metrics{
-		Faults:        faults,
-		Product:       s.engine.Profile.ProductName,
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Conns: connMetrics{
-			Accepted: s.accepted.Load(),
-			Handled:  s.handled.Load(),
-			Errored:  s.errored.Load(),
-			Active:   s.active.Load(),
-			MaxConns: cap(s.slots),
-		},
-		ForgeCache: s.engine.CacheStats(),
-	}
-}
-
 func main() {
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, stop))
+}
+
+// run is the whole command: it intercepts until stop delivers a signal,
+// then drains and returns the exit code (1 when the drain timed out).
+func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
+	fs := flag.NewFlagSet("mitmd", flag.ExitOnError)
+	fatalf := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "mitmd: "+format+"\n", args...)
+		return 1
+	}
 	var (
-		listen       = flag.String("listen", ":8443", "listen address for intercepted clients")
-		upstream     = flag.String("upstream", "", "authoritative server address (host:port); required unless -list")
-		product      = flag.String("product", "", "behavior profile from the product database (see -list)")
-		issuer       = flag.String("issuer", "", "custom Issuer Organization (ignored with -product)")
-		keyBits      = flag.Int("keybits", 1024, "forged-leaf key size for custom profiles")
-		md5          = flag.Bool("md5", false, "sign forgeries with MD5 (custom profiles)")
-		list         = flag.Bool("list", false, "list known products and exit")
-		cacheCap     = flag.Int("cache", proxyengine.DefaultForgeCacheCap, "forged-chain cache capacity (hosts)")
-		maxConns     = flag.Int("max-conns", 1024, "maximum concurrent intercepted connections")
-		connTimeout  = flag.Duration("conn-timeout", 30*time.Second, "per-connection deadline")
-		statsAddr    = flag.String("stats", "", "serve GET /metrics on this address (disabled when empty)")
-		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this address (disabled when empty)")
-		caOut        = flag.String("ca-out", "", "write the proxy CA certificate PEM to this path")
-		faultSpec    = flag.String("fault", "", "inject deterministic faults on every accepted connection (e.g. \"fragment\", \"all,seed=42\"; see internal/faultnet.ParseSpec)")
-		prewarm      = flag.Bool("prewarm", true, "prewarm the key pool and refill it asynchronously")
-		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful-drain bound on shutdown")
-		verbose      = flag.Bool("v", false, "log per-connection errors")
+		listen       = fs.String("listen", ":8443", "listen address for intercepted clients")
+		upstream     = fs.String("upstream", "", "authoritative server address (host:port); required unless -list")
+		product      = fs.String("product", "", "behavior profile from the product database (see -list)")
+		issuer       = fs.String("issuer", "", "custom Issuer Organization (ignored with -product)")
+		keyBits      = fs.Int("keybits", 1024, "forged-leaf key size for custom profiles")
+		md5          = fs.Bool("md5", false, "sign forgeries with MD5 (custom profiles)")
+		list         = fs.Bool("list", false, "list known products and exit")
+		cacheCap     = fs.Int("cache", proxyengine.DefaultForgeCacheCap, "forged-chain cache capacity (hosts)")
+		maxConns     = fs.Int("max-conns", 1024, "maximum concurrent intercepted connections")
+		connTimeout  = fs.Duration("conn-timeout", 30*time.Second, "per-connection deadline")
+		statsAddr    = fs.String("stats", "", "serve GET /metrics on this address (disabled when empty)")
+		pprofAddr    = fs.String("pprof", "", "serve net/http/pprof on this address (disabled when empty)")
+		caOut        = fs.String("ca-out", "", "write the proxy CA certificate PEM to this path")
+		faultSpec    = fs.String("fault", "", "inject deterministic faults on every accepted connection (e.g. \"fragment\", \"all,seed=42\"; see internal/faultnet.ParseSpec)")
+		prewarm      = fs.Bool("prewarm", true, "fill the forged-leaf key pool before the listener opens")
+		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "graceful-drain bound on shutdown")
+		verbose      = fs.Bool("v", false, "log per-connection errors")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	// Telemetry plane: registry + tracer feed /metrics and /trace; the
 	// event ring keeps the last structured events for post-mortem dumps
@@ -183,16 +152,16 @@ func main() {
 	tracer := telemetry.NewTracer(reg, 0)
 	ring := telemetry.NewEventRing(0)
 	slog.SetDefault(slog.New(telemetry.Tee(
-		slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelWarn}), ring)))
-	defer telemetry.DumpOnPanic(ring, os.Stderr)
+		slog.NewTextHandler(stderr, &slog.HandlerOptions{Level: slog.LevelWarn}), ring)))
+	defer telemetry.DumpOnPanic(ring, stderr)
 
 	if *pprofAddr != "" {
 		// pprof registers on http.DefaultServeMux; the stats mux below is
 		// separate, so profiling stays on its own listener.
 		go func() {
-			fmt.Fprintf(os.Stderr, "mitmd: pprof: %v\n", http.ListenAndServe(*pprofAddr, nil))
+			fmt.Fprintf(stderr, "mitmd: pprof: %v\n", http.ListenAndServe(*pprofAddr, nil))
 		}()
-		fmt.Printf("mitmd: pprof on http://%s/debug/pprof/\n", *pprofAddr)
+		fmt.Fprintf(stdout, "mitmd: pprof on http://%s/debug/pprof/\n", *pprofAddr)
 	}
 
 	if *list {
@@ -201,21 +170,26 @@ func main() {
 			if name == "" {
 				name = p.CommonName
 			}
-			fmt.Printf("%-42q %s\n", name, p.Category)
+			fmt.Fprintf(stdout, "%-42q %s\n", name, p.Category)
 		}
-		return
+		return 0
 	}
 	if *upstream == "" {
-		fmt.Fprintln(os.Stderr, "mitmd: -upstream is required")
-		os.Exit(1)
+		return fatalf("-upstream is required")
+	}
+	var faults *faultnet.Plan
+	if *faultSpec != "" {
+		var err error
+		if faults, err = faultnet.ParseSpec(*faultSpec); err != nil {
+			return fatalf("%v", err)
+		}
 	}
 
 	var profile proxyengine.Profile
 	if *product != "" {
 		p := classify.ProductByName(*product)
 		if p == nil {
-			fmt.Fprintf(os.Stderr, "mitmd: unknown product %q (try -list)\n", *product)
-			os.Exit(1)
+			return fatalf("unknown product %q (try -list)", *product)
 		}
 		profile = proxyengine.FromProduct(p)
 	} else {
@@ -229,28 +203,22 @@ func main() {
 		}
 	}
 
-	// A dedicated pool per proxy process: the hot path must never stall
-	// behind RSA keygen, so the pool refills in the background and is
-	// optionally prewarmed before the listener opens.
+	// A dedicated pool per proxy process. -prewarm fills it with the
+	// forged-leaf keys before the listener opens, so no connection waits
+	// on RSA keygen: Get generates only while the pool is short.
 	pool := certgen.NewKeyPool(4, nil)
-	if *prewarm {
-		pool.SetAsyncRefill(true)
-	}
 	engine, err := proxyengine.New(profile, proxyengine.Options{Pool: pool, CacheCap: *cacheCap})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mitmd: %v\n", err)
-		os.Exit(1)
+		return fatalf("%v", err)
 	}
 	if *prewarm {
 		if err := <-pool.Prewarm(profile.LeafKeyBits()); err != nil {
-			fmt.Fprintf(os.Stderr, "mitmd: prewarm: %v\n", err)
-			os.Exit(1)
+			return fatalf("prewarm: %v", err)
 		}
 	}
 	if *caOut != "" {
 		if err := os.WriteFile(*caOut, engine.CA.PEM(), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "mitmd: write CA: %v\n", err)
-			os.Exit(1)
+			return fatalf("write CA: %v", err)
 		}
 	}
 
@@ -258,39 +226,27 @@ func main() {
 		return net.Dial("tcp", *upstream)
 	})
 	ic.Tracer = tracer
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mitmd: %v\n", err)
-		os.Exit(1)
-	}
-	var faults *faultnet.Plan
-	if *faultSpec != "" {
-		faults, err = faultnet.ParseSpec(*faultSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mitmd: %v\n", err)
-			os.Exit(1)
-		}
-		ln = faults.Listener(ln)
-		fmt.Printf("mitmd: fault injection on (seed %d, %d scenarios)\n", faults.Seed, len(faults.Scenarios))
-	}
-
 	srv := &server{
 		ic:          ic,
-		engine:      engine,
-		faults:      faults,
 		connTimeout: *connTimeout,
 		slots:       make(chan struct{}, *maxConns),
 		quit:        make(chan struct{}),
-		start:       time.Now(),
+		accepted:    reg.Counter("conns_accepted_total", "connections accepted"),
+		handled:     reg.Counter("conns_handled_total", "connections handled cleanly"),
+		errored:     reg.Counter("conns_errored_total", "connections ending in error"),
+		active:      reg.Gauge("conns_active", "connections in flight"),
 	}
-
-	// Bridge the per-process counters into the registry so the Prometheus
-	// view has them natively alongside the stage histograms.
-	reg.GaugeFunc("conns_accepted_total", "connections accepted", func() float64 { return float64(srv.accepted.Load()) })
-	reg.GaugeFunc("conns_handled_total", "connections handled cleanly", func() float64 { return float64(srv.handled.Load()) })
-	reg.GaugeFunc("conns_errored_total", "connections ending in error", func() float64 { return float64(srv.errored.Load()) })
-	reg.GaugeFunc("conns_active", "connections in flight", func() float64 { return float64(srv.active.Load()) })
-	reg.GaugeFunc("forge_cache_size", "forged-chain cache occupancy", func() float64 { return float64(engine.CacheStats().Size) })
+	reg.Gauge("conns_max", "accept-pool bound on concurrent connections").Set(int64(*maxConns))
+	start := time.Now()
+	reg.GaugeFunc("uptime_seconds", "seconds since the proxy booted", func() float64 { return time.Since(start).Seconds() })
+	forge := func(name, help string, f func(proxyengine.ForgeStats) uint64) {
+		reg.GaugeFunc(name, help, func() float64 { return float64(f(engine.CacheStats())) })
+	}
+	forge("forge_cache_size", "forged-chain cache occupancy", func(st proxyengine.ForgeStats) uint64 { return uint64(st.Size) })
+	forge("forge_cache_hits_total", "connections served a cached forgery", func(st proxyengine.ForgeStats) uint64 { return st.Hits })
+	forge("forge_cache_misses_total", "connections that waited for a forge", func(st proxyengine.ForgeStats) uint64 { return st.Misses })
+	forge("forge_cache_forges_total", "substitute leaves minted", func(st proxyengine.ForgeStats) uint64 { return st.Forges })
+	forge("forge_cache_evictions_total", "forgeries dropped to respect the cap", func(st proxyengine.ForgeStats) uint64 { return st.Evictions })
 	// The origin memo explains an idle upstream leg: loads are upstream
 	// handshakes (one per kept origin), hits every other connection.
 	reg.GaugeFunc("origin_memo_size", "kept upstream chains", func() float64 { return float64(ic.OriginStats().Size) })
@@ -299,60 +255,64 @@ func main() {
 	reg.GaugeFunc("origin_memo_evictions_total", "kept upstream chains dropped to respect the cap", func() float64 { return float64(ic.OriginStats().Evictions) })
 
 	if *statsAddr != "" {
-		mux := http.NewServeMux()
-		// One exposition handler serves both formats: the legacy JSON
-		// document keeps its field names; ?format=prometheus renders the
-		// registry as Prometheus text.
-		mux.Handle("/metrics", telemetry.Handler(reg, func() any { return srv.metrics() }))
-		mux.Handle("/trace", tracer.Handler())
 		statsLn, err := net.Listen("tcp", *statsAddr)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mitmd: stats listener: %v\n", err)
-			os.Exit(1)
+			return fatalf("stats listener: %v", err)
 		}
+		defer statsLn.Close()
+		mux := http.NewServeMux()
+		mux.Handle("/metrics", telemetry.Handler(reg))
+		mux.Handle("/trace", tracer.Handler())
 		go http.Serve(statsLn, mux)
-		fmt.Printf("mitmd: stats on http://%s/metrics\n", statsLn.Addr())
+		fmt.Fprintf(stdout, "mitmd: stats on http://%s/metrics\n", statsLn.Addr())
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		return fatalf("%v", err)
+	}
+	if faults != nil {
+		ln = faults.Listener(ln)
+		fmt.Fprintf(stdout, "mitmd: fault injection on (seed %d, %d scenarios)\n", faults.Seed, len(faults.Scenarios))
+	}
+
 	go func() {
-		s := <-sig
-		fmt.Fprintln(os.Stderr, "mitmd: draining...")
+		s := <-stop
+		fmt.Fprintln(stderr, "mitmd: draining...")
 		if s == syscall.SIGTERM {
 			// Post-mortem trail for operator-initiated kills.
-			ring.Dump(os.Stderr)
+			ring.Dump(stderr)
 		}
 		close(srv.quit)
 		ln.Close()
 	}()
 
-	fmt.Printf("mitmd: intercepting on %s → %s as %q (max %d conns, cache %d hosts)\n",
+	fmt.Fprintf(stdout, "mitmd: intercepting on %s → %s as %q (max %d conns, cache %d hosts)\n",
 		ln.Addr(), *upstream, profile.ProductName, *maxConns, *cacheCap)
 	// Connection errors always reach the event ring (the Tee records
 	// below the stderr handler's level); -v additionally prints them.
 	onErr := func(err error) {
 		slog.Debug("connection error", "err", err)
 		if *verbose {
-			fmt.Fprintf(os.Stderr, "mitmd: %v\n", err)
+			fmt.Fprintf(stderr, "mitmd: %v\n", err)
 		}
 	}
 	srv.serve(ln, onErr)
 
 	clean := srv.drain(*drainTimeout)
-	m := srv.metrics()
-	fmt.Printf("mitmd: served %d conns (%d ok, %d errored); forge cache %d/%d hosts, %d hits, %d forges\n",
-		m.Conns.Accepted, m.Conns.Handled, m.Conns.Errored,
-		m.ForgeCache.Size, m.ForgeCache.Cap, m.ForgeCache.Hits, m.ForgeCache.Forges)
+	fc := engine.CacheStats()
+	fmt.Fprintf(stdout, "mitmd: served %d conns (%d ok, %d errored); forge cache %d/%d hosts, %d hits, %d forges\n",
+		srv.accepted.Value(), srv.handled.Value(), srv.errored.Value(), fc.Size, fc.Cap, fc.Hits, fc.Forges)
 	om := ic.OriginStats()
-	fmt.Printf("mitmd: origin memo %d/%d origins, %d hits, %d loads, %d evictions\n",
+	fmt.Fprintf(stdout, "mitmd: origin memo %d/%d origins, %d hits, %d loads, %d evictions\n",
 		om.Size, om.Cap, om.Hits, om.Loads, om.Evictions)
-	if m.Faults != nil {
-		fj, _ := json.Marshal(m.Faults)
-		fmt.Printf("mitmd: fault stats: %s\n", fj)
+	if faults != nil {
+		fj, _ := json.Marshal(faults.Stats())
+		fmt.Fprintf(stdout, "mitmd: fault stats: %s\n", fj)
 	}
 	if !clean {
-		fmt.Fprintf(os.Stderr, "mitmd: drain timed out with %d connections in flight\n", srv.active.Load())
-		os.Exit(1)
+		fmt.Fprintf(stderr, "mitmd: drain timed out with %d connections in flight\n", srv.active.Value())
+		return 1
 	}
+	return 0
 }

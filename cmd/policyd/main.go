@@ -60,16 +60,10 @@ func main() {
 	policyErrors := reg.Counter("policy_errors_total", "policy connections that failed (bad request, write error)")
 	httpConnsTotal := reg.Counter("policy_http_conns_total", "connections dispatched to the co-hosted HTTP responder")
 	start := time.Now()
+	reg.GaugeFunc("uptime_seconds", "seconds since policyd booted", func() float64 { return time.Since(start).Seconds() })
 	if *metricsAddr != "" {
 		mux := http.NewServeMux()
-		mux.Handle("/metrics", telemetry.Handler(reg, func() any {
-			return map[string]any{
-				"product":        "policyd",
-				"listen":         ln.Addr().String(),
-				"http":           *withHTTP,
-				"uptime_seconds": time.Since(start).Seconds(),
-			}
-		}))
+		mux.Handle("/metrics", telemetry.Handler(reg))
 		go func() {
 			if err := http.ListenAndServe(*metricsAddr, mux); err != nil {
 				fmt.Fprintf(os.Stderr, "policyd: metrics listener: %v\n", err)

@@ -30,7 +30,6 @@ package main
 import (
 	"context"
 	"crypto/x509/pkix"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -114,8 +113,9 @@ type server struct {
 	started  time.Time
 
 	// The telemetry plane: stage histograms and probe traces from the
-	// decode → observe → queue → WAL → store path, the ingest accounting
-	// bridged as gauges, and a structured-event ring dumped at shutdown.
+	// decode → observe → queue → WAL → store path, every other number
+	// /metrics serves (see mountMetrics), and a structured-event ring
+	// dumped at shutdown.
 	reg    *telemetry.Registry
 	tracer *telemetry.Tracer
 	ring   *telemetry.EventRing
@@ -235,6 +235,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		reg: reg, tracer: tracer, ring: telemetry.NewEventRing(0), chaos: chaos,
 		audits: store.NewAuditStore(),
 	}
+	s.mountMetrics()
 	for i, info := range recovery {
 		if info.LastSeq > 0 || info.DroppedTail {
 			fmt.Fprintf(cfg.logw, "reportd: shard %d recovered %d measurements (snapshot seq %d, %d replayed)%s\n",
@@ -294,43 +295,48 @@ func (s *server) summary() string {
 		tot.Tested, tot.Proxied, 100*tot.Rate(), countries)
 }
 
-// metrics is the /metrics document: the mode's own accounting (ingest or
-// cluster), durable WAL accounting per shard, cache stats, uptime.
-func (s *server) metrics() map[string]any {
-	m := map[string]any{
-		"uptime_seconds": time.Since(s.started).Seconds(),
-	}
-	if s.chaos != nil {
-		m["chaos"] = map[string]any{
-			"phase": s.chaos.PhaseName(),
-			"flaps": s.chaos.Flaps(),
-			"links": s.chaos.StatsSummary(),
+// mountMetrics registers the server's own numbers next to those its
+// storage mount registered (ingest_*, or cluster_*, repl_* and route_*):
+// uptime, WAL totals with -data-dir, the observation memo when it is on,
+// and the chaos schedule with -chaos.
+func (s *server) mountMetrics() {
+	reg := s.reg
+	reg.GaugeFunc("uptime_seconds", "seconds since the server booted", func() float64 {
+		return time.Since(s.started).Seconds()
+	})
+	if s.cfg.dataDir != "" {
+		walTotal := func(name, help string, f func(durable.Stats) float64) {
+			reg.GaugeFunc(name, help, func() float64 {
+				var sum float64
+				for _, st := range durable.WALStats(s.shards) {
+					sum += f(st)
+				}
+				return sum
+			})
 		}
+		walTotal("wal_disk_bytes", "WAL segment and snapshot bytes on disk, all shards", func(st durable.Stats) float64 {
+			return float64(st.WALBytes + st.SnapshotBytes)
+		})
+		walTotal("wal_fsyncs_total", "WAL fsyncs, all shards", func(st durable.Stats) float64 { return float64(st.Fsyncs) })
+		walTotal("wal_appended_frames_total", "frames appended to the WALs since boot", func(st durable.Stats) float64 {
+			return float64(st.AppendedFrames)
+		})
+		walTotal("wal_segments", "WAL segment files, all shards", func(st durable.Stats) float64 { return float64(st.Segments) })
 	}
-	if s.node != nil {
-		m["cluster"] = s.node.Status()
-	} else {
-		m["ingest"] = s.pipeline.Stats()
-	}
-	if wal := durable.WALStats(s.shards); wal != nil {
-		m["wal"] = wal
-		var bytes, fsyncs, frames uint64
-		segments := 0
-		for _, st := range wal {
-			bytes += uint64(st.WALBytes) + uint64(st.SnapshotBytes)
-			fsyncs += st.Fsyncs
-			frames += st.AppendedFrames
-			segments += st.Segments
+	if cache := s.col.Cache; cache != nil {
+		memo := func(name, help string, f func(chaincache.Stats) float64) {
+			reg.GaugeFunc(name, help, func() float64 { return f(cache.Stats()) })
 		}
-		m["wal_totals"] = map[string]uint64{
-			"disk_bytes": bytes, "fsyncs": fsyncs,
-			"appended_frames": frames, "segments": uint64(segments),
-		}
+		memo("obs_cache_size", "distinct (host, chain) pairs held by the observation memo", func(st chaincache.Stats) float64 { return float64(st.Size) })
+		memo("obs_cache_hits_total", "reports observed from the memo", func(st chaincache.Stats) float64 { return float64(st.Hits) })
+		memo("obs_cache_misses_total", "reports that waited for a derivation", func(st chaincache.Stats) float64 { return float64(st.Misses) })
+		memo("obs_cache_derives_total", "observations derived (chain parsed and classified)", func(st chaincache.Stats) float64 { return float64(st.Derives) })
+		memo("obs_cache_evictions_total", "memo entries dropped to respect the cap", func(st chaincache.Stats) float64 { return float64(st.Evictions) })
 	}
-	if s.col.Cache != nil {
-		m["cache"] = s.col.Cache.Stats()
+	if c := s.chaos; c != nil {
+		reg.GaugeFunc("chaos_phase", "index of the chaos plan's current phase", func() float64 { return float64(c.Phase()) })
+		reg.GaugeFunc("chaos_flaps_total", "links whose cut state flipped at a phase change", func() float64 { return float64(c.Flaps()) })
 	}
-	return m
 }
 
 func (s *server) mux() *http.ServeMux {
@@ -341,23 +347,9 @@ func (s *server) mux() *http.ServeMux {
 		nodeHandler := s.node.Handler()
 		mux.Handle("/cluster/", nodeHandler)
 		mux.Handle("/repl/", nodeHandler)
-	} else {
-		mux.Handle("/ingest/stats", ingest.StatsHandler(s.pipeline))
 	}
-	// One exposition handler serves both formats: the legacy JSON keys
-	// (uptime_seconds, ingest, wal, wal_totals, cache) survive verbatim,
-	// the registry rides along under "telemetry", and ?format=prometheus
-	// renders everything as Prometheus text.
-	mux.Handle("/metrics", telemetry.Handler(s.reg, func() any { return s.metrics() }))
+	mux.Handle("/metrics", telemetry.Handler(s.reg))
 	mux.Handle("/trace", s.tracer.Handler())
-	mux.HandleFunc("/cache/stats", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if s.col.Cache == nil {
-			fmt.Fprintln(w, `{"enabled":false}`)
-			return
-		}
-		json.NewEncoder(w).Encode(s.col.Cache.Stats())
-	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, s.summary())
 	})
@@ -419,12 +411,11 @@ func (s *server) mux() *http.ServeMux {
 // endpoints lists what mux serves in this server's mode, for the startup
 // banner.
 func (s *server) endpoints() string {
-	modal := "/ingest/stats"
+	list := "POST /report?host=..., POST /ingest/batch, POST /audit/ingest, GET /stats, /metrics, /trace, "
 	if s.node != nil {
-		modal = "/cluster/*, /repl/*"
+		list += "/cluster/*, /repl/*, "
 	}
-	return "POST /report?host=..., POST /ingest/batch, POST /audit/ingest, GET /stats, /metrics, /trace, " +
-		modal + ", /cache/stats, /export.csv, /table/{4,5,6,negligence,products,audit,audit-cards}"
+	return list + "/export.csv, /table/{4,5,6,negligence,products,audit,audit-cards}"
 }
 
 // start binds the listener (so tests can read the ephemeral port before

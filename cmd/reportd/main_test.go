@@ -11,10 +11,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -115,8 +117,8 @@ func TestSIGTERMDrainsAndSnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if _, ok := metrics["wal"]; !ok {
-		t.Fatalf("/metrics lacks wal section: %v", metrics)
+	if _, ok := metrics["wal_disk_bytes"]; !ok {
+		t.Fatalf("/metrics lacks the WAL totals: %v", metrics)
 	}
 
 	// Real SIGTERM through the real signal plumbing.
@@ -268,28 +270,22 @@ func TestBannerListsModeEndpoints(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  serverConfig
-		// served is a mode-specific path and listed its banner entry;
-		// unset and unlisted are the other mode's.
-		served, listed, unset, unlisted string
+		// codes maps paths to the status the mode answers; the banner
+		// lists listed and not unlisted.
+		codes            map[string]int
+		listed, unlisted string
 	}{
-		{"single-node", serverConfig{}, "/ingest/stats", "/ingest/stats", "/cluster/status", "/cluster/"},
+		{"single-node", serverConfig{},
+			map[string]int{"/metrics": http.StatusOK, "/cluster/status": http.StatusNotFound, "/ingest/stats": http.StatusNotFound},
+			"/metrics", "/cluster/"},
 		{"cluster", serverConfig{clusterID: "solo", clusterPeers: "solo=http://" + reserveAddr(t), dataDir: t.TempDir()},
-			"/cluster/status", "/cluster/", "/ingest/stats", "/ingest/stats"},
+			map[string]int{"/cluster/status": http.StatusOK, "/ingest/stats": http.StatusNotFound, "/cache/stats": http.StatusNotFound},
+			"/cluster/", "/ingest/stats"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.refs = unreadRefs
-			srv, err := newServer(tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer func() {
-				if srv.node != nil {
-					srv.node.Close()
-				} else {
-					srv.pipeline.Close()
-				}
-			}()
-			for path, code := range map[string]int{tc.served: http.StatusOK, tc.unset: http.StatusNotFound} {
+			srv := bootServer(t, tc.cfg)
+			for path, code := range tc.codes {
 				rec := httptest.NewRecorder()
 				srv.httpSrv.Handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
 				if rec.Code != code {
@@ -298,6 +294,77 @@ func TestBannerListsModeEndpoints(t *testing.T) {
 			}
 			if banner := srv.endpoints(); !strings.Contains(banner, tc.listed) || strings.Contains(banner, tc.unlisted) {
 				t.Errorf("banner %q: want %s listed, %s not", banner, tc.listed, tc.unlisted)
+			}
+		})
+	}
+}
+
+// bootServer builds a server that is never started; its handler serves
+// requests in-process, and cleanup closes the storage mount.
+func bootServer(t *testing.T, cfg serverConfig) *server {
+	t.Helper()
+	srv, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if srv.chaos != nil {
+			srv.chaos.Stop()
+		}
+		if srv.node != nil {
+			srv.node.Close()
+		} else {
+			srv.pipeline.Close()
+		}
+	})
+	return srv
+}
+
+// TestMetricsOneNamePerNumber: /metrics serves the registry and nothing
+// else, so its JSON keys are exactly its Prometheus families, in both
+// modes, and the numbers the server itself owns are among them.
+func TestMetricsOneNamePerNumber(t *testing.T) {
+	wal := []string{"uptime_seconds", "wal_disk_bytes", "wal_fsyncs_total", "wal_appended_frames_total", "wal_segments", "obs_cache_hits_total"}
+	for _, tc := range []struct {
+		name string
+		cfg  serverConfig
+		want []string
+	}{
+		{"single-node", serverConfig{dataDir: t.TempDir()}, slices.Concat(wal, []string{"ingest_enqueued_total"})},
+		{"cluster", serverConfig{clusterID: "solo", clusterPeers: "solo=http://" + reserveAddr(t), dataDir: t.TempDir(),
+			chaosSpec: "seed=7, name=calm; name=healed"}, slices.Concat(wal, []string{"cluster_members_alive", "chaos_phase", "chaos_flaps_total"})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.refs = unreadRefs
+			tc.cfg.obsCache = 64
+			srv := bootServer(t, tc.cfg)
+			scrape := func(target string) []byte {
+				rec := httptest.NewRecorder()
+				srv.httpSrv.Handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+				if rec.Code != http.StatusOK {
+					t.Fatalf("GET %s: status %d", target, rec.Code)
+				}
+				return rec.Body.Bytes()
+			}
+			var doc map[string]any
+			if err := json.Unmarshal(scrape("/metrics"), &doc); err != nil {
+				t.Fatal(err)
+			}
+			var families []string
+			for _, line := range strings.Split(string(scrape("/metrics?format=prometheus")), "\n") {
+				if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+					families = append(families, strings.Fields(name)[0])
+				}
+			}
+			keys := slices.Sorted(maps.Keys(doc))
+			slices.Sort(families)
+			if !slices.Equal(keys, families) {
+				t.Fatalf("JSON keys %v\n!= Prometheus families %v", keys, families)
+			}
+			for _, name := range tc.want {
+				if _, ok := doc[name]; !ok {
+					t.Errorf("/metrics lacks %s", name)
+				}
 			}
 		})
 	}

@@ -29,7 +29,6 @@ import (
 	"os"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tlsfof"
@@ -157,27 +156,21 @@ func runFleet(cfg fleetConfig) int {
 		}
 	}
 
+	// Telemetry: probe counters, the probe-stage latency histogram, and
+	// the per-probe traces the fleet propagates to mitmd and reportd.
+	// Always mounted — the per-probe cost is atomic ops on fixed cells.
+	reg := telemetry.NewRegistry()
+	tracer := telemetry.NewTracer(reg, 0)
+	probes := reg.Counter("fleet_probes_total", "probes that captured a chain")
+	failures := reg.Counter("fleet_probe_failures_total", "probes that failed to dial or handshake")
+	reg.Gauge("fleet_workers", "concurrent probe workers").Set(int64(cfg.workers))
 	var (
-		probes   atomic.Uint64
-		failures atomic.Uint64
 		deadline = time.Now().Add(cfg.duration)
 		wg       sync.WaitGroup
 	)
-
-	// Telemetry: probe-stage latency histogram plus the per-probe traces
-	// the fleet propagates to mitmd and reportd. Always mounted — the
-	// per-probe cost is atomic ops on fixed cells.
-	reg := telemetry.NewRegistry()
-	tracer := telemetry.NewTracer(reg, 0)
 	if cfg.metricsAddr != "" {
 		mux := http.NewServeMux()
-		mux.Handle("/metrics", telemetry.Handler(reg, func() any {
-			return map[string]any{
-				"workers":  cfg.workers,
-				"probes":   probes.Load(),
-				"failures": failures.Load(),
-			}
-		}))
+		mux.Handle("/metrics", telemetry.Handler(reg))
 		mux.Handle("/trace", tracer.Handler())
 		ln, err := net.Listen("tcp", cfg.metricsAddr)
 		if err != nil {
@@ -217,7 +210,7 @@ func runFleet(cfg fleetConfig) int {
 				}
 				conn, err := dialer.Dial("tcp", cfg.addr)
 				if err != nil {
-					failures.Add(1)
+					failures.Inc()
 					continue
 				}
 				if cfg.probeFaults != nil {
@@ -227,11 +220,11 @@ func runFleet(cfg fleetConfig) int {
 				res, err := prober.Probe(conn, opts)
 				conn.Close()
 				if err != nil {
-					failures.Add(1)
+					failures.Inc()
 					continue
 				}
 				tracer.Record(traceID, telemetry.StageProbe, probeStart, res.HandshakeTime)
-				probes.Add(1)
+				probes.Inc()
 				if client != nil {
 					if err := client.Report(ingest.Report{Host: host, ChainDER: res.ChainDER, Trace: uint64(traceID)}); err != nil {
 						fmt.Fprintf(os.Stderr, "tlsproxy-probe: upload: %v\n", err)
@@ -248,7 +241,7 @@ func runFleet(cfg fleetConfig) int {
 			fmt.Fprintf(os.Stderr, "tlsproxy-probe: final flush: %v\n", err)
 		}
 	}
-	ok, fail := probes.Load(), failures.Load()
+	ok, fail := probes.Value(), failures.Value()
 	fmt.Printf("fleet: %d workers, %d probes ok, %d failed in %v (%.0f probes/sec)\n",
 		cfg.workers, ok, fail, elapsed.Round(time.Millisecond), float64(ok)/elapsed.Seconds())
 	if cfg.faultStats {

@@ -76,7 +76,7 @@ curl -fsS "http://$MITMD_STATS/metrics"; echo
 echo
 echo "== 6. what the measurement saw =="
 curl -fsS "http://$REPORTD_ADDR/stats"
-curl -fsS "http://$REPORTD_ADDR/ingest/stats"; echo
+curl -fsS "http://$REPORTD_ADDR/metrics?format=prometheus" | grep '^ingest_'
 echo
 curl -fsS "http://$REPORTD_ADDR/table/5"
 echo

@@ -16,20 +16,12 @@ import (
 // The pool also supports named keys, which reproduces the
 // "IopFailZeroAccessCreate" malware from §5.1: every one of its certificates,
 // observed in 14 countries, carried the same 512-bit public key.
-//
-// With SetAsyncRefill(true) the pool becomes a serving-path structure: once
-// one key of a size exists, Get never blocks on prime generation again —
-// it round-robins over the keys already minted while a background refiller
-// tops the pool up to perSize. cmd/mitmd enables this so connection
-// handling never stalls behind RSA keygen.
 type KeyPool struct {
 	mu      sync.Mutex
 	bySize  map[int][]*rsa.PrivateKey
 	perSize int
 	named   map[string]*rsa.PrivateKey
 	cursor  map[int]int
-	async   bool
-	filling map[int]bool
 
 	// genMu serializes all key generation so the entropy reader is never
 	// read concurrently (tests inject deterministic readers).
@@ -52,7 +44,6 @@ func NewKeyPool(perSize int, entropy io.Reader) *KeyPool {
 		perSize: perSize,
 		named:   make(map[string]*rsa.PrivateKey),
 		cursor:  make(map[int]int),
-		filling: make(map[int]bool),
 	}
 }
 
@@ -60,17 +51,6 @@ func NewKeyPool(perSize int, entropy io.Reader) *KeyPool {
 // authors' server used 2048; proxies downgraded half of all connections to
 // 1024, 21 certificates to 512, and a handful upgraded to 2432.
 var KeySizes = []int{512, 1024, 2048, 2432}
-
-// SetAsyncRefill selects the pool's refill mode. Synchronous (the default,
-// and what deterministic simulations need) generates inline until perSize
-// keys exist. Asynchronous serves any already-minted key immediately and
-// tops the pool up from a background goroutine, trading key diversity
-// during warmup for a generation-free hot path.
-func (p *KeyPool) SetAsyncRefill(enabled bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.async = enabled
-}
 
 // generate mints one key with generation serialized pool-wide.
 func (p *KeyPool) generate(bits int) (*rsa.PrivateKey, error) {
@@ -84,18 +64,14 @@ func (p *KeyPool) generate(bits int) (*rsa.PrivateKey, error) {
 }
 
 // Get returns a key of the requested bit size, round-robining over the pool
-// and generating on first use. Under async refill it only blocks on
-// generation when no key of the size exists yet.
+// once it holds perSize keys of that size and generating until then.
 func (p *KeyPool) Get(bits int) (*rsa.PrivateKey, error) {
 	if bits < 512 {
 		return nil, fmt.Errorf("certgen: refusing key size %d (< 512 bits)", bits)
 	}
 	p.mu.Lock()
 	keys := p.bySize[bits]
-	if len(keys) >= p.perSize || (p.async && len(keys) > 0) {
-		if p.async && len(keys) < p.perSize {
-			p.kickRefillLocked(bits)
-		}
+	if len(keys) >= p.perSize {
 		i := p.cursor[bits] % len(keys)
 		p.cursor[bits] = i + 1
 		k := keys[i]
@@ -114,45 +90,6 @@ func (p *KeyPool) Get(bits int) (*rsa.PrivateKey, error) {
 		p.bySize[bits] = append(p.bySize[bits], k)
 	}
 	return k, nil
-}
-
-// kickRefillLocked starts at most one background refiller per size. Caller
-// holds p.mu.
-func (p *KeyPool) kickRefillLocked(bits int) {
-	if p.filling[bits] {
-		return
-	}
-	p.filling[bits] = true
-	go p.refill(bits)
-}
-
-// refill tops the pool for one size up to perSize, then exits.
-func (p *KeyPool) refill(bits int) {
-	for {
-		p.mu.Lock()
-		if len(p.bySize[bits]) >= p.perSize {
-			p.filling[bits] = false
-			p.mu.Unlock()
-			return
-		}
-		p.mu.Unlock()
-		k, err := p.generate(bits)
-		p.mu.Lock()
-		if err != nil {
-			// Entropy failure: stop this refiller. The error itself is
-			// dropped — warm Gets keep serving the keys that exist and
-			// re-kick a refiller on every call, so a transient failure
-			// heals; a persistent one leaves the pool underfilled but
-			// serving.
-			p.filling[bits] = false
-			p.mu.Unlock()
-			return
-		}
-		if len(p.bySize[bits]) < p.perSize {
-			p.bySize[bits] = append(p.bySize[bits], k)
-		}
-		p.mu.Unlock()
-	}
 }
 
 // Prewarm asynchronously fills the pool to perSize for each given size

@@ -5,54 +5,7 @@ import (
 	"time"
 )
 
-// waitFor polls cond until it holds or the deadline passes.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// TestKeyPoolAsyncRefill: once one key of a size exists, Get must return
-// without generating, while the background refiller tops the pool up to
-// perSize; after refill the pool round-robins over distinct keys.
-func TestKeyPoolAsyncRefill(t *testing.T) {
-	pool := NewKeyPool(3, nil)
-	pool.SetAsyncRefill(true)
-
-	k1, err := pool.Get(512) // cold: generates synchronously
-	if err != nil {
-		t.Fatal(err)
-	}
-	k2, err := pool.Get(512) // warm: serves the only key, kicks refill
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k2 != k1 {
-		t.Fatal("async warm Get minted instead of serving the pooled key")
-	}
-
-	waitFor(t, "background refill", func() bool { return pool.Len(512) >= 3 })
-
-	distinct := map[interface{}]bool{}
-	for i := 0; i < 3; i++ {
-		k, err := pool.Get(512)
-		if err != nil {
-			t.Fatal(err)
-		}
-		distinct[k] = true
-	}
-	if len(distinct) != 3 {
-		t.Fatalf("round-robin over %d distinct keys, want 3", len(distinct))
-	}
-}
-
-// TestKeyPoolSyncUnchanged: without async refill the pool keeps the seed
-// semantics — Get generates until perSize keys exist.
+// TestKeyPoolSyncUnchanged: Get generates until perSize keys exist.
 func TestKeyPoolSyncUnchanged(t *testing.T) {
 	pool := NewKeyPool(2, nil)
 	k1, _ := pool.Get(512)

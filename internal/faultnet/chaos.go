@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -167,15 +166,6 @@ func (c *Controller) Register(name, addr string) {
 // Phase returns the current phase index.
 func (c *Controller) Phase() int { return int(c.phase.Load()) }
 
-// PhaseName returns the current phase's name.
-func (c *Controller) PhaseName() string {
-	i := c.Phase()
-	if i >= len(c.plan.Phases) {
-		i = len(c.plan.Phases) - 1
-	}
-	return c.plan.Phases[i].Name
-}
-
 // Advance moves to the next phase (clamped at the last) and returns the
 // new index. Every link whose Cut bit flips counts one flap.
 func (c *Controller) Advance() int {
@@ -304,21 +294,6 @@ func (c *Controller) Stats() map[string]LinkStats {
 	out := make(map[string]LinkStats, len(c.links))
 	for key, lc := range c.links {
 		out[key] = lc.snapshot()
-	}
-	return out
-}
-
-// TotalStats folds every link into one aggregate.
-func (c *Controller) TotalStats() LinkStats {
-	var out LinkStats
-	for _, ls := range c.Stats() {
-		out.Dials += ls.Dials
-		out.CutDials += ls.CutDials
-		out.CutReads += ls.CutReads
-		out.CutWrites += ls.CutWrites
-		out.DelayedReads += ls.DelayedReads
-		out.ThrottledReads += ls.ThrottledReads
-		out.Blackholes += ls.Blackholes
 	}
 	return out
 }
@@ -644,22 +619,4 @@ func ParseChaosSpec(spec string) (ChaosPlan, error) {
 		plan.Phases = append(plan.Phases, phase)
 	}
 	return plan, nil
-}
-
-// StatsSummary renders the controller's per-link stats as sorted
-// one-liners — the exit summary / log form.
-func (c *Controller) StatsSummary() []string {
-	st := c.Stats()
-	keys := make([]string, 0, len(st))
-	for k := range st {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]string, 0, len(keys))
-	for _, k := range keys {
-		ls := st[k]
-		out = append(out, fmt.Sprintf("%s: dials=%d cut_dials=%d cut_reads=%d cut_writes=%d delayed=%d throttled=%d blackholes=%d",
-			k, ls.Dials, ls.CutDials, ls.CutReads, ls.CutWrites, ls.DelayedReads, ls.ThrottledReads, ls.Blackholes))
-	}
-	return out
 }

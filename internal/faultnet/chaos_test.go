@@ -227,12 +227,9 @@ func TestChaosWallClockSchedule(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for ctrl.Phase() != 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("stuck at phase %d (%s)", ctrl.Phase(), ctrl.PhaseName())
+			t.Fatalf("stuck at phase %d", ctrl.Phase())
 		}
 		time.Sleep(2 * time.Millisecond)
-	}
-	if ctrl.PhaseName() != "p2" {
-		t.Fatalf("phase name %q", ctrl.PhaseName())
 	}
 }
 

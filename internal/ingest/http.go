@@ -139,11 +139,3 @@ func BatchHandler(col *core.Collector) http.Handler {
 		json.NewEncoder(w).Encode(res)
 	})
 }
-
-// StatsHandler serves the pipeline's ingest accounting as JSON.
-func StatsHandler(p *Pipeline) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(p.Stats())
-	})
-}

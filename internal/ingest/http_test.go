@@ -217,29 +217,3 @@ func TestBatchHandlerCommitError(t *testing.T) {
 		t.Fatalf("healed commit: status %d, verdict %+v, committed %d; want 2 accepted", status, res, sink.committed)
 	}
 }
-
-func TestStatsHandler(t *testing.T) {
-	p := NewPipeline(Config{Shards: 3})
-	for _, m := range synthetic(100, 9) {
-		p.Ingest(m)
-	}
-	p.Drain()
-	srv := httptest.NewServer(StatsHandler(p))
-	defer srv.Close()
-	resp, err := http.Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Shards) != 3 {
-		t.Fatalf("stats shards = %d, want 3", len(st.Shards))
-	}
-	if st.Enqueued != 100 {
-		t.Fatalf("enqueued = %d, want 100", st.Enqueued)
-	}
-	p.Close()
-}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"tlsfof/internal/core"
 	"tlsfof/internal/stats"
 	"tlsfof/internal/store"
+	"tlsfof/internal/telemetry"
 )
 
 // synthetic builds n measurements over a handful of hosts, countries, and
@@ -246,5 +248,25 @@ func TestWireRejects(t *testing.T) {
 	hostile := append(append([]byte{}, wireMagic[:]...), 0xFF, 0xFF, 0xFF, 0xFF, 0x0F)
 	if _, err := NewDecoder(bytes.NewReader(hostile)).Next(); err == nil {
 		t.Error("hostile host length accepted")
+	}
+}
+
+// TestMountMetrics: the registry gauges read the pipeline's totals.
+func TestMountMetrics(t *testing.T) {
+	p := NewPipeline(Config{Shards: 3})
+	defer p.Close()
+	reg := telemetry.NewRegistry()
+	p.MountMetrics(reg)
+	for _, m := range synthetic(100, 9) {
+		p.Ingest(m)
+	}
+	p.Drain()
+	got := map[string]float64{}
+	for _, m := range reg.Snapshot() {
+		got[m.Name] = m.Value
+	}
+	want := map[string]float64{"ingest_enqueued_total": 100, "ingest_ingested_total": 100, "ingest_wal_errors_total": 0}
+	if !maps.Equal(got, want) {
+		t.Fatalf("registry = %v, want %v", got, want)
 	}
 }

@@ -56,31 +56,21 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// ShardStats is one shard's ingest accounting.
-type ShardStats struct {
-	// Enqueued counts measurements accepted by the shard: committed plus
+// Stats is a point-in-time snapshot of pipeline accounting, summed over
+// shards; each shard is read under its lock, so Ingested <= Enqueued in
+// every snapshot.
+type Stats struct {
+	// Enqueued counts measurements accepted by the shards: committed plus
 	// still pending.
 	Enqueued uint64
-	// Ingested counts measurements committed to the shard store.
-	Ingested uint64
-	// Batches counts commits.
-	Batches uint64
-	// WALErrors counts measurements whose write-ahead append failed
-	// (they still reached the store: availability over durability).
-	WALErrors uint64
-}
-
-// Stats is a point-in-time snapshot of pipeline accounting; each shard
-// is read under its lock, so Ingested <= Enqueued in every snapshot.
-type Stats struct {
-	Shards []ShardStats
-	// Enqueued, Ingested, WALErrors are sums over shards.
-	Enqueued uint64
+	// Ingested counts measurements committed to the shard stores.
 	Ingested uint64
 	// Dropped is inert (always 0): nothing is ever dropped; kept only
 	// because bench/server.go and bench/study.go name it; remove in the
 	// next benchmark PR.
-	Dropped   uint64
+	Dropped uint64
+	// WALErrors counts measurements whose write-ahead append failed
+	// (they still reached the store: availability over durability).
 	WALErrors uint64
 }
 
@@ -95,7 +85,6 @@ type shard struct {
 	// that pins at most BatchSize measurements' strings per shard.
 	pending  []core.Measurement
 	ingested uint64
-	batches  uint64
 	walErrs  uint64
 }
 
@@ -111,7 +100,6 @@ func (sh *shard) commitPending(queuedAt time.Time) {
 		sh.DB.IngestBatch(batch)
 	}
 	sh.ingested += uint64(len(batch))
-	sh.batches++
 	sh.pending = batch[:0]
 }
 
@@ -395,26 +383,13 @@ func (p *Pipeline) MountMetrics(reg *telemetry.Registry) {
 
 // Stats snapshots the ingest accounting.
 func (p *Pipeline) Stats() Stats {
-	s := Stats{Shards: make([]ShardStats, len(p.shards))}
-	for i, sh := range p.shards {
+	var s Stats
+	for _, sh := range p.shards {
 		sh.Lock()
-		ss := ShardStats{
-			Enqueued:  sh.ingested + uint64(len(sh.pending)),
-			Ingested:  sh.ingested,
-			Batches:   sh.batches,
-			WALErrors: sh.walErrs,
-		}
+		s.Enqueued += sh.ingested + uint64(len(sh.pending))
+		s.Ingested += sh.ingested
+		s.WALErrors += sh.walErrs
 		sh.Unlock()
-		s.Shards[i] = ss
-		s.Enqueued += ss.Enqueued
-		s.Ingested += ss.Ingested
-		s.WALErrors += ss.WALErrors
 	}
 	return s
-}
-
-// String renders a one-line accounting summary.
-func (s Stats) String() string {
-	return fmt.Sprintf("ingest: %d shards, %d enqueued, %d ingested, %d WAL errors",
-		len(s.Shards), s.Enqueued, s.Ingested, s.WALErrors)
 }

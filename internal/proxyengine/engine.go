@@ -235,9 +235,6 @@ func (e *Engine) ForgedLeafKey(host string) *rsa.PrivateKey {
 	return nil
 }
 
-// CacheSize reports how many hosts have cached forgeries.
-func (e *Engine) CacheSize() int { return e.cache.Len() }
-
 // CacheStats snapshots the forged-chain cache accounting (hits, misses,
 // forges, evictions); cmd/mitmd serves it from /metrics.
 func (e *Engine) CacheStats() ForgeStats { return e.cache.Stats() }

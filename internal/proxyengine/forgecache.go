@@ -64,9 +64,6 @@ func (c *ForgeCache) Peek(host string) *certgen.Leaf {
 	return leaf
 }
 
-// Len reports the number of cached forgeries.
-func (c *ForgeCache) Len() int { return c.lru.Len() }
-
 // ForgeStats is a point-in-time snapshot of cache accounting.
 type ForgeStats struct {
 	// Hits served a cached chain; Misses had to wait for a forge (the

@@ -51,8 +51,8 @@ func TestForgeSingleFlightStorm(t *testing.T) {
 	if st.Hits+st.Misses != callers {
 		t.Fatalf("hits+misses = %d, want %d", st.Hits+st.Misses, callers)
 	}
-	if e.CacheSize() != 1 {
-		t.Fatalf("cache size = %d", e.CacheSize())
+	if e.CacheStats().Size != 1 {
+		t.Fatalf("cache size = %d", e.CacheStats().Size)
 	}
 }
 
@@ -69,8 +69,8 @@ func TestForgeCacheEviction(t *testing.T) {
 		if _, err := c.GetOrForge(host, mint(host)); err != nil {
 			t.Fatal(err)
 		}
-		if c.Len() > cap {
-			t.Fatalf("cache size %d exceeds cap %d after insert %d", c.Len(), cap, i)
+		if c.Stats().Size > cap {
+			t.Fatalf("cache size %d exceeds cap %d after insert %d", c.Stats().Size, cap, i)
 		}
 	}
 	st := c.Stats()
@@ -160,8 +160,8 @@ func TestForgeCacheCrossShardEviction(t *testing.T) {
 	if _, err := c.GetOrForge(otherShard, leaf); err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != 2 {
-		t.Fatalf("size = %d, want 2", c.Len())
+	if c.Stats().Size != 2 {
+		t.Fatalf("size = %d, want 2", c.Stats().Size)
 	}
 	if c.Peek(otherShard) == nil {
 		t.Fatal("freshly inserted entry was its own eviction victim")
@@ -186,7 +186,7 @@ func TestForgeCacheErrorNotCached(t *testing.T) {
 	if err == nil {
 		t.Fatal("error swallowed")
 	}
-	if c.Len() != 0 {
+	if c.Stats().Size != 0 {
 		t.Fatal("failed forge was cached")
 	}
 	if _, err := c.GetOrForge("flaky.example", func() (*certgen.Leaf, error) {

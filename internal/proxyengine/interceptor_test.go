@@ -214,7 +214,7 @@ func TestInterceptorKeepsUnparseableOrigin(t *testing.T) {
 	if n := dials.Load(); n != 1 {
 		t.Fatalf("hostile origin dialled %d times, want 1", n)
 	}
-	if got := ic.Engine.CacheSize(); got != 0 {
+	if got := ic.Engine.CacheStats().Size; got != 0 {
 		t.Fatalf("forged %d chains for an unparseable origin", got)
 	}
 }

@@ -94,8 +94,8 @@ func TestForgeCacheStability(t *testing.T) {
 	if !x509util.ChainsEqual(d1.ChainDER, d2.ChainDER) {
 		t.Fatal("cache returned different forgeries for same host")
 	}
-	if e.CacheSize() != 1 {
-		t.Fatalf("cache size = %d", e.CacheSize())
+	if e.CacheStats().Size != 1 {
+		t.Fatalf("cache size = %d", e.CacheStats().Size)
 	}
 }
 

@@ -25,10 +25,9 @@
 //     a span into a bounded ring (queryable by ID via Tracer.Handler)
 //     and a per-stage latency histogram in the registry.
 //
-//   - Handler: serves a legacy JSON document (existing /metrics field
-//     names preserved, scrapers keep working) with the registry merged
-//     under a "telemetry" key, and the same data as Prometheus text
-//     format with ?format=prometheus.
+//   - Handler: serves the registry as /metrics — one name per number, in
+//     two encodings: a flat JSON object keyed by Prometheus family name,
+//     and Prometheus text format with ?format=prometheus.
 //
 //   - EventRing: a fixed-capacity slog.Handler holding the most recent
 //     structured events; binaries dump it on panic or SIGTERM so a

@@ -4,20 +4,21 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 )
 
-// registryJSON renders a registry snapshot as the "telemetry" JSON value:
-// counters and gauges as numbers, histograms as {count, sum_seconds,
-// p50/p90/p99 upper-bound estimates}.
+// registryJSON renders a registry snapshot as the /metrics JSON object,
+// keyed by the names WritePrometheus gives the same metrics: counters and
+// gauges as numbers, histograms as {count, sum_seconds, p50/p90/p99
+// upper-bound estimates}.
 func registryJSON(reg *Registry) map[string]any {
 	out := make(map[string]any)
 	for _, m := range reg.Snapshot() {
+		name := sanitizeMetricName(m.Name)
 		switch m.Kind {
 		case KindHistogram:
-			out[m.Name] = map[string]any{
+			out[name] = map[string]any{
 				"count":       m.Hist.Count,
 				"sum_seconds": m.Hist.SumSeconds,
 				"p50_seconds": m.Hist.Quantile(0.50).Seconds(),
@@ -25,13 +26,13 @@ func registryJSON(reg *Registry) map[string]any {
 				"p99_seconds": m.Hist.Quantile(0.99).Seconds(),
 			}
 		default:
-			out[m.Name] = m.Value
+			out[name] = m.Value
 		}
 	}
 	return out
 }
 
-// sanitizeMetricName maps arbitrary JSON keys onto the Prometheus metric
+// sanitizeMetricName maps a registered name onto the Prometheus metric
 // name grammar.
 func sanitizeMetricName(s string) string {
 	var b strings.Builder
@@ -91,92 +92,25 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// flattenDoc walks a legacy metrics document (maps, numbers, bools) and
-// emits each numeric leaf as prefix_path gauge lines, so the Prometheus
-// view carries everything the JSON view does.
-func flattenDoc(w *strings.Builder, prefix string, v any) {
-	switch x := v.(type) {
-	case map[string]any:
-		keys := make([]string, 0, len(x))
-		for k := range x {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			p := k
-			if prefix != "" {
-				p = prefix + "_" + k
-			}
-			flattenDoc(w, p, x[k])
-		}
-	case float64:
-		name := sanitizeMetricName(prefix)
-		fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n", name, name, formatFloat(x))
-	case bool:
-		name := sanitizeMetricName(prefix)
-		val := "0"
-		if x {
-			val = "1"
-		}
-		fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n", name, name, val)
-	case json.Number:
-		if f, err := x.Float64(); err == nil {
-			flattenDoc(w, prefix, f)
-		}
-	}
-}
-
-// docToMap round-trips an arbitrary legacy metrics document through JSON
-// into a generic map so both formats share one source of truth.
-func docToMap(doc any) (map[string]any, error) {
-	raw, err := json.Marshal(doc)
-	if err != nil {
-		return nil, err
-	}
-	var m map[string]any
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// Handler serves a unified /metrics endpoint. doc (optional) supplies a
-// binary's legacy metrics document per scrape; its JSON field names are
-// preserved verbatim so existing scrapers keep working, with the registry
-// merged in under "telemetry". With ?format=prometheus (or an Accept
-// header naming text/plain first) the same data renders as Prometheus
-// text format: registry metrics natively (real histogram buckets),
-// legacy-doc numeric leaves flattened to gauges.
-func Handler(reg *Registry, doc func() any) http.Handler {
+// Handler serves /metrics: the registry, one entry per metric, in two
+// encodings. Plain JSON is a flat object keyed by the metric's
+// Prometheus family name — counters and gauges as numbers, histograms as
+// {count, sum_seconds, p50/p90/p99_seconds}. With ?format=prometheus (or
+// an Accept header naming text/plain first) the same metrics render as
+// Prometheus text format, histograms with real cumulative buckets.
+func Handler(reg *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if wantsPrometheus(r) {
 			var b strings.Builder
-			if doc != nil {
-				if m, err := docToMap(doc()); err == nil {
-					flattenDoc(&b, "", m)
-				}
-			}
 			WritePrometheus(&b, reg)
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 			w.Write([]byte(b.String()))
 			return
 		}
-		out := map[string]any{}
-		if doc != nil {
-			m, err := docToMap(doc())
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			out = m
-		}
-		if reg != nil {
-			out["telemetry"] = registryJSON(reg)
-		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(out)
+		enc.Encode(registryJSON(reg))
 	})
 }
 

@@ -2,35 +2,37 @@ package telemetry
 
 import (
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 )
 
-type legacyDoc struct {
-	Product string `json:"product"`
-	Uptime  int    `json:"uptime_seconds"`
-	Conns   struct {
-		Accepted int `json:"accepted"`
-		Active   int `json:"active"`
-	} `json:"conns"`
+// scrape serves one /metrics request and returns the body.
+func scrape(t *testing.T, h http.Handler, target string) string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
+	if rec.Code != 200 {
+		t.Fatalf("GET %s: status %d", target, rec.Code)
+	}
+	return rec.Body.String()
 }
 
-func sampleDoc() any {
-	var d legacyDoc
-	d.Product = "mitmd"
-	d.Uptime = 12
-	d.Conns.Accepted = 40
-	d.Conns.Active = 3
-	return d
-}
-
-func TestHandlerJSONPreservesLegacyFields(t *testing.T) {
+// TestHandlerJSONKeysAreFamilyNames: the JSON view is flat, and its keys
+// are exactly the Prometheus view's family names — one name per number,
+// even for a registered name the Prometheus grammar has to rewrite.
+func TestHandlerJSONKeysAreFamilyNames(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("reqs_total", "requests").Add(7)
-	h := Handler(reg, sampleDoc)
+	reg.Gauge("depth", "queue depth").Set(3)
+	reg.GaugeFunc("health_verdict_node-b", "", func() float64 { return 2 })
+	reg.Histogram("stage_probe_seconds", "probe latency").Observe(time.Millisecond)
+	h := Handler(reg)
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -41,20 +43,23 @@ func TestHandlerJSONPreservesLegacyFields(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
 		t.Fatal(err)
 	}
-	// Existing scraper-facing field names survive verbatim.
-	if got["product"] != "mitmd" || got["uptime_seconds"] != float64(12) {
-		t.Fatalf("legacy fields mangled: %v", got)
+	if got["reqs_total"] != float64(7) || got["depth"] != float64(3) || got["health_verdict_node_b"] != float64(2) {
+		t.Fatalf("JSON values: %v", got)
 	}
-	conns, ok := got["conns"].(map[string]any)
-	if !ok || conns["accepted"] != float64(40) {
-		t.Fatalf("nested legacy fields mangled: %v", got["conns"])
+	var families []string
+	for _, line := range strings.Split(scrape(t, h, "/metrics?format=prometheus"), "\n") {
+		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			families = append(families, strings.Fields(name)[0])
+		}
 	}
-	tele, ok := got["telemetry"].(map[string]any)
-	if !ok {
-		t.Fatalf("no telemetry key: %v", got)
+	keys := make([]string, 0, len(got))
+	for k := range got {
+		keys = append(keys, k)
 	}
-	if tele["reqs_total"] != float64(7) {
-		t.Fatalf("telemetry.reqs_total = %v, want 7", tele["reqs_total"])
+	sort.Strings(keys)
+	sort.Strings(families)
+	if !slices.Equal(keys, families) {
+		t.Fatalf("JSON keys %v != Prometheus families %v", keys, families)
 	}
 }
 
@@ -64,14 +69,11 @@ func TestHandlerJSONHistogram(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		hist.Observe(time.Millisecond)
 	}
-	rec := httptest.NewRecorder()
-	Handler(reg, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	var got map[string]any
-	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+	if err := json.Unmarshal([]byte(scrape(t, Handler(reg), "/metrics")), &got); err != nil {
 		t.Fatal(err)
 	}
-	tele := got["telemetry"].(map[string]any)
-	h := tele["stage_probe_seconds"].(map[string]any)
+	h := got["stage_probe_seconds"].(map[string]any)
 	if h["count"] != float64(10) {
 		t.Fatalf("count = %v, want 10", h["count"])
 	}
@@ -90,7 +92,7 @@ func TestHandlerPrometheus(t *testing.T) {
 	hist.Observe(3 * time.Millisecond)
 
 	rec := httptest.NewRecorder()
-	Handler(reg, sampleDoc).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?format=prometheus", nil))
+	Handler(reg).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?format=prometheus", nil))
 	body := rec.Body.String()
 	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Fatalf("content type = %q", ct)
@@ -104,10 +106,6 @@ func TestHandlerPrometheus(t *testing.T) {
 		"# TYPE stage_probe_seconds histogram",
 		"stage_probe_seconds_count 2",
 		`stage_probe_seconds_bucket{le="+Inf"} 2`,
-		// Legacy doc numeric leaves flattened to gauges.
-		"uptime_seconds 12",
-		"conns_accepted 40",
-		"conns_active 3",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("prometheus body missing %q:\n%s", want, body)
@@ -135,7 +133,7 @@ func TestHandlerPrometheus(t *testing.T) {
 	rec = httptest.NewRecorder()
 	req := httptest.NewRequest("GET", "/metrics", nil)
 	req.Header.Set("Accept", "text/plain")
-	Handler(reg, nil).ServeHTTP(rec, req)
+	Handler(reg).ServeHTTP(rec, req)
 	if !strings.Contains(rec.Body.String(), "# TYPE reqs_total counter") {
 		t.Fatal("Accept: text/plain did not select prometheus format")
 	}
@@ -155,15 +153,11 @@ func TestSanitizeMetricName(t *testing.T) {
 	}
 }
 
-func TestHandlerNilDocAndRegistry(t *testing.T) {
-	rec := httptest.NewRecorder()
-	Handler(nil, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if rec.Code != 200 || strings.TrimSpace(rec.Body.String()) != "{}" {
-		t.Fatalf("nil/nil JSON = %d %q", rec.Code, rec.Body.String())
+func TestHandlerNilRegistry(t *testing.T) {
+	if body := scrape(t, Handler(nil), "/metrics"); strings.TrimSpace(body) != "{}" {
+		t.Fatalf("nil registry JSON = %q", body)
 	}
-	rec = httptest.NewRecorder()
-	Handler(nil, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?format=prometheus", nil))
-	if rec.Code != 200 {
-		t.Fatalf("nil/nil prometheus status = %d", rec.Code)
+	if body := scrape(t, Handler(nil), "/metrics?format=prometheus"); body != "" {
+		t.Fatalf("nil registry prometheus = %q", body)
 	}
 }

@@ -63,9 +63,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	col.Tracer = tracer
 	mux := http.NewServeMux()
 	mux.Handle("/ingest/batch", ingest.BatchHandler(col))
-	mux.Handle("/metrics", telemetry.Handler(reg, func() any {
-		return map[string]any{"product": "trace-e2e"}
-	}))
+	mux.Handle("/metrics", telemetry.Handler(reg))
 	mux.Handle("/trace", tracer.Handler())
 	reportd := httptest.NewServer(mux)
 	defer reportd.Close()
@@ -151,15 +149,8 @@ func TestTraceEndToEnd(t *testing.T) {
 	// — Both exposition formats carry per-stage latency histograms. —
 	var metricsDoc map[string]any
 	getJSON(t, reportd.URL+"/metrics", &metricsDoc)
-	if metricsDoc["product"] != "trace-e2e" {
-		t.Errorf("legacy doc field lost: %v", metricsDoc["product"])
-	}
-	tele, ok := metricsDoc["telemetry"].(map[string]any)
-	if !ok {
-		t.Fatalf("no telemetry key in /metrics JSON: %v", metricsDoc)
-	}
 	for _, st := range wantStages {
-		h, ok := tele[telemetry.StageMetric(st)].(map[string]any)
+		h, ok := metricsDoc[telemetry.StageMetric(st)].(map[string]any)
 		if !ok {
 			t.Errorf("JSON exposition missing histogram %s", telemetry.StageMetric(st))
 			continue
