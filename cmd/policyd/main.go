@@ -13,11 +13,15 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
+	"sync"
+	"syscall"
 	"time"
 
 	"tlsfof/internal/policy"
@@ -25,13 +29,26 @@ import (
 )
 
 func main() {
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, stop))
+}
+
+// run is the whole command: it serves until stop delivers a signal (or
+// is closed), then closes the listener and returns the exit code.
+func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
+	fs := flag.NewFlagSet("policyd", flag.ExitOnError)
+	fatalf := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "policyd: "+format+"\n", args...)
+		return 1
+	}
 	var (
-		listen      = flag.String("listen", ":8843", "listen address")
-		withHTTP    = flag.Bool("http", false, "co-host a static HTTP responder on the same port")
-		ports       = flag.String("ports", "", "comma-separated ports the policy permits (default: all)")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (JSON and Prometheus text) on this address")
+		listen      = fs.String("listen", ":8843", "listen address")
+		withHTTP    = fs.Bool("http", false, "co-host a static HTTP responder on the same port")
+		ports       = fs.String("ports", "", "comma-separated ports the policy permits (default: all)")
+		metricsAddr = fs.String("metrics-addr", "", "serve /metrics (JSON and Prometheus text) on this address")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	file := policy.Permissive
 	if *ports != "" {
@@ -39,20 +56,12 @@ func main() {
 		for _, p := range strings.Split(*ports, ",") {
 			v, err := strconv.Atoi(strings.TrimSpace(p))
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "policyd: bad port %q\n", p)
-				os.Exit(1)
+				return fatalf("bad port %q", p)
 			}
 			ranges = append(ranges, policy.PortRange{Lo: v, Hi: v})
 		}
 		file = &policy.File{Rules: []policy.Rule{{Domain: "*", Ports: ranges}}}
 	}
-
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "policyd: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("policyd: serving socket policy on %s (http=%v)\n", ln.Addr(), *withHTTP)
 
 	reg := telemetry.NewRegistry()
 	connsTotal := reg.Counter("policy_conns_total", "connections accepted")
@@ -62,15 +71,26 @@ func main() {
 	start := time.Now()
 	reg.GaugeFunc("uptime_seconds", "seconds since policyd booted", func() float64 { return time.Since(start).Seconds() })
 	if *metricsAddr != "" {
+		metricsLn, err := net.Listen("tcp", *metricsAddr)
+		if err != nil {
+			return fatalf("metrics listener: %v", err)
+		}
+		defer metricsLn.Close()
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", telemetry.Handler(reg))
-		go func() {
-			if err := http.ListenAndServe(*metricsAddr, mux); err != nil {
-				fmt.Fprintf(os.Stderr, "policyd: metrics listener: %v\n", err)
-			}
-		}()
-		fmt.Printf("policyd: metrics on %s/metrics\n", *metricsAddr)
+		go http.Serve(metricsLn, mux)
+		fmt.Fprintf(stdout, "policyd: metrics on http://%s/metrics\n", metricsLn.Addr())
 	}
+
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		return fatalf("%v", err)
+	}
+	fmt.Fprintf(stdout, "policyd: serving socket policy on %s (http=%v)\n", ln.Addr(), *withHTTP)
+	go func() {
+		<-stop
+		ln.Close()
+	}()
 
 	if !*withHTTP {
 		// Own accept loop (rather than policy.ListenAndServe) so every
@@ -78,7 +98,7 @@ func main() {
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
-				return
+				return 0
 			}
 			connsTotal.Inc()
 			go func() {
@@ -91,20 +111,22 @@ func main() {
 			}()
 		}
 	}
-	httpConns := make(chan net.Conn, 16)
+	httpLn := &chanListener{ch: make(chan net.Conn), done: make(chan struct{}), addr: ln.Addr()}
 	mux := &policy.Mux{
 		Policy: file,
 		Fallback: func(c net.Conn) {
 			httpConnsTotal.Inc()
-			httpConns <- c
+			httpLn.deliver(c)
 		},
 		OnPolicy: func() { policyServed.Inc() },
 	}
 	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "tlsfof policyd: socket policy co-hosted on this port")
 	})}
-	go srv.Serve(chanListener{ch: httpConns, addr: ln.Addr()})
+	go srv.Serve(httpLn)
 	mux.Serve(countingListener{Listener: ln, n: connsTotal})
+	srv.Close()
+	return 0
 }
 
 // countingListener bumps a counter per accepted connection.
@@ -121,17 +143,35 @@ func (l countingListener) Accept() (net.Conn, error) {
 	return c, err
 }
 
+// chanListener hands the HTTP server the connections the policy mux
+// sniffed as HTTP. Close ends Accept and refuses later deliveries.
 type chanListener struct {
 	ch   chan net.Conn
+	done chan struct{}
+	once sync.Once
 	addr net.Addr
 }
 
-func (l chanListener) Accept() (net.Conn, error) {
-	c, ok := <-l.ch
-	if !ok {
+func (l *chanListener) deliver(c net.Conn) {
+	select {
+	case l.ch <- c:
+	case <-l.done:
+		c.Close()
+	}
+}
+
+func (l *chanListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.ch:
+		return c, nil
+	case <-l.done:
 		return nil, net.ErrClosed
 	}
-	return c, nil
 }
-func (l chanListener) Close() error   { return nil }
-func (l chanListener) Addr() net.Addr { return l.addr }
+
+func (l *chanListener) Close() error {
+	l.once.Do(func() { close(l.done) })
+	return nil
+}
+
+func (l *chanListener) Addr() net.Addr { return l.addr }

@@ -52,31 +52,50 @@ func TestCalibrationTranscription(t *testing.T) {
 	}
 }
 
+// rate is p.ProxyRate for an ISO code.
+func rate(t *testing.T, p *Population, code string) float64 {
+	t.Helper()
+	i, ok := p.Geo.Index(code)
+	if !ok {
+		t.Fatalf("%s not in the registry", code)
+	}
+	return p.ProxyRate(i)
+}
+
+// sampleCodes draws n global-campaign countries and counts them by code.
+func sampleCodes(p *Population, r *stats.RNG, n int) map[string]int {
+	countries := p.Geo.Countries()
+	counts := map[string]int{}
+	for i := 0; i < n; i++ {
+		counts[countries[p.SampleGlobalCountry(r)].Code]++
+	}
+	return counts
+}
+
 func TestProxyRates(t *testing.T) {
 	p1 := pop(t, Study1)
-	if r := p1.ProxyRate("FR"); math.Abs(r-0.0109) > 0.0003 {
+	if r := rate(t, p1, "FR"); math.Abs(r-0.0109) > 0.0003 {
 		t.Errorf("FR study-1 rate = %v", r)
 	}
-	if r := p1.ProxyRate("ZW"); math.Abs(r-OtherRate1) > 1e-9 {
+	if r := rate(t, p1, "ZW"); math.Abs(r-OtherRate1) > 1e-9 {
 		t.Errorf("unlisted country rate = %v, want other rate %v", r, OtherRate1)
 	}
 	p2 := pop(t, Study2)
-	if r := p2.ProxyRate("CN"); r > 0.0004 {
+	if r := rate(t, p2, "CN"); r > 0.0004 {
 		t.Errorf("CN study-2 rate = %v, want ≈0.0002", r)
 	}
-	if r := p2.ProxyRate("US"); math.Abs(r-0.0086) > 0.0004 {
+	if r := rate(t, p2, "US"); math.Abs(r-0.0086) > 0.0004 {
 		t.Errorf("US study-2 rate = %v", r)
+	}
+	if r := rate(t, p2, "ZW"); math.Abs(r-OtherRate2) > 1e-9 {
+		t.Errorf("unlisted country study-2 rate = %v, want other rate %v", r, OtherRate2)
 	}
 }
 
 func TestGlobalCountryMixStudy1(t *testing.T) {
 	p := pop(t, Study1)
-	r := stats.NewRNG(1)
-	counts := map[string]int{}
 	const draws = 300000
-	for i := 0; i < draws; i++ {
-		counts[p.SampleGlobalCountry(r)]++
-	}
+	counts := sampleCodes(p, stats.NewRNG(1), draws)
 	// US and BR each ≈10% of study-1 impressions (Table 3 totals).
 	usFrac := float64(counts["US"]) / draws
 	if math.Abs(usFrac-0.0996) > 0.01 {
@@ -92,13 +111,7 @@ func TestGlobalCountryMixStudy1(t *testing.T) {
 }
 
 func TestGlobalMixStudy2NetsOutTargetedImpressions(t *testing.T) {
-	p := pop(t, Study2)
-	r := stats.NewRNG(2)
-	counts := map[string]int{}
-	const draws = 300000
-	for i := 0; i < draws; i++ {
-		counts[p.SampleGlobalCountry(r)]++
-	}
+	counts := sampleCodes(pop(t, Study2), stats.NewRNG(2), 300000)
 	// Korea's 836k tests come almost entirely from the global campaign;
 	// its share must far exceed Pakistan's (457k tests but 184k of its
 	// own targeted impressions).
@@ -240,8 +253,9 @@ func TestClientIPGeoConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := stats.NewRNG(9)
+	eg, _ := gdb.Index("EG")
 	for i := 0; i < 200; i++ {
-		ip := p.ClientIP(r, "EG")
+		ip := p.ClientIP(r, eg)
 		c, ok := gdb.LookupUint32(ip)
 		if !ok || c.Code != "EG" {
 			t.Fatalf("EG client IP %x resolves to %v %v", ip, c, ok)

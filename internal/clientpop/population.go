@@ -19,14 +19,13 @@ const (
 
 // Population binds the calibration tables to samplers: country of the next
 // global-campaign impression, proxy presence per country, product behind a
-// proxied client, and per-host test completion.
+// proxied client, and per-host test completion. A country is its position
+// in Geo.Countries() throughout.
 type Population struct {
 	Study Study
 	Geo   *geo.DB
 
-	calib map[string]CountryCalib
-
-	countryCodes   []string
+	proxyRates     []float64 // per country
 	countrySampler *stats.Categorical
 
 	deployments   []Deployment
@@ -60,40 +59,36 @@ func New(study Study, gdb *geo.DB) (*Population, error) {
 	if study != Study1 && study != Study2 {
 		return nil, fmt.Errorf("clientpop: unknown study %d", study)
 	}
-	p := &Population{
-		Study: study,
-		Geo:   gdb,
-		calib: make(map[string]CountryCalib, len(Calibration)),
-	}
+	p := &Population{Study: study, Geo: gdb}
+	calib := make(map[string]CountryCalib, len(Calibration))
 	for _, c := range Calibration {
-		p.calib[c.Code] = c
+		calib[c.Code] = c
 	}
 
 	// Global-campaign country mix: listed countries carry their table
 	// weight (for study 2, net of what the targeted campaigns deliver);
 	// unlisted countries share the "Other" residual in proportion to
-	// their registry footprint.
+	// their registry footprint. Proxy rates follow the same split:
+	// listed countries their table rate, unlisted ones the residual's.
 	var weights []float64
-	var otherTested float64
-	if study == Study1 {
-		otherTested = float64(Other1Tested)
-	} else {
-		otherTested = float64(Other2Tested)
+	otherTested, otherRate := float64(Other1Tested), OtherRate1
+	if study == Study2 {
+		otherTested, otherRate = float64(Other2Tested), OtherRate2
 	}
 	var otherBlocks int
 	for _, c := range gdb.Countries() {
-		if _, listed := p.calib[c.Code]; !listed {
+		if _, listed := calib[c.Code]; !listed {
 			otherBlocks += c.Blocks
 		}
 	}
 	for _, c := range gdb.Countries() {
-		cal, listed := p.calib[c.Code]
-		var w float64
+		cal, listed := calib[c.Code]
+		var w, rate float64
 		switch {
 		case listed && study == Study1:
-			w = float64(cal.Tested1)
+			w, rate = float64(cal.Tested1), cal.Rate1()
 		case listed && study == Study2:
-			w = float64(cal.Tested2)
+			w, rate = float64(cal.Tested2), cal.Rate2()
 			if impr, targeted := targetedImpressions2[c.Code]; targeted {
 				w -= float64(impr) * TestsPerImpression2
 				if w < 0 {
@@ -101,9 +96,9 @@ func New(study Study, gdb *geo.DB) (*Population, error) {
 				}
 			}
 		default:
-			w = otherTested * float64(c.Blocks) / float64(otherBlocks)
+			w, rate = otherTested*float64(c.Blocks)/float64(otherBlocks), otherRate
 		}
-		p.countryCodes = append(p.countryCodes, c.Code)
+		p.proxyRates = append(p.proxyRates, rate)
 		weights = append(weights, w)
 	}
 	sampler, err := stats.NewCategorical(weights)
@@ -155,25 +150,16 @@ func completionTable(study Study) map[string]float64 {
 	return m
 }
 
-// SampleGlobalCountry draws the country of one global-campaign impression.
-func (p *Population) SampleGlobalCountry(r *stats.RNG) string {
-	return p.countryCodes[p.countrySampler.Sample(r)]
+// SampleGlobalCountry draws the country of one global-campaign impression,
+// as its position in Geo.Countries().
+func (p *Population) SampleGlobalCountry(r *stats.RNG) int {
+	return p.countrySampler.Sample(r)
 }
 
-// ProxyRate returns the probability that a client in the country sits
-// behind a TLS proxy.
-func (p *Population) ProxyRate(code string) float64 {
-	cal, ok := p.calib[code]
-	if !ok {
-		if p.Study == Study1 {
-			return OtherRate1
-		}
-		return OtherRate2
-	}
-	if p.Study == Study1 {
-		return cal.Rate1()
-	}
-	return cal.Rate2()
+// ProxyRate returns the probability that a client in the country at
+// position country in Geo.Countries() sits behind a TLS proxy.
+func (p *Population) ProxyRate(country int) float64 {
+	return p.proxyRates[country]
 }
 
 // SampleDeployment draws which product proxies a proxied client, returning
@@ -200,11 +186,8 @@ func (p *Population) Hosts() []hostdb.Host {
 	return hostdb.SecondStudyHosts()
 }
 
-// ClientIP draws an address for a client in the country.
-func (p *Population) ClientIP(r *stats.RNG, code string) uint32 {
-	ip, err := p.Geo.RandomIPUint32(r, code)
-	if err != nil {
-		return 0
-	}
-	return ip
+// ClientIP draws an address for a client in the country at position
+// country in Geo.Countries().
+func (p *Population) ClientIP(r *stats.RNG, country int) uint32 {
+	return p.Geo.RandomIPUint32(r, country)
 }

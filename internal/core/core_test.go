@@ -127,10 +127,8 @@ func TestCollectorIngest(t *testing.T) {
 	col.SetAuthoritative("tlsresearch.byu.edu", leaf.ChainDER)
 
 	r := stats.NewRNG(1)
-	ip, err := gdb.RandomIPUint32(r, "FR")
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr, _ := gdb.Index("FR")
+	ip := gdb.RandomIPUint32(r, fr)
 	m, err := col.Ingest(ip, "tlsresearch.byu.edu", leaf.ChainDER, "global")
 	if err != nil {
 		t.Fatal(err)

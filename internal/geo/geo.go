@@ -109,6 +109,13 @@ func (db *DB) Len() int { return len(db.countries) }
 // mutate).
 func (db *DB) Countries() []Country { return db.countries }
 
+// Index returns the position of the country with the given ISO code in
+// Countries().
+func (db *DB) Index(code string) (int, bool) {
+	i, ok := db.byCode[code]
+	return i, ok
+}
+
 // Country returns the country with the given ISO code.
 func (db *DB) Country(code string) (Country, bool) {
 	i, ok := db.byCode[code]
@@ -161,24 +168,18 @@ func (db *DB) RandomIP(r *stats.RNG, code string) (net.IP, error) {
 	if !ok {
 		return nil, fmt.Errorf("geo: unknown country %q", code)
 	}
-	blocks := db.blocksFor[i]
-	blk := db.ranges[blocks[r.Intn(len(blocks))]]
-	addr := blk.lo + uint32(r.Uint64n(uint64(blk.hi-blk.lo+1)))
 	ip := make(net.IP, 4)
-	binary.BigEndian.PutUint32(ip, addr)
+	binary.BigEndian.PutUint32(ip, db.RandomIPUint32(r, i))
 	return ip, nil
 }
 
-// RandomIPUint32 is RandomIP without the net.IP allocation, for the
-// fast-mode study loop.
-func (db *DB) RandomIPUint32(r *stats.RNG, code string) (uint32, error) {
-	i, ok := db.byCode[code]
-	if !ok {
-		return 0, fmt.Errorf("geo: unknown country %q", code)
-	}
-	blocks := db.blocksFor[i]
+// RandomIPUint32 is RandomIP for the country at position country in
+// Countries(), without the net.IP allocation or the code lookup, for the
+// fast-mode study loop. It draws exactly what RandomIP draws.
+func (db *DB) RandomIPUint32(r *stats.RNG, country int) uint32 {
+	blocks := db.blocksFor[country]
 	blk := db.ranges[blocks[r.Intn(len(blocks))]]
-	return blk.lo + uint32(r.Uint64n(uint64(blk.hi-blk.lo+1))), nil
+	return blk.lo + uint32(r.Uint64n(uint64(blk.hi-blk.lo+1)))
 }
 
 // FormatIP renders a uint32 address as a dotted quad.

@@ -130,8 +130,8 @@ func TestRandomIPUnknownCountry(t *testing.T) {
 	if _, err := db.RandomIP(r, "ZZ"); err == nil {
 		t.Fatal("unknown country accepted")
 	}
-	if _, err := db.RandomIPUint32(r, "ZZ"); err == nil {
-		t.Fatal("unknown country accepted (uint32)")
+	if _, ok := db.Index("ZZ"); ok {
+		t.Fatal("unknown country has an index")
 	}
 }
 
@@ -140,13 +140,10 @@ func TestRandomIPDiversity(t *testing.T) {
 	// registry must produce diverse addresses, not a handful.
 	db := NewDB()
 	r := stats.NewRNG(7)
+	us, _ := db.Index("US")
 	seen := make(map[uint32]bool)
 	for i := 0; i < 10000; i++ {
-		addr, err := db.RandomIPUint32(r, "US")
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen[addr] = true
+		seen[db.RandomIPUint32(r, us)] = true
 	}
 	if len(seen) < 9900 {
 		t.Fatalf("only %d distinct addresses in 10000 draws", len(seen))
@@ -165,10 +162,8 @@ func TestFormatIP(t *testing.T) {
 func TestLookupStringRoundTrip(t *testing.T) {
 	db := NewDB()
 	r := stats.NewRNG(3)
-	addr, err := db.RandomIPUint32(r, "FR")
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr, _ := db.Index("FR")
+	addr := db.RandomIPUint32(r, fr)
 	c, ok := db.LookupString(FormatIP(addr))
 	if !ok || c.Code != "FR" {
 		t.Fatalf("LookupString(%s) = %v, %v", FormatIP(addr), c, ok)
@@ -218,9 +213,10 @@ func TestQuickLookupTotal(t *testing.T) {
 func BenchmarkLookup(b *testing.B) {
 	db := NewDB()
 	r := stats.NewRNG(1)
+	us, _ := db.Index("US")
 	addrs := make([]uint32, 1024)
 	for i := range addrs {
-		addrs[i], _ = db.RandomIPUint32(r, "US")
+		addrs[i] = db.RandomIPUint32(r, us)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -54,16 +54,9 @@ func mergeOne(out, db *DB) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 
-	out.totals.Tested += db.totals.Tested
-	out.totals.Proxied += db.totals.Proxied
-
+	out.totals = out.totals.plus(db.totals.Tested, db.totals.Proxied)
 	mergeAggMap(out.byCountry, db.byCountry)
-	for k, v := range db.byHostCat {
-		a := out.byHostCat[k]
-		a.Tested += v.Tested
-		a.Proxied += v.Proxied
-		out.byHostCat[k] = a
-	}
+	mergeAggMap(out.byHostCat, db.byHostCat)
 	mergeAggMap(out.byCampaign, db.byCampaign)
 
 	out.issuerOrgs.Merge(db.issuerOrgs)
@@ -116,12 +109,9 @@ func mergeOne(out, db *DB) {
 	out.proxied = append(out.proxied, db.proxied...)
 }
 
-func mergeAggMap(dst, src map[string]Agg) {
+func mergeAggMap[K comparable](dst, src map[K]Agg) {
 	for k, v := range src {
-		a := dst[k]
-		a.Tested += v.Tested
-		a.Proxied += v.Proxied
-		dst[k] = a
+		dst[k] = dst[k].plus(v.Tested, v.Proxied)
 	}
 }
 

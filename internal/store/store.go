@@ -135,10 +135,24 @@ func (db *DB) IngestBatch(ms []core.Measurement) {
 	}
 }
 
-func (db *DB) ingestLocked(m core.Measurement) {
-	db.totals.Tested++
-	proxied := m.Obs.Proxied
-	country := m.Country
+// AddClean records n clean (unproxied) tests of one (campaign, country,
+// host type) cell at once: the store ends up exactly as after n Ingest
+// calls of such a measurement. A study generator tallies its clean tests
+// and hands them over here, since a clean test touches nothing but the
+// four aggregates.
+func (db *DB) AddClean(campaign, country string, cat hostdb.Category, n int) {
+	if n <= 0 {
+		return
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.addLocked(campaign, country, cat, n, 0)
+}
+
+// addLocked adds (tested, proxied) to the totals and the per-country,
+// per-host-type and per-campaign aggregates. It returns the country key,
+// with an unresolved ("") country filed under "??".
+func (db *DB) addLocked(campaign, country string, cat hostdb.Category, tested, proxied int) string {
 	if country == "" {
 		country = "??"
 	}
@@ -146,27 +160,26 @@ func (db *DB) ingestLocked(m core.Measurement) {
 	// hash probe for the write-back, but a fresh store populates its key
 	// space without an *Agg heap object per distinct key — at ingest
 	// scale the per-key allocations dominated store construction.
-	ca := db.byCountry[country]
-	ca.Tested++
-	ha := db.byHostCat[m.HostCategory]
-	ha.Tested++
-	if proxied {
-		db.totals.Proxied++
-		ca.Proxied++
-		ha.Proxied++
+	db.totals = db.totals.plus(tested, proxied)
+	db.byCountry[country] = db.byCountry[country].plus(tested, proxied)
+	db.byHostCat[cat] = db.byHostCat[cat].plus(tested, proxied)
+	if campaign != "" {
+		db.byCampaign[campaign] = db.byCampaign[campaign].plus(tested, proxied)
 	}
-	db.byCountry[country] = ca
-	db.byHostCat[m.HostCategory] = ha
-	if m.Campaign != "" {
-		cm := db.byCampaign[m.Campaign]
-		cm.Tested++
-		if proxied {
-			cm.Proxied++
-		}
-		db.byCampaign[m.Campaign] = cm
-	}
+	return country
+}
 
-	if !proxied {
+func (a Agg) plus(tested, proxied int) Agg {
+	return Agg{Tested: a.Tested + tested, Proxied: a.Proxied + proxied}
+}
+
+func (db *DB) ingestLocked(m core.Measurement) {
+	proxied := 0
+	if m.Obs.Proxied {
+		proxied = 1
+	}
+	country := db.addLocked(m.Campaign, m.Country, m.HostCategory, 1, proxied)
+	if proxied == 0 {
 		return
 	}
 

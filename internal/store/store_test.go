@@ -204,6 +204,47 @@ func TestByCampaignAndHostCategory(t *testing.T) {
 	}
 }
 
+// TestAddCleanMatchesIngest: AddClean(c, k, cat, n) leaves the store
+// snapshot byte-identical to n clean Ingests of that cell, interleaved
+// with proxied rows.
+func TestAddCleanMatchesIngest(t *testing.T) {
+	cells := []struct {
+		campaign, country string
+		cat               hostdb.Category
+		n                 int
+	}{
+		{"global", "US", hostdb.Popular, 5},
+		{"global", "FR", hostdb.Authors, 1},
+		{"", "US", hostdb.Popular, 3},      // no campaign aggregate
+		{"global", "", hostdb.Business, 4}, // filed under "??"
+		{"CN", "CN", hostdb.Pornographic, 0},
+		{"global", "US", hostdb.Popular, 2}, // the same cell again
+	}
+	rows, bulk := New(0), New(0)
+	for i, c := range cells {
+		p := proxiedMeasurement(c.country, uint32(i), "A", classify.Unknown)
+		p.Campaign = c.campaign
+		rows.Ingest(p)
+		bulk.Ingest(p)
+		m := cleanMeasurement(c.country, "h", c.cat)
+		m.Campaign = c.campaign
+		for j := 0; j < c.n; j++ {
+			rows.Ingest(m)
+		}
+		bulk.AddClean(c.campaign, c.country, c.cat, c.n)
+	}
+	if got, want := bulk.AppendSnapshot(nil), rows.AppendSnapshot(nil); !bytes.Equal(got, want) {
+		t.Fatalf("AddClean store differs from the Ingest store:\n%v\n%v", bulk.ByCountry(OrderByTested), rows.ByCountry(OrderByTested))
+	}
+
+	// n = 0 adds nothing, not even an empty aggregate key.
+	empty := New(0)
+	empty.AddClean("global", "US", hostdb.Popular, 0)
+	if !bytes.Equal(empty.AppendSnapshot(nil), New(0).AppendSnapshot(nil)) {
+		t.Fatalf("AddClean of 0 tests changed an empty store: %+v", empty.ByCountry(OrderByTested))
+	}
+}
+
 func TestCSVExport(t *testing.T) {
 	db := New(0)
 	db.Ingest(proxiedMeasurement("FR", 0x01020304, "Bitdefender", classify.BusinessPersonalFirewall))

@@ -42,16 +42,17 @@ type Config struct {
 	Shards int
 	// Metrics, when non-nil, exposes the run's live progress on the
 	// shared telemetry registry: study_measurements_total counts every
-	// measurement as it reaches the sink, study_campaigns_done_total the
-	// campaigns finished. cmd/study's -progress reporter polls these;
-	// any registry scrape works. Nil keeps the hot path counter-free.
+	// test as it is generated, study_campaigns_done_total the campaigns
+	// finished. cmd/study's -progress reporter polls these; any registry
+	// scrape works.
 	Metrics *telemetry.Registry
-	// Sink, when non-nil, receives every generated measurement instead
-	// of the run's internal store — the cluster path: a route client
-	// delivers the stream to the owning reportd nodes and tables are
-	// merged cross-node afterwards, so Result.Store comes back nil.
+	// Sink, when non-nil, receives every generated test as a measurement
+	// instead of the run's internal store — the cluster path: a route
+	// client delivers the stream to the owning reportd nodes and tables
+	// are merged cross-node afterwards, so Result.Store comes back nil.
 	// It requires Shards <= 1: the external sink owns durability and
-	// parallelism, so it sees one in-order stream.
+	// parallelism, so it sees one in-order stream. Without a Sink, only
+	// proxied tests become measurements; clean ones are tallied.
 	Sink core.Sink
 }
 
@@ -71,19 +72,6 @@ type Result struct {
 	// pipeline; kept only because bench/study.go reads it (and tolerates
 	// nil); remove in the next benchmark PR.
 	IngestStats *ingest.Stats
-}
-
-// meterTee counts measurements into the telemetry registry on their way
-// to the real sink. Counter.Add is one atomic add, so the tee is safe
-// from concurrent campaign goroutines and costs no allocations.
-type meterTee struct {
-	n    *telemetry.Counter
-	next core.Sink
-}
-
-func (t meterTee) Ingest(m core.Measurement) {
-	t.n.Inc()
-	t.next.Ingest(m)
 }
 
 // studyEpoch anchors synthetic measurement timestamps: the first study
@@ -169,27 +157,18 @@ func Run(cfg Config) (*Result, error) {
 		crs[i] = r.Split()
 	}
 
-	gen := newCampaignGen(w, cfg.Scale, studyEpoch(cfg.Study))
-
-	// Progress counters live on the caller's registry; counting happens
-	// in a sink tee in front of every campaign's sink.
-	var meter, campaignsDone *telemetry.Counter
+	// Progress counters live on the caller's registry (nil counters
+	// ignore updates).
+	var tested, campaignsDone *telemetry.Counter
 	if cfg.Metrics != nil {
-		meter = cfg.Metrics.Counter("study_measurements_total",
-			"measurements generated and handed to the sink")
+		tested = cfg.Metrics.Counter("study_measurements_total",
+			"certificate tests generated")
 		campaignsDone = cfg.Metrics.Counter("study_campaigns_done_total",
 			"ad campaigns finished generating")
 		cfg.Metrics.GaugeFunc("study_campaigns_total",
 			"ad campaigns in this run", func() float64 { return float64(len(campaigns)) })
 	}
-	// wrap interposes the progress tee between a campaign generator and
-	// its sink; without Metrics it is the identity.
-	wrap := func(sink core.Sink) core.Sink {
-		if meter != nil {
-			sink = meterTee{n: meter, next: sink}
-		}
-		return sink
-	}
+	gen := newCampaignGen(w, cfg.Scale, studyEpoch(cfg.Study), tested)
 
 	// Every campaign generates into a private store (or all of them into
 	// cfg.Sink), and the run's store is always the canonical merge of
@@ -198,12 +177,10 @@ func Run(cfg Config) (*Result, error) {
 	// goroutine each.
 	dbs := make([]*store.DB, len(campaigns))
 	runCampaign := func(ci int) error {
-		sink := cfg.Sink
-		if sink == nil {
+		if cfg.Sink == nil {
 			dbs[ci] = store.New(0) // uncapped: Merge applies RetainProxied
-			sink = dbs[ci]
 		}
-		err := gen.run(campaigns[ci], outcomes[ci], crs[ci], wrap(sink))
+		err := gen.run(campaigns[ci], outcomes[ci], crs[ci], dbs[ci], cfg.Sink)
 		if err == nil {
 			campaignsDone.Inc()
 		}
@@ -250,32 +227,55 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// campaignGen generates the measurement stream for campaigns; the sink is
-// the campaign's private store or Config.Sink.
+// campaignGen generates the tests of campaigns.
 type campaignGen struct {
 	*world
 	scale float64
 	epoch time.Time
 	// completion is pop.CompletionProb per host position.
 	completion []float64
+	// tested counts every generated test (nil: not counted).
+	tested *telemetry.Counter
 }
 
-func newCampaignGen(w *world, scale float64, epoch time.Time) *campaignGen {
-	g := &campaignGen{world: w, scale: scale, epoch: epoch, completion: make([]float64, len(w.hosts))}
+func newCampaignGen(w *world, scale float64, epoch time.Time, tested *telemetry.Counter) *campaignGen {
+	g := &campaignGen{world: w, scale: scale, epoch: epoch, completion: make([]float64, len(w.hosts)), tested: tested}
 	for hi, h := range w.hosts {
 		g.completion[hi] = w.pop.CompletionProb(h.Name)
 	}
 	return g
 }
 
-// run synthesizes one campaign's measurements from its private RNG stream
-// and delivers them to sink in impression order.
-func (g *campaignGen) run(campaign adsim.Campaign, outcome adsim.Outcome, cr *stats.RNG, sink core.Sink) error {
+// meterEvery is how many impressions a campaign generates between two
+// updates of the tested counter.
+const meterEvery = 4096
+
+// run synthesizes one campaign's tests from its private RNG stream. With
+// a sink, every test reaches it as a measurement, in impression order.
+// Without one, the campaign fills db: a proxied test as a measurement, in
+// impression order, and a clean one as an increment of its (country,
+// host) tally, which reaches db as one AddClean per cell at campaign end.
+// Both paths make the same draws, so they fill equal stores.
+func (g *campaignGen) run(campaign adsim.Campaign, outcome adsim.Outcome, cr *stats.RNG, db *store.DB, sink core.Sink) error {
+	target := -1 // a global campaign samples each impression's country
+	if campaign.TargetCountry != "" {
+		var ok bool
+		if target, ok = g.geo.Index(campaign.TargetCountry); !ok {
+			return fmt.Errorf("study: campaign %s: unknown target country %q", campaign.Name, campaign.TargetCountry)
+		}
+	}
+	countries, nHosts := g.geo.Countries(), len(g.hosts)
+	var tally []int // [country*nHosts + host]
+	if sink == nil {
+		sink = db
+		tally = make([]int, len(countries)*nHosts)
+	}
 	n := int(float64(outcome.Impressions) * g.scale)
 	window := time.Duration(campaign.Days) * 24 * time.Hour
+	var tests uint64
 	for i := 0; i < n; i++ {
-		country := campaign.TargetCountry
-		if country == "" {
+		country := target
+		if country < 0 {
 			country = g.pop.SampleGlobalCountry(cr)
 		}
 		proxied := cr.Bool(g.pop.ProxyRate(country))
@@ -285,7 +285,6 @@ func (g *campaignGen) run(campaign adsim.Campaign, outcome adsim.Outcome, cr *st
 		}
 		var ip uint32
 		ipSet := false
-		var when time.Time
 		for hi := range g.hosts {
 			if !cr.Bool(g.completion[hi]) {
 				continue
@@ -293,24 +292,39 @@ func (g *campaignGen) run(campaign adsim.Campaign, outcome adsim.Outcome, cr *st
 			if !ipSet {
 				ip = g.pop.ClientIP(cr, country)
 				ipSet = true
-				when = g.epoch.Add(time.Duration(float64(window) * float64(i) / float64(n+1)))
 			}
-			obs := g.factory.clean[hi]
+			tests++
+			obs := &g.factory.clean[hi]
 			if proxied {
-				var err error
-				if obs, err = g.factory.observation(depIdx, hi); err != nil {
+				o, err := g.factory.observation(depIdx, hi)
+				if err != nil {
 					return fmt.Errorf("study: campaign %s: %w", campaign.Name, err)
 				}
+				obs = &o
+			}
+			if tally != nil && !obs.Proxied {
+				tally[country*nHosts+hi]++
+				continue
 			}
 			sink.Ingest(core.Measurement{
-				Time:         when,
+				Time:         g.epoch.Add(time.Duration(float64(window) * float64(i) / float64(n+1))),
 				ClientIP:     ip,
-				Country:      country,
+				Country:      countries[country].Code,
 				Host:         g.hosts[hi].Name,
 				HostCategory: g.hosts[hi].Category,
 				Campaign:     campaign.Name,
-				Obs:          obs,
+				Obs:          *obs,
 			})
+		}
+		if i%meterEvery == meterEvery-1 {
+			g.tested.Add(tests)
+			tests = 0
+		}
+	}
+	g.tested.Add(tests)
+	for cell, k := range tally {
+		if k > 0 {
+			db.AddClean(campaign.Name, countries[cell/nHosts].Code, g.hosts[cell%nHosts].Category, k)
 		}
 	}
 	return nil
