@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -38,47 +39,53 @@ import (
 	"tlsfof/internal/tlswire"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: the captured chain, verdict and fleet summary
+// to stdout, failures to stderr; it returns the exit code (2 = a detected
+// TLS proxy).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tlsproxy-probe", flag.ExitOnError)
 	var (
-		addr    = flag.String("addr", "", "host:port to probe (required)")
-		sni     = flag.String("sni", "", "SNI server name (default: host from -addr)")
-		refPath = flag.String("reference", "", "PEM file with the authoritative chain; enables detection")
-		timeout = flag.Duration("timeout", 10*time.Second, "probe timeout")
-		pemOut  = flag.Bool("pem", false, "print the captured chain as PEM")
+		addr    = fs.String("addr", "", "host:port to probe (required)")
+		sni     = fs.String("sni", "", "SNI server name (default: host from -addr)")
+		refPath = fs.String("reference", "", "PEM file with the authoritative chain; enables detection")
+		timeout = fs.Duration("timeout", 10*time.Second, "probe timeout")
+		pemOut  = fs.Bool("pem", false, "print the captured chain as PEM")
 
-		fleet    = flag.Int("fleet", 0, "run N concurrent probe workers (enables fleet mode)")
-		count    = flag.Int("count", 0, "fleet: probes per worker (0 = run until -duration)")
-		duration = flag.Duration("duration", 10*time.Second, "fleet: wall-clock budget when -count is 0")
-		hosts    = flag.String("hosts", "", "fleet: comma-separated SNI names to rotate over (default -sni)")
-		report   = flag.String("report", "", "fleet: reportd base URL or /ingest/batch endpoint")
-		batch    = flag.Int("batch", ingest.DefaultClientBatch, "fleet: reports per upload batch")
+		fleet    = fs.Int("fleet", 0, "run N concurrent probe workers (enables fleet mode)")
+		count    = fs.Int("count", 0, "fleet: probes per worker (0 = run until -duration)")
+		duration = fs.Duration("duration", 10*time.Second, "fleet: wall-clock budget when -count is 0")
+		hosts    = fs.String("hosts", "", "fleet: comma-separated SNI names to rotate over (default -sni)")
+		report   = fs.String("report", "", "fleet: reportd base URL or /ingest/batch endpoint")
+		batch    = fs.Int("batch", ingest.DefaultClientBatch, "fleet: reports per upload batch")
 
-		faultSpec  = flag.String("fault", "", "fleet: inject deterministic faults on every probe connection (e.g. \"all,seed=7\"; see internal/faultnet.ParseSpec)")
-		faultIn    = flag.String("fault-ingest", "", "fleet: inject faults on the report-upload connections")
-		inRetries  = flag.Int("ingest-retries", 2, "fleet: retries per failed upload flush")
-		faultStats = flag.Bool("fault-stats", false, "fleet: print fault-injection stats at exit")
+		faultSpec  = fs.String("fault", "", "fleet: inject deterministic faults on every probe connection (e.g. \"all,seed=7\"; see internal/faultnet.ParseSpec)")
+		faultIn    = fs.String("fault-ingest", "", "fleet: inject faults on the report-upload connections")
+		inRetries  = fs.Int("ingest-retries", 2, "fleet: retries per failed upload flush")
+		faultStats = fs.Bool("fault-stats", false, "fleet: print fault-injection stats at exit")
 
-		metricsAddr = flag.String("metrics-addr", "", "fleet: serve GET /metrics (JSON or ?format=prometheus) and /trace on this address mid-run")
-		traceSeed   = flag.Uint64("trace-seed", 1, "fleet: seed for deterministic per-probe trace IDs carried to mitmd (ClientHello session id) and reportd (wire frame); 0 disables tracing")
+		metricsAddr = fs.String("metrics-addr", "", "fleet: serve GET /metrics (JSON or ?format=prometheus) and /trace on this address mid-run")
+		traceSeed   = fs.Uint64("trace-seed", 1, "fleet: seed for deterministic per-probe trace IDs carried to mitmd (ClientHello session id) and reportd (wire frame); 0 disables tracing")
 	)
-	flag.Parse()
+	fs.Parse(args)
 	if *addr == "" {
-		fmt.Fprintln(os.Stderr, "tlsproxy-probe: -addr is required")
-		os.Exit(1)
+		fmt.Fprintln(stderr, "tlsproxy-probe: -addr is required")
+		return 1
 	}
 
 	var probeFaults, ingestFaults *faultnet.Plan
 	var err error
 	if *faultSpec != "" {
 		if probeFaults, err = faultnet.ParseSpec(*faultSpec); err != nil {
-			fmt.Fprintf(os.Stderr, "tlsproxy-probe: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "tlsproxy-probe: %v\n", err)
+			return 1
 		}
 	}
 	if *faultIn != "" {
 		if ingestFaults, err = faultnet.ParseSpec(*faultIn); err != nil {
-			fmt.Fprintf(os.Stderr, "tlsproxy-probe: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "tlsproxy-probe: %v\n", err)
+			return 1
 		}
 	}
 	if *fleet > 0 {
@@ -89,13 +96,13 @@ func main() {
 			probeFaults: probeFaults, ingestFaults: ingestFaults, faultStats: *faultStats,
 			metricsAddr: *metricsAddr, traceSeed: *traceSeed,
 		}
-		os.Exit(runFleet(cfg))
+		return runFleet(cfg, stdout, stderr)
 	}
 	if probeFaults != nil || ingestFaults != nil {
-		fmt.Fprintln(os.Stderr, "tlsproxy-probe: -fault/-fault-ingest need -fleet")
-		os.Exit(1)
+		fmt.Fprintln(stderr, "tlsproxy-probe: -fault/-fault-ingest need -fleet")
+		return 1
 	}
-	runSingle(*addr, *sni, *refPath, *timeout, *pemOut)
+	return runSingle(*addr, *sni, *refPath, *timeout, *pemOut, stdout, stderr)
 }
 
 // fleetConfig carries the fleet-mode knobs.
@@ -121,7 +128,7 @@ func fleetTraceID(seed uint64, w, i int) telemetry.TraceID {
 // runFleet drives cfg.workers workers of repeated probes through the
 // proxy path and streams captures to reportd. Returns the process exit
 // code.
-func runFleet(cfg fleetConfig) int {
+func runFleet(cfg fleetConfig, stdout, stderr io.Writer) int {
 	var sniNames []string
 	for _, h := range strings.Split(cfg.hosts, ",") {
 		if h = strings.TrimSpace(h); h != "" {
@@ -136,7 +143,7 @@ func runFleet(cfg fleetConfig) int {
 			}
 		}
 		if name == "" {
-			fmt.Fprintln(os.Stderr, "tlsproxy-probe: fleet mode needs -hosts or -sni (no SNI derivable from -addr)")
+			fmt.Fprintln(stderr, "tlsproxy-probe: fleet mode needs -hosts or -sni (no SNI derivable from -addr)")
 			return 1
 		}
 		sniNames = []string{name}
@@ -174,14 +181,15 @@ func runFleet(cfg fleetConfig) int {
 		mux.Handle("/trace", tracer.Handler())
 		ln, err := net.Listen("tcp", cfg.metricsAddr)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "tlsproxy-probe: metrics listener: %v\n", err)
+			fmt.Fprintf(stderr, "tlsproxy-probe: metrics listener: %v\n", err)
 			return 1
 		}
+		defer ln.Close()
 		go http.Serve(ln, mux)
-		fmt.Printf("fleet: metrics on http://%s/metrics\n", ln.Addr())
+		fmt.Fprintf(stdout, "fleet: metrics on http://%s/metrics\n", ln.Addr())
 	}
 	if cfg.traceSeed != 0 {
-		fmt.Printf("fleet: tracing on (seed %d; worker 0 probe 1 = id %s)\n",
+		fmt.Fprintf(stdout, "fleet: tracing on (seed %d; worker 0 probe 1 = id %s)\n",
 			cfg.traceSeed, fleetTraceID(cfg.traceSeed, 0, 0))
 	}
 
@@ -227,7 +235,7 @@ func runFleet(cfg fleetConfig) int {
 				probes.Inc()
 				if client != nil {
 					if err := client.Report(ingest.Report{Host: host, ChainDER: res.ChainDER, Trace: uint64(traceID)}); err != nil {
-						fmt.Fprintf(os.Stderr, "tlsproxy-probe: upload: %v\n", err)
+						fmt.Fprintf(stderr, "tlsproxy-probe: upload: %v\n", err)
 					}
 				}
 			}
@@ -238,11 +246,11 @@ func runFleet(cfg fleetConfig) int {
 
 	if client != nil {
 		if err := client.Flush(); err != nil {
-			fmt.Fprintf(os.Stderr, "tlsproxy-probe: final flush: %v\n", err)
+			fmt.Fprintf(stderr, "tlsproxy-probe: final flush: %v\n", err)
 		}
 	}
 	ok, fail := probes.Value(), failures.Value()
-	fmt.Printf("fleet: %d workers, %d probes ok, %d failed in %v (%.0f probes/sec)\n",
+	fmt.Fprintf(stdout, "fleet: %d workers, %d probes ok, %d failed in %v (%.0f probes/sec)\n",
 		cfg.workers, ok, fail, elapsed.Round(time.Millisecond), float64(ok)/elapsed.Seconds())
 	if cfg.faultStats {
 		for label, plan := range map[string]*faultnet.Plan{"probe": cfg.probeFaults, "ingest": cfg.ingestFaults} {
@@ -250,12 +258,12 @@ func runFleet(cfg fleetConfig) int {
 				continue
 			}
 			js, _ := json.Marshal(plan.Stats())
-			fmt.Printf("fleet: %s fault stats (seed %d): %s\n", label, plan.Seed, js)
+			fmt.Fprintf(stdout, "fleet: %s fault stats (seed %d): %s\n", label, plan.Seed, js)
 		}
 	}
 	if client != nil {
 		st := client.Stats()
-		fmt.Printf("fleet: uploaded %d reports in %d posts (%d accepted, %d rejected, %d retries, %d post errors)\n",
+		fmt.Fprintf(stdout, "fleet: uploaded %d reports in %d posts (%d accepted, %d rejected, %d retries, %d post errors)\n",
 			st.Reported, st.Posts, st.Accepted, st.Rejected, st.Retries, st.PostErrors)
 		if st.PostErrors > 0 || st.Rejected > 0 {
 			return 1
@@ -269,34 +277,35 @@ func runFleet(cfg fleetConfig) int {
 	return 0
 }
 
-// runSingle is the original one-shot probe + optional detection.
-func runSingle(addr, sni, refPath string, timeout time.Duration, pemOut bool) {
+// runSingle is the one-shot probe with optional detection. Returns the
+// process exit code.
+func runSingle(addr, sni, refPath string, timeout time.Duration, pemOut bool, stdout, stderr io.Writer) int {
 	report, err := tlsfof.Probe(addr, sni, timeout)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tlsproxy-probe: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "tlsproxy-probe: %v\n", err)
+		return 1
 	}
-	fmt.Printf("captured %d certificate(s) in %v\n", len(report.ChainDER), report.HandshakeTime.Round(time.Millisecond))
+	fmt.Fprintf(stdout, "captured %d certificate(s) in %v\n", len(report.ChainDER), report.HandshakeTime.Round(time.Millisecond))
 	for i, der := range report.ChainDER {
 		cert, err := x509.ParseCertificate(der)
 		if err != nil {
-			fmt.Printf("  [%d] unparseable: %v\n", i, err)
+			fmt.Fprintf(stdout, "  [%d] unparseable: %v\n", i, err)
 			continue
 		}
-		fmt.Printf("  [%d] subject=%q issuer=%q alg=%s\n",
+		fmt.Fprintf(stdout, "  [%d] subject=%q issuer=%q alg=%s\n",
 			i, cert.Subject.String(), cert.Issuer.String(), cert.SignatureAlgorithm)
 	}
 	if pemOut {
-		os.Stdout.Write(report.ChainPEM)
+		stdout.Write(report.ChainPEM)
 	}
 
 	if refPath == "" {
-		return
+		return 0
 	}
 	refPEM, err := os.ReadFile(refPath)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tlsproxy-probe: read reference: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "tlsproxy-probe: read reference: %v\n", err)
+		return 1
 	}
 	host := sni
 	if host == "" {
@@ -304,27 +313,27 @@ func runSingle(addr, sni, refPath string, timeout time.Duration, pemOut bool) {
 	}
 	obs, err := tlsfof.DetectPEM(host, refPEM, report.ChainPEM)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tlsproxy-probe: detect: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "tlsproxy-probe: detect: %v\n", err)
+		return 1
 	}
 	if !obs.Proxied {
-		fmt.Println("verdict: chains match — no TLS proxy detected")
-		return
+		fmt.Fprintln(stdout, "verdict: chains match — no TLS proxy detected")
+		return 0
 	}
-	fmt.Println("verdict: TLS PROXY DETECTED")
-	fmt.Printf("  claimed issuer: O=%q CN=%q (category: %s)\n", obs.IssuerOrg, obs.IssuerCN, obs.Category)
+	fmt.Fprintln(stdout, "verdict: TLS PROXY DETECTED")
+	fmt.Fprintf(stdout, "  claimed issuer: O=%q CN=%q (category: %s)\n", obs.IssuerOrg, obs.IssuerCN, obs.Category)
 	if obs.ProductName != "" {
-		fmt.Printf("  known product: %s\n", obs.ProductName)
+		fmt.Fprintf(stdout, "  known product: %s\n", obs.ProductName)
 	}
-	fmt.Printf("  substitute key: %d bits (original %d)\n", obs.KeyBits, obs.OriginalKeyBits)
+	fmt.Fprintf(stdout, "  substitute key: %d bits (original %d)\n", obs.KeyBits, obs.OriginalKeyBits)
 	if obs.MD5Signed {
-		fmt.Println("  WARNING: substitute certificate signed with MD5")
+		fmt.Fprintln(stdout, "  WARNING: substitute certificate signed with MD5")
 	}
 	if obs.IssuerCopied {
-		fmt.Println("  WARNING: substitute claims the authoritative issuer without its key")
+		fmt.Fprintln(stdout, "  WARNING: substitute claims the authoritative issuer without its key")
 	}
 	if obs.SubjectDrift {
-		fmt.Println("  WARNING: substitute subject does not match the probed host")
+		fmt.Fprintln(stdout, "  WARNING: substitute subject does not match the probed host")
 	}
-	os.Exit(2)
+	return 2
 }

@@ -8,7 +8,6 @@ package analysis
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"tlsfof/internal/adsim"
@@ -234,25 +233,4 @@ func Products(w io.Writer, db *store.DB, topN int) error {
 		fmt.Fprintf(w, "%-38s %11d %8d %9d\n", p.Name, p.Connections, p.DistinctIPs, p.Countries)
 	}
 	return nil
-}
-
-// SortedCategoryCounts returns (category, count) pairs in table order,
-// for tests and programmatic consumers.
-func SortedCategoryCounts(db *store.DB) []struct {
-	Category classify.Category
-	Count    int
-} {
-	counts := db.CategoryCounts()
-	out := make([]struct {
-		Category classify.Category
-		Count    int
-	}, 0, len(classify.AllCategories))
-	for _, cat := range classify.AllCategories {
-		out = append(out, struct {
-			Category classify.Category
-			Count    int
-		}{cat, counts[cat]})
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Category < out[j].Category })
-	return out
 }

@@ -21,7 +21,7 @@ type CA struct {
 	DER  []byte
 }
 
-// CAConfig configures NewRootCA / NewIntermediateCA.
+// CAConfig configures NewRootCA.
 type CAConfig struct {
 	Subject  pkix.Name
 	KeyBits  int       // default 2048
@@ -85,37 +85,6 @@ func NewRootCA(cfg CAConfig) (*CA, error) {
 	cert, err := x509.ParseCertificate(der)
 	if err != nil {
 		return nil, fmt.Errorf("certgen: parse freshly issued root: %w", err)
-	}
-	return &CA{Cert: cert, Key: key, DER: der}, nil
-}
-
-// NewIntermediateCA creates a CA certificate signed by parent, modeling
-// chains like "GeoTrust Global CA → Google Internet Authority G2" from the
-// paper's Figure 2.
-func (ca *CA) NewIntermediateCA(cfg CAConfig) (*CA, error) {
-	key, err := cfg.key()
-	if err != nil {
-		return nil, err
-	}
-	years := cfg.Lifetime
-	if years == 0 {
-		years = 5
-	}
-	nb := cfg.notBefore()
-	tmpl := Template{
-		Subject:   cfg.Subject,
-		IsCA:      true,
-		SigAlg:    cfg.SigAlg,
-		NotBefore: nb,
-		NotAfter:  nb.AddDate(years+1, 0, 0),
-	}
-	der, err := Issue(tmpl, &key.PublicKey, ca.Key, ca.DER, cfg.Entropy)
-	if err != nil {
-		return nil, err
-	}
-	cert, err := x509.ParseCertificate(der)
-	if err != nil {
-		return nil, fmt.Errorf("certgen: parse intermediate: %w", err)
 	}
 	return &CA{Cert: cert, Key: key, DER: der}, nil
 }

@@ -66,36 +66,6 @@ func TestLeafVerifiesAgainstRoot(t *testing.T) {
 	}
 }
 
-func TestIntermediateChain(t *testing.T) {
-	root := testRoot(t)
-	inter, err := root.NewIntermediateCA(CAConfig{
-		Subject: pkix.Name{CommonName: "Test Intermediate G2", Organization: []string{"Test Org"}},
-		KeyBits: 1024,
-		Pool:    sharedPool,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	leaf, err := inter.IssueLeaf(LeafConfig{CommonName: "www.google.test", KeyBits: 1024, Pool: sharedPool})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inters := x509.NewCertPool()
-	inters.AddCert(inter.Cert)
-	opts := x509.VerifyOptions{
-		Roots:         root.CertPool(),
-		Intermediates: inters,
-		CurrentTime:   DefaultNotBefore.AddDate(0, 1, 0),
-	}
-	chains, err := leaf.Cert.Verify(opts)
-	if err != nil {
-		t.Fatalf("three-level chain does not verify: %v", err)
-	}
-	if len(chains[0]) != 3 {
-		t.Errorf("chain length = %d, want 3", len(chains[0]))
-	}
-}
-
 func TestMD5Certificate(t *testing.T) {
 	// The paper found 23 substitute certificates signed with MD5 (§5.2).
 	// stdlib CreateCertificate refuses MD5; our builder must not.

@@ -126,13 +126,6 @@ func (p *KeyPool) Prewarm(sizes ...int) <-chan error {
 	return done
 }
 
-// Len reports how many keys of the given size are currently pooled.
-func (p *KeyPool) Len(bits int) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.bySize[bits])
-}
-
 // Named returns the key registered under name, generating a key of the
 // given size on first request. Every later call with the same name returns
 // the identical key regardless of bits.

@@ -5,6 +5,13 @@ import (
 	"time"
 )
 
+// size reports how many keys of the given size are pooled.
+func (p *KeyPool) size(bits int) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.bySize[bits])
+}
+
 // TestKeyPoolSyncUnchanged: Get generates until perSize keys exist.
 func TestKeyPoolSyncUnchanged(t *testing.T) {
 	pool := NewKeyPool(2, nil)
@@ -13,8 +20,8 @@ func TestKeyPoolSyncUnchanged(t *testing.T) {
 	if k1 == k2 {
 		t.Fatal("sync pool served a repeat before reaching capacity")
 	}
-	if pool.Len(512) != 2 {
-		t.Fatalf("pool len = %d, want 2", pool.Len(512))
+	if pool.size(512) != 2 {
+		t.Fatalf("pool len = %d, want 2", pool.size(512))
 	}
 }
 
@@ -30,8 +37,8 @@ func TestKeyPoolPrewarm(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("prewarm did not complete")
 	}
-	if pool.Len(512) != 2 || pool.Len(768) != 2 {
-		t.Fatalf("prewarm lens = %d/%d, want 2/2", pool.Len(512), pool.Len(768))
+	if pool.size(512) != 2 || pool.size(768) != 2 {
+		t.Fatalf("prewarm lens = %d/%d, want 2/2", pool.size(512), pool.size(768))
 	}
 	// A post-prewarm Get is a pure pool hit.
 	if _, err := pool.Get(512); err != nil {

@@ -172,19 +172,6 @@ func (c *Cache[V]) GetOrDerive(host string, auth, obs [][]byte, derive func() (V
 	return derive()
 }
 
-// Peek returns the cached value for the input triple without deriving or
-// touching recency and counters (zero V, false when absent).
-func (c *Cache[V]) Peek(host string, auth, obs [][]byte) (V, bool) {
-	if e, ok := c.lru.Peek(c.hashInputs(host, auth, obs)); ok && e.matches(host, auth, obs) {
-		return e.val, true
-	}
-	var zero V
-	return zero, false
-}
-
-// Len reports the number of cached values.
-func (c *Cache[V]) Len() int { return c.lru.Len() }
-
 // Stats is a point-in-time snapshot of cache accounting.
 type Stats struct {
 	// Hits found a resident entry; Misses had to wait for a derivation

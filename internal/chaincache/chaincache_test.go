@@ -16,6 +16,16 @@ func in(tag string) (string, [][]byte, [][]byte) {
 		[][]byte{[]byte("obs-" + tag), {3}}
 }
 
+// peek returns the cached value for the input triple without deriving or
+// touching recency and counters (zero V, false when absent).
+func (c *Cache[V]) peek(host string, auth, obs [][]byte) (V, bool) {
+	if e, ok := c.lru.peek(c.hashInputs(host, auth, obs)); ok && e.matches(host, auth, obs) {
+		return e.val, true
+	}
+	var zero V
+	return zero, false
+}
+
 func TestGetOrDeriveMemoizes(t *testing.T) {
 	c := New[int](0, 0)
 	host, auth, obs := in("a")
@@ -79,7 +89,7 @@ func TestInputSeparation(t *testing.T) {
 	host2 := "h"
 	auth2 := [][]byte{append([]byte(nil), 1, 2, 3)}
 	obs2 := [][]byte{append([]byte(nil), 4, 5)}
-	if v, ok := c.Peek(host2, auth2, obs2); !ok || v != "base" {
+	if v, ok := c.peek(host2, auth2, obs2); !ok || v != "base" {
 		t.Fatalf("byte-equal copy missed: %q %v", v, ok)
 	}
 }
@@ -92,7 +102,7 @@ func TestErrorsNotCached(t *testing.T) {
 	if _, err := c.GetOrDerive(host, auth, obs, func() (int, error) { calls++; return 0, boom }); err != boom {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	if c.Len() != 0 {
+	if c.Stats().Size != 0 {
 		t.Fatal("error was cached")
 	}
 	v, err := c.GetOrDerive(host, auth, obs, func() (int, error) { calls++; return 7, nil })
@@ -152,7 +162,7 @@ func TestCapAndEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := c.Len(); n > cap {
+	if n := c.Stats().Size; n > cap {
 		t.Fatalf("cache holds %d entries, cap %d", n, cap)
 	}
 	st := c.Stats()
@@ -170,7 +180,7 @@ func TestLRUOrder(t *testing.T) {
 	c := New[int](4, 1)
 	get := func(tag string) (int, bool) {
 		host, auth, obs := in(tag)
-		return c.Peek(host, auth, obs)
+		return c.peek(host, auth, obs)
 	}
 	put := func(i int) {
 		host, auth, obs := in(fmt.Sprint(i))
@@ -212,8 +222,8 @@ func TestConcurrentDistinctInputs(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if c.Len() != 50 {
-		t.Fatalf("cache holds %d entries, want 50", c.Len())
+	if c.Stats().Size != 50 {
+		t.Fatalf("cache holds %d entries, want 50", c.Stats().Size)
 	}
 }
 
@@ -263,8 +273,8 @@ func TestCollisionDerivesUncached(t *testing.T) {
 			t.Fatalf("colliding lookup %d = %d, %v; want own derivation 2", i, v, err)
 		}
 	}
-	if _, ok := c.Peek(host, auth, obs); ok {
-		t.Fatal("Peek served a colliding entry")
+	if _, ok := c.peek(host, auth, obs); ok {
+		t.Fatal("peek served a colliding entry")
 	}
 	if st := c.Stats(); st.Collisions != 2 || st.Derives != 3 || st.Size != 1 {
 		t.Fatalf("stats %+v, want 2 collisions, 3 derives (1 planted + 2 fallbacks), size 1", st)

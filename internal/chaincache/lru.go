@@ -162,18 +162,6 @@ func (l *LRU[K, V]) evictElsewhere(sh *lruShard[K, V]) {
 	}
 }
 
-// Peek returns the cached value without touching recency or counters.
-func (l *LRU[K, V]) Peek(key K) (V, bool) {
-	sh := l.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.entries[key]; ok {
-		return el.Value.(*lruEntry[K, V]).val, true
-	}
-	var zero V
-	return zero, false
-}
-
 // Len reports the number of cached values.
 func (l *LRU[K, V]) Len() int { return int(l.size.Load()) }
 

@@ -13,6 +13,18 @@ func intLRU(cap, shards int) *LRU[int, int] {
 
 func load(v int) func() (int, error) { return func() (int, error) { return v, nil } }
 
+// peek returns the cached value without touching recency or counters.
+func (l *LRU[K, V]) peek(key K) (V, bool) {
+	sh := l.shard(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if el, ok := sh.entries[key]; ok {
+		return el.Value.(*lruEntry[K, V]).val, true
+	}
+	var zero V
+	return zero, false
+}
+
 // TestLRUCrossShardEviction: when the inserting shard holds nothing but
 // its fresh entry, cap pressure must evict from other shards — never the
 // just-inserted entry, which would leave cold shards unable to ever cache.
@@ -27,13 +39,13 @@ func TestLRUCrossShardEviction(t *testing.T) {
 	if l.Len() != 2 {
 		t.Fatalf("size = %d, want 2", l.Len())
 	}
-	if _, ok := l.Peek(1); !ok {
+	if _, ok := l.peek(1); !ok {
 		t.Fatal("freshly inserted entry was its own eviction victim")
 	}
-	if _, ok := l.Peek(0); ok {
+	if _, ok := l.peek(0); ok {
 		t.Fatal("the other shard's LRU entry survived cap pressure")
 	}
-	if _, ok := l.Peek(2); !ok {
+	if _, ok := l.peek(2); !ok {
 		t.Fatal("the other shard's recent entry was evicted instead of its LRU")
 	}
 	if st := l.Stats(); st.Evictions != 1 || st.Loads != 3 || st.Misses != 3 {
@@ -49,7 +61,7 @@ func TestLRUFreshInsertSurvivesCapOne(t *testing.T) {
 		if _, err := l.GetOrLoad(k, load(k)); err != nil {
 			t.Fatal(err)
 		}
-		if v, ok := l.Peek(k); !ok || v != k {
+		if v, ok := l.peek(k); !ok || v != k {
 			t.Fatalf("key %d missing right after its insert", k)
 		}
 		if l.Len() != 1 {

@@ -1,9 +1,6 @@
 package classify
 
-import (
-	"crypto/x509"
-	"strings"
-)
+import "strings"
 
 // Result is the classification of one substitute certificate's claimed
 // issuer.
@@ -77,18 +74,6 @@ func (c *Classifier) Classify(org, cn, ou string) Result {
 		display = ou
 	}
 	return Result{Category: heuristicCategory(display), Matched: display}
-}
-
-// ClassifyCert classifies directly from a parsed certificate's issuer.
-func (c *Classifier) ClassifyCert(cert *x509.Certificate) Result {
-	org, ou := "", ""
-	if len(cert.Issuer.Organization) > 0 {
-		org = cert.Issuer.Organization[0]
-	}
-	if len(cert.Issuer.OrganizationalUnit) > 0 {
-		ou = cert.Issuer.OrganizationalUnit[0]
-	}
-	return c.Classify(org, cert.Issuer.CommonName, ou)
 }
 
 // heuristicCategory applies the manual-inspection rules the authors

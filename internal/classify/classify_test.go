@@ -1,11 +1,8 @@
 package classify
 
 import (
-	"crypto/x509/pkix"
 	"testing"
 	"testing/quick"
-
-	"tlsfof/internal/certgen"
 )
 
 func TestCategoryStrings(t *testing.T) {
@@ -25,15 +22,6 @@ func TestCategoryStrings(t *testing.T) {
 			t.Errorf("duplicate label %q", s)
 		}
 		seen[s] = true
-	}
-}
-
-func TestBenevolence(t *testing.T) {
-	if Malware.Benevolent() || Unknown.Benevolent() {
-		t.Error("malware/unknown reported benevolent")
-	}
-	if !BusinessPersonalFirewall.Benevolent() || !ParentalControl.Benevolent() {
-		t.Error("firewall/parental reported malicious")
 	}
 }
 
@@ -163,25 +151,6 @@ func TestFieldPriority(t *testing.T) {
 	got = c.Classify("", "", "Kurupira.NET")
 	if got.Category != ParentalControl {
 		t.Fatalf("OU fallback = %v", got.Category)
-	}
-}
-
-func TestClassifyCert(t *testing.T) {
-	pool := certgen.NewKeyPool(1, nil)
-	ca, err := certgen.NewRootCA(certgen.CAConfig{
-		Subject: pkix.Name{CommonName: "Bitdefender Personal CA", Organization: []string{"Bitdefender"}},
-		KeyBits: 1024, Pool: pool,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	leaf, err := ca.IssueLeaf(certgen.LeafConfig{CommonName: "x.example", KeyBits: 512, Pool: pool})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := NewClassifier().ClassifyCert(leaf.Cert)
-	if got.Category != BusinessPersonalFirewall || got.Product == nil {
-		t.Fatalf("ClassifyCert = %+v", got)
 	}
 }
 

@@ -1,8 +1,6 @@
 package classify
 
 import (
-	"crypto/x509"
-	"crypto/x509/pkix"
 	"strings"
 	"testing"
 )
@@ -58,25 +56,6 @@ func TestIssuerEdgeCases(t *testing.T) {
 				t.Fatalf("Product = %v, wantProduct = %v", res.Product, tc.wantProduct)
 			}
 		})
-	}
-}
-
-// TestClassifyCertEmptyRDN: a certificate whose issuer has empty RDN
-// sequences (no Organization, no OU, empty CN) is the paper's null
-// cohort, and ClassifyCert must land it there rather than index into
-// missing fields.
-func TestClassifyCertEmptyRDN(t *testing.T) {
-	c := NewClassifier()
-	cert := &x509.Certificate{Issuer: pkix.Name{}}
-	res := c.ClassifyCert(cert)
-	if !res.NullIssuer || res.Category != Unknown {
-		t.Fatalf("empty-RDN issuer: %+v, want NullIssuer/Unknown", res)
-	}
-	// Populated-but-empty slices behave the same as missing ones.
-	cert = &x509.Certificate{Issuer: pkix.Name{Organization: []string{""}, OrganizationalUnit: []string{""}}}
-	res = c.ClassifyCert(cert)
-	if !res.NullIssuer {
-		t.Fatalf("empty-string RDN values: %+v, want NullIssuer", res)
 	}
 }
 

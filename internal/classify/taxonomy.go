@@ -91,16 +91,3 @@ var AllCategories = []Category{
 	Telecom,
 	CertificateAuthority,
 }
-
-// Benevolent reports whether the category represents a (claimed) legitimate
-// use of interception. The paper's framing: firewalls, parental controls,
-// organizations, schools, telecoms, and CAs all claim benevolence; malware
-// does not; Unknown is indeterminate.
-func (c Category) Benevolent() bool {
-	switch c {
-	case Malware, Unknown:
-		return false
-	default:
-		return true
-	}
-}

@@ -86,25 +86,18 @@ const (
 
 // Headline totals from the paper, used as workload sizes and test oracles.
 const (
-	Study1Tests   = 2861180 // completed measurements, study 1 (Table 3 total)
-	Study1Proxied = 11764
-	Study2Tests   = 12314756 // §4.2
-	Study2Proxied = 50761
+	Study1Tests = 2861180  // completed measurements, study 1 (Table 3 total)
+	Study2Tests = 12314756 // §4.2
 
 	// Campaign statistics (§4.1, Table 2).
 	Study1Impressions = 4634386
-	Study1Clicks      = 3897
-	Study1CostCents   = 491197
 
-	Study2GlobalImpr  = 3285598
 	Study2CNImpr      = 689233
 	Study2EGImpr      = 232218
 	Study2PKImpr      = 183849
 	Study2RUImpr      = 230474
 	Study2UAImpr      = 364868
 	Study2Impressions = 5079298
-	Study2Clicks      = 11077
-	Study2CostCents   = 609019
 )
 
 // TestsPerImpression2 is the second study's network-wide average of

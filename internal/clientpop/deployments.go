@@ -215,12 +215,3 @@ func pseudoHash(s string) uint32 {
 	}
 	return h
 }
-
-// TotalWeight sums deployment weights.
-func TotalWeight(ds []Deployment) float64 {
-	var t float64
-	for _, d := range ds {
-		t += d.Weight
-	}
-	return t
-}

@@ -44,16 +44,6 @@ var targetedImpressions2 = map[string]int{
 	"UA": Study2UAImpr,
 }
 
-// TargetedImpressions returns a copy of the study-2 campaign targeting
-// table.
-func TargetedImpressions() map[string]int {
-	out := make(map[string]int, len(targetedImpressions2))
-	for k, v := range targetedImpressions2 {
-		out[k] = v
-	}
-	return out
-}
-
 // New builds the population for a study over the given geo registry.
 func New(study Study, gdb *geo.DB) (*Population, error) {
 	if study != Study1 && study != Study2 {

@@ -90,9 +90,10 @@ func TestRingDeterministicAndBalanced(t *testing.T) {
 }
 
 func TestRingSuccessor(t *testing.T) {
-	r := NewRing([]string{"a", "b", "c"}, 0)
+	ids := []string{"a", "b", "c"}
+	r := NewRing(ids, 0)
 	seen := map[string]string{}
-	for _, id := range r.Nodes() {
+	for _, id := range ids {
 		succ, ok := r.Successor(id)
 		if !ok || succ == id {
 			t.Fatalf("successor of %s = %q, %v", id, succ, ok)

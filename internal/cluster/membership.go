@@ -34,19 +34,6 @@ func (s State) String() string {
 	return fmt.Sprintf("state(%d)", uint8(s))
 }
 
-// ParseState inverts State.String.
-func ParseState(s string) (State, error) {
-	switch s {
-	case "alive":
-		return Alive, nil
-	case "draining":
-		return Draining, nil
-	case "dead":
-		return Dead, nil
-	}
-	return 0, fmt.Errorf("cluster: unknown state %q", s)
-}
-
 // Member is one reportd instance in the cluster view.
 type Member struct {
 	ID    string `json:"id"`

@@ -280,7 +280,7 @@ func TestBootFailureClosesOpenedShards(t *testing.T) {
 	}
 }
 
-// TestNodeWALStats: cluster mode exposes the same per-shard WAL
+// TestNodeWALStats: a node's shard logs give the same per-shard WAL
 // accounting the pipeline does, and it accounts for every acked frame.
 func TestNodeWALStats(t *testing.T) {
 	n, err := Open(Config{
@@ -295,7 +295,7 @@ func TestNodeWALStats(t *testing.T) {
 	if err := n.IngestBatch(ms); err != nil {
 		t.Fatal(err)
 	}
-	stats := n.WALStats()
+	stats := durable.WALStats(n.Shards())
 	if len(stats) != 2 {
 		t.Fatalf("%d WAL stats, want one per shard", len(stats))
 	}

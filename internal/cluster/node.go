@@ -608,12 +608,6 @@ func (n *Node) Shards() []*durable.Shard {
 	return out
 }
 
-// WALStats returns durable accounting for the node's own shard logs —
-// the same document ingest.Pipeline.WALStats gives in single-node mode.
-func (n *Node) WALStats() []durable.Stats {
-	return durable.WALStats(n.Shards())
-}
-
 // MergeLocal merges this node's own shard stores into one deterministic
 // aggregate (store.Merge's canonical order).
 func (n *Node) MergeLocal() *store.DB {

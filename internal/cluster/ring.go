@@ -24,7 +24,6 @@ type ringPoint struct {
 // merges.
 type Ring struct {
 	points []ringPoint
-	ids    []string
 }
 
 // NewRing builds a ring over ids (deduplicated, order-insensitive) with
@@ -41,12 +40,10 @@ func NewRing(ids []string, vnodes int) *Ring {
 			continue
 		}
 		seen[id] = true
-		r.ids = append(r.ids, id)
 		for v := 0; v < vnodes; v++ {
 			r.points = append(r.points, ringPoint{h: ringHash(fmt.Sprintf("%s#%d", id, v)), id: id})
 		}
 	}
-	sort.Strings(r.ids)
 	sort.Slice(r.points, func(i, j int) bool {
 		if r.points[i].h != r.points[j].h {
 			return r.points[i].h < r.points[j].h
@@ -55,9 +52,6 @@ func NewRing(ids []string, vnodes int) *Ring {
 	})
 	return r
 }
-
-// Nodes returns the distinct node IDs on the ring, sorted.
-func (r *Ring) Nodes() []string { return append([]string(nil), r.ids...) }
 
 // Owner returns the node owning key (false on an empty ring).
 func (r *Ring) Owner(key string) (string, bool) {

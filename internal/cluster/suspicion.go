@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -188,18 +187,6 @@ func (s *Scorer) Verdict(peer string) Verdict {
 		return ps.verdict
 	}
 	return Healthy
-}
-
-// Peers lists every observed peer, sorted.
-func (s *Scorer) Peers() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.peers))
-	for id := range s.peers {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Flips returns total verdict transitions across all peers — the flap

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -136,10 +135,7 @@ func TestSuspicionMetricsExposition(t *testing.T) {
 	if byName["health_verdict_flips_total"] == 0 {
 		t.Fatal("verdict flips not exported")
 	}
-	if s.Flips() == 0 || len(s.Peers()) != 2 {
-		t.Fatalf("flips %d peers %v", s.Flips(), s.Peers())
-	}
-	if strings.Join(s.Peers(), ",") != "a,b" {
-		t.Fatalf("peers %v", s.Peers())
+	if s.Flips() == 0 {
+		t.Fatal("Flips() = 0")
 	}
 }

@@ -102,12 +102,6 @@ func (c *Collector) snapshot() map[string][][]byte {
 	return nil
 }
 
-// Authoritative returns the registered chain for host.
-func (c *Collector) Authoritative(host string) ([][]byte, bool) {
-	chain, ok := c.snapshot()[host]
-	return chain, ok
-}
-
 // BatchCommitter is the batch side of a Sink: storage that commits a
 // whole request's measurements in one call and says whether the commit
 // failed. The HTTP intake (ServeHTTP, ingest.BatchHandler) acks a request

@@ -83,7 +83,7 @@ func TestObserveCachedErrorsNotCached(t *testing.T) {
 	if _, err := ObserveCached(cache, "err.example", leaf.ChainDER, bad, classifier); err == nil {
 		t.Fatal("corrupt chain accepted")
 	}
-	if cache.Len() != 0 {
+	if cache.Stats().Size != 0 {
 		t.Fatal("derivation error was cached")
 	}
 }

@@ -69,8 +69,8 @@ func writeWAL(t *testing.T, ms []core.Measurement, checkpointAt int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, m := range ms {
-		if err := l.Append(m); err != nil {
+	for i := range ms {
+		if err := l.AppendBatch(ms[i : i+1]); err != nil {
 			t.Fatal(err)
 		}
 		if checkpointAt > 0 && i+1 == checkpointAt {

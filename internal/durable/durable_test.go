@@ -189,8 +189,8 @@ func TestCheckpointBoundsDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, m := range ms {
-		if err := l.Append(m); err != nil {
+	for i := range ms {
+		if err := l.AppendBatch(ms[i : i+1]); err != nil {
 			t.Fatal(err)
 		}
 		if (i+1)%50 == 0 {

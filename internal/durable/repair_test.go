@@ -163,7 +163,7 @@ func TestSyncAndLifecycleErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	ms := syntheticMeasurements(3, 23)
-	if err := l.Append(ms[0]); err != nil {
+	if err := l.AppendBatch(ms[:1]); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Sync(); err != nil {
@@ -197,7 +197,7 @@ func TestSyncAndLifecycleErrors(t *testing.T) {
 	if err := l.Sync(); err != nil { // closed: no-op
 		t.Fatal(err)
 	}
-	if err := l.Append(ms[1]); err == nil {
+	if err := l.AppendBatch(ms[1:2]); err == nil {
 		t.Fatal("append on closed log succeeded")
 	}
 	if err := l.Rotate(); err == nil {

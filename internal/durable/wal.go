@@ -279,14 +279,6 @@ func (l *Log) newSegmentLocked() error {
 	return nil
 }
 
-// Append writes one measurement frame. The frame is buffered; durability
-// follows the configured fsync policy.
-func (l *Log) Append(m core.Measurement) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appendFrameLocked(m)
-}
-
 // AppendBatch writes a batch under one lock acquisition.
 func (l *Log) AppendBatch(ms []core.Measurement) error {
 	_, err := l.commit(ms, false)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"net/http"
 	"strconv"
 	"strings"
 	"sync"
@@ -45,10 +44,6 @@ type LinkState struct {
 	// deterministic bandwidth clamp.
 	ThrottleBytes int
 	ThrottleDelay time.Duration
-}
-
-func (ls LinkState) clean() bool {
-	return ls == LinkState{}
 }
 
 // LinkRule scopes a LinkState to a directed endpoint pair. "*" matches
@@ -121,12 +116,12 @@ func (c *linkCounters) snapshot() LinkStats {
 var ErrLinkCut = fmt.Errorf("faultnet: chaos link cut: %w", ErrInjectedReset)
 
 // Controller drives one ChaosPlan over a set of named endpoints. Mount
-// it on each participant's dialer (Transport/Client/DialContext) with
+// it on each participant's dialer (DialContext) with
 // that participant's name; the controller resolves the destination
 // endpoint from the dialed address and applies the current phase's rule
 // for the (from, to) pair on every operation — so a phase change cuts,
 // slows, or heals established connections mid-flight, not just new
-// dials. Advance/SetPhase are the deterministic drive; Start runs the
+// dials. Advance is the deterministic drive; Start runs the
 // phases' For durations on the wall clock for real-process use.
 type Controller struct {
 	plan ChaosPlan
@@ -181,20 +176,6 @@ func (c *Controller) Advance() int {
 	}
 }
 
-// SetPhase jumps to phase i (clamped).
-func (c *Controller) SetPhase(i int) {
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(c.plan.Phases) {
-		i = len(c.plan.Phases) - 1
-	}
-	prev := c.phase.Swap(int64(i))
-	if int(prev) != i {
-		c.countFlaps(int(prev), i)
-	}
-}
-
 func (c *Controller) countFlaps(from, to int) {
 	// A flap is a link whose Cut condition changed across the phase
 	// boundary — the flapping-link scenarios assert this fired.
@@ -228,7 +209,7 @@ func (c *Controller) Flaps() uint64 { return c.flaps.Load() }
 
 // Start runs the plan on the wall clock: each phase with a positive For
 // advances automatically that long after it begins. Phases with For==0
-// hold until Advance/SetPhase (or forever). Stop cancels the clock.
+// hold until Advance (or forever). Stop cancels the clock.
 func (c *Controller) Start() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -342,21 +323,6 @@ func (c *Controller) DialContext(from string, base func(ctx context.Context, net
 			done: make(chan struct{}),
 		}, nil
 	}
-}
-
-// Transport returns an http.RoundTripper for the named endpoint whose
-// connections pass through the link matrix. Keep-alives stay ON —
-// unlike the per-connection Plan, chaos phases must reach into pooled
-// conns mid-life, and the chaosConn re-checks the matrix on every
-// operation.
-func (c *Controller) Transport(from string) *http.Transport {
-	return &http.Transport{DialContext: c.DialContext(from, nil)}
-}
-
-// Client wraps Transport in an http.Client. Callers needing split
-// connect/idle deadlines compose via DialContext instead.
-func (c *Controller) Client(from string) *http.Client {
-	return &http.Client{Transport: c.Transport(from)}
 }
 
 // chaosConn applies the controller's CURRENT link state on every

@@ -25,6 +25,12 @@ func chaosEcho(t *testing.T) *httptest.Server {
 	return srv
 }
 
+// chaosClient is an HTTP client whose connections from the named endpoint
+// pass through the controller's link matrix.
+func chaosClient(ctrl *Controller, from string) *http.Client {
+	return &http.Client{Transport: &http.Transport{DialContext: ctrl.DialContext(from, nil)}}
+}
+
 func addrOf(t *testing.T, srv *httptest.Server) string {
 	t.Helper()
 	return strings.TrimPrefix(srv.URL, "http://")
@@ -38,7 +44,7 @@ func TestChaosCutRefusesDialsAndHeals(t *testing.T) {
 		{Name: "healed"},
 	}})
 	ctrl.Register("b", addrOf(t, srv))
-	client := ctrl.Client("client")
+	client := chaosClient(ctrl, "client")
 
 	get := func() error {
 		resp, err := client.Get(srv.URL)
@@ -91,7 +97,7 @@ func TestChaosCutRecvDeliversRequestButKillsResponse(t *testing.T) {
 		{Name: "asym", Rules: []LinkRule{{From: "client", To: "b", State: LinkState{CutRecv: true}}}},
 	}})
 	ctrl.Register("b", addrOf(t, srv))
-	client := ctrl.Client("client")
+	client := chaosClient(ctrl, "client")
 	// The one-way cut is silence: without a timeout the response wait
 	// would hang forever (exactly the gray failure split-deadline clients
 	// exist to bound).
@@ -119,7 +125,7 @@ func TestChaosLatencyHonorsDeadline(t *testing.T) {
 		{Name: "slow", Rules: []LinkRule{{From: "client", To: "b", State: LinkState{Latency: 40 * time.Millisecond, LatencyJitter: 10 * time.Millisecond}}}},
 	}})
 	ctrl.Register("b", addrOf(t, srv))
-	client := ctrl.Client("client")
+	client := chaosClient(ctrl, "client")
 	start := time.Now()
 	resp, err := client.Get(srv.URL)
 	if err != nil {
@@ -166,7 +172,7 @@ func TestChaosThrottleCapsReads(t *testing.T) {
 		{Name: "throttle", Rules: []LinkRule{{From: "client", To: "b", State: LinkState{ThrottleBytes: 256, ThrottleDelay: time.Microsecond}}}},
 	}})
 	ctrl.Register("b", addrOf(t, srv))
-	resp, err := ctrl.Client("client").Get(srv.URL)
+	resp, err := chaosClient(ctrl, "client").Get(srv.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,12 +197,12 @@ func TestChaosWildcardAndUnknownEndpoints(t *testing.T) {
 	}})
 	addr := addrOf(t, srv)
 	ctrl.Register("b", addr)
-	if _, err := ctrl.Client("client").Get(srv.URL); err == nil {
+	if _, err := chaosClient(ctrl, "client").Get(srv.URL); err == nil {
 		t.Fatal("wildcard cut did not apply to a registered endpoint")
 	}
 	// Unknown endpoints resolve to "*" and meet wildcard To rules too.
 	srv2 := chaosEcho(t)
-	if _, err := ctrl.Client("client").Get(srv2.URL); err == nil {
+	if _, err := chaosClient(ctrl, "client").Get(srv2.URL); err == nil {
 		t.Fatal("wildcard cut did not apply to an unregistered endpoint")
 	}
 	// The exception: register the same address as "c" and the first-match
@@ -208,7 +214,7 @@ func TestChaosWildcardAndUnknownEndpoints(t *testing.T) {
 		}},
 	}})
 	ctrl2.Register("c", addr)
-	resp, err := ctrl2.Client("client").Get(srv.URL)
+	resp, err := chaosClient(ctrl2, "client").Get(srv.URL)
 	if err != nil {
 		t.Fatalf("exempted endpoint cut anyway: %v", err)
 	}

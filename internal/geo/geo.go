@@ -10,9 +10,7 @@
 package geo
 
 import (
-	"encoding/binary"
 	"fmt"
-	"net"
 	"sort"
 
 	"tlsfof/internal/stats"
@@ -35,7 +33,7 @@ type DB struct {
 	byCode    map[string]int
 	ranges    []ipRange // sorted by lo
 	// blocksFor[i] lists the range indexes owned by country i, for
-	// RandomIP.
+	// RandomIPUint32.
 	blocksFor [][]int
 }
 
@@ -102,9 +100,6 @@ func isReserved(addr uint32) bool {
 	return false
 }
 
-// Len returns the number of countries in the registry.
-func (db *DB) Len() int { return len(db.countries) }
-
 // Countries returns the registry's country list (shared slice; do not
 // mutate).
 func (db *DB) Countries() []Country { return db.countries }
@@ -125,27 +120,9 @@ func (db *DB) Country(code string) (Country, bool) {
 	return db.countries[i], true
 }
 
-// Lookup resolves an IPv4 address to its country, reporting ok=false for
-// unallocated or non-IPv4 addresses. This mirrors GeoLite lookups, which
-// the paper ran on every reported client IP.
-func (db *DB) Lookup(ip net.IP) (Country, bool) {
-	v4 := ip.To4()
-	if v4 == nil {
-		return Country{}, false
-	}
-	return db.LookupUint32(binary.BigEndian.Uint32(v4))
-}
-
-// LookupString resolves a dotted-quad string.
-func (db *DB) LookupString(s string) (Country, bool) {
-	ip := net.ParseIP(s)
-	if ip == nil {
-		return Country{}, false
-	}
-	return db.Lookup(ip)
-}
-
-// LookupUint32 resolves a big-endian IPv4 address value.
+// LookupUint32 resolves a big-endian IPv4 address value to its country,
+// reporting ok=false for unallocated addresses. This mirrors GeoLite
+// lookups, which the paper ran on every reported client IP.
 func (db *DB) LookupUint32(addr uint32) (Country, bool) {
 	// Binary search for the first range with lo > addr, then check the
 	// one before it.
@@ -160,22 +137,10 @@ func (db *DB) LookupUint32(addr uint32) (Country, bool) {
 	return db.countries[r.country], true
 }
 
-// RandomIP draws a uniform IP from the country's allocation. It is how the
-// client population assigns addresses to simulated clients, guaranteeing
-// Lookup round-trips to the same country.
-func (db *DB) RandomIP(r *stats.RNG, code string) (net.IP, error) {
-	i, ok := db.byCode[code]
-	if !ok {
-		return nil, fmt.Errorf("geo: unknown country %q", code)
-	}
-	ip := make(net.IP, 4)
-	binary.BigEndian.PutUint32(ip, db.RandomIPUint32(r, i))
-	return ip, nil
-}
-
-// RandomIPUint32 is RandomIP for the country at position country in
-// Countries(), without the net.IP allocation or the code lookup, for the
-// fast-mode study loop. It draws exactly what RandomIP draws.
+// RandomIPUint32 draws a uniform IPv4 address, as a big-endian value,
+// from the allocation of the country at position country in Countries().
+// It is how the client population assigns addresses to simulated clients,
+// guaranteeing LookupUint32 round-trips to the same country.
 func (db *DB) RandomIPUint32(r *stats.RNG, country int) uint32 {
 	blocks := db.blocksFor[country]
 	blk := db.ranges[blocks[r.Intn(len(blocks))]]

@@ -1,7 +1,6 @@
 package geo
 
 import (
-	"net"
 	"testing"
 	"testing/quick"
 
@@ -51,17 +50,18 @@ func TestLookupRoundTrip(t *testing.T) {
 	db := NewDB()
 	r := stats.NewRNG(1)
 	for _, code := range []string{"US", "CN", "UA", "EG", "PK", "RU", "LI"} {
+		idx, ok := db.Index(code)
+		if !ok {
+			t.Fatalf("no index for %s", code)
+		}
 		for i := 0; i < 50; i++ {
-			ip, err := db.RandomIP(r, code)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, ok := db.Lookup(ip)
+			ip := db.RandomIPUint32(r, idx)
+			got, ok := db.LookupUint32(ip)
 			if !ok {
-				t.Fatalf("IP %v from %s not found", ip, code)
+				t.Fatalf("IP %s from %s not found", FormatIP(ip), code)
 			}
 			if got.Code != code {
-				t.Fatalf("IP %v allocated to %s but resolves to %s", ip, code, got.Code)
+				t.Fatalf("IP %s allocated to %s but resolves to %s", FormatIP(ip), code, got.Code)
 			}
 		}
 	}
@@ -69,26 +69,19 @@ func TestLookupRoundTrip(t *testing.T) {
 
 func TestLookupMissAndMalformed(t *testing.T) {
 	db := NewDB()
-	if _, ok := db.Lookup(net.ParseIP("10.1.2.3")); ok {
-		t.Error("private 10/8 address resolved")
-	}
-	if _, ok := db.Lookup(net.ParseIP("127.0.0.1")); ok {
-		t.Error("loopback resolved")
-	}
-	if _, ok := db.Lookup(net.ParseIP("192.168.1.1")); ok {
-		t.Error("RFC1918 192.168 resolved")
-	}
-	if _, ok := db.Lookup(net.ParseIP("0.1.2.3")); ok {
-		t.Error("0/8 resolved")
-	}
-	if _, ok := db.Lookup(net.ParseIP("239.1.2.3")); ok {
-		t.Error("multicast resolved")
-	}
-	if _, ok := db.Lookup(net.ParseIP("2001:db8::1")); ok {
-		t.Error("IPv6 resolved in an IPv4-only registry")
-	}
-	if _, ok := db.LookupString("not an ip"); ok {
-		t.Error("garbage string resolved")
+	for _, c := range []struct {
+		addr uint32
+		what string
+	}{
+		{0x0a010203, "private 10/8 address"},
+		{0x7f000001, "loopback"},
+		{0xc0a80101, "RFC1918 192.168"},
+		{0x00010203, "0/8"},
+		{0xef010203, "multicast"},
+	} {
+		if _, ok := db.LookupUint32(c.addr); ok {
+			t.Errorf("%s %s resolved", c.what, FormatIP(c.addr))
+		}
 	}
 }
 
@@ -126,10 +119,6 @@ func TestBlockCountsHonored(t *testing.T) {
 
 func TestRandomIPUnknownCountry(t *testing.T) {
 	db := NewDB()
-	r := stats.NewRNG(1)
-	if _, err := db.RandomIP(r, "ZZ"); err == nil {
-		t.Fatal("unknown country accepted")
-	}
 	if _, ok := db.Index("ZZ"); ok {
 		t.Fatal("unknown country has an index")
 	}
@@ -156,17 +145,6 @@ func TestFormatIP(t *testing.T) {
 	}
 	if got := FormatIP(0xffffffff); got != "255.255.255.255" {
 		t.Fatalf("FormatIP = %q", got)
-	}
-}
-
-func TestLookupStringRoundTrip(t *testing.T) {
-	db := NewDB()
-	r := stats.NewRNG(3)
-	fr, _ := db.Index("FR")
-	addr := db.RandomIPUint32(r, fr)
-	c, ok := db.LookupString(FormatIP(addr))
-	if !ok || c.Code != "FR" {
-		t.Fatalf("LookupString(%s) = %v, %v", FormatIP(addr), c, ok)
 	}
 }
 

@@ -7,8 +7,8 @@
 // security model only allowed socket connections to such hosts (§4.2).
 //
 // The package also implements the discovery pipeline behind Table 1: a
-// synthetic Alexa-style top-million list with Zipf-distributed popularity
-// and a policy-file scan that selects probe-eligible hosts.
+// synthetic Alexa-style top-million list and a policy-file scan that
+// selects probe-eligible hosts.
 package hostdb
 
 import (
@@ -215,11 +215,4 @@ func Scan(cfg ScanConfig, r *stats.RNG, wantPerCategory map[Category]int) map[Ca
 		}
 	}
 	return out
-}
-
-// PopularityZipf builds the popularity distribution over a host list using
-// a Zipf law over ranks, for workload generators that probe sites in
-// proportion to traffic.
-func PopularityZipf(hosts []Host, s float64) (*stats.Zipf, error) {
-	return stats.NewZipf(len(hosts), s)
 }

@@ -110,18 +110,3 @@ func TestScanSiteNaming(t *testing.T) {
 		}
 	}
 }
-
-func TestPopularityZipf(t *testing.T) {
-	z, err := PopularityZipf(SecondStudyHosts(), 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := stats.NewRNG(8)
-	counts := make(map[int]int)
-	for i := 0; i < 50000; i++ {
-		counts[z.Sample(r)]++
-	}
-	if counts[1] <= counts[10] {
-		t.Fatal("zipf head not heavier than tail")
-	}
-}

@@ -43,11 +43,11 @@ func TestArenaDecoderMatchesPlain(t *testing.T) {
 		{Host: "two.example", ChainDER: [][]byte{bytes.Repeat([]byte{0x41}, 1200)}},
 		{Host: "one.example", ChainDER: [][]byte{{0xff}}},
 	}
-	stream, err := EncodeReports(reports)
+	stream, err := AppendReports(nil, reports)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, plainErr, _ := decodeUpTo(NewDecoder(bytes.NewReader(stream)), 1<<12)
+	plain, plainErr, _ := decodeUpTo(NewArenaDecoder(bytes.NewReader(stream), nil), 1<<12)
 
 	a := NewArena()
 	for round := 0; round < 3; round++ {
@@ -79,7 +79,7 @@ func TestArenaRecycleKeepsCollectorStateValid(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		reports = append(reports, Report{Host: host, ChainDER: chain})
 	}
-	stream, err := EncodeReports(reports)
+	stream, err := AppendReports(nil, reports)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestArenaRecycleKeepsCollectorStateValid(t *testing.T) {
 	}
 
 	var control []core.Measurement
-	ingestAll(t, NewDecoder(bytes.NewReader(stream)), newCollector(&control))
+	ingestAll(t, NewArenaDecoder(bytes.NewReader(stream), nil), newCollector(&control))
 
 	var got []core.Measurement
 	col := newCollector(&got)
@@ -141,7 +141,7 @@ func TestArenaRecycleKeepsCollectorStateValid(t *testing.T) {
 // recycle: both decode rounds over a poisoned-then-Reset arena must
 // reproduce the plain decoder's reports and terminal error exactly.
 func FuzzArenaDecodeMatchesPlain(f *testing.F) {
-	valid, err := EncodeReports([]Report{
+	valid, err := AppendReports(nil, []Report{
 		{Host: "example.com", ChainDER: [][]byte{bytes.Repeat([]byte{0x30}, 900), {0x30, 0x01}}, Trace: 99},
 		{Host: "byu.edu", ChainDER: [][]byte{{0x01}}},
 	})
@@ -156,7 +156,7 @@ func FuzzArenaDecodeMatchesPlain(f *testing.F) {
 	f.Add(append([]byte("TFW2"), 0x00, 0xff, 0xff, 0xff, 0xff, 0x0f))
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		plain, plainErr, capped := decodeUpTo(NewDecoder(bytes.NewReader(stream)), 1<<12)
+		plain, plainErr, capped := decodeUpTo(NewArenaDecoder(bytes.NewReader(stream), nil), 1<<12)
 		if capped {
 			return
 		}

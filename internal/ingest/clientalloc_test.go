@@ -190,14 +190,15 @@ func TestPostReportsSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestAppendReportsMatchesEncoder pins the two encoding paths to the same
-// bytes.
+// TestAppendReportsMatchesEncoder: appending after a prefix leaves the
+// prefix alone and writes the stream AppendReports(nil) writes, and the
+// decoder reads that stream back.
 func TestAppendReportsMatchesEncoder(t *testing.T) {
 	reports := []Report{
 		testReport("a.example"),
 		{Host: "b.example", ChainDER: [][]byte{make([]byte, 300)}},
 	}
-	one, err := EncodeReports(reports)
+	one, err := AppendReports(nil, reports)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,10 +207,10 @@ func TestAppendReportsMatchesEncoder(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(two[:3]) != "pre" || string(two[3:]) != string(one) {
-		t.Fatal("AppendReports diverges from EncodeReports")
+		t.Fatal("AppendReports(prefix) != prefix ‖ AppendReports(nil)")
 	}
 	// Decoder round trip.
-	dec := NewDecoder(bytes.NewReader(one))
+	dec := NewArenaDecoder(bytes.NewReader(one), nil)
 	for i := 0; ; i++ {
 		rep, err := dec.Next()
 		if err != nil {

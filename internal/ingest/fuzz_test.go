@@ -13,7 +13,7 @@ import (
 // stream it fully accepts must re-encode and re-decode to the same
 // reports.
 func FuzzDecodeReports(f *testing.F) {
-	seed, err := EncodeReports([]Report{
+	seed, err := AppendReports(nil, []Report{
 		{Host: "example.com", ChainDER: [][]byte{bytes.Repeat([]byte{0x30}, 900), {0x30, 0x01}}},
 		{Host: "byu.edu", ChainDER: [][]byte{{0x01}}},
 	})
@@ -29,7 +29,7 @@ func FuzzDecodeReports(f *testing.F) {
 	f.Add([]byte("TFW1\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"))
 	f.Add(append(append([]byte("TFW1"), 0x01, 'a'), 0xff, 0xff, 0xff, 0x0f))
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		dec := NewDecoder(bytes.NewReader(stream))
+		dec := NewArenaDecoder(bytes.NewReader(stream), nil)
 		var reports []Report
 		for {
 			r, err := dec.Next()
@@ -57,11 +57,11 @@ func FuzzDecodeReports(f *testing.F) {
 			return
 		}
 		// Clean streams must round-trip.
-		out, err := EncodeReports(reports)
+		out, err := AppendReports(nil, reports)
 		if err != nil {
 			t.Fatalf("re-encode of decoded reports: %v", err)
 		}
-		dec2 := NewDecoder(bytes.NewReader(out))
+		dec2 := NewArenaDecoder(bytes.NewReader(out), nil)
 		for i := range reports {
 			r2, err := dec2.Next()
 			if err != nil {

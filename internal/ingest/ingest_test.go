@@ -115,8 +115,8 @@ func TestPipelineMatchesSequential(t *testing.T) {
 		if got.Totals() != want.Totals() {
 			t.Fatalf("%s: totals %+v, want %+v", name, got.Totals(), want.Totals())
 		}
-		if got.DistinctProxiedIPs() != want.DistinctProxiedIPs() {
-			t.Errorf("%s: distinct IPs %d, want %d", name, got.DistinctProxiedIPs(), want.DistinctProxiedIPs())
+		if !bytes.Equal(got.AppendSnapshot(nil), want.AppendSnapshot(nil)) {
+			t.Errorf("%s: merged store's canonical image differs from the sequential store's", name)
 		}
 		if got.Negligence() != want.Negligence() {
 			t.Errorf("%s: negligence %+v, want %+v", name, got.Negligence(), want.Negligence())
@@ -191,11 +191,11 @@ func TestWireRoundTrip(t *testing.T) {
 		{Host: "www.facebook.com", ChainDER: [][]byte{bytes.Repeat([]byte{0xAB}, 4096)}},
 		{Host: "a", ChainDER: [][]byte{{1}}},
 	}
-	stream, err := EncodeReports(reports)
+	stream, err := AppendReports(nil, reports)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := NewDecoder(bytes.NewReader(stream))
+	dec := NewArenaDecoder(bytes.NewReader(stream), nil)
 	for i, want := range reports {
 		got, err := dec.Next()
 		if err != nil {
@@ -220,33 +220,32 @@ func TestWireRoundTrip(t *testing.T) {
 
 func TestWireRejects(t *testing.T) {
 	// Encoder-side limits.
-	enc := NewEncoder(io.Discard)
-	if err := enc.Encode(Report{Host: "", ChainDER: [][]byte{{1}}}); err == nil {
-		t.Error("empty host accepted")
-	}
-	if err := enc.Encode(Report{Host: "h", ChainDER: nil}); err == nil {
-		t.Error("empty chain accepted")
-	}
-	if err := enc.Encode(Report{Host: "h", ChainDER: [][]byte{bytes.Repeat([]byte{1}, MaxWireCertLen+1)}}); err == nil {
-		t.Error("oversized certificate accepted")
+	for _, r := range []Report{
+		{Host: "", ChainDER: [][]byte{{1}}},
+		{Host: "h", ChainDER: nil},
+		{Host: "h", ChainDER: [][]byte{bytes.Repeat([]byte{1}, MaxWireCertLen+1)}},
+	} {
+		if _, err := AppendReports(nil, []Report{r}); err == nil {
+			t.Errorf("host %q with %d certs accepted", r.Host, len(r.ChainDER))
+		}
 	}
 
 	// Decoder-side: bad magic.
-	if _, err := NewDecoder(bytes.NewReader([]byte("NOPE...."))).Next(); err == nil {
+	if _, err := NewArenaDecoder(bytes.NewReader([]byte("NOPE....")), nil).Next(); err == nil {
 		t.Error("bad magic accepted")
 	}
 	// Truncation mid-frame is ErrUnexpectedEOF, not a clean EOF.
-	stream, err := EncodeReports([]Report{{Host: "host", ChainDER: [][]byte{bytes.Repeat([]byte{7}, 100)}}})
+	stream, err := AppendReports(nil, []Report{{Host: "host", ChainDER: [][]byte{bytes.Repeat([]byte{7}, 100)}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := NewDecoder(bytes.NewReader(stream[:len(stream)-5]))
+	dec := NewArenaDecoder(bytes.NewReader(stream[:len(stream)-5]), nil)
 	if _, err := dec.Next(); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("truncated stream: got %v, want io.ErrUnexpectedEOF", err)
 	}
 	// A hostile length prefix must be rejected before allocation.
 	hostile := append(append([]byte{}, wireMagic[:]...), 0xFF, 0xFF, 0xFF, 0xFF, 0x0F)
-	if _, err := NewDecoder(bytes.NewReader(hostile)).Next(); err == nil {
+	if _, err := NewArenaDecoder(bytes.NewReader(hostile), nil).Next(); err == nil {
 		t.Error("hostile host length accepted")
 	}
 }

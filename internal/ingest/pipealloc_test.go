@@ -109,7 +109,7 @@ func TestArenaDecodeAllocs(t *testing.T) {
 			Trace:    uint64(i),
 		})
 	}
-	stream, err := EncodeReports(reports)
+	stream, err := AppendReports(nil, reports)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,73 +51,10 @@ type Report struct {
 	Trace    uint64
 }
 
-// Encoder writes reports in the binary wire format. Not safe for
-// concurrent use.
-type Encoder struct {
-	w           *bufio.Writer
-	wroteHeader bool
-	scratch     []byte
-}
-
-// NewEncoder returns an encoder writing the wire stream to w. Call Flush
-// when done.
-func NewEncoder(w io.Writer) *Encoder {
-	return &Encoder{w: bufio.NewWriter(w)}
-}
-
-// Encode appends one report frame (writing the stream header first if
-// this is the first frame).
-func (e *Encoder) Encode(r Report) error {
-	if len(r.Host) == 0 || len(r.Host) > MaxWireHostLen {
-		return fmt.Errorf("ingest: host length %d outside [1,%d]", len(r.Host), MaxWireHostLen)
-	}
-	if len(r.ChainDER) == 0 || len(r.ChainDER) > MaxWireChainCerts {
-		return fmt.Errorf("ingest: chain of %d certs outside [1,%d]", len(r.ChainDER), MaxWireChainCerts)
-	}
-	for _, der := range r.ChainDER {
-		if len(der) == 0 || len(der) > MaxWireCertLen {
-			return fmt.Errorf("ingest: certificate of %d bytes outside [1,%d]", len(der), MaxWireCertLen)
-		}
-	}
-	if !e.wroteHeader {
-		if _, err := e.w.Write(wireMagic[:]); err != nil {
-			return err
-		}
-		e.wroteHeader = true
-	}
-	e.scratch = binary.AppendUvarint(e.scratch[:0], r.Trace)
-	e.scratch = binary.AppendUvarint(e.scratch, uint64(len(r.Host)))
-	e.scratch = append(e.scratch, r.Host...)
-	e.scratch = binary.AppendUvarint(e.scratch, uint64(len(r.ChainDER)))
-	if _, err := e.w.Write(e.scratch); err != nil {
-		return err
-	}
-	for _, der := range r.ChainDER {
-		e.scratch = binary.AppendUvarint(e.scratch[:0], uint64(len(der)))
-		if _, err := e.w.Write(e.scratch); err != nil {
-			return err
-		}
-		if _, err := e.w.Write(der); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Flush writes any buffered frames to the underlying writer.
-func (e *Encoder) Flush() error { return e.w.Flush() }
-
-// EncodeReports is a convenience one-shot encoding of reports into a
-// complete wire stream.
-func EncodeReports(reports []Report) ([]byte, error) {
-	return AppendReports(nil, reports)
-}
-
 // AppendReports appends a complete wire stream (header + one frame per
-// report) to dst and returns the extended slice — the zero-realloc
-// encoding path: a caller recycling dst across batches allocates nothing
-// once the buffer has grown to the working batch size. The validation is
-// identical to Encoder.Encode.
+// report) to dst and returns the extended slice. A caller recycling dst
+// across batches allocates nothing once the buffer has grown to the
+// working batch size.
 func AppendReports(dst []byte, reports []Report) ([]byte, error) {
 	dst = append(dst, wireMagic[:]...)
 	for _, r := range reports {
@@ -157,14 +94,10 @@ type Decoder struct {
 	hostBuf [MaxWireHostLen]byte
 }
 
-// NewDecoder returns a streaming decoder over r.
-func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{r: bufio.NewReader(r)}
-}
-
 // NewArenaDecoder returns a streaming decoder whose reports decode in
 // place into a: DER slices and chain headers alias arena memory and are
-// valid until a.Reset(). The caller owns the arena lifecycle.
+// valid until a.Reset(). The caller owns the arena lifecycle. A nil arena
+// decodes into per-report heap copies.
 func NewArenaDecoder(r io.Reader, a *Arena) *Decoder {
 	return &Decoder{r: bufio.NewReader(r), arena: a}
 }

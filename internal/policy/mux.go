@@ -2,7 +2,6 @@ package policy
 
 import (
 	"bufio"
-	"bytes"
 	"net"
 	"time"
 )
@@ -77,12 +76,3 @@ type replayConn struct {
 }
 
 func (c *replayConn) Read(p []byte) (int, error) { return c.r.Read(p) }
-
-// SniffIsPolicyRequest reports whether data looks like the start of a Flash
-// policy request; used by tests and the captive-portal model.
-func SniffIsPolicyRequest(data []byte) bool {
-	if len(data) == 0 {
-		return false
-	}
-	return bytes.HasPrefix(Request, data) || bytes.HasPrefix(data, Request)
-}

@@ -82,16 +82,6 @@ type File struct {
 	Rules []Rule
 }
 
-// Allows reports whether any rule grants domain access to port.
-func (f *File) Allows(domain string, port int) bool {
-	for _, r := range f.Rules {
-		if r.Allows(domain, port) {
-			return true
-		}
-	}
-	return false
-}
-
 // PermissiveFor reports whether the file lets ANY domain reach the given
 // port — the criterion the authors' Alexa scan applied ("permissive socket
 // policy files that allowed connections to port 443 from any domain", §4.2).

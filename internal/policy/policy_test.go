@@ -77,10 +77,14 @@ func TestParseRealWorldPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.Allows("client.example", 8085) || !f.Allows("x", 843) {
+	if len(f.Rules) != 1 {
+		t.Fatalf("parsed %d rules, want 1", len(f.Rules))
+	}
+	r := f.Rules[0]
+	if !r.Allows("client.example", 8085) || !r.Allows("x", 843) {
 		t.Error("parsed ports wrong")
 	}
-	if f.Allows("x", 8091) {
+	if r.Allows("x", 8091) {
 		t.Error("8091 should be outside the range")
 	}
 }
@@ -194,21 +198,6 @@ func (l *chanListener) Accept() (net.Conn, error) {
 func (l *chanListener) Close() error   { close(l.ch); return nil }
 func (l *chanListener) Addr() net.Addr { return l.addr }
 
-func TestSniff(t *testing.T) {
-	if !SniffIsPolicyRequest([]byte("<")) {
-		t.Error("single '<' should sniff as policy")
-	}
-	if !SniffIsPolicyRequest(Request) {
-		t.Error("full request should sniff as policy")
-	}
-	if SniffIsPolicyRequest([]byte("GET /")) {
-		t.Error("HTTP should not sniff as policy")
-	}
-	if SniffIsPolicyRequest(nil) {
-		t.Error("empty should not sniff as policy")
-	}
-}
-
 func TestReadUntilNULLimit(t *testing.T) {
 	data := strings.Repeat("x", 100<<10) // no NUL, oversized
 	_, err := readUntilNUL(strings.NewReader(data), 64<<10)
@@ -269,7 +258,7 @@ func TestQuickPortRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return got.Allows("any.example", port) == true &&
+		return len(got.Rules) == 1 && got.Rules[0].Allows("any.example", port) &&
 			got.PermissiveFor(port)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

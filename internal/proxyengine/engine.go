@@ -1,7 +1,6 @@
 package proxyengine
 
 import (
-	"crypto/rsa"
 	"crypto/x509"
 	"crypto/x509/pkix"
 	"errors"
@@ -224,15 +223,6 @@ func (e *Engine) mint(host string, upstream []*x509.Certificate) (*certgen.Leaf,
 		return nil, fmt.Errorf("proxyengine: forge for %q: %w", host, err)
 	}
 	return fresh, nil
-}
-
-// ForgedLeafKey exposes the private key behind the cached forgery for host
-// (nil when none); tests use it to confirm shared-key behavior.
-func (e *Engine) ForgedLeafKey(host string) *rsa.PrivateKey {
-	if leaf := e.cache.Peek(host); leaf != nil {
-		return leaf.Key
-	}
-	return nil
 }
 
 // CacheStats snapshots the forged-chain cache accounting (hits, misses,

@@ -57,13 +57,6 @@ func (c *ForgeCache) GetOrForge(host string, forge func() (*certgen.Leaf, error)
 	return c.lru.GetOrLoad(host, forge)
 }
 
-// Peek returns the cached leaf without touching recency or stats (nil when
-// absent).
-func (c *ForgeCache) Peek(host string) *certgen.Leaf {
-	leaf, _ := c.lru.Peek(host)
-	return leaf
-}
-
 // ForgeStats is a point-in-time snapshot of cache accounting.
 type ForgeStats struct {
 	// Hits served a cached chain; Misses had to wait for a forge (the

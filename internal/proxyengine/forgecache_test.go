@@ -1,14 +1,29 @@
 package proxyengine
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 
 	"tlsfof/internal/certgen"
+	"tlsfof/internal/chaincache"
 	"tlsfof/internal/classify"
 	"tlsfof/internal/x509util"
 )
+
+// errNotResident is the load resident runs on a miss.
+var errNotResident = errors.New("not resident")
+
+// resident reports whether key is cached. A miss runs a failing load,
+// which the LRU never caches, so a probe leaves the cached set as it was.
+func resident[K comparable, V any](l *chaincache.LRU[K, V], key K) bool {
+	_, err := l.GetOrLoad(key, func() (V, error) {
+		var zero V
+		return zero, errNotResident
+	})
+	return err == nil
+}
 
 // TestForgeSingleFlightStorm: a storm of concurrent connections to one
 // host must collapse into exactly one certificate mint, and every caller
@@ -86,7 +101,7 @@ func TestForgeCacheEviction(t *testing.T) {
 	evicted := ""
 	for i := 0; i < 100; i++ {
 		host := fmt.Sprintf("h%03d.example", i)
-		if c.Peek(host) == nil {
+		if !resident(c.lru, host) {
 			evicted = host
 			break
 		}
@@ -120,10 +135,10 @@ func TestForgeCacheLRUOrder(t *testing.T) {
 	if _, err := c.GetOrForge("c", leaf); err != nil {
 		t.Fatal(err)
 	}
-	if c.Peek("a") == nil {
+	if !resident(c.lru, "a") {
 		t.Fatal("recently used entry evicted")
 	}
-	if c.Peek("b") != nil {
+	if resident(c.lru, "b") {
 		t.Fatal("LRU entry survived eviction")
 	}
 }
@@ -163,13 +178,13 @@ func TestForgeCacheCrossShardEviction(t *testing.T) {
 	if c.Stats().Size != 2 {
 		t.Fatalf("size = %d, want 2", c.Stats().Size)
 	}
-	if c.Peek(otherShard) == nil {
+	if !resident(c.lru, otherShard) {
 		t.Fatal("freshly inserted entry was its own eviction victim")
 	}
-	if c.Peek(anchor) != nil {
+	if resident(c.lru, anchor) {
 		t.Fatal("the other shard's LRU entry survived cap pressure")
 	}
-	if c.Peek(sameShard) == nil {
+	if !resident(c.lru, sameShard) {
 		t.Fatal("the other shard's recent entry was evicted instead of its LRU")
 	}
 }

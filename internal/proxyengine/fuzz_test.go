@@ -69,15 +69,9 @@ func FuzzUpstreamChainVerdict(f *testing.F) {
 			set.Has(proxyengine.DefectUntrustedRoot) {
 			t.Fatalf("untrusted-root flagged with no roots installed: %v", set)
 		}
-		// The rendered name is never empty and round-trips through the
-		// name table for single-defect sets.
+		// The rendered name is never empty.
 		if set.String() == "" {
 			t.Fatal("DefectSet.String returned empty")
-		}
-		for d := proxyengine.UpstreamDefect(0); int(d) < proxyengine.NumUpstreamDefects; d++ {
-			if got, ok := proxyengine.UpstreamDefectByName(d.String()); !ok || got != d {
-				t.Fatalf("defect name %q does not round-trip", d.String())
-			}
 		}
 	})
 }

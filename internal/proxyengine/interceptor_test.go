@@ -50,7 +50,7 @@ func (c *scriptedConn) Write(p []byte) (int, error) {
 func probeFlight(t testing.TB, host string, version uint16) []byte {
 	t.Helper()
 	ch := tlswire.ClientHello{Version: version, CipherSuites: tlswire.DefaultCipherSuites, ServerName: host}
-	body, err := ch.Marshal()
+	body, err := ch.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestInterceptorOriginMemoBounded(t *testing.T) {
 	}
 	var kept, evicted string
 	for _, h := range hosts {
-		if _, ok := ic.origins.Peek(originKey{host: h}); ok {
+		if resident(ic.origins, originKey{host: h}) {
 			kept = h
 		} else {
 			evicted = h

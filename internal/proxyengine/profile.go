@@ -12,9 +12,9 @@ import (
 type SubjectMode int
 
 const (
-	// SubjectCopy copies the probed hostname into CN and SAN — the normal
-	// proxy behavior.
-	SubjectCopy SubjectMode = iota
+	// The zero SubjectMode copies the upstream subject (or the probed
+	// hostname) into CN and SAN — the normal proxy behavior.
+	_ SubjectMode = iota
 	// SubjectWildcardIP writes a wildcarded IP subnet instead of the
 	// hostname ("In many cases a wildcarded IP address was used that only
 	// designated the subnet of our website", §5.2).

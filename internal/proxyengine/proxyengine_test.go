@@ -114,7 +114,7 @@ func TestSharedKeyAcrossHosts(t *testing.T) {
 	if _, err := e.Decide("b.example", parsed(t, leafB.ChainDER), leafB.ChainDER); err != nil {
 		t.Fatal(err)
 	}
-	ka, kb := e.ForgedLeafKey("a.example"), e.ForgedLeafKey("b.example")
+	ka, kb := e.cachedLeaf(t, "a.example").Key, e.cachedLeaf(t, "b.example").Key
 	if ka == nil || kb == nil || ka != kb {
 		t.Fatal("shared-key malware minted distinct keys")
 	}
@@ -131,14 +131,20 @@ func TestSharedKeyAcrossHosts(t *testing.T) {
 	}
 }
 
+// cachedLeaf fetches the cached forgery for host.
+func (e *Engine) cachedLeaf(t *testing.T, host string) *certgen.Leaf {
+	t.Helper()
+	leaf, err := e.cache.GetOrForge(host, func() (*certgen.Leaf, error) { return nil, errNotResident })
+	if err != nil {
+		t.Fatalf("no cached forgery for %q", host)
+	}
+	return leaf
+}
+
 // mustChain fetches the cached forgery chain.
 func (e *Engine) mustChain(t *testing.T, host string) [][]byte {
 	t.Helper()
-	leaf := e.cache.Peek(host)
-	if leaf == nil {
-		t.Fatalf("no cached forgery for %q", host)
-	}
-	return leaf.ChainDER
+	return e.cachedLeaf(t, host).ChainDER
 }
 
 func TestWhitelistPassthrough(t *testing.T) {

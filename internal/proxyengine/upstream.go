@@ -50,17 +50,6 @@ func (d UpstreamDefect) String() string {
 	return "defect(?)"
 }
 
-// UpstreamDefectByName resolves a canonical defect name; ok is false for
-// unknown names (including "clean", which is not a defect).
-func UpstreamDefectByName(name string) (UpstreamDefect, bool) {
-	for i, n := range upstreamDefectNames {
-		if n == name {
-			return UpstreamDefect(i), true
-		}
-	}
-	return 0, false
-}
-
 // DefectSet is a bitmask of UpstreamDefects observed on one chain.
 type DefectSet uint8
 

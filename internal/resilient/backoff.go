@@ -61,21 +61,3 @@ func (b *Backoff) Next() time.Duration {
 	}
 	return d
 }
-
-// Attempt reports how many delays have been handed out since the last
-// Reset.
-func (b *Backoff) Attempt() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.attempt
-}
-
-// Reset rewinds the schedule to the base delay (a success ends the
-// episode; the next failure starts cheap again). The RNG stream is NOT
-// rewound: replayability is a property of the whole run, not of each
-// episode.
-func (b *Backoff) Reset() {
-	b.mu.Lock()
-	b.attempt = 0
-	b.mu.Unlock()
-}

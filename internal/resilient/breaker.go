@@ -107,14 +107,6 @@ func (b *Breaker) Failure() {
 	}
 }
 
-// State reads the current position (resolving an elapsed cooldown is
-// Allow's job; State reports the stored position).
-func (b *Breaker) State() BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}
-
 // Opens counts Closed/HalfOpen→Open transitions — the breaker's
 // exported health metric.
 func (b *Breaker) Opens() uint64 {

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Categorical samples indices in proportion to fixed weights using Walker's
@@ -76,9 +75,6 @@ func NewCategorical(weights []float64) (*Categorical, error) {
 	return c, nil
 }
 
-// Len reports the number of categories.
-func (c *Categorical) Len() int { return len(c.prob) }
-
 // Sample draws one index in proportion to the construction weights.
 func (c *Categorical) Sample(r *RNG) int {
 	i := r.Intn(len(c.prob))
@@ -86,31 +82,6 @@ func (c *Categorical) Sample(r *RNG) int {
 		return i
 	}
 	return c.alias[i]
-}
-
-// WeightedChoice is a one-shot weighted draw for call sites that sample a
-// distribution only once (no alias-table amortization).
-func WeightedChoice(r *RNG, weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total <= 0 {
-		return 0
-	}
-	x := r.Float64() * total
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
 }
 
 // Binomial draws from Binomial(n, p). For the large-n regimes in the studies
@@ -142,85 +113,4 @@ func Binomial(r *RNG, n int, p float64) int {
 		k = n
 	}
 	return k
-}
-
-// Poisson draws from Poisson(lambda); exact for small lambda (Knuth), normal
-// approximation above 64.
-func Poisson(r *RNG, lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda > 64 {
-		k := int(math.Round(lambda + math.Sqrt(lambda)*r.NormFloat64()))
-		if k < 0 {
-			k = 0
-		}
-		return k
-	}
-	l := math.Exp(-lambda)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
-// Zipf samples ranks 1..n with probability proportional to 1/rank^s.
-// It inverts the CDF by binary search over precomputed partial sums, which
-// is fast enough for host-popularity sampling and exactly reproducible.
-type Zipf struct {
-	cdf []float64
-}
-
-// NewZipf builds a Zipf sampler over n ranks with exponent s > 0.
-func NewZipf(n int, s float64) (*Zipf, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("stats: zipf needs n > 0, got %d", n)
-	}
-	if s <= 0 {
-		return nil, fmt.Errorf("stats: zipf needs s > 0, got %v", s)
-	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += 1 / math.Pow(float64(i+1), s)
-		cdf[i] = sum
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	return &Zipf{cdf: cdf}, nil
-}
-
-// Sample returns a rank in [1, n].
-func (z *Zipf) Sample(r *RNG) int {
-	x := r.Float64()
-	return sort.SearchFloat64s(z.cdf, x) + 1
-}
-
-// WilsonInterval returns the Wilson score 95% confidence interval for a
-// proportion with successes k out of n trials. The paper reports raw
-// percentages; we attach intervals so shape comparisons are honest.
-func WilsonInterval(k, n int) (lo, hi float64) {
-	if n == 0 {
-		return 0, 0
-	}
-	const z = 1.959963984540054 // 97.5th percentile of the standard normal
-	p := float64(k) / float64(n)
-	nf := float64(n)
-	denom := 1 + z*z/nf
-	center := (p + z*z/(2*nf)) / denom
-	margin := z * math.Sqrt(p*(1-p)/nf+z*z/(4*nf*nf)) / denom
-	lo, hi = center-margin, center+margin
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > 1 {
-		hi = 1
-	}
-	return lo, hi
 }

@@ -104,14 +104,6 @@ func (s *AuditStore) Cells() []AuditCell {
 	return out
 }
 
-// Merge folds other's cells into s (other's cells win on collision),
-// mirroring DB.Merge for fleet aggregation.
-func (s *AuditStore) Merge(other *AuditStore) {
-	for _, c := range other.Cells() {
-		s.Record(c)
-	}
-}
-
 // EncodeJSON writes the grid as a JSON array in canonical order.
 func (s *AuditStore) EncodeJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)

@@ -40,24 +40,6 @@ func TestAuditStoreRecordAndCells(t *testing.T) {
 	}
 }
 
-func TestAuditStoreMerge(t *testing.T) {
-	a, b := NewAuditStore(), NewAuditStore()
-	a.Record(AuditCell{Product: "P", Defect: "clean", Accepted: true})
-	a.Record(AuditCell{Product: "P", Defect: "expired", Accepted: true})
-	b.Record(AuditCell{Product: "P", Defect: "expired", Accepted: false})
-	b.Record(AuditCell{Product: "Q", Defect: "clean", Accepted: true})
-
-	a.Merge(b)
-	if a.Len() != 3 {
-		t.Fatalf("merged Len = %d, want 3", a.Len())
-	}
-	for _, c := range a.Cells() {
-		if c.Product == "P" && c.Defect == "expired" && c.Accepted {
-			t.Fatal("merge did not prefer other's cell on collision")
-		}
-	}
-}
-
 func TestAuditCellsJSONRoundTrip(t *testing.T) {
 	s := NewAuditStore()
 	s.Record(AuditCell{Product: "P", Defect: "clean", Accepted: true, Validated: true,

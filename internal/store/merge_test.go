@@ -82,14 +82,8 @@ func TestMergeEqualsSequential(t *testing.T) {
 		if !reflect.DeepEqual(got.ByHostCategory(), seq.ByHostCategory()) {
 			t.Errorf("shards=%d: ByHostCategory differs", shards)
 		}
-		if !reflect.DeepEqual(got.ByCampaign(), seq.ByCampaign()) {
-			t.Errorf("shards=%d: ByCampaign differs", shards)
-		}
 		if !reflect.DeepEqual(got.IssuerOrgTop(0), seq.IssuerOrgTop(0)) {
 			t.Errorf("shards=%d: IssuerOrgTop differs", shards)
-		}
-		if got.DistinctIssuerOrgs() != seq.DistinctIssuerOrgs() {
-			t.Errorf("shards=%d: DistinctIssuerOrgs differs", shards)
 		}
 		if !reflect.DeepEqual(got.CategoryCounts(), seq.CategoryCounts()) {
 			t.Errorf("shards=%d: CategoryCounts differs", shards)
@@ -100,8 +94,16 @@ func TestMergeEqualsSequential(t *testing.T) {
 		if !reflect.DeepEqual(got.Products(), seq.Products()) {
 			t.Errorf("shards=%d: Products differs", shards)
 		}
-		if got.DistinctProxiedIPs() != seq.DistinctProxiedIPs() {
-			t.Errorf("shards=%d: DistinctProxiedIPs differs", shards)
+		// State no accessor reads back: campaign aggregates and the
+		// distinct issuer and client-IP sets.
+		if !reflect.DeepEqual(got.byCampaign, seq.byCampaign) {
+			t.Errorf("shards=%d: campaign aggregates differ", shards)
+		}
+		if !reflect.DeepEqual(got.issuerOrgs, seq.issuerOrgs) {
+			t.Errorf("shards=%d: issuer counts differ", shards)
+		}
+		if !reflect.DeepEqual(got.proxiedIPs, seq.proxiedIPs) {
+			t.Errorf("shards=%d: proxied client IPs differ", shards)
 		}
 		if got.ProxiedCountryCount() != seq.ProxiedCountryCount() {
 			t.Errorf("shards=%d: ProxiedCountryCount differs", shards)

@@ -304,30 +304,12 @@ func (db *DB) ByHostCategory() map[hostdb.Category]Agg {
 	return out
 }
 
-// ByCampaign returns per-campaign aggregates (Table 2 support).
-func (db *DB) ByCampaign() map[string]Agg {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	out := make(map[string]Agg, len(db.byCampaign))
-	for k, v := range db.byCampaign {
-		out[k] = v
-	}
-	return out
-}
-
 // IssuerOrgTop returns the n most frequent claimed Issuer Organizations
 // among proxied connections (Table 4); n <= 0 returns all.
 func (db *DB) IssuerOrgTop(n int) []stats.Entry {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return db.issuerOrgs.Top(n)
-}
-
-// DistinctIssuerOrgs reports how many distinct issuer strings were seen.
-func (db *DB) DistinctIssuerOrgs() int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.issuerOrgs.Distinct()
 }
 
 // CategoryCounts returns proxied-connection counts per claimed-issuer
@@ -370,14 +352,6 @@ func (db *DB) Products() []ProductAgg {
 		return out[i].Name < out[j].Name
 	})
 	return out
-}
-
-// DistinctProxiedIPs counts unique client addresses behind proxied
-// connections (8,589 in study 1).
-func (db *DB) DistinctProxiedIPs() int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return len(db.proxiedIPs)
 }
 
 // ProxiedCountryCount counts countries with at least one proxied

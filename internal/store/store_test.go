@@ -194,9 +194,8 @@ func TestByCampaignAndHostCategory(t *testing.T) {
 	db := New(0)
 	db.Ingest(cleanMeasurement("US", "qq.com", hostdb.Popular))
 	db.Ingest(proxiedMeasurement("US", 1, "A", classify.Unknown))
-	camp := db.ByCampaign()
-	if camp["test"].Tested != 2 || camp["test"].Proxied != 1 {
-		t.Fatalf("campaign agg = %+v", camp["test"])
+	if camp := db.byCampaign["test"]; camp.Tested != 2 || camp.Proxied != 1 {
+		t.Fatalf("campaign agg = %+v", camp)
 	}
 	cats := db.ByHostCategory()
 	if cats[hostdb.Popular].Tested != 1 || cats[hostdb.Authors].Proxied != 1 {

@@ -118,11 +118,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.sum.Add(int64(d))
 }
 
-// ObserveSince records the elapsed time from start to now.
-func (h *Histogram) ObserveSince(start time.Time) {
-	h.Observe(time.Since(start))
-}
-
 // HistogramSnapshot is a coherent-enough point-in-time copy of a
 // histogram: Count is read first, so Count <= sum of bucket counts never
 // inverts (a bucket increment precedes its count increment in every

@@ -44,7 +44,6 @@ func TestNilSafety(t *testing.T) {
 	g.Set(1)
 	g.Add(-1)
 	h.Observe(time.Second)
-	h.ObserveSince(time.Now())
 	reg.GaugeFunc("f", "", func() float64 { return 1 })
 	if reg.Snapshot() != nil {
 		t.Fatal("nil registry snapshot should be nil")

@@ -48,31 +48,3 @@ var StrongCipherSuites = []uint16{
 func WeakCipherSuite(id uint16) bool {
 	return id == TLSRSAWithRC4128SHA || id == TLSRSAWith3DESEDECBCSHA
 }
-
-var cipherSuiteNames = map[uint16]string{
-	TLSRSAWithRC4128SHA:         "TLS_RSA_WITH_RC4_128_SHA",
-	TLSRSAWith3DESEDECBCSHA:     "TLS_RSA_WITH_3DES_EDE_CBC_SHA",
-	TLSRSAWithAES128CBCSHA:      "TLS_RSA_WITH_AES_128_CBC_SHA",
-	TLSRSAWithAES256CBCSHA:      "TLS_RSA_WITH_AES_256_CBC_SHA",
-	TLSRSAWithAES128CBCSHA256:   "TLS_RSA_WITH_AES_128_CBC_SHA256",
-	TLSRSAWithAES128GCMSHA256:   "TLS_RSA_WITH_AES_128_GCM_SHA256",
-	TLSECDHERSAWithAES128CBCSHA: "TLS_ECDHE_RSA_WITH_AES_128_CBC_SHA",
-	TLSECDHERSAWithAES256CBCSHA: "TLS_ECDHE_RSA_WITH_AES_256_CBC_SHA",
-	TLSECDHERSAWithAES128GCM256: "TLS_ECDHE_RSA_WITH_AES_128_GCM_SHA256",
-}
-
-// CipherSuiteName returns the IANA name for a suite, or a hex rendering for
-// unknown values.
-func CipherSuiteName(id uint16) string {
-	if name, ok := cipherSuiteNames[id]; ok {
-		return name
-	}
-	return "UNKNOWN_0x" + hexU16(id)
-}
-
-func hexU16(v uint16) string {
-	const digits = "0123456789abcdef"
-	return string([]byte{
-		digits[v>>12&0xf], digits[v>>8&0xf], digits[v>>4&0xf], digits[v&0xf],
-	})
-}

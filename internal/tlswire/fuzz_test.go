@@ -7,7 +7,7 @@ import (
 )
 
 // Native fuzz targets over the wire parsers. Seed corpora are built from
-// real marshaled messages (the same shapes the probe and responder put
+// real encoded messages (the same shapes the probe and responder put
 // on the wire) plus the minimized hostile inputs the first fuzzing
 // sweeps surfaced, checked in below as explicit f.Add regression seeds.
 
@@ -21,7 +21,7 @@ func seedClientHello(sni string) []byte {
 	for i := range ch.Random {
 		ch.Random[i] = byte(i * 7)
 	}
-	body, err := ch.Marshal()
+	body, err := ch.AppendTo(nil)
 	if err != nil {
 		panic(err)
 	}
@@ -40,19 +40,19 @@ func FuzzParseClientHello(f *testing.F) {
 		if err := ParseClientHello(body, &ch); err != nil {
 			return
 		}
-		// Anything that parses must survive a marshal→parse round trip
+		// Anything that parses must survive an encode→parse round trip
 		// (trailing unknown extensions are legitimately dropped, so only
-		// the re-marshaled form must be a fixed point).
+		// the re-encoded form must be a fixed point).
 		if len(ch.CipherSuites) == 0 {
 			t.Fatalf("parse accepted a ClientHello with zero cipher suites")
 		}
-		out, err := ch.Marshal()
+		out, err := ch.AppendTo(nil)
 		if err != nil {
-			t.Fatalf("re-marshal of parsed hello: %v", err)
+			t.Fatalf("re-encode of parsed hello: %v", err)
 		}
 		var ch2 ClientHello
 		if err := ParseClientHello(out, &ch2); err != nil {
-			t.Fatalf("re-parse of marshaled hello: %v (marshal=%x)", err, out)
+			t.Fatalf("re-parse of encoded hello: %v (encoded=%x)", err, out)
 		}
 		if ch.Version != ch2.Version || ch.ServerName != ch2.ServerName ||
 			!bytes.Equal(ch.SessionID, ch2.SessionID) ||
@@ -64,7 +64,7 @@ func FuzzParseClientHello(f *testing.F) {
 
 func FuzzParseServerHello(f *testing.F) {
 	sh := &ServerHello{Version: VersionTLS12, CipherSuite: TLSRSAWithAES128CBCSHA, SessionID: []byte{1, 2, 3}}
-	body, _ := sh.Marshal()
+	body, _ := sh.AppendTo(nil)
 	f.Add(body)
 	f.Add([]byte{})
 	f.Add(make([]byte, 38))
@@ -73,9 +73,9 @@ func FuzzParseServerHello(f *testing.F) {
 		if err := ParseServerHello(body, &sh); err != nil {
 			return
 		}
-		out, err := sh.Marshal()
+		out, err := sh.AppendTo(nil)
 		if err != nil {
-			t.Fatalf("re-marshal: %v", err)
+			t.Fatalf("re-encode: %v", err)
 		}
 		var sh2 ServerHello
 		if err := ParseServerHello(out, &sh2); err != nil {
@@ -90,28 +90,28 @@ func FuzzParseServerHello(f *testing.F) {
 
 func FuzzParseCertificateMsg(f *testing.F) {
 	cm := &CertificateMsg{ChainDER: [][]byte{bytes.Repeat([]byte{0x30}, 64), {0x30, 0x01}}}
-	body, _ := cm.Marshal()
+	body, _ := cm.AppendTo(nil)
 	f.Add(body)
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x00, 0x00})       // empty chain
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x00}) // hostile total length
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var cm CertificateMsg
-		if err := ParseCertificateMsg(body, &cm); err != nil {
+		chain, err := appendCertificateChain(nil, body)
+		if err != nil {
 			return
 		}
-		if len(cm.ChainDER) == 0 {
+		if len(chain) == 0 {
 			t.Fatalf("parse accepted an empty chain")
 		}
-		out, err := cm.Marshal()
+		out, err := (&CertificateMsg{ChainDER: chain}).AppendTo(nil)
 		if err != nil {
-			t.Fatalf("re-marshal: %v", err)
+			t.Fatalf("re-encode: %v", err)
 		}
-		var cm2 CertificateMsg
-		if err := ParseCertificateMsg(out, &cm2); err != nil {
+		chain2, err := appendCertificateChain(nil, out)
+		if err != nil {
 			t.Fatalf("re-parse: %v", err)
 		}
-		if !reflect.DeepEqual(cm.ChainDER, cm2.ChainDER) {
+		if !reflect.DeepEqual(chain, chain2) {
 			t.Fatalf("chain drifted through round trip")
 		}
 	})
@@ -119,8 +119,8 @@ func FuzzParseCertificateMsg(f *testing.F) {
 
 func FuzzHandshakeReader(f *testing.F) {
 	// A full well-formed server flight as the prime seed.
-	shBody, _ := (&ServerHello{Version: VersionTLS12, CipherSuite: TLSRSAWithAES128CBCSHA}).Marshal()
-	cmBody, _ := (&CertificateMsg{ChainDER: [][]byte{bytes.Repeat([]byte{0x30}, 512)}}).Marshal()
+	shBody, _ := (&ServerHello{Version: VersionTLS12, CipherSuite: TLSRSAWithAES128CBCSHA}).AppendTo(nil)
+	cmBody, _ := (&CertificateMsg{ChainDER: [][]byte{bytes.Repeat([]byte{0x30}, 512)}}).AppendTo(nil)
 	flight := AppendHandshake(nil, VersionTLS12, TypeServerHello, shBody)
 	flight = AppendHandshake(flight, VersionTLS12, TypeCertificate, cmBody)
 	flight = AppendHandshake(flight, VersionTLS12, TypeServerHelloDone, nil)

@@ -105,12 +105,12 @@ func TestOversizeRecordRejected(t *testing.T) {
 // no panic, no hang, no silently complete message from a partial wire.
 func TestTruncatedFlightAlwaysErrors(t *testing.T) {
 	sh := ServerHello{Version: VersionTLS12, CipherSuite: TLSRSAWithAES128CBCSHA}
-	shBody, err := sh.Marshal()
+	shBody, err := sh.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cm := CertificateMsg{ChainDER: [][]byte{bytes.Repeat([]byte{0x30}, 900), bytes.Repeat([]byte{0x31}, 700)}}
-	cmBody, err := cm.Marshal()
+	cmBody, err := cm.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

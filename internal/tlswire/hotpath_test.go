@@ -1,9 +1,10 @@
 package tlswire
 
-// Tests for the zero-realloc hot path: AppendTo/AppendHandshake framing
-// must be byte-identical to the Marshal/WriteHandshake paths, the
-// handshake reader's buffer-reuse contract must hold, and a reused Prober
-// must behave exactly like the one-shot Probe.
+// Tests for the zero-realloc hot path: the AppendTo encoders must produce
+// the RFC 5246 bytes written out by hand, AppendHandshake framing must be
+// byte-identical to WriteRecord's, the handshake reader's buffer-reuse
+// contract must hold, and a reused Prober must behave exactly like the
+// one-shot Probe.
 
 import (
 	"bytes"
@@ -13,88 +14,172 @@ import (
 	"testing"
 )
 
+// Known-answer encodings: each want is the RFC 5246 §7.4 layout spelled
+// out field by field, and AppendTo must append exactly it after a prefix
+// it leaves untouched.
+
 func TestClientHelloAppendToMatchesMarshal(t *testing.T) {
-	for _, ch := range []ClientHello{
-		{Version: VersionTLS12, CipherSuites: DefaultCipherSuites, ServerName: "append.example"},
-		{Version: VersionTLS10, CipherSuites: []uint16{1, 2, 3}},
-		{Version: VersionTLS12, CipherSuites: []uint16{5}, SessionID: []byte{9, 9}, CompressionMethods: []byte{0, 1}},
+	sigAlgs := []byte{0x00, 0x0d, 0x00, 0x06, 0x00, 0x04, 0x04, 0x01, 0x02, 0x01}
+	reneg := []byte{0xff, 0x01, 0x00, 0x01, 0x00}
+	for _, c := range []struct {
+		ch   ClientHello
+		want []byte
+	}{
+		{
+			ClientHello{Version: VersionTLS12, CipherSuites: []uint16{0x002f, 0x0035}, ServerName: "a.example"},
+			cat([]byte{0x03, 0x03}, // TLS 1.2
+				make([]byte, 32), // random
+				[]byte{0x00},     // empty session id
+				[]byte{0x00, 0x04, 0x00, 0x2f, 0x00, 0x35}, // two suites
+				[]byte{0x01, 0x00},                         // null compression
+				[]byte{0x00, 0x21},                         // extensions: 18 + 10 + 5
+				[]byte{0x00, 0x00, 0x00, 0x0e, 0x00, 0x0c, 0x00, 0x00, 0x09}, []byte("a.example"),
+				sigAlgs, reneg),
+		},
+		{
+			ClientHello{Version: VersionTLS10, CipherSuites: []uint16{5}, SessionID: []byte{9, 9}, CompressionMethods: []byte{0, 1}},
+			cat([]byte{0x03, 0x01}, // TLS 1.0
+				make([]byte, 32),
+				[]byte{0x02, 0x09, 0x09},       // session id
+				[]byte{0x00, 0x02, 0x00, 0x05}, // one suite
+				[]byte{0x02, 0x00, 0x01},       // null and deflate compression
+				[]byte{0x00, 0x0f},             // extensions: 10 + 5, no server_name
+				sigAlgs, reneg),
+		},
 	} {
-		want, err := ch.Marshal()
+		got, err := c.ch.AppendTo([]byte("prefix"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Appending after a prefix must not disturb either part.
-		got, err := ch.AppendTo([]byte("prefix"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.HasPrefix(got, []byte("prefix")) {
-			t.Fatal("AppendTo clobbered the destination prefix")
-		}
-		if !bytes.Equal(got[len("prefix"):], want) {
-			t.Fatalf("AppendTo diverges from Marshal for %+v", ch)
+		if !bytes.Equal(got, cat([]byte("prefix"), c.want)) {
+			t.Fatalf("ClientHello %+v:\n got %x\nwant prefix ‖ %x", c.ch, got, c.want)
 		}
 	}
 }
 
 func TestServerHelloAppendToMatchesMarshal(t *testing.T) {
 	sh := ServerHello{Version: VersionTLS12, CipherSuite: TLSRSAWithAES128CBCSHA, SessionID: []byte{1, 2, 3}}
-	want, err := sh.Marshal()
+	for i := range sh.Random {
+		sh.Random[i] = 0xaa
+	}
+	want := cat([]byte{0x03, 0x03}, bytes.Repeat([]byte{0xaa}, 32),
+		[]byte{0x03, 0x01, 0x02, 0x03}, // session id
+		[]byte{0x00, 0x2f},             // TLS_RSA_WITH_AES_128_CBC_SHA
+		[]byte{0x00})                   // null compression
+	got, err := sh.AppendTo([]byte{0xff})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sh.AppendTo(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("ServerHello.AppendTo diverges from Marshal")
+	if !bytes.Equal(got, cat([]byte{0xff}, want)) {
+		t.Fatalf("ServerHello:\n got %x\nwant ff ‖ %x", got, want)
 	}
 }
 
 func TestCertificateMsgAppendToMatchesMarshal(t *testing.T) {
 	cm := CertificateMsg{ChainDER: [][]byte{{1, 2, 3}, {4, 5}}}
-	want, err := cm.Marshal()
-	if err != nil {
-		t.Fatal(err)
+	want := []byte{
+		0x00, 0x00, 0x0b, // certificate_list length: (3+3) + (3+2)
+		0x00, 0x00, 0x03, 1, 2, 3,
+		0x00, 0x00, 0x02, 4, 5,
 	}
 	got, err := cm.AppendTo([]byte{0xff})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, append([]byte{0xff}, want...)) {
-		t.Fatal("CertificateMsg.AppendTo diverges from Marshal")
+	if !bytes.Equal(got, cat([]byte{0xff}, want)) {
+		t.Fatalf("Certificate:\n got %x\nwant ff ‖ %x", got, want)
 	}
 }
 
-func TestAppendHandshakeMatchesWriteHandshake(t *testing.T) {
-	bodies := [][]byte{
-		nil,       // ServerHelloDone
-		{1, 2, 3}, // small
-		bytes.Repeat([]byte{0xab}, maxRecordPayload),     // exactly one full record with header spill
-		bytes.Repeat([]byte{0xcd}, 3*maxRecordPayload+7), // multi-fragment
+// TestAppendRecordMatchesWriteRecord pins the RFC 5246 §6.2.1 record
+// layout — type, version, 16-bit length, payload, fragmented at
+// maxRecordPayload — with literal bytes, and checks WriteRecord and both
+// record appenders, AppendAlert and AppendHandshake, against it.
+func TestAppendRecordMatchesWriteRecord(t *testing.T) {
+	body := bytes.Repeat([]byte{7}, maxRecordPayload-3) // message spills one byte
+	for _, c := range []struct {
+		name     string
+		typ      uint8
+		version  uint16
+		payload  []byte
+		appendTo func([]byte) []byte
+		want     []byte
+	}{
+		{
+			"alert", RecordAlert, VersionTLS12, []byte{2, 40},
+			func(dst []byte) []byte {
+				return AppendAlert(dst, VersionTLS12, Alert{Level: AlertLevelFatal, Description: AlertHandshakeFailure})
+			},
+			[]byte{0x15, 0x03, 0x03, 0x00, 0x02, 0x02, 0x28},
+		},
+		{
+			"empty handshake message", RecordHandshake, VersionTLS10, []byte{0x0e, 0, 0, 0},
+			func(dst []byte) []byte { return AppendHandshake(dst, VersionTLS10, TypeServerHelloDone, nil) },
+			[]byte{0x16, 0x03, 0x01, 0x00, 0x04, 0x0e, 0x00, 0x00, 0x00},
+		},
+		{
+			"two records", RecordHandshake, VersionSSL30, cat([]byte{0x0b, 0x00, 0x3f, 0xfd}, body),
+			func(dst []byte) []byte { return AppendHandshake(dst, VersionSSL30, TypeCertificate, body) },
+			cat([]byte{0x16, 0x03, 0x00, 0x40, 0x00}, []byte{0x0b, 0x00, 0x3f, 0xfd}, body[:maxRecordPayload-4],
+				[]byte{0x16, 0x03, 0x00, 0x00, 0x01}, body[maxRecordPayload-4:]),
+		},
+	} {
+		var w bytes.Buffer
+		if err := WriteRecord(&w, c.typ, c.version, c.payload); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(w.Bytes(), c.want) {
+			t.Fatalf("%s: WriteRecord wrote %d bytes %.16x…, want %.16x…", c.name, w.Len(), w.Bytes(), c.want)
+		}
+		if got := c.appendTo([]byte("prefix")); !bytes.Equal(got, cat([]byte("prefix"), c.want)) {
+			t.Fatalf("%s: appended %d bytes %.16x…, want prefix ‖ %.16x…", c.name, len(got), got, c.want)
+		}
 	}
-	for i, body := range bodies {
+}
+
+// TestAppendHandshakeMatchesWriteHandshake builds a server flight the way
+// Respond does, each handshake message appended after the ones before it,
+// and checks it against writing the same messages one after another
+// through WriteRecord.
+func TestAppendHandshakeMatchesWriteHandshake(t *testing.T) {
+	var got []byte
+	var want bytes.Buffer
+	for _, m := range []struct {
+		typ  uint8
+		body []byte
+	}{
+		{TypeServerHello, bytes.Repeat([]byte{1}, 70)},
+		{TypeCertificate, bytes.Repeat([]byte{2}, 2*maxRecordPayload+100)},
+		{TypeServerHelloDone, nil},
+	} {
+		got = AppendHandshake(got, VersionTLS12, m.typ, m.body)
+		n := len(m.body)
+		if err := WriteRecord(&want, RecordHandshake, VersionTLS12, cat([]byte{m.typ, byte(n >> 16), byte(n >> 8), byte(n)}, m.body)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("after message type %d: flight of %d bytes, WriteRecord wrote %d", m.typ, len(got), want.Len())
+		}
+	}
+}
+
+// TestAppendHandshakeFramesLikeWriteRecord checks the framing Prober and
+// Respond put on the wire against WriteRecord's own fragmentation loop:
+// a handshake message is its 4-byte header followed by the body, split
+// into handshake records of at most maxRecordPayload bytes. The sizes
+// cover an empty body, a message that exactly fills one record, one that
+// spills a single byte into a second record, and a multi-record message.
+func TestAppendHandshakeFramesLikeWriteRecord(t *testing.T) {
+	for _, n := range []int{0, 1, maxRecordPayload - 4, maxRecordPayload - 3, maxRecordPayload, 3*maxRecordPayload + 7} {
+		body := bytes.Repeat([]byte{0xab}, n)
+		msg := append([]byte{TypeCertificate, byte(n >> 16), byte(n >> 8), byte(n)}, body...)
 		var want bytes.Buffer
-		if err := WriteHandshake(&want, VersionTLS12, TypeCertificate, body); err != nil {
+		if err := WriteRecord(&want, RecordHandshake, VersionTLS12, msg); err != nil {
 			t.Fatal(err)
 		}
 		got := AppendHandshake(nil, VersionTLS12, TypeCertificate, body)
 		if !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("case %d: AppendHandshake diverges from WriteHandshake (%d vs %d bytes)", i, len(got), want.Len())
-		}
-	}
-}
-
-func TestAppendRecordMatchesWriteRecord(t *testing.T) {
-	for _, payload := range [][]byte{nil, {1}, bytes.Repeat([]byte{7}, maxRecordPayload+1)} {
-		var want bytes.Buffer
-		if err := WriteRecord(&want, RecordHandshake, VersionTLS10, payload); err != nil {
-			t.Fatal(err)
-		}
-		got := AppendRecord(nil, RecordHandshake, VersionTLS10, payload)
-		if !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("AppendRecord diverges from WriteRecord for %d-byte payload", len(payload))
+			t.Fatalf("%d-byte body: AppendHandshake framed %d bytes, WriteRecord %d", n, len(got), want.Len())
 		}
 	}
 }
@@ -103,14 +188,9 @@ func TestAppendRecordMatchesWriteRecord(t *testing.T) {
 // returned body stays intact until the next Next call, then may be
 // recycled.
 func TestHandshakeReaderBodyValidUntilNext(t *testing.T) {
-	var stream bytes.Buffer
-	if err := WriteHandshake(&stream, VersionTLS12, TypeServerHello, []byte{1, 1, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteHandshake(&stream, VersionTLS12, TypeCertificate, []byte{2, 2, 2, 2}); err != nil {
-		t.Fatal(err)
-	}
-	hr := NewHandshakeReader(NewRecordReader(&stream))
+	stream := AppendHandshake(nil, VersionTLS12, TypeServerHello, []byte{1, 1, 1})
+	stream = AppendHandshake(stream, VersionTLS12, TypeCertificate, []byte{2, 2, 2, 2})
+	hr := NewHandshakeReader(NewRecordReader(bytes.NewReader(stream)))
 	_, body1, err := hr.Next()
 	if err != nil {
 		t.Fatal(err)
@@ -212,11 +292,11 @@ func recordFlight(t testing.TB, chain [][]byte, serverName string) []byte {
 	tee := io.TeeReader(client, &flight)
 	hr := NewHandshakeReader(NewRecordReader(tee))
 	ch := ClientHello{Version: VersionTLS12, CipherSuites: DefaultCipherSuites, ServerName: serverName}
-	body, err := ch.Marshal()
+	body, err := ch.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteHandshake(client, VersionTLS10, TypeClientHello, body); err != nil {
+	if _, err := client.Write(AppendHandshake(nil, VersionTLS10, TypeClientHello, body)); err != nil {
 		t.Fatal(err)
 	}
 	for {
@@ -292,7 +372,7 @@ func BenchmarkProbeAllocs(b *testing.B) {
 func BenchmarkRespondAllocs(b *testing.B) {
 	chain := testChain(b, "respond.example")
 	ch := ClientHello{Version: VersionTLS12, CipherSuites: DefaultCipherSuites, ServerName: "respond.example"}
-	body, err := ch.Marshal()
+	body, err := ch.AppendTo(nil)
 	if err != nil {
 		b.Fatal(err)
 	}

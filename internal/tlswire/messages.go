@@ -3,7 +3,6 @@ package tlswire
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 )
 
 // Handshake message types (RFC 5246 §7.4).
@@ -101,19 +100,13 @@ type ClientHello struct {
 	ServerName string
 }
 
-// Marshal encodes the ClientHello as a handshake message body (without the
-// 4-byte handshake header).
-func (ch *ClientHello) Marshal() ([]byte, error) {
-	return ch.AppendTo(make([]byte, 0, 128))
-}
-
 // sigAlgsOffer is the signature_algorithms payload the probe offers: RSA
 // with SHA-256/SHA-1 — what a 2014 client stack advertised.
 var sigAlgsOffer = [4]byte{0x04, 0x01, 0x02, 0x01}
 
-// AppendTo appends the encoded ClientHello body to dst and returns the
-// extended slice — the zero-realloc variant of Marshal for callers that
-// reuse a scratch buffer across probes.
+// AppendTo appends the encoded ClientHello handshake body (without the
+// 4-byte handshake header) to dst and returns the extended slice, so a
+// caller can reuse one scratch buffer across probes.
 func (ch *ClientHello) AppendTo(dst []byte) ([]byte, error) {
 	if len(ch.SessionID) > 32 {
 		return nil, fmt.Errorf("tlswire: session id of %d bytes", len(ch.SessionID))
@@ -193,7 +186,7 @@ func ParseClientHello(body []byte, ch *ClientHello) error {
 		return err
 	}
 	if len(sessionID) > 32 {
-		// RFC 5246 §7.4.1.2 bounds SessionID at 32 bytes; Marshal refuses
+		// RFC 5246 §7.4.1.2 bounds SessionID at 32 bytes; AppendTo refuses
 		// longer ones, so accepting them here would make parse→marshal
 		// asymmetric (surfaced by FuzzParseServerHello's twin of this).
 		return fmt.Errorf("tlswire: ClientHello: session id of %d bytes exceeds 32", len(sessionID))
@@ -273,11 +266,6 @@ type ServerHello struct {
 	CompressionMethod uint8
 }
 
-// Marshal encodes the ServerHello as a handshake message body.
-func (sh *ServerHello) Marshal() ([]byte, error) {
-	return sh.AppendTo(make([]byte, 0, 48))
-}
-
 // AppendTo appends the encoded ServerHello body to dst and returns the
 // extended slice.
 func (sh *ServerHello) AppendTo(dst []byte) ([]byte, error) {
@@ -313,7 +301,7 @@ func ParseServerHello(body []byte, sh *ServerHello) error {
 	}
 	if len(sessionID) > 32 {
 		// RFC 5246 §7.4.1.3 bounds SessionID at 32 bytes (surfaced by
-		// FuzzParseServerHello: Marshal refuses what parse accepted).
+		// FuzzParseServerHello: AppendTo refuses what parse accepted).
 		return fmt.Errorf("tlswire: ServerHello: session id of %d bytes exceeds 32", len(sessionID))
 	}
 	sh.SessionID = append(sh.SessionID[:0], sessionID...)
@@ -332,68 +320,36 @@ type CertificateMsg struct {
 	ChainDER [][]byte
 }
 
-// Marshal encodes the Certificate handshake body.
-func (cm *CertificateMsg) Marshal() ([]byte, error) {
-	inner, err := cm.innerLen()
-	if err != nil {
-		return nil, err
-	}
-	return cm.appendTo(make([]byte, 0, 3+inner), inner), nil
-}
-
 // AppendTo appends the encoded Certificate body to dst and returns the
 // extended slice.
 func (cm *CertificateMsg) AppendTo(dst []byte) ([]byte, error) {
-	inner, err := cm.innerLen()
-	if err != nil {
-		return nil, err
-	}
-	return cm.appendTo(dst, inner), nil
-}
-
-func (cm *CertificateMsg) innerLen() (int, error) {
 	inner := 0
 	for _, der := range cm.ChainDER {
 		if len(der) >= 1<<24 {
-			return 0, fmt.Errorf("tlswire: certificate of %d bytes", len(der))
+			return nil, fmt.Errorf("tlswire: certificate of %d bytes", len(der))
 		}
 		inner += 3 + len(der)
 	}
 	if inner >= 1<<24 {
-		return 0, fmt.Errorf("tlswire: certificate chain of %d bytes", inner)
+		return nil, fmt.Errorf("tlswire: certificate chain of %d bytes", inner)
 	}
-	return inner, nil
-}
-
-func (cm *CertificateMsg) appendTo(dst []byte, inner int) []byte {
 	dst = appendU24(dst, inner)
 	for _, der := range cm.ChainDER {
 		dst = appendU24(dst, len(der))
 		dst = append(dst, der...)
 	}
-	return dst
+	return dst, nil
 }
 
 func appendU24(b []byte, v int) []byte {
 	return append(b, byte(v>>16), byte(v>>8), byte(v))
 }
 
-// ParseCertificateMsg decodes a Certificate handshake body. The chain
-// entries are copies and remain valid indefinitely: the whole certificate
-// list is copied into one arena allocation that every entry subslices, so
-// an N-cert chain costs two allocations, not N+1.
-func ParseCertificateMsg(body []byte, cm *CertificateMsg) error {
-	chain, err := appendCertificateChain(cm.ChainDER[:0], body)
-	if err != nil {
-		return err
-	}
-	cm.ChainDER = chain
-	return nil
-}
-
 // appendCertificateChain decodes a Certificate body, appending the chain
-// entries to dst. It is the allocation floor of the capture path: the
-// chain must escape into the report, so it costs exactly the arena and
+// entries to dst. The entries are copies and remain valid indefinitely:
+// the whole certificate list is copied into one arena allocation that
+// every entry subslices. It is the allocation floor of the capture path:
+// the chain must escape into the report, so it costs exactly the arena and
 // (when dst lacks capacity) the slice header.
 func appendCertificateChain(dst [][]byte, body []byte) ([][]byte, error) {
 	b := newBuffer(body, "Certificate")
@@ -479,27 +435,3 @@ func copyLimited(src *[]byte, n int) []byte {
 	*src = (*src)[n:]
 	return out
 }
-
-// handshakeScratch pools flight-assembly buffers for WriteHandshake so
-// one-shot writers stay allocation-free; flight builders (Prober,
-// Respond) hold their own scratch instead.
-var handshakeScratch = sync.Pool{
-	New: func() any { b := make([]byte, 0, 4096); return &b },
-}
-
-// WriteHandshake frames body as a handshake message of the given type and
-// writes it as records, in a single Write call.
-func WriteHandshake(w writerTo, version uint16, msgType uint8, body []byte) error {
-	bp := handshakeScratch.Get().(*[]byte)
-	buf := AppendHandshake((*bp)[:0], version, msgType, body)
-	_, err := w.Write(buf)
-	*bp = buf[:0]
-	handshakeScratch.Put(bp)
-	if err != nil {
-		return fmt.Errorf("tlswire: write handshake record: %w", err)
-	}
-	return nil
-}
-
-// writerTo is the io.Writer constraint; aliased for doc clarity.
-type writerTo = interface{ Write([]byte) (int, error) }

@@ -8,8 +8,8 @@ import (
 )
 
 // Property tests over seeded random messages: the zero-realloc Append*
-// paths must be byte-identical to their allocating Marshal/Write
-// counterparts, and parsing must invert marshaling exactly. A fixed seed
+// paths must append cleanly after any prefix and frame exactly as the
+// io.Writer paths do, and parsing must invert encoding exactly. A fixed seed
 // keeps failures replayable; 500 trials cover the size/SNI/session-id
 // shape space far past the unit tests' fixed cases.
 
@@ -69,87 +69,121 @@ func randChain(r *rand.Rand) [][]byte {
 	return chain
 }
 
-// TestPropertyAppendToMatchesMarshal: AppendTo into a dirty, offset
-// buffer appends exactly the bytes Marshal produces.
+// Reference encoders: the RFC 5246 §7.4 layouts built inside out, each
+// vector assembled before its length prefix, with the extension numbers
+// and signature_algorithms payload written as literals. AppendTo instead
+// precomputes every length and encodes in one pass, so the two share no
+// code.
+
+func cat(parts ...[]byte) []byte {
+	var out []byte
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out
+}
+
+// vec prefixes the concatenated parts with their length in lenBytes bytes.
+func vec(lenBytes int, parts ...[]byte) []byte {
+	body := cat(parts...)
+	out := make([]byte, lenBytes)
+	for i := range out {
+		out[i] = byte(len(body) >> (8 * (lenBytes - 1 - i)))
+	}
+	return append(out, body...)
+}
+
+func u16(v uint16) []byte { return []byte{byte(v >> 8), byte(v)} }
+
+func ext(typ uint16, data []byte) []byte { return cat(u16(typ), vec(2, data)) }
+
+func marshalClientHello(ch *ClientHello) []byte {
+	var suites []byte
+	for _, cs := range ch.CipherSuites {
+		suites = append(suites, u16(cs)...)
+	}
+	comp := ch.CompressionMethods
+	if len(comp) == 0 {
+		comp = []byte{0}
+	}
+	var exts []byte
+	if ch.ServerName != "" {
+		exts = ext(0x0000, vec(2, []byte{0}, vec(2, []byte(ch.ServerName))))
+	}
+	exts = cat(exts, ext(0x000d, vec(2, []byte{0x04, 0x01, 0x02, 0x01})), ext(0xff01, []byte{0}))
+	return cat(u16(ch.Version), ch.Random[:], vec(1, ch.SessionID), vec(2, suites), vec(1, comp), vec(2, exts))
+}
+
+func marshalServerHello(sh *ServerHello) []byte {
+	return cat(u16(sh.Version), sh.Random[:], vec(1, sh.SessionID), u16(sh.CipherSuite), []byte{sh.CompressionMethod})
+}
+
+func marshalCertificate(cm *CertificateMsg) []byte {
+	var entries []byte
+	for _, der := range cm.ChainDER {
+		entries = append(entries, vec(3, der)...)
+	}
+	return vec(3, entries)
+}
+
+// TestPropertyAppendToMatchesMarshal: AppendTo(nil) equals the reference
+// encoding of every random message, and AppendTo into a dirty, offset
+// buffer leaves the prefix alone and appends exactly what AppendTo(nil)
+// returns.
 func TestPropertyAppendToMatchesMarshal(t *testing.T) {
 	r := propRand(t)
 	for trial := 0; trial < propertyTrials; trial++ {
 		prefix := randBytes(r, r.Intn(64))
-
-		ch := randClientHello(r)
-		want, err := ch.Marshal()
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		got, err := ch.AppendTo(append([]byte(nil), prefix...))
-		if err != nil {
-			t.Fatalf("trial %d: AppendTo: %v", trial, err)
-		}
-		if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
-			t.Fatalf("trial %d: ClientHello AppendTo != Marshal", trial)
-		}
-
-		sh := randServerHello(r)
-		want, err = sh.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err = sh.AppendTo(append([]byte(nil), prefix...))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got[len(prefix):], want) {
-			t.Fatalf("trial %d: ServerHello AppendTo != Marshal", trial)
-		}
-
-		cm := &CertificateMsg{ChainDER: randChain(r)}
-		want, err = cm.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err = cm.AppendTo(append([]byte(nil), prefix...))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got[len(prefix):], want) {
-			t.Fatalf("trial %d: CertificateMsg AppendTo != Marshal", trial)
+		ch, sh, cm := randClientHello(r), randServerHello(r), &CertificateMsg{ChainDER: randChain(r)}
+		for _, c := range []struct {
+			m interface {
+				AppendTo([]byte) ([]byte, error)
+			}
+			ref []byte
+		}{{ch, marshalClientHello(ch)}, {sh, marshalServerHello(sh)}, {cm, marshalCertificate(cm)}} {
+			want, err := c.m.AppendTo(nil)
+			if err != nil {
+				t.Fatalf("trial %d: %T: %v", trial, c.m, err)
+			}
+			if !bytes.Equal(want, c.ref) {
+				t.Fatalf("trial %d: %T: AppendTo(nil) != reference encoding\n got %x\nwant %x", trial, c.m, want, c.ref)
+			}
+			got, err := c.m.AppendTo(append([]byte(nil), prefix...))
+			if err != nil {
+				t.Fatalf("trial %d: %T after prefix: %v", trial, c.m, err)
+			}
+			if !bytes.Equal(got, cat(prefix, want)) {
+				t.Fatalf("trial %d: %T: AppendTo(prefix) != prefix ‖ AppendTo(nil)", trial, c.m)
+			}
 		}
 	}
 }
 
 // TestPropertyAppendRecordMatchesWriteRecord: the append-into-scratch
-// framing paths produce byte-for-byte what the io.Writer paths write,
-// including multi-record fragmentation above the record-layer maximum.
+// framing paths produce byte-for-byte what WriteRecord and WriteAlert
+// write, including multi-record fragmentation above the record-layer
+// maximum.
 func TestPropertyAppendRecordMatchesWriteRecord(t *testing.T) {
 	r := propRand(t)
-	sizes := []int{0, 1, 100, maxRecordPayload - 1, maxRecordPayload, maxRecordPayload + 1, 3 * maxRecordPayload}
+	sizes := []int{0, 1, 100, maxRecordPayload - 5, maxRecordPayload - 4, maxRecordPayload - 3, maxRecordPayload, 3 * maxRecordPayload}
 	for trial := 0; trial < propertyTrials; trial++ {
-		var payload []byte
+		var body []byte
 		if trial < len(sizes) {
-			payload = randBytes(r, sizes[trial])
+			body = randBytes(r, sizes[trial])
 		} else {
-			payload = randBytes(r, r.Intn(2*maxRecordPayload))
+			body = randBytes(r, r.Intn(2*maxRecordPayload))
 		}
-		typ := uint8(20 + r.Intn(4))
 		version := uint16(0x0300 + r.Intn(4))
+		msgType := uint8(r.Intn(25))
 
 		var w bytes.Buffer
-		if err := WriteRecord(&w, typ, version, payload); err != nil {
+		n := len(body)
+		msg := append([]byte{msgType, byte(n >> 16), byte(n >> 8), byte(n)}, body...)
+		if err := WriteRecord(&w, RecordHandshake, version, msg); err != nil {
 			t.Fatal(err)
 		}
-		got := AppendRecord(nil, typ, version, payload)
-		if !bytes.Equal(got, w.Bytes()) {
-			t.Fatalf("trial %d: AppendRecord != WriteRecord for %d-byte payload", trial, len(payload))
-		}
-
-		w.Reset()
-		msgType := uint8(r.Intn(25))
-		if err := WriteHandshake(&w, version, msgType, payload); err != nil {
-			t.Fatal(err)
-		}
-		got = AppendHandshake(nil, version, msgType, payload)
-		if !bytes.Equal(got, w.Bytes()) {
-			t.Fatalf("trial %d: AppendHandshake != WriteHandshake for %d-byte body", trial, len(payload))
+		if got := AppendHandshake(nil, version, msgType, body); !bytes.Equal(got, w.Bytes()) {
+			t.Fatalf("trial %d: AppendHandshake != WriteRecord for %d-byte body", trial, n)
 		}
 
 		w.Reset()
@@ -170,7 +204,7 @@ func TestPropertyParseInvertsMarshal(t *testing.T) {
 	r := propRand(t)
 	for trial := 0; trial < propertyTrials; trial++ {
 		ch := randClientHello(r)
-		body, err := ch.Marshal()
+		body, err := ch.AppendTo(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +212,7 @@ func TestPropertyParseInvertsMarshal(t *testing.T) {
 		if err := ParseClientHello(body, &ch2); err != nil {
 			t.Fatalf("trial %d: parse(marshal(ch)): %v", trial, err)
 		}
-		// Marshal normalizes an empty compression vector to {0}.
+		// AppendTo normalizes an empty compression vector to {0}.
 		wantComp := ch.CompressionMethods
 		if len(wantComp) == 0 {
 			wantComp = []byte{0}
@@ -192,7 +226,7 @@ func TestPropertyParseInvertsMarshal(t *testing.T) {
 		}
 
 		sh := randServerHello(r)
-		body, err = sh.Marshal()
+		body, err = sh.AppendTo(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,15 +241,15 @@ func TestPropertyParseInvertsMarshal(t *testing.T) {
 		}
 
 		cm := &CertificateMsg{ChainDER: randChain(r)}
-		body, err = cm.Marshal()
+		body, err = cm.AppendTo(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var cm2 CertificateMsg
-		if err := ParseCertificateMsg(body, &cm2); err != nil {
+		chain2, err := appendCertificateChain(nil, body)
+		if err != nil {
 			t.Fatalf("trial %d: parse(marshal(cm)): %v", trial, err)
 		}
-		if !reflect.DeepEqual(cm2.ChainDER, cm.ChainDER) {
+		if !reflect.DeepEqual(chain2, cm.ChainDER) {
 			t.Fatalf("trial %d: chain drifted", trial)
 		}
 

@@ -9,10 +9,8 @@ import (
 
 // TLS record content types (RFC 5246 §6.2.1).
 const (
-	RecordChangeCipherSpec uint8 = 20
-	RecordAlert            uint8 = 21
-	RecordHandshake        uint8 = 22
-	RecordApplicationData  uint8 = 23
+	RecordAlert     uint8 = 21
+	RecordHandshake uint8 = 22
 )
 
 // Protocol versions as they appear on the wire.
@@ -127,23 +125,6 @@ func WriteRecord(w io.Writer, typ uint8, version uint16, payload []byte) error {
 	return nil
 }
 
-// AppendRecord appends payload framed as one or more records of the given
-// type to dst and returns the extended slice — the append-into-scratch
-// twin of WriteRecord, used to build whole flights in one buffer and hand
-// them to the socket in a single write.
-func AppendRecord(dst []byte, typ uint8, version uint16, payload []byte) []byte {
-	for first := true; first || len(payload) > 0; first = false {
-		n := len(payload)
-		if n > maxRecordPayload {
-			n = maxRecordPayload
-		}
-		dst = append(dst, typ, byte(version>>8), byte(version), byte(n>>8), byte(n))
-		dst = append(dst, payload[:n]...)
-		payload = payload[n:]
-	}
-	return dst
-}
-
 // Alert severities and the descriptions the probe path uses.
 const (
 	AlertLevelWarning uint8 = 1
@@ -152,7 +133,6 @@ const (
 	AlertCloseNotify      uint8 = 0
 	AlertUnexpectedMsg    uint8 = 10
 	AlertHandshakeFailure uint8 = 40
-	AlertUserCanceled     uint8 = 90
 	AlertInternalError    uint8 = 80
 )
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 )
@@ -120,7 +121,7 @@ func (rs *responder) respond(conn net.Conn, cfg ResponderConfig) error {
 	if suite == 0 {
 		suite = TLSRSAWithAES128CBCSHA
 		for _, offered := range ch.CipherSuites {
-			if _, known := cipherSuiteNames[offered]; known {
+			if slices.Contains(DefaultCipherSuites, offered) {
 				suite = offered
 				break
 			}

@@ -121,7 +121,7 @@ func TestClientHelloRoundTrip(t *testing.T) {
 	for i := range ch.Random {
 		ch.Random[i] = byte(i)
 	}
-	body, err := ch.Marshal()
+	body, err := ch.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestClientHelloRoundTrip(t *testing.T) {
 
 func TestClientHelloNoSNI(t *testing.T) {
 	ch := ClientHello{Version: VersionTLS10, CipherSuites: []uint16{TLSRSAWithAES128CBCSHA}}
-	body, err := ch.Marshal()
+	body, err := ch.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestClientHelloWithoutExtensionsParses(t *testing.T) {
 	var ch ClientHello
 	ch.Version = VersionTLS10
 	ch.CipherSuites = []uint16{TLSRSAWithAES128CBCSHA}
-	body, err := ch.Marshal()
+	body, err := ch.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,19 +178,19 @@ func TestClientHelloWithoutExtensionsParses(t *testing.T) {
 
 func TestClientHelloValidation(t *testing.T) {
 	ch := ClientHello{Version: VersionTLS12}
-	if _, err := ch.Marshal(); err == nil {
+	if _, err := ch.AppendTo(nil); err == nil {
 		t.Error("empty cipher suites accepted")
 	}
 	ch.CipherSuites = []uint16{1}
 	ch.SessionID = make([]byte, 33)
-	if _, err := ch.Marshal(); err == nil {
+	if _, err := ch.AppendTo(nil); err == nil {
 		t.Error("oversized session id accepted")
 	}
 }
 
 func TestParseClientHelloTruncated(t *testing.T) {
 	ch := ClientHello{Version: VersionTLS12, CipherSuites: DefaultCipherSuites, ServerName: "x.example"}
-	body, _ := ch.Marshal()
+	body, _ := ch.AppendTo(nil)
 	for cut := 1; cut < len(body); cut += 7 {
 		var got ClientHello
 		if err := ParseClientHello(body[:cut], &got); err == nil && cut < 40 {
@@ -202,7 +202,7 @@ func TestParseClientHelloTruncated(t *testing.T) {
 func TestServerHelloRoundTrip(t *testing.T) {
 	sh := ServerHello{Version: VersionTLS11, CipherSuite: TLSRSAWithAES256CBCSHA, SessionID: []byte{9}}
 	sh.Random[0] = 0xaa
-	body, err := sh.Marshal()
+	body, err := sh.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,27 +218,26 @@ func TestServerHelloRoundTrip(t *testing.T) {
 func TestCertificateMsgRoundTrip(t *testing.T) {
 	chain := testChain(t, "roundtrip.example")
 	cm := CertificateMsg{ChainDER: chain}
-	body, err := cm.Marshal()
+	body, err := cm.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got CertificateMsg
-	if err := ParseCertificateMsg(body, &got); err != nil {
+	got, err := appendCertificateChain(nil, body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.ChainDER) != len(chain) {
-		t.Fatalf("chain length %d", len(got.ChainDER))
+	if len(got) != len(chain) {
+		t.Fatalf("chain length %d", len(got))
 	}
 	for i := range chain {
-		if !bytes.Equal(chain[i], got.ChainDER[i]) {
+		if !bytes.Equal(chain[i], got[i]) {
 			t.Fatalf("cert %d corrupted", i)
 		}
 	}
 }
 
 func TestCertificateMsgEmptyRejected(t *testing.T) {
-	var got CertificateMsg
-	if err := ParseCertificateMsg([]byte{0, 0, 0}, &got); err == nil {
+	if _, err := appendCertificateChain(nil, []byte{0, 0, 0}); err == nil {
 		t.Fatal("empty chain accepted")
 	}
 }
@@ -461,15 +460,6 @@ func TestVersionName(t *testing.T) {
 	}
 }
 
-func TestCipherSuiteName(t *testing.T) {
-	if CipherSuiteName(TLSRSAWithAES128CBCSHA) != "TLS_RSA_WITH_AES_128_CBC_SHA" {
-		t.Fatal("bad suite name")
-	}
-	if CipherSuiteName(0xABCD) != "UNKNOWN_0xabcd" {
-		t.Fatalf("got %q", CipherSuiteName(0xABCD))
-	}
-}
-
 // Property: ParseClientHello never panics on arbitrary input.
 func TestQuickParseClientHelloRobust(t *testing.T) {
 	f := func(data []byte) bool {
@@ -482,11 +472,10 @@ func TestQuickParseClientHelloRobust(t *testing.T) {
 	}
 }
 
-// Property: ParseCertificateMsg and ParseServerHello never panic.
+// Property: the Certificate parser and ParseServerHello never panic.
 func TestQuickParseServerMessagesRobust(t *testing.T) {
 	f := func(data []byte) bool {
-		var cm CertificateMsg
-		_ = ParseCertificateMsg(data, &cm)
+		_, _ = appendCertificateChain(nil, data)
 		var sh ServerHello
 		_ = ParseServerHello(data, &sh)
 		_, _ = ParseAlert(data)
@@ -497,7 +486,7 @@ func TestQuickParseServerMessagesRobust(t *testing.T) {
 	}
 }
 
-// Property: certificate message marshal/parse round-trips arbitrary chains.
+// Property: certificate message encode/parse round-trips arbitrary chains.
 func TestQuickCertificateRoundTrip(t *testing.T) {
 	f := func(blobs [][]byte) bool {
 		var chain [][]byte
@@ -510,19 +499,19 @@ func TestQuickCertificateRoundTrip(t *testing.T) {
 			return true
 		}
 		cm := CertificateMsg{ChainDER: chain}
-		body, err := cm.Marshal()
+		body, err := cm.AppendTo(nil)
 		if err != nil {
 			return false
 		}
-		var got CertificateMsg
-		if err := ParseCertificateMsg(body, &got); err != nil {
+		got, err := appendCertificateChain(nil, body)
+		if err != nil {
 			return false
 		}
-		if len(got.ChainDER) != len(chain) {
+		if len(got) != len(chain) {
 			return false
 		}
 		for i := range chain {
-			if !bytes.Equal(chain[i], got.ChainDER[i]) {
+			if !bytes.Equal(chain[i], got[i]) {
 				return false
 			}
 		}
@@ -549,18 +538,17 @@ func BenchmarkProbePipe(b *testing.B) {
 	}
 }
 
-func BenchmarkParseCertificateMsg(b *testing.B) {
+func BenchmarkAppendCertificateChain(b *testing.B) {
 	chain := testChain(b, "parse.example")
 	cm := CertificateMsg{ChainDER: chain}
-	body, err := cm.Marshal()
+	body, err := cm.AppendTo(nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	var got CertificateMsg
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := ParseCertificateMsg(body, &got); err != nil {
+		if _, err := appendCertificateChain(nil, body); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,14 +14,7 @@ import (
 	"encoding/hex"
 	"encoding/pem"
 	"fmt"
-	"strings"
 )
-
-// FingerprintDER returns the SHA-256 fingerprint of one DER certificate.
-func FingerprintDER(der []byte) string {
-	sum := sha256.Sum256(der)
-	return hex.EncodeToString(sum[:])
-}
 
 // ChainFingerprint fingerprints an entire chain: the SHA-256 of the
 // concatenated per-certificate fingerprints. Two chains match iff they
@@ -114,22 +107,6 @@ func IssuerOrganization(cert *x509.Certificate) string {
 	return cert.Issuer.Organization[0]
 }
 
-// IssuerDisplay returns the most specific available issuer identifier:
-// Organization, then Common Name, then OrganizationalUnit, else "".
-// Classification (§5.1) keys off whichever field the product populated.
-func IssuerDisplay(cert *x509.Certificate) string {
-	if o := IssuerOrganization(cert); o != "" {
-		return o
-	}
-	if cert.Issuer.CommonName != "" {
-		return cert.Issuer.CommonName
-	}
-	if len(cert.Issuer.OrganizationalUnit) > 0 {
-		return cert.Issuer.OrganizationalUnit[0]
-	}
-	return ""
-}
-
 // Mismatch is the structured anatomy of how an observed chain differs from
 // the authoritative chain for the same probe. It drives every row of the
 // paper's negligent-behavior analysis.
@@ -205,30 +182,4 @@ func CompareChains(hostname string, original, observed []*x509.Certificate, orig
 		}
 	}
 	return m, nil
-}
-
-// DescribeMismatch renders a one-line human summary used by the probe CLI.
-func DescribeMismatch(m Mismatch) string {
-	if !m.Proxied {
-		return "chains match: no TLS proxy detected"
-	}
-	var parts []string
-	issuer := m.IssuerOrganization
-	if issuer == "" {
-		issuer = "<null issuer organization>"
-	}
-	parts = append(parts, fmt.Sprintf("TLS PROXY DETECTED (issuer %q)", issuer))
-	if m.WeakKey {
-		parts = append(parts, fmt.Sprintf("weak %d-bit key (original %d)", m.LeafKeyBits, m.OriginalKeyBits))
-	}
-	if m.MD5Signed {
-		parts = append(parts, "MD5 signature")
-	}
-	if m.IssuerCopied {
-		parts = append(parts, "issuer name copied from authoritative chain")
-	}
-	if m.SubjectDrift {
-		parts = append(parts, "subject does not match probed host")
-	}
-	return strings.Join(parts, "; ")
 }

@@ -3,7 +3,6 @@ package x509util
 import (
 	"crypto/x509"
 	"crypto/x509/pkix"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -42,10 +41,11 @@ func mkLeaf(t *testing.T, ca *certgen.CA, cfg certgen.LeafConfig) *certgen.Leaf 
 
 func TestFingerprintStability(t *testing.T) {
 	ca := mkRoot(t, "FP Root", "FP Org")
-	if FingerprintDER(ca.DER) != FingerprintDER(ca.DER) {
+	chain := [][]byte{ca.DER}
+	if ChainFingerprint(chain) != ChainFingerprint([][]byte{append([]byte(nil), ca.DER...)}) {
 		t.Fatal("fingerprint not deterministic")
 	}
-	if len(FingerprintDER(ca.DER)) != 64 {
+	if len(ChainFingerprint(chain)) != 64 {
 		t.Fatal("fingerprint is not hex sha256")
 	}
 }
@@ -124,17 +124,14 @@ func TestParseChainRejectsCorruptDER(t *testing.T) {
 	}
 }
 
-func TestIssuerDisplayPriority(t *testing.T) {
+func TestIssuerOrganization(t *testing.T) {
 	withO := mkRoot(t, "CN Only", "Org Name")
 	leafO := mkLeaf(t, withO, certgen.LeafConfig{CommonName: "a.example"})
-	if got := IssuerDisplay(leafO.Cert); got != "Org Name" {
-		t.Errorf("IssuerDisplay = %q, want Org Name", got)
+	if got := IssuerOrganization(leafO.Cert); got != "Org Name" {
+		t.Errorf("IssuerOrganization = %q, want Org Name", got)
 	}
 	noO := mkRoot(t, "Only CN Root", "")
 	leafCN := mkLeaf(t, noO, certgen.LeafConfig{CommonName: "b.example"})
-	if got := IssuerDisplay(leafCN.Cert); got != "Only CN Root" {
-		t.Errorf("IssuerDisplay = %q, want CN fallback", got)
-	}
 	if got := IssuerOrganization(leafCN.Cert); got != "" {
 		t.Errorf("IssuerOrganization = %q, want empty", got)
 	}
@@ -171,9 +168,6 @@ func TestCompareChainsNoProxy(t *testing.T) {
 	if m.Proxied {
 		t.Fatal("identical chain reported as proxied")
 	}
-	if !strings.Contains(DescribeMismatch(m), "no TLS proxy") {
-		t.Errorf("describe = %q", DescribeMismatch(m))
-	}
 }
 
 func TestCompareChainsDetectsProxy(t *testing.T) {
@@ -198,10 +192,6 @@ func TestCompareChainsDetectsProxy(t *testing.T) {
 	}
 	if m.SubjectDrift {
 		t.Error("subject drift flagged though CN matches host")
-	}
-	desc := DescribeMismatch(m)
-	if !strings.Contains(desc, "Bitdefender") || !strings.Contains(desc, "1024") {
-		t.Errorf("describe = %q", desc)
 	}
 }
 
