@@ -18,8 +18,9 @@
 // measurement is written ahead to a per-shard WAL, -snapshot-every folds
 // the WAL into compact snapshots on a timer, boot recovers whatever a
 // previous process persisted, and SIGTERM/SIGINT shut down gracefully —
-// stop accepting, commit the pending reports, fsync the WAL, and write a
-// final snapshot — so a restart never forfeits the collected study.
+// stop accepting, commit the pending reports, checkpoint every WAL into
+// its snapshot, and close it — so a restart never forfeits the collected
+// study.
 //
 // With -cluster-id and -cluster-peers the shards are a cluster.Node's
 // instead (DESIGN.md §12): any node observes any report, whatever mix of
@@ -89,8 +90,8 @@ type serverConfig struct {
 	clusterID    string
 	clusterPeers string
 	// chaosSpec, when non-empty, arms a faultnet chaos controller on this
-	// node's outbound links (replication tails, snapshot catch-ups, relay
-	// forwards, routed report measurements): a wall-clock phase schedule
+	// node's outbound links (replication tails, relay forwards, routed
+	// report measurements): a wall-clock phase schedule
 	// of cuts, latency, and throttles in the faultnet DSL. Endpoint names
 	// are peer member IDs.
 	chaosSpec string
@@ -433,9 +434,9 @@ func (s *server) addr() string { return s.ln.Addr().String() }
 
 // serve runs the HTTP server and the snapshot timer until a signal
 // arrives, then shuts down gracefully: stop accepting, commit what is
-// pending, close the WALs (final fsync), and write a final snapshot per
-// shard — the fix for the old behavior of dying mid-flush and forfeiting
-// buffered reports.
+// pending, checkpoint every WAL into its snapshot, and close the WALs
+// (final fsync) — the fix for the old behavior of dying mid-flush and
+// forfeiting buffered reports.
 func (s *server) serve(sig <-chan os.Signal) error {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- s.httpSrv.Serve(s.ln) }()
@@ -483,13 +484,14 @@ func (s *server) serve(sig <-chan os.Signal) error {
 					err = cerr
 				}
 			} else {
-				if cerr := s.pipeline.Close(); err == nil {
+				// Drain, Checkpoint, Close: the next boot decodes one
+				// snapshot per shard and replays nothing.
+				s.pipeline.Drain()
+				if cerr := s.pipeline.Checkpoint(); err == nil {
 					err = cerr
 				}
-				for _, sh := range s.shards {
-					if serr := sh.Snapshot(); serr != nil && err == nil {
-						err = serr
-					}
+				if cerr := s.pipeline.Close(); err == nil {
+					err = cerr
 				}
 			}
 			if got == syscall.SIGTERM {
@@ -504,79 +506,50 @@ func (s *server) serve(sig <-chan os.Signal) error {
 }
 
 func main() {
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, stop))
+}
+
+// run is the whole command: it serves until stop delivers a signal, then
+// shuts down gracefully and returns the exit code.
+func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
+	fs := flag.NewFlagSet("reportd", flag.ExitOnError)
+	fatalf := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "reportd: "+format+"\n", args...)
+		return 1
+	}
 	var (
-		listen    = flag.String("listen", ":8080", "HTTP listen address")
-		host      = flag.String("host", "", "single probe host name (with -reference)")
-		refPath   = flag.String("reference", "", "PEM file with the authoritative chain for -host")
-		refDir    = flag.String("refdir", "", "directory of <host>.pem authoritative chains")
-		campaign  = flag.String("campaign", "manual", "campaign label stamped onto measurements")
-		shards    = flag.Int("shards", 4, "ingest pipeline shards (1 = single store)")
-		batch     = flag.Int("batch", ingest.DefaultBatchSize, "measurements buffered per shard before they commit (WAL append + store apply)")
-		obsCache  = flag.Int("obs-cache", chaincache.DefaultCap, "observation cache capacity in distinct (host, chain) pairs (0 disables)")
-		dataDir   = flag.String("data-dir", "", "durable per-shard WAL + snapshot directory (recovered on boot; graceful shutdown snapshots)")
-		snapEvery = flag.Duration("snapshot-every", 0, "checkpoint the WALs on this cadence (e.g. 5m; 0 = only at shutdown; with -data-dir, not in cluster mode)")
-		pprofA    = flag.String("pprof", "", "serve net/http/pprof on this address (disabled when empty)")
-		selfRef   = flag.String("selfsigned", "", "generate an in-process self-signed authoritative chain for this host (smoke tests / CI; no PEM files needed)")
-		clusterID = flag.String("cluster-id", "", "run as this member of a reportd cluster (requires -cluster-peers and -data-dir)")
-		clusterPs = flag.String("cluster-peers", "", "full cluster member list as id=url,id=url,... (including this node)")
-		chaosSpec = flag.String("chaos", "", "chaos plan for outbound cluster links, e.g. 'seed=7; name=cut, for=10s, cut=a:b' (endpoints are cluster member IDs)")
+		listen    = fs.String("listen", ":8080", "HTTP listen address")
+		host      = fs.String("host", "", "single probe host name (with -reference)")
+		refPath   = fs.String("reference", "", "PEM file with the authoritative chain for -host")
+		refDir    = fs.String("refdir", "", "directory of <host>.pem authoritative chains")
+		campaign  = fs.String("campaign", "manual", "campaign label stamped onto measurements")
+		shards    = fs.Int("shards", 4, "ingest pipeline shards (1 = single store)")
+		batch     = fs.Int("batch", ingest.DefaultBatchSize, "measurements buffered per shard before they commit (WAL append + store apply)")
+		obsCache  = fs.Int("obs-cache", chaincache.DefaultCap, "observation cache capacity in distinct (host, chain) pairs (0 disables)")
+		dataDir   = fs.String("data-dir", "", "durable per-shard WAL + snapshot directory (recovered on boot; graceful shutdown snapshots)")
+		snapEvery = fs.Duration("snapshot-every", 0, "checkpoint the WALs on this cadence (e.g. 5m; 0 = only at shutdown; with -data-dir, not in cluster mode)")
+		pprofA    = fs.String("pprof", "", "serve net/http/pprof on this address (disabled when empty)")
+		selfRef   = fs.String("selfsigned", "", "generate an in-process self-signed authoritative chain for this host (smoke tests / CI; no PEM files needed)")
+		clusterID = fs.String("cluster-id", "", "run as this member of a reportd cluster (requires -cluster-peers and -data-dir)")
+		clusterPs = fs.String("cluster-peers", "", "full cluster member list as id=url,id=url,... (including this node)")
+		chaosSpec = fs.String("chaos", "", "chaos plan for outbound cluster links, e.g. 'seed=7; name=cut, for=10s, cut=a:b' (endpoints are cluster member IDs)")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	if *pprofA != "" {
 		// pprof registers on http.DefaultServeMux; the report mux is
 		// separate, so profiling stays off the public listener.
 		go func() {
-			fmt.Fprintf(os.Stderr, "reportd: pprof: %v\n", http.ListenAndServe(*pprofA, nil))
+			fmt.Fprintf(stderr, "reportd: pprof: %v\n", http.ListenAndServe(*pprofA, nil))
 		}()
-		fmt.Printf("reportd: pprof on http://%s/debug/pprof/\n", *pprofA)
+		fmt.Fprintf(stdout, "reportd: pprof on http://%s/debug/pprof/\n", *pprofA)
 	}
-
-	loadRef := func(hostName, path string) hostChain {
-		pemBytes, err := os.ReadFile(path)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		chain, err := x509util.DecodeChainPEM(pemBytes)
-		if err != nil {
-			fatalf("%s: %v", path, err)
-		}
-		return hostChain{host: hostName, chain: chain}
+	refs, err := loadRefs(*selfRef, *host, *refPath, *refDir)
+	if err != nil {
+		return fatalf("%v", err)
 	}
-	var refs []hostChain
-	switch {
-	case *selfRef != "":
-		// CI and smoke tests boot reportd with no out-of-band PEM: mint a
-		// throwaway CA and leaf for the named host in-process.
-		ca, err := certgen.NewRootCA(certgen.CAConfig{
-			Subject: pkix.Name{CommonName: "reportd selfsigned", Organization: []string{"tlsfof"}},
-			KeyBits: 1024,
-		})
-		if err != nil {
-			fatalf("selfsigned CA: %v", err)
-		}
-		leaf, err := ca.IssueLeaf(certgen.LeafConfig{CommonName: *selfRef, KeyBits: 1024})
-		if err != nil {
-			fatalf("selfsigned leaf: %v", err)
-		}
-		refs = append(refs, hostChain{host: *selfRef, chain: leaf.ChainDER})
-	case *host != "" && *refPath != "":
-		refs = append(refs, loadRef(*host, *refPath))
-	case *refDir != "":
-		entries, err := os.ReadDir(*refDir)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		for _, e := range entries {
-			if e.IsDir() || !strings.HasSuffix(e.Name(), ".pem") {
-				continue
-			}
-			refs = append(refs, loadRef(strings.TrimSuffix(e.Name(), ".pem"), filepath.Join(*refDir, e.Name())))
-		}
-	default:
-		fatalf("need -host + -reference, -refdir, or -selfsigned")
-	}
-
 	srv, err := newServer(serverConfig{
 		listen:        *listen,
 		campaign:      *campaign,
@@ -586,21 +559,21 @@ func main() {
 		dataDir:       *dataDir,
 		snapshotEvery: *snapEvery,
 		refs:          refs,
-		logw:          os.Stdout,
+		logw:          stdout,
 		clusterID:     *clusterID,
 		clusterPeers:  *clusterPs,
 		chaosSpec:     *chaosSpec,
 	})
 	if err != nil {
-		fatalf("%v", err)
+		return fatalf("%v", err)
 	}
 	// Route structured events through the post-mortem ring; warnings and
 	// errors still reach stderr immediately.
 	slog.SetDefault(slog.New(telemetry.Tee(
-		slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelWarn}), srv.ring)))
-	defer telemetry.DumpOnPanic(srv.ring, os.Stderr)
+		slog.NewTextHandler(stderr, &slog.HandlerOptions{Level: slog.LevelWarn}), srv.ring)))
+	defer telemetry.DumpOnPanic(srv.ring, stderr)
 	if err := srv.start(); err != nil {
-		fatalf("%v", err)
+		return fatalf("%v", err)
 	}
 	durableNote := ""
 	if *dataDir != "" {
@@ -609,17 +582,67 @@ func main() {
 	if *clusterID != "" {
 		durableNote += fmt.Sprintf(", cluster member %q of [%s]", *clusterID, *clusterPs)
 	}
-	fmt.Printf("reportd: listening on %s with %d ingest shards, obs cache %d%s (%s)\n",
+	fmt.Fprintf(stdout, "reportd: listening on %s with %d ingest shards, obs cache %d%s (%s)\n",
 		srv.addr(), *shards, *obsCache, durableNote, srv.endpoints())
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	if err := srv.serve(sig); err != nil {
-		fatalf("%v", err)
+	if err := srv.serve(stop); err != nil {
+		return fatalf("%v", err)
 	}
+	return 0
 }
 
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "reportd: "+format+"\n", args...)
-	os.Exit(1)
+// loadRefs builds the authoritative chains the flags name: one minted
+// in-process for -selfsigned, one PEM file for -host with -reference, or
+// every <host>.pem under -refdir.
+func loadRefs(selfRef, host, refPath, refDir string) ([]hostChain, error) {
+	switch {
+	case selfRef != "":
+		// CI and smoke tests boot reportd with no out-of-band PEM: mint a
+		// throwaway CA and leaf for the named host in-process.
+		ca, err := certgen.NewRootCA(certgen.CAConfig{
+			Subject: pkix.Name{CommonName: "reportd selfsigned", Organization: []string{"tlsfof"}},
+			KeyBits: 1024,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("selfsigned CA: %w", err)
+		}
+		leaf, err := ca.IssueLeaf(certgen.LeafConfig{CommonName: selfRef, KeyBits: 1024})
+		if err != nil {
+			return nil, fmt.Errorf("selfsigned leaf: %w", err)
+		}
+		return []hostChain{{host: selfRef, chain: leaf.ChainDER}}, nil
+	case host != "" && refPath != "":
+		ref, err := loadRef(host, refPath)
+		return []hostChain{ref}, err
+	case refDir != "":
+		entries, err := os.ReadDir(refDir)
+		if err != nil {
+			return nil, err
+		}
+		var refs []hostChain
+		for _, e := range entries {
+			if e.IsDir() || !strings.HasSuffix(e.Name(), ".pem") {
+				continue
+			}
+			ref, err := loadRef(strings.TrimSuffix(e.Name(), ".pem"), filepath.Join(refDir, e.Name()))
+			if err != nil {
+				return nil, err
+			}
+			refs = append(refs, ref)
+		}
+		return refs, nil
+	}
+	return nil, fmt.Errorf("need -host + -reference, -refdir, or -selfsigned")
+}
+
+func loadRef(host, path string) (hostChain, error) {
+	pemBytes, err := os.ReadFile(path)
+	if err != nil {
+		return hostChain{}, err
+	}
+	chain, err := x509util.DecodeChainPEM(pemBytes)
+	if err != nil {
+		return hostChain{}, fmt.Errorf("%s: %w", path, err)
+	}
+	return hostChain{host: host, chain: chain}, nil
 }

@@ -3,9 +3,9 @@ package main
 // Regression: reportd used to die on SIGTERM with reports still sitting
 // in the ingest pipeline's pending batches — everything not yet flushed
 // (and, pre-durability, everything ever collected) was forfeited. The
-// graceful path must drain every shard, fsync the WALs, and write final
-// snapshots, so a recovery over the data directory sees every report the
-// server ever accepted.
+// graceful path must drain every shard, checkpoint the WALs into their
+// snapshots and close them, so a recovery over the data directory sees
+// every report the server ever accepted.
 
 import (
 	"bytes"
@@ -18,6 +18,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -88,7 +89,7 @@ func recoverDataDir(t *testing.T, dir string, shards int) *store.DB {
 	t.Helper()
 	dbs := make([]*store.DB, 0, shards)
 	for i := 0; i < shards; i++ {
-		db, _, err := durable.Recover(durable.Options{Dir: filepath.Join(dir, fmt.Sprintf("shard-%03d", i))})
+		db, _, err := durable.Recover(durable.Options{Dir: durable.ShardDir(dir, i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,23 +133,22 @@ func TestSIGTERMDrainsAndSnapshots(t *testing.T) {
 		t.Fatal("server did not exit after SIGTERM")
 	}
 
-	// Every accepted report survived the process.
-	db := recoverDataDir(t, dir, shards)
-	if got := db.Totals().Tested; got != reports {
-		t.Fatalf("recovered %d measurements after SIGTERM, want %d", got, reports)
-	}
-	// The shutdown snapshot collapsed each shard dir (no WAL segments
-	// left behind, recovery is a snapshot decode).
+	// Every accepted report survived the process, and the shutdown
+	// checkpoint folded each shard's WAL into its snapshot: recovery is a
+	// snapshot decode that replays nothing.
+	var tested int
 	for i := 0; i < shards; i++ {
-		entries, err := os.ReadDir(filepath.Join(dir, fmt.Sprintf("shard-%03d", i)))
+		db, info, err := durable.Recover(durable.Options{Dir: durable.ShardDir(dir, i)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range entries {
-			if filepath.Ext(e.Name()) == ".log" {
-				t.Fatalf("shard %d still has WAL segment %s after shutdown snapshot", i, e.Name())
-			}
+		if info.Replayed != 0 || info.DroppedTail {
+			t.Fatalf("shard %d after the shutdown checkpoint: %+v, want nothing to replay", i, info)
 		}
+		tested += db.Totals().Tested
+	}
+	if tested != reports {
+		t.Fatalf("recovered %d measurements after SIGTERM, want %d", tested, reports)
 	}
 }
 
@@ -402,4 +402,80 @@ func TestBootRecoversPreviousProcess(t *testing.T) {
 	if got := recoverDataDir(t, dir, shards).Totals().Tested; got != 15 {
 		t.Fatalf("recovered %d measurements, want 15", got)
 	}
+}
+
+// lockedBuffer is an io.Writer run writes from its own goroutine while
+// the test reads it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestRunKeepsStudyAcrossRestart runs the command itself twice over one
+// -data-dir: each run exits 0 on its stop signal, and the second serves
+// the first one's reports in its /stats totals.
+func TestRunKeepsStudyAcrossRestart(t *testing.T) {
+	_, pem := testRefs(t)
+	ref := filepath.Join(t.TempDir(), "ref.pem")
+	if err := os.WriteFile(ref, pem, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-listen=127.0.0.1:0", "-host=" + testHost, "-reference=" + ref, "-shards=2", "-data-dir=" + t.TempDir()}
+	life := func(reports int, want string) {
+		t.Helper()
+		var stdout, stderr lockedBuffer
+		stop := make(chan os.Signal, 1)
+		exit := make(chan int, 1)
+		go func() { exit <- run(args, &stdout, &stderr, stop) }()
+		var addr string
+		for deadline := time.Now().Add(30 * time.Second); addr == ""; {
+			for _, line := range strings.Split(stdout.String(), "\n") {
+				if rest, ok := strings.CutPrefix(line, "reportd: listening on "); ok {
+					addr = strings.Fields(rest)[0]
+				}
+			}
+			select {
+			case code := <-exit:
+				t.Fatalf("reportd exited %d before listening:\n%s%s", code, stdout.String(), stderr.String())
+			case <-time.After(5 * time.Millisecond):
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("no listening banner:\n%s%s", stdout.String(), stderr.String())
+			}
+		}
+		postReports(t, addr, pem, reports)
+		resp, err := http.Get("http://" + addr + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stats bytes.Buffer
+		stats.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if !strings.Contains(stats.String(), want) {
+			t.Fatalf("/stats = %q, want it to contain %q", stats.String(), want)
+		}
+		stop <- syscall.SIGTERM
+		select {
+		case code := <-exit:
+			if code != 0 || !strings.Contains(stdout.String(), "shutdown complete") {
+				t.Fatalf("reportd exited %d after SIGTERM:\n%s%s", code, stdout.String(), stderr.String())
+			}
+		case <-time.After(15 * time.Second):
+			t.Fatal("reportd did not exit after SIGTERM")
+		}
+	}
+	life(7, "7 tested")
+	life(3, "10 tested")
 }

@@ -63,14 +63,8 @@ func TestTailAheadDoesNotAdvanceWatermark(t *testing.T) {
 	srv := httptest.NewServer(n.Handler())
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/repl/tail?shard=0&from=99")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("tail from seq 99 of an empty log: HTTP %d, want 409", resp.StatusCode)
+	if code := tailStatus(t, srv.URL+"/repl/tail?shard=0&from=99"); code != http.StatusConflict {
+		t.Fatalf("tail from seq 99 of an empty log: HTTP %d, want 409", code)
 	}
 	if wm := n.Status().Watermark[0]; wm != 0 {
 		t.Fatalf("refused follower moved the watermark to %d", wm)
@@ -81,6 +75,48 @@ func TestTailAheadDoesNotAdvanceWatermark(t *testing.T) {
 	if got := metricValue(t, reg, "repl_ack_timeouts_total"); got != 1 {
 		t.Fatalf("batch after the refused poll counted %v ack timeouts, want 1 (nothing was replicated)", got)
 	}
+}
+
+// TestTailCompactedDoesNotAdvanceWatermark: the replication stream
+// carries frames only, so a follower asking for a seq the source's
+// snapshot already covers is refused 409 like one ahead of the log, and
+// its position never becomes the watermark. (A cluster log never
+// compacts; the test checkpoints one by hand.)
+func TestTailCompactedDoesNotAdvanceWatermark(t *testing.T) {
+	n, reg, _ := openLonely(t, func(c *Config) { c.Shards = 1; c.AckTimeout = 20 * time.Millisecond })
+	srv := httptest.NewServer(n.Handler())
+	defer srv.Close()
+	if err := n.IngestBatch(testMeasurements(8, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.shards[0].Log.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+
+	if code := tailStatus(t, srv.URL+"/repl/tail?shard=0&from=1"); code != http.StatusConflict {
+		t.Fatalf("tail from seq 1 of a compacted log: HTTP %d, want 409", code)
+	}
+	if wm := n.Status().Watermark[0]; wm != 0 {
+		t.Fatalf("refused follower moved the watermark to %d", wm)
+	}
+	if err := n.IngestBatch(testMeasurements(8, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if got := metricValue(t, reg, "repl_ack_timeouts_total"); got != 2 {
+		t.Fatalf("two batches with only a refused poll counted %v ack timeouts, want 2 (nothing was replicated)", got)
+	}
+}
+
+// tailStatus answers one /repl/tail GET's status code.
+func tailStatus(t *testing.T, url string) int {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode
 }
 
 // TestKillWaitsOutBatchInReplicaWait: with the replica wait outside the

@@ -29,8 +29,7 @@
 //     frame bytes to a local replica log, and resumes from its own
 //     durable position after any cut. A caught-up poll parks on the
 //     source until a commit wakes it, so the pull behaves as a push: the
-//     next poll's position is the ack. Snapshot records cover frames
-//     the source already compacted away.
+//     next poll's position is the ack.
 //   - RouteClient: a core.Sink that batches measurements per owning
 //     node, reroutes on not-owner verdicts (a draining node) and on node
 //     death, and keeps enough accounting to prove nothing was dropped.

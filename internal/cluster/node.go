@@ -54,8 +54,8 @@ type Config struct {
 	// HTTPClient is used by followers and relay forwards. The default is
 	// a split-deadline client (resilient.SplitTimeoutClient with its
 	// defaults): connect and every single read are bounded, with no
-	// blanket total-transfer cap — a snapshot catch-up over a slow link
-	// may take as long as it keeps moving, while a stalled link fails at
+	// blanket total-transfer cap — a long replica catch-up over a slow
+	// link may take as long as it keeps moving, while a stalled link fails at
 	// the idle deadline.
 	HTTPClient *http.Client
 	// Logf, when set, receives operational one-liners.
@@ -179,7 +179,6 @@ type nodeMetrics struct {
 	tailPolls      *telemetry.Counter
 	framesServed   *telemetry.Counter
 	framesApplied  *telemetry.Counter
-	snapsApplied   *telemetry.Counter
 	catchupPolls   *telemetry.Counter
 	ackWaits       *telemetry.Counter
 	ackTimeouts    *telemetry.Counter
@@ -362,9 +361,8 @@ func Open(cfg Config) (*Node, error) {
 				n.Close()
 				return nil, err
 			}
-			f := &follower{n: n, source: m.ID, shardIdx: i, dir: dir, done: make(chan struct{}), dec: durable.NewReplDecoder(nil)}
-			f.log.Store(log)
-			n.followers = append(n.followers, f)
+			n.followers = append(n.followers, &follower{n: n, source: m.ID, shardIdx: i, dir: dir, log: log,
+				done: make(chan struct{}), dec: durable.NewReplDecoder(nil)})
 		}
 	}
 	n.mountMetrics(cfg.Registry)
@@ -383,7 +381,6 @@ func (n *Node) mountMetrics(reg *telemetry.Registry) {
 		tailPolls:      reg.Counter("repl_tail_polls_total", "replication tail polls served"),
 		framesServed:   reg.Counter("repl_frames_served_total", "WAL frames served to replica followers"),
 		framesApplied:  reg.Counter("repl_frames_applied_total", "WAL frames applied to replica logs"),
-		snapsApplied:   reg.Counter("repl_snapshots_applied_total", "snapshot catch-ups applied to replica logs"),
 		catchupPolls:   reg.Counter("repl_catchup_polls_total", "follower polls that applied at least one record"),
 		ackWaits:       reg.Counter("repl_ack_waits_total", "ingest batches that waited for replica acknowledgement"),
 		ackTimeouts:    reg.Counter("repl_ack_timeouts_total", "ingest batches acked in degraded mode after an ack timeout"),
@@ -587,7 +584,7 @@ func (n *Node) Close() error {
 	n.wg.Wait()
 	var first error
 	for _, f := range n.followers {
-		if err := f.logRef().Close(); err != nil && first == nil {
+		if err := f.log.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -693,7 +690,7 @@ func (n *Node) Status() Status {
 		st.Watermark = append(st.Watermark, sh.watermark.now())
 	}
 	for _, f := range n.followers {
-		st.Replicas = append(st.Replicas, ReplStatus{Source: f.source, Shard: f.shardIdx, AppliedSeq: f.logRef().NextSeq() - 1})
+		st.Replicas = append(st.Replicas, ReplStatus{Source: f.source, Shard: f.shardIdx, AppliedSeq: f.log.NextSeq() - 1})
 	}
 	return st
 }
@@ -811,11 +808,12 @@ func (n *Node) handleTail(w http.ResponseWriter, r *http.Request) {
 	}
 	sh := n.shards[si]
 	n.met.tailPolls.Inc()
-	// A follower ahead of this log belongs to another incarnation of it.
-	// Refuse before publishing anything: its position as a watermark would
-	// ack batches that were never copied.
-	if from > sh.Log.NextSeq() {
-		http.Error(w, durable.ErrTailAhead.Error(), http.StatusConflict)
+	// A follower ahead of this log belongs to another incarnation of it,
+	// and one behind its snapshot asks for frames that are gone. Refuse
+	// before publishing anything: its position as a watermark would ack
+	// batches that were never copied.
+	if err := sh.Log.CheckTail(from); err != nil {
+		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}
 	// The poll position is the follower's promise: everything below it is

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"sync/atomic"
 	"time"
 
 	"tlsfof/internal/durable"
@@ -27,16 +25,12 @@ type follower struct {
 	source   string
 	shardIdx int
 	dir      string
-	// log is behind an atomic pointer because snapshot catch-up replaces
-	// it mid-run while Status and Close read it from other goroutines.
-	log  atomic.Pointer[durable.Log]
-	done chan struct{}
+	log      *durable.Log
+	done     chan struct{}
 	// dec is reset onto each poll's response body, keeping its read
 	// buffers; only run's goroutine touches it.
 	dec *durable.ReplDecoder
 }
-
-func (f *follower) logRef() *durable.Log { return f.log.Load() }
 
 func (f *follower) run() {
 	defer close(f.done)
@@ -52,7 +46,7 @@ func (f *follower) run() {
 			// The source is gone; the replica now IS the shard. Seal it.
 			f.exitSync()
 			f.n.cfg.Logf("cluster %s: follower of %s shard %d stopped (source dead) at seq %d",
-				f.n.self.ID, f.source, f.shardIdx, f.logRef().NextSeq()-1)
+				f.n.self.ID, f.source, f.shardIdx, f.log.NextSeq()-1)
 			return
 		}
 		applied, err := f.pollOnce(src.URL)
@@ -75,15 +69,15 @@ func (f *follower) run() {
 // killed node skips it (Kill abandons buffers by design).
 func (f *follower) exitSync() {
 	if !f.n.killed.Load() {
-		f.logRef().Sync()
+		f.log.Sync()
 	}
 }
 
-// pollOnce runs one tail request and applies its records. It returns
-// how many records (frames or snapshots) it applied; the replica log is
-// synced before returning so the next poll's from is an honest promise.
+// pollOnce runs one tail request and applies its frames. It returns how
+// many it applied; the replica log is synced before returning so the
+// next poll's from is an honest promise.
 func (f *follower) pollOnce(baseURL string) (applied int, err error) {
-	url := fmt.Sprintf("%s/repl/tail?shard=%d&from=%d", baseURL, f.shardIdx, f.logRef().NextSeq())
+	url := fmt.Sprintf("%s/repl/tail?shard=%d&from=%d", baseURL, f.shardIdx, f.log.NextSeq())
 	req, err := http.NewRequestWithContext(f.n.ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return 0, err
@@ -94,12 +88,13 @@ func (f *follower) pollOnce(baseURL string) (applied int, err error) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusConflict {
-		// The source says we are ahead of it: a wiped or replaced source
-		// directory. Replicating would corrupt the watermark contract, so
-		// keep the replica intact and keep complaining.
-		f.n.cfg.Logf("cluster %s: follower of %s shard %d: source behind replica (operator intervention needed)",
+		// The source cannot stream from our position: it is behind us (a
+		// wiped or replaced source directory) or compacted past us.
+		// Replicating would corrupt the watermark contract, so keep the
+		// replica intact and keep complaining.
+		f.n.cfg.Logf("cluster %s: follower of %s shard %d: source refused the tail (operator intervention needed)",
 			f.n.self.ID, f.source, f.shardIdx)
-		return 0, fmt.Errorf("cluster: source behind replica")
+		return 0, fmt.Errorf("cluster: source refused the tail")
 	}
 	if resp.StatusCode != http.StatusOK {
 		return 0, fmt.Errorf("cluster: tail %s: HTTP %d", url, resp.StatusCode)
@@ -116,35 +111,22 @@ func (f *follower) pollOnce(baseURL string) (applied int, err error) {
 			err = derr
 			break
 		}
-		switch rec.Type {
-		case durable.ReplSnapshot:
-			if rec.Seq < f.logRef().NextSeq() {
-				continue // covers nothing we lack
-			}
-			if rerr := f.resetTo(rec.Seq, rec.Payload); rerr != nil {
+		next := f.log.NextSeq()
+		switch {
+		case rec.Seq < next:
+			// overlap from a duplicated poll
+		case rec.Seq == next:
+			if aerr := f.log.AppendEncoded(rec.Payload); aerr != nil {
 				f.finishPoll(applied)
-				return applied, rerr
+				return applied, aerr
 			}
-			f.n.met.snapsApplied.Inc()
+			f.n.met.framesApplied.Inc()
 			applied++
-		case durable.ReplFrame:
-			next := f.logRef().NextSeq()
-			switch {
-			case rec.Seq < next:
-				// overlap from a duplicated poll
-			case rec.Seq == next:
-				if aerr := f.logRef().AppendEncoded(rec.Payload); aerr != nil {
-					f.finishPoll(applied)
-					return applied, aerr
-				}
-				f.n.met.framesApplied.Inc()
-				applied++
-			default:
-				// A gap should be impossible on an intact source; re-poll
-				// rather than replicate around it.
-				f.finishPoll(applied)
-				return applied, fmt.Errorf("cluster: tail gap: got seq %d, replica at %d", rec.Seq, next)
-			}
+		default:
+			// A gap should be impossible on an intact source; re-poll
+			// rather than replicate around it.
+			f.finishPoll(applied)
+			return applied, fmt.Errorf("cluster: tail gap: got seq %d, replica at %d", rec.Seq, next)
 		}
 	}
 	f.finishPoll(applied)
@@ -154,30 +136,7 @@ func (f *follower) pollOnce(baseURL string) (applied int, err error) {
 // finishPoll syncs whatever this poll appended and counts it.
 func (f *follower) finishPoll(applied int) {
 	if applied > 0 {
-		f.logRef().Sync()
+		f.log.Sync()
 		f.n.met.catchupPolls.Inc()
 	}
-}
-
-// resetTo handles snapshot catch-up: the source compacted past our
-// position, so the replica directory restarts from the received image.
-func (f *follower) resetTo(covered uint64, image []byte) error {
-	if err := f.logRef().Close(); err != nil {
-		return err
-	}
-	if err := os.RemoveAll(f.dir); err != nil {
-		return err
-	}
-	if err := os.MkdirAll(f.dir, 0o777); err != nil {
-		return err
-	}
-	if err := durable.WriteSnapshot(f.dir, covered, image); err != nil {
-		return err
-	}
-	log, err := durable.Open(f.n.shardOptions(f.dir))
-	if err != nil {
-		return err
-	}
-	f.log.Store(log)
-	return nil
 }

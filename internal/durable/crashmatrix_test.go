@@ -34,7 +34,7 @@ type segLayout struct {
 // layoutWAL scans a closed log directory into per-segment frame maps.
 func layoutWAL(t *testing.T, dir string) []segLayout {
 	t.Helper()
-	segs, err := listSegments(dir)
+	segs, _, err := listDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,6 +127,16 @@ func runCrashCase(t *testing.T, pristine string, segPath string, c crashCase, re
 	}
 	if got, want := renderTables(t, db), renders.prefix(t, c.survive); got != want {
 		t.Fatalf("%s: tables differ from never-crashed run over first %d measurements", c.name, c.survive)
+	}
+	// One reading: a writer reopening the directory resumes exactly where
+	// recovery stopped.
+	l, err := Open(testOptions(dir))
+	if err != nil {
+		t.Fatalf("%s: open: %v", c.name, err)
+	}
+	defer l.Close()
+	if got := l.NextSeq(); got != info.LastSeq+1 {
+		t.Fatalf("%s: Open resumes at seq %d, Recover stopped at %d", c.name, got, info.LastSeq)
 	}
 }
 
@@ -297,7 +307,7 @@ func TestCorruptSnapshotIsDetected(t *testing.T) {
 	// surface it, not silently serve a partial store.
 	ms := syntheticMeasurements(60, 0xABCD)
 	pristine := writeWAL(t, ms, 30)
-	snaps, err := listSnapshots(pristine)
+	_, snaps, err := listDir(pristine)
 	if err != nil || len(snaps) != 1 {
 		t.Fatalf("want 1 snapshot, got %d (%v)", len(snaps), err)
 	}

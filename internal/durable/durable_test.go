@@ -247,75 +247,67 @@ func TestCheckpointBoundsDisk(t *testing.T) {
 	}
 }
 
-func TestOfflineSnapshotCollapsesDir(t *testing.T) {
+// TestShutdownCheckpointCollapsesDir: the shutdown path (Checkpoint, then
+// Close) leaves one snapshot and a header-only active segment, recovery
+// is one decode, a second checkpoint with nothing new changes nothing,
+// and a reopened log appends after the snapshot.
+func TestShutdownCheckpointCollapsesDir(t *testing.T) {
 	dir := t.TempDir()
 	ms := syntheticMeasurements(80, 4)
-	l, err := Open(testOptions(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AppendBatch(ms); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	info, err := Snapshot(testOptions(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.LastSeq != 80 || info.DroppedTail {
-		t.Fatalf("snapshot info: %+v", info)
-	}
-	entries, _ := os.ReadDir(dir)
-	var names []string
-	for _, e := range entries {
-		names = append(names, e.Name())
-	}
-	if len(names) != 1 || !strings.HasSuffix(names[0], ".snap") {
-		t.Fatalf("dir after Snapshot = %v, want exactly one .snap", names)
-	}
-	db, info, err := Recover(testOptions(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.SnapshotSeq != 80 || info.Replayed != 0 {
-		t.Fatalf("recovery info: %+v", info)
-	}
-	if got, want := renderTables(t, db), renderTables(t, ingestPrefix(ms, 80)); got != want {
-		t.Fatal("snapshot-only recovery renders differently")
-	}
-
-	// Idempotent: a second Snapshot over a collapsed dir is a no-op.
-	if _, err := Snapshot(testOptions(dir)); err != nil {
-		t.Fatal(err)
-	}
-	// And a reopened log continues after the snapshot.
-	l, err = Open(testOptions(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := l.Stats().LastSeq; got != 80 {
-		t.Fatalf("LastSeq after snapshot+reopen = %d, want 80", got)
-	}
 	extra := syntheticMeasurements(20, 5)
-	if err := l.AppendBatch(extra); err != nil {
-		t.Fatal(err)
+	life := func(batch []core.Measurement, checkpoint bool) {
+		t.Helper()
+		l, err := Open(testOptions(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.AppendBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		if checkpoint {
+			if info, err := l.Checkpoint(); err != nil || info.LastSeq != 80 {
+				t.Fatalf("checkpoint: %+v, %v", info, err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
+	collapsed := func() {
+		t.Helper()
+		entries, _ := os.ReadDir(dir)
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		if len(names) != 2 || !strings.HasSuffix(names[0], ".snap") || !strings.HasSuffix(names[1], ".log") {
+			t.Fatalf("dir after the shutdown checkpoint = %v, want one .snap and the active .log", names)
+		}
+		db, info, err := Recover(testOptions(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.SnapshotSeq != 80 || info.Replayed != 0 {
+			t.Fatalf("recovery info: %+v", info)
+		}
+		if got, want := renderTables(t, db), renderTables(t, ingestPrefix(ms, 80)); got != want {
+			t.Fatal("snapshot-only recovery renders differently")
+		}
 	}
-	db, info, err = Recover(testOptions(dir))
+	life(ms, true)
+	collapsed()
+	life(nil, true)
+	collapsed()
+	life(extra, false)
+
+	db, info, err := Recover(testOptions(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.Replayed != 20 || info.LastSeq != 100 {
 		t.Fatalf("recovery info: %+v", info)
 	}
-	want := store.New(0)
-	for _, m := range ms {
-		want.Ingest(m)
-	}
+	want := ingestPrefix(ms, 80)
 	for _, m := range extra {
 		want.Ingest(m)
 	}

@@ -18,6 +18,12 @@ import (
 // of data that was never copied.
 var ErrTailAhead = errors.New("durable: follower is ahead of source log")
 
+// ErrTailCompacted reports a follower asking for a sequence a snapshot
+// already covers: its frames are gone from the WAL, and the replication
+// stream carries frames only. A cluster log never compacts, so a replica
+// of one never sees this.
+var ErrTailCompacted = errors.New("durable: follower's resume point was compacted into a snapshot")
+
 // NextSeq returns the sequence the next appended frame will get.
 func (l *Log) NextSeq() uint64 {
 	l.mu.Lock()
@@ -60,13 +66,32 @@ func (l *Log) AppendEncoded(payload []byte) error {
 // been written; it never escapes.
 var errStopWalk = errors.New("stop walk")
 
+// CheckTail reports whether ServeTail can stream from seq from (0 means
+// 1): ErrTailAhead past the end of the log, ErrTailCompacted at or below
+// its snapshot, nil otherwise.
+func (l *Log) CheckTail(from uint64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.checkTailLocked(max(from, 1))
+}
+
+func (l *Log) checkTailLocked(from uint64) error {
+	if from > l.nextSeq {
+		return fmt.Errorf("%w: follower at seq %d, source at %d", ErrTailAhead, from, l.nextSeq)
+	}
+	if from <= l.snapSeq {
+		return fmt.Errorf("%w: follower at seq %d, snapshot covers %d", ErrTailCompacted, from, l.snapSeq)
+	}
+	return nil
+}
+
 // ServeTail answers one follower poll by writing a replication stream to
-// w: the stream header, then — when compaction already folded the
-// follower's resume point into a snapshot — one snapshot record, then
-// every durable frame from the resume point on, then the clean end
-// marker. from is the next sequence the follower wants (its replica's
-// NextSeq); 0 means from the beginning. maxFrames caps frames per
-// response (<= 0 unlimited); the follower simply polls again.
+// w: the stream header, every durable frame from the resume point on,
+// then the clean end marker. from is the next sequence the follower
+// wants (its replica's NextSeq); 0 means from the beginning. maxFrames
+// caps frames per response (<= 0 unlimited); the follower simply polls
+// again. A from that CheckTail refuses is refused here too, before any
+// byte is written.
 //
 // ServeTail syncs the log first and reads each segment file only up to
 // the size that sync made durable, so every frame served is durable on
@@ -84,35 +109,19 @@ var errStopWalk = errors.New("stop walk")
 // a log has one follower (replica topology is fixed at boot); a second
 // reader is still served correctly, it just pays the walk.
 func (l *Log) ServeTail(w io.Writer, from uint64, maxFrames int) (sent int, err error) {
-	if from == 0 {
-		from = 1
-	}
+	from = max(from, 1)
 	l.mu.Lock()
-	if !l.closed {
-		if err := l.syncLocked(); err != nil {
-			l.mu.Unlock()
-			return 0, err
-		}
+	err = l.checkTailLocked(from)
+	if err == nil && !l.closed {
+		err = l.syncLocked()
 	}
-	snapSeq, next, cur := l.snapSeq, l.nextSeq, l.tail
+	cur := l.tail
 	segs := append(slices.Clone(l.sealed), l.active)
 	l.mu.Unlock()
-	if from > next {
-		return 0, fmt.Errorf("%w: follower at seq %d, source at %d", ErrTailAhead, from, next)
+	if err != nil {
+		return 0, err
 	}
 	buf := AppendReplHeader(nil)
-	resume := from
-	if snapSeq >= from {
-		covered, _, image, err := latestSnapshot(l.opt.Dir)
-		if err != nil {
-			return 0, err
-		}
-		if image == nil || covered < from {
-			return 0, fmt.Errorf("durable: snapshot covering seq %d vanished", from)
-		}
-		buf = AppendReplSnapshot(buf, covered, image)
-		resume = covered + 1
-	}
 	if _, err := w.Write(buf); err != nil {
 		return 0, err
 	}
@@ -124,11 +133,11 @@ func (l *Log) ServeTail(w io.Writer, from uint64, maxFrames int) (sent int, err 
 		l.mu.Unlock()
 	}()
 	for _, seg := range segs {
-		if seg.last < resume {
+		if seg.last < from {
 			continue // fully below the resume point
 		}
 		startSeq, off := seg.first, int64(segHeaderLen)
-		if cur.first == seg.first && cur.next <= resume {
+		if cur.first == seg.first && cur.next <= from {
 			startSeq, off = cur.next, cur.off
 		}
 		b, damage, err := readSegment(seg.path, seg.first, off, seg.bytes)
@@ -140,7 +149,7 @@ func (l *Log) ServeTail(w io.Writer, from uint64, maxFrames int) (sent int, err 
 		}
 		read += uint64(segHeaderLen + len(b))
 		frames, valid, damage, walkErr := walkBytes(b, startSeq, off, func(seq uint64, payload []byte) error {
-			if seq < resume {
+			if seq < from {
 				return nil
 			}
 			if maxFrames > 0 && sent >= maxFrames {
@@ -169,12 +178,4 @@ func (l *Log) ServeTail(w io.Writer, from uint64, maxFrames int) (sent int, err 
 		return sent, err
 	}
 	return sent, nil
-}
-
-// WriteSnapshot atomically writes a snapshot file covering seqs
-// [1,covered] into dir — the follower side of snapshot catch-up: wipe
-// the stale replica directory, write the received image, reopen.
-func WriteSnapshot(dir string, covered uint64, image []byte) error {
-	_, err := writeSnapshotFile(dir, covered, image)
-	return err
 }

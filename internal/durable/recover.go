@@ -3,7 +3,7 @@ package durable
 import (
 	"errors"
 	"fmt"
-	"io/fs"
+	"math"
 	"os"
 
 	"tlsfof/internal/core"
@@ -26,133 +26,127 @@ type Info struct {
 	Reason      string `json:"reason,omitempty"`
 }
 
-// Recover rebuilds a measurement store from a log directory: the newest
-// valid snapshot (corrupt snapshots fall back to older ones, then to an
-// empty store) plus a replay of every surviving WAL frame after it.
-// Replay stops at the first damaged frame — a crash can only tear the
-// tail, so recovery drops exactly the records that never became durable.
-// A missing or empty directory recovers an empty store.
-func Recover(opt Options) (*store.DB, Info, error) {
-	opt = opt.withDefaults()
-	db, info, _, err := recoverDir(opt)
-	return db, info, err
+// dirScan is one reading of a log directory (see scan).
+type dirScan struct {
+	info Info
+	// db is the store the reading replayed; nil unless it was asked to.
+	db        *store.DB
+	snapBytes int64
+	// snaps lists every snapshot file, oldest first.
+	snaps []snapshotRef
+	// segs lists the segment files read, in sequence order. The usable
+	// log is segs[:usable], each with last and bytes describing its valid
+	// prefix; segs[usable:] lie past the end of the usable log.
+	segs   []segmentRef
+	usable int
+	// torn reports that segs[usable-1] continues past its valid prefix
+	// into damage.
+	torn bool
 }
 
-// recoverDir is Recover plus the list of segment files fully applied
-// (usable by Snapshot to compact them away).
-func recoverDir(opt Options) (*store.DB, Info, []segmentRef, error) {
-	var info Info
-	covered, _, payload, err := latestSnapshot(opt.Dir)
+// scan is the one reading of a log directory that Recover, Open's repair,
+// OpenShards and Compact share. It takes the newest snapshot whose CRC
+// verifies (a corrupt one falls back to an older one, then to none), then
+// walks the segments in sequence order, CRC-checking every frame and
+// decoding every frame past the snapshot. The usable log ends at the
+// first gap in the sequence, damaged segment header, damaged frame, or
+// frame that does not decode: a crash can only tear the tail, so this
+// drops exactly the records that never became durable. Segments whose
+// first seq is past through are not read. With build set the snapshot
+// is decoded and every frame after it replayed into db.
+func scan(dir string, through uint64, build bool) (*dirScan, error) {
+	segs, snaps, err := listDir(dir)
 	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return store.New(0), info, nil, nil
-		}
-		return nil, info, nil, err
+		return nil, err
 	}
-	var db *store.DB
-	if payload != nil {
-		if db, err = store.DecodeSnapshot(payload); err != nil {
-			return nil, info, nil, fmt.Errorf("durable: decoding snapshot: %w", err)
+	s := &dirScan{snaps: snaps}
+	var image []byte
+	for i := len(snaps) - 1; i >= 0 && image == nil; i-- {
+		if p, covered, err := readSnapshotFile(snaps[i].path); err == nil {
+			image, s.info.SnapshotSeq, s.snapBytes = p, covered, int64(snapHeaderLen+len(p))
 		}
-		info.SnapshotSeq = covered
-	} else {
-		db = store.New(0)
 	}
-	info.LastSeq = covered
+	if build {
+		s.db = store.New(0)
+		if image != nil {
+			if s.db, err = store.DecodeSnapshot(image); err != nil {
+				return nil, fmt.Errorf("durable: decoding snapshot: %w", err)
+			}
+		}
+	}
 
-	segs, err := listSegments(opt.Dir)
-	if err != nil {
-		return nil, info, nil, err
-	}
-	var complete []segmentRef
-	next := covered + 1
+	next := s.info.SnapshotSeq + 1
 	// Replayed strings are massively duplicated (few hosts, countries,
-	// issuers across millions of frames); one interner per recovery
+	// issuers across millions of frames); one interner per reading
 	// collapses them.
 	intern := core.NewInterner(0)
-	for _, seg := range segs {
-		if seg.first > next {
-			info.DroppedTail = true
-			info.Reason = fmt.Sprintf("gap: segment %s starts at seq %d, expected %d", seg.path, seg.first, next)
+	for i, seg := range segs {
+		if seg.first > through {
+			segs = segs[:i]
 			break
 		}
-		frames, _, damage, err := walkFrames(seg.path, seg.first, func(seq uint64, payload []byte) error {
+		if seg.first > next {
+			s.dropTail(fmt.Sprintf("gap: segment %s starts at seq %d, expected %d", seg.path, seg.first, next))
+			break
+		}
+		var undecodable error
+		frames, valid, damage, err := walkFrames(seg.path, seg.first, func(seq uint64, payload []byte) error {
 			if seq < next {
 				return nil // already in the snapshot
 			}
 			m, rest, err := core.DecodeMeasurementInterned(payload, intern)
+			if err == nil && len(rest) != 0 {
+				err = fmt.Errorf("%d trailing bytes", len(rest))
+			}
 			if err != nil {
-				return fmt.Errorf("durable: frame %d: %w", seq, err)
+				undecodable = fmt.Errorf("frame %d: %w", seq, err)
+				return undecodable
 			}
-			if len(rest) != 0 {
-				return fmt.Errorf("durable: frame %d has %d trailing bytes", seq, len(rest))
+			if s.db != nil {
+				s.db.Ingest(m)
 			}
-			db.Ingest(m)
-			info.Replayed++
+			s.info.Replayed++
 			next = seq + 1
 			return nil
 		})
-		if err != nil {
-			// Framing was intact but the payload didn't decode: treat as
-			// damage at this frame, drop the tail.
-			info.DroppedTail = true
-			info.Reason = err.Error()
+		if err != nil && !errors.Is(err, undecodable) {
+			return nil, err
+		}
+		if undecodable != nil {
+			damage = undecodable
+		}
+		if damage != nil && valid < segHeaderLen {
+			s.dropTail(fmt.Sprintf("%s: %v", seg.path, damage))
 			break
 		}
+		seg.last, seg.bytes = seg.first+uint64(frames)-1, valid
+		segs[i], s.usable = seg, i+1
 		if damage != nil {
-			info.DroppedTail = true
-			info.Reason = fmt.Sprintf("%s: %v", seg.path, damage)
+			s.torn = true
+			s.dropTail(fmt.Sprintf("%s: %v", seg.path, damage))
 			break
 		}
-		seg.last = seg.first + uint64(frames) - 1
-		complete = append(complete, seg)
 	}
-	if next > 0 {
-		info.LastSeq = next - 1
-	}
-	return db, info, complete, nil
+	s.segs = segs
+	s.info.LastSeq = next - 1
+	return s, nil
 }
 
-// Snapshot compacts a closed log directory in place: recover everything,
-// write one snapshot covering every surviving frame, and delete the
-// covered segments and superseded snapshots. After a clean Snapshot the
-// directory holds a single snapshot file and recovery is one decode —
-// the shutdown path reportd takes on SIGTERM.
-func Snapshot(opt Options) (Info, error) {
-	opt = opt.withDefaults()
-	db, info, complete, err := recoverDir(opt)
-	if err != nil {
-		return info, err
-	}
-	if info.Replayed > 0 && info.LastSeq > info.SnapshotSeq {
-		if _, err := writeSnapshotFile(opt.Dir, info.LastSeq, db.AppendSnapshot(nil)); err != nil {
-			return info, err
-		}
-	}
-	// Always sweep: fully-covered segments (including empty header-only
-	// ones a quiet shard leaves behind) and superseded snapshots go.
-	if err := removeCovered(opt.Dir, info.LastSeq, complete); err != nil {
-		return info, err
-	}
-	return info, nil
+func (s *dirScan) dropTail(reason string) {
+	s.info.DroppedTail, s.info.Reason = true, reason
 }
 
-// removeCovered deletes segments fully covered by the snapshot at
-// covered, plus older snapshot files. Damaged segments (not in complete)
-// are left behind for forensics; recovery skips their covered prefix.
-func removeCovered(dir string, covered uint64, complete []segmentRef) error {
-	for _, seg := range complete {
+// removeCovered deletes the usable segments a snapshot at covered holds
+// in full, plus the snapshots it supersedes.
+func (s *dirScan) removeCovered(covered uint64) error {
+	for _, seg := range s.segs[:s.usable] {
 		if seg.last <= covered {
 			if err := os.Remove(seg.path); err != nil && !os.IsNotExist(err) {
 				return fmt.Errorf("durable: %w", err)
 			}
 		}
 	}
-	snaps, err := listSnapshots(dir)
-	if err != nil {
-		return err
-	}
-	for _, sn := range snaps {
+	for _, sn := range s.snaps {
 		if sn.covered < covered {
 			if err := os.Remove(sn.path); err != nil && !os.IsNotExist(err) {
 				return fmt.Errorf("durable: %w", err)
@@ -160,6 +154,18 @@ func removeCovered(dir string, covered uint64, complete []segmentRef) error {
 		}
 	}
 	return nil
+}
+
+// Recover rebuilds a measurement store from a log directory: the newest
+// valid snapshot plus a replay of every usable WAL frame after it (see
+// scan). It never modifies the directory. A missing or empty directory
+// recovers an empty store.
+func Recover(opt Options) (*store.DB, Info, error) {
+	s, err := scan(opt.Dir, math.MaxUint64, true)
+	if err != nil {
+		return nil, Info{}, err
+	}
+	return s.db, s.info, nil
 }
 
 // Compact folds the log's sealed segments into a fresh snapshot and
@@ -172,86 +178,52 @@ func (l *Log) Compact() (Info, error) {
 	defer l.compactMu.Unlock()
 
 	l.mu.Lock()
-	sealed := append([]segmentRef(nil), l.sealed...)
-	snapSeq := l.snapSeq
+	info := Info{SnapshotSeq: l.snapSeq, LastSeq: l.snapSeq}
+	var through uint64
+	if n := len(l.sealed); n > 0 {
+		through = l.sealed[n-1].last
+	}
 	l.mu.Unlock()
-
-	info := Info{SnapshotSeq: snapSeq, LastSeq: snapSeq}
-	if len(sealed) == 0 {
+	if through <= info.SnapshotSeq {
 		return info, nil
 	}
 
-	var db *store.DB
-	_, _, payload, err := latestSnapshot(l.opt.Dir)
+	s, err := scan(l.opt.Dir, through, true)
 	if err != nil {
 		return info, err
 	}
-	if payload != nil {
-		if db, err = store.DecodeSnapshot(payload); err != nil {
-			return info, fmt.Errorf("durable: decoding snapshot: %w", err)
-		}
-	} else {
-		db = store.New(0)
+	if s.info.DroppedTail || s.info.LastSeq != through {
+		// Sealed segments were fsynced before Rotate returned; damage
+		// here is bit rot, not a crash. Refuse to compact it away.
+		return info, fmt.Errorf("durable: compact: log ends at seq %d, sealed through %d: %s", s.info.LastSeq, through, s.info.Reason)
 	}
-
-	next := snapSeq + 1
-	intern := core.NewInterner(0)
-	for _, seg := range sealed {
-		if seg.first > next {
-			return info, fmt.Errorf("durable: compact: gap before %s (expected seq %d)", seg.path, next)
-		}
-		_, _, damage, err := walkFrames(seg.path, seg.first, func(seq uint64, payload []byte) error {
-			if seq < next {
-				return nil
-			}
-			m, rest, err := core.DecodeMeasurementInterned(payload, intern)
-			if err != nil || len(rest) != 0 {
-				return fmt.Errorf("durable: compact: frame %d undecodable", seq)
-			}
-			db.Ingest(m)
-			info.Replayed++
-			next = seq + 1
-			return nil
-		})
-		if err != nil {
-			return info, err
-		}
-		if damage != nil {
-			// Sealed segments were fsynced before Rotate returned; damage
-			// here is bit rot, not a crash. Refuse to compact it away.
-			return info, fmt.Errorf("durable: compact: %s: %v", seg.path, damage)
-		}
-	}
-	covered := sealed[len(sealed)-1].last
-	info.LastSeq = covered
-	path, err := writeSnapshotFile(l.opt.Dir, covered, db.AppendSnapshot(nil))
-	if err != nil {
+	image := s.db.AppendSnapshot(nil)
+	if err := writeSnapshotFile(l.opt.Dir, through, image); err != nil {
 		return info, err
 	}
-	if err := removeCovered(l.opt.Dir, covered, sealed); err != nil {
+	if err := s.removeCovered(through); err != nil {
 		return info, err
 	}
 
 	l.mu.Lock()
-	l.snapSeq = covered
-	if fi, err := os.Stat(path); err == nil {
-		l.snapBytes = fi.Size()
-	}
+	l.snapSeq = through
+	l.snapBytes = int64(snapHeaderLen + len(image))
 	kept := l.sealed[:0]
 	for _, seg := range l.sealed {
-		if seg.last > covered {
+		if seg.last > through {
 			kept = append(kept, seg)
 		}
 	}
 	l.sealed = kept
 	l.stats.Compactions++
 	l.mu.Unlock()
-	return info, nil
+	return s.info, nil
 }
 
 // Checkpoint is Rotate followed by Compact: seal whatever has been
-// appended so far and fold every sealed byte into the snapshot. The
-// periodic durability tick reportd's -snapshot-every drives.
+// appended so far and fold every sealed byte into the snapshot. It is
+// the only compactor: reportd's -snapshot-every drives it on a timer,
+// and its shutdown path runs it once more before closing the WALs.
 func (l *Log) Checkpoint() (Info, error) {
 	if err := l.Rotate(); err != nil {
 		return Info{}, err

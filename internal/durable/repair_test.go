@@ -156,6 +156,75 @@ func TestOpenDropsSegmentsBeyondDamage(t *testing.T) {
 	}
 }
 
+// TestOpenTreatsGapAsDamage: a gap in the sequence ends the usable log
+// for Open exactly as it does for Recover — whether a middle segment is
+// missing or the segments after a snapshot start past it. A writer
+// reopening the directory resumes at the gap, so everything it appends
+// afterwards recovers.
+func TestOpenTreatsGapAsDamage(t *testing.T) {
+	ms := syntheticMeasurements(200, 25)
+	extra := syntheticMeasurements(10, 26)
+	for _, tc := range []struct {
+		name         string
+		checkpointAt int
+		// missing picks the segment to delete and returns how many
+		// measurements precede the gap it leaves.
+		missing func(layouts []segLayout) (segLayout, int)
+	}{
+		{"missing-middle-segment", 0, func(layouts []segLayout) (segLayout, int) {
+			mid := layouts[len(layouts)/2]
+			return mid, mid.firstIndex
+		}},
+		{"gap-after-snapshot", 40, func(layouts []segLayout) (segLayout, int) {
+			return layouts[0], 40
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := writeWAL(t, ms, tc.checkpointAt)
+			layouts := layoutWAL(t, dir)
+			if len(layouts) < 3 {
+				t.Fatalf("need >= 3 segments, got %d", len(layouts))
+			}
+			seg, survive := tc.missing(layouts)
+			if len(seg.frames) == 0 {
+				t.Fatalf("segment %s holds no frames: no gap to make", seg.path)
+			}
+			if err := os.Remove(seg.path); err != nil {
+				t.Fatal(err)
+			}
+
+			l, err := Open(testOptions(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := l.NextSeq(); got != uint64(survive)+1 {
+				t.Fatalf("Open resumes at seq %d, want %d (the gap)", got, survive+1)
+			}
+			if err := l.AppendBatch(extra); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			db, info, err := Recover(testOptions(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.DroppedTail || info.LastSeq != uint64(survive+len(extra)) {
+				t.Fatalf("recovery after reopen: %+v, want clean through seq %d", info, survive+len(extra))
+			}
+			want := ingestPrefix(ms, survive)
+			for _, m := range extra {
+				want.Ingest(m)
+			}
+			if got, w := renderTables(t, db), renderTables(t, want); got != w {
+				t.Fatalf("recovered store lacks the %d frames appended after the gap", len(extra))
+			}
+		})
+	}
+}
+
 func TestSyncAndLifecycleErrors(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(testOptions(dir))

@@ -11,16 +11,15 @@ import (
 
 // Replication wire (DESIGN.md §12). A tail response is one stream:
 //
-//	stream   = magic "TFR1" | record* | end
-//	snapshot = 'S' | covered uvarint | len uvarint | crc32c(image) uint32le | image
-//	frame    = 'F' | seq uvarint     | len uvarint | crc32c(payload) uint32le | payload
-//	end      = 'E'
+//	stream = magic "TFR1" | frame* | end
+//	frame  = 'F' | seq uvarint | len uvarint | crc32c(payload) uint32le | payload
+//	end    = 'E'
 //
 // A frame payload is one encoded core.Measurement — the exact bytes the
 // source WAL holds at that sequence, so a follower's replica log is
-// frame-for-frame identical to the source. A snapshot record carries a
-// store snapshot image covering seqs [1,covered]; the source sends one
-// only when compaction already folded the follower's resume point away.
+// frame-for-frame identical to the source. There is no snapshot record:
+// a cluster log never compacts, so every sequence a follower can ask for
+// is still a frame (ServeTail refuses the rest with ErrTailCompacted).
 // The end marker distinguishes a complete response from a connection cut
 // mid-stream: a decoder that hits physical EOF without seeing 'E' reports
 // truncation, and the follower resumes from its last durable sequence on
@@ -29,14 +28,9 @@ import (
 const (
 	replMagic = "TFR1"
 
-	// ReplSnapshot, ReplFrame and ReplEnd are the record type bytes.
-	ReplSnapshot byte = 'S'
-	ReplFrame    byte = 'F'
-	ReplEnd      byte = 'E'
-
-	// MaxReplSnapshot bounds a snapshot image on the wire; anything larger
-	// in a length field is damage, not data.
-	MaxReplSnapshot = 256 << 20
+	// ReplFrame and ReplEnd are the record type bytes.
+	ReplFrame byte = 'F'
+	ReplEnd   byte = 'E'
 )
 
 // ErrReplTruncated reports a replication stream that ended without a
@@ -45,9 +39,8 @@ const (
 var ErrReplTruncated = fmt.Errorf("durable: replication stream truncated: %w", io.ErrUnexpectedEOF)
 
 // ReplRecord is one decoded replication record. For ReplFrame, Seq is the
-// WAL sequence and Payload the encoded measurement; for ReplSnapshot, Seq
-// is the covered sequence and Payload the store snapshot image; for
-// ReplEnd both are zero.
+// WAL sequence and Payload the encoded measurement; for ReplEnd both are
+// zero.
 type ReplRecord struct {
 	Type    byte
 	Seq     uint64
@@ -67,16 +60,6 @@ func AppendReplFrame(dst []byte, seq uint64, payload []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(payload)))
 	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, crcTable))
 	return append(dst, payload...)
-}
-
-// AppendReplSnapshot appends one snapshot record carrying a store image
-// covering seqs [1,covered].
-func AppendReplSnapshot(dst []byte, covered uint64, image []byte) []byte {
-	dst = append(dst, ReplSnapshot)
-	dst = binary.AppendUvarint(dst, covered)
-	dst = binary.AppendUvarint(dst, uint64(len(image)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(image, crcTable))
-	return append(dst, image...)
 }
 
 // AppendReplEnd appends the clean end marker.
@@ -130,7 +113,7 @@ func (d *ReplDecoder) Next() (ReplRecord, error) {
 	case ReplEnd:
 		d.done = true
 		return ReplRecord{}, io.EOF
-	case ReplFrame, ReplSnapshot:
+	case ReplFrame:
 	default:
 		return ReplRecord{}, fmt.Errorf("durable: replication record type 0x%02x unknown", typ)
 	}
@@ -142,34 +125,19 @@ func (d *ReplDecoder) Next() (ReplRecord, error) {
 	if err != nil {
 		return ReplRecord{}, truncated(err)
 	}
-	limit := uint64(MaxFramePayload)
-	if typ == ReplSnapshot {
-		limit = MaxReplSnapshot
-	}
-	if size == 0 || size > limit {
+	if size == 0 || size > MaxFramePayload {
 		return ReplRecord{}, fmt.Errorf("durable: replication record length %d out of bounds", size)
 	}
 	var crcb [4]byte
 	if _, err := io.ReadFull(d.r, crcb[:]); err != nil {
 		return ReplRecord{}, truncated(err)
 	}
-	// Grow the payload buffer as bytes actually arrive rather than
-	// trusting the length field up front: a hostile length near the bound
-	// would otherwise allocate hundreds of megabytes before the CRC (or a
-	// truncated stream) rejects it.
-	const chunk = 64 << 10
-	d.buf = d.buf[:0]
-	for remaining := size; remaining > 0; {
-		k := remaining
-		if k > chunk {
-			k = chunk
-		}
-		start := len(d.buf)
-		d.buf = append(d.buf, make([]byte, k)...)
-		if _, err := io.ReadFull(d.r, d.buf[start:]); err != nil {
-			return ReplRecord{}, truncated(err)
-		}
-		remaining -= k
+	if cap(d.buf) < int(size) {
+		d.buf = make([]byte, size)
+	}
+	d.buf = d.buf[:size]
+	if _, err := io.ReadFull(d.r, d.buf); err != nil {
+		return ReplRecord{}, truncated(err)
 	}
 	if crc32.Checksum(d.buf, crcTable) != binary.LittleEndian.Uint32(crcb[:]) {
 		return ReplRecord{}, fmt.Errorf("durable: replication record CRC mismatch at seq %d", seq)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"os"
 	"strings"
 	"testing"
 
@@ -24,63 +23,32 @@ func serveTail(t *testing.T, l *Log, from uint64, maxFrames int) []byte {
 }
 
 // applyStream is the follower-side application a cluster node performs,
-// over a byte stream instead of an HTTP response: snapshot records reset
-// the replica directory, frame records append in sequence, duplicates
-// are skipped, gaps stop the apply. It returns the reopened (or same)
-// replica log and whether the stream ended cleanly.
-func applyStream(t *testing.T, dir string, l *Log, stream []byte) (*Log, bool) {
+// over a byte stream instead of an HTTP response: frame records append
+// in sequence, duplicates are skipped, gaps stop the apply. It reports
+// whether the stream ended cleanly.
+func applyStream(t *testing.T, l *Log, stream []byte) bool {
 	t.Helper()
 	dec := NewReplDecoder(bytes.NewReader(stream))
 	for {
 		rec, err := dec.Next()
-		if errors.Is(err, io.EOF) {
+		if errors.Is(err, io.EOF) || errors.Is(err, ErrReplTruncated) {
 			if err := l.Sync(); err != nil {
 				t.Fatal(err)
 			}
-			return l, true
-		}
-		if errors.Is(err, ErrReplTruncated) {
-			if err := l.Sync(); err != nil {
-				t.Fatal(err)
-			}
-			return l, false
+			return errors.Is(err, io.EOF)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		switch rec.Type {
-		case ReplSnapshot:
-			if rec.Seq < l.NextSeq() {
-				continue // already have everything it covers
-			}
-			if err := l.Close(); err != nil {
+		switch {
+		case rec.Seq < l.NextSeq():
+			// duplicate from an overlapping poll
+		case rec.Seq == l.NextSeq():
+			if err := l.AppendEncoded(rec.Payload); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.RemoveAll(dir); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.MkdirAll(dir, 0o777); err != nil {
-				t.Fatal(err)
-			}
-			if err := WriteSnapshot(dir, rec.Seq, rec.Payload); err != nil {
-				t.Fatal(err)
-			}
-			nl, err := Open(testOptions(dir))
-			if err != nil {
-				t.Fatal(err)
-			}
-			l = nl
-		case ReplFrame:
-			switch {
-			case rec.Seq < l.NextSeq():
-				// duplicate from an overlapping poll
-			case rec.Seq == l.NextSeq():
-				if err := l.AppendEncoded(rec.Payload); err != nil {
-					t.Fatal(err)
-				}
-			default:
-				t.Fatalf("gap: got seq %d, replica at %d", rec.Seq, l.NextSeq())
-			}
+		default:
+			t.Fatalf("gap: got seq %d, replica at %d", rec.Seq, l.NextSeq())
 		}
 	}
 }
@@ -96,10 +64,8 @@ func recoverRender(t *testing.T, dir string) string {
 
 func TestReplRecordRoundTrip(t *testing.T) {
 	ms := syntheticMeasurements(5, 11)
-	img := ingestPrefix(ms, 3).AppendSnapshot(nil)
 	var payloads [][]byte
 	stream := AppendReplHeader(nil)
-	stream = AppendReplSnapshot(stream, 3, img)
 	for i, m := range ms[3:] {
 		p := core.AppendMeasurement(nil, m)
 		payloads = append(payloads, p)
@@ -107,12 +73,7 @@ func TestReplRecordRoundTrip(t *testing.T) {
 	}
 	stream = AppendReplEnd(stream)
 
-	// Streaming decoder.
 	dec := NewReplDecoder(bytes.NewReader(stream))
-	rec, err := dec.Next()
-	if err != nil || rec.Type != ReplSnapshot || rec.Seq != 3 || !bytes.Equal(rec.Payload, img) {
-		t.Fatalf("snapshot record: %+v, %v", rec, err)
-	}
 	for i, want := range payloads {
 		rec, err := dec.Next()
 		if err != nil || rec.Type != ReplFrame || rec.Seq != uint64(4+i) || !bytes.Equal(rec.Payload, want) {
@@ -129,8 +90,9 @@ func TestReplRecordRoundTrip(t *testing.T) {
 
 // TestReplDecoderRejectsDamage pins the decoder's verdict per kind of
 // damage: a stream cut inside any field is ErrReplTruncated, and bad
-// magic, an unknown record type, a length outside the wire bounds and a
-// payload that fails its CRC are each refused by name — never decoded.
+// magic, an unknown record type (the retired 'S' snapshot record among
+// them), a length outside the wire bounds and a payload that fails its
+// CRC are each refused by name — never decoded.
 func TestReplDecoderRejectsDamage(t *testing.T) {
 	payload := core.AppendMeasurement(nil, syntheticMeasurements(1, 12)[0])
 	frame := AppendReplFrame(AppendReplHeader(nil), 7, payload)
@@ -160,7 +122,7 @@ func TestReplDecoderRejectsDamage(t *testing.T) {
 		{"unknown type", "unknown", []byte("TFR1X")},
 		{"zero length", "out of bounds", []byte("TFR1F\x01\x00")},
 		{"oversized frame", "out of bounds", []byte("TFR1F\x01\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01")},
-		{"oversized snapshot", "out of bounds", []byte("TFR1S\x01\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01")},
+		{"stray snapshot record", "unknown", []byte("TFR1S\x01\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01")},
 		{"flipped payload byte", "CRC mismatch", flipped},
 	} {
 		err := first(tc.stream)
@@ -186,7 +148,7 @@ func TestReplTailFollowConverges(t *testing.T) {
 	if err := src.AppendBatch(ms[:70]); err != nil {
 		t.Fatal(err)
 	}
-	rep, ok := applyStream(t, repDir, rep, serveTail(t, src, rep.NextSeq(), 0))
+	ok := applyStream(t, rep, serveTail(t, src, rep.NextSeq(), 0))
 	if !ok || rep.NextSeq() != 71 {
 		t.Fatalf("replica at seq %d (clean=%v), want 71", rep.NextSeq()-1, ok)
 	}
@@ -203,8 +165,7 @@ func TestReplTailFollowConverges(t *testing.T) {
 	if sent != 50 {
 		t.Fatalf("incremental poll served %d frames, want 50", sent)
 	}
-	rep, ok = applyStream(t, repDir, rep, buf.Bytes())
-	if !ok {
+	if !applyStream(t, rep, buf.Bytes()) {
 		t.Fatal("incremental stream did not end cleanly")
 	}
 
@@ -239,7 +200,7 @@ func TestReplTailFrameCapResumes(t *testing.T) {
 	}
 	polls := 0
 	for rep.NextSeq() < src.NextSeq() {
-		rep, _ = applyStream(t, repDir, rep, serveTail(t, src, rep.NextSeq(), 7))
+		applyStream(t, rep, serveTail(t, src, rep.NextSeq(), 7))
 		if polls++; polls > 90 {
 			t.Fatal("capped polls never converged")
 		}
@@ -254,51 +215,40 @@ func TestReplTailFrameCapResumes(t *testing.T) {
 	}
 }
 
-func TestReplSnapshotCatchUp(t *testing.T) {
-	srcDir, repDir := t.TempDir(), t.TempDir()
-	src, err := Open(testOptions(srcDir))
+// TestReplTailBelowSnapshotRefused: the stream carries frames only, so a
+// follower whose resume point a snapshot already covers is refused by
+// name before a single byte is written, never streamed past the hole the
+// compaction left; the first seq after the snapshot still streams.
+func TestReplTailBelowSnapshotRefused(t *testing.T) {
+	src, err := Open(testOptions(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer src.Close()
 	ms := syntheticMeasurements(100, 14)
 	if err := src.AppendBatch(ms[:60]); err != nil {
 		t.Fatal(err)
 	}
-	// Checkpoint folds the first 60 frames into a snapshot and deletes
-	// their segments: a fresh follower can no longer stream them frame by
-	// frame and must take the snapshot path.
 	if _, err := src.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if err := src.AppendBatch(ms[60:]); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Open(testOptions(repDir))
-	if err != nil {
-		t.Fatal(err)
+	for _, from := range []uint64{0, 1, 60} {
+		var buf bytes.Buffer
+		if _, err := src.ServeTail(&buf, from, 0); !errors.Is(err, ErrTailCompacted) || buf.Len() != 0 {
+			t.Fatalf("ServeTail from %d: err %v after %d bytes, want ErrTailCompacted before any", from, err, buf.Len())
+		}
+		if err := src.CheckTail(from); !errors.Is(err, ErrTailCompacted) {
+			t.Fatalf("CheckTail(%d) = %v, want ErrTailCompacted", from, err)
+		}
 	}
-	stream := serveTail(t, src, rep.NextSeq(), 0)
-	dec := NewReplDecoder(bytes.NewReader(stream))
-	first, err := dec.Next()
-	if err != nil || first.Type != ReplSnapshot {
-		t.Fatalf("first record after compaction should be a snapshot, got %+v, %v", first, err)
+	if err := src.CheckTail(61); err != nil {
+		t.Fatalf("CheckTail(61) = %v, want nil", err)
 	}
-	rep, ok := applyStream(t, repDir, rep, stream)
-	if !ok || rep.NextSeq() != src.NextSeq() {
-		t.Fatalf("replica at %d, source at %d (clean=%v)", rep.NextSeq(), src.NextSeq(), ok)
-	}
-	src.Close()
-	rep.Close()
-	// Recovery on the replica must pick snapshot + replicated tail.
-	db, info, err := Recover(testOptions(repDir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.SnapshotSeq != 60 || info.Replayed != 40 || info.LastSeq != 100 {
-		t.Fatalf("replica recovery picked wrong snapshot/tail split: %+v", info)
-	}
-	if got, want := renderTables(t, db), recoverRender(t, srcDir); got != want {
-		t.Fatal("snapshot catch-up replica renders differently")
+	if sent, err := src.ServeTail(io.Discard, 61, 0); err != nil || sent != 40 {
+		t.Fatalf("ServeTail from 61: sent %d, %v; want the 40 frames after the snapshot", sent, err)
 	}
 }
 
@@ -347,14 +297,12 @@ func TestReplTornStreamMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		repDir := rep.opt.Dir
-		rep, clean := applyStream(t, repDir, rep, stream[:off])
-		if clean {
+		if applyStream(t, rep, stream[:off]) {
 			t.Fatalf("cut at %d/%d decoded as a clean stream", off, len(stream))
 		}
 		// Every frame applied before the cut is durable; one clean re-poll
 		// finishes the job.
-		rep, clean = applyStream(t, repDir, rep, serveTail(t, src, rep.NextSeq(), 0))
-		if !clean {
+		if !applyStream(t, rep, serveTail(t, src, rep.NextSeq(), 0)) {
 			t.Fatalf("re-poll after cut at %d did not end cleanly", off)
 		}
 		rep.Close()
@@ -377,9 +325,6 @@ func TestReplCorruptStreamMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := src.AppendBatch(syntheticMeasurements(25, 17)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := src.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if err := src.AppendBatch(syntheticMeasurements(10, 18)); err != nil {
@@ -441,9 +386,6 @@ func FuzzDecodeReplFrame(f *testing.F) {
 	if err := src.AppendBatch(syntheticMeasurements(12, 19)); err != nil {
 		f.Fatal(err)
 	}
-	if _, err := src.Checkpoint(); err != nil {
-		f.Fatal(err)
-	}
 	if err := src.AppendBatch(syntheticMeasurements(6, 20)); err != nil {
 		f.Fatal(err)
 	}
@@ -460,9 +402,9 @@ func FuzzDecodeReplFrame(f *testing.F) {
 	f.Add([]byte("TFR1"))          // header only: truncated
 	f.Add([]byte("TFR0E"))         // wrong magic
 	f.Add([]byte("TFR1F\x01\x00")) // zero-length frame
-	// Hostile lengths: huge frame, huge snapshot.
+	// A hostile length, and the retired snapshot record type.
 	f.Add([]byte("TFR1F\x01\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"))
-	f.Add([]byte("TFR1S\x01\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"))
+	f.Add([]byte("TFR1S\x01\x01\x00\x00\x00\x00\x00"))
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		dec := NewReplDecoder(bytes.NewReader(stream))
 		records := 0
@@ -474,17 +416,11 @@ func FuzzDecodeReplFrame(f *testing.F) {
 			if err != nil {
 				break // explicit rejection is a pass
 			}
-			switch rec.Type {
-			case ReplFrame:
-				if len(rec.Payload) == 0 || len(rec.Payload) > MaxFramePayload {
-					t.Fatalf("frame payload %d bytes escaped bounds", len(rec.Payload))
-				}
-			case ReplSnapshot:
-				if len(rec.Payload) == 0 || len(rec.Payload) > MaxReplSnapshot {
-					t.Fatalf("snapshot image %d bytes escaped bounds", len(rec.Payload))
-				}
-			default:
-				t.Fatalf("decoder emitted unknown record type %#x", rec.Type)
+			if rec.Type != ReplFrame {
+				t.Fatalf("decoder emitted record type %#x, want frames only", rec.Type)
+			}
+			if len(rec.Payload) == 0 || len(rec.Payload) > MaxFramePayload {
+				t.Fatalf("frame payload %d bytes escaped bounds", len(rec.Payload))
 			}
 			if records++; records > 1<<14 {
 				t.Fatalf("unbounded record stream from %d input bytes", len(stream))

@@ -48,31 +48,25 @@ func ShardDir(root string, i int) string {
 }
 
 // OpenShards boots the n shards rooted at root: each shard directory is
-// recovered into a store (snapshot plus surviving tail) and then opened
-// for appending; opt supplies everything but Dir. Recover walks the
-// segments to rebuild the store and Open walks them again to find the
-// append point and repair a torn tail — acceptable because checkpoints
-// keep the tail short (a clean shutdown leaves one snapshot and no
-// segments). When shard k fails, shards 0..k-1 are closed before the
-// error returns, so a failed boot leaves no open segment and no syncer.
+// read once — the reading that rebuilds its store (snapshot plus usable
+// tail) also repairs the directory and finds the append point — and
+// opened for appending; opt supplies everything but Dir. When shard k
+// fails, shards 0..k-1 are closed before the error returns, so a failed
+// boot leaves no open segment and no syncer.
 func OpenShards(root string, n int, opt Options) ([]*Shard, []Info, error) {
 	shards := make([]*Shard, 0, n)
 	infos := make([]Info, 0, n)
 	for i := 0; i < n; i++ {
 		opt.Dir = ShardDir(root, i)
-		db, info, err := Recover(opt)
-		var log *Log
-		if err == nil {
-			log, err = Open(opt)
-		}
+		log, s, err := open(opt, true)
 		if err != nil {
 			for _, sh := range shards {
 				sh.Close()
 			}
 			return nil, nil, fmt.Errorf("durable: shard %d: %w", i, err)
 		}
-		shards = append(shards, &Shard{Log: log, DB: db})
-		infos = append(infos, info)
+		shards = append(shards, &Shard{Log: log, DB: s.db})
+		infos = append(infos, s.info)
 	}
 	return shards, infos, nil
 }
@@ -131,16 +125,6 @@ func (s *Shard) Close() error {
 	s.Lock()
 	defer s.Unlock()
 	return s.Log.Close()
-}
-
-// Snapshot compacts a closed shard's directory in place (see the
-// package-level Snapshot). A memory-only shard has nothing to compact.
-func (s *Shard) Snapshot() error {
-	if s.Log == nil {
-		return nil
-	}
-	_, err := Snapshot(s.Log.opt)
-	return err
 }
 
 // WALStats returns the accounting of every shard log, in shard order

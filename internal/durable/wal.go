@@ -3,9 +3,12 @@ package durable
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -38,6 +41,9 @@ const (
 	formatVer    = 1
 	segHeaderLen = 4 + 1 + 8
 	frameHdrLen  = 4 + 4
+	// snapHeaderLen is magic | version | covered uint64le |
+	// len(image) uint32le | crc32c(image) uint32le.
+	snapHeaderLen = 4 + 1 + 8 + 4 + 4
 	// MaxFramePayload bounds one encoded measurement; anything larger in
 	// a length field is damage, not data.
 	MaxFramePayload = 1 << 20
@@ -146,101 +152,46 @@ type Log struct {
 	droppedSegs int
 }
 
-// Open scans dir, repairs any damaged tail a crash left (truncating the
-// first damaged segment at the damage point and setting aside
-// unreachable later segments as *.damaged), and returns a log appending
-// after the last surviving frame. The scan CRC-walks every segment;
-// callers that Recover and then Open the same directory pay that walk
-// twice, which compaction keeps cheap (sealed frames fold into the
-// snapshot, and a cleanly shut down log is a snapshot plus an empty or
-// absent tail).
+// Open reads opt.Dir the one way every path does (see scan), repairs
+// what lies past the end of the usable log, and returns a log appending
+// after its last frame — so Open resumes exactly where Recover stops.
 func Open(opt Options) (*Log, error) {
+	l, _, err := open(opt, false)
+	return l, err
+}
+
+// open is Open returning the reading it booted from; with build set that
+// reading also replayed the log into a store (see OpenShards).
+func open(opt Options, build bool) (*Log, *dirScan, error) {
 	opt = opt.withDefaults()
 	if opt.Dir == "" {
-		return nil, fmt.Errorf("durable: Options.Dir required")
+		return nil, nil, fmt.Errorf("durable: Options.Dir required")
 	}
 	if err := os.MkdirAll(opt.Dir, 0o777); err != nil {
-		return nil, fmt.Errorf("durable: %w", err)
+		return nil, nil, fmt.Errorf("durable: %w", err)
 	}
-	snapSeq, snapBytes, _, err := latestSnapshot(opt.Dir)
+	s, err := scan(opt.Dir, math.MaxUint64, build)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	segs, err := listSegments(opt.Dir)
-	if err != nil {
-		return nil, err
+	l := &Log{opt: opt, snapSeq: s.info.SnapshotSeq, snapBytes: s.snapBytes, nextSeq: s.info.LastSeq + 1}
+	if err := l.repair(s); err != nil {
+		return nil, nil, err
 	}
-	l := &Log{opt: opt, snapSeq: snapSeq, snapBytes: snapBytes}
-	next := snapSeq + 1
-	for i, seg := range segs {
-		frames, validBytes, damage, err := walkFrames(seg.path, seg.first, nil)
-		if err != nil {
-			return nil, err
-		}
-		if damage != nil {
-			// Damage ends the usable log: recovery can never replay past
-			// it, and appends must continue from the surviving prefix. A
-			// crash only tears the tail, but Open cannot distinguish that
-			// from mid-log bit rot whose later segments still hold valid
-			// fsynced frames — so nothing is deleted. The damaged bytes
-			// are set aside as *.damaged (invisible to the segment scan,
-			// preserved for forensics or manual salvage) and the log
-			// resumes at the damage point.
-			fi, _ := os.Stat(seg.path)
-			if fi != nil {
-				l.repairBytes += fi.Size() - validBytes
-			}
-			if validBytes < segHeaderLen {
-				// Not even the header survived: set aside the whole file.
-				if err := setAsideDamaged(seg.path); err != nil {
-					return nil, err
-				}
-				l.droppedSegs++
-			} else {
-				// Preserve the damaged tail bytes before truncating the
-				// live segment back to its valid prefix.
-				if b, rerr := os.ReadFile(seg.path); rerr == nil && int64(len(b)) > validBytes {
-					if err := os.WriteFile(seg.path+".damaged", b[validBytes:], 0o666); err != nil {
-						return nil, fmt.Errorf("durable: preserving damaged tail of %s: %w", seg.path, err)
-					}
-				}
-				if err := os.Truncate(seg.path, validBytes); err != nil {
-					return nil, fmt.Errorf("durable: repairing %s: %w", seg.path, err)
-				}
-				seg.last = seg.first + uint64(frames) - 1
-				seg.bytes = validBytes
-				l.sealed = append(l.sealed, seg)
-				next = seg.first + uint64(frames)
-			}
-			for _, later := range segs[i+1:] {
-				if err := setAsideDamaged(later.path); err != nil {
-					return nil, err
-				}
-				l.droppedSegs++
-			}
-			break
-		}
-		seg.last = seg.first + uint64(frames) - 1
-		seg.bytes = validBytes
-		l.sealed = append(l.sealed, seg)
-		if end := seg.first + uint64(frames); end > next {
-			next = end
-		}
-	}
-	l.nextSeq = next
+	l.sealed = s.segs[:s.usable:s.usable]
 
 	// Continue the last surviving segment if it has room; otherwise start
 	// a fresh one.
-	if n := len(l.sealed); n > 0 && l.sealed[n-1].bytes < opt.SegmentBytes && l.sealed[n-1].last+1 == next {
+	if n := len(l.sealed); n > 0 && l.sealed[n-1].bytes < opt.SegmentBytes && l.sealed[n-1].last+1 == l.nextSeq {
 		seg := l.sealed[n-1]
 		l.sealed = l.sealed[:n-1]
 		f, err := os.OpenFile(seg.path, os.O_WRONLY|os.O_APPEND, 0o666)
 		if err != nil {
-			return nil, fmt.Errorf("durable: %w", err)
+			return nil, nil, fmt.Errorf("durable: %w", err)
 		}
 		l.f, l.active = f, seg
 	} else if err := l.newSegmentLocked(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if l.w == nil {
 		l.w = bufio.NewWriterSize(l.f, 1<<16)
@@ -250,7 +201,36 @@ func Open(opt Options) (*Log, error) {
 		l.syncerDone = make(chan struct{})
 		go l.syncLoop()
 	}
-	return l, nil
+	return l, s, nil
+}
+
+// repair sets aside what a reading found past the end of the usable log.
+// A crash only tears the tail, but a reading cannot tell that from
+// mid-log bit rot whose later segments still hold valid fsynced frames —
+// so nothing is deleted: a torn segment's damaged bytes are preserved as
+// <segment>.damaged before it is truncated back to its valid prefix, and
+// every segment file past the damage point is renamed *.damaged
+// (invisible to the next reading, kept for forensics or manual salvage).
+func (l *Log) repair(s *dirScan) error {
+	if s.torn {
+		seg := s.segs[s.usable-1]
+		if b, err := os.ReadFile(seg.path); err == nil && int64(len(b)) > seg.bytes {
+			if err := os.WriteFile(seg.path+".damaged", b[seg.bytes:], 0o666); err != nil {
+				return fmt.Errorf("durable: preserving damaged tail of %s: %w", seg.path, err)
+			}
+			l.repairBytes += int64(len(b)) - seg.bytes
+		}
+		if err := os.Truncate(seg.path, seg.bytes); err != nil {
+			return fmt.Errorf("durable: repairing %s: %w", seg.path, err)
+		}
+	}
+	for _, seg := range s.segs[s.usable:] {
+		if err := os.Rename(seg.path, seg.path+".damaged"); err != nil {
+			return fmt.Errorf("durable: setting aside %s: %w", seg.path, err)
+		}
+		l.droppedSegs++
+	}
+	return nil
 }
 
 // newSegmentLocked opens a fresh active segment starting at nextSeq and
@@ -422,7 +402,7 @@ func (l *Log) rotateLocked() error {
 
 // Close stops the background syncer, flushes and fsyncs outstanding
 // frames, and closes the active segment. It is idempotent; the directory
-// remains valid for Recover, Snapshot, or a later Open.
+// remains valid for Recover or a later Open.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -466,87 +446,48 @@ func (l *Log) Stats() Stats {
 	return s
 }
 
-// setAsideDamaged renames a segment out of the scanned namespace instead
-// of deleting it: the frames it holds are unreachable by recovery (they
-// sit past a damage point), but they are real fsynced data and the
-// operator may want them.
-func setAsideDamaged(path string) error {
-	if err := os.Rename(path, path+".damaged"); err != nil {
-		return fmt.Errorf("durable: setting aside %s: %w", path, err)
-	}
-	return nil
-}
-
-// segment and snapshot directory scanning ---------------------------------
-
-func listSegments(dir string) ([]segmentRef, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("durable: %w", err)
-	}
-	var segs []segmentRef
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "wal-") || !strings.HasSuffix(name, ".log") {
-			continue
-		}
-		first, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".log"), 16, 64)
-		if err != nil {
-			continue // not ours
-		}
-		segs = append(segs, segmentRef{path: filepath.Join(dir, name), first: first})
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].first < segs[j].first })
-	return segs, nil
-}
+// segment and snapshot directory listing ----------------------------------
 
 type snapshotRef struct {
 	path    string
 	covered uint64
 }
 
-func listSnapshots(dir string) ([]snapshotRef, error) {
+// listDir lists a log directory's segment and snapshot files, each in
+// sequence order; names that do not parse belong to someone else. A
+// directory that was never created lists as empty.
+func listDir(dir string) (segs []segmentRef, snaps []snapshotRef, err error) {
 	entries, err := os.ReadDir(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil, nil
+	}
 	if err != nil {
-		return nil, fmt.Errorf("durable: %w", err)
+		return nil, nil, fmt.Errorf("durable: %w", err)
 	}
-	var snaps []snapshotRef
 	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "snap-") || !strings.HasSuffix(name, ".snap") {
-			continue
+		path := filepath.Join(dir, e.Name())
+		if first, ok := seqName(e.Name(), "wal-", ".log"); ok {
+			segs = append(segs, segmentRef{path: path, first: first})
+		} else if covered, ok := seqName(e.Name(), "snap-", ".snap"); ok {
+			snaps = append(snaps, snapshotRef{path: path, covered: covered})
 		}
-		covered, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "snap-"), ".snap"), 16, 64)
-		if err != nil {
-			continue
-		}
-		snaps = append(snaps, snapshotRef{path: filepath.Join(dir, name), covered: covered})
 	}
+	sort.Slice(segs, func(i, j int) bool { return segs[i].first < segs[j].first })
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i].covered < snaps[j].covered })
-	return snaps, nil
+	return segs, snaps, nil
 }
 
-// latestSnapshot returns the covered seq and size of the newest snapshot
-// whose CRC verifies (0 when none). The payload is returned so callers
-// that need the store can decode without a second read.
-func latestSnapshot(dir string) (covered uint64, size int64, payload []byte, err error) {
-	snaps, err := listSnapshots(dir)
-	if err != nil {
-		return 0, 0, nil, err
+// seqName parses the hex sequence number of a prefix<seq>suffix name.
+func seqName(name, prefix, suffix string) (uint64, bool) {
+	hex, ok := strings.CutPrefix(name, prefix)
+	if !ok {
+		return 0, false
 	}
-	for i := len(snaps) - 1; i >= 0; i-- {
-		p, c, err := readSnapshotFile(snaps[i].path)
-		if err != nil {
-			continue // corrupt snapshot: fall back to an older one
-		}
-		fi, _ := os.Stat(snaps[i].path)
-		var sz int64
-		if fi != nil {
-			sz = fi.Size()
-		}
-		return c, sz, p, nil
+	if hex, ok = strings.CutSuffix(hex, suffix); !ok {
+		return 0, false
 	}
-	return 0, 0, nil, nil
+	seq, err := strconv.ParseUint(hex, 16, 64)
+	return seq, err == nil
 }
 
 // readSnapshotFile validates framing and CRC and returns the store image
@@ -556,17 +497,16 @@ func readSnapshotFile(path string) (payload []byte, covered uint64, err error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("durable: %w", err)
 	}
-	const hdr = 4 + 1 + 8 + 4 + 4
-	if len(b) < hdr || string(b[:4]) != snapMagic || b[4] != formatVer {
+	if len(b) < snapHeaderLen || string(b[:4]) != snapMagic || b[4] != formatVer {
 		return nil, 0, fmt.Errorf("durable: %s: bad snapshot header", path)
 	}
 	covered = binary.LittleEndian.Uint64(b[5:])
 	n := binary.LittleEndian.Uint32(b[13:])
 	crc := binary.LittleEndian.Uint32(b[17:])
-	if uint64(len(b)-hdr) != uint64(n) {
+	if uint64(len(b)-snapHeaderLen) != uint64(n) {
 		return nil, 0, fmt.Errorf("durable: %s: snapshot length mismatch", path)
 	}
-	payload = b[hdr:]
+	payload = b[snapHeaderLen:]
 	if crc32.Checksum(payload, crcTable) != crc {
 		return nil, 0, fmt.Errorf("durable: %s: snapshot CRC mismatch", path)
 	}
@@ -576,11 +516,10 @@ func readSnapshotFile(path string) (payload []byte, covered uint64, err error) {
 // writeSnapshotFile atomically writes a snapshot covering seqs
 // [1,covered]: tmp file, fsync, rename, directory fsync — only then may
 // callers delete the segments it covers.
-func writeSnapshotFile(dir string, covered uint64, image []byte) (string, error) {
+func writeSnapshotFile(dir string, covered uint64, image []byte) error {
 	path := filepath.Join(dir, fmt.Sprintf("snap-%016x.snap", covered))
 	tmp := path + ".tmp"
-	const hdr = 4 + 1 + 8 + 4 + 4
-	b := make([]byte, hdr, hdr+len(image))
+	b := make([]byte, snapHeaderLen, snapHeaderLen+len(image))
 	copy(b, snapMagic)
 	b[4] = formatVer
 	binary.LittleEndian.PutUint64(b[5:], covered)
@@ -589,31 +528,31 @@ func writeSnapshotFile(dir string, covered uint64, image []byte) (string, error)
 	b = append(b, image...)
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
 	if err != nil {
-		return "", fmt.Errorf("durable: %w", err)
+		return fmt.Errorf("durable: %w", err)
 	}
 	if _, err := f.Write(b); err != nil {
 		f.Close()
-		return "", fmt.Errorf("durable: %w", err)
+		return fmt.Errorf("durable: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return "", fmt.Errorf("durable: %w", err)
+		return fmt.Errorf("durable: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		return "", fmt.Errorf("durable: %w", err)
+		return fmt.Errorf("durable: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
-		return "", fmt.Errorf("durable: %w", err)
+		return fmt.Errorf("durable: %w", err)
 	}
 	if d, err := os.Open(dir); err == nil {
 		d.Sync()
 		d.Close()
 	}
-	return path, nil
+	return nil
 }
 
-// walkFrames scans one segment from its first frame, calling fn (when
-// non-nil) with each valid frame's seq and payload. It returns the frame
+// walkFrames scans one segment from its first frame, calling fn with
+// each valid frame's seq and payload. It returns the frame
 // count, the byte offset just past the last valid frame, and damage
 // describing why the walk stopped early (nil for a clean end). Payloads
 // passed to fn alias the file buffer and are only valid during the call.
@@ -680,10 +619,8 @@ func walkBytes(b []byte, seq uint64, off int64, fn func(seq uint64, payload []by
 		if crc32.Checksum(payload, crcTable) != crc {
 			return frames, off, fmt.Errorf("frame CRC mismatch at offset %d", off), nil
 		}
-		if fn != nil {
-			if err := fn(seq, payload); err != nil {
-				return frames, off, nil, err
-			}
+		if err := fn(seq, payload); err != nil {
+			return frames, off, nil, err
 		}
 		frames++
 		seq++

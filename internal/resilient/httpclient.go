@@ -13,7 +13,7 @@ type DialFunc func(ctx context.Context, network, addr string) (net.Conn, error)
 // SplitTimeoutClient returns an HTTP client with a connect deadline and
 // a per-read idle deadline instead of http.Client.Timeout's blanket
 // total-transfer cap. A blanket timeout bounds the WHOLE response body:
-// a large snapshot catch-up over a throttled-but-moving link dies
+// a large replica catch-up over a throttled-but-moving link dies
 // spuriously at the cap, while a stalled link is indistinguishable from
 // a slow one until the cap. Split deadlines invert that: any single
 // read that makes no progress for idle fails, but a transfer that keeps
