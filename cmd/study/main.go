@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"sync"
@@ -48,6 +49,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		progress  = fs.Duration("progress", 0, "print a progress/throughput line to stderr every interval, e.g. 5s (0 = off)")
 	)
 	fs.Parse(args)
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		return fatalf("-scale %v: want a finite number > 0", *scale)
+	}
 
 	cfg := tlsfof.StudyConfig{Seed: *seed, Scale: *scale, Shards: *shards}
 	switch strings.ToLower(*studyName) {
@@ -178,6 +182,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *baseline {
+		cfg.Pool = res.Config.Pool // the run's keys and world memo: nothing minted twice
 		base, err := tlsfof.RunHuangBaseline(cfg)
 		if err != nil {
 			return fatalf("baseline: %v", err)

@@ -51,3 +51,16 @@ func TestRunRejectsUnknownStudy(t *testing.T) {
 		t.Fatalf("stdout %q, stderr %q", out.Bytes(), errb.Bytes())
 	}
 }
+
+func TestRunRejectsBadScale(t *testing.T) {
+	for _, scale := range []string{"0", "-1", "NaN", "Inf", "-Inf"} {
+		var out, errb bytes.Buffer
+		if code := run([]string{"-study=first", "-scale=" + scale}, &out, &errb); code != 1 {
+			t.Errorf("-scale=%s: exit %d, want 1", scale, code)
+			continue
+		}
+		if out.Len() != 0 || !bytes.Contains(errb.Bytes(), []byte("study: -scale ")) {
+			t.Errorf("-scale=%s: stdout %q, stderr %q", scale, out.Bytes(), errb.Bytes())
+		}
+	}
+}

@@ -29,7 +29,7 @@ type observeInput struct {
 // produce.
 func studyInputs(t *testing.T, study clientpop.Study) (*obsFactory, []observeInput) {
 	t.Helper()
-	w, err := newWorld(&Config{Study: study, Pool: sharedPool}, nil)
+	w, err := newWorld(study, sharedPool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

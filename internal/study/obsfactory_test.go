@@ -31,7 +31,7 @@ func TestNewObsFactoryMissingChain(t *testing.T) {
 // final table.
 func TestObservationConcurrentReaders(t *testing.T) {
 	build := func() *obsFactory {
-		w, err := newWorld(&Config{Study: clientpop.Study2, Pool: sharedPool}, nil)
+		w, err := newWorld(clientpop.Study2, sharedPool, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

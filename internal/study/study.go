@@ -2,6 +2,8 @@ package study
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -27,13 +29,17 @@ type Config struct {
 	// tables.
 	Seed uint64
 	// Scale shrinks the workload: 1.0 reproduces paper-size campaigns
-	// (2.9M / 12.3M tests); 0.01 runs 1% as many impressions. Default 1.0.
+	// (2.9M / 12.3M tests); 0.01 runs 1% as many impressions. 0 means
+	// 1.0; a negative, NaN or infinite scale is an error.
 	Scale float64
 	// RetainProxied caps retained proxied records (0 = unlimited), applied
 	// once after store.Merge's canonical sort over the whole run, so the
 	// surviving set does not depend on Shards.
 	RetainProxied int
-	// Pool supplies key material (a fresh pool when nil).
+	// Pool supplies key material (a fresh pool when nil). The first run
+	// over a pool builds its world — population, hosts, authoritative PKI,
+	// forged archetype chains — and later runs over it reuse that world
+	// (a few pools' worlds are kept). A nil pool's world is not kept.
 	Pool *certgen.KeyPool
 	// Shards > 1 runs the campaigns concurrently; the count is otherwise
 	// unused (every campaign fills a private store either way). The name
@@ -58,14 +64,18 @@ type Config struct {
 
 // Result is a completed study run.
 type Result struct {
-	Config    Config
-	Store     *store.DB
-	Outcomes  []adsim.Outcome
-	Total     adsim.Outcome
-	Pop       *clientpop.Population
-	Hosts     []hostdb.Host
-	Auth      *Authoritative
-	Geo       *geo.DB
+	Config   Config
+	Store    *store.DB
+	Outcomes []adsim.Outcome
+	Total    adsim.Outcome
+	// Pop, Hosts, Auth and Geo are the world every run over Config.Pool
+	// shares: read them, never mutate them.
+	Pop   *clientpop.Population
+	Hosts []hostdb.Host
+	Auth  *Authoritative
+	Geo   *geo.DB
+	// Duration is the run's wall time; only a pool's first run includes
+	// building the world.
 	Duration  time.Duration
 	StartedAt time.Time
 	// IngestStats is inert: always nil, no run goes through an ingest
@@ -85,7 +95,8 @@ func studyEpoch(s clientpop.Study) time.Time {
 
 // world is the simulated universe a run measures: the client population,
 // the probe hosts with their authoritative PKI, and the observation
-// factory over both.
+// factory over both. It is read-only once built (the factory's lazy fills
+// are safe for concurrent use), so runs over one pool share it.
 type world struct {
 	geo     *geo.DB
 	pop     *clientpop.Population
@@ -94,10 +105,62 @@ type world struct {
 	factory *obsFactory
 }
 
-// newWorld applies cfg's defaults in place and builds the world for
-// cfg.Study, probing hosts (the study's own probe list when nil).
-func newWorld(cfg *Config, hosts []hostdb.Host) (*world, error) {
-	if cfg.Scale <= 0 {
+// newWorld builds the world for study over pool, probing hosts (the
+// study's own probe list when nil).
+func newWorld(study clientpop.Study, pool *certgen.KeyPool, hosts []hostdb.Host) (*world, error) {
+	gdb := geo.NewDB()
+	pop, err := clientpop.New(study, gdb)
+	if err != nil {
+		return nil, err
+	}
+	if hosts == nil {
+		hosts = pop.Hosts()
+	}
+	auth, err := BuildAuthoritative(hosts, pool)
+	if err != nil {
+		return nil, err
+	}
+	factory, err := newObsFactory(classify.NewClassifier(), pool, hosts, auth, pop.Deployments())
+	if err != nil {
+		return nil, err
+	}
+	return &world{geo: gdb, pop: pop, hosts: hosts, auth: auth, factory: factory}, nil
+}
+
+// maxWorlds bounds the world memo: a world pins its pool and every chain
+// signed with it, and the callers that reuse a pool hold one or two.
+const maxWorlds = 4
+
+// worldKey names a memoized world; hosts prints the probe list (nil: the
+// study's own).
+type worldKey struct {
+	pool  *certgen.KeyPool
+	study clientpop.Study
+	hosts string
+}
+
+// worlds is the memo, least recently used slot first. A slot's get
+// builds its world once, for whichever caller asks first; a failed build
+// is kept too, since the same pool and study fail the same way again.
+var worlds struct {
+	sync.Mutex
+	slots []worldSlot
+}
+
+type worldSlot struct {
+	key worldKey
+	get func() (*world, error)
+}
+
+// worldFor applies cfg's defaults in place and returns the world for
+// cfg.Study probing hosts (the study's own list when nil): built by the
+// first run over cfg.Pool and shared by later ones. A nil pool becomes a
+// fresh one no later call can name, so its world is not kept.
+func worldFor(cfg *Config, hosts []hostdb.Host) (*world, error) {
+	if !(cfg.Scale >= 0) || math.IsInf(cfg.Scale, 1) {
+		return nil, fmt.Errorf("study: scale %v: want a finite number >= 0 (0 means 1.0)", cfg.Scale)
+	}
+	if cfg.Scale == 0 {
 		cfg.Scale = 1.0
 	}
 	if cfg.Study == 0 {
@@ -105,24 +168,23 @@ func newWorld(cfg *Config, hosts []hostdb.Host) (*world, error) {
 	}
 	if cfg.Pool == nil {
 		cfg.Pool = certgen.NewKeyPool(4, nil)
+		return newWorld(cfg.Study, cfg.Pool, hosts)
 	}
-	gdb := geo.NewDB()
-	pop, err := clientpop.New(cfg.Study, gdb)
-	if err != nil {
-		return nil, err
+	key := worldKey{cfg.Pool, cfg.Study, fmt.Sprint(hosts)}
+	worlds.Lock()
+	var s worldSlot
+	if i := slices.IndexFunc(worlds.slots, func(s worldSlot) bool { return s.key == key }); i >= 0 {
+		s = worlds.slots[i]
+		worlds.slots = slices.Delete(worlds.slots, i, i+1)
+	} else {
+		s = worldSlot{key, sync.OnceValues(func() (*world, error) { return newWorld(key.study, key.pool, hosts) })}
+		if len(worlds.slots) == maxWorlds {
+			worlds.slots = slices.Delete(worlds.slots, 0, 1)
+		}
 	}
-	if hosts == nil {
-		hosts = pop.Hosts()
-	}
-	auth, err := BuildAuthoritative(hosts, cfg.Pool)
-	if err != nil {
-		return nil, err
-	}
-	factory, err := newObsFactory(classify.NewClassifier(), cfg.Pool, hosts, auth, pop.Deployments())
-	if err != nil {
-		return nil, err
-	}
-	return &world{geo: gdb, pop: pop, hosts: hosts, auth: auth, factory: factory}, nil
+	worlds.slots = append(worlds.slots, s)
+	worlds.Unlock()
+	return s.get()
 }
 
 // Run executes the configured study in fast mode and returns the populated
@@ -132,7 +194,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("study: Config.Sink requires Shards <= 1")
 	}
 	wall := time.Now()
-	w, err := newWorld(&cfg, nil)
+	w, err := worldFor(&cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -352,7 +414,7 @@ func (b BaselineResult) Rate() float64 {
 // broad-measurement 0.41% — Huang's 0.20%.
 func RunHuangBaseline(cfg Config) (*BaselineResult, error) {
 	const whale = "www.facebook.com"
-	w, err := newWorld(&cfg, []hostdb.Host{{Name: whale, Category: hostdb.Popular, AlexaRank: 2}})
+	w, err := worldFor(&cfg, []hostdb.Host{{Name: whale, Category: hostdb.Popular, AlexaRank: 2}})
 	if err != nil {
 		return nil, err
 	}

@@ -354,6 +354,28 @@ func TestScaleParameter(t *testing.T) {
 	within(t, "1% scale tested", float64(tot.Tested), float64(clientpop.Study1Tests)*0.01, float64(clientpop.Study1Tests)*0.01*0.1)
 }
 
+// TestBadScaleIsRefused: a scale no run can mean is an error from both
+// entry points, not an empty study (NaN, Inf) or a silent paper-size one
+// (negative); 0 still means the 1.0 default.
+func TestBadScaleIsRefused(t *testing.T) {
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		cfg := Config{Study: clientpop.Study1, Seed: 1, Scale: scale, Pool: sharedPool}
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("Run at scale %v: no error", scale)
+		}
+		if _, err := RunHuangBaseline(cfg); err == nil {
+			t.Errorf("RunHuangBaseline at scale %v: no error", scale)
+		}
+	}
+	cfg := Config{Pool: sharedPool}
+	if _, err := worldFor(&cfg, nil); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Scale != 1 || cfg.Study != clientpop.Study1 {
+		t.Errorf("zero Config became scale %v, study %v; want 1.0 and study 1", cfg.Scale, cfg.Study)
+	}
+}
+
 func TestBuildAuthoritative(t *testing.T) {
 	hosts := hostdb.SecondStudyHosts()
 	auth, err := BuildAuthoritative(hosts, sharedPool)

@@ -59,13 +59,12 @@ func TestCleanTallyMatchesRowStream(t *testing.T) {
 // registry lacks is refused by name, rather than generating clients at
 // 0.0.0.0.
 func TestUnknownTargetCountryFails(t *testing.T) {
-	cfg := Config{Study: clientpop.Study2, Pool: sharedPool}
-	w, err := newWorld(&cfg, nil)
+	w, err := newWorld(clientpop.Study2, sharedPool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := adsim.Campaign{Name: "typo", TargetCountry: "ZZ", Days: 7}
-	err = newCampaignGen(w, 1, studyEpoch(cfg.Study), nil).
+	err = newCampaignGen(w, 1, studyEpoch(clientpop.Study2), nil).
 		run(c, adsim.Outcome{Impressions: 100}, stats.NewRNG(1), store.New(0), nil)
 	if err == nil || !strings.Contains(err.Error(), "typo") || !strings.Contains(err.Error(), `"ZZ"`) {
 		t.Fatalf("run = %v, want an error naming campaign typo and country \"ZZ\"", err)

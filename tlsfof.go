@@ -142,7 +142,8 @@ func ClassifyIssuer(org, cn, ou string) Category {
 // studies (fast mode; see DESIGN.md §5). Scale 1.0 reproduces paper-size
 // campaigns (2.9M / 12.3M certificate tests). The result is a function of
 // (study, seed, scale) alone; a paper-size run takes seconds, so an
-// interrupted one is simply rerun.
+// interrupted one is simply rerun. Runs over one StudyConfig.Pool share
+// the world (hosts, PKI, forged chains) the first of them built.
 func RunStudy(cfg StudyConfig) (*StudyResult, error) {
 	return study.Run(cfg)
 }
