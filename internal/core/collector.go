@@ -122,7 +122,7 @@ func (c *Collector) Ingest(clientIP uint32, host string, observedDER [][]byte, c
 // then the sink's one-at-a-time Ingest. A zero trace (and/or nil Tracer)
 // degrades to plain Ingest.
 func (c *Collector) IngestTraced(clientIP uint32, host string, observedDER [][]byte, campaign string, trace uint64) (Measurement, error) {
-	m, err := c.Observe(clientIP, host, observedDER, campaign, trace)
+	m, err := c.Observe(clientIP, host, observedDER, campaign, trace, nil)
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -133,8 +133,10 @@ func (c *Collector) IngestTraced(clientIP uint32, host string, observedDER [][]b
 // Observe derives the measurement for one report without delivering it
 // anywhere: the observe stage is timed into the collector's Tracer and
 // the measurement is stamped with the trace ID so downstream stages can
-// keep the trace alive.
-func (c *Collector) Observe(clientIP uint32, host string, observedDER [][]byte, campaign string, trace uint64) (Measurement, error) {
+// keep the trace alive. With spans nil a traced report's observe span is
+// recorded at once; otherwise it is appended to *spans, for a caller
+// that files a whole request's spans in one Tracer.RecordSpans.
+func (c *Collector) Observe(clientIP uint32, host string, observedDER [][]byte, campaign string, trace uint64, spans *[]telemetry.TracedSpan) (Measurement, error) {
 	auth, ok := c.snapshot()[host]
 	if !ok {
 		return Measurement{}, fmt.Errorf("core: no authoritative chain for %q", host)
@@ -145,7 +147,11 @@ func (c *Collector) Observe(clientIP uint32, host string, observedDER [][]byte, 
 	}
 	obs, err := ObserveCached(c.Cache, host, auth, observedDER, c.Classifier)
 	if c.Tracer != nil {
-		c.Tracer.Record(telemetry.TraceID(trace), telemetry.StageObserve, obsStart, time.Since(obsStart))
+		if d := time.Since(obsStart); spans != nil {
+			*spans = c.Tracer.AppendSpan(*spans, telemetry.TraceID(trace), telemetry.StageObserve, obsStart, d)
+		} else {
+			c.Tracer.Record(telemetry.TraceID(trace), telemetry.StageObserve, obsStart, d)
+		}
 	}
 	if err != nil {
 		return Measurement{}, err
@@ -216,7 +222,7 @@ func (c *Collector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad PEM", http.StatusBadRequest)
 		return
 	}
-	m, err := c.Observe(ClientIPFromRequest(r), host, chainDER, c.Campaign, 0)
+	m, err := c.Observe(ClientIPFromRequest(r), host, chainDER, c.Campaign, 0, nil)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

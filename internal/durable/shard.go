@@ -35,6 +35,11 @@ type Shard struct {
 	// Tracer, when non-nil, receives the wal_append and store_merge
 	// stage of every commit. Nil keeps Commit free of clock reads.
 	Tracer *telemetry.Tracer
+
+	// stages and spans buffer a commit's stage spans and their copies per
+	// traced measurement, under the shard lock, until Commit files them.
+	stages []telemetry.Span
+	spans  []telemetry.TracedSpan
 }
 
 // NewMemShard returns a shard with a store and no log.
@@ -75,20 +80,25 @@ func OpenShards(root string, n int, opt Options) ([]*Shard, []Info, error) {
 // store, and returns the last sequence number written (0 on a
 // memory-only shard). The caller holds the shard lock. ms is only read.
 // On error the store is untouched; a prefix of ms may have been framed.
+// Either way every traced measurement in ms gets the spans of the stages
+// observed since the last Commit, filed in one Tracer.RecordSpans.
 func (s *Shard) Commit(ms []core.Measurement, sync bool) (uint64, error) {
+	if s.Tracer != nil {
+		defer s.fileSpans(ms)
+	}
 	var last uint64
 	if s.Log != nil {
 		start := s.stageStart()
 		var err error
 		last, err = s.Log.commit(ms, sync)
-		s.Observe(telemetry.StageWAL, ms, start)
+		s.Observe(telemetry.StageWAL, start)
 		if err != nil {
 			return 0, err
 		}
 	}
 	start := s.stageStart()
 	s.DB.IngestBatch(ms)
-	s.Observe(telemetry.StageStore, ms, start)
+	s.Observe(telemetry.StageStore, start)
 	return last, nil
 }
 
@@ -101,19 +111,30 @@ func (s *Shard) stageStart() time.Time {
 }
 
 // Observe records one per-batch stage that began at start: the stage
-// histogram once, plus a span on every traced measurement in ms. It is a
+// histogram now, and the span for the next Commit to file on every traced
+// measurement of its batch. The caller holds the shard lock. It is a
 // no-op without a tracer.
-func (s *Shard) Observe(stage string, ms []core.Measurement, start time.Time) {
+func (s *Shard) Observe(stage string, start time.Time) {
 	if s.Tracer == nil {
 		return
 	}
 	d := time.Since(start)
 	s.Tracer.Observe(stage, d)
+	s.stages = append(s.stages, telemetry.Span{Stage: stage, Start: start, Duration: d})
+}
+
+// fileSpans gives each traced measurement in ms the observed stages'
+// spans back to back, records them in one call, and resets both buffers.
+func (s *Shard) fileSpans(ms []core.Measurement) {
 	for i := range ms {
-		if t := ms[i].Trace; t != 0 {
-			s.Tracer.RecordSpan(telemetry.TraceID(t), stage, start, d)
+		if id := telemetry.TraceID(ms[i].Trace); id != 0 {
+			for _, sp := range s.stages {
+				s.spans = append(s.spans, telemetry.TracedSpan{ID: id, Span: sp})
+			}
 		}
 	}
+	s.Tracer.RecordSpans(s.spans)
+	s.stages, s.spans = s.stages[:0], s.spans[:0]
 }
 
 // Close waits out an in-flight commit, then closes the log (final fsync).

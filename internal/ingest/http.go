@@ -27,6 +27,9 @@ type decodeState struct {
 	arena *Arena
 	dec   *Decoder
 	ms    []core.Measurement
+	// spans holds the request's decode and observe spans until they are
+	// filed in one Tracer.RecordSpans.
+	spans []telemetry.TracedSpan
 }
 
 var decodePool = sync.Pool{New: func() any {
@@ -48,6 +51,7 @@ func (st *decodeState) put() {
 	st.arena.Reset()
 	clear(st.ms)
 	st.ms = st.ms[:0]
+	st.spans = st.spans[:0]
 	decodePool.Put(st)
 }
 
@@ -117,15 +121,18 @@ func BatchHandler(col *core.Collector) http.Handler {
 				break
 			}
 			if tracer != nil {
-				tracer.Record(telemetry.TraceID(rep.Trace), telemetry.StageDecode, start, time.Since(start))
+				st.spans = tracer.AppendSpan(st.spans, telemetry.TraceID(rep.Trace), telemetry.StageDecode, start, time.Since(start))
 			}
-			m, err := col.Observe(ip, rep.Host, rep.ChainDER, col.Campaign, rep.Trace)
+			m, err := col.Observe(ip, rep.Host, rep.ChainDER, col.Campaign, rep.Trace, &st.spans)
 			if err != nil {
 				res.Rejected++
 				continue
 			}
 			st.ms = append(st.ms, m)
 		}
+		// Filed before Deliver, so each trace's decode and observe spans
+		// precede the shard's queue, wal and store spans.
+		tracer.RecordSpans(st.spans)
 		if status == http.StatusOK {
 			if err := col.Deliver(st.ms); err != nil {
 				res.Error = err.Error()

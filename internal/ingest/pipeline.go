@@ -92,7 +92,7 @@ type shard struct {
 // holds the shard lock and began waiting for it at queuedAt.
 func (sh *shard) commitPending(queuedAt time.Time) {
 	batch := sh.pending
-	sh.Observe(telemetry.StageQueue, batch, queuedAt)
+	sh.Observe(telemetry.StageQueue, queuedAt)
 	if _, err := sh.Commit(batch, false); err != nil {
 		// Append errors degrade durability, never availability: the batch
 		// is counted and still reaches the store.

@@ -260,13 +260,38 @@ func TestHotPathAllocs(t *testing.T) {
 		t.Errorf("Tracer.Observe allocates %v/op, want 0", n)
 	}
 	// Span recording into an existing trace slot must not allocate either
-	// (the per-measurement path inside batched stages). Recording stops at
-	// maxSpans, so alternate between two resident IDs to keep the slot
-	// lookup path hot without growing anything.
+	// (the per-measurement path inside batched stages). Resetting the
+	// slot's span count each run keeps every run on the append path, never
+	// the span bound's drop path.
+	dropped := reg.Counter("trace_spans_dropped_total", "")
 	tr.RecordSpan(7, StageProbe, time.Time{}, time.Millisecond)
+	rec := &tr.recs[tr.index[7]]
 	if n := testing.AllocsPerRun(1000, func() {
+		rec.n = 1
 		tr.RecordSpan(7, StageObserve, time.Time{}, time.Millisecond)
 	}); n != 0 {
 		t.Errorf("Tracer.RecordSpan (resident id) allocates %v/op, want 0", n)
+	}
+	if rec.n != 2 || dropped.Value() != 0 {
+		t.Errorf("RecordSpan pin left %d spans and %d dropped, want 2 and 0", rec.n, dropped.Value())
+	}
+
+	// A request's worth of spans through RecordSpans: 256 spans over 64
+	// traces, fresh IDs every run, so each run creates 64 traces and
+	// evicts 64 from a ring that stays full. The caller's buffer is reused.
+	big := NewTracer(reg, 64)
+	batch := make([]TracedSpan, 256)
+	base := TraceID(1)
+	if n := testing.AllocsPerRun(1000, func() {
+		for i := range batch {
+			batch[i] = TracedSpan{ID: base + TraceID(i/4), Span: Span{Stage: StageObserve, Duration: time.Millisecond}}
+		}
+		big.RecordSpans(batch)
+		base += 64
+	}); n != 0 {
+		t.Errorf("Tracer.RecordSpans (256-span batch) allocates %v/op, want 0", n)
+	}
+	if got, ok := big.Lookup(base - 1); !ok || len(got.Spans) != 4 || dropped.Value() != 0 {
+		t.Errorf("RecordSpans pin: newest trace %+v (resident %v), %d dropped; want 4 spans, 0 dropped", got, ok, dropped.Value())
 	}
 }

@@ -17,12 +17,10 @@ type TraceID uint64
 // String renders the ID the way the /trace endpoints accept it.
 func (id TraceID) String() string { return fmt.Sprintf("%016x", uint64(id)) }
 
-// ParseTraceID accepts the hex form String produces, or a decimal.
+// ParseTraceID accepts the hex form String produces (leading zeros
+// optional, so "100" is 0x100).
 func ParseTraceID(s string) (TraceID, error) {
-	if v, err := strconv.ParseUint(s, 16, 64); err == nil {
-		return TraceID(v), nil
-	}
-	v, err := strconv.ParseUint(s, 10, 64)
+	v, err := strconv.ParseUint(s, 16, 64)
 	if err != nil {
 		return 0, fmt.Errorf("telemetry: bad trace id %q", s)
 	}
@@ -73,7 +71,7 @@ const (
 )
 
 // knownStages pre-registers every stage histogram so the recording hot
-// path is one lock-free map read.
+// path is one lock-free scan.
 var knownStages = []string{
 	StageProbe, StageMitmSniff, StageMitmUpstrm, StageMitmForge,
 	StageMitmRespond, StageMitmSplice, StageDecode, StageObserve,
@@ -97,6 +95,13 @@ type Span struct {
 	Start time.Time `json:"start"`
 	// Duration is the stage latency.
 	Duration time.Duration `json:"duration_ns"`
+}
+
+// TracedSpan is a span with the ID of the trace it belongs to: the unit
+// RecordSpans files.
+type TracedSpan struct {
+	ID TraceID
+	Span
 }
 
 // Trace is every span recorded for one ID on this process, in recording
@@ -132,10 +137,10 @@ type Tracer struct {
 	index map[TraceID]int
 	next  int
 
-	// hists maps stage → histogram. Known stages are pre-registered and
-	// the map is never mutated afterwards, so reads need no lock; unknown
-	// stages fall back to a locked overflow map.
-	hists map[string]*Histogram
+	// hists holds the known stages' histograms in knownStages order; it is
+	// never mutated afterwards, so hist's scan needs no lock (and costs
+	// less than a map read). Unknown stages use the locked overflow map.
+	hists []*Histogram
 
 	extraMu sync.Mutex
 	extra   map[string]*Histogram
@@ -153,20 +158,22 @@ func NewTracer(reg *Registry, capacity int) *Tracer {
 		reg:     reg,
 		recs:    make([]traceRec, capacity),
 		index:   make(map[TraceID]int, capacity),
-		hists:   make(map[string]*Histogram, len(knownStages)),
+		hists:   make([]*Histogram, len(knownStages)),
 		extra:   make(map[string]*Histogram),
 		dropped: reg.Counter("trace_spans_dropped_total", "spans dropped because a trace hit its span bound"),
 	}
-	for _, st := range knownStages {
-		t.hists[st] = reg.Histogram(StageMetric(st), "latency of the "+st+" stage")
+	for i, st := range knownStages {
+		t.hists[i] = reg.Histogram(StageMetric(st), "latency of the "+st+" stage")
 	}
 	return t
 }
 
 // hist returns the stage's histogram (nil when no registry is mounted).
 func (t *Tracer) hist(stage string) *Histogram {
-	if h, ok := t.hists[stage]; ok {
-		return h
+	for i, st := range knownStages {
+		if st == stage {
+			return t.hists[i]
+		}
 	}
 	if t.reg == nil {
 		return nil
@@ -198,39 +205,83 @@ func (t *Tracer) Record(id TraceID, stage string, start time.Time, d time.Durati
 		return
 	}
 	t.hist(stage).Observe(d)
+	t.RecordSpan(id, stage, start, d)
+}
+
+// AppendSpan is Record with the span deferred: it observes the stage
+// latency now and, for a nonzero ID, appends the span to dst for a later
+// RecordSpans — the per-report path of a request that files its spans
+// once.
+func (t *Tracer) AppendSpan(dst []TracedSpan, id TraceID, stage string, start time.Time, d time.Duration) []TracedSpan {
+	if t == nil {
+		return dst
+	}
+	t.hist(stage).Observe(d)
+	if id == 0 {
+		return dst
+	}
+	return append(dst, TracedSpan{ID: id, Span: Span{Stage: stage, Start: start, Duration: d}})
+}
+
+// RecordSpan appends one span to the trace without observing the
+// histogram.
+func (t *Tracer) RecordSpan(id TraceID, stage string, start time.Time, d time.Duration) {
 	if id != 0 {
-		t.RecordSpan(id, stage, start, d)
+		t.RecordSpans([]TracedSpan{{ID: id, Span: Span{Stage: stage, Start: start, Duration: d}}})
 	}
 }
 
-// RecordSpan appends a span to the trace without observing the
-// histogram — the per-measurement path inside batched stages, where the
-// batch already observed once.
-func (t *Tracer) RecordSpan(id TraceID, stage string, start time.Time, d time.Duration) {
-	if t == nil || id == 0 {
+// RecordSpans appends each span to its trace, in order, under one lock
+// and without observing histograms: the per-batch path, whose stages were
+// observed already. Zero IDs are skipped. The ring ends as after one
+// RecordSpan per span: traces are created (the oldest-created evicted) in
+// span order, and spans past a trace's bound count as dropped.
+func (t *Tracer) RecordSpans(spans []TracedSpan) {
+	if t == nil || len(spans) == 0 {
 		return
 	}
+	var dropped uint64
 	t.mu.Lock()
-	i, ok := t.index[id]
-	if !ok {
-		i = t.next
-		t.next = (t.next + 1) % len(t.recs)
-		if old := &t.recs[i]; old.id != 0 {
-			delete(t.index, old.id)
+	last, i := TraceID(0), 0
+	for k := range spans {
+		sp := &spans[k]
+		if sp.ID == 0 {
+			continue
 		}
-		t.recs[i] = traceRec{id: id}
-		t.index[id] = i
+		// Consecutive spans of one trace share its slot; the slot check
+		// keeps the shortcut from writing into a slot a newer trace took.
+		if sp.ID != last || t.recs[i].id != sp.ID {
+			i, last = t.slot(sp.ID), sp.ID
+		}
+		rec := &t.recs[i]
+		if rec.n >= maxSpans {
+			rec.lost = true
+			dropped++
+			continue
+		}
+		rec.stages[rec.n] = sp.Span
+		rec.n++
 	}
-	rec := &t.recs[i]
-	if rec.n >= maxSpans {
-		rec.lost = true
-		t.mu.Unlock()
-		t.dropped.Inc()
-		return
-	}
-	rec.stages[rec.n] = Span{Stage: stage, Start: start, Duration: d}
-	rec.n++
 	t.mu.Unlock()
+	t.dropped.Add(dropped)
+}
+
+// slot returns id's ring slot, creating the trace — and evicting the
+// oldest-created one — when id is not resident. The caller holds t.mu.
+func (t *Tracer) slot(id TraceID) int {
+	if i, ok := t.index[id]; ok {
+		return i
+	}
+	i := t.next
+	t.next = (t.next + 1) % len(t.recs)
+	rec := &t.recs[i]
+	if rec.id != 0 {
+		delete(t.index, rec.id)
+	}
+	// Spans past n are never read, so the evicted trace's stay in place.
+	rec.id, rec.n, rec.lost = id, 0, false
+	t.index[id] = i
+	return i
 }
 
 // Lookup returns the recorded trace for id.
