@@ -2,14 +2,15 @@ package tlsfof
 
 // Cluster chaos matrix: the tier-1 gate for the self-healing routing
 // plane. Each scenario runs the golden seeded study through a real
-// 3-node HTTP cluster while a faultnet chaos controller drives a
-// scheduled link-state fault — symmetric partition, one-way cut,
-// latency injection, replication-link cut, link flap during a drain —
-// between named endpoints, with phases advanced deterministically at
-// fixed points in the measurement stream. Every scenario must end with
-// the cross-node merge byte-identical to the sequential control and the
-// checked-in golden tables, zero measurements lost or double-counted,
-// and the chaos stats proving the fault actually fired. The matrix is
+// 3-node HTTP cluster while a faultnet injector drives a scheduled
+// fault — symmetric partition, one-way cut, latency injection,
+// replication-link cut, a replication stream damaged mid-frame, link
+// flap during a drain — between named endpoints, with phases advanced
+// deterministically at fixed points in the measurement stream. Every
+// scenario must end with the cross-node merge byte-identical to the
+// sequential control and the checked-in golden tables, zero measurements
+// lost or double-counted, and the fault stats proving the fault actually
+// fired. The matrix is
 // what makes "self-healing" a property instead of a hope: breakers,
 // backoff, relay routing, batch dedup, and suspicion scoring all fail
 // here if any one of them regresses.
@@ -36,7 +37,7 @@ import (
 // returned for assertions.
 type chaosRun struct {
 	h    *clusterHarness
-	ctrl *faultnet.Controller
+	ctrl *faultnet.Injector
 	rc   *cluster.RouteClient
 	orch *fleet.Orchestrator
 	reg  *telemetry.Registry
@@ -47,7 +48,9 @@ type chaosRun struct {
 
 // chaosOpts configures one scenario run.
 type chaosOpts struct {
-	plan faultnet.ChaosPlan
+	// spec is the fault plan, in the language every -fault and -chaos
+	// flag reads.
+	spec string
 	// at maps a measurement-stream position to a trigger (advance the
 	// chaos phase, drain a node, probe latency) — the deterministic
 	// drive: the same seed and the same trigger points reproduce the
@@ -56,7 +59,7 @@ type chaosOpts struct {
 	// node (optional) tweaks each node's Config before Open — the hook
 	// for chaos-mounting a node's own outbound client or shrinking its
 	// ack deadline.
-	node func(ctrl *faultnet.Controller, id string, cfg *cluster.Config)
+	node func(ctrl *faultnet.Injector, id string, cfg *cluster.Config)
 	// route (optional) tweaks the route client's config.
 	route func(cfg *cluster.RouteConfig)
 	// health is the orchestrator's suspicion policy.
@@ -64,7 +67,7 @@ type chaosOpts struct {
 }
 
 // runChaosStudy streams the golden study through a fresh 3-node cluster
-// under opts' chaos plan. The route client dials through the controller
+// under opts' fault plan. The route client dials through the injector
 // as endpoint "client" with split connect/idle deadlines, so read hangs
 // injected by one-way cuts resolve at the idle deadline instead of the
 // blanket request timeout. The orchestrator dials through it as
@@ -72,8 +75,12 @@ type chaosOpts struct {
 // its marks, health rounds and merge alone.
 func runChaosStudy(t *testing.T, opts chaosOpts) *chaosRun {
 	t.Helper()
+	plan, err := faultnet.Parse(opts.spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	run := &chaosRun{
-		ctrl: faultnet.NewController(opts.plan),
+		ctrl: faultnet.New(plan),
 		reg:  telemetry.NewRegistry(),
 	}
 	run.h = startClusterHarness(t, []string{"a", "b", "c"}, func(id string, members []cluster.Member, cfg *cluster.Config) {
@@ -155,10 +162,9 @@ func (run *chaosRun) checkChaosGolden(t *testing.T, total int, wantCanon []byte)
 	checkAgainstGolden(t, goldenDir(t), goldenArtifacts(t, &final))
 }
 
-// linkFired asserts the chaos controller actually injected the named
-// fault class on a link — a scenario whose fault never fired proves
-// nothing.
-func linkFired(t *testing.T, run *chaosRun, link string, pick func(faultnet.LinkStats) uint64) {
+// linkFired asserts the injector actually injected the named fault
+// class on a link — a scenario whose fault never fired proves nothing.
+func linkFired(t *testing.T, run *chaosRun, link string, pick func(faultnet.Stats) uint64) {
 	t.Helper()
 	ls, ok := run.ctrl.Stats()[link]
 	if !ok || pick(ls) == 0 {
@@ -181,21 +187,13 @@ func TestClusterChaosMatrix(t *testing.T) {
 		t.Fatalf("control study produced only %d measurements; the chaos windows would be vacuous", total)
 	}
 	wantCanon := canonBytes(seq.Store)
-	cut := func(from, to string) faultnet.LinkRule {
-		return faultnet.LinkRule{From: from, To: to, State: faultnet.LinkState{Cut: true}}
-	}
-
 	// Symmetric partition between the router and node b: direct
 	// delivery fails fast, the breaker opens, batches triangle-route
 	// through a reachable peer, and b is never declared dead — it is
 	// alive and its shards must stay where the ring put them.
 	t.Run("sym-partition", func(t *testing.T) {
 		run := runChaosStudy(t, chaosOpts{
-			plan: faultnet.ChaosPlan{Seed: 11, Phases: []faultnet.ChaosPhase{
-				{Name: "clean"},
-				{Name: "partition", Rules: []faultnet.LinkRule{cut("client", "b")}},
-				{Name: "healed"},
-			}},
+			spec: "seed=11, name=clean; name=partition, cut=client:b; name=healed",
 			at: map[int]func(*chaosRun){
 				total / 4: func(r *chaosRun) { r.ctrl.Advance() },
 				total / 2: func(r *chaosRun) { r.ctrl.Advance() },
@@ -211,9 +209,7 @@ func TestClusterChaosMatrix(t *testing.T) {
 		if st.DeadMarked != 0 {
 			t.Fatalf("partitioned-but-alive node was declared dead (stats %+v)", st)
 		}
-		linkFired(t, run, "client->b", func(ls faultnet.LinkStats) uint64 {
-			return ls.CutDials + ls.CutReads + ls.CutWrites
-		})
+		linkFired(t, run, "client:b", cutFired)
 		run.checkChaosGolden(t, total, wantCanon)
 	})
 
@@ -224,13 +220,7 @@ func TestClusterChaosMatrix(t *testing.T) {
 	t.Run("asym-cut-ack-loss", func(t *testing.T) {
 		start := 2 * total / 5
 		run := runChaosStudy(t, chaosOpts{
-			plan: faultnet.ChaosPlan{Seed: 12, Phases: []faultnet.ChaosPhase{
-				{Name: "clean"},
-				{Name: "oneway", Rules: []faultnet.LinkRule{
-					{From: "client", To: "b", State: faultnet.LinkState{CutRecv: true}},
-				}},
-				{Name: "healed"},
-			}},
+			spec: "seed=12, name=clean; name=oneway, cutrecv=client:b; name=healed",
 			at: map[int]func(*chaosRun){
 				start:            func(r *chaosRun) { r.ctrl.Advance() },
 				start + total/20: func(r *chaosRun) { r.ctrl.Advance() },
@@ -243,7 +233,7 @@ func TestClusterChaosMatrix(t *testing.T) {
 		if st.DeadMarked != 0 {
 			t.Fatalf("one-way-cut node was declared dead (stats %+v)", st)
 		}
-		linkFired(t, run, "client->b", func(ls faultnet.LinkStats) uint64 { return ls.CutReads })
+		linkFired(t, run, "client:b", func(ls faultnet.Stats) uint64 { return ls.CutReads })
 		run.checkChaosGolden(t, total, wantCanon)
 	})
 
@@ -260,17 +250,9 @@ func TestClusterChaosMatrix(t *testing.T) {
 			}
 			return r.orch.Scorer.Verdict("b")
 		}
-		slow := faultnet.LinkState{Latency: 20 * time.Millisecond}
 		var during, after cluster.Verdict
 		run := runChaosStudy(t, chaosOpts{
-			plan: faultnet.ChaosPlan{Seed: 13, Phases: []faultnet.ChaosPhase{
-				{Name: "clean"},
-				{Name: "slow", Rules: []faultnet.LinkRule{
-					{From: "client", To: "b", State: slow},
-					{From: "fleetctl", To: "b", State: slow},
-				}},
-				{Name: "healed"},
-			}},
+			spec: "seed=13, name=clean; name=slow, lat=client:b:20ms, lat=fleetctl:b:20ms; name=healed",
 			at: map[int]func(*chaosRun){
 				total / 4:     func(r *chaosRun) { r.ctrl.Advance() },
 				total / 3:     func(r *chaosRun) { during = health(r) },
@@ -289,8 +271,8 @@ func TestClusterChaosMatrix(t *testing.T) {
 		if st.BreakerOpens != 0 || st.DeadMarked != 0 {
 			t.Fatalf("latency alone tripped hard-failure machinery (stats %+v)", st)
 		}
-		for _, link := range []string{"client->b", "fleetctl->b"} {
-			linkFired(t, run, link, func(ls faultnet.LinkStats) uint64 { return ls.DelayedReads })
+		for _, link := range []string{"client:b", "fleetctl:b"} {
+			linkFired(t, run, link, func(ls faultnet.Stats) uint64 { return ls.Delays })
 		}
 		if b, _ := run.orch.Members.Get("b"); b.State != cluster.Alive {
 			t.Fatalf("orchestrator holds slow-but-alive b %v", b.State)
@@ -316,80 +298,92 @@ func TestClusterChaosMatrix(t *testing.T) {
 		run.checkChaosGolden(t, total, wantCanon)
 	})
 
-	// Replication-link-only cut: the follower holding b's replica loses
-	// its tail link while client traffic stays clean. b must keep
-	// accepting (degraded acks, counted), the study must finish golden,
-	// and after the heal the replica must still be recoverable.
-	t.Run("repl-link-cut", func(t *testing.T) {
-		probeView, err := cluster.NewMembership([]cluster.Member{
-			{ID: "a", URL: "x"}, {ID: "b", URL: "x"}, {ID: "c", URL: "x"},
-		}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		succ, ok := probeView.ReplicaTarget("b")
-		if !ok {
-			t.Fatal("no replica target for b")
-		}
-		run := runChaosStudy(t, chaosOpts{
-			plan: faultnet.ChaosPlan{Seed: 14, Phases: []faultnet.ChaosPhase{
-				{Name: "clean"},
-				{Name: "repl-cut", Rules: []faultnet.LinkRule{cut(succ.ID, "b")}},
-				{Name: "healed"},
-			}},
-			at: map[int]func(*chaosRun){
-				total / 4: func(r *chaosRun) { r.ctrl.Advance() },
-				total / 2: func(r *chaosRun) { r.ctrl.Advance() },
-			},
-			node: func(ctrl *faultnet.Controller, id string, cfg *cluster.Config) {
-				if id == succ.ID {
-					// The replica follower dials its source through the
-					// chaos matrix — the only link this scenario breaks.
-					cfg.HTTPClient = resilient.SplitTimeoutClient(2*time.Second, 250*time.Millisecond, ctrl.DialContext(id, nil))
+	// The replication link, faulted two ways while client traffic stays
+	// clean: cut outright for a quarter of the stream, and damaged
+	// mid-stream — for the first quarter, the follower holding b's
+	// replica reads TFR1 tail streams that the injector truncates after
+	// 100,000 bytes of each connection, so frames tear in the body, not
+	// in the HTTP headers (a byte fault is fixed when a connection is
+	// dialed, so it must be in force from the follower's first dial). b
+	// must keep accepting, the study must finish golden, and after the
+	// heal the replica must catch up on b's whole WAL.
+	probeView, err := cluster.NewMembership([]cluster.Member{
+		{ID: "a", URL: "x"}, {ID: "b", URL: "x"}, {ID: "c", URL: "x"},
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	succ, ok := probeView.ReplicaTarget("b")
+	if !ok {
+		t.Fatal("no replica target for b")
+	}
+	for _, row := range []struct {
+		name, spec string
+		fired      func(faultnet.Stats) uint64
+		torn       bool
+	}{
+		{"repl-link-cut", "seed=14, name=clean; name=cut, cut=" + succ.ID + ":b; name=healed", cutFired, false},
+		{"repl-stream-damage", "seed=16, name=damaged, truncate=" + succ.ID + ":b, truncate=100000; name=healed",
+			func(ls faultnet.Stats) uint64 { return ls.Truncates }, true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			run := runChaosStudy(t, chaosOpts{
+				spec: row.spec,
+				at: map[int]func(*chaosRun){
+					total / 4: func(r *chaosRun) { r.ctrl.Advance() },
+					total / 2: func(r *chaosRun) { r.ctrl.Advance() },
+				},
+				node: func(ctrl *faultnet.Injector, id string, cfg *cluster.Config) {
+					if id == succ.ID {
+						// The replica follower dials its source through the
+						// injector — the only link this scenario faults.
+						cfg.HTTPClient = resilient.SplitTimeoutClient(2*time.Second, 250*time.Millisecond, ctrl.DialContext(id, nil))
+					}
+					if id == "b" {
+						cfg.AckTimeout = 75 * time.Millisecond
+					}
+				},
+			})
+			if !row.torn && metricValue(t, run.h.registries["b"], "repl_ack_timeouts_total") == 0 {
+				t.Fatal("replication cut never forced a degraded ack on b")
+			}
+			if row.torn && metricValue(t, run.h.registries[succ.ID], "repl_torn_streams_total") == 0 {
+				t.Fatalf("no tail stream tore mid-frame: the damage never reached the TFR1 body (stats %+v)", run.ctrl.Stats())
+			}
+			st := run.rc.Stats()
+			if st.DeadMarked != 0 || st.Relayed != 0 {
+				t.Fatalf("a replication-only fault leaked into the ingest path (stats %+v)", st)
+			}
+			linkFired(t, run, succ.ID+":b", row.fired)
+			run.checkChaosGolden(t, total, wantCanon)
+			// The healed follower must fully catch up on b's WAL — the fault
+			// cost availability headroom, not durability. Poll: the tail
+			// resumes on the follower's own cadence after the link heals.
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				last := run.h.nodes["b"].Status().LastSeq
+				applied := make(map[int]uint64)
+				for _, rs := range run.h.nodes[succ.ID].Status().Replicas {
+					if rs.Source == "b" {
+						applied[rs.Shard] = rs.AppliedSeq
+					}
 				}
-				if id == "b" {
-					cfg.AckTimeout = 75 * time.Millisecond
+				caughtUp := len(applied) == len(last)
+				for i, seq := range last {
+					if applied[i] < seq {
+						caughtUp = false
+					}
 				}
-			},
+				if caughtUp {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("replica of b never caught up after the heal: last %v applied %v", last, applied)
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
 		})
-		if v := ackTimeouts(t, run.h.registries["b"]); v == 0 {
-			t.Fatal("replication cut never forced a degraded ack on b")
-		}
-		st := run.rc.Stats()
-		if st.DeadMarked != 0 || st.Relayed != 0 {
-			t.Fatalf("a replication-only fault leaked into the ingest path (stats %+v)", st)
-		}
-		linkFired(t, run, succ.ID+"->b", func(ls faultnet.LinkStats) uint64 {
-			return ls.CutDials + ls.CutReads + ls.CutWrites
-		})
-		run.checkChaosGolden(t, total, wantCanon)
-		// The healed follower must fully catch up on b's WAL — the cut
-		// cost availability headroom, not durability. Poll: the tail
-		// resumes on the follower's own cadence after the link heals.
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			last := run.h.nodes["b"].Status().LastSeq
-			applied := make(map[int]uint64)
-			for _, rs := range run.h.nodes[succ.ID].Status().Replicas {
-				if rs.Source == "b" {
-					applied[rs.Shard] = rs.AppliedSeq
-				}
-			}
-			caughtUp := len(applied) == len(last)
-			for i, seq := range last {
-				if applied[i] < seq {
-					caughtUp = false
-				}
-			}
-			if caughtUp {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("replica of b never caught up after the heal: last %v applied %v", last, applied)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	})
+	}
 
 	// Link flap while a node drains: the orchestrator drains c mid-study
 	// (peers first, then c) while c's link to the router flaps
@@ -400,13 +394,7 @@ func TestClusterChaosMatrix(t *testing.T) {
 		start := 2 * total / 5
 		step := total / 20
 		run := runChaosStudy(t, chaosOpts{
-			plan: faultnet.ChaosPlan{Seed: 15, Phases: []faultnet.ChaosPhase{
-				{Name: "clean"},
-				{Name: "flap-1", Rules: []faultnet.LinkRule{cut("client", "c")}},
-				{Name: "gap"},
-				{Name: "flap-2", Rules: []faultnet.LinkRule{cut("client", "c")}},
-				{Name: "healed"},
-			}},
+			spec: "seed=15, name=clean; name=flap-1, cut=client:c; name=gap; name=flap-2, cut=client:c; name=healed",
 			at: map[int]func(*chaosRun){
 				start: func(r *chaosRun) {
 					r.ctrl.Advance()
@@ -429,9 +417,10 @@ func TestClusterChaosMatrix(t *testing.T) {
 		if run.ctrl.Flaps() < 2 {
 			t.Fatalf("chaos schedule counted only %d link flaps", run.ctrl.Flaps())
 		}
-		linkFired(t, run, "client->c", func(ls faultnet.LinkStats) uint64 {
-			return ls.CutDials + ls.CutReads + ls.CutWrites
-		})
+		linkFired(t, run, "client:c", cutFired)
 		run.checkChaosGolden(t, total, wantCanon)
 	})
 }
+
+// cutFired counts every way a cut link can refuse traffic.
+func cutFired(ls faultnet.Stats) uint64 { return ls.CutDials + ls.CutReads + ls.CutWrites }

@@ -115,14 +115,15 @@ func (h *clusterHarness) orchestrator(dial resilient.DialFunc, health cluster.Su
 	}
 }
 
-func ackTimeouts(t *testing.T, reg *telemetry.Registry) float64 {
+// metricValue reads one registered counter or gauge from reg.
+func metricValue(t *testing.T, reg *telemetry.Registry, name string) float64 {
 	t.Helper()
 	for _, m := range reg.Snapshot() {
-		if m.Name == "repl_ack_timeouts_total" {
+		if m.Name == name {
 			return m.Value
 		}
 	}
-	t.Fatal("repl_ack_timeouts_total not registered")
+	t.Fatalf("%s not registered", name)
 	return 0
 }
 
@@ -232,7 +233,7 @@ func TestClusterKillOneNode(t *testing.T) {
 		t.Fatalf("route stats %+v, want at most one dead-marking (node b)", st)
 	}
 	for _, id := range []string{"a", "c"} {
-		if v := ackTimeouts(t, h.registries[id]); v != 0 {
+		if v := metricValue(t, h.registries[id], "repl_ack_timeouts_total"); v != 0 {
 			t.Fatalf("survivor %s logged %v degraded acks; the dead-broadcast protocol leaked a window", id, v)
 		}
 	}

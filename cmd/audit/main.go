@@ -17,7 +17,7 @@
 //	go run ./cmd/audit -products 'Bitdefender,Kurupira.NET'
 //	go run ./cmd/audit -json                      # cell verdicts as JSON
 //	go run ./cmd/audit -push http://reportd:8080  # POST cells to /audit/ingest
-//	go run ./cmd/audit -faults fragment,seed=7    # hostile transport too
+//	go run ./cmd/audit -faults 'fragment=*:*, seed=7'  # hostile transport too
 package main
 
 import (
@@ -48,7 +48,7 @@ func run(args []string, stdout io.Writer) error {
 	out := fs.String("out", "", "write the text report to this file instead of stdout")
 	asJSON := fs.Bool("json", false, "emit cell verdicts as JSON instead of the text report")
 	push := fs.String("push", "", "POST cell verdicts to this reportd base URL (/audit/ingest)")
-	faults := fs.String("faults", "", "faultnet plan spec for the origin-facing wire (empty = clean)")
+	faults := fs.String("faults", "", "fault plan for the origin-facing wire, links proxy:<origin host> (e.g. 'fragment=*:*, seed=7'; grammar in DESIGN.md §9; empty = clean)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

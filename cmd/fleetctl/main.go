@@ -72,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		outPath  = fs.String("out", "", "write merged tables here (default stdout)")
 		connectT = fs.Duration("connect-timeout", 5*time.Second, "TCP connect deadline for cluster calls")
 		timeout  = fs.Duration("timeout", 30*time.Second, "per-read idle deadline for cluster calls (a moving transfer may run longer)")
-		chaos    = fs.String("chaos", "", "chaos plan for fleetctl's own links (faultnet DSL, e.g. 'for=2s;cut=fleetctl:b,for=3s;'); endpoints are node IDs")
+		chaos    = fs.String("chaos", "", "fault plan for fleetctl's own links, e.g. 'for=2s;cut=fleetctl:b,for=3s;' (endpoints are node IDs; grammar in DESIGN.md §9)")
 	)
 	fs.Parse(args)
 
@@ -87,11 +87,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var dial resilient.DialFunc
 	if *chaos != "" {
-		plan, err := faultnet.ParseChaosSpec(*chaos)
+		plan, err := faultnet.Parse(*chaos)
 		if err != nil {
 			return fatalf("-chaos: %v", err)
 		}
-		ctrl := faultnet.NewController(plan)
+		ctrl := faultnet.New(plan)
 		for _, m := range memberList { // ParseMembers trimmed any trailing '/'
 			ctrl.Register(m.ID, strings.TrimPrefix(strings.TrimPrefix(m.URL, "http://"), "https://"))
 		}

@@ -138,7 +138,7 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 		statsAddr    = fs.String("stats", "", "serve GET /metrics on this address (disabled when empty)")
 		pprofAddr    = fs.String("pprof", "", "serve net/http/pprof on this address (disabled when empty)")
 		caOut        = fs.String("ca-out", "", "write the proxy CA certificate PEM to this path")
-		faultSpec    = fs.String("fault", "", "inject deterministic faults on every accepted connection (e.g. \"fragment\", \"all,seed=42\"; see internal/faultnet.ParseSpec)")
+		faultSpec    = fs.String("fault", "", "fault plan for accepted connections, each the link *:mitmd (e.g. 'all=*:*, seed=42'; grammar in DESIGN.md §9)")
 		prewarm      = fs.Bool("prewarm", true, "fill the forged-leaf key pool before the listener opens")
 		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "graceful-drain bound on shutdown")
 		verbose      = fs.Bool("v", false, "log per-connection errors")
@@ -177,12 +177,16 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 	if *upstream == "" {
 		return fatalf("-upstream is required")
 	}
-	var faults *faultnet.Plan
+	var faults *faultnet.Injector
 	if *faultSpec != "" {
-		var err error
-		if faults, err = faultnet.ParseSpec(*faultSpec); err != nil {
+		plan, err := faultnet.Parse(*faultSpec)
+		if err != nil {
 			return fatalf("%v", err)
 		}
+		faults = faultnet.New(plan)
+		faults.MountMetrics(reg)
+		faults.Start()
+		defer faults.Stop()
 	}
 
 	var profile proxyengine.Profile
@@ -272,8 +276,8 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 		return fatalf("%v", err)
 	}
 	if faults != nil {
-		ln = faults.Listener(ln)
-		fmt.Fprintf(stdout, "mitmd: fault injection on (seed %d, %d scenarios)\n", faults.Seed, len(faults.Scenarios))
+		ln = faults.Listener("mitmd", ln)
+		fmt.Fprintf(stdout, "mitmd: fault injection on (%q)\n", *faultSpec)
 	}
 
 	go func() {

@@ -89,11 +89,10 @@ type serverConfig struct {
 	// full "id=url,..." member list including this node.
 	clusterID    string
 	clusterPeers string
-	// chaosSpec, when non-empty, arms a faultnet chaos controller on this
-	// node's outbound links (replication tails, relay forwards, routed
-	// report measurements): a wall-clock phase schedule
-	// of cuts, latency, and throttles in the faultnet DSL. Endpoint names
-	// are peer member IDs.
+	// chaosSpec, when non-empty, arms a faultnet injector on this node's
+	// outbound links (replication tails, relay forwards, routed report
+	// measurements): a wall-clock phase schedule of link and byte faults
+	// in the fault language (DESIGN.md §9). Endpoint names are member IDs.
 	chaosSpec string
 }
 
@@ -121,9 +120,9 @@ type server struct {
 	tracer *telemetry.Tracer
 	ring   *telemetry.EventRing
 
-	// chaos, in cluster mode with -chaos, injects the armed link faults
-	// into every outbound peer connection. Nil otherwise.
-	chaos *faultnet.Controller
+	// chaos, in cluster mode with -chaos, injects the armed faults into
+	// every outbound peer connection. Nil otherwise.
+	chaos *faultnet.Injector
 
 	// audits holds cmd/audit battery verdicts POSTed to /audit/ingest,
 	// rendered by /table/audit and /table/audit-cards. Separate from the
@@ -144,7 +143,7 @@ func newServer(cfg serverConfig) (*server, error) {
 	var pipeline *ingest.Pipeline
 	var node *cluster.Node
 	var shards []*durable.Shard
-	var chaos *faultnet.Controller
+	var chaos *faultnet.Injector
 	var recovery []durable.Info
 	var sink core.Sink
 	if cfg.clusterID != "" {
@@ -172,18 +171,18 @@ func newServer(cfg serverConfig) (*server, error) {
 			},
 		}
 		if cfg.chaosSpec != "" {
-			plan, err := faultnet.ParseChaosSpec(cfg.chaosSpec)
+			plan, err := faultnet.Parse(cfg.chaosSpec)
 			if err != nil {
 				return nil, fmt.Errorf("reportd: -chaos: %w", err)
 			}
-			ctrl := faultnet.NewController(plan)
+			chaos = faultnet.New(plan)
 			for _, m := range members {
 				host := strings.TrimPrefix(strings.TrimPrefix(m.URL, "http://"), "https://")
-				ctrl.Register(m.ID, strings.TrimSuffix(host, "/"))
+				chaos.Register(m.ID, strings.TrimSuffix(host, "/"))
 			}
-			ctrl.Start()
-			chaos = ctrl
-			ccfg.HTTPClient = resilient.SplitTimeoutClient(0, 0, ctrl.DialContext(cfg.clusterID, nil))
+			chaos.MountMetrics(reg)
+			chaos.Start()
+			ccfg.HTTPClient = resilient.SplitTimeoutClient(0, 0, chaos.DialContext(cfg.clusterID, nil))
 			fmt.Fprintf(cfg.logw, "reportd: chaos plan armed on %s's links: %d phases\n", cfg.clusterID, len(plan.Phases))
 		}
 		node, err = cluster.Open(ccfg)
@@ -298,8 +297,8 @@ func (s *server) summary() string {
 
 // mountMetrics registers the server's own numbers next to those its
 // storage mount registered (ingest_*, or cluster_*, repl_* and route_*):
-// uptime, WAL totals with -data-dir, the observation memo when it is on,
-// and the chaos schedule with -chaos.
+// uptime, WAL totals with -data-dir and the observation memo when it is
+// on. The -chaos injector mounts its own (chaos_*, faultnet_*).
 func (s *server) mountMetrics() {
 	reg := s.reg
 	reg.GaugeFunc("uptime_seconds", "seconds since the server booted", func() float64 {
@@ -333,10 +332,6 @@ func (s *server) mountMetrics() {
 		memo("obs_cache_misses_total", "reports that waited for a derivation", func(st chaincache.Stats) float64 { return float64(st.Misses) })
 		memo("obs_cache_derives_total", "observations derived (chain parsed and classified)", func(st chaincache.Stats) float64 { return float64(st.Derives) })
 		memo("obs_cache_evictions_total", "memo entries dropped to respect the cap", func(st chaincache.Stats) float64 { return float64(st.Evictions) })
-	}
-	if c := s.chaos; c != nil {
-		reg.GaugeFunc("chaos_phase", "index of the chaos plan's current phase", func() float64 { return float64(c.Phase()) })
-		reg.GaugeFunc("chaos_flaps_total", "links whose cut state flipped at a phase change", func() float64 { return float64(c.Flaps()) })
 	}
 }
 
@@ -534,7 +529,7 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 		selfRef   = fs.String("selfsigned", "", "generate an in-process self-signed authoritative chain for this host (smoke tests / CI; no PEM files needed)")
 		clusterID = fs.String("cluster-id", "", "run as this member of a reportd cluster (requires -cluster-peers and -data-dir)")
 		clusterPs = fs.String("cluster-peers", "", "full cluster member list as id=url,id=url,... (including this node)")
-		chaosSpec = fs.String("chaos", "", "chaos plan for outbound cluster links, e.g. 'seed=7; name=cut, for=10s, cut=a:b' (endpoints are cluster member IDs)")
+		chaosSpec = fs.String("chaos", "", "fault plan for outbound cluster links, e.g. 'seed=7; name=cut, for=10s, cut=a:b' (endpoints are cluster member IDs; grammar in DESIGN.md §9)")
 	)
 	fs.Parse(args)
 

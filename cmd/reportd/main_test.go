@@ -332,7 +332,7 @@ func TestMetricsOneNamePerNumber(t *testing.T) {
 	}{
 		{"single-node", serverConfig{dataDir: t.TempDir()}, slices.Concat(wal, []string{"ingest_enqueued_total"})},
 		{"cluster", serverConfig{clusterID: "solo", clusterPeers: "solo=http://" + reserveAddr(t), dataDir: t.TempDir(),
-			chaosSpec: "seed=7, name=calm; name=healed"}, slices.Concat(wal, []string{"cluster_members_alive", "chaos_phase", "chaos_flaps_total"})},
+			chaosSpec: "seed=7, name=calm; name=healed"}, slices.Concat(wal, []string{"cluster_members_alive", "chaos_phase", "chaos_flaps_total", "faultnet_conns_total"})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.refs = unreadRefs

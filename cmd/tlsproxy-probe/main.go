@@ -27,6 +27,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	neturl "net/url"
 	"os"
 	"strings"
 	"sync"
@@ -60,10 +61,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		report   = fs.String("report", "", "fleet: reportd base URL or /ingest/batch endpoint")
 		batch    = fs.Int("batch", ingest.DefaultClientBatch, "fleet: reports per upload batch")
 
-		faultSpec  = fs.String("fault", "", "fleet: inject deterministic faults on every probe connection (e.g. \"all,seed=7\"; see internal/faultnet.ParseSpec)")
-		faultIn    = fs.String("fault-ingest", "", "fleet: inject faults on the report-upload connections")
-		inRetries  = fs.Int("ingest-retries", 2, "fleet: retries per failed upload flush")
-		faultStats = fs.Bool("fault-stats", false, "fleet: print fault-injection stats at exit")
+		faultSpec = fs.String("fault", "", "fleet: fault plan for probe connections (links probe:<sni host>) and report uploads (link probe:reportd), e.g. 'reset=probe:reportd, reset=1, fragment=probe:*' (first match wins); grammar in DESIGN.md §9; stats print at exit")
+		inRetries = fs.Int("ingest-retries", 2, "fleet: retries per failed upload flush")
 
 		metricsAddr = fs.String("metrics-addr", "", "fleet: serve GET /metrics (JSON or ?format=prometheus) and /trace on this address mid-run")
 		traceSeed   = fs.Uint64("trace-seed", 1, "fleet: seed for deterministic per-probe trace IDs carried to mitmd (ClientHello session id) and reportd (wire frame); 0 disables tracing")
@@ -74,32 +73,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	var probeFaults, ingestFaults *faultnet.Plan
-	var err error
+	var faults *faultnet.Injector
 	if *faultSpec != "" {
-		if probeFaults, err = faultnet.ParseSpec(*faultSpec); err != nil {
+		plan, err := faultnet.Parse(*faultSpec)
+		if err != nil {
 			fmt.Fprintf(stderr, "tlsproxy-probe: %v\n", err)
 			return 1
 		}
-	}
-	if *faultIn != "" {
-		if ingestFaults, err = faultnet.ParseSpec(*faultIn); err != nil {
-			fmt.Fprintf(stderr, "tlsproxy-probe: %v\n", err)
-			return 1
-		}
+		faults = faultnet.New(plan)
+		faults.Start()
+		defer faults.Stop()
 	}
 	if *fleet > 0 {
 		cfg := fleetConfig{
 			addr: *addr, sni: *sni, hosts: *hosts, report: *report,
 			workers: *fleet, count: *count, duration: *duration, timeout: *timeout,
-			batch: *batch, retries: *inRetries,
-			probeFaults: probeFaults, ingestFaults: ingestFaults, faultStats: *faultStats,
+			batch: *batch, retries: *inRetries, faults: faults,
 			metricsAddr: *metricsAddr, traceSeed: *traceSeed,
 		}
 		return runFleet(cfg, stdout, stderr)
 	}
-	if probeFaults != nil || ingestFaults != nil {
-		fmt.Fprintln(stderr, "tlsproxy-probe: -fault/-fault-ingest need -fleet")
+	if faults != nil {
+		fmt.Fprintln(stderr, "tlsproxy-probe: -fault needs -fleet")
 		return 1
 	}
 	return runSingle(*addr, *sni, *refPath, *timeout, *pemOut, stdout, stderr)
@@ -107,14 +102,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // fleetConfig carries the fleet-mode knobs.
 type fleetConfig struct {
-	addr, sni, hosts, report  string
-	workers, count            int
-	duration, timeout         time.Duration
-	batch, retries            int
-	probeFaults, ingestFaults *faultnet.Plan
-	faultStats                bool
-	metricsAddr               string
-	traceSeed                 uint64
+	addr, sni, hosts, report string
+	workers, count           int
+	duration, timeout        time.Duration
+	batch, retries           int
+	faults                   *faultnet.Injector
+	metricsAddr              string
+	traceSeed                uint64
 }
 
 // fleetTraceID derives the deterministic trace ID of probe i on worker w
@@ -158,8 +152,11 @@ func runFleet(cfg fleetConfig, stdout, stderr io.Writer) int {
 		client = ingest.NewClient(url)
 		client.BatchSize = cfg.batch
 		client.Retries = cfg.retries
-		if cfg.ingestFaults != nil {
-			client.HTTPClient = &http.Client{Transport: cfg.ingestFaults.Transport()}
+		if cfg.faults != nil {
+			if u, err := neturl.Parse(url); err == nil {
+				cfg.faults.Register("reportd", u.Host)
+			}
+			client.HTTPClient = &http.Client{Transport: cfg.faults.Transport("probe")}
 		}
 	}
 
@@ -205,6 +202,10 @@ func runFleet(cfg fleetConfig, stdout, stderr io.Writer) int {
 			// batching upload client is safe.
 			prober := tlswire.NewProber()
 			dialer := net.Dialer{Timeout: cfg.timeout}
+			dial := func(string) (net.Conn, error) { return dialer.Dial("tcp", cfg.addr) }
+			if cfg.faults != nil {
+				dial = cfg.faults.Dialer("probe", dial)
+			}
 			// sidBuf is the worker's session-id scratch: the trace ID is
 			// re-encoded in place each probe, no per-probe allocation.
 			var sidBuf [telemetry.TraceSessionIDLen]byte
@@ -216,13 +217,10 @@ func runFleet(cfg fleetConfig, stdout, stderr io.Writer) int {
 					traceID = fleetTraceID(cfg.traceSeed, w, i)
 					opts.SessionID = telemetry.AppendTraceSessionID(sidBuf[:0], traceID)
 				}
-				conn, err := dialer.Dial("tcp", cfg.addr)
+				conn, err := dial(host)
 				if err != nil {
 					failures.Inc()
 					continue
-				}
-				if cfg.probeFaults != nil {
-					conn = cfg.probeFaults.Wrap(conn)
 				}
 				probeStart := time.Now()
 				res, err := prober.Probe(conn, opts)
@@ -252,14 +250,9 @@ func runFleet(cfg fleetConfig, stdout, stderr io.Writer) int {
 	ok, fail := probes.Value(), failures.Value()
 	fmt.Fprintf(stdout, "fleet: %d workers, %d probes ok, %d failed in %v (%.0f probes/sec)\n",
 		cfg.workers, ok, fail, elapsed.Round(time.Millisecond), float64(ok)/elapsed.Seconds())
-	if cfg.faultStats {
-		for label, plan := range map[string]*faultnet.Plan{"probe": cfg.probeFaults, "ingest": cfg.ingestFaults} {
-			if plan == nil {
-				continue
-			}
-			js, _ := json.Marshal(plan.Stats())
-			fmt.Fprintf(stdout, "fleet: %s fault stats (seed %d): %s\n", label, plan.Seed, js)
-		}
+	if cfg.faults != nil {
+		js, _ := json.Marshal(cfg.faults.Stats())
+		fmt.Fprintf(stdout, "fleet: fault stats: %s\n", js)
 	}
 	if client != nil {
 		st := client.Stats()
@@ -271,7 +264,7 @@ func runFleet(cfg fleetConfig, stdout, stderr io.Writer) int {
 	}
 	// Under probe-side fault injection a failing probe is the expected
 	// outcome, not a fleet failure.
-	if ok == 0 && fail > 0 && cfg.probeFaults == nil {
+	if ok == 0 && fail > 0 && cfg.faults == nil {
 		return 1
 	}
 	return 0

@@ -109,19 +109,20 @@ func runFaultMatrix(t *testing.T, seed uint64) fmResult {
 		Chain:   tlswire.StaticChain(world.chains[host]),
 		Timeout: 5 * time.Second,
 	}, nil)
+	tcp := func(string) (net.Conn, error) { return net.Dial("tcp", upstreamLn.Addr().String()) }
 	for _, sc := range faultnet.Scenarios() {
 		cell := "probe/" + sc.Name
-		plan := faultnet.NewPlan(seed, sc)
+		faults := fmInjector(t, sc.Name, seed)
+		dial := faults.Dialer("probe", tcp)
 		for i := 0; i < fmProbesPerCel; i++ {
-			raw, err := net.Dial("tcp", upstreamLn.Addr().String())
+			conn, err := dial(host)
 			if err != nil {
 				t.Fatalf("%s: dial: %v", cell, err)
 			}
-			conn := plan.Wrap(raw)
 			out.outcomes[cell] = append(out.outcomes[cell], fmProbe(t, cell, conn, host))
 			conn.Close()
 		}
-		out.schedules[cell] = plan.Schedule()
+		out.schedules[cell] = faults.Schedule()
 	}
 
 	// — Plane 2: forging interceptor over in-memory pipes. —
@@ -152,8 +153,8 @@ func runFaultMatrix(t *testing.T, seed uint64) fmResult {
 	})
 	for _, sc := range faultnet.Scenarios() {
 		cell := "proxy/" + sc.Name
-		plan := faultnet.NewPlan(seed, sc)
-		dial := plan.Dialer(tapped)
+		faults := fmInjector(t, sc.Name, seed)
+		dial := faults.Dialer("probe", tapped)
 		for i := 0; i < fmProbesPerCel; i++ {
 			conn, err := dial(host)
 			if err != nil {
@@ -162,9 +163,20 @@ func runFaultMatrix(t *testing.T, seed uint64) fmResult {
 			out.outcomes[cell] = append(out.outcomes[cell], fmProbe(t, cell, conn, host))
 			conn.Close()
 		}
-		out.schedules[cell] = plan.Schedule()
+		out.schedules[cell] = faults.Schedule()
 	}
 	return out
+}
+
+// fmInjector builds one cell's injector from its spec: the scenario on
+// every link, at the matrix seed.
+func fmInjector(t *testing.T, scenario string, seed uint64) *faultnet.Injector {
+	t.Helper()
+	plan, err := faultnet.Parse(fmt.Sprintf("%s=*:*, seed=%d", scenario, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return faultnet.New(plan)
 }
 
 func TestFaultMatrix(t *testing.T) {

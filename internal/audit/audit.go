@@ -73,10 +73,11 @@ type Config struct {
 	Seed uint64
 	// Pool supplies all key material, overriding Seed when non-nil.
 	Pool *certgen.KeyPool
-	// FaultSpec, when non-empty, is a faultnet plan specification mounted
-	// on the proxies' origin-facing dials — the battery's origins turn
-	// hostile at the transport layer too. Empty keeps the wire clean
-	// (the deterministic golden configuration).
+	// FaultSpec, when non-empty, is a faultnet plan mounted on the
+	// proxies' origin-facing dials, each the link proxy→<origin host> —
+	// the battery's origins turn hostile at the transport layer too.
+	// Empty keeps the wire clean (the deterministic golden
+	// configuration).
 	FaultSpec string
 	// Sink, when non-nil, receives a measurement for every accepted cell
 	// (the forged capture observed against the defective origin chain) —
@@ -261,12 +262,13 @@ func Run(cfg Config) (*store.AuditStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	var plan *faultnet.Plan
+	var faults *faultnet.Injector
 	if cfg.FaultSpec != "" {
-		plan, err = faultnet.ParseSpec(cfg.FaultSpec)
+		plan, err := faultnet.Parse(cfg.FaultSpec)
 		if err != nil {
 			return nil, fmt.Errorf("audit: fault spec: %w", err)
 		}
+		faults = faultnet.New(plan)
 	}
 
 	n := faultnet.NewNetwork()
@@ -296,8 +298,8 @@ func Run(cfg Config) (*store.AuditStore, error) {
 			return nil, fmt.Errorf("audit: engine for %q: %w", entry.Name, err)
 		}
 		dial := n.Dial
-		if plan != nil {
-			dial = plan.Dialer(dial)
+		if faults != nil {
+			dial = faults.Dialer("proxy", dial)
 		}
 		ic := proxyengine.NewInterceptor(engine, dial)
 		ic.Timeout = 5 * time.Second

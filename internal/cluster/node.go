@@ -180,6 +180,7 @@ type nodeMetrics struct {
 	framesServed   *telemetry.Counter
 	framesApplied  *telemetry.Counter
 	catchupPolls   *telemetry.Counter
+	tornStreams    *telemetry.Counter
 	ackWaits       *telemetry.Counter
 	ackTimeouts    *telemetry.Counter
 	batches        *telemetry.Counter
@@ -382,6 +383,7 @@ func (n *Node) mountMetrics(reg *telemetry.Registry) {
 		framesServed:   reg.Counter("repl_frames_served_total", "WAL frames served to replica followers"),
 		framesApplied:  reg.Counter("repl_frames_applied_total", "WAL frames applied to replica logs"),
 		catchupPolls:   reg.Counter("repl_catchup_polls_total", "follower polls that applied at least one record"),
+		tornStreams:    reg.Counter("repl_torn_streams_total", "follower tail streams that ended torn or corrupt mid-frame"),
 		ackWaits:       reg.Counter("repl_ack_waits_total", "ingest batches that waited for replica acknowledgement"),
 		ackTimeouts:    reg.Counter("repl_ack_timeouts_total", "ingest batches acked in degraded mode after an ack timeout"),
 		batches:        reg.Counter("cluster_ingest_batches_total", "measurement batches accepted by this node"),

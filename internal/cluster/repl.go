@@ -108,6 +108,7 @@ func (f *follower) pollOnce(baseURL string) (applied int, err error) {
 		if derr != nil {
 			// Torn or corrupt stream: keep the applied prefix, re-poll
 			// from our own durable position.
+			f.n.met.tornStreams.Inc()
 			err = derr
 			break
 		}

@@ -79,7 +79,9 @@ func OpenShards(root string, n int, opt Options) ([]*Shard, []Info, error) {
 // Commit write-aheads ms, fsyncs when sync is set, applies ms to the
 // store, and returns the last sequence number written (0 on a
 // memory-only shard). The caller holds the shard lock. ms is only read.
-// On error the store is untouched; a prefix of ms may have been framed.
+// On error the store is untouched. An unframable measurement frames
+// nothing of ms; a write, rotation or fsync error may leave a prefix of
+// it framed.
 // Either way every traced measurement in ms gets the spans of the stages
 // observed since the last Commit, filed in one Tracer.RecordSpans.
 func (s *Shard) Commit(ms []core.Measurement, sync bool) (uint64, error) {

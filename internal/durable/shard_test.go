@@ -2,6 +2,7 @@ package durable
 
 import (
 	"os"
+	"strings"
 	"testing"
 
 	"tlsfof/internal/telemetry"
@@ -90,5 +91,49 @@ func TestOpenShardsBootsOnOneReading(t *testing.T) {
 	mem := NewMemShard()
 	if last, err := mem.Commit(ms, false); err != nil || last != 0 || mem.Close() != nil || WALStats([]*Shard{mem}) != nil {
 		t.Fatalf("memory-only shard: last seq %d, %v", last, err)
+	}
+}
+
+// TestFailedCommitLeavesNoFrames: a commit that fails on an unframable
+// measurement writes nothing — not the frames before it either — so the
+// live store and the recovered one agree, and a retried batch is not
+// counted twice after a restart. The batch crosses a segment boundary
+// before its oversized last measurement.
+func TestFailedCommitLeavesNoFrames(t *testing.T) {
+	root := t.TempDir()
+	shards, _, err := OpenShards(root, 1, testOptions(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := shards[0]
+	ms := syntheticMeasurements(31, 5)
+	ms[30].Host = strings.Repeat("x", MaxFramePayload)
+	sh.Lock()
+	_, err = sh.Commit(ms, true)
+	sh.Unlock()
+	if err == nil || !strings.Contains(err.Error(), "encodes to") {
+		t.Fatalf("oversized commit: %v, want an encoding-size error", err)
+	}
+	if got := sh.Log.NextSeq(); got != 1 {
+		t.Fatalf("failed commit consumed sequence numbers: next seq %d", got)
+	}
+	sh.Lock()
+	last, err := sh.Commit(ms[:2], true)
+	sh.Unlock()
+	if err != nil || last != 2 {
+		t.Fatalf("commit after the failure: last seq %d, %v", last, err)
+	}
+	if err := sh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, info, err := Recover(testOptions(ShardDir(root, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Replayed != 2 || info.LastSeq != 2 || info.DroppedTail {
+		t.Fatalf("recovered %+v, want the 2 committed frames and nothing of the failed batch", info)
+	}
+	if renderTables(t, db) != renderTables(t, sh.DB) {
+		t.Fatal("recovered store differs from the live store")
 	}
 }

@@ -139,7 +139,8 @@ type Log struct {
 	nextSeq     uint64
 	dirty       bool
 	closed      bool
-	scratch     []byte
+	scratch     []byte // one commit's encoded frames, back to back
+	frameEnds   []int  // scratch offset just past each frame
 	snapSeq     uint64
 	snapBytes   int64
 	tail        tailCursor
@@ -267,15 +268,38 @@ func (l *Log) AppendBatch(ms []core.Measurement) error {
 
 // commit is the shard engine's WAL half (see Shard.Commit): frame ms
 // under one lock acquisition, fsync when the caller's policy (sync) says
-// so, and return the last sequence number written. An error leaves a
-// prefix of ms framed.
+// so, and return the last sequence number written. Every frame is
+// encoded and size-checked before the first byte reaches the writer, so
+// an unframable measurement fails the commit with nothing written; a
+// write, rotation or fsync error can still leave a prefix of ms framed.
 func (l *Log) commit(ms []core.Measurement, sync bool) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.closed {
+		return 0, fmt.Errorf("durable: append on closed log")
+	}
+	l.scratch, l.frameEnds = l.scratch[:0], l.frameEnds[:0]
 	for _, m := range ms {
-		if err := l.appendFrameLocked(m); err != nil {
+		start := len(l.scratch)
+		l.scratch = append(l.scratch, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
+		l.scratch = core.AppendMeasurement(l.scratch, m)
+		payload := l.scratch[start+frameHdrLen:]
+		if len(payload) > MaxFramePayload {
+			return 0, fmt.Errorf("durable: measurement encodes to %d bytes (max %d)", len(payload), MaxFramePayload)
+		}
+		binary.LittleEndian.PutUint32(l.scratch[start:], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(l.scratch[start+4:], crc32.Checksum(payload, crcTable))
+		l.frameEnds = append(l.frameEnds, len(l.scratch))
+	}
+	start := 0
+	for _, end := range l.frameEnds {
+		if _, err := l.w.Write(l.scratch[start:end]); err != nil {
+			return 0, fmt.Errorf("durable: %w", err)
+		}
+		if err := l.appendedFrameLocked(int64(end - start)); err != nil {
 			return 0, err
 		}
+		start = end
 	}
 	if len(ms) > 0 {
 		l.stats.GroupAppends++
@@ -287,27 +311,6 @@ func (l *Log) commit(ms []core.Measurement, sync bool) (uint64, error) {
 		}
 	}
 	return l.nextSeq - 1, nil
-}
-
-// appendFrameLocked encodes and buffers one frame plus its bookkeeping
-// and size-triggered rotation; fsync policy is the caller's.
-func (l *Log) appendFrameLocked(m core.Measurement) error {
-	if l.closed {
-		return fmt.Errorf("durable: append on closed log")
-	}
-	l.scratch = l.scratch[:0]
-	l.scratch = append(l.scratch, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
-	l.scratch = core.AppendMeasurement(l.scratch, m)
-	payload := l.scratch[frameHdrLen:]
-	if len(payload) > MaxFramePayload {
-		return fmt.Errorf("durable: measurement encodes to %d bytes (max %d)", len(payload), MaxFramePayload)
-	}
-	binary.LittleEndian.PutUint32(l.scratch[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(l.scratch[4:], crc32.Checksum(payload, crcTable))
-	if _, err := l.w.Write(l.scratch); err != nil {
-		return fmt.Errorf("durable: %w", err)
-	}
-	return l.appendedFrameLocked(int64(len(l.scratch)))
 }
 
 // appendedFrameLocked is the fsync-free post-write bookkeeping:

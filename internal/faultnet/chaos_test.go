@@ -14,7 +14,7 @@ import (
 )
 
 // chaosEcho is a trivial HTTP endpoint the link tests dial through the
-// controller.
+// injector.
 func chaosEcho(t *testing.T) *httptest.Server {
 	t.Helper()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -26,8 +26,8 @@ func chaosEcho(t *testing.T) *httptest.Server {
 }
 
 // chaosClient is an HTTP client whose connections from the named endpoint
-// pass through the controller's link matrix.
-func chaosClient(ctrl *Controller, from string) *http.Client {
+// pass through the injector's link matrix.
+func chaosClient(ctrl *Injector, from string) *http.Client {
 	return &http.Client{Transport: &http.Transport{DialContext: ctrl.DialContext(from, nil)}}
 }
 
@@ -38,11 +38,7 @@ func addrOf(t *testing.T, srv *httptest.Server) string {
 
 func TestChaosCutRefusesDialsAndHeals(t *testing.T) {
 	srv := chaosEcho(t)
-	ctrl := NewController(ChaosPlan{Seed: 1, Phases: []ChaosPhase{
-		{Name: "clean"},
-		{Name: "cut", Rules: []LinkRule{{From: "client", To: "b", State: LinkState{Cut: true}}}},
-		{Name: "healed"},
-	}})
+	ctrl := mustInjector(t, "seed=1, name=clean; name=cut, cut=client:b; name=healed")
 	ctrl.Register("b", addrOf(t, srv))
 	client := chaosClient(ctrl, "client")
 
@@ -72,8 +68,8 @@ func TestChaosCutRefusesDialsAndHeals(t *testing.T) {
 	if err := get(); err != nil {
 		t.Fatalf("healed phase: %v", err)
 	}
-	st := ctrl.Stats()["client->b"]
-	if st.Dials == 0 || st.CutDials+st.CutReads+st.CutWrites == 0 {
+	st := ctrl.Stats()["client:b"]
+	if st.Conns == 0 || st.CutDials+st.CutReads+st.CutWrites == 0 {
 		t.Fatalf("stats %+v: the cut left no trace", st)
 	}
 	if ctrl.Flaps() != 2 {
@@ -93,9 +89,7 @@ func TestChaosCutRecvDeliversRequestButKillsResponse(t *testing.T) {
 		fmt.Fprint(w, "ok")
 	}))
 	defer srv.Close()
-	ctrl := NewController(ChaosPlan{Seed: 3, Phases: []ChaosPhase{
-		{Name: "asym", Rules: []LinkRule{{From: "client", To: "b", State: LinkState{CutRecv: true}}}},
-	}})
+	ctrl := mustInjector(t, "seed=3, name=asym, cutrecv=client:b")
 	ctrl.Register("b", addrOf(t, srv))
 	client := chaosClient(ctrl, "client")
 	// The one-way cut is silence: without a timeout the response wait
@@ -114,16 +108,14 @@ func TestChaosCutRecvDeliversRequestButKillsResponse(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("one-way cut blocked the request; it must only kill the response")
 	}
-	if st := ctrl.Stats()["client->b"]; st.CutReads == 0 {
+	if st := ctrl.Stats()["client:b"]; st.CutReads == 0 {
 		t.Fatalf("stats %+v: no cut reads recorded", st)
 	}
 }
 
 func TestChaosLatencyHonorsDeadline(t *testing.T) {
 	srv := chaosEcho(t)
-	ctrl := NewController(ChaosPlan{Seed: 5, Phases: []ChaosPhase{
-		{Name: "slow", Rules: []LinkRule{{From: "client", To: "b", State: LinkState{Latency: 40 * time.Millisecond, LatencyJitter: 10 * time.Millisecond}}}},
-	}})
+	ctrl := mustInjector(t, "seed=5, name=slow, lat=client:b:40ms, jitter=10ms")
 	ctrl.Register("b", addrOf(t, srv))
 	client := chaosClient(ctrl, "client")
 	start := time.Now()
@@ -136,7 +128,7 @@ func TestChaosLatencyHonorsDeadline(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 40*time.Millisecond {
 		t.Fatalf("request finished in %v; the 40ms link latency never applied", elapsed)
 	}
-	if st := ctrl.Stats()["client->b"]; st.DelayedReads == 0 {
+	if st := ctrl.Stats()["client:b"]; st.Delays == 0 {
 		t.Fatalf("stats %+v: no delayed reads", st)
 	}
 
@@ -168,9 +160,7 @@ func TestChaosThrottleCapsReads(t *testing.T) {
 		fmt.Fprint(w, payload)
 	}))
 	defer srv.Close()
-	ctrl := NewController(ChaosPlan{Seed: 7, Phases: []ChaosPhase{
-		{Name: "throttle", Rules: []LinkRule{{From: "client", To: "b", State: LinkState{ThrottleBytes: 256, ThrottleDelay: time.Microsecond}}}},
-	}})
+	ctrl := mustInjector(t, "seed=7, name=throttle, throttle=client:b:256")
 	ctrl.Register("b", addrOf(t, srv))
 	resp, err := chaosClient(ctrl, "client").Get(srv.URL)
 	if err != nil {
@@ -181,20 +171,18 @@ func TestChaosThrottleCapsReads(t *testing.T) {
 	if err != nil || len(body) != len(payload) {
 		t.Fatalf("throttled transfer: %d bytes, err %v", len(body), err)
 	}
-	st := ctrl.Stats()["client->b"]
-	if st.ThrottledReads < uint64(len(payload)/256) {
+	st := ctrl.Stats()["client:b"]
+	if st.Throttled < uint64(len(payload)/256) {
 		t.Fatalf("stats %+v: too few throttled reads for a %d-byte body", st, len(payload))
 	}
 }
 
 func TestChaosWildcardAndUnknownEndpoints(t *testing.T) {
 	srv := chaosEcho(t)
-	ctrl := NewController(ChaosPlan{Seed: 9, Phases: []ChaosPhase{
-		{Name: "cut-all", Rules: []LinkRule{
-			{From: "client", To: "c", State: LinkState{}}, // specific exception before the wildcard
-			{From: "client", To: "*", State: LinkState{Cut: true}},
-		}},
-	}})
+	// A specific exception before the wildcard: a rule with a zero
+	// latency is a healthy link that matches first.
+	const spec = "seed=9, name=cut-all, lat=client:c:0s, cut=client:*"
+	ctrl := mustInjector(t, spec)
 	addr := addrOf(t, srv)
 	ctrl.Register("b", addr)
 	if _, err := chaosClient(ctrl, "client").Get(srv.URL); err == nil {
@@ -207,12 +195,7 @@ func TestChaosWildcardAndUnknownEndpoints(t *testing.T) {
 	}
 	// The exception: register the same address as "c" and the first-match
 	// rule exempts it.
-	ctrl2 := NewController(ChaosPlan{Seed: 9, Phases: []ChaosPhase{
-		{Name: "cut-all", Rules: []LinkRule{
-			{From: "client", To: "c", State: LinkState{}},
-			{From: "client", To: "*", State: LinkState{Cut: true}},
-		}},
-	}})
+	ctrl2 := mustInjector(t, spec)
 	ctrl2.Register("c", addr)
 	resp, err := chaosClient(ctrl2, "client").Get(srv.URL)
 	if err != nil {
@@ -223,11 +206,7 @@ func TestChaosWildcardAndUnknownEndpoints(t *testing.T) {
 }
 
 func TestChaosWallClockSchedule(t *testing.T) {
-	ctrl := NewController(ChaosPlan{Phases: []ChaosPhase{
-		{Name: "p0", For: 20 * time.Millisecond},
-		{Name: "p1", For: 20 * time.Millisecond},
-		{Name: "p2"},
-	}})
+	ctrl := mustInjector(t, "name=p0, for=20ms; name=p1, for=20ms; name=p2")
 	ctrl.Start()
 	defer ctrl.Stop()
 	deadline := time.Now().Add(5 * time.Second)
@@ -239,8 +218,10 @@ func TestChaosWallClockSchedule(t *testing.T) {
 	}
 }
 
+// TestParseChaosSpec covers the link half of the language: phases,
+// seeds, names, wall-clock durations and link states.
 func TestParseChaosSpec(t *testing.T) {
-	plan, err := ParseChaosSpec("seed=42,for=2s;cut=b:*,name=partition,for=3s;lat=a:b:50ms,throttle=c:b:1024;name=healed")
+	plan, err := Parse("seed=42,for=2s;cut=b:*,name=partition,for=3s;lat=a:b:50ms,throttle=c:b:1024;name=healed")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,18 +233,28 @@ func TestParseChaosSpec(t *testing.T) {
 	}
 	p1 := plan.Phases[1]
 	if p1.Name != "partition" || p1.For != 3*time.Second || len(p1.Rules) != 1 ||
-		!p1.Rules[0].State.Cut || p1.Rules[0].From != "b" || p1.Rules[0].To != "*" {
+		!p1.Rules[0].Link.Cut || p1.Rules[0].From != "b" || p1.Rules[0].To != "*" {
 		t.Fatalf("phase 1 %+v", p1)
 	}
 	p2 := plan.Phases[2]
-	if len(p2.Rules) != 2 || p2.Rules[0].State.Latency != 50*time.Millisecond || p2.Rules[1].State.ThrottleBytes != 1024 {
+	if len(p2.Rules) != 2 || p2.Rules[0].Link.Latency != 50*time.Millisecond || p2.Rules[1].Link.ThrottleBytes != 1024 {
 		t.Fatalf("phase 2 %+v", p2)
 	}
 	if plan.Phases[3].Name != "healed" {
 		t.Fatalf("phase 3 %+v", plan.Phases[3])
 	}
-	for _, bad := range []string{"cut=b", "bogus=1", "lat=a:b:xx", "for=-1s", "throttle=a:b:0", "cut"} {
-		if _, err := ParseChaosSpec(bad); err == nil {
+	bh, err := Parse("blackhole=a:b; cutrecv=a:b, lat=1ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l := bh.Phases[0].Rules[0].Link; !l.Cut || !l.Blackhole {
+		t.Fatalf("blackhole %+v", l)
+	}
+	if l := bh.Phases[1].Rules[0].Link; !l.CutRecv || l.Cut || l.Latency != time.Millisecond {
+		t.Fatalf("cutrecv with latency %+v", l)
+	}
+	for _, bad := range []string{"cut=b", "bogus=1", "lat=a:b:xx", "for=-1s", "throttle=a:b:0", "cut", "cut=a:b:1", "lat=a:b", "seed"} {
+		if _, err := Parse(bad); err == nil {
 			t.Errorf("spec %q parsed", bad)
 		}
 	}
@@ -275,9 +266,7 @@ func TestParseChaosSpec(t *testing.T) {
 func TestChaosJitterDeterminism(t *testing.T) {
 	mk := func(seed uint64) []time.Duration {
 		srv := chaosEcho(t)
-		ctrl := NewController(ChaosPlan{Seed: seed, Phases: []ChaosPhase{
-			{Name: "slow", Rules: []LinkRule{{From: "x", To: "y", State: LinkState{Latency: time.Millisecond, LatencyJitter: 10 * time.Millisecond}}}},
-		}})
+		ctrl := mustInjector(t, fmt.Sprintf("seed=%d, name=slow, lat=x:y:1ms, jitter=10ms", seed))
 		ctrl.Register("y", addrOf(t, srv))
 		dial := ctrl.DialContext("x", nil)
 		var outs []time.Duration

@@ -1,73 +1,17 @@
 package faultnet
 
 import (
-	"errors"
 	"io"
 	"net"
 	"sync"
 	"time"
+
+	"tlsfof/internal/stats"
 )
 
-// Scenario is one fault recipe. The zero value injects nothing (the
-// "clean" control cell of the matrix). All byte offsets count bytes of
-// the real stream, excluding injected prefixes.
-type Scenario struct {
-	Name string
-
-	// Write-side faults: mangle what the wrapped endpoint sends.
-
-	// WriteFragment splits every Write into segments of at most this many
-	// bytes, each delivered to the underlying conn as its own Write — on
-	// a pipe or a no-delay socket this forces the peer to reassemble TLS
-	// records from arbitrary read boundaries.
-	WriteFragment int
-	// WriteCoalesce buffers writes and flushes them in one underlying
-	// Write at the next Read (a sender cannot await a reply without
-	// flushing) or at Close — the Nagle-style batching that merges whole
-	// flights into one segment.
-	WriteCoalesce bool
-	// WriteDup sends every segment twice.
-	WriteDup bool
-	// WriteSwap swaps each pair of adjacent segments within one Write
-	// (meaningful only with WriteFragment), reordering the byte stream.
-	WriteSwap bool
-	// WriteStallAt stalls the connection for StallFor once this many
-	// bytes have been written (slowloris: open, send a little, go quiet).
-	// The stall respects deadlines and Close.
-	WriteStallAt int
-	StallFor     time.Duration
-
-	// Read-side faults: mangle what the wrapped endpoint receives.
-
-	// ReadFragment caps every Read at this many bytes.
-	ReadFragment int
-	// ReadDelay sleeps before every Read (respecting deadlines/Close).
-	ReadDelay time.Duration
-	// TruncateReadAt ends the stream with a clean EOF after this many
-	// bytes have been read, and closes the underlying conn. 0 = never.
-	TruncateReadAt int
-	// ResetReadAt fails the stream with ErrInjectedReset after this many
-	// bytes have been read, and closes the underlying conn. 0 = never.
-	ResetReadAt int
-	// CorruptReadEvery XORs one byte with the conn's seeded mask every
-	// this many bytes read. 0 = never.
-	CorruptReadEvery int
-	// GarbagePrefix delivers this many seeded garbage bytes before the
-	// first real byte.
-	GarbagePrefix int
-	// AlertPrefix delivers a fatal TLS handshake_failure alert record
-	// before the first real byte — the spurious alert a confused
-	// middlebox emits.
-	AlertPrefix bool
-}
-
-// ErrInjectedReset is the error surfaced when a scenario resets the
-// connection mid-flight. It stands in for the peer's RST.
-var ErrInjectedReset = errors.New("faultnet: injected connection reset")
-
 // stallTimeoutError is returned when a connection deadline expires while
-// a fault-injected stall or delay is pending. It satisfies net.Error
-// with Timeout() == true, exactly like an OS-level read timeout.
+// an injected stall, delay or black hole is pending. It satisfies
+// net.Error with Timeout() == true, exactly like an OS-level read timeout.
 type stallTimeoutError struct{}
 
 func (stallTimeoutError) Error() string   { return "faultnet: i/o timeout during injected stall" }
@@ -78,15 +22,27 @@ func (stallTimeoutError) Temporary() bool { return true }
 // record (TLS 1.0 record version, as middleboxes of the era sent).
 var spuriousAlert = [7]byte{21, 3, 1, 0, 2, 2, 40}
 
-// Conn wraps a net.Conn, applying one Scenario deterministically. Not
-// safe for concurrent Read/Read or Write/Write calls (net.Conn's own
-// contract); Read and Write may run concurrently except under
-// WriteCoalesce/WriteSwap, whose flush-on-read handoff serializes on an
-// internal mutex.
+// throttlePause is the pause before every read of a throttled link.
+const throttlePause = time.Millisecond
+
+// forever is a pause that only a deadline or Close ends.
+const forever = time.Duration(1<<63 - 1)
+
+// Conn is a connection wrapped by an Injector: the byte scenario fixed at
+// wrap time plus the link state, re-read on every operation. Not safe for
+// concurrent Read/Read or Write/Write calls (net.Conn's own contract);
+// Read and Write may run concurrently except under WriteCoalesce, whose
+// flush-on-read handoff serializes on an internal mutex.
 type Conn struct {
 	net.Conn
-	sc    Scenario
-	stats *ScenarioStats
+	in       *Injector
+	from, to string
+	st       *Stats
+	sc       Scenario
+
+	// rng drives the latency jitter after the schedule's draws.
+	rngMu sync.Mutex
+	rng   *stats.RNG
 
 	// Read state.
 	rdOff   int    // real bytes delivered so far
@@ -98,12 +54,12 @@ type Conn struct {
 	wrOff   int
 	stalled bool // stall already fired
 
-	// pending holds coalesced (or swap-held) bytes awaiting flush.
+	// pending holds coalesced bytes awaiting flush.
 	pendMu  sync.Mutex
 	pending []byte
 
-	// Deadline mirror: stalls and delays must honor deadlines without
-	// help from the underlying conn.
+	// Deadline mirror: stalls, delays and black holes must honor
+	// deadlines without help from the underlying conn.
 	dlMu       sync.Mutex
 	rdDeadline time.Time
 	wrDeadline time.Time
@@ -112,46 +68,33 @@ type Conn struct {
 	done      chan struct{}
 }
 
-// newConn is called by Plan.Wrap with the fully derived scenario state.
-func newConn(underlying net.Conn, sc Scenario, pre []byte, mask byte, stats *ScenarioStats) *Conn {
-	return &Conn{
-		Conn:  underlying,
-		sc:    sc,
-		pre:   pre,
-		mask:  mask,
-		stats: stats,
-		done:  make(chan struct{}),
-	}
-}
-
 // pause sleeps for d, returning early with an error when the deadline
 // passes first or the conn is closed. A nil return means the full pause
 // elapsed.
 func (c *Conn) pause(d time.Duration, deadline time.Time) error {
+	var timeout error
 	if !deadline.IsZero() {
 		if until := time.Until(deadline); until < d {
 			// Sleep out the deadline, then report the timeout the caller
 			// would have hit inside the OS read/write.
-			if until > 0 {
-				t := time.NewTimer(until)
-				defer t.Stop()
-				select {
-				case <-t.C:
-				case <-c.done:
-					return net.ErrClosed
-				}
-			}
-			return stallTimeoutError{}
+			d, timeout = max(until, 0), stallTimeoutError{}
 		}
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
-		return nil
+		return timeout
 	case <-c.done:
 		return net.ErrClosed
 	}
+}
+
+// hang blocks until the deadline or Close — the black-hole failure mode,
+// indistinguishable from packet loss.
+func (c *Conn) hang(deadline time.Time) error {
+	c.st.add(&c.st.Blackholes, 1)
+	return c.pause(forever, deadline)
 }
 
 func (c *Conn) readDeadline() time.Time {
@@ -166,7 +109,7 @@ func (c *Conn) writeDeadline() time.Time {
 	return c.wrDeadline
 }
 
-// SetDeadline mirrors the deadline for injected stalls and forwards it.
+// SetDeadline mirrors the deadline for injected pauses and forwards it.
 func (c *Conn) SetDeadline(t time.Time) error {
 	c.dlMu.Lock()
 	c.rdDeadline, c.wrDeadline = t, t
@@ -190,7 +133,7 @@ func (c *Conn) SetWriteDeadline(t time.Time) error {
 	return c.Conn.SetWriteDeadline(t)
 }
 
-// Read applies the scenario's read-side faults.
+// Read applies the link state, then the scenario's read-side faults.
 func (c *Conn) Read(p []byte) (int, error) {
 	// A reader awaiting a reply implies the writer is done with its
 	// flight: flush coalesced bytes so hostile batching never deadlocks
@@ -198,9 +141,37 @@ func (c *Conn) Read(p []byte) (int, error) {
 	if err := c.flushPending(); err != nil {
 		return 0, err
 	}
-	if c.sc.ReadDelay > 0 {
-		c.stats.add(&c.stats.Delays, 1)
-		if err := c.pause(c.sc.ReadDelay, c.readDeadline()); err != nil {
+	ls := c.in.state(c.from, c.to)
+	if ls.Cut || ls.CutRecv {
+		c.st.add(&c.st.CutReads, 1)
+		// A one-way cut is silence, not a reset: the peer's packets simply
+		// never arrive. An instant read error would make the HTTP transport
+		// tear down the conn before the request write completes, turning
+		// the asymmetric cut into a symmetric one. Hang to the deadline so
+		// the request flows and only the response dies.
+		if ls.Blackhole || !ls.Cut {
+			return 0, c.hang(c.readDeadline())
+		}
+		c.closeUnderlying() // a pooled conn must not be reused healthy
+		return 0, errLinkCut
+	}
+	delay := c.sc.ReadDelay + ls.Latency
+	if ls.LatencyJitter > 0 {
+		c.rngMu.Lock()
+		delay += time.Duration(c.rng.Uint64() % uint64(ls.LatencyJitter))
+		c.rngMu.Unlock()
+	}
+	if delay > 0 {
+		c.st.add(&c.st.Delays, 1)
+		if err := c.pause(delay, c.readDeadline()); err != nil {
+			return 0, err
+		}
+	}
+	limit := len(p)
+	if ls.ThrottleBytes > 0 {
+		c.st.add(&c.st.Throttled, 1)
+		limit = min(limit, ls.ThrottleBytes)
+		if err := c.pause(throttlePause, c.readDeadline()); err != nil {
 			return 0, err
 		}
 	}
@@ -217,16 +188,12 @@ func (c *Conn) Read(p []byte) (int, error) {
 	if c.termErr != nil {
 		return 0, c.termErr
 	}
-	limit := len(p)
-	if c.sc.ReadFragment > 0 && limit > c.sc.ReadFragment {
-		limit = c.sc.ReadFragment
+	if c.sc.ReadFragment > 0 {
+		limit = min(limit, c.sc.ReadFragment)
 	}
 	// Never read past a scheduled truncation/reset boundary: the cut
 	// lands at the exact byte offset the schedule says.
-	cut := 0
-	if c.sc.TruncateReadAt > 0 {
-		cut = c.sc.TruncateReadAt
-	}
+	cut := c.sc.TruncateReadAt
 	if c.sc.ResetReadAt > 0 && (cut == 0 || c.sc.ResetReadAt < cut) {
 		cut = c.sc.ResetReadAt
 	}
@@ -240,12 +207,12 @@ func (c *Conn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p[:limit])
 	if n > 0 {
 		if hit := CorruptEvery(p[:n], c.rdOff, c.sc.CorruptReadEvery, c.mask); hit > 0 {
-			c.stats.add(&c.stats.CorruptBytes, uint64(hit))
+			c.st.add(&c.st.CorruptBytes, uint64(hit))
 		}
 		c.rdOff += n
-		c.stats.add(&c.stats.BytesRead, uint64(n))
+		c.st.add(&c.st.BytesRead, uint64(n))
 	}
-	c.stats.add(&c.stats.Reads, 1)
+	c.st.add(&c.st.Reads, 1)
 	if err == nil && cut > 0 && c.rdOff >= cut {
 		// Deliver the final bytes now; the next Read reports the cut.
 		c.kill()
@@ -278,10 +245,10 @@ func CorruptEvery(b []byte, off, every int, mask byte) int {
 func (c *Conn) kill() error {
 	c.closeUnderlying()
 	if c.sc.ResetReadAt > 0 && (c.sc.TruncateReadAt == 0 || c.sc.ResetReadAt <= c.sc.TruncateReadAt) {
-		c.stats.add(&c.stats.Resets, 1)
+		c.st.add(&c.st.Resets, 1)
 		c.termErr = ErrInjectedReset
 	} else {
-		c.stats.add(&c.stats.Truncates, 1)
+		c.st.add(&c.st.Truncates, 1)
 		c.termErr = io.EOF
 	}
 	return c.termErr
@@ -294,23 +261,28 @@ func (c *Conn) closeUnderlying() {
 	})
 }
 
-// Write applies the scenario's write-side faults. It reports len(p) on
-// success regardless of duplication.
+// Write applies the link state, then the scenario's write-side faults.
+// It reports len(p) on success regardless of duplication.
 func (c *Conn) Write(p []byte) (int, error) {
-	c.stats.add(&c.stats.Writes, 1)
+	if ls := c.in.state(c.from, c.to); ls.Cut {
+		c.st.add(&c.st.CutWrites, 1)
+		if ls.Blackhole {
+			return 0, c.hang(c.writeDeadline())
+		}
+		c.closeUnderlying()
+		return 0, errLinkCut
+	}
+	c.st.add(&c.st.Writes, 1)
 	if at := c.sc.WriteStallAt; at > 0 && !c.stalled && c.wrOff+len(p) > at {
 		// Deliver the pre-stall prefix, then go quiet.
-		head := at - c.wrOff
-		if head < 0 {
-			head = 0
-		}
+		head := max(at-c.wrOff, 0)
 		if head > 0 {
 			if n, err := c.writeSegments(p[:head]); err != nil {
 				return n, err
 			}
 		}
 		c.stalled = true
-		c.stats.add(&c.stats.Stalls, 1)
+		c.st.add(&c.st.Stalls, 1)
 		if err := c.pause(c.sc.StallFor, c.writeDeadline()); err != nil {
 			return head, err
 		}
@@ -328,7 +300,7 @@ func (c *Conn) writeSegments(p []byte) (int, error) {
 		c.pending = append(c.pending, p...)
 		c.pendMu.Unlock()
 		c.wrOff += len(p)
-		c.stats.add(&c.stats.BytesWritten, uint64(len(p)))
+		c.st.add(&c.st.BytesWritten, uint64(len(p)))
 		return len(p), nil
 	}
 	frag := c.sc.WriteFragment
@@ -337,17 +309,14 @@ func (c *Conn) writeSegments(p []byte) (int, error) {
 	}
 	var segs [][]byte
 	for rest := p; len(rest) > 0; {
-		n := frag
-		if n > len(rest) {
-			n = len(rest)
-		}
+		n := min(frag, len(rest))
 		segs = append(segs, rest[:n])
 		rest = rest[n:]
 	}
 	if c.sc.WriteSwap {
 		for i := 0; i+1 < len(segs); i += 2 {
 			segs[i], segs[i+1] = segs[i+1], segs[i]
-			c.stats.add(&c.stats.SwappedPairs, 1)
+			c.st.add(&c.st.SwappedPairs, 1)
 		}
 	}
 	written := 0
@@ -361,11 +330,11 @@ func (c *Conn) writeSegments(p []byte) (int, error) {
 			if _, err := c.Conn.Write(seg); err != nil {
 				return written, err
 			}
-			c.stats.add(&c.stats.DupSegments, 1)
+			c.st.add(&c.st.DupSegments, 1)
 		}
 	}
 	c.wrOff += written
-	c.stats.add(&c.stats.BytesWritten, uint64(written))
+	c.st.add(&c.st.BytesWritten, uint64(written))
 	return written, nil
 }
 
@@ -378,13 +347,13 @@ func (c *Conn) flushPending() error {
 	if len(pend) == 0 {
 		return nil
 	}
-	c.stats.add(&c.stats.CoalescedFlushes, 1)
+	c.st.add(&c.st.CoalescedFlushes, 1)
 	_, err := c.Conn.Write(pend)
 	return err
 }
 
 // Close flushes any coalesced bytes (best effort) and closes the
-// underlying conn. It also aborts any in-flight injected stall.
+// underlying conn. It also aborts any in-flight injected pause.
 func (c *Conn) Close() error {
 	_ = c.flushPending()
 	c.closeUnderlying()

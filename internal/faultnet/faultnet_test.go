@@ -10,24 +10,39 @@ import (
 	"time"
 )
 
-// wrapPipe returns the fault-wrapped client end of a pipe and the raw
-// peer end.
-func wrapPipe(t *testing.T, p *Plan) (*Conn, net.Conn) {
+// mustInjector parses spec and builds its injector.
+func mustInjector(t testing.TB, spec string) *Injector {
+	t.Helper()
+	plan, err := Parse(spec)
+	if err != nil {
+		t.Fatalf("Parse(%q): %v", spec, err)
+	}
+	return New(plan)
+}
+
+// wrapPipe returns the fault-wrapped client end of a pipe, dialed as the
+// link client:peer, and the raw peer end.
+func wrapPipe(t *testing.T, in *Injector) (net.Conn, net.Conn) {
 	t.Helper()
 	client, peer := net.Pipe()
-	fc := p.Wrap(client)
+	fc, err := in.Dialer("client", func(string) (net.Conn, error) { return client, nil })("peer")
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() { fc.Close(); peer.Close() })
 	return fc, peer
 }
 
 func TestScheduleReplayIsIdentical(t *testing.T) {
 	build := func() []ConnSchedule {
-		p := NewPlan(42, Scenarios()...)
+		in := mustInjector(t, "all=*:*, seed=42")
 		for i := 0; i < 30; i++ {
 			c, _ := net.Pipe()
-			p.Wrap(c).Close()
+			host := []string{"a", "b", "c"}[i%3]
+			fc, _ := in.Dialer("probe", func(string) (net.Conn, error) { return c, nil })(host)
+			fc.Close()
 		}
-		return p.Schedule()
+		return in.Schedule()
 	}
 	a, b := build(), build()
 	if !reflect.DeepEqual(a, b) {
@@ -36,25 +51,27 @@ func TestScheduleReplayIsIdentical(t *testing.T) {
 	if len(a) != 30 {
 		t.Fatalf("schedule has %d entries, want 30", len(a))
 	}
+	// Each link rotates the grid on its own connection index.
+	if a[0].Link != "probe:a" || a[3].Conn != 1 || a[3].Scenario.Name != Scenarios()[1].Name {
+		t.Fatalf("per-link round-robin broken: %+v, %+v", a[0], a[3])
+	}
 }
 
 func TestScheduleDependsOnSeed(t *testing.T) {
-	sc := Scenario{Name: "garbage", GarbagePrefix: 16}
-	mk := func(seed uint64) ConnSchedule {
-		p := NewPlan(seed, sc)
-		c, _ := net.Pipe()
-		p.Wrap(c).Close()
-		return p.Schedule()[0]
+	mk := func(seed string) ConnSchedule {
+		in := mustInjector(t, "garbage=*:*, seed="+seed)
+		wrapPipe(t, in)
+		return in.Schedule()[0]
 	}
-	a, b := mk(1), mk(2)
+	a, b := mk("1"), mk("2")
 	if bytes.Equal(a.Prefix, b.Prefix) && a.CorruptMask == b.CorruptMask {
 		t.Fatalf("different seeds produced identical derived fault state")
 	}
 }
 
 func TestTruncateAtExactOffset(t *testing.T) {
-	p := NewPlan(7, Scenario{Name: "trunc", TruncateReadAt: 600})
-	fc, peer := wrapPipe(t, p)
+	in := mustInjector(t, "truncate=*:*")
+	fc, peer := wrapPipe(t, in)
 	go func() {
 		buf := make([]byte, 1000)
 		peer.Write(buf)
@@ -66,15 +83,13 @@ func TestTruncateAtExactOffset(t *testing.T) {
 	if len(got) != 600 {
 		t.Fatalf("read %d bytes, want exactly 600 then EOF", len(got))
 	}
-	st := p.Stats()["trunc"]
-	if st.Truncates != 1 {
+	if st := in.Stats()["client:peer"]; st.Truncates != 1 {
 		t.Fatalf("stats.Truncates = %d, want 1", st.Truncates)
 	}
 }
 
 func TestResetAtOffset(t *testing.T) {
-	p := NewPlan(7, Scenario{Name: "rst", ResetReadAt: 100})
-	fc, peer := wrapPipe(t, p)
+	fc, peer := wrapPipe(t, mustInjector(t, "reset=*:*, reset=100"))
 	go func() { peer.Write(make([]byte, 500)) }()
 	n, err := io.Copy(io.Discard, fc)
 	if !errors.Is(err, ErrInjectedReset) {
@@ -90,8 +105,7 @@ func TestResetAtOffset(t *testing.T) {
 }
 
 func TestWriteFragmentation(t *testing.T) {
-	p := NewPlan(7, Scenario{Name: "frag", WriteFragment: 3})
-	fc, peer := wrapPipe(t, p)
+	fc, peer := wrapPipe(t, mustInjector(t, "clean=*:*, wfrag=3"))
 	var sizes []int
 	done := make(chan struct{})
 	go func() {
@@ -119,8 +133,7 @@ func TestWriteFragmentation(t *testing.T) {
 }
 
 func TestWriteSwapReordersSegments(t *testing.T) {
-	p := NewPlan(7, Scenario{Name: "swap", WriteFragment: 2, WriteSwap: true})
-	fc, peer := wrapPipe(t, p)
+	fc, peer := wrapPipe(t, mustInjector(t, "reorder=*:*, wfrag=2"))
 	var got bytes.Buffer
 	done := make(chan struct{})
 	go func() { io.Copy(&got, peer); close(done) }()
@@ -133,8 +146,7 @@ func TestWriteSwapReordersSegments(t *testing.T) {
 }
 
 func TestCoalesceFlushesBeforeRead(t *testing.T) {
-	p := NewPlan(7, Scenario{Name: "coal", WriteCoalesce: true})
-	fc, peer := wrapPipe(t, p)
+	fc, peer := wrapPipe(t, mustInjector(t, "coalesce=*:*"))
 	done := make(chan []byte, 1)
 	go func() {
 		// Echo server: read the coalesced request, reply.
@@ -156,15 +168,14 @@ func TestCoalesceFlushesBeforeRead(t *testing.T) {
 }
 
 func TestCorruptionIsDeterministic(t *testing.T) {
-	run := func(seed uint64) []byte {
-		p := NewPlan(seed, Scenario{Name: "corr", CorruptReadEvery: 5})
-		fc, peer := wrapPipe(t, p)
+	run := func(seed string) []byte {
+		fc, peer := wrapPipe(t, mustInjector(t, "corrupt=*:*, corrupt=5, seed="+seed))
 		src := bytes.Repeat([]byte{0xAA}, 32)
 		go func() { peer.Write(src); peer.Close() }()
 		got, _ := io.ReadAll(fc)
 		return got
 	}
-	a, b := run(3), run(3)
+	a, b := run("3"), run("3")
 	if !bytes.Equal(a, b) {
 		t.Fatalf("same seed produced different corrupted streams")
 	}
@@ -183,14 +194,14 @@ func TestCorruptionIsDeterministic(t *testing.T) {
 }
 
 func TestPrefixInjection(t *testing.T) {
-	p := NewPlan(9, Scenario{Name: "pfx", AlertPrefix: true, GarbagePrefix: 4})
-	fc, peer := wrapPipe(t, p)
+	in := mustInjector(t, "alert=*:*, garbage=4, seed=9")
+	fc, peer := wrapPipe(t, in)
 	go func() { peer.Write([]byte("real")); peer.Close() }()
 	got, err := io.ReadAll(fc)
 	if err != nil {
 		t.Fatalf("ReadAll: %v", err)
 	}
-	sched := p.Schedule()[0]
+	sched := in.Schedule()[0]
 	if len(sched.Prefix) != len(spuriousAlert)+4 {
 		t.Fatalf("schedule prefix %d bytes, want %d", len(sched.Prefix), len(spuriousAlert)+4)
 	}
@@ -204,8 +215,7 @@ func TestPrefixInjection(t *testing.T) {
 }
 
 func TestStallRespectsDeadline(t *testing.T) {
-	p := NewPlan(5, Scenario{Name: "loris", WriteStallAt: 2, StallFor: 30 * time.Second})
-	fc, peer := wrapPipe(t, p)
+	fc, peer := wrapPipe(t, mustInjector(t, "slowloris=*:*, stallat=2"))
 	go io.Copy(io.Discard, peer)
 	fc.SetDeadline(time.Now().Add(50 * time.Millisecond))
 	start := time.Now()
@@ -220,8 +230,7 @@ func TestStallRespectsDeadline(t *testing.T) {
 }
 
 func TestStallAbortsOnClose(t *testing.T) {
-	p := NewPlan(5, Scenario{Name: "loris", WriteStallAt: 2, StallFor: 30 * time.Second})
-	fc, peer := wrapPipe(t, p)
+	fc, peer := wrapPipe(t, mustInjector(t, "slowloris=*:*, stallat=2"))
 	go io.Copy(io.Discard, peer)
 	errc := make(chan error, 1)
 	go func() {
@@ -240,39 +249,52 @@ func TestStallAbortsOnClose(t *testing.T) {
 	}
 }
 
+// TestParseSpec covers the byte-scenario half of the language: scenario
+// and "all" rules, knob overrides on the rule before them, and the
+// errors a -fault flag must refuse.
 func TestParseSpec(t *testing.T) {
-	p, err := ParseSpec("fragment,seed=42")
+	p, err := Parse("fragment=*:*, seed=42")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Seed != 42 || len(p.Scenarios) != 1 || p.Scenarios[0].Name != "fragment" {
-		t.Fatalf("ParseSpec: %+v", p)
+	if r := p.Phases[0].Rules[0]; p.Seed != 42 || len(r.Scenarios) != 1 || r.Scenarios[0].Name != "fragment" || r.From != "*" {
+		t.Fatalf("Parse: %+v", p)
 	}
-	p, err = ParseSpec("all")
+	p, err = Parse("all=*:mitmd")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Scenarios) != len(Scenarios()) {
-		t.Fatalf("all selected %d scenarios", len(p.Scenarios))
+	if r := p.Phases[0].Rules[0]; len(r.Scenarios) != len(Scenarios()) || r.To != "mitmd" {
+		t.Fatalf("all selected %+v", r)
 	}
-	p, err = ParseSpec("clean,truncate=128,wfrag=2,delay=3ms")
+	p, err = Parse("clean=*:*, truncate=128, wfrag=2, delay=3ms, dup")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := p.Scenarios[0]
-	if sc.TruncateReadAt != 128 || sc.WriteFragment != 2 || sc.ReadDelay != 3*time.Millisecond {
+	sc := p.Phases[0].Rules[0].Scenarios[0]
+	if sc.TruncateReadAt != 128 || sc.WriteFragment != 2 || sc.ReadDelay != 3*time.Millisecond || !sc.WriteDup {
 		t.Fatalf("overrides not applied: %+v", sc)
 	}
-	for _, bad := range []string{"nope", "clean,seed=x", "clean,bogus=1", "clean,truncate=-1"} {
-		if _, err := ParseSpec(bad); err == nil {
-			t.Fatalf("ParseSpec(%q) accepted", bad)
+	// A knob on a link-state rule gives it a clean scenario to override:
+	// one rule, both kinds of fault.
+	p, err = Parse("lat=a:b:5ms, reset=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := p.Phases[0].Rules[0]; r.Link.Latency != 5*time.Millisecond || len(r.Scenarios) != 1 || r.Scenarios[0].ResetReadAt != 1 {
+		t.Fatalf("mixed rule: %+v", r)
+	}
+	for _, bad := range []string{"nope", "nope=*:*", "clean=*:*,seed=x", "clean=*:*,bogus=1", "clean=*:*,truncate=-1",
+		"fragment=*:*:3", "clean=*:*,dup=1", "reset=1", "clean=:*"} {
+		if _, err := Parse(bad); err == nil {
+			t.Errorf("Parse(%q) accepted", bad)
 		}
 	}
 }
 
 func TestStatsAccounting(t *testing.T) {
-	p := NewPlan(1, Scenario{Name: "dup", WriteFragment: 4, WriteDup: true})
-	fc, peer := wrapPipe(t, p)
+	in := mustInjector(t, "duplicate=*:*, wfrag=4")
+	fc, peer := wrapPipe(t, in)
 	var got bytes.Buffer
 	done := make(chan struct{})
 	go func() { io.Copy(&got, peer); close(done) }()
@@ -282,7 +304,7 @@ func TestStatsAccounting(t *testing.T) {
 	if got.String() != "1234123456785678" {
 		t.Fatalf("dup stream = %q", got.String())
 	}
-	st := p.Stats()["dup"]
+	st := in.Stats()["client:peer"]
 	if st.Conns != 1 || st.DupSegments != 2 || st.BytesWritten != 8 {
 		t.Fatalf("stats = %+v", st)
 	}

@@ -11,8 +11,8 @@ import (
 // end the handler owns. The same Tool/Responder/Interceptor code that
 // runs over TCP runs here without sockets, which keeps wire-mode runs
 // hermetic (the audit grid) and gives the live-wire smoke its control
-// run. A Plan composes with it through Plan.Dialer. Safe for concurrent
-// use.
+// run. An Injector composes with it through Injector.Dialer. Safe for
+// concurrent use.
 type Network struct {
 	mu    sync.RWMutex
 	hosts map[string]Handler

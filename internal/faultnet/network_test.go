@@ -123,8 +123,7 @@ func TestInterceptedView(t *testing.T) {
 		t.Fatalf("intercepted run failed: %v", r.Err)
 	}
 	// A hostile last mile composes in front of the tap.
-	frag, _ := ScenarioByName("fragment")
-	if r := runTool(NewPlan(7, frag).Dialer(tapped)); !r.Completed {
+	if r := runTool(mustInjector(t, "fragment=*:*, seed=7").Dialer("client", tapped)); !r.Completed {
 		t.Fatalf("intercepted run over a fragmenting wire failed: %v", r.Err)
 	}
 

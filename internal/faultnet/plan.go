@@ -1,249 +1,132 @@
 package faultnet
 
 import (
-	"context"
+	"errors"
 	"fmt"
-	"net"
-	"net/http"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
-
-	"tlsfof/internal/stats"
 )
 
-// ScenarioStats counts the fault activity of every connection that ran
-// one scenario. All fields are updated atomically and safe to snapshot
-// while connections are live.
-type ScenarioStats struct {
-	Conns            uint64 `json:"conns"`
-	Reads            uint64 `json:"reads"`
-	Writes           uint64 `json:"writes"`
-	BytesRead        uint64 `json:"bytes_read"`
-	BytesWritten     uint64 `json:"bytes_written"`
-	Truncates        uint64 `json:"truncates"`
-	Resets           uint64 `json:"resets"`
-	CorruptBytes     uint64 `json:"corrupt_bytes"`
-	GarbageBytes     uint64 `json:"garbage_bytes"`
-	Alerts           uint64 `json:"alerts"`
-	Stalls           uint64 `json:"stalls"`
-	Delays           uint64 `json:"delays"`
-	DupSegments      uint64 `json:"dup_segments"`
-	SwappedPairs     uint64 `json:"swapped_pairs"`
-	CoalescedFlushes uint64 `json:"coalesced_flushes"`
-}
-
-func (s *ScenarioStats) add(field *uint64, n uint64) {
-	if s == nil {
-		return
-	}
-	atomic.AddUint64(field, n)
-}
-
-// Snapshot copies the stats without tearing and coherently: every
-// activity counter is the effect of some wrapped connection existing,
-// and Wrap bumps Conns before any activity, so loading the activity
-// counters first and Conns LAST keeps the causal invariant
-// (Alerts ≤ Conns for alert scenarios, and no snapshot showing fault
-// activity with zero connections) true even when a scrape races Wrap.
-// Loading Conns first — the old order — could capture Conns from before
-// a racing Wrap and that Wrap's Alerts after it.
-func (s *ScenarioStats) Snapshot() ScenarioStats {
-	var out ScenarioStats
-	out.Reads = atomic.LoadUint64(&s.Reads)
-	out.Writes = atomic.LoadUint64(&s.Writes)
-	out.BytesRead = atomic.LoadUint64(&s.BytesRead)
-	out.BytesWritten = atomic.LoadUint64(&s.BytesWritten)
-	out.Truncates = atomic.LoadUint64(&s.Truncates)
-	out.Resets = atomic.LoadUint64(&s.Resets)
-	out.CorruptBytes = atomic.LoadUint64(&s.CorruptBytes)
-	out.GarbageBytes = atomic.LoadUint64(&s.GarbageBytes)
-	out.Alerts = atomic.LoadUint64(&s.Alerts)
-	out.Stalls = atomic.LoadUint64(&s.Stalls)
-	out.Delays = atomic.LoadUint64(&s.Delays)
-	out.DupSegments = atomic.LoadUint64(&s.DupSegments)
-	out.SwappedPairs = atomic.LoadUint64(&s.SwappedPairs)
-	out.CoalescedFlushes = atomic.LoadUint64(&s.CoalescedFlushes)
-	out.Conns = atomic.LoadUint64(&s.Conns)
-	return out
-}
-
-// ConnSchedule is the fully derived fault plan of one wrapped
-// connection — everything nondeterministic about its behavior, pinned.
-// Two plans with the same seed produce byte-identical schedules for the
-// same wrap sequence, which is the replayability contract TestFaultMatrix
-// asserts.
-type ConnSchedule struct {
-	Conn        int    `json:"conn"`
-	Scenario    string `json:"scenario"`
-	RNGSeed     uint64 `json:"rng_seed"`
-	CorruptMask byte   `json:"corrupt_mask"`
-	// Prefix is the exact injected byte prefix (alert record + garbage).
-	Prefix []byte `json:"prefix,omitempty"`
-	// The offsets and knobs copied from the scenario, so the schedule
-	// alone describes the faults.
-	TruncateReadAt   int   `json:"truncate_read_at,omitempty"`
-	ResetReadAt      int   `json:"reset_read_at,omitempty"`
-	CorruptReadEvery int   `json:"corrupt_read_every,omitempty"`
-	WriteFragment    int   `json:"write_fragment,omitempty"`
-	ReadFragment     int   `json:"read_fragment,omitempty"`
-	WriteStallAt     int   `json:"write_stall_at,omitempty"`
-	StallForMS       int64 `json:"stall_for_ms,omitempty"`
-	ReadDelayUS      int64 `json:"read_delay_us,omitempty"`
-	WriteCoalesce    bool  `json:"write_coalesce,omitempty"`
-	WriteDup         bool  `json:"write_dup,omitempty"`
-	WriteSwap        bool  `json:"write_swap,omitempty"`
-}
-
-// Plan derives deterministic per-connection fault state from one seed.
-// Scenarios are assigned to connections round-robin in wrap order. Safe
-// for concurrent use.
+// Plan is a seeded, phased fault schedule: what every -fault and -chaos
+// flag parses into. The same plan driven by the same advance sequence and
+// the same per-link connection order produces the same fault exposure,
+// which is what lets the fault and chaos matrices pin golden outcomes.
 type Plan struct {
-	Seed      uint64
+	Seed   uint64
+	Phases []Phase
+}
+
+// Phase is one interval of the schedule: the rules in force until the
+// injector advances. Rules are evaluated in order and the first match
+// wins, so a specific pair can carve an exception out of a wildcard that
+// follows it. A link matching no rule is healthy.
+type Phase struct {
+	Name string
+	// For auto-advances to the next phase this long after the phase
+	// starts, when the injector is Started; 0 means the phase holds until
+	// Advance is called (the deterministic test mode).
+	For   time.Duration
+	Rules []Rule
+}
+
+// Rule scopes one fault to the directed link From→To, where From is the
+// endpoint that dialed and To the one it reached. "*" matches any
+// endpoint, including an unregistered one. A rule carries a link state,
+// a byte scenario, or both.
+type Rule struct {
+	From, To string
+	Link     LinkState
+	// Scenarios are assigned round-robin to the link's connections as
+	// they are wrapped; empty means no byte faults.
 	Scenarios []Scenario
-
-	mu       sync.Mutex
-	next     int
-	schedule []ConnSchedule
-	stats    map[string]*ScenarioStats
 }
 
-// NewPlan builds a plan over the given scenarios (the zero-fault clean
-// scenario when none are given).
-func NewPlan(seed uint64, scenarios ...Scenario) *Plan {
-	if len(scenarios) == 0 {
-		scenarios = []Scenario{{Name: "clean"}}
-	}
-	return &Plan{Seed: seed, Scenarios: scenarios, stats: make(map[string]*ScenarioStats)}
+func (r Rule) matches(from, to string) bool {
+	return (r.From == "*" || r.From == from) && (r.To == "*" || r.To == to)
 }
 
-// Wrap assigns the next scenario to conn and returns the fault-injecting
-// wrapper. The derived schedule entry is appended to Plan.Schedule.
-//
-// Per-connection randomness comes from the repo's deterministic RNG
-// substrate (internal/stats), seeded by a PRF of (plan seed, connection
-// index) with no shared stream state — wrap order is the only thing
-// that matters for schedule determinism.
-func (p *Plan) Wrap(conn net.Conn) *Conn {
-	p.mu.Lock()
-	idx := p.next
-	p.next++
-	sc := p.Scenarios[idx%len(p.Scenarios)]
-	seed := p.Seed ^ (uint64(idx)+1)*0x9e3779b97f4a7c15
-	r := stats.NewRNG(seed)
-	mask := byte(r.Uint64()) | 0x01 // nonzero: a corruption always changes the byte
-	var prefix []byte
-	if sc.AlertPrefix {
-		prefix = append(prefix, spuriousAlert[:]...)
-	}
-	if sc.GarbagePrefix > 0 {
-		garbage := make([]byte, sc.GarbagePrefix)
-		r.Bytes(garbage)
-		prefix = append(prefix, garbage...)
-	}
-	entry := ConnSchedule{
-		Conn:             idx,
-		Scenario:         sc.Name,
-		RNGSeed:          seed,
-		CorruptMask:      mask,
-		Prefix:           prefix,
-		TruncateReadAt:   sc.TruncateReadAt,
-		ResetReadAt:      sc.ResetReadAt,
-		CorruptReadEvery: sc.CorruptReadEvery,
-		WriteFragment:    sc.WriteFragment,
-		ReadFragment:     sc.ReadFragment,
-		WriteStallAt:     sc.WriteStallAt,
-		StallForMS:       sc.StallFor.Milliseconds(),
-		ReadDelayUS:      sc.ReadDelay.Microseconds(),
-		WriteCoalesce:    sc.WriteCoalesce,
-		WriteDup:         sc.WriteDup,
-		WriteSwap:        sc.WriteSwap,
-	}
-	p.schedule = append(p.schedule, entry)
-	st := p.stats[sc.Name]
-	if st == nil {
-		st = &ScenarioStats{}
-		p.stats[sc.Name] = st
-	}
-	p.mu.Unlock()
-
-	st.add(&st.Conns, 1)
-	st.add(&st.GarbageBytes, uint64(sc.GarbagePrefix))
-	if sc.AlertPrefix {
-		st.add(&st.Alerts, 1)
-	}
-	return newConn(conn, sc, prefix, mask, st)
+// LinkState is the condition of one directed link during one phase. The
+// zero value is a healthy link. Unlike a byte scenario, which is fixed
+// when a connection is wrapped, the link state is re-read on every
+// operation, so a phase change cuts, slows or heals live connections.
+type LinkState struct {
+	// Cut kills the link outright: new dials are refused and established
+	// conns fail on their next Read or Write (the symmetric partition).
+	Cut bool
+	// CutRecv delivers requests but destroys responses: Writes pass,
+	// Reads hang to the conn deadline (silence, as a real one-way packet
+	// drop — an instant reset would abort the in-flight request write on
+	// the shared conn and degrade to a symmetric cut). This makes a
+	// server APPLY a batch whose ack the client never sees — the
+	// scenario that forces duplicate-suppression into the ingest
+	// protocol.
+	CutRecv bool
+	// Blackhole makes cut operations hang until the conn deadline
+	// instead of failing fast with a reset — the gray-failure flavor
+	// where a middlebox silently eats packets.
+	Blackhole bool
+	// Latency is added before every Read (the slow-but-alive node),
+	// plus up to LatencyJitter drawn from the conn's seeded RNG.
+	Latency       time.Duration
+	LatencyJitter time.Duration
+	// ThrottleBytes caps every Read at this many bytes and pauses
+	// throttlePause before each — a crude but deterministic bandwidth
+	// clamp.
+	ThrottleBytes int
 }
 
-// Schedule snapshots the derived per-connection fault schedule so far.
-func (p *Plan) Schedule() []ConnSchedule {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]ConnSchedule, len(p.schedule))
-	copy(out, p.schedule)
-	return out
-}
+// Scenario is one byte-fault recipe. The zero value injects nothing (the
+// "clean" control cell of the matrix). All byte offsets count bytes of
+// the real stream, excluding injected prefixes.
+type Scenario struct {
+	Name string
 
-// Stats snapshots per-scenario fault accounting.
-func (p *Plan) Stats() map[string]ScenarioStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make(map[string]ScenarioStats, len(p.stats))
-	for name, st := range p.stats {
-		out[name] = st.Snapshot()
-	}
-	return out
-}
+	// Write-side faults: mangle what the wrapped endpoint sends.
 
-// Dialer wraps a host-keyed dial function so every dialed connection
-// passes through the plan — the probe-side mount point.
-func (p *Plan) Dialer(dial func(host string) (net.Conn, error)) func(host string) (net.Conn, error) {
-	return func(host string) (net.Conn, error) {
-		conn, err := dial(host)
-		if err != nil {
-			return nil, err
-		}
-		return p.Wrap(conn), nil
-	}
-}
+	// WriteFragment splits every Write into segments of at most this many
+	// bytes, each delivered to the underlying conn as its own Write — on
+	// a pipe or a no-delay socket this forces the peer to reassemble TLS
+	// records from arbitrary read boundaries.
+	WriteFragment int
+	// WriteCoalesce buffers writes and flushes them in one underlying
+	// Write at the next Read (a sender cannot await a reply without
+	// flushing) or at Close — the Nagle-style batching that merges whole
+	// flights into one segment.
+	WriteCoalesce bool
+	// WriteDup sends every segment twice.
+	WriteDup bool
+	// WriteSwap swaps each pair of adjacent segments within one Write
+	// (meaningful only with WriteFragment), reordering the byte stream.
+	WriteSwap bool
+	// WriteStallAt stalls the connection for StallFor once this many
+	// bytes have been written (slowloris: open, send a little, go quiet).
+	// The stall respects deadlines and Close.
+	WriteStallAt int
+	StallFor     time.Duration
 
-// Listener wraps ln so every accepted connection passes through the
-// plan — the proxy-side mount point (cmd/mitmd -fault).
-func (p *Plan) Listener(ln net.Listener) net.Listener {
-	return &faultListener{Listener: ln, plan: p}
-}
+	// Read-side faults: mangle what the wrapped endpoint receives.
 
-type faultListener struct {
-	net.Listener
-	plan *Plan
-}
-
-func (l *faultListener) Accept() (net.Conn, error) {
-	conn, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return l.plan.Wrap(conn), nil
-}
-
-// Transport returns an http.RoundTripper whose TCP connections pass
-// through the plan — the ingest-client mount point. Keep-alives are
-// disabled so every request meets the fault schedule afresh.
-func (p *Plan) Transport() *http.Transport {
-	var d net.Dialer
-	return &http.Transport{
-		DisableKeepAlives: true,
-		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
-			conn, err := d.DialContext(ctx, network, addr)
-			if err != nil {
-				return nil, err
-			}
-			return p.Wrap(conn), nil
-		},
-	}
+	// ReadFragment caps every Read at this many bytes.
+	ReadFragment int
+	// ReadDelay sleeps before every Read (respecting deadlines/Close).
+	ReadDelay time.Duration
+	// TruncateReadAt ends the stream with a clean EOF after this many
+	// bytes have been read, and closes the underlying conn. 0 = never.
+	TruncateReadAt int
+	// ResetReadAt fails the stream with ErrInjectedReset after this many
+	// bytes have been read, and closes the underlying conn. 0 = never.
+	ResetReadAt int
+	// CorruptReadEvery XORs one byte with the conn's seeded mask every
+	// this many bytes read. 0 = never.
+	CorruptReadEvery int
+	// GarbagePrefix delivers this many seeded garbage bytes before the
+	// first real byte.
+	GarbagePrefix int
+	// AlertPrefix delivers a fatal TLS handshake_failure alert record
+	// before the first real byte — the spurious alert a confused
+	// middlebox emits.
+	AlertPrefix bool
 }
 
 // Scenarios returns the built-in fault grid: one scenario per fault
@@ -266,145 +149,181 @@ func Scenarios() []Scenario {
 	}
 }
 
-// ScenarioByName looks a built-in scenario up.
-func ScenarioByName(name string) (Scenario, bool) {
+// Parse reads the fault language into a plan. DESIGN.md §9 holds the
+// grammar; in short, phases are separated by ';' and options by ','. An
+// option "fault=F:T[:arg]" opens a rule on link F→T, "seed=", "name=" and
+// "for=" set the plan seed and the phase's name and duration, and any
+// other option modifies the rule before it:
+//
+//	all=*:*, seed=42                        every scenario round-robin, everywhere
+//	reset=probe:reportd, reset=1            one scenario with a knob override
+//	seed=7, name=cut, for=6s, cut=a:*; name=healed
+//	lat=a:b:20ms, jitter=5ms; corrupt=c:b, corrupt=4096, throttle=512
+func Parse(spec string) (Plan, error) {
+	plan := Plan{Seed: 1}
+	for _, phaseSpec := range strings.Split(spec, ";") {
+		var ph Phase
+		for _, opt := range strings.Split(phaseSpec, ",") {
+			opt = strings.TrimSpace(opt)
+			if opt == "" {
+				continue
+			}
+			key, val, hasVal := strings.Cut(opt, "=")
+			var err error
+			switch {
+			case key == "seed":
+				plan.Seed, err = strconv.ParseUint(val, 10, 64)
+			case key == "name":
+				ph.Name = val
+			case key == "for":
+				ph.For, err = parseDuration(val)
+			case strings.Contains(val, ":"):
+				var r Rule
+				r, err = parseRule(key, val)
+				ph.Rules = append(ph.Rules, r)
+			case len(ph.Rules) == 0:
+				err = errors.New("no rule before it to modify")
+			default:
+				err = modify(&ph.Rules[len(ph.Rules)-1], key, val, hasVal)
+			}
+			if err != nil {
+				return Plan{}, fmt.Errorf("faultnet: option %q: %w", opt, err)
+			}
+		}
+		plan.Phases = append(plan.Phases, ph)
+	}
+	return plan, nil
+}
+
+// parseRule opens a rule from "fault=F:T[:arg]": a scenario name or
+// "all" (no argument), or a link fault.
+func parseRule(key, val string) (Rule, error) {
+	parts := strings.SplitN(val, ":", 3)
+	if parts[0] == "" || parts[1] == "" {
+		return Rule{}, errors.New("want FROM:TO")
+	}
+	r := Rule{From: parts[0], To: parts[1]}
+	arg, hasArg := "", len(parts) == 3
+	if hasArg {
+		arg = parts[2]
+	}
+	if key == "all" {
+		r.Scenarios = Scenarios()
+	} else if sc, ok := scenarioByName(key); ok {
+		r.Scenarios = []Scenario{sc}
+	} else {
+		return r, modify(&r, key, arg, hasArg)
+	}
+	if hasArg {
+		return r, errors.New("a scenario takes no argument")
+	}
+	return r, nil
+}
+
+// modify applies one link fault or scenario knob to r. A knob on a rule
+// without a scenario gives it a clean one to override.
+func modify(r *Rule, key, val string, hasVal bool) error {
+	var err error
+	ls := &r.Link
+	switch key {
+	case "cut", "cutrecv", "blackhole":
+		if hasVal {
+			return errors.New("takes no value")
+		}
+		ls.Cut = ls.Cut || key != "cutrecv"
+		ls.CutRecv = ls.CutRecv || key == "cutrecv"
+		ls.Blackhole = ls.Blackhole || key == "blackhole"
+	case "lat":
+		ls.Latency, err = parseDuration(val)
+	case "jitter":
+		ls.LatencyJitter, err = parseDuration(val)
+	case "throttle":
+		if ls.ThrottleBytes, err = strconv.Atoi(val); err == nil && ls.ThrottleBytes <= 0 {
+			err = errors.New("want a positive byte count")
+		}
+	default:
+		if len(r.Scenarios) == 0 {
+			r.Scenarios = []Scenario{{Name: "clean"}}
+		}
+		for i := range r.Scenarios {
+			if err = setKnob(&r.Scenarios[i], key, val, hasVal); err != nil {
+				break
+			}
+		}
+	}
+	return err
+}
+
+// setKnob overrides one scenario field.
+func setKnob(sc *Scenario, key, val string, hasVal bool) error {
+	count := func(n *int) (err error) {
+		if *n, err = strconv.Atoi(val); err == nil && *n < 0 {
+			err = errors.New("want a non-negative count")
+		}
+		return err
+	}
+	duration := func(d *time.Duration) (err error) {
+		*d, err = parseDuration(val)
+		return err
+	}
+	flag := func(b *bool) error {
+		if hasVal {
+			return errors.New("takes no value")
+		}
+		*b = true
+		return nil
+	}
+	switch key {
+	case "truncate":
+		return count(&sc.TruncateReadAt)
+	case "reset":
+		return count(&sc.ResetReadAt)
+	case "rfrag":
+		return count(&sc.ReadFragment)
+	case "wfrag":
+		return count(&sc.WriteFragment)
+	case "corrupt":
+		return count(&sc.CorruptReadEvery)
+	case "garbage":
+		if err := count(&sc.GarbagePrefix); err != nil || sc.GarbagePrefix <= maxGarbage {
+			return err
+		}
+		return fmt.Errorf("want at most %d bytes", maxGarbage)
+	case "stallat":
+		return count(&sc.WriteStallAt)
+	case "delay":
+		return duration(&sc.ReadDelay)
+	case "stallfor":
+		return duration(&sc.StallFor)
+	case "coalesce":
+		return flag(&sc.WriteCoalesce)
+	case "dup":
+		return flag(&sc.WriteDup)
+	case "swap":
+		return flag(&sc.WriteSwap)
+	case "alert":
+		return flag(&sc.AlertPrefix)
+	}
+	return errors.New("unknown fault")
+}
+
+// maxGarbage bounds the garbage prefix, which every wrapped connection
+// allocates.
+const maxGarbage = 1 << 20
+
+func parseDuration(val string) (time.Duration, error) {
+	d, err := time.ParseDuration(val)
+	if err == nil && d < 0 {
+		err = errors.New("negative duration")
+	}
+	return d, err
+}
+
+func scenarioByName(name string) (Scenario, bool) {
 	for _, sc := range Scenarios() {
 		if sc.Name == name {
 			return sc, true
 		}
 	}
 	return Scenario{}, false
-}
-
-// ScenarioNames lists the built-in scenario names, sorted.
-func ScenarioNames() []string {
-	scs := Scenarios()
-	names := make([]string, len(scs))
-	for i, sc := range scs {
-		names[i] = sc.Name
-	}
-	sort.Strings(names)
-	return names
-}
-
-// ParseSpec parses the -fault flag DSL into a plan:
-//
-//	spec     = selector *( "," option )
-//	selector = scenario-name | "all"
-//	option   = "seed=" uint | knob "=" value
-//	knob     = "truncate" | "reset" | "rfrag" | "wfrag" | "corrupt" |
-//	           "garbage" | "delay" (duration) | "stallat" | "stallfor"
-//	           (duration) | "coalesce" | "dup" | "swap" | "alert"
-//
-// Examples: "fragment", "all,seed=42", "truncate,truncate=128",
-// "clean,wfrag=2,seed=7". Knob options override the selected scenario's
-// fields (for "all", every scenario's).
-func ParseSpec(spec string) (*Plan, error) {
-	parts := strings.Split(spec, ",")
-	sel := strings.TrimSpace(parts[0])
-	var scenarios []Scenario
-	switch {
-	case sel == "all":
-		scenarios = Scenarios()
-	default:
-		sc, ok := ScenarioByName(sel)
-		if !ok {
-			return nil, fmt.Errorf("faultnet: unknown scenario %q (have %s, or \"all\")", sel, strings.Join(ScenarioNames(), ", "))
-		}
-		scenarios = []Scenario{sc}
-	}
-	var seed uint64 = 1
-	for _, opt := range parts[1:] {
-		opt = strings.TrimSpace(opt)
-		if opt == "" {
-			continue
-		}
-		key, val, hasVal := strings.Cut(opt, "=")
-		apply := func(f func(sc *Scenario) error) error {
-			for i := range scenarios {
-				if err := f(&scenarios[i]); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		parseInt := func() (int, error) {
-			if !hasVal {
-				return 0, fmt.Errorf("faultnet: option %q needs a value", key)
-			}
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 0 {
-				return 0, fmt.Errorf("faultnet: bad value %q for %q", val, key)
-			}
-			return n, nil
-		}
-		parseDur := func() (time.Duration, error) {
-			if !hasVal {
-				return 0, fmt.Errorf("faultnet: option %q needs a duration", key)
-			}
-			d, err := time.ParseDuration(val)
-			if err != nil || d < 0 {
-				return 0, fmt.Errorf("faultnet: bad duration %q for %q", val, key)
-			}
-			return d, nil
-		}
-		var err error
-		switch key {
-		case "seed":
-			if !hasVal {
-				return nil, fmt.Errorf("faultnet: seed needs a value")
-			}
-			seed, err = strconv.ParseUint(val, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("faultnet: bad seed %q", val)
-			}
-		case "truncate":
-			err = applyInt(apply, parseInt, func(sc *Scenario, n int) { sc.TruncateReadAt = n })
-		case "reset":
-			err = applyInt(apply, parseInt, func(sc *Scenario, n int) { sc.ResetReadAt = n })
-		case "rfrag":
-			err = applyInt(apply, parseInt, func(sc *Scenario, n int) { sc.ReadFragment = n })
-		case "wfrag":
-			err = applyInt(apply, parseInt, func(sc *Scenario, n int) { sc.WriteFragment = n })
-		case "corrupt":
-			err = applyInt(apply, parseInt, func(sc *Scenario, n int) { sc.CorruptReadEvery = n })
-		case "garbage":
-			err = applyInt(apply, parseInt, func(sc *Scenario, n int) { sc.GarbagePrefix = n })
-		case "stallat":
-			err = applyInt(apply, parseInt, func(sc *Scenario, n int) { sc.WriteStallAt = n })
-		case "delay":
-			var d time.Duration
-			if d, err = parseDur(); err == nil {
-				err = apply(func(sc *Scenario) error { sc.ReadDelay = d; return nil })
-			}
-		case "stallfor":
-			var d time.Duration
-			if d, err = parseDur(); err == nil {
-				err = apply(func(sc *Scenario) error { sc.StallFor = d; return nil })
-			}
-		case "coalesce":
-			err = apply(func(sc *Scenario) error { sc.WriteCoalesce = true; return nil })
-		case "dup":
-			err = apply(func(sc *Scenario) error { sc.WriteDup = true; return nil })
-		case "swap":
-			err = apply(func(sc *Scenario) error { sc.WriteSwap = true; return nil })
-		case "alert":
-			err = apply(func(sc *Scenario) error { sc.AlertPrefix = true; return nil })
-		default:
-			return nil, fmt.Errorf("faultnet: unknown option %q", key)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return NewPlan(seed, scenarios...), nil
-}
-
-// applyInt wires an integer knob through the shared parse/apply plumbing.
-func applyInt(apply func(func(*Scenario) error) error, parse func() (int, error), set func(*Scenario, int)) error {
-	n, err := parse()
-	if err != nil {
-		return err
-	}
-	return apply(func(sc *Scenario) error { set(sc, n); return nil })
 }

@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// nopConn is the cheapest possible net.Conn: Wrap only needs something
+// nopConn is the cheapest possible net.Conn: a wrap only needs something
 // to hold, and this test never moves bytes through the wrapper.
 type nopConn struct{}
 
@@ -20,15 +20,17 @@ func (nopConn) SetDeadline(time.Time) error      { return nil }
 func (nopConn) SetReadDeadline(time.Time) error  { return nil }
 func (nopConn) SetWriteDeadline(time.Time) error { return nil }
 
-// TestStatsSnapshotInvariants scrapes Plan.Stats while goroutines wrap
-// connections, asserting the causal invariants hold in every snapshot:
-// Wrap bumps Conns before Alerts/GarbageBytes, and ScenarioStats.Snapshot
-// loads Conns last, so no snapshot may show more alert prefixes than
-// connections. Under -race this also proves scraping is race-free
-// against Wrap. The old load order (Conns first) fails this under load.
+// TestStatsSnapshotInvariants scrapes Injector.Stats while goroutines
+// wrap connections, asserting the causal invariants hold in every
+// snapshot: admission bumps Conns before wrap bumps Alerts/GarbageBytes,
+// and the snapshot loads Conns last, so no snapshot may show more alert
+// prefixes than connections. Under -race this also proves scraping is
+// race-free against wrapping. The old load order (Conns first) fails
+// this under load.
 func TestStatsSnapshotInvariants(t *testing.T) {
 	const garbage = 16
-	p := NewPlan(7, Scenario{Name: "noisy", AlertPrefix: true, GarbagePrefix: garbage})
+	in := mustInjector(t, "alert=*:*, garbage=16, seed=7")
+	dial := in.Dialer("a", func(string) (net.Conn, error) { return nopConn{}, nil })
 
 	// Workers do a fixed amount of wrapping; the scraper runs until they
 	// finish so the overlap is guaranteed even on one CPU (a time-boxed
@@ -39,7 +41,7 @@ func TestStatsSnapshotInvariants(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				p.Wrap(nopConn{})
+				dial("b")
 			}
 		}()
 	}
@@ -47,7 +49,7 @@ func TestStatsSnapshotInvariants(t *testing.T) {
 	go func() { wg.Wait(); close(done) }()
 
 	for i := 0; ; i++ {
-		st := p.Stats()["noisy"]
+		st := in.Stats()["a:b"]
 		if st.Alerts > st.Conns {
 			t.Fatalf("snapshot %d: Alerts (%d) > Conns (%d)", i, st.Alerts, st.Conns)
 		}
@@ -63,7 +65,7 @@ func TestStatsSnapshotInvariants(t *testing.T) {
 		break
 	}
 
-	st := p.Stats()["noisy"]
+	st := in.Stats()["a:b"]
 	if st.Conns == 0 || st.Alerts != st.Conns || st.GarbageBytes != st.Conns*garbage {
 		t.Fatalf("quiescent accounting wrong: %+v", st)
 	}

@@ -144,18 +144,23 @@ func TestClientDoesNotRetryWrongEndpoint(t *testing.T) {
 
 // TestClientRetriesThroughFaultTransport drives the upload through a
 // faultnet plan that resets the first connection and leaves the second
-// clean — the ingest-client mount point of the fault plane, end to end.
+// clean — the Transport mount point of the fault plane, end to end.
 func TestClientRetriesThroughFaultTransport(t *testing.T) {
+	// A connection's byte scenario is fixed when it is dialed: the first
+	// is dialed in the reset phase, and the request it still delivers
+	// advances the plan, so the retry dials in the clean phase.
+	plan, err := faultnet.Parse("seed=11, reset=client:*, reset=1; name=clean")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := faultnet.New(plan)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		faults.Advance()
 		json.NewEncoder(w).Encode(BatchResult{Accepted: 1})
 	}))
 	defer srv.Close()
-	plan := faultnet.NewPlan(11,
-		faultnet.Scenario{Name: "reset", ResetReadAt: 1},
-		faultnet.Scenario{Name: "clean"},
-	)
 	c := NewClient(srv.URL)
-	c.HTTPClient = &http.Client{Transport: plan.Transport()}
+	c.HTTPClient = &http.Client{Transport: faults.Transport("client")}
 	c.Retries = 3
 	c.RetryDelay = time.Millisecond
 	c.Report(retryReport)
@@ -166,8 +171,8 @@ func TestClientRetriesThroughFaultTransport(t *testing.T) {
 	if st.Accepted != 1 || st.Retries == 0 {
 		t.Fatalf("stats = %+v, want an accepted batch after at least one retry", st)
 	}
-	fstats := plan.Stats()
-	if fstats["reset"].Resets == 0 {
+	fstats := faults.Stats()
+	if fstats["client:*"].Resets == 0 {
 		t.Fatalf("fault plan stats show no injected reset: %+v", fstats)
 	}
 }

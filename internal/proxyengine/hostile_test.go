@@ -13,8 +13,8 @@ import (
 
 // hostileWorld wires an interceptor over net.Pipe: the upstream is a
 // tlswire responder serving the authoritative chain, the client side is
-// fault-wrapped by the given plan.
-func hostileWorld(t *testing.T, host string, plan *faultnet.Plan) (*Interceptor, func() net.Conn) {
+// fault-wrapped by the given plan as the link client→host.
+func hostileWorld(t *testing.T, host, spec string) (*Interceptor, func() net.Conn) {
 	t.Helper()
 	_, authLeaf := authSetup(t, host)
 	e := newEngine(t, Profile{ProductName: "HostileTest", IssuerOrg: "HostileTest", KeyBits: 1024})
@@ -22,7 +22,18 @@ func hostileWorld(t *testing.T, host string, plan *faultnet.Plan) (*Interceptor,
 	ic := NewInterceptor(e, upstream)
 	ic.Timeout = 5 * time.Second
 	ic.ClientTimeout = 300 * time.Millisecond
-	return ic, func() net.Conn { return plan.Wrap(dialThrough(ic)) }
+	plan, err := faultnet.Parse(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dial := faultnet.New(plan).Dialer("client", func(string) (net.Conn, error) { return dialThrough(ic), nil })
+	return ic, func() net.Conn {
+		conn, err := dial(host)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return conn
+	}
 }
 
 // TestInterceptorSniffsFragmentedClientHello pins the sniff-replay path
@@ -30,8 +41,7 @@ func hostileWorld(t *testing.T, host string, plan *faultnet.Plan) (*Interceptor,
 // segment must still be sniffed, replayed, and answered with a forged
 // chain.
 func TestInterceptorSniffsFragmentedClientHello(t *testing.T) {
-	plan := faultnet.NewPlan(21, faultnet.Scenario{Name: "fragment", WriteFragment: 3, ReadFragment: 7})
-	_, dial := hostileWorld(t, "frag.example.test", plan)
+	_, dial := hostileWorld(t, "frag.example.test", "fragment=*:*, wfrag=3, rfrag=7, seed=21")
 	conn := dial()
 	defer conn.Close()
 	res, err := tlswire.Probe(conn, tlswire.ProbeOptions{
@@ -119,8 +129,7 @@ func TestInterceptorSurvivesHostileGrid(t *testing.T) {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
-			plan := faultnet.NewPlan(33, sc)
-			_, dial := hostileWorld(t, "grid.example.test", plan)
+			_, dial := hostileWorld(t, "grid.example.test", sc.Name+"=*:*, seed=33")
 			conn := dial()
 			defer conn.Close()
 			type outcome struct {

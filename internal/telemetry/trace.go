@@ -146,6 +146,9 @@ type Tracer struct {
 	extra   map[string]*Histogram
 
 	dropped *Counter
+	// filings counts RecordSpans calls that took mu: a path that files
+	// no span must leave it still.
+	filings *Counter
 }
 
 // NewTracer builds a tracer over reg (which may be nil: spans still
@@ -161,6 +164,7 @@ func NewTracer(reg *Registry, capacity int) *Tracer {
 		hists:   make([]*Histogram, len(knownStages)),
 		extra:   make(map[string]*Histogram),
 		dropped: reg.Counter("trace_spans_dropped_total", "spans dropped because a trace hit its span bound"),
+		filings: reg.Counter("trace_span_filings_total", "span batches filed under the tracer lock"),
 	}
 	for i, st := range knownStages {
 		t.hists[i] = reg.Histogram(StageMetric(st), "latency of the "+st+" stage")
@@ -241,6 +245,7 @@ func (t *Tracer) RecordSpans(spans []TracedSpan) {
 		return
 	}
 	var dropped uint64
+	t.filings.Inc()
 	t.mu.Lock()
 	last, i := TraceID(0), 0
 	for k := range spans {
