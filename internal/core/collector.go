@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -139,7 +140,7 @@ func (c *Collector) IngestTraced(clientIP uint32, host string, observedDER [][]b
 func (c *Collector) Observe(clientIP uint32, host string, observedDER [][]byte, campaign string, trace uint64, spans *[]telemetry.TracedSpan) (Measurement, error) {
 	auth, ok := c.snapshot()[host]
 	if !ok {
-		return Measurement{}, fmt.Errorf("core: no authoritative chain for %q", host)
+		return Measurement{}, fmt.Errorf("core: %w for %q", errNoAuthoritative, host)
 	}
 	var obsStart time.Time
 	if c.Tracer != nil {
@@ -156,17 +157,8 @@ func (c *Collector) Observe(clientIP uint32, host string, observedDER [][]byte, 
 	if err != nil {
 		return Measurement{}, err
 	}
-	now := time.Now
-	if c.Clock != nil {
-		now = c.Clock
-	}
 	m := Measurement{
-		// Wall clock only. time.Now also carries a monotonic reading that
-		// Before/Equal prefer, and the two reads of one Now() can straddle
-		// a preemption: a live store would then sort its records (by the
-		// monotonic one) differently from its own WAL replay (by the wall
-		// one, all the codec keeps).
-		Time:     now().Round(0),
+		Time:     c.now(),
 		ClientIP: clientIP,
 		Host:     host,
 		Campaign: campaign,
@@ -182,6 +174,35 @@ func (c *Collector) Observe(clientIP uint32, host string, observedDER [][]byte, 
 		}
 	}
 	return m, nil
+}
+
+var errNoAuthoritative = errors.New("no authoritative chain")
+
+// now stamps a measurement, wall clock only: the monotonic reading
+// Before/Equal prefer could order a live store's records differently from
+// its WAL replay, which keeps only the wall one.
+func (c *Collector) now() time.Time {
+	if c.Clock != nil {
+		return c.Clock().Round(0)
+	}
+	return time.Now().Round(0)
+}
+
+// Repeat is Observe for a report repeating the host and chain of an earlier
+// one in its request, whose outcome was (first, err). The rest of the
+// measurement is a function of (request, host, chain), so Repeat derives
+// nothing: it re-stamps Time and Trace and files Observe's span in *spans.
+func (c *Collector) Repeat(first Measurement, err error, trace uint64, spans *[]telemetry.TracedSpan) (Measurement, error) {
+	if errors.Is(err, errNoAuthoritative) {
+		return Measurement{}, err
+	}
+	if c.Tracer != nil {
+		*spans = c.Tracer.AppendSpan(*spans, telemetry.TraceID(trace), telemetry.StageObserve, time.Now(), 0)
+	}
+	if err == nil {
+		first.Time, first.Trace = c.now(), trace
+	}
+	return first, err
 }
 
 // Deliver commits one request's observed measurements through the

@@ -42,6 +42,7 @@ func TestArenaDecoderMatchesPlain(t *testing.T) {
 		{Host: "one.example", ChainDER: [][]byte{bytes.Repeat([]byte{0x30}, 600), {0x01, 0x02}}, Trace: 7},
 		{Host: "two.example", ChainDER: [][]byte{bytes.Repeat([]byte{0x41}, 1200)}},
 		{Host: "one.example", ChainDER: [][]byte{{0xff}}},
+		{Host: "two.example", ChainDER: [][]byte{bytes.Repeat([]byte{0x41}, 1200)}, Trace: 8}, // ref 2
 	}
 	stream, err := AppendReports(nil, reports)
 	if err != nil {
@@ -141,19 +142,23 @@ func TestArenaRecycleKeepsCollectorStateValid(t *testing.T) {
 // recycle: both decode rounds over a poisoned-then-Reset arena must
 // reproduce the plain decoder's reports and terminal error exactly.
 func FuzzArenaDecodeMatchesPlain(f *testing.F) {
+	chain := [][]byte{bytes.Repeat([]byte{0x30}, 900), {0x30, 0x01}}
 	valid, err := AppendReports(nil, []Report{
-		{Host: "example.com", ChainDER: [][]byte{bytes.Repeat([]byte{0x30}, 900), {0x30, 0x01}}, Trace: 99},
+		{Host: "example.com", ChainDER: chain, Trace: 99},
 		{Host: "byu.edu", ChainDER: [][]byte{{0x01}}},
+		{Host: "example.com", ChainDER: chain, Trace: 100}, // ref 1
+		{Host: "byu.edu", ChainDER: [][]byte{{0x01}}},      // ref 2
 	})
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(valid)
-	f.Add(valid[:len(valid)-3])
+	f.Add(valid[:len(valid)-1])
+	f.Add(valid[:len(valid)-12])
+	f.Add([]byte("TFW3\x00\x00\x01a\x01\x01\x30\x00\x02")) // reference past the table
 	f.Add([]byte("TFW2"))
-	f.Add([]byte("TFW1"))
 	f.Add([]byte{})
-	f.Add(append([]byte("TFW2"), 0x00, 0xff, 0xff, 0xff, 0xff, 0x0f))
+	f.Add(append([]byte("TFW3"), 0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0x0f))
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		plain, plainErr, capped := decodeUpTo(NewArenaDecoder(bytes.NewReader(stream), nil), 1<<12)
@@ -182,4 +187,18 @@ func FuzzArenaDecodeMatchesPlain(f *testing.F) {
 			a.Reset()
 		}
 	})
+}
+
+// poison overwrites every byte the arena has handed out. Test hook: if
+// anything downstream retained an arena slice, its content visibly rots
+// and golden-table comparisons catch it.
+func (a *Arena) poison(pat byte) {
+	for i := range a.block {
+		a.block[i] = pat
+	}
+	for _, b := range a.spill {
+		for i := range b {
+			b[i] = pat
+		}
+	}
 }

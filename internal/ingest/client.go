@@ -13,9 +13,9 @@ import (
 )
 
 // DefaultClientBatch is the report count at which Client flushes
-// automatically. At the wire format's ~1-4 KiB per report this keeps POST
-// bodies well under reportd's request bound while amortizing the HTTP
-// round trip across hundreds of probes.
+// automatically. Even with every chain distinct (~1-4 KiB per report) this
+// keeps POST bodies well under reportd's request bound while amortizing
+// the HTTP round trip across hundreds of probes.
 const DefaultClientBatch = 256
 
 // ClientStats is the uploader's accounting: what left the client and what

@@ -145,6 +145,37 @@ func TestAppendReportsSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestAppendReportsContentPathAllocs pins the encoder's content path at
+// zero allocations: every report has its own chain backing, so no repeat
+// is found by pointer, and the batch both defines new entries (8 distinct
+// chains) and references them by content.
+func TestAppendReportsContentPathAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	batch := make([]Report, 64)
+	for i := range batch {
+		batch[i] = Report{Host: "content.example", ChainDER: [][]byte{bytes.Repeat([]byte{byte(i % 8)}, 300), {5, 6}}}
+	}
+	warm, err := AppendReports(nil, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(warm) > 4+8*340+56*2 {
+		t.Fatalf("%d-B stream for 8 distinct chains: repeats were not referenced", len(warm))
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		out, err := AppendReports(warm[:0], batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm = out[:0]
+	})
+	if allocs != 0 {
+		t.Fatalf("warm AppendReports over fresh chain backings costs %.1f allocs/op, want 0", allocs)
+	}
+}
+
 // TestPostReportsSteadyStateAllocs pins the caller-owned upload path to
 // the pooled encode buffer: a warm PostReports grows no wire buffer. The
 // pin reads bytes, not objects — the HTTP round trip allocates a few KiB of
@@ -160,9 +191,13 @@ func TestPostReportsSteadyStateAllocs(t *testing.T) {
 	}))
 	defer srv.Close()
 	c := NewClient(srv.URL)
+	// Each report carries its own chain bytes, so the wire holds every
+	// chain (~0.5 MB) and outweighs the round trip's own few KiB.
 	batch := make([]Report, 256)
 	for i := range batch {
-		batch[i] = Report{Host: "post.example", ChainDER: [][]byte{make([]byte, 1024), make([]byte, 1024)}}
+		leaf, ca := make([]byte, 1024), make([]byte, 1024)
+		leaf[0], ca[0] = byte(i), byte(i)
+		batch[i] = Report{Host: "post.example", ChainDER: [][]byte{leaf, ca}}
 	}
 	wire, err := AppendReports(nil, batch)
 	if err != nil {

@@ -13,21 +13,28 @@ import (
 // stream it fully accepts must re-encode and re-decode to the same
 // reports.
 func FuzzDecodeReports(f *testing.F) {
+	chain := [][]byte{bytes.Repeat([]byte{0x30}, 900), {0x30, 0x01}}
 	seed, err := AppendReports(nil, []Report{
-		{Host: "example.com", ChainDER: [][]byte{bytes.Repeat([]byte{0x30}, 900), {0x30, 0x01}}},
+		{Host: "example.com", ChainDER: chain},
 		{Host: "byu.edu", ChainDER: [][]byte{{0x01}}},
+		{Host: "example.com", ChainDER: chain, Trace: 5}, // ref 1
+		{Host: "byu.edu", ChainDER: [][]byte{{0x01}}},    // ref 2
 	})
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed)
-	f.Add(seed[:len(seed)-3]) // truncated mid-frame
-	f.Add([]byte("TFW1"))     // retired version: must be refused, never panic
-	f.Add([]byte("TFW0"))     // wrong version
+	f.Add(seed[:len(seed)-1])                              // truncated inside a reference frame
+	f.Add(seed[:len(seed)-7])                              // truncated mid-entry
+	f.Add([]byte("TFW3\x00\x01"))                          // reference into an empty table
+	f.Add([]byte("TFW3\x00\x00\x01a\x01\x01\x30\x00\x02")) // reference past the table
+	f.Add([]byte("TFW2"))                                  // retired version: must be refused, never panic
+	f.Add([]byte("TFW0"))                                  // wrong version
 	f.Add([]byte{})
-	// Hostile uvarints: huge host length, huge cert count, huge cert len.
-	f.Add([]byte("TFW1\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"))
-	f.Add(append(append([]byte("TFW1"), 0x01, 'a'), 0xff, 0xff, 0xff, 0x0f))
+	// Hostile uvarints: huge ref, huge host length, huge cert len.
+	f.Add([]byte("TFW3\x00\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"))
+	f.Add([]byte("TFW3\x00\x00\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"))
+	f.Add(append([]byte("TFW3\x00\x00\x01a\x01"), 0xff, 0xff, 0xff, 0x0f))
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		dec := NewArenaDecoder(bytes.NewReader(stream), nil)
 		var reports []Report
@@ -49,8 +56,9 @@ func FuzzDecodeReports(f *testing.F) {
 				}
 			}
 			reports = append(reports, r)
-			if len(reports) > 1<<12 {
-				t.Fatalf("unbounded report stream from %d input bytes", len(stream))
+			// A frame is at least two bytes (trace, ref).
+			if len(reports) > len(stream)/2 {
+				t.Fatalf("%d reports from %d input bytes", len(reports), len(stream))
 			}
 		}
 		if len(reports) == 0 {

@@ -13,12 +13,12 @@ import (
 	"tlsfof/internal/telemetry"
 )
 
-// maxBatchBytes bounds one /ingest/batch request body. At ~1-4 KiB per
-// framed report this admits tens of thousands of reports per request.
+// maxBatchBytes bounds one /ingest/batch request body: tens of thousands
+// of reports even if every one carries its own ~1-4 KiB chain.
 const maxBatchBytes = 32 << 20
 
 // decodeState is the per-request working set BatchHandler recycles: an
-// arena-bound streaming decoder plus the request's observed measurements.
+// arena-bound streaming decoder, the request's measurements and its memo.
 // The arena is reset when the state returns to the pool — the request's
 // measurements are committed by then, and anything with a longer lifetime
 // (interned hosts, chaincache entries, the sink's own buffers) owns its
@@ -27,9 +27,16 @@ type decodeState struct {
 	arena *Arena
 	dec   *Decoder
 	ms    []core.Measurement
+	// memo[k-1] is wire entry k's outcome (at most MaxWireEntries).
+	memo []memoSlot
 	// spans holds the request's decode and observe spans until they are
 	// filed in one Tracer.RecordSpans.
 	spans []telemetry.TracedSpan
+}
+
+type memoSlot struct {
+	m   core.Measurement
+	err error
 }
 
 var decodePool = sync.Pool{New: func() any {
@@ -37,22 +44,31 @@ var decodePool = sync.Pool{New: func() any {
 	return &decodeState{arena: a, dec: NewArenaDecoder(nil, a)}
 }}
 
-// getDecodeState arms a pooled state for one request body.
-func getDecodeState(body io.Reader) *decodeState {
-	st := decodePool.Get().(*decodeState)
-	st.dec.Reset(body)
-	return st
-}
-
 // put retires the request's decode memory: arena slices become invalid
 // here, which is safe because every report was either committed (the sink
 // copied its measurement) or abandoned with the request.
 func (st *decodeState) put() {
+	st.dec.Reset(nil)
 	st.arena.Reset()
 	clear(st.ms)
 	st.ms = st.ms[:0]
+	clear(st.memo)
+	st.memo = st.memo[:0]
 	st.spans = st.spans[:0]
 	decodePool.Put(st)
+}
+
+// observe is col.Observe behind the request's memo: an entry's first
+// report is observed, its repeats go through col.Repeat.
+func (st *decodeState) observe(col *core.Collector, ip uint32, rep Report) (core.Measurement, error) {
+	if k := st.dec.entry - 1; k >= 0 && k < len(st.memo) {
+		return col.Repeat(st.memo[k].m, st.memo[k].err, rep.Trace, &st.spans)
+	}
+	m, err := col.Observe(ip, rep.Host, rep.ChainDER, col.Campaign, rep.Trace, &st.spans)
+	if st.dec.entry > 0 {
+		st.memo = append(st.memo, memoSlot{m, err})
+	}
+	return m, err
 }
 
 // BatchResult is the JSON verdict both batch endpoints answer:
@@ -85,7 +101,7 @@ type BatchResult struct {
 // 413) and the client may re-send it; the observed measurements then go to
 // the collector's storage in one Deliver, and a commit error answers 503
 // with accepted 0. Individually bad reports (unknown host, unparsable
-// chain) are counted in Rejected and skipped.
+// chain) are counted in Rejected and skipped. A wire entry is observed once.
 func BatchHandler(col *core.Collector) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -97,7 +113,8 @@ func BatchHandler(col *core.Collector) http.Handler {
 		// upload surfaces as 413 instead of masquerading as stream
 		// corruption — or worse, as a clean EOF that drops the tail.
 		body := http.MaxBytesReader(w, r.Body, maxBatchBytes)
-		st := getDecodeState(body)
+		st := decodePool.Get().(*decodeState)
+		st.dec.Reset(body)
 		defer st.put()
 		tracer := col.Tracer
 		var res BatchResult
@@ -123,7 +140,7 @@ func BatchHandler(col *core.Collector) http.Handler {
 			if tracer != nil {
 				st.spans = tracer.AppendSpan(st.spans, telemetry.TraceID(rep.Trace), telemetry.StageDecode, start, time.Since(start))
 			}
-			m, err := col.Observe(ip, rep.Host, rep.ChainDER, col.Campaign, rep.Trace, &st.spans)
+			m, err := st.observe(col, ip, rep)
 			if err != nil {
 				res.Rejected++
 				continue

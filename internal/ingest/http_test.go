@@ -137,9 +137,10 @@ func postBatch(t *testing.T, url string, body []byte) (int, BatchResult) {
 	return status, res
 }
 
-// TestBatchHandlerAllOrNothing: a stream damaged at frame k answers 400
-// and ingests nothing — not even the k-1 reports that decoded cleanly —
-// so the client's re-send of the intact stream counts each report once.
+// TestBatchHandlerAllOrNothing: a stream damaged at frame k — cut short,
+// or referencing an entry past its table — answers 400 and ingests
+// nothing, not even the k-1 reports that decoded cleanly, so the client's
+// re-send of the intact stream counts each report once.
 func TestBatchHandlerAllOrNothing(t *testing.T) {
 	var ingested atomic.Int64
 	col := core.NewCollector(classify.NewClassifier(), nil, core.SinkFunc(func(core.Measurement) { ingested.Add(1) }))
@@ -161,16 +162,20 @@ func TestBatchHandlerAllOrNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cut inside frame k: frames 1..k-1 are intact, frame k is truncated.
-	status, res := postBatch(t, srv.URL, prefix[:len(prefix)-10])
-	if status != http.StatusBadRequest || res.Error == "" {
-		t.Fatalf("damaged stream: status %d, verdict %+v; want 400 naming the damage", status, res)
-	}
-	if res.Accepted != 0 || ingested.Load() != 0 {
-		t.Fatalf("damaged stream ingested %d reports (verdict says %d); all-or-nothing violated", ingested.Load(), res.Accepted)
+	// Frame k is cut inside (frames 2..k repeat entry 1 in two bytes, so
+	// one byte off leaves frames 1..k-1 intact), or names entry 2 of a
+	// one-entry table.
+	for _, damaged := range [][]byte{prefix[:len(prefix)-1], append(prefix[:len(prefix):len(prefix)], 0x00, 0x02)} {
+		status, res := postBatch(t, srv.URL, damaged)
+		if status != http.StatusBadRequest || res.Error == "" {
+			t.Fatalf("damaged stream: status %d, verdict %+v; want 400 naming the damage", status, res)
+		}
+		if res.Accepted != 0 || ingested.Load() != 0 {
+			t.Fatalf("damaged stream ingested %d reports (verdict says %d); all-or-nothing violated", ingested.Load(), res.Accepted)
+		}
 	}
 
-	status, res = postBatch(t, srv.URL, whole)
+	status, res := postBatch(t, srv.URL, whole)
 	if status != http.StatusOK || res.Accepted != n || ingested.Load() != n {
 		t.Fatalf("re-sent intact stream: status %d, verdict %+v, sink saw %d; want %d accepted once", status, res, ingested.Load(), n)
 	}

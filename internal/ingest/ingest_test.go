@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -230,9 +231,13 @@ func TestWireRejects(t *testing.T) {
 		}
 	}
 
-	// Decoder-side: bad magic.
+	// Decoder-side: bad magic, and the retired TFW2 (one frame, "a", a
+	// one-byte cert), refused by name.
 	if _, err := NewArenaDecoder(bytes.NewReader([]byte("NOPE....")), nil).Next(); err == nil {
 		t.Error("bad magic accepted")
+	}
+	if _, err := NewArenaDecoder(bytes.NewReader([]byte("TFW2\x00\x01a\x01\x01\x30")), nil).Next(); err == nil || !strings.Contains(err.Error(), `"TFW2"`) {
+		t.Errorf("TFW2 stream: got %v, want a refusal naming TFW2", err)
 	}
 	// Truncation mid-frame is ErrUnexpectedEOF, not a clean EOF.
 	stream, err := AppendReports(nil, []Report{{Host: "host", ChainDER: [][]byte{bytes.Repeat([]byte{7}, 100)}}})

@@ -2,32 +2,37 @@ package ingest
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
+	"slices"
+	"sync"
 )
 
-// The upload wire format. The seed's /report endpoint made every client
-// re-encode its captured DER chain as concatenated PEM (+33% size) and
-// made reportd undo that per request; at fleet scale the base64 round
-// trip is pure waste. The /ingest/batch endpoint instead streams this
-// compact binary framing, many reports per connection:
+// The upload wire format: where /report takes one chain as PEM (+33%
+// size, base64 undone per request), /ingest/batch streams this binary
+// framing, many reports per connection:
 //
-//	stream = magic("TFW2") frame*
-//	frame  = trace:uvarint hostLen:uvarint host:bytes certCount:uvarint
+//	stream = magic("TFW3") frame*
+//	frame  = trace:uvarint ref:uvarint [entry]      ; entry iff ref = 0
+//	entry  = hostLen:uvarint host:bytes certCount:uvarint
 //	         (certLen:uvarint der:bytes)*
 //
-// TFW2 prefixes each frame with a telemetry trace ID (0 = untraced: one
-// byte, so the cost of the field is a single byte per frame for fleets
-// that don't trace).
+// trace is the report's telemetry trace ID (0 = untraced, one byte). An
+// inline entry (ref 0) becomes the stream's next entry (the first is 1)
+// while fewer than MaxWireEntries exist, on both ends; ref k repeats entry
+// k, in two bytes when untraced.
 //
 // DER bytes travel untouched, so the decoder hands chains straight to
-// core.Observe. The Decoder is streaming: it never buffers more than one
-// frame, so a single connection can carry an unbounded report stream.
+// core.Observe. The Decoder is streaming: it buffers one frame and the
+// entry table, so a single connection can carry an unbounded report
+// stream.
 
-// wireMagic begins every stream: "TFW" + format version '2'.
-var wireMagic = [4]byte{'T', 'F', 'W', '2'}
+// wireMagic begins every stream: "TFW" + format version '3'.
+var wireMagic = [4]byte{'T', 'F', 'W', '3'}
 
 // Wire-format limits; hostile clients exist (the /report endpoint bounds
 // its uploads the same way).
@@ -40,15 +45,52 @@ const (
 	MaxWireChainCerts = 16
 	// MaxWireCertLen bounds one DER certificate.
 	MaxWireCertLen = 256 << 10
+	// MaxWireEntries bounds a stream's (host, chain) table.
+	MaxWireEntries = 4096
 )
 
 // Report is one client upload: the probed host and the certificate chain
 // the client actually received, leaf first, plus the probe's telemetry
-// trace ID (0 when untraced).
+// trace ID (0 when untraced). Decoded reports that reference one wire
+// entry share its Host and ChainDER: treat them as read-only.
 type Report struct {
 	Host     string
 	ChainDER [][]byte
 	Trace    uint64
+}
+
+// wireEncoder is AppendReports' pooled entry table, kept for one call.
+type wireEncoder struct {
+	seed    maphash.Seed
+	entries []Report          // entry k+1
+	byHash  map[uint64]int32  // content hash → entry
+	byPtr   map[*[]byte]int32 // chain backing array → entry with its bytes
+}
+
+var encoders = sync.Pool{New: func() any {
+	return &wireEncoder{seed: maphash.MakeSeed(), byHash: map[uint64]int32{}, byPtr: map[*[]byte]int32{}}
+}}
+
+// ref returns the entry r repeats, or 0 after entering r as the next
+// entry while the table has room, as the decoder does. A chain with an
+// entry's backing array and length has its bytes; any other is found by
+// a seeded hash of host and leaf and a byte compare of the whole chain.
+func (e *wireEncoder) ref(r *Report) int {
+	p := &r.ChainDER[0]
+	if k, ok := e.byPtr[p]; ok && e.entries[k].Host == r.Host && len(e.entries[k].ChainDER) == len(r.ChainDER) {
+		return int(k) + 1
+	}
+	sum := maphash.String(e.seed, r.Host) ^ maphash.Bytes(e.seed, r.ChainDER[0])
+	if k, ok := e.byHash[sum]; ok && e.entries[k].Host == r.Host && slices.EqualFunc(e.entries[k].ChainDER, r.ChainDER, bytes.Equal) {
+		e.byPtr[p] = k
+		return int(k) + 1
+	}
+	if len(e.entries) < MaxWireEntries {
+		k := int32(len(e.entries))
+		e.entries = append(e.entries, Report{Host: r.Host, ChainDER: r.ChainDER})
+		e.byHash[sum], e.byPtr[p] = k, k
+	}
+	return 0
 }
 
 // AppendReports appends a complete wire stream (header + one frame per
@@ -56,8 +98,17 @@ type Report struct {
 // across batches allocates nothing once the buffer has grown to the
 // working batch size.
 func AppendReports(dst []byte, reports []Report) ([]byte, error) {
+	e := encoders.Get().(*wireEncoder)
+	defer func() {
+		clear(e.entries)
+		e.entries = e.entries[:0]
+		clear(e.byHash)
+		clear(e.byPtr)
+		encoders.Put(e)
+	}()
 	dst = append(dst, wireMagic[:]...)
-	for _, r := range reports {
+	for i := range reports {
+		r := &reports[i]
 		if len(r.Host) == 0 || len(r.Host) > MaxWireHostLen {
 			return nil, fmt.Errorf("ingest: host length %d outside [1,%d]", len(r.Host), MaxWireHostLen)
 		}
@@ -65,6 +116,10 @@ func AppendReports(dst []byte, reports []Report) ([]byte, error) {
 			return nil, fmt.Errorf("ingest: chain of %d certs outside [1,%d]", len(r.ChainDER), MaxWireChainCerts)
 		}
 		dst = binary.AppendUvarint(dst, r.Trace)
+		k := e.ref(r)
+		if dst = binary.AppendUvarint(dst, uint64(k)); k > 0 {
+			continue
+		}
 		dst = binary.AppendUvarint(dst, uint64(len(r.Host)))
 		dst = append(dst, r.Host...)
 		dst = binary.AppendUvarint(dst, uint64(len(r.ChainDER)))
@@ -88,6 +143,9 @@ type Decoder struct {
 	// in place (see Arena for the lifetime contract); host names intern
 	// through it. Nil decodes into per-report heap copies.
 	arena *Arena
+	// entries is the stream's table; entry, the last report's (0: none).
+	entries []Report
+	entry   int
 	// hostBuf stages the host name before it becomes a string (plain
 	// path) or an interned string (arena path): no transient allocation
 	// either way.
@@ -97,17 +155,20 @@ type Decoder struct {
 // NewArenaDecoder returns a streaming decoder whose reports decode in
 // place into a: DER slices and chain headers alias arena memory and are
 // valid until a.Reset(). The caller owns the arena lifecycle. A nil arena
-// decodes into per-report heap copies.
+// decodes into per-entry heap copies.
 func NewArenaDecoder(r io.Reader, a *Arena) *Decoder {
 	return &Decoder{r: bufio.NewReader(r), arena: a}
 }
 
 // Reset rearms the decoder for a new stream, keeping its read buffer and
 // arena binding (the arena itself is not reset — that is the caller's
-// batch-lifetime decision). The pooling hook for per-request handlers.
+// batch-lifetime decision) and emptying its entry table. The pooling hook
+// for per-request handlers.
 func (d *Decoder) Reset(r io.Reader) {
 	d.r.Reset(r)
 	d.readHeader = false
+	clear(d.entries)
+	d.entries, d.entry = d.entries[:0], 0
 }
 
 // Next returns the next report. It returns io.EOF exactly at a clean
@@ -138,7 +199,17 @@ func (d *Decoder) Next() (Report, error) {
 		}
 		return Report{}, fmt.Errorf("ingest: reading trace id: %w", err)
 	}
-
+	ref, err := binary.ReadUvarint(d.r)
+	if err != nil {
+		return Report{}, fmt.Errorf("ingest: reading entry ref: %w", noEOF(err))
+	}
+	if ref > uint64(len(d.entries)) {
+		return Report{}, fmt.Errorf("ingest: entry ref %d past the stream's %d entries", ref, len(d.entries))
+	}
+	if d.entry = int(ref); ref > 0 {
+		e := d.entries[ref-1]
+		return Report{Host: e.Host, ChainDER: e.ChainDER, Trace: trace}, nil
+	}
 	hostLen, err := binary.ReadUvarint(d.r)
 	if err != nil {
 		return Report{}, fmt.Errorf("ingest: reading host length: %w", noEOF(err))
@@ -189,7 +260,12 @@ func (d *Decoder) Next() (Report, error) {
 		}
 		chain[i] = der
 	}
-	return Report{Host: host, ChainDER: chain, Trace: trace}, nil
+	rep := Report{Host: host, ChainDER: chain, Trace: trace}
+	if len(d.entries) < MaxWireEntries {
+		d.entries = append(d.entries, rep)
+		d.entry = len(d.entries)
+	}
+	return rep, nil
 }
 
 // noEOF maps io.EOF to io.ErrUnexpectedEOF: inside a frame, running out

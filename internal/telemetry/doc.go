@@ -18,7 +18,7 @@
 //
 //   - Tracer: assigns each probe a 64-bit trace ID, carried in-band in
 //     the TLS ClientHello session-id field (probe → mitmd, see
-//     EncodeTraceSessionID) and in the ingest wire codec's TFW2 frame
+//     EncodeTraceSessionID) and in the ingest wire codec's TFW3 frame
 //     (probe → reportd), so one capture can be followed
 //     probe → mitmd sniff/forge/respond → /ingest/batch decode →
 //     observe → shard queue → WAL append → store merge. Each hop records

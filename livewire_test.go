@@ -8,13 +8,16 @@ package tlsfof
 // throughput (the gated one is `go run -C bench . -workload livewire`).
 
 import (
+	"bytes"
 	"crypto/x509/pkix"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -178,8 +181,25 @@ func TestLiveWireSmoke(t *testing.T) {
 	// below without — the byte-identical tables at the end prove the
 	// cache lossless over the wire, not just in-process.
 	col.Cache = core.NewObservationCache(0, 0)
+	// reportd observes each distinct (host, chain) of a request once, so
+	// the intake counts those per request for the cache accounting below.
+	var entries atomic.Uint64
+	batch := ingest.BatchHandler(col)
 	mux := http.NewServeMux()
-	mux.Handle("/ingest/batch", ingest.BatchHandler(col))
+	mux.Handle("/ingest/batch", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		seen := map[string]bool{}
+		dec := ingest.NewArenaDecoder(bytes.NewReader(body), nil)
+		for rep, err := dec.Next(); err == nil; rep, err = dec.Next() {
+			seen[fmt.Sprint(rep.Host, rep.ChainDER)] = true
+		}
+		entries.Add(uint64(len(seen)))
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		batch.ServeHTTP(w, r)
+	}))
 	reportd := httptest.NewServer(mux)
 	defer reportd.Close()
 
@@ -243,8 +263,8 @@ func TestLiveWireSmoke(t *testing.T) {
 		if cs.Derives == 0 || cs.Derives > maxDistinct {
 			t.Errorf("observation cache derived %d times; want 1..%d (distinct chains only)", cs.Derives, maxDistinct)
 		}
-		if cs.Hits+cs.Misses != uint64(len(jobs)) {
-			t.Errorf("observation cache saw %d lookups, want %d (one per accepted report)", cs.Hits+cs.Misses, len(jobs))
+		if cs.Hits+cs.Misses != entries.Load() {
+			t.Errorf("observation cache saw %d lookups, want %d (one per distinct host and chain per request)", cs.Hits+cs.Misses, entries.Load())
 		}
 	}
 

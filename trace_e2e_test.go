@@ -2,11 +2,11 @@ package tlsfof
 
 // TestTraceEndToEnd is the acceptance test for the unified telemetry
 // plane: one fixed-seed probe carries its trace ID through the
-// ClientHello session id into the interceptor, through the TFW2 batch
-// wire into reportd's decode/observe path, across the shard queue and
-// write-ahead log, and into the store merge — and is then followed by
-// that single ID through the trace endpoint and both /metrics
-// exposition formats.
+// ClientHello session id into the interceptor, through the TFW3 batch
+// wire (internal/ingest/wire.go) into reportd's decode/observe path,
+// across the shard queue and write-ahead log, and into the store merge
+// — and is then followed by that single ID through the trace endpoint
+// and both /metrics exposition formats.
 
 import (
 	"encoding/json"
