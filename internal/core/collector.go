@@ -140,7 +140,7 @@ func (c *Collector) IngestTraced(clientIP uint32, host string, observedDER [][]b
 func (c *Collector) Observe(clientIP uint32, host string, observedDER [][]byte, campaign string, trace uint64, spans *[]telemetry.TracedSpan) (Measurement, error) {
 	auth, ok := c.snapshot()[host]
 	if !ok {
-		return Measurement{}, fmt.Errorf("core: %w for %q", errNoAuthoritative, host)
+		return Measurement{}, fmt.Errorf("core: %w for %q", ErrNoAuthoritative, host)
 	}
 	var obsStart time.Time
 	if c.Tracer != nil {
@@ -158,7 +158,7 @@ func (c *Collector) Observe(clientIP uint32, host string, observedDER [][]byte, 
 		return Measurement{}, err
 	}
 	m := Measurement{
-		Time:     c.now(),
+		Time:     c.Stamp(time.Time{}),
 		ClientIP: clientIP,
 		Host:     host,
 		Campaign: campaign,
@@ -176,33 +176,22 @@ func (c *Collector) Observe(clientIP uint32, host string, observedDER [][]byte, 
 	return m, nil
 }
 
-var errNoAuthoritative = errors.New("no authoritative chain")
+// ErrNoAuthoritative is Observe's rejection of a host with no
+// authoritative chain, returned before the observe stage is timed.
+var ErrNoAuthoritative = errors.New("no authoritative chain")
 
-// now stamps a measurement, wall clock only: the monotonic reading
-// Before/Equal prefer could order a live store's records differently from
-// its WAL replay, which keeps only the wall one.
-func (c *Collector) now() time.Time {
+// Stamp is the time a measurement observed at at is stamped with: the
+// Clock's reading when set, else at (time.Now when zero), wall clock only
+// — the monotonic reading Before/Equal prefer could order a live store's
+// records differently from its WAL replay, which keeps only the wall one.
+func (c *Collector) Stamp(at time.Time) time.Time {
 	if c.Clock != nil {
 		return c.Clock().Round(0)
 	}
-	return time.Now().Round(0)
-}
-
-// Repeat is Observe for a report repeating the host and chain of an earlier
-// one in its request, whose outcome was (first, err). The rest of the
-// measurement is a function of (request, host, chain), so Repeat derives
-// nothing: it re-stamps Time and Trace and files Observe's span in *spans.
-func (c *Collector) Repeat(first Measurement, err error, trace uint64, spans *[]telemetry.TracedSpan) (Measurement, error) {
-	if errors.Is(err, errNoAuthoritative) {
-		return Measurement{}, err
+	if at.IsZero() {
+		at = time.Now()
 	}
-	if c.Tracer != nil {
-		*spans = c.Tracer.AppendSpan(*spans, telemetry.TraceID(trace), telemetry.StageObserve, time.Now(), 0)
-	}
-	if err == nil {
-		first.Time, first.Trace = c.now(), trace
-	}
-	return first, err
+	return at.Round(0)
 }
 
 // Deliver commits one request's observed measurements through the

@@ -107,3 +107,17 @@ func (a *Arena) Reset() {
 	a.hdrOff = 0
 	a.hdrSpill = nil
 }
+
+// poison overwrites every byte the arena has handed out. Test hook: if
+// anything downstream retained an arena slice, its content visibly rots
+// and golden-table comparisons catch it.
+func (a *Arena) poison(pat byte) {
+	for i := range a.block {
+		a.block[i] = pat
+	}
+	for _, b := range a.spill {
+		for i := range b {
+			b[i] = pat
+		}
+	}
+}

@@ -188,17 +188,3 @@ func FuzzArenaDecodeMatchesPlain(f *testing.F) {
 		}
 	})
 }
-
-// poison overwrites every byte the arena has handed out. Test hook: if
-// anything downstream retained an arena slice, its content visibly rots
-// and golden-table comparisons catch it.
-func (a *Arena) poison(pat byte) {
-	for i := range a.block {
-		a.block[i] = pat
-	}
-	for _, b := range a.spill {
-		for i := range b {
-			b[i] = pat
-		}
-	}
-}

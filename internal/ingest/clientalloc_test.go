@@ -145,10 +145,10 @@ func TestAppendReportsSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestAppendReportsContentPathAllocs pins the encoder's content path at
-// zero allocations: every report has its own chain backing, so no repeat
-// is found by pointer, and the batch both defines new entries (8 distinct
-// chains) and references them by content.
+// TestAppendReportsContentPathAllocs pins the encoder's repeat lookup at
+// zero allocations when every report has its own chain backing, as a
+// fleet's fresh handshakes do: the batch both defines new entries (8
+// distinct chains) and references them by content.
 func TestAppendReportsContentPathAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are meaningless under -race")

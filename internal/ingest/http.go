@@ -17,6 +17,10 @@ import (
 // of reports even if every one carries its own ~1-4 KiB chain.
 const maxBatchBytes = 32 << 20
 
+// maxBatchReports bounds one request's reports: a repeat is two bytes on
+// the wire but a whole measurement until Deliver.
+const maxBatchReports = 1 << 16
+
 // decodeState is the per-request working set BatchHandler recycles: an
 // arena-bound streaming decoder, the request's measurements and its memo.
 // The arena is reset when the state returns to the pool — the request's
@@ -27,11 +31,12 @@ type decodeState struct {
 	arena *Arena
 	dec   *Decoder
 	ms    []core.Measurement
-	// memo[k-1] is wire entry k's outcome (at most MaxWireEntries).
+	// memo[k-1] is wire entry k's first Observe (at most MaxWireEntries).
 	memo []memoSlot
-	// spans holds the request's decode and observe spans until they are
-	// filed in one Tracer.RecordSpans.
-	spans []telemetry.TracedSpan
+	// spans, decodes and observes hold the request's decode and observe
+	// spans and latencies until one RecordSpans and ObserveBatch each.
+	spans             []telemetry.TracedSpan
+	decodes, observes telemetry.HistogramBatch
 }
 
 type memoSlot struct {
@@ -46,29 +51,45 @@ var decodePool = sync.Pool{New: func() any {
 
 // put retires the request's decode memory: arena slices become invalid
 // here, which is safe because every report was either committed (the sink
-// copied its measurement) or abandoned with the request.
+// copied its measurement) or abandoned with the request. Buffers a request
+// past MaxWireEntries reports grew are dropped, not pooled.
 func (st *decodeState) put() {
 	st.dec.Reset(nil)
 	st.arena.Reset()
 	clear(st.ms)
-	st.ms = st.ms[:0]
 	clear(st.memo)
-	st.memo = st.memo[:0]
-	st.spans = st.spans[:0]
+	st.ms, st.memo, st.spans = st.ms[:0], st.memo[:0], st.spans[:0]
+	if cap(st.ms) > MaxWireEntries || cap(st.spans) > 2*MaxWireEntries {
+		st.ms, st.spans = nil, nil
+	}
 	decodePool.Put(st)
 }
 
-// observe is col.Observe behind the request's memo: an entry's first
-// report is observed, its repeats go through col.Repeat.
-func (st *decodeState) observe(col *core.Collector, ip uint32, rep Report) (core.Measurement, error) {
-	if k := st.dec.entry - 1; k >= 0 && k < len(st.memo) {
-		return col.Repeat(st.memo[k].m, st.memo[k].err, rep.Trace, &st.spans)
+// observe is col.Observe behind the request's memo, and says whether the
+// memo answered. A repeat copies its entry's first outcome re-stamped with
+// its own Time and Trace: the rest is a function of (request, host,
+// chain). Where Observe would have timed it (any host but an unknown one),
+// a repeat's observe stage takes 0 ns at at.
+func (st *decodeState) observe(col *core.Collector, ip uint32, rep Report, at time.Time) (m core.Measurement, repeat bool, err error) {
+	k := st.dec.entry - 1
+	if k < 0 || k == len(st.memo) {
+		m, err = col.Observe(ip, rep.Host, rep.ChainDER, col.Campaign, rep.Trace, &st.spans)
+		if k >= 0 {
+			st.memo = append(st.memo, memoSlot{m, err})
+		}
+		return m, false, err
 	}
-	m, err := col.Observe(ip, rep.Host, rep.ChainDER, col.Campaign, rep.Trace, &st.spans)
-	if st.dec.entry > 0 {
-		st.memo = append(st.memo, memoSlot{m, err})
+	s := &st.memo[k]
+	if col.Tracer != nil && !errors.Is(s.err, core.ErrNoAuthoritative) {
+		st.observes.Observe(0)
+		st.spans = telemetry.AppendTraced(st.spans, telemetry.TraceID(rep.Trace), telemetry.StageObserve, at, 0)
 	}
-	return m, err
+	if s.err != nil {
+		return core.Measurement{}, true, s.err
+	}
+	m = s.m
+	m.Time, m.Trace = col.Stamp(at), rep.Trace
+	return m, true, nil
 }
 
 // BatchResult is the JSON verdict both batch endpoints answer:
@@ -97,11 +118,12 @@ type BatchResult struct {
 // (see wire.go) of reports, all attributed to the connection's client IP
 // and the collector's campaign label. A request is all-or-nothing and
 // commits once: the whole stream is decoded and observed before anything
-// reaches storage, so a damaged or oversized stream applies nothing (400 /
-// 413) and the client may re-send it; the observed measurements then go to
-// the collector's storage in one Deliver, and a commit error answers 503
-// with accepted 0. Individually bad reports (unknown host, unparsable
-// chain) are counted in Rejected and skipped. A wire entry is observed once.
+// reaches storage, so a damaged stream (400) or one past maxBatchBytes or
+// maxBatchReports (413) applies nothing and the client may re-send it; the
+// observed measurements then go to the collector's storage in one Deliver,
+// and a commit error answers 503 with accepted 0. Individually bad reports
+// (unknown host, unparsable chain) are counted in Rejected and skipped. A
+// wire entry is observed once per request.
 func BatchHandler(col *core.Collector) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -119,8 +141,8 @@ func BatchHandler(col *core.Collector) http.Handler {
 		tracer := col.Tracer
 		var res BatchResult
 		status := http.StatusOK
-		for {
-			start := stageStart(tracer)
+		start := stageStart(tracer)
+		for n := 1; ; n++ {
 			rep, err := st.dec.Next()
 			if errors.Is(err, io.EOF) {
 				break
@@ -137,10 +159,24 @@ func BatchHandler(col *core.Collector) http.Handler {
 				}
 				break
 			}
-			if tracer != nil {
-				st.spans = tracer.AppendSpan(st.spans, telemetry.TraceID(rep.Trace), telemetry.StageDecode, start, time.Since(start))
+			if n > maxBatchReports {
+				res = BatchResult{Error: fmt.Sprintf("more than %d reports in one request", maxBatchReports)}
+				status = http.StatusRequestEntityTooLarge
+				break
 			}
-			m, err := st.observe(col, ip, rep)
+			end := start
+			if tracer != nil {
+				d := time.Since(start) // one monotonic read, unlike Now
+				end = start.Add(d)
+				st.decodes.Observe(d)
+				st.spans = telemetry.AppendTraced(st.spans, telemetry.TraceID(rep.Trace), telemetry.StageDecode, start, d)
+			}
+			// A repeat reads no clock: its observe span, time stamp and
+			// the next frame's decode start at this frame's decode end.
+			m, repeat, err := st.observe(col, ip, rep, end)
+			if start = end; !repeat {
+				start = stageStart(tracer)
+			}
 			if err != nil {
 				res.Rejected++
 				continue
@@ -149,6 +185,8 @@ func BatchHandler(col *core.Collector) http.Handler {
 		}
 		// Filed before Deliver, so each trace's decode and observe spans
 		// precede the shard's queue, wal and store spans.
+		tracer.ObserveBatch(telemetry.StageDecode, &st.decodes)
+		tracer.ObserveBatch(telemetry.StageObserve, &st.observes)
 		tracer.RecordSpans(st.spans)
 		if status == http.StatusOK {
 			if err := col.Deliver(st.ms); err != nil {

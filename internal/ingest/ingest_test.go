@@ -191,6 +191,11 @@ func TestWireRoundTrip(t *testing.T) {
 		{Host: "tlsresearch.byu.edu", ChainDER: [][]byte{{0x30, 0x82, 0x01}, {0x30, 0x82, 0x02, 0x99}}},
 		{Host: "www.facebook.com", ChainDER: [][]byte{bytes.Repeat([]byte{0xAB}, 4096)}},
 		{Host: "a", ChainDER: [][]byte{{1}}},
+		// Same host and leaf, so the encoder's repeat lookup hashes all
+		// four alike: only a whole-chain match may make a reference.
+		{Host: "a", ChainDER: [][]byte{{1}, {2}}},
+		{Host: "a", ChainDER: [][]byte{{1}, {3}}},
+		{Host: "a", ChainDER: [][]byte{{1}}},
 	}
 	stream, err := AppendReports(nil, reports)
 	if err != nil {

@@ -158,6 +158,50 @@ func TestBatchHandlerRepeatAllocs(t *testing.T) {
 	}
 }
 
+// TestBatchHandlerReportBound: maxBatchReports reports, all but the first
+// two-byte references, are accepted; one report more answers 413 and
+// applies nothing. A state that held a request past MaxWireEntries reports goes
+// back to the pool without its measurement and span buffers.
+func TestBatchHandlerReportBound(t *testing.T) {
+	const host = "bound.memo.example"
+	chain := testChain(t, host)
+	ingested := 0
+	col := core.NewCollector(classify.NewClassifier(), nil, core.SinkFunc(func(core.Measurement) { ingested++ }))
+	col.SetAuthoritative(host, chain)
+	h := BatchHandler(col)
+	reports := make([]Report, maxBatchReports+1)
+	for i := range reports {
+		reports[i] = Report{Host: host, ChainDER: chain}
+	}
+	post := func(rs []Report) (int, BatchResult) {
+		body, err := AppendReports(nil, rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest/batch", bytes.NewReader(body)))
+		var res BatchResult
+		if err := json.NewDecoder(rec.Body).Decode(&res); err != nil {
+			t.Fatal(err)
+		}
+		return rec.Code, res
+	}
+
+	if status, res := post(reports); status != http.StatusRequestEntityTooLarge || res.Accepted != 0 || res.Error == "" || ingested != 0 {
+		t.Fatalf("%d reports: status %d, verdict %+v, sink saw %d; want 413 and nothing applied", len(reports), status, res, ingested)
+	}
+	if status, res := post(reports[:maxBatchReports]); status != http.StatusOK || res.Accepted != maxBatchReports || ingested != maxBatchReports {
+		t.Fatalf("%d reports: status %d, verdict %+v, sink saw %d; want all accepted", maxBatchReports, status, res, ingested)
+	}
+
+	st := &decodeState{arena: NewArena(), ms: make([]core.Measurement, MaxWireEntries+1)}
+	st.dec = NewArenaDecoder(nil, st.arena)
+	st.put()
+	if st.ms != nil || st.spans != nil {
+		t.Fatalf("pooled state kept %d measurements' capacity past the %d bound", cap(st.ms), MaxWireEntries)
+	}
+}
+
 // TestWireEntryTableBound: a stream with more distinct (host, chain)
 // pairs than MaxWireEntries still round-trips — pairs past the bound
 // travel inline every time — and neither the decoder's table nor the
@@ -201,7 +245,7 @@ func TestWireEntryTableBound(t *testing.T) {
 		if err != nil {
 			break
 		}
-		if _, err := st.observe(col, 0, rep); err != nil {
+		if _, _, err := st.observe(col, 0, rep, time.Time{}); err != nil {
 			rejected++
 		}
 	}

@@ -59,54 +59,28 @@ type Report struct {
 	Trace    uint64
 }
 
-// wireEncoder is AppendReports' pooled entry table, kept for one call.
+// wireEncoder is AppendReports' pooled entry table: a seeded hash of host
+// and leaf → {entry, index of the entry's first report}.
 type wireEncoder struct {
 	seed    maphash.Seed
-	entries []Report          // entry k+1
-	byHash  map[uint64]int32  // content hash → entry
-	byPtr   map[*[]byte]int32 // chain backing array → entry with its bytes
+	entries map[uint64][2]int32
 }
 
 var encoders = sync.Pool{New: func() any {
-	return &wireEncoder{seed: maphash.MakeSeed(), byHash: map[uint64]int32{}, byPtr: map[*[]byte]int32{}}
+	return &wireEncoder{seed: maphash.MakeSeed(), entries: map[uint64][2]int32{}}
 }}
-
-// ref returns the entry r repeats, or 0 after entering r as the next
-// entry while the table has room, as the decoder does. A chain with an
-// entry's backing array and length has its bytes; any other is found by
-// a seeded hash of host and leaf and a byte compare of the whole chain.
-func (e *wireEncoder) ref(r *Report) int {
-	p := &r.ChainDER[0]
-	if k, ok := e.byPtr[p]; ok && e.entries[k].Host == r.Host && len(e.entries[k].ChainDER) == len(r.ChainDER) {
-		return int(k) + 1
-	}
-	sum := maphash.String(e.seed, r.Host) ^ maphash.Bytes(e.seed, r.ChainDER[0])
-	if k, ok := e.byHash[sum]; ok && e.entries[k].Host == r.Host && slices.EqualFunc(e.entries[k].ChainDER, r.ChainDER, bytes.Equal) {
-		e.byPtr[p] = k
-		return int(k) + 1
-	}
-	if len(e.entries) < MaxWireEntries {
-		k := int32(len(e.entries))
-		e.entries = append(e.entries, Report{Host: r.Host, ChainDER: r.ChainDER})
-		e.byHash[sum], e.byPtr[p] = k, k
-	}
-	return 0
-}
 
 // AppendReports appends a complete wire stream (header + one frame per
 // report) to dst and returns the extended slice. A caller recycling dst
 // across batches allocates nothing once the buffer has grown to the
-// working batch size.
+// working batch size. A repeat is found by hash and confirmed by a byte
+// compare of the whole chain; a collision costs a second entry, never a
+// wrong reference.
 func AppendReports(dst []byte, reports []Report) ([]byte, error) {
 	e := encoders.Get().(*wireEncoder)
-	defer func() {
-		clear(e.entries)
-		e.entries = e.entries[:0]
-		clear(e.byHash)
-		clear(e.byPtr)
-		encoders.Put(e)
-	}()
+	defer func() { clear(e.entries); encoders.Put(e) }()
 	dst = append(dst, wireMagic[:]...)
+	n := int32(0) // entries entered, as the decoder counts them
 	for i := range reports {
 		r := &reports[i]
 		if len(r.Host) == 0 || len(r.Host) > MaxWireHostLen {
@@ -116,10 +90,16 @@ func AppendReports(dst []byte, reports []Report) ([]byte, error) {
 			return nil, fmt.Errorf("ingest: chain of %d certs outside [1,%d]", len(r.ChainDER), MaxWireChainCerts)
 		}
 		dst = binary.AppendUvarint(dst, r.Trace)
-		k := e.ref(r)
-		if dst = binary.AppendUvarint(dst, uint64(k)); k > 0 {
+		sum := maphash.String(e.seed, r.Host) ^ maphash.Bytes(e.seed, r.ChainDER[0])
+		if k, ok := e.entries[sum]; ok && reports[k[1]].Host == r.Host && slices.EqualFunc(reports[k[1]].ChainDER, r.ChainDER, bytes.Equal) {
+			dst = binary.AppendUvarint(dst, uint64(k[0]))
 			continue
 		}
+		if n < MaxWireEntries {
+			n++
+			e.entries[sum] = [2]int32{n, int32(i)}
+		}
+		dst = append(dst, 0) // ref 0: the entry inline
 		dst = binary.AppendUvarint(dst, uint64(len(r.Host)))
 		dst = append(dst, r.Host...)
 		dst = binary.AppendUvarint(dst, uint64(len(r.ChainDER)))
@@ -207,8 +187,9 @@ func (d *Decoder) Next() (Report, error) {
 		return Report{}, fmt.Errorf("ingest: entry ref %d past the stream's %d entries", ref, len(d.entries))
 	}
 	if d.entry = int(ref); ref > 0 {
-		e := d.entries[ref-1]
-		return Report{Host: e.Host, ChainDER: e.ChainDER, Trace: trace}, nil
+		rep := d.entries[ref-1]
+		rep.Trace = trace
+		return rep, nil
 	}
 	hostLen, err := binary.ReadUvarint(d.r)
 	if err != nil {

@@ -118,6 +118,38 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.sum.Add(int64(d))
 }
 
+// HistogramBatch gathers one goroutine's observations for a single
+// Tracer.ObserveBatch: a loop that observes a stage per item pays the
+// shared histogram's atomics once per bucket used, not three per item.
+// The zero value is empty.
+type HistogramBatch struct {
+	counts [histBuckets]uint64
+	count  uint64
+	sum    int64
+}
+
+// Observe records one duration in the batch.
+func (b *HistogramBatch) Observe(d time.Duration) {
+	b.counts[bucketIndex(d)]++
+	b.count++
+	b.sum += int64(d)
+}
+
+// addTo adds the batch to h and empties it: buckets before the count, as
+// Observe orders them, so a Snapshot never sees the count ahead.
+func (b *HistogramBatch) addTo(h *Histogram) {
+	if h != nil && b.count > 0 {
+		for i, c := range b.counts {
+			if c > 0 {
+				h.counts[i].Add(c)
+			}
+		}
+		h.count.Add(b.count)
+		h.sum.Add(b.sum)
+	}
+	*b = HistogramBatch{}
+}
+
 // HistogramSnapshot is a coherent-enough point-in-time copy of a
 // histogram: Count is read first, so Count <= sum of bucket counts never
 // inverts (a bucket increment precedes its count increment in every

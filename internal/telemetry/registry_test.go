@@ -135,6 +135,28 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 }
 
+// TestObserveBatchMatchesObserve: a stage observed through a
+// HistogramBatch ends with the same count, sum and buckets as one
+// observed duration by duration, and the batch is empty afterwards.
+func TestObserveBatchMatchesObserve(t *testing.T) {
+	direct, batched := NewTracer(NewRegistry(), 0), NewTracer(NewRegistry(), 0)
+	var b HistogramBatch
+	for i := 0; i < 1000; i++ {
+		d := time.Duration(i*i) * time.Nanosecond // 0 included
+		direct.Observe(StageDecode, d)
+		b.Observe(d)
+	}
+	batched.ObserveBatch(StageDecode, &b)
+	batched.ObserveBatch(StageDecode, &b) // empty: adds nothing
+	if b != (HistogramBatch{}) {
+		t.Fatalf("batch not emptied: %+v", b)
+	}
+	x, y := direct.hist(StageDecode).Snapshot(), batched.hist(StageDecode).Snapshot()
+	if x != y {
+		t.Fatalf("batched histogram %+v, direct %+v", y, x)
+	}
+}
+
 func TestHistogramQuantile(t *testing.T) {
 	h := &Histogram{}
 	// 90 fast observations (~1µs bucket), 10 slow (~1ms bucket).
@@ -265,7 +287,7 @@ func TestHotPathAllocs(t *testing.T) {
 	// the span bound's drop path.
 	dropped := reg.Counter("trace_spans_dropped_total", "")
 	tr.RecordSpan(7, StageProbe, time.Time{}, time.Millisecond)
-	rec := &tr.recs[tr.index[7]]
+	rec := &tr.recs[tr.index[tr.cell(7)].slot]
 	if n := testing.AllocsPerRun(1000, func() {
 		rec.n = 1
 		tr.RecordSpan(7, StageObserve, time.Time{}, time.Millisecond)

@@ -132,9 +132,13 @@ const DefaultTraceCap = 4096
 type Tracer struct {
 	reg *Registry
 
-	mu    sync.Mutex
-	recs  []traceRec
-	index map[TraceID]int
+	mu   sync.Mutex
+	recs []traceRec
+	// index maps each resident trace ID to its slot in recs: open
+	// addressing with linear probing, at least twice len(recs) cells (a
+	// power of two, so at most half full); a zero ID marks an empty cell.
+	index []indexCell
+	shift uint // 64 - log2(len(index)): home takes the hash's top bits
 	next  int
 
 	// hists holds the known stages' histograms in knownStages order; it is
@@ -157,10 +161,15 @@ func NewTracer(reg *Registry, capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCap
 	}
+	shift := uint(63)
+	for 1<<(64-shift) < 2*capacity {
+		shift--
+	}
 	t := &Tracer{
 		reg:     reg,
 		recs:    make([]traceRec, capacity),
-		index:   make(map[TraceID]int, capacity),
+		index:   make([]indexCell, 1<<(64-shift)),
+		shift:   shift,
 		hists:   make([]*Histogram, len(knownStages)),
 		extra:   make(map[string]*Histogram),
 		dropped: reg.Counter("trace_spans_dropped_total", "spans dropped because a trace hit its span bound"),
@@ -202,6 +211,14 @@ func (t *Tracer) Observe(stage string, d time.Duration) {
 	t.hist(stage).Observe(d)
 }
 
+// ObserveBatch adds a batch of one stage's latencies to its histogram and
+// empties the batch.
+func (t *Tracer) ObserveBatch(stage string, b *HistogramBatch) {
+	if t != nil {
+		b.addTo(t.hist(stage))
+	}
+}
+
 // Record observes the stage latency and, for a nonzero ID, appends a
 // span to the trace.
 func (t *Tracer) Record(id TraceID, stage string, start time.Time, d time.Duration) {
@@ -221,6 +238,12 @@ func (t *Tracer) AppendSpan(dst []TracedSpan, id TraceID, stage string, start ti
 		return dst
 	}
 	t.hist(stage).Observe(d)
+	return AppendTraced(dst, id, stage, start, d)
+}
+
+// AppendTraced is AppendSpan without the histogram, for a caller that
+// observes the stage some other way (a HistogramBatch, or not at all).
+func AppendTraced(dst []TracedSpan, id TraceID, stage string, start time.Time, d time.Duration) []TracedSpan {
 	if id == 0 {
 		return dst
 	}
@@ -271,21 +294,65 @@ func (t *Tracer) RecordSpans(spans []TracedSpan) {
 	t.dropped.Add(dropped)
 }
 
+// indexCell is one cell of the ring's index.
+type indexCell struct {
+	id   TraceID
+	slot int32
+}
+
+// home is id's first probe in t.index (Fibonacci hashing).
+func (t *Tracer) home(id TraceID) int {
+	return int(uint64(id) * 0x9e3779b97f4a7c15 >> t.shift)
+}
+
+// cell returns the index cell holding id, or the empty cell that ends
+// its probe run. id must be nonzero.
+func (t *Tracer) cell(id TraceID) int {
+	mask := len(t.index) - 1
+	i := t.home(id)
+	for t.index[i].id != id && t.index[i].id != 0 {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// unindex empties id's cell and moves later cells of the probe run back
+// into the gap wherever their home allows (backward-shift deletion), so
+// every probe run stays unbroken without tombstones.
+func (t *Tracer) unindex(id TraceID) {
+	mask := len(t.index) - 1
+	i := t.cell(id)
+	for j := (i + 1) & mask; t.index[j].id != 0; j = (j + 1) & mask {
+		// The cell at j may fill the gap at i unless its home lies
+		// cyclically in (i, j].
+		h := t.home(t.index[j].id)
+		if i <= j && (h <= i || h > j) || i > j && h <= i && h > j {
+			t.index[i] = t.index[j]
+			i = j
+		}
+	}
+	t.index[i] = indexCell{}
+}
+
 // slot returns id's ring slot, creating the trace — and evicting the
 // oldest-created one — when id is not resident. The caller holds t.mu.
 func (t *Tracer) slot(id TraceID) int {
-	if i, ok := t.index[id]; ok {
-		return i
+	c := t.cell(id)
+	if t.index[c].id == id {
+		return int(t.index[c].slot)
 	}
 	i := t.next
-	t.next = (t.next + 1) % len(t.recs)
+	if t.next++; t.next == len(t.recs) {
+		t.next = 0
+	}
 	rec := &t.recs[i]
 	if rec.id != 0 {
-		delete(t.index, rec.id)
+		t.unindex(rec.id)
+		c = t.cell(id) // the deletion may have moved the run's end
 	}
 	// Spans past n are never read, so the evicted trace's stay in place.
 	rec.id, rec.n, rec.lost = id, 0, false
-	t.index[id] = i
+	t.index[c] = indexCell{id, int32(i)}
 	return i
 }
 
@@ -296,11 +363,11 @@ func (t *Tracer) Lookup(id TraceID) (Trace, bool) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	i, ok := t.index[id]
-	if !ok {
+	c := t.cell(id)
+	if id == 0 || t.index[c].id != id {
 		return Trace{}, false
 	}
-	rec := &t.recs[i]
+	rec := &t.recs[t.index[c].slot]
 	tr := Trace{ID: id, Spans: make([]Span, rec.n), Truncated: rec.lost}
 	copy(tr.Spans, rec.stages[:rec.n])
 	return tr, true

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -334,6 +335,48 @@ func TestRecordSpansMatchesOneByOne(t *testing.T) {
 		name := "trace_spans_dropped_total"
 		if a, b := oneReg.Counter(name, "").Value(), batchReg.Counter(name, "").Value(); a != b {
 			t.Fatalf("round %d: dropped one-by-one %d, batched %d", round, a, b)
+		}
+	}
+}
+
+// TestTracerIndexMatchesModel drives the ring's open-addressed index
+// through long runs of creations, revivals and evictions in tables of 2 to
+// 32 cells, where probe runs collide and wrap, and checks after every span
+// that exactly the IDs a FIFO model holds are found, and in their slots.
+func TestTracerIndexMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for round := 0; round < 200; round++ {
+		capacity, ids := 1+rng.Intn(16), 1+rng.Intn(48)
+		tr := NewTracer(nil, capacity)
+		var resident []TraceID // oldest-created first
+		for step := 0; step < 300; step++ {
+			id := TraceID(1 + rng.Intn(ids))
+			if rng.Intn(4) == 0 {
+				id <<= 40 // same low bits, different home
+			}
+			tr.RecordSpan(id, StageDecode, time.Time{}, 0)
+			if !slices.Contains(resident, id) {
+				if resident = append(resident, id); len(resident) > capacity {
+					resident = resident[1:]
+				}
+			}
+			filled := 0
+			for _, c := range tr.index {
+				if c.id != 0 {
+					filled++
+					if tr.recs[c.slot].id != c.id {
+						t.Fatalf("round %d step %d: cell for %v points at slot %d holding %v", round, step, c.id, c.slot, tr.recs[c.slot].id)
+					}
+				}
+			}
+			if filled != len(resident) {
+				t.Fatalf("round %d step %d: index holds %d IDs, model %d", round, step, filled, len(resident))
+			}
+			for _, id := range resident {
+				if _, ok := tr.Lookup(id); !ok {
+					t.Fatalf("round %d step %d: resident trace %v not found (cap %d, %d cells)", round, step, id, capacity, len(tr.index))
+				}
+			}
 		}
 	}
 }
