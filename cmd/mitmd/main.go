@@ -139,7 +139,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 		pprofAddr    = fs.String("pprof", "", "serve net/http/pprof on this address (disabled when empty)")
 		caOut        = fs.String("ca-out", "", "write the proxy CA certificate PEM to this path")
 		faultSpec    = fs.String("fault", "", "fault plan for accepted connections, each the link *:mitmd (e.g. 'all=*:*, seed=42'; grammar in DESIGN.md §9)")
-		prewarm      = fs.Bool("prewarm", true, "fill the forged-leaf key pool before the listener opens")
 		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "graceful-drain bound on shutdown")
 		verbose      = fs.Bool("v", false, "log per-connection errors")
 	)
@@ -207,18 +206,16 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 		}
 	}
 
-	// A dedicated pool per proxy process. -prewarm fills it with the
-	// forged-leaf keys before the listener opens, so no connection waits
-	// on RSA keygen: Get generates only while the pool is short.
+	// A dedicated pool per proxy process, filled with the forged-leaf
+	// keys before the listener opens, so no connection waits on RSA
+	// keygen: Get generates only while the pool is short.
 	pool := certgen.NewKeyPool(4, nil)
 	engine, err := proxyengine.New(profile, proxyengine.Options{Pool: pool, CacheCap: *cacheCap})
 	if err != nil {
 		return fatalf("%v", err)
 	}
-	if *prewarm {
-		if err := <-pool.Prewarm(profile.LeafKeyBits()); err != nil {
-			return fatalf("prewarm: %v", err)
-		}
+	if err := <-pool.Prewarm(profile.LeafKeyBits()); err != nil {
+		return fatalf("prewarm: %v", err)
 	}
 	if *caOut != "" {
 		if err := os.WriteFile(*caOut, engine.CA.PEM(), 0o644); err != nil {

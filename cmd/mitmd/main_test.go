@@ -43,16 +43,15 @@ func (b *lockedBuffer) String() string {
 // partial-handshake TLS listener, selected by SNI.
 func startOrigin(t *testing.T, hosts []string) string {
 	t.Helper()
-	pool := certgen.NewKeyPool(1, nil)
 	ca, err := certgen.NewRootCA(certgen.CAConfig{
-		Subject: pkix.Name{CommonName: "Origin Root CA"}, KeyBits: 512, Pool: pool,
+		Subject: pkix.Name{CommonName: "Origin Root CA"}, KeyBits: 512,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	chains := make(map[string][][]byte)
 	for _, h := range hosts {
-		leaf, err := ca.IssueLeaf(certgen.LeafConfig{CommonName: h, KeyBits: 512, Pool: pool})
+		leaf, err := ca.IssueLeaf(certgen.LeafConfig{CommonName: h, KeyBits: 512})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +85,7 @@ func TestRunServesMetrics(t *testing.T) {
 	exit := make(chan int, 1)
 	go func() {
 		exit <- run([]string{"-listen", "127.0.0.1:0", "-upstream", origin, "-issuer", "Test Proxy",
-			"-keybits", "512", "-stats", "127.0.0.1:0", "-prewarm"}, &stdout, &stderr, stop)
+			"-keybits", "512", "-stats", "127.0.0.1:0"}, &stdout, &stderr, stop)
 	}()
 	// addrAfter waits for the banner line starting with prefix and
 	// returns the address that follows it.

@@ -57,8 +57,7 @@ func TestClusterModeMixedHostReports(t *testing.T) {
 	)
 	ids := []string{"a", "b", "c"}
 	hosts := hostdb.SecondStudyHosts()
-	pool := certgen.NewKeyPool(2, nil)
-	auth, err := study.BuildAuthoritative(hosts, pool)
+	auth, err := study.BuildAuthoritative(hosts, certgen.DefaultPool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +65,7 @@ func TestClusterModeMixedHostReports(t *testing.T) {
 	// a different issuer.
 	proxyCA, err := certgen.NewRootCA(certgen.CAConfig{
 		Subject: pkix.Name{CommonName: "FortiGate CA", Organization: []string{"Fortinet"}},
-		KeyBits: 1024, Pool: pool,
+		KeyBits: 1024,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +74,7 @@ func TestClusterModeMixedHostReports(t *testing.T) {
 	forged := make(map[string][][]byte)
 	for _, h := range hosts {
 		refs = append(refs, hostChain{host: h.Name, chain: auth.Chains[h.Name]})
-		leaf, err := proxyCA.IssueLeaf(certgen.LeafConfig{CommonName: h.Name, KeyBits: 1024, Pool: pool})
+		leaf, err := proxyCA.IssueLeaf(certgen.LeafConfig{CommonName: h.Name, KeyBits: 1024})
 		if err != nil {
 			t.Fatal(err)
 		}

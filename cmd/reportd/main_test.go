@@ -35,8 +35,7 @@ const testHost = "probe.example"
 
 func testRefs(t *testing.T) ([]hostChain, []byte) {
 	t.Helper()
-	pool := certgen.NewKeyPool(2, nil)
-	auth, err := study.BuildAuthoritative([]hostdb.Host{{Name: testHost, Category: hostdb.Popular}}, pool)
+	auth, err := study.BuildAuthoritative([]hostdb.Host{{Name: testHost, Category: hostdb.Popular}}, certgen.DefaultPool)
 	if err != nil {
 		t.Fatal(err)
 	}

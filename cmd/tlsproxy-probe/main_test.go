@@ -21,19 +21,17 @@ import (
 	"tlsfof/internal/x509util"
 )
 
-var pool = certgen.NewKeyPool(1, nil)
-
 // mintChain issues a chain for host under a fresh root whose subject
 // carries org, the way the paper's forging products name themselves.
 func mintChain(t *testing.T, org, host string) [][]byte {
 	t.Helper()
 	ca, err := certgen.NewRootCA(certgen.CAConfig{
-		Subject: pkix.Name{CommonName: org + " Root", Organization: []string{org}}, KeyBits: 512, Pool: pool,
+		Subject: pkix.Name{CommonName: org + " Root", Organization: []string{org}}, KeyBits: 512,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaf, err := ca.IssueLeaf(certgen.LeafConfig{CommonName: host, KeyBits: 512, Pool: pool})
+	leaf, err := ca.IssueLeaf(certgen.LeafConfig{CommonName: host, KeyBits: 512})
 	if err != nil {
 		t.Fatal(err)
 	}

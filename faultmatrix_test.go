@@ -137,7 +137,7 @@ func runFaultMatrix(t *testing.T, seed uint64) fmResult {
 	})
 	engine, err := proxyengine.New(
 		proxyengine.Profile{ProductName: "FaultMatrix", IssuerOrg: "FaultMatrix", KeyBits: 1024},
-		proxyengine.Options{Pool: world.pool},
+		proxyengine.Options{},
 	)
 	if err != nil {
 		t.Fatal(err)

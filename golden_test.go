@@ -38,10 +38,8 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden/ from the
 // every artifact meaningfully (six campaigns, 18 hosts, every table
 // populated).
 func goldenConfig() study.Config {
-	return study.Config{Study: clientpop.Study2, Seed: 2014, Scale: 0.01, Pool: goldenPool}
+	return study.Config{Study: clientpop.Study2, Seed: 2014, Scale: 0.01, Pool: certgen.DefaultPool}
 }
-
-var goldenPool = certgen.NewKeyPool(4, nil)
 
 // goldenArtifacts renders each artifact by name from a result whose
 // Store may have been swapped (the recovered-from-WAL path).

@@ -30,22 +30,21 @@ type hotpathWorld struct {
 
 func newHotpathWorld(b *testing.B) *hotpathWorld {
 	b.Helper()
-	pool := certgen.NewKeyPool(2, nil)
 	ca, err := certgen.NewRootCA(certgen.CAConfig{
 		Subject: pkix.Name{CommonName: "Hotpath CA", Organization: []string{"Hotpath"}},
-		KeyBits: 1024, Pool: pool,
+		KeyBits: 1024,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	const host = "hotpath.example"
-	leaf, err := ca.IssueLeaf(certgen.LeafConfig{CommonName: host, KeyBits: 2048, Pool: pool})
+	leaf, err := ca.IssueLeaf(certgen.LeafConfig{CommonName: host, KeyBits: 2048})
 	if err != nil {
 		b.Fatal(err)
 	}
 	engine, err := proxyengine.New(proxyengine.Profile{
 		ProductName: "Bitdefender", IssuerOrg: "Bitdefender", KeyBits: 1024,
-	}, proxyengine.Options{Pool: pool})
+	}, proxyengine.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -160,12 +160,7 @@ func KeywordDemand(keywords []string) float64 {
 
 // keywordHeat is a stable per-keyword score in (0, 1].
 func keywordHeat(kw string) float64 {
-	var h uint32 = 2166136261
-	for i := 0; i < len(kw); i++ {
-		h ^= uint32(kw[i])
-		h *= 16777619
-	}
-	return float64(h%1000)/1000*0.9 + 0.1
+	return float64(stats.FNV1a(kw)%1000)/1000*0.9 + 0.1
 }
 
 func sqrt(x float64) float64 {

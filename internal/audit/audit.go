@@ -69,7 +69,8 @@ type Config struct {
 	Entries []Entry
 	// Seed determines the battery's key material when Pool is nil: the
 	// pool draws from a stats.RNG stream, so two runs with one seed mint
-	// identical keys, chains, and report cards.
+	// identical keys and render identical report cards. Certificate
+	// serials still come from crypto/rand, so the chains differ.
 	Seed uint64
 	// Pool supplies all key material, overriding Seed when non-nil.
 	Pool *certgen.KeyPool
@@ -172,7 +173,7 @@ func MintOrigins(pool *certgen.KeyPool) (*Origins, error) {
 	ssDER, err := certgen.Issue(certgen.Template{
 		Subject:  pkix.Name{CommonName: HostFor("self-signed")},
 		DNSNames: []string{HostFor("self-signed")},
-	}, &ssKey.PublicKey, ssKey, nil, nil)
+	}, &ssKey.PublicKey, ssKey, nil)
 	if err != nil {
 		return nil, fmt.Errorf("audit: mint self-signed origin: %w", err)
 	}
@@ -188,7 +189,7 @@ func MintOrigins(pool *certgen.KeyPool) (*Origins, error) {
 		Subject:      pkix.Name{CommonName: HostFor("revoked")},
 		DNSNames:     []string{HostFor("revoked")},
 		SerialNumber: RevokedSerial,
-	}, &rvKey.PublicKey, root.Key, root.DER, nil)
+	}, &rvKey.PublicKey, root.Key, root.DER)
 	if err != nil {
 		return nil, fmt.Errorf("audit: mint revoked origin: %w", err)
 	}

@@ -6,7 +6,6 @@ import (
 	"crypto/x509/pkix"
 	"encoding/pem"
 	"fmt"
-	"io"
 	"time"
 )
 
@@ -24,11 +23,10 @@ type CA struct {
 // CAConfig configures NewRootCA.
 type CAConfig struct {
 	Subject  pkix.Name
-	KeyBits  int       // default 2048
-	SigAlg   SigAlg    // default SHA256WithRSA
-	Lifetime int       // years, default 10
-	Entropy  io.Reader // default crypto/rand
-	Pool     *KeyPool  // default DefaultPool
+	KeyBits  int      // default 2048
+	SigAlg   SigAlg   // default SHA256WithRSA
+	Lifetime int      // years, default 10
+	Pool     *KeyPool // default DefaultPool
 	// NotBefore anchors the validity window (default: one year before
 	// DefaultNotBefore, i.e. the study period).
 	NotBefore time.Time
@@ -78,7 +76,7 @@ func NewRootCA(cfg CAConfig) (*CA, error) {
 		NotBefore: nb,
 		NotAfter:  nb.AddDate(years+1, 0, 0),
 	}
-	der, err := Issue(tmpl, &key.PublicKey, key, nil, cfg.Entropy)
+	der, err := Issue(tmpl, &key.PublicKey, key, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -113,8 +111,6 @@ type LeafConfig struct {
 	Pool *KeyPool
 
 	NotBefore, NotAfter time.Time
-
-	Entropy io.Reader
 
 	OmitSKI              bool
 	OmitBasicConstraints bool
@@ -165,7 +161,7 @@ func (ca *CA) IssueLeaf(cfg LeafConfig) (*Leaf, error) {
 		OmitSKI:              cfg.OmitSKI,
 		OmitBasicConstraints: cfg.OmitBasicConstraints,
 	}
-	der, err := Issue(tmpl, &key.PublicKey, ca.Key, ca.DER, cfg.Entropy)
+	der, err := Issue(tmpl, &key.PublicKey, ca.Key, ca.DER)
 	if err != nil {
 		return nil, err
 	}

@@ -9,7 +9,6 @@ import (
 	"crypto/x509/pkix"
 	"encoding/asn1"
 	"fmt"
-	"io"
 	"math/big"
 	"time"
 )
@@ -115,10 +114,10 @@ type Template struct {
 	OmitBasicConstraints bool
 }
 
-func (t *Template) fill(entropy io.Reader) error {
+func (t *Template) fill() error {
 	if t.SerialNumber == nil {
 		max := new(big.Int).Lsh(big.NewInt(1), 63)
-		serial, err := rand.Int(entropy, max)
+		serial, err := rand.Int(rand.Reader, max)
 		if err != nil {
 			return fmt.Errorf("certgen: serial: %w", err)
 		}
@@ -214,12 +213,9 @@ func subjectKeyID(pubDER []byte) []byte {
 // Issue creates a certificate for tmpl whose public key is pub, signed by
 // signerKey. signerCertDER is the signer's own certificate (nil for
 // self-signed); it supplies the issuer name and the AuthorityKeyId.
-// entropy is the randomness source for serials and RSA signing padding.
-func Issue(tmpl Template, pub *rsa.PublicKey, signerKey *rsa.PrivateKey, signerCertDER []byte, entropy io.Reader) ([]byte, error) {
-	if entropy == nil {
-		entropy = rand.Reader
-	}
-	if err := tmpl.fill(entropy); err != nil {
+// Serials come from crypto/rand; PKCS #1 v1.5 signing is deterministic.
+func Issue(tmpl Template, pub *rsa.PublicKey, signerKey *rsa.PrivateKey, signerCertDER []byte) ([]byte, error) {
+	if err := tmpl.fill(); err != nil {
 		return nil, err
 	}
 	if tmpl.NotAfter.Before(tmpl.NotBefore) {
@@ -330,7 +326,7 @@ func Issue(tmpl Template, pub *rsa.PublicKey, signerKey *rsa.PrivateKey, signerC
 	h.Write(tbsDER)
 	digest := h.Sum(nil)
 
-	sig, err := rsa.SignPKCS1v15(entropy, signerKey, tmpl.SigAlg.hash(), digest)
+	sig, err := rsa.SignPKCS1v15(nil, signerKey, tmpl.SigAlg.hash(), digest)
 	if err != nil {
 		return nil, fmt.Errorf("certgen: sign: %w", err)
 	}

@@ -8,16 +8,11 @@ import (
 	"time"
 )
 
-// sharedPool keeps test key generation cheap; 512-bit keys are fast enough
-// to mint per-test.
-var sharedPool = NewKeyPool(2, nil)
-
 func testRoot(t *testing.T) *CA {
 	t.Helper()
 	ca, err := NewRootCA(CAConfig{
 		Subject: pkix.Name{CommonName: "Test Root", Organization: []string{"Test Org"}},
 		KeyBits: 1024,
-		Pool:    sharedPool,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +41,6 @@ func TestLeafVerifiesAgainstRoot(t *testing.T) {
 	leaf, err := ca.IssueLeaf(LeafConfig{
 		CommonName: "tlsresearch.byu.edu",
 		KeyBits:    1024,
-		Pool:       sharedPool,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +67,6 @@ func TestMD5Certificate(t *testing.T) {
 		Subject: pkix.Name{CommonName: "MD5 Root"},
 		KeyBits: 512,
 		SigAlg:  MD5WithRSA,
-		Pool:    sharedPool,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +75,6 @@ func TestMD5Certificate(t *testing.T) {
 		CommonName: "victim.example.com",
 		KeyBits:    512,
 		SigAlg:     MD5WithRSA,
-		Pool:       sharedPool,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +99,6 @@ func TestSHA1Certificate(t *testing.T) {
 		CommonName: "sha1.example.com",
 		KeyBits:    1024,
 		SigAlg:     SHA1WithRSA,
-		Pool:       sharedPool,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +116,6 @@ func TestWeakKeySizes(t *testing.T) {
 		leaf, err := ca.IssueLeaf(LeafConfig{
 			CommonName: "weak.example.com",
 			KeyBits:    bits,
-			Pool:       sharedPool,
 		})
 		if err != nil {
 			t.Fatalf("bits=%d: %v", bits, err)
@@ -148,7 +138,6 @@ func TestForgedIssuerName(t *testing.T) {
 		CommonName: "tlsresearch.byu.edu",
 		Issuer:     &digicert,
 		KeyBits:    1024,
-		Pool:       sharedPool,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -174,12 +163,11 @@ func TestNullIssuerOrganization(t *testing.T) {
 	ca, err := NewRootCA(CAConfig{
 		Subject: pkix.Name{CommonName: "anonymous"},
 		KeyBits: 1024,
-		Pool:    sharedPool,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaf, err := ca.IssueLeaf(LeafConfig{CommonName: "x.example.com", KeyBits: 1024, Pool: sharedPool})
+	leaf, err := ca.IssueLeaf(LeafConfig{CommonName: "x.example.com", KeyBits: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,14 +177,14 @@ func TestNullIssuerOrganization(t *testing.T) {
 }
 
 func TestEmptyIssuerEntirely(t *testing.T) {
-	key, err := sharedPool.Get(1024)
+	key, err := DefaultPool.Get(1024)
 	if err != nil {
 		t.Fatal(err)
 	}
 	der, err := Issue(Template{
 		Subject: pkix.Name{CommonName: "blank-issuer.example"},
 		Issuer:  &pkix.Name{},
-	}, &key.PublicKey, key, nil, nil)
+	}, &key.PublicKey, key, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +205,6 @@ func TestWrongDomainSubject(t *testing.T) {
 		CommonName: "mail.google.com",
 		DNSNames:   []string{"mail.google.com"},
 		KeyBits:    1024,
-		Pool:       sharedPool,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -232,14 +219,14 @@ func TestWrongDomainSubject(t *testing.T) {
 
 func TestSerialNumberExplicit(t *testing.T) {
 	ca := testRoot(t)
-	key, err := sharedPool.Get(512)
+	key, err := DefaultPool.Get(512)
 	if err != nil {
 		t.Fatal(err)
 	}
 	der, err := Issue(Template{
 		Subject:      pkix.Name{CommonName: "serial.example"},
 		SerialNumber: big.NewInt(424242),
-	}, &key.PublicKey, ca.Key, ca.DER, nil)
+	}, &key.PublicKey, ca.Key, ca.DER)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +248,6 @@ func TestValidityWindow(t *testing.T) {
 		NotBefore:  nb,
 		NotAfter:   na,
 		KeyBits:    512,
-		Pool:       sharedPool,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -278,7 +264,6 @@ func TestInvertedValidityRejected(t *testing.T) {
 		NotBefore:  time.Date(2015, 1, 1, 0, 0, 0, 0, time.UTC),
 		NotAfter:   time.Date(2014, 1, 1, 0, 0, 0, 0, time.UTC),
 		KeyBits:    512,
-		Pool:       sharedPool,
 	})
 	if err == nil {
 		t.Fatal("inverted validity accepted")
@@ -290,7 +275,6 @@ func TestOmitSKIAndBasicConstraints(t *testing.T) {
 	leaf, err := ca.IssueLeaf(LeafConfig{
 		CommonName: "minimal.example",
 		KeyBits:    512,
-		Pool:       sharedPool,
 		OmitSKI:    true,
 	})
 	if err != nil {
@@ -342,8 +326,7 @@ func TestKeyPoolNamedSharedKey(t *testing.T) {
 }
 
 func TestKeyPoolRejectsTinyKeys(t *testing.T) {
-	pool := NewKeyPool(1, nil)
-	if _, err := pool.Get(256); err == nil {
+	if _, err := DefaultPool.Get(256); err == nil {
 		t.Fatal("256-bit key accepted")
 	}
 }
@@ -363,14 +346,13 @@ func BenchmarkIssueLeaf1024(b *testing.B) {
 	ca, err := NewRootCA(CAConfig{
 		Subject: pkix.Name{CommonName: "Bench Root"},
 		KeyBits: 1024,
-		Pool:    sharedPool,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ca.IssueLeaf(LeafConfig{CommonName: "bench.example", KeyBits: 1024, Pool: sharedPool}); err != nil {
+		if _, err := ca.IssueLeaf(LeafConfig{CommonName: "bench.example", KeyBits: 1024}); err != nil {
 			b.Fatal(err)
 		}
 	}

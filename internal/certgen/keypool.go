@@ -16,6 +16,9 @@ import (
 // The pool also supports named keys, which reproduces the
 // "IopFailZeroAccessCreate" malware from §5.1: every one of its certificates,
 // observed in 14 countries, carried the same 512-bit public key.
+//
+// A pool is safe for concurrent use. Its keys are reproducible only when
+// NewKeyPool was given a seeded reader; DefaultPool's are not.
 type KeyPool struct {
 	mu      sync.Mutex
 	bySize  map[int][]*rsa.PrivateKey
@@ -24,19 +27,23 @@ type KeyPool struct {
 	cursor  map[int]int
 
 	// genMu serializes all key generation so the entropy reader is never
-	// read concurrently (tests inject deterministic readers).
+	// read concurrently (audit and bench inject seeded readers).
 	genMu   sync.Mutex
 	entropy io.Reader
 }
 
 // NewKeyPool creates a pool holding up to perSize keys for each bit size,
-// generated lazily from entropy (crypto/rand when nil).
+// generated lazily from entropy (crypto/rand when nil). An injected
+// reader makes the pool deterministic: equal streams mint equal keys in
+// the same order.
 func NewKeyPool(perSize int, entropy io.Reader) *KeyPool {
 	if perSize < 1 {
 		perSize = 1
 	}
 	if entropy == nil {
 		entropy = rand.Reader
+	} else {
+		entropy = steadyReader{entropy}
 	}
 	return &KeyPool{
 		entropy: entropy,
@@ -45,6 +52,22 @@ func NewKeyPool(perSize int, entropy io.Reader) *KeyPool {
 		named:   make(map[string]*rsa.PrivateKey),
 		cursor:  make(map[int]int),
 	}
+}
+
+// steadyReader keeps rsa.GenerateKey deterministic over an injected
+// reader. For any reader but crypto/rand's, crypto/rsa reads one extra
+// byte half the time, chosen at random (randutil.MaybeReadByte), which
+// would shift the stream and so change every later prime. Those are the
+// only one-byte reads key generation makes; steadyReader answers them
+// with 0 and leaves r where it was.
+type steadyReader struct{ r io.Reader }
+
+func (s steadyReader) Read(p []byte) (int, error) {
+	if len(p) == 1 {
+		p[0] = 0
+		return 1, nil
+	}
+	return s.r.Read(p)
 }
 
 // KeySizes observed in the study's substitute certificates (§5.2): the
@@ -150,6 +173,9 @@ func (p *KeyPool) Named(name string, bits int) (*rsa.PrivateKey, error) {
 	return k, nil
 }
 
-// DefaultPool is the process-wide pool used when callers do not need
-// isolated key material. Shared keys across tests keep the suite fast.
+// DefaultPool is the process-wide pool behind every nil Pool in CAConfig,
+// LeafConfig and proxyengine.Options, and the one key source of every
+// test that is not about key generation or pool isolation: a test binary
+// mints each key size and each named key at most once. Its keys come
+// from crypto/rand.
 var DefaultPool = NewKeyPool(2, nil)

@@ -3,6 +3,8 @@ package certgen
 import (
 	"testing"
 	"time"
+
+	"tlsfof/internal/stats"
 )
 
 // size reports how many keys of the given size are pooled.
@@ -43,5 +45,26 @@ func TestKeyPoolPrewarm(t *testing.T) {
 	// A post-prewarm Get is a pure pool hit.
 	if _, err := pool.Get(512); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestKeyPoolSeededIsDeterministic: two pools over equal seeded streams
+// mint equal keys. crypto/rsa's random extra one-byte read would make
+// them differ without the pool's steadyReader.
+func TestKeyPoolSeededIsDeterministic(t *testing.T) {
+	a := NewKeyPool(2, stats.NewRNG(2016))
+	b := NewKeyPool(2, stats.NewRNG(2016))
+	for _, bits := range []int{512, 512, 1024} {
+		ka, err := a.Get(bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kb, err := b.Get(bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ka.Equal(kb) {
+			t.Fatalf("%d-bit keys from equal seeds differ", bits)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tlsfof/internal/classify"
+	"tlsfof/internal/stats"
 )
 
 // Deployment is one interception product with its market weight among
@@ -100,7 +101,7 @@ func Study1Deployments() []Deployment {
 	ds = append(ds, pool("Perimeter Security Appliance %03d", classify.BusinessFirewall, 18, 69, nil)...)
 	ds = append(ds, pool("HomeGuard Personal Firewall %d", classify.PersonalFirewall, 4, 11, nil)...)
 	ds = append(ds, pool("Consolidated Holdings %03d Inc", classify.Organization, 160, 950, func(p *classify.Product) {
-		if pseudoHash(p.Name)%2 == 0 {
+		if stats.FNV1a(p.Name)%2 == 0 {
 			p.KeyBits = 2048
 		}
 	})...)
@@ -195,7 +196,7 @@ func Study2Deployments() []Deployment {
 	ds = append(ds, pool("Perimeter Security Appliance %03d", classify.BusinessFirewall, 30, 1231, nil)...)
 	ds = append(ds, pool("HomeGuard Personal Firewall %d", classify.PersonalFirewall, 12, 536, nil)...)
 	ds = append(ds, pool("Consolidated Holdings %03d Inc", classify.Organization, 170, 1500, func(p *classify.Product) {
-		if pseudoHash(p.Name)%2 == 0 {
+		if stats.FNV1a(p.Name)%2 == 0 {
 			p.KeyBits = 2048
 		}
 	})...)
@@ -203,15 +204,4 @@ func Study2Deployments() []Deployment {
 	// The opaque pool: uncategorizable strings, the alarming §6.1 growth.
 	ds = append(ds, pool("zqx%03dw", classify.Unknown, 120, 3600, nil)...)
 	return ds
-}
-
-// pseudoHash is a tiny deterministic string hash for mix decisions inside
-// pool mutators.
-func pseudoHash(s string) uint32 {
-	var h uint32 = 2166136261
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
 }

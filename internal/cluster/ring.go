@@ -104,8 +104,9 @@ func ringHash(s string) uint64 {
 	return z
 }
 
-// fnv1a64 is FNV-1a over s. The 32-bit sibling, ingest.ShardOf, picks a
-// local shard for a host; this one feeds ring placement.
+// fnv1a64 is 64-bit FNV-1a over s. The 32-bit sibling, stats.FNV1a,
+// picks a local shard for a host (ingest.ShardOf); this one feeds ring
+// placement.
 func fnv1a64(s string) uint64 {
 	const (
 		offset = 14695981039346656037

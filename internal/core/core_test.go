@@ -24,7 +24,6 @@ import (
 )
 
 var (
-	pool       = certgen.NewKeyPool(2, nil)
 	classifier = classify.NewClassifier()
 )
 
@@ -32,12 +31,12 @@ func authChain(t testing.TB, host string) (*certgen.CA, *certgen.Leaf) {
 	t.Helper()
 	ca, err := certgen.NewRootCA(certgen.CAConfig{
 		Subject: pkix.Name{CommonName: "DigiCert High Assurance CA-3", Organization: []string{"DigiCert Inc"}},
-		KeyBits: 1024, Pool: pool,
+		KeyBits: 1024,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaf, err := ca.IssueLeaf(certgen.LeafConfig{CommonName: host, KeyBits: 2048, Pool: pool})
+	leaf, err := ca.IssueLeaf(certgen.LeafConfig{CommonName: host, KeyBits: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +61,7 @@ func TestObserveForgedChain(t *testing.T) {
 	_, authLeaf := authChain(t, "victim.example")
 	engine, err := proxyengine.New(proxyengine.Profile{
 		ProductName: "Bitdefender", IssuerOrg: "Bitdefender", KeyBits: 1024,
-	}, proxyengine.Options{Pool: pool})
+	}, proxyengine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +271,7 @@ func TestEndToEndWire(t *testing.T) {
 	// Interceptor between client and server, forging as Kaspersky.
 	engine, err := proxyengine.New(proxyengine.Profile{
 		ProductName: "Kaspersky Lab ZAO", IssuerOrg: "Kaspersky Lab ZAO", KeyBits: 1024,
-	}, proxyengine.Options{Pool: pool})
+	}, proxyengine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

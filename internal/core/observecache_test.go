@@ -19,7 +19,7 @@ func forgedChain(t testing.TB, authDER [][]byte, host string) [][]byte {
 	t.Helper()
 	engine, err := proxyengine.New(proxyengine.Profile{
 		ProductName: "CacheTest", IssuerOrg: "CacheTest Org", KeyBits: 1024,
-	}, proxyengine.Options{Pool: pool})
+	}, proxyengine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

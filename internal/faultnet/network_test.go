@@ -16,18 +16,16 @@ import (
 	"tlsfof/internal/x509util"
 )
 
-var networkPool = certgen.NewKeyPool(2, nil)
-
 func authLeaf(t testing.TB, host string) *certgen.Leaf {
 	t.Helper()
 	ca, err := certgen.NewRootCA(certgen.CAConfig{
 		Subject: pkix.Name{CommonName: "Pipe Root", Organization: []string{"Pipe CA"}},
-		KeyBits: 1024, Pool: networkPool, KeyName: "pipe-auth",
+		KeyBits: 1024, KeyName: "pipe-auth",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaf, err := ca.IssueLeaf(certgen.LeafConfig{CommonName: host, KeyBits: 1024, Pool: networkPool})
+	leaf, err := ca.IssueLeaf(certgen.LeafConfig{CommonName: host, KeyBits: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +76,7 @@ func TestInterceptedView(t *testing.T) {
 
 	engine, err := proxyengine.New(proxyengine.Profile{
 		ProductName: "PSafe Tecnologia S.A.", IssuerOrg: "PSafe Tecnologia S.A.",
-	}, proxyengine.Options{Pool: networkPool})
+	}, proxyengine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,18 +15,16 @@ import (
 	"tlsfof/internal/core"
 )
 
-var testPool = certgen.NewKeyPool(2, nil)
-
 func testChain(t testing.TB, host string) [][]byte {
 	t.Helper()
 	ca, err := certgen.NewRootCA(certgen.CAConfig{
 		Subject: pkix.Name{CommonName: "DigiCert High Assurance CA-3", Organization: []string{"DigiCert Inc"}},
-		KeyBits: 1024, Pool: testPool,
+		KeyBits: 1024,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaf, err := ca.IssueLeaf(certgen.LeafConfig{CommonName: host, KeyBits: 2048, Pool: testPool})
+	leaf, err := ca.IssueLeaf(certgen.LeafConfig{CommonName: host, KeyBits: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"tlsfof/internal/core"
 	"tlsfof/internal/durable"
+	"tlsfof/internal/stats"
 	"tlsfof/internal/store"
 	"tlsfof/internal/telemetry"
 )
@@ -206,7 +207,7 @@ func stageStart(tr *telemetry.Tracer) time.Time {
 	return time.Now()
 }
 
-// ShardOf maps a probed host to one of n shards: 32-bit FNV-1a of the
+// ShardOf maps a probed host to one of n shards: stats.FNV1a of the
 // name. The host set is small and hot (1 or 18 hosts in the studies), so
 // this keeps each host's aggregates on one shard and needs no
 // cross-shard coordination for per-host tables. The pipeline and the
@@ -216,12 +217,7 @@ func ShardOf(host string, n int) int {
 	if n == 1 {
 		return 0
 	}
-	h := uint32(2166136261)
-	for i := 0; i < len(host); i++ {
-		h ^= uint32(host[i])
-		h *= 16777619
-	}
-	return int(h % uint32(n))
+	return int(stats.FNV1a(host) % uint32(n))
 }
 
 // Ingest implements core.Sink: it appends m to its shard's pending

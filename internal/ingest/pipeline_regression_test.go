@@ -2,12 +2,15 @@ package ingest
 
 // Regression tests for the pipeline's accounting and lifecycle edges:
 // every Stats snapshot is coherent under concurrent producers and
-// Drains, and Ingest after Close is defined.
+// Drains, Ingest after Close is defined, and the host partition never
+// moves.
 
 import (
 	"sync"
 	"testing"
 	"time"
+
+	"tlsfof/internal/hostdb"
 )
 
 // TestIngestedNeverExceedsEnqueued pins the accounting under
@@ -106,6 +109,21 @@ func TestIngestAfterClose(t *testing.T) {
 			if got := recoverAll(t, dir, 2).Totals().Tested; got != 4 {
 				t.Errorf("WAL replays %d measurements, want the 4 committed before Close", got)
 			}
+		}
+	}
+}
+
+// TestShardOfPinned pins ShardOf over the study-2 hosts, in hostdb
+// order, at 2 and 4 shards. Shard manifests record this partition on
+// disk, so a change here strands every existing data directory.
+func TestShardOfPinned(t *testing.T) {
+	for n, want := range map[int]string{2: "10111010110100010", 4: "30131030132322010"} {
+		got := make([]byte, 0, len(want))
+		for _, h := range hostdb.SecondStudyHosts() {
+			got = append(got, byte('0'+ShardOf(h.Name, n)))
+		}
+		if string(got) != want {
+			t.Errorf("ShardOf at n=%d = %s, want %s", n, got, want)
 		}
 	}
 }

@@ -12,18 +12,16 @@ import (
 	"tlsfof/internal/x509util"
 )
 
-var pool = certgen.NewKeyPool(2, nil)
-
 func chainFor(t testing.TB, caName, host string) [][]byte {
 	t.Helper()
 	ca, err := certgen.NewRootCA(certgen.CAConfig{
 		Subject: pkix.Name{CommonName: caName, Organization: []string{caName}},
-		KeyBits: 1024, Pool: pool, KeyName: "mitigate-" + caName,
+		KeyBits: 1024, KeyName: "mitigate-" + caName,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaf, err := ca.IssueLeaf(certgen.LeafConfig{CommonName: host, KeyBits: 1024, Pool: pool})
+	leaf, err := ca.IssueLeaf(certgen.LeafConfig{CommonName: host, KeyBits: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +49,7 @@ func TestPinDetectsSubstituteChain(t *testing.T) {
 
 	engine, err := proxyengine.New(proxyengine.Profile{
 		ProductName: "PinTest Proxy", IssuerOrg: "PinTest Proxy",
-	}, proxyengine.Options{Pool: pool})
+	}, proxyengine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +101,7 @@ func TestNotaryDetectsClientSideProxy(t *testing.T) {
 	auth := chainFor(t, "Notary Auth2", "bank.example")
 	engine, err := proxyengine.New(proxyengine.Profile{
 		ProductName: "Client Proxy", IssuerOrg: "Client Proxy",
-	}, proxyengine.Options{Pool: pool})
+	}, proxyengine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

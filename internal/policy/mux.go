@@ -25,9 +25,11 @@ type Mux struct {
 	// a policy request, before it is served — a counting hook for
 	// telemetry (cmd/policyd's /metrics).
 	OnPolicy func()
-	// SniffTimeout bounds the wait for the first byte (default 5s).
-	SniffTimeout time.Duration
 }
+
+// sniffTimeout bounds the wait for a connection's first byte, and then
+// the policy exchange that follows it.
+const sniffTimeout = 5 * time.Second
 
 // Serve accepts from ln until it closes.
 func (m *Mux) Serve(ln net.Listener) {
@@ -41,11 +43,7 @@ func (m *Mux) Serve(ln net.Listener) {
 }
 
 func (m *Mux) handle(conn net.Conn) {
-	timeout := m.SniffTimeout
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(timeout))
+	_ = conn.SetReadDeadline(time.Now().Add(sniffTimeout))
 	br := bufio.NewReaderSize(conn, 512)
 	first, err := br.Peek(1)
 	_ = conn.SetReadDeadline(time.Time{})
@@ -58,7 +56,7 @@ func (m *Mux) handle(conn net.Conn) {
 		if m.OnPolicy != nil {
 			m.OnPolicy()
 		}
-		_ = Serve(&replayConn{Conn: conn, r: br}, m.Policy, timeout)
+		_ = Serve(&replayConn{Conn: conn, r: br}, m.Policy, sniffTimeout)
 		return
 	}
 	if m.Fallback != nil {

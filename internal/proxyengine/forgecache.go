@@ -3,6 +3,7 @@ package proxyengine
 import (
 	"tlsfof/internal/certgen"
 	"tlsfof/internal/chaincache"
+	"tlsfof/internal/stats"
 )
 
 // ForgeCache is the engine's bounded forged-chain cache, keyed by host.
@@ -35,20 +36,7 @@ func NewForgeCache(cap, shards int) *ForgeCache {
 	return &ForgeCache{lru: chaincache.NewLRU[string, *certgen.Leaf](cap, shards, hostHash)}
 }
 
-// hostHash is FNV-1a; inlined to keep the hot path free of interface
-// hashing.
-func hostHash(host string) uint64 {
-	const (
-		offset = 2166136261
-		prime  = 16777619
-	)
-	h := uint32(offset)
-	for i := 0; i < len(host); i++ {
-		h ^= uint32(host[i])
-		h *= prime
-	}
-	return uint64(h)
-}
+func hostHash(host string) uint64 { return uint64(stats.FNV1a(host)) }
 
 // GetOrForge returns the cached leaf for host, or runs forge exactly once
 // per host across concurrent callers and caches its result. Errors are not

@@ -271,7 +271,7 @@ func BenchmarkForgeCached(b *testing.B) {
 	up := parsed(b, authLeaf.ChainDER)
 
 	b.Run("cached", func(b *testing.B) {
-		e, err := New(Profile{IssuerOrg: "BenchCo"}, Options{Pool: pool})
+		e, err := New(Profile{IssuerOrg: "BenchCo"}, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -291,11 +291,11 @@ func BenchmarkForgeCached(b *testing.B) {
 		// Unbounded-enough cap so every iteration is a genuine miss, and
 		// a warm key pool so the mint cost measured is issuance+signing,
 		// not keygen.
-		e, err := New(Profile{IssuerOrg: "BenchCo"}, Options{Pool: pool, CacheCap: 1 << 20})
+		e, err := New(Profile{IssuerOrg: "BenchCo"}, Options{CacheCap: 1 << 20})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := pool.Get(1024); err != nil {
+		if _, err := certgen.DefaultPool.Get(1024); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
@@ -329,7 +329,7 @@ func BenchmarkHandleConnKept(b *testing.B) {
 func BenchmarkForgeCachedParallel(b *testing.B) {
 	_, authLeaf := authSetup(b, "bench-par.example")
 	up := parsed(b, authLeaf.ChainDER)
-	e, err := New(Profile{IssuerOrg: "BenchCo"}, Options{Pool: pool})
+	e, err := New(Profile{IssuerOrg: "BenchCo"}, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

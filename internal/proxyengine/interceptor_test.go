@@ -269,7 +269,7 @@ func TestInterceptorKeptOriginStillDecides(t *testing.T) {
 	profile := Profile{ProductName: "Kept", IssuerOrg: "Kept", UpstreamRoots: authCA.CertPool()}
 	profile.Upstream.Validate = true
 	profile.Upstream.Reject[DefectExpired] = true
-	e, err := New(profile, Options{Pool: pool, Now: func() time.Time { return *now.Load() }})
+	e, err := New(profile, Options{Now: func() time.Time { return *now.Load() }})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,20 +13,17 @@ import (
 	"tlsfof/internal/x509util"
 )
 
-var pool = certgen.NewKeyPool(2, nil)
-
 // authSetup builds an authoritative CA and a leaf for host.
 func authSetup(t testing.TB, host string) (*certgen.CA, *certgen.Leaf) {
 	t.Helper()
 	ca, err := certgen.NewRootCA(certgen.CAConfig{
 		Subject: pkix.Name{CommonName: "GeoTrust Test CA", Organization: []string{"GeoTrust Test"}},
 		KeyBits: 1024,
-		Pool:    pool,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaf, err := ca.IssueLeaf(certgen.LeafConfig{CommonName: host, KeyBits: 2048, Pool: pool})
+	leaf, err := ca.IssueLeaf(certgen.LeafConfig{CommonName: host, KeyBits: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +41,7 @@ func parsed(t testing.TB, chainDER [][]byte) []*x509.Certificate {
 
 func newEngine(t testing.TB, profile Profile) *Engine {
 	t.Helper()
-	e, err := New(profile, Options{Pool: pool})
+	e, err := New(profile, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +262,7 @@ func TestValidUpstreamNotMasked(t *testing.T) {
 	authCA, authLeaf := authSetup(t, "good.example")
 	profile := FromProduct(classify.ProductByName("Kurupira.NET"))
 	profile.UpstreamRoots = authCA.CertPool()
-	e, err := New(profile, Options{Pool: pool, Now: func() time.Time {
+	e, err := New(profile, Options{Now: func() time.Time {
 		return certgen.DefaultNotBefore.AddDate(0, 1, 0)
 	}})
 	if err != nil {
@@ -435,7 +432,7 @@ func TestInterceptorBlockWire(t *testing.T) {
 
 func BenchmarkDecideCached(b *testing.B) {
 	_, authLeaf := authSetup(b, "bench.example")
-	e, err := New(Profile{IssuerOrg: "BenchCo"}, Options{Pool: pool})
+	e, err := New(Profile{IssuerOrg: "BenchCo"}, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

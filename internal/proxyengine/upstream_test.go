@@ -19,14 +19,14 @@ func auditNow() time.Time { return certgen.DefaultNotBefore.AddDate(0, 6, 0) }
 // selfSignedLeaf mints a lone self-signed end-entity cert for host.
 func selfSignedLeaf(t testing.TB, host string) *x509.Certificate {
 	t.Helper()
-	key, err := pool.Get(1024)
+	key, err := certgen.DefaultPool.Get(1024)
 	if err != nil {
 		t.Fatal(err)
 	}
 	der, err := certgen.Issue(certgen.Template{
 		Subject:  pkix.Name{CommonName: host},
 		DNSNames: []string{host},
-	}, &key.PublicKey, key, nil, nil)
+	}, &key.PublicKey, key, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,6 @@ func TestClassifyUpstreamChain(t *testing.T) {
 	t.Run("expired", func(t *testing.T) {
 		leaf, err := trusted.IssueLeaf(certgen.LeafConfig{
 			CommonName: "expired.example",
-			Pool:       pool,
 			NotBefore:  certgen.DefaultNotBefore,
 			NotAfter:   certgen.DefaultNotBefore.AddDate(0, 1, 0), // dead by +6mo
 		})
@@ -77,7 +76,7 @@ func TestClassifyUpstreamChain(t *testing.T) {
 			t.Fatalf("wrong-name+untrusted classified %v", s)
 		}
 		// Right name under its own root: only wrong-name clears.
-		okChain, err := trusted.IssueLeaf(certgen.LeafConfig{CommonName: "elsewhere.example", Pool: pool})
+		okChain, err := trusted.IssueLeaf(certgen.LeafConfig{CommonName: "elsewhere.example"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +112,6 @@ func TestClassifyUpstreamChain(t *testing.T) {
 		// untrusted check clamps its clock into the leaf window.
 		leaf, err := trusted.IssueLeaf(certgen.LeafConfig{
 			CommonName: "expired.example",
-			Pool:       pool,
 			NotBefore:  certgen.DefaultNotBefore,
 			NotAfter:   certgen.DefaultNotBefore.AddDate(0, 1, 0),
 		})
@@ -128,7 +126,7 @@ func TestClassifyUpstreamChain(t *testing.T) {
 
 	t.Run("revoked", func(t *testing.T) {
 		serial := big.NewInt(0xBADC0FFEE)
-		key, err := pool.Get(1024)
+		key, err := certgen.DefaultPool.Get(1024)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +134,7 @@ func TestClassifyUpstreamChain(t *testing.T) {
 			Subject:      pkix.Name{CommonName: "revoked.example"},
 			DNSNames:     []string{"revoked.example"},
 			SerialNumber: serial,
-		}, &key.PublicKey, trusted.Key, trusted.DER, nil)
+		}, &key.PublicKey, trusted.Key, trusted.DER)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +253,7 @@ func TestDecidePerDefectReject(t *testing.T) {
 	profile.UpstreamRoots = trusted.CertPool()
 	profile.Upstream.Validate = true
 	profile.Upstream.Reject[DefectUntrustedRoot] = true
-	e, err := New(profile, Options{Pool: pool, Now: now})
+	e, err := New(profile, Options{Now: now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +268,7 @@ func TestDecidePerDefectReject(t *testing.T) {
 	// Same chain, policy that only rejects EXPIRED: must forge (masked).
 	profile.Upstream.Reject = [NumUpstreamDefects]bool{}
 	profile.Upstream.Reject[DefectExpired] = true
-	e2, err := New(profile, Options{Pool: pool, Now: now})
+	e2, err := New(profile, Options{Now: now})
 	if err != nil {
 		t.Fatal(err)
 	}

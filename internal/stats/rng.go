@@ -147,3 +147,15 @@ func (r *RNG) Read(b []byte) (int, error) {
 	r.Bytes(b)
 	return len(b), nil
 }
+
+// FNV1a is the 32-bit FNV-1a hash of s: the repository's one stable
+// string hash. ingest.ShardOf partitions hosts with it and shard
+// manifests pin that partition on disk, so it must never change.
+func FNV1a(s string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(s); i++ {
+		h ^= uint32(s[i])
+		h *= 16777619
+	}
+	return h
+}

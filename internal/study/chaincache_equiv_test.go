@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"tlsfof/internal/certgen"
 	"tlsfof/internal/clientpop"
 	"tlsfof/internal/core"
 )
@@ -29,7 +30,7 @@ type observeInput struct {
 // produce.
 func studyInputs(t *testing.T, study clientpop.Study) (*obsFactory, []observeInput) {
 	t.Helper()
-	w, err := newWorld(study, sharedPool, nil)
+	w, err := newWorld(study, certgen.DefaultPool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 // deployment and confirms the §5.2 "claims DigiCert" anatomy survives the
 // caching layers.
 func TestIssuerCopyPathDirect(t *testing.T) {
-	pool := certgen.NewKeyPool(2, nil)
 	deps := clientpop.Study1Deployments()
 	idx := -1
 	for i, d := range deps {
@@ -25,11 +24,11 @@ func TestIssuerCopyPathDirect(t *testing.T) {
 		t.Fatal("DigiCert deployment missing")
 	}
 	hosts := hostdb.FirstStudyHosts()
-	auth, err := BuildAuthoritative(hosts, pool)
+	auth, err := BuildAuthoritative(hosts, certgen.DefaultPool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := newObsFactory(classify.NewClassifier(), pool, hosts, auth, deps)
+	f, err := newObsFactory(classify.NewClassifier(), certgen.DefaultPool, hosts, auth, deps)
 	if err != nil {
 		t.Fatal(err)
 	}

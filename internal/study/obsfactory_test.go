@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"tlsfof/internal/certgen"
 	"tlsfof/internal/classify"
 	"tlsfof/internal/clientpop"
 	"tlsfof/internal/core"
@@ -15,11 +16,11 @@ import (
 // factory construction, naming the host — not a campaign mid-run.
 func TestNewObsFactoryMissingChain(t *testing.T) {
 	hosts := hostdb.SecondStudyHosts()
-	auth, err := BuildAuthoritative(hosts[1:], sharedPool)
+	auth, err := BuildAuthoritative(hosts[1:], certgen.DefaultPool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = newObsFactory(classify.NewClassifier(), sharedPool, hosts, auth, clientpop.Study2Deployments())
+	_, err = newObsFactory(classify.NewClassifier(), certgen.DefaultPool, hosts, auth, clientpop.Study2Deployments())
 	if err == nil || !strings.Contains(err.Error(), hosts[0].Name) {
 		t.Fatalf("newObsFactory with %s missing: err = %v", hosts[0].Name, err)
 	}
@@ -31,7 +32,7 @@ func TestNewObsFactoryMissingChain(t *testing.T) {
 // final table.
 func TestObservationConcurrentReaders(t *testing.T) {
 	build := func() *obsFactory {
-		w, err := newWorld(clientpop.Study2, sharedPool, nil)
+		w, err := newWorld(clientpop.Study2, certgen.DefaultPool, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

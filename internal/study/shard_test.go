@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"tlsfof/internal/analysis"
+	"tlsfof/internal/certgen"
 	"tlsfof/internal/clientpop"
 	"tlsfof/internal/store"
 )
@@ -65,7 +66,7 @@ func renderAll(t *testing.T, res *Result) string {
 func TestShardedStudyRendersIdenticalArtifacts(t *testing.T) {
 	// Study 2 exercises real parallelism: six campaigns generating
 	// concurrently.
-	base := Config{Study: clientpop.Study2, Seed: 2014, Scale: 0.01, Pool: sharedPool}
+	base := Config{Study: clientpop.Study2, Seed: 2014, Scale: 0.01, Pool: certgen.DefaultPool}
 
 	seq, err := Run(base)
 	if err != nil {
@@ -100,7 +101,7 @@ func TestShardedStudyDeterministicAcrossRuns(t *testing.T) {
 	// RetainProxied is set so the capped retained set is covered too: the
 	// cap must select the same records every run (it is applied after the
 	// canonical merge sort, never per campaign store).
-	cfg := Config{Study: clientpop.Study1, Seed: 7, Scale: 0.02, Shards: 4, RetainProxied: 40, Pool: sharedPool}
+	cfg := Config{Study: clientpop.Study1, Seed: 7, Scale: 0.02, Shards: 4, RetainProxied: 40, Pool: certgen.DefaultPool}
 	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +129,7 @@ func TestShardedStudyDeterministicAcrossRuns(t *testing.T) {
 
 // TestShardedRetainCap: the merged store honors RetainProxied.
 func TestShardedRetainCap(t *testing.T) {
-	cfg := Config{Study: clientpop.Study1, Seed: 3, Scale: 0.02, Shards: 4, RetainProxied: 25, Pool: sharedPool}
+	cfg := Config{Study: clientpop.Study1, Seed: 3, Scale: 0.02, Shards: 4, RetainProxied: 25, Pool: certgen.DefaultPool}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +146,7 @@ func TestShardedRetainCap(t *testing.T) {
 // are a function of (study, seed, scale): CSV and JSONL of the capped
 // retained set are byte-identical inline and concurrent.
 func TestStudyExportsIdenticalAcrossArms(t *testing.T) {
-	base := Config{Study: clientpop.Study2, Seed: 2014, Scale: 0.005, RetainProxied: 40, Pool: sharedPool}
+	base := Config{Study: clientpop.Study2, Seed: 2014, Scale: 0.005, RetainProxied: 40, Pool: certgen.DefaultPool}
 	exports := func(res *Result) []byte {
 		var b bytes.Buffer
 		if err := res.Store.WriteCSV(&b); err != nil {
@@ -181,7 +182,7 @@ func TestStudyExportsIdenticalAcrossArms(t *testing.T) {
 // TestMergeMatchesStudyStore sanity-checks store.Merge against a study
 // store split after the fact (a different partition than host-hash).
 func TestMergeMatchesStudyStore(t *testing.T) {
-	res, err := Run(Config{Study: clientpop.Study1, Seed: 11, Scale: 0.02, Pool: sharedPool})
+	res, err := Run(Config{Study: clientpop.Study1, Seed: 11, Scale: 0.02, Pool: certgen.DefaultPool})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,11 +20,9 @@ import (
 // assertions (~140k tests for study 1).
 const testScale = 0.05
 
-var sharedPool = certgen.NewKeyPool(4, nil)
-
 func runStudy(t *testing.T, s clientpop.Study, seed uint64) *Result {
 	t.Helper()
-	res, err := Run(Config{Study: s, Seed: seed, Scale: testScale, Pool: sharedPool})
+	res, err := Run(Config{Study: s, Seed: seed, Scale: testScale, Pool: certgen.DefaultPool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +233,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestHuangBaselineHalvesRate(t *testing.T) {
-	base, err := RunHuangBaseline(Config{Study: clientpop.Study1, Seed: 42, Scale: testScale, Pool: sharedPool})
+	base, err := RunHuangBaseline(Config{Study: clientpop.Study1, Seed: 42, Scale: testScale, Pool: certgen.DefaultPool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,13 +250,13 @@ func TestHuangBaselineHalvesRate(t *testing.T) {
 // fast-mode factory's cached observation in every analysis-relevant field.
 func TestWireFastEquivalence(t *testing.T) {
 	hosts := hostdb.FirstStudyHosts()
-	auth, err := BuildAuthoritative(hosts, sharedPool)
+	auth, err := BuildAuthoritative(hosts, certgen.DefaultPool)
 	if err != nil {
 		t.Fatal(err)
 	}
 	classifier := classify.NewClassifier()
 	deps := clientpop.Study1Deployments()
-	factory, err := newObsFactory(classifier, sharedPool, hosts, auth, deps)
+	factory, err := newObsFactory(classifier, certgen.DefaultPool, hosts, auth, deps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +297,7 @@ func TestWireFastEquivalence(t *testing.T) {
 		}
 
 		// Wire path: interceptor with the product profile.
-		engine, err := proxyengine.New(proxyengine.FromProduct(dep.Product), proxyengine.Options{Pool: sharedPool})
+		engine, err := proxyengine.New(proxyengine.FromProduct(dep.Product), proxyengine.Options{Pool: certgen.DefaultPool})
 		if err != nil {
 			t.Fatalf("%s: engine: %v", name, err)
 		}
@@ -346,7 +344,7 @@ func TestWireFastEquivalence(t *testing.T) {
 }
 
 func TestScaleParameter(t *testing.T) {
-	small, err := Run(Config{Study: clientpop.Study1, Seed: 1, Scale: 0.01, Pool: sharedPool})
+	small, err := Run(Config{Study: clientpop.Study1, Seed: 1, Scale: 0.01, Pool: certgen.DefaultPool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +357,7 @@ func TestScaleParameter(t *testing.T) {
 // (negative); 0 still means the 1.0 default.
 func TestBadScaleIsRefused(t *testing.T) {
 	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
-		cfg := Config{Study: clientpop.Study1, Seed: 1, Scale: scale, Pool: sharedPool}
+		cfg := Config{Study: clientpop.Study1, Seed: 1, Scale: scale, Pool: certgen.DefaultPool}
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("Run at scale %v: no error", scale)
 		}
@@ -367,7 +365,7 @@ func TestBadScaleIsRefused(t *testing.T) {
 			t.Errorf("RunHuangBaseline at scale %v: no error", scale)
 		}
 	}
-	cfg := Config{Pool: sharedPool}
+	cfg := Config{Pool: certgen.DefaultPool}
 	if _, err := worldFor(&cfg, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +376,7 @@ func TestBadScaleIsRefused(t *testing.T) {
 
 func TestBuildAuthoritative(t *testing.T) {
 	hosts := hostdb.SecondStudyHosts()
-	auth, err := BuildAuthoritative(hosts, sharedPool)
+	auth, err := BuildAuthoritative(hosts, certgen.DefaultPool)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"tlsfof/internal/adsim"
+	"tlsfof/internal/certgen"
 	"tlsfof/internal/clientpop"
 	"tlsfof/internal/stats"
 	"tlsfof/internal/store"
@@ -30,7 +31,7 @@ func measured(t *testing.T, cfg Config) (*Result, uint64) {
 }
 
 func TestCleanTallyMatchesRowStream(t *testing.T) {
-	base := Config{Study: clientpop.Study2, Seed: 2014, Scale: 0.02, Pool: sharedPool}
+	base := Config{Study: clientpop.Study2, Seed: 2014, Scale: 0.02, Pool: certgen.DefaultPool}
 
 	streamed := store.New(0)
 	cfg := base
@@ -59,7 +60,7 @@ func TestCleanTallyMatchesRowStream(t *testing.T) {
 // registry lacks is refused by name, rather than generating clients at
 // 0.0.0.0.
 func TestUnknownTargetCountryFails(t *testing.T) {
-	w, err := newWorld(clientpop.Study2, sharedPool, nil)
+	w, err := newWorld(clientpop.Study2, certgen.DefaultPool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 )
 
 // otherPool is a second pool with keys of its own, one per size (the
-// fewest to mint): its worlds share no chain with sharedPool's.
+// fewest to mint): its worlds share no chain with DefaultPool's.
 var otherPool = certgen.NewKeyPool(1, nil)
 
 // memoWorld returns the memoized world of pool's own study hosts, or nil.
@@ -53,12 +53,12 @@ func engineCount(f *obsFactory) int {
 }
 
 func TestRunsOverOnePoolShareOneWorld(t *testing.T) {
-	cfg := Config{Study: clientpop.Study2, Seed: 1, Scale: 0.01, Pool: sharedPool}
+	cfg := Config{Study: clientpop.Study2, Seed: 1, Scale: 0.01, Pool: certgen.DefaultPool}
 	res1, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := memoWorld(t, sharedPool, clientpop.Study2)
+	w := memoWorld(t, certgen.DefaultPool, clientpop.Study2)
 	if w == nil || w.auth != res1.Auth {
 		t.Fatal("the run's world is not the memoized one")
 	}
@@ -91,18 +91,18 @@ func TestWorldPerPoolAndStudy(t *testing.T) {
 		}
 		return res
 	}
-	a, b := run(sharedPool, clientpop.Study2), run(otherPool, clientpop.Study2)
+	a, b := run(certgen.DefaultPool, clientpop.Study2), run(otherPool, clientpop.Study2)
 	if a.Auth == b.Auth {
 		t.Error("two pools share one world")
 	}
-	if c := run(sharedPool, clientpop.Study1); c.Auth == a.Auth {
+	if c := run(certgen.DefaultPool, clientpop.Study1); c.Auth == a.Auth {
 		t.Error("two studies over one pool share one world")
 	}
-	base, err := RunHuangBaseline(Config{Study: clientpop.Study2, Seed: 1, Scale: 0.001, Pool: sharedPool})
+	base, err := RunHuangBaseline(Config{Study: clientpop.Study2, Seed: 1, Scale: 0.001, Pool: certgen.DefaultPool})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w := memoWorld(t, sharedPool, clientpop.Study2); base.Tested == 0 || w == nil || w.auth != a.Auth {
+	if w := memoWorld(t, certgen.DefaultPool, clientpop.Study2); base.Tested == 0 || w == nil || w.auth != a.Auth {
 		t.Error("the baseline's one-host world displaced the study's own")
 	}
 }
@@ -134,7 +134,7 @@ func TestWorldMemoIsBounded(t *testing.T) {
 	// One-host worlds over an already-minted pool cost a few signatures.
 	var last *world
 	for i := range maxWorlds + 2 {
-		cfg := Config{Study: clientpop.Study1, Pool: sharedPool}
+		cfg := Config{Study: clientpop.Study1, Pool: certgen.DefaultPool}
 		w, err := worldFor(&cfg, []hostdb.Host{{Name: fmt.Sprintf("bound-%d.example", i), Category: hostdb.Popular}})
 		if err != nil {
 			t.Fatal(err)
@@ -147,7 +147,7 @@ func TestWorldMemoIsBounded(t *testing.T) {
 	if n > maxWorlds {
 		t.Errorf("memo holds %d worlds, bound %d", n, maxWorlds)
 	}
-	cfg := Config{Study: clientpop.Study1, Pool: sharedPool}
+	cfg := Config{Study: clientpop.Study1, Pool: certgen.DefaultPool}
 	again, err := worldFor(&cfg, []hostdb.Host{{Name: fmt.Sprintf("bound-%d.example", maxWorlds+1), Category: hostdb.Popular}})
 	if err != nil {
 		t.Fatal(err)
@@ -162,10 +162,10 @@ func TestWorldMemoIsBounded(t *testing.T) {
 
 // TestConcurrentFirstRunsBuildOneWorld: goroutines that all start on a
 // pool with no world build one between them, and each run's store is
-// byte-identical to the same seed's run over sharedPool's reused world.
+// byte-identical to the same seed's run over DefaultPool's reused world.
 func TestConcurrentFirstRunsBuildOneWorld(t *testing.T) {
 	const runs = 4
-	base := Config{Study: clientpop.Study2, Scale: 0.005, Pool: sharedPool}
+	base := Config{Study: clientpop.Study2, Scale: 0.005, Pool: certgen.DefaultPool}
 	want := make([][]byte, runs)
 	for i := range want {
 		cfg := base
@@ -198,16 +198,16 @@ func TestConcurrentFirstRunsBuildOneWorld(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	shared := memoWorld(t, sharedPool, clientpop.Study2)
+	shared := memoWorld(t, certgen.DefaultPool, clientpop.Study2)
 	for i, res := range results {
 		if res.Auth != results[0].Auth {
 			t.Errorf("run %d measured a second world", i)
 		}
 		if shared != nil && res.Auth == shared.auth {
-			t.Errorf("run %d measured sharedPool's world", i)
+			t.Errorf("run %d measured DefaultPool's world", i)
 		}
 		if !bytes.Equal(res.Store.AppendSnapshot(nil), want[i]) {
-			t.Errorf("seed %d: store differs from the run over sharedPool's world", 100+i)
+			t.Errorf("seed %d: store differs from the run over DefaultPool's world", 100+i)
 		}
 	}
 }
@@ -216,7 +216,7 @@ func TestConcurrentFirstRunsBuildOneWorld(t *testing.T) {
 // already run once, so its world is built: generation, tallies and the
 // store merge, with no certificate signed.
 func BenchmarkWarmRun(b *testing.B) {
-	cfg := Config{Study: clientpop.Study2, Seed: 2014, Scale: 0.01, Pool: sharedPool}
+	cfg := Config{Study: clientpop.Study2, Seed: 2014, Scale: 0.01, Pool: certgen.DefaultPool}
 	res, err := Run(cfg)
 	if err != nil {
 		b.Fatal(err)

@@ -12,19 +12,16 @@ import (
 	"tlsfof/internal/certgen"
 )
 
-var pool = certgen.NewKeyPool(2, nil)
-
 func testChain(t testing.TB, cn string) [][]byte {
 	t.Helper()
 	ca, err := certgen.NewRootCA(certgen.CAConfig{
 		Subject: pkix.Name{CommonName: cn + " Root", Organization: []string{"Wire Test"}},
 		KeyBits: 1024,
-		Pool:    pool,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaf, err := ca.IssueLeaf(certgen.LeafConfig{CommonName: cn, KeyBits: 1024, Pool: pool})
+	leaf, err := ca.IssueLeaf(certgen.LeafConfig{CommonName: cn, KeyBits: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}

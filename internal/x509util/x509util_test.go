@@ -9,15 +9,13 @@ import (
 	"tlsfof/internal/certgen"
 )
 
-var pool = certgen.NewKeyPool(2, nil)
-
 func mkRoot(t *testing.T, cn, org string) *certgen.CA {
 	t.Helper()
 	name := pkix.Name{CommonName: cn}
 	if org != "" {
 		name.Organization = []string{org}
 	}
-	ca, err := certgen.NewRootCA(certgen.CAConfig{Subject: name, KeyBits: 1024, Pool: pool})
+	ca, err := certgen.NewRootCA(certgen.CAConfig{Subject: name, KeyBits: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,9 +24,6 @@ func mkRoot(t *testing.T, cn, org string) *certgen.CA {
 
 func mkLeaf(t *testing.T, ca *certgen.CA, cfg certgen.LeafConfig) *certgen.Leaf {
 	t.Helper()
-	if cfg.Pool == nil {
-		cfg.Pool = pool
-	}
 	if cfg.KeyBits == 0 {
 		cfg.KeyBits = 1024
 	}
@@ -200,14 +195,14 @@ func TestCompareChainsMD5AndSubjectDrift(t *testing.T) {
 	authLeaf := mkLeaf(t, authRoot, certgen.LeafConfig{CommonName: "tlsresearch.byu.edu", KeyBits: 2048})
 	malRoot, err := certgen.NewRootCA(certgen.CAConfig{
 		Subject: pkix.Name{CommonName: "zeroaccess"},
-		KeyBits: 512, SigAlg: certgen.MD5WithRSA, Pool: pool,
+		KeyBits: 512, SigAlg: certgen.MD5WithRSA,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	malLeaf, err := malRoot.IssueLeaf(certgen.LeafConfig{
 		CommonName: "mail.google.com", KeyBits: 512,
-		SigAlg: certgen.MD5WithRSA, Pool: pool,
+		SigAlg: certgen.MD5WithRSA,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +238,6 @@ func TestCompareChainsIssuerCopied(t *testing.T) {
 			Organization: []string{"DigiCert Inc"},
 		},
 		KeyBits: 1024,
-		Pool:    pool,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -38,25 +38,22 @@ import (
 // chain per probe host, shared between the socket run and the in-memory
 // control run so both observe the same upstreams.
 type lwWorld struct {
-	pool   *certgen.KeyPool
 	chains map[string][][]byte
 	hosts  []string
 }
 
 func newLWWorld(t testing.TB, hosts []string) *lwWorld {
 	t.Helper()
-	pool := certgen.NewKeyPool(2, nil)
 	ca, err := certgen.NewRootCA(certgen.CAConfig{
 		Subject: pkix.Name{CommonName: "LiveWire Test CA", Organization: []string{"LiveWire Authority"}},
 		KeyBits: 1024,
-		Pool:    pool,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &lwWorld{pool: pool, chains: make(map[string][][]byte), hosts: hosts}
+	w := &lwWorld{chains: make(map[string][][]byte), hosts: hosts}
 	for _, h := range hosts {
-		leaf, err := ca.IssueLeaf(certgen.LeafConfig{CommonName: h, KeyBits: 2048, Pool: pool})
+		leaf, err := ca.IssueLeaf(certgen.LeafConfig{CommonName: h, KeyBits: 2048})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,12 +110,12 @@ func lwProfiles(t testing.TB) []proxyengine.Profile {
 	return out
 }
 
-// lwEngines mints one engine per profile against the shared key pool.
+// lwEngines mints one engine per profile over certgen.DefaultPool.
 func lwEngines(t testing.TB, w *lwWorld, profiles []proxyengine.Profile) []*proxyengine.Engine {
 	t.Helper()
 	engines := make([]*proxyengine.Engine, len(profiles))
 	for i, p := range profiles {
-		e, err := proxyengine.New(p, proxyengine.Options{Pool: w.pool})
+		e, err := proxyengine.New(p, proxyengine.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,7 +345,7 @@ func BenchmarkLiveWireProbe(b *testing.B) {
 	world := newLWWorld(b, hosts)
 	upstreamLn := world.serveUpstreamTCP(b)
 	e, err := proxyengine.New(proxyengine.Profile{ProductName: "BenchProxy", IssuerOrg: "BenchProxy Inc"},
-		proxyengine.Options{Pool: world.pool})
+		proxyengine.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -397,7 +394,7 @@ func BenchmarkLiveWireEndToEnd(b *testing.B) {
 	world := newLWWorld(b, hosts)
 	upstreamLn := world.serveUpstreamTCP(b)
 	e, err := proxyengine.New(proxyengine.Profile{ProductName: "BenchProxy", IssuerOrg: "BenchProxy Inc"},
-		proxyengine.Options{Pool: world.pool})
+		proxyengine.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

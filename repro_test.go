@@ -145,7 +145,7 @@ func TestClassifyIssuerFacade(t *testing.T) {
 }
 
 func TestWriteTableUnknown(t *testing.T) {
-	res, err := RunStudy(StudyConfig{Study: Study1, Seed: 1, Scale: 0.002})
+	res, err := RunStudy(StudyConfig{Study: Study1, Seed: 1, Scale: 0.002, Pool: certgen.DefaultPool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestReproduceHeadlines(t *testing.T) {
 	}
 	const scale = 0.2
 
-	res1, err := RunStudy(StudyConfig{Study: Study1, Seed: 2014, Scale: scale})
+	res1, err := RunStudy(StudyConfig{Study: Study1, Seed: 2014, Scale: scale, Pool: certgen.DefaultPool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestReproduceHeadlines(t *testing.T) {
 		t.Errorf("study-1 rate = %.4f%%, want ≈0.41%%", 100*t1.Rate())
 	}
 
-	res2, err := RunStudy(StudyConfig{Study: Study2, Seed: 2014, Scale: scale})
+	res2, err := RunStudy(StudyConfig{Study: Study2, Seed: 2014, Scale: scale, Pool: certgen.DefaultPool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestReproduceHeadlines(t *testing.T) {
 	}
 
 	// Huang baseline ≈ half the broad rate.
-	base, err := RunHuangBaseline(StudyConfig{Study: Study1, Seed: 2014, Scale: scale})
+	base, err := RunHuangBaseline(StudyConfig{Study: Study1, Seed: 2014, Scale: scale, Pool: certgen.DefaultPool})
 	if err != nil {
 		t.Fatal(err)
 	}
