@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"crypto/x509"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +16,7 @@ import (
 
 	"tlsfof/internal/classify"
 	"tlsfof/internal/core"
+	"tlsfof/internal/durable"
 	"tlsfof/internal/hostdb"
 	"tlsfof/internal/ingest"
 	"tlsfof/internal/stats"
@@ -197,13 +200,17 @@ func TestMeasWireRoundTripAndDamage(t *testing.T) {
 		}
 	}
 	// Retired and unknown revisions are refused, not guessed at.
-	for _, magic := range []string{"TFM0", "TFM1"} {
+	for _, magic := range []string{"TFM1", "TFM2"} {
 		bad := append([]byte(magic), AppendMeasurementsID(nil, 1, ms)[4:]...)
 		if _, _, err := DecodeMeasurementsID(bad); err == nil {
 			t.Fatalf("magic %q accepted", magic)
 		}
 	}
-	huge := append(append([]byte(measMagic2), make([]byte, 8)...), 0xff, 0xff, 0xff, 0xff, 0x7f)
+	// A row count past durable.MaxBatchRows is refused by name, even under a
+	// CRC that matches.
+	huge := AppendMeasurementsID(nil, 1, nil)
+	binary.LittleEndian.PutUint32(huge[25:], durable.MaxBatchRows+1)
+	binary.LittleEndian.PutUint32(huge[5:], crc32.Checksum(huge[9:], crc32.MakeTable(crc32.Castagnoli)))
 	if _, _, err := DecodeMeasurementsID(huge); err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("oversized count: %v", err)
 	}

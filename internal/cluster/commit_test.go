@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -20,6 +21,7 @@ import (
 
 	"tlsfof/internal/core"
 	"tlsfof/internal/durable"
+	"tlsfof/internal/raceflag"
 	"tlsfof/internal/store"
 	"tlsfof/internal/telemetry"
 )
@@ -69,7 +71,7 @@ func TestTailAheadDoesNotAdvanceWatermark(t *testing.T) {
 	if wm := n.Status().Watermark[0]; wm != 0 {
 		t.Fatalf("refused follower moved the watermark to %d", wm)
 	}
-	if err := n.IngestBatch(testMeasurements(8, 3)); err != nil {
+	if err := n.ingestBatch(testMeasurements(8, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if got := metricValue(t, reg, "repl_ack_timeouts_total"); got != 1 {
@@ -86,7 +88,7 @@ func TestTailCompactedDoesNotAdvanceWatermark(t *testing.T) {
 	n, reg, _ := openLonely(t, func(c *Config) { c.Shards = 1; c.AckTimeout = 20 * time.Millisecond })
 	srv := httptest.NewServer(n.Handler())
 	defer srv.Close()
-	if err := n.IngestBatch(testMeasurements(8, 3)); err != nil {
+	if err := n.ingestBatch(testMeasurements(8, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := n.shards[0].Log.Checkpoint(); err != nil {
@@ -99,7 +101,7 @@ func TestTailCompactedDoesNotAdvanceWatermark(t *testing.T) {
 	if wm := n.Status().Watermark[0]; wm != 0 {
 		t.Fatalf("refused follower moved the watermark to %d", wm)
 	}
-	if err := n.IngestBatch(testMeasurements(8, 4)); err != nil {
+	if err := n.ingestBatch(testMeasurements(8, 4)); err != nil {
 		t.Fatal(err)
 	}
 	if got := metricValue(t, reg, "repl_ack_timeouts_total"); got != 2 {
@@ -134,7 +136,7 @@ func TestKillWaitsOutBatchInReplicaWait(t *testing.T) {
 	var acked [][]core.Measurement
 	push := func(seed uint64) error {
 		batch := testMeasurements(30, seed)
-		err := n.IngestBatch(batch)
+		err := n.ingestBatch(batch)
 		if err == nil {
 			mu.Lock()
 			acked = append(acked, batch)
@@ -179,8 +181,8 @@ func TestKillWaitsOutBatchInReplicaWait(t *testing.T) {
 	if err := <-parked; err != nil {
 		t.Fatalf("batch in flight when Kill arrived returned %v, want nil", err)
 	}
-	if err := n.IngestBatch(testMeasurements(5, 9)); err != ErrNodeKilled {
-		t.Fatalf("IngestBatch after Kill returned %v", err)
+	if err := n.ingestBatch(testMeasurements(5, 9)); err != ErrNodeKilled {
+		t.Fatalf("ingestBatch after Kill returned %v", err)
 	}
 	producers.Wait()
 
@@ -253,18 +255,19 @@ func TestTailLongPollWakesOnCommit(t *testing.T) {
 	for round := 1; round <= 25; round++ {
 		ch := park(from, float64(round))
 		batch := testMeasurements(1+round%7, uint64(round))
-		if err := n.IngestBatch(batch); err != nil {
+		if err := n.ingestBatch(batch); err != nil {
 			t.Fatal(err)
 		}
 		committed := time.Now()
 		a := <-ch
-		if a.err != nil || a.status != http.StatusOK || a.frames != len(batch) {
-			t.Fatalf("round %d: poll from %d answered HTTP %d with %d of %d frames: %v", round, from, a.status, a.frames, len(batch), a.err)
+		// One shard: the batch is one frame.
+		if a.err != nil || a.status != http.StatusOK || a.frames != 1 {
+			t.Fatalf("round %d: poll from %d answered HTTP %d with %d of 1 frames: %v", round, from, a.status, a.frames, a.err)
 		}
 		if late := a.at.Sub(committed); late > 50*time.Millisecond {
 			t.Fatalf("round %d: parked poll answered %v after the commit", round, late)
 		}
-		from += uint64(len(batch))
+		from++
 	}
 
 	ch := park(from, 26)
@@ -420,12 +423,12 @@ func BenchmarkIngestBatchReplicated(b *testing.B) {
 	})
 	a := tc.nodes["a"]
 	batch := testMeasurements(512, 1)
-	if err := a.IngestBatch(batch); err != nil { // followers connected, cursors placed
+	if err := a.ingestBatch(batch); err != nil { // followers connected, cursors placed
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := a.IngestBatch(batch); err != nil {
+		if err := a.ingestBatch(batch); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -433,4 +436,54 @@ func BenchmarkIngestBatchReplicated(b *testing.B) {
 	if n := metricValue(b, tc.registries["a"], "repl_ack_timeouts_total"); n != 0 {
 		b.Fatalf("%v batches acked without their replica", n)
 	}
+}
+
+// TestOwnerIngestAllocs pins the owner's side of one /cluster/ingest
+// body — decode, the ownership check and shard choice per host, the
+// split into one frame per shard, and the commit of every frame (WAL
+// append, fsync, store add) — at a constant number of allocations per
+// batch: a 64-row batch and a 4,096-row batch over the same hosts,
+// campaigns and countries allocate the same count. The rows are clean,
+// so the store gains no key and retains no record after warm-up. The
+// collector is off while counting, so a cycle cannot empty the scratch
+// pool mid-run.
+func TestOwnerIngestAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	n, err := Open(Config{
+		ID: "solo", Members: []Member{{ID: "solo", URL: "http://127.0.0.1:1"}},
+		DataDir: t.TempDir(), Shards: 4, AckTimeout: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	base := testMeasurements(64, 41)
+	for i := range base {
+		base[i].Obs = core.Observation{}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := map[int]float64{}
+	for _, rows := range []int{64, 4096} {
+		ms := make([]core.Measurement, rows)
+		for i := range ms {
+			ms[i] = base[i%len(base)]
+		}
+		body := AppendMeasurementsID(nil, 0, ms)
+		allocs[rows] = testing.AllocsPerRun(20, func() {
+			sc := n.getScratch()
+			sc.body.Reset()
+			sc.body.Write(body)
+			status, res := n.ingest(sc, false)
+			n.putScratch(sc)
+			if status != http.StatusOK || res.Accepted != rows {
+				t.Fatalf("%d rows: HTTP %d, %+v", rows, status, res)
+			}
+		})
+	}
+	if allocs[64] != allocs[4096] {
+		t.Fatalf("owner ingest allocates %v per 64-row batch and %v per 4096-row batch, want the same", allocs[64], allocs[4096])
+	}
+	t.Logf("owner ingest: %v allocations per batch", allocs[64])
 }

@@ -1,11 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"path/filepath"
 	"strconv"
@@ -171,7 +171,7 @@ type shard struct {
 	// watermark is the replica follower's confirmed position: every seq
 	// < watermark is durable on the peer. It advances when the follower
 	// polls /repl/tail with its next wanted seq, and that is what
-	// releases the batches parked in IngestBatch.
+	// releases the batches parked in commit.
 	watermark seqSignal
 }
 
@@ -198,7 +198,7 @@ type nodeMetrics struct {
 // others can get there, and the router gives up long before.
 const dedupCap = 8192
 
-// dedupTable remembers the verdicts of applied TFM2 batches so a retry
+// dedupTable remembers the verdicts of applied batches so a retry
 // of a batch whose ack died on the wire (the asymmetric-partition
 // window) is answered from memory instead of double-counted. IDs are
 // claimed on arrival, not recorded at completion: a twin arriving while
@@ -286,7 +286,7 @@ type Node struct {
 	// followers are not re-targeted mid-run (DESIGN.md §12).
 	replicaPeer string
 
-	// inflight is Kill's barrier: IngestBatch read-holds it from entry to
+	// inflight is Kill's barrier: commit read-holds it from entry to
 	// answer, Kill write-takes it.
 	inflight sync.RWMutex
 	// ctx ends when the node stops (Kill or Close); followers' tail
@@ -300,6 +300,8 @@ type Node struct {
 	draining atomic.Bool
 	met      nodeMetrics
 	dedup    dedupTable
+	// scratch pools ingestScratch across batches.
+	scratch sync.Pool
 }
 
 // Open recovers the node's own shards and replica logs from DataDir and
@@ -450,15 +452,65 @@ func (n *Node) Owns(host string) (owned bool, owner Member) {
 	return m.ID == n.self.ID, m
 }
 
-// IngestBatch commits a batch of measurements this node owns: group by
-// local shard, then commit every group concurrently — each an fsync
-// under its shard's lock followed, with the lock released, by a wait
-// for the replica to confirm (or for the degraded-mode timeout) — and
-// return when all of them have. A batch costs its slowest shard, not the
-// sum of its shards. On error some groups may have committed; the caller
-// answers the whole batch as failed. Ownership is the caller's contract
-// — the HTTP handler enforces it for routed traffic.
-func (n *Node) IngestBatch(ms []core.Measurement) error {
+// ingestScratch is one batch's working set, pooled across requests:
+// the request body, its decoded batch, each tuple's shard, and the
+// batch's rows dealt out to one batch per shard.
+type ingestScratch struct {
+	body    bytes.Buffer
+	batch   durable.Batch
+	hosts   map[string]int
+	shardOf []int
+	parts   []durable.Batch
+	errs    []error
+}
+
+func (n *Node) getScratch() *ingestScratch {
+	if sc, ok := n.scratch.Get().(*ingestScratch); ok {
+		return sc
+	}
+	return &ingestScratch{
+		hosts: make(map[string]int),
+		parts: make([]durable.Batch, n.cfg.Shards),
+		errs:  make([]error, n.cfg.Shards),
+	}
+}
+
+// putScratch drops sc's references into its last batch and pools it.
+func (n *Node) putScratch(sc *ingestScratch) {
+	sc.batch.Reset(0, 0)
+	for i := range sc.parts {
+		sc.parts[i].Reset(0, 0)
+	}
+	clear(sc.hosts)
+	n.scratch.Put(sc)
+}
+
+// ingestBatch commits a batch of measurements this node owns (see
+// commit), with no ownership check: the in-process entry the tests
+// drive.
+func (n *Node) ingestBatch(ms []core.Measurement) error {
+	sc := n.getScratch()
+	defer n.putScratch(sc)
+	sc.batch.Reset(0, 0)
+	for i := range ms {
+		sc.batch.Add(&ms[i])
+	}
+	sc.shardOf = sc.shardOf[:0]
+	for i := range sc.batch.Tuples {
+		sc.shardOf = append(sc.shardOf, ingest.ShardOf(sc.batch.Tuples[i].Host, n.cfg.Shards))
+	}
+	return n.commit(sc)
+}
+
+// commit commits sc's batch, whose tuple t belongs to local shard
+// sc.shardOf[t]: deal the rows out to one batch frame per shard, then
+// commit every frame concurrently — each an fsync under its shard's lock
+// followed, with the lock released, by a wait for the replica to confirm
+// (or for the degraded-mode timeout) — and return when all of them have.
+// A batch costs its slowest shard, not the sum of its shards. On error
+// some shards may have committed; the caller answers the whole batch as
+// failed.
+func (n *Node) commit(sc *ingestScratch) error {
 	// Kill's barrier: held for the whole call, so Kill returns only after
 	// this batch has been answered, and no batch starts after it.
 	n.inflight.RLock()
@@ -466,58 +518,39 @@ func (n *Node) IngestBatch(ms []core.Measurement) error {
 	if n.killed.Load() {
 		return ErrNodeKilled
 	}
-	if len(ms) == 0 {
+	b := &sc.batch
+	if len(b.Rows) == 0 {
 		return nil
 	}
-	groups := make([][]core.Measurement, n.cfg.Shards)
-	if n.cfg.Shards == 1 {
-		groups[0] = ms
-	} else {
-		// Counting pass first: the groups are carved out of one backing
-		// array instead of grown by append.
-		counts := make([]int, n.cfg.Shards)
-		for i := range ms {
-			counts[ingest.ShardOf(ms[i].Host, n.cfg.Shards)]++
-		}
-		backing := make([]core.Measurement, len(ms))
-		off := 0
-		for si, c := range counts {
-			groups[si] = backing[off : off : off+c]
-			off += c
-		}
-		for i := range ms {
-			si := ingest.ShardOf(ms[i].Host, n.cfg.Shards)
-			groups[si] = append(groups[si], ms[i])
-		}
-	}
-	errs := make([]error, len(groups))
+	b.Split(sc.shardOf, sc.parts)
+	clear(sc.errs)
 	var wg sync.WaitGroup
-	for si, group := range groups {
-		if len(group) == 0 {
+	for si := range sc.parts {
+		if len(sc.parts[si].Rows) == 0 {
 			continue
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[si] = n.applyShard(si, group)
+			sc.errs[si] = n.applyShard(si, &sc.parts[si])
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
+	for _, err := range sc.errs {
 		if err != nil {
 			return err
 		}
 	}
 	n.met.batches.Inc()
-	n.met.measurements.Add(uint64(len(ms)))
+	n.met.measurements.Add(uint64(len(b.Rows)))
 	return nil
 }
 
-// applyShard commits one shard group and waits for its replica ack.
-func (n *Node) applyShard(si int, ms []core.Measurement) error {
+// applyShard commits one shard's frame and waits for its replica ack.
+func (n *Node) applyShard(si int, b *durable.Batch) error {
 	sh := n.shards[si]
 	sh.Lock()
-	last, err := sh.Commit(ms, true)
+	last, err := sh.CommitBatch(b, true)
 	if err == nil {
 		sh.lastSeq.advance(last)
 	}
@@ -561,7 +594,7 @@ func (n *Node) Drain() {
 
 // Kill emulates SIGKILL for the in-process crash tests: it waits out
 // every in-flight batch through its answer — commit, replica wait and
-// all; IngestBatch holds the in-flight barrier for its whole call —
+// all; commit holds the in-flight barrier for its whole call —
 // marks the node dead to every subsequent request, stops the followers,
 // and abandons the WALs without flushing — buffered unsynced frames are
 // lost exactly as a real kill would lose them. The data plane contract
@@ -844,77 +877,83 @@ func (n *Node) handleTail(w http.ResponseWriter, r *http.Request) {
 	n.met.framesServed.Add(uint64(sent))
 }
 
-// handleIngest accepts one routed measurement batch. The whole batch
-// must decode and the whole batch must be owned — any foreign host
-// refuses everything with a not-owner verdict before a single frame is
-// written, so a router's retry against the new owner can never double
-// count.
-//
-// Two extensions serve partition recovery. A TFM2 batch ID already in
-// the dedup table is answered with its stored verdict — even if
-// ownership has since moved, because the batch IS durably applied here
-// and will be merged from here; re-applying on the new owner would
-// double count. And ?relay=1 asks a reachable non-owner to forward the
-// batch to its true owner (one hop, the forward carries no relay flag):
-// the triangle route a client uses when its direct link to a live owner
-// is cut.
+// handleIngest accepts one routed measurement batch (see ingest).
 func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	writeRes := func(status int, res ingest.BatchResult) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		json.NewEncoder(w).Encode(res)
+	sc := n.getScratch()
+	defer n.putScratch(sc)
+	sc.body.Reset()
+	status, res := http.StatusRequestEntityTooLarge, ingest.BatchResult{}
+	if _, err := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, MaxMeasBatchBytes)); err != nil {
+		res.Error = err.Error()
+	} else {
+		status, res = n.ingest(sc, r.URL.Query().Get("relay") == "1")
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxMeasBatchBytes))
-	if err != nil {
-		writeRes(http.StatusRequestEntityTooLarge, ingest.BatchResult{Error: err.Error()})
-		return
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(res)
+}
+
+// ingest answers one routed batch, sc.body, with its HTTP status and
+// verdict. The whole batch must decode and the whole batch must be owned
+// — any foreign host refuses everything with a not-owner verdict before
+// a single frame is written, so a router's retry against the new owner
+// can never double count. Ownership is checked, and the shard picked,
+// once per distinct host; no row is touched until commit.
+//
+// Two extensions serve partition recovery. A batch ID already in the
+// dedup table is answered with its stored verdict — even if ownership
+// has since moved, because the batch IS durably applied here and will be
+// merged from here; re-applying on the new owner would double count. And
+// relay asks a reachable non-owner to forward the batch to its true
+// owner (one hop, the forward carries no relay flag): the triangle route
+// a client uses when its direct link to a live owner is cut.
+func (n *Node) ingest(sc *ingestScratch, relay bool) (status int, res ingest.BatchResult) {
+	b := &sc.batch
+	if err := b.Decode(sc.body.Bytes()); err != nil {
+		return http.StatusBadRequest, ingest.BatchResult{Error: "cluster: " + err.Error()}
 	}
-	ms, batchID, err := DecodeMeasurementsID(body)
-	if err != nil {
-		writeRes(http.StatusBadRequest, ingest.BatchResult{Error: err.Error()})
-		return
-	}
-	if batchID != 0 {
-		entry, res, dup := n.dedup.claim(batchID)
+	if id := b.ID; id != 0 {
+		entry, prior, dup := n.dedup.claim(id)
 		if dup {
 			n.met.duplicates.Inc()
-			res.Duplicate = true
-			writeRes(http.StatusOK, res)
-			return
+			prior.Duplicate = true
+			return http.StatusOK, prior
 		}
-		// Every exit below runs through writeRes exactly once; resolving
-		// there keeps only durable verdicts (an accepted apply, direct or
-		// relayed) and releases any twin blocked on this claim.
-		inner := writeRes
-		writeRes = func(status int, res ingest.BatchResult) {
+		// Every exit below resolves the claim exactly once; only durable
+		// verdicts (an accepted apply, direct or relayed) are kept, and any
+		// twin blocked on this claim is released.
+		defer func() {
 			keep := status == http.StatusOK && res.Accepted > 0 && !res.NotOwner && res.Error == ""
-			n.dedup.resolve(batchID, entry, res, keep)
-			inner(status, res)
-		}
+			n.dedup.resolve(id, entry, res, keep)
+		}()
 	}
-	for _, m := range ms {
-		owned, owner := n.Owns(m.Host)
-		if owned {
-			continue
+	sc.shardOf = sc.shardOf[:0]
+	for i := range b.Tuples {
+		host := b.Tuples[i].Host
+		si, seen := sc.hosts[host]
+		if !seen {
+			owned, owner := n.Owns(host)
+			if !owned {
+				if relay && owner.ID != "" {
+					return n.relayForward(owner, sc.body.Bytes())
+				}
+				n.met.notOwner.Inc()
+				return http.StatusOK, ingest.BatchResult{NotOwner: true, Owner: owner.ID, OwnerURL: owner.URL}
+			}
+			si = ingest.ShardOf(host, n.cfg.Shards)
+			sc.hosts[host] = si
 		}
-		if r.URL.Query().Get("relay") == "1" && owner.ID != "" {
-			n.relayForward(w, writeRes, owner, body)
-			return
-		}
-		n.met.notOwner.Inc()
-		writeRes(http.StatusOK, ingest.BatchResult{NotOwner: true, Owner: owner.ID, OwnerURL: owner.URL})
-		return
+		sc.shardOf = append(sc.shardOf, si)
 	}
-	if err := n.IngestBatch(ms); err != nil {
-		writeRes(http.StatusServiceUnavailable, ingest.BatchResult{Error: err.Error()})
-		return
+	if err := n.commit(sc); err != nil {
+		return http.StatusServiceUnavailable, ingest.BatchResult{Error: err.Error()}
 	}
-	res := ingest.BatchResult{Accepted: len(ms)}
-	if r.URL.Query().Get("relay") == "1" {
+	res = ingest.BatchResult{Accepted: len(b.Rows)}
+	if relay {
 		// The sender believed someone else owned these hosts; we applied
 		// them as owner under our (fresher) view. Naming ourselves lets
 		// the sender fold the ownership change into its ring instead of
@@ -922,7 +961,7 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 		res.Owner = n.self.ID
 		res.OwnerURL = n.self.URL
 	}
-	writeRes(http.StatusOK, res)
+	return http.StatusOK, res
 }
 
 // relayForward pushes a relayed batch to its owner and pipes the
@@ -930,13 +969,12 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 // extra hop idempotent). A transport failure or an unparseable reply
 // becomes a 502 so the relaying client can distinguish "relay path
 // broken" from the owner's own verdicts.
-func (n *Node) relayForward(w http.ResponseWriter, writeRes func(int, ingest.BatchResult), owner Member, body []byte) {
+func (n *Node) relayForward(owner Member, body []byte) (int, ingest.BatchResult) {
 	res, status, err := ingest.PostBatch(n.cfg.HTTPClient, owner.URL+"/cluster/ingest", body)
 	if err != nil {
 		n.met.relayFailed.Inc()
-		writeRes(http.StatusBadGateway, ingest.BatchResult{Error: fmt.Sprintf("relay to %s: %v", owner.ID, err)})
-		return
+		return http.StatusBadGateway, ingest.BatchResult{Error: fmt.Sprintf("relay to %s: %v", owner.ID, err)}
 	}
 	n.met.relayForwarded.Inc()
-	writeRes(status, res)
+	return status, res
 }

@@ -7,10 +7,12 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"tlsfof/internal/durable"
 	"tlsfof/internal/store"
 	"tlsfof/internal/telemetry"
 )
@@ -178,7 +180,7 @@ func TestClusterReplicationAndRecovery(t *testing.T) {
 	if _, status := tc.get("a", "/cluster/status"); status != http.StatusServiceUnavailable {
 		t.Fatalf("killed node answered HTTP %d", status)
 	}
-	if err := a.IngestBatch(ms[:1]); err != ErrNodeKilled {
+	if err := a.ingestBatch(ms[:1]); err != ErrNodeKilled {
 		t.Fatalf("killed node ingest returned %v", err)
 	}
 
@@ -331,7 +333,7 @@ func TestClusterDegradedAck(t *testing.T) {
 	defer n.Close()
 	// b exists and is alive in the view, but nothing tails a's WAL.
 	start := time.Now()
-	if err := n.IngestBatch(testMeasurements(8, 17)); err != nil {
+	if err := n.ingestBatch(testMeasurements(8, 17)); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
@@ -359,7 +361,7 @@ func TestClusterRestartRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	ms := testMeasurements(150, 19)
-	if err := n.IngestBatch(ms); err != nil {
+	if err := n.ingestBatch(ms); err != nil {
 		t.Fatal(err)
 	}
 	want := n.MergeLocal().AppendSnapshot(nil)
@@ -416,4 +418,54 @@ func TestClusterStatusDocument(t *testing.T) {
 		t.Fatalf("cluster reports %d replica streams, want %d", streams, want)
 	}
 	_ = fmt.Sprintf("%v", st) // Status must remain printable for fleetctl logs
+}
+
+// TestReplicaLogHoldsSourceBytes: a follower appends the frames it is
+// served verbatim, so once every routed batch has committed and been
+// acknowledged — and an ack waits for the replica — every segment of a
+// replica shard log is byte-identical to the same segment of its
+// source's own shard log.
+func TestReplicaLogHoldsSourceBytes(t *testing.T) {
+	tc := startTestCluster(t, []string{"a", "b"}, nil)
+	rc := tc.route(32)
+	for _, m := range testMeasurements(600, 31) {
+		rc.Ingest(m)
+	}
+	if err := rc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st := rc.Stats(); st.Delivered != 600 || st.Lost != 0 {
+		t.Fatalf("route stats %+v, want 600 delivered", st)
+	}
+	segments := 0
+	for _, pair := range [][2]string{{"a", "b"}, {"b", "a"}} {
+		src, rep := tc.nodes[pair[0]], tc.nodes[pair[1]]
+		if metricValue(t, tc.registries[pair[0]], "repl_ack_timeouts_total") != 0 {
+			t.Fatalf("%s acked in degraded mode: its replica may lag", pair[0])
+		}
+		for si := 0; si < src.cfg.Shards; si++ {
+			own := durable.ShardDir(filepath.Join(src.cfg.DataDir, "own"), si)
+			replica := durable.ShardDir(filepath.Join(rep.cfg.DataDir, "replica", src.self.ID), si)
+			names, _ := filepath.Glob(filepath.Join(own, "wal-*.log"))
+			replicaNames, _ := filepath.Glob(filepath.Join(replica, "wal-*.log"))
+			if len(names) == 0 || len(names) != len(replicaNames) {
+				t.Fatalf("%s shard %d: %d own segments, %d replica segments", src.self.ID, si, len(names), len(replicaNames))
+			}
+			for _, name := range names {
+				want, err := os.ReadFile(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := os.ReadFile(filepath.Join(replica, filepath.Base(name)))
+				if err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("%s shard %d: replica %s differs from the source's (%d vs %d bytes, %v)",
+						src.self.ID, si, filepath.Base(name), len(got), len(want), err)
+				}
+				segments++
+			}
+		}
+	}
+	if segments <= 4 {
+		t.Fatalf("compared %d segments; the fixture no longer rotates", segments)
+	}
 }

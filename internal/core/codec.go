@@ -10,12 +10,14 @@ import (
 	"tlsfof/internal/hostdb"
 )
 
-// Binary codec for Measurement records, shared by the durable WAL
-// (internal/durable) and the store snapshot format (internal/store). It
-// follows the same uvarint framing idiom as the ingest upload wire
-// (internal/ingest): length-prefixed strings, varint integers, and bools
-// packed into one flag byte. The encoding round-trips every field, so a
-// replayed record aggregates identically to the original ingest.
+// Binary codec for Measurement records: the store snapshot's retained
+// proxied records (internal/store) and, through AppendObservation and
+// DecodeObservation, the tuples of a durable batch frame
+// (internal/durable). It follows the same uvarint framing idiom as the
+// ingest upload wire (internal/ingest): length-prefixed strings, varint
+// integers, and bools packed into one flag byte. The encoding
+// round-trips every field, so a replayed record aggregates identically
+// to the original ingest.
 
 // Limits on one encoded measurement; hostile or corrupt inputs exist
 // (the WAL recovery path decodes bytes that survived a crash).
@@ -34,6 +36,8 @@ const (
 	flagUpgradedKey
 	flagIssuerCopied
 	flagSubjectDrift
+
+	flagAll = 1<<iota - 1
 )
 
 // AppendMeasurement appends the binary encoding of m to dst and returns
@@ -46,8 +50,15 @@ func AppendMeasurement(dst []byte, m Measurement) []byte {
 	dst = appendString(dst, m.Host)
 	dst = binary.AppendUvarint(dst, uint64(m.HostCategory))
 	dst = appendString(dst, m.Campaign)
+	return AppendObservation(dst, m.Obs)
+}
 
-	o := m.Obs
+// AppendObservation appends the encoding of o: one flag byte for the
+// booleans, then the issuer strings, the key, signature and chain
+// numbers, the category and the product name. It is the observation half
+// of AppendMeasurement and the observation of every tuple in a durable
+// batch frame.
+func AppendObservation(dst []byte, o Observation) []byte {
 	var flags byte
 	if o.Proxied {
 		flags |= flagProxied
@@ -83,59 +94,12 @@ func AppendMeasurement(dst []byte, m Measurement) []byte {
 	return dst
 }
 
-// Interner deduplicates decoded strings. Measurement string fields are
-// extremely low-cardinality (a handful of hosts, countries, issuer
-// organizations, product names repeated across millions of records), so
-// replay paths that decode record streams — WAL recovery, snapshot
-// loads, compaction — otherwise allocate seven unique strings per
-// record that are almost always byte-for-byte duplicates. The map is
-// bounded: once max distinct strings are cached, further misses decode
-// uncached rather than grow without bound on hostile input. Not safe
-// for concurrent use; make one per decode stream.
-type Interner struct {
-	m   map[string]string
-	max int
-}
-
-// NewInterner returns an interner caching up to max distinct strings
-// (4096 when max <= 0).
-func NewInterner(max int) *Interner {
-	if max <= 0 {
-		max = 4096
-	}
-	return &Interner{m: make(map[string]string), max: max}
-}
-
-// InternBytes returns a string equal to b, reusing a previously
-// interned instance when one exists. The hit path does not allocate
-// (map lookup on string(b) compiles to a no-copy probe); nil receivers
-// degrade to a plain copy.
-func (in *Interner) InternBytes(b []byte) string {
-	if in == nil {
-		return string(b)
-	}
-	if s, ok := in.m[string(b)]; ok {
-		return s
-	}
-	s := string(b)
-	if len(in.m) < in.max {
-		in.m[s] = s
-	}
-	return s
-}
-
 // DecodeMeasurement decodes one measurement from the front of b and
 // returns it with the unconsumed remainder. Times decode in UTC (the
 // encoding keeps wall-clock nanoseconds only), which every consumer —
 // table aggregation, the canonical merge order, CSV export — already
 // normalizes to.
 func DecodeMeasurement(b []byte) (Measurement, []byte, error) {
-	return DecodeMeasurementInterned(b, nil)
-}
-
-// DecodeMeasurementInterned is DecodeMeasurement with every string field
-// routed through in (which may be nil): the replay fast path.
-func DecodeMeasurementInterned(b []byte, in *Interner) (Measurement, []byte, error) {
 	var m Measurement
 	nanos, b, err := readVarint(b, "time")
 	if err != nil {
@@ -150,10 +114,10 @@ func DecodeMeasurementInterned(b []byte, in *Interner) (Measurement, []byte, err
 		return m, nil, fmt.Errorf("core: codec: client ip %d overflows uint32", ip)
 	}
 	m.ClientIP = uint32(ip)
-	if m.Country, b, err = readString(b, "country", in); err != nil {
+	if m.Country, b, err = readString(b, "country", nil); err != nil {
 		return m, nil, err
 	}
-	if m.Host, b, err = readString(b, "host", in); err != nil {
+	if m.Host, b, err = readString(b, "host", nil); err != nil {
 		return m, nil, err
 	}
 	hc, b, err := readUvarint(b, "host category")
@@ -161,16 +125,27 @@ func DecodeMeasurementInterned(b []byte, in *Interner) (Measurement, []byte, err
 		return m, nil, err
 	}
 	m.HostCategory = hostdb.Category(hc)
-	if m.Campaign, b, err = readString(b, "campaign", in); err != nil {
+	if m.Campaign, b, err = readString(b, "campaign", nil); err != nil {
 		return m, nil, err
 	}
 
+	m.Obs, b, err = DecodeObservation(b, nil)
+	return m, b, err
+}
+
+// DecodeObservation decodes an observation from the front of b and
+// returns it with the unconsumed remainder. str makes each string field
+// from its bytes, which it must not retain; nil copies them.
+func DecodeObservation(b []byte, str func([]byte) string) (Observation, []byte, error) {
+	var o Observation
 	if len(b) == 0 {
-		return m, nil, fmt.Errorf("core: codec: truncated before flags")
+		return o, nil, fmt.Errorf("core: codec: truncated before flags")
 	}
 	flags := b[0]
+	if flags&^flagAll != 0 {
+		return o, nil, fmt.Errorf("core: codec: unknown observation flags %#02x", flags)
+	}
 	b = b[1:]
-	o := &m.Obs
 	o.Proxied = flags&flagProxied != 0
 	o.NullIssuer = flags&flagNullIssuer != 0
 	o.MD5Signed = flags&flagMD5Signed != 0
@@ -179,40 +154,41 @@ func DecodeMeasurementInterned(b []byte, in *Interner) (Measurement, []byte, err
 	o.IssuerCopied = flags&flagIssuerCopied != 0
 	o.SubjectDrift = flags&flagSubjectDrift != 0
 
-	if o.IssuerOrg, b, err = readString(b, "issuer org", in); err != nil {
-		return m, nil, err
+	var err error
+	if o.IssuerOrg, b, err = readString(b, "issuer org", str); err != nil {
+		return o, nil, err
 	}
-	if o.IssuerCN, b, err = readString(b, "issuer cn", in); err != nil {
-		return m, nil, err
+	if o.IssuerCN, b, err = readString(b, "issuer cn", str); err != nil {
+		return o, nil, err
 	}
-	if o.IssuerOU, b, err = readString(b, "issuer ou", in); err != nil {
-		return m, nil, err
+	if o.IssuerOU, b, err = readString(b, "issuer ou", str); err != nil {
+		return o, nil, err
 	}
 	var v uint64
 	if v, b, err = readUvarint(b, "key bits"); err != nil {
-		return m, nil, err
+		return o, nil, err
 	}
 	o.KeyBits = int(v)
 	if v, b, err = readUvarint(b, "original key bits"); err != nil {
-		return m, nil, err
+		return o, nil, err
 	}
 	o.OriginalKeyBits = int(v)
 	if v, b, err = readUvarint(b, "sig alg"); err != nil {
-		return m, nil, err
+		return o, nil, err
 	}
 	o.SigAlg = x509.SignatureAlgorithm(v)
 	if v, b, err = readUvarint(b, "chain len"); err != nil {
-		return m, nil, err
+		return o, nil, err
 	}
 	o.ChainLen = int(v)
 	if v, b, err = readUvarint(b, "category"); err != nil {
-		return m, nil, err
+		return o, nil, err
 	}
 	o.Category = classify.Category(v)
-	if o.ProductName, b, err = readString(b, "product", in); err != nil {
-		return m, nil, err
+	if o.ProductName, b, err = readString(b, "product", str); err != nil {
+		return o, nil, err
 	}
-	return m, b, nil
+	return o, b, nil
 }
 
 func appendString(dst []byte, s string) []byte {
@@ -236,7 +212,7 @@ func readVarint(b []byte, field string) (int64, []byte, error) {
 	return v, b[n:], nil
 }
 
-func readString(b []byte, field string, in *Interner) (string, []byte, error) {
+func readString(b []byte, field string, str func([]byte) string) (string, []byte, error) {
 	n, b, err := readUvarint(b, field)
 	if err != nil {
 		return "", nil, err
@@ -247,5 +223,8 @@ func readString(b []byte, field string, in *Interner) (string, []byte, error) {
 	if uint64(len(b)) < n {
 		return "", nil, fmt.Errorf("core: codec: truncated %s", field)
 	}
-	return in.InternBytes(b[:n]), b[n:], nil
+	if str == nil {
+		return string(b[:n]), b[n:], nil
+	}
+	return str(b[:n]), b[n:], nil
 }

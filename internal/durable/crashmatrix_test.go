@@ -9,6 +9,7 @@ package durable
 // the non-durable tail, never the prefix, and never table fidelity.
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -328,5 +329,111 @@ func TestCorruptSnapshotIsDetected(t *testing.T) {
 	}
 	if db.Totals().Tested != 0 {
 		t.Fatalf("gap recovery served %d measurements as if complete", db.Totals().Tested)
+	}
+}
+
+// TestCrashMatrixCommitAtomicity: a commit is one frame, so a crash
+// inside it costs the whole commit and nothing before it. Three commits
+// of 30 measurements, then the log cut at every byte offset inside the
+// third commit's frame: recovery gives exactly the first two commits'
+// store — its canonical snapshot bytes and every table — never part of
+// the third, and a reopened log resumes after the second.
+func TestCrashMatrixCommitAtomicity(t *testing.T) {
+	ms := syntheticMeasurements(90, 0xA70C)
+	pristine := t.TempDir()
+	l, err := Open(Options{Dir: pristine, SyncEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendPer(t, l, ms, 30)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	layouts := layoutWAL(t, pristine)
+	if len(layouts) != 1 || len(layouts[0].frames) != 3 {
+		t.Fatalf("want one segment of 3 frames, got %d segment(s)", len(layouts))
+	}
+	want := ingestPrefix(ms, 60)
+	wantSnap, wantTables := want.AppendSnapshot(nil), renderTables(t, want)
+	third := layouts[0].frames[2]
+	for off := third.start; off < third.end; off++ {
+		dir := cloneDir(t, pristine)
+		truncateAt(off)(t, filepath.Join(dir, filepath.Base(layouts[0].path)))
+		db, info, err := Recover(Options{Dir: dir})
+		if err != nil {
+			t.Fatalf("cut at %d: %v", off, err)
+		}
+		if info.LastSeq != 2 || info.Replayed != 60 {
+			t.Fatalf("cut at %d: recovered %+v, want 2 frames of 60 measurements", off, info)
+		}
+		if !bytes.Equal(db.AppendSnapshot(nil), wantSnap) || renderTables(t, db) != wantTables {
+			t.Fatalf("cut at %d: recovered store differs from the first two commits'", off)
+		}
+		l, err := Open(Options{Dir: dir, SyncEvery: -1})
+		if err != nil {
+			t.Fatalf("cut at %d: open: %v", off, err)
+		}
+		if got := l.NextSeq(); got != 3 {
+			t.Fatalf("cut at %d: Open resumes at seq %d, want 3", off, got)
+		}
+		l.Close()
+	}
+}
+
+// TestCommitSplitsOversizedBatch: a commit past one frame's bounds —
+// more than MaxBatchRows rows here — is written as several frames, each
+// a batch that fits MaxFramePayload and decodes on its own, holding
+// consecutive rows of the commit. Recovering all of them gives the whole
+// commit. A split commit is atomic per frame only: a crash inside its
+// second frame keeps exactly the rows of its first.
+func TestCommitSplitsOversizedBatch(t *testing.T) {
+	ms := syntheticMeasurements(MaxBatchRows+5000, 0x5B17)
+	dir := t.TempDir()
+	l, err := Open(Options{Dir: dir, SyncEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendBatch(ms); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, _, err := listDir(dir)
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("want one segment, got %d (%v)", len(segs), err)
+	}
+	var frames []frameSpan
+	var rows []int
+	off := int64(segHeaderLen)
+	if _, _, damage, err := walkFrames(segs[0].path, segs[0].first, func(_ uint64, payload []byte) error {
+		var b Batch
+		if err := b.Decode(payload); err != nil {
+			return err
+		}
+		frames = append(frames, frameSpan{start: off, end: off + int64(frameHdrLen+len(payload))})
+		rows = append(rows, len(b.Rows))
+		off = frames[len(frames)-1].end
+		return nil
+	}); err != nil || damage != nil {
+		t.Fatalf("split commit does not read back: %v / %v", err, damage)
+	}
+	if len(frames) < 2 {
+		t.Fatalf("a %d-row commit wrote %d frame(s)", len(ms), len(frames))
+	}
+	db, info, err := Recover(Options{Dir: dir})
+	if err != nil || info.DroppedTail || info.Replayed != len(ms) || int(info.LastSeq) != len(frames) {
+		t.Fatalf("recovered %+v, %v; want %d measurements in %d frames", info, err, len(ms), len(frames))
+	}
+	if renderTables(t, db) != renderTables(t, ingestPrefix(ms, len(ms))) {
+		t.Fatal("recovered split commit renders differently from the commit")
+	}
+	truncateAt((frames[1].start+frames[1].end)/2)(t, segs[0].path)
+	db, info, err = Recover(Options{Dir: dir})
+	if err != nil || info.LastSeq != 1 || info.Replayed != rows[0] {
+		t.Fatalf("torn second frame: recovered %+v, %v; want the first frame's %d rows", info, err, rows[0])
+	}
+	if renderTables(t, db) != renderTables(t, ingestPrefix(ms, rows[0])) {
+		t.Fatal("torn split commit keeps something other than its first frame's rows")
 	}
 }

@@ -8,10 +8,14 @@
 // store.DB, so one reportd restart forfeited the whole study. This
 // package fixes that asymmetry:
 //
-//   - Log appends core.Measurement frames (the internal/core binary
-//     codec behind the ingest wire idiom) to size-rotated segment files.
-//     Appends are buffered; a background syncer fsyncs on a configurable
-//     cadence so durability never sits on the ingest hot path.
+//   - Log appends one frame per commit to size-rotated segment files.
+//     A frame's payload is a Batch (batch.go): a per-batch table of
+//     distinct (host, campaign, observation) tuples, a country table and
+//     fixed-width rows — the same layout as a /cluster/ingest body and a
+//     replication record, so a routed batch reaches a replica WAL
+//     without ever becoming one record per measurement. Appends are
+//     buffered; a background syncer fsyncs on a configurable cadence so
+//     durability never sits on the ingest hot path.
 //   - Checkpoint (Rotate, then Compact) is the one compactor: it seals
 //     the active segment, replays the sealed segments into a store
 //     snapshot (internal/store's deterministic aggregate image) and

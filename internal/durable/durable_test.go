@@ -107,6 +107,17 @@ func ingestPrefix(ms []core.Measurement, k int) *store.DB {
 	return db
 }
 
+// appendPer appends ms to l in frames of per measurements each (the
+// last frame may hold fewer), so a test can count frames.
+func appendPer(t testing.TB, l *Log, ms []core.Measurement, per int) {
+	t.Helper()
+	for i := 0; i < len(ms); i += per {
+		if err := l.AppendBatch(ms[i:min(i+per, len(ms))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func testOptions(dir string) Options {
 	return Options{Dir: dir, SegmentBytes: 2 << 10, SyncEvery: -1}
 }
@@ -118,11 +129,9 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendBatch(ms); err != nil {
-		t.Fatal(err)
-	}
+	appendPer(t, l, ms, 10)
 	st := l.Stats()
-	if st.AppendedFrames != 120 || st.LastSeq != 120 {
+	if st.AppendedFrames != 12 || st.LastSeq != 12 {
 		t.Fatalf("stats after append: %+v", st)
 	}
 	if st.Segments < 2 {
@@ -136,7 +145,7 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.DroppedTail || info.Replayed != 120 || info.LastSeq != 120 {
+	if info.DroppedTail || info.Replayed != 120 || info.LastSeq != 12 {
 		t.Fatalf("recovery info: %+v", info)
 	}
 	if got, want := renderTables(t, db), renderTables(t, ingestPrefix(ms, 120)); got != want {
@@ -151,9 +160,7 @@ func TestReopenContinuesSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendBatch(ms[:40]); err != nil {
-		t.Fatal(err)
-	}
+	appendPer(t, l, ms[:40], 4)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -161,12 +168,10 @@ func TestReopenContinuesSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := l.Stats().LastSeq; got != 40 {
-		t.Fatalf("reopened LastSeq = %d, want 40", got)
+	if got := l.Stats().LastSeq; got != 10 {
+		t.Fatalf("reopened LastSeq = %d, want 10", got)
 	}
-	if err := l.AppendBatch(ms[40:]); err != nil {
-		t.Fatal(err)
-	}
+	appendPer(t, l, ms[40:], 5)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +179,7 @@ func TestReopenContinuesSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Replayed != 90 || info.DroppedTail {
+	if info.Replayed != 90 || info.LastSeq != 20 || info.DroppedTail {
 		t.Fatalf("recovery info: %+v", info)
 	}
 	if got, want := renderTables(t, db), renderTables(t, ingestPrefix(ms, 90)); got != want {
@@ -261,9 +266,7 @@ func TestShutdownCheckpointCollapsesDir(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := l.AppendBatch(batch); err != nil {
-			t.Fatal(err)
-		}
+		appendPer(t, l, batch, 1)
 		if checkpoint {
 			if info, err := l.Checkpoint(); err != nil || info.LastSeq != 80 {
 				t.Fatalf("checkpoint: %+v, %v", info, err)

@@ -7,8 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"slices"
-
-	"tlsfof/internal/core"
 )
 
 // ErrTailAhead reports a follower asking for a sequence the source has
@@ -31,24 +29,22 @@ func (l *Log) NextSeq() uint64 {
 	return l.nextSeq
 }
 
-// AppendEncoded appends a pre-encoded measurement payload — the exact
-// bytes a replication frame carried — without a decode/re-encode round
-// trip, preserving frame-for-frame identity between a replica log and
-// its source. The payload is validated first so a replica directory is
+// AppendEncoded appends one encoded batch frame — the exact bytes a
+// replication frame carried — as the next frame, without a re-encode, so
+// a replica log is byte-identical to its source. The batch is checked
+// first, without materializing a string, so a replica directory is
 // always recoverable.
 func (l *Log) AppendEncoded(payload []byte) error {
 	if len(payload) == 0 || len(payload) > MaxFramePayload {
 		return fmt.Errorf("durable: encoded payload %d bytes out of bounds", len(payload))
 	}
-	if _, rest, err := core.DecodeMeasurement(payload); err != nil {
-		return fmt.Errorf("durable: encoded payload: %w", err)
-	} else if len(rest) != 0 {
-		return fmt.Errorf("durable: encoded payload has %d trailing bytes", len(rest))
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return fmt.Errorf("durable: append on closed log")
+	}
+	if err := l.check.decode(payload, false); err != nil {
+		return fmt.Errorf("durable: encoded payload: %w", err)
 	}
 	var hdr [frameHdrLen]byte
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))

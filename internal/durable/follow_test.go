@@ -45,15 +45,11 @@ func TestTailCursorChangesCostNeverBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if err := l.AppendBatch(ms[:120]); err != nil {
-		t.Fatal(err)
-	}
+	appendPer(t, l, ms[:120], 1)
 	if info, err := l.Checkpoint(); err != nil || info.LastSeq != 120 {
 		t.Fatalf("checkpoint: %+v, %v", info, err)
 	}
-	if err := l.AppendBatch(ms[120:300]); err != nil {
-		t.Fatal(err)
-	}
+	appendPer(t, l, ms[120:300], 1)
 	if st := l.Stats(); st.Rotations < 5 || st.SnapshotSeq != 120 {
 		t.Fatalf("fixture too plain: %+v", st)
 	}
@@ -104,9 +100,7 @@ func TestTailCursorChangesCostNeverBytes(t *testing.T) {
 	for step := 0; step < 120; step++ {
 		check(step)
 		if step%10 == 9 && appended < len(ms) {
-			if err := l.AppendBatch(ms[appended : appended+12]); err != nil {
-				t.Fatal(err)
-			}
+			appendPer(t, l, ms[appended:appended+12], 1)
 			appended += 12
 		}
 	}
@@ -139,16 +133,12 @@ func headPollBytes(t *testing.T, behind, fresh int) (read, appended uint64) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if err := l.AppendBatch(syntheticMeasurements(behind, 41)); err != nil {
-		t.Fatal(err)
-	}
+	appendPer(t, l, syntheticMeasurements(behind, 41), 1)
 	if sent, err := l.ServeTail(io.Discard, 1, 0); err != nil || sent != behind {
 		t.Fatalf("catch-up served %d of %d frames: %v", sent, behind, err)
 	}
 	before := l.Stats()
-	if err := l.AppendBatch(syntheticMeasurements(fresh, 42)); err != nil {
-		t.Fatal(err)
-	}
+	appendPer(t, l, syntheticMeasurements(fresh, 42), 1)
 	if sent, err := l.ServeTail(io.Discard, uint64(behind)+1, 0); err != nil || sent != fresh {
 		t.Fatalf("head poll served %d of %d frames: %v", sent, fresh, err)
 	}
@@ -191,8 +181,8 @@ func TestTailUnreadableSegmentIsAnError(t *testing.T) {
 	}
 }
 
-// BenchmarkServeTailHead times one head-of-log poll — 32 new frames —
-// with 1 k and with 100 k frames behind it. The pin: the fastest poll of
+// BenchmarkServeTailHead times one head-of-log poll — 32 new frames of
+// 4 measurements each — with 1 k and with 100 k frames behind it. The pin: the fastest poll of
 // the long log is within 2x of the short log's (plus a 20 us floor for
 // timer noise). A ServeTail that re-reads the segment fails it by two
 // orders of magnitude.
@@ -206,24 +196,21 @@ func BenchmarkServeTailHead(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer l.Close()
-			base := syntheticMeasurements(1000, 43)
-			for n := 0; n < behind; n += len(base) {
-				if err := l.AppendBatch(base); err != nil {
-					b.Fatal(err)
-				}
+			const per = 4
+			base := syntheticMeasurements(1000*per, 43)
+			for n := 0; n < behind; n += len(base) / per {
+				appendPer(b, l, base, per)
 			}
 			from := uint64(behind) + 1
 			if sent, err := l.ServeTail(io.Discard, 1, 0); err != nil || sent != behind {
 				b.Fatalf("catch-up served %d of %d frames: %v", sent, behind, err)
 			}
-			batch := base[:fresh]
+			batch := base[:fresh*per]
 			fastest := time.Duration(1 << 62)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				if err := l.AppendBatch(batch); err != nil {
-					b.Fatal(err)
-				}
+				appendPer(b, l, batch, per)
 				if err := l.Sync(); err != nil {
 					b.Fatal(err)
 				}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"os"
 
-	"tlsfof/internal/core"
 	"tlsfof/internal/store"
 )
 
@@ -15,9 +14,11 @@ type Info struct {
 	// SnapshotSeq is the highest seq covered by the snapshot the store
 	// was seeded from (0 = started empty).
 	SnapshotSeq uint64 `json:"snapshot_seq"`
-	// Replayed counts WAL frames applied on top of the snapshot.
+	// Replayed counts the measurements (rows) of the WAL frames applied
+	// on top of the snapshot.
 	Replayed int `json:"replayed"`
-	// LastSeq is the last applied sequence number.
+	// LastSeq is the last applied sequence number: a frame, not a
+	// measurement.
 	LastSeq uint64 `json:"last_seq"`
 	// DroppedTail reports that the log ended in damage (torn write,
 	// corruption, or a gap); Reason says where and why. Everything
@@ -50,10 +51,12 @@ type dirScan struct {
 // walks the segments in sequence order, CRC-checking every frame and
 // decoding every frame past the snapshot. The usable log ends at the
 // first gap in the sequence, damaged segment header, damaged frame, or
-// frame that does not decode: a crash can only tear the tail, so this
-// drops exactly the records that never became durable. Segments whose
-// first seq is past through are not read. With build set the snapshot
-// is decoded and every frame after it replayed into db.
+// frame whose batch does not decode: a crash can only tear the tail, so
+// this drops exactly the records that never became durable. A segment of
+// another format version fails the reading instead (see readSegment).
+// Segments whose first seq is past through are not read. With build set
+// the snapshot is decoded and every frame after it applied to db, clean
+// rows cell by cell (see Batch.applyTo).
 func scan(dir string, through uint64, build bool) (*dirScan, error) {
 	segs, snaps, err := listDir(dir)
 	if err != nil {
@@ -76,10 +79,7 @@ func scan(dir string, through uint64, build bool) (*dirScan, error) {
 	}
 
 	next := s.info.SnapshotSeq + 1
-	// Replayed strings are massively duplicated (few hosts, countries,
-	// issuers across millions of frames); one interner per reading
-	// collapses them.
-	intern := core.NewInterner(0)
+	var batch Batch
 	for i, seg := range segs {
 		if seg.first > through {
 			segs = segs[:i]
@@ -94,18 +94,14 @@ func scan(dir string, through uint64, build bool) (*dirScan, error) {
 			if seq < next {
 				return nil // already in the snapshot
 			}
-			m, rest, err := core.DecodeMeasurementInterned(payload, intern)
-			if err == nil && len(rest) != 0 {
-				err = fmt.Errorf("%d trailing bytes", len(rest))
-			}
-			if err != nil {
+			if err := batch.decode(payload, build); err != nil {
 				undecodable = fmt.Errorf("frame %d: %w", seq, err)
 				return undecodable
 			}
-			if s.db != nil {
-				s.db.Ingest(m)
+			if build {
+				batch.applyTo(s.db)
 			}
-			s.info.Replayed++
+			s.info.Replayed += len(batch.Rows)
 			next = seq + 1
 			return nil
 		})

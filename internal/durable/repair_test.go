@@ -5,11 +5,15 @@ package durable
 // land beyond damage that recovery can never cross.
 
 import (
+	"encoding/binary"
+	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"tlsfof/internal/core"
 	"tlsfof/internal/store"
 )
 
@@ -84,9 +88,7 @@ func TestOpenDropsSegmentsBeyondDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendBatch(ms); err != nil {
-		t.Fatal(err)
-	}
+	appendPer(t, l, ms, 1)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -200,6 +202,7 @@ func TestOpenTreatsGapAsDamage(t *testing.T) {
 			if got := l.NextSeq(); got != uint64(survive)+1 {
 				t.Fatalf("Open resumes at seq %d, want %d (the gap)", got, survive+1)
 			}
+			// extra is one batch frame: one seq, len(extra) measurements.
 			if err := l.AppendBatch(extra); err != nil {
 				t.Fatal(err)
 			}
@@ -211,8 +214,8 @@ func TestOpenTreatsGapAsDamage(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if info.DroppedTail || info.LastSeq != uint64(survive+len(extra)) {
-				t.Fatalf("recovery after reopen: %+v, want clean through seq %d", info, survive+len(extra))
+			if info.DroppedTail || info.LastSeq != uint64(survive+1) {
+				t.Fatalf("recovery after reopen: %+v, want clean through seq %d", info, survive+1)
 			}
 			want := ingestPrefix(ms, survive)
 			for _, m := range extra {
@@ -301,5 +304,78 @@ func TestRecoverSkipsForeignFiles(t *testing.T) {
 	}
 	if db.Totals().Tested != 10 {
 		t.Fatalf("recovered %d, want 10", db.Totals().Tested)
+	}
+}
+
+// parentSegment is a segment as the per-measurement format wrote it:
+// version 1, one core.Measurement per frame.
+func parentSegment(ms []core.Measurement) []byte {
+	seg := append([]byte(segMagic), 1)
+	seg = binary.LittleEndian.AppendUint64(seg, 1)
+	for _, m := range ms {
+		p := core.AppendMeasurement(nil, m)
+		seg = binary.LittleEndian.AppendUint32(seg, uint32(len(p)))
+		seg = binary.LittleEndian.AppendUint32(seg, crc32.Checksum(p, crcTable))
+		seg = append(seg, p...)
+	}
+	return seg
+}
+
+// dirFiles reads every file of dir by name.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(b)
+	}
+	return files
+}
+
+// TestOpenRefusesAnotherFormatVersion: a directory an older build wrote
+// is not crash damage. Open, OpenShards and Recover all fail on it with
+// an error naming both versions, and touch no file — where treating it
+// as damage would set every frame aside and boot an empty store. A
+// header too short to carry a version is still damage.
+func TestOpenRefusesAnotherFormatVersion(t *testing.T) {
+	root := t.TempDir()
+	dir := ShardDir(root, 0)
+	if err := os.MkdirAll(dir, 0o777); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "wal-0000000000000001.log"), parentSegment(syntheticMeasurements(5, 61)), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	before := dirFiles(t, dir)
+	_, err := Open(testOptions(dir))
+	_, _, rerr := Recover(testOptions(dir))
+	_, _, serr := OpenShards(root, 1, testOptions(""))
+	for _, err := range []error{err, rerr, serr} {
+		if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version 2") {
+			t.Fatalf("opening a version-1 directory: %v, want an error naming versions 1 and 2", err)
+		}
+	}
+	if after := dirFiles(t, dir); !maps.Equal(after, before) {
+		t.Fatalf("a refused open changed the directory: %d files before, %d after", len(before), len(after))
+	}
+
+	short := t.TempDir()
+	if err := os.WriteFile(filepath.Join(short, "wal-0000000000000001.log"), []byte(segMagic+"\x01"), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(testOptions(short))
+	if err != nil {
+		t.Fatalf("a short header is damage, not another version: %v", err)
+	}
+	defer l.Close()
+	if st := l.Stats(); st.DroppedSegments != 1 || st.LastSeq != 0 {
+		t.Fatalf("short header: %+v, want it set aside and an empty log", st)
 	}
 }

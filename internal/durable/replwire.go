@@ -15,9 +15,10 @@ import (
 //	frame  = 'F' | seq uvarint | len uvarint | crc32c(payload) uint32le | payload
 //	end    = 'E'
 //
-// A frame payload is one encoded core.Measurement — the exact bytes the
-// source WAL holds at that sequence, so a follower's replica log is
-// frame-for-frame identical to the source. There is no snapshot record:
+// A frame payload is one batch (batch.go) — the exact bytes the source
+// WAL frame holds at that sequence. A follower checks it and appends it
+// as it came (Log.AppendEncoded), so a replica log is byte-identical to
+// its source. There is no snapshot record:
 // a cluster log never compacts, so every sequence a follower can ask for
 // is still a frame (ServeTail refuses the rest with ErrTailCompacted).
 // The end marker distinguishes a complete response from a connection cut
@@ -39,8 +40,7 @@ const (
 var ErrReplTruncated = fmt.Errorf("durable: replication stream truncated: %w", io.ErrUnexpectedEOF)
 
 // ReplRecord is one decoded replication record. For ReplFrame, Seq is the
-// WAL sequence and Payload the encoded measurement; for ReplEnd both are
-// zero.
+// WAL sequence and Payload the frame's batch; for ReplEnd both are zero.
 type ReplRecord struct {
 	Type    byte
 	Seq     uint64
@@ -52,8 +52,8 @@ func AppendReplHeader(dst []byte) []byte {
 	return append(dst, replMagic...)
 }
 
-// AppendReplFrame appends one frame record carrying the encoded
-// measurement payload stored at seq.
+// AppendReplFrame appends one frame record carrying the batch stored at
+// seq.
 func AppendReplFrame(dst []byte, seq uint64, payload []byte) []byte {
 	dst = append(dst, ReplFrame)
 	dst = binary.AppendUvarint(dst, seq)

@@ -144,26 +144,22 @@ func TestReplTailFollowConverges(t *testing.T) {
 	}
 	ms := syntheticMeasurements(120, 12)
 
-	// First poll: everything from scratch.
-	if err := src.AppendBatch(ms[:70]); err != nil {
-		t.Fatal(err)
-	}
+	// First poll: everything from scratch, 7 frames of 10 measurements.
+	appendPer(t, src, ms[:70], 10)
 	ok := applyStream(t, rep, serveTail(t, src, rep.NextSeq(), 0))
-	if !ok || rep.NextSeq() != 71 {
-		t.Fatalf("replica at seq %d (clean=%v), want 71", rep.NextSeq()-1, ok)
+	if !ok || rep.NextSeq() != 8 {
+		t.Fatalf("replica at seq %d (clean=%v), want 7", rep.NextSeq()-1, ok)
 	}
 
 	// Incremental poll only ships the delta.
-	if err := src.AppendBatch(ms[70:]); err != nil {
-		t.Fatal(err)
-	}
+	appendPer(t, src, ms[70:], 10)
 	var buf bytes.Buffer
 	sent, err := src.ServeTail(&buf, rep.NextSeq(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sent != 50 {
-		t.Fatalf("incremental poll served %d frames, want 50", sent)
+	if sent != 5 {
+		t.Fatalf("incremental poll served %d frames, want 5", sent)
 	}
 	if !applyStream(t, rep, buf.Bytes()) {
 		t.Fatal("incremental stream did not end cleanly")
@@ -195,9 +191,7 @@ func TestReplTailFrameCapResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := src.AppendBatch(syntheticMeasurements(90, 13)); err != nil {
-		t.Fatal(err)
-	}
+	appendPer(t, src, syntheticMeasurements(90, 13), 1)
 	polls := 0
 	for rep.NextSeq() < src.NextSeq() {
 		applyStream(t, rep, serveTail(t, src, rep.NextSeq(), 7))
@@ -226,15 +220,11 @@ func TestReplTailBelowSnapshotRefused(t *testing.T) {
 	}
 	defer src.Close()
 	ms := syntheticMeasurements(100, 14)
-	if err := src.AppendBatch(ms[:60]); err != nil {
-		t.Fatal(err)
-	}
+	appendPer(t, src, ms[:60], 1)
 	if _, err := src.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if err := src.AppendBatch(ms[60:]); err != nil {
-		t.Fatal(err)
-	}
+	appendPer(t, src, ms[60:], 1)
 	for _, from := range []uint64{0, 1, 60} {
 		var buf bytes.Buffer
 		if _, err := src.ServeTail(&buf, from, 0); !errors.Is(err, ErrTailCompacted) || buf.Len() != 0 {

@@ -36,6 +36,9 @@ type Shard struct {
 	// stage of every commit. Nil keeps Commit free of clock reads.
 	Tracer *telemetry.Tracer
 
+	// batch is Commit's encoding of its measurements, under the shard
+	// lock.
+	batch Batch
 	// stages and spans buffer a commit's stage spans and their copies per
 	// traced measurement, under the shard lock, until Commit files them.
 	stages []telemetry.Span
@@ -76,30 +79,51 @@ func OpenShards(root string, n int, opt Options) ([]*Shard, []Info, error) {
 	return shards, infos, nil
 }
 
-// Commit write-aheads ms, fsyncs when sync is set, applies ms to the
-// store, and returns the last sequence number written (0 on a
-// memory-only shard). The caller holds the shard lock. ms is only read.
-// On error the store is untouched. An unframable measurement frames
-// nothing of ms; a write, rotation or fsync error may leave a prefix of
-// it framed.
+// Commit write-aheads ms as one batch frame, fsyncs when sync is set,
+// applies the batch to the store, and returns the last sequence number
+// written (0 on a memory-only shard). The caller holds the shard lock.
+// ms is only read. On error the store is untouched. An unframable
+// measurement frames nothing of ms; a write, rotation or fsync error may
+// leave a prefix of its frames written (see Log.commit).
 // Either way every traced measurement in ms gets the spans of the stages
 // observed since the last Commit, filed in one Tracer.RecordSpans.
 func (s *Shard) Commit(ms []core.Measurement, sync bool) (uint64, error) {
 	if s.Tracer != nil {
 		defer s.fileSpans(ms)
 	}
+	s.batch.Reset(0, 0)
+	for i := range ms {
+		s.batch.Add(&ms[i])
+	}
+	return s.commit(&s.batch, sync)
+}
+
+// CommitBatch is Commit of a batch already in frame form: b's rows, with
+// b's IDs, become the WAL frame and the store's adds. The stage spans it
+// observes are dropped rather than filed, since b's rows carry no trace
+// IDs.
+func (s *Shard) CommitBatch(b *Batch, sync bool) (uint64, error) {
+	if s.Tracer != nil {
+		defer s.fileSpans(nil)
+	}
+	return s.commit(b, sync)
+}
+
+// commit writes b ahead and applies it: clean rows as one store add per
+// (tuple, country) cell, proxied rows one by one.
+func (s *Shard) commit(b *Batch, sync bool) (uint64, error) {
 	var last uint64
 	if s.Log != nil {
 		start := s.stageStart()
 		var err error
-		last, err = s.Log.commit(ms, sync)
+		last, err = s.Log.commit(b, sync)
 		s.Observe(telemetry.StageWAL, start)
 		if err != nil {
 			return 0, err
 		}
 	}
 	start := s.stageStart()
-	s.DB.IngestBatch(ms)
+	b.applyTo(s.DB)
 	s.Observe(telemetry.StageStore, start)
 	return last, nil
 }

@@ -33,7 +33,8 @@ func TestOpenShardsBootsOnOneReading(t *testing.T) {
 			}
 		}
 	}
-	if st := WALStats(shards); len(st) != 2 || st[0].SnapshotSeq != 60 || st[1].LastSeq != 60 {
+	// Each commit is one frame.
+	if st := WALStats(shards); len(st) != 2 || st[0].SnapshotSeq != 1 || st[1].LastSeq != 1 {
 		t.Fatalf("WAL stats before close: %+v", st)
 	}
 	for _, sh := range shards {
@@ -76,7 +77,7 @@ func TestOpenShardsBootsOnOneReading(t *testing.T) {
 		sh.Lock()
 		last, err := sh.Commit(ms[60:], false)
 		sh.Unlock()
-		if err != nil || last != infos[i].LastSeq+60 {
+		if err != nil || last != infos[i].LastSeq+1 {
 			t.Fatalf("shard %d commit after boot: last seq %d, %v", i, last, err)
 		}
 		if err := sh.Close(); err != nil {
@@ -120,7 +121,7 @@ func TestFailedCommitLeavesNoFrames(t *testing.T) {
 	sh.Lock()
 	last, err := sh.Commit(ms[:2], true)
 	sh.Unlock()
-	if err != nil || last != 2 {
+	if err != nil || last != 1 {
 		t.Fatalf("commit after the failure: last seq %d, %v", last, err)
 	}
 	if err := sh.Close(); err != nil {
@@ -130,8 +131,8 @@ func TestFailedCommitLeavesNoFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Replayed != 2 || info.LastSeq != 2 || info.DroppedTail {
-		t.Fatalf("recovered %+v, want the 2 committed frames and nothing of the failed batch", info)
+	if info.Replayed != 2 || info.LastSeq != 1 || info.DroppedTail {
+		t.Fatalf("recovered %+v, want the committed frame's 2 measurements and nothing of the failed batch", info)
 	}
 	if renderTables(t, db) != renderTables(t, sh.DB) {
 		t.Fatal("recovered store differs from the live store")

@@ -26,26 +26,31 @@ import (
 //	wal-<firstSeq:016x>.log   segment: header, then CRC-framed records
 //	snap-<covered:016x>.snap  snapshot: aggregate image of seqs [1,covered]
 //
-//	segment header = magic "TFWD" | version 1 | firstSeq uint64le
+//	segment header = magic "TFWD" | version 2 | firstSeq uint64le
 //	frame          = payloadLen uint32le | crc32c(payload) uint32le | payload
-//	payload        = one core.Measurement (internal/core binary codec)
+//	payload        = one batch (batch.go): the rows of one commit
 //
-// Sequence numbers are implicit: frame i of a segment holds seq
-// firstSeq+i. CRCs use the Castagnoli polynomial. A frame is valid only
-// if its length is in bounds, fully present, and its CRC matches; the
+// Sequence numbers are implicit and number frames: frame i of a segment
+// holds seq firstSeq+i, so a seq names a batch, not a measurement. CRCs
+// use the Castagnoli polynomial. A frame is valid only if its length is
+// in bounds, fully present, its CRC matches and its batch decodes; the
 // first invalid byte ends the usable log — everything after is the
-// damaged tail a crash (or torn write) left behind.
+// damaged tail a crash (or torn write) left behind. A segment whose
+// header is complete and carries the magic but another version is not
+// damage: it was written by another build, and reading it is refused.
 const (
 	segMagic     = "TFWD"
 	snapMagic    = "TFSN"
-	formatVer    = 1
+	segVersion   = 2
+	snapVersion  = 1
 	segHeaderLen = 4 + 1 + 8
 	frameHdrLen  = 4 + 4
 	// snapHeaderLen is magic | version | covered uint64le |
 	// len(image) uint32le | crc32c(image) uint32le.
 	snapHeaderLen = 4 + 1 + 8 + 4 + 4
-	// MaxFramePayload bounds one encoded measurement; anything larger in
-	// a length field is damage, not data.
+	// MaxFramePayload bounds one frame's batch; anything larger in a
+	// length field is damage, not data. A commit that encodes larger is
+	// split into frames that each fit.
 	MaxFramePayload = 1 << 20
 )
 
@@ -141,6 +146,8 @@ type Log struct {
 	closed      bool
 	scratch     []byte // one commit's encoded frames, back to back
 	frameEnds   []int  // scratch offset just past each frame
+	enc         Batch  // AppendBatch's encoding of its measurements
+	check       Batch  // the decode every frame passes before it is written
 	snapSeq     uint64
 	snapBytes   int64
 	tail        tailCursor
@@ -244,7 +251,7 @@ func (l *Log) newSegmentLocked() error {
 	}
 	hdr := make([]byte, segHeaderLen)
 	copy(hdr, segMagic)
-	hdr[4] = formatVer
+	hdr[4] = segVersion
 	binary.LittleEndian.PutUint64(hdr[5:], l.nextSeq)
 	if _, err := f.Write(hdr); err != nil {
 		f.Close()
@@ -260,36 +267,45 @@ func (l *Log) newSegmentLocked() error {
 	return nil
 }
 
-// AppendBatch writes a batch under one lock acquisition.
+// AppendBatch writes ms as one batch frame (more when it exceeds a
+// frame's bounds, see commit) under one lock acquisition.
 func (l *Log) AppendBatch(ms []core.Measurement) error {
-	_, err := l.commit(ms, false)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.enc.Reset(0, 0)
+	for i := range ms {
+		l.enc.Add(&ms[i])
+	}
+	_, err := l.commitLocked(&l.enc, false)
 	return err
 }
 
-// commit is the shard engine's WAL half (see Shard.Commit): frame ms
+// commit is the shard engine's WAL half (see Shard.Commit): frame b
 // under one lock acquisition, fsync when the caller's policy (sync) says
-// so, and return the last sequence number written. Every frame is
-// encoded and size-checked before the first byte reaches the writer, so
-// an unframable measurement fails the commit with nothing written; a
-// write, rotation or fsync error can still leave a prefix of ms framed.
-func (l *Log) commit(ms []core.Measurement, sync bool) (uint64, error) {
+// so, and return the last sequence number written. b is one frame unless
+// it holds more than MaxBatchRows rows or encodes to more than
+// MaxFramePayload bytes; then its rows are halved until every part fits,
+// each part a self-contained batch frame with b's IDs. Every frame is
+// encoded, size-checked and decoded back before the first byte reaches
+// the writer, so an unframable measurement fails the commit with nothing
+// written; a write, rotation or fsync error can still leave a prefix of
+// the frames written. Each frame is atomic under a crash; a commit split
+// into several is not — recovery may keep a prefix of its frames.
+func (l *Log) commit(b *Batch, sync bool) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.commitLocked(b, sync)
+}
+
+func (l *Log) commitLocked(b *Batch, sync bool) (uint64, error) {
 	if l.closed {
 		return 0, fmt.Errorf("durable: append on closed log")
 	}
 	l.scratch, l.frameEnds = l.scratch[:0], l.frameEnds[:0]
-	for _, m := range ms {
-		start := len(l.scratch)
-		l.scratch = append(l.scratch, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
-		l.scratch = core.AppendMeasurement(l.scratch, m)
-		payload := l.scratch[start+frameHdrLen:]
-		if len(payload) > MaxFramePayload {
-			return 0, fmt.Errorf("durable: measurement encodes to %d bytes (max %d)", len(payload), MaxFramePayload)
+	if len(b.Rows) > 0 {
+		if err := l.appendFrames(b); err != nil {
+			return 0, err
 		}
-		binary.LittleEndian.PutUint32(l.scratch[start:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(l.scratch[start+4:], crc32.Checksum(payload, crcTable))
-		l.frameEnds = append(l.frameEnds, len(l.scratch))
 	}
 	start := 0
 	for _, end := range l.frameEnds {
@@ -301,7 +317,7 @@ func (l *Log) commit(ms []core.Measurement, sync bool) (uint64, error) {
 		}
 		start = end
 	}
-	if len(ms) > 0 {
+	if len(l.frameEnds) > 0 {
 		l.stats.GroupAppends++
 		l.stats.GroupedBatches++
 	}
@@ -311,6 +327,44 @@ func (l *Log) commit(ms []core.Measurement, sync bool) (uint64, error) {
 		}
 	}
 	return l.nextSeq - 1, nil
+}
+
+// appendFrames appends b to the commit's scratch as WAL frames: one
+// frame when b fits, otherwise the frames of its two halves,
+// recursively. Every frame is decoded back before it counts, so a frame
+// recovery would refuse is never written.
+func (l *Log) appendFrames(b *Batch) error {
+	start := len(l.scratch)
+	if len(b.Rows) <= MaxBatchRows {
+		l.scratch = b.AppendTo(append(l.scratch, 0, 0, 0, 0, 0, 0, 0, 0)) // frame header placeholder
+		payload := l.scratch[start+frameHdrLen:]
+		if len(payload) <= MaxFramePayload {
+			if err := l.check.decode(payload, false); err != nil {
+				l.scratch = l.scratch[:start]
+				return fmt.Errorf("durable: measurement encodes to an unreadable frame: %w", err)
+			}
+			binary.LittleEndian.PutUint32(l.scratch[start:], uint32(len(payload)))
+			binary.LittleEndian.PutUint32(l.scratch[start+4:], crc32.Checksum(payload, crcTable))
+			l.frameEnds = append(l.frameEnds, len(l.scratch))
+			return nil
+		}
+		l.scratch = l.scratch[:start]
+		if len(b.Rows) == 1 {
+			return fmt.Errorf("durable: measurement encodes to %d bytes (max %d)", len(payload), MaxFramePayload)
+		}
+	}
+	mid := len(b.Rows) / 2
+	for _, rows := range [][]Row{b.Rows[:mid], b.Rows[mid:]} {
+		var half Batch
+		half.copyFrom(b)
+		for _, r := range rows {
+			half.addRow(b, r)
+		}
+		if err := l.appendFrames(&half); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // appendedFrameLocked is the fsync-free post-write bookkeeping:
@@ -500,7 +554,7 @@ func readSnapshotFile(path string) (payload []byte, covered uint64, err error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("durable: %w", err)
 	}
-	if len(b) < snapHeaderLen || string(b[:4]) != snapMagic || b[4] != formatVer {
+	if len(b) < snapHeaderLen || string(b[:4]) != snapMagic || b[4] != snapVersion {
 		return nil, 0, fmt.Errorf("durable: %s: bad snapshot header", path)
 	}
 	covered = binary.LittleEndian.Uint64(b[5:])
@@ -524,7 +578,7 @@ func writeSnapshotFile(dir string, covered uint64, image []byte) error {
 	tmp := path + ".tmp"
 	b := make([]byte, snapHeaderLen, snapHeaderLen+len(image))
 	copy(b, snapMagic)
-	b[4] = formatVer
+	b[4] = snapVersion
 	binary.LittleEndian.PutUint64(b[5:], covered)
 	binary.LittleEndian.PutUint32(b[13:], uint32(len(image)))
 	binary.LittleEndian.PutUint32(b[17:], crc32.Checksum(image, crcTable))
@@ -570,7 +624,8 @@ func walkFrames(path string, first uint64, fn func(seq uint64, payload []byte) e
 // readSegment opens one segment, checks its header, and returns its
 // bytes from offset off up to offset end (the file's size when end < 0)
 // in one buffer of exactly that size. A header that is short or wrong is
-// damage; a file that cannot be opened or read is an err.
+// damage; a file that cannot be opened or read, or a complete header of
+// another format version, is an err.
 func readSegment(path string, first uint64, off, end int64) (b []byte, damage error, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -587,8 +642,9 @@ func readSegment(path string, first uint64, off, end int64) (b []byte, damage er
 	var hdr [segHeaderLen]byte
 	if n, err := f.ReadAt(hdr[:], 0); err != nil && err != io.EOF {
 		return nil, nil, fmt.Errorf("durable: %w", err)
-	} else if n < segHeaderLen || string(hdr[:4]) != segMagic || hdr[4] != formatVer ||
-		binary.LittleEndian.Uint64(hdr[5:]) != first {
+	} else if n == segHeaderLen && string(hdr[:4]) == segMagic && hdr[4] != segVersion {
+		return nil, nil, fmt.Errorf("durable: %s: segment format version %d, this build reads version %d", path, hdr[4], segVersion)
+	} else if n < segHeaderLen || string(hdr[:4]) != segMagic || binary.LittleEndian.Uint64(hdr[5:]) != first {
 		return nil, fmt.Errorf("bad segment header"), nil
 	}
 	if end <= off {

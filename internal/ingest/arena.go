@@ -1,9 +1,5 @@
 package ingest
 
-import (
-	"tlsfof/internal/core"
-)
-
 // Arena is the batch-scoped allocator behind decode-in-place wire
 // decoding (NewArenaDecoder). Certificate DER bytes and chain headers
 // land in large recycled blocks instead of one heap object per cert,
@@ -25,19 +21,23 @@ type Arena struct {
 	hdrOff   int
 	hdrSpill [][][]byte
 
-	hosts *core.Interner
+	hosts map[string]string
 }
 
 const (
 	arenaBlockMin = 64 << 10
 	arenaBlockMax = 1 << 20
 	arenaHdrMin   = 256
+	// arenaHostsMax bounds the host intern table: past it, a host name
+	// that is not yet interned decodes as a plain copy, so hostile input
+	// cannot grow the table without bound.
+	arenaHostsMax = 4096
 )
 
 // NewArena returns an empty arena; blocks are allocated on first use and
 // survive Reset, so a pooled arena reaches steady state after one batch.
 func NewArena() *Arena {
-	return &Arena{hosts: core.NewInterner(0)}
+	return &Arena{hosts: make(map[string]string)}
 }
 
 // alloc carves n bytes out of the active block, growing geometrically
@@ -92,7 +92,14 @@ func (a *Arena) headers(n int) [][]byte {
 // are plain copies, not arena references — they survive Reset, which is
 // what lets Measurement.Host flow into long-lived aggregates.
 func (a *Arena) internHost(b []byte) string {
-	return a.hosts.InternBytes(b)
+	if s, ok := a.hosts[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(a.hosts) < arenaHostsMax {
+		a.hosts[s] = s
+	}
+	return s
 }
 
 // Reset retires every outstanding slice and rewinds the arena for the

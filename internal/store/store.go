@@ -149,6 +149,27 @@ func (db *DB) AddClean(campaign, country string, cat hostdb.Category, n int) {
 	db.addLocked(campaign, country, cat, n, 0)
 }
 
+// Cell is N clean tests of one (campaign, country, host type) cell.
+type Cell struct {
+	Campaign, Country string
+	HostCategory      hostdb.Category
+	N                 int
+}
+
+// AddBatch records clean cells and proxied measurements under one lock
+// acquisition: the store ends up exactly as after AddClean of every cell
+// and Ingest of every proxied measurement, in order.
+func (db *DB) AddBatch(clean []Cell, proxied []core.Measurement) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	for _, c := range clean {
+		db.addLocked(c.Campaign, c.Country, c.HostCategory, c.N, 0)
+	}
+	for _, m := range proxied {
+		db.ingestLocked(m)
+	}
+}
+
 // addLocked adds (tested, proxied) to the totals and the per-country,
 // per-host-type and per-campaign aggregates. It returns the country key,
 // with an unresolved ("") country filed under "??".
