@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"tlsfof/internal/core"
+	"tlsfof/internal/durable"
 	"tlsfof/internal/ingest"
 	"tlsfof/internal/resilient"
 	"tlsfof/internal/stats"
@@ -59,7 +60,8 @@ type RouteConfig struct {
 	// HTTPClient defaults to a split-deadline client
 	// (resilient.SplitTimeoutClient with its defaults).
 	HTTPClient *http.Client
-	// BatchSize is per-owner buffering (default DefaultRouteBatch).
+	// BatchSize is per-owner buffering (default DefaultRouteBatch, at
+	// most durable.MaxBatchRows: the rows one ingest body holds).
 	BatchSize int
 	// Retries is transport-level retries per batch against the direct
 	// owner link before the relay path is tried (default 2).
@@ -125,6 +127,7 @@ func NewRouteClient(cfg RouteConfig) (*RouteClient, error) {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = DefaultRouteBatch
 	}
+	cfg.BatchSize = min(cfg.BatchSize, durable.MaxBatchRows)
 	if cfg.Retries <= 0 {
 		cfg.Retries = 2
 	}

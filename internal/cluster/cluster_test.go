@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -214,6 +215,55 @@ func TestMeasWireRoundTripAndDamage(t *testing.T) {
 	if _, _, err := DecodeMeasurementsID(huge); err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("oversized count: %v", err)
 	}
+}
+
+// TestRouteBatchSizeCapped: a router configured for batches larger than
+// one ingest body holds sends bodies of at most durable.MaxBatchRows rows,
+// each of which decodes, and loses nothing; encoding a larger batch
+// panics instead of wrapping its table indexes.
+func TestRouteBatchSizeCapped(t *testing.T) {
+	var mu sync.Mutex
+	var bodies []int
+	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		ms, _, err := DecodeMeasurementsID(body)
+		if err != nil {
+			w.WriteHeader(http.StatusBadRequest)
+			json.NewEncoder(w).Encode(ingest.BatchResult{Error: err.Error()})
+			return
+		}
+		mu.Lock()
+		bodies = append(bodies, len(ms))
+		mu.Unlock()
+		json.NewEncoder(w).Encode(ingest.BatchResult{Accepted: len(ms)})
+	}))
+	defer owner.Close()
+	view, err := NewMembership([]Member{{ID: "a", URL: owner.URL}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := NewRouteClient(RouteConfig{Members: view, BatchSize: 4 * durable.MaxBatchRows, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := testMeasurements(durable.MaxBatchRows+10, 6)
+	if err := rc.Deliver(ms); err != nil {
+		t.Fatalf("deliver of %d measurements: %v", len(ms), err)
+	}
+	if st := rc.Stats(); st.Delivered != uint64(len(ms)) || st.Lost != 0 {
+		t.Fatalf("stats = %+v, want all %d delivered", st, len(ms))
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(bodies) != 2 || bodies[0] != durable.MaxBatchRows {
+		t.Fatalf("bodies of %v rows, want one of %d and the rest after it", bodies, durable.MaxBatchRows)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("encoding a batch past durable.MaxBatchRows did not panic")
+		}
+	}()
+	AppendMeasurementsID(nil, 1, append(ms, ms...))
 }
 
 // TestDeliverErrorIsPerCall: the synchronous entry point reportd commits

@@ -21,10 +21,28 @@ import (
 
 	"tlsfof/internal/core"
 	"tlsfof/internal/durable"
+	"tlsfof/internal/ingest"
 	"tlsfof/internal/raceflag"
 	"tlsfof/internal/store"
 	"tlsfof/internal/telemetry"
 )
+
+// ingestBatch commits a batch of measurements this node owns (see
+// commit), with no ownership check: the in-process entry these tests
+// drive.
+func (n *Node) ingestBatch(ms []core.Measurement) error {
+	sc := n.getScratch()
+	defer n.putScratch(sc)
+	sc.batch.Reset(0, 0)
+	for i := range ms {
+		sc.batch.Add(&ms[i])
+	}
+	sc.shardOf = sc.shardOf[:0]
+	for i := range sc.batch.Tuples {
+		sc.shardOf = append(sc.shardOf, ingest.ShardOf(sc.batch.Tuples[i].Host, n.cfg.Shards))
+	}
+	return n.commit(sc)
+}
 
 // openLonely opens node a of an a+b cluster whose b never comes up: a's
 // batches have a replica to wait for and nobody to confirm them.

@@ -36,7 +36,8 @@ const MaxMeasBatchBytes = 32 << 20
 var batchPool = sync.Pool{New: func() any { return new(durable.Batch) }}
 
 // AppendMeasurementsID encodes a batch carrying a client-generated dedup
-// ID (0 = no dedup).
+// ID (0 = no dedup). ms holds at most durable.MaxBatchRows measurements;
+// it panics on more (see durable.Batch.AppendTo).
 func AppendMeasurementsID(dst []byte, id uint64, ms []core.Measurement) []byte {
 	b := getBatch()
 	defer putBatch(b)

@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tlsfof/internal/core"
 	"tlsfof/internal/durable"
 	"tlsfof/internal/ingest"
 	"tlsfof/internal/resilient"
@@ -382,8 +381,8 @@ func (n *Node) shardOptions(dir string) durable.Options {
 func (n *Node) mountMetrics(reg *telemetry.Registry) {
 	n.met = nodeMetrics{
 		tailPolls:      reg.Counter("repl_tail_polls_total", "replication tail polls served"),
-		framesServed:   reg.Counter("repl_frames_served_total", "WAL frames served to replica followers"),
-		framesApplied:  reg.Counter("repl_frames_applied_total", "WAL frames applied to replica logs"),
+		framesServed:   reg.Counter("repl_frames_served_total", "WAL frames served to replica followers (one commit's batch each, not one measurement)"),
+		framesApplied:  reg.Counter("repl_frames_applied_total", "WAL frames applied to replica logs (one commit's batch each, not one measurement)"),
 		catchupPolls:   reg.Counter("repl_catchup_polls_total", "follower polls that applied at least one record"),
 		tornStreams:    reg.Counter("repl_torn_streams_total", "follower tail streams that ended torn or corrupt mid-frame"),
 		ackWaits:       reg.Counter("repl_ack_waits_total", "ingest batches that waited for replica acknowledgement"),
@@ -396,7 +395,7 @@ func (n *Node) mountMetrics(reg *telemetry.Registry) {
 		relayFailed:    reg.Counter("cluster_relay_failed_total", "relay forwards that could not reach the owner"),
 		walErrors:      reg.Counter("cluster_wal_errors_total", "shard WAL append or sync failures"),
 	}
-	reg.GaugeFunc("repl_lag_frames", "frames acked locally but not yet confirmed by the replica", func() float64 {
+	reg.GaugeFunc("repl_lag_frames", "frames (one commit's batch each) acked locally but not yet confirmed by the replica", func() float64 {
 		var lag uint64
 		for _, sh := range n.shards {
 			last := sh.lastSeq.now()
@@ -483,23 +482,6 @@ func (n *Node) putScratch(sc *ingestScratch) {
 	}
 	clear(sc.hosts)
 	n.scratch.Put(sc)
-}
-
-// ingestBatch commits a batch of measurements this node owns (see
-// commit), with no ownership check: the in-process entry the tests
-// drive.
-func (n *Node) ingestBatch(ms []core.Measurement) error {
-	sc := n.getScratch()
-	defer n.putScratch(sc)
-	sc.batch.Reset(0, 0)
-	for i := range ms {
-		sc.batch.Add(&ms[i])
-	}
-	sc.shardOf = sc.shardOf[:0]
-	for i := range sc.batch.Tuples {
-		sc.shardOf = append(sc.shardOf, ingest.ShardOf(sc.batch.Tuples[i].Host, n.cfg.Shards))
-	}
-	return n.commit(sc)
 }
 
 // commit commits sc's batch, whose tuple t belongs to local shard

@@ -77,9 +77,11 @@ type Batch struct {
 	// tupleIdx, tupleNext and countryIdx are Add's indexes. tupleIdx
 	// finds the newest tuple of a (host, campaign, host type) key and
 	// tupleNext the older ones, so the observation — four strings — is
-	// compared, never hashed. lastCountry lets a row that repeats its
-	// predecessor's country skip the map: the rows of one impression
-	// share their country.
+	// compared, never hashed. A map keyed on the whole 168-byte Tuple
+	// would be simpler but costs twice the time per Add, and Go stores a
+	// map key over 128 bytes out of line, one allocation per new tuple.
+	// lastCountry lets a row that repeats its predecessor's country skip
+	// the map: the rows of one impression share their country.
 	tupleIdx     map[tupleKey]int32
 	tupleNext    []int32
 	countryIdx   map[string]uint32
@@ -183,11 +185,15 @@ func (b *Batch) Measurement(i int) core.Measurement {
 	}
 }
 
-// AppendTo appends b's encoding to dst. A batch of more than
-// MaxBatchRows rows, or with a string longer than
-// core.MaxCodecStringLen, encodes to bytes Decode refuses; the WAL
-// splits or refuses such a commit before it writes anything.
+// AppendTo appends b's encoding to dst. It panics on a batch of more
+// than MaxBatchRows rows, whose table indexes would not fit a row; the
+// WAL splits such a commit first. A string longer than
+// core.MaxCodecStringLen encodes to bytes Decode refuses; the WAL
+// refuses such a commit before it writes anything.
 func (b *Batch) AppendTo(dst []byte) []byte {
+	if len(b.Rows) > MaxBatchRows {
+		panic(fmt.Sprintf("durable: batch of %d rows exceeds %d", len(b.Rows), MaxBatchRows))
+	}
 	start := len(dst)
 	dst = slices.Grow(dst, batchHdrLen+64*len(b.Tuples)+4*len(b.Countries)+batchRowLen*len(b.Rows))
 	dst = append(dst, batchMagic...)
