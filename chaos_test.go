@@ -301,7 +301,7 @@ func TestClusterChaosMatrix(t *testing.T) {
 	// The replication link, faulted two ways while client traffic stays
 	// clean: cut outright for a quarter of the stream, and damaged
 	// mid-stream — for the first quarter, the follower holding b's
-	// replica reads TFR1 tail streams that the injector truncates after
+	// replica reads tail streams that the injector truncates after
 	// 100,000 bytes of each connection, so frames tear in the body, not
 	// in the HTTP headers (a byte fault is fixed when a connection is
 	// dialed, so it must be in force from the follower's first dial). b
@@ -348,7 +348,7 @@ func TestClusterChaosMatrix(t *testing.T) {
 				t.Fatal("replication cut never forced a degraded ack on b")
 			}
 			if row.torn && metricValue(t, run.h.registries[succ.ID], "repl_torn_streams_total") == 0 {
-				t.Fatalf("no tail stream tore mid-frame: the damage never reached the TFR1 body (stats %+v)", run.ctrl.Stats())
+				t.Fatalf("no tail stream tore mid-frame: the damage never reached the tail body (stats %+v)", run.ctrl.Stats())
 			}
 			st := run.rc.Stats()
 			if st.DeadMarked != 0 || st.Relayed != 0 {

@@ -190,12 +190,12 @@ func (rc *RouteClient) Ingest(m core.Measurement) {
 
 func (rc *RouteClient) enqueueLocked(m core.Measurement, depth int) {
 	if depth > 8 {
-		rc.fail(fmt.Errorf("cluster: reroute depth exhausted for host %s", m.Host))
+		rc.fail(1, fmt.Errorf("cluster: reroute depth exhausted for host %s", m.Host))
 		return
 	}
 	owner, ok := rc.cfg.Members.Owner(m.Host)
 	if !ok {
-		rc.fail(fmt.Errorf("cluster: no alive owner for host %s", m.Host))
+		rc.fail(1, fmt.Errorf("cluster: no alive owner for host %s", m.Host))
 		return
 	}
 	buf, ok := rc.bufs[owner.ID]
@@ -219,9 +219,15 @@ func (rc *RouteClient) Flush() error {
 	return rc.err
 }
 
+// flushAllLocked delivers until no owner buffer is left. A reroute
+// re-adds owners to bufs while a range over it runs, and the range may
+// skip them, so it sweeps again; each sweep reroutes one level deeper,
+// so enqueueLocked's depth bound ends the loop.
 func (rc *RouteClient) flushAllLocked() {
-	for id := range rc.bufs {
-		rc.flushOwnerLocked(id, 0)
+	for depth := 0; len(rc.bufs) > 0; depth++ {
+		for id := range rc.bufs {
+			rc.flushOwnerLocked(id, depth)
+		}
 	}
 }
 
@@ -241,7 +247,7 @@ func (rc *RouteClient) Deliver(batch []core.Measurement) error {
 	}
 	rc.flushAllLocked()
 	if n := rc.stats.Lost - lost; n > 0 {
-		return fmt.Errorf("cluster: batch of %d not fully delivered (%d route failures)", len(batch), n)
+		return fmt.Errorf("cluster: %d of %d measurements not delivered", n, len(batch))
 	}
 	return nil
 }
@@ -260,8 +266,9 @@ func (rc *RouteClient) Stats() RouteStats {
 	return rc.stats
 }
 
-func (rc *RouteClient) fail(err error) {
-	rc.stats.Lost++
+// fail counts n measurements lost and keeps the first error.
+func (rc *RouteClient) fail(n int, err error) {
+	rc.stats.Lost += uint64(n)
 	if rc.err == nil {
 		rc.err = err
 	}
@@ -275,10 +282,10 @@ func (rc *RouteClient) fail(err error) {
 // re-enter through enqueueLocked, so every hop re-consults the ring.
 func (rc *RouteClient) flushOwnerLocked(id string, depth int) {
 	batch := rc.bufs[id]
+	delete(rc.bufs, id)
 	if len(batch) == 0 {
 		return
 	}
-	delete(rc.bufs, id)
 	defer func() { rc.spare = append(rc.spare, batch[:0]) }()
 	reroute := func(why string) {
 		rc.stats.Rerouted += uint64(len(batch))
@@ -313,7 +320,7 @@ func (rc *RouteClient) flushOwnerLocked(id string, depth int) {
 		rc.cfg.Members.MarkDraining(id)
 		reroute(fmt.Sprintf("not owner, moved to %s", res.Owner))
 	case res.Error != "":
-		rc.fail(fmt.Errorf("cluster: node %s rejected batch: %s", id, res.Error))
+		rc.fail(len(batch), fmt.Errorf("cluster: node %s rejected a batch of %d: %s", id, len(batch), res.Error))
 	default:
 		if res.Duplicate {
 			rc.stats.DuplicateAcks++

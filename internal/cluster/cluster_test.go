@@ -299,8 +299,8 @@ func TestDeliverErrorIsPerCall(t *testing.T) {
 		t.Fatalf("clean deliver: %v", err)
 	}
 	refuse.Store(true)
-	if err := rc.Deliver(ms[10:20]); err == nil {
-		t.Fatal("deliver of a refused batch returned nil")
+	if err := rc.Deliver(ms[10:20]); err == nil || !strings.Contains(err.Error(), "10 of 10 measurements") {
+		t.Fatalf("deliver of a refused batch returned %v, want an error naming its 10 measurements", err)
 	}
 	refuse.Store(false)
 	if err := rc.Deliver(ms[20:]); err != nil {
@@ -310,10 +310,55 @@ func TestDeliverErrorIsPerCall(t *testing.T) {
 		t.Fatalf("empty deliver: %v", err)
 	}
 	st := rc.Stats()
-	if st.Ingested != 30 || st.Delivered != 20 || st.Lost == 0 {
-		t.Fatalf("stats = %+v, want 30 ingested, 20 delivered, the refused batch lost", st)
+	if st.Ingested != 30 || st.Delivered != 20 || st.Lost != 10 {
+		t.Fatalf("stats = %+v, want 30 ingested, 20 delivered, the refused batch's 10 lost", st)
 	}
 	if rc.Err() == nil {
 		t.Fatal("the sticky error forgot the lost batch")
+	}
+}
+
+// TestDeliverFlushesReroutedRows: Deliver returns only once every owner
+// buffer is empty, rows rerouted mid-flush included. Owner b is down and
+// a refuses to relay for it, so b's rows are rerouted to a — possibly
+// after a's own buffer was flushed in the same pass. Map order decides
+// whether that happens, hence many trials.
+func TestDeliverFlushesReroutedRows(t *testing.T) {
+	var accepted atomic.Int64
+	a := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Get("relay") == "1" {
+			w.WriteHeader(http.StatusBadGateway)
+			return
+		}
+		body, _ := io.ReadAll(r.Body)
+		ms, _, err := DecodeMeasurementsID(body)
+		if err != nil {
+			t.Errorf("owner got an undecodable batch: %v", err)
+		}
+		accepted.Add(int64(len(ms)))
+		json.NewEncoder(w).Encode(ingest.BatchResult{Accepted: len(ms)})
+	}))
+	defer a.Close()
+	b := httptest.NewServer(http.NotFoundHandler())
+	b.Close() // b's port now refuses connections
+
+	ms := testMeasurements(200, 7)
+	for trial := 0; trial < 40; trial++ {
+		view, err := NewMembership([]Member{{ID: "a", URL: a.URL}, {ID: "b", URL: b.URL}}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc, err := NewRouteClient(RouteConfig{Members: view, RetryDelay: time.Millisecond, Seed: uint64(trial + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := accepted.Load()
+		if err := rc.Deliver(ms); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		st := rc.Stats()
+		if got := accepted.Load() - before; got != int64(len(ms)) || st.Delivered != uint64(len(ms)) || st.Rerouted == 0 {
+			t.Fatalf("trial %d: Deliver returned nil with %d of %d rows at the owner (stats %+v)", trial, got, len(ms), st)
+		}
 	}
 }

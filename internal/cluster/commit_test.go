@@ -223,9 +223,10 @@ func TestKillWaitsOutBatchInReplicaWait(t *testing.T) {
 	}
 }
 
-// tailPoll runs one /repl/tail request and returns the frames it carried.
-func tailPoll(url string, from uint64) (frames, status int, err error) {
-	resp, err := http.Get(fmt.Sprintf("%s/repl/tail?shard=0&from=%d", url, from))
+// tailPoll runs one /repl/tail request from rep's next seq and applies
+// its stream to rep, returning the frames it carried.
+func tailPoll(url string, rep *durable.Log) (frames, status int, err error) {
+	resp, err := http.Get(fmt.Sprintf("%s/repl/tail?shard=0&from=%d", url, rep.NextSeq()))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -234,15 +235,8 @@ func tailPoll(url string, from uint64) (frames, status int, err error) {
 		io.Copy(io.Discard, resp.Body)
 		return 0, resp.StatusCode, nil
 	}
-	dec := durable.NewReplDecoder(resp.Body)
-	for {
-		if _, err := dec.Next(); err == io.EOF {
-			return frames, resp.StatusCode, nil
-		} else if err != nil {
-			return frames, resp.StatusCode, err
-		}
-		frames++
-	}
+	frames, err = rep.AppendTail(resp.Body)
+	return frames, resp.StatusCode, err
 }
 
 // TestTailLongPollWakesOnCommit: a parked /repl/tail answers because a
@@ -253,25 +247,30 @@ func TestTailLongPollWakesOnCommit(t *testing.T) {
 	n, reg, _ := openLonely(t, func(c *Config) { c.Shards = 1; c.AckTimeout = -1; c.LongPoll = 5 * time.Second })
 	srv := httptest.NewServer(n.Handler())
 	defer srv.Close()
+	rep, err := durable.Open(durable.Options{Dir: t.TempDir(), SyncEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
 
 	type answer struct {
 		frames, status int
 		err            error
 		at             time.Time
 	}
-	park := func(from uint64, polls float64) chan answer {
+	park := func(polls float64) chan answer {
 		ch := make(chan answer, 1)
 		go func() {
-			frames, status, err := tailPoll(srv.URL, from)
+			frames, status, err := tailPoll(srv.URL, rep)
 			ch <- answer{frames, status, err, time.Now()}
 		}()
 		waitMetric(t, reg, "repl_tail_polls_total", polls)
 		return ch
 	}
 
-	from := uint64(1)
 	for round := 1; round <= 25; round++ {
-		ch := park(from, float64(round))
+		from := rep.NextSeq()
+		ch := park(float64(round))
 		batch := testMeasurements(1+round%7, uint64(round))
 		if err := n.ingestBatch(batch); err != nil {
 			t.Fatal(err)
@@ -285,10 +284,9 @@ func TestTailLongPollWakesOnCommit(t *testing.T) {
 		if late := a.at.Sub(committed); late > 50*time.Millisecond {
 			t.Fatalf("round %d: parked poll answered %v after the commit", round, late)
 		}
-		from++
 	}
 
-	ch := park(from, 26)
+	ch := park(26)
 	closing := time.Now()
 	if err := n.Close(); err != nil {
 		t.Fatal(err)

@@ -25,8 +25,9 @@
 //     unacknowledged batch touched nothing, so a router may retry it
 //     elsewhere without double counting.
 //   - follower: the pull side of replication. It tails a peer's WAL over
-//     /repl/tail (internal/durable replication wire), appends the exact
-//     frame bytes to a local replica log, and resumes from its own
+//     /repl/tail — the stream is the WAL's own bytes, written by
+//     durable.Log.ServeTail and applied by durable.Log.AppendTail, so
+//     this package knows no record layout — and resumes from its own
 //     durable position after any cut. A caught-up poll parks on the
 //     source until a commit wakes it, so the pull behaves as a push: the
 //     next poll's position is the ack.

@@ -364,7 +364,7 @@ func Open(cfg Config) (*Node, error) {
 				return nil, err
 			}
 			n.followers = append(n.followers, &follower{n: n, source: m.ID, shardIdx: i, dir: dir, log: log,
-				done: make(chan struct{}), dec: durable.NewReplDecoder(nil)})
+				done: make(chan struct{})})
 		}
 	}
 	n.mountMetrics(cfg.Registry)

@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -27,9 +25,6 @@ type follower struct {
 	dir      string
 	log      *durable.Log
 	done     chan struct{}
-	// dec is reset onto each poll's response body, keeping its read
-	// buffers; only run's goroutine touches it.
-	dec *durable.ReplDecoder
 }
 
 func (f *follower) run() {
@@ -73,9 +68,10 @@ func (f *follower) exitSync() {
 	}
 }
 
-// pollOnce runs one tail request and applies its frames. It returns how
-// many it applied; the replica log is synced before returning so the
-// next poll's from is an honest promise.
+// pollOnce runs one tail request and applies its stream to the replica
+// log (Log.AppendTail). It returns how many frames it applied; the
+// replica log is synced before returning so the next poll's from is an
+// honest promise.
 func (f *follower) pollOnce(baseURL string) (applied int, err error) {
 	url := fmt.Sprintf("%s/repl/tail?shard=%d&from=%d", baseURL, f.shardIdx, f.log.NextSeq())
 	req, err := http.NewRequestWithContext(f.n.ctx, http.MethodGet, url, nil)
@@ -99,45 +95,16 @@ func (f *follower) pollOnce(baseURL string) (applied int, err error) {
 	if resp.StatusCode != http.StatusOK {
 		return 0, fmt.Errorf("cluster: tail %s: HTTP %d", url, resp.StatusCode)
 	}
-	f.dec.Reset(resp.Body)
-	for {
-		rec, derr := f.dec.Next()
-		if errors.Is(derr, io.EOF) {
-			break // clean end
-		}
-		if derr != nil {
-			// Torn or corrupt stream: keep the applied prefix, re-poll
-			// from our own durable position.
-			f.n.met.tornStreams.Inc()
-			err = derr
-			break
-		}
-		next := f.log.NextSeq()
-		switch {
-		case rec.Seq < next:
-			// overlap from a duplicated poll
-		case rec.Seq == next:
-			if aerr := f.log.AppendEncoded(rec.Payload); aerr != nil {
-				f.finishPoll(applied)
-				return applied, aerr
-			}
-			f.n.met.framesApplied.Inc()
-			applied++
-		default:
-			// A gap should be impossible on an intact source; re-poll
-			// rather than replicate around it.
-			f.finishPoll(applied)
-			return applied, fmt.Errorf("cluster: tail gap: got seq %d, replica at %d", rec.Seq, next)
-		}
+	applied, err = f.log.AppendTail(resp.Body)
+	if err != nil {
+		// Torn or corrupt stream: keep the applied prefix, re-poll from
+		// our own durable position.
+		f.n.met.tornStreams.Inc()
 	}
-	f.finishPoll(applied)
-	return applied, err
-}
-
-// finishPoll syncs whatever this poll appended and counts it.
-func (f *follower) finishPoll(applied int) {
 	if applied > 0 {
+		f.n.met.framesApplied.Add(uint64(applied))
 		f.log.Sync()
 		f.n.met.catchupPolls.Inc()
 	}
+	return applied, err
 }

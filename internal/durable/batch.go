@@ -15,9 +15,9 @@ import (
 )
 
 // Batch frame (DESIGN.md §10, §12): the one layout a measurement batch
-// has from router to replica. It is the /cluster/ingest request body, the
-// payload of every WAL frame, and so the payload of every TFR1 frame
-// record a follower appends verbatim.
+// has from router to replica. It is the /cluster/ingest request body and
+// the payload of every WAL frame, so every frame of a tail stream a
+// follower appends verbatim.
 //
 //	batch     = magic "TFMB" | version 1 | crc32c uint32le | id uint64le
 //	          | trace uint64le | rows uint32le | tuples | countries | row*

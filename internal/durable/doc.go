@@ -11,9 +11,9 @@
 //   - Log appends one frame per commit to size-rotated segment files.
 //     A frame's payload is a Batch (batch.go): a per-batch table of
 //     distinct (host, campaign, observation) tuples, a country table and
-//     fixed-width rows — the same layout as a /cluster/ingest body and a
-//     replication record, so a routed batch reaches a replica WAL
-//     without ever becoming one record per measurement. Appends are
+//     fixed-width rows — the same layout as a /cluster/ingest body, so a
+//     routed batch reaches a replica WAL without ever becoming one
+//     record per measurement. Appends are
 //     buffered; a background syncer fsyncs on a configurable cadence so
 //     durability never sits on the ingest hot path.
 //   - Checkpoint (Rotate, then Compact) is the one compactor: it seals
@@ -32,12 +32,15 @@
 //     crash-matrix test here and the golden-table conformance suite at
 //     the repo root.
 //   - ServeTail streams a follower every durable frame from the seq it
-//     asks for (replication, DESIGN.md §12); a seq a snapshot already
-//     covers is refused, since the stream carries frames only. It reads
-//     segments only up to the fsynced size and resumes from a cursor the
-//     Log keeps where the last walk stopped, so a follower at the head of
-//     the log costs its new frames, not the log; any other resume point
-//     falls back to a walk from the start of its segment.
+//     asks for (replication, DESIGN.md §12): a segment header, the
+//     frames' bytes as the segment holds them and an end marker, which
+//     AppendTail on the replica's Log checks and appends unchanged. A
+//     seq a snapshot already covers is refused, since the stream
+//     carries frames only. ServeTail reads segments only up to the
+//     fsynced size and resumes from a cursor the Log keeps where the
+//     last walk stopped, so a follower at the head of the log costs its
+//     new frames, not the log; any other resume point falls back to a
+//     walk from the start of its segment.
 //
 // See DESIGN.md §10 for the frame format, fsync policy, and compaction
 // invariants.

@@ -29,37 +29,8 @@ func (l *Log) NextSeq() uint64 {
 	return l.nextSeq
 }
 
-// AppendEncoded appends one encoded batch frame — the exact bytes a
-// replication frame carried — as the next frame, without a re-encode, so
-// a replica log is byte-identical to its source. The batch is checked
-// first, without materializing a string, so a replica directory is
-// always recoverable.
-func (l *Log) AppendEncoded(payload []byte) error {
-	if len(payload) == 0 || len(payload) > MaxFramePayload {
-		return fmt.Errorf("durable: encoded payload %d bytes out of bounds", len(payload))
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("durable: append on closed log")
-	}
-	if err := l.check.decode(payload, false); err != nil {
-		return fmt.Errorf("durable: encoded payload: %w", err)
-	}
-	var hdr [frameHdrLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable))
-	if _, err := l.w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("durable: %w", err)
-	}
-	if _, err := l.w.Write(payload); err != nil {
-		return fmt.Errorf("durable: %w", err)
-	}
-	return l.appendedFrameLocked(int64(frameHdrLen + len(payload)))
-}
-
-// errStopWalk ends a ServeTail segment walk once maxFrames frames have
-// been written; it never escapes.
+// errStopWalk ends a ServeTail segment walk at its maxFrames cap; it
+// never escapes.
 var errStopWalk = errors.New("stop walk")
 
 // CheckTail reports whether ServeTail can stream from seq from (0 means
@@ -81,13 +52,20 @@ func (l *Log) checkTailLocked(from uint64) error {
 	return nil
 }
 
-// ServeTail answers one follower poll by writing a replication stream to
-// w: the stream header, every durable frame from the resume point on,
-// then the clean end marker. from is the next sequence the follower
+// ServeTail answers one follower poll by writing a tail stream to w
+// (DESIGN.md §12):
+//
+//	stream = segment header (first seq = from) | frame* | end
+//	end    = 8 zero bytes: a frame header of length 0, which no frame has
+//
+// Each frame is the source segment's bytes, copied verbatim, so the
+// stream is the log itself and Log.AppendTail applies it by appending
+// what it reads. The end marker tells a complete response from a
+// connection cut between frames. from is the next sequence the follower
 // wants (its replica's NextSeq); 0 means from the beginning. maxFrames
 // caps frames per response (<= 0 unlimited); the follower simply polls
 // again. A from that CheckTail refuses is refused here too, before any
-// byte is written.
+// byte is written. sent counts the frames written.
 //
 // ServeTail syncs the log first and reads each segment file only up to
 // the size that sync made durable, so every frame served is durable on
@@ -117,8 +95,7 @@ func (l *Log) ServeTail(w io.Writer, from uint64, maxFrames int) (sent int, err 
 	if err != nil {
 		return 0, err
 	}
-	buf := AppendReplHeader(nil)
-	if _, err := w.Write(buf); err != nil {
+	if _, err := w.Write(appendSegHeader(nil, from)); err != nil {
 		return 0, err
 	}
 	var read uint64
@@ -144,16 +121,14 @@ func (l *Log) ServeTail(w io.Writer, from uint64, maxFrames int) (sent int, err 
 			break
 		}
 		read += uint64(segHeaderLen + len(b))
-		frames, valid, damage, walkErr := walkBytes(b, startSeq, off, func(seq uint64, payload []byte) error {
+		skip := 0 // bytes of b below from
+		frames, valid, damage, capped := walkBytes(b, startSeq, off, func(seq uint64, payload []byte) error {
 			if seq < from {
+				skip += frameHdrLen + len(payload)
 				return nil
 			}
 			if maxFrames > 0 && sent >= maxFrames {
 				return errStopWalk
-			}
-			buf = AppendReplFrame(buf[:0], seq, payload)
-			if _, err := w.Write(buf); err != nil {
-				return err
 			}
 			sent++
 			return nil
@@ -161,17 +136,107 @@ func (l *Log) ServeTail(w io.Writer, from uint64, maxFrames int) (sent int, err 
 		// The cursor only ever crosses frames this walk validated; a frame
 		// the cap stopped at is where the next poll starts.
 		cur = tailCursor{first: seg.first, next: startSeq + uint64(frames), off: valid}
-		if walkErr != nil && !errors.Is(walkErr, errStopWalk) {
-			return sent, walkErr
+		if end := int(valid - off); end > skip {
+			if _, err := w.Write(b[skip:end]); err != nil {
+				return sent, err
+			}
 		}
 		// Damage or the frame cap both end the response early; the
 		// follower picks the rest up next poll.
-		if damage != nil || walkErr != nil {
+		if damage != nil || capped != nil {
 			break
 		}
 	}
-	if _, err := w.Write(AppendReplEnd(buf[:0])); err != nil {
+	if _, err := w.Write(tailEnd[:]); err != nil {
 		return sent, err
 	}
 	return sent, nil
+}
+
+// tailEnd ends a tail stream.
+var tailEnd [frameHdrLen]byte
+
+// ErrReplTruncated reports a tail stream that ended before its end
+// marker — a connection cut or a torn response. The frames AppendTail
+// applied before the cut are intact: each passed its CRC and batch check.
+var ErrReplTruncated = fmt.Errorf("durable: replication stream truncated: %w", io.ErrUnexpectedEOF)
+
+// AppendTail applies one tail stream (see ServeTail) read from r: the
+// stream's first seq must be the log's NextSeq, and each frame, once its
+// CRC and its batch check pass, is appended unchanged as the next frame,
+// so a replica log is byte-identical to its source. The log lock is held
+// per frame, never across a read of r. It returns the frames applied; a
+// stream that ends before its end marker is ErrReplTruncated, and any
+// error keeps the frames applied before it. The caller syncs.
+func (l *Log) AppendTail(r io.Reader) (applied int, err error) {
+	var hdr [segHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, truncated(err)
+	}
+	if string(hdr[:4]) != segMagic || hdr[4] != segVersion {
+		return 0, fmt.Errorf("durable: tail stream header %q, want %q version %d", hdr[:5], segMagic, segVersion)
+	}
+	next := l.NextSeq()
+	if first := binary.LittleEndian.Uint64(hdr[5:]); first != next {
+		return 0, fmt.Errorf("durable: tail stream starts at seq %d, log at %d", first, next)
+	}
+	var fh [frameHdrLen]byte
+	var frame []byte
+	for ; ; applied++ {
+		if _, err := io.ReadFull(r, fh[:]); err != nil {
+			return applied, truncated(err)
+		}
+		if fh == tailEnd {
+			return applied, nil
+		}
+		n := binary.LittleEndian.Uint32(fh[:])
+		if n == 0 || n > MaxFramePayload {
+			return applied, fmt.Errorf("durable: tail frame length %d out of bounds at seq %d", n, next)
+		}
+		size := frameHdrLen + int(n)
+		if cap(frame) < size {
+			frame = make([]byte, size)
+		}
+		frame = frame[:size]
+		copy(frame, fh[:])
+		if _, err := io.ReadFull(r, frame[frameHdrLen:]); err != nil {
+			return applied, truncated(err)
+		}
+		if crc32.Checksum(frame[frameHdrLen:], crcTable) != binary.LittleEndian.Uint32(fh[4:]) {
+			return applied, fmt.Errorf("durable: tail frame CRC mismatch at seq %d", next)
+		}
+		if err := l.appendFrame(next, frame); err != nil {
+			return applied, err
+		}
+		next++
+	}
+}
+
+// appendFrame appends one whole frame (header and payload) as seq, once
+// its batch decodes, so a replica directory is always recoverable.
+func (l *Log) appendFrame(seq uint64, frame []byte) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return fmt.Errorf("durable: append on closed log")
+	}
+	if l.nextSeq != seq {
+		return fmt.Errorf("durable: tail frame for seq %d, log at %d", seq, l.nextSeq)
+	}
+	if err := l.check.decode(frame[frameHdrLen:], false); err != nil {
+		return fmt.Errorf("durable: tail frame at seq %d: %w", seq, err)
+	}
+	if _, err := l.w.Write(frame); err != nil {
+		return fmt.Errorf("durable: %w", err)
+	}
+	return l.appendedFrameLocked(int64(len(frame)))
+}
+
+// truncated maps a physical end of stream onto ErrReplTruncated; other
+// read errors pass through.
+func truncated(err error) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return ErrReplTruncated
+	}
+	return err
 }

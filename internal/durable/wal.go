@@ -249,11 +249,7 @@ func (l *Log) newSegmentLocked() error {
 	if err != nil {
 		return fmt.Errorf("durable: %w", err)
 	}
-	hdr := make([]byte, segHeaderLen)
-	copy(hdr, segMagic)
-	hdr[4] = segVersion
-	binary.LittleEndian.PutUint64(hdr[5:], l.nextSeq)
-	if _, err := f.Write(hdr); err != nil {
+	if _, err := f.Write(appendSegHeader(nil, l.nextSeq)); err != nil {
 		f.Close()
 		return fmt.Errorf("durable: %w", err)
 	}
@@ -265,6 +261,14 @@ func (l *Log) newSegmentLocked() error {
 		l.w.Reset(f)
 	}
 	return nil
+}
+
+// appendSegHeader appends a segment header whose first frame is seq
+// first: the head of every segment file and of every tail stream.
+func appendSegHeader(dst []byte, first uint64) []byte {
+	dst = append(dst, segMagic...)
+	dst = append(dst, segVersion)
+	return binary.LittleEndian.AppendUint64(dst, first)
 }
 
 // AppendBatch writes ms as one batch frame (more when it exceeds a
