@@ -16,9 +16,9 @@
 //
 // Key material comes from a KeyPool: prime generation is amortized across
 // the thousands of leaves a study mints, named keys reproduce shared-key
-// malware (§5.1), and — for serving-path deployments like cmd/mitmd — the
-// pool refills asynchronously in the background so certificate issuance
-// never stalls behind RSA keygen.
+// malware (§5.1), and — for serving-path deployments like cmd/mitmd —
+// Prewarm fills the pool on every core before traffic arrives, so
+// certificate issuance never stalls behind RSA keygen.
 //
 // Parsing of everything produced here is delegated to crypto/x509, which
 // accepts (but will not verify) weak algorithms — the same asymmetry

@@ -3,8 +3,12 @@ package certgen
 import (
 	"crypto/rand"
 	"crypto/rsa"
+	"crypto/sha256"
 	"fmt"
 	"io"
+	mrand "math/rand/v2"
+	"runtime"
+	"sort"
 	"sync"
 )
 
@@ -17,49 +21,66 @@ import (
 // "IopFailZeroAccessCreate" malware from §5.1: every one of its certificates,
 // observed in 14 countries, carried the same 512-bit public key.
 //
-// A pool is safe for concurrent use. Its keys are reproducible only when
-// NewKeyPool was given a seeded reader; DefaultPool's are not.
+// A pool is safe for concurrent use, and distinct keys mint concurrently.
+// Its keys are reproducible only when NewKeyPool was given a seeded
+// reader; DefaultPool's are not.
 type KeyPool struct {
+	// mu guards the slot tables and the cursor; no key is minted under it.
 	mu      sync.Mutex
-	bySize  map[int][]*rsa.PrivateKey
+	bySize  map[int][]*keySlot // perSize slots each; nil = free
 	perSize int
-	named   map[string]*rsa.PrivateKey
+	named   map[string]*keySlot
 	cursor  map[int]int
 
-	// genMu serializes all key generation so the entropy reader is never
-	// read concurrently (audit and bench inject seeded readers).
-	genMu   sync.Mutex
-	entropy io.Reader
+	// seed is nil for a crypto/rand pool. Otherwise every key mints from
+	// its own stream, derived from seed and the key's identity; seedErr
+	// is why the seed could not be read, returned by every mint.
+	seed    *[32]byte
+	seedErr error
+
+	// onMint, when set, runs before every mint (tests count mints).
+	onMint func()
+}
+
+// keySlot is one key, minted once: done closes when key or err is set.
+type keySlot struct {
+	done chan struct{}
+	key  *rsa.PrivateKey
+	err  error
 }
 
 // NewKeyPool creates a pool holding up to perSize keys for each bit size,
-// generated lazily from entropy (crypto/rand when nil). An injected
-// reader makes the pool deterministic: equal streams mint equal keys in
-// the same order.
+// generated lazily. With a nil entropy reader every key comes from
+// crypto/rand. Otherwise NewKeyPool reads a 32-byte seed from entropy
+// once, and each key is a function of that seed and the key's identity —
+// "size b, slot i" for a pool key, "name N" for a named key — so equal
+// streams give equal keys whatever order, or however concurrently, the
+// keys are asked for.
 func NewKeyPool(perSize int, entropy io.Reader) *KeyPool {
 	if perSize < 1 {
 		perSize = 1
 	}
-	if entropy == nil {
-		entropy = rand.Reader
-	} else {
-		entropy = steadyReader{entropy}
-	}
-	return &KeyPool{
-		entropy: entropy,
-		bySize:  make(map[int][]*rsa.PrivateKey),
+	p := &KeyPool{
+		bySize:  make(map[int][]*keySlot),
 		perSize: perSize,
-		named:   make(map[string]*rsa.PrivateKey),
+		named:   make(map[string]*keySlot),
 		cursor:  make(map[int]int),
 	}
+	if entropy != nil {
+		p.seed = new([32]byte)
+		if _, err := io.ReadFull(entropy, p.seed[:]); err != nil {
+			p.seedErr = fmt.Errorf("certgen: read key seed: %w", err)
+		}
+	}
+	return p
 }
 
-// steadyReader keeps rsa.GenerateKey deterministic over an injected
-// reader. For any reader but crypto/rand's, crypto/rsa reads one extra
-// byte half the time, chosen at random (randutil.MaybeReadByte), which
-// would shift the stream and so change every later prime. Those are the
-// only one-byte reads key generation makes; steadyReader answers them
-// with 0 and leaves r where it was.
+// steadyReader keeps rsa.GenerateKey deterministic over a seeded stream.
+// For any reader but crypto/rand's, crypto/rsa reads one extra byte half
+// the time, chosen at random (randutil.MaybeReadByte), which would shift
+// the stream and so change every later prime. Those are the only one-byte
+// reads key generation makes; steadyReader answers them with 0 and leaves
+// r where it was.
 type steadyReader struct{ r io.Reader }
 
 func (s steadyReader) Read(p []byte) (int, error) {
@@ -75,73 +96,144 @@ func (s steadyReader) Read(p []byte) (int, error) {
 // 1024, 21 certificates to 512, and a handful upgraded to 2432.
 var KeySizes = []int{512, 1024, 2048, 2432}
 
-// generate mints one key with generation serialized pool-wide.
-func (p *KeyPool) generate(bits int) (*rsa.PrivateKey, error) {
-	p.genMu.Lock()
-	defer p.genMu.Unlock()
-	k, err := rsa.GenerateKey(p.entropy, bits)
+// stream returns the entropy for the key with the given identity: the
+// per-key seeded stream, or crypto/rand for an unseeded pool.
+func (p *KeyPool) stream(identity []byte) io.Reader {
+	if p.seed == nil {
+		return rand.Reader
+	}
+	return steadyReader{mrand.NewChaCha8(sha256.Sum256(append(p.seed[:], identity...)))}
+}
+
+// slotIdentity and nameIdentity name a pool key and a named key. The
+// prefixes keep the two kinds apart.
+func slotIdentity(bits, i int) []byte { return fmt.Appendf(nil, "size %d slot %d", bits, i) }
+func nameIdentity(name string) []byte { return append([]byte("name "), name...) }
+
+// mint generates one key from the stream for identity.
+func (p *KeyPool) mint(identity []byte, bits int) (*rsa.PrivateKey, error) {
+	if p.onMint != nil {
+		p.onMint()
+	}
+	if p.seedErr != nil {
+		return nil, p.seedErr
+	}
+	k, err := rsa.GenerateKey(p.stream(identity), bits)
 	if err != nil {
 		return nil, fmt.Errorf("certgen: generate %d-bit key: %w", bits, err)
 	}
 	return k, nil
 }
 
-// Get returns a key of the requested bit size, round-robining over the pool
-// once it holds perSize keys of that size and generating until then.
+// reserveLocked claims the first free slot of size bits; ok is false when
+// every slot is taken. The caller holds p.mu and must fill the slot.
+func (p *KeyPool) reserveLocked(bits int) (i int, s *keySlot, ok bool) {
+	slots := p.bySize[bits]
+	if slots == nil {
+		slots = make([]*keySlot, p.perSize)
+		p.bySize[bits] = slots
+	}
+	for i, s := range slots {
+		if s == nil {
+			s = &keySlot{done: make(chan struct{})}
+			slots[i] = s
+			return i, s, true
+		}
+	}
+	return 0, nil, false
+}
+
+// fill mints the key for reserved slot i of size bits and publishes it.
+// A failed slot is freed again, so a later call retries it.
+func (p *KeyPool) fill(bits, i int, s *keySlot) {
+	s.key, s.err = p.mint(slotIdentity(bits, i), bits)
+	if s.err != nil {
+		p.mu.Lock()
+		p.bySize[bits][i] = nil
+		p.mu.Unlock()
+	}
+	close(s.done)
+}
+
+// Get returns a key of the requested bit size: a fresh one while the pool
+// holds fewer than perSize keys of that size, then the pooled keys in
+// round-robin order.
 func (p *KeyPool) Get(bits int) (*rsa.PrivateKey, error) {
 	if bits < 512 {
 		return nil, fmt.Errorf("certgen: refusing key size %d (< 512 bits)", bits)
 	}
-	p.mu.Lock()
-	keys := p.bySize[bits]
-	if len(keys) >= p.perSize {
-		i := p.cursor[bits] % len(keys)
-		p.cursor[bits] = i + 1
-		k := keys[i]
+	for {
+		p.mu.Lock()
+		i, s, fresh := p.reserveLocked(bits)
+		if !fresh {
+			i = p.cursor[bits] % p.perSize
+			p.cursor[bits] = i + 1
+			s = p.bySize[bits][i]
+		}
 		p.mu.Unlock()
-		return k, nil
+		if fresh {
+			p.fill(bits, i, s)
+			return s.key, s.err
+		}
+		<-s.done
+		if s.err == nil {
+			return s.key, nil
+		}
+		// The slot's mint failed and was freed: retry, which reserves it.
 	}
-	p.mu.Unlock()
-
-	k, err := p.generate(bits)
-	if err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.bySize[bits]) < p.perSize {
-		p.bySize[bits] = append(p.bySize[bits], k)
-	}
-	return k, nil
 }
 
 // Prewarm asynchronously fills the pool to perSize for each given size
 // and returns a channel that delivers the outcome exactly once: nil when
 // every size is full, or the first generation error (with the pool left
-// partially warm). Callers that need a warm pool before serving
-// (cmd/mitmd startup) wait and check; callers that just want background
-// warmup can drop the channel.
+// partially warm). It reserves every missing slot before it returns, so
+// a Get that follows waits for a prewarmed key rather than minting one of
+// its own, and mints them on GOMAXPROCS workers, largest size first.
+// Callers that need a warm pool before serving (cmd/mitmd startup) wait
+// and check; callers that just want background warmup can drop the
+// channel.
 func (p *KeyPool) Prewarm(sizes ...int) <-chan error {
+	type job struct {
+		bits, i int
+		s       *keySlot
+	}
+	var jobs []job
+	var slots []*keySlot // every slot of every size asked for
+	p.mu.Lock()
+	for _, bits := range sizes {
+		for {
+			i, s, ok := p.reserveLocked(bits)
+			if !ok {
+				break
+			}
+			jobs = append(jobs, job{bits, i, s})
+		}
+		slots = append(slots, p.bySize[bits]...)
+	}
+	p.mu.Unlock()
+	sort.SliceStable(jobs, func(a, b int) bool { return jobs[a].bits > jobs[b].bits })
+
 	done := make(chan error, 1)
 	go func() {
-		for _, bits := range sizes {
-			for {
-				p.mu.Lock()
-				full := len(p.bySize[bits]) >= p.perSize
-				p.mu.Unlock()
-				if full {
-					break
+		queue := make(chan job)
+		for range min(runtime.GOMAXPROCS(0), len(jobs)) {
+			go func() {
+				for j := range queue {
+					p.fill(j.bits, j.i, j.s)
 				}
-				k, err := p.generate(bits)
-				if err != nil {
-					done <- err
-					return
-				}
-				p.mu.Lock()
-				if len(p.bySize[bits]) < p.perSize {
-					p.bySize[bits] = append(p.bySize[bits], k)
-				}
-				p.mu.Unlock()
+			}()
+		}
+		for _, j := range jobs {
+			queue <- j
+		}
+		close(queue)
+		// Slots other callers were already minting count too: the pool
+		// is full only once they are.
+		for _, s := range slots {
+			<-s.done
+			if s.err != nil {
+				done <- s.err
+				return
 			}
 		}
 		done <- nil
@@ -151,26 +243,31 @@ func (p *KeyPool) Prewarm(sizes ...int) <-chan error {
 
 // Named returns the key registered under name, generating a key of the
 // given size on first request. Every later call with the same name returns
-// the identical key regardless of bits.
+// the identical key regardless of bits. Concurrent first requests share
+// one mint; a failed mint is forgotten, so a later call retries.
 func (p *KeyPool) Named(name string, bits int) (*rsa.PrivateKey, error) {
 	p.mu.Lock()
-	if k, ok := p.named[name]; ok {
-		p.mu.Unlock()
-		return k, nil
+	s, ok := p.named[name]
+	if !ok {
+		s = &keySlot{done: make(chan struct{})}
+		p.named[name] = s
 	}
 	p.mu.Unlock()
-	// Generate outside the map lock; losing a race just wastes one key.
-	k, err := p.generate(bits)
-	if err != nil {
-		return nil, fmt.Errorf("certgen: named key %q: %w", name, err)
+	if ok {
+		<-s.done
+	} else {
+		s.key, s.err = p.mint(nameIdentity(name), bits)
+		if s.err != nil {
+			p.mu.Lock()
+			delete(p.named, name)
+			p.mu.Unlock()
+		}
+		close(s.done)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if existing, ok := p.named[name]; ok {
-		return existing, nil
+	if s.err != nil {
+		return nil, fmt.Errorf("certgen: named key %q: %w", name, s.err)
 	}
-	p.named[name] = k
-	return k, nil
+	return s.key, nil
 }
 
 // DefaultPool is the process-wide pool behind every nil Pool in CAConfig,

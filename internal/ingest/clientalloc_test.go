@@ -256,3 +256,39 @@ func TestAppendReportsMatchesEncoder(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendReportsSuffixCollision: the encoder hashes a leaf's length
+// and tail only, so two distinct chains with equal length and equal last
+// bytes share a hash. Each must still go inline, and a repeat of either
+// must decode back to its own chain.
+func TestAppendReportsSuffixCollision(t *testing.T) {
+	a := bytes.Repeat([]byte{7}, 300)
+	b := bytes.Clone(a)
+	a[0], b[0] = 1, 2
+	reports := []Report{
+		{Host: "collide.example", ChainDER: [][]byte{a}},
+		{Host: "collide.example", ChainDER: [][]byte{b}},
+		{Host: "collide.example", ChainDER: [][]byte{bytes.Clone(a)}},
+		{Host: "collide.example", ChainDER: [][]byte{bytes.Clone(b)}},
+	}
+	wire, err := AppendReports(nil, reports)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(wire, a); n < 1 || bytes.Count(wire, b) < 1 {
+		t.Fatalf("colliding chains not both inline (a %d×, b %d×)", n, bytes.Count(wire, b))
+	}
+	dec := NewArenaDecoder(bytes.NewReader(wire), nil)
+	for i, want := range reports {
+		rep, err := dec.Next()
+		if err != nil {
+			t.Fatalf("report %d: %v", i, err)
+		}
+		if rep.Host != want.Host || len(rep.ChainDER) != 1 || !bytes.Equal(rep.ChainDER[0], want.ChainDER[0]) {
+			t.Fatalf("report %d decoded to the wrong chain", i)
+		}
+	}
+	if _, err := dec.Next(); err != io.EOF {
+		t.Fatalf("stream end: %v, want io.EOF", err)
+	}
+}

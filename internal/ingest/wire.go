@@ -60,11 +60,14 @@ type Report struct {
 }
 
 // wireEncoder is AppendReports' pooled entry table: a seeded hash of host
-// and leaf → {entry, index of the entry's first report}.
+// and leaf key → {entry, index of the entry's first report}.
 type wireEncoder struct {
 	seed    maphash.Seed
 	entries map[uint64][2]int32
 }
+
+// leafKeyLen is how much of a leaf's tail the encoder hashes.
+const leafKeyLen = 64
 
 var encoders = sync.Pool{New: func() any {
 	return &wireEncoder{seed: maphash.MakeSeed(), entries: map[uint64][2]int32{}}
@@ -75,7 +78,9 @@ var encoders = sync.Pool{New: func() any {
 // across batches allocates nothing once the buffer has grown to the
 // working batch size. A repeat is found by hash and confirmed by a byte
 // compare of the whole chain; a collision costs a second entry, never a
-// wrong reference.
+// wrong reference. The hash reads the host and the leaf's length and
+// last leafKeyLen bytes, not the whole leaf: a certificate ends in its
+// signature, which differs between any two signed leaves.
 func AppendReports(dst []byte, reports []Report) ([]byte, error) {
 	e := encoders.Get().(*wireEncoder)
 	defer func() { clear(e.entries); encoders.Put(e) }()
@@ -90,7 +95,8 @@ func AppendReports(dst []byte, reports []Report) ([]byte, error) {
 			return nil, fmt.Errorf("ingest: chain of %d certs outside [1,%d]", len(r.ChainDER), MaxWireChainCerts)
 		}
 		dst = binary.AppendUvarint(dst, r.Trace)
-		sum := maphash.String(e.seed, r.Host) ^ maphash.Bytes(e.seed, r.ChainDER[0])
+		leaf := r.ChainDER[0]
+		sum := maphash.String(e.seed, r.Host) ^ maphash.Bytes(e.seed, leaf[max(0, len(leaf)-leafKeyLen):]) ^ uint64(len(leaf))
 		if k, ok := e.entries[sum]; ok && reports[k[1]].Host == r.Host && slices.EqualFunc(reports[k[1]].ChainDER, r.ChainDER, bytes.Equal) {
 			dst = binary.AppendUvarint(dst, uint64(k[0]))
 			continue

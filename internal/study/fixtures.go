@@ -13,6 +13,7 @@ package study
 import (
 	"crypto/x509/pkix"
 	"fmt"
+	"sync"
 
 	"tlsfof/internal/certgen"
 	"tlsfof/internal/hostdb"
@@ -42,22 +43,31 @@ func BuildAuthoritative(hosts []hostdb.Host, pool *certgen.KeyPool) (*Authoritat
 		{"GeoTrust Global CA", "GeoTrust Inc."},
 		{"Cybertrust Public SureServer CA", "Cybertrust Inc"},
 	}
-	var cas []*certgen.CA
-	for _, spec := range caSpecs {
-		// KeyName isolates authoritative CA keys from every proxy CA key:
-		// trust separation would silently vanish if the shared pool
-		// handed both sides the same RSA key.
-		ca, err := certgen.NewRootCA(certgen.CAConfig{
-			Subject: pkix.Name{CommonName: spec.cn, Organization: []string{spec.org}},
-			KeyBits: 2048,
-			Pool:    pool,
-			KeyName: "authoritative-ca:" + spec.cn,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("study: mint CA %q: %w", spec.cn, err)
+	// The three CA keys are independent, so they mint at once.
+	cas := make([]*certgen.CA, len(caSpecs))
+	errs := make([]error, len(caSpecs))
+	var wg sync.WaitGroup
+	for i, spec := range caSpecs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// KeyName isolates authoritative CA keys from every proxy CA
+			// key: trust separation would silently vanish if the shared
+			// pool handed both sides the same RSA key.
+			cas[i], errs[i] = certgen.NewRootCA(certgen.CAConfig{
+				Subject: pkix.Name{CommonName: spec.cn, Organization: []string{spec.org}},
+				KeyBits: 2048,
+				Pool:    pool,
+				KeyName: "authoritative-ca:" + spec.cn,
+			})
+		}()
+	}
+	wg.Wait()
+	for i, spec := range caSpecs {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("study: mint CA %q: %w", spec.cn, errs[i])
 		}
-		a.Roots[spec.cn] = ca
-		cas = append(cas, ca)
+		a.Roots[spec.cn] = cas[i]
 	}
 	for i, h := range hosts {
 		// The authors' site is a DigiCert issuance; others rotate.

@@ -69,10 +69,12 @@ type obsFactory struct {
 	// and are read without a lock; racing fillers store equal values.
 	final [][]atomic.Pointer[core.Observation]
 
-	// mu guards engine creation and the per-signature archetype
-	// observations (indexed by host position).
+	// mu guards the engine table and the per-signature archetype
+	// observations (indexed by host position). An engine is created by
+	// its entry's once, outside mu, so two signatures' CA keys can mint
+	// at the same time.
 	mu      sync.Mutex
-	engines map[behaviorSig]*proxyengine.Engine
+	engines map[behaviorSig]func() (*proxyengine.Engine, error)
 	sigObs  map[behaviorSig][]*core.Observation
 }
 
@@ -87,7 +89,7 @@ func newObsFactory(cl *classify.Classifier, pool *certgen.KeyPool, hosts []hostd
 		chains:     make([][][]byte, len(hosts)),
 		clean:      make([]core.Observation, len(hosts)),
 		final:      make([][]atomic.Pointer[core.Observation], len(deps)),
-		engines:    make(map[behaviorSig]*proxyengine.Engine),
+		engines:    make(map[behaviorSig]func() (*proxyengine.Engine, error)),
 		sigObs:     make(map[behaviorSig][]*core.Observation),
 	}
 	for hi, h := range hosts {
@@ -201,13 +203,20 @@ func (f *obsFactory) forge(sig behaviorSig, hostIdx int) ([][]byte, error) {
 }
 
 // engine returns the one archetype proxy engine for sig, creating it on
-// first use.
+// first use. Concurrent first callers share one creation and its error.
 func (f *obsFactory) engine(sig behaviorSig) (*proxyengine.Engine, error) {
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	if e, ok := f.engines[sig]; ok {
-		return e, nil
+	create, ok := f.engines[sig]
+	if !ok {
+		create = sync.OnceValues(func() (*proxyengine.Engine, error) { return f.newEngine(sig) })
+		f.engines[sig] = create
 	}
+	f.mu.Unlock()
+	return create()
+}
+
+// newEngine builds the archetype proxy engine for sig.
+func (f *obsFactory) newEngine(sig behaviorSig) (*proxyengine.Engine, error) {
 	profile := proxyengine.Profile{
 		ProductName:        fmt.Sprintf("archetype-%db", sig.keyBits),
 		IssuerOrg:          "Archetype Interceptor",
@@ -222,10 +231,5 @@ func (f *obsFactory) engine(sig behaviorSig) (*proxyengine.Engine, error) {
 	if sig.sharedKey {
 		profile.SharedKeyName = fmt.Sprintf("shared-%db", sig.keyBits)
 	}
-	e, err := proxyengine.New(profile, proxyengine.Options{Pool: f.pool})
-	if err != nil {
-		return nil, err
-	}
-	f.engines[sig] = e
-	return e, nil
+	return proxyengine.New(profile, proxyengine.Options{Pool: f.pool})
 }
