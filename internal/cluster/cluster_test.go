@@ -17,7 +17,6 @@ import (
 
 	"tlsfof/internal/classify"
 	"tlsfof/internal/core"
-	"tlsfof/internal/durable"
 	"tlsfof/internal/hostdb"
 	"tlsfof/internal/ingest"
 	"tlsfof/internal/stats"
@@ -207,10 +206,10 @@ func TestMeasWireRoundTripAndDamage(t *testing.T) {
 			t.Fatalf("magic %q accepted", magic)
 		}
 	}
-	// A row count past durable.MaxBatchRows is refused by name, even under a
+	// A row count past core.MaxBatchRows is refused by name, even under a
 	// CRC that matches.
 	huge := AppendMeasurementsID(nil, 1, nil)
-	binary.LittleEndian.PutUint32(huge[25:], durable.MaxBatchRows+1)
+	binary.LittleEndian.PutUint32(huge[25:], core.MaxBatchRows+1)
 	binary.LittleEndian.PutUint32(huge[5:], crc32.Checksum(huge[9:], crc32.MakeTable(crc32.Castagnoli)))
 	if _, _, err := DecodeMeasurementsID(huge); err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("oversized count: %v", err)
@@ -218,7 +217,7 @@ func TestMeasWireRoundTripAndDamage(t *testing.T) {
 }
 
 // TestRouteBatchSizeCapped: a router configured for batches larger than
-// one ingest body holds sends bodies of at most durable.MaxBatchRows rows,
+// one ingest body holds sends bodies of at most core.MaxBatchRows rows,
 // each of which decodes, and loses nothing; encoding a larger batch
 // panics instead of wrapping its table indexes.
 func TestRouteBatchSizeCapped(t *testing.T) {
@@ -242,11 +241,11 @@ func TestRouteBatchSizeCapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, err := NewRouteClient(RouteConfig{Members: view, BatchSize: 4 * durable.MaxBatchRows, Logf: t.Logf})
+	rc, err := NewRouteClient(RouteConfig{Members: view, BatchSize: 4 * core.MaxBatchRows, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms := testMeasurements(durable.MaxBatchRows+10, 6)
+	ms := testMeasurements(core.MaxBatchRows+10, 6)
 	if err := rc.Deliver(ms); err != nil {
 		t.Fatalf("deliver of %d measurements: %v", len(ms), err)
 	}
@@ -255,12 +254,12 @@ func TestRouteBatchSizeCapped(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(bodies) != 2 || bodies[0] != durable.MaxBatchRows {
-		t.Fatalf("bodies of %v rows, want one of %d and the rest after it", bodies, durable.MaxBatchRows)
+	if len(bodies) != 2 || bodies[0] != core.MaxBatchRows {
+		t.Fatalf("bodies of %v rows, want one of %d and the rest after it", bodies, core.MaxBatchRows)
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("encoding a batch past durable.MaxBatchRows did not panic")
+			t.Fatal("encoding a batch past core.MaxBatchRows did not panic")
 		}
 	}()
 	AppendMeasurementsID(nil, 1, append(ms, ms...))

@@ -5,11 +5,10 @@ import (
 	"sync"
 
 	"tlsfof/internal/core"
-	"tlsfof/internal/durable"
 )
 
 // Measurement batch wire, the /cluster/ingest request body: one batch
-// frame in internal/durable's layout (batch.go) —
+// frame in internal/core's layout (core.Batch) —
 //
 //	batch = magic "TFMB" | version | crc32c | id | trace | rows
 //	      | tuple table | country table | fixed-width rows
@@ -27,17 +26,17 @@ import (
 // the retry with the stored verdict instead of double-counting. ID 0
 // means "no dedup".
 
-// MaxMeasBatchBytes bounds one ingest request body; durable.MaxBatchRows
+// MaxMeasBatchBytes bounds one ingest request body; core.MaxBatchRows
 // bounds its rows.
 const MaxMeasBatchBytes = 32 << 20
 
 // batchPool recycles the codec's batches, so encoding and decoding a
 // batch allocate nothing per row once a pooled batch has grown.
-var batchPool = sync.Pool{New: func() any { return new(durable.Batch) }}
+var batchPool = sync.Pool{New: func() any { return new(core.Batch) }}
 
 // AppendMeasurementsID encodes a batch carrying a client-generated dedup
-// ID (0 = no dedup). ms holds at most durable.MaxBatchRows measurements;
-// it panics on more (see durable.Batch.AppendTo).
+// ID (0 = no dedup). ms holds at most core.MaxBatchRows measurements;
+// it panics on more (see core.Batch.AppendTo).
 func AppendMeasurementsID(dst []byte, id uint64, ms []core.Measurement) []byte {
 	b := getBatch()
 	defer putBatch(b)
@@ -65,11 +64,11 @@ func DecodeMeasurementsID(p []byte) ([]core.Measurement, uint64, error) {
 	return ms, b.ID, nil
 }
 
-func getBatch() *durable.Batch { return batchPool.Get().(*durable.Batch) }
+func getBatch() *core.Batch { return batchPool.Get().(*core.Batch) }
 
 // putBatch empties b, so the pool keeps no string of its last batch
 // alive, and returns it to the pool.
-func putBatch(b *durable.Batch) {
+func putBatch(b *core.Batch) {
 	b.Reset(0, 0)
 	batchPool.Put(b)
 }

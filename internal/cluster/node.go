@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"tlsfof/internal/core"
 	"tlsfof/internal/durable"
 	"tlsfof/internal/ingest"
 	"tlsfof/internal/resilient"
@@ -456,10 +457,10 @@ func (n *Node) Owns(host string) (owned bool, owner Member) {
 // batch's rows dealt out to one batch per shard.
 type ingestScratch struct {
 	body    bytes.Buffer
-	batch   durable.Batch
+	batch   core.Batch
 	hosts   map[string]int
 	shardOf []int
-	parts   []durable.Batch
+	parts   []core.Batch
 	errs    []error
 }
 
@@ -469,7 +470,7 @@ func (n *Node) getScratch() *ingestScratch {
 	}
 	return &ingestScratch{
 		hosts: make(map[string]int),
-		parts: make([]durable.Batch, n.cfg.Shards),
+		parts: make([]core.Batch, n.cfg.Shards),
 		errs:  make([]error, n.cfg.Shards),
 	}
 }
@@ -529,7 +530,7 @@ func (n *Node) commit(sc *ingestScratch) error {
 }
 
 // applyShard commits one shard's frame and waits for its replica ack.
-func (n *Node) applyShard(si int, b *durable.Batch) error {
+func (n *Node) applyShard(si int, b *core.Batch) error {
 	sh := n.shards[si]
 	sh.Lock()
 	last, err := sh.CommitBatch(b, true)

@@ -1,4 +1,4 @@
-package durable
+package core
 
 import (
 	"encoding/binary"
@@ -9,23 +9,22 @@ import (
 	"strings"
 	"time"
 
-	"tlsfof/internal/core"
 	"tlsfof/internal/hostdb"
-	"tlsfof/internal/store"
 )
 
 // Batch frame (DESIGN.md §10, §12): the one layout a measurement batch
-// has from router to replica. It is the /cluster/ingest request body and
-// the payload of every WAL frame, so every frame of a tail stream a
-// follower appends verbatim.
+// has from router to replica. It is the /cluster/ingest request body, the
+// payload of every WAL frame (internal/durable), so of every frame of a
+// tail stream a follower appends verbatim, and the layout of a store
+// snapshot's retained records (internal/store).
 //
 //	batch     = magic "TFMB" | version 1 | crc32c uint32le | id uint64le
 //	          | trace uint64le | rows uint32le | tuples | countries | row*
 //	tuples    = count uvarint | tuple*
 //	tuple     = host str | hostCategory uvarint | campaign str
-//	          | observation (core.AppendObservation)
+//	          | observation (AppendObservation)
 //	countries = count uvarint | str*
-//	str       = len uvarint | bytes (at most core.MaxCodecStringLen)
+//	str       = len uvarint | bytes (at most MaxCodecStringLen)
 //	row       = clientIP uint32le | time int64le (Unix ns)
 //	          | tuple uint16le | country uint16le
 //
@@ -47,13 +46,15 @@ const (
 	MaxBatchRows = 1 << 16
 )
 
+var batchCRC = crc32.MakeTable(crc32.Castagnoli)
+
 // Tuple is one entry of a batch's tuple table: everything a row shares
 // with other rows except its country.
 type Tuple struct {
 	Host         string
 	HostCategory hostdb.Category
 	Campaign     string
-	Obs          core.Observation
+	Obs          Observation
 }
 
 // Row is one measurement of a batch: its own columns and the indexes of
@@ -94,10 +95,6 @@ type Batch struct {
 	// encoded tables during Decode (see str).
 	blob   string
 	region []byte
-	// cellIdx, cells and proxied are applyTo's scratch.
-	cellIdx map[uint64]int
-	cells   []store.Cell
-	proxied []core.Measurement
 }
 
 // Reset empties b for a new batch with the given dedup and trace IDs.
@@ -129,7 +126,7 @@ const maxTupleChain = 16
 // tables unless an equal entry is already there (see maxTupleChain). A
 // Batch that only Add filled since its Reset encodes canonically: equal
 // measurement sequences give equal bytes.
-func (b *Batch) Add(m *core.Measurement) {
+func (b *Batch) Add(m *Measurement) {
 	if b.tupleIdx == nil {
 		b.tupleIdx, b.countryIdx = make(map[tupleKey]int32), make(map[string]uint32)
 	}
@@ -151,7 +148,7 @@ func (b *Batch) Add(m *core.Measurement) {
 
 // tupleOf returns the index of m's tuple, adding it to the table unless
 // its key's chain holds it.
-func (b *Batch) tupleOf(m *core.Measurement) int32 {
+func (b *Batch) tupleOf(m *Measurement) int32 {
 	key := tupleKey{host: m.Host, campaign: m.Campaign, cat: m.HostCategory}
 	head, ok := b.tupleIdx[key]
 	for i, n := head, 0; ok && i >= 0 && n < maxTupleChain; i, n = b.tupleNext[i], n+1 {
@@ -171,10 +168,10 @@ func (b *Batch) tupleOf(m *core.Measurement) int32 {
 
 // Measurement expands row i. Its strings are the batch's own, shared
 // with every other row of the same tuple or country; Trace is zero.
-func (b *Batch) Measurement(i int) core.Measurement {
+func (b *Batch) Measurement(i int) Measurement {
 	r := b.Rows[i]
 	t := &b.Tuples[r.Tuple]
-	return core.Measurement{
+	return Measurement{
 		Time:         time.Unix(0, r.Time).UTC(),
 		ClientIP:     r.ClientIP,
 		Country:      b.Countries[r.Country],
@@ -185,14 +182,28 @@ func (b *Batch) Measurement(i int) core.Measurement {
 	}
 }
 
+// Record is Measurement(i) for a record kept past the batch: a decoded
+// batch's strings are copied, so the record does not keep the batch's
+// whole string table alive. An Add-built batch's strings are already
+// its measurements' own.
+func (b *Batch) Record(i int) Measurement {
+	m := b.Measurement(i)
+	if b.blob != "" {
+		for _, s := range [...]*string{&m.Country, &m.Host, &m.Campaign, &m.Obs.IssuerOrg, &m.Obs.IssuerCN, &m.Obs.IssuerOU, &m.Obs.ProductName} {
+			*s = strings.Clone(*s)
+		}
+	}
+	return m
+}
+
 // AppendTo appends b's encoding to dst. It panics on a batch of more
 // than MaxBatchRows rows, whose table indexes would not fit a row; the
 // WAL splits such a commit first. A string longer than
-// core.MaxCodecStringLen encodes to bytes Decode refuses; the WAL
+// MaxCodecStringLen encodes to bytes Decode refuses; the WAL
 // refuses such a commit before it writes anything.
 func (b *Batch) AppendTo(dst []byte) []byte {
 	if len(b.Rows) > MaxBatchRows {
-		panic(fmt.Sprintf("durable: batch of %d rows exceeds %d", len(b.Rows), MaxBatchRows))
+		panic(fmt.Sprintf("core: batch of %d rows exceeds %d", len(b.Rows), MaxBatchRows))
 	}
 	start := len(dst)
 	dst = slices.Grow(dst, batchHdrLen+64*len(b.Tuples)+4*len(b.Countries)+batchRowLen*len(b.Rows))
@@ -204,14 +215,14 @@ func (b *Batch) AppendTo(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(b.Tuples)))
 	for i := range b.Tuples {
 		t := &b.Tuples[i]
-		dst = appendStr(dst, t.Host)
+		dst = appendString(dst, t.Host)
 		dst = binary.AppendUvarint(dst, uint64(t.HostCategory))
-		dst = appendStr(dst, t.Campaign)
-		dst = core.AppendObservation(dst, t.Obs)
+		dst = appendString(dst, t.Campaign)
+		dst = AppendObservation(dst, t.Obs)
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(b.Countries)))
 	for _, c := range b.Countries {
-		dst = appendStr(dst, c)
+		dst = appendString(dst, c)
 	}
 	rows := len(dst)
 	dst = slices.Grow(dst, len(b.Rows)*batchRowLen)[:rows+len(b.Rows)*batchRowLen]
@@ -222,7 +233,7 @@ func (b *Batch) AppendTo(dst []byte) []byte {
 		binary.LittleEndian.PutUint16(p[12:], uint16(r.Tuple))
 		binary.LittleEndian.PutUint16(p[14:], uint16(r.Country))
 	}
-	binary.LittleEndian.PutUint32(dst[start+5:], crc32.Checksum(dst[start+9:], crcTable))
+	binary.LittleEndian.PutUint32(dst[start+5:], crc32.Checksum(dst[start+9:], batchCRC))
 	return dst
 }
 
@@ -235,26 +246,30 @@ func (b *Batch) Decode(p []byte) error {
 	return b.decode(p, true)
 }
 
-// decode is Decode; without materialize every table string decodes
-// empty and nothing is allocated — the check a WAL frame or a replicated
-// frame passes before it is appended.
+// Check is Decode with every table string decoded empty, so nothing is
+// allocated: the check a WAL frame or a replicated frame passes before
+// it is appended.
+func (b *Batch) Check(p []byte) error {
+	return b.decode(p, false)
+}
+
 func (b *Batch) decode(p []byte, materialize bool) (err error) {
 	if len(p) < batchHdrLen || string(p[:4]) != batchMagic {
-		return errors.New("durable: bad batch magic")
+		return errors.New("core: bad batch magic")
 	}
 	if p[4] != batchVersion {
-		return fmt.Errorf("durable: batch version %d, this build reads version %d", p[4], batchVersion)
+		return fmt.Errorf("core: batch version %d, this build reads version %d", p[4], batchVersion)
 	}
-	if crc32.Checksum(p[9:], crcTable) != binary.LittleEndian.Uint32(p[5:]) {
-		return errors.New("durable: batch CRC mismatch")
+	if crc32.Checksum(p[9:], batchCRC) != binary.LittleEndian.Uint32(p[5:]) {
+		return errors.New("core: batch CRC mismatch")
 	}
 	rows := binary.LittleEndian.Uint32(p[25:])
 	if rows > MaxBatchRows {
-		return fmt.Errorf("durable: batch of %d rows exceeds %d", rows, MaxBatchRows)
+		return fmt.Errorf("core: batch of %d rows exceeds %d", rows, MaxBatchRows)
 	}
 	tablesEnd := len(p) - int(rows)*batchRowLen
 	if tablesEnd < batchHdrLen {
-		return fmt.Errorf("durable: batch truncated: %d rows need %d bytes, %d left", rows, int(rows)*batchRowLen, len(p)-batchHdrLen)
+		return fmt.Errorf("core: batch truncated: %d rows need %d bytes, %d left", rows, int(rows)*batchRowLen, len(p)-batchHdrLen)
 	}
 	b.Reset(binary.LittleEndian.Uint64(p[9:]), binary.LittleEndian.Uint64(p[17:]))
 	b.region = p[batchHdrLen:tablesEnd]
@@ -269,7 +284,7 @@ func (b *Batch) decode(p []byte, materialize bool) (err error) {
 	}
 	for i := 0; i < n; i++ {
 		var t Tuple
-		if t.Host, rest, err = b.readStr(rest, "host"); err != nil {
+		if t.Host, rest, err = readString(rest, "host", b.str); err != nil {
 			return err
 		}
 		var cat uint64
@@ -277,11 +292,11 @@ func (b *Batch) decode(p []byte, materialize bool) (err error) {
 			return err
 		}
 		t.HostCategory = hostdb.Category(cat)
-		if t.Campaign, rest, err = b.readStr(rest, "campaign"); err != nil {
+		if t.Campaign, rest, err = readString(rest, "campaign", b.str); err != nil {
 			return err
 		}
-		if t.Obs, rest, err = core.DecodeObservation(rest, b.str); err != nil {
-			return fmt.Errorf("durable: batch tuple %d: %w", i, err)
+		if t.Obs, rest, err = DecodeObservation(rest, b.str); err != nil {
+			return fmt.Errorf("core: batch tuple %d: %w", i, err)
 		}
 		b.Tuples = append(b.Tuples, t)
 	}
@@ -290,13 +305,13 @@ func (b *Batch) decode(p []byte, materialize bool) (err error) {
 	}
 	for i := 0; i < n; i++ {
 		var c string
-		if c, rest, err = b.readStr(rest, "country"); err != nil {
+		if c, rest, err = readString(rest, "country", b.str); err != nil {
 			return err
 		}
 		b.Countries = append(b.Countries, c)
 	}
 	if len(rest) != 0 {
-		return fmt.Errorf("durable: batch has %d stray bytes before its rows", len(rest))
+		return fmt.Errorf("core: batch has %d stray bytes before its rows", len(rest))
 	}
 	for r := p[tablesEnd:]; len(r) > 0; r = r[batchRowLen:] {
 		row := Row{
@@ -306,7 +321,7 @@ func (b *Batch) decode(p []byte, materialize bool) (err error) {
 			Country:  uint32(binary.LittleEndian.Uint16(r[14:])),
 		}
 		if int(row.Tuple) >= len(b.Tuples) || int(row.Country) >= len(b.Countries) {
-			return fmt.Errorf("durable: batch row %d names tuple %d of %d, country %d of %d",
+			return fmt.Errorf("core: batch row %d names tuple %d of %d, country %d of %d",
 				len(b.Rows), row.Tuple, len(b.Tuples), row.Country, len(b.Countries))
 		}
 		b.Rows = append(b.Rows, row)
@@ -324,25 +339,6 @@ func (b *Batch) str(s []byte) string {
 	return b.blob[off : off+len(s)]
 }
 
-func (b *Batch) readStr(p []byte, field string) (string, []byte, error) {
-	n, p, err := readUvarint(p, field)
-	if err != nil {
-		return "", nil, err
-	}
-	if n > core.MaxCodecStringLen || n > uint64(len(p)) {
-		return "", nil, fmt.Errorf("durable: batch %s of %d bytes out of bounds", field, n)
-	}
-	return b.str(p[:n]), p[n:], nil
-}
-
-func readUvarint(p []byte, field string) (uint64, []byte, error) {
-	v, n := binary.Uvarint(p)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("durable: batch truncated in %s", field)
-	}
-	return v, p[n:], nil
-}
-
 // readCount reads a table's entry count. Every entry takes at least one
 // byte, so a count past the bytes left is damage, not a table.
 func readCount(p []byte, table string) (int, []byte, error) {
@@ -351,14 +347,9 @@ func readCount(p []byte, table string) (int, []byte, error) {
 		return 0, nil, err
 	}
 	if n > MaxBatchRows || n > uint64(len(p)) {
-		return 0, nil, fmt.Errorf("durable: batch %s of %d entries out of bounds", table, n)
+		return 0, nil, fmt.Errorf("core: batch %s of %d entries out of bounds", table, n)
 	}
 	return int(n), p, nil
-}
-
-func appendStr(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
 }
 
 // Split deals b's rows out to parts by their tuple: part[t] is the index
@@ -372,6 +363,20 @@ func (b *Batch) Split(part []int, parts []Batch) {
 	}
 	for _, r := range b.Rows {
 		parts[part[r.Tuple]].addRow(b, r)
+	}
+}
+
+// Halve deals b's first half of rows to lo and the rest to hi, each a
+// self-contained batch with b's IDs, as Split builds its parts.
+func (b *Batch) Halve(lo, hi *Batch) {
+	mid := len(b.Rows) / 2
+	lo.copyFrom(b)
+	for _, r := range b.Rows[:mid] {
+		lo.addRow(b, r)
+	}
+	hi.copyFrom(b)
+	for _, r := range b.Rows[mid:] {
+		hi.addRow(b, r)
 	}
 }
 
@@ -407,45 +412,4 @@ func (d *Batch) addRow(src *Batch, r Row) {
 		d.countryMap[r.Country] = c
 	}
 	d.Rows = append(d.Rows, Row{ClientIP: r.ClientIP, Tuple: uint32(t), Country: uint32(c), Time: r.Time})
-}
-
-// applyTo adds b's rows to db in one store call: the clean rows as one
-// cell per (tuple, country) pair, the proxied rows one by one in order.
-// A proxied record the store retains gets strings of its own, so it does
-// not keep a decoded batch's whole string table alive.
-func (b *Batch) applyTo(db *store.DB) {
-	if b.cellIdx == nil {
-		b.cellIdx = make(map[uint64]int)
-	}
-	clear(b.cellIdx)
-	b.cells, b.proxied = b.cells[:0], b.proxied[:0]
-	for i, r := range b.Rows {
-		t := &b.Tuples[r.Tuple]
-		if t.Obs.Proxied {
-			m := b.Measurement(i)
-			if b.blob != "" {
-				detach(&m)
-			}
-			b.proxied = append(b.proxied, m)
-			continue
-		}
-		key := uint64(r.Tuple)<<32 | uint64(r.Country)
-		c, ok := b.cellIdx[key]
-		if !ok {
-			c = len(b.cells)
-			b.cellIdx[key] = c
-			b.cells = append(b.cells, store.Cell{Campaign: t.Campaign, Country: b.Countries[r.Country], HostCategory: t.HostCategory})
-		}
-		b.cells[c].N++
-	}
-	db.AddBatch(b.cells, b.proxied)
-	clear(b.cells)
-	clear(b.proxied)
-}
-
-// detach gives m's strings storage of their own.
-func detach(m *core.Measurement) {
-	for _, s := range []*string{&m.Country, &m.Host, &m.Campaign, &m.Obs.IssuerOrg, &m.Obs.IssuerCN, &m.Obs.IssuerOU, &m.Obs.ProductName} {
-		*s = strings.Clone(*s)
-	}
 }

@@ -1,17 +1,22 @@
-package durable
+package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"crypto/x509"
+	"encoding/hex"
 	"strings"
 	"testing"
 	"time"
 
-	"tlsfof/internal/core"
+	"tlsfof/internal/classify"
+	"tlsfof/internal/hostdb"
 	"tlsfof/internal/raceflag"
+	"tlsfof/internal/stats"
 )
 
 // batchOf builds a batch from ms with Add.
-func batchOf(id uint64, ms []core.Measurement) *Batch {
+func batchOf(id uint64, ms []Measurement) *Batch {
 	b := new(Batch)
 	b.Reset(id, 0)
 	for i := range ms {
@@ -20,13 +25,53 @@ func batchOf(id uint64, ms []core.Measurement) *Batch {
 	return b
 }
 
-// batchTestMeasurements is syntheticMeasurements plus the corners: an
+// batchStream builds a deterministic, varied measurement stream: three
+// hosts, seven countries, three campaigns, and about a third of the rows
+// proxied by one of four products.
+func batchStream(n int, seed uint64) []Measurement {
+	r := stats.NewRNG(seed)
+	countries := []string{"US", "BR", "IN", "DE", "??", "JP", "RO"}
+	hosts := []string{"www.facebook.com", "smallbiz.example", "tlsresearch.byu.edu"}
+	campaigns := []string{"broad", "targeted-br", "third"}
+	products := []struct{ org, cn, product string }{
+		{"Fortinet", "FortiGate CA", "FortiGate"},
+		{"Sophos", "Sophos SSL", "Sophos UTM"},
+		{"", "PSafe Tecnologia S.A.", "PSafe"},
+		{"", "", ""},
+	}
+	epoch := time.Date(2014, time.October, 8, 16, 0, 0, 0, time.UTC)
+	ms := make([]Measurement, n)
+	for i := range ms {
+		h := r.Intn(len(hosts))
+		m := &ms[i]
+		*m = Measurement{
+			Time:         epoch.Add(time.Duration(i) * time.Minute),
+			ClientIP:     uint32(r.Uint64()>>16) | 1,
+			Country:      countries[r.Intn(len(countries))],
+			Host:         hosts[h],
+			HostCategory: hostdb.Category(h % 2),
+			Campaign:     campaigns[r.Intn(len(campaigns))],
+		}
+		if r.Bool(0.35) {
+			p := products[r.Intn(len(products))]
+			bits := []int{512, 1024, 2048, 2432}[r.Intn(4)]
+			m.Obs = Observation{
+				Proxied: true, IssuerOrg: p.org, IssuerCN: p.cn, ProductName: p.product,
+				KeyBits: bits, WeakKey: bits < 2048, MD5Signed: r.Bool(0.2),
+				SigAlg: x509.SHA256WithRSA, ChainLen: 1 + r.Intn(3), Category: classify.Category(r.Intn(5)),
+			}
+		}
+	}
+	return ms
+}
+
+// batchTestMeasurements is batchStream plus the corners: an
 // all-empty measurement and a proxied one with every string set.
-func batchTestMeasurements() []core.Measurement {
-	ms := syntheticMeasurements(300, 51)
-	ms = append(ms, core.Measurement{Time: ms[0].Time}, core.Measurement{
+func batchTestMeasurements() []Measurement {
+	ms := batchStream(300, 51)
+	ms = append(ms, Measurement{Time: ms[0].Time}, Measurement{
 		Time: ms[1].Time, ClientIP: 7, Country: "ZZ", Host: "all.example", Campaign: "c",
-		Obs: core.Observation{Proxied: true, IssuerOrg: "O", IssuerCN: "CN", IssuerOU: "OU", ProductName: "P", KeyBits: 1024, WeakKey: true},
+		Obs: Observation{Proxied: true, IssuerOrg: "O", IssuerCN: "CN", IssuerOU: "OU", ProductName: "P", KeyBits: 1024, WeakKey: true},
 	})
 	return ms
 }
@@ -69,12 +114,12 @@ func TestBatchTablesHoldEachEntryOnce(t *testing.T) {
 		n    int
 		once bool
 	}{{60, true}, {2000, false}} {
-		ms := syntheticMeasurements(tc.n, 54)
-		obs := map[tupleKey]map[core.Observation]bool{}
+		ms := batchStream(tc.n, 54)
+		obs := map[tupleKey]map[Observation]bool{}
 		for _, m := range ms {
 			k := tupleKey{m.Host, m.Campaign, m.HostCategory}
 			if obs[k] == nil {
-				obs[k] = map[core.Observation]bool{}
+				obs[k] = map[Observation]bool{}
 			}
 			obs[k][m.Obs] = true
 		}
@@ -107,7 +152,7 @@ func TestBatchTablesHoldEachEntryOnce(t *testing.T) {
 // TestBatchDecodeRefusesDamage: a batch cut anywhere, with a byte flipped
 // anywhere, or with a byte appended decodes to an error, never a batch.
 func TestBatchDecodeRefusesDamage(t *testing.T) {
-	enc := batchOf(1, syntheticMeasurements(20, 52)).AppendTo(nil)
+	enc := batchOf(1, batchStream(20, 52)).AppendTo(nil)
 	var b Batch
 	for cut := 0; cut < len(enc); cut++ {
 		if err := b.Decode(enc[:cut]); err == nil {
@@ -146,7 +191,7 @@ func TestBatchSplitIsAddPerPart(t *testing.T) {
 	parts := make([]Batch, n)
 	b.Split(part, parts)
 	for si := range parts {
-		var mine []core.Measurement
+		var mine []Measurement
 		for _, m := range ms {
 			if shardOf(m.Host) == si {
 				mine = append(mine, m)
@@ -165,9 +210,9 @@ func TestBatchDecodeAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	base := syntheticMeasurements(64, 53)
+	base := batchStream(64, 53)
 	for _, rows := range []int{64, 4096} {
-		ms := make([]core.Measurement, rows)
+		ms := make([]Measurement, rows)
 		for i := range ms {
 			ms[i] = base[i%len(base)]
 		}
@@ -181,11 +226,53 @@ func TestBatchDecodeAllocs(t *testing.T) {
 			t.Errorf("%d rows: Decode allocates %v, want 1", rows, allocs)
 		}
 		if allocs := testing.AllocsPerRun(20, func() {
-			if err := b.decode(enc, false); err != nil {
+			if err := b.Check(enc); err != nil {
 				t.Fatal(err)
 			}
 		}); allocs != 0 {
 			t.Errorf("%d rows: the check allocates %v, want 0", rows, allocs)
 		}
+	}
+}
+
+// TestBatchFrameBytesPinned: the frame of a fixed Add-built batch —
+// three hosts, four countries, two campaigns, proxied rows, a dedup ID
+// and a trace ID — hashes to the value recorded when the batch lived in
+// internal/durable, so WAL segments and tail streams stay byte-identical
+// across the move.
+func TestBatchFrameBytesPinned(t *testing.T) {
+	const want = "91af657bbdc880ba8fe8dfba2e7281efd8d9f940121dfbb7d5fd225970e72b69"
+	epoch := time.Date(2014, time.October, 8, 16, 0, 0, 0, time.UTC)
+	hosts := []struct {
+		name string
+		cat  hostdb.Category
+	}{{"www.facebook.com", hostdb.Popular}, {"smallbiz.example", hostdb.Business}, {"tlsresearch.byu.edu", hostdb.Popular}}
+	countries := []string{"US", "BR", "??", "IN"}
+	clean := Observation{IssuerOrg: "DigiCert Inc", IssuerCN: "DigiCert SHA2 High Assurance Server CA", KeyBits: 2048, SigAlg: x509.SHA256WithRSA, ChainLen: 3}
+	proxied := Observation{
+		Proxied: true, IssuerOrg: "Fortinet", IssuerCN: "FortiGate CA", IssuerOU: "Certificate Authority",
+		KeyBits: 1024, OriginalKeyBits: 2048, SigAlg: x509.SHA1WithRSA, WeakKey: true, SubjectDrift: true,
+		ChainLen: 2, Category: classify.Category(2), ProductName: "FortiGate",
+	}
+	var b Batch
+	b.Reset(0x0123456789abcdef, 0)
+	for i := 0; i < 24; i++ {
+		h := hosts[i%len(hosts)]
+		m := Measurement{
+			Time: epoch.Add(time.Duration(i) * 1500 * time.Millisecond), ClientIP: 0x0a000001 + uint32(i*7919),
+			Country: countries[i/2%len(countries)], Host: h.name, HostCategory: h.cat,
+			Campaign: []string{"broad", "targeted-br"}[i/6%2], Obs: clean,
+		}
+		if i%7 == 3 {
+			m.Obs, m.Trace = proxied, 0xfeedface00000000+uint64(i)
+		}
+		b.Add(&m)
+	}
+	if len(b.Tuples) != 9 || len(b.Countries) != 4 || b.Trace != 0xfeedface00000003 {
+		t.Fatalf("fixture drifted: %d tuples, %d countries, trace %#x", len(b.Tuples), len(b.Countries), b.Trace)
+	}
+	sum := sha256.Sum256(b.AppendTo(nil))
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("batch frame hashes to %s, want %s", got, want)
 	}
 }

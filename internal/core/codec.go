@@ -4,22 +4,18 @@ import (
 	"crypto/x509"
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"tlsfof/internal/classify"
-	"tlsfof/internal/hostdb"
 )
 
-// Binary codec for Measurement records: the store snapshot's retained
-// proxied records (internal/store) and, through AppendObservation and
-// DecodeObservation, the tuples of a durable batch frame
-// (internal/durable). It follows the same uvarint framing idiom as the
-// ingest upload wire (internal/ingest): length-prefixed strings, varint
-// integers, and bools packed into one flag byte. The encoding
+// Binary codec for an Observation: the observation of every tuple in a
+// batch frame (batch.go). It follows the same uvarint framing idiom as
+// the ingest upload wire (internal/ingest): length-prefixed strings,
+// varint integers, and bools packed into one flag byte. The encoding
 // round-trips every field, so a replayed record aggregates identically
 // to the original ingest.
 
-// Limits on one encoded measurement; hostile or corrupt inputs exist
+// Limits on one encoded observation; hostile or corrupt inputs exist
 // (the WAL recovery path decodes bytes that survived a crash).
 const (
 	// MaxCodecStringLen bounds every string field (host names are <= 255
@@ -40,24 +36,10 @@ const (
 	flagAll = 1<<iota - 1
 )
 
-// AppendMeasurement appends the binary encoding of m to dst and returns
-// the extended slice — the zero-realloc encoding path, mirroring
-// ingest.AppendReports.
-func AppendMeasurement(dst []byte, m Measurement) []byte {
-	dst = binary.AppendVarint(dst, m.Time.UnixNano())
-	dst = binary.AppendUvarint(dst, uint64(m.ClientIP))
-	dst = appendString(dst, m.Country)
-	dst = appendString(dst, m.Host)
-	dst = binary.AppendUvarint(dst, uint64(m.HostCategory))
-	dst = appendString(dst, m.Campaign)
-	return AppendObservation(dst, m.Obs)
-}
-
-// AppendObservation appends the encoding of o: one flag byte for the
-// booleans, then the issuer strings, the key, signature and chain
-// numbers, the category and the product name. It is the observation half
-// of AppendMeasurement and the observation of every tuple in a durable
-// batch frame.
+// AppendObservation appends the encoding of o, the observation of every
+// tuple in a batch frame: one flag byte for the booleans, then the issuer
+// strings, the key, signature and chain numbers, the category and the
+// product name.
 func AppendObservation(dst []byte, o Observation) []byte {
 	var flags byte
 	if o.Proxied {
@@ -92,45 +74,6 @@ func AppendObservation(dst []byte, o Observation) []byte {
 	dst = binary.AppendUvarint(dst, uint64(o.Category))
 	dst = appendString(dst, o.ProductName)
 	return dst
-}
-
-// DecodeMeasurement decodes one measurement from the front of b and
-// returns it with the unconsumed remainder. Times decode in UTC (the
-// encoding keeps wall-clock nanoseconds only), which every consumer —
-// table aggregation, the canonical merge order, CSV export — already
-// normalizes to.
-func DecodeMeasurement(b []byte) (Measurement, []byte, error) {
-	var m Measurement
-	nanos, b, err := readVarint(b, "time")
-	if err != nil {
-		return m, nil, err
-	}
-	m.Time = time.Unix(0, nanos).UTC()
-	ip, b, err := readUvarint(b, "client ip")
-	if err != nil {
-		return m, nil, err
-	}
-	if ip > 1<<32-1 {
-		return m, nil, fmt.Errorf("core: codec: client ip %d overflows uint32", ip)
-	}
-	m.ClientIP = uint32(ip)
-	if m.Country, b, err = readString(b, "country", nil); err != nil {
-		return m, nil, err
-	}
-	if m.Host, b, err = readString(b, "host", nil); err != nil {
-		return m, nil, err
-	}
-	hc, b, err := readUvarint(b, "host category")
-	if err != nil {
-		return m, nil, err
-	}
-	m.HostCategory = hostdb.Category(hc)
-	if m.Campaign, b, err = readString(b, "campaign", nil); err != nil {
-		return m, nil, err
-	}
-
-	m.Obs, b, err = DecodeObservation(b, nil)
-	return m, b, err
 }
 
 // DecodeObservation decodes an observation from the front of b and
@@ -198,14 +141,6 @@ func appendString(dst []byte, s string) []byte {
 
 func readUvarint(b []byte, field string) (uint64, []byte, error) {
 	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("core: codec: truncated %s", field)
-	}
-	return v, b[n:], nil
-}
-
-func readVarint(b []byte, field string) (int64, []byte, error) {
-	v, n := binary.Varint(b)
 	if n <= 0 {
 		return 0, nil, fmt.Errorf("core: codec: truncated %s", field)
 	}

@@ -57,19 +57,17 @@ func codecCases() []Measurement {
 	}
 }
 
+// TestMeasurementCodecRoundTrip: a measurement's binary form is its row
+// of a batch frame; every corner case survives Add, AppendTo, Decode and
+// Record field for field.
 func TestMeasurementCodecRoundTrip(t *testing.T) {
-	var buf []byte
 	cases := codecCases()
-	for _, m := range cases {
-		buf = AppendMeasurement(buf, m)
+	var b Batch
+	if err := b.Decode(batchOf(0, cases).AppendTo(nil)); err != nil {
+		t.Fatal(err)
 	}
-	rest := buf
 	for i, want := range cases {
-		got, r, err := DecodeMeasurement(rest)
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		rest = r
+		got := b.Record(i)
 		if !got.Time.Equal(want.Time) {
 			t.Fatalf("case %d: time %v != %v", i, got.Time, want.Time)
 		}
@@ -78,15 +76,15 @@ func TestMeasurementCodecRoundTrip(t *testing.T) {
 			t.Fatalf("case %d: round trip mismatch\n got %+v\nwant %+v", i, got, want)
 		}
 	}
-	if len(rest) != 0 {
-		t.Fatalf("%d trailing bytes", len(rest))
-	}
 }
 
+// TestMeasurementCodecTruncation: the frame of a measurement cut short
+// anywhere decodes to an error, never to a measurement.
 func TestMeasurementCodecTruncation(t *testing.T) {
-	full := AppendMeasurement(nil, codecCases()[1])
+	full := batchOf(0, codecCases()[1:2]).AppendTo(nil)
+	var b Batch
 	for cut := 0; cut < len(full); cut++ {
-		if _, _, err := DecodeMeasurement(full[:cut]); err == nil {
+		if err := b.Decode(full[:cut]); err == nil {
 			t.Fatalf("decode of %d/%d bytes succeeded", cut, len(full))
 		}
 	}

@@ -145,8 +145,9 @@ type Measurement struct {
 	// Obs is the derived certificate observation.
 	Obs Observation
 	// Trace is the probe's telemetry trace ID (0 when untraced). It is
-	// observability metadata, not measurement data: deliberately excluded
-	// from the durable codec (AppendMeasurement/DecodeMeasurement) so WAL,
-	// snapshot, and golden-table formats are unchanged by tracing.
+	// observability metadata, not measurement data: a batch frame keeps
+	// only its first traced row's ID in its header and no row keeps one,
+	// and a snapshot's retained records keep none, so tracing changes no
+	// row, snapshot or golden-table byte.
 	Trace uint64
 }

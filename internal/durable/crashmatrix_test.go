@@ -381,13 +381,13 @@ func TestCrashMatrixCommitAtomicity(t *testing.T) {
 }
 
 // TestCommitSplitsOversizedBatch: a commit past one frame's bounds —
-// more than MaxBatchRows rows here — is written as several frames, each
+// more than core.MaxBatchRows rows here — is written as several frames, each
 // a batch that fits MaxFramePayload and decodes on its own, holding
 // consecutive rows of the commit. Recovering all of them gives the whole
 // commit. A split commit is atomic per frame only: a crash inside its
 // second frame keeps exactly the rows of its first.
 func TestCommitSplitsOversizedBatch(t *testing.T) {
-	ms := syntheticMeasurements(MaxBatchRows+5000, 0x5B17)
+	ms := syntheticMeasurements(core.MaxBatchRows+5000, 0x5B17)
 	dir := t.TempDir()
 	l, err := Open(Options{Dir: dir, SyncEvery: -1})
 	if err != nil {
@@ -407,7 +407,7 @@ func TestCommitSplitsOversizedBatch(t *testing.T) {
 	var rows []int
 	off := int64(segHeaderLen)
 	if _, _, damage, err := walkFrames(segs[0].path, segs[0].first, func(_ uint64, payload []byte) error {
-		var b Batch
+		var b core.Batch
 		if err := b.Decode(payload); err != nil {
 			return err
 		}

@@ -9,11 +9,13 @@
 // package fixes that asymmetry:
 //
 //   - Log appends one frame per commit to size-rotated segment files.
-//     A frame's payload is a Batch (batch.go): a per-batch table of
-//     distinct (host, campaign, observation) tuples, a country table and
+//     A frame's payload is a core.Batch: a per-batch table of distinct
+//     (host, campaign, observation) tuples, a country table and
 //     fixed-width rows — the same layout as a /cluster/ingest body, so a
 //     routed batch reaches a replica WAL without ever becoming one
-//     record per measurement. Appends are
+//     record per measurement. This package frames batches and checks
+//     each with core.Batch.Check before it is written; it owns no
+//     layout of its own below the frame. Appends are
 //     buffered; a background syncer fsyncs on a configurable cadence so
 //     durability never sits on the ingest hot path.
 //   - Checkpoint (Rotate, then Compact) is the one compactor: it seals

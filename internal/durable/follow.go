@@ -223,7 +223,7 @@ func (l *Log) appendFrame(seq uint64, frame []byte) error {
 	if l.nextSeq != seq {
 		return fmt.Errorf("durable: tail frame for seq %d, log at %d", seq, l.nextSeq)
 	}
-	if err := l.check.decode(frame[frameHdrLen:], false); err != nil {
+	if err := l.check.Check(frame[frameHdrLen:]); err != nil {
 		return fmt.Errorf("durable: tail frame at seq %d: %w", seq, err)
 	}
 	if _, err := l.w.Write(frame); err != nil {

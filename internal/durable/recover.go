@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 
+	"tlsfof/internal/core"
 	"tlsfof/internal/store"
 )
 
@@ -56,7 +57,7 @@ type dirScan struct {
 // another format version fails the reading instead (see readSegment).
 // Segments whose first seq is past through are not read. With build set
 // the snapshot is decoded and every frame after it applied to db, clean
-// rows cell by cell (see Batch.applyTo).
+// rows cell by cell (see store.DB.AddBatch).
 func scan(dir string, through uint64, build bool) (*dirScan, error) {
 	segs, snaps, err := listDir(dir)
 	if err != nil {
@@ -79,7 +80,11 @@ func scan(dir string, through uint64, build bool) (*dirScan, error) {
 	}
 
 	next := s.info.SnapshotSeq + 1
-	var batch Batch
+	var batch core.Batch
+	decode := batch.Check
+	if build {
+		decode = batch.Decode
+	}
 	for i, seg := range segs {
 		if seg.first > through {
 			segs = segs[:i]
@@ -94,12 +99,12 @@ func scan(dir string, through uint64, build bool) (*dirScan, error) {
 			if seq < next {
 				return nil // already in the snapshot
 			}
-			if err := batch.decode(payload, build); err != nil {
+			if err := decode(payload); err != nil {
 				undecodable = fmt.Errorf("frame %d: %w", seq, err)
 				return undecodable
 			}
 			if build {
-				batch.applyTo(s.db)
+				s.db.AddBatch(&batch)
 			}
 			s.info.Replayed += len(batch.Rows)
 			next = seq + 1

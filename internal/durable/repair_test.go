@@ -306,13 +306,14 @@ func TestRecoverSkipsForeignFiles(t *testing.T) {
 	}
 }
 
-// parentSegment is a segment as the per-measurement format wrote it:
-// version 1, one core.Measurement per frame.
+// parentSegment is a segment with a version-1 header: that format held
+// one measurement per frame. A reader refuses it on its header alone, so
+// each frame's payload here is just its measurement's host.
 func parentSegment(ms []core.Measurement) []byte {
 	seg := append([]byte(segMagic), 1)
 	seg = binary.LittleEndian.AppendUint64(seg, 1)
 	for _, m := range ms {
-		p := core.AppendMeasurement(nil, m)
+		p := []byte(m.Host)
 		seg = binary.LittleEndian.AppendUint32(seg, uint32(len(p)))
 		seg = binary.LittleEndian.AppendUint32(seg, crc32.Checksum(p, crcTable))
 		seg = append(seg, p...)
@@ -376,5 +377,29 @@ func TestOpenRefusesAnotherFormatVersion(t *testing.T) {
 	defer l.Close()
 	if st := l.Stats(); st.DroppedSegments != 1 || st.LastSeq != 0 {
 		t.Fatalf("short header: %+v, want it set aside and an empty log", st)
+	}
+}
+
+// TestRecoverRefusesVersion1Snapshot: a checkpoint whose store image an
+// older build wrote (version 1, retained records coded one by one) fails
+// Recover and OpenShards with an error naming both image versions,
+// rather than booting a store without it.
+func TestRecoverRefusesVersion1Snapshot(t *testing.T) {
+	root := t.TempDir()
+	dir := ShardDir(root, 0)
+	if err := os.MkdirAll(dir, 0o777); err != nil {
+		t.Fatal(err)
+	}
+	image := store.New(0).AppendSnapshot(nil)
+	image[0] = 1
+	if err := writeSnapshotFile(dir, 0, image); err != nil {
+		t.Fatal(err)
+	}
+	_, _, rerr := Recover(testOptions(dir))
+	_, _, serr := OpenShards(root, 1, testOptions(""))
+	for _, err := range []error{rerr, serr} {
+		if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version 2") {
+			t.Fatalf("booting over a version-1 snapshot: %v, want an error naming versions 1 and 2", err)
+		}
 	}
 }

@@ -38,7 +38,7 @@ type Shard struct {
 
 	// batch is Commit's encoding of its measurements, under the shard
 	// lock.
-	batch Batch
+	batch core.Batch
 	// stages and spans buffer a commit's stage spans and their copies per
 	// traced measurement, under the shard lock, until Commit files them.
 	stages []telemetry.Span
@@ -102,7 +102,7 @@ func (s *Shard) Commit(ms []core.Measurement, sync bool) (uint64, error) {
 // b's IDs, become the WAL frame and the store's adds. The stage spans it
 // observes are dropped rather than filed, since b's rows carry no trace
 // IDs.
-func (s *Shard) CommitBatch(b *Batch, sync bool) (uint64, error) {
+func (s *Shard) CommitBatch(b *core.Batch, sync bool) (uint64, error) {
 	if s.Tracer != nil {
 		defer s.fileSpans(nil)
 	}
@@ -111,7 +111,7 @@ func (s *Shard) CommitBatch(b *Batch, sync bool) (uint64, error) {
 
 // commit writes b ahead and applies it: clean rows as one store add per
 // (tuple, country) cell, proxied rows one by one.
-func (s *Shard) commit(b *Batch, sync bool) (uint64, error) {
+func (s *Shard) commit(b *core.Batch, sync bool) (uint64, error) {
 	var last uint64
 	if s.Log != nil {
 		start := s.stageStart()
@@ -123,7 +123,7 @@ func (s *Shard) commit(b *Batch, sync bool) (uint64, error) {
 		}
 	}
 	start := s.stageStart()
-	b.applyTo(s.DB)
+	s.DB.AddBatch(b)
 	s.Observe(telemetry.StageStore, start)
 	return last, nil
 }

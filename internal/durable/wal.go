@@ -28,7 +28,7 @@ import (
 //
 //	segment header = magic "TFWD" | version 2 | firstSeq uint64le
 //	frame          = payloadLen uint32le | crc32c(payload) uint32le | payload
-//	payload        = one batch (batch.go): the rows of one commit
+//	payload        = one batch (core.Batch): the rows of one commit
 //
 // Sequence numbers are implicit and number frames: frame i of a segment
 // holds seq firstSeq+i, so a seq names a batch, not a measurement. CRCs
@@ -144,10 +144,10 @@ type Log struct {
 	nextSeq     uint64
 	dirty       bool
 	closed      bool
-	scratch     []byte // one commit's encoded frames, back to back
-	frameEnds   []int  // scratch offset just past each frame
-	enc         Batch  // AppendBatch's encoding of its measurements
-	check       Batch  // the decode every frame passes before it is written
+	scratch     []byte     // one commit's encoded frames, back to back
+	frameEnds   []int      // scratch offset just past each frame
+	enc         core.Batch // AppendBatch's encoding of its measurements
+	check       core.Batch // the check every frame passes before it is written
 	snapSeq     uint64
 	snapBytes   int64
 	tail        tailCursor
@@ -287,7 +287,7 @@ func (l *Log) AppendBatch(ms []core.Measurement) error {
 // commit is the shard engine's WAL half (see Shard.Commit): frame b
 // under one lock acquisition, fsync when the caller's policy (sync) says
 // so, and return the last sequence number written. b is one frame unless
-// it holds more than MaxBatchRows rows or encodes to more than
+// it holds more than core.MaxBatchRows rows or encodes to more than
 // MaxFramePayload bytes; then its rows are halved until every part fits,
 // each part a self-contained batch frame with b's IDs. Every frame is
 // encoded, size-checked and decoded back before the first byte reaches
@@ -295,13 +295,13 @@ func (l *Log) AppendBatch(ms []core.Measurement) error {
 // written; a write, rotation or fsync error can still leave a prefix of
 // the frames written. Each frame is atomic under a crash; a commit split
 // into several is not — recovery may keep a prefix of its frames.
-func (l *Log) commit(b *Batch, sync bool) (uint64, error) {
+func (l *Log) commit(b *core.Batch, sync bool) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.commitLocked(b, sync)
 }
 
-func (l *Log) commitLocked(b *Batch, sync bool) (uint64, error) {
+func (l *Log) commitLocked(b *core.Batch, sync bool) (uint64, error) {
 	if l.closed {
 		return 0, fmt.Errorf("durable: append on closed log")
 	}
@@ -337,13 +337,13 @@ func (l *Log) commitLocked(b *Batch, sync bool) (uint64, error) {
 // frame when b fits, otherwise the frames of its two halves,
 // recursively. Every frame is decoded back before it counts, so a frame
 // recovery would refuse is never written.
-func (l *Log) appendFrames(b *Batch) error {
+func (l *Log) appendFrames(b *core.Batch) error {
 	start := len(l.scratch)
-	if len(b.Rows) <= MaxBatchRows {
+	if len(b.Rows) <= core.MaxBatchRows {
 		l.scratch = b.AppendTo(append(l.scratch, 0, 0, 0, 0, 0, 0, 0, 0)) // frame header placeholder
 		payload := l.scratch[start+frameHdrLen:]
 		if len(payload) <= MaxFramePayload {
-			if err := l.check.decode(payload, false); err != nil {
+			if err := l.check.Check(payload); err != nil {
 				l.scratch = l.scratch[:start]
 				return fmt.Errorf("durable: measurement encodes to an unreadable frame: %w", err)
 			}
@@ -357,14 +357,10 @@ func (l *Log) appendFrames(b *Batch) error {
 			return fmt.Errorf("durable: measurement encodes to %d bytes (max %d)", len(payload), MaxFramePayload)
 		}
 	}
-	mid := len(b.Rows) / 2
-	for _, rows := range [][]Row{b.Rows[:mid], b.Rows[mid:]} {
-		var half Batch
-		half.copyFrom(b)
-		for _, r := range rows {
-			half.addRow(b, r)
-		}
-		if err := l.appendFrames(&half); err != nil {
+	var halves [2]core.Batch
+	b.Halve(&halves[0], &halves[1])
+	for i := range halves {
+		if err := l.appendFrames(&halves[i]); err != nil {
 			return err
 		}
 	}
@@ -605,9 +601,16 @@ func writeSnapshotFile(dir string, covered uint64, image []byte) error {
 	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("durable: %w", err)
 	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("durable: %w", err)
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("durable: syncing %s: %w", dir, err)
 	}
 	return nil
 }

@@ -22,10 +22,17 @@ import (
 // order, so tables rendered from a decoded snapshot are byte-identical to
 // tables rendered from the live store. Framing (magic, CRC, atomic file
 // replacement) is the durable layer's job; this file only encodes state.
+//
+// The retained proxied records are batch frames (internal/core's
+// layout): the count of frames, then each frame as a uint32le length and
+// its bytes. The records are cut into frames of at most
+// core.MaxBatchRows, in order, each built with core.Batch.Add and
+// encoded with dedup and trace IDs 0, so equal record sequences give
+// equal bytes.
 
 // snapshotVersion is bumped on any encoding change; decode rejects
 // mismatches rather than guessing.
-const snapshotVersion = 1
+const snapshotVersion = 2
 
 // AppendSnapshot appends the deterministic binary image of the store to
 // dst and returns the extended slice. It takes the store lock once.
@@ -85,9 +92,17 @@ func (db *DB) AppendSnapshot(dst []byte) []byte {
 	dst = appendIPSet(dst, db.proxiedIPs)
 	dst = appendStrSet(dst, db.proxiedCountries)
 
-	dst = binary.AppendUvarint(dst, uint64(len(db.proxied)))
-	for _, m := range db.proxied {
-		dst = core.AppendMeasurement(dst, m)
+	var batch core.Batch
+	dst = binary.AppendUvarint(dst, uint64((len(db.proxied)+core.MaxBatchRows-1)/core.MaxBatchRows))
+	for rest := db.proxied; len(rest) > 0; rest = rest[min(len(rest), core.MaxBatchRows):] {
+		batch.Reset(0, 0)
+		for i := range rest[:min(len(rest), core.MaxBatchRows)] {
+			batch.Add(&rest[i])
+		}
+		batch.Trace = 0
+		start := len(dst)
+		dst = batch.AppendTo(append(dst, 0, 0, 0, 0))
+		binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
 	}
 	return dst
 }
@@ -96,8 +111,11 @@ func (db *DB) AppendSnapshot(dst []byte) []byte {
 // AppendSnapshot. The image must be complete; trailing bytes are an
 // error (the durable layer hands over an exact, CRC-verified payload).
 func DecodeSnapshot(b []byte) (*DB, error) {
-	if len(b) == 0 || b[0] != snapshotVersion {
-		return nil, fmt.Errorf("store: snapshot version mismatch (want %d)", snapshotVersion)
+	if len(b) == 0 {
+		return nil, fmt.Errorf("store: empty snapshot")
+	}
+	if b[0] != snapshotVersion {
+		return nil, fmt.Errorf("store: snapshot version %d, this build reads version %d", b[0], snapshotVersion)
 	}
 	b = b[1:]
 	retain, b, err := readSnapVarint(b, "retain limit")
@@ -118,7 +136,7 @@ func DecodeSnapshot(b []byte) (*DB, error) {
 	if b, err = decodeAggMap(b, db.byCountry, "country"); err != nil {
 		return nil, err
 	}
-	count, b, err := readSnapUvarint(b, "host category count")
+	count, b, err := readSnapCount(b, "host category count")
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +157,7 @@ func DecodeSnapshot(b []byte) (*DB, error) {
 		return nil, err
 	}
 
-	if count, b, err = readSnapUvarint(b, "issuer count"); err != nil {
+	if count, b, err = readSnapCount(b, "issuer count"); err != nil {
 		return nil, err
 	}
 	for i := uint64(0); i < count; i++ {
@@ -154,7 +172,7 @@ func DecodeSnapshot(b []byte) (*DB, error) {
 		db.issuerOrgs.AddN(key, int(c))
 	}
 
-	if count, b, err = readSnapUvarint(b, "category count"); err != nil {
+	if count, b, err = readSnapCount(b, "category count"); err != nil {
 		return nil, err
 	}
 	for i := uint64(0); i < count; i++ {
@@ -181,7 +199,7 @@ func DecodeSnapshot(b []byte) (*DB, error) {
 		*field = int(v)
 	}
 
-	if count, b, err = readSnapUvarint(b, "product count"); err != nil {
+	if count, b, err = readSnapCount(b, "product count"); err != nil {
 		return nil, err
 	}
 	for i := uint64(0); i < count; i++ {
@@ -209,16 +227,22 @@ func DecodeSnapshot(b []byte) (*DB, error) {
 		return nil, err
 	}
 
-	if count, b, err = readSnapUvarint(b, "retained count"); err != nil {
+	if count, b, err = readSnapCount(b, "retained batch count"); err != nil {
 		return nil, err
 	}
-	db.proxied = make([]core.Measurement, 0, count)
+	var batch core.Batch
 	for i := uint64(0); i < count; i++ {
-		var m core.Measurement
-		if m, b, err = core.DecodeMeasurement(b); err != nil {
-			return nil, fmt.Errorf("store: snapshot retained record %d: %w", i, err)
+		if len(b) < 4 || uint64(binary.LittleEndian.Uint32(b)) > uint64(len(b)-4) {
+			return nil, fmt.Errorf("store: snapshot truncated at retained batch %d", i)
 		}
-		db.proxied = append(db.proxied, m)
+		frame := b[4 : 4+binary.LittleEndian.Uint32(b)]
+		if err := batch.Decode(frame); err != nil {
+			return nil, fmt.Errorf("store: snapshot retained batch %d: %w", i, err)
+		}
+		b = b[4+len(frame):]
+		for r := range batch.Rows {
+			db.proxied = append(db.proxied, batch.Measurement(r))
+		}
 	}
 	if len(b) != 0 {
 		return nil, fmt.Errorf("store: snapshot has %d trailing bytes", len(b))
@@ -243,7 +267,7 @@ func appendAggMap(dst []byte, m map[string]Agg) []byte {
 }
 
 func decodeAggMap(b []byte, m map[string]Agg, what string) ([]byte, error) {
-	count, b, err := readSnapUvarint(b, what+" count")
+	count, b, err := readSnapCount(b, what+" count")
 	if err != nil {
 		return nil, err
 	}
@@ -282,7 +306,7 @@ func appendIPSet(dst []byte, set map[uint32]struct{}) []byte {
 }
 
 func decodeIPSet(b []byte) (map[uint32]struct{}, []byte, error) {
-	count, b, err := readSnapUvarint(b, "ip set count")
+	count, b, err := readSnapCount(b, "ip set count")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -313,7 +337,7 @@ func appendStrSet(dst []byte, set map[string]struct{}) []byte {
 }
 
 func decodeStrSet(b []byte) (map[string]struct{}, []byte, error) {
-	count, b, err := readSnapUvarint(b, "string set count")
+	count, b, err := readSnapCount(b, "string set count")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -358,6 +382,17 @@ func readSnapUvarint(b []byte, field string) (uint64, []byte, error) {
 		return 0, nil, fmt.Errorf("store: snapshot truncated at %s", field)
 	}
 	return v, b[n:], nil
+}
+
+// readSnapCount reads an entry count. Every entry takes at least one
+// byte, so a count past the bytes left is damage; bounding it keeps a
+// damaged or hostile image from sizing an allocation.
+func readSnapCount(b []byte, field string) (uint64, []byte, error) {
+	n, b, err := readSnapUvarint(b, field)
+	if err == nil && n > uint64(len(b)) {
+		return 0, nil, fmt.Errorf("store: snapshot %s %d exceeds the %d bytes left", field, n, len(b))
+	}
+	return n, b, err
 }
 
 func readSnapVarint(b []byte, field string) (int64, []byte, error) {

@@ -1,8 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"crypto/x509"
+	"encoding/binary"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -156,4 +159,115 @@ func TestSnapshotRejectsDamage(t *testing.T) {
 	if _, err := DecodeSnapshot(append(img, 0)); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
+}
+
+// TestSnapshotRetainsManyBatches: more retained records than one batch
+// frame holds decode back in order, field for field, and the image
+// re-encodes to the same bytes.
+func TestSnapshotRetainsManyBatches(t *testing.T) {
+	base := syntheticStream(300, 10)
+	db := New(0)
+	var want []core.Measurement
+	for i := 0; len(want) < core.MaxBatchRows+1000; i++ {
+		m := base[i%len(base)]
+		m.Time = m.Time.Add(time.Duration(i) * time.Second)
+		m.ClientIP += uint32(i)
+		if m.Obs.Proxied {
+			want = append(want, m)
+		}
+		db.Ingest(m)
+	}
+	img := db.AppendSnapshot(nil)
+	back, err := DecodeSnapshot(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := back.ProxiedRecords()
+	if len(got) != len(want) {
+		t.Fatalf("decoded %d retained records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if !g.Time.Equal(w.Time) {
+			t.Fatalf("record %d: time %v, want %v", i, g.Time, w.Time)
+		}
+		g.Time = w.Time
+		if g != w {
+			t.Fatalf("record %d: %+v, want %+v", i, g, w)
+		}
+	}
+	if !bytes.Equal(back.AppendSnapshot(nil), img) {
+		t.Fatal("decoded store re-encodes to different bytes")
+	}
+}
+
+// TestSnapshotRefusesVersion1: an image of the per-record layout is
+// refused with an error naming both versions.
+func TestSnapshotRefusesVersion1(t *testing.T) {
+	img := New(0).AppendSnapshot(nil)
+	img[0] = 1
+	_, err := DecodeSnapshot(img)
+	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("decoding a version-1 image: %v, want an error naming versions 1 and 2", err)
+	}
+}
+
+// hugeCountImages returns an empty store's image with one count — the
+// distinct proxied IPs', then the retained batches' — rewritten to 2^40.
+func hugeCountImages() [][]byte {
+	img := New(0).AppendSnapshot(nil)
+	// An empty store's image ends in three zero counts: the proxied IP
+	// set, the proxied country set and the retained batches.
+	head := img[:len(img)-3]
+	huge := binary.AppendUvarint(nil, 1<<40)
+	return [][]byte{
+		append(append(bytes.Clone(head), huge...), 0, 0),
+		append(append(bytes.Clone(head), 0, 0), huge...),
+	}
+}
+
+// TestSnapshotRefusesHugeCounts: a count past the bytes left in the
+// image is an error, decided before anything is sized by it.
+func TestSnapshotRefusesHugeCounts(t *testing.T) {
+	for i, img := range hugeCountImages() {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeSnapshot(img)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "exceeds") {
+			t.Fatalf("image %d: %v, want an error for the count", i, err)
+		}
+		if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20 {
+			t.Fatalf("image %d: decoding %d bytes allocated %d", i, len(img), grown)
+		}
+	}
+}
+
+// FuzzDecodeSnapshot drives DecodeSnapshot over arbitrary bytes. It must
+// never panic, and an image it accepts re-encodes to canonical bytes
+// that decode to a store with the same image.
+func FuzzDecodeSnapshot(f *testing.F) {
+	db := New(0)
+	for _, m := range syntheticStream(60, 11) {
+		db.Ingest(m)
+	}
+	f.Add(db.AppendSnapshot(nil))
+	f.Add(New(3).AppendSnapshot(nil))
+	for _, img := range hugeCountImages() {
+		f.Add(img)
+	}
+	f.Fuzz(func(t *testing.T, p []byte) {
+		db, err := DecodeSnapshot(p)
+		if err != nil {
+			return
+		}
+		img := db.AppendSnapshot(nil)
+		back, err := DecodeSnapshot(img)
+		if err != nil {
+			t.Fatalf("re-encoded image refused: %v", err)
+		}
+		if !bytes.Equal(back.AppendSnapshot(nil), img) {
+			t.Fatal("re-encoded image does not round-trip")
+		}
+	})
 }

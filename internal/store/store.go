@@ -93,6 +93,11 @@ type DB struct {
 
 	retainLimit int
 	proxied     []core.Measurement
+
+	// cellIdx and cells are AddBatch's scratch: its clean rows grouped
+	// by (tuple, country).
+	cellIdx map[uint64]int
+	cells   []batchCell
 }
 
 // NullIssuerKey is the Counter key used for blank Issuer Organizations,
@@ -149,25 +154,50 @@ func (db *DB) AddClean(campaign, country string, cat hostdb.Category, n int) {
 	db.addLocked(campaign, country, cat, n, 0)
 }
 
-// Cell is N clean tests of one (campaign, country, host type) cell.
-type Cell struct {
-	Campaign, Country string
-	HostCategory      hostdb.Category
-	N                 int
-}
-
-// AddBatch records clean cells and proxied measurements under one lock
-// acquisition: the store ends up exactly as after AddClean of every cell
-// and Ingest of every proxied measurement, in order.
-func (db *DB) AddBatch(clean []Cell, proxied []core.Measurement) {
+// AddBatch records b's rows under one lock acquisition: the store ends
+// up exactly as after Ingest of every row's measurement, in order. Clean
+// rows are added one (tuple, country) cell at a time, as AddClean adds
+// them. A retained proxied record is b.Record's, so one from a decoded
+// batch has strings of its own.
+func (db *DB) AddBatch(b *core.Batch) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	for _, c := range clean {
-		db.addLocked(c.Campaign, c.Country, c.HostCategory, c.N, 0)
+	if db.cellIdx == nil {
+		db.cellIdx = make(map[uint64]int)
 	}
-	for _, m := range proxied {
-		db.ingestLocked(m)
+	// Two passes, clean rows then proxied ones, so the grouping's map
+	// is not evicted by ingestLocked's between rows.
+	for _, r := range b.Rows {
+		if b.Tuples[r.Tuple].Obs.Proxied {
+			continue
+		}
+		key := uint64(r.Tuple)<<32 | uint64(r.Country)
+		c, ok := db.cellIdx[key]
+		if !ok {
+			c = len(db.cells)
+			db.cellIdx[key] = c
+			db.cells = append(db.cells, batchCell{key: key})
+		}
+		db.cells[c].n++
 	}
+	for _, c := range db.cells {
+		t := &b.Tuples[c.key>>32]
+		db.addLocked(t.Campaign, b.Countries[uint32(c.key)], t.HostCategory, c.n, 0)
+	}
+	clear(db.cellIdx)
+	db.cells = db.cells[:0]
+	for i, r := range b.Rows {
+		if b.Tuples[r.Tuple].Obs.Proxied {
+			db.ingestLocked(b.Record(i))
+		}
+	}
+}
+
+// batchCell is n clean rows of one batch's (tuple, country) pair, key
+// tuple<<32 | country.
+type batchCell struct {
+	key uint64
+	n   int
 }
 
 // addLocked adds (tested, proxied) to the totals and the per-country,

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"tlsfof/internal/classify"
 	"tlsfof/internal/core"
@@ -241,6 +242,42 @@ func TestAddCleanMatchesIngest(t *testing.T) {
 	empty.AddClean("global", "US", hostdb.Popular, 0)
 	if !bytes.Equal(empty.AppendSnapshot(nil), New(0).AppendSnapshot(nil)) {
 		t.Fatalf("AddClean of 0 tests changed an empty store: %+v", empty.ByCountry(OrderByTested))
+	}
+}
+
+// TestAddBatchMatchesIngest: AddBatch of a batch, built with Add or
+// decoded from bytes, leaves the store exactly as Ingest of every
+// measurement in order. A retained record from a decoded batch has
+// strings of its own, not the batch's table strings.
+func TestAddBatchMatchesIngest(t *testing.T) {
+	ms := syntheticStream(400, 12)
+	rows := New(0)
+	for _, m := range ms {
+		rows.Ingest(m)
+	}
+	var built, decoded core.Batch
+	built.Reset(0, 0)
+	for i := range ms {
+		built.Add(&ms[i])
+	}
+	if err := decoded.Decode(built.AppendTo(nil)); err != nil {
+		t.Fatal(err)
+	}
+	for name, b := range map[string]*core.Batch{"built": &built, "decoded": &decoded} {
+		db := New(0)
+		db.AddBatch(b)
+		if got, want := renderStore(t, db), renderStore(t, rows); got != want {
+			t.Fatalf("%s: AddBatch store differs from the Ingest store", name)
+		}
+	}
+	db := New(0)
+	db.AddBatch(&decoded)
+	for i, rec := range db.ProxiedRecords() {
+		for _, tu := range decoded.Tuples {
+			if unsafe.StringData(rec.Host) == unsafe.StringData(tu.Host) {
+				t.Fatalf("retained record %d shares its host with the decoded batch", i)
+			}
+		}
 	}
 }
 
