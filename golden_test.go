@@ -239,14 +239,13 @@ func recoverFromShards(t *testing.T, cfg study.Config) *study.Result {
 				}
 			}
 		}
-		parts := make([][]core.Measurement, shardCount)
+		parts := make([]core.Batch, shardCount)
 		for _, m := range stream[start:min(start+checkpointEvery, len(stream))] {
-			i := ingest.ShardOf(m.Host, shardCount)
-			parts[i] = append(parts[i], m)
+			parts[ingest.ShardOf(m.Host, shardCount)].Add(&m)
 		}
 		for i, sh := range shards {
 			sh.Lock()
-			_, err := sh.Commit(parts[i], false)
+			_, err := sh.Commit(&parts[i], false)
 			sh.Unlock()
 			if err != nil {
 				t.Fatal(err)

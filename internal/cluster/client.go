@@ -103,12 +103,12 @@ type RouteClient struct {
 	cfg RouteConfig
 
 	mu   sync.Mutex
-	bufs map[string][]core.Measurement
-	// spare holds flushed owner buffers for reuse. A buffer gets here only
-	// once its flush has finished with it — reroute iterates the flushed
-	// batch while enqueueLocked appends to live buffers, so the two must
-	// never share an array.
-	spare    [][]core.Measurement
+	bufs map[string]*core.Batch
+	// spare holds flushed owner batches for reuse. A batch gets here only
+	// once its flush has finished with it — reroute reads the flushed
+	// batch's rows while bufferLocked fills live ones, so the two must
+	// never be one batch.
+	spare    []*core.Batch
 	stats    RouteStats
 	err      error
 	rng      *stats.RNG
@@ -144,7 +144,7 @@ func NewRouteClient(cfg RouteConfig) (*RouteClient, error) {
 	}
 	rc := &RouteClient{
 		cfg:      cfg,
-		bufs:     make(map[string][]core.Measurement),
+		bufs:     make(map[string]*core.Batch),
 		rng:      stats.NewRNG(cfg.Seed),
 		breakers: make(map[string]*resilient.Breaker),
 	}
@@ -184,29 +184,48 @@ func (rc *RouteClient) Ingest(m core.Measurement) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	rc.stats.Ingested++
-	rc.enqueueLocked(m, 0)
+	if id, b := rc.bufferLocked(m.Host, 0); b != nil {
+		b.Add(&m)
+		if len(b.Rows) >= rc.cfg.BatchSize {
+			rc.flushOwnerLocked(id, 1)
+		}
+	}
 }
 
-func (rc *RouteClient) enqueueLocked(m core.Measurement, depth int) {
+// enqueueLocked buffers src's row r toward its owning node, flushing the
+// owner's batch when full.
+func (rc *RouteClient) enqueueLocked(src *core.Batch, r core.Row, depth int) {
+	if id, b := rc.bufferLocked(src.Tuples[r.Tuple].Host, depth); b != nil {
+		b.AddFrom(src, r)
+		if len(b.Rows) >= rc.cfg.BatchSize {
+			rc.flushOwnerLocked(id, depth+1)
+		}
+	}
+}
+
+// bufferLocked returns the batch buffering host's rows toward its
+// owner, or nil (the row lost and counted) when host has no alive owner
+// or has been rerouted too often.
+func (rc *RouteClient) bufferLocked(host string, depth int) (string, *core.Batch) {
 	if depth > 8 {
-		rc.fail(1, fmt.Errorf("cluster: reroute depth exhausted for host %s", m.Host))
-		return
+		rc.fail(1, fmt.Errorf("cluster: reroute depth exhausted for host %s", host))
+		return "", nil
 	}
-	owner, ok := rc.cfg.Members.Owner(m.Host)
+	owner, ok := rc.cfg.Members.Owner(host)
 	if !ok {
-		rc.fail(1, fmt.Errorf("cluster: no alive owner for host %s", m.Host))
-		return
+		rc.fail(1, fmt.Errorf("cluster: no alive owner for host %s", host))
+		return "", nil
 	}
-	buf, ok := rc.bufs[owner.ID]
-	if !ok && len(rc.spare) > 0 {
-		buf = rc.spare[len(rc.spare)-1]
-		rc.spare = rc.spare[:len(rc.spare)-1]
+	b := rc.bufs[owner.ID]
+	if b == nil {
+		if n := len(rc.spare); n > 0 {
+			b, rc.spare = rc.spare[n-1], rc.spare[:n-1]
+		} else {
+			b = new(core.Batch)
+		}
+		rc.bufs[owner.ID] = b
 	}
-	buf = append(buf, m)
-	rc.bufs[owner.ID] = buf
-	if len(buf) >= rc.cfg.BatchSize {
-		rc.flushOwnerLocked(owner.ID, depth+1)
-	}
+	return owner.ID, b
 }
 
 // Flush delivers every buffered batch and returns the first error the
@@ -236,17 +255,17 @@ func (rc *RouteClient) flushAllLocked() {
 // the error covers this call only — it is non-nil exactly when some of
 // this batch was lost, and a later call starts clean. A partial failure
 // leaves the delivered shares committed.
-func (rc *RouteClient) Deliver(batch []core.Measurement) error {
+func (rc *RouteClient) Deliver(b *core.Batch) error {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	lost := rc.stats.Lost
-	rc.stats.Ingested += uint64(len(batch))
-	for _, m := range batch {
-		rc.enqueueLocked(m, 0)
+	rc.stats.Ingested += uint64(len(b.Rows))
+	for _, r := range b.Rows {
+		rc.enqueueLocked(b, r, 0)
 	}
 	rc.flushAllLocked()
 	if n := rc.stats.Lost - lost; n > 0 {
-		return fmt.Errorf("cluster: %d of %d measurements not delivered", n, len(batch))
+		return fmt.Errorf("cluster: %d of %d measurements not delivered", n, len(b.Rows))
 	}
 	return nil
 }
@@ -282,15 +301,18 @@ func (rc *RouteClient) fail(n int, err error) {
 func (rc *RouteClient) flushOwnerLocked(id string, depth int) {
 	batch := rc.bufs[id]
 	delete(rc.bufs, id)
-	if len(batch) == 0 {
+	if batch == nil {
 		return
 	}
-	defer func() { rc.spare = append(rc.spare, batch[:0]) }()
+	defer func() {
+		batch.Reset(0, 0)
+		rc.spare = append(rc.spare, batch)
+	}()
 	reroute := func(why string) {
-		rc.stats.Rerouted += uint64(len(batch))
-		rc.cfg.Logf("cluster route: rerouting %d measurements away from %s (%s)", len(batch), id, why)
-		for _, m := range batch {
-			rc.enqueueLocked(m, depth+1)
+		rc.stats.Rerouted += uint64(len(batch.Rows))
+		rc.cfg.Logf("cluster route: rerouting %d measurements away from %s (%s)", len(batch.Rows), id, why)
+		for _, r := range batch.Rows {
+			rc.enqueueLocked(batch, r, depth+1)
 		}
 	}
 	member, ok := rc.cfg.Members.Get(id)
@@ -319,7 +341,7 @@ func (rc *RouteClient) flushOwnerLocked(id string, depth int) {
 		rc.cfg.Members.MarkDraining(id)
 		reroute(fmt.Sprintf("not owner, moved to %s", res.Owner))
 	case res.Error != "":
-		rc.fail(len(batch), fmt.Errorf("cluster: node %s rejected a batch of %d: %s", id, len(batch), res.Error))
+		rc.fail(len(batch.Rows), fmt.Errorf("cluster: node %s rejected a batch of %d: %s", id, len(batch.Rows), res.Error))
 	default:
 		if res.Duplicate {
 			rc.stats.DuplicateAcks++
@@ -344,13 +366,13 @@ func (rc *RouteClient) flushOwnerLocked(id string, depth int) {
 // reachable alive peer. The batch ID makes the whole sequence
 // idempotent — whichever path lands first wins and every other arrival
 // is answered from the owner's dedup table.
-func (rc *RouteClient) deliverBatch(member Member, ms []core.Measurement) (ingest.BatchResult, error) {
-	id := rc.nextBatchID()
+func (rc *RouteClient) deliverBatch(member Member, b *core.Batch) (ingest.BatchResult, error) {
+	b.ID = rc.nextBatchID()
 	// Not reused: the transport may still be reading a request body after
 	// an early error response. The encoder sizes it from the batch: 16
 	// bytes a row plus the tuple and country tables, about 18 bytes a
 	// study-2 measurement.
-	body := AppendMeasurementsID(nil, id, ms)
+	body := b.AppendTo(nil)
 	br := rc.breakerFor(member.ID)
 	var directErr error
 	if br.Allow() {

@@ -174,6 +174,15 @@ func TestParseMembers(t *testing.T) {
 	}
 }
 
+// batchOf builds ms into one batch with Add, as a request's batch is.
+func batchOf(ms []core.Measurement) *core.Batch {
+	b := new(core.Batch)
+	for i := range ms {
+		b.Add(&ms[i])
+	}
+	return b
+}
+
 func TestMeasWireRoundTripAndDamage(t *testing.T) {
 	ms := testMeasurements(50, 3)
 	// ID 0 ("no dedup") rides the same wire as any other ID.
@@ -246,7 +255,7 @@ func TestRouteBatchSizeCapped(t *testing.T) {
 		t.Fatal(err)
 	}
 	ms := testMeasurements(core.MaxBatchRows+10, 6)
-	if err := rc.Deliver(ms); err != nil {
+	if err := rc.Deliver(batchOf(ms)); err != nil {
 		t.Fatalf("deliver of %d measurements: %v", len(ms), err)
 	}
 	if st := rc.Stats(); st.Delivered != uint64(len(ms)) || st.Lost != 0 {
@@ -294,18 +303,18 @@ func TestDeliverErrorIsPerCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	ms := testMeasurements(30, 5)
-	if err := rc.Deliver(ms[:10]); err != nil {
+	if err := rc.Deliver(batchOf(ms[:10])); err != nil {
 		t.Fatalf("clean deliver: %v", err)
 	}
 	refuse.Store(true)
-	if err := rc.Deliver(ms[10:20]); err == nil || !strings.Contains(err.Error(), "10 of 10 measurements") {
+	if err := rc.Deliver(batchOf(ms[10:20])); err == nil || !strings.Contains(err.Error(), "10 of 10 measurements") {
 		t.Fatalf("deliver of a refused batch returned %v, want an error naming its 10 measurements", err)
 	}
 	refuse.Store(false)
-	if err := rc.Deliver(ms[20:]); err != nil {
+	if err := rc.Deliver(batchOf(ms[20:])); err != nil {
 		t.Fatalf("deliver after a lost batch is poisoned: %v", err)
 	}
-	if err := rc.Deliver(nil); err != nil {
+	if err := rc.Deliver(batchOf(nil)); err != nil {
 		t.Fatalf("empty deliver: %v", err)
 	}
 	st := rc.Stats()
@@ -352,7 +361,7 @@ func TestDeliverFlushesReroutedRows(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := accepted.Load()
-		if err := rc.Deliver(ms); err != nil {
+		if err := rc.Deliver(batchOf(ms)); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		st := rc.Stats()

@@ -31,9 +31,10 @@
 //     durable position after any cut. A caught-up poll parks on the
 //     source until a commit wakes it, so the pull behaves as a push: the
 //     next poll's position is the ack.
-//   - RouteClient: a core.Sink that batches measurements per owning
-//     node, reroutes on not-owner verdicts (a draining node) and on node
-//     death, and keeps enough accounting to prove nothing was dropped.
+//   - RouteClient: a core.BatchCommitter that keeps one core.Batch per
+//     owning node, reroutes on not-owner verdicts (a draining node) and
+//     on node death, and keeps enough accounting to prove nothing was
+//     dropped.
 //
 // Correctness claims here are enforced by cluster_test.go at the repo
 // root: a three-node in-process cluster ingests a seeded study, one node

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
 
 	"tlsfof/internal/core"
 )
@@ -30,17 +29,11 @@ import (
 // bounds its rows.
 const MaxMeasBatchBytes = 32 << 20
 
-// batchPool recycles the codec's batches, so encoding and decoding a
-// batch allocate nothing per row once a pooled batch has grown.
-var batchPool = sync.Pool{New: func() any { return new(core.Batch) }}
-
 // AppendMeasurementsID encodes a batch carrying a client-generated dedup
 // ID (0 = no dedup). ms holds at most core.MaxBatchRows measurements;
 // it panics on more (see core.Batch.AppendTo).
 func AppendMeasurementsID(dst []byte, id uint64, ms []core.Measurement) []byte {
-	b := getBatch()
-	defer putBatch(b)
-	b.Reset(id, 0)
+	b := core.Batch{ID: id}
 	for i := range ms {
 		b.Add(&ms[i])
 	}
@@ -52,8 +45,7 @@ func AppendMeasurementsID(dst []byte, id uint64, ms []core.Measurement) []byte {
 // all-or-nothing by design. The measurements share their batch's
 // strings, and none carries a trace ID.
 func DecodeMeasurementsID(p []byte) ([]core.Measurement, uint64, error) {
-	b := getBatch()
-	defer putBatch(b)
+	var b core.Batch
 	if err := b.Decode(p); err != nil {
 		return nil, 0, fmt.Errorf("cluster: %w", err)
 	}
@@ -62,13 +54,4 @@ func DecodeMeasurementsID(p []byte) ([]core.Measurement, uint64, error) {
 		ms[i] = b.Measurement(i)
 	}
 	return ms, b.ID, nil
-}
-
-func getBatch() *core.Batch { return batchPool.Get().(*core.Batch) }
-
-// putBatch empties b, so the pool keeps no string of its last batch
-// alive, and returns it to the pool.
-func putBatch(b *core.Batch) {
-	b.Reset(0, 0)
-	batchPool.Put(b)
 }

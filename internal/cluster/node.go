@@ -533,7 +533,7 @@ func (n *Node) commit(sc *ingestScratch) error {
 func (n *Node) applyShard(si int, b *core.Batch) error {
 	sh := n.shards[si]
 	sh.Lock()
-	last, err := sh.CommitBatch(b, true)
+	last, err := sh.Commit(b, true)
 	if err == nil {
 		sh.lastSeq.advance(last)
 	}

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"tlsfof/internal/hostdb"
@@ -63,6 +64,9 @@ type Row struct {
 	ClientIP       uint32
 	Tuple, Country uint32
 	Time           int64 // Unix nanoseconds
+	// Trace is the measurement's telemetry trace ID. It lives in memory
+	// only: a row encodes without it, so a decoded row has none.
+	Trace uint64
 }
 
 // Batch is one batch frame in memory: built row by row with Add, or
@@ -88,9 +92,12 @@ type Batch struct {
 	countryIdx   map[string]uint32
 	lastCountry  string
 	lastCountryN uint32
-	// tupleMap and countryMap map a source batch's table indexes to this
-	// one's (-1: not copied yet) while addRow copies rows in.
-	tupleMap, countryMap []int32
+	// gen names this batch's tables, anew at each Reset and at the first
+	// tuple of a batch never Reset (0: none yet). tupleMap maps the tuple
+	// indexes of the batch whose gen is fromGen to this one's (-1: not
+	// copied yet) while AddFrom copies its rows in.
+	gen, fromGen uint64
+	tupleMap     []int32
 	// blob holds every string of a decoded batch's tables, region the
 	// encoded tables during Decode (see str).
 	blob   string
@@ -108,7 +115,12 @@ func (b *Batch) Reset(id, trace uint64) {
 	clear(b.countryIdx)
 	b.lastCountry = ""
 	b.blob = ""
+	b.gen, b.fromGen = batchGens.Add(1), 0
 }
+
+// batchGens numbers table generations process-wide, so a gen names one
+// batch's tables even after another batch takes that batch's memory.
+var batchGens atomic.Uint64
 
 // tupleKey is a tuple in Add's index: all of it but the observation.
 type tupleKey struct {
@@ -127,37 +139,79 @@ const maxTupleChain = 16
 // Batch that only Add filled since its Reset encodes canonically: equal
 // measurement sequences give equal bytes.
 func (b *Batch) Add(m *Measurement) {
+	t := b.tupleOf(m.Host, m.Campaign, m.HostCategory, &m.Obs)
+	b.AddRow(Row{ClientIP: m.ClientIP, Tuple: uint32(t), Country: b.countryOf(m.Country), Time: m.Time.UnixNano(), Trace: m.Trace})
+}
+
+// AddRow appends r, whose tuple and country are already in b's tables.
+// The first traced row names the batch's trace.
+func (b *Batch) AddRow(r Row) {
+	if b.Trace == 0 {
+		b.Trace = r.Trace
+	}
+	b.Rows = append(b.Rows, r)
+}
+
+// AddFrom appends src's row r to b as Add appends src.Measurement of
+// that row: the batch Add would build, save that a tuple met again past
+// maxTupleChain newer ones of its key is not stored twice. Each of src's
+// tuples is looked up in b's tables once, on first use: until b or src
+// is Reset, AddFrom remembers where it put them. Rows from a decoded src
+// make b's strings borrowed too (see Record).
+func (b *Batch) AddFrom(src *Batch, r Row) {
+	if src.gen == 0 || src.gen != b.fromGen {
+		b.fromGen, b.tupleMap = src.gen, b.tupleMap[:0]
+		if src.blob != "" {
+			b.blob = src.blob
+		}
+	}
+	for int(r.Tuple) >= len(b.tupleMap) {
+		b.tupleMap = append(b.tupleMap, -1)
+	}
+	t := b.tupleMap[r.Tuple]
+	if t < 0 {
+		st := &src.Tuples[r.Tuple]
+		t = b.tupleOf(st.Host, st.Campaign, st.HostCategory, &st.Obs)
+		b.tupleMap[r.Tuple] = t
+	}
+	r.Tuple, r.Country = uint32(t), b.countryOf(src.Countries[r.Country])
+	b.AddRow(r)
+}
+
+// countryOf returns the index of country c, adding it to the table if
+// it is new.
+func (b *Batch) countryOf(c string) uint32 {
+	if len(b.Rows) == 0 || c != b.lastCountry {
+		n, ok := b.countryIdx[c]
+		if !ok {
+			n = uint32(len(b.Countries))
+			b.Countries = append(b.Countries, c)
+			b.countryIdx[c] = n
+		}
+		b.lastCountry, b.lastCountryN = c, n
+	}
+	return b.lastCountryN
+}
+
+// tupleOf returns the index of the tuple (host, campaign, cat, obs),
+// adding it to the table unless its key's chain holds it. It makes the
+// country index too: a row's tuple is looked up before its country.
+func (b *Batch) tupleOf(host, campaign string, cat hostdb.Category, obs *Observation) int32 {
 	if b.tupleIdx == nil {
 		b.tupleIdx, b.countryIdx = make(map[tupleKey]int32), make(map[string]uint32)
 	}
-	t := b.tupleOf(m)
-	if len(b.Rows) == 0 || m.Country != b.lastCountry {
-		c, ok := b.countryIdx[m.Country]
-		if !ok {
-			c = uint32(len(b.Countries))
-			b.Countries = append(b.Countries, m.Country)
-			b.countryIdx[m.Country] = c
-		}
-		b.lastCountry, b.lastCountryN = m.Country, c
-	}
-	if b.Trace == 0 {
-		b.Trace = m.Trace
-	}
-	b.Rows = append(b.Rows, Row{ClientIP: m.ClientIP, Tuple: uint32(t), Country: b.lastCountryN, Time: m.Time.UnixNano()})
-}
-
-// tupleOf returns the index of m's tuple, adding it to the table unless
-// its key's chain holds it.
-func (b *Batch) tupleOf(m *Measurement) int32 {
-	key := tupleKey{host: m.Host, campaign: m.Campaign, cat: m.HostCategory}
+	key := tupleKey{host: host, campaign: campaign, cat: cat}
 	head, ok := b.tupleIdx[key]
 	for i, n := head, 0; ok && i >= 0 && n < maxTupleChain; i, n = b.tupleNext[i], n+1 {
-		if b.Tuples[i].Obs == m.Obs {
+		if b.Tuples[i].Obs == *obs {
 			return i
 		}
 	}
+	if b.gen == 0 {
+		b.gen = batchGens.Add(1)
+	}
 	t := int32(len(b.Tuples))
-	b.Tuples = append(b.Tuples, Tuple{Host: m.Host, HostCategory: m.HostCategory, Campaign: m.Campaign, Obs: m.Obs})
+	b.Tuples = append(b.Tuples, Tuple{Host: host, HostCategory: cat, Campaign: campaign, Obs: *obs})
 	if !ok {
 		head = -1
 	}
@@ -167,7 +221,7 @@ func (b *Batch) tupleOf(m *Measurement) int32 {
 }
 
 // Measurement expands row i. Its strings are the batch's own, shared
-// with every other row of the same tuple or country; Trace is zero.
+// with every other row of the same tuple or country.
 func (b *Batch) Measurement(i int) Measurement {
 	r := b.Rows[i]
 	t := &b.Tuples[r.Tuple]
@@ -179,15 +233,17 @@ func (b *Batch) Measurement(i int) Measurement {
 		HostCategory: t.HostCategory,
 		Campaign:     t.Campaign,
 		Obs:          t.Obs,
+		Trace:        r.Trace,
 	}
 }
 
-// Record is Measurement(i) for a record kept past the batch: a decoded
-// batch's strings are copied, so the record does not keep the batch's
-// whole string table alive. An Add-built batch's strings are already
-// its measurements' own.
+// Record is Measurement(i) for a record kept past the batch, with no
+// trace: a decoded batch's strings are copied, so the record does not
+// keep the batch's whole string table alive. An Add-built batch's
+// strings are already its measurements' own.
 func (b *Batch) Record(i int) Measurement {
 	m := b.Measurement(i)
+	m.Trace = 0
 	if b.blob != "" {
 		for _, s := range [...]*string{&m.Country, &m.Host, &m.Campaign, &m.Obs.IssuerOrg, &m.Obs.IssuerCN, &m.Obs.IssuerOU, &m.Obs.ProductName} {
 			*s = strings.Clone(*s)
@@ -359,10 +415,10 @@ func readCount(p []byte, table string) (int, []byte, error) {
 // built, the batch Add would build from those rows.
 func (b *Batch) Split(part []int, parts []Batch) {
 	for i := range parts {
-		parts[i].copyFrom(b)
+		parts[i].Reset(b.ID, b.Trace)
 	}
 	for _, r := range b.Rows {
-		parts[part[r.Tuple]].addRow(b, r)
+		parts[part[r.Tuple]].AddFrom(b, r)
 	}
 }
 
@@ -370,46 +426,12 @@ func (b *Batch) Split(part []int, parts []Batch) {
 // self-contained batch with b's IDs, as Split builds its parts.
 func (b *Batch) Halve(lo, hi *Batch) {
 	mid := len(b.Rows) / 2
-	lo.copyFrom(b)
+	lo.Reset(b.ID, b.Trace)
+	hi.Reset(b.ID, b.Trace)
 	for _, r := range b.Rows[:mid] {
-		lo.addRow(b, r)
+		lo.AddFrom(b, r)
 	}
-	hi.copyFrom(b)
 	for _, r := range b.Rows[mid:] {
-		hi.addRow(b, r)
+		hi.AddFrom(b, r)
 	}
-}
-
-// copyFrom empties d for rows copied from src with addRow.
-func (d *Batch) copyFrom(src *Batch) {
-	d.Reset(src.ID, src.Trace)
-	d.blob = src.blob
-	d.tupleMap = fill(d.tupleMap, len(src.Tuples))
-	d.countryMap = fill(d.countryMap, len(src.Countries))
-}
-
-func fill(s []int32, n int) []int32 {
-	s = s[:0]
-	for range n {
-		s = append(s, -1)
-	}
-	return s
-}
-
-// addRow appends src's row r to d, copying its tuple and country into
-// d's tables on first use.
-func (d *Batch) addRow(src *Batch, r Row) {
-	t := d.tupleMap[r.Tuple]
-	if t < 0 {
-		t = int32(len(d.Tuples))
-		d.Tuples = append(d.Tuples, src.Tuples[r.Tuple])
-		d.tupleMap[r.Tuple] = t
-	}
-	c := d.countryMap[r.Country]
-	if c < 0 {
-		c = int32(len(d.Countries))
-		d.Countries = append(d.Countries, src.Countries[r.Country])
-		d.countryMap[r.Country] = c
-	}
-	d.Rows = append(d.Rows, Row{ClientIP: r.ClientIP, Tuple: uint32(t), Country: uint32(c), Time: r.Time})
 }

@@ -203,6 +203,31 @@ func TestBatchSplitIsAddPerPart(t *testing.T) {
 	}
 }
 
+// TestAddFromFollowsItsSource: AddFrom remembers where a source's tuples
+// went only while the source keeps its tables. A source replaced by a
+// zero Batch at the same address, or Reset, and filled with another
+// tuple is looked up afresh, as the handler's pooled batch and a
+// request's short-lived one are.
+func TestAddFromFollowsItsSource(t *testing.T) {
+	hosts := []string{"a.example", "b.example", "c.example"}
+	var src, dst Batch
+	for i, host := range hosts {
+		switch i {
+		case 1:
+			src = Batch{}
+		case 2:
+			src.Reset(0, 0)
+		}
+		src.Add(&Measurement{Host: host, Country: "US", Time: time.Unix(int64(i), 0)})
+		dst.AddFrom(&src, src.Rows[0])
+	}
+	for i, host := range hosts {
+		if got := dst.Measurement(i).Host; got != host {
+			t.Fatalf("row %d copied as %s, want %s", i, got, host)
+		}
+	}
+}
+
 // TestBatchDecodeAllocs: a warm batch decodes with one allocation, the
 // copy of its string tables, however many rows it has; the check a
 // replica runs before it appends a frame allocates nothing.

@@ -103,13 +103,15 @@ func (c *Collector) snapshot() map[string][][]byte {
 	return nil
 }
 
-// BatchCommitter is the batch side of a Sink: storage that commits a
-// whole request's measurements in one call and says whether the commit
-// failed. The HTTP intake (ServeHTTP, ingest.BatchHandler) acks a request
-// only after Deliver returns nil, so "accepted" means committed. The
-// batch is lent for the call; an implementation copies what it keeps.
+// BatchCommitter is the batch side of a Sink: storage that takes a whole
+// request's batch in one call and says whether that failed. The HTTP
+// intake (ServeHTTP, ingest.BatchHandler) acks a request only after
+// Deliver returns nil. On the cluster router that means committed; the
+// pipeline only fills its shards' pending batches, which reach the WAL
+// at the shard's next commit (BatchSize rows, Drain or Close). The batch
+// is lent for the call; an implementation copies what it keeps.
 type BatchCommitter interface {
-	Deliver(batch []Measurement) error
+	Deliver(b *Batch) error
 }
 
 // Ingest processes one report that arrived by any transport: the client's
@@ -194,15 +196,15 @@ func (c *Collector) Stamp(at time.Time) time.Time {
 	return at.Round(0)
 }
 
-// Deliver commits one request's observed measurements through the
-// collector's storage: in one call when the Sink is a BatchCommitter, one
-// Ingest at a time otherwise (those sinks cannot fail).
-func (c *Collector) Deliver(batch []Measurement) error {
+// Deliver hands one request's observed batch to the collector's
+// storage: in one call when the Sink is a BatchCommitter, otherwise one
+// Ingest per row, of that row's measurement (those sinks cannot fail).
+func (c *Collector) Deliver(b *Batch) error {
 	if bc, ok := c.Sink.(BatchCommitter); ok {
-		return bc.Deliver(batch)
+		return bc.Deliver(b)
 	}
-	for _, m := range batch {
-		c.Sink.Ingest(m)
+	for i := range b.Rows {
+		c.Sink.Ingest(b.Measurement(i))
 	}
 	return nil
 }
@@ -237,7 +239,9 @@ func (c *Collector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if err := c.Deliver([]Measurement{m}); err != nil {
+	var b Batch
+	b.Add(&m)
+	if err := c.Deliver(&b); err != nil {
 		// Not committed: the client may re-send.
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return

@@ -151,6 +151,47 @@ func TestCollectorIngest(t *testing.T) {
 	}
 }
 
+// TestCollectorDeliverToPlainSink: a Sink that is not a BatchCommitter
+// gets one Measurement per row of the delivered batch, in row order, each
+// with its own Time, Country, Campaign, Obs and Trace — rows added with
+// Add and rows repeating a tuple with AddRow alike.
+func TestCollectorDeliverToPlainSink(t *testing.T) {
+	epoch := time.Date(2014, time.July, 1, 12, 0, 0, 0, time.UTC)
+	forged := Observation{Proxied: true, IssuerOrg: "Kaspersky Lab ZAO", KeyBits: 1024, WeakKey: true, ProductName: "Kaspersky"}
+	want := []Measurement{
+		{Time: epoch, ClientIP: 7, Country: "US", Host: "tlsresearch.byu.edu", HostCategory: hostdb.Authors, Campaign: "global", Trace: 11},
+		{Time: epoch.Add(time.Millisecond), ClientIP: 7, Country: "US", Host: "a.example", Campaign: "global", Obs: forged},
+		{Time: epoch.Add(2 * time.Millisecond), ClientIP: 9, Country: "BR", Host: "a.example", Campaign: "targeted", Obs: forged, Trace: 13},
+		{Time: epoch.Add(3 * time.Millisecond), ClientIP: 7, Country: "US", Host: "tlsresearch.byu.edu", HostCategory: hostdb.Authors, Campaign: "global", Trace: 14},
+		{Time: epoch.Add(4 * time.Millisecond), ClientIP: 7, Country: "US", Host: "a.example", Campaign: "global", Obs: forged},
+	}
+	var b Batch
+	for i := range want[:3] {
+		b.Add(&want[i])
+	}
+	for i := 3; i < 5; i++ { // rows 3 and 4 repeat the tuples of rows 0 and 1
+		r := b.Rows[i-3]
+		r.Time, r.Trace = want[i].Time.UnixNano(), want[i].Trace
+		b.AddRow(r)
+	}
+
+	var got []Measurement
+	col := NewCollector(classifier, nil, SinkFunc(func(m Measurement) { got = append(got, m) }))
+	if err := col.Deliver(&b); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("sink got %d measurements for %d rows", len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if !g.Time.Equal(w.Time) || g.ClientIP != w.ClientIP || g.Country != w.Country || g.Host != w.Host ||
+			g.HostCategory != w.HostCategory || g.Campaign != w.Campaign || g.Obs != w.Obs || g.Trace != w.Trace {
+			t.Errorf("row %d reached the sink as\n%+v\nwant\n%+v", i, g, w)
+		}
+	}
+}
+
 func TestCollectorUnknownHost(t *testing.T) {
 	col := NewCollector(classifier, nil, &captureSink{})
 	_, leaf := authChain(t, "x.example")
@@ -184,7 +225,7 @@ func TestCollectorHTTPIntake(t *testing.T) {
 // refusingCommitter is a BatchCommitter whose commit always fails.
 type refusingCommitter struct{ captureSink }
 
-func (*refusingCommitter) Deliver([]Measurement) error { return errors.New("disk full") }
+func (*refusingCommitter) Deliver(*Batch) error { return errors.New("disk full") }
 
 // TestCollectorHTTPCommitError: /report acks only what was committed — a
 // failed Deliver answers 503, not 200.

@@ -23,7 +23,7 @@ import (
 type Shard struct {
 	// Mutex is the commit lock. Commit must be called with it held; a
 	// mount keeps whatever per-shard state its policy needs under the
-	// same lock (the pipeline's pending buffer, the cluster's published
+	// same lock (the pipeline's pending batch, the cluster's published
 	// last seq), which is why it is exposed rather than taken inside
 	// Commit.
 	sync.Mutex
@@ -36,11 +36,8 @@ type Shard struct {
 	// stage of every commit. Nil keeps Commit free of clock reads.
 	Tracer *telemetry.Tracer
 
-	// batch is Commit's encoding of its measurements, under the shard
-	// lock.
-	batch core.Batch
 	// stages and spans buffer a commit's stage spans and their copies per
-	// traced measurement, under the shard lock, until Commit files them.
+	// traced row, under the shard lock, until Commit files them.
 	stages []telemetry.Span
 	spans  []telemetry.TracedSpan
 }
@@ -79,39 +76,20 @@ func OpenShards(root string, n int, opt Options) ([]*Shard, []Info, error) {
 	return shards, infos, nil
 }
 
-// Commit write-aheads ms as one batch frame, fsyncs when sync is set,
-// applies the batch to the store, and returns the last sequence number
-// written (0 on a memory-only shard). The caller holds the shard lock.
-// ms is only read. On error the store is untouched. An unframable
-// measurement frames nothing of ms; a write, rotation or fsync error may
-// leave a prefix of its frames written (see Log.commit).
-// Either way every traced measurement in ms gets the spans of the stages
-// observed since the last Commit, filed in one Tracer.RecordSpans.
-func (s *Shard) Commit(ms []core.Measurement, sync bool) (uint64, error) {
+// Commit writes b ahead as one batch frame (more when it is too big for
+// one), fsyncs when sync is set, applies it to the store — clean rows as
+// one store add per (tuple, country) cell, proxied rows one by one — and
+// returns the last sequence number written (0 on a memory-only shard).
+// The caller holds the shard lock. b is only read. On error the store is
+// untouched. An unframable batch frames nothing; a write, rotation or
+// fsync error may leave a prefix of its frames written (see Log.commit).
+// Either way every traced row of b gets the spans of the stages observed
+// since the last Commit, filed in one Tracer.RecordSpans; a decoded batch
+// has no traced rows, so its spans are dropped.
+func (s *Shard) Commit(b *core.Batch, sync bool) (uint64, error) {
 	if s.Tracer != nil {
-		defer s.fileSpans(ms)
+		defer s.fileSpans(b)
 	}
-	s.batch.Reset(0, 0)
-	for i := range ms {
-		s.batch.Add(&ms[i])
-	}
-	return s.commit(&s.batch, sync)
-}
-
-// CommitBatch is Commit of a batch already in frame form: b's rows, with
-// b's IDs, become the WAL frame and the store's adds. The stage spans it
-// observes are dropped rather than filed, since b's rows carry no trace
-// IDs.
-func (s *Shard) CommitBatch(b *core.Batch, sync bool) (uint64, error) {
-	if s.Tracer != nil {
-		defer s.fileSpans(nil)
-	}
-	return s.commit(b, sync)
-}
-
-// commit writes b ahead and applies it: clean rows as one store add per
-// (tuple, country) cell, proxied rows one by one.
-func (s *Shard) commit(b *core.Batch, sync bool) (uint64, error) {
 	var last uint64
 	if s.Log != nil {
 		start := s.stageStart()
@@ -149,11 +127,11 @@ func (s *Shard) Observe(stage string, start time.Time) {
 	s.stages = append(s.stages, telemetry.Span{Stage: stage, Start: start, Duration: d})
 }
 
-// fileSpans gives each traced measurement in ms the observed stages'
-// spans back to back, records them in one call, and resets both buffers.
-func (s *Shard) fileSpans(ms []core.Measurement) {
-	for i := range ms {
-		if id := telemetry.TraceID(ms[i].Trace); id != 0 {
+// fileSpans gives each traced row of b the observed stages' spans back
+// to back, records them in one call, and resets both buffers.
+func (s *Shard) fileSpans(b *core.Batch) {
+	for _, r := range b.Rows {
+		if id := telemetry.TraceID(r.Trace); id != 0 {
 			for _, sp := range s.stages {
 				s.spans = append(s.spans, telemetry.TracedSpan{ID: id, Span: sp})
 			}

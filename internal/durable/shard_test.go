@@ -5,8 +5,19 @@ import (
 	"strings"
 	"testing"
 
+	"tlsfof/internal/core"
 	"tlsfof/internal/telemetry"
 )
+
+// batchOf builds ms into one batch with Add, as a mount fills its
+// pending batch.
+func batchOf(ms []core.Measurement) *core.Batch {
+	b := new(core.Batch)
+	for i := range ms {
+		b.Add(&ms[i])
+	}
+	return b
+}
 
 // TestOpenShardsBootsOnOneReading: OpenShards boots each shard directory
 // on the reading Recover takes — the same store, the same Info — and the
@@ -22,7 +33,7 @@ func TestOpenShardsBootsOnOneReading(t *testing.T) {
 	}
 	for i, sh := range shards {
 		sh.Lock()
-		_, err := sh.Commit(ms[:60], true)
+		_, err := sh.Commit(batchOf(ms[:60]), true)
 		sh.Unlock()
 		if err != nil {
 			t.Fatal(err)
@@ -75,7 +86,7 @@ func TestOpenShardsBootsOnOneReading(t *testing.T) {
 		}
 		sh.Tracer = tracer
 		sh.Lock()
-		last, err := sh.Commit(ms[60:], false)
+		last, err := sh.Commit(batchOf(ms[60:]), false)
 		sh.Unlock()
 		if err != nil || last != infos[i].LastSeq+1 {
 			t.Fatalf("shard %d commit after boot: last seq %d, %v", i, last, err)
@@ -90,7 +101,7 @@ func TestOpenShardsBootsOnOneReading(t *testing.T) {
 	}
 
 	mem := NewMemShard()
-	if last, err := mem.Commit(ms, false); err != nil || last != 0 || mem.Close() != nil || WALStats([]*Shard{mem}) != nil {
+	if last, err := mem.Commit(batchOf(ms), false); err != nil || last != 0 || mem.Close() != nil || WALStats([]*Shard{mem}) != nil {
 		t.Fatalf("memory-only shard: last seq %d, %v", last, err)
 	}
 }
@@ -110,7 +121,7 @@ func TestFailedCommitLeavesNoFrames(t *testing.T) {
 	ms := syntheticMeasurements(31, 5)
 	ms[30].Host = strings.Repeat("x", MaxFramePayload)
 	sh.Lock()
-	_, err = sh.Commit(ms, true)
+	_, err = sh.Commit(batchOf(ms), true)
 	sh.Unlock()
 	if err == nil || !strings.Contains(err.Error(), "encodes to") {
 		t.Fatalf("oversized commit: %v, want an encoding-size error", err)
@@ -119,7 +130,7 @@ func TestFailedCommitLeavesNoFrames(t *testing.T) {
 		t.Fatalf("failed commit consumed sequence numbers: next seq %d", got)
 	}
 	sh.Lock()
-	last, err := sh.Commit(ms[:2], true)
+	last, err := sh.Commit(batchOf(ms[:2]), true)
 	sh.Unlock()
 	if err != nil || last != 1 {
 		t.Fatalf("commit after the failure: last seq %d, %v", last, err)

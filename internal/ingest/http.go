@@ -18,19 +18,19 @@ import (
 const maxBatchBytes = 32 << 20
 
 // maxBatchReports bounds one request's reports: a repeat is two bytes on
-// the wire but a whole measurement until Deliver.
+// the wire but a whole row of the request's batch.
 const maxBatchReports = 1 << 16
 
 // decodeState is the per-request working set BatchHandler recycles: an
-// arena-bound streaming decoder, the request's measurements and its memo.
-// The arena is reset when the state returns to the pool — the request's
-// measurements are committed by then, and anything with a longer lifetime
+// arena-bound streaming decoder, the request's batch and its memo. The
+// arena is reset when the state returns to the pool — the request's batch
+// has been delivered by then, and anything with a longer lifetime
 // (interned hosts, chaincache entries, the sink's own buffers) owns its
 // bytes.
 type decodeState struct {
 	arena *Arena
 	dec   *Decoder
-	ms    []core.Measurement
+	batch core.Batch
 	// memo[k-1] is wire entry k's first Observe (at most MaxWireEntries).
 	memo []memoSlot
 	// spans, decodes and observes hold the request's decode and observe
@@ -39,8 +39,10 @@ type decodeState struct {
 	decodes, observes telemetry.HistogramBatch
 }
 
+// memoSlot is a wire entry's first outcome: the index of its row in the
+// request's batch, or its error.
 type memoSlot struct {
-	m   core.Measurement
+	row int
 	err error
 }
 
@@ -50,34 +52,38 @@ var decodePool = sync.Pool{New: func() any {
 }}
 
 // put retires the request's decode memory: arena slices become invalid
-// here, which is safe because every report was either committed (the sink
-// copied its measurement) or abandoned with the request. Buffers a request
+// here, which is safe because the batch was either delivered (the sink
+// copied what it keeps) or abandoned with the request. Buffers a request
 // past MaxWireEntries reports grew are dropped, not pooled.
 func (st *decodeState) put() {
 	st.dec.Reset(nil)
 	st.arena.Reset()
-	clear(st.ms)
+	st.batch.Reset(0, 0)
 	clear(st.memo)
-	st.ms, st.memo, st.spans = st.ms[:0], st.memo[:0], st.spans[:0]
-	if cap(st.ms) > MaxWireEntries || cap(st.spans) > 2*MaxWireEntries {
-		st.ms, st.spans = nil, nil
+	st.memo, st.spans = st.memo[:0], st.spans[:0]
+	if cap(st.batch.Rows) > MaxWireEntries || cap(st.spans) > 2*MaxWireEntries {
+		st.batch, st.spans = core.Batch{}, nil
 	}
 	decodePool.Put(st)
 }
 
-// observe is col.Observe behind the request's memo, and says whether the
-// memo answered. A repeat copies its entry's first outcome re-stamped with
-// its own Time and Trace: the rest is a function of (request, host,
-// chain). Where Observe would have timed it (any host but an unknown one),
-// a repeat's observe stage takes 0 ns at at.
-func (st *decodeState) observe(col *core.Collector, ip uint32, rep Report, at time.Time) (m core.Measurement, repeat bool, err error) {
+// observe is col.Observe behind the request's memo, adding the report's
+// row to the request's batch, and says whether the memo answered. One
+// request has one client IP, so one country, and one campaign: a repeat
+// is its entry's first row re-stamped with its own Time and Trace. Where
+// Observe would have timed it (any host but an unknown one), a repeat's
+// observe stage takes 0 ns at at.
+func (st *decodeState) observe(col *core.Collector, ip uint32, rep Report, at time.Time) (repeat bool, err error) {
 	k := st.dec.entry - 1
 	if k < 0 || k == len(st.memo) {
-		m, err = col.Observe(ip, rep.Host, rep.ChainDER, col.Campaign, rep.Trace, &st.spans)
-		if k >= 0 {
-			st.memo = append(st.memo, memoSlot{m, err})
+		m, err := col.Observe(ip, rep.Host, rep.ChainDER, col.Campaign, rep.Trace, &st.spans)
+		if err == nil {
+			st.batch.Add(&m)
 		}
-		return m, false, err
+		if k >= 0 {
+			st.memo = append(st.memo, memoSlot{len(st.batch.Rows) - 1, err})
+		}
+		return false, err
 	}
 	s := &st.memo[k]
 	if col.Tracer != nil && !errors.Is(s.err, core.ErrNoAuthoritative) {
@@ -85,11 +91,12 @@ func (st *decodeState) observe(col *core.Collector, ip uint32, rep Report, at ti
 		st.spans = telemetry.AppendTraced(st.spans, telemetry.TraceID(rep.Trace), telemetry.StageObserve, at, 0)
 	}
 	if s.err != nil {
-		return core.Measurement{}, true, s.err
+		return true, s.err
 	}
-	m = s.m
-	m.Time, m.Trace = col.Stamp(at), rep.Trace
-	return m, true, nil
+	r := st.batch.Rows[s.row]
+	r.Time, r.Trace = col.Stamp(at).UnixNano(), rep.Trace
+	st.batch.AddRow(r)
+	return true, nil
 }
 
 // BatchResult is the JSON verdict both batch endpoints answer:
@@ -117,13 +124,14 @@ type BatchResult struct {
 // BatchHandler serves the binary batch-upload endpoint: POST a wire stream
 // (see wire.go) of reports, all attributed to the connection's client IP
 // and the collector's campaign label. A request is all-or-nothing and
-// commits once: the whole stream is decoded and observed before anything
-// reaches storage, so a damaged stream (400) or one past maxBatchBytes or
-// maxBatchReports (413) applies nothing and the client may re-send it; the
-// observed measurements then go to the collector's storage in one Deliver,
-// and a commit error answers 503 with accepted 0. Individually bad reports
-// (unknown host, unparsable chain) are counted in Rejected and skipped. A
-// wire entry is observed once per request.
+// reaches storage once: the whole stream is decoded and observed into one
+// core.Batch before anything reaches storage, so a damaged stream (400)
+// or one past maxBatchBytes or maxBatchReports (413) applies nothing and
+// the client may re-send it; the batch then goes to the collector's
+// storage in one Deliver, and a delivery error answers 503 with accepted
+// 0 (core.BatchCommitter says what an accepted report is promised).
+// Individually bad reports (unknown host, unparsable chain) are counted
+// in Rejected and skipped. A wire entry is observed once per request.
 func BatchHandler(col *core.Collector) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -173,15 +181,13 @@ func BatchHandler(col *core.Collector) http.Handler {
 			}
 			// A repeat reads no clock: its observe span, time stamp and
 			// the next frame's decode start at this frame's decode end.
-			m, repeat, err := st.observe(col, ip, rep, end)
+			repeat, err := st.observe(col, ip, rep, end)
 			if start = end; !repeat {
 				start = stageStart(tracer)
 			}
 			if err != nil {
 				res.Rejected++
-				continue
 			}
-			st.ms = append(st.ms, m)
 		}
 		// Filed before Deliver, so each trace's decode and observe spans
 		// precede the shard's queue, wal and store spans.
@@ -189,11 +195,11 @@ func BatchHandler(col *core.Collector) http.Handler {
 		tracer.ObserveBatch(telemetry.StageObserve, &st.observes)
 		tracer.RecordSpans(st.spans)
 		if status == http.StatusOK {
-			if err := col.Deliver(st.ms); err != nil {
+			if err := col.Deliver(&st.batch); err != nil {
 				res.Error = err.Error()
 				status = http.StatusServiceUnavailable
 			} else {
-				res.Accepted = len(st.ms)
+				res.Accepted = len(st.batch.Rows)
 			}
 		}
 		w.Header().Set("Content-Type", "application/json")

@@ -189,11 +189,11 @@ func (f *failingCommitter) Ingest(core.Measurement) {
 	panic("batch intake must commit through Deliver")
 }
 
-func (f *failingCommitter) Deliver(batch []core.Measurement) error {
+func (f *failingCommitter) Deliver(b *core.Batch) error {
 	if f.err != nil {
 		return f.err
 	}
-	f.committed += len(batch)
+	f.committed += len(b.Rows)
 	return nil
 }
 

@@ -10,9 +10,9 @@
 //     Batcher adapts the one-at-a-time core.Sink producer side.
 //   - Sharding: Pipeline hash-partitions the stream by probed host onto N
 //     shard engines (durable.Shard: WAL + store.DB + one lock) and commits
-//     each full per-shard buffer synchronously on the caller's goroutine —
-//     no queue, so nothing is ever dropped and backpressure is the
-//     caller waiting for the shard lock.
+//     each full per-shard core.Batch synchronously on the caller's
+//     goroutine — no queue, so nothing is ever dropped and backpressure
+//     is the caller waiting for the shard lock.
 //   - Merging: store.Merge folds the shard databases back into one DB
 //     whose every table and aggregate matches the single-threaded result.
 //

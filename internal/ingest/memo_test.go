@@ -161,7 +161,7 @@ func TestBatchHandlerRepeatAllocs(t *testing.T) {
 // TestBatchHandlerReportBound: maxBatchReports reports, all but the first
 // two-byte references, are accepted; one report more answers 413 and
 // applies nothing. A state that held a request past MaxWireEntries reports goes
-// back to the pool without its measurement and span buffers.
+// back to the pool without its row and span buffers.
 func TestBatchHandlerReportBound(t *testing.T) {
 	const host = "bound.memo.example"
 	chain := testChain(t, host)
@@ -194,11 +194,12 @@ func TestBatchHandlerReportBound(t *testing.T) {
 		t.Fatalf("%d reports: status %d, verdict %+v, sink saw %d; want all accepted", maxBatchReports, status, res, ingested)
 	}
 
-	st := &decodeState{arena: NewArena(), ms: make([]core.Measurement, MaxWireEntries+1)}
+	st := &decodeState{arena: NewArena()}
+	st.batch.Rows = make([]core.Row, MaxWireEntries+1)
 	st.dec = NewArenaDecoder(nil, st.arena)
 	st.put()
-	if st.ms != nil || st.spans != nil {
-		t.Fatalf("pooled state kept %d measurements' capacity past the %d bound", cap(st.ms), MaxWireEntries)
+	if st.batch.Rows != nil || st.spans != nil {
+		t.Fatalf("pooled state kept %d rows' capacity past the %d bound", cap(st.batch.Rows), MaxWireEntries)
 	}
 }
 
@@ -245,7 +246,7 @@ func TestWireEntryTableBound(t *testing.T) {
 		if err != nil {
 			break
 		}
-		if _, _, err := st.observe(col, 0, rep, time.Time{}); err != nil {
+		if _, err := st.observe(col, 0, rep, time.Time{}); err != nil {
 			rejected++
 		}
 	}

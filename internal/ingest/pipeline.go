@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"time"
 
 	"tlsfof/internal/core"
@@ -18,8 +20,9 @@ import (
 type Config struct {
 	// Shards is the number of independent ingest partitions (1 when <= 0).
 	Shards int
-	// BatchSize is the commit unit: measurements buffer per shard and
-	// commit once this many are pending (DefaultBatchSize when <= 0).
+	// BatchSize is the commit unit: rows gather in a pending batch per
+	// shard and commit once this many are pending (DefaultBatchSize when
+	// <= 0).
 	BatchSize int
 	// QueueDepth is inert: no queue exists; kept only because
 	// bench/server.go names it; remove in the next benchmark PR.
@@ -46,11 +49,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
-	if cfg.Shards > 1024 {
-		// Far beyond any useful core count, and keeps every shard index
-		// below IngestBatch's uint16 "routed" marker.
-		cfg.Shards = 1024
-	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = DefaultBatchSize
 	}
@@ -76,41 +74,41 @@ type Stats struct {
 }
 
 // shard is the pipeline's mount of the shard engine: the engine plus the
-// pending buffer and counters, all guarded by the engine's lock.
+// pending batch and counters, all guarded by the engine's lock.
 type shard struct {
 	*durable.Shard
 
-	// pending has capacity BatchSize and is reused across commits — a
-	// commit is synchronous, so nothing references the buffer once it
-	// returns. Slots past len keep stale measurements until overwritten;
-	// that pins at most BatchSize measurements' strings per shard.
-	pending  []core.Measurement
+	// pending is the batch the shard's next commit writes, reused across
+	// commits — a commit is synchronous, so nothing references it once
+	// it returns.
+	pending  core.Batch
 	ingested uint64
 	walErrs  uint64
 }
 
-// commitPending commits the pending buffer and empties it. The caller
+// commitPending commits the pending batch and empties it. The caller
 // holds the shard lock and began waiting for it at queuedAt.
 func (sh *shard) commitPending(queuedAt time.Time) {
-	batch := sh.pending
+	b := &sh.pending
 	sh.Observe(telemetry.StageQueue, queuedAt)
-	if _, err := sh.Commit(batch, false); err != nil {
+	if _, err := sh.Commit(b, false); err != nil {
 		// Append errors degrade durability, never availability: the batch
 		// is counted and still reaches the store.
-		sh.walErrs += uint64(len(batch))
-		sh.DB.IngestBatch(batch)
+		sh.walErrs += uint64(len(b.Rows))
+		sh.DB.AddBatch(b)
 	}
-	sh.ingested += uint64(len(batch))
-	sh.pending = batch[:0]
+	sh.ingested += uint64(len(b.Rows))
+	b.Reset(0, 0)
 }
 
 // Pipeline is the sharded ingest front: it hashes each measurement to a
-// shard, buffers per shard, and commits full buffers on the caller's
-// goroutine (WAL append, then store apply, under the shard lock). It is
-// both a core.Sink (one measurement at a time) and a BatchSink /
-// core.BatchCommitter (a batch, split by shard); producers may call any
-// of them concurrently. It starts no goroutines of its own. Drain commits
-// partial buffers; Close drains and closes the shard WALs.
+// shard, adds it to the shard's pending batch, and commits a full batch
+// on the caller's goroutine (WAL append, then store apply, under the
+// shard lock). It is a core.Sink (one measurement at a time), a BatchSink
+// and a core.BatchCommitter (a request's batch, split by shard);
+// producers may call any of them concurrently. It starts no goroutines of
+// its own. Drain commits partial batches; Close drains and closes the
+// shard WALs.
 type Pipeline struct {
 	cfg    Config
 	shards []*shard
@@ -152,7 +150,7 @@ func newPipeline(cfg Config, engines []*durable.Shard) *Pipeline {
 	p := &Pipeline{cfg: cfg, shards: make([]*shard, len(engines))}
 	for i, e := range engines {
 		e.Tracer = cfg.Tracer
-		p.shards[i] = &shard{Shard: e, pending: make([]core.Measurement, 0, cfg.BatchSize)}
+		p.shards[i] = &shard{Shard: e}
 	}
 	return p
 }
@@ -220,72 +218,68 @@ func ShardOf(host string, n int) int {
 	return int(stats.FNV1a(host) % uint32(n))
 }
 
-// Ingest implements core.Sink: it appends m to its shard's pending
-// buffer and commits the buffer once full.
+// Ingest implements core.Sink: it adds m to its shard's pending batch
+// and commits the batch once full.
 func (p *Pipeline) Ingest(m core.Measurement) {
 	sh := p.shards[ShardOf(m.Host, len(p.shards))]
 	queuedAt := stageStart(p.cfg.Tracer)
 	sh.Lock()
-	sh.pending = append(sh.pending, m)
-	if len(sh.pending) >= p.cfg.BatchSize {
+	sh.pending.Add(&m)
+	if len(sh.pending.Rows) >= p.cfg.BatchSize {
 		sh.commitPending(queuedAt)
 	}
 	sh.Unlock()
 }
 
-const (
-	// splitChunk bounds IngestBatch's on-stack routing table.
-	splitChunk = 512
-	// routed marks a routing-table slot whose measurement is delivered.
-	routed = ^uint16(0)
-)
+// batchPool recycles IngestBatch's batches.
+var batchPool = sync.Pool{New: func() any { return new(core.Batch) }}
 
-// IngestBatch implements BatchSink: the batch is routed into the
-// per-shard pending buffers under one lock acquisition per touched shard
-// (per 512-measurement chunk), preserving batch order within a shard.
-// The routing table lives on the stack and the batch is only read, so
-// the split allocates nothing and the caller may reuse the slice.
-func (p *Pipeline) IngestBatch(batch []core.Measurement) {
-	var idx [splitChunk]uint16
-	for len(batch) > 0 {
-		chunk := batch[:min(len(batch), splitChunk)]
-		batch = batch[len(chunk):]
-		for i := range chunk {
-			idx[i] = uint16(ShardOf(chunk[i].Host, len(p.shards)))
-		}
-		for i := range chunk {
-			s := idx[i]
-			if s == routed {
-				continue
-			}
-			sh := p.shards[s]
-			queuedAt := stageStart(p.cfg.Tracer)
-			sh.Lock()
-			for j := i; j < len(chunk); j++ {
-				if idx[j] != s {
-					continue
-				}
-				idx[j] = routed
-				sh.pending = append(sh.pending, chunk[j])
-				if len(sh.pending) >= p.cfg.BatchSize {
-					sh.commitPending(queuedAt)
-				}
-			}
-			sh.Unlock()
-		}
+// IngestBatch implements BatchSink: it adds the measurements to one batch
+// in order and delivers that, so a shard's lock and the tracer's clock
+// are taken once per touched shard, not once per measurement.
+func (p *Pipeline) IngestBatch(ms []core.Measurement) {
+	b := batchPool.Get().(*core.Batch)
+	for i := range ms {
+		b.Add(&ms[i])
 	}
+	p.Deliver(b)
+	b.Reset(0, 0)
+	batchPool.Put(b)
 }
 
-// Deliver implements core.BatchCommitter over IngestBatch, so the HTTP
-// intake hands a pipeline each request's measurements in one call. It
-// never fails: a WAL append error degrades durability, not availability,
-// and is counted in Stats.
-func (p *Pipeline) Deliver(batch []core.Measurement) error {
-	p.IngestBatch(batch)
+// Deliver implements core.BatchCommitter: b's rows are split by shard
+// into the shards' pending batches, under one lock acquisition per
+// touched shard, in b's order within a shard; a pending batch commits
+// whenever it reaches BatchSize rows. It never fails: a WAL append error
+// degrades durability, not availability, and is counted in Stats. Rows
+// left pending reach the WAL at their shard's next commit, Drain or
+// Close, so an acked report is not yet durable.
+func (p *Pipeline) Deliver(b *core.Batch) error {
+	part := make([]int32, 0, 64) // part[t]: the shard of tuple t
+	for i := range b.Tuples {
+		part = append(part, int32(ShardOf(b.Tuples[i].Host, len(p.shards))))
+	}
+	for s, sh := range p.shards {
+		if !slices.Contains(part, int32(s)) {
+			continue
+		}
+		queuedAt := stageStart(p.cfg.Tracer)
+		sh.Lock()
+		for _, r := range b.Rows {
+			if part[r.Tuple] != int32(s) {
+				continue
+			}
+			sh.pending.AddFrom(b, r)
+			if len(sh.pending.Rows) >= p.cfg.BatchSize {
+				sh.commitPending(queuedAt)
+			}
+		}
+		sh.Unlock()
+	}
 	return nil
 }
 
-// Drain commits every shard's partial pending buffer, so a subsequent
+// Drain commits every shard's partial pending batch, so a subsequent
 // Merge sees every measurement handed in before the call. Producers may
 // keep ingesting concurrently; their later measurements are not waited
 // for.
@@ -293,7 +287,7 @@ func (p *Pipeline) Drain() {
 	for _, sh := range p.shards {
 		queuedAt := stageStart(p.cfg.Tracer)
 		sh.Lock()
-		if len(sh.pending) > 0 {
+		if len(sh.pending.Rows) > 0 {
 			sh.commitPending(queuedAt)
 		}
 		sh.Unlock()
@@ -382,7 +376,7 @@ func (p *Pipeline) Stats() Stats {
 	var s Stats
 	for _, sh := range p.shards {
 		sh.Lock()
-		s.Enqueued += sh.ingested + uint64(len(sh.pending))
+		s.Enqueued += sh.ingested + uint64(len(sh.pending.Rows))
 		s.Ingested += sh.ingested
 		s.WALErrors += sh.walErrs
 		sh.Unlock()

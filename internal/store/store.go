@@ -129,17 +129,6 @@ func (db *DB) Ingest(m core.Measurement) {
 	db.ingestLocked(m)
 }
 
-// IngestBatch records a batch under one lock acquisition; it implements
-// ingest.BatchSink, making the store a native endpoint for the batched
-// data plane.
-func (db *DB) IngestBatch(ms []core.Measurement) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	for _, m := range ms {
-		db.ingestLocked(m)
-	}
-}
-
 // AddClean records n clean (unproxied) tests of one (campaign, country,
 // host type) cell at once: the store ends up exactly as after n Ingest
 // calls of such a measurement. A study generator tallies its clean tests
