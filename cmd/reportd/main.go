@@ -272,8 +272,10 @@ func (s *server) snapshot() *store.DB {
 	return store.Merge(0, dbs...)
 }
 
-// totals sums the per-shard aggregates without touching retained
-// records, so polling stays cheap at any store size.
+// totals sums the per-shard totals and unions their proxied countries,
+// both read from per-country aggregates, never from the proxied records
+// the tables are queried from: polling costs O(countries) at any store
+// size.
 func (s *server) totals() (tot store.Agg, countries int) {
 	seen := make(map[string]struct{})
 	for _, sh := range s.shards {

@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"sync"
@@ -461,8 +462,10 @@ func BenchmarkIngestBatchReplicated(b *testing.B) {
 // batch: a 64-row batch and a 4,096-row batch over the same hosts,
 // campaigns and countries allocate the same count. The rows are clean,
 // so the store gains no key and retains no record after warm-up. The
-// collector is off while counting, so a cycle cannot empty the scratch
-// pool mid-run.
+// collector is off while counting; a last case runs two GC cycles
+// before each 4,096-row batch and, less what the two cycles allocate on
+// their own, must count the same as the warm ones, since a cycle does
+// not empty the node's scratch list.
 func TestOwnerIngestAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -480,26 +483,40 @@ func TestOwnerIngestAllocs(t *testing.T) {
 		base[i].Obs = core.Observation{}
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	allocs := map[int]float64{}
-	for _, rows := range []int{64, 4096} {
-		ms := make([]core.Measurement, rows)
+	allocs := map[string]float64{}
+	for _, tc := range []struct {
+		name string
+		rows int
+		gc   bool
+	}{{"64", 64, false}, {"4096", 4096, false}, {"4096 after GC", 4096, true}} {
+		ms := make([]core.Measurement, tc.rows)
 		for i := range ms {
 			ms[i] = base[i%len(base)]
 		}
 		body := AppendMeasurementsID(nil, 0, ms)
-		allocs[rows] = testing.AllocsPerRun(20, func() {
+		allocs[tc.name] = testing.AllocsPerRun(20, func() {
+			if tc.gc {
+				runtime.GC()
+				runtime.GC()
+			}
 			sc := n.getScratch()
 			sc.body.Reset()
 			sc.body.Write(body)
 			status, res := n.ingest(sc, false)
 			n.putScratch(sc)
-			if status != http.StatusOK || res.Accepted != rows {
-				t.Fatalf("%d rows: HTTP %d, %+v", rows, status, res)
+			if status != http.StatusOK || res.Accepted != tc.rows {
+				t.Fatalf("%s rows: HTTP %d, %+v", tc.name, status, res)
 			}
 		})
 	}
-	if allocs[64] != allocs[4096] {
-		t.Fatalf("owner ingest allocates %v per 64-row batch and %v per 4096-row batch, want the same", allocs[64], allocs[4096])
+	allocs["4096 after GC"] -= testing.AllocsPerRun(20, func() {
+		runtime.GC()
+		runtime.GC()
+	})
+	for _, name := range []string{"4096", "4096 after GC"} {
+		if allocs[name] != allocs["64"] {
+			t.Fatalf("owner ingest allocates %v per 64-row batch and %v per %s-row batch, want the same", allocs["64"], allocs[name], name)
+		}
 	}
-	t.Logf("owner ingest: %v allocations per batch", allocs[64])
+	t.Logf("owner ingest: %v allocations per batch", allocs["64"])
 }

@@ -300,9 +300,17 @@ type Node struct {
 	draining atomic.Bool
 	met      nodeMetrics
 	dedup    dedupTable
-	// scratch pools ingestScratch across batches.
-	scratch sync.Pool
+	// scratch is the free list of ingestScratch: unlike a sync.Pool, a
+	// GC cycle does not empty it, so a batch after one does not rebuild
+	// its shard batches' index maps.
+	scratch chan *ingestScratch
 }
+
+// maxFreeScratch bounds a node's free ingestScratch list. A RouteClient
+// posts one body at a time, so a node serves about one body per peer
+// routing to it at once; eight covers a small cluster's peers, and a
+// short list caps the idle scratch a burst of large bodies leaves pinned.
+const maxFreeScratch = 8
 
 // Open recovers the node's own shards and replica logs from DataDir and
 // wires the cluster view. Followers do not run until Start.
@@ -319,7 +327,7 @@ func Open(cfg Config) (*Node, error) {
 	if !ok {
 		return nil, fmt.Errorf("cluster: node %q not in member list", cfg.ID)
 	}
-	n := &Node{cfg: cfg, self: self, members: members}
+	n := &Node{cfg: cfg, self: self, members: members, scratch: make(chan *ingestScratch, maxFreeScratch)}
 	n.ctx, n.cancel = context.WithCancel(context.Background())
 	ownDir := filepath.Join(cfg.DataDir, "own")
 	if err := ingest.PinShardManifest(ownDir, cfg.Shards, cfg.ID); err != nil {
@@ -452,7 +460,7 @@ func (n *Node) Owns(host string) (owned bool, owner Member) {
 	return m.ID == n.self.ID, m
 }
 
-// ingestScratch is one batch's working set, pooled across requests:
+// ingestScratch is one batch's working set, reused across requests:
 // the request body, its decoded batch, each tuple's shard, and the
 // batch's rows dealt out to one batch per shard.
 type ingestScratch struct {
@@ -464,9 +472,13 @@ type ingestScratch struct {
 	errs    []error
 }
 
+// getScratch takes a scratch from the free list, or makes one when the
+// list is empty.
 func (n *Node) getScratch() *ingestScratch {
-	if sc, ok := n.scratch.Get().(*ingestScratch); ok {
+	select {
+	case sc := <-n.scratch:
 		return sc
+	default:
 	}
 	return &ingestScratch{
 		hosts: make(map[string]int),
@@ -475,14 +487,18 @@ func (n *Node) getScratch() *ingestScratch {
 	}
 }
 
-// putScratch drops sc's references into its last batch and pools it.
+// putScratch drops sc's references into its last batch and returns it
+// to the free list, or drops sc when the list is full.
 func (n *Node) putScratch(sc *ingestScratch) {
 	sc.batch.Reset(0, 0)
 	for i := range sc.parts {
 		sc.parts[i].Reset(0, 0)
 	}
 	clear(sc.hosts)
-	n.scratch.Put(sc)
+	select {
+	case n.scratch <- sc:
+	default:
+	}
 }
 
 // commit commits sc's batch, whose tuple t belongs to local shard

@@ -6,6 +6,7 @@ package durable
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"maps"
 	"os"
@@ -381,25 +382,28 @@ func TestOpenRefusesAnotherFormatVersion(t *testing.T) {
 }
 
 // TestRecoverRefusesVersion1Snapshot: a checkpoint whose store image an
-// older build wrote (version 1, retained records coded one by one) fails
-// Recover and OpenShards with an error naming both image versions,
-// rather than booting a store without it.
+// older build wrote (version 1, retained records coded one by one, or
+// version 2, the proxied tables kept beside the records) fails Recover
+// and OpenShards with an error naming both image versions, rather than
+// booting a store without it.
 func TestRecoverRefusesVersion1Snapshot(t *testing.T) {
-	root := t.TempDir()
-	dir := ShardDir(root, 0)
-	if err := os.MkdirAll(dir, 0o777); err != nil {
-		t.Fatal(err)
-	}
-	image := store.New(0).AppendSnapshot(nil)
-	image[0] = 1
-	if err := writeSnapshotFile(dir, 0, image); err != nil {
-		t.Fatal(err)
-	}
-	_, _, rerr := Recover(testOptions(dir))
-	_, _, serr := OpenShards(root, 1, testOptions(""))
-	for _, err := range []error{rerr, serr} {
-		if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version 2") {
-			t.Fatalf("booting over a version-1 snapshot: %v, want an error naming versions 1 and 2", err)
+	for _, v := range []byte{1, 2} {
+		root := t.TempDir()
+		dir := ShardDir(root, 0)
+		if err := os.MkdirAll(dir, 0o777); err != nil {
+			t.Fatal(err)
+		}
+		image := store.New(0).AppendSnapshot(nil)
+		image[0] = v
+		if err := writeSnapshotFile(dir, 0, image); err != nil {
+			t.Fatal(err)
+		}
+		_, _, rerr := Recover(testOptions(dir))
+		_, _, serr := OpenShards(root, 1, testOptions(""))
+		for _, err := range []error{rerr, serr} {
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) || !strings.Contains(err.Error(), "version 3") {
+				t.Fatalf("booting over a version-%d snapshot: %v, want an error naming versions %d and 3", v, err, v)
+			}
 		}
 	}
 }

@@ -50,6 +50,8 @@ func TestBatchEndpointEndToEnd(t *testing.T) {
 	for i := 0; i < good; i++ {
 		reports = append(reports, Report{Host: "tlsresearch.byu.edu", ChainDER: chain})
 	}
+	// One forged chain (another CA's): accepted, and proxied.
+	reports = append(reports, Report{Host: "tlsresearch.byu.edu", ChainDER: testChain(t, "tlsresearch.byu.edu")})
 	// One report for a host the collector does not know: rejected.
 	reports = append(reports, Report{Host: "unknown.example", ChainDER: chain})
 	stream, err := AppendReports(nil, reports)
@@ -69,24 +71,24 @@ func TestBatchEndpointEndToEnd(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
 		t.Fatal(err)
 	}
-	if res.Accepted != good || res.Rejected != 1 {
-		t.Fatalf("accepted=%d rejected=%d, want %d/1", res.Accepted, res.Rejected, good)
+	if res.Accepted != good+1 || res.Rejected != 1 {
+		t.Fatalf("accepted=%d rejected=%d, want %d/1", res.Accepted, res.Rejected, good+1)
 	}
 
 	p.Drain()
 	p.Close()
 	db := p.Merge(0)
 	tot := db.Totals()
-	if tot.Tested != good {
-		t.Fatalf("store tested = %d, want %d", tot.Tested, good)
+	if tot.Tested != good+1 {
+		t.Fatalf("store tested = %d, want %d", tot.Tested, good+1)
 	}
-	if tot.Proxied != 0 {
-		t.Fatalf("clean chains flagged proxied: %d", tot.Proxied)
+	if tot.Proxied != 1 {
+		t.Fatalf("store proxied = %d, want the forged chain's 1", tot.Proxied)
 	}
 	// Every measurement carries the collector's campaign, so the
-	// campaign key reaches the store's canonical image.
-	if !bytes.Contains(db.AppendSnapshot(nil), []byte("wire-test")) {
-		t.Fatal("campaign wire-test missing from the merged store")
+	// proxied record the store keeps names it.
+	if recs := db.ProxiedRecords(); len(recs) != 1 || recs[0].Campaign != "wire-test" {
+		t.Fatalf("proxied records %+v, want one of campaign wire-test", recs)
 	}
 }
 

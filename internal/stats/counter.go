@@ -22,14 +22,6 @@ func (c *Counter) AddN(key string, n int) {
 	c.counts[key] += n
 }
 
-// Merge adds every tally from o into c. It backs the shard-merge path in
-// the ingest pipeline.
-func (c *Counter) Merge(o *Counter) {
-	for k, v := range o.counts {
-		c.AddN(k, v)
-	}
-}
-
 // Entry is one (key, count) pair from a Counter.
 type Entry struct {
 	Key   string

@@ -13,13 +13,13 @@ import (
 // host-hash shard), the cluster (one per node) and study.Run (one per
 // campaign).
 //
-// Every aggregate (totals, per-country/host-type/campaign tables, issuer
-// histogram, classification counts, negligence stats, product diversity,
-// distinct-IP and distinct-country sets) is commutative, so the merged
-// result is independent of shard count and ingest interleaving. Retained
-// proxied records are canonicalized into a deterministic total order (they
-// arrive in per-shard order, which is timing-dependent across runs) and
-// then re-capped at retainLimit (<= 0 means unlimited).
+// Every aggregate (totals, per-country and per-host-type tables) is a
+// sum, so the merged result is independent of shard count and ingest
+// interleaving. The proxied records, which every other table is a query
+// over, are canonicalized into a deterministic total order (they arrive
+// in per-shard order, which is timing-dependent across runs); retainLimit
+// caps only what the merged DB's ProxiedRecords and exports return (<= 0
+// means unlimited).
 //
 // Merge locks each source DB only while copying it, so it may be called
 // on live shards for a point-in-time snapshot; the snapshot is per-shard
@@ -44,68 +44,15 @@ func Merge(retainLimit int, dbs ...*DB) *DB {
 	sort.SliceStable(out.proxied, func(i, j int) bool {
 		return measurementLess(out.proxied[i], out.proxied[j])
 	})
-	if retainLimit > 0 && len(out.proxied) > retainLimit {
-		out.proxied = out.proxied[:retainLimit]
-	}
 	return out
 }
 
 func mergeOne(out, db *DB) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-
 	out.totals = out.totals.plus(db.totals.Tested, db.totals.Proxied)
 	mergeAggMap(out.byCountry, db.byCountry)
 	mergeAggMap(out.byHostCat, db.byHostCat)
-	mergeAggMap(out.byCampaign, db.byCampaign)
-
-	out.issuerOrgs.Merge(db.issuerOrgs)
-	for k, v := range db.categories {
-		out.categories[k] += v
-	}
-
-	a, b := &out.negligence, &db.negligence
-	a.Proxied += b.Proxied
-	a.Key512 += b.Key512
-	a.Key1024 += b.Key1024
-	a.Key2432 += b.Key2432
-	a.MD5Signed += b.MD5Signed
-	a.MD5And512 += b.MD5And512
-	a.FullStrength += b.FullStrength
-	a.IssuerCopied += b.IssuerCopied
-	a.SubjectDrift += b.SubjectDrift
-	a.NullIssuer += b.NullIssuer
-
-	for name, conns := range db.productConns {
-		out.productConns[name] += conns
-	}
-	for name, ips := range db.productIPs {
-		dst := out.productIPs[name]
-		if dst == nil {
-			dst = make(map[uint32]struct{}, len(ips))
-			out.productIPs[name] = dst
-		}
-		for ip := range ips {
-			dst[ip] = struct{}{}
-		}
-	}
-	for name, cs := range db.productCountries {
-		dst := out.productCountries[name]
-		if dst == nil {
-			dst = make(map[string]struct{}, len(cs))
-			out.productCountries[name] = dst
-		}
-		for c := range cs {
-			dst[c] = struct{}{}
-		}
-	}
-	for ip := range db.proxiedIPs {
-		out.proxiedIPs[ip] = struct{}{}
-	}
-	for c := range db.proxiedCountries {
-		out.proxiedCountries[c] = struct{}{}
-	}
-
 	out.proxied = append(out.proxied, db.proxied...)
 }
 

@@ -94,17 +94,6 @@ func TestMergeEqualsSequential(t *testing.T) {
 		if !reflect.DeepEqual(got.Products(), seq.Products()) {
 			t.Errorf("shards=%d: Products differs", shards)
 		}
-		// State no accessor reads back: campaign aggregates and the
-		// distinct issuer and client-IP sets.
-		if !reflect.DeepEqual(got.byCampaign, seq.byCampaign) {
-			t.Errorf("shards=%d: campaign aggregates differ", shards)
-		}
-		if !reflect.DeepEqual(got.issuerOrgs, seq.issuerOrgs) {
-			t.Errorf("shards=%d: issuer counts differ", shards)
-		}
-		if !reflect.DeepEqual(got.proxiedIPs, seq.proxiedIPs) {
-			t.Errorf("shards=%d: proxied client IPs differ", shards)
-		}
 		if got.ProxiedCountryCount() != seq.ProxiedCountryCount() {
 			t.Errorf("shards=%d: ProxiedCountryCount differs", shards)
 		}
@@ -150,11 +139,14 @@ func TestMergeDeterministicOrder(t *testing.T) {
 func TestMergeRetainLimit(t *testing.T) {
 	ms := mergeFixture(5000)
 	dbs := []*DB{New(0), New(0)}
-	proxied := 0
+	proxied, withProduct := 0, 0
 	for i, m := range ms {
 		dbs[i%2].Ingest(m)
 		if m.Obs.Proxied {
 			proxied++
+			if m.Obs.ProductName != "" {
+				withProduct++
+			}
 		}
 	}
 	const limit = 10
@@ -162,10 +154,12 @@ func TestMergeRetainLimit(t *testing.T) {
 	if n := len(got.ProxiedRecords()); n != limit {
 		t.Fatalf("retained %d records, want %d", n, limit)
 	}
-	// The cap applies to retained records only; aggregates still see all.
+	// The cap applies to ProxiedRecords only; the totals and every query
+	// over the proxied records still count every proxied row.
 	if got.Totals().Proxied != proxied {
 		t.Fatalf("merged proxied total %d, want %d", got.Totals().Proxied, proxied)
 	}
+	assertCountsEveryProxied(t, got, proxied, withProduct)
 	// Merging nothing still yields a usable empty DB.
 	empty := Merge(0)
 	if empty.Totals() != (Agg{}) {

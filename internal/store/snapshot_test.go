@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -88,8 +89,8 @@ func renderStore(t *testing.T, db *DB) string {
 	fmt.Fprintf(&b, "%+v\n", db.Negligence())
 	fmt.Fprintf(&b, "%+v\n", db.Products())
 	fmt.Fprintf(&b, "%d\n", db.ProxiedCountryCount())
-	// The canonical image covers what no accessor reads back: campaign
-	// aggregates and the distinct issuer and client-IP sets.
+	// The canonical image covers what no accessor reads back: the
+	// proxied records past the retain limit.
 	fmt.Fprintf(&b, "%x\n", db.AppendSnapshot(nil))
 	var csv strings.Builder
 	if err := db.WriteCSV(&csv); err != nil {
@@ -201,29 +202,35 @@ func TestSnapshotRetainsManyBatches(t *testing.T) {
 	}
 }
 
-// TestSnapshotRefusesVersion1: an image of the per-record layout is
-// refused with an error naming both versions.
+// TestSnapshotRefusesVersion1: an image of an older layout — version 1
+// coded the retained records one by one, version 2 carried the proxied
+// tables beside them — is refused with an error naming both versions.
 func TestSnapshotRefusesVersion1(t *testing.T) {
-	img := New(0).AppendSnapshot(nil)
-	img[0] = 1
-	_, err := DecodeSnapshot(img)
-	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version 2") {
-		t.Fatalf("decoding a version-1 image: %v, want an error naming versions 1 and 2", err)
+	for _, v := range []byte{1, 2} {
+		img := New(0).AppendSnapshot(nil)
+		img[0] = v
+		_, err := DecodeSnapshot(img)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) || !strings.Contains(err.Error(), "version 3") {
+			t.Fatalf("decoding a version-%d image: %v, want an error naming versions %d and 3", v, err, v)
+		}
 	}
 }
 
 // hugeCountImages returns an empty store's image with one count — the
-// distinct proxied IPs', then the retained batches' — rewritten to 2^40.
+// countries', the host categories', then the retained batches' —
+// rewritten to 2^40.
 func hugeCountImages() [][]byte {
 	img := New(0).AppendSnapshot(nil)
-	// An empty store's image ends in three zero counts: the proxied IP
-	// set, the proxied country set and the retained batches.
+	// An empty store's image ends in its three zero counts.
 	head := img[:len(img)-3]
 	huge := binary.AppendUvarint(nil, 1<<40)
-	return [][]byte{
-		append(append(bytes.Clone(head), huge...), 0, 0),
-		append(append(bytes.Clone(head), 0, 0), huge...),
+	var out [][]byte
+	for i := range 3 {
+		counts := [][]byte{{0}, {0}, {0}}
+		counts[i] = huge
+		out = append(out, slices.Concat(head, counts[0], counts[1], counts[2]))
 	}
+	return out
 }
 
 // TestSnapshotRefusesHugeCounts: a count past the bytes left in the

@@ -3,10 +3,12 @@
 // where we can run queries", §5.1).
 //
 // It ingests core.Measurement records at study scale (12.3M in the second
-// study) by maintaining running aggregates for every table in the
-// evaluation, while retaining full records only for proxied connections —
-// the same asymmetry the paper's analysis needed (totals per country/host
-// type; full substitute-certificate detail only for the 0.41%).
+// study) by keeping running (tested, proxied) totals per country and host
+// type, and the full record of every proxied connection — the same
+// asymmetry the paper's analysis needed (totals per country/host type;
+// full substitute-certificate detail only for the 0.41%). Tables 4–6,
+// §5.2's negligence counts and §6.4's product diversity are queries over
+// those records, answered when asked.
 package store
 
 import (
@@ -73,24 +75,12 @@ type ProductAgg struct {
 type DB struct {
 	mu sync.Mutex
 
-	totals Agg
+	totals    Agg
+	byCountry map[string]Agg
+	byHostCat map[hostdb.Category]Agg
 
-	byCountry  map[string]Agg
-	byHostCat  map[hostdb.Category]Agg
-	byCampaign map[string]Agg
-
-	issuerOrgs *stats.Counter
-	categories map[classify.Category]int
-
-	negligence NegligenceStats
-
-	productConns     map[string]int
-	productIPs       map[string]map[uint32]struct{}
-	productCountries map[string]map[string]struct{}
-
-	proxiedIPs       map[uint32]struct{}
-	proxiedCountries map[string]struct{}
-
+	// retainLimit caps what ProxiedRecords and the exports return; the
+	// store keeps every proxied record, so no query sees a truncated set.
 	retainLimit int
 	proxied     []core.Measurement
 
@@ -100,25 +90,18 @@ type DB struct {
 	cells   []batchCell
 }
 
-// NullIssuerKey is the Counter key used for blank Issuer Organizations,
+// NullIssuerKey is the IssuerOrgTop key of blank Issuer Organizations,
 // matching Table 4's "Null" row.
 const NullIssuerKey = "Null"
 
-// New creates an empty store. retainLimit caps retained proxied records
-// (<= 0 means unlimited; the studies produce at most ~51k).
+// New creates an empty store. retainLimit caps the proxied records
+// ProxiedRecords, WriteCSV and WriteJSONL return (<= 0 means unlimited);
+// every query still counts every proxied record.
 func New(retainLimit int) *DB {
 	return &DB{
-		byCountry:        make(map[string]Agg),
-		byHostCat:        make(map[hostdb.Category]Agg),
-		byCampaign:       make(map[string]Agg),
-		issuerOrgs:       stats.NewCounter(),
-		categories:       make(map[classify.Category]int),
-		productConns:     make(map[string]int),
-		productIPs:       make(map[string]map[uint32]struct{}),
-		productCountries: make(map[string]map[string]struct{}),
-		proxiedIPs:       make(map[uint32]struct{}),
-		proxiedCountries: make(map[string]struct{}),
-		retainLimit:      retainLimit,
+		byCountry:   make(map[string]Agg),
+		byHostCat:   make(map[hostdb.Category]Agg),
+		retainLimit: retainLimit,
 	}
 }
 
@@ -133,14 +116,14 @@ func (db *DB) Ingest(m core.Measurement) {
 // host type) cell at once: the store ends up exactly as after n Ingest
 // calls of such a measurement. A study generator tallies its clean tests
 // and hands them over here, since a clean test touches nothing but the
-// four aggregates.
+// aggregates. No aggregate is kept per campaign, so campaign goes unread.
 func (db *DB) AddClean(campaign, country string, cat hostdb.Category, n int) {
 	if n <= 0 {
 		return
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.addLocked(campaign, country, cat, n, 0)
+	db.addLocked(country, cat, n, 0)
 }
 
 // AddBatch records b's rows under one lock acquisition: the store ends
@@ -171,7 +154,7 @@ func (db *DB) AddBatch(b *core.Batch) {
 	}
 	for _, c := range db.cells {
 		t := &b.Tuples[c.key>>32]
-		db.addLocked(t.Campaign, b.Countries[uint32(c.key)], t.HostCategory, c.n, 0)
+		db.addLocked(b.Countries[uint32(c.key)], t.HostCategory, c.n, 0)
 	}
 	clear(db.cellIdx)
 	db.cells = db.cells[:0]
@@ -189,24 +172,25 @@ type batchCell struct {
 	n   int
 }
 
-// addLocked adds (tested, proxied) to the totals and the per-country,
-// per-host-type and per-campaign aggregates. It returns the country key,
-// with an unresolved ("") country filed under "??".
-func (db *DB) addLocked(campaign, country string, cat hostdb.Category, tested, proxied int) string {
+// countryKey files an unresolved ("") country under "??".
+func countryKey(country string) string {
 	if country == "" {
-		country = "??"
+		return "??"
 	}
+	return country
+}
+
+// addLocked adds (tested, proxied) to the totals and the per-country and
+// per-host-type aggregates.
+func (db *DB) addLocked(country string, cat hostdb.Category, tested, proxied int) {
 	// The aggregate maps hold Agg by value: one update costs a second
 	// hash probe for the write-back, but a fresh store populates its key
 	// space without an *Agg heap object per distinct key — at ingest
 	// scale the per-key allocations dominated store construction.
+	country = countryKey(country)
 	db.totals = db.totals.plus(tested, proxied)
 	db.byCountry[country] = db.byCountry[country].plus(tested, proxied)
 	db.byHostCat[cat] = db.byHostCat[cat].plus(tested, proxied)
-	if campaign != "" {
-		db.byCampaign[campaign] = db.byCampaign[campaign].plus(tested, proxied)
-	}
-	return country
 }
 
 func (a Agg) plus(tested, proxied int) Agg {
@@ -214,76 +198,12 @@ func (a Agg) plus(tested, proxied int) Agg {
 }
 
 func (db *DB) ingestLocked(m core.Measurement) {
-	proxied := 0
-	if m.Obs.Proxied {
-		proxied = 1
-	}
-	country := db.addLocked(m.Campaign, m.Country, m.HostCategory, 1, proxied)
-	if proxied == 0 {
+	if !m.Obs.Proxied {
+		db.addLocked(m.Country, m.HostCategory, 1, 0)
 		return
 	}
-
-	org := m.Obs.IssuerOrg
-	if org == "" {
-		if m.Obs.IssuerCN != "" {
-			org = m.Obs.IssuerCN
-		} else {
-			org = NullIssuerKey
-		}
-	}
-	db.issuerOrgs.Add(org)
-	db.categories[m.Obs.Category]++
-
-	n := &db.negligence
-	n.Proxied++
-	switch m.Obs.KeyBits {
-	case 512:
-		n.Key512++
-	case 1024:
-		n.Key1024++
-	case 2432:
-		n.Key2432++
-	}
-	if m.Obs.MD5Signed {
-		n.MD5Signed++
-		if m.Obs.KeyBits == 512 {
-			n.MD5And512++
-		}
-	} else if !m.Obs.WeakKey {
-		n.FullStrength++
-	}
-	if m.Obs.IssuerCopied {
-		n.IssuerCopied++
-	}
-	if m.Obs.SubjectDrift {
-		n.SubjectDrift++
-	}
-	if m.Obs.NullIssuer {
-		n.NullIssuer++
-	}
-
-	product := m.Obs.ProductName
-	if product != "" {
-		db.productConns[product]++
-		ips := db.productIPs[product]
-		if ips == nil {
-			ips = make(map[uint32]struct{})
-			db.productIPs[product] = ips
-		}
-		ips[m.ClientIP] = struct{}{}
-		cs := db.productCountries[product]
-		if cs == nil {
-			cs = make(map[string]struct{})
-			db.productCountries[product] = cs
-		}
-		cs[country] = struct{}{}
-	}
-	db.proxiedIPs[m.ClientIP] = struct{}{}
-	db.proxiedCountries[country] = struct{}{}
-
-	if db.retainLimit <= 0 || len(db.proxied) < db.retainLimit {
-		db.proxied = append(db.proxied, m)
-	}
+	db.addLocked(m.Country, m.HostCategory, 1, 1)
+	db.proxied = append(db.proxied, m)
 }
 
 // Totals returns the overall (tested, proxied) aggregate.
@@ -345,11 +265,25 @@ func (db *DB) ByHostCategory() map[hostdb.Category]Agg {
 }
 
 // IssuerOrgTop returns the n most frequent claimed Issuer Organizations
-// among proxied connections (Table 4); n <= 0 returns all.
+// among proxied connections (Table 4); n <= 0 returns all. A blank
+// organization counts under the issuer CN, or under NullIssuerKey when
+// that is blank too.
 func (db *DB) IssuerOrgTop(n int) []stats.Entry {
+	c := stats.NewCounter()
 	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.issuerOrgs.Top(n)
+	for i := range db.proxied {
+		o := &db.proxied[i].Obs
+		switch {
+		case o.IssuerOrg != "":
+			c.Add(o.IssuerOrg)
+		case o.IssuerCN != "":
+			c.Add(o.IssuerCN)
+		default:
+			c.Add(NullIssuerKey)
+		}
+	}
+	db.mu.Unlock()
+	return c.Top(n)
 }
 
 // CategoryCounts returns proxied-connection counts per claimed-issuer
@@ -357,9 +291,9 @@ func (db *DB) IssuerOrgTop(n int) []stats.Entry {
 func (db *DB) CategoryCounts() map[classify.Category]int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	out := make(map[classify.Category]int, len(db.categories))
-	for k, v := range db.categories {
-		out[k] = v
+	out := make(map[classify.Category]int)
+	for i := range db.proxied {
+		out[db.proxied[i].Obs.Category]++
 	}
 	return out
 }
@@ -368,22 +302,69 @@ func (db *DB) CategoryCounts() map[classify.Category]int {
 func (db *DB) Negligence() NegligenceStats {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.negligence
+	var n NegligenceStats
+	for i := range db.proxied {
+		o := &db.proxied[i].Obs
+		n.Proxied++
+		switch o.KeyBits {
+		case 512:
+			n.Key512++
+		case 1024:
+			n.Key1024++
+		case 2432:
+			n.Key2432++
+		}
+		if o.MD5Signed {
+			n.MD5Signed++
+			if o.KeyBits == 512 {
+				n.MD5And512++
+			}
+		} else if !o.WeakKey {
+			n.FullStrength++
+		}
+		if o.IssuerCopied {
+			n.IssuerCopied++
+		}
+		if o.SubjectDrift {
+			n.SubjectDrift++
+		}
+		if o.NullIssuer {
+			n.NullIssuer++
+		}
+	}
+	return n
 }
 
 // Products summarizes claimed products, sorted by connection count
-// descending (supports the §6.4 kowsar-vs-DSP IP-diversity analysis).
+// descending (supports the §6.4 kowsar-vs-DSP IP-diversity analysis). A
+// proxied record with no product name is not counted.
 func (db *DB) Products() []ProductAgg {
+	type product struct {
+		conns     int
+		ips       map[uint32]struct{}
+		countries map[string]struct{}
+	}
+	byName := make(map[string]*product)
 	db.mu.Lock()
-	defer db.mu.Unlock()
-	out := make([]ProductAgg, 0, len(db.productConns))
-	for name, conns := range db.productConns {
-		out = append(out, ProductAgg{
-			Name:        name,
-			Connections: conns,
-			DistinctIPs: len(db.productIPs[name]),
-			Countries:   len(db.productCountries[name]),
-		})
+	for i := range db.proxied {
+		m := &db.proxied[i]
+		name := m.Obs.ProductName
+		if name == "" {
+			continue
+		}
+		p := byName[name]
+		if p == nil {
+			p = &product{ips: make(map[uint32]struct{}), countries: make(map[string]struct{})}
+			byName[name] = p
+		}
+		p.conns++
+		p.ips[m.ClientIP] = struct{}{}
+		p.countries[countryKey(m.Country)] = struct{}{}
+	}
+	db.mu.Unlock()
+	out := make([]ProductAgg, 0, len(byName))
+	for name, p := range byName {
+		out = append(out, ProductAgg{Name: name, Connections: p.conns, DistinctIPs: len(p.ips), Countries: len(p.countries)})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Connections != out[j].Connections {
@@ -397,9 +378,7 @@ func (db *DB) Products() []ProductAgg {
 // ProxiedCountryCount counts countries with at least one proxied
 // connection (142 in study 1, 147 in study 2).
 func (db *DB) ProxiedCountryCount() int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return len(db.proxiedCountries)
+	return len(db.ProxiedCountryList())
 }
 
 // ProxiedCountryList returns the countries with at least one proxied
@@ -408,21 +387,28 @@ func (db *DB) ProxiedCountryCount() int {
 func (db *DB) ProxiedCountryList() []string {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	out := make([]string, 0, len(db.proxiedCountries))
-	for c := range db.proxiedCountries {
-		out = append(out, c)
+	var out []string
+	for c, a := range db.byCountry {
+		if a.Proxied > 0 {
+			out = append(out, c)
+		}
 	}
 	return out
 }
 
-// ProxiedRecords returns the retained proxied measurements.
+// ProxiedRecords returns the proxied measurements, at most the store's
+// retain limit of them.
 func (db *DB) ProxiedRecords() []core.Measurement {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return append([]core.Measurement(nil), db.proxied...)
+	records := db.proxied
+	if db.retainLimit > 0 && len(records) > db.retainLimit {
+		records = records[:db.retainLimit]
+	}
+	return append([]core.Measurement(nil), records...)
 }
 
-// WriteCSV exports retained proxied records as CSV.
+// WriteCSV exports ProxiedRecords as CSV.
 func (db *DB) WriteCSV(w io.Writer) error {
 	records := db.ProxiedRecords()
 	cw := csv.NewWriter(w)
@@ -458,7 +444,7 @@ func (db *DB) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// WriteJSONL exports retained proxied records as JSON Lines.
+// WriteJSONL exports ProxiedRecords as JSON Lines.
 func (db *DB) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	for _, m := range db.ProxiedRecords() {

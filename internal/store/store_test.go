@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -89,6 +91,23 @@ func TestUnresolvedCountryBucket(t *testing.T) {
 	if len(rows) != 1 || rows[0].Code != "??" {
 		t.Fatalf("rows = %+v", rows)
 	}
+	if got := db.ProxiedCountryList(); len(got) != 0 {
+		t.Fatalf("a clean test made %v proxied countries", got)
+	}
+
+	// A proxied test from nowhere counts under "??" in the product's
+	// countries and the proxied-country list: "", "??" and "US" are two.
+	db.Ingest(proxiedMeasurement("", 1, "X", classify.Unknown))
+	db.Ingest(proxiedMeasurement("??", 2, "X", classify.Unknown))
+	db.Ingest(proxiedMeasurement("US", 3, "X", classify.Unknown))
+	if p := db.Products(); len(p) != 1 || p[0] != (ProductAgg{Name: "X", Connections: 3, DistinctIPs: 3, Countries: 2}) {
+		t.Fatalf("products = %+v", p)
+	}
+	got := db.ProxiedCountryList()
+	sort.Strings(got)
+	if !slices.Equal(got, []string{"??", "US"}) || db.ProxiedCountryCount() != 2 {
+		t.Fatalf("proxied countries = %v (count %d), want [?? US]", got, db.ProxiedCountryCount())
+	}
 }
 
 func TestIssuerCounterNullKey(t *testing.T) {
@@ -117,6 +136,14 @@ func TestIssuerCounterNullKey(t *testing.T) {
 	if db.Negligence().NullIssuer != 1 {
 		t.Errorf("negligence null issuer = %d", db.Negligence().NullIssuer)
 	}
+	// Neither row names a product: both count as proxied, neither as a
+	// product.
+	if n := db.Negligence().Proxied; n != 2 {
+		t.Errorf("negligence proxied = %d, want 2", n)
+	}
+	if p := db.Products(); len(p) != 0 {
+		t.Errorf("product-less rows made products %+v", p)
+	}
 }
 
 func TestNegligenceCounters(t *testing.T) {
@@ -136,18 +163,32 @@ func TestNegligenceCounters(t *testing.T) {
 	copied.Obs.SubjectDrift = true
 	db.Ingest(copied)
 
-	n := db.Negligence()
-	if n.Key512 != 1 || n.MD5Signed != 1 || n.MD5And512 != 1 {
-		t.Errorf("md5/512 counters: %+v", n)
+	// MD5 on an upgraded key: a 2432-bit key, but not full strength.
+	md5Up := proxiedMeasurement("US", 4, "X", classify.Malware)
+	md5Up.Obs.KeyBits = 2432
+	md5Up.Obs.WeakKey = false
+	md5Up.Obs.MD5Signed = true
+	db.Ingest(md5Up)
+
+	// Full strength: a modern signature over a key that is not weak.
+	strong := proxiedMeasurement("US", 5, "W", classify.Organization)
+	strong.Obs.KeyBits = 2048
+	strong.Obs.WeakKey = false
+	db.Ingest(strong)
+
+	// A weak key without MD5 is neither MD5 nor full strength.
+	weak := proxiedMeasurement("US", 6, "V", classify.Unknown)
+	weak.Obs.KeyBits = 512
+	db.Ingest(weak)
+
+	want := NegligenceStats{
+		Proxied: 6,
+		Key512:  2, Key1024: 1, Key2432: 2,
+		MD5Signed: 2, MD5And512: 1, FullStrength: 2,
+		IssuerCopied: 1, SubjectDrift: 1,
 	}
-	if n.Key2432 != 1 || n.FullStrength != 1 {
-		t.Errorf("upgrade counters: %+v", n)
-	}
-	if n.IssuerCopied != 1 || n.SubjectDrift != 1 {
-		t.Errorf("forgery counters: %+v", n)
-	}
-	if n.Proxied != 3 {
-		t.Errorf("denominator = %d", n.Proxied)
+	if n := db.Negligence(); n != want {
+		t.Errorf("negligence = %+v\nwant         %+v", n, want)
 	}
 }
 
@@ -189,14 +230,39 @@ func TestRetainLimit(t *testing.T) {
 	if db.Totals().Proxied != 10 {
 		t.Fatal("aggregates must not be capped by retain limit")
 	}
+	assertCountsEveryProxied(t, db, 10, 10)
+}
+
+// assertCountsEveryProxied fails unless db's queries over its proxied
+// records count all proxied of them, withProduct of which name a
+// product, whatever the store's retain limit.
+func assertCountsEveryProxied(t *testing.T, db *DB, proxied, withProduct int) {
+	t.Helper()
+	if n := db.Negligence().Proxied; n != proxied {
+		t.Errorf("Negligence().Proxied = %d, want %d", n, proxied)
+	}
+	conns := 0
+	for _, p := range db.Products() {
+		conns += p.Connections
+	}
+	if conns != withProduct {
+		t.Errorf("Products() count %d connections, want %d", conns, withProduct)
+	}
+	issuers := 0
+	for _, e := range db.IssuerOrgTop(0) {
+		issuers += e.Count
+	}
+	if issuers != proxied {
+		t.Errorf("IssuerOrgTop(0) counts %d, want %d", issuers, proxied)
+	}
 }
 
 func TestByCampaignAndHostCategory(t *testing.T) {
 	db := New(0)
 	db.Ingest(cleanMeasurement("US", "qq.com", hostdb.Popular))
 	db.Ingest(proxiedMeasurement("US", 1, "A", classify.Unknown))
-	if camp := db.byCampaign["test"]; camp.Tested != 2 || camp.Proxied != 1 {
-		t.Fatalf("campaign agg = %+v", camp)
+	if recs := db.ProxiedRecords(); len(recs) != 1 || recs[0].Campaign != "test" {
+		t.Fatalf("proxied records = %+v, want one of campaign test", recs)
 	}
 	cats := db.ByHostCategory()
 	if cats[hostdb.Popular].Tested != 1 || cats[hostdb.Authors].Proxied != 1 {
@@ -215,7 +281,7 @@ func TestAddCleanMatchesIngest(t *testing.T) {
 	}{
 		{"global", "US", hostdb.Popular, 5},
 		{"global", "FR", hostdb.Authors, 1},
-		{"", "US", hostdb.Popular, 3},      // no campaign aggregate
+		{"", "US", hostdb.Popular, 3},      // no campaign
 		{"global", "", hostdb.Business, 4}, // filed under "??"
 		{"CN", "CN", hostdb.Pornographic, 0},
 		{"global", "US", hostdb.Popular, 2}, // the same cell again

@@ -32,9 +32,10 @@ type Config struct {
 	// (2.9M / 12.3M tests); 0.01 runs 1% as many impressions. 0 means
 	// 1.0; a negative, NaN or infinite scale is an error.
 	Scale float64
-	// RetainProxied caps retained proxied records (0 = unlimited), applied
-	// once after store.Merge's canonical sort over the whole run, so the
-	// surviving set does not depend on Shards.
+	// RetainProxied caps the proxied records the run's store returns from
+	// ProxiedRecords and its exports (0 = unlimited), applied after
+	// store.Merge's canonical sort over the whole run, so the exported
+	// set does not depend on Shards. Every table still counts them all.
 	RetainProxied int
 	// Pool supplies key material (a fresh pool when nil). The first run
 	// over a pool builds its world — population, hosts, authoritative PKI,
