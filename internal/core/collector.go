@@ -122,10 +122,10 @@ func (c *Collector) Ingest(clientIP uint32, host string, observedDER [][]byte, c
 }
 
 // IngestTraced is Ingest carrying the report's telemetry trace ID: Observe,
-// then the sink's one-at-a-time Ingest. A zero trace (and/or nil Tracer)
-// degrades to plain Ingest.
+// timed into the Tracer as an observe span, then the sink's one-at-a-time
+// Ingest. A zero trace (and/or nil Tracer) degrades to plain Ingest.
 func (c *Collector) IngestTraced(clientIP uint32, host string, observedDER [][]byte, campaign string, trace uint64) (Measurement, error) {
-	m, err := c.Observe(clientIP, host, observedDER, campaign, trace, nil)
+	m, err := c.observeTimed(clientIP, host, observedDER, campaign, trace)
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -133,29 +133,31 @@ func (c *Collector) IngestTraced(clientIP uint32, host string, observedDER [][]b
 	return m, nil
 }
 
+// observeTimed is Observe with its observe stage recorded by the
+// Tracer (a span when trace is nonzero). An unknown host is not timed.
+func (c *Collector) observeTimed(clientIP uint32, host string, observedDER [][]byte, campaign string, trace uint64) (Measurement, error) {
+	if c.Tracer == nil {
+		return c.Observe(clientIP, host, observedDER, campaign, trace)
+	}
+	start := time.Now()
+	m, err := c.Observe(clientIP, host, observedDER, campaign, trace)
+	if !errors.Is(err, ErrNoAuthoritative) {
+		c.Tracer.Record(telemetry.TraceID(trace), telemetry.StageObserve, start, time.Since(start))
+	}
+	return m, err
+}
+
 // Observe derives the measurement for one report without delivering it
-// anywhere: the observe stage is timed into the collector's Tracer and
-// the measurement is stamped with the trace ID so downstream stages can
-// keep the trace alive. With spans nil a traced report's observe span is
-// recorded at once; otherwise it is appended to *spans, for a caller
-// that files a whole request's spans in one Tracer.RecordSpans.
-func (c *Collector) Observe(clientIP uint32, host string, observedDER [][]byte, campaign string, trace uint64, spans *[]telemetry.TracedSpan) (Measurement, error) {
+// anywhere, stamped with the trace ID so downstream stages can keep the
+// trace alive. It reads no clock for the tracer: IngestTraced and the
+// PEM intake time it through observeTimed, ingest.BatchHandler with the
+// clock reads that bracket its frames.
+func (c *Collector) Observe(clientIP uint32, host string, observedDER [][]byte, campaign string, trace uint64) (Measurement, error) {
 	auth, ok := c.snapshot()[host]
 	if !ok {
 		return Measurement{}, fmt.Errorf("core: %w for %q", ErrNoAuthoritative, host)
 	}
-	var obsStart time.Time
-	if c.Tracer != nil {
-		obsStart = time.Now()
-	}
 	obs, err := ObserveCached(c.Cache, host, auth, observedDER, c.Classifier)
-	if c.Tracer != nil {
-		if d := time.Since(obsStart); spans != nil {
-			*spans = c.Tracer.AppendSpan(*spans, telemetry.TraceID(trace), telemetry.StageObserve, obsStart, d)
-		} else {
-			c.Tracer.Record(telemetry.TraceID(trace), telemetry.StageObserve, obsStart, d)
-		}
-	}
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -179,7 +181,7 @@ func (c *Collector) Observe(clientIP uint32, host string, observedDER [][]byte, 
 }
 
 // ErrNoAuthoritative is Observe's rejection of a host with no
-// authoritative chain, returned before the observe stage is timed.
+// authoritative chain; its observe stage is never timed.
 var ErrNoAuthoritative = errors.New("no authoritative chain")
 
 // Stamp is the time a measurement observed at at is stamped with: the
@@ -234,7 +236,7 @@ func (c *Collector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad PEM", http.StatusBadRequest)
 		return
 	}
-	m, err := c.Observe(ClientIPFromRequest(r), host, chainDER, c.Campaign, 0, nil)
+	m, err := c.observeTimed(ClientIPFromRequest(r), host, chainDER, c.Campaign, 0)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

@@ -36,10 +36,11 @@ type Shard struct {
 	// stage of every commit. Nil keeps Commit free of clock reads.
 	Tracer *telemetry.Tracer
 
-	// stages and spans buffer a commit's stage spans and their copies per
-	// traced row, under the shard lock, until Commit files them.
+	// stages buffers the stage spans observed for the next commit and ids
+	// that commit's traced row IDs, under the shard lock, until Commit
+	// files them as one trace record.
 	stages []telemetry.Span
-	spans  []telemetry.TracedSpan
+	ids    []telemetry.TraceID
 }
 
 // NewMemShard returns a shard with a store and no log.
@@ -83,9 +84,10 @@ func OpenShards(root string, n int, opt Options) ([]*Shard, []Info, error) {
 // The caller holds the shard lock. b is only read. On error the store is
 // untouched. An unframable batch frames nothing; a write, rotation or
 // fsync error may leave a prefix of its frames written (see Log.commit).
-// Either way every traced row of b gets the spans of the stages observed
-// since the last Commit, filed in one Tracer.RecordSpans; a decoded batch
-// has no traced rows, so its spans are dropped.
+// Either way the stages observed since the last Commit are filed once,
+// as one Tracer.FileBatch record keyed by b.Trace and linked from each
+// traced row of b: one tracer lock and the same spans however many rows
+// are traced. A batch without a trace files nothing.
 func (s *Shard) Commit(b *core.Batch, sync bool) (uint64, error) {
 	if s.Tracer != nil {
 		defer s.fileSpans(b)
@@ -115,9 +117,9 @@ func (s *Shard) stageStart() time.Time {
 }
 
 // Observe records one per-batch stage that began at start: the stage
-// histogram now, and the span for the next Commit to file on every traced
-// measurement of its batch. The caller holds the shard lock. It is a
-// no-op without a tracer.
+// histogram now, and the span for the next Commit to file with its
+// batch. The caller holds the shard lock. It is a no-op without a
+// tracer.
 func (s *Shard) Observe(stage string, start time.Time) {
 	if s.Tracer == nil {
 		return
@@ -127,18 +129,18 @@ func (s *Shard) Observe(stage string, start time.Time) {
 	s.stages = append(s.stages, telemetry.Span{Stage: stage, Start: start, Duration: d})
 }
 
-// fileSpans gives each traced row of b the observed stages' spans back
-// to back, records them in one call, and resets both buffers.
+// fileSpans files the observed stages as one record keyed by b.Trace
+// that links b's traced rows, then empties both buffers.
 func (s *Shard) fileSpans(b *core.Batch) {
-	for _, r := range b.Rows {
-		if id := telemetry.TraceID(r.Trace); id != 0 {
-			for _, sp := range s.stages {
-				s.spans = append(s.spans, telemetry.TracedSpan{ID: id, Span: sp})
+	if b.Trace != 0 {
+		for _, r := range b.Rows {
+			if r.Trace != 0 {
+				s.ids = append(s.ids, telemetry.TraceID(r.Trace))
 			}
 		}
+		s.Tracer.FileBatch(telemetry.TraceID(b.Trace), s.stages, s.ids)
 	}
-	s.Tracer.RecordSpans(s.spans)
-	s.stages, s.spans = s.stages[:0], s.spans[:0]
+	s.stages, s.ids = s.stages[:0], s.ids[:0]
 }
 
 // Close waits out an in-flight commit, then closes the log (final fsync).

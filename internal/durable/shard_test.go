@@ -149,3 +149,55 @@ func TestFailedCommitLeavesNoFrames(t *testing.T) {
 		t.Fatal("recovered store differs from the live store")
 	}
 }
+
+// TestCommitFilesOneTraceRecord: a commit files its stages once,
+// however many of its rows are traced. A commit of 1 traced row and one
+// of 4,096 each take the tracer lock once and file the same two spans,
+// wal_append and store_merge, and every traced row looks up to exactly
+// those spans.
+func TestCommitFilesOneTraceRecord(t *testing.T) {
+	shards, _, err := OpenShards(t.TempDir(), 1, testOptions(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := shards[0]
+	defer sh.Close()
+	reg := telemetry.NewRegistry()
+	sh.Tracer = telemetry.NewTracer(reg, 0)
+	filings := reg.Counter("trace_span_filings_total", "")
+	next := telemetry.TraceID(1)
+	for _, traced := range []int{1, 4096} {
+		// Untraced rows first: the batch's key is its first traced row.
+		ms := syntheticMeasurements(traced+7, uint64(traced))
+		var ids []telemetry.TraceID
+		for i := 7; i < len(ms); i++ {
+			ms[i].Trace = uint64(next)
+			ids = append(ids, next)
+			next++
+		}
+		before := filings.Value()
+		sh.Lock()
+		_, err := sh.Commit(batchOf(ms), false)
+		sh.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := filings.Value() - before; n != 1 {
+			t.Fatalf("commit of %d traced rows filed %d times, want 1", traced, n)
+		}
+		distinct := map[telemetry.Span]bool{}
+		for _, id := range ids {
+			tr, ok := sh.Tracer.Lookup(id)
+			if !ok || len(tr.Spans) != 2 || tr.Spans[0].Stage != telemetry.StageWAL || tr.Spans[1].Stage != telemetry.StageStore {
+				t.Fatalf("commit of %d traced rows: row %v looks up to %+v, want wal_append and store_merge", traced, id, tr.Spans)
+			}
+			for _, sp := range tr.Spans {
+				sp.Start = sp.Start.Round(0)
+				distinct[sp] = true
+			}
+		}
+		if len(distinct) != 2 {
+			t.Fatalf("commit of %d traced rows filed %d distinct spans, want 2", traced, len(distinct))
+		}
+	}
+}

@@ -33,9 +33,10 @@ type decodeState struct {
 	batch core.Batch
 	// memo[k-1] is wire entry k's first Observe (at most MaxWireEntries).
 	memo []memoSlot
-	// spans, decodes and observes hold the request's decode and observe
-	// spans and latencies until one RecordSpans and ObserveBatch each.
-	spans             []telemetry.TracedSpan
+	// traced, decodes and observes hold the request's traced reports'
+	// spans and its stage latencies until one FileReports and one
+	// ObserveBatch per stage.
+	traced            []telemetry.ReportSpans
 	decodes, observes telemetry.HistogramBatch
 }
 
@@ -60,9 +61,9 @@ func (st *decodeState) put() {
 	st.arena.Reset()
 	st.batch.Reset(0, 0)
 	clear(st.memo)
-	st.memo, st.spans = st.memo[:0], st.spans[:0]
-	if cap(st.batch.Rows) > MaxWireEntries || cap(st.spans) > 2*MaxWireEntries {
-		st.batch, st.spans = core.Batch{}, nil
+	st.memo, st.traced = st.memo[:0], st.traced[:0]
+	if cap(st.batch.Rows) > MaxWireEntries || cap(st.traced) > MaxWireEntries {
+		st.batch, st.traced = core.Batch{}, nil
 	}
 	decodePool.Put(st)
 }
@@ -70,13 +71,11 @@ func (st *decodeState) put() {
 // observe is col.Observe behind the request's memo, adding the report's
 // row to the request's batch, and says whether the memo answered. One
 // request has one client IP, so one country, and one campaign: a repeat
-// is its entry's first row re-stamped with its own Time and Trace. Where
-// Observe would have timed it (any host but an unknown one), a repeat's
-// observe stage takes 0 ns at at.
+// is its entry's first row re-stamped with its own Time and Trace.
 func (st *decodeState) observe(col *core.Collector, ip uint32, rep Report, at time.Time) (repeat bool, err error) {
 	k := st.dec.entry - 1
 	if k < 0 || k == len(st.memo) {
-		m, err := col.Observe(ip, rep.Host, rep.ChainDER, col.Campaign, rep.Trace, &st.spans)
+		m, err := col.Observe(ip, rep.Host, rep.ChainDER, col.Campaign, rep.Trace)
 		if err == nil {
 			st.batch.Add(&m)
 		}
@@ -86,10 +85,6 @@ func (st *decodeState) observe(col *core.Collector, ip uint32, rep Report, at ti
 		return false, err
 	}
 	s := &st.memo[k]
-	if col.Tracer != nil && !errors.Is(s.err, core.ErrNoAuthoritative) {
-		st.observes.Observe(0)
-		st.spans = telemetry.AppendTraced(st.spans, telemetry.TraceID(rep.Trace), telemetry.StageObserve, at, 0)
-	}
 	if s.err != nil {
 		return true, s.err
 	}
@@ -97,6 +92,22 @@ func (st *decodeState) observe(col *core.Collector, ip uint32, rep Report, at ti
 	r.Time, r.Trace = col.Stamp(at).UnixNano(), rep.Trace
 	st.batch.AddRow(r)
 	return true, nil
+}
+
+// timeFrame adds one report's decode (start to end) and observe (end to
+// next) stages to the request's histogram batches and, when traced, its
+// entry to the request record. A report whose host has no authoritative
+// chain was never observed.
+func (st *decodeState) timeFrame(trace uint64, start, end, next time.Time, err error) {
+	st.decodes.Observe(end.Sub(start))
+	obs := time.Duration(-1)
+	if !errors.Is(err, core.ErrNoAuthoritative) {
+		obs = next.Sub(end)
+		st.observes.Observe(obs)
+	}
+	if trace != 0 {
+		st.traced = append(st.traced, telemetry.ReportSpans{ID: telemetry.TraceID(trace), Start: start.UnixNano(), Decode: end.Sub(start), Observe: obs})
+	}
 }
 
 // BatchResult is the JSON verdict both batch endpoints answer:
@@ -174,17 +185,20 @@ func BatchHandler(col *core.Collector) http.Handler {
 			}
 			end := start
 			if tracer != nil {
-				d := time.Since(start) // one monotonic read, unlike Now
-				end = start.Add(d)
-				st.decodes.Observe(d)
-				st.spans = telemetry.AppendTraced(st.spans, telemetry.TraceID(rep.Trace), telemetry.StageDecode, start, d)
+				end = start.Add(time.Since(start)) // one monotonic read, unlike Now
 			}
-			// A repeat reads no clock: its observe span, time stamp and
-			// the next frame's decode start at this frame's decode end.
+			// The observe stage runs from this frame's decode end to the
+			// next frame's decode start. A repeat reads no clock: its
+			// observe takes 0 ns and its time stamp is the decode end.
 			repeat, err := st.observe(col, ip, rep, end)
-			if start = end; !repeat {
-				start = stageStart(tracer)
+			next := end
+			if !repeat {
+				next = stageStart(tracer)
 			}
+			if tracer != nil {
+				st.timeFrame(rep.Trace, start, end, next, err)
+			}
+			start = next
 			if err != nil {
 				res.Rejected++
 			}
@@ -193,7 +207,7 @@ func BatchHandler(col *core.Collector) http.Handler {
 		// precede the shard's queue, wal and store spans.
 		tracer.ObserveBatch(telemetry.StageDecode, &st.decodes)
 		tracer.ObserveBatch(telemetry.StageObserve, &st.observes)
-		tracer.RecordSpans(st.spans)
+		tracer.FileReports(st.traced)
 		if status == http.StatusOK {
 			if err := col.Deliver(&st.batch); err != nil {
 				res.Error = err.Error()

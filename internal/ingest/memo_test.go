@@ -26,8 +26,8 @@ import (
 // TestBatchHandlerMatchesPerReportObserve: one request mixing repeated
 // entries, a forged chain, an unparsable chain and an unknown host, each
 // repeating, delivers in order the measurements per-report
-// Collector.Observe yields, rejects as many reports, and files the same
-// observe spans for every traced report.
+// Collector.IngestTraced yields, rejects as many reports, and files the
+// same observe spans for every traced report.
 func TestBatchHandlerMatchesPerReportObserve(t *testing.T) {
 	const hostA, hostB = "a.memo.example", "b.memo.example"
 	chainA, chainB := testChain(t, hostA), testChain(t, hostB)
@@ -80,7 +80,7 @@ func TestBatchHandlerMatchesPerReportObserve(t *testing.T) {
 	var want []core.Measurement
 	rejected := 0
 	for _, r := range reports {
-		m, err := ctl.Observe(ip, r.Host, r.ChainDER, ctl.Campaign, r.Trace, nil)
+		m, err := ctl.IngestTraced(ip, r.Host, r.ChainDER, ctl.Campaign, r.Trace)
 		if err != nil {
 			rejected++
 			continue
@@ -198,7 +198,7 @@ func TestBatchHandlerReportBound(t *testing.T) {
 	st.batch.Rows = make([]core.Row, MaxWireEntries+1)
 	st.dec = NewArenaDecoder(nil, st.arena)
 	st.put()
-	if st.batch.Rows != nil || st.spans != nil {
+	if st.batch.Rows != nil || st.traced != nil {
 		t.Fatalf("pooled state kept %d rows' capacity past the %d bound", cap(st.batch.Rows), MaxWireEntries)
 	}
 }

@@ -37,9 +37,10 @@ const overheadRounds = 5
 //   - traced: reportd's intake — BatchHandler, Collector, Pipeline —
 //     driven from 2 goroutines with every report carrying a fresh trace
 //     ID, as a probe fleet sends them by default. Every report then
-//     gets four spans: ingest_decode and observe, filed per request, and
-//     shard_queue and store_merge, filed per shard commit (the pipeline
-//     is memory-only, so there is no wal_append). Fails past
+//     traces through four spans in two records: its entry (ingest_decode,
+//     observe) in its request's one record, and its link to its shard
+//     commit's one record (shard_queue, store_merge; the pipeline is
+//     memory-only, so there is no wal_append). Fails past
 //     tracedOverheadBound.
 //
 // Wall-clock comparisons are inherently jittery on shared CI runners, so
@@ -91,9 +92,11 @@ func TestMetricsOverheadSmoke(t *testing.T) {
 }
 
 // tracedOverheadBound gates the traced arm's ratio. On a 2-core host the
-// arm read 1.41–1.82 in ten runs with spans filed per request and per
-// shard commit, and 2.37–3.33 with every span taking the tracer lock on
-// its own (EXPERIMENTS.md, "Trace spans per batch").
+// arm read 2.37–3.33 with every span taking the tracer lock on its own,
+// 1.41–2.96 with spans filed per request and per shard commit but copied
+// per report per stage, and 0.89–1.54 in twenty runs with one trace
+// record per request and one per commit (EXPERIMENTS.md, "Trace spans
+// per batch" and "One trace record per batch").
 const tracedOverheadBound = 2.0
 
 // untracedPairs is how many (bare, tracer mounted) block pairs the timed

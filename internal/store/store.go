@@ -112,12 +112,12 @@ func (db *DB) Ingest(m core.Measurement) {
 	db.ingestLocked(m)
 }
 
-// AddClean records n clean (unproxied) tests of one (campaign, country,
-// host type) cell at once: the store ends up exactly as after n Ingest
-// calls of such a measurement. A study generator tallies its clean tests
-// and hands them over here, since a clean test touches nothing but the
-// aggregates. No aggregate is kept per campaign, so campaign goes unread.
-func (db *DB) AddClean(campaign, country string, cat hostdb.Category, n int) {
+// AddClean records n clean (unproxied) tests of one (country, host type)
+// cell at once: the store ends up exactly as after n Ingest calls of such
+// a measurement, whatever its campaign (no aggregate is kept per
+// campaign). A study generator tallies its clean tests and hands them
+// over here, since a clean test touches nothing but the aggregates.
+func (db *DB) AddClean(country string, cat hostdb.Category, n int) {
 	if n <= 0 {
 		return
 	}

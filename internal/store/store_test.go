@@ -270,9 +270,9 @@ func TestByCampaignAndHostCategory(t *testing.T) {
 	}
 }
 
-// TestAddCleanMatchesIngest: AddClean(c, k, cat, n) leaves the store
-// snapshot byte-identical to n clean Ingests of that cell, interleaved
-// with proxied rows.
+// TestAddCleanMatchesIngest: AddClean(k, cat, n) leaves the store
+// snapshot byte-identical to n clean Ingests of that cell under any
+// campaign, interleaved with proxied rows.
 func TestAddCleanMatchesIngest(t *testing.T) {
 	cells := []struct {
 		campaign, country string
@@ -297,7 +297,7 @@ func TestAddCleanMatchesIngest(t *testing.T) {
 		for j := 0; j < c.n; j++ {
 			rows.Ingest(m)
 		}
-		bulk.AddClean(c.campaign, c.country, c.cat, c.n)
+		bulk.AddClean(c.country, c.cat, c.n)
 	}
 	if got, want := bulk.AppendSnapshot(nil), rows.AppendSnapshot(nil); !bytes.Equal(got, want) {
 		t.Fatalf("AddClean store differs from the Ingest store:\n%v\n%v", bulk.ByCountry(OrderByTested), rows.ByCountry(OrderByTested))
@@ -305,7 +305,7 @@ func TestAddCleanMatchesIngest(t *testing.T) {
 
 	// n = 0 adds nothing, not even an empty aggregate key.
 	empty := New(0)
-	empty.AddClean("global", "US", hostdb.Popular, 0)
+	empty.AddClean("US", hostdb.Popular, 0)
 	if !bytes.Equal(empty.AppendSnapshot(nil), New(0).AppendSnapshot(nil)) {
 		t.Fatalf("AddClean of 0 tests changed an empty store: %+v", empty.ByCountry(OrderByTested))
 	}

@@ -387,7 +387,7 @@ func (g *campaignGen) run(campaign adsim.Campaign, outcome adsim.Outcome, cr *st
 	g.tested.Add(tests)
 	for cell, k := range tally {
 		if k > 0 {
-			db.AddClean(campaign.Name, countries[cell/nHosts].Code, g.hosts[cell%nHosts].Category, k)
+			db.AddClean(countries[cell/nHosts].Code, g.hosts[cell%nHosts].Category, k)
 		}
 	}
 	return nil

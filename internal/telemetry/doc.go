@@ -21,9 +21,13 @@
 //     EncodeTraceSessionID) and in the ingest wire codec's TFW3 frame
 //     (probe → reportd), so one capture can be followed
 //     probe → mitmd sniff/forge/respond → /ingest/batch decode →
-//     observe → shard queue → WAL append → store merge. Each hop records
-//     a span into a bounded ring (queryable by ID via Tracer.Handler)
-//     and a per-stage latency histogram in the registry.
+//     observe → shard queue → WAL append → store merge. Each hop
+//     observes a per-stage latency histogram in the registry and files
+//     its span into one bounded FIFO ring of pointer-free records,
+//     queryable by ID via Tracer.Handler: a one-span record per mitmd
+//     stage, one record per reportd request (an entry per traced
+//     report), and one per shard commit (its stages, linked from each
+//     traced row). Lookup joins a report's records by scanning the ring.
 //
 //   - Handler: serves the registry as /metrics — one name per number, in
 //     two encodings: a flat JSON object keyed by Prometheus family name,

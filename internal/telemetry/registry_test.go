@@ -54,7 +54,11 @@ func TestNilSafety(t *testing.T) {
 	var tr *Tracer
 	tr.Observe(StageProbe, time.Second)
 	tr.Record(1, StageProbe, time.Now(), time.Second)
-	tr.RecordSpan(1, StageProbe, time.Now(), time.Second)
+	tr.FileReports([]ReportSpans{{ID: 1}})
+	tr.FileBatch(1, []Span{{Stage: StageWAL}}, []TraceID{1})
+	if tr.Recent(0) != nil {
+		t.Fatal("nil tracer must hold no traces")
+	}
 	if _, ok := tr.Lookup(1); ok {
 		t.Fatal("nil tracer must not find traces")
 	}
@@ -281,39 +285,42 @@ func TestHotPathAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { tr.Observe(StageWAL, time.Millisecond) }); n != 0 {
 		t.Errorf("Tracer.Observe allocates %v/op, want 0", n)
 	}
-	// Span recording into an existing trace slot must not allocate either
-	// (the per-measurement path inside batched stages). Resetting the
-	// slot's span count each run keeps every run on the append path, never
-	// the span bound's drop path.
+	// Filing into the ring must not allocate either, on a full ring that
+	// evicts on every filing: a one-span Record (mitmd's stages), a
+	// request's 256 traced reports in one record, and a shard commit's
+	// three stages linked from its 256 traced rows. The callers' buffers
+	// are reused; fresh IDs every run.
 	dropped := reg.Counter("trace_spans_dropped_total", "")
-	tr.RecordSpan(7, StageProbe, time.Time{}, time.Millisecond)
-	rec := &tr.recs[tr.index[tr.cell(7)].slot]
-	if n := testing.AllocsPerRun(1000, func() {
-		rec.n = 1
-		tr.RecordSpan(7, StageObserve, time.Time{}, time.Millisecond)
-	}); n != 0 {
-		t.Errorf("Tracer.RecordSpan (resident id) allocates %v/op, want 0", n)
-	}
-	if rec.n != 2 || dropped.Value() != 0 {
-		t.Errorf("RecordSpan pin left %d spans and %d dropped, want 2 and 0", rec.n, dropped.Value())
-	}
-
-	// A request's worth of spans through RecordSpans: 256 spans over 64
-	// traces, fresh IDs every run, so each run creates 64 traces and
-	// evicts 64 from a ring that stays full. The caller's buffer is reused.
-	big := NewTracer(reg, 64)
-	batch := make([]TracedSpan, 256)
+	ring := NewTracer(reg, 64) // 4096 words: a 256-entry request is a quarter
+	reports := make([]ReportSpans, 256)
+	links := make([]TraceID, 256)
+	spans := []Span{{Stage: StageQueue}, {Stage: StageWAL}, {Stage: StageStore}}
 	base := TraceID(1)
 	if n := testing.AllocsPerRun(1000, func() {
-		for i := range batch {
-			batch[i] = TracedSpan{ID: base + TraceID(i/4), Span: Span{Stage: StageObserve, Duration: time.Millisecond}}
-		}
-		big.RecordSpans(batch)
-		base += 64
+		ring.Record(base, StageMitmForge, time.Time{}, time.Millisecond)
+		base++
 	}); n != 0 {
-		t.Errorf("Tracer.RecordSpans (256-span batch) allocates %v/op, want 0", n)
+		t.Errorf("Tracer.Record allocates %v/op, want 0", n)
 	}
-	if got, ok := big.Lookup(base - 1); !ok || len(got.Spans) != 4 || dropped.Value() != 0 {
-		t.Errorf("RecordSpans pin: newest trace %+v (resident %v), %d dropped; want 4 spans, 0 dropped", got, ok, dropped.Value())
+	if n := testing.AllocsPerRun(1000, func() {
+		for i := range reports {
+			reports[i] = ReportSpans{ID: base + TraceID(i), Decode: time.Microsecond, Observe: time.Microsecond}
+		}
+		ring.FileReports(reports)
+		base += TraceID(len(reports))
+	}); n != 0 {
+		t.Errorf("Tracer.FileReports (256 reports) allocates %v/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		for i := range links {
+			links[i] = base + TraceID(i)
+		}
+		ring.FileBatch(links[0], spans, links)
+		base += TraceID(len(links))
+	}); n != 0 {
+		t.Errorf("Tracer.FileBatch (3 spans, 256 links) allocates %v/op, want 0", n)
+	}
+	if got, ok := ring.Lookup(base - 1); !ok || len(got.Spans) != 3 || dropped.Value() != 0 {
+		t.Errorf("FileBatch pin: newest trace %+v (resident %v), %d dropped; want 3 spans, 0 dropped", got, ok, dropped.Value())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -71,7 +72,8 @@ const (
 )
 
 // knownStages pre-registers every stage histogram so the recording hot
-// path is one lock-free scan.
+// path is one lock-free scan. A ring record names a stage by its index
+// here.
 var knownStages = []string{
 	StageProbe, StageMitmSniff, StageMitmUpstrm, StageMitmForge,
 	StageMitmRespond, StageMitmSplice, StageDecode, StageObserve,
@@ -81,13 +83,7 @@ var knownStages = []string{
 // StageMetric returns the registry name of a stage's latency histogram.
 func StageMetric(stage string) string { return "stage_" + stage + "_seconds" }
 
-// maxSpans bounds the spans retained per trace; a probe crossing every
-// plane records 8 (probe, sniff, upstream, forge, decode, observe,
-// queue, wal, store is 9 — respond replaces splice and upstream is often
-// a cache hit, but size for the full path anyway).
-const maxSpans = 12
-
-// Span is one recorded stage of a trace.
+// Span is one recorded stage of a trace, as Lookup returns it.
 type Span struct {
 	Stage string `json:"stage"`
 	// Start is the stage's start time on the recording process's clock;
@@ -97,49 +93,64 @@ type Span struct {
 	Duration time.Duration `json:"duration_ns"`
 }
 
-// TracedSpan is a span with the ID of the trace it belongs to: the unit
-// RecordSpans files.
-type TracedSpan struct {
-	ID TraceID
-	Span
-}
-
-// Trace is every span recorded for one ID on this process, in recording
+// Trace is every span recorded for one ID on this process, in filing
 // order.
 type Trace struct {
 	ID    TraceID `json:"-"`
 	Spans []Span  `json:"spans"`
-	// Truncated reports spans dropped past the per-trace bound.
-	Truncated bool `json:"truncated,omitempty"`
 }
 
-// traceRec is one ring slot. Fixed-size span storage keeps recording
-// allocation-free once a trace's slot exists.
-type traceRec struct {
-	id     TraceID
-	n      int
-	lost   bool
-	stages [maxSpans]Span
+// ReportSpans is one traced report's request-side stages, one entry of
+// a request record: ingest_decode from Start (Unix ns) for Decode, then
+// observe for Observe from the decode's end. A negative Observe means
+// the report was never observed (its host has no authoritative chain).
+type ReportSpans struct {
+	ID              TraceID
+	Start           int64
+	Decode, Observe time.Duration
 }
 
-// DefaultTraceCap bounds the trace ring when NewTracer gets cap <= 0:
-// enough to hold a probe fleet's recent history without growing.
+// The ring holds two kinds of record, each a header word and a run of
+// payload words; the header's low bit is the kind, bits 8-15 a batch
+// record's span count, and bits 16 up a request's entry count or a batch
+// record's link count.
+//
+//   - batch: spans × (stage index, start ns, duration ns), then its key
+//     and the IDs linked to it. The spans belong to the key and to every
+//     linked ID: a shard commit, or one Record with no links.
+//   - request: entries × (ID, decode start ns, decode ns, observe ns), a
+//     request's ReportSpans.
+const (
+	recBatch   = 0
+	recRequest = 1
+)
+
+// maxSpans bounds the spans of one batch record, so any record's spans
+// fit a ring of one capacity unit.
+const maxSpans = 12
+
+// traceUnitWords is the ring words one unit of NewTracer's capacity
+// buys: room for maxSpans one-span records of 5 words, more than one
+// probe's whole path files (a reportd report costs 5 words in all, its
+// request entry and its commit link).
+const traceUnitWords = 64
+
+// DefaultTraceCap sizes the trace ring when NewTracer gets cap <= 0:
+// 4096 units, 2 MiB of ring.
 const DefaultTraceCap = 4096
 
-// Tracer records spans by trace ID into a bounded ring and stage
-// latencies into registry histograms. All methods are safe for
-// concurrent use and nil-receiver-safe.
+// Tracer records stage latencies into registry histograms and spans by
+// trace ID into a bounded FIFO ring of pointer-free records. All methods
+// are safe for concurrent use and nil-receiver-safe.
 type Tracer struct {
 	reg *Registry
 
-	mu   sync.Mutex
-	recs []traceRec
-	// index maps each resident trace ID to its slot in recs: open
-	// addressing with linear probing, at least twice len(recs) cells (a
-	// power of two, so at most half full); a zero ID marks an empty cell.
-	index []indexCell
-	shift uint // 64 - log2(len(index)): home takes the hash's top bits
-	next  int
+	mu sync.Mutex
+	// ring holds the records in [tail, head), counted in words ever
+	// written; its length is a power of two. Filing a record evicts the
+	// oldest whole records until it fits.
+	ring       []uint64
+	head, tail uint64
 
 	// hists holds the known stages' histograms in knownStages order; it is
 	// never mutated afterwards, so hist's scan needs no lock (and costs
@@ -150,30 +161,29 @@ type Tracer struct {
 	extra   map[string]*Histogram
 
 	dropped *Counter
-	// filings counts RecordSpans calls that took mu: a path that files
-	// no span must leave it still.
+	// filings counts records filed under mu: a path that files no span
+	// must leave it still.
 	filings *Counter
 }
 
 // NewTracer builds a tracer over reg (which may be nil: spans still
-// record, histograms vanish) retaining the last cap traces.
+// record, histograms vanish) whose ring holds capacity × traceUnitWords
+// words, rounded up to a power of two.
 func NewTracer(reg *Registry, capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCap
 	}
-	shift := uint(63)
-	for 1<<(64-shift) < 2*capacity {
-		shift--
+	words := traceUnitWords
+	for words < capacity*traceUnitWords {
+		words *= 2
 	}
 	t := &Tracer{
 		reg:     reg,
-		recs:    make([]traceRec, capacity),
-		index:   make([]indexCell, 1<<(64-shift)),
-		shift:   shift,
+		ring:    make([]uint64, words),
 		hists:   make([]*Histogram, len(knownStages)),
 		extra:   make(map[string]*Histogram),
-		dropped: reg.Counter("trace_spans_dropped_total", "spans dropped because a trace hit its span bound"),
-		filings: reg.Counter("trace_span_filings_total", "span batches filed under the tracer lock"),
+		dropped: reg.Counter("trace_spans_dropped_total", "spans dropped because their record outgrew the trace ring"),
+		filings: reg.Counter("trace_span_filings_total", "span records filed under the tracer lock"),
 	}
 	for i, st := range knownStages {
 		t.hists[i] = reg.Histogram(StageMetric(st), "latency of the "+st+" stage")
@@ -181,12 +191,20 @@ func NewTracer(reg *Registry, capacity int) *Tracer {
 	return t
 }
 
-// hist returns the stage's histogram (nil when no registry is mounted).
-func (t *Tracer) hist(stage string) *Histogram {
+// stageIndex is stage's index in knownStages, or -1.
+func stageIndex(stage string) int {
 	for i, st := range knownStages {
 		if st == stage {
-			return t.hists[i]
+			return i
 		}
+	}
+	return -1
+}
+
+// hist returns the stage's histogram (nil when no registry is mounted).
+func (t *Tracer) hist(stage string) *Histogram {
+	if i := stageIndex(stage); i >= 0 {
+		return t.hists[i]
 	}
 	if t.reg == nil {
 		return nil
@@ -219,175 +237,166 @@ func (t *Tracer) ObserveBatch(stage string, b *HistogramBatch) {
 	}
 }
 
-// Record observes the stage latency and, for a nonzero ID, appends a
-// span to the trace.
+// Record observes the stage latency and, for a nonzero ID, files the
+// span as a one-span batch record keyed by id.
 func (t *Tracer) Record(id TraceID, stage string, start time.Time, d time.Duration) {
 	if t == nil {
 		return
 	}
 	t.hist(stage).Observe(d)
-	t.RecordSpan(id, stage, start, d)
+	t.FileBatch(id, []Span{{Stage: stage, Start: start, Duration: d}}, nil)
 }
 
-// AppendSpan is Record with the span deferred: it observes the stage
-// latency now and, for a nonzero ID, appends the span to dst for a later
-// RecordSpans — the per-report path of a request that files its spans
-// once.
-func (t *Tracer) AppendSpan(dst []TracedSpan, id TraceID, stage string, start time.Time, d time.Duration) []TracedSpan {
-	if t == nil {
-		return dst
-	}
-	t.hist(stage).Observe(d)
-	return AppendTraced(dst, id, stage, start, d)
-}
-
-// AppendTraced is AppendSpan without the histogram, for a caller that
-// observes the stage some other way (a HistogramBatch, or not at all).
-func AppendTraced(dst []TracedSpan, id TraceID, stage string, start time.Time, d time.Duration) []TracedSpan {
-	if id == 0 {
-		return dst
-	}
-	return append(dst, TracedSpan{ID: id, Span: Span{Stage: stage, Start: start, Duration: d}})
-}
-
-// RecordSpan appends one span to the trace without observing the
-// histogram.
-func (t *Tracer) RecordSpan(id TraceID, stage string, start time.Time, d time.Duration) {
-	if id != 0 {
-		t.RecordSpans([]TracedSpan{{ID: id, Span: Span{Stage: stage, Start: start, Duration: d}}})
-	}
-}
-
-// RecordSpans appends each span to its trace, in order, under one lock
-// and without observing histograms: the per-batch path, whose stages were
-// observed already. Zero IDs are skipped. The ring ends as after one
-// RecordSpan per span: traces are created (the oldest-created evicted) in
-// span order, and spans past a trace's bound count as dropped.
-func (t *Tracer) RecordSpans(spans []TracedSpan) {
-	if t == nil || len(spans) == 0 {
+// FileBatch files the spans of one batched operation as one record,
+// keyed by key and linked from every ID of ids, under one lock and
+// without observing histograms (the caller observed them): Lookup of the
+// key or of a linked ID returns the spans. A zero key files nothing.
+// Spans of a stage outside the eleven named ones, and past maxSpans, are
+// not kept; linked IDs past the ring's size are dropped and their spans
+// counted in trace_spans_dropped_total.
+func (t *Tracer) FileBatch(key TraceID, spans []Span, ids []TraceID) {
+	if t == nil || key == 0 {
 		return
 	}
-	var dropped uint64
+	var enc [3 * maxSpans]uint64 // the kept spans, 3 words each
+	w := 0
+	for _, sp := range spans {
+		if st := stageIndex(sp.Stage); st >= 0 && w < len(enc) {
+			enc[w], enc[w+1], enc[w+2] = uint64(st), uint64(sp.Start.UnixNano()), uint64(sp.Duration)
+			w += 3
+		}
+	}
+	n := min(len(ids), len(t.ring)-2-w)
 	t.filings.Inc()
 	t.mu.Lock()
-	last, i := TraceID(0), 0
-	for k := range spans {
-		sp := &spans[k]
-		if sp.ID == 0 {
-			continue
-		}
-		// Consecutive spans of one trace share its slot; the slot check
-		// keeps the shortcut from writing into a slot a newer trace took.
-		if sp.ID != last || t.recs[i].id != sp.ID {
-			i, last = t.slot(sp.ID), sp.ID
-		}
-		rec := &t.recs[i]
-		if rec.n >= maxSpans {
-			rec.lost = true
-			dropped++
-			continue
-		}
-		rec.stages[rec.n] = sp.Span
-		rec.n++
+	t.reserve(2 + w + n)
+	t.put(uint64(n)<<16 | uint64(w/3)<<8 | recBatch)
+	for _, x := range enc[:w] {
+		t.put(x)
+	}
+	t.put(uint64(key))
+	for _, id := range ids[:n] {
+		t.put(uint64(id))
 	}
 	t.mu.Unlock()
-	t.dropped.Add(dropped)
+	t.dropped.Add(uint64((len(ids) - n) * w / 3))
 }
 
-// indexCell is one cell of the ring's index.
-type indexCell struct {
-	id   TraceID
-	slot int32
-}
-
-// home is id's first probe in t.index (Fibonacci hashing).
-func (t *Tracer) home(id TraceID) int {
-	return int(uint64(id) * 0x9e3779b97f4a7c15 >> t.shift)
-}
-
-// cell returns the index cell holding id, or the empty cell that ends
-// its probe run. id must be nonzero.
-func (t *Tracer) cell(id TraceID) int {
-	mask := len(t.index) - 1
-	i := t.home(id)
-	for t.index[i].id != id && t.index[i].id != 0 {
-		i = (i + 1) & mask
+// FileReports files one request's traced reports as one request record,
+// under one lock and without observing histograms. Entries past the
+// ring's size are dropped, two spans each in trace_spans_dropped_total.
+func (t *Tracer) FileReports(reports []ReportSpans) {
+	if t == nil || len(reports) == 0 {
+		return
 	}
-	return i
+	n := min(len(reports), (len(t.ring)-1)/4)
+	t.filings.Inc()
+	t.mu.Lock()
+	t.reserve(1 + 4*n)
+	t.put(uint64(n)<<16 | recRequest)
+	for _, r := range reports[:n] {
+		t.put(uint64(r.ID))
+		t.put(uint64(r.Start))
+		t.put(uint64(r.Decode))
+		t.put(uint64(r.Observe))
+	}
+	t.mu.Unlock()
+	t.dropped.Add(2 * uint64(len(reports)-n))
 }
 
-// unindex empties id's cell and moves later cells of the probe run back
-// into the gap wherever their home allows (backward-shift deletion), so
-// every probe run stays unbroken without tombstones.
-func (t *Tracer) unindex(id TraceID) {
-	mask := len(t.index) - 1
-	i := t.cell(id)
-	for j := (i + 1) & mask; t.index[j].id != 0; j = (j + 1) & mask {
-		// The cell at j may fill the gap at i unless its home lies
-		// cyclically in (i, j].
-		h := t.home(t.index[j].id)
-		if i <= j && (h <= i || h > j) || i > j && h <= i && h > j {
-			t.index[i] = t.index[j]
-			i = j
-		}
-	}
-	t.index[i] = indexCell{}
+// word reads the ring word at position at. The caller holds t.mu.
+func (t *Tracer) word(at uint64) uint64 { return t.ring[at&uint64(len(t.ring)-1)] }
+
+// put appends w at the head. The caller holds t.mu and reserved room.
+func (t *Tracer) put(w uint64) {
+	t.ring[t.head&uint64(len(t.ring)-1)] = w
+	t.head++
 }
 
-// slot returns id's ring slot, creating the trace — and evicting the
-// oldest-created one — when id is not resident. The caller holds t.mu.
-func (t *Tracer) slot(id TraceID) int {
-	c := t.cell(id)
-	if t.index[c].id == id {
-		return int(t.index[c].slot)
+// reserve evicts the oldest records until n more words fit. A record's
+// header is read before anything overwrites it. The caller holds t.mu.
+func (t *Tracer) reserve(n int) {
+	for t.head+uint64(n)-t.tail > uint64(len(t.ring)) {
+		t.tail = t.end(t.tail)
 	}
-	i := t.next
-	if t.next++; t.next == len(t.recs) {
-		t.next = 0
-	}
-	rec := &t.recs[i]
-	if rec.id != 0 {
-		t.unindex(rec.id)
-		c = t.cell(id) // the deletion may have moved the run's end
-	}
-	// Spans past n are never read, so the evicted trace's stay in place.
-	rec.id, rec.n, rec.lost = id, 0, false
-	t.index[c] = indexCell{id, int32(i)}
-	return i
 }
 
-// Lookup returns the recorded trace for id.
+// ids locates the trace IDs of the record at at: count words from first,
+// stride apart — a request's entries, or a batch record's key and links.
+func (t *Tracer) ids(at uint64) (first, stride, count uint64) {
+	hdr := t.word(at)
+	if hdr&1 == recRequest {
+		return at + 1, 4, hdr >> 16
+	}
+	return at + 1 + 3*(hdr>>8&0xff), 1, 1 + hdr>>16
+}
+
+// end is the position just past the record at at.
+func (t *Tracer) end(at uint64) uint64 {
+	first, stride, count := t.ids(at)
+	return first + stride*count
+}
+
+// Lookup returns the spans recorded for id, oldest record first: a
+// report's request entry (decode, observe) and every batch record keyed
+// by or linked from it. It scans the whole ring — O(ring), for /trace.
 func (t *Tracer) Lookup(id TraceID) (Trace, bool) {
-	if t == nil {
+	if t == nil || id == 0 {
 		return Trace{}, false
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	c := t.cell(id)
-	if id == 0 || t.index[c].id != id {
-		return Trace{}, false
+	tr := Trace{ID: id}
+	for at := t.tail; at != t.head; at = t.end(at) {
+		first, stride, count := t.ids(at)
+		request := t.word(at)&1 == recRequest
+		for s := first; s < first+stride*count; s += stride {
+			if TraceID(t.word(s)) != id {
+				continue
+			}
+			if request {
+				start := time.Unix(0, int64(t.word(s+1)))
+				dec, obs := time.Duration(t.word(s+2)), time.Duration(t.word(s+3))
+				tr.Spans = append(tr.Spans, Span{StageDecode, start, dec})
+				if obs >= 0 {
+					tr.Spans = append(tr.Spans, Span{StageObserve, start.Add(dec), obs})
+				}
+				continue
+			}
+			for sp := at + 1; sp < first; sp += 3 {
+				tr.Spans = append(tr.Spans, Span{knownStages[t.word(sp)], time.Unix(0, int64(t.word(sp+1))), time.Duration(t.word(sp + 2))})
+			}
+			break
+		}
 	}
-	rec := &t.recs[t.index[c].slot]
-	tr := Trace{ID: id, Spans: make([]Span, rec.n), Truncated: rec.lost}
-	copy(tr.Spans, rec.stages[:rec.n])
-	return tr, true
+	return tr, len(tr.Spans) > 0
 }
 
-// Recent returns up to n trace IDs, most recently created first.
+// Recent returns up to n distinct trace IDs (all when n <= 0), most
+// recently filed first.
 func (t *Tracer) Recent(n int) []TraceID {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if n <= 0 || n > len(t.recs) {
-		n = len(t.recs)
+	var starts []uint64
+	for at := t.tail; at != t.head; at = t.end(at) {
+		starts = append(starts, at)
 	}
-	out := make([]TraceID, 0, n)
-	for off := 1; off <= len(t.recs) && len(out) < n; off++ {
-		i := (t.next - off + len(t.recs)) % len(t.recs)
-		if t.recs[i].id != 0 {
-			out = append(out, t.recs[i].id)
+	if n <= 0 {
+		n = math.MaxInt
+	}
+	var out []TraceID
+	seen := make(map[TraceID]bool)
+	for k := len(starts) - 1; k >= 0 && len(out) < n; k-- {
+		first, stride, count := t.ids(starts[k])
+		for s := first + stride*count; s != first && len(out) < n; {
+			s -= stride
+			if id := TraceID(t.word(s)); id != 0 && !seen[id] {
+				seen[id] = true
+				out = append(out, id)
+			}
 		}
 	}
 	return out
@@ -420,9 +429,8 @@ func (t *Tracer) Handler() http.Handler {
 			return
 		}
 		json.NewEncoder(w).Encode(map[string]any{
-			"id":        id.String(),
-			"spans":     tr.Spans,
-			"truncated": tr.Truncated,
+			"id":    id.String(),
+			"spans": tr.Spans,
 		})
 	})
 }
