@@ -325,9 +325,13 @@ func TestKeyPoolNamedSharedKey(t *testing.T) {
 	}
 }
 
+// TestKeyPoolRejectsTinyKeys: pool and named keys share one floor.
 func TestKeyPoolRejectsTinyKeys(t *testing.T) {
 	if _, err := DefaultPool.Get(256); err == nil {
 		t.Fatal("256-bit key accepted")
+	}
+	if _, err := DefaultPool.Named("x", 256); err == nil {
+		t.Fatal("256-bit named key accepted")
 	}
 }
 

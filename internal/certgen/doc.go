@@ -17,8 +17,9 @@
 // Key material comes from a KeyPool: prime generation is amortized across
 // the thousands of leaves a study mints, named keys reproduce shared-key
 // malware (§5.1), and — for serving-path deployments like cmd/mitmd —
-// Prewarm fills the pool on every core before traffic arrives, so
-// certificate issuance never stalls behind RSA keygen.
+// Prewarm fills the pool on every core before traffic arrives. Its keys
+// come from the package's own prime search (keygen.go): the primes
+// crypto/rsa would pick from the same stream, found in variable time.
 //
 // Parsing of everything produced here is delegated to crypto/x509, which
 // accepts (but will not verify) weak algorithms — the same asymmetry

@@ -75,22 +75,6 @@ func NewKeyPool(perSize int, entropy io.Reader) *KeyPool {
 	return p
 }
 
-// steadyReader keeps rsa.GenerateKey deterministic over a seeded stream.
-// For any reader but crypto/rand's, crypto/rsa reads one extra byte half
-// the time, chosen at random (randutil.MaybeReadByte), which would shift
-// the stream and so change every later prime. Those are the only one-byte
-// reads key generation makes; steadyReader answers them with 0 and leaves
-// r where it was.
-type steadyReader struct{ r io.Reader }
-
-func (s steadyReader) Read(p []byte) (int, error) {
-	if len(p) == 1 {
-		p[0] = 0
-		return 1, nil
-	}
-	return s.r.Read(p)
-}
-
 // KeySizes observed in the study's substitute certificates (§5.2): the
 // authors' server used 2048; proxies downgraded half of all connections to
 // 1024, 21 certificates to 512, and a handful upgraded to 2432.
@@ -102,7 +86,7 @@ func (p *KeyPool) stream(identity []byte) io.Reader {
 	if p.seed == nil {
 		return rand.Reader
 	}
-	return steadyReader{mrand.NewChaCha8(sha256.Sum256(append(p.seed[:], identity...)))}
+	return mrand.NewChaCha8(sha256.Sum256(append(p.seed[:], identity...)))
 }
 
 // slotIdentity and nameIdentity name a pool key and a named key. The
@@ -110,15 +94,18 @@ func (p *KeyPool) stream(identity []byte) io.Reader {
 func slotIdentity(bits, i int) []byte { return fmt.Appendf(nil, "size %d slot %d", bits, i) }
 func nameIdentity(name string) []byte { return append([]byte("name "), name...) }
 
-// mint generates one key from the stream for identity.
+// mint generates one key of at least 512 bits from the stream for identity.
 func (p *KeyPool) mint(identity []byte, bits int) (*rsa.PrivateKey, error) {
+	if bits < 512 {
+		return nil, fmt.Errorf("certgen: refusing key size %d (< 512 bits)", bits)
+	}
 	if p.onMint != nil {
 		p.onMint()
 	}
 	if p.seedErr != nil {
 		return nil, p.seedErr
 	}
-	k, err := rsa.GenerateKey(p.stream(identity), bits)
+	k, err := generateKey(p.stream(identity), bits)
 	if err != nil {
 		return nil, fmt.Errorf("certgen: generate %d-bit key: %w", bits, err)
 	}
@@ -159,9 +146,6 @@ func (p *KeyPool) fill(bits, i int, s *keySlot) {
 // holds fewer than perSize keys of that size, then the pooled keys in
 // round-robin order.
 func (p *KeyPool) Get(bits int) (*rsa.PrivateKey, error) {
-	if bits < 512 {
-		return nil, fmt.Errorf("certgen: refusing key size %d (< 512 bits)", bits)
-	}
 	for {
 		p.mu.Lock()
 		i, s, fresh := p.reserveLocked(bits)

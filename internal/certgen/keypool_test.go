@@ -73,8 +73,7 @@ func TestKeyPoolPrewarm(t *testing.T) {
 }
 
 // TestKeyPoolSeededIsDeterministic: two pools over equal seeded streams
-// mint equal keys. crypto/rsa's random extra one-byte read would make
-// them differ without the pool's steadyReader.
+// mint equal keys. Which keys they are is TestKeyPoolKeysPinned's check.
 func TestKeyPoolSeededIsDeterministic(t *testing.T) {
 	a := NewKeyPool(2, stats.NewRNG(2016))
 	b := NewKeyPool(2, stats.NewRNG(2016))
