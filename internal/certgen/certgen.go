@@ -2,12 +2,13 @@ package certgen
 
 import (
 	"crypto"
-	"crypto/rand"
 	"crypto/rsa"
 	"crypto/sha1"
+	"crypto/sha256"
 	"crypto/x509"
 	"crypto/x509/pkix"
 	"encoding/asn1"
+	"encoding/binary"
 	"fmt"
 	"math/big"
 	"time"
@@ -94,7 +95,8 @@ type Template struct {
 	// DNSNames become a SubjectAltName extension when non-empty.
 	DNSNames []string
 
-	// SerialNumber; a random positive 63-bit serial is chosen when nil.
+	// SerialNumber; when nil, it is derived from everything else the
+	// certificate says (see Issue), so equal inputs sign equal bytes.
 	SerialNumber *big.Int
 
 	NotBefore, NotAfter time.Time
@@ -114,22 +116,13 @@ type Template struct {
 	OmitBasicConstraints bool
 }
 
-func (t *Template) fill() error {
-	if t.SerialNumber == nil {
-		max := new(big.Int).Lsh(big.NewInt(1), 63)
-		serial, err := rand.Int(rand.Reader, max)
-		if err != nil {
-			return fmt.Errorf("certgen: serial: %w", err)
-		}
-		t.SerialNumber = serial.Add(serial, big.NewInt(1))
-	}
+func (t *Template) fill() {
 	if t.NotBefore.IsZero() {
 		t.NotBefore = DefaultNotBefore
 	}
 	if t.NotAfter.IsZero() {
 		t.NotAfter = t.NotBefore.AddDate(1, 0, 0)
 	}
-	return nil
 }
 
 // DefaultNotBefore anchors certificate validity in the study period
@@ -213,11 +206,11 @@ func subjectKeyID(pubDER []byte) []byte {
 // Issue creates a certificate for tmpl whose public key is pub, signed by
 // signerKey. signerCertDER is the signer's own certificate (nil for
 // self-signed); it supplies the issuer name and the AuthorityKeyId.
-// Serials come from crypto/rand; PKCS #1 v1.5 signing is deterministic.
+// A nil serial is SHA-256 over the to-be-signed bytes with serial 0,
+// truncated to 63 bits and made positive. PKCS #1 v1.5 signing is
+// deterministic too, so equal arguments give byte-identical certificates.
 func Issue(tmpl Template, pub *rsa.PublicKey, signerKey *rsa.PrivateKey, signerCertDER []byte) ([]byte, error) {
-	if err := tmpl.fill(); err != nil {
-		return nil, err
-	}
+	tmpl.fill()
 	if tmpl.NotAfter.Before(tmpl.NotBefore) {
 		return nil, fmt.Errorf("certgen: NotAfter %v precedes NotBefore %v", tmpl.NotAfter, tmpl.NotBefore)
 	}
@@ -317,6 +310,15 @@ func Issue(tmpl Template, pub *rsa.PublicKey, signerKey *rsa.PrivateKey, signerC
 		Extensions: exts,
 	}
 
+	if tbs.SerialNumber == nil {
+		tbs.SerialNumber = new(big.Int)
+		der, err := asn1.Marshal(tbs)
+		if err != nil {
+			return nil, fmt.Errorf("certgen: marshal tbsCertificate: %w", err)
+		}
+		sum := sha256.Sum256(der)
+		tbs.SerialNumber.SetUint64(max(binary.BigEndian.Uint64(sum[:])>>1, 1))
+	}
 	tbsDER, err := asn1.Marshal(tbs)
 	if err != nil {
 		return nil, fmt.Errorf("certgen: marshal tbsCertificate: %w", err)

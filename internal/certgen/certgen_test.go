@@ -1,6 +1,7 @@
 package certgen
 
 import (
+	"bytes"
 	"crypto/x509"
 	"crypto/x509/pkix"
 	"math/big"
@@ -236,6 +237,42 @@ func TestSerialNumberExplicit(t *testing.T) {
 	}
 	if cert.SerialNumber.Int64() != 424242 {
 		t.Fatalf("serial = %v", cert.SerialNumber)
+	}
+}
+
+// TestSerialNumberDerived: a nil serial is a positive 63-bit function of
+// the rest of the certificate, so issuing twice signs equal bytes and a
+// certificate that says anything else gets another serial.
+func TestSerialNumberDerived(t *testing.T) {
+	ca := testRoot(t)
+	key, err := DefaultPool.Get(512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	issue := func(cn string) *x509.Certificate {
+		t.Helper()
+		der, err := Issue(Template{Subject: pkix.Name{CommonName: cn}}, &key.PublicKey, ca.Key, ca.DER)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := Issue(Template{Subject: pkix.Name{CommonName: cn}}, &key.PublicKey, ca.Key, ca.DER)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(der, again) {
+			t.Fatalf("%s: two issues of one template differ", cn)
+		}
+		cert, err := x509.ParseCertificate(der)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cert.SerialNumber.Sign() <= 0 || cert.SerialNumber.BitLen() > 63 {
+			t.Fatalf("%s: serial %v, want a positive 63-bit number", cn, cert.SerialNumber)
+		}
+		return cert
+	}
+	if a, b := issue("a.example"), issue("b.example"); a.SerialNumber.Cmp(b.SerialNumber) == 0 {
+		t.Fatalf("two subjects share serial %v", a.SerialNumber)
 	}
 }
 

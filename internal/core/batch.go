@@ -16,11 +16,12 @@ import (
 // Batch frame (DESIGN.md §10, §12): the one layout a measurement batch
 // has from router to replica. It is the /cluster/ingest request body, the
 // payload of every WAL frame (internal/durable), so of every frame of a
-// tail stream a follower appends verbatim, and the layout of a store
-// snapshot's retained records (internal/store).
+// tail stream a follower appends verbatim, and the layout of every frame
+// of a store image (internal/store).
 //
-//	batch     = magic "TFMB" | version 1 | crc32c uint32le | id uint64le
-//	          | trace uint64le | rows uint32le | tuples | countries | row*
+//	batch     = magic "TFMB" | version (1 or 2) | crc32c uint32le
+//	          | id uint64le | trace uint64le | rows uint32le | tuples
+//	          | countries | row*
 //	tuples    = count uvarint | tuple*
 //	tuple     = host str | hostCategory uvarint | campaign str
 //	          | observation (AppendObservation)
@@ -28,6 +29,12 @@ import (
 //	str       = len uvarint | bytes (at most MaxCodecStringLen)
 //	row       = clientIP uint32le | time int64le (Unix ns)
 //	          | tuple uint16le | country uint16le
+//	          | count uint32le (version 2 only)
+//
+// A row's count is how many equal measurements it stands for: 1 for a
+// report, a cell's size for a tally of clean tests. A batch whose counts
+// are all 1 is version 1, without the column. A count is never 0, and a
+// proxied row's is 1: the paper keeps every proxied test's detail (§5.1).
 //
 // The CRC (Castagnoli) covers every byte after it. The tables are
 // positional and belong to their batch alone: a row names its tuple and
@@ -38,10 +45,12 @@ import (
 // none); trace is the telemetry trace ID of the first traced measurement
 // added (0 = untraced) — rows carry no trace of their own.
 const (
-	batchMagic   = "TFMB"
-	batchVersion = 1
-	batchHdrLen  = 4 + 1 + 4 + 8 + 8 + 4
-	batchRowLen  = 4 + 8 + 2 + 2
+	batchMagic      = "TFMB"
+	batchVersion    = 1
+	weightedVersion = 2
+	batchHdrLen     = 4 + 1 + 4 + 8 + 8 + 4
+	batchRowLen     = 4 + 8 + 2 + 2
+	weightedRowLen  = batchRowLen + 4
 	// MaxBatchRows bounds the rows of one encoded batch, so a row's
 	// uint16 table indexes reach every table entry.
 	MaxBatchRows = 1 << 16
@@ -58,11 +67,12 @@ type Tuple struct {
 	Obs          Observation
 }
 
-// Row is one measurement of a batch: its own columns and the indexes of
-// its tuple and country.
+// Row is one measurement of a batch, or Count equal ones: its own
+// columns and the indexes of its tuple and country.
 type Row struct {
 	ClientIP       uint32
 	Tuple, Country uint32
+	Count          uint32
 	Time           int64 // Unix nanoseconds
 	// Trace is the measurement's telemetry trace ID. It lives in memory
 	// only: a row encodes without it, so a decoded row has none.
@@ -136,11 +146,15 @@ const maxTupleChain = 16
 
 // Add appends m as a row of b, adding its tuple and country to the
 // tables unless an equal entry is already there (see maxTupleChain). A
-// Batch that only Add filled since its Reset encodes canonically: equal
-// measurement sequences give equal bytes.
-func (b *Batch) Add(m *Measurement) {
+// Batch that only Add and AddN filled since its Reset encodes
+// canonically: equal measurement sequences give equal bytes.
+func (b *Batch) Add(m *Measurement) { b.AddN(m, 1) }
+
+// AddN is Add of a row that stands for n measurements equal to m. n must
+// be at least 1, and 1 when m is proxied (see the grammar above).
+func (b *Batch) AddN(m *Measurement, n uint32) {
 	t := b.tupleOf(m.Host, m.Campaign, m.HostCategory, &m.Obs)
-	b.AddRow(Row{ClientIP: m.ClientIP, Tuple: uint32(t), Country: b.countryOf(m.Country), Time: m.Time.UnixNano(), Trace: m.Trace})
+	b.AddRow(Row{ClientIP: m.ClientIP, Tuple: uint32(t), Country: b.countryOf(m.Country), Count: n, Time: m.Time.UnixNano(), Trace: m.Trace})
 }
 
 // AddRow appends r, whose tuple and country are already in b's tables.
@@ -152,11 +166,11 @@ func (b *Batch) AddRow(r Row) {
 	b.Rows = append(b.Rows, r)
 }
 
-// AddFrom appends src's row r to b as Add appends src.Measurement of
-// that row: the batch Add would build, save that a tuple met again past
-// maxTupleChain newer ones of its key is not stored twice. Each of src's
-// tuples is looked up in b's tables once, on first use: until b or src
-// is Reset, AddFrom remembers where it put them. Rows from a decoded src
+// AddFrom appends src's row r, count and all, to b as AddN appends
+// src.Measurement of that row: the batch AddN would build, save that a
+// tuple met again past maxTupleChain newer ones of its key is not stored
+// twice. Each of src's tuples is looked up in b's tables once, on first
+// use: until b or src is Reset, AddFrom remembers where it put them. Rows from a decoded src
 // make b's strings borrowed too (see Record).
 func (b *Batch) AddFrom(src *Batch, r Row) {
 	if src.gen == 0 || src.gen != b.fromGen {
@@ -220,8 +234,9 @@ func (b *Batch) tupleOf(host, campaign string, cat hostdb.Category, obs *Observa
 	return t
 }
 
-// Measurement expands row i. Its strings are the batch's own, shared
-// with every other row of the same tuple or country.
+// Measurement expands row i, one of the row's Count measurements. Its
+// strings are the batch's own, shared with every other row of the same
+// tuple or country.
 func (b *Batch) Measurement(i int) Measurement {
 	r := b.Rows[i]
 	t := &b.Tuples[r.Tuple]
@@ -261,10 +276,14 @@ func (b *Batch) AppendTo(dst []byte) []byte {
 	if len(b.Rows) > MaxBatchRows {
 		panic(fmt.Sprintf("core: batch of %d rows exceeds %d", len(b.Rows), MaxBatchRows))
 	}
+	version, rowLen := byte(batchVersion), batchRowLen
+	if slices.ContainsFunc(b.Rows, func(r Row) bool { return r.Count != 1 }) {
+		version, rowLen = weightedVersion, weightedRowLen
+	}
 	start := len(dst)
-	dst = slices.Grow(dst, batchHdrLen+64*len(b.Tuples)+4*len(b.Countries)+batchRowLen*len(b.Rows))
+	dst = slices.Grow(dst, batchHdrLen+64*len(b.Tuples)+4*len(b.Countries)+rowLen*len(b.Rows))
 	dst = append(dst, batchMagic...)
-	dst = append(dst, batchVersion, 0, 0, 0, 0)
+	dst = append(dst, version, 0, 0, 0, 0)
 	dst = binary.LittleEndian.AppendUint64(dst, b.ID)
 	dst = binary.LittleEndian.AppendUint64(dst, b.Trace)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b.Rows)))
@@ -281,13 +300,16 @@ func (b *Batch) AppendTo(dst []byte) []byte {
 		dst = appendString(dst, c)
 	}
 	rows := len(dst)
-	dst = slices.Grow(dst, len(b.Rows)*batchRowLen)[:rows+len(b.Rows)*batchRowLen]
+	dst = slices.Grow(dst, len(b.Rows)*rowLen)[:rows+len(b.Rows)*rowLen]
 	for i, r := range b.Rows {
-		p := dst[rows+i*batchRowLen:]
+		p := dst[rows+i*rowLen:]
 		binary.LittleEndian.PutUint32(p, r.ClientIP)
 		binary.LittleEndian.PutUint64(p[4:], uint64(r.Time))
 		binary.LittleEndian.PutUint16(p[12:], uint16(r.Tuple))
 		binary.LittleEndian.PutUint16(p[14:], uint16(r.Country))
+		if rowLen == weightedRowLen {
+			binary.LittleEndian.PutUint32(p[16:], r.Count)
+		}
 	}
 	binary.LittleEndian.PutUint32(dst[start+5:], crc32.Checksum(dst[start+9:], batchCRC))
 	return dst
@@ -295,9 +317,10 @@ func (b *Batch) AppendTo(dst []byte) []byte {
 
 // Decode replaces b with the batch p encodes, refusing bad magic or
 // version, a CRC mismatch, truncation, trailing bytes, out-of-bounds
-// counts and row indexes outside the tables. b keeps nothing of p: every
-// table string is a substring of one copy of p's tables, made with the
-// batch's only allocation once b's slices have grown.
+// counts, row indexes outside the tables, a zero row count and a proxied
+// row whose count is not 1. b keeps nothing of p: every table string is
+// a substring of one copy of p's tables, made with the batch's only
+// allocation once b's slices have grown.
 func (b *Batch) Decode(p []byte) error {
 	return b.decode(p, true)
 }
@@ -313,8 +336,13 @@ func (b *Batch) decode(p []byte, materialize bool) (err error) {
 	if len(p) < batchHdrLen || string(p[:4]) != batchMagic {
 		return errors.New("core: bad batch magic")
 	}
-	if p[4] != batchVersion {
-		return fmt.Errorf("core: batch version %d, this build reads version %d", p[4], batchVersion)
+	rowLen := batchRowLen
+	switch p[4] {
+	case batchVersion:
+	case weightedVersion:
+		rowLen = weightedRowLen
+	default:
+		return fmt.Errorf("core: batch version %d, this build reads versions %d and %d", p[4], batchVersion, weightedVersion)
 	}
 	if crc32.Checksum(p[9:], batchCRC) != binary.LittleEndian.Uint32(p[5:]) {
 		return errors.New("core: batch CRC mismatch")
@@ -323,9 +351,9 @@ func (b *Batch) decode(p []byte, materialize bool) (err error) {
 	if rows > MaxBatchRows {
 		return fmt.Errorf("core: batch of %d rows exceeds %d", rows, MaxBatchRows)
 	}
-	tablesEnd := len(p) - int(rows)*batchRowLen
+	tablesEnd := len(p) - int(rows)*rowLen
 	if tablesEnd < batchHdrLen {
-		return fmt.Errorf("core: batch truncated: %d rows need %d bytes, %d left", rows, int(rows)*batchRowLen, len(p)-batchHdrLen)
+		return fmt.Errorf("core: batch truncated: %d rows need %d bytes, %d left", rows, int(rows)*rowLen, len(p)-batchHdrLen)
 	}
 	b.Reset(binary.LittleEndian.Uint64(p[9:]), binary.LittleEndian.Uint64(p[17:]))
 	b.region = p[batchHdrLen:tablesEnd]
@@ -369,16 +397,23 @@ func (b *Batch) decode(p []byte, materialize bool) (err error) {
 	if len(rest) != 0 {
 		return fmt.Errorf("core: batch has %d stray bytes before its rows", len(rest))
 	}
-	for r := p[tablesEnd:]; len(r) > 0; r = r[batchRowLen:] {
+	for r := p[tablesEnd:]; len(r) > 0; r = r[rowLen:] {
 		row := Row{
 			ClientIP: binary.LittleEndian.Uint32(r),
 			Time:     int64(binary.LittleEndian.Uint64(r[4:])),
 			Tuple:    uint32(binary.LittleEndian.Uint16(r[12:])),
 			Country:  uint32(binary.LittleEndian.Uint16(r[14:])),
+			Count:    1,
+		}
+		if rowLen == weightedRowLen {
+			row.Count = binary.LittleEndian.Uint32(r[16:])
 		}
 		if int(row.Tuple) >= len(b.Tuples) || int(row.Country) >= len(b.Countries) {
 			return fmt.Errorf("core: batch row %d names tuple %d of %d, country %d of %d",
 				len(b.Rows), row.Tuple, len(b.Tuples), row.Country, len(b.Countries))
+		}
+		if row.Count == 0 || row.Count != 1 && b.Tuples[row.Tuple].Obs.Proxied {
+			return fmt.Errorf("core: batch row %d has count %d: want at least 1, and 1 for a proxied row", len(b.Rows), row.Count)
 		}
 		b.Rows = append(b.Rows, row)
 	}

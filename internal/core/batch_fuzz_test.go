@@ -12,8 +12,8 @@ import (
 // disagree with itself: the decode that materializes strings and the
 // check that does not accept exactly the same inputs with the same rows,
 // and an accepted batch re-encodes to bytes that decode to an equal
-// batch. Seeds are encoder output: proxied rows, empty strings and a
-// tuple table with every string set.
+// batch. Seeds are encoder output: proxied rows, empty strings, a tuple
+// table with every string set and a weighted (version-2) batch.
 func FuzzDecodeBatch(f *testing.F) {
 	ms := batchStream(12, 55)
 	empty := []Measurement{{Time: ms[0].Time}}
@@ -31,6 +31,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	for _, seed := range [][]Measurement{ms, empty, full, nil} {
 		f.Add(batchOf(7, seed).AppendTo(nil))
 	}
+	f.Add(weightedBatch(7, full).AppendTo(nil))
 	f.Add([]byte("TFMB"))
 	var view, check, again Batch
 	f.Fuzz(func(t *testing.T, p []byte) {

@@ -5,6 +5,8 @@ import (
 	"crypto/sha256"
 	"crypto/x509"
 	"encoding/hex"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -105,6 +107,89 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// weightedBatch is batchOf(id, ms) with every clean row standing for
+// 1 + i%5 measurements, and one for 70,000: a version-2 batch.
+func weightedBatch(id uint64, ms []Measurement) *Batch {
+	b := new(Batch)
+	b.Reset(id, 0)
+	for i := range ms {
+		n := uint32(1 + i%5)
+		if i == 3 {
+			n = 70000
+		}
+		if ms[i].Obs.Proxied {
+			n = 1
+		}
+		b.AddN(&ms[i], n)
+	}
+	return b
+}
+
+// TestWeightedBatchRoundTrip: a batch with a count other than 1 encodes
+// as version 2 and decodes to the same rows, counts and all, and the same
+// bytes again; the all-ones batch of the same measurements stays version
+// 1, with rows four bytes shorter.
+func TestWeightedBatchRoundTrip(t *testing.T) {
+	ms := batchTestMeasurements()
+	enc := weightedBatch(42, ms).AppendTo(nil)
+	ones := batchOf(42, ms).AppendTo(nil)
+	if enc[4] != 2 || ones[4] != 1 || len(enc)-len(ones) != 4*len(ms) {
+		t.Fatalf("versions %d and %d, %d and %d bytes for %d rows", enc[4], ones[4], len(enc), len(ones), len(ms))
+	}
+	for _, check := range []bool{false, true} {
+		var b Batch
+		err := b.Decode(enc)
+		if check {
+			err = b.Check(enc)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(b.Rows, weightedBatch(42, ms).Rows) {
+			t.Fatalf("check=%v: decoded rows differ from the built ones", check)
+		}
+		if check {
+			continue
+		}
+		for i, want := range ms {
+			got := b.Measurement(i)
+			got.Time, want.Time = time.Time{}, time.Time{}
+			if got != want {
+				t.Fatalf("row %d: %+v, want %+v", i, got, want)
+			}
+		}
+		if re := b.AppendTo(nil); !bytes.Equal(re, enc) {
+			t.Fatal("re-encoded weighted batch differs from the original bytes")
+		}
+	}
+	var b Batch
+	if err := b.Decode(ones); err != nil || slices.ContainsFunc(b.Rows, func(r Row) bool { return r.Count != 1 }) {
+		t.Fatalf("a version-1 batch decodes to counts other than 1 (%v)", err)
+	}
+}
+
+// TestBatchRefusesBadCounts: a zero count, or a proxied row standing for
+// more than one measurement, is refused by Decode and by Check.
+func TestBatchRefusesBadCounts(t *testing.T) {
+	clean := Measurement{Country: "US", Host: "a.example"}
+	proxied := Measurement{Country: "US", Host: "a.example", Obs: Observation{Proxied: true, IssuerOrg: "Fortinet"}}
+	for _, tc := range []struct {
+		name string
+		m    Measurement
+		n    uint32
+	}{{"zero count", clean, 0}, {"proxied count 2", proxied, 2}} {
+		b := weightedBatch(1, batchStream(20, 56))
+		b.AddN(&tc.m, tc.n)
+		enc := b.AppendTo(nil)
+		var d Batch
+		for _, err := range []error{d.Decode(enc), d.Check(enc)} {
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("count %d", tc.n)) {
+				t.Fatalf("%s: %v, want an error naming the count", tc.name, err)
+			}
+		}
+	}
+}
+
 // TestBatchTablesHoldEachEntryOnce: Add puts each distinct tuple and
 // country in the tables once while no (host, campaign, host type) key
 // has more than maxTupleChain observations, and past that bound only
@@ -169,7 +254,7 @@ func TestBatchDecodeRefusesDamage(t *testing.T) {
 	if err := b.Decode(append(bytes.Clone(enc), 0)); err == nil {
 		t.Fatal("trailing byte decoded")
 	}
-	for _, tc := range []struct{ name, want string }{{"TFMA", "magic"}, {"TFMB\x02", "version 2"}} {
+	for _, tc := range []struct{ name, want string }{{"TFMA", "magic"}, {"TFMB\x03", "version 3"}} {
 		bad := append([]byte(tc.name), enc[len(tc.name):]...)
 		if err := b.Decode(bad); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%q: %v, want an error naming %q", tc.name, err, tc.want)
@@ -178,27 +263,30 @@ func TestBatchDecodeRefusesDamage(t *testing.T) {
 }
 
 // TestBatchSplitIsAddPerPart: splitting a batch by shard gives each shard
-// exactly the batch Add builds from that shard's rows.
+// exactly the batch AddN builds from that shard's rows, counts and all.
 func TestBatchSplitIsAddPerPart(t *testing.T) {
 	ms := batchTestMeasurements()
 	const n = 3
-	b := batchOf(7, ms)
 	shardOf := func(host string) int { return len(host) % n }
-	part := make([]int, len(b.Tuples))
-	for i, tu := range b.Tuples {
-		part[i] = shardOf(tu.Host)
-	}
-	parts := make([]Batch, n)
-	b.Split(part, parts)
-	for si := range parts {
-		var mine []Measurement
-		for _, m := range ms {
-			if shardOf(m.Host) == si {
-				mine = append(mine, m)
-			}
+	for _, b := range []*Batch{batchOf(7, ms), weightedBatch(7, ms)} {
+		part := make([]int, len(b.Tuples))
+		for i, tu := range b.Tuples {
+			part[i] = shardOf(tu.Host)
 		}
-		if got, want := parts[si].AppendTo(nil), batchOf(7, mine).AppendTo(nil); !bytes.Equal(got, want) {
-			t.Fatalf("part %d (%d rows) differs from the batch of its %d measurements", si, len(parts[si].Rows), len(mine))
+		parts := make([]Batch, n)
+		b.Split(part, parts)
+		for si := range parts {
+			var want Batch
+			want.Reset(7, 0)
+			for i := range ms {
+				if shardOf(ms[i].Host) == si {
+					want.AddN(&ms[i], b.Rows[i].Count)
+				}
+			}
+			if got := parts[si].AppendTo(nil); !bytes.Equal(got, want.AppendTo(nil)) {
+				t.Fatalf("version %d, part %d (%d rows) differs from the batch of its %d measurements",
+					got[4], si, len(parts[si].Rows), len(want.Rows))
+			}
 		}
 	}
 }
@@ -229,8 +317,9 @@ func TestAddFromFollowsItsSource(t *testing.T) {
 }
 
 // TestBatchDecodeAllocs: a warm batch decodes with one allocation, the
-// copy of its string tables, however many rows it has; the check a
-// replica runs before it appends a frame allocates nothing.
+// copy of its string tables, however many rows it has and in either
+// version; the check a replica runs before it appends a frame allocates
+// nothing.
 func TestBatchDecodeAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -241,21 +330,22 @@ func TestBatchDecodeAllocs(t *testing.T) {
 		for i := range ms {
 			ms[i] = base[i%len(base)]
 		}
-		enc := batchOf(1, ms).AppendTo(nil)
-		var b Batch
-		if allocs := testing.AllocsPerRun(20, func() {
-			if err := b.Decode(enc); err != nil {
-				t.Fatal(err)
+		for _, enc := range [][]byte{batchOf(1, ms).AppendTo(nil), weightedBatch(1, ms).AppendTo(nil)} {
+			var b Batch
+			if allocs := testing.AllocsPerRun(20, func() {
+				if err := b.Decode(enc); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs != 1 {
+				t.Errorf("%d rows, version %d: Decode allocates %v, want 1", rows, enc[4], allocs)
 			}
-		}); allocs != 1 {
-			t.Errorf("%d rows: Decode allocates %v, want 1", rows, allocs)
-		}
-		if allocs := testing.AllocsPerRun(20, func() {
-			if err := b.Check(enc); err != nil {
-				t.Fatal(err)
+			if allocs := testing.AllocsPerRun(20, func() {
+				if err := b.Check(enc); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs != 0 {
+				t.Errorf("%d rows, version %d: the check allocates %v, want 0", rows, enc[4], allocs)
 			}
-		}); allocs != 0 {
-			t.Errorf("%d rows: the check allocates %v, want 0", rows, allocs)
 		}
 	}
 }

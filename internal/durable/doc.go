@@ -1,5 +1,5 @@
 // Package durable is the persistence plane: an append-only, CRC-framed
-// measurement write-ahead log with periodic aggregate snapshots and log
+// measurement write-ahead log with periodic store snapshots and log
 // compaction, so a study that ran for weeks (2.9M / 12.3M certificate
 // tests, §4) survives the process that collected it.
 //
@@ -11,7 +11,8 @@
 //   - Log appends one frame per commit to size-rotated segment files.
 //     A frame's payload is a core.Batch: a per-batch table of distinct
 //     (host, campaign, observation) tuples, a country table and
-//     fixed-width rows — the same layout as a /cluster/ingest body, so a
+//     fixed-width rows, each of which may carry a count of equal tests
+//     (batch version 2) — the same layout as a /cluster/ingest body, so a
 //     routed batch reaches a replica WAL without ever becoming one
 //     record per measurement. This package frames batches and checks
 //     each with core.Batch.Check before it is written; it owns no
@@ -20,8 +21,10 @@
 //     durability never sits on the ingest hot path.
 //   - Checkpoint (Rotate, then Compact) is the one compactor: it seals
 //     the active segment, replays the sealed segments into a store
-//     snapshot (internal/store's deterministic aggregate image) and
-//     deletes the covered segments, bounding disk at paper scale.
+//     snapshot (internal/store's deterministic image, itself batch
+//     frames: one weighted row per clean (country, host type) cell, then
+//     the proxied records) and deletes the covered segments, bounding
+//     disk at paper scale.
 //     reportd runs it on -snapshot-every and once more at shutdown.
 //   - One function reads a log directory, and Recover, Open's repair,
 //     OpenShards and Compact all call it: the newest valid snapshot, then

@@ -382,12 +382,13 @@ func TestOpenRefusesAnotherFormatVersion(t *testing.T) {
 }
 
 // TestRecoverRefusesVersion1Snapshot: a checkpoint whose store image an
-// older build wrote (version 1, retained records coded one by one, or
-// version 2, the proxied tables kept beside the records) fails Recover
+// older build wrote (version 1, retained records coded one by one,
+// version 2, the proxied tables kept beside the records, or version 3,
+// aggregate sections beside batch frames) fails Recover
 // and OpenShards with an error naming both image versions, rather than
 // booting a store without it.
 func TestRecoverRefusesVersion1Snapshot(t *testing.T) {
-	for _, v := range []byte{1, 2} {
+	for _, v := range []byte{1, 2, 3} {
 		root := t.TempDir()
 		dir := ShardDir(root, 0)
 		if err := os.MkdirAll(dir, 0o777); err != nil {
@@ -401,8 +402,8 @@ func TestRecoverRefusesVersion1Snapshot(t *testing.T) {
 		_, _, rerr := Recover(testOptions(dir))
 		_, _, serr := OpenShards(root, 1, testOptions(""))
 		for _, err := range []error{rerr, serr} {
-			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) || !strings.Contains(err.Error(), "version 3") {
-				t.Fatalf("booting over a version-%d snapshot: %v, want an error naming versions %d and 3", v, err, v)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) || !strings.Contains(err.Error(), "version 4") {
+				t.Fatalf("booting over a version-%d snapshot: %v, want an error naming versions %d and 4", v, err, v)
 			}
 		}
 	}

@@ -24,7 +24,7 @@ import (
 // at most a handful of snapshot files:
 //
 //	wal-<firstSeq:016x>.log   segment: header, then CRC-framed records
-//	snap-<covered:016x>.snap  snapshot: aggregate image of seqs [1,covered]
+//	snap-<covered:016x>.snap  snapshot: store image of seqs [1,covered]
 //
 //	segment header = magic "TFWD" | version 2 | firstSeq uint64le
 //	frame          = payloadLen uint32le | crc32c(payload) uint32le | payload

@@ -13,13 +13,12 @@ import (
 // host-hash shard), the cluster (one per node) and study.Run (one per
 // campaign).
 //
-// Every aggregate (totals, per-country and per-host-type tables) is a
-// sum, so the merged result is independent of shard count and ingest
-// interleaving. The proxied records, which every other table is a query
-// over, are canonicalized into a deterministic total order (they arrive
-// in per-shard order, which is timing-dependent across runs); retainLimit
-// caps only what the merged DB's ProxiedRecords and exports return (<= 0
-// means unlimited).
+// Every count of the cell table is a sum, so the merged result is
+// independent of shard count and ingest interleaving. The proxied
+// records, which every other table is a query over, are canonicalized
+// into a deterministic total order (they arrive in per-shard order,
+// which is timing-dependent across runs); retainLimit caps only what the
+// merged DB's ProxiedRecords and exports return (<= 0 means unlimited).
 //
 // Merge locks each source DB only while copying it, so it may be called
 // on live shards for a point-in-time snapshot; the snapshot is per-shard
@@ -50,16 +49,10 @@ func Merge(retainLimit int, dbs ...*DB) *DB {
 func mergeOne(out, db *DB) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	out.totals = out.totals.plus(db.totals.Tested, db.totals.Proxied)
-	mergeAggMap(out.byCountry, db.byCountry)
-	mergeAggMap(out.byHostCat, db.byHostCat)
-	out.proxied = append(out.proxied, db.proxied...)
-}
-
-func mergeAggMap[K comparable](dst, src map[K]Agg) {
-	for k, v := range src {
-		dst[k] = dst[k].plus(v.Tested, v.Proxied)
+	for k, a := range db.cells {
+		out.cells[k] = out.cells[k].plus(a.Tested, a.Proxied)
 	}
+	out.proxied = append(out.proxied, db.proxied...)
 }
 
 // measurementLess is a total order over every field of a Measurement, so

@@ -62,6 +62,8 @@ func TestMergeEqualsSequential(t *testing.T) {
 	for _, m := range ms {
 		seq.Ingest(m)
 	}
+	// Merge of one store only sorts its records into the canonical order.
+	image := Merge(0, seq).AppendSnapshot(nil)
 
 	for _, shards := range []int{1, 3, 8} {
 		dbs := make([]*DB, shards)
@@ -100,6 +102,9 @@ func TestMergeEqualsSequential(t *testing.T) {
 		if len(got.ProxiedRecords()) != len(seq.ProxiedRecords()) {
 			t.Errorf("shards=%d: retained %d records, want %d",
 				shards, len(got.ProxiedRecords()), len(seq.ProxiedRecords()))
+		}
+		if !bytes.Equal(got.AppendSnapshot(nil), image) {
+			t.Errorf("shards=%d: the merged store's image differs from the sequential store's", shards)
 		}
 	}
 }

@@ -204,37 +204,36 @@ func TestSnapshotRetainsManyBatches(t *testing.T) {
 
 // TestSnapshotRefusesVersion1: an image of an older layout — version 1
 // coded the retained records one by one, version 2 carried the proxied
-// tables beside them — is refused with an error naming both versions.
+// tables beside them, version 3 had aggregate sections of its own — is
+// refused with an error naming both versions.
 func TestSnapshotRefusesVersion1(t *testing.T) {
-	for _, v := range []byte{1, 2} {
+	for _, v := range []byte{1, 2, 3} {
 		img := New(0).AppendSnapshot(nil)
 		img[0] = v
 		_, err := DecodeSnapshot(img)
-		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) || !strings.Contains(err.Error(), "version 3") {
-			t.Fatalf("decoding a version-%d image: %v, want an error naming versions %d and 3", v, err, v)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) || !strings.Contains(err.Error(), "version 4") {
+			t.Fatalf("decoding a version-%d image: %v, want an error naming versions %d and 4", v, err, v)
 		}
 	}
 }
 
-// hugeCountImages returns an empty store's image with one count — the
-// countries', the host categories', then the retained batches' —
-// rewritten to 2^40.
+// hugeCountImages returns images whose one length — a frame's — is
+// past the bytes left: the first or the second frame of an image says
+// 2^31 bytes, with a few bytes behind it.
 func hugeCountImages() [][]byte {
-	img := New(0).AppendSnapshot(nil)
-	// An empty store's image ends in its three zero counts.
-	head := img[:len(img)-3]
-	huge := binary.AppendUvarint(nil, 1<<40)
-	var out [][]byte
-	for i := range 3 {
-		counts := [][]byte{{0}, {0}, {0}}
-		counts[i] = huge
-		out = append(out, slices.Concat(head, counts[0], counts[1], counts[2]))
+	db := New(0)
+	db.Ingest(syntheticStream(1, 9)[0])
+	head := New(0).AppendSnapshot(nil)
+	frame := db.AppendSnapshot(nil)[len(head):]
+	huge := binary.LittleEndian.AppendUint32(nil, 1<<31)
+	return [][]byte{
+		slices.Concat(head, huge, frame[4:]),
+		slices.Concat(head, frame, huge, frame[4:]),
 	}
-	return out
 }
 
-// TestSnapshotRefusesHugeCounts: a count past the bytes left in the
-// image is an error, decided before anything is sized by it.
+// TestSnapshotRefusesHugeCounts: a frame length past the bytes left in
+// the image is an error, decided before anything is sized by it.
 func TestSnapshotRefusesHugeCounts(t *testing.T) {
 	for i, img := range hugeCountImages() {
 		var before, after runtime.MemStats
@@ -242,10 +241,71 @@ func TestSnapshotRefusesHugeCounts(t *testing.T) {
 		_, err := DecodeSnapshot(img)
 		runtime.ReadMemStats(&after)
 		if err == nil || !strings.Contains(err.Error(), "exceeds") {
-			t.Fatalf("image %d: %v, want an error for the count", i, err)
+			t.Fatalf("image %d: %v, want an error for the frame length", i, err)
 		}
 		if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20 {
 			t.Fatalf("image %d: decoding %d bytes allocated %d", i, len(img), grown)
+		}
+	}
+}
+
+// TestSnapshotIsBatchFrames: the image is its header and then batch
+// frames, which decode with core.Batch alone. The clean cells come first,
+// one weighted row each in cell order, naming the host type and nothing
+// else; the retained records follow in store order.
+func TestSnapshotIsBatchFrames(t *testing.T) {
+	db := New(0)
+	ms := syntheticStream(200, 13)
+	for _, m := range ms {
+		db.Ingest(m)
+	}
+	img := db.AppendSnapshot(nil)
+	if img[0] != 4 || img[1] != 0 {
+		t.Fatalf("image header % x, want version 4 and retain limit 0", img[:2])
+	}
+	var b core.Batch
+	if err := b.Decode(img[6:]); err != nil || int(binary.LittleEndian.Uint32(img[2:])) != len(img)-6 {
+		t.Fatalf("the image is not one length-prefixed batch frame: %v", err)
+	}
+	clean := 0
+	for _, r := range b.Rows {
+		if b.Tuples[r.Tuple].Obs.Proxied {
+			break
+		}
+		clean++
+	}
+	cells := map[cell]int{}
+	for _, m := range ms {
+		if !m.Obs.Proxied {
+			cells[cell{countryKey(m.Country), m.HostCategory}]++
+		}
+	}
+	if clean != len(cells) {
+		t.Fatalf("%d clean rows, want one per clean cell: %d", clean, len(cells))
+	}
+	var prev cell
+	for i, r := range b.Rows[:clean] {
+		tu, k := b.Tuples[r.Tuple], cell{b.Countries[r.Country], b.Tuples[r.Tuple].HostCategory}
+		if tu != (core.Tuple{HostCategory: k.cat}) || int(r.Count) != cells[k] || r.Time != 0 || r.ClientIP != 0 {
+			t.Fatalf("clean row %d: %+v of tuple %+v, want count %d of host type %v alone", i, r, tu, cells[k], k.cat)
+		}
+		if i > 0 && (k.country < prev.country || k.country == prev.country && k.cat <= prev.cat) {
+			t.Fatalf("clean row %d: cell %v after %v", i, k, prev)
+		}
+		prev = k
+	}
+	records := db.ProxiedRecords()
+	if len(b.Rows)-clean != len(records) {
+		t.Fatalf("%d proxied rows, want %d", len(b.Rows)-clean, len(records))
+	}
+	for i := range records {
+		got, want := b.Measurement(clean+i), records[i]
+		if !got.Time.Equal(want.Time) {
+			t.Fatalf("record %d: time %v, want %v", i, got.Time, want.Time)
+		}
+		got.Time = want.Time
+		if got != want {
+			t.Fatalf("record %d: %+v, want %+v", i, got, want)
 		}
 	}
 }

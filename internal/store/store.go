@@ -2,13 +2,16 @@
 // ("We use OpenSSL to decode the certificates and store them in a database,
 // where we can run queries", §5.1).
 //
-// It ingests core.Measurement records at study scale (12.3M in the second
-// study) by keeping running (tested, proxied) totals per country and host
-// type, and the full record of every proxied connection — the same
-// asymmetry the paper's analysis needed (totals per country/host type;
-// full substitute-certificate detail only for the 0.41%). Tables 4–6,
-// §5.2's negligence counts and §6.4's product diversity are queries over
-// those records, answered when asked.
+// It ingests measurements at study scale (12.3M in the second study) by
+// keeping one table of running (tested, proxied) counts per (country,
+// host type) cell, and the full record of every proxied connection — the
+// same asymmetry the paper's analysis needed (counts per country and host
+// type; full substitute-certificate detail only for the 0.41%). The
+// totals, Tables 3, 7 and 8 and the proxied-country count are sums over
+// the cell table; Tables 4–6, §5.2's negligence counts and §6.4's product
+// diversity are queries over the records. Each is answered when asked,
+// so every fact is held once. A study hands its store each clean
+// (country, host) tally as one weighted batch row.
 package store
 
 import (
@@ -75,19 +78,23 @@ type ProductAgg struct {
 type DB struct {
 	mu sync.Mutex
 
-	totals    Agg
-	byCountry map[string]Agg
-	byHostCat map[hostdb.Category]Agg
+	cells map[cell]Agg // every test, counted in its cell
 
 	// retainLimit caps what ProxiedRecords and the exports return; the
 	// store keeps every proxied record, so no query sees a truncated set.
 	retainLimit int
 	proxied     []core.Measurement
 
-	// cellIdx and cells are AddBatch's scratch: its clean rows grouped
-	// by (tuple, country).
-	cellIdx map[uint64]int
-	cells   []batchCell
+	// groupIdx and groups are AddBatch's scratch: its clean rows of
+	// count 1 grouped by (tuple, country).
+	groupIdx map[uint64]int
+	groups   []batchGroup
+}
+
+// cell is a (countryKey, host type) key of the cell table.
+type cell struct {
+	country string
+	cat     hostdb.Category
 }
 
 // NullIssuerKey is the IssuerOrgTop key of blank Issuer Organizations,
@@ -98,11 +105,7 @@ const NullIssuerKey = "Null"
 // ProxiedRecords, WriteCSV and WriteJSONL return (<= 0 means unlimited);
 // every query still counts every proxied record.
 func New(retainLimit int) *DB {
-	return &DB{
-		byCountry:   make(map[string]Agg),
-		byHostCat:   make(map[hostdb.Category]Agg),
-		retainLimit: retainLimit,
-	}
+	return &DB{cells: make(map[cell]Agg), retainLimit: retainLimit}
 }
 
 // Ingest records one measurement; it implements core.Sink.
@@ -112,52 +115,45 @@ func (db *DB) Ingest(m core.Measurement) {
 	db.ingestLocked(m)
 }
 
-// AddClean records n clean (unproxied) tests of one (country, host type)
-// cell at once: the store ends up exactly as after n Ingest calls of such
-// a measurement, whatever its campaign (no aggregate is kept per
-// campaign). A study generator tallies its clean tests and hands them
-// over here, since a clean test touches nothing but the aggregates.
-func (db *DB) AddClean(country string, cat hostdb.Category, n int) {
-	if n <= 0 {
-		return
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.addLocked(country, cat, n, 0)
-}
-
 // AddBatch records b's rows under one lock acquisition: the store ends
-// up exactly as after Ingest of every row's measurement, in order. Clean
-// rows are added one (tuple, country) cell at a time, as AddClean adds
-// them. A retained proxied record is b.Record's, so one from a decoded
-// batch has strings of its own.
+// up exactly as after Ingest of every row's measurement, Count times, in
+// order. A weighted clean row is one cell add; rows of count 1 are
+// grouped by (tuple, country) first, so a cell takes one add per group.
+// A proxied row's count is 1 (core.Batch refuses any other), and its
+// retained record is b.Record's, so one from a decoded batch has strings
+// of its own.
 func (db *DB) AddBatch(b *core.Batch) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.cellIdx == nil {
-		db.cellIdx = make(map[uint64]int)
+	if db.groupIdx == nil {
+		db.groupIdx = make(map[uint64]int)
 	}
 	// Two passes, clean rows then proxied ones, so the grouping's map
 	// is not evicted by ingestLocked's between rows.
 	for _, r := range b.Rows {
-		if b.Tuples[r.Tuple].Obs.Proxied {
+		t := &b.Tuples[r.Tuple]
+		switch {
+		case t.Obs.Proxied:
+			continue
+		case r.Count != 1:
+			db.addLocked(b.Countries[r.Country], t.HostCategory, int(r.Count), 0)
 			continue
 		}
 		key := uint64(r.Tuple)<<32 | uint64(r.Country)
-		c, ok := db.cellIdx[key]
+		g, ok := db.groupIdx[key]
 		if !ok {
-			c = len(db.cells)
-			db.cellIdx[key] = c
-			db.cells = append(db.cells, batchCell{key: key})
+			g = len(db.groups)
+			db.groupIdx[key] = g
+			db.groups = append(db.groups, batchGroup{key: key})
 		}
-		db.cells[c].n++
+		db.groups[g].n++
 	}
-	for _, c := range db.cells {
-		t := &b.Tuples[c.key>>32]
-		db.addLocked(b.Countries[uint32(c.key)], t.HostCategory, c.n, 0)
+	for _, g := range db.groups {
+		t := &b.Tuples[g.key>>32]
+		db.addLocked(b.Countries[uint32(g.key)], t.HostCategory, g.n, 0)
 	}
-	clear(db.cellIdx)
-	db.cells = db.cells[:0]
+	clear(db.groupIdx)
+	db.groups = db.groups[:0]
 	for i, r := range b.Rows {
 		if b.Tuples[r.Tuple].Obs.Proxied {
 			db.ingestLocked(b.Record(i))
@@ -165,9 +161,9 @@ func (db *DB) AddBatch(b *core.Batch) {
 	}
 }
 
-// batchCell is n clean rows of one batch's (tuple, country) pair, key
+// batchGroup is n clean rows of one batch's (tuple, country) pair, key
 // tuple<<32 | country.
-type batchCell struct {
+type batchGroup struct {
 	key uint64
 	n   int
 }
@@ -180,17 +176,14 @@ func countryKey(country string) string {
 	return country
 }
 
-// addLocked adds (tested, proxied) to the totals and the per-country and
-// per-host-type aggregates.
+// addLocked adds (tested, proxied) to the cell of (country, cat).
 func (db *DB) addLocked(country string, cat hostdb.Category, tested, proxied int) {
-	// The aggregate maps hold Agg by value: one update costs a second
-	// hash probe for the write-back, but a fresh store populates its key
-	// space without an *Agg heap object per distinct key — at ingest
-	// scale the per-key allocations dominated store construction.
-	country = countryKey(country)
-	db.totals = db.totals.plus(tested, proxied)
-	db.byCountry[country] = db.byCountry[country].plus(tested, proxied)
-	db.byHostCat[cat] = db.byHostCat[cat].plus(tested, proxied)
+	// The table holds Agg by value: one update costs a second hash probe
+	// for the write-back, but a fresh store populates its key space
+	// without an *Agg heap object per cell — at ingest scale the per-key
+	// allocations dominated store construction.
+	k := cell{countryKey(country), cat}
+	db.cells[k] = db.cells[k].plus(tested, proxied)
 }
 
 func (a Agg) plus(tested, proxied int) Agg {
@@ -210,7 +203,20 @@ func (db *DB) ingestLocked(m core.Measurement) {
 func (db *DB) Totals() Agg {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.totals
+	var t Agg
+	for _, a := range db.cells {
+		t = t.plus(a.Tested, a.Proxied)
+	}
+	return t
+}
+
+// countryAggsLocked sums the cell table per country.
+func (db *DB) countryAggsLocked() map[string]Agg {
+	out := make(map[string]Agg)
+	for k, a := range db.cells {
+		out[k.country] = out[k.country].plus(a.Tested, a.Proxied)
+	}
+	return out
 }
 
 // CountryRow is one row of Tables 3/7.
@@ -222,11 +228,12 @@ type CountryRow struct {
 // ByCountry returns per-country aggregates, sorted by the given order.
 func (db *DB) ByCountry(order CountryOrder) []CountryRow {
 	db.mu.Lock()
-	rows := make([]CountryRow, 0, len(db.byCountry))
-	for code, a := range db.byCountry {
+	countries := db.countryAggsLocked()
+	db.mu.Unlock()
+	rows := make([]CountryRow, 0, len(countries))
+	for code, a := range countries {
 		rows = append(rows, CountryRow{Code: code, Agg: a})
 	}
-	db.mu.Unlock()
 	sort.Slice(rows, func(i, j int) bool {
 		a, b := rows[i], rows[j]
 		var ka, kb int
@@ -257,9 +264,9 @@ const (
 func (db *DB) ByHostCategory() map[hostdb.Category]Agg {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	out := make(map[hostdb.Category]Agg, len(db.byHostCat))
-	for k, v := range db.byHostCat {
-		out[k] = v
+	out := make(map[hostdb.Category]Agg)
+	for k, a := range db.cells {
+		out[k.cat] = out[k.cat].plus(a.Tested, a.Proxied)
 	}
 	return out
 }
@@ -388,7 +395,7 @@ func (db *DB) ProxiedCountryList() []string {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	var out []string
-	for c, a := range db.byCountry {
+	for c, a := range db.countryAggsLocked() {
 		if a.Proxied > 0 {
 			out = append(out, c)
 		}

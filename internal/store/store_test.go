@@ -270,44 +270,51 @@ func TestByCampaignAndHostCategory(t *testing.T) {
 	}
 }
 
-// TestAddCleanMatchesIngest: AddClean(k, cat, n) leaves the store
-// snapshot byte-identical to n clean Ingests of that cell under any
-// campaign, interleaved with proxied rows.
-func TestAddCleanMatchesIngest(t *testing.T) {
+// TestWeightedRowsMatchIngest: a weighted row of count n through
+// AddBatch leaves the store snapshot byte-identical to n clean Ingests of
+// that cell under any campaign, interleaved with proxied rows, whether
+// the batch is the one AddN built or its decode.
+func TestWeightedRowsMatchIngest(t *testing.T) {
 	cells := []struct {
 		campaign, country string
 		cat               hostdb.Category
-		n                 int
+		n                 uint32
 	}{
 		{"global", "US", hostdb.Popular, 5},
 		{"global", "FR", hostdb.Authors, 1},
 		{"", "US", hostdb.Popular, 3},      // no campaign
 		{"global", "", hostdb.Business, 4}, // filed under "??"
-		{"CN", "CN", hostdb.Pornographic, 0},
+		{"CN", "CN", hostdb.Pornographic, 70000},
 		{"global", "US", hostdb.Popular, 2}, // the same cell again
 	}
-	rows, bulk := New(0), New(0)
+	rows := New(0)
+	var b core.Batch
 	for i, c := range cells {
 		p := proxiedMeasurement(c.country, uint32(i), "A", classify.Unknown)
 		p.Campaign = c.campaign
 		rows.Ingest(p)
-		bulk.Ingest(p)
+		b.Add(&p)
 		m := cleanMeasurement(c.country, "h", c.cat)
 		m.Campaign = c.campaign
-		for j := 0; j < c.n; j++ {
+		for j := uint32(0); j < c.n; j++ {
 			rows.Ingest(m)
 		}
-		bulk.AddClean(c.country, c.cat, c.n)
+		b.AddN(&m, c.n)
 	}
-	if got, want := bulk.AppendSnapshot(nil), rows.AppendSnapshot(nil); !bytes.Equal(got, want) {
-		t.Fatalf("AddClean store differs from the Ingest store:\n%v\n%v", bulk.ByCountry(OrderByTested), rows.ByCountry(OrderByTested))
+	want := rows.AppendSnapshot(nil)
+	built := New(0)
+	built.AddBatch(&b)
+	if got := built.AppendSnapshot(nil); !bytes.Equal(got, want) {
+		t.Fatalf("weighted-row store differs from the Ingest store:\n%v\n%v", built.ByCountry(OrderByTested), rows.ByCountry(OrderByTested))
 	}
-
-	// n = 0 adds nothing, not even an empty aggregate key.
-	empty := New(0)
-	empty.AddClean("US", hostdb.Popular, 0)
-	if !bytes.Equal(empty.AppendSnapshot(nil), New(0).AppendSnapshot(nil)) {
-		t.Fatalf("AddClean of 0 tests changed an empty store: %+v", empty.ByCountry(OrderByTested))
+	var back core.Batch
+	if err := back.Decode(b.AppendTo(nil)); err != nil {
+		t.Fatal(err)
+	}
+	decoded := New(0)
+	decoded.AddBatch(&back)
+	if got := decoded.AppendSnapshot(nil); !bytes.Equal(got, want) {
+		t.Fatalf("decoded weighted-row store differs from the Ingest store:\n%v\n%v", decoded.ByCountry(OrderByTested), rows.ByCountry(OrderByTested))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"tlsfof/internal/certgen"
 	"tlsfof/internal/classify"
@@ -231,5 +232,8 @@ func (f *obsFactory) newEngine(sig behaviorSig) (*proxyengine.Engine, error) {
 	if sig.sharedKey {
 		profile.SharedKeyName = fmt.Sprintf("shared-%db", sig.keyBits)
 	}
-	return proxyengine.New(profile, proxyengine.Options{Pool: f.pool})
+	// The forgeries are dated by the study period, not the wall clock, so
+	// a world's chains are a function of its key pool alone.
+	now := func() time.Time { return certgen.DefaultNotBefore }
+	return proxyengine.New(profile, proxyengine.Options{Pool: f.pool, Now: now})
 }

@@ -15,6 +15,7 @@ import (
 	"tlsfof/internal/certgen"
 	"tlsfof/internal/clientpop"
 	"tlsfof/internal/hostdb"
+	"tlsfof/internal/stats"
 )
 
 // otherPool is a second pool with keys of its own, one per size (the
@@ -228,4 +229,46 @@ func BenchmarkWarmRun(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(res.Store.Totals().Tested), "ns/test")
+}
+
+// TestWorldsOverEqualPoolsSignEqualBytes: two worlds over key pools with
+// equal seeds hold byte-identical authoritative chains and forge
+// byte-identical chains, since no certificate draws a random serial or
+// reads the wall clock.
+func TestWorldsOverEqualPoolsSignEqualBytes(t *testing.T) {
+	var ws [2]*world
+	for i := range ws {
+		w, err := newWorld(clientpop.Study2, certgen.NewKeyPool(1, stats.NewRNG(2014)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws[i] = w
+	}
+	for _, h := range ws[0].hosts {
+		if a, b := ws[0].auth.Chains[h.Name], ws[1].auth.Chains[h.Name]; !slices.EqualFunc(a, b, bytes.Equal) {
+			t.Fatalf("%s: the authoritative chains differ", h.Name)
+		}
+	}
+	// Three behaviour classes keep the keys to mint few.
+	var sigs []behaviorSig
+	for _, d := range ws[0].factory.deps {
+		if s := sigOf(d.Product); !slices.Contains(sigs, s) && len(sigs) < 3 {
+			sigs = append(sigs, s)
+		}
+	}
+	for _, s := range sigs {
+		for hi, h := range ws[0].hosts {
+			a, err := ws[0].factory.forge(s, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := ws[1].factory.forge(s, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.EqualFunc(a, b, bytes.Equal) {
+				t.Fatalf("%+v forging %s: the chains differ", s, h.Name)
+			}
+		}
+	}
 }
