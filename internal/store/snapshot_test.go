@@ -5,6 +5,7 @@ import (
 	"crypto/x509"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"runtime"
 	"slices"
 	"strings"
@@ -217,23 +218,30 @@ func TestSnapshotRefusesVersion1(t *testing.T) {
 	}
 }
 
-// hugeCountImages returns images whose one length — a frame's — is
-// past the bytes left: the first or the second frame of an image says
-// 2^31 bytes, with a few bytes behind it.
+// hugeCountImages returns images whose one count is past the bytes
+// left: the first or the second frame of an image says 2^31 bytes, with
+// a few bytes behind it, or a frame that fits says its batch holds 2^31
+// rows, under a CRC that matches.
 func hugeCountImages() [][]byte {
 	db := New(0)
 	db.Ingest(syntheticStream(1, 9)[0])
 	head := New(0).AppendSnapshot(nil)
 	frame := db.AppendSnapshot(nil)[len(head):]
 	huge := binary.LittleEndian.AppendUint32(nil, 1<<31)
+	rows := slices.Clone(frame)
+	batch := rows[4:]
+	binary.LittleEndian.PutUint32(batch[25:], 1<<31)
+	binary.LittleEndian.PutUint32(batch[5:], crc32.Checksum(batch[9:], crc32.MakeTable(crc32.Castagnoli)))
 	return [][]byte{
 		slices.Concat(head, huge, frame[4:]),
 		slices.Concat(head, frame, huge, frame[4:]),
+		slices.Concat(head, rows),
 	}
 }
 
 // TestSnapshotRefusesHugeCounts: a frame length past the bytes left in
-// the image is an error, decided before anything is sized by it.
+// the image, or a batch row count past the cap, is an error, decided
+// before anything is sized by it.
 func TestSnapshotRefusesHugeCounts(t *testing.T) {
 	for i, img := range hugeCountImages() {
 		var before, after runtime.MemStats
