@@ -184,7 +184,7 @@ func (rc *RouteClient) Ingest(m core.Measurement) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	rc.stats.Ingested++
-	if id, b := rc.bufferLocked(m.Host, 0); b != nil {
+	if id, b := rc.bufferLocked(m.Host, 1, 0); b != nil {
 		b.Add(&m)
 		if len(b.Rows) >= rc.cfg.BatchSize {
 			rc.flushOwnerLocked(id, 1)
@@ -195,7 +195,7 @@ func (rc *RouteClient) Ingest(m core.Measurement) {
 // enqueueLocked buffers src's row r toward its owning node, flushing the
 // owner's batch when full.
 func (rc *RouteClient) enqueueLocked(src *core.Batch, r core.Row, depth int) {
-	if id, b := rc.bufferLocked(src.Tuples[r.Tuple].Host, depth); b != nil {
+	if id, b := rc.bufferLocked(src.Tuples[r.Tuple].Host, r.Count, depth); b != nil {
 		b.AddFrom(src, r)
 		if len(b.Rows) >= rc.cfg.BatchSize {
 			rc.flushOwnerLocked(id, depth+1)
@@ -204,16 +204,16 @@ func (rc *RouteClient) enqueueLocked(src *core.Batch, r core.Row, depth int) {
 }
 
 // bufferLocked returns the batch buffering host's rows toward its
-// owner, or nil (the row lost and counted) when host has no alive owner
-// or has been rerouted too often.
-func (rc *RouteClient) bufferLocked(host string, depth int) (string, *core.Batch) {
+// owner, or nil (the row's count measurements lost and counted) when
+// host has no alive owner or has been rerouted too often.
+func (rc *RouteClient) bufferLocked(host string, count uint32, depth int) (string, *core.Batch) {
 	if depth > 8 {
-		rc.fail(1, fmt.Errorf("cluster: reroute depth exhausted for host %s", host))
+		rc.fail(uint64(count), fmt.Errorf("cluster: reroute depth exhausted for host %s", host))
 		return "", nil
 	}
 	owner, ok := rc.cfg.Members.Owner(host)
 	if !ok {
-		rc.fail(1, fmt.Errorf("cluster: no alive owner for host %s", host))
+		rc.fail(uint64(count), fmt.Errorf("cluster: no alive owner for host %s", host))
 		return "", nil
 	}
 	b := rc.bufs[owner.ID]
@@ -258,14 +258,14 @@ func (rc *RouteClient) flushAllLocked() {
 func (rc *RouteClient) Deliver(b *core.Batch) error {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	lost := rc.stats.Lost
-	rc.stats.Ingested += uint64(len(b.Rows))
+	lost, count := rc.stats.Lost, b.Count()
+	rc.stats.Ingested += count
 	for _, r := range b.Rows {
 		rc.enqueueLocked(b, r, 0)
 	}
 	rc.flushAllLocked()
 	if n := rc.stats.Lost - lost; n > 0 {
-		return fmt.Errorf("cluster: %d of %d measurements not delivered", n, len(b.Rows))
+		return fmt.Errorf("cluster: %d of %d measurements not delivered", n, count)
 	}
 	return nil
 }
@@ -285,8 +285,8 @@ func (rc *RouteClient) Stats() RouteStats {
 }
 
 // fail counts n measurements lost and keeps the first error.
-func (rc *RouteClient) fail(n int, err error) {
-	rc.stats.Lost += uint64(n)
+func (rc *RouteClient) fail(n uint64, err error) {
+	rc.stats.Lost += n
 	if rc.err == nil {
 		rc.err = err
 	}
@@ -309,8 +309,9 @@ func (rc *RouteClient) flushOwnerLocked(id string, depth int) {
 		rc.spare = append(rc.spare, batch)
 	}()
 	reroute := func(why string) {
-		rc.stats.Rerouted += uint64(len(batch.Rows))
-		rc.cfg.Logf("cluster route: rerouting %d measurements away from %s (%s)", len(batch.Rows), id, why)
+		n := batch.Count()
+		rc.stats.Rerouted += n
+		rc.cfg.Logf("cluster route: rerouting %d measurements away from %s (%s)", n, id, why)
 		for _, r := range batch.Rows {
 			rc.enqueueLocked(batch, r, depth+1)
 		}
@@ -341,7 +342,8 @@ func (rc *RouteClient) flushOwnerLocked(id string, depth int) {
 		rc.cfg.Members.MarkDraining(id)
 		reroute(fmt.Sprintf("not owner, moved to %s", res.Owner))
 	case res.Error != "":
-		rc.fail(len(batch.Rows), fmt.Errorf("cluster: node %s rejected a batch of %d: %s", id, len(batch.Rows), res.Error))
+		n := batch.Count()
+		rc.fail(n, fmt.Errorf("cluster: node %s rejected a batch of %d: %s", id, n, res.Error))
 	default:
 		if res.Duplicate {
 			rc.stats.DuplicateAcks++

@@ -541,7 +541,7 @@ func (n *Node) commit(sc *ingestScratch) error {
 		}
 	}
 	n.met.batches.Inc()
-	n.met.measurements.Add(uint64(len(b.Rows)))
+	n.met.measurements.Add(b.Count())
 	return nil
 }
 
@@ -951,7 +951,7 @@ func (n *Node) ingest(sc *ingestScratch, relay bool) (status int, res ingest.Bat
 	if err := n.commit(sc); err != nil {
 		return http.StatusServiceUnavailable, ingest.BatchResult{Error: err.Error()}
 	}
-	res = ingest.BatchResult{Accepted: len(b.Rows)}
+	res = ingest.BatchResult{Accepted: int(b.Count())}
 	if relay {
 		// The sender believed someone else owned these hosts; we applied
 		// them as owner under our (fresher) view. Naming ourselves lets

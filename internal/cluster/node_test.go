@@ -12,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"tlsfof/internal/core"
 	"tlsfof/internal/durable"
+	"tlsfof/internal/ingest"
 	"tlsfof/internal/store"
 	"tlsfof/internal/telemetry"
 )
@@ -467,5 +469,46 @@ func TestReplicaLogHoldsSourceBytes(t *testing.T) {
 	}
 	if segments <= 4 {
 		t.Fatalf("compared %d segments; the fixture no longer rotates", segments)
+	}
+}
+
+// TestWeightedRowCountsItsMeasurements: a batch row of count 5 (batch
+// version 2) is five measurements to every counter that sees it: the
+// ingest verdict's Accepted, cluster_ingest_measurements_total, a route
+// client's Ingested and Delivered, and, after a reopen, the Replayed
+// count of the shard WAL that logged it.
+func TestWeightedRowCountsItsMeasurements(t *testing.T) {
+	tc := startTestCluster(t, []string{"solo"}, nil)
+	m := testMeasurements(1, 3)[0]
+	m.Obs = core.Observation{} // a weighted row is a clean one
+	var b core.Batch
+	b.AddN(&m, 5)
+	res, status, err := ingest.PostBatch(http.DefaultClient, tc.url("solo")+"/cluster/ingest", b.AppendTo(nil))
+	if err != nil || status != http.StatusOK || res.Accepted != 5 {
+		t.Fatalf("POST /cluster/ingest = %+v, HTTP %d, %v; want 5 accepted", res, status, err)
+	}
+	rc := tc.route(32)
+	if err := rc.Deliver(&b); err != nil {
+		t.Fatal(err)
+	}
+	if st := rc.Stats(); st.Ingested != 5 || st.Delivered != 5 || st.Lost != 0 {
+		t.Fatalf("route stats %+v, want 5 ingested and delivered", st)
+	}
+	if got := metricValue(t, tc.registries["solo"], "cluster_ingest_measurements_total"); got != 10 {
+		t.Fatalf("cluster_ingest_measurements_total = %v, want 10", got)
+	}
+	n := tc.nodes["solo"]
+	n.Kill()
+	shards, infos, err := durable.OpenShards(filepath.Join(n.cfg.DataDir, "own"), n.cfg.Shards, n.shardOptions(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed := 0
+	for i, sh := range shards {
+		replayed += infos[i].Replayed
+		sh.Close()
+	}
+	if replayed != 10 {
+		t.Fatalf("reopened shards replayed %d measurements, want 10", replayed)
 	}
 }

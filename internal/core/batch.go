@@ -192,6 +192,16 @@ func (b *Batch) AddFrom(src *Batch, r Row) {
 	b.AddRow(r)
 }
 
+// Count is the number of measurements b carries: the sum of its rows'
+// counts. Every counter of measurements counts a batch by it.
+func (b *Batch) Count() uint64 {
+	var n uint64
+	for i := range b.Rows {
+		n += uint64(b.Rows[i].Count)
+	}
+	return n
+}
+
 // countryOf returns the index of country c, adding it to the table if
 // it is new.
 func (b *Batch) countryOf(c string) uint32 {

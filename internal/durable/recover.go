@@ -15,8 +15,8 @@ type Info struct {
 	// SnapshotSeq is the highest seq covered by the snapshot the store
 	// was seeded from (0 = started empty).
 	SnapshotSeq uint64 `json:"snapshot_seq"`
-	// Replayed counts the measurements (rows) of the WAL frames applied
-	// on top of the snapshot.
+	// Replayed counts the measurements of the WAL frames applied on top
+	// of the snapshot: a weighted row counts as its Count.
 	Replayed int `json:"replayed"`
 	// LastSeq is the last applied sequence number: a frame, not a
 	// measurement.
@@ -106,7 +106,7 @@ func scan(dir string, through uint64, build bool) (*dirScan, error) {
 			if build {
 				s.db.AddBatch(&batch)
 			}
-			s.info.Replayed += len(batch.Rows)
+			s.info.Replayed += int(batch.Count())
 			next = seq + 1
 			return nil
 		})

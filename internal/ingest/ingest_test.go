@@ -186,6 +186,31 @@ func TestDrainMakesSnapshotsComplete(t *testing.T) {
 	p.Close()
 }
 
+// TestPipelineCountsWeightedRows: a delivered row of count 5 is five
+// measurements to the pipeline's Enqueued while it is pending and to
+// Ingested once committed, as it is to the merged store.
+func TestPipelineCountsWeightedRows(t *testing.T) {
+	p := NewPipeline(Config{Shards: 2, BatchSize: 512})
+	defer p.Close()
+	m := synthetic(1, 3)[0]
+	m.Obs = core.Observation{} // a weighted row is a clean one
+	var b core.Batch
+	b.AddN(&m, 5)
+	if err := p.Deliver(&b); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.Enqueued != 5 {
+		t.Fatalf("stats %+v, want 5 enqueued", st)
+	}
+	p.Drain()
+	if st := p.Stats(); st.Enqueued != 5 || st.Ingested != 5 {
+		t.Fatalf("stats after Drain %+v, want 5 enqueued and ingested", st)
+	}
+	if got := p.Merge(0).Totals().Tested; got != 5 {
+		t.Fatalf("merged store tested %d, want 5", got)
+	}
+}
+
 func TestWireRoundTrip(t *testing.T) {
 	reports := []Report{
 		{Host: "tlsresearch.byu.edu", ChainDER: [][]byte{{0x30, 0x82, 0x01}, {0x30, 0x82, 0x02, 0x99}}},

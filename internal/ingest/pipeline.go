@@ -89,15 +89,15 @@ type shard struct {
 // commitPending commits the pending batch and empties it. The caller
 // holds the shard lock and began waiting for it at queuedAt.
 func (sh *shard) commitPending(queuedAt time.Time) {
-	b := &sh.pending
+	b, n := &sh.pending, sh.pending.Count()
 	sh.Observe(telemetry.StageQueue, queuedAt)
 	if _, err := sh.Commit(b, false); err != nil {
 		// Append errors degrade durability, never availability: the batch
 		// is counted and still reaches the store.
-		sh.walErrs += uint64(len(b.Rows))
+		sh.walErrs += n
 		sh.DB.AddBatch(b)
 	}
-	sh.ingested += uint64(len(b.Rows))
+	sh.ingested += n
 	b.Reset(0, 0)
 }
 
@@ -376,7 +376,7 @@ func (p *Pipeline) Stats() Stats {
 	var s Stats
 	for _, sh := range p.shards {
 		sh.Lock()
-		s.Enqueued += sh.ingested + uint64(len(sh.pending.Rows))
+		s.Enqueued += sh.ingested + sh.pending.Count()
 		s.Ingested += sh.ingested
 		s.WALErrors += sh.walErrs
 		sh.Unlock()

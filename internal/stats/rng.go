@@ -21,8 +21,14 @@ import (
 // The zero value is not usable; construct with NewRNG. RNG is not safe for
 // concurrent use; derive independent streams with Split for use across
 // goroutines.
+//
+// The state is four named words rather than an array, stepped by one
+// function over words held by value, so that Uint64, Float64, Intn and
+// Chance stay under the compiler's inlining budget and FirstChance and
+// Coins keep the state in registers: a study spends most of its CPU in
+// these calls.
 type RNG struct {
-	s [4]uint64
+	s0, s1, s2, s3 uint64
 }
 
 // splitmix64 advances the seed-expansion state and returns the next value.
@@ -39,29 +45,29 @@ func splitmix64(x *uint64) uint64 {
 func NewRNG(seed uint64) *RNG {
 	r := &RNG{}
 	sm := seed
-	for i := range r.s {
-		r.s[i] = splitmix64(&sm)
-	}
+	r.s0 = splitmix64(&sm)
+	r.s1 = splitmix64(&sm)
+	r.s2 = splitmix64(&sm)
+	r.s3 = splitmix64(&sm)
 	// Guard against the all-zero state, which is a fixed point.
-	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
-		r.s[0] = 0x9e3779b97f4a7c15
+	if r.s0|r.s1|r.s2|r.s3 == 0 {
+		r.s0 = 0x9e3779b97f4a7c15
 	}
 	return r
 }
 
-func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
-
 // Uint64 returns the next 64 uniformly random bits.
-func (r *RNG) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+func (r *RNG) Uint64() (v uint64) {
+	v, r.s0, r.s1, r.s2, r.s3 = step(r.s0, r.s1, r.s2, r.s3)
+	return v
+}
+
+// step is one xoshiro256** step over state words held by value: the
+// output, then the next state.
+func step(s0, s1, s2, s3 uint64) (v, n0, n1, n2, n3 uint64) {
+	s2 ^= s0
+	s3 ^= s1
+	return bits.RotateLeft64(s1*5, 7) * 9, s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)
 }
 
 // Split returns a new generator whose stream is independent of r's
@@ -86,33 +92,145 @@ func (r *RNG) Intn(n int) int {
 
 // Uint64n returns a uniform value in [0, n) using Lemire's unbiased
 // multiply-shift rejection method. It panics if n == 0.
+//
+// The rejection threshold 2⁶⁴ mod n is below n, so a draw whose low
+// product word is at least n is accepted without it, and the division
+// that computes it runs only on the rare draw that needs it (Lemire,
+// "Fast Random Integer Generation in an Interval", TOMS 2019).
 func (r *RNG) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("stats: Uint64n with zero n")
 	}
-	// Fast path for powers of two.
+	v := r.Uint64()
+	// Powers of two take the low bits.
 	if n&(n-1) == 0 {
-		return r.Uint64() & (n - 1)
+		return v & (n - 1)
 	}
-	thresh := -n % n
-	for {
-		v := r.Uint64()
-		hi, lo := bits.Mul64(v, n)
-		if lo >= thresh {
-			return hi
+	hi, lo := bits.Mul64(v, n)
+	if lo < n {
+		thresh := -n % n
+		for lo < thresh {
+			hi, lo = bits.Mul64(r.Uint64(), n)
 		}
 	}
+	return hi
 }
 
-// Bool returns true with probability p.
+// Chance is a probability resolved once into an integer coin, for a
+// probability that is drawn against many times. With x the top 53 bits of
+// one draw, Float64() < p holds exactly when x < ceil(p·2⁵³): x and the
+// scaling by 2⁵³ are both exact in float64. So RNG.Chance(NewChance(p))
+// answers from a draw as Float64() < p would, with a shift and an integer
+// compare in place of a float conversion and divide.
+type Chance struct {
+	// t is the threshold x must fall below, at most 2⁵³, or one of the
+	// draw-free coins.
+	t uint64
+}
+
+// The draw-free coins, above every threshold.
+const (
+	chanceNever  = 1 << 63
+	chanceAlways = chanceNever | 1
+)
+
+// NewChance resolves p into a coin with Bool's rules: p <= 0 is false and
+// p >= 1 true without a draw; a NaN p draws and is false.
+func NewChance(p float64) Chance {
+	switch {
+	case p <= 0:
+		return Chance{chanceNever}
+	case p >= 1:
+		return Chance{chanceAlways}
+	}
+	return Chance{threshold(p)}
+}
+
+// threshold is ceil(p·2⁵³) clamped to [0, 2⁵³], with NaN at 0: the
+// integer that the top 53 bits of a draw must fall below for
+// Float64() < p.
+func threshold(p float64) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	// y is exact and below 2⁵³, so the truncation and its float64 are
+	// too: rounding up is one compare.
+	y := p * (1 << 53)
+	t := uint64(int64(y))
+	if float64(t) < y {
+		t++
+	}
+	return t
+}
+
+// Chance flips coin c: true with the probability it was made from.
+func (r *RNG) Chance(c Chance) bool {
+	if c.t >= chanceNever {
+		return c.t == chanceAlways
+	}
+	return r.Uint64()>>11 < c.t
+}
+
+// FirstChance flips the coins cs in order until one comes up true and
+// returns its index, or len(cs) when none does: the draws of a loop of
+// r.Chance(cs[i]) that stops at the first true, holding the state in
+// registers for the whole loop.
+func (r *RNG) FirstChance(cs []Chance) int {
+	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
+	i := 0
+	for ; i < len(cs); i++ {
+		t := cs[i].t
+		if t >= chanceNever {
+			if t == chanceAlways {
+				break
+			}
+			continue
+		}
+		var v uint64
+		v, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+		if v>>11 < t {
+			break
+		}
+	}
+	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
+	return i
+}
+
+// Coins flips the coins cs, at most 64, in order and returns a mask
+// whose bit i is set when cs[i] came up true: the draws of r.Chance over
+// cs, holding the state in registers and branching on no outcome.
+func (r *RNG) Coins(cs []Chance) uint64 {
+	if len(cs) > 64 {
+		panic("stats: Coins over more than 64 coins")
+	}
+	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
+	var mask uint64
+	for i, c := range cs {
+		var hit uint64
+		if c.t >= chanceNever {
+			if c.t == chanceAlways {
+				hit = 1
+			}
+		} else {
+			var v uint64
+			v, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+			if v>>11 < c.t {
+				hit = 1
+			}
+		}
+		mask |= hit << i
+	}
+	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
+	return mask
+}
+
+// Bool returns true with probability p. It draws once unless p <= 0 or
+// p >= 1; a probability drawn against repeatedly is cheaper as a Chance.
 func (r *RNG) Bool(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return r.Float64() < p
+	return r.Chance(NewChance(p))
 }
 
 // NormFloat64 returns a standard normal variate via the polar Box–Muller

@@ -10,8 +10,10 @@ import (
 // country mixes, product market shares, and host selection in the
 // simulations.
 type Categorical struct {
-	prob  []float64
-	alias []int
+	// thresh is each column's own-index probability as a coin threshold
+	// (see Chance): the top 53 bits of a draw below it keep the column.
+	thresh []uint64
+	alias  []int
 }
 
 // NewCategorical builds an alias table over weights. Negative weights are an
@@ -33,8 +35,8 @@ func NewCategorical(weights []float64) (*Categorical, error) {
 	}
 
 	c := &Categorical{
-		prob:  make([]float64, n),
-		alias: make([]int, n),
+		thresh: make([]uint64, n),
+		alias:  make([]int, n),
 	}
 	// Scaled probabilities; mean 1.0.
 	scaled := make([]float64, n)
@@ -55,7 +57,7 @@ func NewCategorical(weights []float64) (*Categorical, error) {
 		small = small[:len(small)-1]
 		g := large[len(large)-1]
 		large = large[:len(large)-1]
-		c.prob[l] = scaled[l]
+		c.thresh[l] = threshold(scaled[l])
 		c.alias[l] = g
 		scaled[g] = scaled[g] + scaled[l] - 1
 		if scaled[g] < 1 {
@@ -65,11 +67,11 @@ func NewCategorical(weights []float64) (*Categorical, error) {
 		}
 	}
 	for _, g := range large {
-		c.prob[g] = 1
+		c.thresh[g] = threshold(1)
 		c.alias[g] = g
 	}
 	for _, l := range small {
-		c.prob[l] = 1
+		c.thresh[l] = threshold(1)
 		c.alias[l] = l
 	}
 	return c, nil
@@ -77,8 +79,8 @@ func NewCategorical(weights []float64) (*Categorical, error) {
 
 // Sample draws one index in proportion to the construction weights.
 func (c *Categorical) Sample(r *RNG) int {
-	i := r.Intn(len(c.prob))
-	if r.Float64() < c.prob[i] {
+	i := r.Intn(len(c.thresh))
+	if r.Uint64()>>11 < c.thresh[i] {
 		return i
 	}
 	return c.alias[i]
@@ -95,9 +97,9 @@ func Binomial(r *RNG, n int, p float64) int {
 		return n
 	}
 	if n < 64 {
-		k := 0
+		c, k := NewChance(p), 0
 		for i := 0; i < n; i++ {
-			if r.Float64() < p {
+			if r.Chance(c) {
 				k++
 			}
 		}

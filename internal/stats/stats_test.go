@@ -356,3 +356,27 @@ func BenchmarkCategoricalSample(b *testing.B) {
 		c.Sample(r)
 	}
 }
+
+func BenchmarkRNGBool(b *testing.B) {
+	r := NewRNG(1)
+	for b.Loop() {
+		r.Bool(0.0041)
+	}
+}
+
+func BenchmarkRNGChance(b *testing.B) {
+	r := NewRNG(1)
+	c := NewChance(0.0041)
+	for b.Loop() {
+		r.Chance(c)
+	}
+}
+
+// BenchmarkRNGIntn draws over a range that is not a power of two, so
+// every draw takes Lemire's multiply path.
+func BenchmarkRNGIntn(b *testing.B) {
+	r := NewRNG(1)
+	for b.Loop() {
+		r.Intn(1000)
+	}
+}

@@ -3,6 +3,7 @@ package study
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"time"
@@ -104,7 +105,16 @@ type world struct {
 	hosts   []hostdb.Host
 	auth    *Authoritative
 	factory *obsFactory
+	// proxy is pop.ProxyRate per country position and completion
+	// pop.CompletionProb per host position, each resolved once into the
+	// coin every impression flips.
+	proxy      []stats.Chance
+	completion []stats.Chance
 }
+
+// maxHosts bounds a world's probe list: an impression flips every
+// host's completion coin into one 64-bit mask (stats.RNG.Coins).
+const maxHosts = 64
 
 // newWorld builds the world for study over pool, probing hosts (the
 // study's own probe list when nil).
@@ -117,6 +127,9 @@ func newWorld(study clientpop.Study, pool *certgen.KeyPool, hosts []hostdb.Host)
 	if hosts == nil {
 		hosts = pop.Hosts()
 	}
+	if len(hosts) > maxHosts {
+		return nil, fmt.Errorf("study: %d probe hosts, more than the %d an impression's completion coins cover", len(hosts), maxHosts)
+	}
 	auth, err := BuildAuthoritative(hosts, pool)
 	if err != nil {
 		return nil, err
@@ -125,7 +138,15 @@ func newWorld(study clientpop.Study, pool *certgen.KeyPool, hosts []hostdb.Host)
 	if err != nil {
 		return nil, err
 	}
-	return &world{geo: gdb, pop: pop, hosts: hosts, auth: auth, factory: factory}, nil
+	w := &world{geo: gdb, pop: pop, hosts: hosts, auth: auth, factory: factory,
+		proxy: make([]stats.Chance, len(gdb.Countries())), completion: make([]stats.Chance, len(hosts))}
+	for ci := range w.proxy {
+		w.proxy[ci] = stats.NewChance(pop.ProxyRate(ci))
+	}
+	for hi, h := range hosts {
+		w.completion[hi] = stats.NewChance(pop.CompletionProb(h.Name))
+	}
+	return w, nil
 }
 
 // maxWorlds bounds the world memo: a world pins its pool and every chain
@@ -231,7 +252,7 @@ func Run(cfg Config) (*Result, error) {
 		cfg.Metrics.GaugeFunc("study_campaigns_total",
 			"ad campaigns in this run", func() float64 { return float64(len(campaigns)) })
 	}
-	gen := newCampaignGen(w, cfg.Scale, studyEpoch(cfg.Study), tested)
+	gen := &campaignGen{world: w, scale: cfg.Scale, epoch: studyEpoch(cfg.Study), tested: tested}
 
 	// Every campaign generates into a private store (or all of them into
 	// cfg.Sink), and the run's store is always the canonical merge of
@@ -295,18 +316,8 @@ type campaignGen struct {
 	*world
 	scale float64
 	epoch time.Time
-	// completion is pop.CompletionProb per host position.
-	completion []float64
 	// tested counts every generated test (nil: not counted).
 	tested *telemetry.Counter
-}
-
-func newCampaignGen(w *world, scale float64, epoch time.Time, tested *telemetry.Counter) *campaignGen {
-	g := &campaignGen{world: w, scale: scale, epoch: epoch, completion: make([]float64, len(w.hosts)), tested: tested}
-	for hi, h := range w.hosts {
-		g.completion[hi] = w.pop.CompletionProb(h.Name)
-	}
-	return g
 }
 
 // meterEvery is how many impressions a campaign generates between two
@@ -348,27 +359,32 @@ func (g *campaignGen) run(campaign adsim.Campaign, outcome adsim.Outcome, cr *st
 	n := int(float64(outcome.Impressions) * g.scale)
 	window := time.Duration(campaign.Days) * 24 * time.Hour
 	var tests uint64
+	completion := g.completion
 	for i := 0; i < n; i++ {
+		if i%meterEvery == 0 {
+			g.tested.Add(tests)
+			tests = 0
+		}
 		country := target
 		if country < 0 {
 			country = g.pop.SampleGlobalCountry(cr)
 		}
-		proxied := cr.Bool(g.pop.ProxyRate(country))
+		proxied := cr.Chance(g.proxy[country])
 		depIdx := -1
 		if proxied {
 			depIdx, _ = g.pop.SampleDeployment(cr)
 		}
-		var ip uint32
-		ipSet := false
-		for hi := range g.hosts {
-			if !cr.Bool(g.completion[hi]) {
-				continue
-			}
-			if !ipSet {
-				ip = g.pop.ClientIP(cr, country)
-				ipSet = true
-			}
-			tests++
+		// The client's address is drawn right after the first host that
+		// completes, before the other hosts' coins.
+		first := cr.FirstChance(completion)
+		if first == nHosts {
+			continue
+		}
+		ip := g.pop.ClientIP(cr, country)
+		done := 1<<first | cr.Coins(completion[first+1:])<<(first+1) // bit hi: host hi completed
+		tests += uint64(bits.OnesCount64(done))
+		for ; done != 0; done &= done - 1 {
+			hi := bits.TrailingZeros64(done)
 			obs := &g.factory.clean[hi]
 			if proxied {
 				o, err := g.factory.observation(depIdx, hi)
@@ -390,10 +406,6 @@ func (g *campaignGen) run(campaign adsim.Campaign, outcome adsim.Outcome, cr *st
 				Campaign:     campaign.Name,
 				Obs:          *obs,
 			})
-		}
-		if i%meterEvery == meterEvery-1 {
-			g.tested.Add(tests)
-			tests = 0
 		}
 	}
 	g.tested.Add(tests)
@@ -457,14 +469,15 @@ func RunHuangBaseline(cfg Config) (*BaselineResult, error) {
 		impressions = clientpop.Study2Impressions
 	}
 	n := int(float64(impressions) * cfg.Scale)
+	completes := stats.NewChance(clientpop.CompletionRate1)
 	res := &BaselineResult{Host: whale}
 	for i := 0; i < n; i++ {
 		country := pop.SampleGlobalCountry(r)
-		if !r.Bool(clientpop.CompletionRate1) {
+		if !r.Chance(completes) {
 			continue
 		}
 		res.Tested++
-		if !r.Bool(pop.ProxyRate(country)) {
+		if !r.Chance(w.proxy[country]) {
 			continue
 		}
 		depIdx, _ := pop.SampleDeployment(r)

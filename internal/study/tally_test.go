@@ -65,8 +65,8 @@ func TestUnknownTargetCountryFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := adsim.Campaign{Name: "typo", TargetCountry: "ZZ", Days: 7}
-	err = newCampaignGen(w, 1, studyEpoch(clientpop.Study2), nil).
-		run(c, adsim.Outcome{Impressions: 100}, stats.NewRNG(1), store.New(0), nil)
+	gen := &campaignGen{world: w, scale: 1, epoch: studyEpoch(clientpop.Study2)}
+	err = gen.run(c, adsim.Outcome{Impressions: 100}, stats.NewRNG(1), store.New(0), nil)
 	if err == nil || !strings.Contains(err.Error(), "typo") || !strings.Contains(err.Error(), `"ZZ"`) {
 		t.Fatalf("run = %v, want an error naming campaign typo and country \"ZZ\"", err)
 	}
