@@ -25,11 +25,8 @@ import (
 	"io"
 	"log/slog"
 	"net"
-	"net/http"
-	_ "net/http/pprof" // registered on DefaultServeMux, served only via -pprof
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
@@ -37,78 +34,9 @@ import (
 	"tlsfof/internal/classify"
 	"tlsfof/internal/faultnet"
 	"tlsfof/internal/proxyengine"
+	"tlsfof/internal/resilient"
 	"tlsfof/internal/telemetry"
 )
-
-// server wraps an Interceptor with the operational machinery a
-// load-bearing proxy needs: connection bounding, deadlines, drain, stats.
-type server struct {
-	ic          *proxyengine.Interceptor
-	connTimeout time.Duration
-	slots       chan struct{} // accept pool: one token per live connection
-	quit        chan struct{} // closed on shutdown signal
-
-	accepted, handled, errored *telemetry.Counter
-	active                     *telemetry.Gauge
-
-	wg sync.WaitGroup
-}
-
-// serve accepts until ln closes, handling each connection on a pooled
-// goroutine with a hard deadline. A full pool applies backpressure at
-// accept rather than growing without bound; a shutdown signal unblocks
-// the slot wait so drain can begin even when the pool is saturated.
-func (s *server) serve(ln net.Listener, onErr func(error)) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		select {
-		case s.slots <- struct{}{}:
-		case <-s.quit:
-			conn.Close()
-			return
-		}
-		s.accepted.Inc()
-		s.active.Add(1)
-		s.wg.Add(1)
-		go func() {
-			defer func() {
-				conn.Close()
-				s.active.Add(-1)
-				<-s.slots
-				s.wg.Done()
-			}()
-			if s.connTimeout > 0 {
-				conn.SetDeadline(time.Now().Add(s.connTimeout))
-			}
-			if err := s.ic.HandleConn(conn); err != nil {
-				s.errored.Inc()
-				if onErr != nil {
-					onErr(err)
-				}
-				return
-			}
-			s.handled.Inc()
-		}()
-	}
-}
-
-// drain waits for in-flight connections, up to timeout.
-func (s *server) drain(timeout time.Duration) bool {
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return true
-	case <-time.After(timeout):
-		return false
-	}
-}
 
 func main() {
 	stop := make(chan os.Signal, 1)
@@ -133,8 +61,8 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 		md5          = fs.Bool("md5", false, "sign forgeries with MD5 (custom profiles)")
 		list         = fs.Bool("list", false, "list known products and exit")
 		cacheCap     = fs.Int("cache", proxyengine.DefaultForgeCacheCap, "forged-chain cache capacity (hosts)")
-		maxConns     = fs.Int("max-conns", 1024, "maximum concurrent intercepted connections")
-		connTimeout  = fs.Duration("conn-timeout", 30*time.Second, "per-connection deadline")
+		maxConns     = fs.Int("max-conns", resilient.DefaultMaxConns, "maximum concurrent intercepted connections")
+		connTimeout  = fs.Duration("conn-timeout", resilient.DefaultConnTimeout, "per-connection deadline")
 		statsAddr    = fs.String("stats", "", "serve GET /metrics on this address (disabled when empty)")
 		pprofAddr    = fs.String("pprof", "", "serve net/http/pprof on this address (disabled when empty)")
 		caOut        = fs.String("ca-out", "", "write the proxy CA certificate PEM to this path")
@@ -143,6 +71,9 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 		verbose      = fs.Bool("v", false, "log per-connection errors")
 	)
 	fs.Parse(args)
+	if *maxConns < 1 {
+		return fatalf("-max-conns must be at least 1, got %d", *maxConns)
+	}
 
 	// Telemetry plane: registry + tracer feed /metrics and /trace; the
 	// event ring keeps the last structured events for post-mortem dumps
@@ -150,18 +81,7 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 	reg := telemetry.NewRegistry()
 	tracer := telemetry.NewTracer(reg, 0)
 	ring := telemetry.NewEventRing(0)
-	slog.SetDefault(slog.New(telemetry.Tee(
-		slog.NewTextHandler(stderr, &slog.HandlerOptions{Level: slog.LevelWarn}), ring)))
 	defer telemetry.DumpOnPanic(ring, stderr)
-
-	if *pprofAddr != "" {
-		// pprof registers on http.DefaultServeMux; the stats mux below is
-		// separate, so profiling stays on its own listener.
-		go func() {
-			fmt.Fprintf(stderr, "mitmd: pprof: %v\n", http.ListenAndServe(*pprofAddr, nil))
-		}()
-		fmt.Fprintf(stdout, "mitmd: pprof on http://%s/debug/pprof/\n", *pprofAddr)
-	}
 
 	if *list {
 		for _, p := range classify.KnownProducts {
@@ -175,6 +95,17 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 	}
 	if *upstream == "" {
 		return fatalf("-upstream is required")
+	}
+	side := &telemetry.SideDoor{Ring: ring, Stderr: stderr, Metrics: *statsAddr, Registry: reg, Tracer: tracer, Pprof: *pprofAddr}
+	if err := side.Open(); err != nil {
+		return fatalf("%v", err)
+	}
+	defer side.Close()
+	if side.Metrics != "" {
+		fmt.Fprintf(stdout, "mitmd: stats on http://%s/metrics\n", side.Metrics)
+	}
+	if side.Pprof != "" {
+		fmt.Fprintf(stdout, "mitmd: pprof on http://%s/debug/pprof/\n", side.Pprof)
 	}
 	var faults *faultnet.Injector
 	if *faultSpec != "" {
@@ -227,16 +158,10 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 		return net.Dial("tcp", *upstream)
 	})
 	ic.Tracer = tracer
-	srv := &server{
-		ic:          ic,
-		connTimeout: *connTimeout,
-		slots:       make(chan struct{}, *maxConns),
-		quit:        make(chan struct{}),
-		accepted:    reg.Counter("conns_accepted_total", "connections accepted"),
-		handled:     reg.Counter("conns_handled_total", "connections handled cleanly"),
-		errored:     reg.Counter("conns_errored_total", "connections ending in error"),
-		active:      reg.Gauge("conns_active", "connections in flight"),
-	}
+	accepted := reg.Counter("conns_accepted_total", "connections accepted")
+	handled := reg.Counter("conns_handled_total", "connections handled cleanly")
+	errored := reg.Counter("conns_errored_total", "connections ending in error")
+	active := reg.Gauge("conns_active", "connections in flight")
 	reg.Gauge("conns_max", "accept-pool bound on concurrent connections").Set(int64(*maxConns))
 	start := time.Now()
 	reg.GaugeFunc("uptime_seconds", "seconds since the proxy booted", func() float64 { return time.Since(start).Seconds() })
@@ -255,19 +180,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 	reg.GaugeFunc("origin_memo_loads_total", "upstream handshakes performed", func() float64 { return float64(ic.OriginStats().Loads) })
 	reg.GaugeFunc("origin_memo_evictions_total", "kept upstream chains dropped to respect the cap", func() float64 { return float64(ic.OriginStats().Evictions) })
 
-	if *statsAddr != "" {
-		statsLn, err := net.Listen("tcp", *statsAddr)
-		if err != nil {
-			return fatalf("stats listener: %v", err)
-		}
-		defer statsLn.Close()
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", telemetry.Handler(reg))
-		mux.Handle("/trace", tracer.Handler())
-		go http.Serve(statsLn, mux)
-		fmt.Fprintf(stdout, "mitmd: stats on http://%s/metrics\n", statsLn.Addr())
-	}
-
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		return fatalf("%v", err)
@@ -276,6 +188,7 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 		ln = faults.Listener("mitmd", ln)
 		fmt.Fprintf(stdout, "mitmd: fault injection on (%q)\n", *faultSpec)
 	}
+	conns := resilient.NewPool(ln, *maxConns, *connTimeout)
 
 	go func() {
 		s := <-stop
@@ -284,26 +197,31 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 			// Post-mortem trail for operator-initiated kills.
 			ring.Dump(stderr)
 		}
-		close(srv.quit)
-		ln.Close()
+		conns.Close()
 	}()
 
 	fmt.Fprintf(stdout, "mitmd: intercepting on %s → %s as %q (max %d conns, cache %d hosts)\n",
 		ln.Addr(), *upstream, profile.ProductName, *maxConns, *cacheCap)
-	// Connection errors always reach the event ring (the Tee records
-	// below the stderr handler's level); -v additionally prints them.
-	onErr := func(err error) {
-		slog.Debug("connection error", "err", err)
-		if *verbose {
-			fmt.Fprintf(stderr, "mitmd: %v\n", err)
+	conns.Serve(func(conn net.Conn) bool {
+		accepted.Inc()
+		active.Add(1)
+		defer active.Add(-1)
+		if err := ic.HandleConn(conn); err != nil {
+			errored.Inc()
+			slog.Debug("connection error", "err", err) // into the event ring; -v also prints it
+			if *verbose {
+				fmt.Fprintf(stderr, "mitmd: %v\n", err)
+			}
+			return false
 		}
-	}
-	srv.serve(ln, onErr)
+		handled.Inc()
+		return false
+	})
 
-	clean := srv.drain(*drainTimeout)
+	clean := conns.Drain(*drainTimeout)
 	fc := engine.CacheStats()
 	fmt.Fprintf(stdout, "mitmd: served %d conns (%d ok, %d errored); forge cache %d/%d hosts, %d hits, %d forges\n",
-		srv.accepted.Value(), srv.handled.Value(), srv.errored.Value(), fc.Size, fc.Cap, fc.Hits, fc.Forges)
+		accepted.Value(), handled.Value(), errored.Value(), fc.Size, fc.Cap, fc.Hits, fc.Forges)
 	om := ic.OriginStats()
 	fmt.Fprintf(stdout, "mitmd: origin memo %d/%d origins, %d hits, %d loads, %d evictions\n",
 		om.Size, om.Cap, om.Hits, om.Loads, om.Evictions)
@@ -312,7 +230,7 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 		fmt.Fprintf(stdout, "mitmd: fault stats: %s\n", fj)
 	}
 	if !clean {
-		fmt.Fprintf(stderr, "mitmd: drain timed out with %d connections in flight\n", srv.active.Value())
+		fmt.Fprintf(stderr, "mitmd: drain timed out with %d connections in flight\n", active.Value())
 		return 1
 	}
 	return 0

@@ -176,3 +176,80 @@ func TestRunServesMetrics(t *testing.T) {
 		t.Fatalf("exit summary lacks %q:\n%s", want, stdout.String())
 	}
 }
+
+// TestRunRejectsMaxConnsBelowOne: with 0 slots the first client would be
+// accepted and never served, and a negative count would panic; both fail
+// at flag parse, before any listener opens.
+func TestRunRejectsMaxConnsBelowOne(t *testing.T) {
+	for _, v := range []string{"0", "-1"} {
+		var stdout, stderr lockedBuffer
+		exit := make(chan int, 1)
+		go func() {
+			exit <- run([]string{"-listen", "127.0.0.1:0", "-upstream", "127.0.0.1:1", "-max-conns", v},
+				&stdout, &stderr, make(chan os.Signal))
+		}()
+		select {
+		case code := <-exit:
+			if code != 1 || !strings.Contains(stderr.String(), "-max-conns must be at least 1") {
+				t.Errorf("-max-conns %s: exit %d, stderr %q", v, code, stderr.String())
+			}
+			if strings.Contains(stdout.String(), "intercepting on") {
+				t.Errorf("-max-conns %s opened the listener:\n%s", v, stdout.String())
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("-max-conns %s: mitmd did not exit:\n%s", v, stdout.String())
+		}
+	}
+}
+
+// TestRunPprof: -pprof names the port it bound, serves /debug/pprof/
+// there, and a port already taken fails startup with exit 1.
+func TestRunPprof(t *testing.T) {
+	var stdout, stderr lockedBuffer
+	stop := make(chan os.Signal, 1)
+	exit := make(chan int, 1)
+	go func() {
+		exit <- run([]string{"-listen", "127.0.0.1:0", "-upstream", "127.0.0.1:1", "-issuer", "Test Proxy",
+			"-keybits", "512", "-pprof", "127.0.0.1:0"}, &stdout, &stderr, stop)
+	}()
+	var url string
+	for deadline := time.Now().Add(60 * time.Second); url == ""; {
+		for _, line := range strings.Split(stdout.String(), "\n") {
+			if rest, ok := strings.CutPrefix(line, "mitmd: pprof on "); ok {
+				url = rest
+			}
+		}
+		select {
+		case code := <-exit:
+			t.Fatalf("mitmd exited %d before its pprof banner:\n%s%s", code, stdout.String(), stderr.String())
+		case <-time.After(5 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no pprof banner:\n%s%s", stdout.String(), stderr.String())
+		}
+	}
+	resp, err := http.Get(url + "cmdline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %scmdline: %s", url, resp.Status)
+	}
+	stop <- os.Interrupt
+	if code := <-exit; code != 0 {
+		t.Fatalf("mitmd exited %d after a clean drain:\n%s", code, stderr.String())
+	}
+
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	var stdout2, stderr2 lockedBuffer
+	code := run([]string{"-listen", "127.0.0.1:0", "-upstream", "127.0.0.1:1", "-pprof", taken.Addr().String()},
+		&stdout2, &stderr2, make(chan os.Signal))
+	if code != 1 || !strings.Contains(stderr2.String(), "pprof listener") {
+		t.Fatalf("-pprof on a taken port: exit %d, stderr %q", code, stderr2.String())
+	}
+}

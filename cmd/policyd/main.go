@@ -20,11 +20,11 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"tlsfof/internal/policy"
+	"tlsfof/internal/resilient"
 	"tlsfof/internal/telemetry"
 )
 
@@ -55,8 +55,8 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 		var ranges []policy.PortRange
 		for _, p := range strings.Split(*ports, ",") {
 			v, err := strconv.Atoi(strings.TrimSpace(p))
-			if err != nil {
-				return fatalf("bad port %q", p)
+			if err != nil || v < 1 || v > 65535 {
+				return fatalf("bad port %q (want 1-65535)", p)
 			}
 			ranges = append(ranges, policy.PortRange{Lo: v, Hi: v})
 		}
@@ -70,16 +70,13 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 	httpConnsTotal := reg.Counter("policy_http_conns_total", "connections dispatched to the co-hosted HTTP responder")
 	start := time.Now()
 	reg.GaugeFunc("uptime_seconds", "seconds since policyd booted", func() float64 { return time.Since(start).Seconds() })
-	if *metricsAddr != "" {
-		metricsLn, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
-			return fatalf("metrics listener: %v", err)
-		}
-		defer metricsLn.Close()
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", telemetry.Handler(reg))
-		go http.Serve(metricsLn, mux)
-		fmt.Fprintf(stdout, "policyd: metrics on http://%s/metrics\n", metricsLn.Addr())
+	side := &telemetry.SideDoor{Metrics: *metricsAddr, Registry: reg}
+	if err := side.Open(); err != nil {
+		return fatalf("%v", err)
+	}
+	defer side.Close()
+	if side.Metrics != "" {
+		fmt.Fprintf(stdout, "policyd: metrics on http://%s/metrics\n", side.Metrics)
 	}
 
 	ln, err := net.Listen("tcp", *listen)
@@ -87,91 +84,64 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 		return fatalf("%v", err)
 	}
 	fmt.Fprintf(stdout, "policyd: serving socket policy on %s (http=%v)\n", ln.Addr(), *withHTTP)
+	conns := resilient.NewPool(ln, resilient.DefaultMaxConns, resilient.DefaultConnTimeout)
 	go func() {
 		<-stop
-		ln.Close()
+		conns.Close()
 	}()
 
-	if !*withHTTP {
-		// Own accept loop (rather than policy.ListenAndServe) so every
-		// outcome lands on a counter.
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return 0
-			}
-			connsTotal.Inc()
-			go func() {
-				defer conn.Close()
-				if err := policy.Serve(conn, file, 10*time.Second); err != nil {
-					policyErrors.Inc()
-					return
-				}
-				policyServed.Inc()
-			}()
+	// Both modes count a policy request by its outcome.
+	count := func(err error) {
+		if err != nil {
+			policyErrors.Inc()
+			return
 		}
+		policyServed.Inc()
 	}
-	httpLn := &chanListener{ch: make(chan net.Conn), done: make(chan struct{}), addr: ln.Addr()}
-	mux := &policy.Mux{
-		Policy: file,
-		Fallback: func(c net.Conn) {
-			httpConnsTotal.Inc()
-			httpLn.deliver(c)
-		},
-		OnPolicy: func() { policyServed.Inc() },
+	serve := func(conn net.Conn) bool {
+		count(policy.Serve(conn, file, 10*time.Second))
+		return false
 	}
-	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "tlsfof policyd: socket policy co-hosted on this port")
-	})}
-	go srv.Serve(httpLn)
-	mux.Serve(countingListener{Listener: ln, n: connsTotal})
-	srv.Close()
+	if *withHTTP {
+		srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			fmt.Fprintln(w, "tlsfof policyd: socket policy co-hosted on this port")
+		})}
+		defer srv.Close()
+		mux := &policy.Mux{
+			Policy: file,
+			Fallback: func(c net.Conn) {
+				httpConnsTotal.Inc()
+				l := &connListener{conn: c}
+				srv.Serve(l)
+				if !l.taken {
+					c.Close() // srv is already closed
+				}
+			},
+			OnPolicy: count,
+		}
+		serve = mux.ServeConn
+	}
+	conns.Serve(func(conn net.Conn) bool {
+		connsTotal.Inc()
+		return serve(conn)
+	})
 	return 0
 }
 
-// countingListener bumps a counter per accepted connection.
-type countingListener struct {
-	net.Listener
-	n *telemetry.Counter
+// connListener hands net/http one connection the policy mux sniffed as
+// HTTP: the first Accept returns it, the second ends that Serve call.
+type connListener struct {
+	conn  net.Conn
+	taken bool
 }
 
-func (l countingListener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err == nil {
-		l.n.Inc()
-	}
-	return c, err
-}
-
-// chanListener hands the HTTP server the connections the policy mux
-// sniffed as HTTP. Close ends Accept and refuses later deliveries.
-type chanListener struct {
-	ch   chan net.Conn
-	done chan struct{}
-	once sync.Once
-	addr net.Addr
-}
-
-func (l *chanListener) deliver(c net.Conn) {
-	select {
-	case l.ch <- c:
-	case <-l.done:
-		c.Close()
-	}
-}
-
-func (l *chanListener) Accept() (net.Conn, error) {
-	select {
-	case c := <-l.ch:
-		return c, nil
-	case <-l.done:
+func (l *connListener) Accept() (net.Conn, error) {
+	if l.taken {
 		return nil, net.ErrClosed
 	}
+	l.taken = true
+	return l.conn, nil
 }
 
-func (l *chanListener) Close() error {
-	l.once.Do(func() { close(l.done) })
-	return nil
-}
-
-func (l *chanListener) Addr() net.Addr { return l.addr }
+func (l *connListener) Close() error   { return nil }
+func (l *connListener) Addr() net.Addr { return l.conn.LocalAddr() }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"strings"
@@ -154,4 +155,48 @@ func TestRunServesPolicy(t *testing.T) {
 		d.awaitCounter(metricsURL, "policy_http_conns_total", 1)
 		d.shutdown()
 	})
+}
+
+// TestRunRejectsBadPorts: a port outside 1-65535 fails at flag parse
+// instead of being granted by the served policy.
+func TestRunRejectsBadPorts(t *testing.T) {
+	for _, ports := range []string{"0", "-1", "65536", "443,70000"} {
+		d := &daemon{t: t, stop: make(chan os.Signal), exit: make(chan int, 1)}
+		go func() {
+			d.exit <- run([]string{"-listen", "127.0.0.1:0", "-ports", ports}, &d.stdout, &d.stderr, d.stop)
+		}()
+		select {
+		case code := <-d.exit:
+			if code != 1 || !strings.Contains(d.stderr.String(), "bad port") {
+				t.Errorf("-ports %s: exit %d, stderr %q", ports, code, d.stderr.String())
+			}
+			if strings.Contains(d.stdout.String(), "serving socket policy") {
+				t.Errorf("-ports %s opened the listener:\n%s", ports, d.stdout.String())
+			}
+		case <-time.After(10 * time.Second):
+			close(d.stop)
+			t.Errorf("-ports %s: policyd served instead of exiting:\n%s", ports, d.stdout.String())
+		}
+	}
+}
+
+// TestRunHTTPModeCountsOutcome: in -http mode a truncated policy request
+// counts as an error, not as served, as it does in policy-only mode.
+func TestRunHTTPModeCountsOutcome(t *testing.T) {
+	d := start(t, "-http")
+	metricsURL := "http://" + d.addrAfter("policyd: metrics on http://") + "/metrics"
+	addr := d.addrAfter("policyd: serving socket policy on ")
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Write(policy.Request[:len(policy.Request)/2]); err != nil {
+		t.Fatal(err)
+	}
+	c.(*net.TCPConn).CloseWrite()
+	io.Copy(io.Discard, c)
+	c.Close()
+	d.awaitCounter(metricsURL, "policy_errors_total", 1)
+	d.awaitCounter(metricsURL, "policy_served_total", 0)
+	d.shutdown()
 }

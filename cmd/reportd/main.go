@@ -35,10 +35,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"net"
 	"net/http"
-	_ "net/http/pprof" // registered on DefaultServeMux, served only via -pprof
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -535,14 +533,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 	)
 	fs.Parse(args)
 
-	if *pprofA != "" {
-		// pprof registers on http.DefaultServeMux; the report mux is
-		// separate, so profiling stays off the public listener.
-		go func() {
-			fmt.Fprintf(stderr, "reportd: pprof: %v\n", http.ListenAndServe(*pprofA, nil))
-		}()
-		fmt.Fprintf(stdout, "reportd: pprof on http://%s/debug/pprof/\n", *pprofA)
-	}
 	refs, err := loadRefs(*selfRef, *host, *refPath, *refDir)
 	if err != nil {
 		return fatalf("%v", err)
@@ -564,10 +554,14 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 	if err != nil {
 		return fatalf("%v", err)
 	}
-	// Route structured events through the post-mortem ring; warnings and
-	// errors still reach stderr immediately.
-	slog.SetDefault(slog.New(telemetry.Tee(
-		slog.NewTextHandler(stderr, &slog.HandlerOptions{Level: slog.LevelWarn}), srv.ring)))
+	side := &telemetry.SideDoor{Ring: srv.ring, Stderr: stderr, Pprof: *pprofA}
+	if err := side.Open(); err != nil {
+		return fatalf("%v", err)
+	}
+	defer side.Close()
+	if side.Pprof != "" {
+		fmt.Fprintf(stdout, "reportd: pprof on http://%s/debug/pprof/\n", side.Pprof)
+	}
 	defer telemetry.DumpOnPanic(srv.ring, stderr)
 	if err := srv.start(); err != nil {
 		return fatalf("%v", err)

@@ -478,3 +478,53 @@ func TestRunKeepsStudyAcrossRestart(t *testing.T) {
 	life(7, "7 tested")
 	life(3, "10 tested")
 }
+
+// TestRunPprof: -pprof names the port it bound and serves /debug/pprof/
+// there.
+func TestRunPprof(t *testing.T) {
+	_, pem := testRefs(t)
+	ref := filepath.Join(t.TempDir(), "ref.pem")
+	if err := os.WriteFile(ref, pem, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr lockedBuffer
+	stop := make(chan os.Signal, 1)
+	exit := make(chan int, 1)
+	go func() {
+		exit <- run([]string{"-listen=127.0.0.1:0", "-host=" + testHost, "-reference=" + ref, "-pprof=127.0.0.1:0"},
+			&stdout, &stderr, stop)
+	}()
+	var url string
+	for deadline := time.Now().Add(30 * time.Second); url == ""; {
+		for _, line := range strings.Split(stdout.String(), "\n") {
+			if rest, ok := strings.CutPrefix(line, "reportd: pprof on "); ok {
+				url = rest
+			}
+		}
+		select {
+		case code := <-exit:
+			t.Fatalf("reportd exited %d before its pprof banner:\n%s%s", code, stdout.String(), stderr.String())
+		case <-time.After(5 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no pprof banner:\n%s%s", stdout.String(), stderr.String())
+		}
+	}
+	resp, err := http.Get(url + "cmdline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %scmdline: %s", url, resp.Status)
+	}
+	stop <- syscall.SIGTERM
+	select {
+	case code := <-exit:
+		if code != 0 {
+			t.Fatalf("reportd exited %d after SIGTERM:\n%s", code, stderr.String())
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("reportd did not exit after SIGTERM")
+	}
+}

@@ -72,6 +72,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "tlsproxy-probe: -addr is required")
 		return 1
 	}
+	if *count < 0 {
+		fmt.Fprintf(stderr, "tlsproxy-probe: -count must not be negative, got %d\n", *count)
+		return 1
+	}
 
 	var faults *faultnet.Injector
 	if *faultSpec != "" {
@@ -172,18 +176,14 @@ func runFleet(cfg fleetConfig, stdout, stderr io.Writer) int {
 		deadline = time.Now().Add(cfg.duration)
 		wg       sync.WaitGroup
 	)
-	if cfg.metricsAddr != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", telemetry.Handler(reg))
-		mux.Handle("/trace", tracer.Handler())
-		ln, err := net.Listen("tcp", cfg.metricsAddr)
-		if err != nil {
-			fmt.Fprintf(stderr, "tlsproxy-probe: metrics listener: %v\n", err)
-			return 1
-		}
-		defer ln.Close()
-		go http.Serve(ln, mux)
-		fmt.Fprintf(stdout, "fleet: metrics on http://%s/metrics\n", ln.Addr())
+	side := &telemetry.SideDoor{Metrics: cfg.metricsAddr, Registry: reg, Tracer: tracer}
+	if err := side.Open(); err != nil {
+		fmt.Fprintf(stderr, "tlsproxy-probe: %v\n", err)
+		return 1
+	}
+	defer side.Close()
+	if side.Metrics != "" {
+		fmt.Fprintf(stdout, "fleet: metrics on http://%s/metrics\n", side.Metrics)
 	}
 	if cfg.traceSeed != 0 {
 		fmt.Fprintf(stdout, "fleet: tracing on (seed %d; worker 0 probe 1 = id %s)\n",

@@ -120,3 +120,16 @@ func TestRunFleetUploads(t *testing.T) {
 		t.Fatalf("stdout lacks %q:\n%s", want, stdout.String())
 	}
 }
+
+// TestRunRejectsNegativeCount: -fleet with -count -1 would run no probe
+// and exit 0; it fails at flag parse instead.
+func TestRunRejectsNegativeCount(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-addr", "127.0.0.1:1", "-fleet", "2", "-count", "-1"}, &stdout, &stderr)
+	if code != 1 || !strings.Contains(stderr.String(), "-count must not be negative") {
+		t.Fatalf("exit %d, stderr %q", code, stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("ran the fleet:\n%s", stdout.String())
+	}
+}

@@ -18,52 +18,40 @@ import (
 type Mux struct {
 	// Policy is the file served to policy requests.
 	Policy *File
-	// Fallback receives every non-policy connection. The conn replays all
-	// bytes already read. Required.
+	// Fallback receives every non-policy connection and owns it from then
+	// on: the conn replays all bytes already read and carries no
+	// deadline. Required.
 	Fallback func(net.Conn)
 	// OnPolicy, when non-nil, is called once per connection dispatched as
-	// a policy request, before it is served — a counting hook for
-	// telemetry (cmd/policyd's /metrics).
-	OnPolicy func()
+	// a policy request, after it is served, with Serve's outcome — a
+	// counting hook for telemetry (cmd/policyd's /metrics).
+	OnPolicy func(error)
 }
 
 // sniffTimeout bounds the wait for a connection's first byte, and then
 // the policy exchange that follows it.
 const sniffTimeout = 5 * time.Second
 
-// Serve accepts from ln until it closes.
-func (m *Mux) Serve(ln net.Listener) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		go m.handle(conn)
-	}
-}
-
-func (m *Mux) handle(conn net.Conn) {
+// ServeConn dispatches one connection, the handler a resilient.Pool runs
+// for each. It reports whether it handed conn to Fallback, which then
+// owns it; otherwise the caller closes conn.
+func (m *Mux) ServeConn(conn net.Conn) (handedOff bool) {
 	_ = conn.SetReadDeadline(time.Now().Add(sniffTimeout))
 	br := bufio.NewReaderSize(conn, 512)
 	first, err := br.Peek(1)
-	_ = conn.SetReadDeadline(time.Time{})
 	if err != nil {
-		conn.Close()
-		return
+		return false
 	}
 	if first[0] == '<' {
-		defer conn.Close()
+		err := Serve(&replayConn{Conn: conn, r: br}, m.Policy, sniffTimeout)
 		if m.OnPolicy != nil {
-			m.OnPolicy()
+			m.OnPolicy(err)
 		}
-		_ = Serve(&replayConn{Conn: conn, r: br}, m.Policy, sniffTimeout)
-		return
+		return false
 	}
-	if m.Fallback != nil {
-		m.Fallback(&replayConn{Conn: conn, r: br})
-		return
-	}
-	conn.Close()
+	_ = conn.SetDeadline(time.Time{}) // the new owner sets its own
+	m.Fallback(&replayConn{Conn: conn, r: br})
+	return true
 }
 
 // replayConn is a net.Conn whose reads come from a bufio.Reader that has

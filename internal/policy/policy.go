@@ -24,6 +24,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"tlsfof/internal/resilient"
 )
 
 // Request is the exact byte string a Flash runtime sends, including the
@@ -272,16 +274,7 @@ func Serve(conn net.Conn, f *File, timeout time.Duration) error {
 }
 
 // ListenAndServe accepts connections on ln, serving f to each until ln is
-// closed.
+// closed, through the default resilient.Pool.
 func ListenAndServe(ln net.Listener, f *File) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		go func() {
-			defer conn.Close()
-			_ = Serve(conn, f, 10*time.Second)
-		}()
-	}
+	resilient.Serve(ln, func(conn net.Conn) error { return Serve(conn, f, 10*time.Second) }, nil)
 }

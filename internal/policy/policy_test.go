@@ -9,6 +9,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"tlsfof/internal/resilient"
 )
 
 func TestMarshalParseRoundTrip(t *testing.T) {
@@ -153,7 +155,7 @@ func TestMuxDispatch(t *testing.T) {
 		Policy:   Permissive,
 		Fallback: func(c net.Conn) { fallbackLn.deliver(c) },
 	}
-	go mux.Serve(ln)
+	go resilient.NewPool(ln, 4, time.Minute).Serve(mux.ServeConn)
 
 	// Policy request path.
 	f, err := FetchAddr(ln.Addr().String(), 5*time.Second)

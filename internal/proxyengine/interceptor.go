@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"tlsfof/internal/chaincache"
+	"tlsfof/internal/resilient"
 	"tlsfof/internal/telemetry"
 	"tlsfof/internal/tlswire"
 	"tlsfof/internal/x509util"
@@ -31,15 +32,13 @@ type Interceptor struct {
 	// Timeout bounds each upstream probe (default 10s).
 	Timeout time.Duration
 	// ClientTimeout bounds the client-facing handshake: the ClientHello
-	// sniff and, on interception, the forged-flight exchange. Without it
-	// a slowloris client that opens a connection and trickles (or stops
-	// sending) bytes parks a handler goroutine forever. When set, the
-	// interceptor owns the connection's read deadline during the sniff
-	// (it is cleared once the hello parses, erasing any deadline the
-	// caller installed) — use either ClientTimeout or caller-managed
-	// deadlines, not both. 0 preserves the old unbounded behavior for
-	// callers that set deadlines themselves (cmd/mitmd sets a
-	// whole-connection deadline).
+	// sniff and, on interception, the forged-flight exchange, so a
+	// slowloris client cannot park a handler forever. The interceptor owns
+	// the read deadline during the sniff and clears it once the hello
+	// parses, erasing any the caller installed: use ClientTimeout or
+	// caller-managed deadlines, not both. 0 leaves deadlines to the caller
+	// (the resilient.Pool behind Serve and cmd/mitmd sets one per
+	// connection).
 	ClientTimeout time.Duration
 	// Tracer, when non-nil, records per-stage latencies (sniff, upstream
 	// fetch, forge decision, respond/splice) and — for probes that carry
@@ -302,21 +301,10 @@ func (ic *Interceptor) splice(clientConn net.Conn, host string, alreadyRead []by
 	return nil
 }
 
-// Serve accepts and handles connections until ln closes. Per-connection
-// errors go to onErr when non-nil.
+// Serve accepts and handles connections until ln closes, through the
+// default resilient.Pool. Per-connection errors go to onErr when non-nil.
 func (ic *Interceptor) Serve(ln net.Listener, onErr func(error)) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		go func() {
-			defer conn.Close()
-			if err := ic.HandleConn(conn); err != nil && onErr != nil {
-				onErr(err)
-			}
-		}()
-	}
+	resilient.Serve(ln, ic.HandleConn, onErr)
 }
 
 // replayConn replays pre-read bytes before continuing with the live

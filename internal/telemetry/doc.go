@@ -36,4 +36,8 @@
 //   - EventRing: a fixed-capacity slog.Handler holding the most recent
 //     structured events; binaries dump it on panic or SIGTERM so a
 //     crashed run leaves a post-mortem trail.
+//
+//   - SideDoor: the one way a binary serves /metrics, /trace and
+//     net/http/pprof beside its own service, each on its own listener,
+//     and installs an EventRing behind its stderr logger.
 package telemetry

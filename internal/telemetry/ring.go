@@ -15,9 +15,9 @@ const DefaultEventCap = 512
 
 // EventRing is a fixed-capacity slog.Handler that retains the most
 // recent structured log events as formatted lines. Binaries install it
-// behind their normal handler (see Tee) and dump it on panic or SIGTERM,
-// so a crashed run leaves a post-mortem trail of its final events even
-// when routine logging was filtered or discarded.
+// behind their normal handler (SideDoor.Open) and dump it on panic or
+// SIGTERM, so a crashed run leaves a post-mortem trail of its final
+// events even when routine logging was filtered or discarded.
 type EventRing struct {
 	mu    sync.Mutex
 	lines []string
@@ -128,14 +128,9 @@ func (e *EventRing) Dump(w io.Writer) {
 	fmt.Fprintln(w, "--- end event ring ---")
 }
 
-// Tee returns an slog.Handler that feeds every record to both primary
-// and the ring. The ring sees records the primary's level filter drops —
-// that is the point: the post-mortem trail is complete even when routine
-// output is quiet.
-func Tee(primary slog.Handler, ring *EventRing) slog.Handler {
-	return teeHandler{primary: primary, ring: ring}
-}
-
+// teeHandler feeds every record to both primary and the ring. The ring
+// sees records the primary's level filter drops — that is the point: the
+// post-mortem trail is complete even when routine output is quiet.
 type teeHandler struct {
 	primary slog.Handler
 	ring    slog.Handler
@@ -144,26 +139,18 @@ type teeHandler struct {
 func (t teeHandler) Enabled(ctx context.Context, lvl slog.Level) bool { return true }
 
 func (t teeHandler) Handle(ctx context.Context, r slog.Record) error {
-	if t.primary != nil && t.primary.Enabled(ctx, r.Level) {
+	if t.primary.Enabled(ctx, r.Level) {
 		_ = t.primary.Handle(ctx, r.Clone())
 	}
 	return t.ring.Handle(ctx, r)
 }
 
 func (t teeHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	var p slog.Handler
-	if t.primary != nil {
-		p = t.primary.WithAttrs(attrs)
-	}
-	return teeHandler{primary: p, ring: t.ring.WithAttrs(attrs)}
+	return teeHandler{primary: t.primary.WithAttrs(attrs), ring: t.ring.WithAttrs(attrs)}
 }
 
 func (t teeHandler) WithGroup(name string) slog.Handler {
-	var p slog.Handler
-	if t.primary != nil {
-		p = t.primary.WithGroup(name)
-	}
-	return teeHandler{primary: p, ring: t.ring.WithGroup(name)}
+	return teeHandler{primary: t.primary.WithGroup(name), ring: t.ring.WithGroup(name)}
 }
 
 // DumpOnPanic dumps the ring and re-panics; defer it first thing in main:

@@ -61,7 +61,7 @@ func TestTeeFeedsBothHandlers(t *testing.T) {
 	ring := NewEventRing(8)
 	var primaryOut strings.Builder
 	primary := slog.NewTextHandler(&primaryOut, &slog.HandlerOptions{Level: slog.LevelWarn})
-	log := slog.New(Tee(primary, ring))
+	log := slog.New(teeHandler{primary: primary, ring: ring})
 
 	log.Info("quiet", "k", "v") // below primary's level: ring only
 	log.Warn("loud")
@@ -77,7 +77,7 @@ func TestTeeFeedsBothHandlers(t *testing.T) {
 		t.Fatalf("ring retained %d events, want 2 (flight recorder sees filtered events)", len(events))
 	}
 	// Derived handlers must keep feeding the same ring.
-	slog.New(Tee(primary, ring)).With("a", 1).WithGroup("g").Warn("derived", "b", 2)
+	slog.New(teeHandler{primary: primary, ring: ring}).With("a", 1).WithGroup("g").Warn("derived", "b", 2)
 	events = ring.Events()
 	last := events[len(events)-1]
 	for _, want := range []string{"derived", "a=1", "g.b=2"} {

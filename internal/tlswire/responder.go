@@ -9,6 +9,8 @@ import (
 	"slices"
 	"sync"
 	"time"
+
+	"tlsfof/internal/resilient"
 )
 
 // ChainSelector returns the certificate chain to present for a given SNI
@@ -184,21 +186,10 @@ func (rs *responder) respond(conn net.Conn, cfg ResponderConfig) error {
 	return nil
 }
 
-// Server accepts connections from ln and serves the partial handshake on
-// each until ln is closed. Per-connection errors are delivered to onErr
-// when non-nil and otherwise dropped (a measurement host must not die
-// because one client sent garbage).
+// Server serves the partial handshake on each connection from ln, through
+// the default resilient.Pool, until ln is closed. Per-connection errors go
+// to onErr when non-nil and are otherwise dropped (a measurement host must
+// not die because one client sent garbage).
 func Server(ln net.Listener, cfg ResponderConfig, onErr func(error)) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		go func() {
-			defer conn.Close()
-			if err := Respond(conn, cfg); err != nil && onErr != nil {
-				onErr(err)
-			}
-		}()
-	}
+	resilient.Serve(ln, func(conn net.Conn) error { return Respond(conn, cfg) }, onErr)
 }

@@ -1,7 +1,8 @@
 package tlsfof
 
 // The live-wire loop: a probe fleet driving real sockets through a
-// forging mitmd-style interceptor and streaming captures into reportd's
+// forging interceptor on mitmd's accept loop (Interceptor.Serve, a
+// resilient.Pool) and streaming captures into reportd's
 // batch-ingest pipeline — the paper's deployed topology (Figure 4) end to
 // end over loopback TCP. TestLiveWireSmoke is the CI smoke for this path;
 // the BenchmarkLiveWire* functions are the quick local measurement of its
