@@ -104,7 +104,6 @@ func runChaosStudy(t *testing.T, opts chaosOpts) *chaosRun {
 		BreakerCooldown: 250 * time.Millisecond,
 		Seed:            2016,
 		Registry:        run.reg,
-		Logf:            t.Logf,
 	}
 	if opts.route != nil {
 		opts.route(&rcfg)

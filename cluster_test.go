@@ -71,7 +71,6 @@ func startClusterHarness(t *testing.T, ids []string, configure func(id string, m
 			PollInterval: 2 * time.Millisecond,
 			LongPoll:     20 * time.Millisecond,
 			Registry:     reg,
-			Logf:         t.Logf,
 		}
 		if configure != nil {
 			configure(id, h.members, &cfg)
@@ -111,7 +110,6 @@ func (h *clusterHarness) orchestrator(dial resilient.DialFunc, health cluster.Su
 		Members: view,
 		HTTP:    resilient.SplitTimeoutClient(2*time.Second, 5*time.Second, dial),
 		Scorer:  cluster.NewScorer(health),
-		Logf:    h.t.Logf,
 	}
 }
 
@@ -165,7 +163,7 @@ func TestClusterKillOneNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	rc, err := cluster.NewRouteClient(cluster.RouteConfig{
-		Members: view, BatchSize: 64, RetryDelay: time.Millisecond, Logf: t.Logf,
+		Members: view, BatchSize: 64, RetryDelay: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -34,12 +34,14 @@ import (
 	"tlsfof/internal/geo"
 	"tlsfof/internal/resilient"
 	"tlsfof/internal/store"
+	"tlsfof/internal/telemetry"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// run is the whole command: tables to -out (or stdout), log lines to
-// stdout, failures to stderr; it returns the exit code.
+// run is the whole command: tables to -out (or stdout), its own log lines
+// to stdout, failures, warnings and (when the run ends) the event ring of
+// the orchestrator's events to stderr; it returns the exit code.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fleetctl", flag.ExitOnError)
 	fatalf := func(format string, args ...any) int {
@@ -75,6 +77,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		chaos    = fs.String("chaos", "", "fault plan for fleetctl's own links, e.g. 'for=2s;cut=fleetctl:b,for=3s;' (endpoints are node IDs; grammar in DESIGN.md §9)")
 	)
 	fs.Parse(args)
+	ring := telemetry.NewEventRing(0)
+	_ = (&telemetry.SideDoor{Ring: ring, Stderr: stderr}).Open() // binds no listener, so cannot fail
+	defer ring.Dump(stderr)
 
 	memberList, err := cluster.ParseMembers(*nodesSpec)
 	if err != nil {
@@ -105,7 +110,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Members: members,
 		HTTP:    resilient.SplitTimeoutClient(*connectT, *timeout, dial),
 		Scorer:  cluster.NewScorer(cluster.SuspicionConfig{LatencyBudget: *latBudget, MinDeadFails: *healthFails}),
-		Logf:    logf,
 	}
 	for _, id := range splitList(*deadIDs) {
 		o.DeclareDead(id)

@@ -22,8 +22,9 @@ import (
 // TestRunMergesDeadNodeFromReplica boots three in-process nodes, streams
 // a measurement set through them, kills b, and runs the command the way
 // the cluster runbook does: `-nodes … -dead b -out F`. fleetctl's own
-// death broadcast must let a survivor serve b's replica, and F must hold
-// the control's totals.
+// death broadcast must let a survivor serve b's replica, F must hold the
+// control's totals, and the ring dump on stderr must say where b's
+// shards came from.
 func TestRunMergesDeadNodeFromReplica(t *testing.T) {
 	var members []cluster.Member
 	listeners := make(map[string]net.Listener)
@@ -110,7 +111,13 @@ func TestRunMergesDeadNodeFromReplica(t *testing.T) {
 	if line, _, _ := strings.Cut(string(tables), "\n"); !strings.HasPrefix(line, want) {
 		t.Fatalf("tables start %q, want %q…\nfleetctl said:\n%s", line, want, stdout.Bytes())
 	}
-	if !strings.Contains(stdout.String(), "node b (dead): recovered from") {
-		t.Fatalf("merge never recovered b from a replica:\n%s", stdout.Bytes())
+	// The merge's events reach the event ring, which fleetctl dumps to
+	// stderr when the run ends.
+	recovered := false
+	for _, line := range strings.Split(stderr.String(), "\n") {
+		recovered = recovered || strings.Contains(line, "recovered from replica") && strings.Contains(line, " node=b ")
+	}
+	if !recovered {
+		t.Fatalf("merge never recovered b from a replica:\n%s", stderr.Bytes())
 	}
 }

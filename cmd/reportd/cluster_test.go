@@ -109,7 +109,6 @@ func TestClusterModeMixedHostReports(t *testing.T) {
 		Members: orchView,
 		HTTP:    resilient.SplitTimeoutClient(2*time.Second, 10*time.Second, nil),
 		Scorer:  cluster.NewScorer(cluster.SuspicionConfig{}),
-		Logf:    t.Logf,
 	}
 	owners := make(map[string]int)
 	for _, h := range hosts {
@@ -276,5 +275,37 @@ func TestClusterModeMixedHostReports(t *testing.T) {
 		case <-time.After(15 * time.Second):
 			t.Fatalf("node %s did not exit after SIGINT", m.ID)
 		}
+	}
+}
+
+// TestRunDumpsClusterEventsOnSIGTERM: a cluster node's events go through
+// slog into the event ring, so the SIGTERM dump of a cluster-mode run
+// holds records naming the node — here the dead mark a peer's death
+// broadcast files, which also reaches stderr as a warning at once.
+func TestRunDumpsClusterEventsOnSIGTERM(t *testing.T) {
+	ref, _ := writeRef(t)
+	a := reserveAddr(t)
+	peers := "a=http://" + a + ",b=http://" + reserveAddr(t) // b never boots
+	r := startRun(t, "-listen="+a, "-host="+testHost, "-reference="+ref,
+		"-cluster-id=a", "-cluster-peers="+peers, "-data-dir="+t.TempDir())
+	resp, err := http.Post("http://"+a+"/cluster/dead?node=b", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("dead mark: %s", resp.Status)
+	}
+	if warn := r.stderr.String(); !strings.Contains(warn, "level=WARN") || !strings.Contains(warn, "peer=b") {
+		t.Fatalf("no dead-mark warning on stderr:\n%s", warn)
+	}
+	r.sigterm(t)
+	_, dump, _ := strings.Cut(r.stdout.String(), "--- telemetry event ring")
+	var marked bool
+	for _, line := range strings.Split(dump, "\n") {
+		marked = marked || strings.Contains(line, "WARN marked dead node=a peer=b epoch=")
+	}
+	if !marked {
+		t.Fatalf("SIGTERM dump holds no dead-mark record of node a:\n%s", dump)
 	}
 }

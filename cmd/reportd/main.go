@@ -164,9 +164,6 @@ func newServer(cfg serverConfig) (*server, error) {
 			DataDir:  cfg.dataDir,
 			Shards:   cfg.shards,
 			Registry: reg,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(cfg.logw, "reportd: "+format+"\n", args...)
-			},
 		}
 		if cfg.chaosSpec != "" {
 			plan, err := faultnet.Parse(cfg.chaosSpec)
@@ -197,7 +194,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		// seed stays clock-derived — batch IDs key the owners' dedup
 		// tables and must differ across nodes.
 		route, err := cluster.NewRouteClient(cluster.RouteConfig{
-			Members: node.Members(), HTTPClient: ccfg.HTTPClient, Registry: reg, Logf: ccfg.Logf,
+			Members: node.Members(), HTTPClient: ccfg.HTTPClient, Registry: reg,
 		})
 		if err != nil {
 			node.Close()
@@ -436,12 +433,11 @@ func (s *server) serve(sig <-chan os.Signal) error {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- s.httpSrv.Serve(s.ln) }()
 
-	var ticker *time.Ticker
 	var tick <-chan time.Time
 	if s.cfg.snapshotEvery > 0 && s.cfg.dataDir != "" {
-		ticker = time.NewTicker(s.cfg.snapshotEvery)
-		tick = ticker.C
+		ticker := time.NewTicker(s.cfg.snapshotEvery)
 		defer ticker.Stop()
+		tick = ticker.C
 	}
 	for {
 		select {
@@ -457,47 +453,42 @@ func (s *server) serve(sig <-chan os.Signal) error {
 		case got := <-sig:
 			fmt.Fprintf(s.cfg.logw, "reportd: %v: draining ingest shards and snapshotting...\n", got)
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			err := s.httpSrv.Shutdown(ctx)
-			cancel()
-			if err != nil {
-				// Shutdown timed out with handlers still running (a slow
-				// client mid-upload): hard-close the connections. A handler
-				// still unwinding can ingest after Close below — that is
+			if err := s.httpSrv.Shutdown(ctx); err != nil {
+				// A slow client mid-upload outlived the timeout: hard-close
+				// its connection; only persistence failures are fatal. A
+				// handler still unwinding can ingest after close below —
 				// defined (counted as a WAL error), not a hazard.
 				fmt.Fprintf(s.cfg.logw, "reportd: graceful shutdown timed out (%v), closing connections\n", err)
 				s.httpSrv.Close()
-				err = nil // mitigated; only persistence failures below are fatal
 			}
-			if s.chaos != nil {
-				s.chaos.Stop()
-			}
-			if s.node != nil {
-				// Cluster shutdown: stop followers (final replica sync),
-				// fsync and close every WAL. The logs are not compacted:
-				// replica followers tail them by sequence number.
-				if cerr := s.node.Close(); err == nil {
-					err = cerr
-				}
-			} else {
-				// Drain, Checkpoint, Close: the next boot decodes one
-				// snapshot per shard and replays nothing.
-				s.pipeline.Drain()
-				if cerr := s.pipeline.Checkpoint(); err == nil {
-					err = cerr
-				}
-				if cerr := s.pipeline.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if got == syscall.SIGTERM {
-				// Post-mortem trail for operator-initiated kills.
-				s.ring.Dump(s.cfg.logw)
-			}
+			cancel()
+			err := s.close()
+			// Post-mortem trail: every event, those below stderr's
+			// warning level included.
+			s.ring.Dump(s.cfg.logw)
 			tot, _ := s.totals()
 			fmt.Fprintf(s.cfg.logw, "reportd: shutdown complete (%d tested, %d proxied)\n", tot.Tested, tot.Proxied)
 			return err
 		}
 	}
+}
+
+// close stops the chaos injector and closes what newServer opened: a
+// node fsyncs and closes its WALs (uncompacted: followers tail them by
+// seq); a pipeline drains, checkpoints and closes, so boot replays none.
+func (s *server) close() error {
+	if s.chaos != nil {
+		s.chaos.Stop()
+	}
+	if s.node != nil {
+		return s.node.Close()
+	}
+	s.pipeline.Drain()
+	err := s.pipeline.Checkpoint()
+	if cerr := s.pipeline.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func main() {
@@ -532,6 +523,18 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 		chaosSpec = fs.String("chaos", "", "fault plan for outbound cluster links, e.g. 'seed=7; name=cut, for=10s, cut=a:b' (endpoints are cluster member IDs; grammar in DESIGN.md §9)")
 	)
 	fs.Parse(args)
+	switch {
+	case *shards < 1:
+		return fatalf("-shards must be at least 1, got %d", *shards)
+	case *batch < 1:
+		return fatalf("-batch must be at least 1, got %d", *batch)
+	case *obsCache < 0:
+		return fatalf("-obs-cache must not be negative (0 disables it), got %d", *obsCache)
+	case *snapEvery < 0:
+		return fatalf("-snapshot-every must not be negative, got %v", *snapEvery)
+	case *snapEvery > 0 && *dataDir == "":
+		return fatalf("-snapshot-every needs -data-dir")
+	}
 
 	refs, err := loadRefs(*selfRef, *host, *refPath, *refDir)
 	if err != nil {
@@ -556,6 +559,7 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 	}
 	side := &telemetry.SideDoor{Ring: srv.ring, Stderr: stderr, Pprof: *pprofA}
 	if err := side.Open(); err != nil {
+		srv.close()
 		return fatalf("%v", err)
 	}
 	defer side.Close()
@@ -564,6 +568,7 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 	}
 	defer telemetry.DumpOnPanic(srv.ring, stderr)
 	if err := srv.start(); err != nil {
+		srv.close()
 		return fatalf("%v", err)
 	}
 	durableNote := ""

@@ -12,10 +12,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"maps"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -422,40 +424,77 @@ func (b *lockedBuffer) String() string {
 	return b.buf.String()
 }
 
+// liveRun is one in-process run of the command, past its listening
+// banner.
+type liveRun struct {
+	addr           string
+	stdout, stderr lockedBuffer
+	stop           chan os.Signal
+	exit           chan int
+}
+
+// startRun runs the command with args and waits for its listening
+// banner.
+func startRun(t *testing.T, args ...string) *liveRun {
+	t.Helper()
+	r := &liveRun{stop: make(chan os.Signal, 1), exit: make(chan int, 1)}
+	go func() { r.exit <- run(args, &r.stdout, &r.stderr, r.stop) }()
+	for deadline := time.Now().Add(30 * time.Second); r.addr == ""; {
+		for _, line := range strings.Split(r.stdout.String(), "\n") {
+			if rest, ok := strings.CutPrefix(line, "reportd: listening on "); ok {
+				r.addr = strings.Fields(rest)[0]
+			}
+		}
+		select {
+		case code := <-r.exit:
+			t.Fatalf("reportd exited %d before listening:\n%s%s", code, r.stdout.String(), r.stderr.String())
+		case <-time.After(5 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no listening banner:\n%s%s", r.stdout.String(), r.stderr.String())
+		}
+	}
+	return r
+}
+
+// sigterm stops the run the way an operator does and wants exit 0 after
+// a complete shutdown.
+func (r *liveRun) sigterm(t *testing.T) {
+	t.Helper()
+	r.stop <- syscall.SIGTERM
+	select {
+	case code := <-r.exit:
+		if code != 0 || !strings.Contains(r.stdout.String(), "shutdown complete") {
+			t.Fatalf("reportd exited %d after SIGTERM:\n%s%s", code, r.stdout.String(), r.stderr.String())
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("reportd did not exit after SIGTERM")
+	}
+}
+
+// writeRef writes the test host's authoritative chain to a PEM file for
+// -reference.
+func writeRef(t *testing.T) (path string, pem []byte) {
+	t.Helper()
+	_, pem = testRefs(t)
+	path = filepath.Join(t.TempDir(), "ref.pem")
+	if err := os.WriteFile(path, pem, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	return path, pem
+}
+
 // TestRunKeepsStudyAcrossRestart runs the command itself twice over one
 // -data-dir: each run exits 0 on its stop signal, and the second serves
 // the first one's reports in its /stats totals.
 func TestRunKeepsStudyAcrossRestart(t *testing.T) {
-	_, pem := testRefs(t)
-	ref := filepath.Join(t.TempDir(), "ref.pem")
-	if err := os.WriteFile(ref, pem, 0o666); err != nil {
-		t.Fatal(err)
-	}
+	ref, pem := writeRef(t)
 	args := []string{"-listen=127.0.0.1:0", "-host=" + testHost, "-reference=" + ref, "-shards=2", "-data-dir=" + t.TempDir()}
 	life := func(reports int, want string) {
 		t.Helper()
-		var stdout, stderr lockedBuffer
-		stop := make(chan os.Signal, 1)
-		exit := make(chan int, 1)
-		go func() { exit <- run(args, &stdout, &stderr, stop) }()
-		var addr string
-		for deadline := time.Now().Add(30 * time.Second); addr == ""; {
-			for _, line := range strings.Split(stdout.String(), "\n") {
-				if rest, ok := strings.CutPrefix(line, "reportd: listening on "); ok {
-					addr = strings.Fields(rest)[0]
-				}
-			}
-			select {
-			case code := <-exit:
-				t.Fatalf("reportd exited %d before listening:\n%s%s", code, stdout.String(), stderr.String())
-			case <-time.After(5 * time.Millisecond):
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("no listening banner:\n%s%s", stdout.String(), stderr.String())
-			}
-		}
-		postReports(t, addr, pem, reports)
-		resp, err := http.Get("http://" + addr + "/stats")
+		r := startRun(t, args...)
+		postReports(t, r.addr, pem, reports)
+		resp, err := http.Get("http://" + r.addr + "/stats")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -465,15 +504,7 @@ func TestRunKeepsStudyAcrossRestart(t *testing.T) {
 		if !strings.Contains(stats.String(), want) {
 			t.Fatalf("/stats = %q, want it to contain %q", stats.String(), want)
 		}
-		stop <- syscall.SIGTERM
-		select {
-		case code := <-exit:
-			if code != 0 || !strings.Contains(stdout.String(), "shutdown complete") {
-				t.Fatalf("reportd exited %d after SIGTERM:\n%s%s", code, stdout.String(), stderr.String())
-			}
-		case <-time.After(15 * time.Second):
-			t.Fatal("reportd did not exit after SIGTERM")
-		}
+		r.sigterm(t)
 	}
 	life(7, "7 tested")
 	life(3, "10 tested")
@@ -482,33 +513,16 @@ func TestRunKeepsStudyAcrossRestart(t *testing.T) {
 // TestRunPprof: -pprof names the port it bound and serves /debug/pprof/
 // there.
 func TestRunPprof(t *testing.T) {
-	_, pem := testRefs(t)
-	ref := filepath.Join(t.TempDir(), "ref.pem")
-	if err := os.WriteFile(ref, pem, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	var stdout, stderr lockedBuffer
-	stop := make(chan os.Signal, 1)
-	exit := make(chan int, 1)
-	go func() {
-		exit <- run([]string{"-listen=127.0.0.1:0", "-host=" + testHost, "-reference=" + ref, "-pprof=127.0.0.1:0"},
-			&stdout, &stderr, stop)
-	}()
+	ref, _ := writeRef(t)
+	r := startRun(t, "-listen=127.0.0.1:0", "-host="+testHost, "-reference="+ref, "-pprof=127.0.0.1:0")
 	var url string
-	for deadline := time.Now().Add(30 * time.Second); url == ""; {
-		for _, line := range strings.Split(stdout.String(), "\n") {
-			if rest, ok := strings.CutPrefix(line, "reportd: pprof on "); ok {
-				url = rest
-			}
+	for _, line := range strings.Split(r.stdout.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "reportd: pprof on "); ok {
+			url = rest
 		}
-		select {
-		case code := <-exit:
-			t.Fatalf("reportd exited %d before its pprof banner:\n%s%s", code, stdout.String(), stderr.String())
-		case <-time.After(5 * time.Millisecond):
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no pprof banner:\n%s%s", stdout.String(), stderr.String())
-		}
+	}
+	if url == "" {
+		t.Fatalf("no pprof banner:\n%s", r.stdout.String())
 	}
 	resp, err := http.Get(url + "cmdline")
 	if err != nil {
@@ -518,13 +532,61 @@ func TestRunPprof(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET %scmdline: %s", url, resp.Status)
 	}
-	stop <- syscall.SIGTERM
-	select {
-	case code := <-exit:
-		if code != 0 {
-			t.Fatalf("reportd exited %d after SIGTERM:\n%s", code, stderr.String())
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("reportd did not exit after SIGTERM")
+	r.sigterm(t)
+}
+
+// TestRunRefusesBadFlags: a value the server cannot honour fails at parse
+// with exit 1 and a message naming the flag, before any storage opens.
+func TestRunRefusesBadFlags(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-shards=0"}, "-shards"},
+		{[]string{"-shards=-3"}, "-shards"},
+		{[]string{"-batch=0"}, "-batch"},
+		{[]string{"-obs-cache=-1"}, "-obs-cache"},
+		{[]string{"-snapshot-every=-1s", "-data-dir=" + dir}, "-snapshot-every"},
+		{[]string{"-snapshot-every=5m"}, "-data-dir"},
+	} {
+		t.Run(tc.args[0], func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			args := append([]string{"-listen=127.0.0.1:0", "-host=" + testHost, "-reference=" + filepath.Join(dir, "absent.pem")}, tc.args...)
+			if code := run(args, &stdout, &stderr, nil); code != 1 || !strings.Contains(stderr.String(), tc.want) {
+				t.Fatalf("exit %d, stderr %q: want exit 1 naming %s", code, stderr.String(), tc.want)
+			}
+		})
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("a refused run touched -data-dir: %v %v", entries, err)
+	}
+}
+
+// TestRunClosesStorageOnBindFailure: a taken -pprof or -listen port
+// fails the run after newServer opened the pipeline and its WALs; run
+// must close them before it returns 1, leaving no goroutine behind.
+func TestRunClosesStorageOnBindFailure(t *testing.T) {
+	ref, _ := writeRef(t)
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	for _, flag := range []string{"-pprof", "-listen"} {
+		t.Run(flag, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			var stdout, stderr bytes.Buffer
+			args := []string{"-listen=127.0.0.1:0", "-host=" + testHost, "-reference=" + ref, "-data-dir=" + t.TempDir(),
+				flag + "=" + taken.Addr().String()}
+			if code := run(args, &stdout, &stderr, nil); code != 1 {
+				t.Fatalf("run exited %d with %s taken, want 1:\n%s%s", code, flag, stdout.String(), stderr.String())
+			}
+			for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines a second after run returned, %d before it", runtime.NumGoroutine(), before)
+				}
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"log/slog"
 	"net/http"
 	"sync"
 	"time"
@@ -79,8 +80,6 @@ type RouteConfig struct {
 	// Registry, when set, exposes the router's accounting as metrics
 	// (route_* gauges mirroring RouteStats).
 	Registry *telemetry.Registry
-	// Logf, when set, receives routing one-liners.
-	Logf func(format string, args ...any)
 }
 
 // RouteClient is a core.Sink (buffered Ingest + Flush) and a
@@ -138,9 +137,6 @@ func NewRouteClient(cfg RouteConfig) (*RouteClient, error) {
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = uint64(time.Now().UnixNano())
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
 	}
 	rc := &RouteClient{
 		cfg:      cfg,
@@ -290,7 +286,7 @@ func (rc *RouteClient) fail(n uint64, err error) {
 	if rc.err == nil {
 		rc.err = err
 	}
-	rc.cfg.Logf("cluster route: %v", err)
+	slog.Warn("route: batch lost", "err", err)
 }
 
 // flushOwnerLocked delivers one owner's buffered batch, handling the
@@ -311,7 +307,7 @@ func (rc *RouteClient) flushOwnerLocked(id string, depth int) {
 	reroute := func(why string) {
 		n := batch.Count()
 		rc.stats.Rerouted += n
-		rc.cfg.Logf("cluster route: rerouting %d measurements away from %s (%s)", n, id, why)
+		slog.Info(fmt.Sprintf("route: rerouting %d measurements (%s)", n, why), "peer", id)
 		for _, r := range batch.Rows {
 			rc.enqueueLocked(batch, r, depth+1)
 		}
@@ -330,7 +326,7 @@ func (rc *RouteClient) flushOwnerLocked(id string, depth int) {
 		// touched the dead node's WAL, so the retry cannot double count.
 		if rc.cfg.Members.MarkDead(id) {
 			rc.stats.DeadMarked++
-			rc.cfg.Logf("cluster route: marked %s dead after %v", id, err)
+			slog.Warn("route: marked dead", "peer", id, "epoch", rc.cfg.Members.Epoch(), "err", err)
 		}
 		reroute("delivery failed")
 	case res.NotOwner:
@@ -357,7 +353,7 @@ func (rc *RouteClient) flushOwnerLocked(id string, depth int) {
 			// straight to the real owner instead of relaying forever.
 			if rc.cfg.Members.MarkDead(id) {
 				rc.stats.DeadMarked++
-				rc.cfg.Logf("cluster route: marked %s dead (relay peer %s owns its arcs)", id, res.Owner)
+				slog.Warn("route: marked dead, relay peer "+res.Owner+" owns its arcs", "peer", id, "epoch", rc.cfg.Members.Epoch())
 			}
 		}
 	}
@@ -402,7 +398,7 @@ func (rc *RouteClient) deliverBatch(member Member, b *core.Batch) (ingest.BatchR
 			continue // this relay path is down too; try the next peer
 		}
 		rc.stats.Relayed++
-		rc.cfg.Logf("cluster route: relayed batch to %s via %s", member.ID, peer.ID)
+		slog.Info("route: relayed batch via "+peer.ID, "peer", member.ID)
 		return res, nil
 	}
 	return ingest.BatchResult{}, directErr

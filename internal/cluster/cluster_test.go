@@ -250,7 +250,7 @@ func TestRouteBatchSizeCapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, err := NewRouteClient(RouteConfig{Members: view, BatchSize: 4 * core.MaxBatchRows, Logf: t.Logf})
+	rc, err := NewRouteClient(RouteConfig{Members: view, BatchSize: 4 * core.MaxBatchRows})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestDeliverErrorIsPerCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, err := NewRouteClient(RouteConfig{Members: view, Logf: t.Logf})
+	rc, err := NewRouteClient(RouteConfig{Members: view})
 	if err != nil {
 		t.Fatal(err)
 	}

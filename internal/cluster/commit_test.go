@@ -10,6 +10,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -17,6 +19,7 @@ import (
 	"runtime/debug"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -126,6 +129,64 @@ func TestTailCompactedDoesNotAdvanceWatermark(t *testing.T) {
 	if got := metricValue(t, reg, "repl_ack_timeouts_total"); got != 2 {
 		t.Fatalf("two batches with only a refused poll counted %v ack timeouts, want 2 (nothing was replicated)", got)
 	}
+}
+
+// TestRefusedTailLoggedOncePerEpisode: a source that keeps refusing the
+// tail gets one record when the refusal starts, not one per poll; once a
+// poll is served, the next refusal is a new episode with its own record.
+func TestRefusedTailLoggedOncePerEpisode(t *testing.T) {
+	ring := captureEvents(t)
+	var polls atomic.Int64
+	var heal atomic.Bool
+	src := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		polls.Add(1)
+		if heal.CompareAndSwap(true, false) {
+			return // one empty stream: the refusal is over
+		}
+		http.Error(w, "from is ahead of the log", http.StatusConflict)
+	}))
+	defer src.Close()
+	n, _, _ := openLonely(t, func(c *Config) {
+		c.Shards, c.PollInterval = 1, time.Millisecond
+		c.Members[1].URL = src.URL // b, whose replica a holds
+	})
+	n.Start()
+	refusals := func(after int64) int {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); polls.Load() < after; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("follower polled %d times, want %d", polls.Load(), after)
+			}
+		}
+		count := 0
+		for _, line := range ring.Events() {
+			if strings.Contains(line, "WARN source refused the tail") && strings.Contains(line, "node=a peer=b shard=0") {
+				count++
+			}
+		}
+		return count
+	}
+	if got := refusals(20); got != 1 {
+		t.Fatalf("%d records for one refusal over 20 polls, want 1:\n%s", got, strings.Join(ring.Events(), "\n"))
+	}
+	heal.Store(true)
+	if got := refusals(polls.Load() + 20); got != 2 {
+		t.Fatalf("%d records for two refusals, want 2:\n%s", got, strings.Join(ring.Events(), "\n"))
+	}
+}
+
+// captureEvents installs a fresh event ring as the default slog logger
+// until the test ends.
+func captureEvents(t testing.TB) *telemetry.EventRing {
+	ring := telemetry.NewEventRing(0)
+	prev, w, flags := slog.Default(), log.Writer(), log.Flags()
+	slog.SetDefault(slog.New(ring))
+	t.Cleanup(func() {
+		slog.SetDefault(prev) // which alone leaves the log package writing into ring
+		log.SetOutput(w)
+		log.SetFlags(flags)
+	})
+	return ring
 }
 
 // tailStatus answers one /repl/tail GET's status code.
@@ -436,7 +497,6 @@ func BenchmarkIngestBatchReplicated(b *testing.B) {
 	tc := startTestCluster(b, []string{"a", "b"}, func(c *Config) {
 		c.Shards, c.SegmentBytes = 4, 0
 		c.PollInterval, c.LongPoll = 0, 0 // reportd's defaults
-		c.Logf = nil
 	})
 	a := tc.nodes["a"]
 	batch := testMeasurements(512, 1)

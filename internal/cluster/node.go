@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"path/filepath"
 	"strconv"
@@ -58,8 +59,6 @@ type Config struct {
 	// link may take as long as it keeps moving, while a stalled link fails at
 	// the idle deadline.
 	HTTPClient *http.Client
-	// Logf, when set, receives operational one-liners.
-	Logf func(format string, args ...any)
 }
 
 func (c Config) withDefaults() Config {
@@ -84,9 +83,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Registry == nil {
 		c.Registry = telemetry.NewRegistry()
-	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
 	}
 	return c
 }
@@ -342,8 +338,8 @@ func Open(cfg Config) (*Node, error) {
 		sh.lastSeq.advance(e.Log.NextSeq() - 1)
 		n.shards = append(n.shards, sh)
 		if info := infos[i]; info.Replayed > 0 || info.SnapshotSeq > 0 {
-			cfg.Logf("cluster %s: shard %d recovered through seq %d (snapshot %d, %d replayed)",
-				cfg.ID, i, info.LastSeq, info.SnapshotSeq, info.Replayed)
+			slog.Info(fmt.Sprintf("shard recovered (snapshot %d, %d replayed)", info.SnapshotSeq, info.Replayed),
+				"node", cfg.ID, "shard", i, "seq", info.LastSeq)
 		}
 	}
 	if peer, ok := members.ReplicaTarget(cfg.ID); ok {
@@ -588,7 +584,7 @@ func (n *Node) replicaWaitable() bool {
 func (n *Node) Drain() {
 	n.draining.Store(true)
 	n.members.MarkDraining(n.self.ID)
-	n.cfg.Logf("cluster %s: draining", n.self.ID)
+	slog.Info("draining", "node", n.self.ID)
 }
 
 // Kill emulates SIGKILL for the in-process crash tests: it waits out
@@ -681,7 +677,7 @@ func (n *Node) RecoverReplica(sourceID string) (*store.DB, error) {
 			return nil, err
 		}
 		if info.DroppedTail {
-			n.cfg.Logf("cluster %s: replica of %s shard %d dropped tail: %s", n.self.ID, sourceID, f.shardIdx, info.Reason)
+			slog.Warn("replica dropped its damaged tail", "node", n.self.ID, "peer", sourceID, "shard", f.shardIdx, "err", info.Reason)
 		}
 		dbs = append(dbs, db)
 	}
@@ -773,7 +769,7 @@ func (n *Node) Handler() http.Handler {
 		// drainer no longer owns arcs, or routed batches ping-pong between
 		// the drainer's verdict and the peers' stale rings.
 		if n.members.MarkDraining(id) {
-			n.cfg.Logf("cluster %s: marked %s draining (epoch %d)", n.self.ID, id, n.members.Epoch())
+			slog.Info("marked draining", "node", n.self.ID, "peer", id, "epoch", n.members.Epoch())
 		}
 		w.WriteHeader(http.StatusOK)
 	})
@@ -788,7 +784,7 @@ func (n *Node) Handler() http.Handler {
 			return
 		}
 		if n.members.MarkDead(id) {
-			n.cfg.Logf("cluster %s: marked %s dead (epoch %d)", n.self.ID, id, n.members.Epoch())
+			slog.Warn("marked dead", "node", n.self.ID, "peer", id, "epoch", n.members.Epoch())
 		}
 		w.WriteHeader(http.StatusOK)
 	})
@@ -870,7 +866,7 @@ func (n *Node) handleTail(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// Mid-stream failure: the connection carries a truncated stream,
 		// which the follower treats as a cut and re-polls.
-		n.cfg.Logf("cluster %s: tail shard %d from %d: %v", n.self.ID, si, from, err)
+		slog.Info("tail stream cut", "node", n.self.ID, "shard", si, "seq", from, "err", err)
 		return
 	}
 	n.met.framesServed.Add(uint64(sent))

@@ -59,7 +59,6 @@ func startTestCluster(t testing.TB, ids []string, tweak func(*Config)) *testClus
 			PollInterval: 2 * time.Millisecond,
 			LongPoll:     20 * time.Millisecond,
 			Registry:     reg,
-			Logf:         t.Logf,
 		}
 		if tweak != nil {
 			tweak(&cfg)
@@ -102,7 +101,7 @@ func (tc *testCluster) route(batch int) *RouteClient {
 	if err != nil {
 		tc.t.Fatal(err)
 	}
-	rc, err := NewRouteClient(RouteConfig{Members: view, BatchSize: batch, RetryDelay: time.Millisecond, Logf: tc.t.Logf})
+	rc, err := NewRouteClient(RouteConfig{Members: view, BatchSize: batch, RetryDelay: time.Millisecond})
 	if err != nil {
 		tc.t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"log/slog"
 	"net/http"
 	"time"
 
@@ -25,6 +26,7 @@ type follower struct {
 	dir      string
 	log      *durable.Log
 	done     chan struct{}
+	refused  bool // the source refuses the tail: logged once per refusal, not per poll
 }
 
 func (f *follower) run() {
@@ -40,8 +42,7 @@ func (f *follower) run() {
 		if !ok || src.State == Dead {
 			// The source is gone; the replica now IS the shard. Seal it.
 			f.exitSync()
-			f.n.cfg.Logf("cluster %s: follower of %s shard %d stopped (source dead) at seq %d",
-				f.n.self.ID, f.source, f.shardIdx, f.log.NextSeq()-1)
+			slog.Info("follower stopped: source dead", "node", f.n.self.ID, "peer", f.source, "shard", f.shardIdx, "seq", f.log.NextSeq()-1)
 			return
 		}
 		applied, err := f.pollOnce(src.URL)
@@ -87,14 +88,17 @@ func (f *follower) pollOnce(baseURL string) (applied int, err error) {
 		// The source cannot stream from our position: it is behind us (a
 		// wiped or replaced source directory) or compacted past us.
 		// Replicating would corrupt the watermark contract, so keep the
-		// replica intact and keep complaining.
-		f.n.cfg.Logf("cluster %s: follower of %s shard %d: source refused the tail (operator intervention needed)",
-			f.n.self.ID, f.source, f.shardIdx)
+		// replica intact and keep asking.
+		if !f.refused {
+			f.refused = true
+			slog.Warn("source refused the tail (operator intervention needed)", "node", f.n.self.ID, "peer", f.source, "shard", f.shardIdx, "seq", f.log.NextSeq())
+		}
 		return 0, fmt.Errorf("cluster: source refused the tail")
 	}
 	if resp.StatusCode != http.StatusOK {
 		return 0, fmt.Errorf("cluster: tail %s: HTTP %d", url, resp.StatusCode)
 	}
+	f.refused = false
 	applied, err = f.log.AppendTail(resp.Body)
 	if err != nil {
 		// Torn or corrupt stream: keep the applied prefix, re-poll from

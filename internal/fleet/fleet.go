@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"strings"
@@ -42,20 +43,12 @@ type Orchestrator struct {
 	HTTP *http.Client
 	// Scorer turns each member's health samples into a verdict.
 	Scorer *cluster.Scorer
-	// Logf, when set, receives operational one-liners.
-	Logf func(format string, args ...any)
 
 	mu      sync.Mutex
 	pending []mark
 	// prevMetrics holds each node's last-scraped degradation counters so
 	// health samples carry deltas, not lifetime totals.
 	prevMetrics map[string]map[string]float64
-}
-
-func (o *Orchestrator) logf(format string, args ...any) {
-	if o.Logf != nil {
-		o.Logf(format, args...)
-	}
 }
 
 // post fires one control POST, returning any transport or status error.
@@ -86,7 +79,8 @@ func (o *Orchestrator) enqueueMark(m mark) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if len(o.pending) >= maxPendingMarks {
-		o.logf("mark queue full; dropping oldest (%s %s -> %s)", o.pending[0].kind, o.pending[0].subject, o.pending[0].peer)
+		old := o.pending[0]
+		slog.Warn("mark queue full; dropped the oldest "+old.kind+"-mark", "node", old.subject, "peer", old.peer)
 		o.pending = o.pending[1:]
 	}
 	o.pending = append(o.pending, m)
@@ -107,7 +101,7 @@ func (o *Orchestrator) broadcastMark(kind, subject string) {
 		mk := mark{kind: kind, subject: subject, peer: m.ID}
 		url, _ := o.markURL(mk)
 		if err := o.post(url); err != nil {
-			o.logf("peer %s missed %s-mark of %s (%v); queued for re-broadcast", m.ID, kind, subject, err)
+			slog.Info(kind+"-mark missed; queued for re-broadcast", "node", subject, "peer", m.ID, "err", err)
 			o.enqueueMark(mk)
 		}
 	}
@@ -133,7 +127,7 @@ func (o *Orchestrator) RedeliverMarks() {
 			o.enqueueMark(mk)
 			continue
 		}
-		o.logf("re-broadcast %s-mark of %s delivered to %s", mk.kind, mk.subject, mk.peer)
+		slog.Info("re-broadcast "+mk.kind+"-mark delivered", "node", mk.subject, "peer", mk.peer)
 	}
 }
 
@@ -142,7 +136,7 @@ func (o *Orchestrator) RedeliverMarks() {
 func (o *Orchestrator) DeclareDead(id string) {
 	o.Members.MarkDead(id)
 	o.broadcastMark("dead", id)
-	o.logf("node %s declared dead to the fleet", id)
+	slog.Warn("declared dead to the fleet", "node", id, "epoch", o.Members.Epoch())
 }
 
 // Drain drains id: the broadcast first, then the node itself. In that
@@ -162,7 +156,7 @@ func (o *Orchestrator) Drain(id string) error {
 	if err := o.post(m.URL + "/cluster/drain"); err != nil {
 		return fmt.Errorf("fleet: drain of %s: %w", id, err)
 	}
-	o.logf("node %s draining", id)
+	slog.Info("drain requested", "node", id, "epoch", o.Members.Epoch())
 	return nil
 }
 
@@ -242,7 +236,7 @@ func (o *Orchestrator) HealthRound() {
 		was := o.Scorer.Verdict(m.ID)
 		verdict := o.Scorer.Observe(m.ID, smp)
 		if verdict != was {
-			o.logf("node %s: %s -> %s (score %.2f)", m.ID, was, verdict, o.Scorer.Score(m.ID))
+			slog.Info(fmt.Sprintf("health %s -> %s (score %.2f)", was, verdict, o.Scorer.Score(m.ID)), "node", m.ID)
 		}
 		if verdict == cluster.DeadVerdict {
 			o.DeclareDead(m.ID)
@@ -340,7 +334,7 @@ func (o *Orchestrator) Merge() (*store.DB, error) {
 			return nil, fmt.Errorf("snapshot from %s: %w", m.ID, err)
 		}
 		dbs = append(dbs, db)
-		o.logf("node %s: %d tested, %d proxied", m.ID, db.Totals().Tested, db.Totals().Proxied)
+		slog.Info(fmt.Sprintf("merged %d tested, %d proxied", db.Totals().Tested, db.Totals().Proxied), "node", m.ID)
 	}
 	for _, id := range dead {
 		attempts := make([]func(context.Context) (*store.DB, error), 0, len(serving))
@@ -348,8 +342,8 @@ func (o *Orchestrator) Merge() (*store.DB, error) {
 			attempts = append(attempts, func(ctx context.Context) (*store.DB, error) {
 				db, err := o.fetchSnapshot(ctx, m.URL+"/cluster/replica?node="+id)
 				if err == nil {
-					o.logf("node %s (dead): recovered from %s's replica: %d tested, %d proxied",
-						id, m.ID, db.Totals().Tested, db.Totals().Proxied)
+					slog.Info(fmt.Sprintf("dead node recovered from replica: %d tested, %d proxied", db.Totals().Tested, db.Totals().Proxied),
+						"node", id, "peer", m.ID)
 				}
 				return db, err
 			})

@@ -118,7 +118,6 @@ func newOrchestrator(t *testing.T, members []cluster.Member) *Orchestrator {
 		Members: view,
 		HTTP:    &http.Client{Timeout: 10 * time.Second},
 		Scorer:  cluster.NewScorer(cluster.SuspicionConfig{}),
-		Logf:    t.Logf,
 	}
 }
 

@@ -145,7 +145,10 @@ func TestSplitTimeoutClientSurvivesDrip(t *testing.T) {
 	stall := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, "head")
 		w.(http.Flusher).Flush()
-		time.Sleep(2 * time.Second) // well past idle
+		select { // well past idle, unless the client hangs up first
+		case <-r.Context().Done():
+		case <-time.After(2 * time.Second):
+		}
 	}))
 	defer stall.Close()
 	start := time.Now()
