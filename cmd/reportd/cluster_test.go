@@ -30,6 +30,7 @@ import (
 	"tlsfof/internal/resilient"
 	"tlsfof/internal/store"
 	"tlsfof/internal/study"
+	"tlsfof/internal/telemetry"
 	"tlsfof/internal/x509util"
 )
 
@@ -140,7 +141,7 @@ func TestClusterModeMixedHostReports(t *testing.T) {
 			refs:         refs,
 			clusterID:    m.ID,
 			clusterPeers: strings.Join(peers, ","),
-		})
+		}, telemetry.NewEventRing(0))
 		if err != nil {
 			t.Fatal(err)
 		}

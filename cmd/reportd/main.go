@@ -9,17 +9,17 @@
 //	reportd -listen=:8080 -refdir=refs/   # one <host>.pem per file
 //
 // Measurements flow through the sharded ingest pipeline (internal/ingest):
-// -shards partitions the store, -batch sets the per-shard commit size, and
-// clients may stream many reports per connection to /ingest/batch in the
-// compact binary wire format instead of one concatenated-PEM POST per
+// -shards partitions the store, each request commits before it is acked,
+// and clients may stream many reports per connection to /ingest/batch in
+// the compact binary wire format instead of one concatenated-PEM POST per
 // report to /report.
 //
 // With -data-dir the pipeline is durable (DESIGN.md §10): every accepted
-// measurement is written ahead to a per-shard WAL, -snapshot-every folds
-// the WAL into compact snapshots on a timer, boot recovers whatever a
-// previous process persisted, and SIGTERM/SIGINT shut down gracefully —
-// stop accepting, commit the pending reports, checkpoint every WAL into
-// its snapshot, and close it — so a restart never forfeits the collected
+// measurement is appended to a per-shard WAL before its ack,
+// -snapshot-every folds the WAL into compact snapshots on a timer, boot
+// recovers whatever a previous process persisted, and SIGTERM/SIGINT
+// shut down gracefully — stop accepting, checkpoint every WAL into its
+// snapshot, and close it — so a restart never forfeits the collected
 // study.
 //
 // With -cluster-id and -cluster-peers the shards are a cluster.Node's
@@ -72,7 +72,6 @@ type serverConfig struct {
 	listen        string
 	campaign      string
 	shards        int
-	batch         int
 	obsCache      int
 	dataDir       string
 	snapshotEvery time.Duration
@@ -107,13 +106,13 @@ type server struct {
 	col      *core.Collector
 	httpSrv  *http.Server
 	ln       net.Listener
-	recovery []durable.Info
 	started  time.Time
 
 	// The telemetry plane: stage histograms and probe traces from the
 	// decode → observe → queue → WAL → store path, every other number
-	// /metrics serves (see mountMetrics), and a structured-event ring
-	// dumped at shutdown.
+	// /metrics serves (see mountMetrics), and the structured-event ring
+	// dumped at shutdown (run installs it before storage opens, so it
+	// holds the boot's recovery records).
 	reg    *telemetry.Registry
 	tracer *telemetry.Tracer
 	ring   *telemetry.EventRing
@@ -129,7 +128,7 @@ type server struct {
 	audits *store.AuditStore
 }
 
-func newServer(cfg serverConfig) (*server, error) {
+func newServer(cfg serverConfig, ring *telemetry.EventRing) (*server, error) {
 	if cfg.logw == nil {
 		cfg.logw = io.Discard
 	}
@@ -142,7 +141,6 @@ func newServer(cfg serverConfig) (*server, error) {
 	var node *cluster.Node
 	var shards []*durable.Shard
 	var chaos *faultnet.Injector
-	var recovery []durable.Info
 	var sink core.Sink
 	if cfg.clusterID != "" {
 		if cfg.dataDir == "" {
@@ -202,13 +200,13 @@ func newServer(cfg serverConfig) (*server, error) {
 		}
 		sink, shards = route, node.Shards()
 	} else {
+		var recovery []durable.Info
 		var err error
-		pipeline, recovery, err = ingest.OpenPipeline(ingest.Config{
-			Shards: cfg.shards, BatchSize: cfg.batch, Tracer: tracer, WALDir: cfg.dataDir,
-		})
+		pipeline, recovery, err = ingest.OpenPipeline(ingest.Config{Shards: cfg.shards, Tracer: tracer, WALDir: cfg.dataDir})
 		if err != nil {
 			return nil, err
 		}
+		durable.LogRecovery(recovery)
 		pipeline.MountMetrics(reg)
 		sink, shards = pipeline, pipeline.Shards()
 	}
@@ -226,40 +224,18 @@ func newServer(cfg serverConfig) (*server, error) {
 		fmt.Fprintf(cfg.logw, "reportd: registered authoritative chain for %s (%d certs)\n", ref.host, len(ref.chain))
 	}
 	s := &server{
-		cfg: cfg, pipeline: pipeline, node: node, shards: shards, col: col, recovery: recovery, started: time.Now(),
-		reg: reg, tracer: tracer, ring: telemetry.NewEventRing(0), chaos: chaos,
+		cfg: cfg, pipeline: pipeline, node: node, shards: shards, col: col, started: time.Now(),
+		reg: reg, tracer: tracer, ring: ring, chaos: chaos,
 		audits: store.NewAuditStore(),
 	}
 	s.mountMetrics()
-	for i, info := range recovery {
-		if info.LastSeq > 0 || info.DroppedTail {
-			fmt.Fprintf(cfg.logw, "reportd: shard %d recovered %d measurements (snapshot seq %d, %d replayed)%s\n",
-				i, info.LastSeq, info.SnapshotSeq, info.Replayed, recoveryNote(info))
-		}
-	}
 	s.httpSrv = &http.Server{Handler: s.mux()}
 	return s, nil
-}
-
-func recoveryNote(info durable.Info) string {
-	if info.DroppedTail {
-		return " [dropped damaged tail: " + info.Reason + "]"
-	}
-	return ""
-}
-
-// commitPending makes every already-POSTed report visible in the shard
-// stores. Only the pipeline buffers; a cluster commit is synchronous.
-func (s *server) commitPending() {
-	if s.pipeline != nil {
-		s.pipeline.Drain()
-	}
 }
 
 // snapshot folds the live shards into one queryable DB. It is
 // O(retained records) — export-path only.
 func (s *server) snapshot() *store.DB {
-	s.commitPending()
 	dbs := make([]*store.DB, len(s.shards))
 	for i, sh := range s.shards {
 		dbs[i] = sh.DB
@@ -286,7 +262,6 @@ func (s *server) totals() (tot store.Agg, countries int) {
 
 // summary answers /stats.
 func (s *server) summary() string {
-	s.commitPending()
 	tot, countries := s.totals()
 	return fmt.Sprintf("store: %d tested, %d proxied (%.2f%%), %d countries",
 		tot.Tested, tot.Proxied, 100*tot.Rate(), countries)
@@ -425,10 +400,8 @@ func (s *server) start() error {
 func (s *server) addr() string { return s.ln.Addr().String() }
 
 // serve runs the HTTP server and the snapshot timer until a signal
-// arrives, then shuts down gracefully: stop accepting, commit what is
-// pending, checkpoint every WAL into its snapshot, and close the WALs
-// (final fsync) — the fix for the old behavior of dying mid-flush and
-// forfeiting buffered reports.
+// arrives, then shuts down gracefully: stop accepting, checkpoint every
+// WAL into its snapshot, and close the WALs (final fsync).
 func (s *server) serve(sig <-chan os.Signal) error {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- s.httpSrv.Serve(s.ln) }()
@@ -451,7 +424,7 @@ func (s *server) serve(sig <-chan os.Signal) error {
 			}
 			return err
 		case got := <-sig:
-			fmt.Fprintf(s.cfg.logw, "reportd: %v: draining ingest shards and snapshotting...\n", got)
+			fmt.Fprintf(s.cfg.logw, "reportd: %v: shutting down...\n", got)
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			if err := s.httpSrv.Shutdown(ctx); err != nil {
 				// A slow client mid-upload outlived the timeout: hard-close
@@ -475,7 +448,7 @@ func (s *server) serve(sig <-chan os.Signal) error {
 
 // close stops the chaos injector and closes what newServer opened: a
 // node fsyncs and closes its WALs (uncompacted: followers tail them by
-// seq); a pipeline drains, checkpoints and closes, so boot replays none.
+// seq); a pipeline checkpoints and closes, so boot replays none.
 func (s *server) close() error {
 	if s.chaos != nil {
 		s.chaos.Stop()
@@ -483,7 +456,6 @@ func (s *server) close() error {
 	if s.node != nil {
 		return s.node.Close()
 	}
-	s.pipeline.Drain()
 	err := s.pipeline.Checkpoint()
 	if cerr := s.pipeline.Close(); err == nil {
 		err = cerr
@@ -512,7 +484,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 		refDir    = fs.String("refdir", "", "directory of <host>.pem authoritative chains")
 		campaign  = fs.String("campaign", "manual", "campaign label stamped onto measurements")
 		shards    = fs.Int("shards", 4, "ingest pipeline shards (1 = single store)")
-		batch     = fs.Int("batch", ingest.DefaultBatchSize, "measurements buffered per shard before they commit (WAL append + store apply)")
 		obsCache  = fs.Int("obs-cache", chaincache.DefaultCap, "observation cache capacity in distinct (host, chain) pairs (0 disables)")
 		dataDir   = fs.String("data-dir", "", "durable per-shard WAL + snapshot directory (recovered on boot; graceful shutdown snapshots)")
 		snapEvery = fs.Duration("snapshot-every", 0, "checkpoint the WALs on this cadence (e.g. 5m; 0 = only at shutdown; with -data-dir, not in cluster mode)")
@@ -526,8 +497,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 	switch {
 	case *shards < 1:
 		return fatalf("-shards must be at least 1, got %d", *shards)
-	case *batch < 1:
-		return fatalf("-batch must be at least 1, got %d", *batch)
 	case *obsCache < 0:
 		return fatalf("-obs-cache must not be negative (0 disables it), got %d", *obsCache)
 	case *snapEvery < 0:
@@ -540,11 +509,22 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 	if err != nil {
 		return fatalf("%v", err)
 	}
+	// The side door opens before storage does, so the records a boot
+	// files while it recovers its shards reach the ring.
+	ring := telemetry.NewEventRing(0)
+	side := &telemetry.SideDoor{Ring: ring, Stderr: stderr, Pprof: *pprofA}
+	if err := side.Open(); err != nil {
+		return fatalf("%v", err)
+	}
+	defer side.Close()
+	if side.Pprof != "" {
+		fmt.Fprintf(stdout, "reportd: pprof on http://%s/debug/pprof/\n", side.Pprof)
+	}
+	defer telemetry.DumpOnPanic(ring, stderr)
 	srv, err := newServer(serverConfig{
 		listen:        *listen,
 		campaign:      *campaign,
 		shards:        *shards,
-		batch:         *batch,
 		obsCache:      *obsCache,
 		dataDir:       *dataDir,
 		snapshotEvery: *snapEvery,
@@ -553,20 +533,10 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 		clusterID:     *clusterID,
 		clusterPeers:  *clusterPs,
 		chaosSpec:     *chaosSpec,
-	})
+	}, ring)
 	if err != nil {
 		return fatalf("%v", err)
 	}
-	side := &telemetry.SideDoor{Ring: srv.ring, Stderr: stderr, Pprof: *pprofA}
-	if err := side.Open(); err != nil {
-		srv.close()
-		return fatalf("%v", err)
-	}
-	defer side.Close()
-	if side.Pprof != "" {
-		fmt.Fprintf(stdout, "reportd: pprof on http://%s/debug/pprof/\n", side.Pprof)
-	}
-	defer telemetry.DumpOnPanic(srv.ring, stderr)
 	if err := srv.start(); err != nil {
 		srv.close()
 		return fatalf("%v", err)

@@ -1,11 +1,10 @@
 package main
 
-// Regression: reportd used to die on SIGTERM with reports still sitting
-// in the ingest pipeline's pending batches — everything not yet flushed
-// (and, pre-durability, everything ever collected) was forfeited. The
-// graceful path must drain every shard, checkpoint the WALs into their
-// snapshots and close them, so a recovery over the data directory sees
-// every report the server ever accepted.
+// Regression: reportd used to die on SIGTERM with acked reports not yet
+// on disk — pre-durability, everything ever collected was forfeited. The
+// graceful path must checkpoint the WALs into their snapshots and close
+// them, so a recovery over the data directory sees every report the
+// server ever accepted.
 
 import (
 	"bytes"
@@ -28,8 +27,10 @@ import (
 	"tlsfof/internal/certgen"
 	"tlsfof/internal/durable"
 	"tlsfof/internal/hostdb"
+	"tlsfof/internal/ingest"
 	"tlsfof/internal/store"
 	"tlsfof/internal/study"
+	"tlsfof/internal/telemetry"
 	"tlsfof/internal/x509util"
 )
 
@@ -45,17 +46,16 @@ func testRefs(t *testing.T) ([]hostChain, []byte) {
 	return []hostChain{{host: testHost, chain: chain}}, x509util.EncodeChainPEM(chain)
 }
 
-func startTestServer(t *testing.T, dataDir string, shards, batch int) (*server, chan os.Signal, chan error) {
+func startTestServer(t *testing.T, dataDir string, shards int) (*server, chan os.Signal, chan error) {
 	t.Helper()
 	refs, _ := testRefs(t)
 	srv, err := newServer(serverConfig{
 		listen:   "127.0.0.1:0",
 		campaign: "sigterm-test",
 		shards:   shards,
-		batch:    batch,
 		dataDir:  dataDir,
 		refs:     refs,
-	})
+	}, telemetry.NewEventRing(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,10 +102,7 @@ func recoverDataDir(t *testing.T, dir string, shards int) *store.DB {
 func TestSIGTERMDrainsAndSnapshots(t *testing.T) {
 	const shards, reports = 3, 25
 	dir := t.TempDir()
-	// Batch size far above the report count: every report sits in a
-	// pending buffer, never auto-flushed — exactly the mid-flush state
-	// the old server forfeited on SIGTERM.
-	srv, sig, done := startTestServer(t, dir, shards, 512)
+	srv, sig, done := startTestServer(t, dir, shards)
 	_, pem := testRefs(t)
 	postReports(t, srv.addr(), pem, reports)
 
@@ -155,7 +152,7 @@ func TestSIGTERMDrainsAndSnapshots(t *testing.T) {
 
 func TestAuditIngestAndTables(t *testing.T) {
 	dir := t.TempDir()
-	srv, sig, done := startTestServer(t, dir, 1, 1)
+	srv, sig, done := startTestServer(t, dir, 1)
 	defer func() {
 		sig <- syscall.SIGTERM
 		if err := <-done; err != nil {
@@ -253,7 +250,7 @@ func TestNewServerRefusesClusterMisconfig(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.refs = unreadRefs
-			srv, err := newServer(tc.cfg)
+			srv, err := newServer(tc.cfg, telemetry.NewEventRing(0))
 			if err == nil {
 				srv.node.Close()
 				t.Fatal("newServer accepted the configuration")
@@ -304,7 +301,7 @@ func TestBannerListsModeEndpoints(t *testing.T) {
 // requests in-process, and cleanup closes the storage mount.
 func bootServer(t *testing.T, cfg serverConfig) *server {
 	t.Helper()
-	srv, err := newServer(cfg)
+	srv, err := newServer(cfg, telemetry.NewEventRing(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +328,7 @@ func TestMetricsOneNamePerNumber(t *testing.T) {
 		cfg  serverConfig
 		want []string
 	}{
-		{"single-node", serverConfig{dataDir: t.TempDir()}, slices.Concat(wal, []string{"ingest_enqueued_total"})},
+		{"single-node", serverConfig{dataDir: t.TempDir()}, slices.Concat(wal, []string{"ingest_ingested_total"})},
 		{"cluster", serverConfig{clusterID: "solo", clusterPeers: "solo=http://" + reserveAddr(t), dataDir: t.TempDir(),
 			chaosSpec: "seed=7, name=calm; name=healed"}, slices.Concat(wal, []string{"cluster_members_alive", "chaos_phase", "chaos_flaps_total", "faultnet_conns_total"})},
 	} {
@@ -374,7 +371,7 @@ func TestMetricsOneNamePerNumber(t *testing.T) {
 func TestBootRecoversPreviousProcess(t *testing.T) {
 	const shards = 2
 	dir := t.TempDir()
-	srv, sig, done := startTestServer(t, dir, shards, 512)
+	srv, sig, done := startTestServer(t, dir, shards)
 	_, pem := testRefs(t)
 	postReports(t, srv.addr(), pem, 10)
 	sig <- syscall.SIGTERM
@@ -384,7 +381,7 @@ func TestBootRecoversPreviousProcess(t *testing.T) {
 
 	// Second process over the same directory starts with the study
 	// intact and keeps counting from there.
-	srv2, sig2, done2 := startTestServer(t, dir, shards, 1)
+	srv2, sig2, done2 := startTestServer(t, dir, shards)
 	postReports(t, srv2.addr(), pem, 5)
 	resp, err := http.Get("http://" + srv2.addr() + "/stats")
 	if err != nil {
@@ -545,7 +542,6 @@ func TestRunRefusesBadFlags(t *testing.T) {
 	}{
 		{[]string{"-shards=0"}, "-shards"},
 		{[]string{"-shards=-3"}, "-shards"},
-		{[]string{"-batch=0"}, "-batch"},
 		{[]string{"-obs-cache=-1"}, "-obs-cache"},
 		{[]string{"-snapshot-every=-1s", "-data-dir=" + dir}, "-snapshot-every"},
 		{[]string{"-snapshot-every=5m"}, "-data-dir"},
@@ -588,5 +584,70 @@ func TestRunClosesStorageOnBindFailure(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRunDumpsShardRecovery: a reboot on a -data-dir files one "shard
+// recovered" record per shard it recovered, in both modes, and those
+// records reach the shutdown dump — the event ring is installed before
+// storage opens.
+func TestRunDumpsShardRecovery(t *testing.T) {
+	ref, pem := writeRef(t)
+	for _, tc := range []struct {
+		name string
+		args func() []string
+		want string
+	}{
+		{"single-node", func() []string { return []string{"-listen=127.0.0.1:0"} }, "INFO shard recovered (snapshot "},
+		{"cluster", func() []string {
+			a := reserveAddr(t)
+			return []string{"-listen=" + a, "-cluster-id=a", "-cluster-peers=a=http://" + a}
+		}, "INFO shard recovered (snapshot 0, "},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			args := append(tc.args(), "-host="+testHost, "-reference="+ref, "-shards=1", "-data-dir="+t.TempDir())
+			r := startRun(t, args...)
+			postReports(t, r.addr, pem, 3)
+			r.sigterm(t)
+
+			r = startRun(t, args...)
+			r.sigterm(t)
+			_, dump, _ := strings.Cut(r.stdout.String(), "--- telemetry event ring")
+			var recovered bool
+			for _, line := range strings.Split(dump, "\n") {
+				recovered = recovered || strings.Contains(line, tc.want) && strings.Contains(line, " shard=0 seq=")
+			}
+			if !recovered {
+				t.Fatalf("the reboot's dump holds no shard recovery record:\n%s", r.stdout.String())
+			}
+		})
+	}
+}
+
+// TestAckedBatchIsAppended: a single-node server appends an
+// /ingest/batch request to its shard WALs before it acks, so a read-only
+// recovery of the data directory finds the report while the server is
+// still running — no shutdown, drain or close in between. Only the WAL's
+// syncer stands between the append and the disk.
+func TestAckedBatchIsAppended(t *testing.T) {
+	const shards = 2
+	ref, _ := writeRef(t)
+	refs, _ := testRefs(t)
+	dir := t.TempDir()
+	r := startRun(t, "-listen=127.0.0.1:0", "-host="+testHost, "-reference="+ref,
+		fmt.Sprintf("-shards=%d", shards), "-data-dir="+dir)
+	defer r.sigterm(t)
+	body, err := ingest.AppendReports(nil, []ingest.Report{{Host: testHost, ChainDER: refs[0].chain}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, status, err := ingest.PostBatch(http.DefaultClient, "http://"+r.addr+"/ingest/batch", body)
+	if err != nil || status != http.StatusOK || res.Accepted != 1 {
+		t.Fatalf("post: status %d, verdict %+v, err %v", status, res, err)
+	}
+	for deadline := time.Now().Add(time.Second); recoverDataDir(t, dir, shards).Totals().Tested != 1; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the acked report is not in the WAL a second after its ack")
+		}
 	}
 }

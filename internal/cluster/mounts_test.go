@@ -49,7 +49,7 @@ var shardMounts = []shardMount{
 		name: "pipeline",
 		root: func(dir string) string { return dir },
 		open: func(t *testing.T, dir string, shards int) (mounted, error) {
-			pl, _, err := ingest.OpenPipeline(ingest.Config{Shards: shards, BatchSize: 16, WALDir: dir})
+			pl, _, err := ingest.OpenPipeline(ingest.Config{Shards: shards, WALDir: dir})
 			if err != nil {
 				return mounted{}, err
 			}
@@ -62,7 +62,6 @@ var shardMounts = []shardMount{
 				// once its log's background syncer has flushed it. Wait until
 				// the directory alone replays every committed frame.
 				settle: func() {
-					pl.Drain()
 					deadline := time.Now().Add(10 * time.Second)
 					for i, st := range pl.WALStats() {
 						for {
@@ -81,7 +80,7 @@ var shardMounts = []shardMount{
 					}
 				},
 				abandon:   func() {},
-				canonical: func() []byte { pl.Drain(); return pl.Merge(0).AppendSnapshot(nil) },
+				canonical: func() []byte { return pl.Merge(0).AppendSnapshot(nil) },
 				close:     pl.Close,
 			}, nil
 		},

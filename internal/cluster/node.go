@@ -333,15 +333,12 @@ func Open(cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, e := range engines {
+	for _, e := range engines {
 		sh := &shard{Shard: e}
 		sh.lastSeq.advance(e.Log.NextSeq() - 1)
 		n.shards = append(n.shards, sh)
-		if info := infos[i]; info.Replayed > 0 || info.SnapshotSeq > 0 {
-			slog.Info(fmt.Sprintf("shard recovered (snapshot %d, %d replayed)", info.SnapshotSeq, info.Replayed),
-				"node", cfg.ID, "shard", i, "seq", info.LastSeq)
-		}
 	}
+	durable.LogRecovery(infos, "node", cfg.ID)
 	if peer, ok := members.ReplicaTarget(cfg.ID); ok {
 		n.replicaPeer = peer.ID
 	}

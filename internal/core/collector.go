@@ -106,10 +106,8 @@ func (c *Collector) snapshot() map[string][][]byte {
 // BatchCommitter is the batch side of a Sink: storage that takes a whole
 // request's batch in one call and says whether that failed. The HTTP
 // intake (ServeHTTP, ingest.BatchHandler) acks a request only after
-// Deliver returns nil. On the cluster router that means committed; the
-// pipeline only fills its shards' pending batches, which reach the WAL
-// at the shard's next commit (BatchSize rows, Drain or Close). The batch
-// is lent for the call; an implementation copies what it keeps.
+// Deliver returns nil, which means the batch is committed. The batch is
+// lent for the call; an implementation copies what it keeps.
 type BatchCommitter interface {
 	Deliver(b *Batch) error
 }

@@ -2,7 +2,9 @@ package durable
 
 import (
 	"fmt"
+	"log/slog"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -14,16 +16,16 @@ import (
 // Shard is one ingest partition: a WAL, the store that WAL rebuilds, and
 // the one lock a batch commits under. It is the single shard engine:
 // ingest.Pipeline and cluster.Node both mount it and differ only in
-// policy — the pipeline buffers per shard and commits without an fsync
-// (the log's background syncer bounds the loss window), the cluster
-// fsyncs every batch and, with the lock released again, holds the ack
-// until its replica confirms.
+// policy — the pipeline commits each request without an fsync (the
+// log's background syncer bounds the loss window), the cluster fsyncs
+// every batch and, with the lock released again, holds the ack until its
+// replica confirms.
 //
 // Log, DB and Tracer are set at boot and read-only afterwards.
 type Shard struct {
 	// Mutex is the commit lock. Commit must be called with it held; a
 	// mount keeps whatever per-shard state its policy needs under the
-	// same lock (the pipeline's pending batch, the cluster's published
+	// same lock (the pipeline's scratch batch, the cluster's published
 	// last seq), which is why it is exposed rather than taken inside
 	// Commit.
 	sync.Mutex
@@ -75,6 +77,26 @@ func OpenShards(root string, n int, opt Options) ([]*Shard, []Info, error) {
 		infos = append(infos, s.info)
 	}
 	return shards, infos, nil
+}
+
+// LogRecovery files one slog record for each of a boot's shards that
+// found anything on disk: "shard recovered (snapshot S, R replayed)"
+// with args, then the shard index and its last applied seq — at Info, or
+// at Warn with the reason as err when the log ended in damage and its
+// tail was dropped.
+func LogRecovery(infos []Info, args ...any) {
+	for i, info := range infos {
+		if info.Replayed == 0 && info.SnapshotSeq == 0 && !info.DroppedTail {
+			continue
+		}
+		msg := fmt.Sprintf("shard recovered (snapshot %d, %d replayed)", info.SnapshotSeq, info.Replayed)
+		kv := append(slices.Clip(args), "shard", i, "seq", info.LastSeq)
+		if info.DroppedTail {
+			slog.Warn(msg, append(kv, "err", info.Reason)...)
+		} else {
+			slog.Info(msg, kv...)
+		}
+	}
 }
 
 // Commit writes b ahead as one batch frame (more when it is too big for

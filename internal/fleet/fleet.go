@@ -2,7 +2,7 @@ package fleet
 
 import (
 	"bufio"
-	"context"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -20,10 +20,6 @@ import (
 // maxPendingMarks bounds the re-broadcast queue; beyond it the oldest
 // mark is dropped (and logged) rather than growing without bound.
 const maxPendingMarks = 256
-
-// replicaHedge is how long a replica fetch waits on one survivor before
-// racing the next.
-const replicaHedge = 2 * time.Second
 
 // mark is one undelivered membership fact: peer has not yet acked that
 // subject is dead/draining.
@@ -274,12 +270,8 @@ func tick(every time.Duration, stop <-chan struct{}, step func()) {
 }
 
 // fetchSnapshot pulls and decodes one store snapshot endpoint.
-func (o *Orchestrator) fetchSnapshot(ctx context.Context, url string) (*store.DB, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := o.HTTP.Do(req)
+func (o *Orchestrator) fetchSnapshot(url string) (*store.DB, error) {
+	resp, err := o.HTTP.Get(url)
 	if err != nil {
 		return nil, err
 	}
@@ -303,7 +295,7 @@ func (o *Orchestrator) fetchSnapshotRetry(url string) (*store.DB, error) {
 		if attempt > 0 {
 			time.Sleep(bo.Next())
 		}
-		db, err := o.fetchSnapshot(context.Background(), url)
+		db, err := o.fetchSnapshot(url)
 		if err == nil {
 			return db, nil
 		}
@@ -314,10 +306,11 @@ func (o *Orchestrator) fetchSnapshotRetry(url string) (*store.DB, error) {
 
 // Merge assembles the deterministic cross-node merge: every non-dead
 // node's own shards, plus each dead node's shards recovered from
-// whichever survivor holds its replica. Exactly one store per node —
-// double-counting a shard would shift every table. Replica fetches are
-// hedged across the survivors: a gray-failing survivor holds one attempt
-// hostage while the hedge completes from another.
+// the survivor that holds its replica. Exactly one store per node —
+// double-counting a shard would shift every table. Only a dead node's
+// boot-time ring successor follows it, and every other survivor answers
+// 409 at once, so the survivors are asked in order and the first
+// snapshot that decodes is the replica.
 func (o *Orchestrator) Merge() (*store.DB, error) {
 	var dbs []*store.DB
 	var dead []string
@@ -337,18 +330,15 @@ func (o *Orchestrator) Merge() (*store.DB, error) {
 		slog.Info(fmt.Sprintf("merged %d tested, %d proxied", db.Totals().Tested, db.Totals().Proxied), "node", m.ID)
 	}
 	for _, id := range dead {
-		attempts := make([]func(context.Context) (*store.DB, error), 0, len(serving))
+		var db *store.DB
+		err := errors.New("no survivor serves")
 		for _, m := range serving {
-			attempts = append(attempts, func(ctx context.Context) (*store.DB, error) {
-				db, err := o.fetchSnapshot(ctx, m.URL+"/cluster/replica?node="+id)
-				if err == nil {
-					slog.Info(fmt.Sprintf("dead node recovered from replica: %d tested, %d proxied", db.Totals().Tested, db.Totals().Proxied),
-						"node", id, "peer", m.ID)
-				}
-				return db, err
-			})
+			if db, err = o.fetchSnapshot(m.URL + "/cluster/replica?node=" + id); err == nil {
+				slog.Info(fmt.Sprintf("dead node recovered from replica: %d tested, %d proxied", db.Totals().Tested, db.Totals().Proxied),
+					"node", id, "peer", m.ID)
+				break
+			}
 		}
-		db, err := resilient.Hedge(context.Background(), replicaHedge, attempts...)
 		if err != nil {
 			return nil, fmt.Errorf("no survivor holds a replica of dead node %s: %v", id, err)
 		}

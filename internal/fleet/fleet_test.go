@@ -206,22 +206,34 @@ func TestDrainReachesPeersBeforeLeaver(t *testing.T) {
 	}
 }
 
-// TestMergeHedgesPastSlowReplicaHolder: a survivor that sits on a replica
-// fetch holds one attempt hostage; the hedge completes from the other.
-func TestMergeHedgesPastSlowReplicaHolder(t *testing.T) {
+// TestMergeFetchesReplicaFromItsHolder: only a dead node's ring
+// successor holds its replica, and every other survivor answers 409 at
+// once. The merge asks the survivors in order, takes the holder's
+// snapshot past the refusal, and equals the control; with no holder it
+// fails naming the refusal.
+func TestMergeFetchesReplicaFromItsHolder(t *testing.T) {
 	ms := measurements(300, 5)
 	own := map[string]*store.DB{"b": storeOf(ms[:100]), "c": storeOf(ms[100:200])}
 	deadShards := storeOf(ms[200:])
+	var holder atomic.Bool
+	holder.Store(true)
+	var mu sync.Mutex
+	var asked []string
 	var members []cluster.Member
 	for _, id := range []string{"a", "b", "c"} {
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			switch {
 			case r.URL.Path == "/cluster/snapshot":
 				w.Write(own[id].AppendSnapshot(nil))
-			case r.URL.Path == "/cluster/replica" && id == "b":
-				<-r.Context().Done() // the gray-failing holder never answers
-			case r.URL.Path == "/cluster/replica" && id == "c":
-				w.Write(deadShards.AppendSnapshot(nil))
+			case r.URL.Path == "/cluster/replica":
+				mu.Lock()
+				asked = append(asked, id)
+				mu.Unlock()
+				if id == "c" && holder.Load() {
+					w.Write(deadShards.AppendSnapshot(nil))
+					return
+				}
+				http.Error(w, "cluster: "+id+" holds no replica of a", http.StatusConflict)
 			default:
 				http.NotFound(w, r)
 			}
@@ -232,15 +244,19 @@ func TestMergeHedgesPastSlowReplicaHolder(t *testing.T) {
 	o := newOrchestrator(t, members)
 	o.Members.MarkDead("a")
 
-	start := time.Now()
 	db, err := o.Merge()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if took := time.Since(start); took > replicaHedge+5*time.Second {
-		t.Fatalf("merge took %v: the hedge never raced past the slow holder", took)
-	}
 	if !bytes.Equal(canon(db), canon(storeOf(ms))) {
-		t.Fatal("hedged merge differs from the control")
+		t.Fatal("merge differs from the control")
+	}
+	if got := strings.Join(asked, ","); got != "b,c" {
+		t.Fatalf("replica asked of %s, want b then c", got)
+	}
+
+	holder.Store(false)
+	if _, err := o.Merge(); err == nil || !strings.Contains(err.Error(), "dead node a") || !strings.Contains(err.Error(), "HTTP 409") {
+		t.Fatalf("merge with no replica holder: %v, want the refusal", err)
 	}
 }

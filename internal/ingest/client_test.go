@@ -64,7 +64,6 @@ func TestClientBatchesAndAccounts(t *testing.T) {
 	if st.Posts < st.Reported/uint64(c.BatchSize) {
 		t.Fatalf("posts = %d, too few for %d reports at batch %d", st.Posts, st.Reported, c.BatchSize)
 	}
-	p.Drain()
 	if got := p.Merge(0).Totals().Tested; got != int(st.Accepted) {
 		t.Fatalf("store tested = %d, want %d", got, st.Accepted)
 	}

@@ -37,7 +37,7 @@ func testChain(t testing.TB, host string) [][]byte {
 func TestBatchEndpointEndToEnd(t *testing.T) {
 	chain := testChain(t, "tlsresearch.byu.edu")
 
-	p := NewPipeline(Config{Shards: 2, BatchSize: 8})
+	p := NewPipeline(Config{Shards: 2})
 	col := core.NewCollector(classify.NewClassifier(), nil, p)
 	col.Campaign = "wire-test"
 	col.SetAuthoritative("tlsresearch.byu.edu", chain)
@@ -75,7 +75,6 @@ func TestBatchEndpointEndToEnd(t *testing.T) {
 		t.Fatalf("accepted=%d rejected=%d, want %d/1", res.Accepted, res.Rejected, good+1)
 	}
 
-	p.Drain()
 	p.Close()
 	db := p.Merge(0)
 	tot := db.Totals()

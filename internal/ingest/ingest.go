@@ -10,9 +10,10 @@
 //     Batcher adapts the one-at-a-time core.Sink producer side.
 //   - Sharding: Pipeline hash-partitions the stream by probed host onto N
 //     shard engines (durable.Shard: WAL + store.DB + one lock) and commits
-//     each full per-shard core.Batch synchronously on the caller's
-//     goroutine — no queue, so nothing is ever dropped and backpressure
-//     is the caller waiting for the shard lock.
+//     each call's per-shard share synchronously on the caller's goroutine
+//     before the call returns — no queue and no pending buffer, so
+//     nothing is ever dropped and backpressure is the caller waiting for
+//     the shard lock.
 //   - Merging: store.Merge folds the shard databases back into one DB
 //     whose every table and aggregate matches the single-threaded result.
 //
@@ -35,8 +36,8 @@ type BatchSink interface {
 	IngestBatch([]core.Measurement)
 }
 
-// DefaultBatchSize is the batch length Batcher and Pipeline use when the
-// caller does not choose one. Large enough to amortize per-batch costs
+// DefaultBatchSize is the batch length a Batcher uses when the caller
+// does not choose one. Large enough to amortize per-batch costs
 // (lock acquisition, WAL append call), small enough that a batch stays
 // cache-resident.
 const DefaultBatchSize = 256

@@ -95,7 +95,7 @@ func TestPipelineMatchesSequential(t *testing.T) {
 	}
 
 	for _, shards := range []int{1, 2, 4, 7} {
-		p := NewPipeline(Config{Shards: shards, BatchSize: 64})
+		p := NewPipeline(Config{Shards: shards})
 		var wg sync.WaitGroup
 		for w := 0; w < 4; w++ {
 			wg.Add(1)
@@ -146,7 +146,7 @@ func TestPipelineMatchesSequential(t *testing.T) {
 func TestPipelineMergeDeterministic(t *testing.T) {
 	ms := synthetic(8000, 4)
 	render := func(producers int) string {
-		p := NewPipeline(Config{Shards: 4, BatchSize: 32})
+		p := NewPipeline(Config{Shards: 4})
 		var wg sync.WaitGroup
 		for w := 0; w < producers; w++ {
 			wg.Add(1)
@@ -171,26 +171,31 @@ func TestPipelineMergeDeterministic(t *testing.T) {
 	}
 }
 
-// TestDrainMakesSnapshotsComplete: after Drain, a Merge must see every
-// measurement ingested so far — the /stats snapshot path in reportd.
+// TestDrainMakesSnapshotsComplete: with nothing pending, a Merge sees
+// every measurement whose Ingest has returned, no Drain needed — the
+// /stats snapshot path in reportd.
 func TestDrainMakesSnapshotsComplete(t *testing.T) {
-	p := NewPipeline(Config{Shards: 4, BatchSize: 512})
+	p := NewPipeline(Config{Shards: 4})
 	ms := synthetic(1000, 8)
-	for _, m := range ms {
-		p.Ingest(m) // BatchSize 512 > stripe size, so much stays pending
+	for i, m := range ms {
+		p.Ingest(m)
+		if i%97 != 0 {
+			continue
+		}
+		if got := p.Merge(0).Totals().Tested; got != i+1 {
+			t.Fatalf("after %d ingests merge sees %d", i+1, got)
+		}
 	}
-	p.Drain()
 	if got := p.Merge(0).Totals().Tested; got != len(ms) {
-		t.Fatalf("after Drain merge sees %d, want %d", got, len(ms))
+		t.Fatalf("merge sees %d, want %d", got, len(ms))
 	}
 	p.Close()
 }
 
 // TestPipelineCountsWeightedRows: a delivered row of count 5 is five
-// measurements to the pipeline's Enqueued while it is pending and to
-// Ingested once committed, as it is to the merged store.
+// measurements to the pipeline's Ingested, as it is to the merged store.
 func TestPipelineCountsWeightedRows(t *testing.T) {
-	p := NewPipeline(Config{Shards: 2, BatchSize: 512})
+	p := NewPipeline(Config{Shards: 2})
 	defer p.Close()
 	m := synthetic(1, 3)[0]
 	m.Obs = core.Observation{} // a weighted row is a clean one
@@ -199,12 +204,8 @@ func TestPipelineCountsWeightedRows(t *testing.T) {
 	if err := p.Deliver(&b); err != nil {
 		t.Fatal(err)
 	}
-	if st := p.Stats(); st.Enqueued != 5 {
-		t.Fatalf("stats %+v, want 5 enqueued", st)
-	}
-	p.Drain()
-	if st := p.Stats(); st.Enqueued != 5 || st.Ingested != 5 {
-		t.Fatalf("stats after Drain %+v, want 5 enqueued and ingested", st)
+	if st := p.Stats(); st.Ingested != 5 {
+		t.Fatalf("stats %+v, want 5 ingested", st)
 	}
 	if got := p.Merge(0).Totals().Tested; got != 5 {
 		t.Fatalf("merged store tested %d, want 5", got)
@@ -294,12 +295,11 @@ func TestMountMetrics(t *testing.T) {
 	for _, m := range synthetic(100, 9) {
 		p.Ingest(m)
 	}
-	p.Drain()
 	got := map[string]float64{}
 	for _, m := range reg.Snapshot() {
 		got[m.Name] = m.Value
 	}
-	want := map[string]float64{"ingest_enqueued_total": 100, "ingest_ingested_total": 100, "ingest_wal_errors_total": 0}
+	want := map[string]float64{"ingest_ingested_total": 100, "ingest_wal_errors_total": 0}
 	if !maps.Equal(got, want) {
 		t.Fatalf("registry = %v, want %v", got, want)
 	}

@@ -212,6 +212,5 @@ func tracedRound(t *testing.T, chain [][]byte, tracer *telemetry.Tracer, firstID
 		}(bodies)
 	}
 	wg.Wait()
-	p.Drain()
 	return time.Since(start)
 }

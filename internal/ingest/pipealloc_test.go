@@ -2,7 +2,7 @@ package ingest
 
 // Allocation pins for the ingest hot paths. The hand-off from a producer
 // to a shard store runs on two kinds of long-lived buffer — each
-// Batcher's one batch buffer and each shard's pending buffer — and an
+// Batcher's one batch buffer and each shard's scratch batch — and an
 // on-stack routing table, so steady state allocates nothing; these tests
 // keep that property from rotting. All pins skip under -race: the race
 // runtime instruments allocations and the counts stop meaning anything.
@@ -28,8 +28,8 @@ func allocTestMeasurements(n int) []core.Measurement {
 }
 
 // TestSplitAllocs pins the batch face end to end — Batcher.Ingest fills
-// the Batcher's buffer, Pipeline.IngestBatch routes it into the shard
-// pending buffers, full buffers commit to the shard stores — at zero
+// the Batcher's buffer, Pipeline.IngestBatch routes it into the shards'
+// scratch batches, each commits to its shard store — at zero
 // allocations per batch, with and without a shard split. A fresh
 // sub-batch (or a fresh Batcher buffer) per flush would show up here as
 // at least one allocation per batch.
@@ -55,7 +55,6 @@ func TestSplitAllocs(t *testing.T) {
 				t.Fatalf("Batcher -> Pipeline allocates %.2f per %d-measurement batch, want 0", allocs, len(batch))
 			}
 			b.Flush()
-			p.Drain()
 			if st := p.Stats(); st.Ingested != 209*uint64(len(batch)) {
 				t.Fatalf("ingested %d, want %d", st.Ingested, 209*len(batch))
 			}
@@ -64,15 +63,15 @@ func TestSplitAllocs(t *testing.T) {
 }
 
 // TestIngestAllocs pins the one-measurement Sink face: appending into a
-// shard's pending buffer and committing it when full is allocation-free
-// in steady state.
+// shard's scratch batch and committing it is allocation-free in steady
+// state.
 func TestIngestAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			p := NewPipeline(Config{Shards: shards, BatchSize: 8})
+			p := NewPipeline(Config{Shards: shards})
 			defer p.Close()
 			ms := allocTestMeasurements(64)
 			next := 0

@@ -20,9 +20,9 @@ import (
 type Config struct {
 	// Shards is the number of independent ingest partitions (1 when <= 0).
 	Shards int
-	// BatchSize is the commit unit: rows gather in a pending batch per
-	// shard and commit once this many are pending (DefaultBatchSize when
-	// <= 0).
+	// BatchSize is inert: every request commits before Deliver returns;
+	// kept only because bench/server.go names it; remove in the next
+	// benchmark PR.
 	BatchSize int
 	// QueueDepth is inert: no queue exists; kept only because
 	// bench/server.go names it; remove in the next benchmark PR.
@@ -49,19 +49,12 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = DefaultBatchSize
-	}
 	return cfg
 }
 
 // Stats is a point-in-time snapshot of pipeline accounting, summed over
-// shards; each shard is read under its lock, so Ingested <= Enqueued in
-// every snapshot.
+// shards.
 type Stats struct {
-	// Enqueued counts measurements accepted by the shards: committed plus
-	// still pending.
-	Enqueued uint64
 	// Ingested counts measurements committed to the shard stores.
 	Ingested uint64
 	// Dropped is inert (always 0): nothing is ever dropped; kept only
@@ -73,23 +66,23 @@ type Stats struct {
 	WALErrors uint64
 }
 
-// shard is the pipeline's mount of the shard engine: the engine plus the
-// pending batch and counters, all guarded by the engine's lock.
+// shard is the pipeline's mount of the shard engine: the engine plus a
+// scratch batch and counters, all guarded by the engine's lock.
 type shard struct {
 	*durable.Shard
 
-	// pending is the batch the shard's next commit writes, reused across
-	// commits — a commit is synchronous, so nothing references it once
-	// it returns.
-	pending  core.Batch
+	// batch holds the shard's share of the request being committed,
+	// reused across commits — a commit is synchronous, so nothing
+	// references it once it returns.
+	batch    core.Batch
 	ingested uint64
 	walErrs  uint64
 }
 
-// commitPending commits the pending batch and empties it. The caller
-// holds the shard lock and began waiting for it at queuedAt.
-func (sh *shard) commitPending(queuedAt time.Time) {
-	b, n := &sh.pending, sh.pending.Count()
+// commit commits the shard's batch and empties it. The caller holds the
+// shard lock and began waiting for it at queuedAt.
+func (sh *shard) commit(queuedAt time.Time) {
+	b, n := &sh.batch, sh.batch.Count()
 	sh.Observe(telemetry.StageQueue, queuedAt)
 	if _, err := sh.Commit(b, false); err != nil {
 		// Append errors degrade durability, never availability: the batch
@@ -102,13 +95,12 @@ func (sh *shard) commitPending(queuedAt time.Time) {
 }
 
 // Pipeline is the sharded ingest front: it hashes each measurement to a
-// shard, adds it to the shard's pending batch, and commits a full batch
-// on the caller's goroutine (WAL append, then store apply, under the
-// shard lock). It is a core.Sink (one measurement at a time), a BatchSink
-// and a core.BatchCommitter (a request's batch, split by shard);
-// producers may call any of them concurrently. It starts no goroutines of
-// its own. Drain commits partial batches; Close drains and closes the
-// shard WALs.
+// shard and commits each shard's share of a call on the caller's
+// goroutine (WAL append, then store apply, under the shard lock) before
+// the call returns. It is a core.Sink (one measurement at a time), a
+// BatchSink and a core.BatchCommitter (a request's batch, split by
+// shard); producers may call any of them concurrently. It starts no
+// goroutines of its own. Close closes the shard WALs.
 type Pipeline struct {
 	cfg    Config
 	shards []*shard
@@ -218,16 +210,13 @@ func ShardOf(host string, n int) int {
 	return int(stats.FNV1a(host) % uint32(n))
 }
 
-// Ingest implements core.Sink: it adds m to its shard's pending batch
-// and commits the batch once full.
+// Ingest implements core.Sink: a one-row Deliver.
 func (p *Pipeline) Ingest(m core.Measurement) {
 	sh := p.shards[ShardOf(m.Host, len(p.shards))]
 	queuedAt := stageStart(p.cfg.Tracer)
 	sh.Lock()
-	sh.pending.Add(&m)
-	if len(sh.pending.Rows) >= p.cfg.BatchSize {
-		sh.commitPending(queuedAt)
-	}
+	sh.batch.Add(&m)
+	sh.commit(queuedAt)
 	sh.Unlock()
 }
 
@@ -247,13 +236,12 @@ func (p *Pipeline) IngestBatch(ms []core.Measurement) {
 	batchPool.Put(b)
 }
 
-// Deliver implements core.BatchCommitter: b's rows are split by shard
-// into the shards' pending batches, under one lock acquisition per
-// touched shard, in b's order within a shard; a pending batch commits
-// whenever it reaches BatchSize rows. It never fails: a WAL append error
-// degrades durability, not availability, and is counted in Stats. Rows
-// left pending reach the WAL at their shard's next commit, Drain or
-// Close, so an acked report is not yet durable.
+// Deliver implements core.BatchCommitter: b's rows are split by shard,
+// in b's order within a shard, and each touched shard commits its share
+// under one lock acquisition before Deliver returns — one WAL append (no
+// fsync: the log's syncer bounds the time to disk) and one store apply.
+// It never fails: a WAL append error degrades durability, not
+// availability, and is counted in Stats.
 func (p *Pipeline) Deliver(b *core.Batch) error {
 	part := make([]int32, 0, 64) // part[t]: the shard of tuple t
 	for i := range b.Tuples {
@@ -266,42 +254,27 @@ func (p *Pipeline) Deliver(b *core.Batch) error {
 		queuedAt := stageStart(p.cfg.Tracer)
 		sh.Lock()
 		for _, r := range b.Rows {
-			if part[r.Tuple] != int32(s) {
-				continue
-			}
-			sh.pending.AddFrom(b, r)
-			if len(sh.pending.Rows) >= p.cfg.BatchSize {
-				sh.commitPending(queuedAt)
+			if part[r.Tuple] == int32(s) {
+				sh.batch.AddFrom(b, r)
 			}
 		}
+		sh.commit(queuedAt)
 		sh.Unlock()
 	}
 	return nil
 }
 
-// Drain commits every shard's partial pending batch, so a subsequent
-// Merge sees every measurement handed in before the call. Producers may
-// keep ingesting concurrently; their later measurements are not waited
-// for.
-func (p *Pipeline) Drain() {
-	for _, sh := range p.shards {
-		queuedAt := stageStart(p.cfg.Tracer)
-		sh.Lock()
-		if len(sh.pending.Rows) > 0 {
-			sh.commitPending(queuedAt)
-		}
-		sh.Unlock()
-	}
-}
+// Drain is inert: nothing is ever pending; kept only because
+// bench/livewire.go and bench/reportd.go name it; remove in the next
+// benchmark PR.
+func (p *Pipeline) Drain() {}
 
-// Close drains and closes the shard WALs (final fsync). It is
-// idempotent (so is closing a log); the returned error is the first WAL
-// close failure (nil without WALs). Producers should have stopped: a
-// measurement ingested after Close still reaches its shard store, and on
-// a durable pipeline it is counted in WALErrors because its append is
-// refused.
+// Close closes the shard WALs (final fsync). It is idempotent (so is
+// closing a log); the returned error is the first WAL close failure (nil
+// without WALs). Producers should have stopped: a measurement ingested
+// after Close still reaches its shard store, and on a durable pipeline
+// it is counted in WALErrors because its append is refused.
 func (p *Pipeline) Close() error {
-	p.Drain()
 	var first error
 	for _, sh := range p.shards {
 		if err := sh.Close(); err != nil && first == nil {
@@ -343,8 +316,7 @@ func (p *Pipeline) WALStats() []durable.Stats {
 }
 
 // Merge folds the shard databases into one deterministic store.DB (see
-// store.Merge). After Drain or Close the result covers everything handed
-// in; otherwise it misses what is still pending.
+// store.Merge), covering every measurement whose delivery has returned.
 func (p *Pipeline) Merge(retainLimit int) *store.DB {
 	dbs := make([]*store.DB, len(p.shards))
 	for i, sh := range p.shards {
@@ -360,9 +332,6 @@ func (p *Pipeline) MountMetrics(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	reg.GaugeFunc("ingest_enqueued_total", "measurements accepted by the shards (committed or pending)", func() float64 {
-		return float64(p.Stats().Enqueued)
-	})
 	reg.GaugeFunc("ingest_ingested_total", "measurements committed to shard stores", func() float64 {
 		return float64(p.Stats().Ingested)
 	})
@@ -376,7 +345,6 @@ func (p *Pipeline) Stats() Stats {
 	var s Stats
 	for _, sh := range p.shards {
 		sh.Lock()
-		s.Enqueued += sh.ingested + sh.pending.Count()
 		s.Ingested += sh.ingested
 		s.WALErrors += sh.walErrs
 		sh.Unlock()

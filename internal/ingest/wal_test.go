@@ -46,7 +46,7 @@ func recoverAll(t *testing.T, dir string, shards int) *store.DB {
 func TestPipelineWALPersistsEveryDeliveredMeasurement(t *testing.T) {
 	dir := t.TempDir()
 	ms := walTestMeasurements(500)
-	cfg := Config{Shards: 4, BatchSize: 32, WALDir: dir}
+	cfg := Config{Shards: 4, WALDir: dir}
 	pl, infos, err := OpenPipeline(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestPipelineWALPersistsEveryDeliveredMeasurement(t *testing.T) {
 func TestPipelineRecoversAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	ms := walTestMeasurements(400)
-	cfg := Config{Shards: 3, BatchSize: 16, WALDir: dir}
+	cfg := Config{Shards: 3, WALDir: dir}
 
 	pl, _, err := OpenPipeline(cfg)
 	if err != nil {
@@ -102,7 +102,6 @@ func TestPipelineRecoversAcrossRestart(t *testing.T) {
 		t.Fatalf("second boot replayed %d frames, want 200", recovered)
 	}
 	pl2.IngestBatch(ms[200:])
-	pl2.Drain()
 	got := pl2.Merge(0)
 	direct := store.New(0)
 	for _, m := range ms {

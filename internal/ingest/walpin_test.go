@@ -58,7 +58,7 @@ func TestWALBytesPinned(t *testing.T) {
 
 	dir := t.TempDir()
 	tracer := telemetry.NewTracer(telemetry.NewRegistry(), 0)
-	pl, _, err := OpenPipeline(Config{Shards: 2, BatchSize: 4, WALDir: dir, Tracer: tracer})
+	pl, _, err := OpenPipeline(Config{Shards: 2, WALDir: dir, Tracer: tracer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,13 +109,22 @@ func TestWALBytesPinned(t *testing.T) {
 	if accepted != 23 {
 		t.Fatalf("%d reports accepted, want 23", accepted)
 	}
+	// Each request is one frame on each shard it reaches: all four reach
+	// both.
+	var frames uint64
+	for _, st := range pl.WALStats() {
+		frames += st.AppendedFrames
+	}
+	if frames != 8 {
+		t.Fatalf("%d frames appended, want 8", frames)
+	}
 	if err := pl.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	want := []string{
-		"9e9938fba57aec5beb1773993eb6537427c859090c98d6826c492a980b20053f",
-		"3e3c8a7b7746f6ab9c8b33255a30a4c7b351c7db8e7b204ee1d7e953c6464484",
+		"58b91ae5aa6a22e3e1fe57ce625e13f7e750a1eb13cc06be373d87fc32aacd9b",
+		"ddff4db68b439120ae0e1863bb275756e43ba770698ca256d0ef6fc6d2a46e83",
 	}
 	for i := range 2 {
 		segs, err := filepath.Glob(filepath.Join(durable.ShardDir(dir, i), "wal-*.log"))

@@ -2,7 +2,6 @@ package resilient
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -180,52 +179,5 @@ func TestSplitTimeoutClientConnectDeadline(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("connect failed after %v, want ~50ms", elapsed)
-	}
-}
-
-func TestHedgeFirstSuccessWins(t *testing.T) {
-	slowStarted := make(chan struct{}, 1)
-	got, err := Hedge(context.Background(), time.Millisecond,
-		func(ctx context.Context) (string, error) {
-			slowStarted <- struct{}{}
-			select {
-			case <-time.After(time.Minute):
-				return "slow", nil
-			case <-ctx.Done():
-				return "", ctx.Err()
-			}
-		},
-		func(ctx context.Context) (string, error) { return "fast", nil },
-	)
-	if err != nil || got != "fast" {
-		t.Fatalf("got %q, %v; want fast", got, err)
-	}
-	<-slowStarted
-}
-
-func TestHedgeFailuresFallThrough(t *testing.T) {
-	calls := 0
-	got, err := Hedge(context.Background(), time.Hour, // delay never fires: failures un-stagger
-		func(ctx context.Context) (int, error) { calls++; return 0, errors.New("a down") },
-		func(ctx context.Context) (int, error) { calls++; return 0, errors.New("b down") },
-		func(ctx context.Context) (int, error) { calls++; return 42, nil },
-	)
-	if err != nil || got != 42 {
-		t.Fatalf("got %d, %v; want 42", got, err)
-	}
-	if calls != 3 {
-		t.Fatalf("ran %d attempts, want 3", calls)
-	}
-	// time.Hour again: a 1 ms hedge that fires before a descheduled first
-	// attempt reports lets "x" arrive last on a loaded host.
-	_, err = Hedge(context.Background(), time.Hour,
-		func(ctx context.Context) (int, error) { return 0, errors.New("x") },
-		func(ctx context.Context) (int, error) { return 0, errors.New("y") },
-	)
-	if err == nil || err.Error() != "y" {
-		t.Fatalf("all-fail err %v, want the last error", err)
-	}
-	if _, err := Hedge[int](context.Background(), time.Millisecond); !errors.Is(err, ErrNoAttempts) {
-		t.Fatalf("empty hedge err %v", err)
 	}
 }

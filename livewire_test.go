@@ -240,7 +240,6 @@ func TestLiveWireSmoke(t *testing.T) {
 		t.Fatalf("ingest accounting: accepted %d, rejected %d, want %d/0",
 			st.Accepted, st.Rejected, len(jobs))
 	}
-	pipeline.Drain()
 	liveDB := pipeline.Merge(0)
 
 	// Single-flight accounting: every (engine, host) pair forged at most
@@ -465,7 +464,6 @@ func BenchmarkLiveWireEndToEnd(b *testing.B) {
 		if err := client.Flush(); err != nil {
 			b.Fatal(err)
 		}
-		pipeline.Drain()
 	}
 	b.ReportMetric(float64(b.N*probesPerOp)/b.Elapsed().Seconds(), "probes/sec")
 }

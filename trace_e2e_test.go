@@ -91,7 +91,6 @@ func TestTraceEndToEnd(t *testing.T) {
 	if err := client.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	pipeline.Drain()
 
 	// — The trace ring holds every hop under the one fixed ID. —
 	wantStages := []string{
