@@ -8,6 +8,7 @@ package main
 import (
 	"bytes"
 	"crypto/x509/pkix"
+	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -308,5 +309,53 @@ func TestRunDumpsClusterEventsOnSIGTERM(t *testing.T) {
 	}
 	if !marked {
 		t.Fatalf("SIGTERM dump holds no dead-mark record of node a:\n%s", dump)
+	}
+}
+
+// TestClusterModeCheckpointsAndReboots: a cluster-mode run with
+// -snapshot-every checkpoints on its timer (wal_checkpoints_total counts
+// it), and a reboot on its -data-dir serves the same /stats.
+func TestClusterModeCheckpointsAndReboots(t *testing.T) {
+	ref, pem := writeRef(t)
+	a := reserveAddr(t)
+	args := []string{"-listen=" + a, "-cluster-id=a", "-cluster-peers=a=http://" + a, "-host=" + testHost, "-reference=" + ref,
+		"-shards=2", "-snapshot-every=20ms", "-data-dir=" + t.TempDir()}
+	get := func(path string) string {
+		t.Helper()
+		resp, err := http.Get("http://" + a + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body bytes.Buffer
+		body.ReadFrom(resp.Body)
+		return body.String()
+	}
+	r := startRun(t, args...)
+	postReports(t, r.addr, pem, 9)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		var m struct {
+			Checkpoints float64 `json:"wal_checkpoints_total"`
+		}
+		if err := json.Unmarshal([]byte(get("/metrics")), &m); err != nil {
+			t.Fatal(err)
+		}
+		if m.Checkpoints >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no checkpoint on a 20ms -snapshot-every in 10s")
+		}
+	}
+	want := get("/stats")
+	if !strings.Contains(want, "9 tested") {
+		t.Fatalf("/stats = %q, want 9 tested", want)
+	}
+	r.sigterm(t)
+
+	r = startRun(t, args...)
+	defer r.sigterm(t)
+	if got := get("/stats"); got != want {
+		t.Fatalf("/stats after the reboot = %q, want %q", got, want)
 	}
 }

@@ -93,20 +93,26 @@ type serverConfig struct {
 	chaosSpec string
 }
 
-// server is the assembled reporting server. Exactly one of pipeline
-// (single-node mode) or node (cluster mode) is non-nil; shards are the
-// shard engines whichever of them mounted, and everything that reads
-// storage (tables, /stats, WAL accounting, the shutdown snapshot) goes
-// through them, not through the mode.
+// mount is the storage a mode mounts (ingest.Pipeline or cluster.Node):
+// one checkpoint and one close, whatever the mode.
+type mount interface {
+	Checkpoint() error
+	Close() error
+}
+
+// server is the assembled reporting server. shards are its storage
+// mount's shard engines, and everything that reads storage (tables,
+// /stats, WAL accounting) goes through them, not through the mode; node
+// is set in cluster mode only, for its HTTP surface.
 type server struct {
-	cfg      serverConfig
-	pipeline *ingest.Pipeline
-	node     *cluster.Node
-	shards   []*durable.Shard
-	col      *core.Collector
-	httpSrv  *http.Server
-	ln       net.Listener
-	started  time.Time
+	cfg     serverConfig
+	storage mount
+	node    *cluster.Node
+	shards  []*durable.Shard
+	col     *core.Collector
+	httpSrv *http.Server
+	ln      net.Listener
+	started time.Time
 
 	// The telemetry plane: stage histograms and probe traces from the
 	// decode → observe → queue → WAL → store path, every other number
@@ -137,7 +143,7 @@ func newServer(cfg serverConfig, ring *telemetry.EventRing) (*server, error) {
 	}
 	reg := telemetry.NewRegistry()
 	tracer := telemetry.NewTracer(reg, 0)
-	var pipeline *ingest.Pipeline
+	var storage mount
 	var node *cluster.Node
 	var shards []*durable.Shard
 	var chaos *faultnet.Injector
@@ -145,12 +151,6 @@ func newServer(cfg serverConfig, ring *telemetry.EventRing) (*server, error) {
 	if cfg.clusterID != "" {
 		if cfg.dataDir == "" {
 			return nil, fmt.Errorf("reportd: cluster mode requires -data-dir")
-		}
-		if cfg.snapshotEvery > 0 {
-			// A cluster node never checkpoints its WALs (replica
-			// followers tail them by sequence number): refuse rather than
-			// ignore the flag.
-			return nil, fmt.Errorf("reportd: -snapshot-every does not apply in cluster mode")
 		}
 		members, err := cluster.ParseMembers(cfg.clusterPeers)
 		if err != nil {
@@ -198,17 +198,14 @@ func newServer(cfg serverConfig, ring *telemetry.EventRing) (*server, error) {
 			node.Close()
 			return nil, err
 		}
-		sink, shards = route, node.Shards()
+		sink, storage, shards = route, node, node.Shards()
 	} else {
-		var recovery []durable.Info
-		var err error
-		pipeline, recovery, err = ingest.OpenPipeline(ingest.Config{Shards: cfg.shards, Tracer: tracer, WALDir: cfg.dataDir})
+		pipeline, _, err := ingest.OpenPipeline(ingest.Config{Shards: cfg.shards, Tracer: tracer, WALDir: cfg.dataDir})
 		if err != nil {
 			return nil, err
 		}
-		durable.LogRecovery(recovery)
 		pipeline.MountMetrics(reg)
-		sink, shards = pipeline, pipeline.Shards()
+		sink, storage, shards = pipeline, pipeline, pipeline.Shards()
 	}
 	col := core.NewCollector(classify.NewClassifier(), geo.NewDB(), sink)
 	col.Campaign = cfg.campaign
@@ -224,7 +221,7 @@ func newServer(cfg serverConfig, ring *telemetry.EventRing) (*server, error) {
 		fmt.Fprintf(cfg.logw, "reportd: registered authoritative chain for %s (%d certs)\n", ref.host, len(ref.chain))
 	}
 	s := &server{
-		cfg: cfg, pipeline: pipeline, node: node, shards: shards, col: col, started: time.Now(),
+		cfg: cfg, storage: storage, node: node, shards: shards, col: col, started: time.Now(),
 		reg: reg, tracer: tracer, ring: ring, chaos: chaos,
 		audits: store.NewAuditStore(),
 	}
@@ -294,6 +291,9 @@ func (s *server) mountMetrics() {
 			return float64(st.AppendedFrames)
 		})
 		walTotal("wal_segments", "WAL segment files, all shards", func(st durable.Stats) float64 { return float64(st.Segments) })
+		walTotal("wal_checkpoints_total", "checkpoints that folded WAL segments into a snapshot, all shards", func(st durable.Stats) float64 {
+			return float64(st.Compactions)
+		})
 	}
 	if cache := s.col.Cache; cache != nil {
 		memo := func(name, help string, f func(chaincache.Stats) float64) {
@@ -415,9 +415,7 @@ func (s *server) serve(sig <-chan os.Signal) error {
 	for {
 		select {
 		case <-tick:
-			if err := s.pipeline.Checkpoint(); err != nil {
-				fmt.Fprintf(s.cfg.logw, "reportd: checkpoint: %v\n", err)
-			}
+			s.storage.Checkpoint() // a failure is filed as a Warn naming the shard
 		case err := <-serveErr:
 			if errors.Is(err, http.ErrServerClosed) {
 				return nil
@@ -446,21 +444,14 @@ func (s *server) serve(sig <-chan os.Signal) error {
 	}
 }
 
-// close stops the chaos injector and closes what newServer opened: a
-// node fsyncs and closes its WALs (uncompacted: followers tail them by
-// seq); a pipeline checkpoints and closes, so boot replays none.
+// close stops the chaos injector, then checkpoints and closes the
+// storage newServer opened, so the next boot replays only what a live
+// replica had not yet confirmed.
 func (s *server) close() error {
 	if s.chaos != nil {
 		s.chaos.Stop()
 	}
-	if s.node != nil {
-		return s.node.Close()
-	}
-	err := s.pipeline.Checkpoint()
-	if cerr := s.pipeline.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return errors.Join(s.storage.Checkpoint(), s.storage.Close())
 }
 
 func main() {
@@ -486,7 +477,7 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 		shards    = fs.Int("shards", 4, "ingest pipeline shards (1 = single store)")
 		obsCache  = fs.Int("obs-cache", chaincache.DefaultCap, "observation cache capacity in distinct (host, chain) pairs (0 disables)")
 		dataDir   = fs.String("data-dir", "", "durable per-shard WAL + snapshot directory (recovered on boot; graceful shutdown snapshots)")
-		snapEvery = fs.Duration("snapshot-every", 0, "checkpoint the WALs on this cadence (e.g. 5m; 0 = only at shutdown; with -data-dir, not in cluster mode)")
+		snapEvery = fs.Duration("snapshot-every", 0, "checkpoint the WALs on this cadence (e.g. 5m; 0 = only at shutdown; with -data-dir)")
 		pprofA    = fs.String("pprof", "", "serve net/http/pprof on this address (disabled when empty)")
 		selfRef   = fs.String("selfsigned", "", "generate an in-process self-signed authoritative chain for this host (smoke tests / CI; no PEM files needed)")
 		clusterID = fs.String("cluster-id", "", "run as this member of a reportd cluster (requires -cluster-peers and -data-dir)")

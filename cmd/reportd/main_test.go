@@ -10,6 +10,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"log"
+	"log/slog"
 	"maps"
 	"net"
 	"net/http"
@@ -246,13 +248,12 @@ func TestNewServerRefusesClusterMisconfig(t *testing.T) {
 		want string
 	}{
 		{"no-data-dir", serverConfig{clusterID: "solo", clusterPeers: peers}, "requires -data-dir"},
-		{"snapshot-every", serverConfig{clusterID: "solo", clusterPeers: peers, dataDir: t.TempDir(), snapshotEvery: time.Minute}, "-snapshot-every"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.refs = unreadRefs
 			srv, err := newServer(tc.cfg, telemetry.NewEventRing(0))
 			if err == nil {
-				srv.node.Close()
+				srv.storage.Close()
 				t.Fatal("newServer accepted the configuration")
 			}
 			if !strings.Contains(err.Error(), tc.want) {
@@ -309,11 +310,7 @@ func bootServer(t *testing.T, cfg serverConfig) *server {
 		if srv.chaos != nil {
 			srv.chaos.Stop()
 		}
-		if srv.node != nil {
-			srv.node.Close()
-		} else {
-			srv.pipeline.Close()
-		}
+		srv.storage.Close()
 	})
 	return srv
 }
@@ -322,7 +319,7 @@ func bootServer(t *testing.T, cfg serverConfig) *server {
 // else, so its JSON keys are exactly its Prometheus families, in both
 // modes, and the numbers the server itself owns are among them.
 func TestMetricsOneNamePerNumber(t *testing.T) {
-	wal := []string{"uptime_seconds", "wal_disk_bytes", "wal_fsyncs_total", "wal_appended_frames_total", "wal_segments", "obs_cache_hits_total"}
+	wal := []string{"uptime_seconds", "wal_disk_bytes", "wal_fsyncs_total", "wal_appended_frames_total", "wal_segments", "wal_checkpoints_total", "obs_cache_hits_total"}
 	for _, tc := range []struct {
 		name string
 		cfg  serverConfig
@@ -602,7 +599,7 @@ func TestRunDumpsShardRecovery(t *testing.T) {
 		{"cluster", func() []string {
 			a := reserveAddr(t)
 			return []string{"-listen=" + a, "-cluster-id=a", "-cluster-peers=a=http://" + a}
-		}, "INFO shard recovered (snapshot 0, "},
+		}, "INFO shard recovered (snapshot "},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			args := append(tc.args(), "-host="+testHost, "-reference="+ref, "-shards=1", "-data-dir="+t.TempDir())
@@ -650,4 +647,61 @@ func TestAckedBatchIsAppended(t *testing.T) {
 			t.Fatal("the acked report is not in the WAL a second after its ack")
 		}
 	}
+}
+
+// TestFailedCheckpointIsAWarning: a checkpoint that refuses a damaged
+// segment is filed through slog as a warning naming the shard, so it
+// reaches the event ring and stderr, and the shutdown that ran it fails.
+func TestFailedCheckpointIsAWarning(t *testing.T) {
+	const shards = 2
+	ring := telemetry.NewEventRing(0)
+	prev, w, flags := slog.Default(), log.Writer(), log.Flags()
+	slog.SetDefault(slog.New(ring))
+	t.Cleanup(func() {
+		slog.SetDefault(prev) // which alone leaves the log package writing into ring
+		log.SetOutput(w)
+		log.SetFlags(flags)
+	})
+	srv, sig, done := startTestServer(t, t.TempDir(), shards)
+	_, pem := testRefs(t)
+	postReports(t, srv.addr(), pem, 5)
+
+	// Seal the reports' segment, then rot one byte of its last frame: the
+	// checkpoint must refuse to fold it away.
+	si := durable.ShardOf(testHost, shards)
+	wal := srv.shards[si].Log
+	seg := newestSegment(t, durable.ShardDir(srv.cfg.dataDir, si))
+	if err := wal.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)-1] ^= 0xff
+	if err := os.WriteFile(seg, b, 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	sig <- syscall.SIGTERM
+	if err := <-done; err == nil {
+		t.Fatal("shutdown over a damaged sealed segment reported no error")
+	}
+	want := fmt.Sprintf(" WARN checkpoint failed shard=%d err=", si)
+	for _, line := range ring.Events() {
+		if strings.Contains(line, want) {
+			return
+		}
+	}
+	t.Fatalf("the ring holds no %q record:\n%s", want, strings.Join(ring.Events(), "\n"))
+}
+
+// newestSegment is the path of the last WAL segment in a shard directory.
+func newestSegment(t *testing.T, dir string) string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segment in %s: %v", dir, err)
+	}
+	return segs[len(segs)-1]
 }

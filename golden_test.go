@@ -17,6 +17,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -227,21 +228,21 @@ func recoverFromShards(t *testing.T, cfg study.Config) *study.Result {
 	const shardCount, checkpointEvery = 4, 5000
 	res, stream := recordStream(t, cfg)
 	root := t.TempDir()
-	shards, _, err := durable.OpenShards(root, shardCount, durable.Options{SegmentBytes: 64 << 10})
+	shards, _, err := durable.OpenShards(root, shardCount, "", durable.Options{SegmentBytes: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for start := 0; start < len(stream); start += checkpointEvery {
 		if start > 0 {
 			for _, sh := range shards {
-				if _, err := sh.Log.Checkpoint(); err != nil {
+				if _, err := sh.Log.Checkpoint(math.MaxUint64); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 		parts := make([]core.Batch, shardCount)
 		for _, m := range stream[start:min(start+checkpointEvery, len(stream))] {
-			parts[ingest.ShardOf(m.Host, shardCount)].Add(&m)
+			parts[durable.ShardOf(m.Host, shardCount)].Add(&m)
 		}
 		for i, sh := range shards {
 			sh.Lock()

@@ -12,6 +12,7 @@ import (
 	"io"
 	"log"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -25,7 +26,6 @@ import (
 
 	"tlsfof/internal/core"
 	"tlsfof/internal/durable"
-	"tlsfof/internal/ingest"
 	"tlsfof/internal/raceflag"
 	"tlsfof/internal/store"
 	"tlsfof/internal/telemetry"
@@ -43,7 +43,7 @@ func (n *Node) ingestBatch(ms []core.Measurement) error {
 	}
 	sc.shardOf = sc.shardOf[:0]
 	for i := range sc.batch.Tuples {
-		sc.shardOf = append(sc.shardOf, ingest.ShardOf(sc.batch.Tuples[i].Host, n.cfg.Shards))
+		sc.shardOf = append(sc.shardOf, durable.ShardOf(sc.batch.Tuples[i].Host, n.cfg.Shards))
 	}
 	return n.commit(sc)
 }
@@ -104,8 +104,10 @@ func TestTailAheadDoesNotAdvanceWatermark(t *testing.T) {
 // TestTailCompactedDoesNotAdvanceWatermark: the replication stream
 // carries frames only, so a follower asking for a seq the source's
 // snapshot already covers is refused 409 like one ahead of the log, and
-// its position never becomes the watermark. (A cluster log never
-// compacts; the test checkpoints one by hand.)
+// its position never becomes the watermark. Node.Checkpoint stays
+// behind its follower's watermark, so only a follower that lost its
+// replica directory asks for such a seq; the test checkpoints with no
+// bound by hand.
 func TestTailCompactedDoesNotAdvanceWatermark(t *testing.T) {
 	n, reg, _ := openLonely(t, func(c *Config) { c.Shards = 1; c.AckTimeout = 20 * time.Millisecond })
 	srv := httptest.NewServer(n.Handler())
@@ -113,7 +115,7 @@ func TestTailCompactedDoesNotAdvanceWatermark(t *testing.T) {
 	if err := n.ingestBatch(testMeasurements(8, 3)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.shards[0].Log.Checkpoint(); err != nil {
+	if _, err := n.shards[0].Log.Checkpoint(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}
 

@@ -301,7 +301,7 @@ func TestNodeWALStats(t *testing.T) {
 	// The batch is one frame on every shard it has rows for.
 	shards := map[int]bool{}
 	for _, m := range ms {
-		shards[ingest.ShardOf(m.Host, 2)] = true
+		shards[durable.ShardOf(m.Host, 2)] = true
 	}
 	var frames, fsyncs uint64
 	for _, st := range stats {

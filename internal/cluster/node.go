@@ -2,11 +2,13 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"path/filepath"
 	"strconv"
@@ -296,6 +298,7 @@ type Node struct {
 	draining atomic.Bool
 	met      nodeMetrics
 	dedup    dedupTable
+	ckptMu   sync.Mutex // Checkpoint and RecoverReplica: no recovery reads a compacting directory
 	// scratch is the free list of ingestScratch: unlike a sync.Pool, a
 	// GC cycle does not empty it, so a batch after one does not rebuild
 	// its shard batches' index maps.
@@ -325,11 +328,7 @@ func Open(cfg Config) (*Node, error) {
 	}
 	n := &Node{cfg: cfg, self: self, members: members, scratch: make(chan *ingestScratch, maxFreeScratch)}
 	n.ctx, n.cancel = context.WithCancel(context.Background())
-	ownDir := filepath.Join(cfg.DataDir, "own")
-	if err := ingest.PinShardManifest(ownDir, cfg.Shards, cfg.ID); err != nil {
-		return nil, err
-	}
-	engines, infos, err := durable.OpenShards(ownDir, cfg.Shards, n.shardOptions(""))
+	engines, _, err := durable.OpenShards(filepath.Join(cfg.DataDir, "own"), cfg.Shards, cfg.ID, n.shardOptions(""))
 	if err != nil {
 		return nil, err
 	}
@@ -338,7 +337,6 @@ func Open(cfg Config) (*Node, error) {
 		sh.lastSeq.advance(e.Log.NextSeq() - 1)
 		n.shards = append(n.shards, sh)
 	}
-	durable.LogRecovery(infos, "node", cfg.ID)
 	if peer, ok := members.ReplicaTarget(cfg.ID); ok {
 		n.replicaPeer = peer.ID
 	}
@@ -352,20 +350,13 @@ func Open(cfg Config) (*Node, error) {
 			continue
 		}
 		repRoot := filepath.Join(cfg.DataDir, "replica", m.ID)
-		// From here a failed boot closes the logs already opened (Close on
-		// a node that never started just closes them).
-		if err := ingest.PinShardManifest(repRoot, cfg.Shards, cfg.ID); err != nil {
-			n.Close()
+		logs, err := durable.OpenLogs(repRoot, cfg.Shards, cfg.ID, n.shardOptions(""))
+		if err != nil {
+			n.Close() // on a node that never started, just closes the logs opened
 			return nil, err
 		}
-		for i := 0; i < cfg.Shards; i++ {
-			dir := durable.ShardDir(repRoot, i)
-			log, err := durable.Open(n.shardOptions(dir))
-			if err != nil {
-				n.Close()
-				return nil, err
-			}
-			n.followers = append(n.followers, &follower{n: n, source: m.ID, shardIdx: i, dir: dir, log: log,
+		for i, log := range logs {
+			n.followers = append(n.followers, &follower{n: n, source: m.ID, shardIdx: i, dir: durable.ShardDir(repRoot, i), log: log,
 				done: make(chan struct{})})
 		}
 	}
@@ -623,6 +614,31 @@ func (n *Node) Close() error {
 	return first
 }
 
+// Checkpoint compacts the node's logs: an own shard only below its
+// follower's watermark whenever a boot-time replica peer exists, dead in
+// this node's view or not (a dead mark is local, and a follower marked so
+// may still be tailing), so no follower is refused its resume point; in a
+// ring of one, and for every replica log, in full. Each failure is filed
+// as a Warn; the first returns.
+func (n *Node) Checkpoint() (err error) {
+	n.ckptMu.Lock()
+	defer n.ckptMu.Unlock()
+	if n.killed.Load() {
+		return ErrNodeKilled
+	}
+	for i, sh := range n.shards {
+		below := uint64(math.MaxUint64)
+		if n.replicaPeer != "" {
+			below = sh.watermark.now()
+		}
+		err = cmp.Or(err, durable.CheckpointLog(sh.Log, below, "node", n.self.ID, "shard", i))
+	}
+	for _, f := range n.followers {
+		err = cmp.Or(err, durable.CheckpointLog(f.log, math.MaxUint64, "node", n.self.ID, "peer", f.source, "shard", f.shardIdx))
+	}
+	return err
+}
+
 // Shards returns the node's own shard engines in shard order.
 func (n *Node) Shards() []*durable.Shard {
 	out := make([]*durable.Shard, len(n.shards))
@@ -645,8 +661,9 @@ func (n *Node) MergeLocal() *store.DB {
 // RecoverReplica rebuilds a dead peer's shards from the replica WALs
 // this node holds: newest snapshot plus replicated tail per shard,
 // merged deterministically. It refuses while the source is still alive
-// (its follower would be appending underneath the recovery) and waits
-// for the source's followers to wind down first.
+// (its follower would be appending underneath the recovery), waits for
+// the source's followers to wind down first, and reads under the lock
+// Checkpoint holds, never beside a compaction.
 func (n *Node) RecoverReplica(sourceID string) (*store.DB, error) {
 	if m, ok := n.members.Get(sourceID); ok && m.State != Dead {
 		return nil, fmt.Errorf("cluster: %s is %s, not dead; refusing replica recovery", sourceID, m.State)
@@ -667,6 +684,8 @@ func (n *Node) RecoverReplica(sourceID string) (*store.DB, error) {
 			return nil, fmt.Errorf("cluster: follower of %s shard %d did not stop", sourceID, f.shardIdx)
 		}
 	}
+	n.ckptMu.Lock()
+	defer n.ckptMu.Unlock()
 	dbs := make([]*store.DB, 0, len(mine))
 	for _, f := range mine {
 		db, info, err := durable.Recover(n.shardOptions(f.dir))
@@ -936,7 +955,7 @@ func (n *Node) ingest(sc *ingestScratch, relay bool) (status int, res ingest.Bat
 				n.met.notOwner.Inc()
 				return http.StatusOK, ingest.BatchResult{NotOwner: true, Owner: owner.ID, OwnerURL: owner.URL}
 			}
-			si = ingest.ShardOf(host, n.cfg.Shards)
+			si = durable.ShardOf(host, n.cfg.Shards)
 			sc.hosts[host] = si
 		}
 		sc.shardOf = append(sc.shardOf, si)

@@ -498,7 +498,7 @@ func TestWeightedRowCountsItsMeasurements(t *testing.T) {
 	}
 	n := tc.nodes["solo"]
 	n.Kill()
-	shards, infos, err := durable.OpenShards(filepath.Join(n.cfg.DataDir, "own"), n.cfg.Shards, n.shardOptions(""))
+	shards, infos, err := durable.OpenShards(filepath.Join(n.cfg.DataDir, "own"), n.cfg.Shards, n.cfg.ID, n.shardOptions(""))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,7 +105,7 @@ func ringHash(s string) uint64 {
 }
 
 // fnv1a64 is 64-bit FNV-1a over s. The 32-bit sibling, stats.FNV1a,
-// picks a local shard for a host (ingest.ShardOf); this one feeds ring
+// picks a local shard for a host (durable.ShardOf); this one feeds ring
 // placement.
 func fnv1a64(s string) uint64 {
 	const (

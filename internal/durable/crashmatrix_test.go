@@ -10,6 +10,7 @@ package durable
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -75,7 +76,7 @@ func writeWAL(t *testing.T, ms []core.Measurement, checkpointAt int) string {
 			t.Fatal(err)
 		}
 		if checkpointAt > 0 && i+1 == checkpointAt {
-			if _, err := l.Checkpoint(); err != nil {
+			if _, err := l.Checkpoint(math.MaxUint64); err != nil {
 				t.Fatal(err)
 			}
 		}

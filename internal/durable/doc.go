@@ -19,15 +19,16 @@
 //     layout of its own below the frame. Appends are
 //     buffered; a background syncer fsyncs on a configurable cadence so
 //     durability never sits on the ingest hot path.
-//   - Checkpoint (Rotate, then Compact) is the one compactor: it seals
-//     the active segment, replays the sealed segments into a store
-//     snapshot (internal/store's deterministic image, itself batch
-//     frames: one weighted row per clean (country, host type) cell, then
-//     the proxied records) and deletes the covered segments, bounding
-//     disk at paper scale.
-//     reportd runs it on -snapshot-every and once more at shutdown.
+//   - Checkpoint is the one compactor: it seals the active segment,
+//     replays the sealed segments whose frames all lie below its bound
+//     (a follower's watermark; none for a log nobody tails) into a store
+//     snapshot (internal/store's deterministic image, itself batch frames:
+//     one weighted row per clean (country, host type) cell, then the
+//     proxied records) and deletes the covered segments, bounding disk at
+//     paper scale. reportd runs it on -snapshot-every and at shutdown.
+//   - ShardOf is the host partition, and OpenShards pins it on disk.
 //   - One function reads a log directory, and Recover, Open's repair,
-//     OpenShards and Compact all call it: the newest valid snapshot, then
+//     OpenShards and Checkpoint all call it: the newest valid snapshot, then
 //     the segments in sequence order up to the first gap or damaged
 //     frame. Recover rebuilds a store.DB from that reading, Open
 //     truncates and sets aside what lies past it and appends from there,

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"crypto/x509"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -199,7 +200,7 @@ func TestCheckpointBoundsDisk(t *testing.T) {
 			t.Fatal(err)
 		}
 		if (i+1)%50 == 0 {
-			info, err := l.Checkpoint()
+			info, err := l.Checkpoint(math.MaxUint64)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -256,6 +257,34 @@ func TestCheckpointBoundsDisk(t *testing.T) {
 // Close) leaves one snapshot and a header-only active segment, recovery
 // is one decode, a second checkpoint with nothing new changes nothing,
 // and a reopened log appends after the snapshot.
+// TestCheckpointStopsAtBound: a bounded checkpoint folds only the sealed
+// segments whose every frame lies below the bound. The segment holding
+// the bound stays a segment, so CheckTail still serves from the bound,
+// and a later checkpoint with no bound folds the rest.
+func TestCheckpointStopsAtBound(t *testing.T) {
+	ms := syntheticMeasurements(120, 9)
+	l, err := Open(testOptions(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	appendPer(t, l, ms, 1)
+	const bound = 60
+	info, err := l.Checkpoint(bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.LastSeq == 0 || info.LastSeq >= bound {
+		t.Fatalf("checkpoint below %d covers seq %d, want a sealed prefix below the bound", bound, info.LastSeq)
+	}
+	if err := l.CheckTail(bound); err != nil {
+		t.Fatalf("tail from the bound after a checkpoint below it: %v", err)
+	}
+	if info, err = l.Checkpoint(math.MaxUint64); err != nil || info.LastSeq != 120 {
+		t.Fatalf("unbounded checkpoint: %+v, %v; want every frame through 120", info, err)
+	}
+}
+
 func TestShutdownCheckpointCollapsesDir(t *testing.T) {
 	dir := t.TempDir()
 	ms := syntheticMeasurements(80, 4)
@@ -268,7 +297,7 @@ func TestShutdownCheckpointCollapsesDir(t *testing.T) {
 		}
 		appendPer(t, l, batch, 1)
 		if checkpoint {
-			if info, err := l.Checkpoint(); err != nil || info.LastSeq != 80 {
+			if info, err := l.Checkpoint(math.MaxUint64); err != nil || info.LastSeq != 80 {
 				t.Fatalf("checkpoint: %+v, %v", info, err)
 			}
 		}

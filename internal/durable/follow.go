@@ -18,8 +18,9 @@ var ErrTailAhead = errors.New("durable: follower is ahead of source log")
 
 // ErrTailCompacted reports a follower asking for a sequence a snapshot
 // already covers: its frames are gone from the WAL, and the replication
-// stream carries frames only. A cluster log never compacts, so a replica
-// of one never sees this.
+// stream carries frames only. A cluster node with a replica peer
+// compacts its own logs only below that follower's watermark, so a
+// follower sees this only after losing its replica directory.
 var ErrTailCompacted = errors.New("durable: follower's resume point was compacted into a snapshot")
 
 // NextSeq returns the sequence the next appended frame will get.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -46,7 +47,7 @@ func TestTailCursorChangesCostNeverBytes(t *testing.T) {
 	}
 	defer l.Close()
 	appendPer(t, l, ms[:120], 1)
-	if info, err := l.Checkpoint(); err != nil || info.LastSeq != 120 {
+	if info, err := l.Checkpoint(math.MaxUint64); err != nil || info.LastSeq != 120 {
 		t.Fatalf("checkpoint: %+v, %v", info, err)
 	}
 	appendPer(t, l, ms[120:300], 1)

@@ -47,7 +47,7 @@ type dirScan struct {
 }
 
 // scan is the one reading of a log directory that Recover, Open's repair,
-// OpenShards and Compact share. It takes the newest snapshot whose CRC
+// OpenShards and compact share. It takes the newest snapshot whose CRC
 // verifies (a corrupt one falls back to an older one, then to none), then
 // walks the segments in sequence order, CRC-checking every frame and
 // decoding every frame past the snapshot. The usable log ends at the
@@ -169,20 +169,22 @@ func Recover(opt Options) (*store.DB, Info, error) {
 	return s.db, s.info, nil
 }
 
-// Compact folds the log's sealed segments into a fresh snapshot and
-// deletes them, bounding disk while the log stays open for appends. The
-// active segment is untouched, so Compact is safe to run concurrently
-// with appends; frames written after the last Rotate stay in the WAL
-// tail until the next compaction.
-func (l *Log) Compact() (Info, error) {
+// compact folds the sealed segments whose every frame lies below seq
+// below into a fresh snapshot and deletes them, bounding disk while the
+// log stays open for appends. The active segment is untouched, so compact
+// is safe to run concurrently with appends; frames written after the last
+// Rotate stay in the WAL tail until the next compaction.
+func (l *Log) compact(below uint64) (Info, error) {
 	l.compactMu.Lock()
 	defer l.compactMu.Unlock()
 
 	l.mu.Lock()
 	info := Info{SnapshotSeq: l.snapSeq, LastSeq: l.snapSeq}
 	var through uint64
-	if n := len(l.sealed); n > 0 {
-		through = l.sealed[n-1].last
+	for _, seg := range l.sealed {
+		if seg.last < below {
+			through = seg.last
+		}
 	}
 	l.mu.Unlock()
 	if through <= info.SnapshotSeq {
@@ -221,13 +223,13 @@ func (l *Log) Compact() (Info, error) {
 	return s.info, nil
 }
 
-// Checkpoint is Rotate followed by Compact: seal whatever has been
-// appended so far and fold every sealed byte into the snapshot. It is
-// the only compactor: reportd's -snapshot-every drives it on a timer,
-// and its shutdown path runs it once more before closing the WALs.
-func (l *Log) Checkpoint() (Info, error) {
+// Checkpoint is the one compactor: Rotate, then fold the sealed segments
+// whose every frame lies below seq below. A tailed log passes its
+// follower's watermark, so nothing the follower may still ask for goes;
+// a log nobody tails passes math.MaxUint64.
+func (l *Log) Checkpoint(below uint64) (Info, error) {
 	if err := l.Rotate(); err != nil {
 		return Info{}, err
 	}
-	return l.Compact()
+	return l.compact(below)
 }

@@ -357,7 +357,7 @@ func TestOpenRefusesAnotherFormatVersion(t *testing.T) {
 	before := dirFiles(t, dir)
 	_, err := Open(testOptions(dir))
 	_, _, rerr := Recover(testOptions(dir))
-	_, _, serr := OpenShards(root, 1, testOptions(""))
+	_, _, serr := OpenShards(root, 1, "", testOptions(""))
 	for _, err := range []error{err, rerr, serr} {
 		if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version 2") {
 			t.Fatalf("opening a version-1 directory: %v, want an error naming versions 1 and 2", err)
@@ -400,7 +400,7 @@ func TestRecoverRefusesVersion1Snapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, _, rerr := Recover(testOptions(dir))
-		_, _, serr := OpenShards(root, 1, testOptions(""))
+		_, _, serr := OpenShards(root, 1, "", testOptions(""))
 		for _, err := range []error{rerr, serr} {
 			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) || !strings.Contains(err.Error(), "version 4") {
 				t.Fatalf("booting over a version-%d snapshot: %v, want an error naming versions %d and 4", v, err, v)

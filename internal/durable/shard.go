@@ -1,14 +1,17 @@
 package durable
 
 import (
+	"encoding/json"
 	"fmt"
 	"log/slog"
+	"os"
 	"path/filepath"
 	"slices"
 	"sync"
 	"time"
 
 	"tlsfof/internal/core"
+	"tlsfof/internal/stats"
 	"tlsfof/internal/store"
 	"tlsfof/internal/telemetry"
 )
@@ -55,16 +58,76 @@ func ShardDir(root string, i int) string {
 	return filepath.Join(root, fmt.Sprintf("shard-%03d", i))
 }
 
-// OpenShards boots the n shards rooted at root: each shard directory is
-// read once — the reading that rebuilds its store (snapshot plus usable
-// tail) also repairs the directory and finds the append point — and
-// opened for appending; opt supplies everything but Dir. When shard k
-// fails, shards 0..k-1 are closed before the error returns, so a failed
-// boot leaves no open segment and no syncer.
-func OpenShards(root string, n int, opt Options) ([]*Shard, []Info, error) {
+// ShardOf maps a probed host to one of n shards: stats.FNV1a of the
+// name. The host set is small and hot (1 or 18 hosts in the studies), so
+// this keeps each host's aggregates on one shard and needs no
+// cross-shard coordination for per-host tables. The pipeline and the
+// cluster node both partition with it, and the shard manifest pins its
+// result on disk — it must never change.
+func ShardOf(host string, n int) int {
+	if n == 1 {
+		return 0
+	}
+	return int(stats.FNV1a(host) % uint32(n))
+}
+
+// shardManifest pins a directory of shards to one shard layout and, in
+// cluster mode, to one node identity.
+type shardManifest struct {
+	Shards int    `json:"shards"`
+	Node   string `json:"node,omitempty"`
+}
+
+// pinShardManifest pins root to a shard count and (when node is
+// non-empty) a cluster node identity, writing the manifest on first use
+// and refusing any later open that disagrees: a changed shard count
+// would silently move the hash partition, and a shard directory grafted
+// onto a different node would double-count its frames after a replica
+// recovery.
+func pinShardManifest(root string, shards int, node string) error {
+	if err := os.MkdirAll(root, 0o777); err != nil {
+		return fmt.Errorf("durable: %w", err)
+	}
+	path := filepath.Join(root, "manifest.json")
+	b, err := os.ReadFile(path)
+	if err == nil {
+		var m shardManifest
+		if err := json.Unmarshal(b, &m); err != nil {
+			return fmt.Errorf("durable: %s: %w", path, err)
+		}
+		if m.Shards != shards {
+			return fmt.Errorf("durable: %s was written with %d shards, refusing to open with %d (the hash partition would move)", root, m.Shards, shards)
+		}
+		if m.Node != node {
+			return fmt.Errorf("durable: %s was written by node %q, refusing to open as node %q", root, m.Node, node)
+		}
+		return nil
+	}
+	if !os.IsNotExist(err) {
+		return fmt.Errorf("durable: %w", err)
+	}
+	b, _ = json.Marshal(shardManifest{Shards: shards, Node: node})
+	if err := os.WriteFile(path, append(b, '\n'), 0o666); err != nil {
+		return fmt.Errorf("durable: %w", err)
+	}
+	return nil
+}
+
+// OpenShards boots the n shards rooted at root, the one boot path of
+// both mounts: it pins the shard manifest (with node, in a cluster), reads
+// each shard directory once — the reading that rebuilds its store also
+// repairs the directory and finds the append point — opens it for
+// appending (opt supplies everything but Dir) and files the recovery
+// records (see logRecovery). When shard k fails, shards 0..k-1 are closed
+// before the error returns, so a failed boot leaves no open segment and
+// no syncer.
+func OpenShards(root string, n int, node string, opt Options) ([]*Shard, []Info, error) {
+	if err := pinShardManifest(root, n, node); err != nil {
+		return nil, nil, err
+	}
 	shards := make([]*Shard, 0, n)
 	infos := make([]Info, 0, n)
-	for i := 0; i < n; i++ {
+	for i := range n {
 		opt.Dir = ShardDir(root, i)
 		log, s, err := open(opt, true)
 		if err != nil {
@@ -76,15 +139,42 @@ func OpenShards(root string, n int, opt Options) ([]*Shard, []Info, error) {
 		shards = append(shards, &Shard{Log: log, DB: s.db})
 		infos = append(infos, s.info)
 	}
+	logRecovery(infos, node)
 	return shards, infos, nil
 }
 
-// LogRecovery files one slog record for each of a boot's shards that
+// OpenLogs pins and opens root's n shard logs as OpenShards does, but
+// builds no store and files no record: a cluster node's replica logs,
+// which only a recovery reads. A failed open closes the logs before it.
+func OpenLogs(root string, n int, node string, opt Options) ([]*Log, error) {
+	if err := pinShardManifest(root, n, node); err != nil {
+		return nil, err
+	}
+	logs := make([]*Log, 0, n)
+	for i := range n {
+		opt.Dir = ShardDir(root, i)
+		l, err := Open(opt)
+		if err != nil {
+			for _, l := range logs {
+				l.Close()
+			}
+			return nil, fmt.Errorf("durable: shard %d: %w", i, err)
+		}
+		logs = append(logs, l)
+	}
+	return logs, nil
+}
+
+// logRecovery files one slog record for each of a boot's shards that
 // found anything on disk: "shard recovered (snapshot S, R replayed)"
-// with args, then the shard index and its last applied seq — at Info, or
-// at Warn with the reason as err when the log ended in damage and its
-// tail was dropped.
-func LogRecovery(infos []Info, args ...any) {
+// with the node (in cluster mode), the shard index and its last applied
+// seq — at Info, or at Warn with the reason as err when the log ended in
+// damage and its tail was dropped.
+func logRecovery(infos []Info, node string) {
+	var args []any
+	if node != "" {
+		args = []any{"node", node}
+	}
 	for i, info := range infos {
 		if info.Replayed == 0 && info.SnapshotSeq == 0 && !info.DroppedTail {
 			continue
@@ -97,6 +187,20 @@ func LogRecovery(infos []Info, args ...any) {
 			slog.Info(msg, kv...)
 		}
 	}
+}
+
+// CheckpointLog checkpoints l below seq below and files a failure as a
+// Warn, args first; it returns the failure. A nil log (a memory-only
+// shard) has nothing to fold.
+func CheckpointLog(l *Log, below uint64, args ...any) error {
+	if l == nil {
+		return nil
+	}
+	_, err := l.Checkpoint(below)
+	if err != nil {
+		slog.Warn("checkpoint failed", append(args, "err", err)...)
+	}
+	return err
 }
 
 // Commit writes b ahead as one batch frame (more when it is too big for

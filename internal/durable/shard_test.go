@@ -1,11 +1,13 @@
 package durable
 
 import (
+	"math"
 	"os"
 	"strings"
 	"testing"
 
 	"tlsfof/internal/core"
+	"tlsfof/internal/hostdb"
 	"tlsfof/internal/telemetry"
 )
 
@@ -27,7 +29,7 @@ func batchOf(ms []core.Measurement) *core.Batch {
 func TestOpenShardsBootsOnOneReading(t *testing.T) {
 	root := t.TempDir()
 	ms := syntheticMeasurements(120, 27)
-	shards, _, err := OpenShards(root, 2, testOptions(""))
+	shards, _, err := OpenShards(root, 2, "", testOptions(""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +41,7 @@ func TestOpenShardsBootsOnOneReading(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i == 0 {
-			if _, err := sh.Log.Checkpoint(); err != nil {
+			if _, err := sh.Log.Checkpoint(math.MaxUint64); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -72,7 +74,7 @@ func TestOpenShardsBootsOnOneReading(t *testing.T) {
 		}
 		want, wantInfo = append(want, renderTables(t, db)), append(wantInfo, info)
 	}
-	shards, infos, err := OpenShards(root, 2, testOptions(""))
+	shards, infos, err := OpenShards(root, 2, "", testOptions(""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +115,7 @@ func TestOpenShardsBootsOnOneReading(t *testing.T) {
 // before its oversized last measurement.
 func TestFailedCommitLeavesNoFrames(t *testing.T) {
 	root := t.TempDir()
-	shards, _, err := OpenShards(root, 1, testOptions(""))
+	shards, _, err := OpenShards(root, 1, "", testOptions(""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +158,7 @@ func TestFailedCommitLeavesNoFrames(t *testing.T) {
 // wal_append and store_merge, and every traced row looks up to exactly
 // those spans.
 func TestCommitFilesOneTraceRecord(t *testing.T) {
-	shards, _, err := OpenShards(t.TempDir(), 1, testOptions(""))
+	shards, _, err := OpenShards(t.TempDir(), 1, "", testOptions(""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,6 +200,21 @@ func TestCommitFilesOneTraceRecord(t *testing.T) {
 		}
 		if len(distinct) != 2 {
 			t.Fatalf("commit of %d traced rows filed %d distinct spans, want 2", traced, len(distinct))
+		}
+	}
+}
+
+// TestShardOfPinned pins ShardOf over the study-2 hosts, in hostdb
+// order, at 2 and 4 shards. Shard manifests record this partition on
+// disk, so a change here strands every existing data directory.
+func TestShardOfPinned(t *testing.T) {
+	for n, want := range map[int]string{2: "10111010110100010", 4: "30131030132322010"} {
+		got := make([]byte, 0, len(want))
+		for _, h := range hostdb.SecondStudyHosts() {
+			got = append(got, byte('0'+ShardOf(h.Name, n)))
+		}
+		if string(got) != want {
+			t.Errorf("ShardOf at n=%d = %s, want %s", n, got, want)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"maps"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -322,7 +323,7 @@ func TestReplTailBelowSnapshotRefused(t *testing.T) {
 	defer src.Close()
 	ms := syntheticMeasurements(100, 14)
 	appendPer(t, src, ms[:60], 1)
-	if _, err := src.Checkpoint(); err != nil {
+	if _, err := src.Checkpoint(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}
 	appendPer(t, src, ms[60:], 1)

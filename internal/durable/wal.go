@@ -431,7 +431,7 @@ func (l *Log) syncLoop() {
 }
 
 // Rotate seals the active segment (flush + fsync + close) and starts a
-// fresh one, making the sealed segment eligible for Compact. An empty
+// fresh one, making the sealed segment eligible for a Checkpoint. An empty
 // active segment is left alone.
 func (l *Log) Rotate() error {
 	l.mu.Lock()

@@ -1,17 +1,14 @@
 package ingest
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
+	"cmp"
+	"math"
 	"slices"
 	"sync"
 	"time"
 
 	"tlsfof/internal/core"
 	"tlsfof/internal/durable"
-	"tlsfof/internal/stats"
 	"tlsfof/internal/store"
 	"tlsfof/internal/telemetry"
 )
@@ -128,10 +125,7 @@ func OpenPipeline(cfg Config) (*Pipeline, []durable.Info, error) {
 		return NewPipeline(cfg), nil, nil
 	}
 	cfg = cfg.withDefaults()
-	if err := PinShardManifest(cfg.WALDir, cfg.Shards, ""); err != nil {
-		return nil, nil, err
-	}
-	engines, infos, err := durable.OpenShards(cfg.WALDir, cfg.Shards, durable.Options{})
+	engines, infos, err := durable.OpenShards(cfg.WALDir, cfg.Shards, "", durable.Options{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -147,48 +141,6 @@ func newPipeline(cfg Config, engines []*durable.Shard) *Pipeline {
 	return p
 }
 
-// shardManifest pins the WAL directory to one shard layout and, in
-// cluster mode, to one node identity.
-type shardManifest struct {
-	Shards int    `json:"shards"`
-	Node   string `json:"node,omitempty"`
-}
-
-// PinShardManifest pins dir to a shard count and (when node is
-// non-empty) a cluster node identity, writing the manifest on first use
-// and refusing any later open that disagrees: a changed shard count
-// would silently move the hash partition, and a shard directory grafted
-// onto a different node would double-count its frames after a replica
-// recovery.
-func PinShardManifest(dir string, shards int, node string) error {
-	if err := os.MkdirAll(dir, 0o777); err != nil {
-		return fmt.Errorf("ingest: %w", err)
-	}
-	path := filepath.Join(dir, "manifest.json")
-	b, err := os.ReadFile(path)
-	if err == nil {
-		var m shardManifest
-		if err := json.Unmarshal(b, &m); err != nil {
-			return fmt.Errorf("ingest: %s: %w", path, err)
-		}
-		if m.Shards != shards {
-			return fmt.Errorf("ingest: %s was written with %d shards, refusing to open with %d (the hash partition would move)", dir, m.Shards, shards)
-		}
-		if m.Node != node {
-			return fmt.Errorf("ingest: %s was written by node %q, refusing to open as node %q", dir, m.Node, node)
-		}
-		return nil
-	}
-	if !os.IsNotExist(err) {
-		return fmt.Errorf("ingest: %w", err)
-	}
-	b, _ = json.Marshal(shardManifest{Shards: shards, Node: node})
-	if err := os.WriteFile(path, append(b, '\n'), 0o666); err != nil {
-		return fmt.Errorf("ingest: %w", err)
-	}
-	return nil
-}
-
 // stageStart reads the clock only when a tracer will consume it.
 func stageStart(tr *telemetry.Tracer) time.Time {
 	if tr == nil {
@@ -197,22 +149,9 @@ func stageStart(tr *telemetry.Tracer) time.Time {
 	return time.Now()
 }
 
-// ShardOf maps a probed host to one of n shards: stats.FNV1a of the
-// name. The host set is small and hot (1 or 18 hosts in the studies), so
-// this keeps each host's aggregates on one shard and needs no
-// cross-shard coordination for per-host tables. The pipeline and the
-// cluster node both partition with it, and the shard manifest pins its
-// result on disk — it must never change.
-func ShardOf(host string, n int) int {
-	if n == 1 {
-		return 0
-	}
-	return int(stats.FNV1a(host) % uint32(n))
-}
-
 // Ingest implements core.Sink: a one-row Deliver.
 func (p *Pipeline) Ingest(m core.Measurement) {
-	sh := p.shards[ShardOf(m.Host, len(p.shards))]
+	sh := p.shards[durable.ShardOf(m.Host, len(p.shards))]
 	queuedAt := stageStart(p.cfg.Tracer)
 	sh.Lock()
 	sh.batch.Add(&m)
@@ -245,7 +184,7 @@ func (p *Pipeline) IngestBatch(ms []core.Measurement) {
 func (p *Pipeline) Deliver(b *core.Batch) error {
 	part := make([]int32, 0, 64) // part[t]: the shard of tuple t
 	for i := range b.Tuples {
-		part = append(part, int32(ShardOf(b.Tuples[i].Host, len(p.shards))))
+		part = append(part, int32(durable.ShardOf(b.Tuples[i].Host, len(p.shards))))
 	}
 	for s, sh := range p.shards {
 		if !slices.Contains(part, int32(s)) {
@@ -284,21 +223,14 @@ func (p *Pipeline) Close() error {
 	return first
 }
 
-// Checkpoint seals and compacts every shard WAL: each shard's appended
-// frames fold into its snapshot and the covered segments are deleted,
-// bounding disk while the pipeline keeps serving. Call it on a timer
-// (reportd's -snapshot-every) or before shutdown.
-func (p *Pipeline) Checkpoint() error {
-	var first error
-	for _, sh := range p.shards {
-		if sh.Log == nil {
-			continue
-		}
-		if _, err := sh.Log.Checkpoint(); err != nil && first == nil {
-			first = err
-		}
+// Checkpoint folds every shard WAL into its snapshot, bounding disk while
+// the pipeline keeps serving; nobody tails these WALs, so nothing bounds
+// the fold.
+func (p *Pipeline) Checkpoint() (err error) {
+	for i, sh := range p.shards {
+		err = cmp.Or(err, durable.CheckpointLog(sh.Log, math.MaxUint64, "shard", i))
 	}
-	return first
+	return err
 }
 
 // Shards returns the shard engines in shard order.

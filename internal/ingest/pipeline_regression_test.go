@@ -1,13 +1,9 @@
 package ingest
 
-// Regression tests for the pipeline's lifecycle edges: Ingest after
-// Close is defined, and the host partition never moves.
+// Regression test for the pipeline's lifecycle edge: Ingest after Close
+// is defined.
 
-import (
-	"testing"
-
-	"tlsfof/internal/hostdb"
-)
+import "testing"
 
 // TestIngestAfterClose pins the defined late-producer behaviour: no
 // panic, the measurement still reaches its shard store, and on a durable
@@ -44,21 +40,6 @@ func TestIngestAfterClose(t *testing.T) {
 			if got := recoverAll(t, dir, 2).Totals().Tested; got != 4 {
 				t.Errorf("WAL replays %d measurements, want the 4 committed before Close", got)
 			}
-		}
-	}
-}
-
-// TestShardOfPinned pins ShardOf over the study-2 hosts, in hostdb
-// order, at 2 and 4 shards. Shard manifests record this partition on
-// disk, so a change here strands every existing data directory.
-func TestShardOfPinned(t *testing.T) {
-	for n, want := range map[int]string{2: "10111010110100010", 4: "30131030132322010"} {
-		got := make([]byte, 0, len(want))
-		for _, h := range hostdb.SecondStudyHosts() {
-			got = append(got, byte('0'+ShardOf(h.Name, n)))
-		}
-		if string(got) != want {
-			t.Errorf("ShardOf at n=%d = %s, want %s", n, got, want)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"tlsfof/internal/classify"
 	"tlsfof/internal/core"
+	"tlsfof/internal/durable"
 	"tlsfof/internal/telemetry"
 )
 
@@ -55,7 +56,7 @@ func TestTracedBatchStageOrder(t *testing.T) {
 				host := hosts[(w+b+i)%len(hosts)]
 				reports[i] = Report{Host: host, ChainDER: chain, Trace: uint64(id)}
 				ids = append(ids, id)
-				touched[ShardOf(host, shards)] = true
+				touched[durable.ShardOf(host, shards)] = true
 			}
 			commits += len(touched)
 			body, err := AppendReports(nil, reports)

@@ -33,7 +33,7 @@ func TestWALBytesPinned(t *testing.T) {
 	const hostA = "tlsresearch.byu.edu"
 	hostB := ""
 	for _, h := range []string{"b.pin.example", "c.pin.example", "d.pin.example", "e.pin.example"} {
-		if ShardOf(h, 2) != ShardOf(hostA, 2) {
+		if durable.ShardOf(h, 2) != durable.ShardOf(hostA, 2) {
 			hostB = h
 			break
 		}

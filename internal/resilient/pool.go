@@ -1,6 +1,7 @@
 package resilient
 
 import (
+	"log/slog"
 	"net"
 	"sync"
 	"time"
@@ -50,8 +51,12 @@ func Serve(ln net.Listener, handle func(net.Conn) error, onErr func(error)) {
 // handle on a goroutine per connection and then closes the connection,
 // unless handle handed it to another owner (policy.Mux to net/http).
 // With every slot held Serve waits outside Accept: closing the listener
-// ends it only once a handler returns, Close at once.
+// ends it only once a handler returns, Close at once. An Accept error
+// net/http.Server would retry (a temporary net.Error: EMFILE, ENFILE,
+// ECONNABORTED) is retried the same way, backing off from 5 ms and
+// doubling to 1 s, with one Warn per episode; Close ends the backoff too.
 func (p *Pool) Serve(handle func(net.Conn) (handedOff bool)) {
+	var backoff time.Duration
 	for {
 		select {
 		case p.slots <- struct{}{}:
@@ -61,8 +66,21 @@ func (p *Pool) Serve(handle func(net.Conn) (handedOff bool)) {
 		conn, err := p.ln.Accept()
 		if err != nil {
 			<-p.slots
-			return
+			if ne, ok := err.(net.Error); !ok || !ne.Temporary() {
+				return
+			}
+			if backoff == 0 {
+				slog.Warn("accept failing, retrying", "addr", p.ln.Addr(), "err", err)
+			}
+			backoff = min(max(2*backoff, 5*time.Millisecond), time.Second)
+			select {
+			case <-time.After(backoff):
+				continue
+			case <-p.quit:
+				return
+			}
 		}
+		backoff = 0
 		go func() {
 			defer func() { <-p.slots }()
 			if p.timeout > 0 {

@@ -1,8 +1,16 @@
 package resilient
 
 import (
+	"bytes"
 	"io"
+	"log"
+	"log/slog"
 	"net"
+	"os"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -172,5 +180,112 @@ func TestPoolLeavesHandedOffConn(t *testing.T) {
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := io.ReadFull(c, make([]byte, 1)); err != nil {
 		t.Fatalf("client read %v, want the owner's byte", err)
+	}
+}
+
+// flakyListener fails its first errs Accepts with EMFILE, the way a
+// process out of file descriptors sees them, then hands out conns until
+// it is closed.
+type flakyListener struct {
+	errs   int32
+	calls  atomic.Int32
+	conns  chan net.Conn
+	closed chan struct{}
+	once   sync.Once
+}
+
+func newFlakyListener(errs int32) *flakyListener {
+	return &flakyListener{errs: errs, conns: make(chan net.Conn, 1), closed: make(chan struct{})}
+}
+
+func (l *flakyListener) Accept() (net.Conn, error) {
+	if l.calls.Add(1) <= l.errs {
+		return nil, &net.OpError{Op: "accept", Net: "tcp", Err: os.NewSyscallError("accept", syscall.EMFILE)}
+	}
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.closed:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *flakyListener) Close() error {
+	l.once.Do(func() { close(l.closed) })
+	return nil
+}
+
+func (l *flakyListener) Addr() net.Addr { return &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)} }
+
+// serveFlaky runs a pool on ln whose handler reports each conn on
+// handled; served is closed when Serve returns.
+func serveFlaky(ln net.Listener) (p *Pool, handled chan net.Conn, served chan struct{}) {
+	p = NewPool(ln, 2, time.Minute)
+	handled, served = make(chan net.Conn, 1), make(chan struct{})
+	go func() {
+		defer close(served)
+		p.Serve(func(c net.Conn) bool {
+			handled <- c
+			return true
+		})
+	}()
+	return p, handled, served
+}
+
+// TestPoolRetriesTemporaryAcceptError: an EMFILE from Accept is an
+// episode to wait out, not the end of the server: the connection the
+// listener hands out next is still served.
+func TestPoolRetriesTemporaryAcceptError(t *testing.T) {
+	ln := newFlakyListener(1)
+	p, handled, served := serveFlaky(ln)
+	defer func() {
+		p.Close()
+		<-served
+	}()
+	client, server := net.Pipe()
+	defer client.Close()
+	ln.conns <- server
+	select {
+	case c := <-handled:
+		c.Close()
+	case <-served:
+		t.Fatal("Serve returned on a temporary Accept error")
+	case <-time.After(5 * time.Second):
+		t.Fatal("the connection after the EMFILE was never served")
+	}
+}
+
+// TestPoolCloseEndsAcceptBackoff: Close ends Serve within 100 ms even
+// while it backs off from a run of EMFILEs, and the run files one
+// warning, not one per Accept.
+func TestPoolCloseEndsAcceptBackoff(t *testing.T) {
+	var logged bytes.Buffer
+	prev, w, flags := slog.Default(), log.Writer(), log.Flags()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&logged, nil)))
+	defer func() {
+		slog.SetDefault(prev) // which alone leaves the log package writing into logged
+		log.SetOutput(w)
+		log.SetFlags(flags)
+	}()
+	ln := newFlakyListener(1 << 30)
+	p, _, served := serveFlaky(ln)
+	// Six failures in, the backoff is 160 ms: Close lands inside it.
+	for deadline := time.Now().Add(5 * time.Second); ln.calls.Load() < 6; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("Serve stopped accepting after %d calls", ln.calls.Load())
+		}
+	}
+	start := time.Now()
+	p.Close()
+	select {
+	case <-served:
+		if d := time.Since(start); d > 100*time.Millisecond {
+			t.Fatalf("Serve returned %v after Close, want under 100ms", d)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Serve did not return after Close during a backoff")
+	}
+	if n := strings.Count(logged.String(), "level=WARN"); n != 1 {
+		t.Fatalf("%d warnings for one episode of EMFILEs, want 1:\n%s", n, logged.String())
 	}
 }

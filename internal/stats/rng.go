@@ -267,7 +267,7 @@ func (r *RNG) Read(b []byte) (int, error) {
 }
 
 // FNV1a is the 32-bit FNV-1a hash of s: the repository's one stable
-// string hash. ingest.ShardOf partitions hosts with it and shard
+// string hash. durable.ShardOf partitions hosts with it and shard
 // manifests pin that partition on disk, so it must never change.
 func FNV1a(s string) uint32 {
 	h := uint32(2166136261)
