@@ -79,6 +79,12 @@ type Row struct {
 	Trace uint64
 }
 
+// Fold is one traced measurement folded into a row of tuple Tuple.
+type Fold struct {
+	Tuple uint32
+	Trace uint64
+}
+
 // Batch is one batch frame in memory: built row by row with Add, or
 // decoded from bytes with Decode. Its slices are reused across Reset, so
 // one Batch per goroutine reaches a steady state with no allocation per
@@ -88,6 +94,10 @@ type Batch struct {
 	Tuples    []Tuple
 	Countries []string
 	Rows      []Row
+	// Folds lists the traced measurements that rows took in by a Count
+	// increment rather than as rows of their own. Like Row.Trace it lives
+	// in memory only: neither the encoding nor Split and Halve carry it.
+	Folds []Fold
 
 	// tupleIdx, tupleNext and countryIdx are Add's indexes. tupleIdx
 	// finds the newest tuple of a (host, campaign, host type) key and
@@ -119,7 +129,7 @@ func (b *Batch) Reset(id, trace uint64) {
 	b.ID, b.Trace = id, trace
 	clear(b.Tuples)
 	clear(b.Countries)
-	b.Tuples, b.Countries, b.Rows = b.Tuples[:0], b.Countries[:0], b.Rows[:0]
+	b.Tuples, b.Countries, b.Rows, b.Folds = b.Tuples[:0], b.Countries[:0], b.Rows[:0], b.Folds[:0]
 	clear(b.tupleIdx)
 	b.tupleNext = b.tupleNext[:0]
 	clear(b.countryIdx)
@@ -166,6 +176,16 @@ func (b *Batch) AddRow(r Row) {
 	b.Rows = append(b.Rows, r)
 }
 
+// AddFold records one more traced measurement folded into a row of
+// tuple t; the caller added 1 to that row's Count. A fold names the
+// batch's trace when no row or fold did.
+func (b *Batch) AddFold(t uint32, trace uint64) {
+	if b.Trace == 0 {
+		b.Trace = trace
+	}
+	b.Folds = append(b.Folds, Fold{Tuple: t, Trace: trace})
+}
+
 // AddFrom appends src's row r, count and all, to b as AddN appends
 // src.Measurement of that row: the batch AddN would build, save that a
 // tuple met again past maxTupleChain newer ones of its key is not stored
@@ -173,23 +193,33 @@ func (b *Batch) AddRow(r Row) {
 // use: until b or src is Reset, AddFrom remembers where it put them. Rows from a decoded src
 // make b's strings borrowed too (see Record).
 func (b *Batch) AddFrom(src *Batch, r Row) {
+	r.Tuple, r.Country = uint32(b.tupleFrom(src, r.Tuple)), b.countryOf(src.Countries[r.Country])
+	b.AddRow(r)
+}
+
+// AddFoldFrom is AddFold of src's fold f, its tuple mapped into b's
+// tables as AddFrom maps a row's.
+func (b *Batch) AddFoldFrom(src *Batch, f Fold) {
+	b.AddFold(uint32(b.tupleFrom(src, f.Tuple)), f.Trace)
+}
+
+// tupleFrom returns the index in b of src's tuple t, adding it on first
+// use (see AddFrom).
+func (b *Batch) tupleFrom(src *Batch, t uint32) int32 {
 	if src.gen == 0 || src.gen != b.fromGen {
 		b.fromGen, b.tupleMap = src.gen, b.tupleMap[:0]
 		if src.blob != "" {
 			b.blob = src.blob
 		}
 	}
-	for int(r.Tuple) >= len(b.tupleMap) {
+	for int(t) >= len(b.tupleMap) {
 		b.tupleMap = append(b.tupleMap, -1)
 	}
-	t := b.tupleMap[r.Tuple]
-	if t < 0 {
-		st := &src.Tuples[r.Tuple]
-		t = b.tupleOf(st.Host, st.Campaign, st.HostCategory, &st.Obs)
-		b.tupleMap[r.Tuple] = t
+	if b.tupleMap[t] < 0 {
+		st := &src.Tuples[t]
+		b.tupleMap[t] = b.tupleOf(st.Host, st.Campaign, st.HostCategory, &st.Obs)
 	}
-	r.Tuple, r.Country = uint32(t), b.countryOf(src.Countries[r.Country])
-	b.AddRow(r)
+	return b.tupleMap[t]
 }
 
 // Count is the number of measurements b carries: the sum of its rows'

@@ -198,13 +198,17 @@ func (c *Collector) Stamp(at time.Time) time.Time {
 
 // Deliver hands one request's observed batch to the collector's
 // storage: in one call when the Sink is a BatchCommitter, otherwise one
-// Ingest per row, of that row's measurement (those sinks cannot fail).
+// Ingest per measurement, a row's measurement Count times (those sinks
+// cannot fail).
 func (c *Collector) Deliver(b *Batch) error {
 	if bc, ok := c.Sink.(BatchCommitter); ok {
 		return bc.Deliver(b)
 	}
-	for i := range b.Rows {
-		c.Sink.Ingest(b.Measurement(i))
+	for i, r := range b.Rows {
+		m := b.Measurement(i)
+		for range r.Count {
+			c.Sink.Ingest(m)
+		}
 	}
 	return nil
 }

@@ -212,8 +212,8 @@ func CheckpointLog(l *Log, below uint64, args ...any) error {
 // fsync error may leave a prefix of its frames written (see Log.commit).
 // Either way the stages observed since the last Commit are filed once,
 // as one Tracer.FileBatch record keyed by b.Trace and linked from each
-// traced row of b: one tracer lock and the same spans however many rows
-// are traced. A batch without a trace files nothing.
+// traced row and fold of b: one tracer lock and the same spans however
+// many rows are traced. A batch without a trace files nothing.
 func (s *Shard) Commit(b *core.Batch, sync bool) (uint64, error) {
 	if s.Tracer != nil {
 		defer s.fileSpans(b)
@@ -256,13 +256,16 @@ func (s *Shard) Observe(stage string, start time.Time) {
 }
 
 // fileSpans files the observed stages as one record keyed by b.Trace
-// that links b's traced rows, then empties both buffers.
+// that links b's traced rows and folds, then empties both buffers.
 func (s *Shard) fileSpans(b *core.Batch) {
 	if b.Trace != 0 {
 		for _, r := range b.Rows {
 			if r.Trace != 0 {
 				s.ids = append(s.ids, telemetry.TraceID(r.Trace))
 			}
+		}
+		for _, f := range b.Folds {
+			s.ids = append(s.ids, telemetry.TraceID(f.Trace))
 		}
 		s.Tracer.FileBatch(telemetry.TraceID(b.Trace), s.stages, s.ids)
 	}

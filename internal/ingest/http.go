@@ -18,7 +18,9 @@ import (
 const maxBatchBytes = 32 << 20
 
 // maxBatchReports bounds one request's reports: a repeat is two bytes on
-// the wire but a whole row of the request's batch.
+// the wire, and a proxied repeat is a whole row of the request's batch (a
+// clean one adds 1 to its entry's row's count, and a fold entry when
+// traced).
 const maxBatchReports = 1 << 16
 
 // decodeState is the per-request working set BatchHandler recycles: an
@@ -30,6 +32,8 @@ const maxBatchReports = 1 << 16
 type decodeState struct {
 	arena *Arena
 	dec   *Decoder
+	// body counts the reads of the request body under dec.
+	body  readCounter
 	batch core.Batch
 	// memo[k-1] is wire entry k's first Observe (at most MaxWireEntries).
 	memo []memoSlot
@@ -38,6 +42,18 @@ type decodeState struct {
 	// ObserveBatch per stage.
 	traced            []telemetry.ReportSpans
 	decodes, observes telemetry.HistogramBatch
+}
+
+// readCounter counts its reader's Read calls: a frame whose decode made
+// none came from bytes already buffered.
+type readCounter struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *readCounter) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
 }
 
 // memoSlot is a wire entry's first outcome: the index of its row in the
@@ -58,21 +74,24 @@ var decodePool = sync.Pool{New: func() any {
 // past MaxWireEntries reports grew are dropped, not pooled.
 func (st *decodeState) put() {
 	st.dec.Reset(nil)
+	st.body.r = nil
 	st.arena.Reset()
 	st.batch.Reset(0, 0)
 	clear(st.memo)
 	st.memo, st.traced = st.memo[:0], st.traced[:0]
-	if cap(st.batch.Rows) > MaxWireEntries || cap(st.traced) > MaxWireEntries {
+	if cap(st.batch.Rows) > MaxWireEntries || cap(st.batch.Folds) > MaxWireEntries || cap(st.traced) > MaxWireEntries {
 		st.batch, st.traced = core.Batch{}, nil
 	}
 	decodePool.Put(st)
 }
 
-// observe is col.Observe behind the request's memo, adding the report's
-// row to the request's batch, and says whether the memo answered. One
-// request has one client IP, so one country, and one campaign: a repeat
-// is its entry's first row re-stamped with its own Time and Trace.
-func (st *decodeState) observe(col *core.Collector, ip uint32, rep Report, at time.Time) (repeat bool, err error) {
+// observe is col.Observe behind the request's memo, adding the report to
+// the request's batch, and says whether the memo answered. One request
+// has one client IP, so one country, and one campaign: a repeat of a
+// clean entry adds 1 to the entry's row's Count (and, when traced, a
+// fold), and a repeat of a proxied one is the entry's row re-stamped
+// with its own Time and Trace, since every proxied test is kept (§5.1).
+func (st *decodeState) observe(col *core.Collector, ip uint32, rep Report) (repeat bool, err error) {
 	k := st.dec.entry - 1
 	if k < 0 || k == len(st.memo) {
 		m, err := col.Observe(ip, rep.Host, rep.ChainDER, col.Campaign, rep.Trace)
@@ -88,25 +107,34 @@ func (st *decodeState) observe(col *core.Collector, ip uint32, rep Report, at ti
 	if s.err != nil {
 		return true, s.err
 	}
-	r := st.batch.Rows[s.row]
-	r.Time, r.Trace = col.Stamp(at).UnixNano(), rep.Trace
-	st.batch.AddRow(r)
+	r := &st.batch.Rows[s.row]
+	if !st.batch.Tuples[r.Tuple].Obs.Proxied {
+		r.Count++
+		if rep.Trace != 0 {
+			st.batch.AddFold(r.Tuple, rep.Trace)
+		}
+		return true, nil
+	}
+	row := *r
+	row.Time, row.Trace = col.Stamp(time.Time{}).UnixNano(), rep.Trace
+	st.batch.AddRow(row)
 	return true, nil
 }
 
 // timeFrame adds one report's decode (start to end) and observe (end to
-// next) stages to the request's histogram batches and, when traced, its
+// next) stages, in nanoseconds since the request's clock base at base
+// Unix ns, to the request's histogram batches and, when traced, its
 // entry to the request record. A report whose host has no authoritative
 // chain was never observed.
-func (st *decodeState) timeFrame(trace uint64, start, end, next time.Time, err error) {
-	st.decodes.Observe(end.Sub(start))
+func (st *decodeState) timeFrame(trace uint64, base, start, end, next int64, err error) {
+	st.decodes.Observe(time.Duration(end - start))
 	obs := time.Duration(-1)
 	if !errors.Is(err, core.ErrNoAuthoritative) {
-		obs = next.Sub(end)
+		obs = time.Duration(next - end)
 		st.observes.Observe(obs)
 	}
 	if trace != 0 {
-		st.traced = append(st.traced, telemetry.ReportSpans{ID: telemetry.TraceID(trace), Start: start.UnixNano(), Decode: end.Sub(start), Observe: obs})
+		st.traced = append(st.traced, telemetry.ReportSpans{ID: telemetry.TraceID(trace), Start: base + start, Decode: time.Duration(end - start), Observe: obs})
 	}
 }
 
@@ -150,17 +178,23 @@ func BatchHandler(col *core.Collector) http.Handler {
 			return
 		}
 		ip := core.ClientIPFromRequest(r)
+		st := decodePool.Get().(*decodeState)
+		defer st.put()
 		// MaxBytesReader (not a silent LimitReader) so an oversized
 		// upload surfaces as 413 instead of masquerading as stream
 		// corruption — or worse, as a clean EOF that drops the tail.
-		body := http.MaxBytesReader(w, r.Body, maxBatchBytes)
-		st := decodePool.Get().(*decodeState)
-		st.dec.Reset(body)
-		defer st.put()
+		st.body = readCounter{r: http.MaxBytesReader(w, r.Body, maxBatchBytes)}
+		st.dec.Reset(&st.body)
 		tracer := col.Tracer
 		var res BatchResult
 		status := http.StatusOK
-		start := stageStart(tracer)
+		// The handler loop's clock is monotonic ns since t0, read only
+		// when a frame's decode read the body or an entry was observed:
+		// a frame decoded from buffered bytes gets a zero-length decode,
+		// and the next reading's span covers it, so the spans still tile
+		// the loop.
+		t0 := stageStart(tracer)
+		base, start, reads := t0.UnixNano(), int64(0), 0
 		for n := 1; ; n++ {
 			rep, err := st.dec.Next()
 			if errors.Is(err, io.EOF) {
@@ -184,19 +218,19 @@ func BatchHandler(col *core.Collector) http.Handler {
 				break
 			}
 			end := start
-			if tracer != nil {
-				end = start.Add(time.Since(start)) // one monotonic read, unlike Now
+			if tracer != nil && st.body.reads != reads {
+				end, reads = int64(time.Since(t0)), st.body.reads
 			}
 			// The observe stage runs from this frame's decode end to the
 			// next frame's decode start. A repeat reads no clock: its
-			// observe takes 0 ns and its time stamp is the decode end.
-			repeat, err := st.observe(col, ip, rep, end)
+			// observe takes 0 ns.
+			repeat, err := st.observe(col, ip, rep)
 			next := end
-			if !repeat {
-				next = stageStart(tracer)
-			}
 			if tracer != nil {
-				st.timeFrame(rep.Trace, start, end, next, err)
+				if !repeat {
+					next = int64(time.Since(t0))
+				}
+				st.timeFrame(rep.Trace, base, start, end, next, err)
 			}
 			start = next
 			if err != nil {
@@ -213,7 +247,7 @@ func BatchHandler(col *core.Collector) http.Handler {
 				res.Error = err.Error()
 				status = http.StatusServiceUnavailable
 			} else {
-				res.Accepted = len(st.batch.Rows)
+				res.Accepted = int(st.batch.Count())
 			}
 		}
 		w.Header().Set("Content-Type", "application/json")

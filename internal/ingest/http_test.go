@@ -194,7 +194,7 @@ func (f *failingCommitter) Deliver(b *core.Batch) error {
 	if f.err != nil {
 		return f.err
 	}
-	f.committed += len(b.Rows)
+	f.committed += int(b.Count())
 	return nil
 }
 

@@ -1,9 +1,10 @@
 package ingest
 
 // Tests for the wire entry table and BatchHandler's per-request memo: a
-// request whose reports repeat entries must deliver exactly what
-// observing every report alone delivers, cost no more allocations as
-// the repeats grow, and keep both tables bounded on hostile streams.
+// request whose reports repeat entries must deliver what observing every
+// report alone delivers, its clean repeats folded into counts, cost no
+// more allocations as the repeats grow, and keep both tables bounded on
+// hostile streams.
 
 import (
 	"bytes"
@@ -25,9 +26,9 @@ import (
 
 // TestBatchHandlerMatchesPerReportObserve: one request mixing repeated
 // entries, a forged chain, an unparsable chain and an unknown host, each
-// repeating, delivers in order the measurements per-report
-// Collector.IngestTraced yields, rejects as many reports, and files the
-// same observe spans for every traced report.
+// repeating, delivers the measurements per-report Collector.IngestTraced
+// yields under the fold contract (checkFoldContract), rejects as many
+// reports, and files the same observe spans for every traced report.
 func TestBatchHandlerMatchesPerReportObserve(t *testing.T) {
 	const hostA, hostB = "a.memo.example", "b.memo.example"
 	chainA, chainB := testChain(t, hostA), testChain(t, hostB)
@@ -93,9 +94,7 @@ func TestBatchHandlerMatchesPerReportObserve(t *testing.T) {
 	if res.Accepted != len(want) || res.Rejected != rejected {
 		t.Fatalf("verdict %+v, want %d accepted, %d rejected", res, len(want), rejected)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("memoized request delivered\n%+v\nwant\n%+v", got, want)
-	}
+	checkFoldContract(t, got, want)
 
 	observes := func(tr *telemetry.Tracer, id uint64) int {
 		n := 0
@@ -155,6 +154,56 @@ func TestBatchHandlerRepeatAllocs(t *testing.T) {
 	few, many := allocs(8), allocs(2048)
 	if many > few {
 		t.Fatalf("a request with 2048 repeats allocates %.1f, with 8 repeats %.1f: the memo allocates per report", many, few)
+	}
+}
+
+// TestBatchHandlerFoldedRepeatAllocs pins the fold's cost with a tracer
+// and a pipeline mounted: a traced clean repeat is a count and a fold,
+// linked from its shard commit's trace record, and a warm handler's
+// request allocates no more for 2048 of them than for 8.
+func TestBatchHandlerFoldedRepeatAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	const host = "folds.memo.example"
+	chain := testChain(t, host)
+	tracer := telemetry.NewTracer(telemetry.NewRegistry(), 0)
+	p := NewPipeline(Config{Shards: 2, Tracer: tracer})
+	col := core.NewCollector(classify.NewClassifier(), nil, p)
+	col.Cache = core.NewObservationCache(0, 0)
+	col.Tracer = tracer
+	col.SetAuthoritative(host, chain)
+	h := BatchHandler(col)
+	allocs := func(repeats int) float64 {
+		reports := make([]Report, 1+repeats)
+		for i := range reports {
+			reports[i] = Report{Host: host, ChainDER: chain, Trace: uint64(1 + i)}
+		}
+		body, err := AppendReports(nil, reports)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(50, func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest/batch", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("status %d", rec.Code)
+			}
+		})
+	}
+	few, many := allocs(8), allocs(2048)
+	if many > few {
+		t.Fatalf("a request with 2048 traced folded repeats allocates %.1f, with 8 %.1f: a fold allocates", many, few)
+	}
+	// Every run re-posts the same IDs: the last request's four spans end
+	// the trace.
+	tr, _ := tracer.Lookup(2049)
+	var last []string
+	for _, sp := range tr.Spans[max(0, len(tr.Spans)-4):] {
+		last = append(last, sp.Stage)
+	}
+	if want := []string{telemetry.StageDecode, telemetry.StageObserve, telemetry.StageQueue, telemetry.StageStore}; !reflect.DeepEqual(last, want) {
+		t.Fatalf("the last folded repeat's trace ends in %v, want %v", last, want)
 	}
 }
 
@@ -246,7 +295,7 @@ func TestWireEntryTableBound(t *testing.T) {
 		if err != nil {
 			break
 		}
-		if _, err := st.observe(col, 0, rep, time.Time{}); err != nil {
+		if _, err := st.observe(col, 0, rep); err != nil {
 			rejected++
 		}
 	}

@@ -176,9 +176,10 @@ func (p *Pipeline) IngestBatch(ms []core.Measurement) {
 }
 
 // Deliver implements core.BatchCommitter: b's rows are split by shard,
-// in b's order within a shard, and each touched shard commits its share
-// under one lock acquisition before Deliver returns — one WAL append (no
-// fsync: the log's syncer bounds the time to disk) and one store apply.
+// in b's order within a shard, its folds with them, and each touched
+// shard commits its share under one lock acquisition before Deliver
+// returns — one WAL append (no fsync: the log's syncer bounds the time
+// to disk) and one store apply.
 // It never fails: a WAL append error degrades durability, not
 // availability, and is counted in Stats.
 func (p *Pipeline) Deliver(b *core.Batch) error {
@@ -195,6 +196,11 @@ func (p *Pipeline) Deliver(b *core.Batch) error {
 		for _, r := range b.Rows {
 			if part[r.Tuple] == int32(s) {
 				sh.batch.AddFrom(b, r)
+			}
+		}
+		for _, f := range b.Folds {
+			if part[f.Tuple] == int32(s) {
+				sh.batch.AddFoldFrom(b, f)
 			}
 		}
 		sh.commit(queuedAt)

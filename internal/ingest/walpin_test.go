@@ -123,8 +123,8 @@ func TestWALBytesPinned(t *testing.T) {
 	}
 
 	want := []string{
-		"58b91ae5aa6a22e3e1fe57ce625e13f7e750a1eb13cc06be373d87fc32aacd9b",
-		"ddff4db68b439120ae0e1863bb275756e43ba770698ca256d0ef6fc6d2a46e83",
+		"01aa7d7e3dee5842f5c10d249a2cd20af9bc71bba333fd80d063f7a3df9d70bb",
+		"b821f7fe136edc9d4ff4b1213c60736e83fb3723654347842a2e0132e9d0c636",
 	}
 	for i := range 2 {
 		segs, err := filepath.Glob(filepath.Join(durable.ShardDir(dir, i), "wal-*.log"))

@@ -2,17 +2,42 @@ package tlswire
 
 // Tests for the zero-realloc hot path: the AppendTo encoders must produce
 // the RFC 5246 bytes written out by hand, AppendHandshake framing must be
-// byte-identical to WriteRecord's, the handshake reader's buffer-reuse
+// byte-identical to writeRecord's, the handshake reader's buffer-reuse
 // contract must hold, and a reused Prober must behave exactly like the
 // one-shot Probe.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
 	"testing"
 )
+
+// writeRecord writes payload as one or more records of the given type,
+// fragmenting at the record-layer maximum, header and payload of each
+// in two Writes: the straightforward framer the append encoders are
+// held to.
+func writeRecord(w io.Writer, typ uint8, version uint16, payload []byte) error {
+	var header [recordHeaderLen]byte
+	for first := true; first || len(payload) > 0; first = false {
+		n := min(len(payload), maxRecordPayload)
+		header[0] = typ
+		binary.BigEndian.PutUint16(header[1:3], version)
+		binary.BigEndian.PutUint16(header[3:5], uint16(n))
+		if _, err := w.Write(header[:]); err != nil {
+			return err
+		}
+		if n > 0 {
+			if _, err := w.Write(payload[:n]); err != nil {
+				return err
+			}
+		}
+		payload = payload[n:]
+	}
+	return nil
+}
 
 // Known-answer encodings: each want is the RFC 5246 §7.4 layout spelled
 // out field by field, and AppendTo must append exactly it after a prefix
@@ -93,7 +118,7 @@ func TestCertificateMsgAppendToMatchesMarshal(t *testing.T) {
 
 // TestAppendRecordMatchesWriteRecord pins the RFC 5246 §6.2.1 record
 // layout — type, version, 16-bit length, payload, fragmented at
-// maxRecordPayload — with literal bytes, and checks WriteRecord and both
+// maxRecordPayload — with literal bytes, and checks writeRecord and both
 // record appenders, AppendAlert and AppendHandshake, against it.
 func TestAppendRecordMatchesWriteRecord(t *testing.T) {
 	body := bytes.Repeat([]byte{7}, maxRecordPayload-3) // message spills one byte
@@ -125,11 +150,11 @@ func TestAppendRecordMatchesWriteRecord(t *testing.T) {
 		},
 	} {
 		var w bytes.Buffer
-		if err := WriteRecord(&w, c.typ, c.version, c.payload); err != nil {
+		if err := writeRecord(&w, c.typ, c.version, c.payload); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(w.Bytes(), c.want) {
-			t.Fatalf("%s: WriteRecord wrote %d bytes %.16x…, want %.16x…", c.name, w.Len(), w.Bytes(), c.want)
+			t.Fatalf("%s: writeRecord wrote %d bytes %.16x…, want %.16x…", c.name, w.Len(), w.Bytes(), c.want)
 		}
 		if got := c.appendTo([]byte("prefix")); !bytes.Equal(got, cat([]byte("prefix"), c.want)) {
 			t.Fatalf("%s: appended %d bytes %.16x…, want prefix ‖ %.16x…", c.name, len(got), got, c.want)
@@ -140,7 +165,7 @@ func TestAppendRecordMatchesWriteRecord(t *testing.T) {
 // TestAppendHandshakeMatchesWriteHandshake builds a server flight the way
 // Respond does, each handshake message appended after the ones before it,
 // and checks it against writing the same messages one after another
-// through WriteRecord.
+// through writeRecord.
 func TestAppendHandshakeMatchesWriteHandshake(t *testing.T) {
 	var got []byte
 	var want bytes.Buffer
@@ -154,17 +179,17 @@ func TestAppendHandshakeMatchesWriteHandshake(t *testing.T) {
 	} {
 		got = AppendHandshake(got, VersionTLS12, m.typ, m.body)
 		n := len(m.body)
-		if err := WriteRecord(&want, RecordHandshake, VersionTLS12, cat([]byte{m.typ, byte(n >> 16), byte(n >> 8), byte(n)}, m.body)); err != nil {
+		if err := writeRecord(&want, RecordHandshake, VersionTLS12, cat([]byte{m.typ, byte(n >> 16), byte(n >> 8), byte(n)}, m.body)); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("after message type %d: flight of %d bytes, WriteRecord wrote %d", m.typ, len(got), want.Len())
+			t.Fatalf("after message type %d: flight of %d bytes, writeRecord wrote %d", m.typ, len(got), want.Len())
 		}
 	}
 }
 
 // TestAppendHandshakeFramesLikeWriteRecord checks the framing Prober and
-// Respond put on the wire against WriteRecord's own fragmentation loop:
+// Respond put on the wire against writeRecord's own fragmentation loop:
 // a handshake message is its 4-byte header followed by the body, split
 // into handshake records of at most maxRecordPayload bytes. The sizes
 // cover an empty body, a message that exactly fills one record, one that
@@ -174,12 +199,12 @@ func TestAppendHandshakeFramesLikeWriteRecord(t *testing.T) {
 		body := bytes.Repeat([]byte{0xab}, n)
 		msg := append([]byte{TypeCertificate, byte(n >> 16), byte(n >> 8), byte(n)}, body...)
 		var want bytes.Buffer
-		if err := WriteRecord(&want, RecordHandshake, VersionTLS12, msg); err != nil {
+		if err := writeRecord(&want, RecordHandshake, VersionTLS12, msg); err != nil {
 			t.Fatal(err)
 		}
 		got := AppendHandshake(nil, VersionTLS12, TypeCertificate, body)
 		if !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("%d-byte body: AppendHandshake framed %d bytes, WriteRecord %d", n, len(got), want.Len())
+			t.Fatalf("%d-byte body: AppendHandshake framed %d bytes, writeRecord %d", n, len(got), want.Len())
 		}
 	}
 }

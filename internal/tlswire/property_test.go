@@ -160,7 +160,7 @@ func TestPropertyAppendToMatchesMarshal(t *testing.T) {
 }
 
 // TestPropertyAppendRecordMatchesWriteRecord: the append-into-scratch
-// framing paths produce byte-for-byte what WriteRecord and WriteAlert
+// framing paths produce byte-for-byte what writeRecord and WriteAlert
 // write, including multi-record fragmentation above the record-layer
 // maximum.
 func TestPropertyAppendRecordMatchesWriteRecord(t *testing.T) {
@@ -179,11 +179,11 @@ func TestPropertyAppendRecordMatchesWriteRecord(t *testing.T) {
 		var w bytes.Buffer
 		n := len(body)
 		msg := append([]byte{msgType, byte(n >> 16), byte(n >> 8), byte(n)}, body...)
-		if err := WriteRecord(&w, RecordHandshake, version, msg); err != nil {
+		if err := writeRecord(&w, RecordHandshake, version, msg); err != nil {
 			t.Fatal(err)
 		}
 		if got := AppendHandshake(nil, version, msgType, body); !bytes.Equal(got, w.Bytes()) {
-			t.Fatalf("trial %d: AppendHandshake != WriteRecord for %d-byte body", trial, n)
+			t.Fatalf("trial %d: AppendHandshake != writeRecord for %d-byte body", trial, n)
 		}
 
 		w.Reset()

@@ -99,32 +99,6 @@ func (rr *RecordReader) ReadRecord(rec *Record) error {
 	return nil
 }
 
-// WriteRecord writes payload as one or more records of the given type,
-// fragmenting at the record-layer maximum. Certificate chains routinely
-// exceed one record.
-func WriteRecord(w io.Writer, typ uint8, version uint16, payload []byte) error {
-	var header [recordHeaderLen]byte
-	for first := true; first || len(payload) > 0; first = false {
-		n := len(payload)
-		if n > maxRecordPayload {
-			n = maxRecordPayload
-		}
-		header[0] = typ
-		binary.BigEndian.PutUint16(header[1:3], version)
-		binary.BigEndian.PutUint16(header[3:5], uint16(n))
-		if _, err := w.Write(header[:]); err != nil {
-			return fmt.Errorf("tlswire: write record header: %w", err)
-		}
-		if n > 0 {
-			if _, err := w.Write(payload[:n]); err != nil {
-				return fmt.Errorf("tlswire: write record body: %w", err)
-			}
-		}
-		payload = payload[n:]
-	}
-	return nil
-}
-
 // Alert severities and the descriptions the probe path uses.
 const (
 	AlertLevelWarning uint8 = 1
@@ -150,9 +124,14 @@ func ParseAlert(payload []byte) (Alert, error) {
 	return Alert{Level: payload[0], Description: payload[1]}, nil
 }
 
-// WriteAlert sends one alert record.
+// WriteAlert sends one alert record in one Write, so one segment on a
+// TCP_NODELAY connection.
 func WriteAlert(w io.Writer, version uint16, a Alert) error {
-	return WriteRecord(w, RecordAlert, version, []byte{a.Level, a.Description})
+	var rec [recordHeaderLen + 2]byte
+	if _, err := w.Write(AppendAlert(rec[:0], version, a)); err != nil {
+		return fmt.Errorf("tlswire: write alert: %w", err)
+	}
+	return nil
 }
 
 // AppendAlert appends one framed alert record to dst — the zero-realloc

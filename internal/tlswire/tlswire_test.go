@@ -31,7 +31,7 @@ func testChain(t testing.TB, cn string) [][]byte {
 func TestRecordRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("hello handshake")
-	if err := WriteRecord(&buf, RecordHandshake, VersionTLS12, payload); err != nil {
+	if err := writeRecord(&buf, RecordHandshake, VersionTLS12, payload); err != nil {
 		t.Fatal(err)
 	}
 	rr := NewRecordReader(&buf)
@@ -53,7 +53,7 @@ func TestRecordFragmentation(t *testing.T) {
 	for i := range big {
 		big[i] = byte(i)
 	}
-	if err := WriteRecord(&buf, RecordHandshake, VersionTLS10, big); err != nil {
+	if err := writeRecord(&buf, RecordHandshake, VersionTLS10, big); err != nil {
 		t.Fatal(err)
 	}
 	rr := NewRecordReader(&buf)
@@ -261,6 +261,35 @@ func TestAlertRoundTrip(t *testing.T) {
 	}
 }
 
+// writeCounter counts the Write calls that reach it.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestWriteAlertOneWrite: an alert leaves in one Write, as the bytes
+// writeRecord frames for its two-byte payload in two.
+func TestWriteAlertOneWrite(t *testing.T) {
+	for _, a := range []Alert{{AlertLevelFatal, AlertHandshakeFailure}, {AlertLevelFatal, AlertUnexpectedMsg}} {
+		var w writeCounter
+		if err := WriteAlert(&w, VersionTLS12, a); err != nil {
+			t.Fatal(err)
+		}
+		var want writeCounter
+		if err := writeRecord(&want, RecordAlert, VersionTLS12, []byte{a.Level, a.Description}); err != nil {
+			t.Fatal(err)
+		}
+		if w.writes != 1 || !bytes.Equal(w.Bytes(), want.Bytes()) {
+			t.Fatalf("alert %+v: %d writes of % x, want 1 write of % x", a, w.writes, w.Bytes(), want.Bytes())
+		}
+	}
+}
+
 func TestHandshakeReaderReassembly(t *testing.T) {
 	// One handshake message split across three records.
 	msg := make([]byte, 0, 4+300)
@@ -272,7 +301,7 @@ func TestHandshakeReaderReassembly(t *testing.T) {
 	msg = append(msg, payload...)
 	var buf bytes.Buffer
 	for _, part := range [][]byte{msg[:100], msg[100:200], msg[200:]} {
-		if err := WriteRecord(&buf, RecordHandshake, VersionTLS12, part); err != nil {
+		if err := writeRecord(&buf, RecordHandshake, VersionTLS12, part); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -292,7 +321,7 @@ func TestHandshakeReaderReassembly(t *testing.T) {
 func TestHandshakeReaderRejectsHugeMessage(t *testing.T) {
 	var buf bytes.Buffer
 	header := []byte{TypeCertificate, 0xff, 0xff, 0xff}
-	if err := WriteRecord(&buf, RecordHandshake, VersionTLS12, header); err != nil {
+	if err := writeRecord(&buf, RecordHandshake, VersionTLS12, header); err != nil {
 		t.Fatal(err)
 	}
 	hr := NewHandshakeReader(NewRecordReader(&buf))
