@@ -177,12 +177,8 @@ func (b *Batch) AddRow(r Row) {
 }
 
 // AddFold records one more traced measurement folded into a row of
-// tuple t; the caller added 1 to that row's Count. A fold names the
-// batch's trace when no row or fold did.
+// tuple t; the caller added 1 to that row's Count.
 func (b *Batch) AddFold(t uint32, trace uint64) {
-	if b.Trace == 0 {
-		b.Trace = trace
-	}
 	b.Folds = append(b.Folds, Fold{Tuple: t, Trace: trace})
 }
 
@@ -193,33 +189,23 @@ func (b *Batch) AddFold(t uint32, trace uint64) {
 // use: until b or src is Reset, AddFrom remembers where it put them. Rows from a decoded src
 // make b's strings borrowed too (see Record).
 func (b *Batch) AddFrom(src *Batch, r Row) {
-	r.Tuple, r.Country = uint32(b.tupleFrom(src, r.Tuple)), b.countryOf(src.Countries[r.Country])
-	b.AddRow(r)
-}
-
-// AddFoldFrom is AddFold of src's fold f, its tuple mapped into b's
-// tables as AddFrom maps a row's.
-func (b *Batch) AddFoldFrom(src *Batch, f Fold) {
-	b.AddFold(uint32(b.tupleFrom(src, f.Tuple)), f.Trace)
-}
-
-// tupleFrom returns the index in b of src's tuple t, adding it on first
-// use (see AddFrom).
-func (b *Batch) tupleFrom(src *Batch, t uint32) int32 {
 	if src.gen == 0 || src.gen != b.fromGen {
 		b.fromGen, b.tupleMap = src.gen, b.tupleMap[:0]
 		if src.blob != "" {
 			b.blob = src.blob
 		}
 	}
-	for int(t) >= len(b.tupleMap) {
+	for int(r.Tuple) >= len(b.tupleMap) {
 		b.tupleMap = append(b.tupleMap, -1)
 	}
-	if b.tupleMap[t] < 0 {
-		st := &src.Tuples[t]
-		b.tupleMap[t] = b.tupleOf(st.Host, st.Campaign, st.HostCategory, &st.Obs)
+	t := b.tupleMap[r.Tuple]
+	if t < 0 {
+		st := &src.Tuples[r.Tuple]
+		t = b.tupleOf(st.Host, st.Campaign, st.HostCategory, &st.Obs)
+		b.tupleMap[r.Tuple] = t
 	}
-	return b.tupleMap[t]
+	r.Tuple, r.Country = uint32(t), b.countryOf(src.Countries[r.Country])
+	b.AddRow(r)
 }
 
 // Count is the number of measurements b carries: the sum of its rows'

@@ -42,8 +42,8 @@ type Shard struct {
 	Tracer *telemetry.Tracer
 
 	// stages buffers the stage spans observed for the next commit and ids
-	// that commit's traced row IDs, under the shard lock, until Commit
-	// files them as one trace record.
+	// the trace IDs it links (Link's, then its traced rows'), under the
+	// shard lock, until Commit files them as one trace record.
 	stages []telemetry.Span
 	ids    []telemetry.TraceID
 }
@@ -212,8 +212,9 @@ func CheckpointLog(l *Log, below uint64, args ...any) error {
 // fsync error may leave a prefix of its frames written (see Log.commit).
 // Either way the stages observed since the last Commit are filed once,
 // as one Tracer.FileBatch record keyed by b.Trace and linked from each
-// traced row and fold of b: one tracer lock and the same spans however
-// many rows are traced. A batch without a trace files nothing.
+// ID given to Link and each traced row of b: one tracer lock and the
+// same spans however many are traced. A batch without a trace files
+// nothing.
 func (s *Shard) Commit(b *core.Batch, sync bool) (uint64, error) {
 	if s.Tracer != nil {
 		defer s.fileSpans(b)
@@ -255,17 +256,25 @@ func (s *Shard) Observe(stage string, start time.Time) {
 	s.stages = append(s.stages, telemetry.Span{Stage: stage, Start: start, Duration: d})
 }
 
+// Link records the trace ID of a measurement the next committed batch
+// holds in a row's count rather than as a row of its own, for that
+// Commit to link from its record. The caller holds the shard lock. It
+// is a no-op without a tracer.
+func (s *Shard) Link(trace uint64) {
+	if s.Tracer != nil {
+		s.ids = append(s.ids, telemetry.TraceID(trace))
+	}
+}
+
 // fileSpans files the observed stages as one record keyed by b.Trace
-// that links b's traced rows and folds, then empties both buffers.
+// that links the linked IDs and b's traced rows, then empties both
+// buffers.
 func (s *Shard) fileSpans(b *core.Batch) {
 	if b.Trace != 0 {
 		for _, r := range b.Rows {
 			if r.Trace != 0 {
 				s.ids = append(s.ids, telemetry.TraceID(r.Trace))
 			}
-		}
-		for _, f := range b.Folds {
-			s.ids = append(s.ids, telemetry.TraceID(f.Trace))
 		}
 		s.Tracer.FileBatch(telemetry.TraceID(b.Trace), s.stages, s.ids)
 	}

@@ -32,7 +32,9 @@ import (
 func TestBatchHandlerMatchesPerReportObserve(t *testing.T) {
 	const hostA, hostB = "a.memo.example", "b.memo.example"
 	chainA, chainB := testChain(t, hostA), testChain(t, hostB)
-	forged := testChain(t, hostA) // a second CA: not the chain hostA serves
+	// Not the chain hostA serves. testChain is seeded: a second
+	// testChain(t, hostA) would be chainA, byte for byte.
+	forged := chainB
 	garbage := [][]byte{{0x30, 0x03, 0x01, 0x02, 0x03}}
 	clock := time.Date(2014, 7, 1, 12, 0, 0, 0, time.UTC)
 
@@ -88,8 +90,14 @@ func TestBatchHandlerMatchesPerReportObserve(t *testing.T) {
 		}
 		want = append(want, m)
 	}
-	if rejected != 4 || len(want) != 8 {
-		t.Fatalf("control rejected %d and accepted %d; the request does not mix what it should", rejected, len(want))
+	proxied := 0
+	for _, m := range want {
+		if m.Obs.Proxied {
+			proxied++
+		}
+	}
+	if rejected != 4 || len(want) != 8 || proxied != 2 {
+		t.Fatalf("control rejected %d and accepted %d, %d proxied; the request does not mix what it should", rejected, len(want), proxied)
 	}
 	if res.Accepted != len(want) || res.Rejected != rejected {
 		t.Fatalf("verdict %+v, want %d accepted, %d rejected", res, len(want), rejected)
@@ -243,12 +251,19 @@ func TestBatchHandlerReportBound(t *testing.T) {
 		t.Fatalf("%d reports: status %d, verdict %+v, sink saw %d; want all accepted", maxBatchReports, status, res, ingested)
 	}
 
-	st := &decodeState{arena: NewArena()}
-	st.batch.Rows = make([]core.Row, MaxWireEntries+1)
-	st.dec = NewArenaDecoder(nil, st.arena)
-	st.put()
-	if st.batch.Rows != nil || st.traced != nil {
-		t.Fatalf("pooled state kept %d rows' capacity past the %d bound", cap(st.batch.Rows), MaxWireEntries)
+	// Each of the three per-report slices past the bound drops the state.
+	for name, grow := range map[string]func(*decodeState){
+		"rows":   func(st *decodeState) { st.batch.Rows = make([]core.Row, MaxWireEntries+1) },
+		"folds":  func(st *decodeState) { st.batch.Folds = make([]core.Fold, MaxWireEntries+1) },
+		"traced": func(st *decodeState) { st.traced = make([]telemetry.ReportSpans, MaxWireEntries+1) },
+	} {
+		st := &decodeState{arena: NewArena()}
+		grow(st)
+		st.dec = NewArenaDecoder(nil, st.arena)
+		st.put()
+		if st.batch.Rows != nil || st.batch.Folds != nil || st.traced != nil {
+			t.Fatalf("pooled state kept its %s' capacity past the %d bound", name, MaxWireEntries)
+		}
 	}
 }
 

@@ -100,7 +100,10 @@ func TestMetricsOverheadSmoke(t *testing.T) {
 // repeats into counts halved the bare side but not tracing's per-report
 // work; with the handler's clock read per body read as well, five runs
 // read 1.55–1.93 (median 1.72) against the parent's 1.19–1.59, the
-// traced side 1.6–2.1 ms against 3.1–4.1 ms (EXPERIMENTS.md, "Clean
+// traced side 1.6–2.1 ms against 3.1–4.1 ms. Linking a shard's folds by
+// ID (no tuple lookup, no second copy) and writing ring words through
+// locals brought fifteen runs to 1.32–1.68 (median 1.56), the parent's
+// fifteen beside them 1.10–1.60 (median 1.30) (EXPERIMENTS.md, "Clean
 // repeats as counts").
 const tracedOverheadBound = 2.0
 

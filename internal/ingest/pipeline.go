@@ -176,10 +176,11 @@ func (p *Pipeline) IngestBatch(ms []core.Measurement) {
 }
 
 // Deliver implements core.BatchCommitter: b's rows are split by shard,
-// in b's order within a shard, its folds with them, and each touched
-// shard commits its share under one lock acquisition before Deliver
-// returns — one WAL append (no fsync: the log's syncer bounds the time
-// to disk) and one store apply.
+// in b's order within a shard, and each touched shard commits its share
+// under one lock acquisition before Deliver returns — one WAL append (no
+// fsync: the log's syncer bounds the time to disk) and one store apply.
+// b's folds of a shard are linked from its commit's trace record, and
+// name the commit's trace when no row did.
 // It never fails: a WAL append error degrades durability, not
 // availability, and is counted in Stats.
 func (p *Pipeline) Deliver(b *core.Batch) error {
@@ -200,7 +201,8 @@ func (p *Pipeline) Deliver(b *core.Batch) error {
 		}
 		for _, f := range b.Folds {
 			if part[f.Tuple] == int32(s) {
-				sh.batch.AddFoldFrom(b, f)
+				sh.Link(f.Trace)
+				sh.batch.Trace = cmp.Or(sh.batch.Trace, f.Trace)
 			}
 		}
 		sh.commit(queuedAt)

@@ -275,9 +275,12 @@ func (t *Tracer) FileBatch(key TraceID, spans []Span, ids []TraceID) {
 		t.put(x)
 	}
 	t.put(uint64(key))
+	ring, mask, h := t.ring, uint64(len(t.ring)-1), t.head
 	for _, id := range ids[:n] {
-		t.put(uint64(id))
+		ring[h&mask] = uint64(id)
+		h++
 	}
+	t.head = h
 	t.mu.Unlock()
 	t.dropped.Add(uint64((len(ids) - n) * w / 3))
 }
@@ -294,12 +297,17 @@ func (t *Tracer) FileReports(reports []ReportSpans) {
 	t.mu.Lock()
 	t.reserve(1 + 4*n)
 	t.put(uint64(n)<<16 | recRequest)
+	// The entries go in through locals: put's t.head, stored per word,
+	// would cost more than the words.
+	ring, mask, h := t.ring, uint64(len(t.ring)-1), t.head
 	for _, r := range reports[:n] {
-		t.put(uint64(r.ID))
-		t.put(uint64(r.Start))
-		t.put(uint64(r.Decode))
-		t.put(uint64(r.Observe))
+		ring[h&mask] = uint64(r.ID)
+		ring[(h+1)&mask] = uint64(r.Start)
+		ring[(h+2)&mask] = uint64(r.Decode)
+		ring[(h+3)&mask] = uint64(r.Observe)
+		h += 4
 	}
+	t.head = h
 	t.mu.Unlock()
 	t.dropped.Add(2 * uint64(len(reports)-n))
 }
